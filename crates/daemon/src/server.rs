@@ -76,26 +76,26 @@ impl Default for DaemonConfig {
     }
 }
 
-/// A job's lifecycle. Terminal states keep what `wait` needs.
-#[derive(Debug, Clone)]
+/// A job's lifecycle. Terminal states keep what `wait` needs — the
+/// result only until the first `wait` takes it: a finished job stays
+/// in the table as a tombstone, not as its payload.
+#[derive(Debug)]
 enum JobState {
     Queued,
     Running,
     Done(WireResult),
+    /// Done, and the result already handed to a `wait`.
+    Delivered,
     Failed(String),
     Cancelled,
 }
 
 impl JobState {
-    fn is_terminal(&self) -> bool {
-        matches!(self, JobState::Done(_) | JobState::Failed(_) | JobState::Cancelled)
-    }
-
     fn name(&self) -> &'static str {
         match self {
             JobState::Queued => "queued",
             JobState::Running => "running",
-            JobState::Done(_) => "done",
+            JobState::Done(_) | JobState::Delivered => "done",
             JobState::Failed(_) => "failed",
             JobState::Cancelled => "cancelled",
         }
@@ -104,7 +104,9 @@ impl JobState {
 
 struct Job {
     tenant: Tenant,
-    graph: orchestra_delirium::DelirGraph,
+    /// The parsed graph, until the job's runner takes it (or a cancel
+    /// retires the job before it ever ran).
+    graph: Option<orchestra_delirium::DelirGraph>,
     opts: JobOptions,
     tasks: usize,
     submitted: Instant,
@@ -336,7 +338,7 @@ fn submit(inner: &Arc<Inner>, tenant: &Tenant, opts: JobOptions, graph_text: &st
         id,
         Job {
             tenant: tenant.clone(),
-            graph,
+            graph: Some(graph),
             opts,
             tasks,
             submitted: Instant::now(),
@@ -354,18 +356,29 @@ fn submit(inner: &Arc<Inner>, tenant: &Tenant, opts: JobOptions, graph_text: &st
 fn wait(inner: &Inner, job: u64) -> Response {
     let mut st = inner.state.lock().expect("daemon state poisoned");
     loop {
-        match st.jobs.get(&job) {
-            None => return Response::Err { msg: format!("no such job {job}") },
-            Some(j) if j.state.is_terminal() => {
-                return match &j.state {
-                    JobState::Done(r) => Response::Result(r.clone()),
-                    JobState::Failed(msg) => Response::Err { msg: msg.clone() },
-                    JobState::Cancelled => Response::Err { msg: RunError::Cancelled.to_string() },
-                    _ => unreachable!("terminal state"),
-                };
+        let Some(j) = st.jobs.get_mut(&job) else {
+            return Response::Err { msg: format!("no such job {job}") };
+        };
+        let msg = match &j.state {
+            JobState::Queued | JobState::Running => {
+                st = inner.changed.wait(st).expect("daemon state poisoned");
+                continue;
             }
-            Some(_) => st = inner.changed.wait(st).expect("daemon state poisoned"),
-        }
+            JobState::Done(_) => {
+                // Moved out, not cloned: the table keeps a tombstone,
+                // and the state lock is held for a swap, not for a
+                // copy of a wide job's values.
+                let JobState::Done(result) = std::mem::replace(&mut j.state, JobState::Delivered)
+                else {
+                    unreachable!("matched Done above");
+                };
+                return Response::Result(result);
+            }
+            JobState::Delivered => format!("job {job}: result already delivered"),
+            JobState::Failed(msg) => msg.clone(),
+            JobState::Cancelled => RunError::Cancelled.to_string(),
+        };
+        return Response::Err { msg };
     }
 }
 
@@ -378,6 +391,7 @@ fn cancel(inner: &Inner, job: u64) -> Response {
     if matches!(j.state, JobState::Queued) {
         // Never started: retire it here — there is no runner to do it.
         j.state = JobState::Cancelled;
+        j.graph = None;
         let tasks = j.tasks;
         st.queue.retain(|&q| q != job);
         st.staged_tasks -= tasks;
@@ -412,9 +426,10 @@ fn spawn_runner(inner: &Arc<Inner>, job: u64) {
 /// state, release the grant, and pull the next queued job in.
 fn run_job(inner: &Arc<Inner>, job: u64) {
     let (graph, opts, token, weight, submitted) = {
-        let st = inner.state.lock().expect("daemon state poisoned");
-        let j = &st.jobs[&job];
-        (j.graph.clone(), j.opts.clone(), j.token.clone(), j.tenant.weight, j.submitted)
+        let mut st = inner.state.lock().expect("daemon state poisoned");
+        let j = st.jobs.get_mut(&job).expect("runner spawned for a tabled job");
+        let graph = j.graph.take().expect("a job runs once");
+        (graph, j.opts.clone(), j.token.clone(), j.tenant.weight, j.submitted)
     };
     let grant = {
         let mut sched = inner.sched.lock().expect("scheduler poisoned");
@@ -447,10 +462,10 @@ fn run_job(inner: &Arc<Inner>, job: u64) {
             attempts: run.attempts,
             resumed_tasks: run.resumed_tasks,
             outputs: run
-                .op_names
-                .iter()
+                .ops
+                .into_iter()
                 .zip(run.outputs)
-                .map(|(name, values)| WireOutput { name: name.clone(), values })
+                .map(|(op, values)| WireOutput { name: op.name, values })
                 .collect(),
         }),
         Err(RunError::Cancelled) => JobState::Cancelled,

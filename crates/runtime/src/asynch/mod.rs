@@ -31,67 +31,35 @@
 
 pub(crate) mod driver;
 
-use crate::alloc::{allocate_many_with, AllocParams, OutputArena, Publication};
+use crate::alloc::{OutputArena, Publication};
 use crate::cancel::RunError;
-use crate::checkpoint::{
-    op_snapshot, plan_fingerprint, CancelCtl, KillMode, OpSnapshot, ResumeState, RunCtl,
-};
-use crate::chunking::PolicyKind;
-use crate::executor::{costs_of_node, ExecutionReport, ExecutorOptions, NodeReport};
-use crate::finish::{finish_estimate_live, HostCalibration, OpSpec};
-use crate::stats::OnlineStats;
+use crate::checkpoint::{CancelCtl, KillMode, ResumeState, RunCtl};
+use crate::executor::ExecutorOptions;
+use crate::run::{set_up, snapshot_ops, OpRecord, OpState, RunReport, Setup};
+use crate::stats::{OnlineStats, StealStats};
 use crate::threaded::queue::{BoundedClaim, Chunk, ChunkQueue};
-use crate::threaded::{build_plan, AccessPattern, TaskCtx, TaskKernel};
+use crate::threaded::{build_plan, Plan, TaskKernel};
 use driver::{DepGate, DriverRecord, Sched, TaskFuture, TaskSlot};
 use orchestra_delirium::{DelirGraph, Node};
-use orchestra_machine::{ProcStats, RunStats};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use orchestra_machine::ProcStats;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::task::{Poll, Waker};
 use std::time::Instant;
 
-/// One operation instance, shared by its claimer futures.
-struct AsyncOp {
-    name: String,
-    node: usize,
-    iter: usize,
-    costs: Vec<f64>,
+/// What the cooperative executor itself keeps per operation, beside
+/// the shared [`OpState`]: the claim queue its claimer futures share,
+/// and everything they park on.
+struct AsyncOp<'p> {
+    /// The run core's per-op state.
+    state: OpState<'p>,
     queue: ChunkQueue,
-    /// Opens when every DAG predecessor has completed.
+    /// Opens when every DAG predecessor has arrived: whole-op
+    /// producers at completion, streamed ones at their *first
+    /// watermark publication*.
     gate: DepGate,
-    dependents: Vec<usize>,
-    /// Tasks not yet accounted by a finished claimer; the claimer that
-    /// drops this to zero completes the op.
-    outstanding: AtomicUsize,
-    /// Plan indices of this op's predecessors, in dep order — the
-    /// arena slices handed to claimers as [`TaskCtx::inputs`].
-    input_ops: Vec<usize>,
-    executed: Vec<AtomicU32>,
-    /// First-claim time, µs since run start (f64 bits; MAX = never).
-    started_bits: AtomicU64,
-    /// Completion time, µs since run start (f64 bits; MAX = never).
-    finished_bits: AtomicU64,
     /// Chunk-boundary yields taken by this op's claimers.
     yields: AtomicU64,
-    /// Per-task restored-from-snapshot flags (empty on a fresh run).
-    restored: Vec<bool>,
-    /// Queue-index → task-index translation for resumed ops (`None` =
-    /// identity; the queue schedules only the pending tasks, packed).
-    remap: Option<Vec<usize>>,
-    /// Predecessors feeding this op through a *streamed* edge: claims
-    /// are bounded by the minimum of their published watermarks, so
-    /// chunks start before these producers complete. Always a subset
-    /// of `input_ops`.
-    stream_inputs: Vec<usize>,
-    /// Dependents consuming this op through a streamed edge: their
-    /// gates arrive at this op's *first watermark publication* (not at
-    /// completion), and later publications simply raise the prefix
-    /// their bounded claims may cover.
-    stream_dependents: Vec<usize>,
-    /// Completed tasks coalesced per watermark publication (the §4.1
-    /// batch size b*); `tasks` for non-streamed producers.
-    stream_batch: usize,
     /// Wakers of consumer claimers parked because this producer's
     /// watermark does not yet cover their next chunk. Drained (and
     /// woken) on every publication; the waiter re-checks the watermark
@@ -101,34 +69,6 @@ struct AsyncOp {
     /// Orphaned-chunk hand-off between this op's claimer futures under
     /// fault injection.
     board: Mutex<OrphanBoard>,
-}
-
-impl AsyncOp {
-    /// Translates a queue index to the op-local task index.
-    #[inline]
-    fn task_of(&self, qi: usize) -> usize {
-        match &self.remap {
-            Some(r) => r[qi],
-            None => qi,
-        }
-    }
-
-    /// Highest claimable task bound right now: the minimum watermark
-    /// across streamed inputs (`usize::MAX` when every edge is
-    /// whole-op, so the bounded claim degenerates to the plain one).
-    #[inline]
-    fn stream_limit(&self, arena: &OutputArena) -> usize {
-        self.stream_inputs.iter().map(|&p| arena.watermark(p)).min().unwrap_or(usize::MAX)
-    }
-
-    /// Whether this op commits watermarks as it runs. Remapped
-    /// (resumed) ops never stream — the classification already
-    /// excludes them, so the check is belt and braces for the
-    /// scattered-write path.
-    #[inline]
-    fn streams_output(&self) -> bool {
-        !self.stream_dependents.is_empty() && self.remap.is_none()
-    }
 }
 
 /// Lease accounting for one op's claimer futures: chunks orphaned by
@@ -157,8 +97,8 @@ struct DriverCell {
 }
 
 /// Everything the claimer futures borrow for the duration of the run.
-struct AsyncShared<'g> {
-    ops: Vec<AsyncOp>,
+struct AsyncShared<'p, 'g> {
+    ops: Vec<AsyncOp<'p>>,
     nodes: &'g [Node],
     /// Shared output slab: every op's tasks write disjoint cells, and
     /// finished ops hand their slices downstream by reference.
@@ -171,139 +111,6 @@ struct AsyncShared<'g> {
     /// a crash-mode kill aborts it so drivers don't wait forever on
     /// gate-parked claimers.
     sched: OnceLock<Arc<Sched>>,
-}
-
-impl<'g> AsyncShared<'g> {
-    /// Arena slices of `op`'s predecessors, in dep order.
-    ///
-    /// Sound to read: the caller's dependency gate has already
-    /// released. For whole-op edges the gate arrival happens at the
-    /// predecessor's completion, so the slice is complete and
-    /// immutable. For *streamed* edges the gate arrives at the
-    /// producer's first watermark publication and the slice is still
-    /// being raw-written above the watermark — sound because (1) the
-    /// consumer's claims are bounded by the Release-published /
-    /// Acquire-read watermark, (2) the `ElementWise` kernel contract
-    /// reads only cells `≤ t`, all below the watermark that admitted
-    /// task `t`, and (3) producers scatter through raw pointer stores,
-    /// never forming a `&mut` overlapping this shared slice.
-    fn inputs_of(&self, op_idx: usize) -> Vec<&'g [f64]> {
-        self.ops[op_idx].input_ops.iter().map(|&d| unsafe { self.arena.op_slice(d) }).collect()
-    }
-}
-
-/// Per-op record of an async run.
-#[derive(Debug, Clone)]
-pub struct AsyncOpRecord {
-    /// Instance name.
-    pub name: String,
-    /// First chunk claim, µs after run start.
-    pub start_us: f64,
-    /// Completion, µs after run start.
-    pub finish_us: f64,
-    /// Task count.
-    pub tasks: usize,
-    /// Chunks dispatched by the queue.
-    pub chunks: u64,
-    /// Cooperative yields taken at this op's chunk boundaries.
-    pub yields: u64,
-    /// Driver share the §4.1.2 equalizer allocated to this op (the
-    /// whole driver pool when the op had its level to itself or
-    /// allocation was off): its chunk schedule and claimer
-    /// oversubscription are sized for this share.
-    pub procs: usize,
-    /// Input edges consumed through watermark streaming (0 = whole-op
-    /// gated).
-    pub streamed_inputs: usize,
-    /// Watermark publications this op performed as a producer.
-    pub watermark_pubs: u64,
-}
-
-/// The result of executing a graph on the cooperative executor —
-/// the async counterpart of [`ThreadedRun`](crate::ThreadedRun).
-#[derive(Debug, Clone)]
-pub struct AsyncRun {
-    /// Measured wall-clock time, µs.
-    pub wall_us: f64,
-    /// Driver threads used.
-    pub drivers: usize,
-    /// Per-driver busy/tasks/chunks, assembled with
-    /// [`RunStats::from_procs`] like every other backend.
-    pub stats: RunStats,
-    /// Per-op timings, aligned with the plan's op order.
-    pub ops: Vec<AsyncOpRecord>,
-    /// Output buffers, aligned with the plan's op order.
-    pub outputs: Vec<Vec<f64>>,
-    /// Per-task execution counts, aligned with the plan's op order
-    /// (all 1 in a correct run).
-    pub exec_counts: Vec<Vec<u32>>,
-    /// Σ of the tasks' simulated cost hints (µs).
-    pub hinted_serial_us: f64,
-    /// Chunk claims across all ops (scheduling events).
-    pub claims: u64,
-    /// Cooperative yields across all ops (one per executed chunk).
-    pub yields: u64,
-    /// Future polls across all drivers. A poll executes at most one
-    /// chunk and every claimer's last poll claims nothing, so this is
-    /// at least `claims + spawned`; the excess beyond that is
-    /// dependency-gate registrations and stale-claimer wakeups.
-    pub polls: u64,
-    /// Claimer futures spawned (every op is oversubscribed:
-    /// more claimers than drivers).
-    pub spawned: usize,
-    /// Pops satisfied by stealing from another driver's run queue
-    /// (always 0 at one driver).
-    pub steals: u64,
-    /// Producer→consumer edges that streamed through watermarks.
-    pub streamed_edges: usize,
-    /// Watermark publications across all ops.
-    pub watermark_pubs: u64,
-    /// Whether an injected crash-mode fault aborted the run (the
-    /// outputs are then partial; see
-    /// [`execute_graph_resumable`](crate::checkpoint::execute_graph_resumable)).
-    pub crashed: bool,
-}
-
-impl AsyncRun {
-    /// Measured speedup: total busy time across drivers over wall
-    /// time; `drivers` is the ceiling.
-    pub fn measured_speedup(&self) -> f64 {
-        if self.wall_us <= 0.0 {
-            return 1.0;
-        }
-        self.stats.total_busy() / self.wall_us
-    }
-
-    /// Fraction of driver-seconds spent polling futures (busy /
-    /// (drivers × wall)) — how well the cooperative pool was fed.
-    pub fn driver_utilization(&self) -> f64 {
-        if self.wall_us <= 0.0 {
-            return 0.0;
-        }
-        self.stats.total_busy() / (self.drivers as f64 * self.wall_us)
-    }
-
-    /// Converts the run into the executor's report shape so callers
-    /// consume all four backends uniformly.
-    pub fn to_report(&self) -> ExecutionReport {
-        ExecutionReport {
-            finish: self.wall_us,
-            nodes: self
-                .ops
-                .iter()
-                .map(|op| NodeReport {
-                    name: op.name.clone(),
-                    start: op.start_us,
-                    finish: op.finish_us,
-                    procs: op.procs,
-                    streamed_inputs: op.streamed_inputs,
-                    watermark_pubs: op.watermark_pubs,
-                })
-                .collect(),
-            serial_work: self.stats.total_busy(),
-            processors: self.drivers,
-        }
-    }
 }
 
 /// Driver-count resolution: `opts.drivers`, else `opts.threads`, else
@@ -331,6 +138,16 @@ fn us_since(epoch: Instant) -> f64 {
     epoch.elapsed().as_secs_f64() * 1e6
 }
 
+impl AsyncShared<'_, '_> {
+    /// Books one executed chunk of `tasks` tasks to the polling driver.
+    fn book_chunk(&self, tasks: usize) {
+        if let Some(d) = driver::current_driver() {
+            self.cells[d].tasks.fetch_add(tasks as u64, Ordering::Relaxed);
+            self.cells[d].chunks.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
 /// What the post-claim fault/checkpoint hook decided for a claimer.
 enum ClaimFate {
     /// Execute the chunk normally (includes suppressed kills).
@@ -343,7 +160,12 @@ enum ClaimFate {
 /// The async claim hook: fires planned kills at the claim boundary and
 /// drives the checkpoint cadence. `cid` is the claimer's spawn index —
 /// the async backend's notion of a "worker" for [`KillSpec::worker`].
-fn on_claim_async(shared: &AsyncShared<'_>, cid: usize, op_idx: usize, chunk: &Chunk) -> ClaimFate {
+fn on_claim_async(
+    shared: &AsyncShared<'_, '_>,
+    cid: usize,
+    op_idx: usize,
+    chunk: &Chunk,
+) -> ClaimFate {
     let ctl = &shared.ctl;
     // Cancellation aborts the whole cooperative run: stop the
     // scheduler so parked futures are never polled again, and retire
@@ -375,7 +197,7 @@ fn on_claim_async(shared: &AsyncShared<'_>, cid: usize, op_idx: usize, chunk: &C
             if board.live >= 2 && f.try_die(cid, mode) {
                 board.live -= 1;
                 board.orphans.push(
-                    (chunk.start..chunk.start + chunk.len).map(|qi| op.task_of(qi)).collect(),
+                    (chunk.start..chunk.start + chunk.len).map(|qi| op.state.task_of(qi)).collect(),
                 );
                 return ClaimFate::Die;
             }
@@ -385,23 +207,10 @@ fn on_claim_async(shared: &AsyncShared<'_>, cid: usize, op_idx: usize, chunk: &C
     }
     if let Some(ck) = &ctl.ckpt {
         if ck.note_claim(None) {
-            ck.commit(snapshot_async_ops(&shared.ops, shared.arena));
+            ck.commit(snapshot_ops(shared.ops.iter().map(|op| &op.state), shared.arena));
         }
     }
     ClaimFate::Run
-}
-
-/// Captures every op's completed-task bitmap, outputs, and cost stats
-/// for a checkpoint commit. Output values are read straight from the
-/// arena — sound for any task the scanner observes as executed (the
-/// Release bump on `executed` orders the cell's store before it).
-fn snapshot_async_ops(ops: &[AsyncOp], arena: &OutputArena) -> Vec<OpSnapshot> {
-    ops.iter()
-        .enumerate()
-        .map(|(i, op)| {
-            op_snapshot(&op.costs, &op.restored, &op.executed, |t| unsafe { arena.read(i, t) })
-        })
-        .collect()
 }
 
 /// One claimer's life: await the op's dependency gate, then loop
@@ -412,34 +221,35 @@ fn snapshot_async_ops(ops: &[AsyncOp], arena: &OutputArena) -> Vec<OpSnapshot> {
 /// planned death after every claim, and on retirement adopts chunks
 /// orphaned by killed siblings.
 async fn run_claimer(
-    shared: &AsyncShared<'_>,
+    shared: &AsyncShared<'_, '_>,
     op_idx: usize,
     cid: usize,
     kernel: &(dyn TaskKernel + Sync),
 ) {
-    let op = &shared.ops[op_idx];
-    op.gate.wait().await;
-    if op.costs.is_empty() {
+    let aop = &shared.ops[op_idx];
+    let op = &aop.state;
+    let arena = shared.arena;
+    aop.gate.wait().await;
+    if op.plan.tasks == 0 {
         // Degenerate op: its single claimer (see `claimers_for`)
         // completes it directly.
         let now = us_since(shared.epoch);
-        stamp_min(&op.started_bits, now);
+        op.stamp_start(now);
         complete_op(shared, op_idx, now);
         return;
     }
     let hooked = shared.ctl.hooked();
-    let node = &shared.nodes[op.node];
-    let adaptive = op.queue.is_adaptive();
-    // The gate has released, so every predecessor's arena slice is
-    // complete and immutable for the rest of the run.
-    let inputs = shared.inputs_of(op_idx);
+    let adaptive = aop.queue.is_adaptive();
+    // The gate has released: whole-op predecessors are complete, and
+    // streamed ones are read only below their watermark.
+    let visit = op.visit(kernel, shared.nodes, arena);
     let mut done = 0usize;
     loop {
         // Streamed consumers re-read the producers' watermarks at
         // every claim; whole-op consumers get `usize::MAX` and the
         // plain claim path.
-        let limit = op.stream_limit(shared.arena);
-        let chunk = match op.queue.claim_bounded(limit) {
+        let limit = op.stream_limit(arena);
+        let chunk = match aop.queue.claim_bounded(limit) {
             BoundedClaim::Chunk(c) => c,
             BoundedClaim::Blocked => {
                 // Tasks remain but the producer has not committed
@@ -450,14 +260,14 @@ async fn run_claimer(
                 // that cannot progress. Register-then-recheck (as in
                 // `DepGate::wait`) closes the race with a publication
                 // landing between the claim and the registration; the
-                // park is deliberately *not* counted in `op.yields` —
+                // park is deliberately *not* counted in `yields` —
                 // that counter is pinned one-per-chunk by the
                 // differential suites. If a crash-mode fault fired,
                 // the scheduler is aborted and this future simply
                 // never gets polled again, so the wait cannot hang a
                 // crashed run.
                 std::future::poll_fn(|cx| {
-                    if op.stream_limit(shared.arena) > limit {
+                    if op.stream_limit(arena) > limit {
                         return Poll::Ready(());
                     }
                     for &p in &op.stream_inputs {
@@ -465,7 +275,7 @@ async fn run_claimer(
                             shared.ops[p].stream_waiters.lock().expect("stream waiters poisoned");
                         w.push(cx.waker().clone());
                     }
-                    if op.stream_limit(shared.arena) > limit {
+                    if op.stream_limit(arena) > limit {
                         // A stale registration stays behind on the
                         // producers; its wake hits an already-finished
                         // wait and is a no-op.
@@ -481,42 +291,24 @@ async fn run_claimer(
         };
         if hooked {
             if let ClaimFate::Die = on_claim_async(shared, cid, op_idx, &chunk) {
-                // The `done > 0` guard matters: `fetch_sub(0) == 0`
-                // would spuriously re-complete a completed op.
-                if done > 0 && op.outstanding.fetch_sub(done, Ordering::AcqRel) == done {
+                // Dying mid-loop: the batch executed so far still counts.
+                if op.account(done) {
                     complete_op(shared, op_idx, us_since(shared.epoch));
                 }
                 return;
             }
         }
-        stamp_min(&op.started_bits, us_since(shared.epoch));
+        op.stamp_start(us_since(shared.epoch));
         let mut chunk_stats = OnlineStats::new();
-        // Identity-mapped ops take the zero-copy path: the claimed
-        // chunk is a contiguous, exclusively-owned arena window.
-        // Exclusivity comes from the exactly-once claim; remapped
-        // (resumed) ops scatter through per-task writes instead — and
-        // so do streamed *producers*, whose consumers hold live shared
-        // slices over this span (a `&mut` view would alias them).
-        let mut view = if op.remap.is_none() && !op.streams_output() {
-            Some(unsafe { shared.arena.chunk_view(op_idx, chunk.start, chunk.len) })
-        } else {
-            None
-        };
+        // SAFETY (view and tasks): the claim handed queue indices
+        // `[start, start+len)` to this claimer exactly once.
+        let mut view = unsafe { op.chunk_view(arena, chunk.start, chunk.len) };
         for qi in chunk.start..chunk.start + chunk.len {
             let task = op.task_of(qi);
-            let cost = op.costs[task];
-            let ctx = TaskCtx { node, iter: op.iter, task, cost_hint: cost, inputs: &inputs };
-            let value = kernel.run_task(&ctx);
-            match &mut view {
-                Some(v) => v[qi - chunk.start] = value,
-                None => unsafe { shared.arena.write(op_idx, task, value) },
-            }
-            // Release: pairs with the snapshot scanner's Acquire loads
-            // — a task counted as executed must have its output
-            // visible.
-            op.executed[task].fetch_add(1, Ordering::Release);
+            let slot = view.as_deref_mut().map(|v| &mut v[qi - chunk.start]);
+            unsafe { visit.run_task(task, slot) };
             if adaptive {
-                chunk_stats.observe(cost);
+                chunk_stats.observe(op.costs[task]);
             }
         }
         if adaptive {
@@ -524,24 +316,19 @@ async fn run_claimer(
             // clock — the same choice the dist backend's control plane
             // makes, so chunk sequences are reproducible (and, at one
             // driver, the whole schedule is).
-            op.queue.observe_chunk(chunk.start, chunk.len, &chunk_stats);
+            aop.queue.observe_chunk(chunk.start, chunk.len, &chunk_stats);
         }
-        if let Some(d) = driver::current_driver() {
-            shared.cells[d].tasks.fetch_add(chunk.len as u64, Ordering::Relaxed);
-            shared.cells[d].chunks.fetch_add(1, Ordering::Relaxed);
-        }
+        shared.book_chunk(chunk.len);
         if op.streams_output() {
             // Commit the chunk's span before yielding: once the b*
             // batch fills (or the op finishes) the watermark publishes
             // and downstream claimers may start on the prefix.
-            if let Some(p) =
-                shared.arena.commit_range(op_idx, chunk.start, chunk.len, op.stream_batch)
-            {
+            if let Some(p) = arena.commit_range(op_idx, chunk.start, chunk.len, op.stream_batch) {
                 handle_publication_async(shared, op_idx, p);
             }
         }
         done += chunk.len;
-        op.yields.fetch_add(1, Ordering::Relaxed);
+        aop.yields.fetch_add(1, Ordering::Relaxed);
         driver::yield_now().await;
     }
     // Queue drained. Under fault injection, adopt orphaned chunks
@@ -551,7 +338,7 @@ async fn run_claimer(
     if hooked && shared.ctl.faults.is_some() {
         loop {
             let orphan = {
-                let mut board = op.board.lock().expect("orphan board poisoned");
+                let mut board = aop.board.lock().expect("orphan board poisoned");
                 match board.orphans.pop() {
                     Some(o) => Some(o),
                     None => {
@@ -564,32 +351,19 @@ async fn run_claimer(
                 break;
             };
             for &task in &tasks {
-                let cost = op.costs[task];
-                let ctx = TaskCtx { node, iter: op.iter, task, cost_hint: cost, inputs: &inputs };
-                let value = kernel.run_task(&ctx);
+                // SAFETY: the board hands each orphan to one adopter.
                 // Orphans are arbitrary task sets — always scattered.
-                unsafe { shared.arena.write(op_idx, task, value) };
-                op.executed[task].fetch_add(1, Ordering::Release);
+                unsafe { visit.run_task(task, None) };
             }
-            if let Some(d) = driver::current_driver() {
-                shared.cells[d].tasks.fetch_add(tasks.len() as u64, Ordering::Relaxed);
-                shared.cells[d].chunks.fetch_add(1, Ordering::Relaxed);
-            }
+            shared.book_chunk(tasks.len());
             done += tasks.len();
         }
     }
     // Account this claimer's work in one batched decrement; whoever
     // zeroes the counter has proof every task ran and completes the op
     // (same protocol as the threaded pool).
-    if done > 0 && op.outstanding.fetch_sub(done, Ordering::AcqRel) == done {
+    if op.account(done) {
         complete_op(shared, op_idx, us_since(shared.epoch));
-    }
-}
-
-fn stamp_min(bits: &AtomicU64, t_us: f64) {
-    let b = t_us.to_bits();
-    if bits.load(Ordering::Relaxed) > b {
-        bits.fetch_min(b, Ordering::AcqRel);
     }
 }
 
@@ -604,10 +378,10 @@ fn stamp_min(bits: &AtomicU64, t_us: f64) {
 /// Release watermark store precedes the lock that drains the waiter
 /// list, and waiters re-check after registering under that same lock,
 /// so a wake can race a registration but never miss it.
-fn handle_publication_async(shared: &AsyncShared<'_>, op_idx: usize, publication: Publication) {
+fn handle_publication_async(shared: &AsyncShared<'_, '_>, op_idx: usize, publication: Publication) {
     let op = &shared.ops[op_idx];
     if publication.is_first() {
-        for &d in &op.stream_dependents {
+        for &d in &op.state.stream_dependents {
             let gate = &shared.ops[d].gate;
             if gate.arrive() {
                 gate.release();
@@ -626,8 +400,8 @@ fn handle_publication_async(shared: &AsyncShared<'_>, op_idx: usize, publication
 /// wakers). Streamed producers additionally publish their full
 /// watermark — idempotent, and the one publication path that covers
 /// scattered orphan-replay writes no `commit_range` accounted for.
-fn complete_op(shared: &AsyncShared<'_>, op_idx: usize, t_end: f64) {
-    let op = &shared.ops[op_idx];
+fn complete_op(shared: &AsyncShared<'_, '_>, op_idx: usize, t_end: f64) {
+    let op = &shared.ops[op_idx].state;
     op.finished_bits.fetch_min(t_end.to_bits(), Ordering::AcqRel);
     if !op.stream_dependents.is_empty() {
         let p = shared.arena.publish_all(op_idx);
@@ -645,209 +419,58 @@ fn complete_op(shared: &AsyncShared<'_>, op_idx: usize, t_end: f64) {
 ///
 /// # Errors
 ///
-/// Returns the graph's validation error when it is malformed.
+/// Returns the graph's validation error when it is malformed, or a
+/// cancellation/deadline error when the caller aborted the run.
 pub fn execute_async(
     g: &DelirGraph,
     opts: &ExecutorOptions,
     kernel: &(dyn TaskKernel + Sync),
-) -> Result<AsyncRun, RunError> {
-    execute_async_resumed(g, opts, kernel, None)
+) -> Result<RunReport, RunError> {
+    run_async(g, &build_plan(g, opts)?, opts, kernel, &ResumeState::empty())
 }
 
-/// [`execute_async`] with an optional restore image: restored tasks
-/// keep their snapshot outputs and are excluded from the queues'
-/// iteration spaces, fully restored ops spawn no claimers and arrive
-/// pre-completed at their dependents' gates, and the adaptive chunk
-/// policies warm-start from the snapshot's per-op µ/σ.
-pub(crate) fn execute_async_resumed(
+/// Runs an already expanded plan on the cooperative executor from a
+/// restore image (empty for a fresh run): the shared [`set_up`], then
+/// this backend's own part — per op a claim queue, a dependency gate
+/// and an oversubscribed set of claimer futures (none for ops the
+/// snapshot finished: they arrive pre-completed at their dependents'
+/// gates), multiplexed over the driver threads.
+pub(crate) fn run_async(
     g: &DelirGraph,
+    plan: &Plan,
     opts: &ExecutorOptions,
     kernel: &(dyn TaskKernel + Sync),
-    resume: Option<&ResumeState>,
-) -> Result<AsyncRun, RunError> {
-    let plan = build_plan(g, opts)?;
+    resume: &ResumeState,
+) -> Result<RunReport, RunError> {
     let drivers = resolve_drivers(opts);
-    // Which ops the snapshot already finished whole: excluded from
-    // scheduling entirely — no claimers, no gate edges.
-    let pre_done: Vec<bool> = plan
-        .ops
+    let Setup { arena, ops, hinted_serial_us } =
+        set_up(plan, &g.nodes, opts, kernel.access(), drivers, resume);
+    // Claimers, like the chunk schedule, size for the op's equalizer
+    // share of the driver pool.
+    let n_claimers: Vec<usize> = ops
         .iter()
-        .enumerate()
-        .map(|(i, op)| {
-            resume
-                .and_then(|r| r.ops.get(i))
-                .is_some_and(|o| op.tasks > 0 && o.completed.iter().all(|&c| c))
-        })
+        .map(|op| if op.pre_done() { 0 } else { claimers_for(op.pending(), op.share.len()) })
         .collect();
-    // Streamed-edge classification — identical to the threaded
-    // backend's: element-wise kernels on equal-cardinality live edges
-    // stream through watermarks; everything else (reductions, resumed
-    // remapped ops, `pipeline_overlap = false`) keeps whole-op gating.
-    let remapped: Vec<bool> = (0..plan.ops.len())
-        .map(|i| resume.and_then(|r| r.ops.get(i)).is_some_and(|o| o.completed.iter().any(|&c| c)))
-        .collect();
-    let stream_on = opts.pipeline_overlap && kernel.access() == AccessPattern::ElementWise;
-    let streamed_edge = |d: usize, c: usize| -> bool {
-        stream_on
-            && !pre_done[d]
-            && !pre_done[c]
-            && !remapped[d]
-            && !remapped[c]
-            && plan.ops[d].tasks == plan.ops[c].tasks
-            && plan.ops[d].tasks > 1
-    };
-    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); plan.ops.len()];
-    let mut stream_deps: Vec<Vec<usize>> = vec![Vec::new(); plan.ops.len()];
-    for (i, op) in plan.ops.iter().enumerate() {
-        if pre_done[i] {
-            continue; // Never scheduled, so never needs enabling.
-        }
-        for &d in &op.deps {
-            if streamed_edge(d, i) {
-                stream_deps[d].push(i);
-            } else {
-                dependents[d].push(i);
-            }
-        }
-    }
-    // §4.1.2 driver shares: when a level holds several concurrent ops
-    // and allocation is on, the equalizer rations the driver pool
-    // between them — each op's chunk schedule and claimer count are
-    // sized for its share instead of the whole pool. The split is a
-    // pure function of task counts (no sampled stats exist yet), so
-    // one-driver determinism is untouched.
-    let pending_of: Vec<usize> = plan
-        .ops
-        .iter()
-        .enumerate()
-        .map(|(i, op)| {
-            let restored = resume
-                .and_then(|r| r.ops.get(i))
-                .map_or(0, |o| o.completed.iter().filter(|&&c| c).count());
-            op.tasks.saturating_sub(restored)
-        })
-        .collect();
-    let mut op_shares: Vec<usize> = vec![drivers; plan.ops.len()];
-    if opts.use_allocation && drivers > 1 {
-        let cal = HostCalibration::get();
-        let kind = match opts.policy {
-            PolicyKind::Static => PolicyKind::Gss,
-            p => p,
-        };
-        let mut depth = vec![0usize; plan.ops.len()];
-        let mut by_depth: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (i, op) in plan.ops.iter().enumerate() {
-            depth[i] = op.deps.iter().map(|&d| depth[d] + 1).max().unwrap_or(0);
-            if !pre_done[i] && pending_of[i] > 0 {
-                by_depth.entry(depth[i]).or_default().push(i);
-            }
-        }
-        for group in by_depth.values() {
-            if group.len() < 2 || drivers < group.len() {
-                continue;
-            }
-            let specs: Vec<OpSpec> =
-                group.iter().map(|&i| OpSpec::from_live(pending_of[i], None, kind)).collect();
-            let alloc = allocate_many_with(&specs, drivers, &AllocParams::default(), |s, p| {
-                finish_estimate_live(s, p, &cal).total()
-            });
-            for (&i, &a) in group.iter().zip(&alloc) {
-                op_shares[i] = a;
-            }
-        }
-    }
-    let mut hinted_serial_us = 0.0;
-    // One slab for every op's outputs; spans are disjoint per op and
-    // handed downstream by reference once the producer completes.
-    let mut arena = OutputArena::for_ops(plan.ops.iter().map(|o| o.tasks));
-    let mut ops: Vec<AsyncOp> = Vec::with_capacity(plan.ops.len());
-    let mut n_claimers: Vec<usize> = Vec::with_capacity(plan.ops.len());
-    for (i, (op, deps_out)) in plan.ops.iter().zip(&mut dependents).enumerate() {
-        let node = &g.nodes[op.node];
-        let costs = costs_of_node(node, opts.seed);
-        hinted_serial_us += costs.iter().sum::<f64>();
-        let res_op = resume.and_then(|r| r.ops.get(i)).filter(|o| o.completed.iter().any(|&c| c));
-        let restored: Vec<bool> = res_op.map(|o| o.completed.clone()).unwrap_or_default();
-        let remap: Option<Vec<usize>> = if restored.iter().any(|&c| c) {
-            Some((0..op.tasks).filter(|&t| !restored[t]).collect())
-        } else {
-            None
-        };
-        let pending = remap.as_ref().map_or(op.tasks, Vec::len);
-        let policy = match opts.policy {
-            // Static has no dynamic queue; same approximation as the
-            // threaded backend.
-            PolicyKind::Static => PolicyKind::Gss.instantiate(pending),
-            p => p.instantiate(pending),
-        };
-        // Chunk schedules size for the op's allocated driver share.
-        let queue = ChunkQueue::new(policy, pending, op_shares[i]);
-        if let Some(r) = res_op.filter(|o| o.stats.count() > 0) {
-            queue.observe_chunk(0, 0, &r.stats);
-        }
-        let effective_deps = op.deps.iter().filter(|&&d| !pre_done[d]).count();
-        // Restored tasks keep their snapshot outputs: prefilled while
-        // the arena is still exclusively owned, before any claimer can
-        // observe it.
-        if let Some(o) = res_op {
-            for t in 0..op.tasks {
-                if restored.get(t).copied().unwrap_or(false) {
-                    arena.set(i, t, o.outputs[t]);
-                }
-            }
-        }
-        let claimers = if pre_done[i] { 0 } else { claimers_for(pending, op_shares[i]) };
-        let stamp = if pre_done[i] { 0u64 } else { u64::MAX };
-        n_claimers.push(claimers);
-        let stream_dependents = std::mem::take(&mut stream_deps[i]);
-        let stream_batch = if stream_dependents.is_empty() {
-            op.tasks.max(1)
-        } else {
-            opts.stream_batch
-                .unwrap_or_else(|| {
-                    HostCalibration::get().stream_batch(op.tasks, std::mem::size_of::<f64>() as u64)
-                })
-                .clamp(1, op.tasks.max(1))
-        };
-        ops.push(AsyncOp {
-            name: op.name.clone(),
-            node: op.node,
-            iter: op.iter,
-            queue,
-            costs,
-            gate: DepGate::new(effective_deps),
-            dependents: std::mem::take(deps_out),
-            outstanding: AtomicUsize::new(pending),
-            input_ops: op.deps.clone(),
-            executed: (0..op.tasks).map(|_| AtomicU32::new(0)).collect(),
-            started_bits: AtomicU64::new(stamp),
-            finished_bits: AtomicU64::new(stamp),
+    let ops: Vec<AsyncOp> = ops
+        .into_iter()
+        .zip(&n_claimers)
+        .map(|(state, &live)| AsyncOp {
+            queue: state.chunk_queue(opts.policy),
+            gate: DepGate::new(state.live_deps),
             yields: AtomicU64::new(0),
-            restored,
-            remap,
-            stream_inputs: op.deps.iter().copied().filter(|&d| streamed_edge(d, i)).collect(),
-            stream_dependents,
-            stream_batch,
             stream_waiters: Mutex::new(Vec::new()),
-            board: Mutex::new(OrphanBoard { orphans: Vec::new(), live: claimers }),
-        });
-    }
-
+            board: Mutex::new(OrphanBoard { orphans: Vec::new(), live }),
+            state,
+        })
+        .collect();
     let spawned: usize = n_claimers.iter().sum();
-    let fingerprint = plan_fingerprint(&plan, opts.seed);
     let shared = AsyncShared {
         ops,
         nodes: &g.nodes,
         arena: &arena,
         cells: (0..drivers).map(|_| DriverCell::default()).collect(),
         epoch: Instant::now(),
-        ctl: RunCtl::new(
-            opts.faults.as_ref(),
-            opts.checkpoint.as_ref(),
-            CancelCtl::from_opts(opts),
-            spawned,
-            fingerprint,
-        ),
+        ctl: RunCtl::new(opts, plan, spawned),
         sched: OnceLock::new(),
     };
     // Spawn claimer futures op-major: ready ops start interleaved at
@@ -881,7 +504,7 @@ pub(crate) fn execute_async_resumed(
     let wall_us = us_since(shared.epoch);
 
     let polls: u64 = records.iter().map(|r| r.polls).sum();
-    let steals: u64 = records.iter().map(|r| r.steals).sum();
+    let steal = StealStats { steals: records.iter().map(|r| r.steals).sum(), ..StealStats::new() };
     let procs: Vec<ProcStats> = records
         .into_iter()
         .zip(&shared.cells)
@@ -889,62 +512,21 @@ pub(crate) fn execute_async_resumed(
             rec.into_proc(cell.tasks.load(Ordering::Relaxed), cell.chunks.load(Ordering::Relaxed))
         })
         .collect();
-    let stats = RunStats::from_procs(procs, wall_us);
-    let op_records: Vec<AsyncOpRecord> = shared
+    let op_records: Vec<OpRecord> = shared
         .ops
         .iter()
-        .enumerate()
-        .map(|(i, op)| AsyncOpRecord {
-            name: op.name.clone(),
-            start_us: f64::from_bits(op.started_bits.load(Ordering::Acquire)),
-            finish_us: f64::from_bits(op.finished_bits.load(Ordering::Acquire)),
-            tasks: op.costs.len(),
-            chunks: op.queue.chunks_claimed(),
+        .map(|op| OpRecord {
             yields: op.yields.load(Ordering::Relaxed),
-            procs: op_shares[i],
-            streamed_inputs: op.stream_inputs.len(),
-            // Read before `into_outputs` consumes the arena below.
-            watermark_pubs: shared.arena.watermark_pubs(i),
+            ..op.state.record(shared.arena, op.queue.chunks_claimed())
         })
         .collect();
-    let claims: u64 = op_records.iter().map(|o| o.chunks).sum();
-    let yields: u64 = op_records.iter().map(|o| o.yields).sum();
-    let streamed_edges: usize = op_records.iter().map(|o| o.streamed_inputs).sum();
-    let watermark_pubs: u64 = op_records.iter().map(|o| o.watermark_pubs).sum();
-    let exec_counts: Vec<Vec<u32>> = shared
-        .ops
-        .iter()
-        .map(|op| op.executed.iter().map(|c| c.load(Ordering::Acquire)).collect())
-        .collect();
-    let crashed = shared.ctl.crashed();
-    // A fired cancellation aborts the run before result assembly —
-    // the partial outputs are discarded, exactly as on the threaded
-    // backend.
-    if let Some(e) = shared.ctl.cancel_error() {
-        return Err(e);
-    }
     // End the arena borrow (the drivers have joined) so the slab can
-    // be carved into owned per-op buffers without a copy pass through
-    // atomics.
-    drop(shared);
-    let outputs = arena.into_outputs();
-    Ok(AsyncRun {
-        wall_us,
-        drivers,
-        stats,
-        ops: op_records,
-        outputs,
-        exec_counts,
-        hinted_serial_us,
-        claims,
-        yields,
-        polls,
-        spawned,
-        steals,
-        streamed_edges,
-        watermark_pubs,
-        crashed,
-    })
+    // be carved into owned per-op buffers.
+    let AsyncShared { ops, ctl, .. } = shared;
+    let states = ops.into_iter().map(|op| op.state);
+    let report =
+        RunReport::from_run(wall_us, procs, op_records, states, arena, hinted_serial_us, &ctl)?;
+    Ok(RunReport { polls, spawned, steal, ..report })
 }
 
 #[cfg(test)]
@@ -978,7 +560,7 @@ mod tests {
         assert!(r.yields > 0, "chunk boundaries must yield");
         assert_eq!(r.claims, r.yields, "one yield per executed chunk");
         assert!(r.polls >= r.claims + r.spawned as u64);
-        assert!(r.measured_speedup() <= r.drivers as f64 + 1e-9);
+        assert!(r.measured_speedup() <= r.workers as f64 + 1e-9);
         assert!(r.driver_utilization() <= 1.0 + 1e-9);
     }
 

@@ -33,8 +33,8 @@ mod snapshot;
 
 pub use fault::{FaultPlan, FaultTrigger, KillSpec};
 pub(crate) use fault::{FaultState, KillMode, Lease};
+pub use resume::execute_graph_resumable;
 pub(crate) use resume::ResumeState;
-pub use resume::{execute_graph_resumable, ResumableRun};
 pub use snapshot::{graph_fingerprint, load_latest, plan_fingerprint, snapshot_versions, Snapshot};
 pub(crate) use snapshot::{op_snapshot, OpSnapshot};
 
@@ -210,18 +210,22 @@ pub(crate) struct RunCtl {
 }
 
 impl RunCtl {
+    /// The hooks `opts` configures for one run of `plan` on `workers`
+    /// workers (or async claimers) — fault victims are numbered below
+    /// `workers`, snapshots carry the plan's fingerprint.
     pub(crate) fn new(
-        faults: Option<&FaultPlan>,
-        checkpoint: Option<&CheckpointSpec>,
-        cancel: Option<CancelCtl>,
+        opts: &crate::executor::ExecutorOptions,
+        plan: &crate::threaded::Plan,
         workers: usize,
-        fingerprint: u64,
     ) -> Self {
         RunCtl {
-            faults: faults.map(|p| FaultState::new(p.clone(), workers)),
+            faults: opts.faults.as_ref().map(|p| FaultState::new(p.clone(), workers)),
             leases: Mutex::new(Vec::new()),
-            ckpt: checkpoint.map(|s| CheckpointCtl::new(s.clone(), fingerprint)),
-            cancel,
+            ckpt: opts
+                .checkpoint
+                .as_ref()
+                .map(|s| CheckpointCtl::new(s.clone(), plan_fingerprint(plan, opts.seed))),
+            cancel: CancelCtl::from_opts(opts),
         }
     }
 

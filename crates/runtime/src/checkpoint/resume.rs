@@ -1,113 +1,36 @@
 //! Crash recovery: restore from the latest valid snapshot and replay
 //! to completion.
 
-use super::snapshot::{load_latest, plan_fingerprint, Snapshot};
+use super::snapshot::{load_latest, plan_fingerprint, OpSnapshot, Snapshot};
 use crate::cancel::RunError;
 use crate::executor::ExecutorOptions;
-use crate::stats::OnlineStats;
+use crate::run::RunReport;
 use crate::threaded::{build_plan, ExecutorBackend, Plan, TaskKernel};
 use orchestra_delirium::DelirGraph;
 
-/// The restore image handed to a backend: per-op completed-task masks,
-/// the completed tasks' outputs, and the warm-start statistics. Built
-/// from a [`Snapshot`] only after validating it against the plan.
+/// The restore image handed to a backend: the per-op state of one
+/// snapshot — completed-task masks, the completed tasks' outputs, and
+/// the cost statistics that warm-start the chunk policies — accepted
+/// only after validating it against the plan. The empty image (no ops)
+/// is a fresh run.
 pub(crate) struct ResumeState {
-    pub(crate) ops: Vec<OpResume>,
-}
-
-/// One op's restore image.
-pub(crate) struct OpResume {
-    /// Per-task completed-before-this-run flag.
-    pub(crate) completed: Vec<bool>,
-    /// Output values for completed slots (others are 0.0 and unused).
-    pub(crate) outputs: Vec<f64>,
-    /// Cost-hint µ/σ of the completed tasks, merged into the adaptive
-    /// chunk policy so it resumes with its learned state.
-    pub(crate) stats: OnlineStats,
+    pub(crate) ops: Vec<OpSnapshot>,
 }
 
 impl ResumeState {
+    /// The image of a fresh run: nothing restored.
+    pub(crate) fn empty() -> Self {
+        ResumeState { ops: Vec::new() }
+    }
+
     /// Validates a snapshot against the plan (op count and per-op task
     /// counts must match — the fingerprint should already guarantee
     /// this, but a hash collision must degrade to a fresh start, not
     /// an out-of-bounds restore).
     pub(crate) fn from_snapshot(snap: Snapshot, plan: &Plan) -> Option<Self> {
-        if snap.ops.len() != plan.ops.len() {
-            return None;
-        }
-        if snap.ops.iter().zip(&plan.ops).any(|(s, p)| s.completed.len() != p.tasks) {
-            return None;
-        }
-        Some(ResumeState {
-            ops: snap
-                .ops
-                .into_iter()
-                .map(|o| OpResume { completed: o.completed, outputs: o.outputs, stats: o.stats })
-                .collect(),
-        })
-    }
-
-    /// Tasks restored (skipped on replay), summed over ops.
-    pub(crate) fn restored_tasks(&self) -> usize {
-        self.ops.iter().map(|o| o.completed.iter().filter(|&&c| c).count()).sum()
-    }
-}
-
-/// The result of a resumable execution: the completed run plus the
-/// recovery story that produced it.
-#[derive(Debug, Clone)]
-pub struct ResumableRun {
-    /// Output buffers, aligned with the plan's op order — bitwise what
-    /// an uninterrupted run produces (kernels are pure).
-    pub outputs: Vec<Vec<f64>>,
-    /// Per-task execution counts *of the final attempt*: restored
-    /// tasks show 0 (they were never re-executed), replayed tasks 1.
-    pub exec_counts: Vec<Vec<u32>>,
-    /// Op names, aligned with the plan's op order.
-    pub op_names: Vec<String>,
-    /// Per-task restored-from-snapshot masks of the final attempt
-    /// (all-false when the final attempt started fresh).
-    pub restored: Vec<Vec<bool>>,
-    /// Executions launched, including the crashed ones (1 = no crash).
-    pub attempts: usize,
-    /// Tasks restored from the snapshot into the final attempt.
-    pub resumed_tasks: usize,
-    /// Total wall-clock time across all attempts, µs.
-    pub wall_us: f64,
-    /// Wall-clock time spent in post-crash attempts (restore +
-    /// replay), µs; 0.0 when nothing crashed.
-    pub recovery_us: f64,
-}
-
-struct Attempt {
-    crashed: bool,
-    wall_us: f64,
-    outputs: Vec<Vec<f64>>,
-    exec_counts: Vec<Vec<u32>>,
-}
-
-fn run_attempt(
-    g: &DelirGraph,
-    opts: &ExecutorOptions,
-    kernel: &(dyn TaskKernel + Sync),
-    resume: Option<&ResumeState>,
-) -> Result<Attempt, RunError> {
-    if opts.backend == ExecutorBackend::Async {
-        let r = crate::asynch::execute_async_resumed(g, opts, kernel, resume)?;
-        Ok(Attempt {
-            crashed: r.crashed,
-            wall_us: r.wall_us,
-            outputs: r.outputs,
-            exec_counts: r.exec_counts,
-        })
-    } else {
-        let r = crate::threaded::execute_threaded_resumed(g, opts, kernel, resume)?;
-        Ok(Attempt {
-            crashed: r.crashed,
-            wall_us: r.wall_us,
-            outputs: r.outputs,
-            exec_counts: r.exec_counts,
-        })
+        let fits = snap.ops.len() == plan.ops.len()
+            && snap.ops.iter().zip(&plan.ops).all(|(s, p)| s.completed.len() == p.tasks);
+        fits.then_some(ResumeState { ops: snap.ops })
     }
 }
 
@@ -117,6 +40,12 @@ fn run_attempt(
 /// replay the remaining tasks. The injected faults apply only to the
 /// first attempt — a simulated process crash happens once — so the
 /// replay runs clean.
+///
+/// The report is the final attempt's, with the recovery story folded
+/// in: `attempts` counts the crashed executions too, `wall_us` sums
+/// every attempt, `recovery_us` the post-crash ones, and `restored` /
+/// `resumed_tasks` / `exec_counts` say which tasks came out of the
+/// snapshot (count 0) instead of being replayed (count 1).
 ///
 /// Backends: [`Threaded`](ExecutorBackend::Threaded) /
 /// [`ThreadedDist`](ExecutorBackend::ThreadedDist) /
@@ -135,50 +64,42 @@ pub fn execute_graph_resumable(
     g: &DelirGraph,
     opts: &ExecutorOptions,
     kernel: &(dyn TaskKernel + Sync),
-) -> Result<ResumableRun, RunError> {
+) -> Result<RunReport, RunError> {
     let plan = build_plan(g, opts)?;
     let fingerprint = plan_fingerprint(&plan, opts.seed);
-    let op_names: Vec<String> = plan.ops.iter().map(|o| o.name.clone()).collect();
     // Every kill fires at most once, so attempts are bounded even if a
     // plan manages to crash a replay (it can't — replays run clean).
     let max_attempts = opts.faults.as_ref().map_or(0, |f| f.kills.len() + f.crash_kills.len()) + 2;
     let mut attempts = 0usize;
     let mut wall_us = 0.0;
     let mut recovery_us = 0.0;
-    let mut resume: Option<ResumeState> = None;
+    let mut resume = ResumeState::empty();
     loop {
         attempts += 1;
+        let replay_opts;
         let run_opts = if attempts == 1 {
-            opts.clone()
+            opts
         } else {
-            ExecutorOptions { faults: None, ..opts.clone() }
+            replay_opts = ExecutorOptions { faults: None, ..opts.clone() };
+            &replay_opts
         };
-        let attempt = run_attempt(g, &run_opts, kernel, resume.as_ref())?;
-        wall_us += attempt.wall_us;
+        let run = if opts.backend == ExecutorBackend::Async {
+            crate::asynch::run_async(g, &plan, run_opts, kernel, &resume)?
+        } else {
+            crate::threaded::run_threaded(g, &plan, run_opts, kernel, &resume)?
+        };
+        wall_us += run.wall_us;
         if attempts > 1 {
-            recovery_us += attempt.wall_us;
+            recovery_us += run.wall_us;
         }
-        if !attempt.crashed || attempts >= max_attempts {
-            let restored: Vec<Vec<bool>> = match &resume {
-                Some(r) => r.ops.iter().map(|o| o.completed.clone()).collect(),
-                None => plan.ops.iter().map(|o| vec![false; o.tasks]).collect(),
-            };
-            let resumed_tasks = resume.as_ref().map_or(0, ResumeState::restored_tasks);
-            return Ok(ResumableRun {
-                outputs: attempt.outputs,
-                exec_counts: attempt.exec_counts,
-                op_names,
-                restored,
-                attempts,
-                resumed_tasks,
-                wall_us,
-                recovery_us,
-            });
+        if !run.crashed || attempts >= max_attempts {
+            return Ok(RunReport { attempts, wall_us, recovery_us, ..run });
         }
         resume = opts
             .checkpoint
             .as_ref()
             .and_then(|spec| load_latest(&spec.dir, fingerprint))
-            .and_then(|snap| ResumeState::from_snapshot(snap, &plan));
+            .and_then(|snap| ResumeState::from_snapshot(snap, &plan))
+            .unwrap_or_else(ResumeState::empty);
     }
 }

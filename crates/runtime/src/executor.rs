@@ -56,9 +56,8 @@ pub struct ExecutorOptions {
     /// capped at 4). Ignored by every other backend.
     pub drivers: usize,
     /// Pin each worker thread to its topology-assigned CPU
-    /// (`sched_setaffinity`; best-effort, off by default). The
-    /// `ORCHESTRA_PIN_WORKERS` environment variable (any value but
-    /// `"0"`) forces this on. Ignored by the simulator.
+    /// (`sched_setaffinity`; best-effort, off by default). Ignored by
+    /// the simulator.
     pub pin_workers: bool,
     /// The machine layout the threaded backend schedules against:
     /// probe the host, or a deterministic synthetic machine for tests.

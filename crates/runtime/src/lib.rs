@@ -23,6 +23,9 @@
 //!   operation pairs;
 //! * [`executor`] — level-structured graph execution combining all of
 //!   the above;
+//! * [`run`] — the run core the real backends share: one set-up from
+//!   plan + restore image to per-op state, one per-task body, and the
+//!   one [`RunReport`] every engine returns;
 //! * [`threaded`] — the real-thread execution backend: the same graphs
 //!   and chunk policies driving actual `std::thread` workers over real
 //!   buffers, for differential testing against the simulator;
@@ -45,15 +48,16 @@ pub mod executor;
 pub mod finish;
 pub mod granularity;
 pub mod par_op;
+pub mod run;
 pub mod stats;
 pub mod threaded;
 
 pub use alloc::{allocate_many, allocate_pair, AllocParams, Allocation, OutputArena, Publication};
-pub use asynch::{execute_async, resolve_drivers, AsyncOpRecord, AsyncRun};
+pub use asynch::{execute_async, resolve_drivers};
 pub use cancel::{CancelToken, RunError};
 pub use checkpoint::{
     execute_graph_resumable, graph_fingerprint, load_latest, plan_fingerprint, snapshot_versions,
-    CheckpointSpec, FaultPlan, FaultTrigger, KillSpec, ResumableRun, Snapshot,
+    CheckpointSpec, FaultPlan, FaultTrigger, KillSpec, Snapshot,
 };
 pub use chunking::{ChunkPolicy, Factoring, Gss, PolicyKind, SelfSched, Taper, REASSIGN_CV_GATE};
 pub use dist_taper::{simulate_dist_taper, simulate_dist_taper_at, DistResult};
@@ -66,6 +70,7 @@ pub use granularity::{
 pub use par_op::{
     owner_of, simulate_dynamic, simulate_policy, simulate_static, OpOptions, OpResult,
 };
+pub use run::{OpRecord, RunReport};
 pub use stats::{CostFn, OnlineStats, StealStats};
 pub use threaded::dist::{DistChunk, DistQueue};
 pub use threaded::topology::{
@@ -73,6 +78,6 @@ pub use threaded::topology::{
     TopologyFingerprint, TopologyMode, TopologySource, WorkerTopo,
 };
 pub use threaded::{
-    execute_sequential, execute_threaded, AccessPattern, ExecutorBackend, ReduceKernel,
-    SequentialRun, SpinKernel, TaskCtx, TaskKernel, ThreadedRun,
+    execute_sequential, execute_threaded, AccessPattern, ExecutorBackend, ReduceKernel, SpinKernel,
+    TaskCtx, TaskKernel,
 };

@@ -1,0 +1,890 @@
+//! The run core shared by the real backends.
+//!
+//! The paper's §4 runtime is *one* mechanism — TAPER chunks, the
+//! §4.1.2 finishing-time equalizer and the §4.1 batch size applied to
+//! every parallel operation of the graph — so everything the threaded,
+//! distributed-TAPER and async drivers have in common lives here, once:
+//!
+//! * `set_up` — from an expanded [`Plan`] and a restore image to the
+//!   prefilled [`OutputArena`] plus one `OpState` per op: which ops
+//!   the snapshot already finished, which are remapped onto their
+//!   pending tasks, which edges stream through watermarks, each op's
+//!   equalizer share of the pool and its publication batch b\*. A fresh
+//!   run is a resume from the empty image.
+//! * `OpState` — the per-op state every driver schedules against,
+//!   and `Visit`, one worker's visit to a ready op, with the one
+//!   per-task body (`Visit::run_task`: kernel → store → `executed`
+//!   bump) all claim loops call.
+//! * [`RunReport`] / [`OpRecord`] — the one result shape of every
+//!   engine, the sequential reference and the resumable driver included.
+//!
+//! What stays with a driver is only what is genuinely its own: worker
+//! masks and claim queues in `threaded::pool`,
+//! dependency gates, waker lists and the orphan board in
+//! [`asynch`](crate::asynch).
+
+use crate::alloc::{allocate_many_with, AllocParams, OutputArena};
+use crate::cancel::RunError;
+use crate::checkpoint::{op_snapshot, OpSnapshot, ResumeState, RunCtl};
+use crate::chunking::PolicyKind;
+use crate::executor::{costs_of_node, ExecutionReport, ExecutorOptions, NodeReport};
+use crate::finish::{finish_estimate_live, HostCalibration, OpSpec};
+use crate::stats::{OnlineStats, StealStats};
+use crate::threaded::queue::ChunkQueue;
+use crate::threaded::topology::TopologyFingerprint;
+use crate::threaded::{AccessPattern, Plan, PlannedOp, TaskCtx, TaskKernel};
+use orchestra_delirium::Node;
+use orchestra_machine::{ProcStats, RunStats};
+use std::collections::BTreeMap;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+
+/// One schedulable operation instance — a graph node at one pipeline
+/// iteration — as every real driver sees it.
+pub(crate) struct OpState<'p> {
+    /// Plan index: this op's span in the arena.
+    pub idx: usize,
+    /// The planned op: name, node, iteration, task count, and the
+    /// dependencies whose output slices are the kernel's inputs.
+    pub plan: &'p PlannedOp,
+    /// Per-task simulated cost hints (µs), sampled exactly as the
+    /// simulator samples them.
+    pub costs: Vec<f64>,
+    /// Dependencies the snapshot did not already finish: the op is
+    /// ready once this many producers have arrived.
+    pub live_deps: usize,
+    /// Whole-op-gated consumers, notified when this op completes.
+    pub dependents: Vec<usize>,
+    /// The dependencies consumed *streamed*: claims are bounded by the
+    /// minimum of these producers' committed-prefix watermarks instead
+    /// of waiting for whole-op completion.
+    pub stream_inputs: Vec<usize>,
+    /// Streamed consumers of this op's output (disjoint from
+    /// `dependents`): their dependency arrival for this edge is this
+    /// op's *first* watermark publication.
+    pub stream_dependents: Vec<usize>,
+    /// Watermark publication batch b\* (producer tasks coalesced per
+    /// publication) — the task count for unstreamed producers.
+    pub stream_batch: usize,
+    /// The workers the §4.1.2 equalizer allotted this op — a contiguous
+    /// range of the pool, all of it when the op had its level to itself
+    /// or allocation was off. Concurrent ops' shares are disjoint and
+    /// cover the pool.
+    pub share: Range<usize>,
+    /// The snapshot's cost-hint µ/σ over this op's restored tasks, for
+    /// warm-starting its adaptive chunk policy.
+    pub warm: Option<OnlineStats>,
+    /// Tasks not yet executed; the op is complete at 0.
+    pub outstanding: AtomicUsize,
+    /// Execution count per task (evidence that no chunk was lost or
+    /// duplicated; the snapshot scanner's completion signal).
+    pub executed: Vec<AtomicU32>,
+    /// First-claim time, µs since run start (f64 bits; MAX = never).
+    pub started_bits: AtomicU64,
+    /// Completion time, µs since run start (f64 bits; MAX = never).
+    pub finished_bits: AtomicU64,
+    /// Per-task restored-from-snapshot flags: restored tasks have their
+    /// outputs prefilled and are excluded from the queue's index space.
+    pub restored: Vec<bool>,
+    /// Queue-index → task-index translation for ops with restored
+    /// tasks (`None` = identity): the queue schedules only the pending
+    /// tasks, packed.
+    pub remap: Option<Vec<usize>>,
+}
+
+impl OpState<'_> {
+    /// Tasks left to schedule: the size of the queue's index space.
+    pub(crate) fn pending(&self) -> usize {
+        self.remap.as_ref().map_or(self.plan.tasks, Vec::len)
+    }
+
+    /// Whether the snapshot finished this op whole: it is never
+    /// scheduled and counts as completed from the start.
+    pub(crate) fn pre_done(&self) -> bool {
+        self.plan.tasks > 0 && self.pending() == 0
+    }
+
+    pub(crate) fn exec_counts(&self) -> Vec<u32> {
+        self.executed.iter().map(|c| c.load(Ordering::Acquire)).collect()
+    }
+
+    /// Accounts `done` executed tasks in one batched decrement. `true`
+    /// means this batch finished the op: the caller completes it — the
+    /// decrement reaches zero for exactly one caller. An empty batch
+    /// never completes anything (`fetch_sub(0) == 0` would re-complete
+    /// a finished op).
+    #[inline]
+    pub(crate) fn account(&self, done: usize) -> bool {
+        done > 0 && self.outstanding.fetch_sub(done, Ordering::AcqRel) == done
+    }
+
+    /// Translates a queue index to the op-local task index.
+    #[inline]
+    pub(crate) fn task_of(&self, qi: usize) -> usize {
+        match &self.remap {
+            Some(r) => r[qi],
+            None => qi,
+        }
+    }
+
+    /// How far this op's claims may advance right now: the minimum of
+    /// its streamed producers' committed-prefix watermarks (`Acquire`
+    /// loads, re-read fresh at every claim), or unbounded when nothing
+    /// is streamed. Streamed consumers are never remapped, so the
+    /// queue's index space IS task space and the bound applies directly.
+    #[inline]
+    pub(crate) fn stream_limit(&self, arena: &OutputArena) -> usize {
+        self.stream_inputs.iter().map(|&p| arena.watermark(p)).min().unwrap_or(usize::MAX)
+    }
+
+    /// Whether this op publishes progress watermarks as a producer.
+    /// (Streamed producers are never remapped — classification excludes
+    /// ops with restored tasks — so chunk spans are contiguous task
+    /// intervals.)
+    #[inline]
+    pub(crate) fn streams_output(&self) -> bool {
+        !self.stream_dependents.is_empty() && self.remap.is_none()
+    }
+
+    /// Records a first-claim time. `started_bits` is shared and hot:
+    /// the RMW is skipped unless this visit actually is the earliest.
+    #[inline]
+    pub(crate) fn stamp_start(&self, t_us: f64) {
+        let bits = t_us.to_bits();
+        if self.started_bits.load(Ordering::Relaxed) > bits {
+            self.started_bits.fetch_min(bits, Ordering::AcqRel);
+        }
+    }
+
+    /// The upstream output slices handed to this op's kernel as
+    /// [`TaskCtx::inputs`] — zero-copy references into the arena, in
+    /// the plan's dependency order.
+    ///
+    /// Whole-op-gated inputs are finished: the op only runs after every
+    /// such producer's completion was observed with `Acquire` ordering
+    /// (dependency counter or gate), which happens-after every upstream
+    /// write.
+    ///
+    /// *Streamed* inputs may still be running. The slice then spans
+    /// cells the producer has not written yet, and soundness rests on
+    /// the watermark protocol: (1) every claim of this op is bounded by
+    /// the producers' committed-prefix watermarks, whose `Release`
+    /// publication happens-after the covered cells' stores and pairs
+    /// with the claim's `Acquire` load; (2) the kernel's declared
+    /// [`AccessPattern::ElementWise`] contract means task `t`
+    /// dereferences only cells `≤ t <` watermark — cells at or above
+    /// the watermark are *in* the slice but never read through it;
+    /// (3) streamed producers write those cells through raw per-cell
+    /// stores (never a `&mut` view, see [`Self::chunk_view`]), so no
+    /// exclusive reference ever overlaps this shared slice.
+    fn inputs<'a>(&self, arena: &'a OutputArena) -> Vec<&'a [f64]> {
+        // SAFETY: see above — whole-op inputs are quiescent; streamed
+        // inputs are only read below their watermark.
+        self.plan.deps.iter().map(|&d| unsafe { arena.op_slice(d) }).collect()
+    }
+
+    /// The zero-copy write window of one claimed chunk, or `None` when
+    /// its values must scatter through per-cell stores instead: for
+    /// unremapped ops the chunk's queue span IS its task span, so the
+    /// whole chunk writes through one disjoint `&mut [f64]`. Remapped
+    /// ops scatter — as do streamed producers, whose consumers
+    /// concurrently hold shared slices over this op's span: a `&mut`
+    /// view overlapping those would be UB regardless of cell-level
+    /// disjointness, while the raw-pointer store never forms an
+    /// exclusive reference.
+    ///
+    /// # Safety
+    ///
+    /// The caller must be the exactly-once claimant of queue indices
+    /// `[start, start+len)`, so no other thread touches these cells
+    /// while the view is live.
+    // `&arena → &mut` is the arena's interior-mutability contract
+    // (see `OutputArena::chunk_view`); disjointness comes from the
+    // claim protocol, which is why this is `unsafe`.
+    #[allow(clippy::mut_from_ref)]
+    #[inline]
+    pub(crate) unsafe fn chunk_view<'a>(
+        &self,
+        arena: &'a OutputArena,
+        start: usize,
+        len: usize,
+    ) -> Option<&'a mut [f64]> {
+        if self.remap.is_none() && self.stream_dependents.is_empty() {
+            // SAFETY: exclusivity is the caller's contract.
+            Some(unsafe { arena.chunk_view(self.idx, start, len) })
+        } else {
+            None
+        }
+    }
+
+    /// Opens one worker's (or claimer's) visit to this op: everything
+    /// the per-task body reads, resolved once so the claim loop keeps it
+    /// in registers across kernel calls. Call it only once the op is
+    /// ready — every dependency arrived — which is what makes the input
+    /// slices it takes (see `inputs`) sound to read.
+    pub(crate) fn visit<'a>(
+        &'a self,
+        kernel: &'a (dyn TaskKernel + Sync),
+        nodes: &'a [Node],
+        arena: &'a OutputArena,
+    ) -> Visit<'a> {
+        Visit {
+            kernel,
+            node: &nodes[self.plan.node],
+            iter: self.plan.iter,
+            idx: self.idx,
+            costs: &self.costs,
+            executed: &self.executed,
+            inputs: self.inputs(arena),
+            arena,
+        }
+    }
+
+    /// The shared claim queue over this op's pending tasks: chunk
+    /// schedules are sized for the op's equalizer share, not the whole
+    /// pool, and the policy warm-starts from the snapshot's µ/σ so a
+    /// resumed run sizes chunks as if it had kept sampling. (`Static`
+    /// has no dynamic queue; it instantiates as GSS, one near-equal
+    /// chunk per worker.)
+    pub(crate) fn chunk_queue(&self, policy: PolicyKind) -> ChunkQueue {
+        let pending = self.pending();
+        let queue = ChunkQueue::new(policy.instantiate(pending), pending, self.share.len());
+        if let Some(stats) = &self.warm {
+            queue.observe_chunk(0, 0, stats);
+        }
+        queue
+    }
+
+    /// This op's report row; drivers add the counters of their own
+    /// queues. Must run before the arena is consumed.
+    pub(crate) fn record(&self, arena: &OutputArena, chunks: u64) -> OpRecord {
+        OpRecord {
+            name: self.plan.name.clone(),
+            start_us: f64::from_bits(self.started_bits.load(Ordering::Acquire)),
+            finish_us: f64::from_bits(self.finished_bits.load(Ordering::Acquire)),
+            tasks: self.plan.tasks,
+            chunks,
+            procs: self.share.len(),
+            streamed_inputs: self.stream_inputs.len(),
+            watermark_pubs: arena.watermark_pubs(self.idx),
+            ..OpRecord::default()
+        }
+    }
+}
+
+/// One visit of a worker or claimer future to a ready op (see
+/// [`OpState::visit`]): the context of the per-task body.
+pub(crate) struct Visit<'a> {
+    kernel: &'a (dyn TaskKernel + Sync),
+    node: &'a Node,
+    iter: usize,
+    idx: usize,
+    costs: &'a [f64],
+    executed: &'a [AtomicU32],
+    inputs: Vec<&'a [f64]>,
+    arena: &'a OutputArena,
+}
+
+impl Visit<'_> {
+    /// The per-task body of every claim loop, lease replay and orphan
+    /// adoption: run the kernel, store the value — into `slot`, the
+    /// task's cell of a live [`chunk_view`](OpState::chunk_view), or
+    /// scattered into the arena — and count the task executed.
+    ///
+    /// The `Release` bump pairs with the snapshot scanner's `Acquire`
+    /// load of `executed`: a task counted as done has its output store
+    /// visible. The RMW also catches duplicate claims.
+    ///
+    /// # Safety
+    ///
+    /// The caller must be `task`'s exactly-once claimant, and the
+    /// visit must have been opened after the op became ready (its
+    /// input slices are only then sound to read, see
+    /// [`OpState::visit`]).
+    #[inline]
+    pub(crate) unsafe fn run_task(&self, task: usize, slot: Option<&mut f64>) {
+        let ctx = TaskCtx {
+            node: self.node,
+            iter: self.iter,
+            task,
+            cost_hint: self.costs[task],
+            inputs: &self.inputs,
+        };
+        let value = self.kernel.run_task(&ctx);
+        match slot {
+            Some(cell) => *cell = value,
+            // SAFETY: exactly-once claim of `task`.
+            None => unsafe { self.arena.write(self.idx, task, value) },
+        }
+        self.executed[task].fetch_add(1, Ordering::Release);
+    }
+}
+
+/// What [`set_up`] hands a driver.
+pub(crate) struct Setup<'p> {
+    /// One slab for every op's outputs, restored cells prefilled:
+    /// workers write chunk views in place, dependents read finished
+    /// slices by reference, and the run's owned buffers come out at the
+    /// end without a copy.
+    pub arena: OutputArena,
+    /// Per-op state, aligned with the plan's op order.
+    pub ops: Vec<OpState<'p>>,
+    /// Σ of the tasks' simulated cost hints (µs).
+    pub hinted_serial_us: f64,
+}
+
+/// Everything between plan expansion and "spawn the drivers", for a
+/// pool of `pool` workers running a kernel with input contract
+/// `access`. `resume` is the restore image — empty for a fresh run:
+/// restored tasks keep their snapshot outputs and are excluded from the
+/// queues' index spaces, and fully restored ops are never scheduled.
+pub(crate) fn set_up<'p>(
+    plan: &'p Plan,
+    nodes: &[Node],
+    opts: &ExecutorOptions,
+    access: AccessPattern,
+    pool: usize,
+    resume: &ResumeState,
+) -> Setup<'p> {
+    let n = plan.ops.len();
+    // An op's restore image, when the snapshot holds any of its tasks.
+    let images: Vec<Option<&OpSnapshot>> =
+        (0..n).map(|i| resume.ops.get(i).filter(|o| o.completed.iter().any(|&c| c))).collect();
+    let image = |i: usize| images[i];
+    let pending: Vec<usize> = (0..n)
+        .map(|i| {
+            let restored = image(i).map_or(0, |o| o.completed.iter().filter(|&&c| c).count());
+            plan.ops[i].tasks.saturating_sub(restored)
+        })
+        .collect();
+    // Finished whole by the snapshot: excluded from scheduling
+    // entirely — no queue entries, no dependency edges.
+    let pre_done = |i: usize| plan.ops[i].tasks > 0 && pending[i] == 0;
+
+    // ---- §4.1.2 processor allocation --------------------------------
+    // When a graph level holds several concurrent ops and allocation is
+    // on, split the pool between them with the finishing-time equalizer
+    // (over live specs: task counts, no samples exist yet — so the
+    // split is a pure function of the plan) instead of letting every
+    // worker thrash every queue. Levels are depths in the expanded
+    // instance DAG, so overlapping pipeline iterations that can run
+    // concurrently land in the same group. Shares are contiguous worker
+    // ranges; a pool past 64 workers is never split (one `u64` mask per
+    // op is how the threaded pool represents a share).
+    let mut shares: Vec<Range<usize>> = vec![0..pool; n];
+    if opts.use_allocation && pool > 1 && pool <= 64 {
+        let cal = HostCalibration::get();
+        let kind = match opts.policy {
+            PolicyKind::Static => PolicyKind::Gss,
+            p => p,
+        };
+        let mut depth = vec![0usize; n];
+        let mut by_depth: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for (i, op) in plan.ops.iter().enumerate() {
+            depth[i] = op.deps.iter().map(|&d| depth[d] + 1).max().unwrap_or(0);
+            if pending[i] > 0 {
+                by_depth.entry(depth[i]).or_default().push(i);
+            }
+        }
+        for group in by_depth.values() {
+            if group.len() < 2 || pool < group.len() {
+                continue;
+            }
+            let specs: Vec<OpSpec> =
+                group.iter().map(|&i| OpSpec::from_live(pending[i], None, kind)).collect();
+            let alloc = allocate_many_with(&specs, pool, &AllocParams::default(), |s, p| {
+                finish_estimate_live(s, p, &cal).total()
+            });
+            let mut offset = 0usize;
+            for (&i, &a) in group.iter().zip(&alloc) {
+                shares[i] = offset..offset + a;
+                offset += a;
+            }
+        }
+    }
+
+    // ---- §4.1 streamed data plane ----------------------------------
+    // An edge d→c is *streamed* when consumer task t provably reads
+    // only cells ≤ t of d's output (element-wise kernel on equal task
+    // counts): c's tasks may then start as soon as d's committed-prefix
+    // watermark covers them, instead of waiting for all of d. Whole-op
+    // gating remains for reductions (unequal counts), ops with restored
+    // tasks (their queue indices no longer align with task space; a
+    // fully restored op is a fortiori one of them), and under the
+    // `pipeline_overlap = false` barrier baseline.
+    let stream_on = opts.pipeline_overlap && access == AccessPattern::ElementWise;
+    let streamed_edge = |d: usize, c: usize| -> bool {
+        stream_on
+            && image(d).is_none()
+            && image(c).is_none()
+            && plan.ops[d].tasks == plan.ops[c].tasks
+            && plan.ops[d].tasks > 1
+    };
+    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut stream_dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for (i, op) in plan.ops.iter().enumerate() {
+        if pre_done(i) {
+            continue; // Never scheduled, so never needs enabling.
+        }
+        for &d in &op.deps {
+            if streamed_edge(d, i) {
+                stream_dependents[d].push(i);
+            } else {
+                dependents[d].push(i);
+            }
+        }
+    }
+
+    let mut arena = OutputArena::for_ops(plan.ops.iter().map(|o| o.tasks));
+    let mut hinted_serial_us = 0.0;
+    let mut ops: Vec<OpState<'p>> = Vec::with_capacity(n);
+    for (i, op) in plan.ops.iter().enumerate() {
+        let costs = costs_of_node(&nodes[op.node], opts.seed);
+        hinted_serial_us += costs.iter().sum::<f64>();
+        let restored: Vec<bool> =
+            image(i).map_or_else(|| vec![false; op.tasks], |o| o.completed.clone());
+        let remap: Option<Vec<usize>> =
+            image(i).map(|_| (0..op.tasks).filter(|&t| !restored[t]).collect());
+        // Prefill restored outputs while the arena is still exclusive
+        // — workers and the snapshot scanner only ever see them as
+        // quiescent completed cells.
+        if let Some(o) = image(i) {
+            for t in (0..op.tasks).filter(|&t| restored[t]) {
+                arena.set(i, t, o.outputs[t]);
+            }
+        }
+        let stream_dependents = std::mem::take(&mut stream_dependents[i]);
+        // b\*: how many completed producer tasks coalesce per watermark
+        // publication, from the host's measured per-publish α and
+        // per-byte β (§4.1's batch-granularity model over the arena's
+        // 8-byte items) — unless the caller forced a batch.
+        let stream_batch = if stream_dependents.is_empty() {
+            op.tasks.max(1)
+        } else {
+            opts.stream_batch
+                .unwrap_or_else(|| {
+                    HostCalibration::get().stream_batch(op.tasks, std::mem::size_of::<f64>() as u64)
+                })
+                .clamp(1, op.tasks.max(1))
+        };
+        let stamp = if pre_done(i) { 0u64 } else { u64::MAX };
+        ops.push(OpState {
+            idx: i,
+            plan: op,
+            costs,
+            live_deps: op.deps.iter().filter(|&&d| !pre_done(d)).count(),
+            dependents: std::mem::take(&mut dependents[i]),
+            stream_inputs: op.deps.iter().copied().filter(|&d| streamed_edge(d, i)).collect(),
+            stream_dependents,
+            stream_batch,
+            share: shares[i].clone(),
+            warm: image(i).map(|o| o.stats).filter(|s| s.count() > 0),
+            outstanding: AtomicUsize::new(pending[i]),
+            executed: (0..op.tasks).map(|_| AtomicU32::new(0)).collect(),
+            started_bits: AtomicU64::new(stamp),
+            finished_bits: AtomicU64::new(stamp),
+            restored,
+            remap,
+        });
+    }
+    Setup { arena, ops, hinted_serial_us }
+}
+
+/// Captures every op's completed-task bitmap, outputs, and cost stats
+/// for a checkpoint commit. The snapshot copies arena cells into its
+/// own buffers — checkpoints keep owned data, the arena keeps none.
+pub(crate) fn snapshot_ops<'a, 'p: 'a>(
+    ops: impl IntoIterator<Item = &'a OpState<'p>>,
+    arena: &OutputArena,
+) -> Vec<OpSnapshot> {
+    ops.into_iter()
+        .map(|op| {
+            // SAFETY: `op_snapshot` reads a cell only after observing
+            // the task's `executed` counter with `Acquire`, pairing
+            // with the writer's post-store `Release` bump — the cell
+            // is quiescent by then.
+            op_snapshot(&op.costs, &op.restored, &op.executed, |t| unsafe { arena.read(op.idx, t) })
+        })
+        .collect()
+}
+
+/// Per-op record of a run, aligned with the plan's op order.
+#[derive(Debug, Clone, Default)]
+pub struct OpRecord {
+    /// Instance name (`B_I`, or `A_D@3` for pipeline iteration 3).
+    pub name: String,
+    /// First chunk claim, µs after run start.
+    pub start_us: f64,
+    /// Completion, µs after run start.
+    pub finish_us: f64,
+    /// Task count.
+    pub tasks: usize,
+    /// Chunks dispatched by the queue.
+    pub chunks: u64,
+    /// Cooperative yields taken at this op's chunk boundaries (async
+    /// backend; one per executed chunk there, 0 elsewhere).
+    pub yields: u64,
+    /// Chunk re-assignments performed by the dist-TAPER coordinator
+    /// (0 for shared-queue ops).
+    pub reassignments: u64,
+    /// Tasks executed away from their home worker (0 for shared-queue
+    /// ops, which have no home placement).
+    pub migrated: u64,
+    /// Completed global epochs (0 for shared-queue ops).
+    pub epochs: usize,
+    /// Run-relative times (µs) of each global-epoch increment (empty
+    /// for shared-queue ops); monotone non-decreasing.
+    pub epoch_times_us: Vec<f64>,
+    /// Re-assignments that crossed a NUMA node boundary (≤
+    /// `reassignments`; 0 for shared-queue ops and single-node runs).
+    pub remote_reassignments: u64,
+    /// Workers the §4.1.2 equalizer initially allocated to this op —
+    /// the whole pool when the op had its level to itself (or
+    /// allocation was off), a share of it when concurrent ops split the
+    /// pool: its chunk schedule (and, on the async backend, its claimer
+    /// count) is sized for this share. Re-equalization can later widen
+    /// a threaded partition; this records the allocator's decision, so
+    /// concurrent ops' procs sum to the pool size.
+    pub procs: usize,
+    /// Input edges gated by the producer's progress watermark instead
+    /// of whole-op completion — this op's tasks could start while
+    /// those producers were still running.
+    pub streamed_inputs: usize,
+    /// Watermark publications this op performed as a *producer* (0 for
+    /// ops with no streamed dependents).
+    pub watermark_pubs: u64,
+}
+
+/// The result of executing a graph on any real engine: the threaded
+/// pool, distributed TAPER, the async executor, the sequential
+/// reference, or any of them under
+/// [`execute_graph_resumable`](crate::checkpoint::execute_graph_resumable).
+/// Counters an engine has no notion of read zero (empty, `1.0` for
+/// `locality`).
+#[derive(Debug, Clone)]
+pub struct RunReport {
+    /// Measured wall-clock time, µs (summed over all attempts of a
+    /// resumable run).
+    pub wall_us: f64,
+    /// Worker (or async driver) threads used.
+    pub workers: usize,
+    /// Per-worker busy/tasks/chunks, assembled with
+    /// [`RunStats::from_procs`] exactly as the simulator reports runs.
+    pub stats: RunStats,
+    /// Per-worker online µ/σ over task times (µs); threaded pool only.
+    pub worker_timing: Vec<OnlineStats>,
+    /// Per-op records, aligned with the plan's op order.
+    pub ops: Vec<OpRecord>,
+    /// Output buffers, aligned with the plan's op order — bitwise what
+    /// the sequential reference produces (kernels are pure).
+    pub outputs: Vec<Vec<f64>>,
+    /// Per-task execution counts of this (the final) attempt, aligned
+    /// with the plan's op order: 1 for every executed task, 0 for tasks
+    /// restored from a snapshot. (Empty from the sequential reference,
+    /// which keeps no counters.)
+    pub exec_counts: Vec<Vec<u32>>,
+    /// Per-task restored-from-snapshot masks, aligned like
+    /// `exec_counts`: all-false unless the final attempt of a resumable
+    /// run started from a snapshot. (Empty from the sequential
+    /// reference.)
+    pub restored: Vec<Vec<bool>>,
+    /// Σ of the tasks' simulated cost hints (µs) — the work the
+    /// simulator would call `serial_work`.
+    pub hinted_serial_us: f64,
+    /// Chunk claims across all ops (scheduling events).
+    pub claims: u64,
+    /// Cooperative yields across all ops (async: one per executed
+    /// chunk, so `claims == yields`).
+    pub yields: u64,
+    /// Future polls across all async drivers. A poll executes at most
+    /// one chunk and every claimer's last poll claims nothing, so this
+    /// is at least `claims + spawned`; the excess is dependency-gate
+    /// registrations and stale-claimer wakeups.
+    pub polls: u64,
+    /// Async claimer futures spawned (every op is oversubscribed: more
+    /// claimers than drivers).
+    pub spawned: usize,
+    /// Tasks executed away from their home worker, summed over all
+    /// dist-TAPER ops.
+    pub migrated_tasks: u64,
+    /// Coordinator re-assignments, summed over all dist-TAPER ops.
+    pub reassignments: u64,
+    /// Coordinator re-assignments that crossed a NUMA node boundary,
+    /// summed over all dist-TAPER ops.
+    pub remote_reassignments: u64,
+    /// Fraction of dist-TAPER tasks that ran on their home worker
+    /// (1.0 when nothing migrated, and for runs with no dist ops),
+    /// matching the simulator's
+    /// [`DistResult::locality`](crate::dist_taper::DistResult).
+    pub locality: f64,
+    /// Work-steal counters merged over all workers: bucketed by
+    /// hierarchy distance on the threaded pool; the async drivers' run
+    /// queues have no distance, so their steals count in `steals` only.
+    pub steal: StealStats,
+    /// Streamed (watermark-gated) producer→consumer edges in the plan,
+    /// summed over all ops (0 with `pipeline_overlap` off, under a
+    /// `WholeInput` kernel, and for ops with restored tasks).
+    pub streamed_edges: usize,
+    /// Watermark publications performed across all producer ops.
+    pub watermark_pubs: u64,
+    /// Workers whose CPU pin the kernel accepted (0 when pinning was
+    /// off or every pin failed).
+    pub pinned_workers: usize,
+    /// The machine layout the threaded pool scheduled against
+    /// (`source == "none"` on engines that place no workers).
+    pub topology: TopologyFingerprint,
+    /// Whether an injected crash-mode fault aborted the run (the
+    /// outputs are then partial; see
+    /// [`execute_graph_resumable`](crate::checkpoint::execute_graph_resumable)).
+    pub crashed: bool,
+    /// Executions launched, including crashed ones (1 on a plain run).
+    pub attempts: usize,
+    /// Tasks restored from a snapshot instead of executed (0 on a
+    /// plain run).
+    pub resumed_tasks: usize,
+    /// Wall-clock time spent in post-crash attempts (restore +
+    /// replay), µs; 0.0 when nothing crashed.
+    pub recovery_us: f64,
+}
+
+impl RunReport {
+    /// A plain single-attempt report over what every engine produces;
+    /// the per-op sums are derived here, engine-specific counters start
+    /// at their "no notion of it" values.
+    pub(crate) fn new(
+        wall_us: f64,
+        procs: Vec<ProcStats>,
+        ops: Vec<OpRecord>,
+        outputs: Vec<Vec<f64>>,
+        exec_counts: Vec<Vec<u32>>,
+        restored: Vec<Vec<bool>>,
+    ) -> Self {
+        RunReport {
+            wall_us,
+            workers: procs.len(),
+            stats: RunStats::from_procs(procs, wall_us),
+            worker_timing: Vec::new(),
+            claims: ops.iter().map(|o| o.chunks).sum(),
+            yields: ops.iter().map(|o| o.yields).sum(),
+            polls: 0,
+            spawned: 0,
+            migrated_tasks: ops.iter().map(|o| o.migrated).sum(),
+            reassignments: ops.iter().map(|o| o.reassignments).sum(),
+            remote_reassignments: ops.iter().map(|o| o.remote_reassignments).sum(),
+            locality: 1.0,
+            steal: StealStats::new(),
+            streamed_edges: ops.iter().map(|o| o.streamed_inputs).sum(),
+            watermark_pubs: ops.iter().map(|o| o.watermark_pubs).sum(),
+            pinned_workers: 0,
+            topology: TopologyFingerprint::default(),
+            crashed: false,
+            attempts: 1,
+            resumed_tasks: 0,
+            recovery_us: 0.0,
+            hinted_serial_us: 0.0,
+            ops,
+            outputs,
+            exec_counts,
+            restored,
+        }
+    }
+
+    /// The common tail of the real engines, once their threads have
+    /// joined: the arena's cells are quiescent, so the consuming
+    /// conversion hands back one owned buffer per op. `records` must
+    /// have been taken (they read the arena) before this consumes it.
+    ///
+    /// # Errors
+    ///
+    /// A fired cancellation aborts the whole run: partial outputs are
+    /// discarded and the caller gets the clean error, so a cancelled
+    /// run never masquerades as a short successful one.
+    pub(crate) fn from_run<'p>(
+        wall_us: f64,
+        procs: Vec<ProcStats>,
+        records: Vec<OpRecord>,
+        ops: impl IntoIterator<Item = OpState<'p>>,
+        arena: OutputArena,
+        hinted_serial_us: f64,
+        ctl: &RunCtl,
+    ) -> Result<Self, RunError> {
+        if let Some(e) = ctl.cancel_error() {
+            return Err(e);
+        }
+        let mut resumed_tasks = 0;
+        let (exec_counts, restored) = ops
+            .into_iter()
+            .map(|op| {
+                resumed_tasks += op.plan.tasks - op.pending();
+                (op.exec_counts(), op.restored)
+            })
+            .unzip();
+        Ok(RunReport {
+            hinted_serial_us,
+            crashed: ctl.crashed(),
+            resumed_tasks,
+            ..RunReport::new(wall_us, procs, records, arena.into_outputs(), exec_counts, restored)
+        })
+    }
+
+    /// Op names, aligned with the plan's op order.
+    pub fn op_names(&self) -> Vec<String> {
+        self.ops.iter().map(|o| o.name.clone()).collect()
+    }
+
+    /// Measured speedup: total busy time across workers over wall
+    /// time. 1.0 means no overlap at all; `workers` is the ceiling.
+    pub fn measured_speedup(&self) -> f64 {
+        if self.wall_us <= 0.0 {
+            return 1.0;
+        }
+        self.stats.total_busy() / self.wall_us
+    }
+
+    /// Fraction of worker-seconds spent busy (busy / (workers × wall))
+    /// — on the async backend, how well the cooperative pool was fed.
+    pub fn driver_utilization(&self) -> f64 {
+        if self.wall_us <= 0.0 {
+            return 0.0;
+        }
+        self.stats.total_busy() / (self.workers as f64 * self.wall_us)
+    }
+
+    /// Converts the measured run into the executor's report shape so
+    /// callers consume simulated and real runs uniformly. `serial_work`
+    /// is the *measured* total busy time (not the simulator's cost
+    /// hints), so [`ExecutionReport::speedup`] reports the measured
+    /// speedup.
+    pub fn to_report(&self) -> ExecutionReport {
+        ExecutionReport {
+            finish: self.wall_us,
+            nodes: self
+                .ops
+                .iter()
+                .map(|op| NodeReport {
+                    name: op.name.clone(),
+                    start: op.start_us,
+                    finish: op.finish_us,
+                    procs: op.procs,
+                    streamed_inputs: op.streamed_inputs,
+                    watermark_pubs: op.watermark_pubs,
+                })
+                .collect(),
+            serial_work: self.stats.total_busy(),
+            processors: self.workers,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::threaded::build_plan;
+    use orchestra_delirium::{DataAnno, DelirGraph, NodeKind};
+
+    /// Two independent chains side by side: P0→P1→P2 of 8 tasks and
+    /// Q0→Q1 of 24/8, so every level holds two concurrent ops.
+    fn two_chains() -> DelirGraph {
+        let par = |tasks| NodeKind::DataParallel { tasks, mean_cost: 1.0, cv: 0.0 };
+        let mut g = DelirGraph::new();
+        let p0 = g.add_node("P0", par(8), None);
+        let p1 = g.add_node("P1", par(8), None);
+        let p2 = g.add_node("P2", par(8), None);
+        let q0 = g.add_node("Q0", par(24), None);
+        let q1 = g.add_node("Q1", par(8), None);
+        g.add_edge(p0, p1, DataAnno::array("a", 8));
+        g.add_edge(p1, p2, DataAnno::array("b", 8));
+        g.add_edge(q0, q1, DataAnno::array("c", 8));
+        g
+    }
+
+    fn image(completed: Vec<bool>) -> OpSnapshot {
+        let mut stats = OnlineStats::new();
+        let outputs = completed.iter().enumerate().map(|(t, &c)| f64::from(c) * t as f64).collect();
+        completed.iter().filter(|&&c| c).for_each(|_| stats.observe(1.0));
+        OpSnapshot { completed, outputs, stats }
+    }
+
+    /// Whether two non-empty shares are disjoint and cover `0..pool`.
+    fn tile(a: &Range<usize>, b: &Range<usize>, pool: usize) -> bool {
+        let (lo, hi) = if a.start <= b.start { (a, b) } else { (b, a) };
+        !lo.is_empty() && !hi.is_empty() && (lo.start, lo.end, hi.end) == (0, hi.start, pool)
+    }
+
+    /// One plan, one partial restore image: the classification every
+    /// driver used to re-derive for itself.
+    #[test]
+    fn set_up_classifies_one_partial_image() {
+        let g = two_chains();
+        let opts = ExecutorOptions { stream_batch: Some(3), ..ExecutorOptions::default() };
+        let plan = build_plan(&g, &opts).unwrap();
+        let at = |name: &str| plan.ops.iter().position(|o| o.name == name).unwrap();
+        let (p0, p1, p2, q0, q1) = (at("P0"), at("P1"), at("P2"), at("Q0"), at("Q1"));
+        // P0 finished whole, P1 half done, everything else untouched.
+        let mut images: Vec<OpSnapshot> =
+            plan.ops.iter().map(|o| image(vec![false; o.tasks])).collect();
+        images[p0] = image(vec![true; 8]);
+        images[p1] = image((0..8).map(|t| t % 2 == 0).collect());
+        let resume = ResumeState { ops: images };
+        let s = set_up(&plan, &g.nodes, &opts, AccessPattern::ElementWise, 4, &resume);
+
+        let pre_done: Vec<usize> = s.ops.iter().filter(|o| o.pre_done()).map(|o| o.idx).collect();
+        assert_eq!(pre_done, [p0]);
+        assert_eq!(s.ops[p0].remap.as_deref(), Some(&[][..]));
+        assert_eq!(s.ops[p1].remap.as_deref(), Some(&[1, 3, 5, 7][..]));
+        assert!(s.ops[p2].remap.is_none() && s.ops[q0].remap.is_none());
+        assert_eq!(s.ops[p1].pending(), 4);
+        assert_eq!(s.ops[p1].live_deps, 0, "a pre-done producer is no dependency");
+        assert_eq!(s.ops[p1].warm.map(|w| w.count()), Some(4));
+        assert!(s.ops[q0].warm.is_none());
+        // Restored cells are prefilled, restored masks full-length.
+        let out = s.arena.into_outputs();
+        assert_eq!(out[p1], [0.0, 0.0, 2.0, 0.0, 4.0, 0.0, 6.0, 0.0]);
+        assert_eq!(s.ops[q0].restored, vec![false; 24]);
+
+        // Streamed edges: only fresh, equal-cardinality pairs. P1→P2 is
+        // equal-cardinality but P1 is remapped; Q0→Q1 is 24→8.
+        assert!(s.ops.iter().all(|o| o.stream_inputs.is_empty() && o.stream_dependents.is_empty()));
+        assert_eq!(s.ops[p1].dependents, [p2]);
+        assert_eq!(s.ops[p0].dependents, [p1], "recorded, though P0 never completes again");
+        assert!(s.ops.iter().all(|o| o.stream_batch == o.plan.tasks));
+
+        // Equalizer shares: P0 is out of its level, so Q0 keeps the
+        // pool; P1 (4 pending) and Q1 (8) split the next level into
+        // disjoint ranges covering it; P2 has its level to itself.
+        assert_eq!(s.ops[q0].share, 0..4);
+        let (small, big) = (s.ops[p1].share.clone(), s.ops[q1].share.clone());
+        assert!(tile(&small, &big, 4));
+        assert!(small.len() <= big.len(), "fewer pending tasks, no larger share");
+        assert_eq!(s.ops[p2].share, 0..4);
+    }
+
+    /// The same plan from the empty image: the chain streams, b\* is
+    /// the forced batch on producers only, and nothing is remapped.
+    #[test]
+    fn set_up_from_the_empty_image_is_a_fresh_run() {
+        let g = two_chains();
+        let opts = ExecutorOptions { stream_batch: Some(3), ..ExecutorOptions::default() };
+        let plan = build_plan(&g, &opts).unwrap();
+        let at = |name: &str| plan.ops.iter().position(|o| o.name == name).unwrap();
+        let (p0, p1, p2, q0) = (at("P0"), at("P1"), at("P2"), at("Q0"));
+        let s =
+            set_up(&plan, &g.nodes, &opts, AccessPattern::ElementWise, 4, &ResumeState::empty());
+        assert!(s.ops.iter().all(|o| o.remap.is_none() && !o.pre_done() && o.warm.is_none()));
+        assert_eq!(s.ops[p1].stream_inputs, [p0]);
+        assert_eq!(s.ops[p1].stream_dependents, [p2]);
+        assert!(s.ops[p0].dependents.is_empty(), "a streamed edge is not whole-op gated");
+        assert_eq!(s.ops[q0].dependents.len(), 1);
+        assert_eq!((s.ops[p0].stream_batch, s.ops[p1].stream_batch), (3, 3));
+        assert_eq!((s.ops[p2].stream_batch, s.ops[q0].stream_batch), (8, 24));
+        assert!(tile(&s.ops[p0].share, &s.ops[q0].share, 4));
+        // A whole-input kernel, or the barrier baseline, streams nothing.
+        for (access, overlap) in
+            [(AccessPattern::WholeInput, true), (AccessPattern::ElementWise, false)]
+        {
+            let opts = ExecutorOptions { pipeline_overlap: overlap, ..opts.clone() };
+            let s = set_up(&plan, &g.nodes, &opts, access, 4, &ResumeState::empty());
+            assert!(s.ops.iter().all(|o| o.stream_inputs.is_empty()));
+        }
+    }
+}

@@ -16,29 +16,28 @@
 //!   [`stats`](crate::stats) does in simulation;
 //! * this file — pipeline expansion (graph → op-instance DAG), the
 //!   [`TaskKernel`] compute interface, and the backend entry points
-//!   [`execute_threaded`] / [`execute_sequential`].
+//!   [`execute_threaded`] / [`execute_sequential`]. Everything between
+//!   the plan and the pool that is not specific to this backend is the
+//!   shared run core, [`crate::run`].
 
 pub mod dist;
 pub mod pool;
 pub mod queue;
 pub mod topology;
 
-use crate::alloc::{allocate_many_with, AllocParams, OutputArena};
 use crate::cancel::RunError;
-use crate::checkpoint::{plan_fingerprint, CancelCtl, ResumeState, RunCtl};
-use crate::chunking::PolicyKind;
-use crate::executor::{costs_of_node, ExecutionReport, ExecutorOptions, NodeReport};
-use crate::finish::{finish_estimate_live, HostCalibration, OpSpec};
+use crate::checkpoint::{CancelCtl, ResumeState, RunCtl};
+use crate::executor::{costs_of_node, ExecutorOptions};
+use crate::run::{set_up, OpRecord, RunReport, Setup};
 use crate::stats::{OnlineStats, StealStats};
 use dist::DistQueue;
 use orchestra_delirium::{DelirGraph, GraphError, Node};
-use orchestra_machine::{ProcStats, RunStats};
-use pool::{OpInstance, OpQueue, Partition};
-use queue::ChunkQueue;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize};
+use orchestra_machine::ProcStats;
+use pool::{OpQueue, PoolOp};
+use std::collections::{BTreeSet, HashMap};
+use std::sync::atomic::AtomicUsize;
 use std::time::Instant;
-use topology::{TopologyFingerprint, WorkerTopo};
+use topology::WorkerTopo;
 
 /// Which execution engine runs a graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -355,150 +354,6 @@ pub fn build_plan(g: &DelirGraph, opts: &ExecutorOptions) -> Result<Plan, GraphE
     Ok(Plan { ops: sorted })
 }
 
-/// Per-op record of a threaded run.
-#[derive(Debug, Clone)]
-pub struct OpRecord {
-    /// Instance name.
-    pub name: String,
-    /// First chunk claim, µs after run start.
-    pub start_us: f64,
-    /// Completion, µs after run start.
-    pub finish_us: f64,
-    /// Task count.
-    pub tasks: usize,
-    /// Chunks dispatched by the queue.
-    pub chunks: u64,
-    /// Chunk re-assignments performed by the dist-TAPER coordinator
-    /// (0 for shared-queue ops).
-    pub reassignments: u64,
-    /// Tasks executed away from their home worker (0 for shared-queue
-    /// ops, which have no home placement).
-    pub migrated: u64,
-    /// Completed global epochs (0 for shared-queue ops).
-    pub epochs: usize,
-    /// Run-relative times (µs) of each global-epoch increment (empty
-    /// for shared-queue ops); monotone non-decreasing.
-    pub epoch_times_us: Vec<f64>,
-    /// Re-assignments that crossed a NUMA node boundary (≤
-    /// `reassignments`; 0 for shared-queue ops and single-node runs).
-    pub remote_reassignments: u64,
-    /// Workers the §4.1.2 equalizer initially allocated to this op —
-    /// the whole pool when the op had its level to itself (or
-    /// allocation was off), a partition of it when concurrent ops
-    /// split the pool. Re-equalization can later widen a partition;
-    /// this records the allocator's decision, so concurrent ops' procs
-    /// sum to the pool size.
-    pub procs: usize,
-    /// Input edges gated by the producer's progress watermark instead
-    /// of whole-op completion — this op's tasks could start while
-    /// those producers were still running.
-    pub streamed_inputs: usize,
-    /// Watermark publications this op performed as a *producer* (0 for
-    /// ops with no streamed dependents).
-    pub watermark_pubs: u64,
-}
-
-/// The result of executing a graph on real threads.
-#[derive(Debug, Clone)]
-pub struct ThreadedRun {
-    /// Measured wall-clock time, µs.
-    pub wall_us: f64,
-    /// Worker threads used.
-    pub workers: usize,
-    /// Per-worker busy/tasks/chunks, assembled with
-    /// [`RunStats::from_procs`] exactly as the simulator reports runs.
-    pub stats: RunStats,
-    /// Per-worker online µ/σ over task times (µs).
-    pub worker_timing: Vec<OnlineStats>,
-    /// Per-op timings, aligned with the plan's op order.
-    pub ops: Vec<OpRecord>,
-    /// Output buffers, aligned with the plan's op order.
-    pub outputs: Vec<Vec<f64>>,
-    /// Per-task execution counts, aligned with the plan's op order
-    /// (all 1 in a correct run).
-    pub exec_counts: Vec<Vec<u32>>,
-    /// Σ of the tasks' simulated cost hints (µs) — the work the
-    /// simulator would call `serial_work`.
-    pub hinted_serial_us: f64,
-    /// Tasks executed away from their home worker, summed over all
-    /// dist-TAPER ops (0 under shared-queue backends).
-    pub migrated_tasks: u64,
-    /// Coordinator re-assignments, summed over all dist-TAPER ops.
-    pub reassignments: u64,
-    /// Fraction of dist-TAPER tasks that ran on their home worker
-    /// (1.0 when nothing migrated, and for runs with no dist ops),
-    /// matching the simulator's
-    /// [`DistResult::locality`](crate::dist_taper::DistResult).
-    pub locality: f64,
-    /// Coordinator re-assignments that crossed a NUMA node boundary,
-    /// summed over all dist-TAPER ops.
-    pub remote_reassignments: u64,
-    /// Work-steal counters bucketed by hierarchy distance, merged over
-    /// all workers.
-    pub steal: StealStats,
-    /// Streamed (watermark-gated) producer→consumer edges in the plan,
-    /// summed over all ops (0 with `pipeline_overlap` off, under a
-    /// `WholeInput` kernel, and on resumed plans' remapped ops).
-    pub streamed_edges: usize,
-    /// Watermark publications performed across all producer ops.
-    pub watermark_pubs: u64,
-    /// Workers whose CPU pin the kernel accepted (0 when pinning was
-    /// off or every pin failed).
-    pub pinned_workers: usize,
-    /// The machine layout the run was scheduled against.
-    pub topology: TopologyFingerprint,
-    /// Whether an injected crash-mode fault aborted the run (the
-    /// outputs are then partial; see
-    /// [`execute_graph_resumable`](crate::checkpoint::execute_graph_resumable)).
-    pub crashed: bool,
-}
-
-impl ThreadedRun {
-    /// Measured speedup: total busy time across workers over wall
-    /// time. 1.0 means no overlap at all; `workers` is the ceiling.
-    pub fn measured_speedup(&self) -> f64 {
-        if self.wall_us <= 0.0 {
-            return 1.0;
-        }
-        self.stats.total_busy() / self.wall_us
-    }
-
-    /// Converts the measured run into the executor's report shape so
-    /// callers consume both backends uniformly. `serial_work` is the
-    /// *measured* total busy time (not the simulator's cost hints), so
-    /// [`ExecutionReport::speedup`] reports the measured speedup.
-    pub fn to_report(&self) -> ExecutionReport {
-        ExecutionReport {
-            finish: self.wall_us,
-            nodes: self
-                .ops
-                .iter()
-                .map(|op| NodeReport {
-                    name: op.name.clone(),
-                    start: op.start_us,
-                    finish: op.finish_us,
-                    procs: op.procs,
-                    streamed_inputs: op.streamed_inputs,
-                    watermark_pubs: op.watermark_pubs,
-                })
-                .collect(),
-            serial_work: self.stats.total_busy(),
-            processors: self.workers,
-        }
-    }
-}
-
-/// The result of the independent single-thread reference execution.
-#[derive(Debug, Clone)]
-pub struct SequentialRun {
-    /// Wall-clock time, µs.
-    pub wall_us: f64,
-    /// Output buffers, aligned with the plan's op order.
-    pub outputs: Vec<Vec<f64>>,
-    /// Op names, aligned with the plan's op order.
-    pub op_names: Vec<String>,
-}
-
 /// Worker-count resolution: `opts.threads`, or the machine's available
 /// parallelism (capped at 16) when zero.
 pub fn resolve_workers(opts: &ExecutorOptions) -> usize {
@@ -518,276 +373,63 @@ pub fn execute_threaded(
     g: &DelirGraph,
     opts: &ExecutorOptions,
     kernel: &(dyn TaskKernel + Sync),
-) -> Result<ThreadedRun, RunError> {
-    execute_threaded_resumed(g, opts, kernel, None)
+) -> Result<RunReport, RunError> {
+    run_threaded(g, &build_plan(g, opts)?, opts, kernel, &ResumeState::empty())
 }
 
-/// [`execute_threaded`] with an optional restore image: restored tasks
-/// keep their snapshot outputs and are excluded from the queues'
-/// iteration spaces, fully restored ops are pre-completed, and the
-/// adaptive chunk policies warm-start from the snapshot's per-op µ/σ.
-pub(crate) fn execute_threaded_resumed(
+/// Runs an already expanded plan on the worker pool from a restore
+/// image (empty for a fresh run): the shared [`set_up`], then this
+/// backend's own part — one claim queue per op (shared, or
+/// distributed TAPER's home queues under
+/// [`ExecutorBackend::ThreadedDist`]) and the pool itself.
+pub(crate) fn run_threaded(
     g: &DelirGraph,
+    plan: &Plan,
     opts: &ExecutorOptions,
     kernel: &(dyn TaskKernel + Sync),
-    resume: Option<&ResumeState>,
-) -> Result<ThreadedRun, RunError> {
-    let plan = build_plan(g, opts)?;
+    resume: &ResumeState,
+) -> Result<RunReport, RunError> {
     let workers = resolve_workers(opts);
     let topo = opts.topology.resolve();
     let wt = WorkerTopo::new(&topo, workers, opts.steal_order);
-    // `ORCHESTRA_PIN_WORKERS` (any value but "0") forces pinning on —
-    // CI uses it to smoke the affinity path without touching configs.
-    let pin = opts.pin_workers
-        || std::env::var("ORCHESTRA_PIN_WORKERS").is_ok_and(|v| !v.is_empty() && v != "0");
-    // Which ops the snapshot already finished whole: they are excluded
-    // from scheduling entirely — no queue entries, no dependency
-    // edges, pre-counted as completed.
-    let pre_done: Vec<bool> = plan
-        .ops
-        .iter()
-        .enumerate()
-        .map(|(i, op)| {
-            resume
-                .and_then(|r| r.ops.get(i))
-                .is_some_and(|o| op.tasks > 0 && o.completed.iter().all(|&c| c))
+    let Setup { arena, ops, hinted_serial_us } =
+        set_up(plan, &g.nodes, opts, kernel.access(), workers, resume);
+    let ops: Vec<PoolOp> = ops
+        .into_iter()
+        .map(|state| {
+            let pending = state.pending();
+            // Distributed TAPER only pays off (and only makes sense) for
+            // genuinely parallel ops: single-task ops keep a shared queue
+            // so a lone Task/Merge node doesn't token every worker.
+            let (queue, queue_costs) =
+                if opts.backend == ExecutorBackend::ThreadedDist && pending > 1 {
+                    let nodes = wt.node_of_worker.clone();
+                    let q = if state.share.len() < workers {
+                        // Block-decompose over the op's share only: the
+                        // other shares' workers start with no home here.
+                        let members: Vec<usize> = state.share.clone().collect();
+                        DistQueue::with_partition(pending, workers, nodes, &members)
+                    } else {
+                        DistQueue::with_nodes(pending, workers, nodes)
+                    };
+                    if let Some(stats) = &state.warm {
+                        q.warm(stats);
+                    }
+                    // Home queues draw on the cost hints in *queue* index
+                    // space, which a remapped op packs.
+                    let costs =
+                        state.remap.as_ref().map(|r| r.iter().map(|&t| state.costs[t]).collect());
+                    (OpQueue::Dist(q), costs)
+                } else {
+                    (OpQueue::Shared(state.chunk_queue(opts.policy)), None)
+                };
+            PoolOp { deps: AtomicUsize::new(state.live_deps), queue, queue_costs, state }
         })
         .collect();
-    // ---- §4.1.2 processor allocation --------------------------------
-    // When a graph level holds several concurrent ops and allocation is
-    // on, split the pool between them with the finishing-time equalizer
-    // (over live specs: task counts before any samples exist) instead
-    // of letting every worker thrash every queue. Levels are depths in
-    // the expanded instance DAG, so overlapping pipeline iterations
-    // that can run concurrently land in the same group.
-    let pending_of: Vec<usize> = plan
-        .ops
-        .iter()
-        .enumerate()
-        .map(|(i, op)| {
-            let restored = resume
-                .and_then(|r| r.ops.get(i))
-                .map_or(0, |o| o.completed.iter().filter(|&&c| c).count());
-            op.tasks.saturating_sub(restored)
-        })
-        .collect();
-    let mut depth = vec![0usize; plan.ops.len()];
-    for (i, op) in plan.ops.iter().enumerate() {
-        depth[i] = op.deps.iter().map(|&d| depth[d] + 1).max().unwrap_or(0);
-    }
-    // Full-pool defaults; partitioned groups overwrite below. One u64
-    // mask per op caps partitioning at 64 workers (beyond that the
-    // pool falls back to the shared-everything schedule).
-    let full_mask = if workers >= 64 { u64::MAX } else { (1u64 << workers) - 1 };
-    let mut op_procs: Vec<usize> = vec![workers; plan.ops.len()];
-    let mut masks: Vec<u64> = vec![full_mask; plan.ops.len()];
-    let mut partition_live = false;
-    if opts.use_allocation && workers > 1 && workers <= 64 {
-        let cal = HostCalibration::get();
-        let kind = match opts.policy {
-            PolicyKind::Static => PolicyKind::Gss,
-            p => p,
-        };
-        let mut by_depth: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for i in 0..plan.ops.len() {
-            if !pre_done[i] && pending_of[i] > 0 {
-                by_depth.entry(depth[i]).or_default().push(i);
-            }
-        }
-        for group in by_depth.values() {
-            if group.len() < 2 || workers < group.len() {
-                continue;
-            }
-            let specs: Vec<OpSpec> =
-                group.iter().map(|&i| OpSpec::from_live(pending_of[i], None, kind)).collect();
-            let alloc = allocate_many_with(&specs, workers, &AllocParams::default(), |s, p| {
-                finish_estimate_live(s, p, &cal).total()
-            });
-            // Contiguous worker ranges per op: partitions are disjoint
-            // and cover the pool, so each level's procs sum to it.
-            let mut offset = 0u32;
-            for (&i, &a) in group.iter().zip(&alloc) {
-                op_procs[i] = a;
-                masks[i] = (((1u128 << a) - 1) << offset) as u64;
-                offset += a as u32;
-            }
-            partition_live = true;
-        }
-    }
-    let partition = if partition_live {
-        Partition::new(masks.clone())
-    } else {
-        Partition::disabled(plan.ops.len())
-    };
-    // One slab for every op's outputs: workers write chunk views in
-    // place, dependents read finished slices by reference, and the
-    // run's owned buffers come out at the end without a copy.
-    let mut arena = OutputArena::for_ops(plan.ops.iter().map(|o| o.tasks));
-    let mut instances: Vec<OpInstance> = Vec::with_capacity(plan.ops.len());
-    // ---- §4.1 streamed data plane ----------------------------------
-    // An edge p→c is *streamed* when consumer task t provably reads
-    // only cells ≤ t of p's output (element-wise kernel on equal task
-    // counts): c's tasks may then start as soon as p's committed-prefix
-    // watermark covers them, instead of waiting for all of p. Whole-op
-    // gating remains for reductions (unequal counts), remapped/resumed
-    // ops (their queue indices no longer align with task space), and
-    // under the `pipeline_overlap=false` barrier baseline.
-    let remapped: Vec<bool> = (0..plan.ops.len())
-        .map(|i| resume.and_then(|r| r.ops.get(i)).is_some_and(|o| o.completed.iter().any(|&c| c)))
-        .collect();
-    let stream_on = opts.pipeline_overlap && kernel.access() == AccessPattern::ElementWise;
-    let streamed_edge = |d: usize, c: usize| -> bool {
-        stream_on
-            && !pre_done[d]
-            && !pre_done[c]
-            && !remapped[d]
-            && !remapped[c]
-            && plan.ops[d].tasks == plan.ops[c].tasks
-            && plan.ops[d].tasks > 1
-    };
-    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); plan.ops.len()];
-    let mut stream_deps: Vec<Vec<usize>> = vec![Vec::new(); plan.ops.len()];
-    for (i, op) in plan.ops.iter().enumerate() {
-        if pre_done[i] {
-            continue; // Never scheduled, so never needs enabling.
-        }
-        for &d in &op.deps {
-            if streamed_edge(d, i) {
-                stream_deps[d].push(i);
-            } else {
-                dependents[d].push(i);
-            }
-        }
-    }
-    let mut hinted_serial_us = 0.0;
-    for (i, op) in plan.ops.iter().enumerate() {
-        let node = &g.nodes[op.node];
-        let costs = costs_of_node(node, opts.seed);
-        hinted_serial_us += costs.iter().sum::<f64>();
-        let res_op = resume.and_then(|r| r.ops.get(i)).filter(|o| o.completed.iter().any(|&c| c));
-        let restored: Vec<bool> = res_op.map(|o| o.completed.clone()).unwrap_or_default();
-        // The queue schedules only the pending tasks, packed; `remap`
-        // translates its indices back to task space.
-        let remap: Option<Vec<usize>> = if restored.iter().any(|&c| c) {
-            Some((0..op.tasks).filter(|&t| !restored[t]).collect())
-        } else {
-            None
-        };
-        let pending = remap.as_ref().map_or(op.tasks, Vec::len);
-        let queue_costs: Option<Vec<f64>> =
-            remap.as_ref().map(|r| r.iter().map(|&t| costs[t]).collect());
-        // Distributed TAPER only pays off (and only makes sense) for
-        // genuinely parallel ops: single-task ops keep a shared queue
-        // so a lone Task/Merge node doesn't token every worker.
-        let queue = if opts.backend == ExecutorBackend::ThreadedDist && pending > 1 {
-            if partition_live && op_procs[i] < workers {
-                // Block-decompose over the op's partition only: the
-                // other partition's workers start with no home here.
-                let members: Vec<usize> =
-                    (0..workers).filter(|&w| masks[i] >> w & 1 == 1).collect();
-                OpQueue::Dist(DistQueue::with_partition(
-                    pending,
-                    workers,
-                    wt.node_of_worker.clone(),
-                    &members,
-                ))
-            } else {
-                OpQueue::Dist(DistQueue::with_nodes(pending, workers, wt.node_of_worker.clone()))
-            }
-        } else {
-            let policy = match opts.policy {
-                // Static has no dynamic queue; one equal chunk per
-                // worker approximates block decomposition on a shared
-                // queue.
-                PolicyKind::Static => PolicyKind::Gss.instantiate(pending),
-                p => p.instantiate(pending),
-            };
-            // Chunk schedules are sized for the op's allocated
-            // partition, not the whole pool.
-            OpQueue::Shared(ChunkQueue::new(policy, pending, op_procs[i]))
-        };
-        if let Some(r) = res_op.filter(|o| o.stats.count() > 0) {
-            // Warm-start the chunk policy with the snapshot's µ/σ so
-            // the resumed run sizes chunks as if it had kept sampling.
-            match &queue {
-                OpQueue::Shared(q) => q.observe_chunk(0, 0, &r.stats),
-                OpQueue::Dist(q) => q.warm(&r.stats),
-            }
-        }
-        let effective_deps = op.deps.iter().filter(|&&d| !pre_done[d]).count();
-        // Pre-fill restored outputs while the arena is still exclusive
-        // — workers and the snapshot scanner only ever see them as
-        // quiescent completed cells.
-        if let Some(o) = res_op {
-            for t in 0..op.tasks {
-                if restored.get(t).copied().unwrap_or(false) {
-                    arena.set(i, t, o.outputs[t]);
-                }
-            }
-        }
-        let stamp = if pre_done[i] { 0u64 } else { u64::MAX };
-        let stream_dependents = std::mem::take(&mut stream_deps[i]);
-        // b\*: how many completed producer tasks coalesce per watermark
-        // publication, from the host's measured per-publish α and
-        // per-byte β (§4.1's batch-granularity model over the arena's
-        // 8-byte items) — unless the caller forced a batch.
-        let stream_batch = if stream_dependents.is_empty() {
-            op.tasks.max(1)
-        } else {
-            opts.stream_batch
-                .unwrap_or_else(|| {
-                    HostCalibration::get().stream_batch(op.tasks, std::mem::size_of::<f64>() as u64)
-                })
-                .clamp(1, op.tasks.max(1))
-        };
-        instances.push(OpInstance {
-            name: op.name.clone(),
-            node: op.node,
-            iter: op.iter,
-            queue,
-            costs,
-            deps: AtomicUsize::new(effective_deps),
-            dependents: std::mem::take(&mut dependents[i]),
-            input_ops: op.deps.clone(),
-            stream_inputs: op.deps.iter().copied().filter(|&d| streamed_edge(d, i)).collect(),
-            stream_dependents,
-            stream_batch,
-            outstanding: AtomicUsize::new(pending),
-            executed: (0..op.tasks).map(|_| AtomicU32::new(0)).collect(),
-            started_bits: AtomicU64::new(stamp),
-            finished_bits: AtomicU64::new(stamp),
-            restored,
-            remap,
-            queue_costs,
-        });
-    }
-    let ready0: Vec<usize> = (0..plan.ops.len())
-        .filter(|&i| !pre_done[i] && plan.ops[i].deps.iter().all(|&d| pre_done[d]))
-        .collect();
-    let pre_completed = pre_done.iter().filter(|&&p| p).count();
-    let fingerprint = plan_fingerprint(&plan, opts.seed);
-    let ctl = RunCtl::new(
-        opts.faults.as_ref(),
-        opts.checkpoint.as_ref(),
-        CancelCtl::from_opts(opts),
-        workers,
-        fingerprint,
-    );
+    let ctl = RunCtl::new(opts, plan, workers);
 
     let t0 = Instant::now();
-    let records = pool::run_pool(
-        &instances,
-        &g.nodes,
-        &arena,
-        ready0,
-        workers,
-        &wt,
-        pin,
-        kernel,
-        &ctl,
-        pre_completed,
-        &partition,
-    );
+    let records = pool::run_pool(&ops, &g.nodes, &arena, &wt, opts.pin_workers, kernel, &ctl);
     let wall_us = t0.elapsed().as_secs_f64() * 1e6;
 
     let mut steal = StealStats::new();
@@ -798,79 +440,42 @@ pub(crate) fn execute_threaded_resumed(
     }
     let (procs, worker_timing): (Vec<ProcStats>, Vec<OnlineStats>) =
         records.into_iter().map(|r| (r.proc, r.timing)).unzip();
-    let stats = RunStats::from_procs(procs, wall_us);
-    let ops: Vec<OpRecord> = instances
+    let mut dist_tasks = 0usize;
+    let op_records: Vec<OpRecord> = ops
         .iter()
-        .enumerate()
-        .map(|(i, op)| {
-            let d = op.queue.as_dist();
+        .map(|op| {
+            let base = op.state.record(&arena, op.queue.chunks_claimed());
+            let Some(d) = op.queue.as_dist() else { return base };
+            dist_tasks += base.tasks;
             OpRecord {
-                procs: op_procs[i],
-                streamed_inputs: op.stream_inputs.len(),
-                // Read before `into_outputs` consumes the arena below.
-                watermark_pubs: arena.watermark_pubs(i),
-                name: op.name.clone(),
-                start_us: f64::from_bits(
-                    op.started_bits.load(std::sync::atomic::Ordering::Acquire),
-                ),
-                finish_us: f64::from_bits(
-                    op.finished_bits.load(std::sync::atomic::Ordering::Acquire),
-                ),
-                tasks: op.costs.len(),
-                chunks: op.queue.chunks_claimed(),
-                reassignments: d.map_or(0, DistQueue::reassignments),
-                migrated: d.map_or(0, DistQueue::migrated_tasks),
-                epochs: d.map_or(0, DistQueue::epochs),
-                epoch_times_us: d.map_or_else(Vec::new, DistQueue::epoch_times_us),
-                remote_reassignments: d.map_or(0, DistQueue::remote_reassignments),
+                reassignments: d.reassignments(),
+                migrated: d.migrated_tasks(),
+                epochs: d.epochs(),
+                epoch_times_us: d.epoch_times_us(),
+                remote_reassignments: d.remote_reassignments(),
+                ..base
             }
         })
         .collect();
-    let migrated_tasks: u64 = ops.iter().map(|o| o.migrated).sum();
-    let reassignments: u64 = ops.iter().map(|o| o.reassignments).sum();
-    let remote_reassignments: u64 = ops.iter().map(|o| o.remote_reassignments).sum();
-    let streamed_edges: usize = ops.iter().map(|o| o.streamed_inputs).sum();
-    let watermark_pubs: u64 = ops.iter().map(|o| o.watermark_pubs).sum();
-    let dist_tasks: u64 =
-        instances.iter().filter(|op| op.queue.is_dist()).map(|op| op.costs.len() as u64).sum();
+    let states = ops.into_iter().map(|op| op.state);
+    let report =
+        RunReport::from_run(wall_us, procs, op_records, states, arena, hinted_serial_us, &ctl)?;
     let locality =
-        if dist_tasks == 0 { 1.0 } else { 1.0 - migrated_tasks as f64 / dist_tasks as f64 };
-    // A fired cancellation aborts the whole run: partial outputs are
-    // discarded and the caller gets the clean error. Checked before
-    // result assembly so a cancelled run never masquerades as a
-    // short successful one.
-    if let Some(e) = ctl.cancel_error() {
-        return Err(e);
-    }
-    // The pool has joined: the arena's cells are quiescent and the
-    // consuming conversion hands back one owned buffer per op.
-    let outputs = arena.into_outputs();
-    let exec_counts = instances.iter().map(OpInstance::exec_counts).collect();
-    Ok(ThreadedRun {
-        wall_us,
-        workers,
-        stats,
+        if dist_tasks == 0 { 1.0 } else { 1.0 - report.migrated_tasks as f64 / dist_tasks as f64 };
+    Ok(RunReport {
         worker_timing,
-        ops,
-        outputs,
-        exec_counts,
-        hinted_serial_us,
-        migrated_tasks,
-        reassignments,
         locality,
-        remote_reassignments,
-        streamed_edges,
-        watermark_pubs,
         steal,
         pinned_workers,
         topology: wt.fingerprint(),
-        crashed: ctl.crashed(),
+        ..report
     })
 }
 
 /// Executes the same plan on the calling thread in dependency order —
 /// a deliberately independent reference implementation (no queue, no
-/// pool) the differential tests compare the threaded backend against.
+/// pool, none of the run core's set-up or task body) the differential
+/// tests compare every real backend against.
 ///
 /// # Errors
 ///
@@ -879,11 +484,13 @@ pub fn execute_sequential(
     g: &DelirGraph,
     opts: &ExecutorOptions,
     kernel: &(dyn TaskKernel + Sync),
-) -> Result<SequentialRun, RunError> {
+) -> Result<RunReport, RunError> {
     let plan = build_plan(g, opts)?;
     let cancel = CancelCtl::from_opts(opts);
     let t0 = Instant::now();
+    let us = |t: Instant| t.duration_since(t0).as_secs_f64() * 1e6;
     let mut outputs: Vec<Vec<f64>> = Vec::with_capacity(plan.ops.len());
+    let mut records: Vec<OpRecord> = Vec::with_capacity(plan.ops.len());
     for op in &plan.ops {
         // The sequential backend has no chunk claims; op boundaries
         // are its claim boundaries. Ops are small enough (the longest
@@ -896,6 +503,7 @@ pub fn execute_sequential(
         }
         let node = &g.nodes[op.node];
         let costs = costs_of_node(node, opts.seed);
+        let start = Instant::now();
         let mut out = Vec::with_capacity(op.tasks);
         {
             // The owned-buffer reference path: inputs are slices of
@@ -908,12 +516,21 @@ pub fn execute_sequential(
             }
         }
         outputs.push(out);
+        records.push(OpRecord {
+            name: op.name.clone(),
+            start_us: us(start),
+            finish_us: us(Instant::now()),
+            tasks: op.tasks,
+            procs: 1,
+            ..OpRecord::default()
+        });
     }
-    Ok(SequentialRun {
-        wall_us: t0.elapsed().as_secs_f64() * 1e6,
-        outputs,
-        op_names: plan.ops.iter().map(|o| o.name.clone()).collect(),
-    })
+    let wall_us = us(Instant::now());
+    let tasks: u64 = plan.ops.iter().map(|o| o.tasks as u64).sum();
+    let me = ProcStats { busy: wall_us, tasks, chunks: 0, free_at: wall_us };
+    // The reference keeps no per-task counters or masks, and prices
+    // nothing: those report fields stay empty / zero.
+    Ok(RunReport::new(wall_us, vec![me], records, outputs, Vec::new(), Vec::new()))
 }
 
 #[cfg(test)]
@@ -1018,7 +635,7 @@ mod tests {
         let thr = execute_threaded(&g, &opts, &kernel).unwrap();
         assert_eq!(seq.outputs.len(), thr.outputs.len());
         for (i, (a, b)) in seq.outputs.iter().zip(&thr.outputs).enumerate() {
-            assert_eq!(a, b, "op {} differs", seq.op_names[i]);
+            assert_eq!(a, b, "op {} differs", seq.ops[i].name);
         }
     }
 

@@ -47,17 +47,18 @@
 use super::dist::DistQueue;
 use super::queue::{BoundedClaim, ChunkQueue};
 use super::topology::{pin_current_thread, StealDistance, WorkerTopo};
-use super::{TaskCtx, TaskKernel};
+use super::TaskKernel;
 use crate::alloc::{OutputArena, Publication};
-use crate::checkpoint::{op_snapshot, CancelCtl, KillMode, Lease, OpSnapshot, RunCtl};
+use crate::checkpoint::{CancelCtl, KillMode, Lease, RunCtl};
 use crate::chunking::PolicyKind;
 use crate::finish::{finish_estimate_live, HostCalibration, OpSpec};
 use crate::granularity::pipelined_stage_time_params;
+use crate::run::{snapshot_ops, OpState};
 use crate::stats::{OnlineStats, StealStats};
 use orchestra_delirium::Node;
 use orchestra_machine::ProcStats;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
@@ -92,99 +93,31 @@ impl OpQueue {
     }
 }
 
-/// One schedulable operation instance: a graph node at one pipeline
-/// iteration, with its dependency counters and real output buffer.
-pub(crate) struct OpInstance {
-    /// Display name (`B_I`, or `A_D@3` for pipeline iteration 3).
-    pub name: String,
-    /// The underlying graph node id.
-    pub node: usize,
-    /// Pipeline iteration (0 for ungrouped nodes).
-    pub iter: usize,
-    /// Per-task simulated cost hints (µs), sampled exactly as the
-    /// simulator samples them.
-    pub costs: Vec<f64>,
+/// What the pool itself keeps per operation, beside the shared
+/// [`OpState`]: its claim queue and the live dependency counter.
+pub(crate) struct PoolOp<'p> {
+    /// The run core's per-op state.
+    pub state: OpState<'p>,
     /// The claim-next-chunk queue (shared or distributed).
     pub queue: OpQueue,
     /// Unfinished dependency count; the op becomes ready at 0.
     pub deps: AtomicUsize,
-    /// Ops to notify when this one completes.
-    pub dependents: Vec<usize>,
-    /// Upstream ops (plan indices) whose finished output slices are
-    /// handed to this op's kernel as [`TaskCtx::inputs`] — by
-    /// reference out of the shared [`OutputArena`], no copy.
-    pub input_ops: Vec<usize>,
-    /// The subset of `input_ops` consumed *streamed*: claims from this
-    /// op's queue are bounded by the minimum of these producers'
-    /// committed-prefix watermarks instead of waiting for whole-op
-    /// completion. Empty for whole-op-gated ops.
-    pub stream_inputs: Vec<usize>,
-    /// Streamed consumers of this op's output (disjoint from
-    /// `dependents`): their dependency arrival for this edge happens at
-    /// this op's *first* watermark publication, and every publication
-    /// re-tokens them so blocked workers resume onto the new prefix.
-    pub stream_dependents: Vec<usize>,
-    /// Watermark publication batch b\* (producer tasks coalesced per
-    /// publication), chosen by §4.1's batch model over the measured
-    /// per-publish α and per-byte β — or forced by
-    /// [`ExecutorOptions::stream_batch`](crate::executor::ExecutorOptions::stream_batch).
-    pub stream_batch: usize,
-    /// Tasks not yet executed; the op is complete at 0.
-    pub outstanding: AtomicUsize,
-    /// Execution count per task (differential-testing evidence that no
-    /// chunk was lost or duplicated).
-    pub executed: Vec<AtomicU32>,
-    /// First-claim time, µs since run start (f64 bits; MAX = never).
-    pub started_bits: AtomicU64,
-    /// Completion time, µs since run start (f64 bits; MAX = never).
-    pub finished_bits: AtomicU64,
-    /// Per-task restored-from-snapshot flags (empty on a fresh run):
-    /// restored tasks have their outputs pre-stored and are excluded
-    /// from the queue's iteration space.
-    pub restored: Vec<bool>,
-    /// Queue-index → task-index translation for resumed ops (`None` =
-    /// identity): the queue schedules only the pending tasks, packed.
-    pub remap: Option<Vec<usize>>,
-    /// Cost hints over the *queue's* index space when remapped
-    /// (`None` = use `costs` directly).
+    /// Cost hints over a distributed queue's *index* space when the op
+    /// is remapped (`None` = use the state's `costs` directly).
     pub queue_costs: Option<Vec<f64>>,
 }
 
-impl OpInstance {
-    pub(crate) fn exec_counts(&self) -> Vec<u32> {
-        self.executed.iter().map(|c| c.load(Ordering::Acquire)).collect()
-    }
-
-    /// Translates a queue index to the op-local task index.
-    #[inline]
-    fn task_of(&self, qi: usize) -> usize {
-        match &self.remap {
-            Some(r) => r[qi],
-            None => qi,
-        }
+impl PoolOp<'_> {
+    /// Enabled (every dependency arrived) and unfinished: the only ops
+    /// a worker may claim from without holding a token.
+    fn runnable(&self) -> bool {
+        self.deps.load(Ordering::Acquire) == 0
+            && self.state.outstanding.load(Ordering::Acquire) != 0
     }
 
     /// The cost hints in the queue's index space.
     fn claim_costs(&self) -> &[f64] {
-        self.queue_costs.as_deref().unwrap_or(&self.costs)
-    }
-
-    /// How far this op's claims may advance right now: the minimum of
-    /// its streamed producers' committed-prefix watermarks (`Acquire`
-    /// loads, re-read fresh at every claim), or unbounded when nothing
-    /// is streamed. Streamed consumers are never remapped, so the
-    /// queue's index space IS task space and the bound applies directly.
-    #[inline]
-    fn stream_limit(&self, arena: &OutputArena) -> usize {
-        self.stream_inputs.iter().map(|&p| arena.watermark(p)).min().unwrap_or(usize::MAX)
-    }
-
-    /// Whether this op publishes progress watermarks as a producer.
-    /// (Streamed producers are never remapped — classification excludes
-    /// resumed ops — so chunk spans are contiguous task intervals.)
-    #[inline]
-    fn streams_output(&self) -> bool {
-        !self.stream_dependents.is_empty() && self.remap.is_none()
+        self.queue_costs.as_deref().unwrap_or(&self.state.costs)
     }
 }
 
@@ -212,23 +145,24 @@ pub(crate) struct Partition {
 }
 
 impl Partition {
-    /// No partitioning: every worker may serve every op.
-    pub(crate) fn disabled(n_ops: usize) -> Self {
+    /// The partition the run core's equalizer shares describe: live
+    /// when some level was split (then some op's share is smaller than
+    /// the pool), every worker serving every op otherwise.
+    fn from_shares(ops: &[PoolOp], workers: usize) -> Self {
+        let enabled = ops.iter().any(|op| op.state.share.len() < workers);
+        let mask = |op: &PoolOp| {
+            let share = &op.state.share;
+            assert!(!share.is_empty(), "every op needs at least one worker");
+            if enabled {
+                (((1u128 << share.len()) - 1) << share.start) as u64
+            } else {
+                u64::MAX
+            }
+        };
         Partition {
-            masks: (0..n_ops).map(|_| AtomicU64::new(u64::MAX)).collect(),
+            masks: ops.iter().map(|op| AtomicU64::new(mask(op))).collect(),
             balance: Mutex::new(()),
-            enabled: false,
-        }
-    }
-
-    /// A live partition from one initial mask per op (each must be
-    /// non-zero: an op with no servers would never run).
-    pub(crate) fn new(masks: Vec<u64>) -> Self {
-        assert!(masks.iter().all(|&m| m != 0), "every op needs at least one worker");
-        Partition {
-            masks: masks.into_iter().map(AtomicU64::new).collect(),
-            balance: Mutex::new(()),
-            enabled: true,
+            enabled,
         }
     }
 
@@ -256,9 +190,11 @@ impl Partition {
         (0..workers).filter(|&w| self.allows(op, w)).collect()
     }
 
-    /// Adds `w` to `op`'s partition; `true` if the bit was newly set.
+    /// Adds `w` to `op`'s partition; `true` if the bit was newly set
+    /// (never, when partitioning is disabled: everyone already serves
+    /// every op).
     fn admit(&self, op: usize, w: usize) -> bool {
-        self.masks[op].fetch_or(1u64 << w, Ordering::AcqRel) & (1u64 << w) == 0
+        self.enabled && self.masks[op].fetch_or(1u64 << w, Ordering::AcqRel) & (1u64 << w) == 0
     }
 }
 
@@ -294,7 +230,7 @@ struct WorkerState {
 }
 
 struct Shared<'a> {
-    ops: &'a [OpInstance],
+    ops: &'a [PoolOp<'a>],
     nodes: &'a [Node],
     /// The zero-copy output slab every op writes into and reads its
     /// inputs from; spans are indexed by op.
@@ -306,7 +242,7 @@ struct Shared<'a> {
     /// Fault-injection and checkpoint control (inert on normal runs).
     ctl: &'a RunCtl,
     /// The §4.1.2 worker partition (all-ones when allocation is off).
-    partition: &'a Partition,
+    partition: Partition,
     /// One padded deque per worker.
     workers: Vec<CachePadded<WorkerState>>,
     completed: AtomicUsize,
@@ -323,31 +259,6 @@ struct Shared<'a> {
 }
 
 impl<'a> Shared<'a> {
-    /// The upstream output slices for one op — zero-copy references
-    /// into the arena.
-    ///
-    /// Whole-op-gated inputs are finished: the op only runs after its
-    /// dependency counter reached zero (`AcqRel` decrements by the
-    /// completers), which happens-after every upstream write.
-    ///
-    /// *Streamed* inputs may still be running. The slice then spans
-    /// cells the producer has not written yet, and soundness rests on
-    /// the watermark protocol: (1) every claim of this op is bounded by
-    /// the producers' committed-prefix watermarks, whose `Release`
-    /// publication happens-after the covered cells' stores and pairs
-    /// with the claim's `Acquire` load; (2) the kernel's declared
-    /// [`AccessPattern::ElementWise`](super::AccessPattern) contract
-    /// means task `t` dereferences only cells `≤ t <` watermark —
-    /// cells at or above the watermark are *in* the slice but never
-    /// read through it; (3) streamed producers write those cells
-    /// through raw per-cell stores (never a `&mut` view), so no
-    /// exclusive reference ever overlaps this shared slice.
-    fn inputs_of(&self, op: &OpInstance) -> Vec<&'a [f64]> {
-        // SAFETY: see above — whole-op inputs are quiescent; streamed
-        // inputs are only read below their watermark.
-        op.input_ops.iter().map(|&d| unsafe { self.arena.op_slice(d) }).collect()
-    }
-
     /// Wakes sleeping workers after making work visible. `all` only
     /// when several ops became ready at once or the run completed.
     fn signal(&self, all: bool) {
@@ -374,28 +285,22 @@ fn us_since(epoch: Instant, t: Instant) -> f64 {
     t.duration_since(epoch).as_secs_f64() * 1e6
 }
 
-/// Executes the op DAG on `workers` threads; `ready0` holds the
-/// indices whose dependency count is already zero. `topo` supplies the
-/// per-worker steal schedules (and pin targets when `pin` is set); it
-/// must have been built for the same worker count. `ctl` carries the
-/// fault plan and checkpoint state (inert on normal runs), and
-/// `pre_completed` counts ops already whole from a restored snapshot.
-#[allow(clippy::too_many_arguments)]
+/// Executes the op DAG on one thread per worker of `topo`, which
+/// supplies the per-worker steal schedules (and pin targets when `pin`
+/// is set). `ctl` carries the fault plan and checkpoint state (inert on
+/// normal runs). Ops a restored snapshot already finished count as
+/// completed from the start; ops with no live dependency start ready.
 pub(crate) fn run_pool(
-    ops: &[OpInstance],
+    ops: &[PoolOp],
     nodes: &[Node],
     arena: &OutputArena,
-    ready0: Vec<usize>,
-    workers: usize,
     topo: &WorkerTopo,
     pin: bool,
     kernel: &(dyn TaskKernel + Sync),
     ctl: &RunCtl,
-    pre_completed: usize,
-    partition: &Partition,
 ) -> Vec<WorkerRecord> {
-    let workers = workers.max(1);
-    debug_assert_eq!(topo.workers(), workers, "topology built for a different pool size");
+    let workers = topo.workers().max(1);
+    let partition = Partition::from_shares(ops, workers);
     let mut deques: Vec<CachePadded<WorkerState>> = (0..workers)
         .map(|_| {
             CachePadded(WorkerState {
@@ -409,17 +314,20 @@ pub(crate) fn run_pool(
     // are tokened to every worker in their partition (each member owns
     // a home queue of the op), shared ops to one member each.
     let mut next = 0usize;
-    for op in ready0 {
-        if ops[op].queue.is_dist() {
+    for (i, op) in ops.iter().enumerate() {
+        if op.state.pre_done() || op.state.live_deps > 0 {
+            continue;
+        }
+        if op.queue.is_dist() {
             for (w, d) in deques.iter_mut().enumerate() {
-                if partition.allows(op, w) {
-                    d.0.dist_ready.get_mut().expect("fresh lock").push(op);
+                if partition.allows(i, w) {
+                    d.0.dist_ready.get_mut().expect("fresh lock").push(i);
                 }
             }
         } else {
-            let members: Vec<usize> = (0..workers).filter(|&w| partition.allows(op, w)).collect();
+            let members = partition.members(i, workers);
             let w = members[next % members.len()];
-            deques[w].0.ready.get_mut().expect("fresh lock").push_back(op);
+            deques[w].0.ready.get_mut().expect("fresh lock").push_back(i);
             next += 1;
         }
     }
@@ -432,7 +340,7 @@ pub(crate) fn run_pool(
         ctl,
         partition,
         workers: deques,
-        completed: AtomicUsize::new(pre_completed),
+        completed: AtomicUsize::new(ops.iter().filter(|op| op.state.pre_done()).count()),
         sleepers: AtomicUsize::new(0),
         wake_seq: Mutex::new(0),
         wake: Condvar::new(),
@@ -468,7 +376,7 @@ fn find_token(shared: &Shared<'_>, id: usize, steal: &mut StealStats) -> Option<
         debug_assert!(shared.partition.allows(i, id), "non-member token in own deque");
         return Some(i);
     }
-    let part = shared.partition;
+    let part = &shared.partition;
     for target in shared.topo.steal_schedule(id) {
         let mut extras: Vec<usize> = Vec::new();
         let first = {
@@ -575,7 +483,7 @@ fn worker_loop(shared: &Shared<'_>, id: usize, kernel: &(dyn TaskKernel + Sync))
             if let Some(f) = &shared.ctl.faults {
                 if let Some(mode) = f.on_steal(id) {
                     if f.try_die(id, mode) {
-                        announce_death(shared);
+                        wake_everyone(shared);
                         break;
                     }
                 }
@@ -653,14 +561,14 @@ fn recovery_visible(shared: &Shared<'_>, id: usize) -> bool {
     }
     let dead = f.dead_workers();
     shared.ops.iter().any(|op| {
-        if op.outstanding.load(Ordering::Acquire) == 0 || op.deps.load(Ordering::Acquire) != 0 {
+        if !op.runnable() {
             return false;
         }
         // Work blocked on a streamed producer's watermark is not
         // *reachable* yet: counting it here would busy-wake this
         // worker in a park loop. The producer's next publication
         // signals, so ignoring blocked work loses no wakeups.
-        let limit = op.stream_limit(shared.arena);
+        let limit = op.state.stream_limit(shared.arena);
         match &op.queue {
             OpQueue::Shared(q) => q.has_more_below(limit),
             OpQueue::Dist(q) => {
@@ -670,12 +578,13 @@ fn recovery_visible(shared: &Shared<'_>, id: usize) -> bool {
     })
 }
 
-/// Announces an injected death: unconditional sequence bump plus
-/// broadcast, mirroring last-op completion. `signal` would be wrong
-/// here — it no-ops at `sleepers == 0`, and a worker mid-park-protocol
-/// (registered but pre-scan) must still observe the bump to rescan for
-/// the recovery work this death just created.
-fn announce_death(shared: &Shared<'_>) {
+/// Wakes every worker unconditionally: sequence bump plus broadcast —
+/// for an injected death, and for the completion of the last op.
+/// `signal` would be wrong for either — it no-ops at `sleepers == 0`,
+/// and a worker mid-park-protocol (registered but pre-scan) must still
+/// observe the bump to rescan for the recovery work a death just
+/// created, or to see that the pool can exit.
+fn wake_everyone(shared: &Shared<'_>) {
     {
         let mut seq = shared.wake_seq.lock().expect("wake lock poisoned");
         *seq += 1;
@@ -714,33 +623,17 @@ fn after_claim(
                         .expect("lease lock poisoned")
                         .push(Lease { op_idx, tasks: tasks() });
                 }
-                announce_death(shared);
+                wake_everyone(shared);
                 return true;
             }
         }
     }
     if let Some(ck) = &ctl.ckpt {
         if ck.note_claim(epoch) {
-            ck.commit(snapshot_ops(shared.ops, shared.arena));
+            ck.commit(snapshot_ops(shared.ops.iter().map(|op| &op.state), shared.arena));
         }
     }
     false
-}
-
-/// Captures every op's completed-task bitmap, outputs, and cost stats
-/// for a checkpoint commit. The snapshot copies arena cells into its
-/// own buffers — checkpoints keep owned data, the arena keeps none.
-fn snapshot_ops(ops: &[OpInstance], arena: &OutputArena) -> Vec<OpSnapshot> {
-    ops.iter()
-        .enumerate()
-        .map(|(i, op)| {
-            // SAFETY: `op_snapshot` reads a cell only after observing
-            // the task's `executed` counter with `Acquire`, pairing
-            // with the writer's post-store `Release` bump — the cell
-            // is quiescent by then.
-            op_snapshot(&op.costs, &op.restored, &op.executed, |t| unsafe { arena.read(i, t) })
-        })
-        .collect()
 }
 
 /// Replays one orphaned lease: the chunk a killed worker claimed but
@@ -755,21 +648,14 @@ fn execute_lease(
     proc: &mut ProcStats,
     timing: &mut OnlineStats,
 ) {
-    let op = &shared.ops[lease.op_idx];
-    let node = &shared.nodes[op.node];
-    let inputs = shared.inputs_of(op);
+    let op = &shared.ops[lease.op_idx].state;
+    let visit = op.visit(kernel, shared.nodes, shared.arena);
     let t0 = Instant::now();
-    let start_bits = us_since(shared.epoch, t0).to_bits();
-    if op.started_bits.load(Ordering::Relaxed) > start_bits {
-        op.started_bits.fetch_min(start_bits, Ordering::AcqRel);
-    }
+    op.stamp_start(us_since(shared.epoch, t0));
     for &task in &lease.tasks {
-        let ctx = TaskCtx { node, iter: op.iter, task, cost_hint: op.costs[task], inputs: &inputs };
-        let value = kernel.run_task(&ctx);
         // SAFETY: a lease's tasks were claimed exactly once by the dead
         // worker and are replayed exactly once here (take-all drain).
-        unsafe { shared.arena.write(lease.op_idx, task, value) };
-        op.executed[task].fetch_add(1, Ordering::Release);
+        unsafe { visit.run_task(task, None) };
     }
     let now = Instant::now();
     let n = lease.tasks.len();
@@ -780,11 +666,7 @@ fn execute_lease(
         proc.chunks += 1;
         proc.busy += span_us;
     }
-    let t_end = us_since(shared.epoch, now);
-    proc.free_at = proc.free_at.max(t_end);
-    if n > 0 && op.outstanding.fetch_sub(n, Ordering::AcqRel) == n {
-        complete_op(shared, id, lease.op_idx, t_end);
-    }
+    leave_op(shared, id, lease.op_idx, n, now, proc);
 }
 
 /// The recovery sweep, run by an idle worker before parking: drains
@@ -817,13 +699,13 @@ fn recover(
         // Only enabled (deps == 0), unfinished ops: claiming from an
         // op whose dependencies are still running would break the
         // dependency order the DAG promises.
-        if op.outstanding.load(Ordering::Acquire) == 0 || op.deps.load(Ordering::Acquire) != 0 {
+        if !op.runnable() {
             continue;
         }
         // Skip work blocked at a streamed producer's watermark: a
         // direct claim would come back `Blocked` anyway, and reporting
         // it as progress would spin this worker against the watermark.
-        let limit = op.stream_limit(shared.arena);
+        let limit = op.state.stream_limit(shared.arena);
         match &op.queue {
             OpQueue::Dist(q) => {
                 for &d in &dead {
@@ -847,6 +729,11 @@ fn recover(
             }
             OpQueue::Shared(q) => {
                 if q.has_more_below(limit) {
+                    // The stranded queue may belong to a partition this
+                    // survivor is not in: it joins (masks only widen),
+                    // so the token its visit re-advertises on its own
+                    // deque is a member's token like any other.
+                    shared.partition.admit(op_idx, id);
                     if let Flow::Died = run_op(shared, id, op_idx, kernel, proc, timing) {
                         return Recover::Died;
                     }
@@ -859,6 +746,25 @@ fn recover(
         Recover::Progress
     } else {
         Recover::Idle
+    }
+}
+
+/// Ends one visit to an op: books the worker free at `at` and folds
+/// the `done` tasks the visit executed into `outstanding` — one
+/// batched decrement per visit, not one RMW per chunk; whichever
+/// worker's batch reaches zero completes the op.
+fn leave_op(
+    shared: &Shared<'_>,
+    id: usize,
+    op_idx: usize,
+    done: usize,
+    at: Instant,
+    proc: &mut ProcStats,
+) {
+    let t_end = us_since(shared.epoch, at);
+    proc.free_at = proc.free_at.max(t_end);
+    if shared.ops[op_idx].state.account(done) {
+        complete_op(shared, id, op_idx, t_end);
     }
 }
 
@@ -887,7 +793,6 @@ fn run_op(
 
 /// The shared-queue claim loop: claim→execute against one central
 /// queue until the op is drained.
-#[allow(clippy::too_many_arguments)]
 fn run_op_shared(
     shared: &Shared<'_>,
     id: usize,
@@ -897,9 +802,10 @@ fn run_op_shared(
     proc: &mut ProcStats,
     timing: &mut OnlineStats,
 ) -> Flow {
-    let op = &shared.ops[op_idx];
+    let op = &shared.ops[op_idx].state;
+    let arena = shared.arena;
     let hooked = shared.ctl.hooked();
-    let first = match queue.claim_bounded(op.stream_limit(shared.arena)) {
+    let first = match queue.claim_bounded(op.stream_limit(arena)) {
         BoundedClaim::Chunk(c) => c,
         // Stale token: the op drained while this token circulated.
         BoundedClaim::Exhausted => return Flow::Continue,
@@ -925,8 +831,7 @@ fn run_op_shared(
         shared.signal(false);
     }
     let adaptive = queue.is_adaptive();
-    let node = &shared.nodes[op.node];
-    let inputs = shared.inputs_of(op);
+    let visit = op.visit(kernel, shared.nodes, arena);
     let mut chunk = first;
     let mut done = 0usize;
     let mut sampled = 0usize;
@@ -939,34 +844,15 @@ fn run_op_shared(
     // N+1 reads (not 2N) and a whole chunk outside the sampling
     // prefix costs a single read.
     let t0 = Instant::now();
-    let start_bits = us_since(shared.epoch, t0).to_bits();
-    // `started_bits` is shared and hot: skip the RMW unless this visit
-    // actually is the earliest (it is at most once per worker).
-    if op.started_bits.load(Ordering::Relaxed) > start_bits {
-        op.started_bits.fetch_min(start_bits, Ordering::AcqRel);
-    }
+    op.stamp_start(us_since(shared.epoch, t0));
     let mut prev = t0;
     loop {
         let chunk_t0 = prev;
         let mut chunk_stats = OnlineStats::new();
-        // The zero-copy write window: for unremapped ops the chunk's
-        // queue span IS its task span, so the whole chunk writes
-        // through one disjoint `&mut [f64]` view — a plain store per
-        // task, no atomics. Resumed (remapped) ops scatter through
-        // per-task cell writes instead — as do streamed producers,
-        // whose consumers concurrently hold shared slices over this
-        // op's span: a `&mut` view overlapping those would be UB
-        // regardless of cell-level disjointness, while the raw-pointer
-        // store path never forms an exclusive reference.
-        //
-        // SAFETY: the claim handed `[start, start+len)` to this worker
-        // exactly once, so no other thread touches these cells while
-        // the view is live.
-        let mut view = if op.remap.is_none() && !op.streams_output() {
-            Some(unsafe { shared.arena.chunk_view(op_idx, chunk.start, chunk.len) })
-        } else {
-            None
-        };
+        // SAFETY (here and for every `run_task` below): the claim
+        // handed queue indices `[start, start+len)` to this worker
+        // exactly once.
+        let mut view = unsafe { op.chunk_view(arena, chunk.start, chunk.len) };
         // Per-task timing is budgeted *across* chunks, and the budget
         // caps the prefix *within* a chunk too: a large first chunk
         // must not clock every task — two clock reads around a tiny
@@ -976,43 +862,18 @@ fn run_op_shared(
         let sample_n =
             if adaptive { SAMPLE_BUDGET.saturating_sub(sampled).min(chunk.len) } else { 0 };
         for qi in chunk.start..chunk.start + sample_n {
-            let task = op.task_of(qi);
-            let ctx =
-                TaskCtx { node, iter: op.iter, task, cost_hint: op.costs[task], inputs: &inputs };
-            let value = kernel.run_task(&ctx);
+            let slot = view.as_deref_mut().map(|v| &mut v[qi - chunk.start]);
+            unsafe { visit.run_task(op.task_of(qi), slot) };
             let now = Instant::now();
             chunk_stats.observe(now.duration_since(prev).as_secs_f64() * 1e6);
             prev = now;
-            match &mut view {
-                Some(v) => v[qi - chunk.start] = value,
-                // SAFETY: exactly-once claim of `task`.
-                None => unsafe { shared.arena.write(op_idx, task, value) },
-            }
-            // Release: pairs with the snapshot scanner's Acquire
-            // load of `executed` — a task counted as done must have
-            // its output store visible; the RMW still catches
-            // duplicate claims.
-            op.executed[task].fetch_add(1, Ordering::Release);
         }
         sampled += sample_n;
         let rest = chunk.len - sample_n;
         if rest > 0 {
             for qi in chunk.start + sample_n..chunk.start + chunk.len {
-                let task = op.task_of(qi);
-                let ctx = TaskCtx {
-                    node,
-                    iter: op.iter,
-                    task,
-                    cost_hint: op.costs[task],
-                    inputs: &inputs,
-                };
-                let value = kernel.run_task(&ctx);
-                match &mut view {
-                    Some(v) => v[qi - chunk.start] = value,
-                    // SAFETY: exactly-once claim of `task`.
-                    None => unsafe { shared.arena.write(op_idx, task, value) },
-                }
-                op.executed[task].fetch_add(1, Ordering::Release);
+                let slot = view.as_deref_mut().map(|v| &mut v[qi - chunk.start]);
+                unsafe { visit.run_task(op.task_of(qi), slot) };
             }
             let now = Instant::now();
             let span_us = now.duration_since(prev).as_secs_f64() * 1e6;
@@ -1025,9 +886,7 @@ fn run_op_shared(
             // publish the watermark. This happens BEFORE the next claim
             // — whose fault hook may kill this worker — so a committed
             // interval is never lost to a lease.
-            if let Some(p) =
-                shared.arena.commit_range(op_idx, chunk.start, chunk.len, op.stream_batch)
-            {
+            if let Some(p) = arena.commit_range(op_idx, chunk.start, chunk.len, op.stream_batch) {
                 handle_publication(shared, id, op_idx, p);
             }
         }
@@ -1040,21 +899,15 @@ fn run_op_shared(
         proc.chunks += 1;
         proc.busy += prev.duration_since(chunk_t0).as_secs_f64() * 1e6;
         done += chunk.len;
-        match queue.claim_bounded(op.stream_limit(shared.arena)) {
+        match queue.claim_bounded(op.stream_limit(arena)) {
             BoundedClaim::Chunk(c) => {
                 if hooked {
                     let lease_tasks =
                         || (c.start..c.start + c.len).map(|qi| op.task_of(qi)).collect();
                     if after_claim(shared, id, op_idx, lease_tasks, None) {
-                        // Dying mid-loop: fold the batch executed so
-                        // far into `outstanding` — the `done > 0`
-                        // guard matters, since `fetch_sub(0) == 0`
-                        // would spuriously re-complete a completed op.
-                        let t_end = us_since(shared.epoch, prev);
-                        proc.free_at = proc.free_at.max(t_end);
-                        if done > 0 && op.outstanding.fetch_sub(done, Ordering::AcqRel) == done {
-                            complete_op(shared, id, op_idx, t_end);
-                        }
+                        // Dying mid-loop: the batch executed so far
+                        // still counts.
+                        leave_op(shared, id, op_idx, done, prev, proc);
                         return Flow::Died;
                     }
                 }
@@ -1066,25 +919,14 @@ fn run_op_shared(
                 // `outstanding` and drop the token instead of spinning
                 // — the producer's next publication re-tokens this op.
                 // (`outstanding` cannot reach zero here: blocked means
-                // unclaimed — hence unfinished — tasks remain; the
-                // guard keeps the pattern uniform regardless.)
-                let t_end = us_since(shared.epoch, prev);
-                proc.free_at = proc.free_at.max(t_end);
-                if done > 0 && op.outstanding.fetch_sub(done, Ordering::AcqRel) == done {
-                    complete_op(shared, id, op_idx, t_end);
-                }
+                // unclaimed — hence unfinished — tasks remain.)
+                leave_op(shared, id, op_idx, done, prev, proc);
                 return Flow::Continue;
             }
             BoundedClaim::Exhausted => break,
         }
     }
-    let t_end = us_since(shared.epoch, prev);
-    proc.free_at = proc.free_at.max(t_end);
-    // One batched decrement per op visit, not one RMW per chunk;
-    // whichever worker's batch reaches zero completes the op.
-    if op.outstanding.fetch_sub(done, Ordering::AcqRel) == done {
-        complete_op(shared, id, op_idx, t_end);
-    }
+    leave_op(shared, id, op_idx, done, prev, proc);
     Flow::Continue
 }
 
@@ -1098,26 +940,22 @@ fn run_op_shared(
 /// tasks' deterministic cost hints inside [`DistQueue::claim`]; the
 /// wall-clock here only stamps epoch times and the worker's measured
 /// µ/σ, keeping scheduling decisions reproducible across runs.
-#[allow(clippy::too_many_arguments)]
 fn run_op_dist(
     shared: &Shared<'_>,
     id: usize,
-    _op_idx: usize,
+    op_idx: usize,
     queue: &DistQueue,
     kernel: &(dyn TaskKernel + Sync),
     proc: &mut ProcStats,
     timing: &mut OnlineStats,
 ) -> Flow {
-    let op = &shared.ops[_op_idx];
+    let claim_costs = shared.ops[op_idx].claim_costs();
+    let op = &shared.ops[op_idx].state;
+    let arena = shared.arena;
     let hooked = shared.ctl.hooked();
     let t0 = Instant::now();
-    let start_bits = us_since(shared.epoch, t0).to_bits();
-    let Some(first) = queue.claim_bounded(
-        id,
-        op.claim_costs(),
-        f64::from_bits(start_bits),
-        op.stream_limit(shared.arena),
-    ) else {
+    let start_us = us_since(shared.epoch, t0);
+    let Some(first) = queue.claim_bounded(id, claim_costs, start_us, op.stream_limit(arena)) else {
         // Empty home queue (stale token, or fewer tasks than workers),
         // or everything drawable sits at or above the streamed
         // producers' watermark — either way drop the token; a
@@ -1128,15 +966,12 @@ fn run_op_dist(
     // and checkpoints use the epoch boundary as their barrier.
     if hooked {
         let lease_tasks = || first.tasks.iter().map(|&qi| op.task_of(qi)).collect();
-        if after_claim(shared, id, _op_idx, lease_tasks, Some(first.epoch)) {
+        if after_claim(shared, id, op_idx, lease_tasks, Some(first.epoch)) {
             return Flow::Died;
         }
     }
-    if op.started_bits.load(Ordering::Relaxed) > start_bits {
-        op.started_bits.fetch_min(start_bits, Ordering::AcqRel);
-    }
-    let node = &shared.nodes[op.node];
-    let inputs = shared.inputs_of(op);
+    op.stamp_start(start_us);
+    let visit = op.visit(kernel, shared.nodes, arena);
     let mut chunk = first;
     let mut done = 0usize;
     let mut prev = t0;
@@ -1144,16 +979,11 @@ fn run_op_dist(
     loop {
         let chunk_t0 = prev;
         for &qi in &chunk.tasks {
-            let task = op.task_of(qi);
-            let ctx =
-                TaskCtx { node, iter: op.iter, task, cost_hint: op.costs[task], inputs: &inputs };
-            let value = kernel.run_task(&ctx);
             // SAFETY: dist home queues hand each queue index out
             // exactly once; migrated tasks move queues, never
             // duplicate. (Dist chunks list arbitrary indices, so the
             // scattered per-cell write is the right shape here.)
-            unsafe { shared.arena.write(_op_idx, task, value) };
-            op.executed[task].fetch_add(1, Ordering::Release);
+            unsafe { visit.run_task(op.task_of(qi), None) };
         }
         let now = Instant::now();
         let span_us = now.duration_since(prev).as_secs_f64() * 1e6;
@@ -1175,27 +1005,19 @@ fn run_op_dist(
                 while i + len < chunk.tasks.len() && chunk.tasks[i + len] == start + len {
                     len += 1;
                 }
-                if let Some(p) = shared.arena.commit_range(_op_idx, start, len, op.stream_batch) {
-                    handle_publication(shared, id, _op_idx, p);
+                if let Some(p) = arena.commit_range(op_idx, start, len, op.stream_batch) {
+                    handle_publication(shared, id, op_idx, p);
                 }
                 i += len;
             }
         }
-        match queue.claim_bounded(
-            id,
-            op.claim_costs(),
-            us_since(shared.epoch, prev),
-            op.stream_limit(shared.arena),
-        ) {
+        let now_us = us_since(shared.epoch, prev);
+        match queue.claim_bounded(id, claim_costs, now_us, op.stream_limit(arena)) {
             Some(c) => {
                 if hooked {
                     let lease_tasks = || c.tasks.iter().map(|&qi| op.task_of(qi)).collect();
-                    if after_claim(shared, id, _op_idx, lease_tasks, Some(c.epoch)) {
-                        let t_end = us_since(shared.epoch, prev);
-                        proc.free_at = proc.free_at.max(t_end);
-                        if done > 0 && op.outstanding.fetch_sub(done, Ordering::AcqRel) == done {
-                            complete_op(shared, id, _op_idx, t_end);
-                        }
+                    if after_claim(shared, id, op_idx, lease_tasks, Some(c.epoch)) {
+                        leave_op(shared, id, op_idx, done, prev, proc);
                         return Flow::Died;
                     }
                 }
@@ -1213,11 +1035,7 @@ fn run_op_dist(
             None => break,
         }
     }
-    let t_end = us_since(shared.epoch, prev);
-    proc.free_at = proc.free_at.max(t_end);
-    if op.outstanding.fetch_sub(done, Ordering::AcqRel) == done {
-        complete_op(shared, id, _op_idx, t_end);
-    }
+    leave_op(shared, id, op_idx, done, prev, proc);
     Flow::Continue
 }
 
@@ -1228,7 +1046,7 @@ fn run_op_dist(
 /// host-calibrated overheads.
 fn base_estimate(shared: &Shared<'_>, op_idx: usize, cal: &HostCalibration) -> Option<f64> {
     let op = &shared.ops[op_idx];
-    if op.deps.load(Ordering::Acquire) != 0 || op.outstanding.load(Ordering::Acquire) == 0 {
+    if !op.runnable() {
         return None;
     }
     let (remaining, stats, kind) = match &op.queue {
@@ -1256,10 +1074,10 @@ fn base_estimate(shared: &Shared<'_>, op_idx: usize, cal: &HostCalibration) -> O
 /// pick in [`reequalize`] sees a streamed pair as one overlapped unit.
 fn live_estimate(shared: &Shared<'_>, op_idx: usize, cal: &HostCalibration) -> Option<f64> {
     let base = base_estimate(shared, op_idx, cal)?;
-    let op = &shared.ops[op_idx];
+    let op = &shared.ops[op_idx].state;
     let mut est = base;
     for &p in &op.stream_inputs {
-        let producer = &shared.ops[p];
+        let producer = &shared.ops[p].state;
         if producer.outstanding.load(Ordering::Acquire) == 0 {
             continue;
         }
@@ -1267,7 +1085,7 @@ fn live_estimate(shared: &Shared<'_>, op_idx: usize, cal: &HostCalibration) -> O
             est = est.max(pipelined_stage_time_params(
                 pe,
                 base,
-                op.costs.len(),
+                op.plan.tasks,
                 std::mem::size_of::<f64>() as u64,
                 producer.stream_batch,
                 cal.publish_alpha_us,
@@ -1286,7 +1104,7 @@ fn live_estimate(shared: &Shared<'_>, op_idx: usize, cal: &HostCalibration) -> O
 /// admission happened. Contended triggers skip — the next epoch
 /// boundary or completion re-evaluates from fresher state anyway.
 fn reequalize(shared: &Shared<'_>, freed: &[usize]) -> bool {
-    let part = shared.partition;
+    let part = &shared.partition;
     if !part.enabled() || freed.is_empty() {
         return false;
     }
@@ -1324,6 +1142,33 @@ fn reequalize(shared: &Shared<'_>, freed: &[usize]) -> bool {
     progress
 }
 
+/// Makes the enabled op `d` visible to the workers that may serve it,
+/// taking one lock at a time (token lists and deques never nest, so
+/// concurrent completers cannot form a lock-order cycle). A dist op
+/// needs every partition member at its own home queue, so all of them
+/// are tokened (duplicate tokens are hints — a stale one fails its
+/// claim and is dropped) and every sleeper must rise: returns `true`.
+/// A shared op's token goes to the front of the caller's own deque
+/// when it is a member — the data `d` waited for is hottest in its
+/// cache — and to the back of the op's first member otherwise.
+fn push_token(shared: &Shared<'_>, id: usize, d: usize) -> bool {
+    if shared.ops[d].queue.is_dist() {
+        for (w, wk) in shared.workers.iter().enumerate() {
+            if shared.partition.allows(d, w) {
+                wk.0.dist_ready.lock().expect("dist list poisoned").push(d);
+            }
+        }
+        return true;
+    }
+    if shared.partition.allows(d, id) {
+        shared.workers[id].0.ready.lock().expect("deque poisoned").push_front(d);
+    } else {
+        let w = shared.partition.members(d, shared.workers.len())[0];
+        shared.workers[w].0.ready.lock().expect("deque poisoned").push_back(d);
+    }
+    false
+}
+
 /// Reacts to one watermark publication by producer `op_idx`.
 ///
 /// The *first* publication is the producer's dependency arrival for
@@ -1341,8 +1186,7 @@ fn handle_publication(shared: &Shared<'_>, id: usize, op_idx: usize, publication
     if publication.current <= publication.previous {
         return;
     }
-    let op = &shared.ops[op_idx];
-    let n_workers = shared.workers.len();
+    let op = &shared.ops[op_idx].state;
     let mut woke = 0usize;
     let mut wake_all = false;
     for &d in &op.stream_dependents {
@@ -1352,28 +1196,11 @@ fn handle_publication(shared: &Shared<'_>, id: usize, op_idx: usize, publication
         } else {
             dep.deps.load(Ordering::Acquire) == 0
         };
-        if !enabled || dep.outstanding.load(Ordering::Acquire) == 0 {
+        if !enabled || dep.state.outstanding.load(Ordering::Acquire) == 0 {
             continue;
         }
         woke += 1;
-        if dep.queue.is_dist() {
-            // Every partition member owns a home queue of a dist op:
-            // re-token them all (duplicate tokens are hints — a stale
-            // one fails its claim and is dropped).
-            for (w, wk) in shared.workers.iter().enumerate() {
-                if shared.partition.allows(d, w) {
-                    wk.0.dist_ready.lock().expect("dist list poisoned").push(d);
-                }
-            }
-            wake_all = true;
-        } else if shared.partition.allows(d, id) {
-            // Freshly published producer cells are hottest in this
-            // worker's cache — front of its own deque.
-            shared.workers[id].0.ready.lock().expect("deque poisoned").push_front(d);
-        } else {
-            let w = shared.partition.members(d, n_workers)[0];
-            shared.workers[w].0.ready.lock().expect("deque poisoned").push_back(d);
-        }
+        wake_all |= push_token(shared, id, d);
     }
     if woke > 0 {
         shared.signal(wake_all || woke > 1);
@@ -1384,7 +1211,7 @@ fn handle_publication(shared: &Shared<'_>, id: usize, op_idx: usize, publication
 /// to zero): stamps the finish, enables dependents, and counts the op
 /// as completed — broadcasting only when it was the last one.
 fn complete_op(shared: &Shared<'_>, id: usize, op_idx: usize, t_end: f64) {
-    let op = &shared.ops[op_idx];
+    let op = &shared.ops[op_idx].state;
     op.finished_bits.fetch_min(t_end.to_bits(), Ordering::AcqRel);
     if !op.stream_dependents.is_empty() {
         // Belt and braces for paths that never commit ranges (lease
@@ -1396,77 +1223,25 @@ fn complete_op(shared: &Shared<'_>, id: usize, op_idx: usize, t_end: f64) {
         let p = shared.arena.publish_all(op_idx);
         handle_publication(shared, id, op_idx, p);
     }
-    // Collect the newly enabled dependents first, then publish their
-    // tokens one lock at a time — dist enabling locks every worker's
-    // token list, and nesting those inside a deque lock would invite a
-    // lock-order cycle with concurrent completers.
-    let mut newly_shared: Vec<usize> = Vec::new();
-    let mut newly_dist: Vec<usize> = Vec::new();
+    let mut newly_ready = 0usize;
+    let mut wake_all = false;
     for &d in &op.dependents {
         if shared.ops[d].deps.fetch_sub(1, Ordering::AcqRel) == 1 {
-            if shared.ops[d].queue.is_dist() {
-                newly_dist.push(d);
-            } else {
-                newly_shared.push(d);
-            }
+            newly_ready += 1;
+            wake_all |= push_token(shared, id, d);
         }
     }
-    let n_workers = shared.workers.len();
-    if !newly_shared.is_empty() {
-        // Push each token to a partition member's deque — our own
-        // (front: it is the hottest work we know of) when we are one,
-        // the op's first member otherwise. One lock at a time keeps
-        // lock holds disjoint.
-        let mut own: Vec<usize> = Vec::new();
-        let mut routed: Vec<(usize, usize)> = Vec::new();
-        for &d in &newly_shared {
-            if shared.partition.allows(d, id) {
-                own.push(d);
-            } else {
-                let w = shared.partition.members(d, n_workers)[0];
-                routed.push((w, d));
-            }
-        }
-        if !own.is_empty() {
-            let mut dq = shared.workers[id].0.ready.lock().expect("deque poisoned");
-            for &d in &own {
-                dq.push_front(d);
-            }
-        }
-        for (w, d) in routed {
-            shared.workers[w].0.ready.lock().expect("deque poisoned").push_back(d);
-        }
-    }
-    // A dist op needs every partition member at its own home queue:
-    // token all of them (migration-aware wakeup — even a member with
-    // no shared work must rise for its home block).
-    for (w, wk) in shared.workers.iter().enumerate() {
-        if newly_dist.is_empty() {
-            break;
-        }
-        let mine: Vec<usize> =
-            newly_dist.iter().copied().filter(|&d| shared.partition.allows(d, w)).collect();
-        if !mine.is_empty() {
-            wk.0.dist_ready.lock().expect("dist list poisoned").extend_from_slice(&mine);
-        }
-    }
-    let newly_ready = newly_shared.len() + newly_dist.len();
     if newly_ready > 0 {
-        shared.signal(newly_ready > 1 || !newly_dist.is_empty());
+        shared.signal(wake_all || newly_ready > 1);
     }
     if shared.completed.fetch_add(1, Ordering::SeqCst) + 1 == shared.ops.len() {
-        // Last op: wake every sleeper so the pool can exit. Bump the
-        // sequence unconditionally — a parker may be mid-protocol.
-        {
-            let mut seq = shared.wake_seq.lock().expect("wake lock poisoned");
-            *seq += 1;
-        }
-        shared.wake.notify_all();
+        // Last op: the pool can exit.
+        wake_everyone(shared);
     } else if shared.partition.enabled() {
         // This op's workers are (as far as it is concerned) free:
         // migrate them to the laggard's partition instead of letting
         // them idle or thrash another partition's queue.
-        let freed = shared.partition.members(op_idx, n_workers);
+        let freed = shared.partition.members(op_idx, shared.workers.len());
         reequalize(shared, &freed);
     }
 }

@@ -145,7 +145,7 @@ pub struct StealTarget {
 /// never conflated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TopologyFingerprint {
-    /// `"sysfs"` or `"synthetic"`.
+    /// `"sysfs"` or `"synthetic"` (`"none"` for the default value).
     pub source: &'static str,
     /// Distinct NUMA nodes.
     pub nodes: usize,
@@ -155,6 +155,13 @@ pub struct TopologyFingerprint {
     pub cores: usize,
     /// Logical CPUs.
     pub cpus: usize,
+}
+
+impl Default for TopologyFingerprint {
+    /// The fingerprint of a run that placed no workers on a machine.
+    fn default() -> Self {
+        TopologyFingerprint { source: "none", nodes: 0, packages: 0, cores: 0, cpus: 0 }
+    }
 }
 
 impl fmt::Display for TopologyFingerprint {

@@ -25,7 +25,7 @@ use orchestra_delirium::DelirGraph;
 use orchestra_runtime::chunking::PolicyKind;
 use orchestra_runtime::executor::ExecutorOptions;
 use orchestra_runtime::threaded::{execute_sequential, SpinKernel};
-use orchestra_runtime::{execute_async, AsyncRun};
+use orchestra_runtime::{execute_async, RunReport};
 
 const POLICIES: [PolicyKind; 5] = [
     PolicyKind::SelfSched,
@@ -105,7 +105,7 @@ fn async_results_bit_identical_to_sequential() {
                         a.to_bits() == b.to_bits(),
                         "{name}/{}: op {} task {j}: sequential {a:?} != async {b:?}",
                         policy.name(),
-                        seq.op_names[i],
+                        seq.ops[i].name,
                     );
                 }
             }
@@ -136,7 +136,7 @@ fn single_driver_schedule_is_deterministic() {
         let opts = ExecutorOptions { drivers: 1, policy: PolicyKind::Taper, ..opts };
         let a = execute_async(&g, &opts, &kernel).unwrap();
         let b = execute_async(&g, &opts, &kernel).unwrap();
-        let sched_of = |r: &AsyncRun| -> Vec<(String, u64, u64)> {
+        let sched_of = |r: &RunReport| -> Vec<(String, u64, u64)> {
             r.ops.iter().map(|o| (o.name.clone(), o.chunks, o.yields)).collect()
         };
         assert_eq!(sched_of(&a), sched_of(&b), "{name}: schedule not deterministic");

@@ -114,7 +114,7 @@ fn threaded_results_bit_identical_to_sequential() {
                         a.to_bits() == b.to_bits(),
                         "{name}/{}: op {} task {j}: sequential {a:?} != threaded {b:?}",
                         policy.name(),
-                        seq.op_names[i],
+                        seq.ops[i].name,
                     );
                 }
             }
@@ -373,7 +373,7 @@ fn equalizer_procs_sum_to_pool_size_per_concurrent_level() {
     );
 
     let asy = execute_async(&g, &opts, &kernel).unwrap();
-    check(&|name| asy.ops.iter().find(|o| o.name == name).unwrap().procs, asy.drivers, "async");
+    check(&|name| asy.ops.iter().find(|o| o.name == name).unwrap().procs, asy.workers, "async");
 
     // And the allocation must survive into the unified report.
     let opts = ExecutorOptions { backend: ExecutorBackend::Threaded, ..opts };

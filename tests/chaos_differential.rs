@@ -36,7 +36,7 @@ use orchestra_runtime::executor::ExecutorOptions;
 use orchestra_runtime::threaded::{execute_sequential, execute_threaded, ExecutorBackend};
 use orchestra_runtime::{
     execute_async, execute_graph_resumable, load_latest, snapshot_versions, CheckpointSpec,
-    FaultPlan, FaultTrigger, KillSpec, ResumableRun, SpinKernel,
+    FaultPlan, FaultTrigger, KillSpec, RunReport, SpinKernel,
 };
 use proptest::collection;
 use proptest::prelude::*;
@@ -117,6 +117,21 @@ fn kills(victims: usize, steals: bool) -> impl Strategy<Value = Vec<KillSpec>> {
     )
 }
 
+/// A crash-mode plan under which whichever of the first `victims`
+/// workers (or claimers) claims first takes the run down, before
+/// anything executes or any snapshot is cut. A plan that names one
+/// victim only crashes if that worker gets to claim at all — on a
+/// loaded host the others can drain a small graph first.
+fn crash_at_first_claim(victims: usize) -> FaultPlan {
+    FaultPlan {
+        kills: (0..victims)
+            .map(|worker| KillSpec { worker, trigger: FaultTrigger::AfterClaims(1) })
+            .collect(),
+        crash_run: true,
+        crash_kills: Vec::new(),
+    }
+}
+
 /// Bitwise comparison against the independent sequential reference.
 fn assert_bitwise(
     seq: &[Vec<f64>],
@@ -172,7 +187,7 @@ fn check_threaded_lease(
             counts
         );
     }
-    assert_bitwise(&seq.outputs, &thr.outputs, &seq.op_names, &label)
+    assert_bitwise(&seq.outputs, &thr.outputs, &seq.op_names(), &label)
 }
 
 proptest! {
@@ -224,7 +239,7 @@ proptest! {
                 label, op.name, counts
             );
         }
-        assert_bitwise(&seq.outputs, &run.outputs, &seq.op_names, &label)?;
+        assert_bitwise(&seq.outputs, &run.outputs, &seq.op_names(), &label)?;
     }
 }
 
@@ -249,7 +264,7 @@ fn check_crash_resume(
     let k = kernel();
     let seq = execute_sequential(&g, &opts, &k).expect("sequential reference");
     let run = execute_graph_resumable(&g, &opts, &k).expect("resumable run");
-    let result = check_resumable(&seq.outputs, &seq.op_names, &run, &dir, &label);
+    let result = check_resumable(&seq.outputs, &seq.op_names(), &run, &dir, &label);
     let _ = std::fs::remove_dir_all(&dir);
     result
 }
@@ -260,7 +275,7 @@ fn check_crash_resume(
 fn check_resumable(
     seq_outputs: &[Vec<f64>],
     names: &[String],
-    run: &ResumableRun,
+    run: &RunReport,
     dir: &std::path::Path,
     label: &str,
 ) -> Result<(), TestCaseError> {
@@ -463,7 +478,7 @@ fn crash_without_checkpoint_restarts_from_scratch() {
     let opts = ExecutorOptions {
         backend: ExecutorBackend::Threaded,
         threads: 3,
-        faults: Some(FaultPlan::crash(0, FaultTrigger::AfterClaims(1))),
+        faults: Some(crash_at_first_claim(3)),
         ..opts
     };
     let k = kernel();
@@ -515,7 +530,7 @@ fn torn_snapshot_falls_back_to_older_version() {
     // fallback path. The resumed run is still bitwise-exact.
     let crash_opts = ExecutorOptions {
         threads: 3,
-        faults: Some(FaultPlan::crash(0, FaultTrigger::AfterClaims(1))),
+        faults: Some(crash_at_first_claim(3)),
         checkpoint: Some(CheckpointSpec { dir: dir.clone(), every_claims: 0, keep: 64 }),
         ..seed_opts.clone()
     };
@@ -533,6 +548,88 @@ fn torn_snapshot_falls_back_to_older_version() {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One snapshot, three backends. Restore is the run core's job, not
+/// a driver's: resumed from the *same* on-disk image, the threaded,
+/// dist-TAPER and async backends must restore the same tasks, stream
+/// the same edges, give every op the same equalizer share, and land
+/// on the sequential bits.
+///
+/// Staging: a clean checkpointed run leaves one snapshot per claim; a
+/// middle version (partial by construction) is copied alone into a
+/// fresh directory per backend. Every worker and claimer is then
+/// planned to crash at its *first* claim (`crash_at_first_claim`), so
+/// each backend's second attempt restores exactly the staged image.
+#[test]
+fn one_snapshot_resumes_identically_on_every_backend() {
+    let k = kernel();
+    for shape in [1, 4] {
+        let (name, g, opts) = chaos_graph(shape);
+        let fingerprint = orchestra_runtime::graph_fingerprint(&g, &opts).unwrap();
+        let seq = execute_sequential(&g, &opts, &k).unwrap();
+        let total: usize = seq.outputs.iter().map(Vec::len).sum();
+
+        let staged = scratch_dir("staged");
+        let stage_opts = ExecutorOptions {
+            threads: 2,
+            checkpoint: Some(CheckpointSpec { dir: staged.clone(), every_claims: 1, keep: 64 }),
+            ..opts.clone()
+        };
+        execute_threaded(&g, &stage_opts, &k).unwrap();
+        let versions = snapshot_versions(&staged);
+        let file = format!("ckpt-{:016x}.bin", versions[versions.len() / 2]);
+
+        let mut runs = Vec::new();
+        for backend in
+            [ExecutorBackend::Threaded, ExecutorBackend::ThreadedDist, ExecutorBackend::Async]
+        {
+            let dir = scratch_dir("shared-image");
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::copy(staged.join(&file), dir.join(&file)).unwrap();
+            let image = load_latest(&dir, fingerprint).expect("the staged snapshot loads");
+            assert!(
+                image.completed_tasks() > 0 && image.completed_tasks() < total,
+                "{name}: staged image must be partial, holds {} of {total}",
+                image.completed_tasks()
+            );
+            let run_opts = ExecutorOptions {
+                backend,
+                threads: 3,
+                drivers: 3,
+                faults: Some(crash_at_first_claim(64)),
+                checkpoint: Some(CheckpointSpec { dir: dir.clone(), every_claims: 0, keep: 64 }),
+                ..opts.clone()
+            };
+            let run = execute_graph_resumable(&g, &run_opts, &k).unwrap();
+            let _ = std::fs::remove_dir_all(&dir);
+            assert_eq!(run.attempts, 2, "{name}/{backend:?}: crash, then one clean replay");
+            assert_eq!(run.resumed_tasks, image.completed_tasks(), "{name}/{backend:?}");
+            assert_eq!(seq.outputs, run.outputs, "{name}/{backend:?}: diverged from sequential");
+            for (i, counts) in run.exec_counts.iter().enumerate() {
+                for (t, &c) in counts.iter().enumerate() {
+                    assert_eq!(
+                        c,
+                        u32::from(!run.restored[i][t]),
+                        "{name}/{backend:?}: op {i} task {t}"
+                    );
+                }
+            }
+            runs.push((backend, run));
+        }
+        let _ = std::fs::remove_dir_all(&staged);
+        let (_, first) = &runs[0];
+        let procs = |r: &RunReport| -> Vec<usize> { r.ops.iter().map(|o| o.procs).collect() };
+        for (backend, run) in &runs[1..] {
+            assert_eq!(first.restored, run.restored, "{name}/{backend:?}: restored masks");
+            assert_eq!(
+                first.streamed_edges, run.streamed_edges,
+                "{name}/{backend:?}: streamed edges"
+            );
+            assert_eq!(procs(first), procs(run), "{name}/{backend:?}: equalizer shares");
+            assert_eq!(first.outputs, run.outputs, "{name}/{backend:?}: outputs");
+        }
+    }
 }
 
 /// Checkpointing alone (no faults) must not perturb results, and a
@@ -600,7 +697,7 @@ fn check_combined_failure(
     // never re-executed, monotone snapshot versions) carry over
     // wholesale; the combined plan has exactly one crash kill, so the
     // attempt bound of `check_resumable` still holds.
-    let result = check_resumable(&seq.outputs, &seq.op_names, &run, &dir, &label);
+    let result = check_resumable(&seq.outputs, &seq.op_names(), &run, &dir, &label);
     let _ = std::fs::remove_dir_all(&dir);
     result
 }

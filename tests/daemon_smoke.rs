@@ -197,7 +197,7 @@ fn checkpointed_job_survives_a_worker_pool_crash() {
 
 /// Admission control: oversized graphs are rejected outright, the
 /// in-flight cap queues submissions, and queued jobs run (and answer
-/// their `wait`s) once capacity frees up.
+/// their `wait`s — each exactly once) once capacity frees up.
 #[test]
 fn admission_rejects_queues_and_pumps() {
     let (mut d, dir) = daemon(
@@ -230,6 +230,19 @@ fn admission_rejects_queues_and_pumps() {
             assert_eq!(&out.values, exp, "job {job} op {} diverged", out.name);
         }
     }
+    // A result is delivered once: the table keeps a tombstone, not the
+    // payload. `stats` still lists the job as done, a second `wait`
+    // says why it has nothing to hand out, and that is a different
+    // answer from the one an unknown id gets.
+    let rows = c.stats().expect("stats").1;
+    for job in [first, second] {
+        let row = rows.iter().find(|r| r.job == job).expect("delivered jobs stay listed");
+        assert_eq!(row.state, "done", "job {job}");
+    }
+    let err = c.wait(first).expect_err("a result is handed out once");
+    assert!(matches!(&err, ClientError::Remote(m) if m.contains("already delivered")), "{err}");
+    let err = c.wait(second + 1000).expect_err("unknown job");
+    assert!(matches!(&err, ClientError::Remote(m) if m.contains("no such job")), "{err}");
     d.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -19,8 +19,9 @@ use common::shapes;
 use orchestra_delirium::DelirGraph;
 use orchestra_runtime::executor::ExecutorOptions;
 use orchestra_runtime::threaded::{
-    execute_sequential, execute_threaded, ExecutorBackend, SpinKernel, ThreadedRun,
+    execute_sequential, execute_threaded, ExecutorBackend, SpinKernel,
 };
+use orchestra_runtime::RunReport;
 
 fn dist_opts(threads: usize) -> ExecutorOptions {
     ExecutorOptions {
@@ -33,7 +34,7 @@ fn dist_opts(threads: usize) -> ExecutorOptions {
 /// Runs the graph under threaded dist-TAPER and checks every invariant
 /// that must hold regardless of workload shape; returns the run for
 /// shape-specific assertions.
-fn run_and_check(g: &DelirGraph, opts: &ExecutorOptions, label: &str) -> ThreadedRun {
+fn run_and_check(g: &DelirGraph, opts: &ExecutorOptions, label: &str) -> RunReport {
     let kernel = SpinKernel::with_scale(2.0);
     let seq = execute_sequential(g, opts, &kernel).expect("sequential reference");
     let thr = execute_threaded(g, opts, &kernel).expect("dist-TAPER run");
@@ -46,7 +47,7 @@ fn run_and_check(g: &DelirGraph, opts: &ExecutorOptions, label: &str) -> Threade
     }
     assert_eq!(seq.outputs.len(), thr.outputs.len(), "{label}: op count");
     for (i, (a, b)) in seq.outputs.iter().zip(&thr.outputs).enumerate() {
-        assert_eq!(a, b, "{label}: op {} buffers diverge", seq.op_names[i]);
+        assert_eq!(a, b, "{label}: op {} buffers diverge", seq.ops[i].name);
     }
     assert!(
         (0.0..=1.0).contains(&thr.locality),
@@ -126,12 +127,16 @@ fn pipeline_shape_exactly_once() {
 #[test]
 fn forced_migration_reassigns_and_stays_exactly_once() {
     let g = skewed_graph();
-    let thr = run_and_check(&g, &dist_opts(2), "skewed/2t");
-    assert!(
-        thr.reassignments >= 1,
-        "concentrated costs must trigger re-assignment, got {}",
-        thr.reassignments
-    );
+    // Whether worker 1 outruns worker 0's heavy home block is a race
+    // the test cannot force from outside — a worker thread that starts
+    // a millisecond late on a loaded host finds nothing left to take —
+    // so the migration must show within a few rounds, not in each one.
+    // Every round, migrating or not, is checked exactly-once and
+    // bitwise by `run_and_check`.
+    let thr = (0..20)
+        .map(|round| run_and_check(&g, &dist_opts(2), &format!("skewed/2t round {round}")))
+        .find(|thr| thr.reassignments >= 1)
+        .expect("concentrated costs must trigger re-assignment within 20 rounds");
     assert!(thr.migrated_tasks > 0, "re-assignment without migrated tasks");
     assert!(thr.locality < 1.0, "migration must show in locality, got {}", thr.locality);
     assert!(thr.locality >= 0.0);

@@ -19,8 +19,8 @@ use common::shapes;
 use orchestra_delirium::DelirGraph;
 use orchestra_runtime::chunking::PolicyKind;
 use orchestra_runtime::executor::ExecutorOptions;
-use orchestra_runtime::threaded::{execute_sequential, execute_threaded, SpinKernel, ThreadedRun};
-use orchestra_runtime::{StealOrder, TopologyMode};
+use orchestra_runtime::threaded::{execute_sequential, execute_threaded, SpinKernel};
+use orchestra_runtime::{RunReport, StealOrder, TopologyMode};
 
 const POLICIES: [PolicyKind; 6] = [
     PolicyKind::Static,
@@ -58,7 +58,7 @@ fn assert_exactly_once_and_bitwise(
     g: &DelirGraph,
     opts: &ExecutorOptions,
     label: &str,
-) -> ThreadedRun {
+) -> RunReport {
     let label = format!("{label}/seed={:#x}", opts.seed);
     let kernel = SpinKernel::with_scale(1.0);
     let seq = execute_sequential(g, opts, &kernel).expect("sequential reference");
@@ -72,7 +72,7 @@ fn assert_exactly_once_and_bitwise(
     }
     assert_eq!(seq.outputs.len(), thr.outputs.len(), "{label}: op count");
     for (i, (a, b)) in seq.outputs.iter().zip(&thr.outputs).enumerate() {
-        assert_eq!(a, b, "{label}: op {} buffers diverge", seq.op_names[i]);
+        assert_eq!(a, b, "{label}: op {} buffers diverge", seq.ops[i].name);
     }
     thr
 }
