@@ -112,12 +112,15 @@ impl Client {
         }
     }
 
-    /// Blocks until the job finishes and returns its result.
+    /// Blocks until the job finishes and returns its result. The
+    /// daemon delivers a result once (see [`Request::Wait`]): keep what
+    /// this returns.
     ///
     /// # Errors
     ///
     /// A cancelled job surfaces as [`ClientError::Remote`] with the
-    /// runtime's `Cancelled`/`DeadlineExceeded` message.
+    /// runtime's `Cancelled`/`DeadlineExceeded` message, a second wait
+    /// on a delivered job with "result already delivered".
     pub fn wait(&mut self, job: u64) -> Result<WireResult, ClientError> {
         match self.call(&Request::Wait { job })? {
             Response::Result(r) => Ok(r),

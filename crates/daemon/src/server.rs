@@ -84,7 +84,10 @@ enum JobState {
     Queued,
     Running,
     Done(WireResult),
-    /// Done, and the result already handed to a `wait`.
+    /// Done, and a `wait` holds the result while it writes its
+    /// response; other waiters block until that delivery settles.
+    Delivering,
+    /// Done, and the result delivered.
     Delivered,
     Failed(String),
     Cancelled,
@@ -95,7 +98,7 @@ impl JobState {
         match self {
             JobState::Queued => "queued",
             JobState::Running => "running",
-            JobState::Done(_) | JobState::Delivered => "done",
+            JobState::Done(_) | JobState::Delivering | JobState::Delivered => "done",
             JobState::Failed(_) => "failed",
             JobState::Cancelled => "cancelled",
         }
@@ -263,7 +266,18 @@ fn serve_connection(mut stream: UnixStream, inner: &Arc<Inner>) -> io::Result<()
                 Response::Err { msg: "session already established".to_string() }
             }
             Ok(Request::Submit { opts, graph }) => submit(inner, &tenant, opts, &graph),
-            Ok(Request::Wait { job }) => wait(inner, job),
+            Ok(Request::Wait { job }) => {
+                // A result is delivered at most once, and only by a
+                // response that was written whole: if the peer is gone
+                // the result goes back to the table for a retry.
+                let resp = wait(inner, job);
+                let written = write_frame(&mut stream, &resp.encode());
+                if let Response::Result(result) = resp {
+                    settle(inner, job, written.is_err().then_some(result));
+                }
+                written?;
+                continue;
+            }
             Ok(Request::Cancel { job }) => cancel(inner, job),
             Ok(Request::Stats) => stats(inner),
             Ok(Request::Shutdown) => {
@@ -360,15 +374,15 @@ fn wait(inner: &Inner, job: u64) -> Response {
             return Response::Err { msg: format!("no such job {job}") };
         };
         let msg = match &j.state {
-            JobState::Queued | JobState::Running => {
+            JobState::Queued | JobState::Running | JobState::Delivering => {
                 st = inner.changed.wait(st).expect("daemon state poisoned");
                 continue;
             }
             JobState::Done(_) => {
-                // Moved out, not cloned: the table keeps a tombstone,
-                // and the state lock is held for a swap, not for a
-                // copy of a wide job's values.
-                let JobState::Done(result) = std::mem::replace(&mut j.state, JobState::Delivered)
+                // Moved out, not cloned: the state lock is held for a
+                // swap, not for a copy of a wide job's values. The
+                // caller `settle`s the delivery once it has written.
+                let JobState::Done(result) = std::mem::replace(&mut j.state, JobState::Delivering)
                 else {
                     unreachable!("matched Done above");
                 };
@@ -380,6 +394,18 @@ fn wait(inner: &Inner, job: u64) -> Response {
         };
         return Response::Err { msg };
     }
+}
+
+/// Ends the delivery a `wait` began: the job becomes a tombstone, or
+/// gets its `undelivered` result back when the response could not be
+/// written. Either way blocked waiters look again.
+fn settle(inner: &Inner, job: u64, undelivered: Option<WireResult>) {
+    let mut st = inner.state.lock().expect("daemon state poisoned");
+    if let Some(j) = st.jobs.get_mut(&job) {
+        j.state = undelivered.map_or(JobState::Delivered, JobState::Done);
+    }
+    drop(st);
+    inner.changed.notify_all();
 }
 
 fn cancel(inner: &Inner, job: u64) -> Response {

@@ -168,7 +168,12 @@ pub enum Request {
         /// [`text::print`](orchestra_delirium::text::print).
         graph: String,
     },
-    /// Blocks until the job reaches a terminal state.
+    /// Blocks until the job reaches a terminal state. A finished job's
+    /// result is delivered at most once: the first `wait` whose
+    /// response the daemon wrote in full takes it, and any later (or
+    /// concurrent) `wait` on that job gets an `Err` saying so. A `wait`
+    /// whose connection dropped before the response was written leaves
+    /// the result in place for a retry on a new connection.
     Wait {
         /// Job id from [`Response::Submitted`].
         job: u64,

@@ -242,7 +242,8 @@ async fn run_claimer(
     let adaptive = aop.queue.is_adaptive();
     // The gate has released: whole-op predecessors are complete, and
     // streamed ones are read only below their watermark.
-    let visit = op.visit(kernel, shared.nodes, arena);
+    let node = &shared.nodes[op.plan.node];
+    let inputs = op.inputs(arena);
     let mut done = 0usize;
     loop {
         // Streamed consumers re-read the producers' watermarks at
@@ -306,7 +307,7 @@ async fn run_claimer(
         for qi in chunk.start..chunk.start + chunk.len {
             let task = op.task_of(qi);
             let slot = view.as_deref_mut().map(|v| &mut v[qi - chunk.start]);
-            unsafe { visit.run_task(task, slot) };
+            unsafe { op.run_task(kernel, node, &inputs, arena, task, slot) };
             if adaptive {
                 chunk_stats.observe(op.costs[task]);
             }
@@ -353,7 +354,7 @@ async fn run_claimer(
             for &task in &tasks {
                 // SAFETY: the board hands each orphan to one adopter.
                 // Orphans are arbitrary task sets — always scattered.
-                unsafe { visit.run_task(task, None) };
+                unsafe { op.run_task(kernel, node, &inputs, arena, task, None) };
             }
             shared.book_chunk(tasks.len());
             done += tasks.len();

@@ -12,9 +12,8 @@
 //!   equalizer share of the pool and its publication batch b\*. A fresh
 //!   run is a resume from the empty image.
 //! * `OpState` — the per-op state every driver schedules against,
-//!   and `Visit`, one worker's visit to a ready op, with the one
-//!   per-task body (`Visit::run_task`: kernel → store → `executed`
-//!   bump) all claim loops call.
+//!   with the one per-task body (`OpState::run_task`: kernel → store →
+//!   `executed` bump) all claim loops call.
 //! * [`RunReport`] / [`OpRecord`] — the one result shape of every
 //!   engine, the sequential reference and the resumable driver included.
 //!
@@ -177,7 +176,7 @@ impl OpState<'_> {
     /// (3) streamed producers write those cells through raw per-cell
     /// stores (never a `&mut` view, see [`Self::chunk_view`]), so no
     /// exclusive reference ever overlaps this shared slice.
-    fn inputs<'a>(&self, arena: &'a OutputArena) -> Vec<&'a [f64]> {
+    pub(crate) fn inputs<'a>(&self, arena: &'a OutputArena) -> Vec<&'a [f64]> {
         // SAFETY: see above — whole-op inputs are quiescent; streamed
         // inputs are only read below their watermark.
         self.plan.deps.iter().map(|&d| unsafe { arena.op_slice(d) }).collect()
@@ -217,27 +216,40 @@ impl OpState<'_> {
         }
     }
 
-    /// Opens one worker's (or claimer's) visit to this op: everything
-    /// the per-task body reads, resolved once so the claim loop keeps it
-    /// in registers across kernel calls. Call it only once the op is
-    /// ready — every dependency arrived — which is what makes the input
-    /// slices it takes (see `inputs`) sound to read.
-    pub(crate) fn visit<'a>(
-        &'a self,
-        kernel: &'a (dyn TaskKernel + Sync),
-        nodes: &'a [Node],
-        arena: &'a OutputArena,
-    ) -> Visit<'a> {
-        Visit {
-            kernel,
-            node: &nodes[self.plan.node],
-            iter: self.plan.iter,
-            idx: self.idx,
-            costs: &self.costs,
-            executed: &self.executed,
-            inputs: self.inputs(arena),
-            arena,
+    /// The per-task body of every claim loop, lease replay and orphan
+    /// adoption: run the kernel, store the value — into `slot`, the
+    /// task's cell of a live [`chunk_view`](Self::chunk_view), or
+    /// scattered into the arena — and count the task executed. `node`
+    /// is this op's graph node and `inputs` its [`inputs`](Self::inputs),
+    /// both resolved by the caller once per visit.
+    ///
+    /// The `Release` bump pairs with the snapshot scanner's `Acquire`
+    /// load of `executed`: a task counted as done has its output store
+    /// visible. The RMW also catches duplicate claims.
+    ///
+    /// # Safety
+    ///
+    /// The caller must be `task`'s exactly-once claimant, and `inputs`
+    /// must have been taken after the op became ready (only then are
+    /// the slices sound to read, see [`inputs`](Self::inputs)).
+    #[inline]
+    pub(crate) unsafe fn run_task(
+        &self,
+        kernel: &(dyn TaskKernel + Sync),
+        node: &Node,
+        inputs: &[&[f64]],
+        arena: &OutputArena,
+        task: usize,
+        slot: Option<&mut f64>,
+    ) {
+        let ctx = TaskCtx { node, iter: self.plan.iter, task, cost_hint: self.costs[task], inputs };
+        let value = kernel.run_task(&ctx);
+        match slot {
+            Some(cell) => *cell = value,
+            // SAFETY: exactly-once claim of `task`.
+            None => unsafe { arena.write(self.idx, task, value) },
         }
+        self.executed[task].fetch_add(1, Ordering::Release);
     }
 
     /// The shared claim queue over this op's pending tasks: chunk
@@ -269,54 +281,6 @@ impl OpState<'_> {
             watermark_pubs: arena.watermark_pubs(self.idx),
             ..OpRecord::default()
         }
-    }
-}
-
-/// One visit of a worker or claimer future to a ready op (see
-/// [`OpState::visit`]): the context of the per-task body.
-pub(crate) struct Visit<'a> {
-    kernel: &'a (dyn TaskKernel + Sync),
-    node: &'a Node,
-    iter: usize,
-    idx: usize,
-    costs: &'a [f64],
-    executed: &'a [AtomicU32],
-    inputs: Vec<&'a [f64]>,
-    arena: &'a OutputArena,
-}
-
-impl Visit<'_> {
-    /// The per-task body of every claim loop, lease replay and orphan
-    /// adoption: run the kernel, store the value — into `slot`, the
-    /// task's cell of a live [`chunk_view`](OpState::chunk_view), or
-    /// scattered into the arena — and count the task executed.
-    ///
-    /// The `Release` bump pairs with the snapshot scanner's `Acquire`
-    /// load of `executed`: a task counted as done has its output store
-    /// visible. The RMW also catches duplicate claims.
-    ///
-    /// # Safety
-    ///
-    /// The caller must be `task`'s exactly-once claimant, and the
-    /// visit must have been opened after the op became ready (its
-    /// input slices are only then sound to read, see
-    /// [`OpState::visit`]).
-    #[inline]
-    pub(crate) unsafe fn run_task(&self, task: usize, slot: Option<&mut f64>) {
-        let ctx = TaskCtx {
-            node: self.node,
-            iter: self.iter,
-            task,
-            cost_hint: self.costs[task],
-            inputs: &self.inputs,
-        };
-        let value = self.kernel.run_task(&ctx);
-        match slot {
-            Some(cell) => *cell = value,
-            // SAFETY: exactly-once claim of `task`.
-            None => unsafe { self.arena.write(self.idx, task, value) },
-        }
-        self.executed[task].fetch_add(1, Ordering::Release);
     }
 }
 

@@ -649,13 +649,15 @@ fn execute_lease(
     timing: &mut OnlineStats,
 ) {
     let op = &shared.ops[lease.op_idx].state;
-    let visit = op.visit(kernel, shared.nodes, shared.arena);
+    let arena = shared.arena;
+    let node = &shared.nodes[op.plan.node];
+    let inputs = op.inputs(arena);
     let t0 = Instant::now();
     op.stamp_start(us_since(shared.epoch, t0));
     for &task in &lease.tasks {
         // SAFETY: a lease's tasks were claimed exactly once by the dead
         // worker and are replayed exactly once here (take-all drain).
-        unsafe { visit.run_task(task, None) };
+        unsafe { op.run_task(kernel, node, &inputs, arena, task, None) };
     }
     let now = Instant::now();
     let n = lease.tasks.len();
@@ -729,11 +731,6 @@ fn recover(
             }
             OpQueue::Shared(q) => {
                 if q.has_more_below(limit) {
-                    // The stranded queue may belong to a partition this
-                    // survivor is not in: it joins (masks only widen),
-                    // so the token its visit re-advertises on its own
-                    // deque is a member's token like any other.
-                    shared.partition.admit(op_idx, id);
                     if let Flow::Died = run_op(shared, id, op_idx, kernel, proc, timing) {
                         return Recover::Died;
                     }
@@ -831,7 +828,8 @@ fn run_op_shared(
         shared.signal(false);
     }
     let adaptive = queue.is_adaptive();
-    let visit = op.visit(kernel, shared.nodes, arena);
+    let node = &shared.nodes[op.plan.node];
+    let inputs = op.inputs(arena);
     let mut chunk = first;
     let mut done = 0usize;
     let mut sampled = 0usize;
@@ -863,7 +861,7 @@ fn run_op_shared(
             if adaptive { SAMPLE_BUDGET.saturating_sub(sampled).min(chunk.len) } else { 0 };
         for qi in chunk.start..chunk.start + sample_n {
             let slot = view.as_deref_mut().map(|v| &mut v[qi - chunk.start]);
-            unsafe { visit.run_task(op.task_of(qi), slot) };
+            unsafe { op.run_task(kernel, node, &inputs, arena, op.task_of(qi), slot) };
             let now = Instant::now();
             chunk_stats.observe(now.duration_since(prev).as_secs_f64() * 1e6);
             prev = now;
@@ -873,7 +871,7 @@ fn run_op_shared(
         if rest > 0 {
             for qi in chunk.start + sample_n..chunk.start + chunk.len {
                 let slot = view.as_deref_mut().map(|v| &mut v[qi - chunk.start]);
-                unsafe { visit.run_task(op.task_of(qi), slot) };
+                unsafe { op.run_task(kernel, node, &inputs, arena, op.task_of(qi), slot) };
             }
             let now = Instant::now();
             let span_us = now.duration_since(prev).as_secs_f64() * 1e6;
@@ -971,7 +969,8 @@ fn run_op_dist(
         }
     }
     op.stamp_start(start_us);
-    let visit = op.visit(kernel, shared.nodes, arena);
+    let node = &shared.nodes[op.plan.node];
+    let inputs = op.inputs(arena);
     let mut chunk = first;
     let mut done = 0usize;
     let mut prev = t0;
@@ -983,7 +982,7 @@ fn run_op_dist(
             // exactly once; migrated tasks move queues, never
             // duplicate. (Dist chunks list arbitrary indices, so the
             // scattered per-cell write is the right shape here.)
-            unsafe { visit.run_task(op.task_of(qi), None) };
+            unsafe { op.run_task(kernel, node, &inputs, arena, op.task_of(qi), None) };
         }
         let now = Instant::now();
         let span_us = now.duration_since(prev).as_secs_f64() * 1e6;

@@ -9,11 +9,15 @@
 mod common;
 
 use common::shapes;
-use orchestra_daemon::{AdmissionPolicy, Client, ClientError, Daemon, DaemonConfig, JobOptions};
+use orchestra_daemon::wire::{read_frame, write_frame};
+use orchestra_daemon::{
+    AdmissionPolicy, Client, ClientError, Daemon, DaemonConfig, JobOptions, Request,
+};
 use orchestra_delirium::DelirGraph;
 use orchestra_runtime::executor::ExecutorOptions;
 use orchestra_runtime::threaded::{execute_sequential, ExecutorBackend, SpinKernel};
 use orchestra_runtime::{FaultPlan, FaultTrigger, PolicyKind};
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -243,6 +247,49 @@ fn admission_rejects_queues_and_pumps() {
     assert!(matches!(&err, ClientError::Remote(m) if m.contains("already delivered")), "{err}");
     let err = c.wait(second + 1000).expect_err("unknown job");
     assert!(matches!(&err, ClientError::Remote(m) if m.contains("no such job")), "{err}");
+    d.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `wait` whose connection drops before the daemon could write its
+/// response must not take the result with it: the daemon hands the
+/// result back to the table, and a retry on a live connection gets it
+/// — once.
+#[test]
+fn a_dropped_wait_leaves_the_result_for_a_retry() {
+    let (mut d, dir) = daemon(
+        "dropped-wait",
+        2,
+        AdmissionPolicy { max_inflight: 1, ..AdmissionPolicy::default() },
+    );
+    let mut c = Client::connect(d.socket(), "erin", 1.0).expect("connect");
+    let opts = JobOptions { seed: 13, ..JobOptions::default() };
+    // The job under test queues behind a long one, so it cannot finish
+    // before the ghost below has asked for it and hung up.
+    let blocker = c.submit(&shapes::flat(2048, 500_000.0, 0.1), "blocker", &opts).expect("submit");
+    let g = shapes::flat(64, 2_000.0, 0.2);
+    let job = c.submit(&g, "wanted", &opts).expect("submit");
+    {
+        let mut ghost = UnixStream::connect(d.socket()).expect("connect ghost");
+        let hello = Request::Hello { tenant: "ghost".to_string(), weight: 1.0 };
+        write_frame(&mut ghost, &hello.encode()).expect("hello");
+        read_frame(&mut ghost).expect("hello answered");
+        write_frame(&mut ghost, &Request::Wait { job }.encode()).expect("wait sent");
+    }
+    // Let the daemon park the ghost's wait first (either order is
+    // correct; this one exercises the hand-back).
+    std::thread::sleep(Duration::from_millis(50));
+    c.cancel(blocker).expect("cancel delivered");
+    // The ghost is the only waiter when the job completes: it takes the
+    // result, fails to write it, and must put it back.
+    wait_for(&mut c, |rows| rows.iter().any(|r| r.job == job && r.state == "done"));
+
+    let result = c.wait(job).expect("the dropped wait must not consume the result");
+    for (out, exp) in result.outputs.iter().zip(&reference(&g, &opts)) {
+        assert_eq!(&out.values, exp, "op {} diverged", out.name);
+    }
+    let err = c.wait(job).expect_err("delivered now");
+    assert!(matches!(&err, ClientError::Remote(m) if m.contains("already delivered")), "{err}");
     d.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

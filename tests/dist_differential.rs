@@ -127,16 +127,12 @@ fn pipeline_shape_exactly_once() {
 #[test]
 fn forced_migration_reassigns_and_stays_exactly_once() {
     let g = skewed_graph();
-    // Whether worker 1 outruns worker 0's heavy home block is a race
-    // the test cannot force from outside — a worker thread that starts
-    // a millisecond late on a loaded host finds nothing left to take —
-    // so the migration must show within a few rounds, not in each one.
-    // Every round, migrating or not, is checked exactly-once and
-    // bitwise by `run_and_check`.
-    let thr = (0..20)
-        .map(|round| run_and_check(&g, &dist_opts(2), &format!("skewed/2t round {round}")))
-        .find(|thr| thr.reassignments >= 1)
-        .expect("concentrated costs must trigger re-assignment within 20 rounds");
+    let thr = run_and_check(&g, &dist_opts(2), "skewed/2t");
+    assert!(
+        thr.reassignments >= 1,
+        "concentrated costs must trigger re-assignment, got {}",
+        thr.reassignments
+    );
     assert!(thr.migrated_tasks > 0, "re-assignment without migrated tasks");
     assert!(thr.locality < 1.0, "migration must show in locality, got {}", thr.locality);
     assert!(thr.locality >= 0.0);
