@@ -7,7 +7,7 @@
 //! each block carries the strongest disjunction of path conditions the
 //! analysis can prove.
 
-use crate::cfg::{BlockRole, SimpleStmt, Terminator};
+use crate::cfg::{BlockRole, LoopShape, SimpleStmt, Terminator};
 use crate::ssa::SsaProgram;
 use crate::symbolic::{ordered::OrderedF64, Assertion, Ineq, SymExpr, SymRange, SymValue};
 use orchestra_lang::ast::{BinOp, Expr, LValue, UnOp};
@@ -24,10 +24,35 @@ pub struct Propagation {
     pub loop_ranges: HashMap<String, SymRange>,
 }
 
+/// What [`phi_value`] looks up, indexed once per run.
+struct Lookup<'a> {
+    /// Loops by `(header block, induction variable)`.
+    loops: HashMap<(usize, &'a str), &'a LoopShape>,
+    /// The right-hand side assigned to each SSA scalar.
+    defs: HashMap<&'a str, &'a Expr>,
+}
+
+impl<'a> Lookup<'a> {
+    fn new(ssa: &'a SsaProgram) -> Self {
+        let loops = ssa.cfg.loops.iter().map(|l| ((l.header, l.var.as_str()), l)).collect();
+        let stmts = ssa.cfg.blocks.iter().flat_map(|b| &b.stmts);
+        let defs = stmts
+            .filter_map(|s| match s {
+                SimpleStmt::Assign { target: LValue::Var(name), value } => {
+                    Some((name.as_str(), value))
+                }
+                _ => None,
+            })
+            .collect();
+        Lookup { loops, defs }
+    }
+}
+
 /// Runs value and assertion propagation.
 pub fn propagate(ssa: &SsaProgram) -> Propagation {
     let mut values: HashMap<String, SymValue> = HashMap::new();
     let mut loop_ranges = HashMap::new();
+    let lookup = Lookup::new(ssa);
 
     // Two passes in RPO: the first resolves straight-line values, the
     // second lets header φs see the back-edge increment definitions.
@@ -38,7 +63,7 @@ pub fn propagate(ssa: &SsaProgram) -> Propagation {
                 if values.contains_key(&phi.dest) {
                     continue;
                 }
-                if let Some(v) = phi_value(ssa, b, phi, &values) {
+                if let Some(v) = phi_value(ssa, b, phi, &values, &lookup) {
                     if let SymValue::Range(r) = &v {
                         loop_ranges.insert(phi.dest.clone(), r.clone());
                     }
@@ -60,7 +85,8 @@ pub fn propagate(ssa: &SsaProgram) -> Propagation {
     }
 
     // Assertion propagation in RPO; back edges contribute `true`
-    // (conservative) so a single forward pass suffices.
+    // (conservative) so a single forward pass suffices. A successor's
+    // clause extends its predecessor's and shares its atoms with it.
     let n = ssa.cfg.len();
     let mut assertions = vec![Assertion::falsity(); n];
     assertions[ssa.cfg.entry] = Assertion::truth();
@@ -69,16 +95,16 @@ pub fn propagate(ssa: &SsaProgram) -> Propagation {
         rpo_index[b] = i;
     }
     for &b in &rpo {
-        let base = assertions[b].clone();
-        match ssa.cfg.blocks[b].term.clone() {
+        match &ssa.cfg.blocks[b].term {
             Terminator::Jump(t) => {
-                merge_edge(&mut assertions, b, t, &rpo_index, base.clone());
+                let base = assertions[b].clone();
+                merge_edge(&mut assertions, b, *t, &rpo_index, base);
             }
             Terminator::Branch { cond, then_b, else_b } => {
-                let pos = base.and(&to_assertion(&cond, true, &values));
-                let neg = base.and(&to_assertion(&cond, false, &values));
-                merge_edge(&mut assertions, b, then_b, &rpo_index, pos);
-                merge_edge(&mut assertions, b, else_b, &rpo_index, neg);
+                let pos = assertions[b].and(&to_assertion(cond, true, &values));
+                let neg = assertions[b].and(&to_assertion(cond, false, &values));
+                merge_edge(&mut assertions, b, *then_b, &rpo_index, pos);
+                merge_edge(&mut assertions, b, *else_b, &rpo_index, neg);
             }
             Terminator::Exit => {}
         }
@@ -107,54 +133,39 @@ fn phi_value(
     block: usize,
     phi: &crate::ssa::Phi,
     values: &HashMap<String, SymValue>,
+    lookup: &Lookup,
 ) -> Option<SymValue> {
     // Induction recognition only applies to loop headers.
-    let shape = ssa.cfg.loops.iter().find(|l| l.header == block && l.var == phi.var);
-    if let Some(shape) = shape {
-        if phi.args.len() == 2 {
-            let (init_arg, step_arg) = if phi.args[0].0 == shape.preheader {
-                (&phi.args[0].1, &phi.args[1].1)
-            } else if phi.args[1].0 == shape.preheader {
-                (&phi.args[1].1, &phi.args[0].1)
-            } else {
-                return equal_args_value(phi, values);
-            };
-            // The back-edge def must be `phi + c`.
-            let step_val = find_linear_def(ssa, step_arg, values);
-            if let Some(se) = step_val {
-                let c = se.coeff(&phi.dest);
-                let rest = se.subst(&phi.dest, &SymExpr::constant(0));
-                if c == 1 {
-                    if let Some(k) = rest.as_constant() {
-                        if k != 0 {
-                            let init = resolve_expr(init_arg, values)?;
-                            // The loop bound comes from the renamed
-                            // header test `phi <= hi` (or `>=`), so it is
-                            // already in SSA names.
-                            let Terminator::Branch { cond, .. } =
-                                &ssa.cfg.blocks[shape.header].term
-                            else {
-                                return Some(SymValue::Unknown);
-                            };
-                            let Expr::Bin(op, lhs, rhs) = cond else {
-                                return Some(SymValue::Unknown);
-                            };
-                            if !matches!(op, BinOp::Le | BinOp::Ge)
-                                || **lhs != Expr::Var(phi.dest.clone())
-                            {
-                                return Some(SymValue::Unknown);
-                            }
-                            let hi = lin_expr(rhs, values)?;
-                            let (start, end) = if k > 0 { (init, hi) } else { (hi, init) };
-                            return Some(SymValue::Range(SymRange { start, end, skip: k.abs() }));
-                        }
-                    }
-                }
-            }
-            return Some(SymValue::Unknown);
-        }
+    let Some(shape) = lookup.loops.get(&(block, phi.var.as_str())) else {
+        return equal_args_value(phi, values);
+    };
+    let (init_arg, step_arg) = match &phi.args[..] {
+        [(pred, init), (_, step)] if *pred == shape.preheader => (init, step),
+        [(_, step), (pred, init)] if *pred == shape.preheader => (init, step),
+        _ => return equal_args_value(phi, values),
+    };
+    // The back-edge def must be `phi + k`, k non-zero.
+    let step = lookup.defs.get(step_arg.as_str()).and_then(|def| lin_expr(def, values));
+    let k = step
+        .filter(|se| se.coeff(&phi.dest) == 1)
+        .and_then(|se| se.subst(&phi.dest, &SymExpr::constant(0)).as_constant());
+    let Some(k) = k.filter(|k| *k != 0) else {
+        return Some(SymValue::Unknown);
+    };
+    let init = resolve_expr(init_arg, values)?;
+    // The loop bound comes from the renamed header test `phi <= hi`
+    // (or `>=`), so it is already in SSA names.
+    let Terminator::Branch { cond: Expr::Bin(BinOp::Le | BinOp::Ge, lhs, rhs), .. } =
+        &ssa.cfg.blocks[shape.header].term
+    else {
+        return Some(SymValue::Unknown);
+    };
+    if !matches!(&**lhs, Expr::Var(v) if *v == phi.dest) {
+        return Some(SymValue::Unknown);
     }
-    equal_args_value(phi, values)
+    let hi = lin_expr(rhs, values)?;
+    let (start, end) = if k > 0 { (init, hi) } else { (hi, init) };
+    Some(SymValue::Range(SymRange { start, end, skip: k.abs() }))
 }
 
 fn equal_args_value(phi: &crate::ssa::Phi, values: &HashMap<String, SymValue>) -> Option<SymValue> {
@@ -177,24 +188,6 @@ fn equal_args_value(phi: &crate::ssa::Phi, values: &HashMap<String, SymValue>) -
     }
 }
 
-/// The linear expression defining `name` (following a single assignment),
-/// with known values substituted — used for induction-step recognition.
-fn find_linear_def(
-    ssa: &SsaProgram,
-    name: &str,
-    values: &HashMap<String, SymValue>,
-) -> Option<SymExpr> {
-    let &block = ssa.def_block.get(name)?;
-    for s in &ssa.cfg.blocks[block].stmts {
-        if let SimpleStmt::Assign { target: LValue::Var(t), value } = s {
-            if t == name {
-                return lin_expr_raw(value, values);
-            }
-        }
-    }
-    None
-}
-
 /// Resolves an SSA name to a symbolic expression: its known value, or
 /// itself as an opaque term.
 pub fn resolve_expr(name: &str, values: &HashMap<String, SymValue>) -> Option<SymExpr> {
@@ -209,20 +202,16 @@ pub fn resolve_expr(name: &str, values: &HashMap<String, SymValue>) -> Option<Sy
 ///
 /// Returns `None` when the expression is non-linear or reads memory.
 pub fn lin_expr(e: &Expr, values: &HashMap<String, SymValue>) -> Option<SymExpr> {
-    lin_expr_raw(e, values)
-}
-
-fn lin_expr_raw(e: &Expr, values: &HashMap<String, SymValue>) -> Option<SymExpr> {
     match e {
         Expr::IntLit(v) => Some(SymExpr::constant(*v)),
         Expr::FloatLit(_) => None,
         Expr::Var(name) => resolve_expr(name, values),
         Expr::Index(_, _) | Expr::Call(_, _) => None,
-        Expr::Un(UnOp::Neg, inner) => Some(lin_expr_raw(inner, values)?.scale(-1)),
+        Expr::Un(UnOp::Neg, inner) => Some(lin_expr(inner, values)?.scale(-1)),
         Expr::Un(UnOp::Not, _) => None,
         Expr::Bin(op, l, r) => {
-            let a = lin_expr_raw(l, values)?;
-            let b = lin_expr_raw(r, values)?;
+            let a = lin_expr(l, values)?;
+            let b = lin_expr(r, values)?;
             match op {
                 BinOp::Add => Some(a.add(&b)),
                 BinOp::Sub => Some(a.sub(&b)),
@@ -244,7 +233,7 @@ fn lin_expr_raw(e: &Expr, values: &HashMap<String, SymValue>) -> Option<SymExpr>
 
 /// Evaluates an expression to a symbolic value.
 pub fn eval_value(e: &Expr, values: &HashMap<String, SymValue>) -> SymValue {
-    if let Some(le) = lin_expr_raw(e, values) {
+    if let Some(le) = lin_expr(e, values) {
         return SymValue::Expr(le);
     }
     if let Expr::FloatLit(v) = e {
@@ -261,7 +250,7 @@ pub fn eval_value(e: &Expr, values: &HashMap<String, SymValue>) -> SymValue {
 pub fn to_assertion(cond: &Expr, positive: bool, values: &HashMap<String, SymValue>) -> Assertion {
     match cond {
         Expr::Bin(op, l, r) if op.is_comparison() => {
-            let (Some(a), Some(b)) = (lin_expr_raw(l, values), lin_expr_raw(r, values)) else {
+            let (Some(a), Some(b)) = (lin_expr(l, values), lin_expr(r, values)) else {
                 return Assertion::truth();
             };
             let eff_op = if positive { *op } else { op.negate().expect("comparisons negate") };
@@ -294,7 +283,7 @@ pub fn to_assertion(cond: &Expr, positive: bool, values: &HashMap<String, SymVal
         Expr::Un(UnOp::Not, inner) => to_assertion(inner, !positive, values),
         // A bare scalar `if (x)` means `x <> 0`.
         Expr::Var(_) | Expr::IntLit(_) => {
-            let Some(a) = lin_expr_raw(cond, values) else {
+            let Some(a) = lin_expr(cond, values) else {
                 return Assertion::truth();
             };
             let zero = SymExpr::constant(0);

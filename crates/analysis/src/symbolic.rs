@@ -11,8 +11,11 @@
 //! spellings (`"n#1"`); the descriptor layer uses source variable names
 //! of unresolved constants (`"n"`, `"a"`, induction variables).
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// A linear integer symbolic expression: `Σ coeffᵢ·nameᵢ + constant`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
@@ -390,7 +393,7 @@ pub mod ordered {
 }
 
 /// Relational operators in normalized inequalities.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Rel {
     /// `expr = 0`
     EqZero,
@@ -401,7 +404,7 @@ pub enum Rel {
 }
 
 /// A normalized inequality `expr REL 0`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Ineq {
     /// Left-hand side.
     pub expr: SymExpr,
@@ -467,23 +470,116 @@ impl fmt::Display for Ineq {
     }
 }
 
-/// A conjunction of inequalities.
-pub type Conj = Vec<Ineq>;
+/// A conjunction of inequalities, always *simplified and consistent*:
+/// no atom is constant, none is held twice, and no two contradict by
+/// [`pair_contradictory`]. [`Conj::with`] is the only way to add an
+/// atom, so nothing ever re-validates a whole clause.
+///
+/// The atoms sit in a persistent binary trie over [`linear_key`]: one
+/// leaf per linear part, so conjoining looks at the one or two atoms
+/// the rules can relate it to, and a clause shares all but one root
+/// path with the clause it extends. Each key set has one trie shape and
+/// leaves are sorted, so `==` is set equality.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+enum Conj {
+    #[default]
+    Empty,
+    Leaf(Arc<Bucket>),
+    /// Children by bit `depth` of the key.
+    Fork(Arc<[Conj; 2]>),
+}
+
+/// The atoms of a clause whose linear parts hash to `key`, sorted.
+#[derive(Debug, PartialEq, Eq)]
+struct Bucket {
+    key: u64,
+    atoms: Vec<Ineq>,
+}
+
+/// Hash of an expression's terms up to an overall sign. Every rule of
+/// [`pair_contradictory`] needs term lists that are equal or negated,
+/// so atoms it can relate share a key.
+fn linear_key(e: &SymExpr) -> u64 {
+    let flip = e.terms.values().next().is_some_and(|c| *c < 0);
+    let mut h = DefaultHasher::new();
+    for (n, c) in &e.terms {
+        (n, if flip { -c } else { *c }).hash(&mut h);
+    }
+    h.finish()
+}
+
+impl Conj {
+    /// `self ∧ atom`, or `None` when that is contradictory.
+    fn with(&self, atom: &Ineq) -> Option<Conj> {
+        match atom.eval_const() {
+            Some(true) => Some(self.clone()),
+            Some(false) => None,
+            None => self.insert(linear_key(&atom.expr), 0, atom),
+        }
+    }
+
+    fn insert(&self, key: u64, depth: u32, atom: &Ineq) -> Option<Conj> {
+        let side = |k: u64| (k >> depth) as usize & 1;
+        match self {
+            Conj::Empty => Some(Conj::Leaf(Arc::new(Bucket { key, atoms: vec![atom.clone()] }))),
+            Conj::Leaf(b) if b.key == key => {
+                if b.atoms.iter().any(|held| pair_contradictory(held, atom)) {
+                    return None;
+                }
+                let Err(at) = b.atoms.binary_search(atom) else { return Some(self.clone()) };
+                let mut atoms = b.atoms.clone();
+                atoms.insert(at, atom.clone());
+                Some(Conj::Leaf(Arc::new(Bucket { key, atoms })))
+            }
+            Conj::Leaf(b) => {
+                let mut kids = [Conj::Empty, Conj::Empty];
+                kids[side(b.key)] = self.clone();
+                kids[side(key)] = kids[side(key)].insert(key, depth + 1, atom)?;
+                Some(Conj::Fork(Arc::new(kids)))
+            }
+            Conj::Fork(kids) => {
+                let mut kids = (**kids).clone();
+                kids[side(key)] = kids[side(key)].insert(key, depth + 1, atom)?;
+                Some(Conj::Fork(Arc::new(kids)))
+            }
+        }
+    }
+
+    /// `self ∧ other`, or `None` when that is contradictory.
+    fn and(&self, other: &Conj) -> Option<Conj> {
+        other.atoms().into_iter().try_fold(self.clone(), |acc, atom| acc.with(atom))
+    }
+
+    /// The atoms, in key order.
+    fn atoms(&self) -> Vec<&Ineq> {
+        fn walk<'a>(c: &'a Conj, out: &mut Vec<&'a Ineq>) {
+            match c {
+                Conj::Empty => {}
+                Conj::Leaf(b) => out.extend(&b.atoms),
+                Conj::Fork(kids) => kids.iter().for_each(|k| walk(k, out)),
+            }
+        }
+        let mut out = Vec::new();
+        walk(self, &mut out);
+        out
+    }
+}
 
 /// An assertion: a disjunction of conjunctions of inequalities (§3.1).
 ///
-/// The empty disjunction is *false*; a disjunction containing an empty
-/// conjunction is *true*.
+/// The empty disjunction is *false*; the disjunction of the one empty
+/// conjunction is *true*. No clause is held twice, and a clause the
+/// pairwise contradiction rules refute is never held, so an assertion
+/// they refute *is* the empty disjunction.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Assertion {
-    /// The DNF clauses.
-    pub clauses: Vec<Conj>,
+    clauses: Vec<Conj>,
 }
 
 impl Assertion {
     /// The trivially true assertion.
     pub fn truth() -> Self {
-        Assertion { clauses: vec![Vec::new()] }
+        Assertion { clauses: vec![Conj::Empty] }
     }
 
     /// The trivially false assertion.
@@ -493,12 +589,12 @@ impl Assertion {
 
     /// A single-inequality assertion.
     pub fn atom(i: Ineq) -> Self {
-        Assertion { clauses: vec![vec![i]] }
+        Assertion { clauses: Conj::Empty.with(&i).into_iter().collect() }
     }
 
     /// True when this assertion is the constant *true*.
     pub fn is_truth(&self) -> bool {
-        self.clauses.iter().any(|c| c.is_empty())
+        self.clauses.first() == Some(&Conj::Empty)
     }
 
     /// True when this assertion is the constant *false*.
@@ -506,45 +602,50 @@ impl Assertion {
         self.clauses.is_empty()
     }
 
+    /// `self ∨ clause`: *true* absorbs everything, a clause already
+    /// held is dropped.
+    fn push(&mut self, clause: Conj) {
+        if clause == Conj::Empty {
+            *self = Assertion::truth();
+        } else if !self.is_truth() && !self.clauses.contains(&clause) {
+            self.clauses.push(clause);
+        }
+    }
+
     /// Conjunction (distributes over the DNF clauses).
     pub fn and(&self, other: &Assertion) -> Assertion {
-        let mut clauses = Vec::new();
+        let mut out = Assertion::falsity();
         for a in &self.clauses {
             for b in &other.clauses {
-                let mut c = a.clone();
-                c.extend(b.iter().cloned());
-                if !conj_contradictory(&c) {
-                    clauses.push(c);
+                if let Some(c) = a.and(b) {
+                    out.push(c);
                 }
             }
         }
-        Assertion { clauses }.simplified()
+        out
     }
 
     /// Disjunction.
     pub fn or(&self, other: &Assertion) -> Assertion {
-        let mut clauses = self.clauses.clone();
-        clauses.extend(other.clauses.iter().cloned());
-        Assertion { clauses }.simplified()
+        let mut out = self.clone();
+        for c in &other.clauses {
+            out.push(c.clone());
+        }
+        out
     }
 
     /// Negation. Exact for single-clause assertions; conservative
     /// (weaker, i.e. *true*) when the DNF negation would explode.
     pub fn negate(&self) -> Assertion {
-        if self.is_falsity() {
-            return Assertion::truth();
-        }
-        if self.is_truth() {
-            return Assertion::falsity();
-        }
         // ¬(C1 ∨ C2 ∨ …) = ¬C1 ∧ ¬C2 ∧ …; ¬(i1 ∧ i2 …) = ¬i1 ∨ ¬i2 ∨ …
         let mut acc = Assertion::truth();
         for clause in &self.clauses {
-            if clause.len() > 4 {
+            let atoms = clause.atoms();
+            if atoms.len() > 4 {
                 return Assertion::truth(); // conservative give-up
             }
             let mut neg = Assertion::falsity();
-            for ineq in clause {
+            for ineq in atoms {
                 neg = neg.or(&Assertion::atom(ineq.negate()));
             }
             acc = acc.and(&neg);
@@ -555,34 +656,23 @@ impl Assertion {
         acc
     }
 
-    /// Proves this assertion unsatisfiable (conservative).
+    /// Proves this assertion unsatisfiable (conservative): a clause the
+    /// pairwise rules refute is never held, so only *false* is.
     pub fn contradictory(&self) -> bool {
-        self.clauses.iter().all(conj_contradictory)
+        self.is_falsity()
     }
 
     /// Substitutes a name throughout.
     pub fn subst(&self, name: &str, repl: &SymExpr) -> Assertion {
-        Assertion {
-            clauses: self
-                .clauses
-                .iter()
-                .map(|c| c.iter().map(|i| i.subst(name, repl)).collect())
-                .collect(),
+        let mut out = Assertion::falsity();
+        for clause in &self.clauses {
+            let atoms = clause.atoms().into_iter();
+            let new = atoms.map(|i| i.subst(name, repl)).try_fold(Conj::Empty, |c, i| c.with(&i));
+            if let Some(c) = new {
+                out.push(c);
+            }
         }
-        .simplified()
-    }
-
-    fn simplified(mut self) -> Assertion {
-        for clause in &mut self.clauses {
-            clause.retain(|i| i.eval_const() != Some(true));
-            clause.dedup();
-        }
-        self.clauses.retain(|c| !conj_contradictory(c));
-        if self.clauses.iter().any(|c| c.is_empty()) {
-            return Assertion::truth();
-        }
-        self.clauses.dedup();
-        self
+        out
     }
 }
 
@@ -599,7 +689,7 @@ impl fmt::Display for Assertion {
                 write!(f, " or ")?;
             }
             write!(f, "(")?;
-            for (j, ineq) in clause.iter().enumerate() {
+            for (j, ineq) in clause.atoms().into_iter().enumerate() {
                 if j > 0 {
                     write!(f, " and ")?;
                 }
@@ -611,59 +701,30 @@ impl fmt::Display for Assertion {
     }
 }
 
-/// Conservative contradiction test for a conjunction.
-fn conj_contradictory(c: &Conj) -> bool {
-    for (k, i) in c.iter().enumerate() {
-        if i.eval_const() == Some(false) {
-            return true;
+/// Conservative contradiction test for two atoms of a conjunction. The
+/// sum or difference of two expressions is constant iff their term
+/// lists negate or equal each other, so no expression is built.
+fn pair_contradictory(i: &Ineq, j: &Ineq) -> bool {
+    let (a, b) = (&i.expr, &j.expr);
+    let equal = a.terms == b.terms;
+    let negated = a.terms.len() == b.terms.len()
+        && a.terms.iter().zip(&b.terms).all(|((n, c), (m, d))| n == m && *c == -*d);
+    match (i.rel, j.rel) {
+        // e = 0 together with e <> 0.
+        (Rel::EqZero, Rel::NeZero) | (Rel::NeZero, Rel::EqZero) => equal && a.konst == b.konst,
+        // a = 0 and b = 0 with a - b a non-zero constant.
+        (Rel::EqZero, Rel::EqZero) => equal && a.konst != b.konst,
+        // a <= 0 and b <= 0 with a + b a positive constant.
+        (Rel::LeZero, Rel::LeZero) => negated && a.konst + b.konst > 0,
+        // e = 0 and f <= 0 with f - e or f + e a positive constant.
+        (Rel::EqZero, Rel::LeZero) => {
+            (equal && b.konst - a.konst > 0) || (negated && b.konst + a.konst > 0)
         }
-        for j in &c[k + 1..] {
-            // e = 0 together with e <> 0.
-            if i.expr == j.expr {
-                let pair = (i.rel, j.rel);
-                if matches!(pair, (Rel::EqZero, Rel::NeZero) | (Rel::NeZero, Rel::EqZero)) {
-                    return true;
-                }
-            }
-            // a = 0 and b = 0 with a - b a non-zero constant.
-            if i.rel == Rel::EqZero && j.rel == Rel::EqZero {
-                if let Some(d) = i.expr.sub(&j.expr).as_constant() {
-                    if d != 0 {
-                        return true;
-                    }
-                }
-            }
-            // a <= 0 and b <= 0 with a + b a positive constant.
-            if i.rel == Rel::LeZero && j.rel == Rel::LeZero {
-                if let Some(s) = i.expr.add(&j.expr).as_constant() {
-                    if s > 0 {
-                        return true;
-                    }
-                }
-            }
-            // e = 0 and f <= 0 where f - k*e is a positive constant
-            // (just check f + e and f - e quickly).
-            if i.rel == Rel::EqZero && j.rel == Rel::LeZero {
-                for probe in [j.expr.sub(&i.expr), j.expr.add(&i.expr)] {
-                    if let Some(cst) = probe.as_constant() {
-                        if cst > 0 {
-                            return true;
-                        }
-                    }
-                }
-            }
-            if j.rel == Rel::EqZero && i.rel == Rel::LeZero {
-                for probe in [i.expr.sub(&j.expr), i.expr.add(&j.expr)] {
-                    if let Some(cst) = probe.as_constant() {
-                        if cst > 0 {
-                            return true;
-                        }
-                    }
-                }
-            }
+        (Rel::LeZero, Rel::EqZero) => {
+            (equal && a.konst - b.konst > 0) || (negated && a.konst + b.konst > 0)
         }
+        (Rel::NeZero, _) | (_, Rel::NeZero) => false,
     }
-    false
 }
 
 #[cfg(test)]
@@ -786,6 +847,20 @@ mod tests {
     }
 
     #[test]
+    fn a_repeated_atom_or_clause_is_held_once() {
+        let le =
+            |name: &str| Assertion::atom(Ineq::le(&SymExpr::name(name), &SymExpr::constant(0)));
+        let (a, b) = (le("a"), le("b"));
+        // `Vec::dedup` only dropped adjacent repeats: these two grew.
+        assert_eq!(a.and(&b).and(&a), a.and(&b), "a and b and a");
+        assert_eq!(a.and(&b).and(&a).clauses[0].atoms().len(), 2);
+        assert_eq!(a.or(&b).or(&a), a.or(&b), "C1 or C2 or C1");
+        assert_eq!(a.or(&b).or(&a).clauses.len(), 2);
+        // Held as sets: the order of conjoining does not show.
+        assert_eq!(a.and(&b), b.and(&a));
+    }
+
+    #[test]
     fn assertion_negation_roundtrip() {
         let a = Assertion::atom(Ineq::ne(&SymExpr::name("m"), &SymExpr::constant(0)));
         let na = a.negate();
@@ -806,11 +881,10 @@ mod tests {
     #[test]
     fn contradiction_via_le_pair() {
         // n <= 0 and n >= 1 (as -n+1 <= 0).
-        let c = vec![
-            Ineq::le(&n(), &SymExpr::constant(0)),
-            Ineq { expr: n().scale(-1).offset(1), rel: Rel::LeZero },
-        ];
-        assert!(conj_contradictory(&c));
+        let le = Ineq::le(&n(), &SymExpr::constant(0));
+        let ge = Ineq { expr: n().scale(-1).offset(1), rel: Rel::LeZero };
+        assert!(pair_contradictory(&le, &ge));
+        assert!(Assertion::atom(le).and(&Assertion::atom(ge)).is_falsity());
     }
 
     #[test]
@@ -818,9 +892,9 @@ mod tests {
         // i - a = 0  together with  a - i + 1 <= 0 (i.e. i >= a + 1).
         let i = SymExpr::name("i");
         let a = SymExpr::name("a");
-        let c = vec![Ineq::eq(&i, &a), Ineq::lt(&a, &i).negate().negate()];
         // lt(a, i): a - i + 1 <= 0; double negation is identity here.
-        assert!(conj_contradictory(&c));
+        let (eq, lt) = (Ineq::eq(&i, &a), Ineq::lt(&a, &i).negate().negate());
+        assert!(pair_contradictory(&eq, &lt) && pair_contradictory(&lt, &eq));
     }
 
     #[test]
@@ -843,5 +917,110 @@ mod tests {
         assert_eq!(SymRange::constant(1, 10).len_const(), Some(10));
         let stepped = SymRange { start: SymExpr::constant(1), end: SymExpr::constant(9), skip: 2 };
         assert_eq!(stepped.len_const(), Some(5));
+    }
+
+    // ---- the Boolean meaning, by brute force over small valuations ----
+
+    use proptest::prelude::*;
+
+    type Valuation = BTreeMap<String, i64>;
+
+    impl SymExpr {
+        fn eval(&self, v: &Valuation) -> i64 {
+            self.terms.iter().map(|(n, c)| c * v[n]).sum::<i64>() + self.konst
+        }
+    }
+
+    impl Ineq {
+        fn eval(&self, v: &Valuation) -> bool {
+            let value = SymExpr::constant(self.expr.eval(v));
+            Ineq { expr: value, rel: self.rel }.eval_const().expect("constant")
+        }
+    }
+
+    impl Assertion {
+        /// The Boolean meaning under an integer valuation of every name.
+        fn eval(&self, v: &Valuation) -> bool {
+            self.clauses.iter().any(|c| c.atoms().into_iter().all(|i| i.eval(v)))
+        }
+    }
+
+    /// A DNF as plain nested lists, whose meaning needs no `Assertion`.
+    type RawDnf = Vec<Vec<Ineq>>;
+
+    /// Atoms over `x` and `y` from a pool small enough that a clause
+    /// often repeats an atom or holds two that exclude each other.
+    fn raw_dnf() -> impl Strategy<Value = RawDnf> {
+        let rel = proptest::sample::select(vec![Rel::EqZero, Rel::NeZero, Rel::LeZero]);
+        let atom = (-1i64..2, -1i64..2, -2i64..3, rel).prop_map(|(a, b, k, rel)| Ineq {
+            expr: SymExpr::from_terms([("x".to_string(), a), ("y".to_string(), b)], k),
+            rel,
+        });
+        proptest::collection::vec(proptest::collection::vec(atom, 0..5), 0..4)
+    }
+
+    fn build(raw: &RawDnf) -> Assertion {
+        raw.iter().fold(Assertion::falsity(), |dnf, clause| {
+            let conj = clause
+                .iter()
+                .fold(Assertion::truth(), |conj, atom| conj.and(&Assertion::atom(atom.clone())));
+            dnf.or(&conj)
+        })
+    }
+
+    fn raw_eval(raw: &RawDnf, v: &Valuation) -> bool {
+        raw.iter().any(|clause| clause.iter().all(|atom| atom.eval(v)))
+    }
+
+    fn valuations() -> impl Iterator<Item = Valuation> {
+        (-4..=4).flat_map(|x| {
+            (-4..=4).map(move |y| BTreeMap::from([("x".to_string(), x), ("y".to_string(), y)]))
+        })
+    }
+
+    /// The invariant of [`Conj`] and [`Assertion`], checked the slow way.
+    fn assert_simplified(a: &Assertion) {
+        for (k, clause) in a.clauses.iter().enumerate() {
+            assert!(!a.clauses[..k].contains(clause), "repeated clause in {a}");
+            assert!(*clause != Conj::Empty || a.clauses.len() == 1, "true beside a clause in {a}");
+            let atoms = clause.atoms();
+            for (n, i) in atoms.iter().enumerate() {
+                assert_eq!(i.eval_const(), None, "constant atom in {a}");
+                for j in &atoms[..n] {
+                    assert!(i != j && !pair_contradictory(i, j), "{i} against {j} in {a}");
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn operations_agree_with_the_boolean_meaning(
+            p in raw_dnf(),
+            q in raw_dnf(),
+            shift in -2i64..3,
+            onto_y in proptest::bool::ANY,
+        ) {
+            let (a, b) = (build(&p), build(&q));
+            // x := y + shift, or x := shift.
+            let repl = if onto_y { SymExpr::name("y").offset(shift) } else { SymExpr::constant(shift) };
+            let (and, or, not, subst) = (a.and(&b), a.or(&b), a.negate(), a.subst("x", &repl));
+            for r in [&a, &b, &and, &or, &not, &subst] {
+                assert_simplified(r);
+            }
+            for v in valuations() {
+                let (pv, qv) = (raw_eval(&p, &v), raw_eval(&q, &v));
+                prop_assert_eq!(a.eval(&v), pv, "building {:?} gave {} at {:?}", p, a, v);
+                prop_assert_eq!(and.eval(&v), pv && qv, "{} and {} at {:?}", a, b, v);
+                prop_assert_eq!(or.eval(&v), pv || qv, "{} or {} at {:?}", a, b, v);
+                // Giving up answers `true`, which is weaker, never wrong.
+                prop_assert!(not.is_truth() || not.eval(&v) != pv, "not {} at {:?}", a, v);
+                let mut moved = v.clone();
+                moved.insert("x".to_string(), repl.eval(&v));
+                prop_assert_eq!(subst.eval(&v), raw_eval(&p, &moved), "{} [x := {}] at {:?}", a, repl, v);
+                // Sound: what is refuted holds nowhere.
+                prop_assert!(!(a.contradictory() && pv), "{} refuted but holds at {:?}", a, v);
+            }
+        }
     }
 }

@@ -19,14 +19,17 @@ use orchestra_analysis::propagate::lin_expr;
 use orchestra_analysis::symbolic::{Ineq, SymExpr, SymRange, SymValue};
 use orchestra_lang::ast::{BinOp, Expr, LValue, Program, Stmt};
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// Symbolic context for descriptor construction.
 #[derive(Debug, Clone, Default)]
 pub struct SymCtx {
     /// Known symbolic values of scalars, keyed by source name.
     pub values: HashMap<String, SymValue>,
-    /// Names of arrays (anything else in an index is a scalar).
-    pub arrays: BTreeSet<String>,
+    /// Names of arrays (anything else in an index is a scalar). Fixed
+    /// per program and shared: a context is cloned at every statement
+    /// list and loop nest, and the array names are most of it.
+    pub arrays: Arc<BTreeSet<String>>,
     /// Scalars whose values were changed by walked code; mentions of
     /// these can no longer be trusted in symbolic expressions.
     pub killed: BTreeSet<String>,
@@ -37,15 +40,17 @@ impl SymCtx {
     /// initializers become known values; array names are recorded.
     pub fn from_program(prog: &Program) -> SymCtx {
         let mut ctx = SymCtx::default();
+        let mut arrays = BTreeSet::new();
         for d in &prog.decls {
             if d.is_array() {
-                ctx.arrays.insert(d.name.clone());
+                arrays.insert(d.name.clone());
             } else if let Some(init) = &d.init {
                 if let Some(c) = init.as_int() {
                     ctx.values.insert(d.name.clone(), SymValue::int(c));
                 }
             }
         }
+        ctx.arrays = Arc::new(arrays);
         ctx
     }
 

@@ -2,6 +2,7 @@
 //! this in with `mod common;` and uses a subset of it.
 #![allow(dead_code)]
 
+pub mod programs;
 pub mod shapes;
 
 /// The fixed default seed for randomized suites (stress, chaos) when
