@@ -396,11 +396,20 @@ impl Response {
                     r.resumed_tasks,
                     r.outputs.len()
                 );
+                // Every value is " " + 16 hex digits: reserve once, then
+                // write nibbles from a table — no allocation per value.
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                let values: usize = r.outputs.iter().map(|o| o.values.len()).sum();
+                s.reserve(17 * values + 32 * r.outputs.len());
                 for o in &r.outputs {
                     s.push('\n');
                     s.push_str(&format!("out {} {}", o.name, o.values.len()));
                     for v in &o.values {
-                        s.push_str(&format!(" {:016x}", v.to_bits()));
+                        let bits = v.to_bits();
+                        s.push(' ');
+                        for shift in (0..16).rev() {
+                            s.push(HEX[(bits >> (4 * shift)) as usize & 0xf] as char);
+                        }
                     }
                 }
                 s
@@ -548,6 +557,21 @@ mod tests {
         });
         round_trip_resp(Response::Drained);
         round_trip_resp(Response::Err { msg: "no such job".into() });
+    }
+
+    #[test]
+    fn result_values_are_sixteen_lowercase_hex_digits() {
+        let values = vec![0.0, -0.0, 1.0, f64::MAX, f64::from_bits(0x0123_4567_89ab_cdef)];
+        let reference: String = values.iter().map(|v| format!(" {:016x}", v.to_bits())).collect();
+        let result = WireResult {
+            job: 1,
+            wall_us: 2.0,
+            attempts: 1,
+            resumed_tasks: 0,
+            outputs: vec![WireOutput { name: "A".into(), values }],
+        };
+        let text = Response::Result(result).encode();
+        assert_eq!(text.lines().nth(1), Some(format!("out A 5{reference}").as_str()));
     }
 
     #[test]

@@ -171,14 +171,14 @@ pub fn allocate_many_with(
 /// race-free by construction: concurrent *writers* hold disjoint cell
 /// ranges (the chunk queue hands each task index out exactly once),
 /// and *readers* only touch a cell after observing, with `Acquire`
-/// ordering, the `Release` bump of the task's `executed` counter that
-/// the writer performs after its plain store — or after the pool has
+/// ordering, the `Release` store of the task's `done` flag that the
+/// writer performs after its plain store — or after the pool has
 /// joined, when no writer exists at all.
 #[repr(transparent)]
 struct OutputCell(UnsafeCell<f64>);
 
 // SAFETY: see the type-level comment — all concurrent access is
-// coordinated externally (disjoint claims for writers, executed-counter
+// coordinated externally (disjoint claims for writers, done-flag
 // Release/Acquire for readers).
 unsafe impl Sync for OutputCell {}
 
@@ -328,9 +328,9 @@ impl OutputArena {
     /// # Safety
     ///
     /// The cell must be quiescent: the caller must have observed the
-    /// task's completion through an `Acquire` load of its `executed`
-    /// counter (pairing with the writer's post-store `Release` bump),
-    /// or otherwise know no writer can touch it.
+    /// task's completion through an `Acquire` load of its `done` flag
+    /// (pairing with the writer's post-store `Release`), or otherwise
+    /// know no writer can touch it.
     pub unsafe fn read(&self, op: usize, task: usize) -> f64 {
         let span = &self.spans[op];
         assert!(task < span.len(), "task {task} out of op {op} bounds {}", span.len());

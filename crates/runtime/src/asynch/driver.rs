@@ -320,8 +320,8 @@ pub(crate) fn current_driver() -> Option<usize> {
     (id != usize::MAX).then_some(id)
 }
 
-/// What one driver thread reports back: poll-time accounting (`tasks`
-/// and `chunks` are filled in by the op futures via
+/// What one driver thread reports back: poll-time accounting (tasks
+/// and chunks come from the executed-chunk log the op futures fill via
 /// [`current_driver`]).
 pub(crate) struct DriverRecord {
     /// Time spent polling futures (µs) — the driver's busy time.
@@ -336,9 +336,9 @@ pub(crate) struct DriverRecord {
 }
 
 impl DriverRecord {
-    /// Folds this record into a [`ProcStats`] row (tasks/chunks come
-    /// from the op futures' per-driver counters).
-    pub(crate) fn into_proc(self, tasks: u64, chunks: u64) -> ProcStats {
+    /// Folds this record into a [`ProcStats`] row (the chunk and task
+    /// totals come from the driver's executed-chunk log).
+    pub(crate) fn into_proc(self, (chunks, tasks): (u64, u64)) -> ProcStats {
         ProcStats { busy: self.busy_us, tasks, chunks, free_at: self.free_at_us }
     }
 }

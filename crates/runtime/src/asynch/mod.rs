@@ -35,7 +35,7 @@ use crate::alloc::{OutputArena, Publication};
 use crate::cancel::RunError;
 use crate::checkpoint::{CancelCtl, KillMode, ResumeState, RunCtl};
 use crate::executor::ExecutorOptions;
-use crate::run::{set_up, snapshot_ops, OpRecord, OpState, RunReport, Setup};
+use crate::run::{set_up, snapshot_ops, Claimed, ExecLog, OpRecord, OpState, RunReport, Setup};
 use crate::stats::{OnlineStats, StealStats};
 use crate::threaded::queue::{BoundedClaim, Chunk, ChunkQueue};
 use crate::threaded::{build_plan, Plan, TaskKernel};
@@ -81,19 +81,10 @@ struct AsyncOp<'p> {
 /// queue.
 #[derive(Default)]
 struct OrphanBoard {
-    /// Orphaned chunks, as real (op-local) task indices.
-    orphans: Vec<Vec<usize>>,
+    /// Orphaned chunks.
+    orphans: Vec<Claimed>,
     /// Claimers of this op still running.
     live: usize,
-}
-
-/// Per-driver task/chunk counters, attributed by the claimer futures
-/// via [`driver::current_driver`] (busy time is measured by the driver
-/// loop itself).
-#[derive(Default)]
-struct DriverCell {
-    tasks: AtomicU64,
-    chunks: AtomicU64,
 }
 
 /// Everything the claimer futures borrow for the duration of the run.
@@ -103,7 +94,12 @@ struct AsyncShared<'p, 'g> {
     /// Shared output slab: every op's tasks write disjoint cells, and
     /// finished ops hand their slices downstream by reference.
     arena: &'g OutputArena,
-    cells: Vec<DriverCell>,
+    /// One executed-chunk log per driver, filled by the claimer futures
+    /// via [`driver::current_driver`]: while the run is live only the
+    /// driver's own thread takes its lock, once per chunk. The drivers'
+    /// task/chunk counts are these logs' totals (busy time is measured
+    /// by the driver loop itself).
+    logs: Vec<Mutex<ExecLog>>,
     epoch: Instant,
     /// Fault-injection and checkpoint control (inert on normal runs).
     ctl: RunCtl,
@@ -139,12 +135,11 @@ fn us_since(epoch: Instant) -> f64 {
 }
 
 impl AsyncShared<'_, '_> {
-    /// Books one executed chunk of `tasks` tasks to the polling driver.
-    fn book_chunk(&self, tasks: usize) {
-        if let Some(d) = driver::current_driver() {
-            self.cells[d].tasks.fetch_add(tasks as u64, Ordering::Relaxed);
-            self.cells[d].chunks.fetch_add(1, Ordering::Relaxed);
-        }
+    /// Books one executed chunk of op `op_idx` to the polling driver,
+    /// after its tasks ran.
+    fn book_chunk(&self, op_idx: usize, claimed: Claimed) {
+        let d = driver::current_driver().expect("claimer futures are only polled by drivers");
+        self.logs[d].lock().expect("driver log poisoned").push(op_idx, claimed);
     }
 }
 
@@ -196,9 +191,7 @@ fn on_claim_async(
             let mut board = op.board.lock().expect("orphan board poisoned");
             if board.live >= 2 && f.try_die(cid, mode) {
                 board.live -= 1;
-                board.orphans.push(
-                    (chunk.start..chunk.start + chunk.len).map(|qi| op.state.task_of(qi)).collect(),
-                );
+                board.orphans.push(Claimed::Span(*chunk));
                 return ClaimFate::Die;
             }
             // Suppressed: the op's last live claimer keeps executing —
@@ -301,16 +294,14 @@ async fn run_claimer(
         }
         op.stamp_start(us_since(shared.epoch));
         let mut chunk_stats = OnlineStats::new();
-        // SAFETY (view and tasks): the claim handed queue indices
-        // `[start, start+len)` to this claimer exactly once.
-        let mut view = unsafe { op.chunk_view(arena, chunk.start, chunk.len) };
-        for qi in chunk.start..chunk.start + chunk.len {
-            let task = op.task_of(qi);
-            let slot = view.as_deref_mut().map(|v| &mut v[qi - chunk.start]);
-            unsafe { op.run_task(kernel, node, &inputs, arena, task, slot) };
-            if adaptive {
-                chunk_stats.observe(op.costs[task]);
-            }
+        // SAFETY: the claim handed queue indices `[start, start+len)`
+        // to this claimer exactly once.
+        unsafe {
+            op.run_span(kernel, node, &inputs, arena, chunk.start..chunk.start + chunk.len, |t| {
+                if adaptive {
+                    chunk_stats.observe(op.costs[t]);
+                }
+            });
         }
         if adaptive {
             // Feed TAPER the deterministic cost *hints*, not wall
@@ -319,7 +310,7 @@ async fn run_claimer(
             // driver, the whole schedule is).
             aop.queue.observe_chunk(chunk.start, chunk.len, &chunk_stats);
         }
-        shared.book_chunk(chunk.len);
+        shared.book_chunk(op_idx, Claimed::Span(chunk));
         if op.streams_output() {
             // Commit the chunk's span before yielding: once the b*
             // batch fills (or the op finishes) the watermark publishes
@@ -348,16 +339,13 @@ async fn run_claimer(
                     }
                 }
             };
-            let Some(tasks) = orphan else {
+            let Some(orphan) = orphan else {
                 break;
             };
-            for &task in &tasks {
-                // SAFETY: the board hands each orphan to one adopter.
-                // Orphans are arbitrary task sets — always scattered.
-                unsafe { op.run_task(kernel, node, &inputs, arena, task, None) };
-            }
-            shared.book_chunk(tasks.len());
-            done += tasks.len();
+            // SAFETY: the board hands each orphan to one adopter.
+            unsafe { op.run(kernel, node, &inputs, arena, &orphan) };
+            done += orphan.len();
+            shared.book_chunk(op_idx, orphan);
         }
     }
     // Account this claimer's work in one batched decrement; whoever
@@ -469,7 +457,7 @@ pub(crate) fn run_async(
         ops,
         nodes: &g.nodes,
         arena: &arena,
-        cells: (0..drivers).map(|_| DriverCell::default()).collect(),
+        logs: (0..drivers).map(|_| Mutex::default()).collect(),
         epoch: Instant::now(),
         ctl: RunCtl::new(opts, plan, spawned),
         sched: OnceLock::new(),
@@ -506,28 +494,23 @@ pub(crate) fn run_async(
 
     let polls: u64 = records.iter().map(|r| r.polls).sum();
     let steal = StealStats { steals: records.iter().map(|r| r.steals).sum(), ..StealStats::new() };
-    let procs: Vec<ProcStats> = records
-        .into_iter()
-        .zip(&shared.cells)
-        .map(|(rec, cell)| {
-            rec.into_proc(cell.tasks.load(Ordering::Relaxed), cell.chunks.load(Ordering::Relaxed))
-        })
-        .collect();
-    let op_records: Vec<OpRecord> = shared
-        .ops
+    // End the arena borrow (the drivers have joined) so the slab can
+    // be carved into owned per-op buffers.
+    let AsyncShared { ops, ctl, logs, .. } = shared;
+    let logs: Vec<ExecLog> =
+        logs.into_iter().map(|l| l.into_inner().expect("driver log poisoned")).collect();
+    let procs: Vec<ProcStats> =
+        records.into_iter().zip(&logs).map(|(rec, log)| rec.into_proc(log.totals())).collect();
+    let op_records: Vec<OpRecord> = ops
         .iter()
         .map(|op| OpRecord {
             yields: op.yields.load(Ordering::Relaxed),
-            ..op.state.record(shared.arena, op.queue.chunks_claimed())
+            ..op.state.record(&arena, op.queue.chunks_claimed())
         })
         .collect();
-    // End the arena borrow (the drivers have joined) so the slab can
-    // be carved into owned per-op buffers.
-    let AsyncShared { ops, ctl, .. } = shared;
     let states = ops.into_iter().map(|op| op.state);
-    let report =
-        RunReport::from_run(wall_us, procs, op_records, states, arena, hinted_serial_us, &ctl)?;
-    Ok(RunReport { polls, spawned, steal, ..report })
+    let report = RunReport::from_run(wall_us, procs, op_records, states, &logs, arena, &ctl)?;
+    Ok(RunReport { hinted_serial_us, polls, spawned, steal, ..report })
 }
 
 #[cfg(test)]

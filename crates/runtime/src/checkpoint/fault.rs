@@ -10,6 +10,7 @@
 //! [`execute_graph_resumable`](super::execute_graph_resumable)
 //! recovers from via snapshots.
 
+use crate::run::Claimed;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// When a planned kill fires. All triggers are evaluated at claim
@@ -111,8 +112,8 @@ pub(crate) enum KillMode {
 pub(crate) struct Lease {
     /// Plan index of the op the tasks belong to.
     pub(crate) op_idx: usize,
-    /// Real (op-local) task indices.
-    pub(crate) tasks: Vec<usize>,
+    /// What the victim had claimed, in the op's queue-index space.
+    pub(crate) claimed: Claimed,
 }
 
 /// Runtime arbitration for one run's [`FaultPlan`]: which kills have

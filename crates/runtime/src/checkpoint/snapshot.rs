@@ -30,7 +30,7 @@ use orchestra_delirium::{DelirGraph, GraphError};
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 const MAGIC: &[u8; 8] = b"ORCHSNAP";
 const FORMAT: u32 = 1;
@@ -95,17 +95,17 @@ impl Snapshot {
 
 /// Captures one op's live execution state for a snapshot. A task
 /// counts as complete when it was restored from a previous snapshot or
-/// its `executed` counter is visible — executors store the output cell
-/// *before* the `Release` bump of `executed`, so an `Acquire` read of
-/// `executed > 0` guarantees `read_output` sees a quiescent final
-/// value: the bitmap is a consistent cut, and the copy taken here is
+/// its `done` flag is visible — executors store the output cell
+/// *before* the `Release` store of the flag, so an `Acquire` read of
+/// `true` guarantees `read_output` sees a quiescent final value: the
+/// bitmap is a consistent cut, and the copy taken here is
 /// the snapshot's own (the arena keeps no history). `read_output` is
 /// only invoked for tasks proven complete, which is what makes the
 /// arena's raw cell read race-free.
 pub(crate) fn op_snapshot(
     costs: &[f64],
     restored: &[bool],
-    executed: &[AtomicU32],
+    done: &[AtomicBool],
     read_output: impl Fn(usize) -> f64,
 ) -> OpSnapshot {
     let n = costs.len();
@@ -113,9 +113,7 @@ pub(crate) fn op_snapshot(
     let mut outputs = vec![0.0f64; n];
     let mut stats = OnlineStats::new();
     for t in 0..n {
-        let done =
-            restored.get(t).copied().unwrap_or(false) || executed[t].load(Ordering::Acquire) > 0;
-        if done {
+        if restored.get(t).copied().unwrap_or(false) || done[t].load(Ordering::Acquire) {
             completed[t] = true;
             outputs[t] = read_output(t);
             stats.observe(costs[t]);

@@ -13,7 +13,11 @@
 //!   run is a resume from the empty image.
 //! * `OpState` — the per-op state every driver schedules against,
 //!   with the one per-task body (`OpState::run_task`: kernel → store →
-//!   `executed` bump) all claim loops call.
+//!   `done` flag) all claim loops call, one claimed chunk at a time
+//!   (`OpState::run`).
+//! * `ExecLog` — what one worker or driver ran, kept privately while it
+//!   runs and folded into [`RunReport::exec_counts`] afterwards: the
+//!   exactly-once oracle costs one entry per chunk and nothing per task.
 //! * [`RunReport`] / [`OpRecord`] — the one result shape of every
 //!   engine, the sequential reference and the resumable driver included.
 //!
@@ -29,14 +33,14 @@ use crate::chunking::PolicyKind;
 use crate::executor::{costs_of_node, ExecutionReport, ExecutorOptions, NodeReport};
 use crate::finish::{finish_estimate_live, HostCalibration, OpSpec};
 use crate::stats::{OnlineStats, StealStats};
-use crate::threaded::queue::ChunkQueue;
+use crate::threaded::queue::{Chunk, ChunkQueue};
 use crate::threaded::topology::TopologyFingerprint;
 use crate::threaded::{AccessPattern, Plan, PlannedOp, TaskCtx, TaskKernel};
 use orchestra_delirium::Node;
 use orchestra_machine::{ProcStats, RunStats};
 use std::collections::BTreeMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// One schedulable operation instance — a graph node at one pipeline
 /// iteration — as every real driver sees it.
@@ -75,9 +79,10 @@ pub(crate) struct OpState<'p> {
     pub warm: Option<OnlineStats>,
     /// Tasks not yet executed; the op is complete at 0.
     pub outstanding: AtomicUsize,
-    /// Execution count per task (evidence that no chunk was lost or
-    /// duplicated; the snapshot scanner's completion signal).
-    pub executed: Vec<AtomicU32>,
+    /// Per-task publication flags: set with `Release` after the task's
+    /// output store, read with `Acquire` by the snapshot scanner. (How
+    /// often a task ran is not kept here — that is the [`ExecLog`]s'.)
+    pub done: Vec<AtomicBool>,
     /// First-claim time, µs since run start (f64 bits; MAX = never).
     pub started_bits: AtomicU64,
     /// Completion time, µs since run start (f64 bits; MAX = never).
@@ -101,10 +106,6 @@ impl OpState<'_> {
     /// scheduled and counts as completed from the start.
     pub(crate) fn pre_done(&self) -> bool {
         self.plan.tasks > 0 && self.pending() == 0
-    }
-
-    pub(crate) fn exec_counts(&self) -> Vec<u32> {
-        self.executed.iter().map(|c| c.load(Ordering::Acquire)).collect()
     }
 
     /// Accounts `done` executed tasks in one batched decrement. `true`
@@ -174,7 +175,7 @@ impl OpState<'_> {
     /// dereferences only cells `≤ t <` watermark — cells at or above
     /// the watermark are *in* the slice but never read through it;
     /// (3) streamed producers write those cells through raw per-cell
-    /// stores (never a `&mut` view, see [`Self::chunk_view`]), so no
+    /// stores (never a `&mut` view, see [`Self::run_span`]), so no
     /// exclusive reference ever overlaps this shared slice.
     pub(crate) fn inputs<'a>(&self, arena: &'a OutputArena) -> Vec<&'a [f64]> {
         // SAFETY: see above — whole-op inputs are quiescent; streamed
@@ -182,50 +183,97 @@ impl OpState<'_> {
         self.plan.deps.iter().map(|&d| unsafe { arena.op_slice(d) }).collect()
     }
 
-    /// The zero-copy write window of one claimed chunk, or `None` when
-    /// its values must scatter through per-cell stores instead: for
-    /// unremapped ops the chunk's queue span IS its task span, so the
-    /// whole chunk writes through one disjoint `&mut [f64]`. Remapped
-    /// ops scatter — as do streamed producers, whose consumers
-    /// concurrently hold shared slices over this op's span: a `&mut`
-    /// view overlapping those would be UB regardless of cell-level
-    /// disjointness, while the raw-pointer store never forms an
-    /// exclusive reference.
+    /// Runs the tasks at queue indices `span`, calling `each(task)` after
+    /// every one (the pool's per-task clock sampling; `|_| {}` elsewhere).
+    /// Whatever is the same for every task of the span is decided here,
+    /// once: for unremapped ops the queue span IS the task span, so the
+    /// values go through one disjoint zero-copy `&mut [f64]` window of
+    /// the arena and the cost hints and publication flags are the
+    /// matching sub-slices. Remapped ops scatter through per-cell stores
+    /// — as do streamed producers, whose consumers concurrently hold
+    /// shared slices over this op's span: a `&mut` view overlapping
+    /// those would be UB regardless of cell-level disjointness, while
+    /// the raw-pointer store never forms an exclusive reference.
     ///
     /// # Safety
     ///
-    /// The caller must be the exactly-once claimant of queue indices
-    /// `[start, start+len)`, so no other thread touches these cells
-    /// while the view is live.
-    // `&arena → &mut` is the arena's interior-mutability contract
-    // (see `OutputArena::chunk_view`); disjointness comes from the
-    // claim protocol, which is why this is `unsafe`.
-    #[allow(clippy::mut_from_ref)]
+    /// As [`run_task`](Self::run_task), for every queue index of `span`
+    /// — a claimed chunk or part of one, never empty: no other thread
+    /// touches these cells while the window is live.
     #[inline]
-    pub(crate) unsafe fn chunk_view<'a>(
+    pub(crate) unsafe fn run_span(
         &self,
-        arena: &'a OutputArena,
-        start: usize,
-        len: usize,
-    ) -> Option<&'a mut [f64]> {
-        if self.remap.is_none() && self.stream_dependents.is_empty() {
-            // SAFETY: exclusivity is the caller's contract.
-            Some(unsafe { arena.chunk_view(self.idx, start, len) })
-        } else {
-            None
+        kernel: &(dyn TaskKernel + Sync),
+        node: &Node,
+        inputs: &[&[f64]],
+        arena: &OutputArena,
+        span: Range<usize>,
+        mut each: impl FnMut(usize),
+    ) {
+        match &self.remap {
+            None if self.stream_dependents.is_empty() => {
+                // SAFETY: exclusivity is the caller's contract.
+                let view = unsafe { arena.chunk_view(self.idx, span.start, span.len()) };
+                let (costs, done) = (&self.costs[span.clone()], &self.done[span.clone()]);
+                for (((task, cell), &cost_hint), done) in span.zip(view).zip(costs).zip(done) {
+                    let ctx = TaskCtx { node, iter: self.plan.iter, task, cost_hint, inputs };
+                    *cell = kernel.run_task(&ctx);
+                    done.store(true, Ordering::Release);
+                    each(task);
+                }
+            }
+            None => {
+                for task in span {
+                    unsafe { self.run_task(kernel, node, inputs, arena, task) };
+                    each(task);
+                }
+            }
+            Some(remap) => {
+                for &task in &remap[span] {
+                    unsafe { self.run_task(kernel, node, inputs, arena, task) };
+                    each(task);
+                }
+            }
+        }
+    }
+
+    /// Runs everything one claim handed out: a lease replay or an
+    /// orphan adoption, where the claim was somebody else's.
+    ///
+    /// # Safety
+    ///
+    /// As [`run_task`](Self::run_task), for every queue index of `claimed`.
+    pub(crate) unsafe fn run(
+        &self,
+        kernel: &(dyn TaskKernel + Sync),
+        node: &Node,
+        inputs: &[&[f64]],
+        arena: &OutputArena,
+        claimed: &Claimed,
+    ) {
+        match claimed {
+            Claimed::Span(c) => unsafe {
+                self.run_span(kernel, node, inputs, arena, c.start..c.start + c.len, |_| {});
+            },
+            Claimed::List(indices) => {
+                for &qi in indices {
+                    unsafe { self.run_task(kernel, node, inputs, arena, self.task_of(qi)) };
+                }
+            }
         }
     }
 
     /// The per-task body of every claim loop, lease replay and orphan
-    /// adoption: run the kernel, store the value — into `slot`, the
-    /// task's cell of a live [`chunk_view`](Self::chunk_view), or
-    /// scattered into the arena — and count the task executed. `node`
-    /// is this op's graph node and `inputs` its [`inputs`](Self::inputs),
-    /// both resolved by the caller once per visit.
+    /// adoption: run the kernel, store the value into the task's arena
+    /// cell, and publish the task. ([`run_span`](Self::run_span) is the
+    /// same body over a contiguous span.) `node` is this op's graph node
+    /// and `inputs` its [`inputs`](Self::inputs), both resolved by the
+    /// caller once per visit.
     ///
-    /// The `Release` bump pairs with the snapshot scanner's `Acquire`
-    /// load of `executed`: a task counted as done has its output store
-    /// visible. The RMW also catches duplicate claims.
+    /// The `Release` store of the `done` flag pairs with the snapshot
+    /// scanner's `Acquire` load: a task seen done has its output store
+    /// visible. Nothing here counts executions — the caller logs the
+    /// chunk in its [`ExecLog`] once the chunk's tasks have run.
     ///
     /// # Safety
     ///
@@ -240,16 +288,11 @@ impl OpState<'_> {
         inputs: &[&[f64]],
         arena: &OutputArena,
         task: usize,
-        slot: Option<&mut f64>,
     ) {
         let ctx = TaskCtx { node, iter: self.plan.iter, task, cost_hint: self.costs[task], inputs };
-        let value = kernel.run_task(&ctx);
-        match slot {
-            Some(cell) => *cell = value,
-            // SAFETY: exactly-once claim of `task`.
-            None => unsafe { arena.write(self.idx, task, value) },
-        }
-        self.executed[task].fetch_add(1, Ordering::Release);
+        // SAFETY: exactly-once claim of `task`.
+        unsafe { arena.write(self.idx, task, kernel.run_task(&ctx)) };
+        self.done[task].store(true, Ordering::Release);
     }
 
     /// The shared claim queue over this op's pending tasks: chunk
@@ -282,6 +325,74 @@ impl OpState<'_> {
             ..OpRecord::default()
         }
     }
+}
+
+/// The queue indices one claim handed out: what a claim loop executes,
+/// what a killed worker leaves behind as a lease or orphan, and what an
+/// [`ExecLog`] records. Queue space throughout — [`OpState::task_of`]
+/// translates, at the per-task body and in the fold.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Claimed {
+    /// A contiguous chunk of a shared queue.
+    Span(Chunk),
+    /// Arbitrary indices: a distributed-TAPER chunk (runs of the
+    /// owner's home block plus migrated tasks).
+    List(Vec<usize>),
+}
+
+impl Claimed {
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Claimed::Span(c) => c.len,
+            Claimed::List(indices) => indices.len(),
+        }
+    }
+}
+
+/// What one worker (or async driver) ran, chunk by chunk. Private to
+/// its owner while the run is live and handed back with the owner's
+/// record — also when the owner dies at a claim boundary — so no update
+/// can be lost; [`exec_counts`] folds the logs once everyone has joined.
+/// An entry is pushed *after* its chunk's tasks ran: a chunk claimed but
+/// orphaned by a kill is logged by whoever replays it, once.
+#[derive(Debug, Default)]
+pub(crate) struct ExecLog(Vec<(usize, Claimed)>);
+
+impl ExecLog {
+    /// Records that the owner ran all of `claimed` of op `op`.
+    #[inline]
+    pub(crate) fn push(&mut self, op: usize, claimed: Claimed) {
+        self.0.push((op, claimed));
+    }
+
+    /// Chunks run, and the tasks in them.
+    pub(crate) fn totals(&self) -> (u64, u64) {
+        (self.0.len() as u64, self.0.iter().map(|(_, c)| c.len() as u64).sum())
+    }
+}
+
+/// The exactly-once oracle: per-task execution counts, aligned with
+/// the plan, folded from every worker's log through each op's
+/// queue-index → task translation. The logs are complete and private,
+/// so the fold is exact: a task two claims covered reads 2, a task
+/// nobody ran (restored from a snapshot, or lost) reads 0.
+pub(crate) fn exec_counts(ops: &[OpState<'_>], logs: &[ExecLog]) -> Vec<Vec<u32>> {
+    let mut counts: Vec<Vec<u32>> = ops.iter().map(|op| vec![0; op.plan.tasks]).collect();
+    for (op, claimed) in logs.iter().flat_map(|log| &log.0) {
+        let (state, counts) = (&ops[*op], &mut counts[*op]);
+        match (claimed, &state.remap) {
+            (Claimed::Span(c), None) => {
+                counts[c.start..c.start + c.len].iter_mut().for_each(|n| *n += 1);
+            }
+            (Claimed::Span(c), Some(remap)) => {
+                remap[c.start..c.start + c.len].iter().for_each(|&t| counts[t] += 1);
+            }
+            (Claimed::List(indices), _) => {
+                indices.iter().for_each(|&qi| counts[state.task_of(qi)] += 1);
+            }
+        }
+    }
+    counts
 }
 
 /// What [`set_up`] hands a driver.
@@ -444,7 +555,7 @@ pub(crate) fn set_up<'p>(
             share: shares[i].clone(),
             warm: image(i).map(|o| o.stats).filter(|s| s.count() > 0),
             outstanding: AtomicUsize::new(pending[i]),
-            executed: (0..op.tasks).map(|_| AtomicU32::new(0)).collect(),
+            done: (0..op.tasks).map(|_| AtomicBool::new(false)).collect(),
             started_bits: AtomicU64::new(stamp),
             finished_bits: AtomicU64::new(stamp),
             restored,
@@ -464,10 +575,10 @@ pub(crate) fn snapshot_ops<'a, 'p: 'a>(
     ops.into_iter()
         .map(|op| {
             // SAFETY: `op_snapshot` reads a cell only after observing
-            // the task's `executed` counter with `Acquire`, pairing
-            // with the writer's post-store `Release` bump — the cell
-            // is quiescent by then.
-            op_snapshot(&op.costs, &op.restored, &op.executed, |t| unsafe { arena.read(op.idx, t) })
+            // the task's `done` flag with `Acquire`, pairing with the
+            // writer's post-store `Release` — the cell is quiescent by
+            // then.
+            op_snapshot(&op.costs, &op.restored, &op.done, |t| unsafe { arena.read(op.idx, t) })
         })
         .collect()
 }
@@ -668,23 +779,18 @@ impl RunReport {
         procs: Vec<ProcStats>,
         records: Vec<OpRecord>,
         ops: impl IntoIterator<Item = OpState<'p>>,
+        logs: &[ExecLog],
         arena: OutputArena,
-        hinted_serial_us: f64,
         ctl: &RunCtl,
     ) -> Result<Self, RunError> {
         if let Some(e) = ctl.cancel_error() {
             return Err(e);
         }
-        let mut resumed_tasks = 0;
-        let (exec_counts, restored) = ops
-            .into_iter()
-            .map(|op| {
-                resumed_tasks += op.plan.tasks - op.pending();
-                (op.exec_counts(), op.restored)
-            })
-            .unzip();
+        let ops: Vec<OpState<'p>> = ops.into_iter().collect();
+        let exec_counts = exec_counts(&ops, logs);
+        let resumed_tasks = ops.iter().map(|op| op.plan.tasks - op.pending()).sum();
+        let restored = ops.into_iter().map(|op| op.restored).collect();
         Ok(RunReport {
-            hinted_serial_us,
             crashed: ctl.crashed(),
             resumed_tasks,
             ..RunReport::new(wall_us, procs, records, arena.into_outputs(), exec_counts, restored)
@@ -850,5 +956,93 @@ mod tests {
             let s = set_up(&plan, &g.nodes, &opts, access, 4, &ResumeState::empty());
             assert!(s.ops.iter().all(|o| o.stream_inputs.is_empty()));
         }
+    }
+
+    /// `two_chains` set up on 4 workers from `images` (empty = fresh).
+    fn chains_set_up<'p>(plan: &'p Plan, g: &DelirGraph, images: Vec<OpSnapshot>) -> Setup<'p> {
+        let opts = ExecutorOptions::default();
+        let resume = ResumeState { ops: images };
+        set_up(plan, &g.nodes, &opts, AccessPattern::ElementWise, 4, &resume)
+    }
+
+    fn log(entries: &[(usize, Claimed)]) -> ExecLog {
+        let mut log = ExecLog::default();
+        entries.iter().cloned().for_each(|(op, c)| log.push(op, c));
+        log
+    }
+
+    fn span(start: usize, len: usize) -> Claimed {
+        Claimed::Span(Chunk { start, len })
+    }
+
+    /// The oracle itself: disjoint logs read 1 everywhere, an overlap
+    /// reads 2 exactly where two claims met, a remapped op counts in
+    /// task space and leaves its restored tasks at 0, a replayed lease
+    /// counts once, and an op nobody ran stays 0.
+    #[test]
+    fn fold_counts_exactly_what_the_logs_say() {
+        let g = two_chains();
+        let plan = build_plan(&g, &ExecutorOptions::default()).unwrap();
+        let at = |name: &str| plan.ops.iter().position(|o| o.name == name).unwrap();
+        let (p0, p1, p2, q0, q1) = (at("P0"), at("P1"), at("P2"), at("Q0"), at("Q1"));
+        // P1 resumes with its even tasks restored: queue 0..4 = tasks 1, 3, 5, 7.
+        let mut images: Vec<OpSnapshot> =
+            plan.ops.iter().map(|o| image(vec![false; o.tasks])).collect();
+        images[p1] = image((0..8).map(|t| t % 2 == 0).collect());
+        let s = chains_set_up(&plan, &g, images);
+
+        let logs = [
+            // Worker 0: half of P0, Q0's head, and P1's first two
+            // pending tasks.
+            log(&[(p0, span(0, 4)), (q0, span(0, 16)), (p1, span(0, 2))]),
+            // Worker 1: the other half of P0, a Q0 chunk overlapping
+            // worker 0's on [12, 16), P1's tail as a dist-style list,
+            // and P2 whole — as the replay of a dead worker's lease,
+            // which the victim itself never logged.
+            log(&[
+                (p0, span(4, 4)),
+                (q0, span(12, 12)),
+                (p1, Claimed::List(vec![3, 2])),
+                (p2, span(0, 8)),
+            ]),
+            ExecLog::default(),
+        ];
+        let counts = exec_counts(&s.ops, &logs);
+        assert_eq!(counts[p0], [1; 8], "disjoint ranges");
+        let q0_expected: Vec<u32> = (0..24).map(|t| 1 + u32::from((12..16).contains(&t))).collect();
+        assert_eq!(counts[q0], q0_expected, "2 exactly on the overlap");
+        assert_eq!(counts[p1], [0, 1, 0, 1, 0, 1, 0, 1], "queue indices go through the remap");
+        assert_eq!(s.ops[p1].restored, [true, false, true, false, true, false, true, false]);
+        assert_eq!(counts[p2], [1; 8], "a lease replay counts once");
+        assert_eq!(counts[q1], [0; 8], "an op nobody ran");
+    }
+
+    /// The oracle can fire: a forced double claim (two workers' logs
+    /// both holding P0's tasks 2..6) and a lost chunk (nobody holds
+    /// Q1's 4..8) come out of `RunReport::from_run` as 2s and 0s.
+    #[test]
+    fn a_double_claim_shows_in_the_report() {
+        let g = two_chains();
+        let opts = ExecutorOptions::default();
+        let plan = build_plan(&g, &opts).unwrap();
+        let s = chains_set_up(&plan, &g, Vec::new());
+        let whole = |skip: &str| -> Vec<(usize, Claimed)> {
+            let ops = s.ops.iter().filter(|o| o.plan.name != skip);
+            ops.map(|o| (o.idx, span(0, o.plan.tasks))).collect()
+        };
+        let at = |name: &str| plan.ops.iter().position(|o| o.name == name).unwrap();
+        let (p0, q1) = (at("P0"), at("Q1"));
+        let logs = [log(&whole("Q1")), log(&[(p0, span(2, 4)), (q1, span(0, 4))])];
+        let ctl = RunCtl::new(&opts, &plan, 2);
+        let procs = vec![ProcStats::default(); 2];
+        let report =
+            RunReport::from_run(1.0, procs, Vec::new(), s.ops, &logs, s.arena, &ctl).unwrap();
+        assert_eq!(report.exec_counts[p0], [1, 1, 2, 2, 2, 2, 1, 1]);
+        assert_eq!(report.exec_counts[q1], [1, 1, 1, 1, 0, 0, 0, 0]);
+        let clean = |i: &usize| *i != p0 && *i != q1;
+        assert!((0..plan.ops.len())
+            .filter(clean)
+            .all(|i| report.exec_counts[i].iter().all(|&c| c == 1)));
+        assert_eq!(report.resumed_tasks, 0);
     }
 }

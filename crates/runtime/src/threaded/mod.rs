@@ -29,7 +29,7 @@ use crate::cancel::RunError;
 use crate::checkpoint::{CancelCtl, ResumeState, RunCtl};
 use crate::executor::{costs_of_node, ExecutorOptions};
 use crate::run::{set_up, OpRecord, RunReport, Setup};
-use crate::stats::{OnlineStats, StealStats};
+use crate::stats::StealStats;
 use dist::DistQueue;
 use orchestra_delirium::{DelirGraph, GraphError, Node};
 use orchestra_machine::ProcStats;
@@ -434,12 +434,14 @@ pub(crate) fn run_threaded(
 
     let mut steal = StealStats::new();
     let mut pinned_workers = 0usize;
-    for r in &records {
+    let (mut procs, mut worker_timing, mut logs) = (Vec::new(), Vec::new(), Vec::new());
+    for r in records {
         steal.merge(&r.steal);
         pinned_workers += usize::from(r.pinned);
+        procs.push(r.proc);
+        worker_timing.push(r.timing);
+        logs.push(r.log);
     }
-    let (procs, worker_timing): (Vec<ProcStats>, Vec<OnlineStats>) =
-        records.into_iter().map(|r| (r.proc, r.timing)).unzip();
     let mut dist_tasks = 0usize;
     let op_records: Vec<OpRecord> = ops
         .iter()
@@ -458,11 +460,11 @@ pub(crate) fn run_threaded(
         })
         .collect();
     let states = ops.into_iter().map(|op| op.state);
-    let report =
-        RunReport::from_run(wall_us, procs, op_records, states, arena, hinted_serial_us, &ctl)?;
+    let report = RunReport::from_run(wall_us, procs, op_records, states, &logs, arena, &ctl)?;
     let locality =
         if dist_tasks == 0 { 1.0 } else { 1.0 - report.migrated_tasks as f64 / dist_tasks as f64 };
     Ok(RunReport {
+        hinted_serial_us,
         worker_timing,
         locality,
         steal,

@@ -53,7 +53,7 @@ use crate::checkpoint::{CancelCtl, KillMode, Lease, RunCtl};
 use crate::chunking::PolicyKind;
 use crate::finish::{finish_estimate_live, HostCalibration, OpSpec};
 use crate::granularity::pipelined_stage_time_params;
-use crate::run::{snapshot_ops, OpState};
+use crate::run::{snapshot_ops, Claimed, ExecLog, OpState};
 use crate::stats::{OnlineStats, StealStats};
 use orchestra_delirium::Node;
 use orchestra_machine::ProcStats;
@@ -210,6 +210,8 @@ pub struct WorkerRecord {
     /// Whether the kernel accepted this worker's CPU pin (always
     /// `false` when pinning is disabled).
     pub pinned: bool,
+    /// Every chunk this worker ran, for the exactly-once fold.
+    pub(crate) log: ExecLog,
 }
 
 /// Pads per-worker shared state to a cache line so adjacent workers'
@@ -446,18 +448,21 @@ fn worker_loop(shared: &Shared<'_>, id: usize, kernel: &(dyn TaskKernel + Sync))
     // Pinning is best-effort: a failed pin (CPU offline, synthetic
     // topology wider than the host, restrictive cgroup mask) leaves
     // the worker floating and the run proceeds unaffected.
-    let pinned = shared.pin && pin_current_thread(shared.topo.cpu_of_worker[id]);
-    let mut proc = ProcStats::default();
-    let mut timing = OnlineStats::new();
-    let mut steal = StealStats::new();
+    let mut me = WorkerRecord {
+        proc: ProcStats::default(),
+        timing: OnlineStats::new(),
+        steal: StealStats::new(),
+        pinned: shared.pin && pin_current_thread(shared.topo.cpu_of_worker[id]),
+        log: ExecLog::default(),
+    };
     let hooked = shared.ctl.hooked();
     loop {
         if hooked && shared.ctl.stopping() {
             break;
         }
-        let steals0 = steal.steals;
-        let Some(op_idx) = find_token(shared, id, &mut steal) else {
-            match recover(shared, id, kernel, &mut proc, &mut timing) {
+        let steals0 = me.steal.steals;
+        let Some(op_idx) = find_token(shared, id, &mut me.steal) else {
+            match recover(shared, id, kernel, &mut me) {
                 Recover::Progress => continue,
                 Recover::Died => break,
                 Recover::Idle => {
@@ -479,7 +484,7 @@ fn worker_loop(shared: &Shared<'_>, id: usize, kernel: &(dyn TaskKernel + Sync))
         // shared-queue op (dist tokens are never stealable), whose
         // remaining chunks survivors reach through the recovery sweep's
         // direct `has_more` claims.
-        if hooked && steal.steals > steals0 {
+        if hooked && me.steal.steals > steals0 {
             if let Some(f) = &shared.ctl.faults {
                 if let Some(mode) = f.on_steal(id) {
                     if f.try_die(id, mode) {
@@ -489,12 +494,12 @@ fn worker_loop(shared: &Shared<'_>, id: usize, kernel: &(dyn TaskKernel + Sync))
                 }
             }
         }
-        match run_op(shared, id, op_idx, kernel, &mut proc, &mut timing) {
+        match run_op(shared, id, op_idx, kernel, &mut me) {
             Flow::Continue => {}
             Flow::Died => break,
         }
     }
-    WorkerRecord { proc, timing, steal, pinned }
+    me
 }
 
 /// Parks until new work is signalled. The wake-sequence protocol makes
@@ -593,7 +598,7 @@ fn wake_everyone(shared: &Shared<'_>) {
 }
 
 /// The post-claim fault/checkpoint hook, called after every successful
-/// chunk claim with the chunk's *task-space* indices. Returns `true`
+/// chunk claim with (lazily) what the claim handed out. Returns `true`
 /// when the calling worker must exit (it was killed, or the run is
 /// crashing). A killed worker in lease mode records its claimed-but-
 /// unexecuted chunk as an orphaned [`Lease`] for survivors to replay.
@@ -601,7 +606,7 @@ fn after_claim(
     shared: &Shared<'_>,
     id: usize,
     op_idx: usize,
-    tasks: impl FnOnce() -> Vec<usize>,
+    claimed: impl FnOnce() -> Claimed,
     epoch: Option<u64>,
 ) -> bool {
     let ctl = shared.ctl;
@@ -621,7 +626,7 @@ fn after_claim(
                     ctl.leases
                         .lock()
                         .expect("lease lock poisoned")
-                        .push(Lease { op_idx, tasks: tasks() });
+                        .push(Lease { op_idx, claimed: claimed() });
                 }
                 wake_everyone(shared);
                 return true;
@@ -645,8 +650,7 @@ fn execute_lease(
     id: usize,
     lease: Lease,
     kernel: &(dyn TaskKernel + Sync),
-    proc: &mut ProcStats,
-    timing: &mut OnlineStats,
+    me: &mut WorkerRecord,
 ) {
     let op = &shared.ops[lease.op_idx].state;
     let arena = shared.arena;
@@ -654,21 +658,20 @@ fn execute_lease(
     let inputs = op.inputs(arena);
     let t0 = Instant::now();
     op.stamp_start(us_since(shared.epoch, t0));
-    for &task in &lease.tasks {
-        // SAFETY: a lease's tasks were claimed exactly once by the dead
-        // worker and are replayed exactly once here (take-all drain).
-        unsafe { op.run_task(kernel, node, &inputs, arena, task, None) };
-    }
+    // SAFETY: a lease's tasks were claimed exactly once by the dead
+    // worker and are replayed exactly once here (take-all drain).
+    unsafe { op.run(kernel, node, &inputs, arena, &lease.claimed) };
     let now = Instant::now();
-    let n = lease.tasks.len();
+    let n = lease.claimed.len();
     if n > 0 {
         let span_us = now.duration_since(t0).as_secs_f64() * 1e6;
-        timing.observe_n(span_us / n as f64, n as u64);
-        proc.tasks += n as u64;
-        proc.chunks += 1;
-        proc.busy += span_us;
+        me.timing.observe_n(span_us / n as f64, n as u64);
+        me.proc.tasks += n as u64;
+        me.proc.chunks += 1;
+        me.proc.busy += span_us;
     }
-    leave_op(shared, id, lease.op_idx, n, now, proc);
+    me.log.push(lease.op_idx, lease.claimed);
+    leave_op(shared, id, lease.op_idx, n, now, &mut me.proc);
 }
 
 /// The recovery sweep, run by an idle worker before parking: drains
@@ -680,8 +683,7 @@ fn recover(
     shared: &Shared<'_>,
     id: usize,
     kernel: &(dyn TaskKernel + Sync),
-    proc: &mut ProcStats,
-    timing: &mut OnlineStats,
+    me: &mut WorkerRecord,
 ) -> Recover {
     let ctl = shared.ctl;
     let Some(f) = &ctl.faults else {
@@ -693,7 +695,7 @@ fn recover(
     let mut progress = false;
     let leases: Vec<Lease> = std::mem::take(&mut *ctl.leases.lock().expect("lease lock poisoned"));
     for lease in leases {
-        execute_lease(shared, id, lease, kernel, proc, timing);
+        execute_lease(shared, id, lease, kernel, me);
         progress = true;
     }
     let dead = f.dead_workers();
@@ -723,7 +725,7 @@ fn recover(
                     }
                 }
                 if q.home_ready_below(id, limit) {
-                    if let Flow::Died = run_op(shared, id, op_idx, kernel, proc, timing) {
+                    if let Flow::Died = run_op(shared, id, op_idx, kernel, me) {
                         return Recover::Died;
                     }
                     progress = true;
@@ -731,7 +733,7 @@ fn recover(
             }
             OpQueue::Shared(q) => {
                 if q.has_more_below(limit) {
-                    if let Flow::Died = run_op(shared, id, op_idx, kernel, proc, timing) {
+                    if let Flow::Died = run_op(shared, id, op_idx, kernel, me) {
                         return Recover::Died;
                     }
                     progress = true;
@@ -779,12 +781,11 @@ fn run_op(
     id: usize,
     op_idx: usize,
     kernel: &(dyn TaskKernel + Sync),
-    proc: &mut ProcStats,
-    timing: &mut OnlineStats,
+    me: &mut WorkerRecord,
 ) -> Flow {
     match &shared.ops[op_idx].queue {
-        OpQueue::Shared(q) => run_op_shared(shared, id, op_idx, q, kernel, proc, timing),
-        OpQueue::Dist(q) => run_op_dist(shared, id, op_idx, q, kernel, proc, timing),
+        OpQueue::Shared(q) => run_op_shared(shared, id, op_idx, q, kernel, me),
+        OpQueue::Dist(q) => run_op_dist(shared, id, op_idx, q, kernel, me),
     }
 }
 
@@ -796,8 +797,7 @@ fn run_op_shared(
     op_idx: usize,
     queue: &ChunkQueue,
     kernel: &(dyn TaskKernel + Sync),
-    proc: &mut ProcStats,
-    timing: &mut OnlineStats,
+    me: &mut WorkerRecord,
 ) -> Flow {
     let op = &shared.ops[op_idx].state;
     let arena = shared.arena;
@@ -814,12 +814,8 @@ fn run_op_shared(
     // Kills land at the claim boundary: the chunk is claimed (so no
     // other worker can reach it through the queue) but not executed —
     // exactly the window where work would be lost without leases.
-    if hooked {
-        let lease_tasks =
-            || (first.start..first.start + first.len).map(|qi| op.task_of(qi)).collect();
-        if after_claim(shared, id, op_idx, lease_tasks, None) {
-            return Flow::Died;
-        }
+    if hooked && after_claim(shared, id, op_idx, || Claimed::Span(first), None) {
+        return Flow::Died;
     }
     // Re-advertise the op before executing so idle workers can steal
     // into its remaining chunks; one push per op visit, not per chunk.
@@ -847,10 +843,6 @@ fn run_op_shared(
     loop {
         let chunk_t0 = prev;
         let mut chunk_stats = OnlineStats::new();
-        // SAFETY (here and for every `run_task` below): the claim
-        // handed queue indices `[start, start+len)` to this worker
-        // exactly once.
-        let mut view = unsafe { op.chunk_view(arena, chunk.start, chunk.len) };
         // Per-task timing is budgeted *across* chunks, and the budget
         // caps the prefix *within* a chunk too: a large first chunk
         // must not clock every task — two clock reads around a tiny
@@ -859,20 +851,22 @@ fn run_op_shared(
         // timed in bulk, one clock read per chunk.
         let sample_n =
             if adaptive { SAMPLE_BUDGET.saturating_sub(sampled).min(chunk.len) } else { 0 };
-        for qi in chunk.start..chunk.start + sample_n {
-            let slot = view.as_deref_mut().map(|v| &mut v[qi - chunk.start]);
-            unsafe { op.run_task(kernel, node, &inputs, arena, op.task_of(qi), slot) };
-            let now = Instant::now();
-            chunk_stats.observe(now.duration_since(prev).as_secs_f64() * 1e6);
-            prev = now;
+        let (mid, end) = (chunk.start + sample_n, chunk.start + chunk.len);
+        // SAFETY (both spans): the claim handed queue indices
+        // `[start, end)` to this worker exactly once.
+        if sample_n > 0 {
+            unsafe {
+                op.run_span(kernel, node, &inputs, arena, chunk.start..mid, |_| {
+                    let now = Instant::now();
+                    chunk_stats.observe(now.duration_since(prev).as_secs_f64() * 1e6);
+                    prev = now;
+                });
+            }
         }
         sampled += sample_n;
         let rest = chunk.len - sample_n;
         if rest > 0 {
-            for qi in chunk.start + sample_n..chunk.start + chunk.len {
-                let slot = view.as_deref_mut().map(|v| &mut v[qi - chunk.start]);
-                unsafe { op.run_task(kernel, node, &inputs, arena, op.task_of(qi), slot) };
-            }
+            unsafe { op.run_span(kernel, node, &inputs, arena, mid..end, |_| {}) };
             let now = Instant::now();
             let span_us = now.duration_since(prev).as_secs_f64() * 1e6;
             prev = now;
@@ -892,22 +886,19 @@ fn run_op_shared(
             pending.push((chunk.start, chunk.len, chunk_stats));
             queue.try_observe_pending(&mut pending);
         }
-        timing.merge(&chunk_stats);
-        proc.tasks += chunk.len as u64;
-        proc.chunks += 1;
-        proc.busy += prev.duration_since(chunk_t0).as_secs_f64() * 1e6;
+        me.timing.merge(&chunk_stats);
+        me.proc.tasks += chunk.len as u64;
+        me.proc.chunks += 1;
+        me.proc.busy += prev.duration_since(chunk_t0).as_secs_f64() * 1e6;
+        me.log.push(op_idx, Claimed::Span(chunk));
         done += chunk.len;
         match queue.claim_bounded(op.stream_limit(arena)) {
             BoundedClaim::Chunk(c) => {
-                if hooked {
-                    let lease_tasks =
-                        || (c.start..c.start + c.len).map(|qi| op.task_of(qi)).collect();
-                    if after_claim(shared, id, op_idx, lease_tasks, None) {
-                        // Dying mid-loop: the batch executed so far
-                        // still counts.
-                        leave_op(shared, id, op_idx, done, prev, proc);
-                        return Flow::Died;
-                    }
+                if hooked && after_claim(shared, id, op_idx, || Claimed::Span(c), None) {
+                    // Dying mid-loop: the batch executed so far still
+                    // counts.
+                    leave_op(shared, id, op_idx, done, prev, &mut me.proc);
+                    return Flow::Died;
                 }
                 chunk = c;
             }
@@ -918,13 +909,13 @@ fn run_op_shared(
                 // — the producer's next publication re-tokens this op.
                 // (`outstanding` cannot reach zero here: blocked means
                 // unclaimed — hence unfinished — tasks remain.)
-                leave_op(shared, id, op_idx, done, prev, proc);
+                leave_op(shared, id, op_idx, done, prev, &mut me.proc);
                 return Flow::Continue;
             }
             BoundedClaim::Exhausted => break,
         }
     }
-    leave_op(shared, id, op_idx, done, prev, proc);
+    leave_op(shared, id, op_idx, done, prev, &mut me.proc);
     Flow::Continue
 }
 
@@ -944,8 +935,7 @@ fn run_op_dist(
     op_idx: usize,
     queue: &DistQueue,
     kernel: &(dyn TaskKernel + Sync),
-    proc: &mut ProcStats,
-    timing: &mut OnlineStats,
+    me: &mut WorkerRecord,
 ) -> Flow {
     let claim_costs = shared.ops[op_idx].claim_costs();
     let op = &shared.ops[op_idx].state;
@@ -963,8 +953,8 @@ fn run_op_dist(
     // Dist claims carry their epoch token: `AtEpoch` faults key off it,
     // and checkpoints use the epoch boundary as their barrier.
     if hooked {
-        let lease_tasks = || first.tasks.iter().map(|&qi| op.task_of(qi)).collect();
-        if after_claim(shared, id, op_idx, lease_tasks, Some(first.epoch)) {
+        let lease = || Claimed::List(first.tasks.clone());
+        if after_claim(shared, id, op_idx, lease, Some(first.epoch)) {
             return Flow::Died;
         }
     }
@@ -982,15 +972,15 @@ fn run_op_dist(
             // exactly once; migrated tasks move queues, never
             // duplicate. (Dist chunks list arbitrary indices, so the
             // scattered per-cell write is the right shape here.)
-            unsafe { op.run_task(kernel, node, &inputs, arena, op.task_of(qi), None) };
+            unsafe { op.run_task(kernel, node, &inputs, arena, op.task_of(qi)) };
         }
         let now = Instant::now();
         let span_us = now.duration_since(prev).as_secs_f64() * 1e6;
         prev = now;
-        timing.observe_n(span_us / chunk.tasks.len() as f64, chunk.tasks.len() as u64);
-        proc.tasks += chunk.tasks.len() as u64;
-        proc.chunks += 1;
-        proc.busy += prev.duration_since(chunk_t0).as_secs_f64() * 1e6;
+        me.timing.observe_n(span_us / chunk.tasks.len() as f64, chunk.tasks.len() as u64);
+        me.proc.tasks += chunk.tasks.len() as u64;
+        me.proc.chunks += 1;
+        me.proc.busy += prev.duration_since(chunk_t0).as_secs_f64() * 1e6;
         done += chunk.tasks.len();
         if op.streams_output() {
             // A dist chunk lists arbitrary task indices: commit them as
@@ -1010,13 +1000,16 @@ fn run_op_dist(
                 i += len;
             }
         }
+        // The chunk's own index list moves into the log: nothing is
+        // copied, and nothing reads it again.
+        me.log.push(op_idx, Claimed::List(chunk.tasks));
         let now_us = us_since(shared.epoch, prev);
         match queue.claim_bounded(id, claim_costs, now_us, op.stream_limit(arena)) {
             Some(c) => {
                 if hooked {
-                    let lease_tasks = || c.tasks.iter().map(|&qi| op.task_of(qi)).collect();
-                    if after_claim(shared, id, op_idx, lease_tasks, Some(c.epoch)) {
-                        leave_op(shared, id, op_idx, done, prev, proc);
+                    let lease = || Claimed::List(c.tasks.clone());
+                    if after_claim(shared, id, op_idx, lease, Some(c.epoch)) {
+                        leave_op(shared, id, op_idx, done, prev, &mut me.proc);
                         return Flow::Died;
                     }
                 }
@@ -1034,7 +1027,7 @@ fn run_op_dist(
             None => break,
         }
     }
-    leave_op(shared, id, op_idx, done, prev, proc);
+    leave_op(shared, id, op_idx, done, prev, &mut me.proc);
     Flow::Continue
 }
 

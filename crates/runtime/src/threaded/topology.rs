@@ -29,8 +29,10 @@
 //! the worker count, so steal schedules are deterministic and
 //! unit-testable on synthetic machines regardless of the host.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::path::Path;
+use std::sync::OnceLock;
 
 /// Where a [`CpuTopology`] came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,8 +69,9 @@ pub struct CpuTopology {
 /// Which topology the threaded backend schedules against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TopologyMode {
-    /// Probe the host (sysfs on Linux), falling back to a flat
-    /// single-node synthetic layout sized by available parallelism.
+    /// Probe the host (sysfs on Linux) once per process, falling back
+    /// to a flat single-node synthetic layout sized by available
+    /// parallelism.
     #[default]
     Auto,
     /// A deterministic synthetic machine — used by tests to exercise
@@ -84,12 +87,18 @@ pub enum TopologyMode {
 }
 
 impl TopologyMode {
-    /// Resolves the mode to a concrete topology.
-    pub fn resolve(&self) -> CpuTopology {
+    /// Resolves the mode to a concrete topology. The host is probed
+    /// once per process — the first [`Auto`](TopologyMode::Auto) call
+    /// reads sysfs, every later one borrows that result — so a run (and
+    /// through it every daemon job) does no filesystem access here. A
+    /// machine whose CPUs change under a live process keeps the layout
+    /// it started with; [`CpuTopology::probe`] always reads afresh.
+    pub fn resolve(&self) -> Cow<'static, CpuTopology> {
+        static HOST: OnceLock<CpuTopology> = OnceLock::new();
         match *self {
-            TopologyMode::Auto => CpuTopology::probe(),
+            TopologyMode::Auto => Cow::Borrowed(HOST.get_or_init(CpuTopology::probe)),
             TopologyMode::Synthetic { nodes, cores_per_node, smt } => {
-                CpuTopology::synthetic(nodes, cores_per_node, smt)
+                Cow::Owned(CpuTopology::synthetic(nodes, cores_per_node, smt))
             }
         }
     }
@@ -706,6 +715,24 @@ mod tests {
         assert!(!t.is_empty());
         let f = t.fingerprint();
         assert!(f.cpus >= 1 && f.cores >= 1 && f.nodes >= 1);
+    }
+
+    #[test]
+    fn auto_mode_probes_the_host_once_per_process() {
+        let first = TopologyMode::Auto.resolve();
+        let second = TopologyMode::Auto.resolve();
+        assert_eq!(*first, CpuTopology::probe());
+        // The second call did no I/O: it hands out the very value the
+        // first one cached.
+        let (Cow::Borrowed(a), Cow::Borrowed(b)) = (first, second) else {
+            panic!("Auto must borrow the process-wide topology");
+        };
+        assert!(std::ptr::eq(a, b));
+        // Synthetic machines are built per call, never cached.
+        let synthetic = TopologyMode::Synthetic { nodes: 2, cores_per_node: 2, smt: 1 };
+        assert!(
+            matches!(synthetic.resolve(), Cow::Owned(t) if t == CpuTopology::synthetic(2, 2, 1))
+        );
     }
 
     #[test]
