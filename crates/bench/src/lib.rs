@@ -8,15 +8,12 @@
 //! loss across all four applications), plus the ablations listed in
 //! `DESIGN.md` §5.
 //!
-//! The `figures` binary prints each table; `cargo bench` runs the
-//! Criterion micro-benchmarks over the compiler passes and runtime
-//! algorithms. The [`runs`] module owns the `BENCH_threaded.json`
-//! labelled-run format written by the `sched` binary (merge, normal
-//! form, and the CI regression check), with [`json`] as its minimal
-//! reader.
+//! The `figures` binary prints each table. [`splitter`] is an in-tree
+//! rayon-style work-splitting baseline that
+//! `examples/scheduler_comparison.rs` runs head-to-head against the
+//! real-thread backend. Speed on the host is judged by the repo's
+//! benchmark (`BENCHMARK.json` + `benchmark/`), not here.
 
-pub mod json;
-pub mod runs;
 pub mod splitter;
 
 use orchestra_apps::AppWorkload;

@@ -19,11 +19,14 @@ use crate::chunking::PolicyKind;
 use crate::finish::OpSpec;
 use crate::granularity::{choose_batch, pipelined_stage_time};
 use crate::par_op::{simulate_policy, OpOptions};
-use crate::threaded::topology::{StealOrder, TopologyMode};
+use crate::threaded::topology::TopologyMode;
 use crate::threaded::ExecutorBackend;
 use orchestra_delirium::{DelirGraph, NodeId, NodeKind};
 use orchestra_machine::{CostDistribution, MachineConfig};
 use std::collections::HashMap;
+
+/// Bytes per task for owner-computes transfers on the simulated machine.
+const BYTES_PER_TASK: u64 = 32;
 
 /// Executor configuration.
 #[derive(Debug, Clone)]
@@ -39,8 +42,6 @@ pub struct ExecutorOptions {
     /// Schedule data-parallel nodes with the *distributed* TAPER
     /// epoch/token tree (§4.1.1) instead of the centralized simulator.
     pub distributed: bool,
-    /// Bytes per task for owner-computes transfers.
-    pub bytes_per_task: u64,
     /// Iteration counts per pipeline group name.
     pub pipeline_iters: HashMap<String, usize>,
     /// RNG seed for task-cost sampling.
@@ -63,10 +64,6 @@ pub struct ExecutorOptions {
     /// probe the host, or a deterministic synthetic machine for tests.
     /// Ignored by the simulator.
     pub topology: TopologyMode,
-    /// Work-steal victim order for the threaded pool: hierarchical
-    /// (sibling → node → remote, the default) or the legacy ring.
-    /// Ignored by the simulator.
-    pub steal_order: StealOrder,
     /// Deterministic fault-injection schedule for the real backends
     /// (threaded / threaded-dist / async): planned worker kills at
     /// claim boundaries, recovered in-process via claim leases — or,
@@ -108,7 +105,6 @@ impl Default for ExecutorOptions {
             use_allocation: true,
             pipeline_overlap: true,
             distributed: false,
-            bytes_per_task: 32,
             pipeline_iters: HashMap::new(),
             seed: 0x5eed,
             backend: ExecutorBackend::Simulated,
@@ -116,7 +112,6 @@ impl Default for ExecutorOptions {
             drivers: 0,
             pin_workers: false,
             topology: TopologyMode::Auto,
-            steal_order: StealOrder::Hierarchical,
             faults: None,
             checkpoint: None,
             stream_batch: None,
@@ -208,22 +203,22 @@ fn node_costs(tasks: usize, mean: f64, cv: f64, seed: u64) -> Vec<f64> {
     CostDistribution::HeavyTail { mean, sigma }.sample(tasks, seed)
 }
 
-fn op_spec(kind: &NodeKind, policy: PolicyKind, bytes_per_task: u64) -> OpSpec {
+fn op_spec(kind: &NodeKind, policy: PolicyKind) -> OpSpec {
     match kind {
         NodeKind::Task { cost } | NodeKind::Merge { cost } => OpSpec {
             tasks: 1,
             mean: *cost,
             std_dev: 0.0,
-            bytes_in: bytes_per_task,
-            bytes_out: bytes_per_task,
+            bytes_in: BYTES_PER_TASK,
+            bytes_out: BYTES_PER_TASK,
             policy,
         },
         NodeKind::DataParallel { tasks, mean_cost, cv } => OpSpec {
             tasks: *tasks,
             mean: *mean_cost,
             std_dev: mean_cost * cv,
-            bytes_in: *tasks as u64 * bytes_per_task,
-            bytes_out: *tasks as u64 * bytes_per_task,
+            bytes_in: *tasks as u64 * BYTES_PER_TASK,
+            bytes_out: *tasks as u64 * BYTES_PER_TASK,
             policy,
         },
         NodeKind::Mixture { .. } => {
@@ -233,8 +228,8 @@ fn op_spec(kind: &NodeKind, policy: PolicyKind, bytes_per_task: u64) -> OpSpec {
                 tasks,
                 mean,
                 std_dev: mean * cv,
-                bytes_in: tasks as u64 * bytes_per_task,
-                bytes_out: tasks as u64 * bytes_per_task,
+                bytes_in: tasks as u64 * BYTES_PER_TASK,
+                bytes_out: tasks as u64 * BYTES_PER_TASK,
                 policy,
             }
         }
@@ -254,12 +249,7 @@ fn op_spec(kind: &NodeKind, policy: PolicyKind, bytes_per_task: u64) -> OpSpec {
 /// `lag` for heterogeneous groups: two internally regular pieces with
 /// very different means still look irregular to a scheduler drawing
 /// tasks from their union.
-fn pipeline_group_spec(
-    pieces: &[OpSpec],
-    iters: usize,
-    bytes_per_task: u64,
-    policy: PolicyKind,
-) -> OpSpec {
+fn pipeline_group_spec(pieces: &[OpSpec], iters: usize, policy: PolicyKind) -> OpSpec {
     let iters = iters.max(1);
     let per_iter_tasks: usize = pieces.iter().map(|s| s.tasks).sum();
     if per_iter_tasks == 0 {
@@ -277,8 +267,8 @@ fn pipeline_group_spec(
         tasks,
         mean,
         std_dev: var.sqrt(),
-        bytes_in: tasks as u64 * bytes_per_task,
-        bytes_out: tasks as u64 * bytes_per_task,
+        bytes_in: tasks as u64 * BYTES_PER_TASK,
+        bytes_out: tasks as u64 * BYTES_PER_TASK,
         policy,
     }
 }
@@ -287,9 +277,6 @@ fn pipeline_group_spec(
 /// sampled separately (with per-population sub-seeds) and interleaved
 /// round-robin, matching a masked loop's distribution of heavy
 /// iterations across the index space.
-///
-/// Public so out-of-tree harnesses (e.g. the bench crate's scheduler
-/// baselines) can drive the exact workloads the backends see.
 pub fn costs_of_node(node: &orchestra_delirium::Node, seed: u64) -> Vec<f64> {
     match &node.kind {
         NodeKind::Task { cost } | NodeKind::Merge { cost } => vec![*cost],
@@ -340,13 +327,13 @@ fn run_node(
                     cfg,
                     p.max(1),
                     &costs,
-                    opts.bytes_per_task,
+                    BYTES_PER_TASK,
                     start,
                 )
                 .finish;
             }
             let op_opts =
-                OpOptions { bytes_per_task: opts.bytes_per_task, start_time: start, proc_offset };
+                OpOptions { bytes_per_task: BYTES_PER_TASK, start_time: start, proc_offset };
             simulate_policy(cfg, p.max(1), &costs, opts.policy, &op_opts).finish
         }
     }
@@ -480,14 +467,12 @@ pub fn execute_graph(
         let specs: Vec<OpSpec> = units
             .iter()
             .map(|u| match u {
-                Unit::Single(v) => op_spec(&g.nodes[*v].kind, opts.policy, opts.bytes_per_task),
+                Unit::Single(v) => op_spec(&g.nodes[*v].kind, opts.policy),
                 Unit::Pipeline(name, vs) => {
                     let iters = opts.pipeline_iters.get(name).copied().unwrap_or(1).max(1);
-                    let pieces: Vec<OpSpec> = vs
-                        .iter()
-                        .map(|&v| op_spec(&g.nodes[v].kind, opts.policy, opts.bytes_per_task))
-                        .collect();
-                    pipeline_group_spec(&pieces, iters, opts.bytes_per_task, opts.policy)
+                    let pieces: Vec<OpSpec> =
+                        vs.iter().map(|&v| op_spec(&g.nodes[v].kind, opts.policy)).collect();
+                    pipeline_group_spec(&pieces, iters, opts.policy)
                 }
             })
             .collect();
@@ -705,7 +690,7 @@ fn run_pipeline(
     }
     let mut policy = opts.policy.instantiate(joint_costs.len());
     let op_opts =
-        OpOptions { bytes_per_task: opts.bytes_per_task, start_time: start, proc_offset: offset };
+        OpOptions { bytes_per_task: BYTES_PER_TASK, start_time: start, proc_offset: offset };
     let joint_all =
         crate::par_op::simulate_dynamic(cfg, p, &joint_costs, policy.as_mut(), &op_opts).finish
             - start;
@@ -898,7 +883,7 @@ mod tests {
                 policy: PolicyKind::Taper,
             },
         ];
-        let agg = pipeline_group_spec(&pieces, 3, 32, PolicyKind::Taper);
+        let agg = pipeline_group_spec(&pieces, 3, PolicyKind::Taper);
         assert_eq!(agg.tasks, 600);
         assert!((agg.mean - 51.0).abs() < 1e-12);
         // Law of total variance: σ² = avg σᵢ² + avg (µᵢ−µ̄)²
@@ -914,11 +899,11 @@ mod tests {
         assert!(agg.std_dev > 10.0 * sigma);
         // Homogeneous groups are unchanged by the new term.
         let same = [pieces[0], pieces[0]];
-        let h = pipeline_group_spec(&same, 1, 32, PolicyKind::Taper);
+        let h = pipeline_group_spec(&same, 1, PolicyKind::Taper);
         assert!((h.std_dev - sigma).abs() < 1e-12);
         // Empty groups collapse to the explicit empty spec.
         assert_eq!(
-            pipeline_group_spec(&[], 4, 32, PolicyKind::Taper),
+            pipeline_group_spec(&[], 4, PolicyKind::Taper),
             OpSpec::empty(PolicyKind::Taper)
         );
     }

@@ -74,8 +74,8 @@ pub use run::{OpRecord, RunReport};
 pub use stats::{CostFn, OnlineStats, StealStats};
 pub use threaded::dist::{DistChunk, DistQueue};
 pub use threaded::topology::{
-    pin_current_thread, CpuInfo, CpuTopology, StealDistance, StealOrder, StealTarget,
-    TopologyFingerprint, TopologyMode, TopologySource, WorkerTopo,
+    pin_current_thread, CpuInfo, CpuTopology, StealDistance, StealTarget, TopologyFingerprint,
+    TopologyMode, TopologySource, WorkerTopo,
 };
 pub use threaded::{
     execute_sequential, execute_threaded, AccessPattern, ExecutorBackend, ReduceKernel, SpinKernel,

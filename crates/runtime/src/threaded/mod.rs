@@ -391,7 +391,7 @@ pub(crate) fn run_threaded(
 ) -> Result<RunReport, RunError> {
     let workers = resolve_workers(opts);
     let topo = opts.topology.resolve();
-    let wt = WorkerTopo::new(&topo, workers, opts.steal_order);
+    let wt = WorkerTopo::new(&topo, workers);
     let Setup { arena, ops, hinted_serial_us } =
         set_up(plan, &g.nodes, opts, kernel.access(), workers, resume);
     let ops: Vec<PoolOp> = ops

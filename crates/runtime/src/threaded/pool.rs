@@ -261,6 +261,68 @@ struct Shared<'a> {
 }
 
 impl<'a> Shared<'a> {
+    /// The pool state for one run on `topo`'s workers: the partition
+    /// the ops' shares describe, and the initially ready ops' tokens
+    /// scattered over the deques. Ops a restored snapshot already
+    /// finished count as completed from the start.
+    fn new(
+        ops: &'a [PoolOp<'a>],
+        nodes: &'a [Node],
+        arena: &'a OutputArena,
+        topo: &'a WorkerTopo,
+        pin: bool,
+        ctl: &'a RunCtl,
+    ) -> Self {
+        let workers = topo.workers().max(1);
+        let partition = Partition::from_shares(ops, workers);
+        let mut deques: Vec<CachePadded<WorkerState>> = (0..workers)
+            .map(|_| {
+                CachePadded(WorkerState {
+                    ready: Mutex::new(VecDeque::new()),
+                    dist_ready: Mutex::new(Vec::new()),
+                })
+            })
+            .collect();
+        // Scatter the initially ready ops round-robin so workers start
+        // on distinct ops instead of brawling over one deque;
+        // distributed ops are tokened to every worker in their
+        // partition (each member owns a home queue of the op), shared
+        // ops to one member each.
+        let mut next = 0usize;
+        for (i, op) in ops.iter().enumerate() {
+            if op.state.pre_done() || op.state.live_deps > 0 {
+                continue;
+            }
+            if op.queue.is_dist() {
+                for (w, d) in deques.iter_mut().enumerate() {
+                    if partition.allows(i, w) {
+                        d.0.dist_ready.get_mut().expect("fresh lock").push(i);
+                    }
+                }
+            } else {
+                let members = partition.members(i, workers);
+                let w = members[next % members.len()];
+                deques[w].0.ready.get_mut().expect("fresh lock").push_back(i);
+                next += 1;
+            }
+        }
+        Shared {
+            ops,
+            nodes,
+            arena,
+            topo,
+            pin,
+            ctl,
+            partition,
+            workers: deques,
+            completed: AtomicUsize::new(ops.iter().filter(|op| op.state.pre_done()).count()),
+            sleepers: AtomicUsize::new(0),
+            wake_seq: Mutex::new(0),
+            wake: Condvar::new(),
+            epoch: Instant::now(),
+        }
+    }
+
     /// Wakes sleeping workers after making work visible. `all` only
     /// when several ops became ready at once or the run completed.
     fn signal(&self, all: bool) {
@@ -301,53 +363,8 @@ pub(crate) fn run_pool(
     kernel: &(dyn TaskKernel + Sync),
     ctl: &RunCtl,
 ) -> Vec<WorkerRecord> {
-    let workers = topo.workers().max(1);
-    let partition = Partition::from_shares(ops, workers);
-    let mut deques: Vec<CachePadded<WorkerState>> = (0..workers)
-        .map(|_| {
-            CachePadded(WorkerState {
-                ready: Mutex::new(VecDeque::new()),
-                dist_ready: Mutex::new(Vec::new()),
-            })
-        })
-        .collect();
-    // Scatter the initially ready ops round-robin so workers start on
-    // distinct ops instead of brawling over one deque; distributed ops
-    // are tokened to every worker in their partition (each member owns
-    // a home queue of the op), shared ops to one member each.
-    let mut next = 0usize;
-    for (i, op) in ops.iter().enumerate() {
-        if op.state.pre_done() || op.state.live_deps > 0 {
-            continue;
-        }
-        if op.queue.is_dist() {
-            for (w, d) in deques.iter_mut().enumerate() {
-                if partition.allows(i, w) {
-                    d.0.dist_ready.get_mut().expect("fresh lock").push(i);
-                }
-            }
-        } else {
-            let members = partition.members(i, workers);
-            let w = members[next % members.len()];
-            deques[w].0.ready.get_mut().expect("fresh lock").push_back(i);
-            next += 1;
-        }
-    }
-    let shared = Shared {
-        ops,
-        nodes,
-        arena,
-        topo,
-        pin,
-        ctl,
-        partition,
-        workers: deques,
-        completed: AtomicUsize::new(ops.iter().filter(|op| op.state.pre_done()).count()),
-        sleepers: AtomicUsize::new(0),
-        wake_seq: Mutex::new(0),
-        wake: Condvar::new(),
-        epoch: Instant::now(),
-    };
+    let shared = Shared::new(ops, nodes, arena, topo, pin, ctl);
+    let workers = shared.workers.len();
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
         for id in 0..workers {
@@ -361,12 +378,11 @@ pub(crate) fn run_pool(
 /// Pops a token: own private dist list first (only this worker can
 /// drain those home queues), then own deque front, then the other
 /// workers' backs in this worker's precomputed steal schedule — SMT
-/// sibling, same node, then remote under hierarchical order; the
-/// legacy ring sequence under [`StealOrder::Ring`](super::topology::StealOrder::Ring).
-/// A *remote* steal takes half the victim's deque in one visit (the
-/// extra tokens move to the thief's own deque after the victim's lock
-/// is released), amortizing the cross-node trip; nearby steals stay
-/// single-token so hot work keeps spreading.
+/// sibling, same node, then remote. A *remote* steal takes half the
+/// victim's deque in one visit (the extra tokens move to the thief's
+/// own deque after the victim's lock is released), amortizing the
+/// cross-node trip; nearby steals stay single-token so hot work keeps
+/// spreading.
 fn find_token(shared: &Shared<'_>, id: usize, steal: &mut StealStats) -> Option<usize> {
     if let Some(i) = shared.workers[id].0.dist_ready.lock().expect("dist list poisoned").pop() {
         return Some(i);
@@ -678,7 +694,8 @@ fn execute_lease(
 /// orphaned leases (take-all under the mutex, so each is replayed
 /// exactly once), retires dead workers from epoch accounting, adopts
 /// their dist home queues, and claims directly into any enabled op
-/// with unclaimed work — the paths a dropped token would have covered.
+/// with unclaimed work — the paths a dropped token would have covered —
+/// joining the op's partition first when the survivor is not in it.
 fn recover(
     shared: &Shared<'_>,
     id: usize,
@@ -725,6 +742,11 @@ fn recover(
                     }
                 }
                 if q.home_ready_below(id, limit) {
+                    // Joins like the shared arm below; a new member's
+                    // tokens count toward epoch completion again.
+                    if shared.partition.admit(op_idx, id) {
+                        q.admit_worker(id);
+                    }
                     if let Flow::Died = run_op(shared, id, op_idx, kernel, me) {
                         return Recover::Died;
                     }
@@ -733,6 +755,11 @@ fn recover(
             }
             OpQueue::Shared(q) => {
                 if q.has_more_below(limit) {
+                    // The stranded queue may belong to a partition this
+                    // survivor is not in: it joins first (masks only
+                    // widen), so the token its visit re-advertises on
+                    // its own deque is a member's token like any other.
+                    shared.partition.admit(op_idx, id);
                     if let Flow::Died = run_op(shared, id, op_idx, kernel, me) {
                         return Recover::Died;
                     }
@@ -1235,5 +1262,79 @@ fn complete_op(shared: &Shared<'_>, id: usize, op_idx: usize, t_end: f64) {
         // them idle or thrash another partition's queue.
         let freed = shared.partition.members(op_idx, shared.workers.len());
         reequalize(shared, &freed);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::checkpoint::{FaultPlan, FaultTrigger, ResumeState};
+    use crate::executor::ExecutorOptions;
+    use crate::run::{set_up, Setup};
+    use crate::threaded::topology::CpuTopology;
+    use crate::threaded::{build_plan, SpinKernel};
+    use orchestra_delirium::{DelirGraph, NodeKind};
+
+    /// Two concurrent ops on two workers: the equalizer gives each op
+    /// one worker. The first op's worker dies before claiming
+    /// anything, so the survivor's recovery sweep reaches that op's
+    /// stranded queue — in plan order *before* completing its own op
+    /// could have re-equalized it in — and must join the partition
+    /// before it claims: the visit re-advertises the op on the
+    /// survivor's own deque, where only members' tokens may sit.
+    #[test]
+    fn survivor_joins_a_stranded_partition_before_claiming() {
+        for dist in [false, true] {
+            let mut g = DelirGraph::new();
+            for name in ["stranded", "own"] {
+                let kind = NodeKind::DataParallel { tasks: 64, mean_cost: 1.0, cv: 0.0 };
+                g.add_node(name, kind, None);
+            }
+            let opts = ExecutorOptions {
+                policy: PolicyKind::SelfSched,
+                threads: 2,
+                faults: Some(FaultPlan::kill(0, FaultTrigger::AfterClaims(1))),
+                ..ExecutorOptions::default()
+            };
+            let plan = build_plan(&g, &opts).expect("valid graph");
+            let kernel = SpinKernel::with_scale(1.0);
+            let Setup { arena, ops, .. } =
+                set_up(&plan, &g.nodes, &opts, kernel.access(), 2, &ResumeState::empty());
+            let ops: Vec<PoolOp> = ops
+                .into_iter()
+                .map(|state| {
+                    let queue = if dist {
+                        let members: Vec<usize> = state.share.clone().collect();
+                        OpQueue::Dist(DistQueue::with_partition(64, 2, vec![0; 2], &members))
+                    } else {
+                        OpQueue::Shared(state.chunk_queue(opts.policy))
+                    };
+                    PoolOp { deps: AtomicUsize::new(0), queue, queue_costs: None, state }
+                })
+                .collect();
+            assert_eq!((ops[0].state.share.clone(), ops[1].state.share.clone()), (0..1, 1..2));
+            let topo = WorkerTopo::new(&CpuTopology::synthetic(1, 2, 1), 2);
+            let ctl = RunCtl::new(&opts, &plan, 2);
+            let shared = Shared::new(&ops, &g.nodes, &arena, &topo, false, &ctl);
+            assert!(!shared.partition.allows(0, 1), "dist={dist}: the level was not split");
+            assert!(ctl.faults.as_ref().expect("plan set").try_die(0, KillMode::Lease));
+
+            let mut me = WorkerRecord {
+                proc: ProcStats::default(),
+                timing: OnlineStats::new(),
+                steal: StealStats::new(),
+                pinned: false,
+                log: ExecLog::default(),
+            };
+            assert!(matches!(recover(&shared, 1, &kernel, &mut me), Recover::Progress));
+            assert!(shared.partition.allows(0, 1), "dist={dist}: claimed without joining");
+            // `find_token` debug-asserts the same of every token in the
+            // survivor's own deque.
+            while let Some(t) = find_token(&shared, 1, &mut me.steal) {
+                assert!(shared.partition.allows(t, 1), "dist={dist}: non-member token {t}");
+            }
+            assert!(shared.all_done(), "dist={dist}: recovery left work behind");
+            assert_eq!(me.proc.tasks, 128, "dist={dist}");
+        }
     }
 }

@@ -462,13 +462,6 @@ impl ChunkQueue {
     pub fn total(&self) -> usize {
         self.total
     }
-
-    /// Worker count the schedule was sized for (mirrors
-    /// [`DistQueue::workers`](super::dist::DistQueue::workers), so
-    /// diagnostics can treat both queue kinds uniformly).
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
 }
 
 #[cfg(test)]

@@ -128,18 +128,6 @@ impl StealDistance {
     }
 }
 
-/// The order a worker visits other workers' deques when stealing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StealOrder {
-    /// Nearest first: SMT sibling, then same node, then remote,
-    /// ring-distance tie-broken (deterministic).
-    #[default]
-    Hierarchical,
-    /// Plain ring order `(id+1)%n, (id+2)%n, …` — the pre-topology
-    /// baseline, kept for A/B tests and benchmarks.
-    Ring,
-}
-
 /// One precomputed steal target: a victim and how far away it is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StealTarget {
@@ -411,9 +399,9 @@ pub struct WorkerTopo {
 
 impl WorkerTopo {
     /// Builds the placement and steal schedules for `workers` workers
-    /// on `topology` under `order`. Pure and deterministic: the same
-    /// inputs always produce the same schedules.
-    pub fn new(topology: &CpuTopology, workers: usize, order: StealOrder) -> Self {
+    /// on `topology`. Pure and deterministic: the same inputs always
+    /// produce the same schedules.
+    pub fn new(topology: &CpuTopology, workers: usize) -> Self {
         let workers = workers.max(1);
         let placement = topology.placement();
         let info_of = |cpu: usize| -> &CpuInfo {
@@ -441,12 +429,10 @@ impl WorkerTopo {
                         StealTarget { victim, distance: distance(w, victim) }
                     })
                     .collect();
-                if order == StealOrder::Hierarchical {
-                    // Stable sort: equal-distance victims keep ring
-                    // order, so the schedule is a deterministic
-                    // permutation with nearest victims first.
-                    targets.sort_by_key(|t| t.distance);
-                }
+                // Stable sort: equal-distance victims keep ring
+                // order, so the schedule is a deterministic
+                // permutation with nearest victims first.
+                targets.sort_by_key(|t| t.distance);
                 targets
             })
             .collect();
@@ -552,7 +538,7 @@ mod tests {
         assert_eq!(t.node_count(), 1);
         assert_eq!(t.core_count(), 1);
         for workers in [1, 2, 4] {
-            let wt = WorkerTopo::new(&t, workers, StealOrder::Hierarchical);
+            let wt = WorkerTopo::new(&t, workers);
             assert_schedules_are_permutations(&wt);
             // Everyone shares cpu 0: all steals are sibling-distance.
             for w in 0..workers {
@@ -570,7 +556,7 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert_eq!(t.core_count(), 1);
         assert_eq!(t.node_count(), 1);
-        let wt = WorkerTopo::new(&t, 2, StealOrder::Hierarchical);
+        let wt = WorkerTopo::new(&t, 2);
         assert_schedules_are_permutations(&wt);
         assert_eq!(wt.steal_schedule(0)[0].distance, StealDistance::Sibling);
         let _ = std::fs::remove_dir_all(&root);
@@ -589,7 +575,7 @@ mod tests {
         assert_eq!(t.node_count(), 2);
         assert_eq!(t.package_count(), 2);
         assert_eq!(t.core_count(), 4);
-        let wt = WorkerTopo::new(&t, 4, StealOrder::Hierarchical);
+        let wt = WorkerTopo::new(&t, 4);
         assert_schedules_are_permutations(&wt);
         // Placement round-robins nodes: workers 0,2 on node 0 and
         // workers 1,3 on node 1.
@@ -618,7 +604,7 @@ mod tests {
         assert_eq!(t.node_count(), 1, "missing node tree defaults to node 0");
         assert_eq!(t.package_count(), 2);
         assert_eq!(t.core_count(), 2);
-        let wt = WorkerTopo::new(&t, 3, StealOrder::Hierarchical);
+        let wt = WorkerTopo::new(&t, 3);
         assert_schedules_are_permutations(&wt);
         // Distinct cores first: cpu0 (pkg0/core0), cpu2 (pkg1/core0),
         // then cpu0's sibling cpu1.
@@ -638,8 +624,8 @@ mod tests {
             assert_eq!(t.node_count(), nodes);
             assert_eq!(t.core_count(), nodes * cores);
             for workers in [1, 2, 3, nodes * cores * smt, nodes * cores * smt + 3] {
-                let a = WorkerTopo::new(&t, workers, StealOrder::Hierarchical);
-                let b = WorkerTopo::new(&t, workers, StealOrder::Hierarchical);
+                let a = WorkerTopo::new(&t, workers);
+                let b = WorkerTopo::new(&t, workers);
                 assert_eq!(a, b, "steal schedules must be deterministic");
                 assert_schedules_are_permutations(&a);
                 // Distances never decrease along a hierarchical
@@ -657,24 +643,12 @@ mod tests {
     }
 
     #[test]
-    fn ring_order_matches_legacy_sequence() {
-        let t = CpuTopology::synthetic(2, 2, 1);
-        let wt = WorkerTopo::new(&t, 4, StealOrder::Ring);
-        for w in 0..4 {
-            let victims: Vec<usize> = wt.steal_schedule(w).iter().map(|s| s.victim).collect();
-            let legacy: Vec<usize> = (1..4).map(|k| (w + k) % 4).collect();
-            assert_eq!(victims, legacy, "worker {w}");
-        }
-        assert_schedules_are_permutations(&wt);
-    }
-
-    #[test]
     fn synthetic_placement_round_robins_nodes_and_defers_smt() {
         // 2 nodes × 2 cores × 2 threads = 8 CPUs. First four workers
         // take distinct cores alternating nodes; the next four take
         // the SMT siblings in the same alternation.
         let t = CpuTopology::synthetic(2, 2, 2);
-        let wt = WorkerTopo::new(&t, 8, StealOrder::Hierarchical);
+        let wt = WorkerTopo::new(&t, 8);
         assert_eq!(wt.node_of_worker, vec![0, 1, 0, 1, 0, 1, 0, 1]);
         // Workers 0 and 4 share a core (0's first thread + sibling).
         assert_eq!(
@@ -690,7 +664,7 @@ mod tests {
     #[test]
     fn more_workers_than_cpus_wraps_placement() {
         let t = CpuTopology::synthetic(1, 2, 1);
-        let wt = WorkerTopo::new(&t, 5, StealOrder::Hierarchical);
+        let wt = WorkerTopo::new(&t, 5);
         assert_eq!(wt.workers(), 5);
         assert_schedules_are_permutations(&wt);
         // Workers 0 and 2 share cpu; stealing between them is

@@ -1,7 +1,8 @@
 //! Compares the grain-size policies (§4.1.1) on an irregular parallel
-//! operation, demonstrates distributed TAPER's locality behaviour, and
+//! operation, demonstrates distributed TAPER's locality behaviour,
 //! runs the same graph on the simulated machine *and* on real threads,
-//! printing predicted vs measured speedup.
+//! printing predicted vs measured speedup, and times TAPER on the
+//! worker pool against a rayon-style splitter on a flat one-step op.
 //!
 //! ```sh
 //! cargo run --release --example scheduler_comparison
@@ -75,6 +76,7 @@ fn main() {
     );
 
     simulated_vs_measured();
+    flat_head_to_head();
 }
 
 /// Runs one graph through both backends: the nCUBE-2 simulator
@@ -163,4 +165,33 @@ fn simulated_vs_measured() {
         "  (measured speedup = Σ worker busy time / wall time; all runs\n   \
          schedule the same cost populations through the same policies)"
     );
+}
+
+/// The flat one-step op — 262 144 tasks of about one arithmetic step,
+/// so nearly all the time is scheduling — under TAPER on the worker
+/// pool (`RunReport::wall_us`, the pool phase alone) and under the
+/// join splitter, on the same node, costs and kernel.
+fn flat_head_to_head() {
+    const TASKS: usize = 262_144;
+    let mut g = DelirGraph::new();
+    g.add_node("flat", NodeKind::DataParallel { tasks: TASKS, mean_cost: 1.0, cv: 0.1 }, None);
+    let node = &g.nodes[0];
+    let kernel = SpinKernel::with_scale(1.0);
+    let costs = costs_of_node(node, ExecutorOptions::default().seed);
+    let best_ns_per_task = |wall_us: &dyn Fn() -> f64| {
+        (0..5).map(|_| wall_us()).fold(f64::INFINITY, f64::min) * 1e3 / TASKS as f64
+    };
+    println!("\nflat op, {TASKS} one-step tasks, ns/task (best of 5):");
+    println!("{:<10} {:>12} {:>12}", "", "TAPER pool", "splitter");
+    for w in [1, 2] {
+        let opts =
+            ExecutorOptions { policy: PolicyKind::Taper, threads: w, ..ExecutorOptions::default() };
+        let pool = best_ns_per_task(&|| {
+            execute_threaded(&g, &opts, &kernel).expect("valid graph").wall_us
+        });
+        let split = best_ns_per_task(&|| {
+            run_join_split(node, &costs, &kernel, w, default_grain(TASKS, w)).wall_us
+        });
+        println!("{:<10} {pool:>12.1} {split:>12.1}", format!("flat w={w}"));
+    }
 }

@@ -122,15 +122,14 @@ fn threaded_results_bit_identical_to_sequential() {
     }
 }
 
-/// Pinning, synthetic placement, and both steal orders must be
-/// invisible to results: bit-identical outputs and exactly-once
-/// execution on every sample graph, whether workers float (pin off),
-/// pin to probed CPUs, or attempt pins against a synthetic topology
-/// wider than the host (where the syscall fails and the worker keeps
-/// floating).
+/// Pinning and synthetic placement must be invisible to results:
+/// bit-identical outputs and exactly-once execution on every sample
+/// graph, whether workers float (pin off), pin to probed CPUs, or
+/// attempt pins against a synthetic topology wider than the host
+/// (where the syscall fails and the worker keeps floating).
 #[test]
-fn affinity_and_steal_order_do_not_change_results() {
-    use orchestra_runtime::{StealOrder, TopologyMode};
+fn affinity_and_topology_do_not_change_results() {
+    use orchestra_runtime::TopologyMode;
     let kernel = SpinKernel::with_scale(2.0);
     for (name, g, opts) in graphs() {
         let seq = execute_sequential(&g, &opts, &kernel).unwrap();
@@ -139,25 +138,22 @@ fn affinity_and_steal_order_do_not_change_results() {
                 TopologyMode::Auto,
                 TopologyMode::Synthetic { nodes: 2, cores_per_node: 4, smt: 2 },
             ] {
-                for steal_order in [StealOrder::Hierarchical, StealOrder::Ring] {
-                    let opts = ExecutorOptions {
-                        policy: PolicyKind::Taper,
-                        pin_workers,
-                        topology,
-                        steal_order,
-                        ..opts.clone()
-                    };
-                    let label = format!("{name}/pin={pin_workers}/{topology:?}/{steal_order:?}");
-                    let thr = execute_threaded(&g, &opts, &kernel).unwrap();
-                    for (op, counts) in thr.ops.iter().zip(&thr.exec_counts) {
-                        assert!(
-                            counts.iter().all(|&c| c == 1),
-                            "{label}: op {} task exec counts {counts:?}",
-                            op.name
-                        );
-                    }
-                    assert_eq!(seq.outputs, thr.outputs, "{label}: buffers diverge");
+                let opts = ExecutorOptions {
+                    policy: PolicyKind::Taper,
+                    pin_workers,
+                    topology,
+                    ..opts.clone()
+                };
+                let label = format!("{name}/pin={pin_workers}/{topology:?}");
+                let thr = execute_threaded(&g, &opts, &kernel).unwrap();
+                for (op, counts) in thr.ops.iter().zip(&thr.exec_counts) {
+                    assert!(
+                        counts.iter().all(|&c| c == 1),
+                        "{label}: op {} task exec counts {counts:?}",
+                        op.name
+                    );
                 }
+                assert_eq!(seq.outputs, thr.outputs, "{label}: buffers diverge");
             }
         }
     }

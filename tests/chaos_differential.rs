@@ -478,7 +478,7 @@ fn crash_without_checkpoint_restarts_from_scratch() {
     let opts = ExecutorOptions {
         backend: ExecutorBackend::Threaded,
         threads: 3,
-        faults: Some(FaultPlan::crash(0, FaultTrigger::AfterClaims(1))),
+        faults: Some(crash_at_first_claim(3)),
         ..opts
     };
     let k = kernel();
@@ -530,7 +530,7 @@ fn torn_snapshot_falls_back_to_older_version() {
     // fallback path. The resumed run is still bitwise-exact.
     let crash_opts = ExecutorOptions {
         threads: 3,
-        faults: Some(FaultPlan::crash(0, FaultTrigger::AfterClaims(1))),
+        faults: Some(crash_at_first_claim(3)),
         checkpoint: Some(CheckpointSpec { dir: dir.clone(), every_claims: 0, keep: 64 }),
         ..seed_opts.clone()
     };

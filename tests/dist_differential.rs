@@ -21,7 +21,8 @@ use orchestra_runtime::executor::ExecutorOptions;
 use orchestra_runtime::threaded::{
     execute_sequential, execute_threaded, ExecutorBackend, SpinKernel,
 };
-use orchestra_runtime::RunReport;
+use orchestra_runtime::{AccessPattern, RunReport, TaskCtx, TaskKernel};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 fn dist_opts(threads: usize) -> ExecutorOptions {
     ExecutorOptions {
@@ -35,9 +36,21 @@ fn dist_opts(threads: usize) -> ExecutorOptions {
 /// that must hold regardless of workload shape; returns the run for
 /// shape-specific assertions.
 fn run_and_check(g: &DelirGraph, opts: &ExecutorOptions, label: &str) -> RunReport {
-    let kernel = SpinKernel::with_scale(2.0);
-    let seq = execute_sequential(g, opts, &kernel).expect("sequential reference");
-    let thr = execute_threaded(g, opts, &kernel).expect("dist-TAPER run");
+    run_and_check_with(g, opts, label, &SpinKernel::with_scale(2.0))
+}
+
+/// [`run_and_check`] with the dist-TAPER run on `kernel`, which must
+/// compute what `SpinKernel::with_scale(2.0)` computes (the sequential
+/// reference always runs on that).
+fn run_and_check_with(
+    g: &DelirGraph,
+    opts: &ExecutorOptions,
+    label: &str,
+    kernel: &(dyn TaskKernel + Sync),
+) -> RunReport {
+    let seq =
+        execute_sequential(g, opts, &SpinKernel::with_scale(2.0)).expect("sequential reference");
+    let thr = execute_threaded(g, opts, kernel).expect("dist-TAPER run");
     for (op, counts) in thr.ops.iter().zip(&thr.exec_counts) {
         assert!(
             counts.iter().all(|&c| c == 1),
@@ -124,10 +137,54 @@ fn pipeline_shape_exactly_once() {
     run_and_check(&g, &opts, "pipeline");
 }
 
+/// Forces the interleaving [`skewed_graph`] is built for, on a
+/// two-worker run of it (home blocks 0..128 and 128..256): task 0 —
+/// the head of worker 0's first chunk — does not return before worker
+/// 1's whole home block has run, and no task of that block starts
+/// before task 0 has. So worker 0 has claimed (its heavy cost hints
+/// open the cv gate) and still sits in its first chunk, home
+/// unstarted, while worker 1 drains its light home and comes back for
+/// more — however late either thread was scheduled.
+struct HoldWorker0 {
+    inner: SpinKernel,
+    started: AtomicBool,
+    light_done: AtomicUsize,
+}
+
+impl TaskKernel for HoldWorker0 {
+    fn run_task(&self, ctx: &TaskCtx<'_>) -> f64 {
+        let light = ctx.task >= 128;
+        if ctx.task == 0 {
+            self.started.store(true, Ordering::Release);
+            while self.light_done.load(Ordering::Acquire) < 128 {
+                std::thread::yield_now();
+            }
+        } else if light {
+            while !self.started.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+        }
+        let value = self.inner.run_task(ctx);
+        if light {
+            self.light_done.fetch_add(1, Ordering::Release);
+        }
+        value
+    }
+
+    fn access(&self) -> AccessPattern {
+        self.inner.access()
+    }
+}
+
 #[test]
 fn forced_migration_reassigns_and_stays_exactly_once() {
     let g = skewed_graph();
-    let thr = run_and_check(&g, &dist_opts(2), "skewed/2t");
+    let kernel = HoldWorker0 {
+        inner: SpinKernel::with_scale(2.0),
+        started: AtomicBool::new(false),
+        light_done: AtomicUsize::new(0),
+    };
+    let thr = run_and_check_with(&g, &dist_opts(2), "skewed/2t", &kernel);
     assert!(
         thr.reassignments >= 1,
         "concentrated costs must trigger re-assignment, got {}",

@@ -109,3 +109,33 @@ fn delirium_text_round_trips_app_graphs() {
         }
     }
 }
+
+/// `examples/scheduler_comparison.rs` times TAPER on the worker pool
+/// against the join splitter on the flat one-step op. The two are only
+/// comparable if they do equal work: built the way the example builds
+/// them, both must produce the sequential reference's output bitwise.
+#[test]
+fn flat_head_to_head_sides_do_equal_work() {
+    use orchestra_bench::splitter::{default_grain, run_join_split};
+    use orchestra_delirium::{DelirGraph, NodeKind};
+    use orchestra_runtime::{
+        costs_of_node, execute_sequential, execute_threaded, ExecutorOptions, PolicyKind,
+        SpinKernel,
+    };
+    const TASKS: usize = 262_144;
+    let mut g = DelirGraph::new();
+    g.add_node("flat", NodeKind::DataParallel { tasks: TASKS, mean_cost: 1.0, cv: 0.1 }, None);
+    let node = &g.nodes[0];
+    let kernel = SpinKernel::with_scale(1.0);
+    let costs = costs_of_node(node, ExecutorOptions::default().seed);
+    let seq = execute_sequential(&g, &ExecutorOptions::default(), &kernel).unwrap();
+    assert_eq!(seq.outputs[0].len(), TASKS);
+    for w in [1, 2] {
+        let opts =
+            ExecutorOptions { policy: PolicyKind::Taper, threads: w, ..ExecutorOptions::default() };
+        let pool = execute_threaded(&g, &opts, &kernel).unwrap();
+        assert_eq!(pool.outputs, seq.outputs, "TAPER pool, w={w}");
+        let split = run_join_split(node, &costs, &kernel, w, default_grain(TASKS, w));
+        assert_eq!(split.outputs, seq.outputs[0], "splitter, w={w}");
+    }
+}
