@@ -7,7 +7,10 @@
 //! grant from the cross-graph equalizer
 //! ([`PoolScheduler`](crate::sched::PoolScheduler)), and executes on
 //! a real backend under a per-job
-//! [`CancelToken`](orchestra_runtime::CancelToken). Jobs submitted
+//! [`CancelToken`](orchestra_runtime::CancelToken). The pool's threads
+//! are the daemon's own [`Crew`]: they persist across jobs, parked,
+//! and each job is lent its runner and as many workers as its grant —
+//! a job costs wake-ups, not thread creation. Jobs submitted
 //! with a checkpoint directory run under
 //! [`execute_graph_resumable`](orchestra_runtime::execute_graph_resumable),
 //! so a worker-pool crash mid-job restores from the latest snapshot
@@ -28,17 +31,22 @@ use crate::wire::{
 use orchestra_runtime::executor::ExecutorOptions;
 use orchestra_runtime::threaded::ExecutorBackend;
 use orchestra_runtime::{
-    execute_graph_resumable, CancelToken, CheckpointSpec, FaultPlan, HostCalibration, RunError,
-    SpinKernel,
+    execute_graph_resumable, CancelToken, CheckpointSpec, Crew, FaultPlan, HostCalibration,
+    RunError, SpinKernel, TaskKernel,
 };
+use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
+
+/// The kernel every served graph's tasks run.
+type ServedKernel = Box<dyn TaskKernel + Send + Sync>;
 
 /// How the daemon is sized and where it listens.
 #[derive(Debug, Clone)]
@@ -47,7 +55,11 @@ pub struct DaemonConfig {
     /// removed on startup.
     pub socket: PathBuf,
     /// Shared worker pool size partitioned across graphs
-    /// (0 = the host's available parallelism).
+    /// (0 = the host's available parallelism): the number of workers
+    /// the grants of all running jobs are meant to add up to. The
+    /// daemon's threads persist and are lent to jobs — one per granted
+    /// worker plus one runner per running job — but are created as
+    /// jobs first need them, not `workers` of them at start-up.
     pub workers: usize,
     /// Admission limits.
     pub admission: AdmissionPolicy,
@@ -127,9 +139,12 @@ struct State {
 }
 
 struct Inner {
+    socket: PathBuf,
     admission: AdmissionPolicy,
     workers: usize,
-    kernel_scale: f64,
+    kernel: ServedKernel,
+    /// The daemon's threads: job runners and the workers lent to runs.
+    crew: Crew,
     state: Mutex<State>,
     changed: Condvar,
     sched: Mutex<PoolScheduler>,
@@ -145,7 +160,6 @@ struct Inner {
 /// [`shutdown`]: Daemon::shutdown
 pub struct Daemon {
     inner: Arc<Inner>,
-    socket: PathBuf,
     accept: Option<thread::JoinHandle<()>>,
 }
 
@@ -156,6 +170,13 @@ impl Daemon {
     ///
     /// Propagates socket bind/configuration failures.
     pub fn start(cfg: DaemonConfig) -> io::Result<Daemon> {
+        let kernel = SpinKernel::with_scale(cfg.kernel_scale);
+        Daemon::start_serving(cfg, Box::new(kernel))
+    }
+
+    /// [`start`](Daemon::start) with the kernel served graphs run, so a
+    /// test can serve one that misbehaves.
+    fn start_serving(cfg: DaemonConfig, kernel: ServedKernel) -> io::Result<Daemon> {
         let workers = if cfg.workers == 0 {
             thread::available_parallelism().map_or(4, std::num::NonZero::get)
         } else {
@@ -168,11 +189,12 @@ impl Daemon {
         };
         let _ = std::fs::remove_file(&cfg.socket);
         let listener = UnixListener::bind(&cfg.socket)?;
-        listener.set_nonblocking(true)?;
         let inner = Arc::new(Inner {
+            socket: cfg.socket,
             admission: cfg.admission,
             workers,
-            kernel_scale: cfg.kernel_scale,
+            kernel,
+            crew: Crew::new(),
             state: Mutex::new(State::default()),
             changed: Condvar::new(),
             sched: Mutex::new(PoolScheduler::with_calibration(workers, cal)),
@@ -183,15 +205,17 @@ impl Daemon {
         });
         let accept_inner = Arc::clone(&inner);
         let accept = thread::spawn(move || accept_loop(&listener, &accept_inner));
-        Ok(Daemon { inner, socket: cfg.socket, accept: Some(accept) })
+        Ok(Daemon { inner, accept: Some(accept) })
     }
 
     /// The socket path clients connect to.
     pub fn socket(&self) -> &std::path::Path {
-        &self.socket
+        &self.inner.socket
     }
 
-    /// Size of the shared worker pool.
+    /// Size of the shared worker pool: the worker count the scheduler
+    /// partitions into grants, not a count of OS threads (those are
+    /// lent from a crew that grows on demand and never shrinks).
     pub fn workers(&self) -> usize {
         self.inner.workers
     }
@@ -202,18 +226,18 @@ impl Daemon {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        let _ = std::fs::remove_file(&self.socket);
+        let _ = std::fs::remove_file(&self.inner.socket);
     }
 
     /// Drains and stops: refuses new submissions, waits for admitted
     /// work to finish, closes the listener. Idempotent.
     pub fn shutdown(&mut self) {
         drain(&self.inner);
-        self.inner.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.accept.take() {
+            stop_accepting(&self.inner);
             let _ = h.join();
         }
-        let _ = std::fs::remove_file(&self.socket);
+        let _ = std::fs::remove_file(&self.inner.socket);
     }
 }
 
@@ -232,23 +256,26 @@ fn drain(inner: &Inner) {
     }
 }
 
+/// Sets `stop` and makes the accept loop look at it: the loop blocks
+/// in `accept`, so it is woken by one connection to the daemon's own
+/// socket (refused, harmlessly, if the loop has already gone).
+fn stop_accepting(inner: &Inner) {
+    inner.stop.store(true, Ordering::SeqCst);
+    let _ = UnixStream::connect(&inner.socket);
+}
+
 fn accept_loop(listener: &UnixListener, inner: &Arc<Inner>) {
-    loop {
+    while let Ok((stream, _)) = listener.accept() {
+        // Checked after the accept, not before: the connection that
+        // arrives once `stop` is set is the wake-up call (or a client
+        // too late to be served), and is dropped.
         if inner.stop.load(Ordering::SeqCst) {
             return;
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let conn_inner = Arc::clone(inner);
-                thread::spawn(move || {
-                    let _ = serve_connection(stream, &conn_inner);
-                });
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => return,
-        }
+        let conn_inner = Arc::clone(inner);
+        thread::spawn(move || {
+            let _ = serve_connection(stream, &conn_inner);
+        });
     }
 }
 
@@ -282,9 +309,9 @@ fn serve_connection(mut stream: UnixStream, inner: &Arc<Inner>) -> io::Result<()
             Ok(Request::Stats) => stats(inner),
             Ok(Request::Shutdown) => {
                 drain(inner);
-                write_frame(&mut stream, &Response::Drained.encode())?;
-                inner.stop.store(true, Ordering::SeqCst);
-                return Ok(());
+                let written = write_frame(&mut stream, &Response::Drained.encode());
+                stop_accepting(inner);
+                return written;
             }
         };
         write_frame(&mut stream, &resp.encode())?;
@@ -443,13 +470,24 @@ fn stats(inner: &Inner) -> Response {
 }
 
 fn spawn_runner(inner: &Arc<Inner>, job: u64) {
-    let inner = Arc::clone(inner);
-    thread::spawn(move || run_job(&inner, job));
+    let runner = Arc::clone(inner);
+    inner.crew.spawn(move || run_job(&runner, job));
+}
+
+/// What a caught panic said, for the job's `Failed` state.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("(no message)")
 }
 
 /// Executes one admitted job end to end: grant from the cross-graph
-/// equalizer, run (resumable when checkpointed), record the terminal
-/// state, release the grant, and pull the next queued job in.
+/// equalizer, run (resumable when checkpointed) on threads lent from
+/// the daemon's crew, record the terminal state, release the grant,
+/// and pull the next queued job in. A panic inside the execution ends
+/// the job as `Failed`, not the thread or the bookkeeping after it.
 fn run_job(inner: &Arc<Inner>, job: u64) {
     let (graph, opts, token, weight, submitted) = {
         let mut st = inner.state.lock().expect("daemon state poisoned");
@@ -464,7 +502,7 @@ fn run_job(inner: &Arc<Inner>, job: u64) {
     };
     let deadline = opts.deadline.map(|d| d.saturating_sub(submitted.elapsed()));
     let outcome = if deadline == Some(Duration::ZERO) {
-        Err(RunError::DeadlineExceeded)
+        Ok(Err(RunError::DeadlineExceeded))
     } else {
         let exec_opts = ExecutorOptions {
             backend: opts.backend,
@@ -476,13 +514,21 @@ fn run_job(inner: &Arc<Inner>, job: u64) {
             deadline,
             checkpoint: opts.checkpoint_dir.as_ref().map(CheckpointSpec::new),
             faults: inner.chaos.lock().expect("chaos poisoned").take(),
+            crew: Some(inner.crew.clone()),
             ..ExecutorOptions::default()
         };
-        let kernel = SpinKernel::with_scale(inner.kernel_scale);
-        execute_graph_resumable(&graph, &exec_opts, &kernel)
+        // Unwind safety: a panicking run's partial state lives in the
+        // run's own frame, which the unwind drops; the job table is
+        // not touched in here.
+        catch_unwind(AssertUnwindSafe(|| {
+            execute_graph_resumable(&graph, &exec_opts, inner.kernel.as_ref())
+        }))
     };
     let state = match outcome {
-        Ok(run) => JobState::Done(WireResult {
+        Err(panic) => JobState::Failed(format!("job panicked: {}", panic_message(&*panic))),
+        Ok(Err(RunError::Cancelled)) => JobState::Cancelled,
+        Ok(Err(e)) => JobState::Failed(e.to_string()),
+        Ok(Ok(run)) => JobState::Done(WireResult {
             job,
             wall_us: run.wall_us,
             attempts: run.attempts,
@@ -494,8 +540,6 @@ fn run_job(inner: &Arc<Inner>, job: u64) {
                 .map(|(op, values)| WireOutput { name: op.name, values })
                 .collect(),
         }),
-        Err(RunError::Cancelled) => JobState::Cancelled,
-        Err(e) => JobState::Failed(e.to_string()),
     };
     inner.sched.lock().expect("scheduler poisoned").complete(job);
     let mut st = inner.state.lock().expect("daemon state poisoned");
@@ -515,4 +559,65 @@ fn run_job(inner: &Arc<Inner>, job: u64) {
         }
     }
     inner.changed.notify_all();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{Client, ClientError};
+    use orchestra_delirium::{DelirGraph, NodeKind};
+    use orchestra_runtime::TaskCtx;
+
+    /// Panics in the first task it is given, then is the spin kernel.
+    struct PanicsOnce {
+        armed: AtomicBool,
+        spin: SpinKernel,
+    }
+
+    impl TaskKernel for PanicsOnce {
+        fn run_task(&self, ctx: &TaskCtx<'_>) -> f64 {
+            assert!(!self.armed.swap(false, Ordering::SeqCst), "kernel bug");
+            self.spin.run_task(ctx)
+        }
+    }
+
+    /// A panicking job ends as `Failed` with the panic's message; its
+    /// grant, its `running` slot and its staged tasks are released, so
+    /// the job queued behind it runs; the daemon keeps serving.
+    #[test]
+    fn a_panicking_job_fails_alone() {
+        let socket = std::env::temp_dir().join(format!("orchestrad-panic-{}", std::process::id()));
+        let cfg = DaemonConfig {
+            socket: socket.clone(),
+            // One worker: the panicking worker is the whole run, so
+            // the run unwinds instead of waiting on a survivor.
+            workers: 1,
+            admission: AdmissionPolicy { max_inflight: 1, ..AdmissionPolicy::default() },
+            ..DaemonConfig::default()
+        };
+        let kernel = PanicsOnce { armed: AtomicBool::new(true), spin: SpinKernel::with_scale(0.1) };
+        let mut daemon = Daemon::start_serving(cfg, Box::new(kernel)).expect("daemon starts");
+
+        let mut graph = DelirGraph::new();
+        graph.add_node("A", NodeKind::DataParallel { tasks: 8, mean_cost: 1.0, cv: 0.0 }, None);
+        let mut client = Client::connect(&socket, "t", 1.0).expect("connect");
+        let first = client.submit(&graph, "g", &JobOptions::default()).expect("submit");
+        let second = client.submit(&graph, "g", &JobOptions::default()).expect("submit");
+
+        match client.wait(first) {
+            Err(ClientError::Remote(msg)) => assert_eq!(msg, "job panicked: kernel bug"),
+            other => panic!("the first job must fail, got {other:?}"),
+        }
+        let result = client.wait(second).expect("the job behind it runs");
+        assert_eq!(result.outputs[0].values.len(), 8);
+
+        let (_, rows) = client.stats().expect("the daemon still answers");
+        let states: Vec<&str> = rows.iter().map(|r| r.state.as_str()).collect();
+        assert_eq!(states, ["failed", "done"]);
+        assert!(rows.iter().all(|r| r.grant == 0), "grants released: {rows:?}");
+        let st = daemon.inner.state.lock().expect("the job table is not poisoned");
+        assert_eq!((st.running, st.staged_tasks, st.queue.len()), (0, 0, 0));
+        drop(st);
+        daemon.shutdown();
+    }
 }

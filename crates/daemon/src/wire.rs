@@ -379,6 +379,68 @@ impl Request {
     }
 }
 
+/// Splits off the next whitespace-delimited token of `s`, as
+/// `split_whitespace` would, returning it and what follows it.
+fn next_token(s: &str) -> Option<(&str, &str)> {
+    let s = s.trim_start();
+    let end = s.find(char::is_whitespace).unwrap_or(s.len());
+    (end > 0).then(|| s.split_at(end))
+}
+
+/// The value of an ASCII hex digit of either case, `0xff` for every
+/// other byte.
+const NIBBLE: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut i = 0;
+    while i < 16 {
+        table[b"0123456789abcdef"[i] as usize] = i as u8;
+        table[b"0123456789ABCDEF"[i] as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
+/// Reads the values of one `out` line — `rest` is the line after its
+/// count field — as whitespace-separated hex `u64` bit patterns.
+///
+/// A value written the way [`Response::encode`] writes it (one space,
+/// sixteen hex digits, then a space or the end of the line) is read
+/// through [`NIBBLE`] in one pass over the bytes; from the first token
+/// that is anything else, the rest of the line goes through
+/// `split_whitespace` and `from_str_radix`. Sixteen hex digits mean to
+/// `from_str_radix` what they mean to the table, so what is accepted,
+/// and as what, is exactly what the general reader alone accepts.
+/// `declared` only sizes the buffer, and never past what the bytes on
+/// the line could hold (a value takes at least two).
+fn read_values(rest: &str, declared: usize) -> Result<Vec<f64>, String> {
+    let bytes = rest.as_bytes();
+    let mut values = Vec::with_capacity(declared.min(bytes.len() / 2));
+    let mut at = 0;
+    while let Some(token) = bytes.get(at..at + 17) {
+        if token[0] != b' ' || !matches!(bytes.get(at + 17), None | Some(b' ')) {
+            break;
+        }
+        let (mut bits, mut seen) = (0u64, 0u8);
+        for &b in &token[1..] {
+            let nibble = NIBBLE[b as usize];
+            seen |= nibble;
+            bits = bits << 4 | u64::from(nibble & 0xf);
+        }
+        if seen > 0xf {
+            break;
+        }
+        values.push(f64::from_bits(bits));
+        at += 17;
+    }
+    // Only ASCII was consumed, so `at` is a character boundary.
+    for token in rest[at..].split_whitespace() {
+        let bits =
+            u64::from_str_radix(token, 16).map_err(|_| "malformed value bits".to_string())?;
+        values.push(f64::from_bits(bits));
+    }
+    Ok(values)
+}
+
 impl Response {
     /// Encodes the response as a frame payload.
     pub fn encode(&self) -> String {
@@ -451,23 +513,19 @@ impl Response {
             "ok-result" => {
                 let mut outputs = Vec::new();
                 for line in lines {
-                    let mut w = line.split_whitespace();
-                    if w.next() != Some("out") {
+                    let Some(("out", rest)) = next_token(line) else {
                         return Err("malformed result body".to_string());
-                    }
-                    let name = w.next().ok_or_else(|| "missing op name".to_string())?.to_string();
-                    let n: usize = w
-                        .next()
-                        .and_then(|s| s.parse().ok())
+                    };
+                    let (name, rest) =
+                        next_token(rest).ok_or_else(|| "missing op name".to_string())?;
+                    let (n, rest) = next_token(rest)
+                        .and_then(|(n, rest)| Some((n.parse::<usize>().ok()?, rest)))
                         .ok_or_else(|| "missing value count".to_string())?;
-                    let values: Vec<f64> = w
-                        .map(|h| u64::from_str_radix(h, 16).map(f64::from_bits))
-                        .collect::<Result<_, _>>()
-                        .map_err(|_| "malformed value bits".to_string())?;
+                    let values = read_values(rest, n)?;
                     if values.len() != n {
                         return Err("value count mismatch".to_string());
                     }
-                    outputs.push(WireOutput { name, values });
+                    outputs.push(WireOutput { name: name.to_string(), values });
                 }
                 let declared = need_u64(&f, "outs")? as usize;
                 if outputs.len() != declared {
@@ -572,6 +630,102 @@ mod tests {
         };
         let text = Response::Result(result).encode();
         assert_eq!(text.lines().nth(1), Some(format!("out A 5{reference}").as_str()));
+    }
+
+    /// The value reader `decode` had before `read_values`: every token
+    /// through `from_str_radix`. Kept as the reference for it.
+    fn reference_values(rest: &str) -> Result<Vec<f64>, String> {
+        rest.split_whitespace()
+            .map(|h| u64::from_str_radix(h, 16).map(f64::from_bits))
+            .collect::<Result<_, _>>()
+            .map_err(|_| "malformed value bits".to_string())
+    }
+
+    /// One value token of kind `kind` carrying (some of) `bits`.
+    fn value_token(kind: usize, bits: u64) -> String {
+        match kind {
+            0..=3 => format!("{bits:016x}"),
+            4 => format!("{bits:016X}"),
+            5 => format!("{:x}", bits >> (bits % 61)),
+            6 => format!("000{bits:016x}"),
+            7 => format!("f{bits:016x}"),
+            8 => format!("+{:015x}", bits >> 4),
+            9 => format!("{:014x}\u{e9}", bits >> 8),
+            10 => format!("{:015x}g", bits >> 4),
+            11 => format!("-{:x}", bits >> 40),
+            _ => "0x10".to_string(),
+        }
+    }
+
+    /// Mostly the encoder's single space; doubled, ASCII and Unicode
+    /// whitespace among them.
+    const SEPARATORS: [&str; 8] = [" ", " ", " ", " ", "  ", "\t", "\u{a0}", " \u{3000}"];
+
+    /// The values part of an `out` line made of `tokens` (separator,
+    /// token kind, bits), with its last `cut` bytes missing (back to a
+    /// character boundary).
+    fn values_line(tokens: &[(usize, usize, u64)], cut: usize) -> String {
+        let mut line: String = tokens
+            .iter()
+            .map(|&(sep, kind, bits)| format!("{}{}", SEPARATORS[sep], value_token(kind, bits)))
+            .collect();
+        let mut end = line.len().saturating_sub(cut);
+        while !line.is_char_boundary(end) {
+            end -= 1;
+        }
+        line.truncate(end);
+        line
+    }
+
+    fn bit_patterns(read: Result<Vec<f64>, String>) -> Result<Vec<u64>, String> {
+        read.map(|values| values.into_iter().map(f64::to_bits).collect())
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn value_reader_agrees_with_the_per_token_reference(
+            tokens in proptest::collection::vec(
+                (0..SEPARATORS.len(), 0..13usize, proptest::prelude::any::<u64>()),
+                0..14,
+            ),
+            cut in 0..40usize,
+            declared in 0..20usize,
+        ) {
+            // Every other line is whole, the rest lose up to 19 bytes.
+            let line = values_line(&tokens, cut.saturating_sub(20));
+            proptest::prop_assert_eq!(
+                bit_patterns(read_values(&line, declared)),
+                bit_patterns(reference_values(&line))
+            );
+        }
+    }
+
+    #[test]
+    fn result_lines_split_on_any_whitespace_as_before() {
+        let frame = "ok-result job=1 wall_us=2 attempts=1 resumed=0 outs=2\n\
+                     out\tA  3 3ff0000000000000\t+1  4000000000000000\n\
+                     \u{a0}out B 0 ";
+        let Response::Result(r) = Response::decode(frame).unwrap() else { panic!("a result") };
+        assert_eq!(r.outputs[0].values, vec![1.0, f64::from_bits(1), 2.0]);
+        assert_eq!((r.outputs[1].name.as_str(), r.outputs[1].values.len()), ("B", 0));
+        for bad in ["out A 1 zz", "out A x 0", "out", "put A 0", "out A 2 0000000000000000"] {
+            let frame = format!("ok-result job=1 wall_us=2 attempts=1 resumed=0 outs=1\n{bad}");
+            assert!(Response::decode(&frame).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn a_declared_count_does_not_size_the_allocation() {
+        // 2^32 values declared on a 40-byte line: rejected, and the
+        // buffer was sized by the bytes present, not by the claim.
+        let line = "out A 4294967296 3ff0000000000000";
+        assert!(line.len() <= 40);
+        let (_, rest) = line.split_at(16);
+        let values = read_values(rest, 1 << 32).unwrap();
+        assert_eq!(values, vec![1.0]);
+        assert!(values.capacity() <= rest.len() / 2, "capacity {}", values.capacity());
+        let frame = format!("ok-result job=1 wall_us=2 attempts=1 resumed=0 outs=1\n{line}");
+        assert_eq!(Response::decode(&frame), Err("value count mismatch".to_string()));
     }
 
     #[test]

@@ -56,7 +56,8 @@ use std::task::{Context, Poll, Wake, Waker};
 use std::time::Instant;
 
 /// A spawned task's future: `'env` lets op bodies borrow the run's
-/// shared state and the caller's kernel (drivers are scoped threads).
+/// shared state and the caller's kernel (the drivers are joined — or, on
+/// a lent crew, all returned — before the run's frame is left).
 pub(crate) type TaskFuture<'env> = Pin<Box<dyn Future<Output = ()> + Send + 'env>>;
 
 /// One spawned task. The mutex is never contended — the state machine

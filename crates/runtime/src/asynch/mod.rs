@@ -37,6 +37,7 @@ use crate::checkpoint::{CancelCtl, KillMode, ResumeState, RunCtl};
 use crate::executor::ExecutorOptions;
 use crate::run::{set_up, snapshot_ops, Claimed, ExecLog, OpRecord, OpState, RunReport, Setup};
 use crate::stats::{OnlineStats, StealStats};
+use crate::threaded::crew::run_on_threads;
 use crate::threaded::queue::{BoundedClaim, Chunk, ChunkQueue};
 use crate::threaded::{build_plan, Plan, TaskKernel};
 use driver::{DepGate, DriverRecord, Sched, TaskFuture, TaskSlot};
@@ -478,17 +479,8 @@ pub(crate) fn run_async(
     let _ = shared.sched.set(Arc::clone(&sched));
     let records: Vec<DriverRecord> = {
         let slots: Vec<TaskSlot<'_>> = futures.into_iter().map(TaskSlot::new).collect();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..drivers)
-                .map(|id| {
-                    let sched = Arc::clone(&sched);
-                    let slots = &slots;
-                    let epoch = shared.epoch;
-                    s.spawn(move || driver::drive(id, &sched, slots, epoch))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("driver panicked")).collect()
-        })
+        let epoch = shared.epoch;
+        run_on_threads(opts.crew.as_ref(), drivers, |id| driver::drive(id, &sched, &slots, epoch))
     };
     let wall_us = us_since(shared.epoch);
 

@@ -96,6 +96,13 @@ pub struct ExecutorOptions {
     /// [`RunError::DeadlineExceeded`](crate::cancel::RunError::DeadlineExceeded).
     /// `None` (the default) never expires; the simulator ignores this.
     pub deadline: Option<std::time::Duration>,
+    /// Threads lent to the run. A real backend given a
+    /// [`Crew`](crate::threaded::crew::Crew) runs its workers (or
+    /// drivers) on the crew's parked threads instead of creating and
+    /// joining its own; `None` (the default) is the one-shot path. A
+    /// resource handle like `cancel`, not a tunable: results are bitwise
+    /// the same either way. The simulator ignores this.
+    pub crew: Option<crate::threaded::crew::Crew>,
 }
 
 impl Default for ExecutorOptions {
@@ -117,6 +124,7 @@ impl Default for ExecutorOptions {
             stream_batch: None,
             cancel: None,
             deadline: None,
+            crew: None,
         }
     }
 }

@@ -72,10 +72,11 @@ pub use par_op::{
 };
 pub use run::{OpRecord, RunReport};
 pub use stats::{CostFn, OnlineStats, StealStats};
+pub use threaded::crew::Crew;
 pub use threaded::dist::{DistChunk, DistQueue};
 pub use threaded::topology::{
-    pin_current_thread, CpuInfo, CpuTopology, StealDistance, StealTarget, TopologyFingerprint,
-    TopologyMode, TopologySource, WorkerTopo,
+    pin_current_thread, Affinity, CpuInfo, CpuTopology, StealDistance, StealTarget,
+    TopologyFingerprint, TopologyMode, TopologySource, WorkerTopo,
 };
 pub use threaded::{
     execute_sequential, execute_threaded, AccessPattern, ExecutorBackend, ReduceKernel, SpinKernel,

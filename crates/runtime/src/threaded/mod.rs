@@ -20,6 +20,7 @@
 //!   the plan and the pool that is not specific to this backend is the
 //!   shared run core, [`crate::run`].
 
+pub mod crew;
 pub mod dist;
 pub mod pool;
 pub mod queue;
@@ -429,7 +430,7 @@ pub(crate) fn run_threaded(
     let ctl = RunCtl::new(opts, plan, workers);
 
     let t0 = Instant::now();
-    let records = pool::run_pool(&ops, &g.nodes, &arena, &wt, opts.pin_workers, kernel, &ctl);
+    let records = pool::run_pool(&ops, &g.nodes, &arena, &wt, opts, kernel, &ctl);
     let wall_us = t0.elapsed().as_secs_f64() * 1e6;
 
     let mut steal = StealStats::new();

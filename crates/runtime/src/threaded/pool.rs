@@ -44,13 +44,15 @@
 //!   the claiming worker's own queue, so an abandoned home can never
 //!   refill behind its owner's back.
 
+use super::crew::run_on_threads;
 use super::dist::DistQueue;
 use super::queue::{BoundedClaim, ChunkQueue};
-use super::topology::{pin_current_thread, StealDistance, WorkerTopo};
+use super::topology::{pin_current_thread, Affinity, StealDistance, WorkerTopo};
 use super::TaskKernel;
 use crate::alloc::{OutputArena, Publication};
 use crate::checkpoint::{CancelCtl, KillMode, Lease, RunCtl};
 use crate::chunking::PolicyKind;
+use crate::executor::ExecutorOptions;
 use crate::finish::{finish_estimate_live, HostCalibration, OpSpec};
 use crate::granularity::pipelined_stage_time_params;
 use crate::run::{snapshot_ops, Claimed, ExecLog, OpState};
@@ -349,29 +351,34 @@ fn us_since(epoch: Instant, t: Instant) -> f64 {
     t.duration_since(epoch).as_secs_f64() * 1e6
 }
 
-/// Executes the op DAG on one thread per worker of `topo`, which
-/// supplies the per-worker steal schedules (and pin targets when `pin`
-/// is set). `ctl` carries the fault plan and checkpoint state (inert on
-/// normal runs). Ops a restored snapshot already finished count as
-/// completed from the start; ops with no live dependency start ready.
+/// Executes the op DAG on one thread per worker of `topo` — the
+/// threads of `opts.crew` when one is lent, scoped threads of this
+/// call's own otherwise — which supplies the per-worker steal schedules
+/// (and pin targets under `opts.pin_workers`). `ctl` carries the fault
+/// plan and checkpoint state (inert on normal runs). Ops a restored
+/// snapshot already finished count as completed from the start; ops
+/// with no live dependency start ready.
 pub(crate) fn run_pool(
     ops: &[PoolOp],
     nodes: &[Node],
     arena: &OutputArena,
     topo: &WorkerTopo,
-    pin: bool,
+    opts: &ExecutorOptions,
     kernel: &(dyn TaskKernel + Sync),
     ctl: &RunCtl,
 ) -> Vec<WorkerRecord> {
+    let pin = opts.pin_workers;
+    let crew = opts.crew.as_ref();
     let shared = Shared::new(ops, nodes, arena, topo, pin, ctl);
-    let workers = shared.workers.len();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for id in 0..workers {
-            let shared = &shared;
-            handles.push(scope.spawn(move || worker_loop(shared, id, kernel)));
+    run_on_threads(crew, shared.workers.len(), |id| {
+        // A lent thread outlives the run: if the run pins it, it goes
+        // back with the affinity mask it came with.
+        let entered = if pin && crew.is_some() { Affinity::current() } else { None };
+        let record = worker_loop(&shared, id, kernel);
+        if let Some(mask) = entered {
+            mask.apply();
         }
-        handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
+        record
     })
 }
 
@@ -1269,7 +1276,6 @@ fn complete_op(shared: &Shared<'_>, id: usize, op_idx: usize, t_end: f64) {
 mod tests {
     use super::*;
     use crate::checkpoint::{FaultPlan, FaultTrigger, ResumeState};
-    use crate::executor::ExecutorOptions;
     use crate::run::{set_up, Setup};
     use crate::threaded::topology::CpuTopology;
     use crate::threaded::{build_plan, SpinKernel};

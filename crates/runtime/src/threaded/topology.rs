@@ -23,7 +23,9 @@
 //!   direct `sched_setaffinity` call (the symbol is already linked via
 //!   std's libc; no new dependency). Pinning failures are reported,
 //!   never fatal: a 1-core host running a synthetic 8-CPU topology
-//!   simply leaves most workers unpinned.
+//!   simply leaves most workers unpinned. [`Affinity`] is the mask
+//!   itself, read and re-applied by a lent thread that pinned itself
+//!   for one run.
 //!
 //! Everything here is a pure function of the topology description and
 //! the worker count, so steal schedules are deterministic and
@@ -460,32 +462,64 @@ impl WorkerTopo {
     }
 }
 
-/// Pins the calling thread to one logical CPU via `sched_setaffinity`,
-/// returning whether the kernel accepted it. The libc symbol is
-/// declared directly (std already links libc on Linux), so this adds
-/// no dependency; on other platforms, or for CPU ids past the mask
-/// width, it returns `false` and the caller runs unpinned.
-pub fn pin_current_thread(cpu: usize) -> bool {
-    #[cfg(target_os = "linux")]
-    {
-        // A 1024-bit mask, the size of glibc's cpu_set_t.
-        const WORDS: usize = 1024 / 64;
-        if cpu >= WORDS * 64 {
-            return false;
+/// Words of an [`Affinity`] mask: 1024 bits, the size of glibc's
+/// `cpu_set_t`.
+const AFFINITY_WORDS: usize = 1024 / 64;
+
+/// The set of CPUs a thread may run on, bit `c` of the mask for CPU
+/// `c`. The libc symbols are declared directly (std already links libc
+/// on Linux), so this adds no dependency; on other platforms nothing
+/// can be read or applied.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Affinity([u64; AFFINITY_WORDS]);
+
+impl Affinity {
+    /// The calling thread's mask (`sched_getaffinity`), or `None` where
+    /// it cannot be read.
+    pub fn current() -> Option<Affinity> {
+        #[cfg(target_os = "linux")]
+        {
+            extern "C" {
+                fn sched_getaffinity(pid: i32, cpusetsize: usize, mask: *mut u64) -> i32;
+            }
+            let mut mask = [0u64; AFFINITY_WORDS];
+            // SAFETY: pid 0 is the calling thread; the kernel writes at
+            // most `cpusetsize` bytes, which is the size of `mask`.
+            let ok = unsafe { sched_getaffinity(0, AFFINITY_WORDS * 8, mask.as_mut_ptr()) == 0 };
+            ok.then_some(Affinity(mask))
         }
-        let mut mask = [0u64; WORDS];
-        mask[cpu / 64] |= 1u64 << (cpu % 64);
-        extern "C" {
-            fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
-        }
-        // pid 0 = the calling thread.
-        unsafe { sched_setaffinity(0, WORDS * 8, mask.as_ptr()) == 0 }
+        #[cfg(not(target_os = "linux"))]
+        None
     }
-    #[cfg(not(target_os = "linux"))]
-    {
-        let _ = cpu;
+
+    /// Confines the calling thread to this mask (`sched_setaffinity`),
+    /// returning whether the kernel accepted it.
+    pub fn apply(&self) -> bool {
+        #[cfg(target_os = "linux")]
+        {
+            extern "C" {
+                fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
+            }
+            // SAFETY: pid 0 is the calling thread; the kernel reads
+            // `cpusetsize` bytes, which is the size of the mask.
+            unsafe { sched_setaffinity(0, AFFINITY_WORDS * 8, self.0.as_ptr()) == 0 }
+        }
+        #[cfg(not(target_os = "linux"))]
         false
     }
+}
+
+/// Pins the calling thread to one logical CPU, returning whether the
+/// kernel accepted it; on other platforms than Linux, or for CPU ids
+/// past the mask width, it returns `false` and the caller runs
+/// unpinned.
+pub fn pin_current_thread(cpu: usize) -> bool {
+    if cpu >= AFFINITY_WORDS * 64 {
+        return false;
+    }
+    let mut mask = [0u64; AFFINITY_WORDS];
+    mask[cpu / 64] |= 1u64 << (cpu % 64);
+    Affinity(mask).apply()
 }
 
 #[cfg(test)]

@@ -19,6 +19,7 @@ use orchestra_delirium::DelirGraph;
 use orchestra_runtime::chunking::PolicyKind;
 use orchestra_runtime::executor::ExecutorOptions;
 use orchestra_runtime::threaded::{execute_sequential, execute_threaded, SpinKernel};
+use orchestra_runtime::Crew;
 use proptest::prelude::*;
 
 const POLICIES: [PolicyKind; 5] = [
@@ -214,26 +215,58 @@ fn streaming_engages_on_chains_and_pipeline_overlap_gates_it() {
 /// async execution all produce buffers bit-identical to the sequential
 /// reference on every shape (flat / DAG / pipeline / skewed mixture).
 /// Kernels are pure in `(node, iter, task)`, so this holds regardless
-/// of which thread, home queue, or driver ran each task.
+/// of which thread, home queue, or driver ran each task — the run's
+/// own scoped threads, or those of one [`Crew`] lent to every run of
+/// the test, which then never needs more than the two a run uses.
 #[test]
 fn all_backends_bit_identical_on_all_shapes() {
     use orchestra_runtime::execute_async;
     use orchestra_runtime::threaded::ExecutorBackend;
     let kernel = SpinKernel::with_scale(2.0);
+    let crew = Crew::new();
     for (name, g, opts) in graphs() {
         for policy in [PolicyKind::SelfSched, PolicyKind::Taper] {
-            let opts = ExecutorOptions { policy, ..opts.clone() };
-            let seq = execute_sequential(&g, &opts, &kernel).unwrap();
-            let thr = execute_threaded(&g, &opts, &kernel).unwrap();
-            let dist_opts =
-                ExecutorOptions { backend: ExecutorBackend::ThreadedDist, ..opts.clone() };
-            let dist = execute_threaded(&g, &dist_opts, &kernel).unwrap();
-            let asy = execute_async(&g, &opts, &kernel).unwrap();
-            assert_eq!(seq.outputs, thr.outputs, "{name}/{}: threaded", policy.name());
-            assert_eq!(seq.outputs, dist.outputs, "{name}/{}: threaded-dist", policy.name());
-            assert_eq!(seq.outputs, asy.outputs, "{name}/{}: async", policy.name());
+            for lent in [None, Some(crew.clone())] {
+                let on = if lent.is_some() { "crew" } else { "scoped" };
+                let opts = ExecutorOptions { policy, crew: lent, ..opts.clone() };
+                let seq = execute_sequential(&g, &opts, &kernel).unwrap();
+                let thr = execute_threaded(&g, &opts, &kernel).unwrap();
+                let dist_opts =
+                    ExecutorOptions { backend: ExecutorBackend::ThreadedDist, ..opts.clone() };
+                let dist = execute_threaded(&g, &dist_opts, &kernel).unwrap();
+                let asy = execute_async(&g, &opts, &kernel).unwrap();
+                let label = format!("{name}/{}/{on}", policy.name());
+                assert_eq!(seq.outputs, thr.outputs, "{label}: threaded");
+                assert_eq!(seq.outputs, dist.outputs, "{label}: threaded-dist");
+                assert_eq!(seq.outputs, asy.outputs, "{label}: async");
+            }
         }
     }
+    assert_eq!(crew.threads(), 2, "thirty lent runs of two workers each");
+}
+
+/// A run that pins its workers hands a lent thread back with the
+/// affinity mask it came with: the pin is the run's, the thread is the
+/// crew's.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_pinned_run_leaves_lent_threads_their_affinity() {
+    use orchestra_runtime::Affinity;
+    let masks = |crew: &Crew| -> std::collections::HashMap<_, _> {
+        crew.run(2, |_| (std::thread::current().id(), Affinity::current())).into_iter().collect()
+    };
+    let crew = Crew::new();
+    let before = masks(&crew);
+    assert_eq!(before.len(), 2, "two calls at once run on two threads");
+    assert!(before.values().all(Option::is_some), "sched_getaffinity works on Linux");
+    let (g, opts) = flat_graph();
+    let opts = ExecutorOptions { pin_workers: true, crew: Some(crew.clone()), ..opts };
+    let kernel = SpinKernel::with_scale(2.0);
+    let seq = execute_sequential(&g, &opts, &kernel).unwrap();
+    let run = execute_threaded(&g, &opts, &kernel).unwrap();
+    assert_eq!(seq.outputs, run.outputs);
+    assert!(run.pinned_workers > 0, "no worker could pin itself: the check would be vacuous");
+    assert_eq!(masks(&crew), before, "same threads, same masks");
 }
 
 #[test]

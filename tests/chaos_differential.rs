@@ -35,8 +35,8 @@ use orchestra_delirium::DelirGraph;
 use orchestra_runtime::executor::ExecutorOptions;
 use orchestra_runtime::threaded::{execute_sequential, execute_threaded, ExecutorBackend};
 use orchestra_runtime::{
-    execute_async, execute_graph_resumable, load_latest, snapshot_versions, CheckpointSpec,
-    FaultPlan, FaultTrigger, KillSpec, RunReport, SpinKernel,
+    execute_async, execute_graph_resumable, load_latest, snapshot_versions, CheckpointSpec, Crew,
+    FaultPlan, FaultTrigger, KillSpec, PolicyKind, RunReport, SpinKernel,
 };
 use proptest::collection;
 use proptest::prelude::*;
@@ -468,6 +468,42 @@ fn crash_resume_mid_stream_stays_exact() {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Crash + resume on a lent [`Crew`]: the aborted attempt's workers go
+/// back to the crew and the resumed attempt runs on the same three
+/// threads — still bitwise-exact, restored tasks never re-executed.
+#[test]
+fn crash_resume_on_a_lent_crew_reuses_the_aborted_attempts_threads() {
+    let (_, g, opts) = chaos_graph(0);
+    let dir = scratch_dir("crew");
+    let crew = Crew::new();
+    // One claim per task, and whichever worker first makes three
+    // crashes the run: 96 claims over 3 workers cannot avoid it.
+    let crash = FaultPlan {
+        kills: (0..3)
+            .map(|worker| KillSpec { worker, trigger: FaultTrigger::AfterClaims(3) })
+            .collect(),
+        crash_run: true,
+        crash_kills: Vec::new(),
+    };
+    let opts = ExecutorOptions {
+        backend: ExecutorBackend::Threaded,
+        policy: PolicyKind::SelfSched,
+        threads: 3,
+        faults: Some(crash),
+        checkpoint: Some(CheckpointSpec { dir: dir.clone(), every_claims: 1, keep: 4 }),
+        crew: Some(crew.clone()),
+        ..opts
+    };
+    let k = kernel();
+    let seq = execute_sequential(&g, &opts, &k).unwrap();
+    let run = execute_graph_resumable(&g, &opts, &k).unwrap();
+    assert_eq!(run.attempts, 2, "the first attempt must crash, the second finish");
+    let checked = check_resumable(&seq.outputs, &seq.op_names(), &run, &dir, "lent crew");
+    let _ = std::fs::remove_dir_all(&dir);
+    checked.expect("the resume invariants hold on a lent crew");
+    assert_eq!(crew.threads(), 3, "both attempts ran on the same three threads");
 }
 
 /// A crash with no checkpoint spec must still converge: the resumable
