@@ -55,12 +55,13 @@ pub enum Terminator {
 
 impl Terminator {
     /// Successor block ids, in order.
-    pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            Terminator::Jump(b) => vec![*b],
-            Terminator::Branch { then_b, else_b, .. } => vec![*then_b, *else_b],
-            Terminator::Exit => Vec::new(),
-        }
+    pub fn successors(&self) -> impl Iterator<Item = BlockId> {
+        let (first, second) = match self {
+            Terminator::Jump(b) => (Some(*b), None),
+            Terminator::Branch { then_b, else_b, .. } => (Some(*then_b), Some(*else_b)),
+            Terminator::Exit => (None, None),
+        };
+        first.into_iter().chain(second)
     }
 }
 
@@ -278,10 +279,8 @@ impl Cfg {
         let mut stack: Vec<(BlockId, usize)> = vec![(self.entry, 0)];
         visited[self.entry] = true;
         while let Some(&(b, next)) = stack.last() {
-            let succs = self.blocks[b].term.successors();
-            if next < succs.len() {
+            if let Some(s) = self.blocks[b].term.successors().nth(next) {
                 stack.last_mut().expect("nonempty").1 += 1;
-                let s = succs[next];
                 if !visited[s] {
                     visited[s] = true;
                     stack.push((s, 0));

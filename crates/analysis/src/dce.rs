@@ -14,7 +14,7 @@
 //! program's observable output in MF).
 
 use crate::propagate::lin_expr;
-use crate::symbolic::SymValue;
+use crate::symbolic::{Names, SymValue};
 use orchestra_lang::ast::{Expr, LValue, Program, Stmt};
 use std::collections::{BTreeSet, HashMap};
 
@@ -114,7 +114,8 @@ fn decide(cond: &Expr, values: &HashMap<String, SymValue>) -> Option<bool> {
     use orchestra_lang::ast::BinOp;
     if let Expr::Bin(op, l, r) = cond {
         if op.is_comparison() {
-            let (a, b) = (lin_expr(l, values)?, lin_expr(r, values)?);
+            let names = Names::default();
+            let (a, b) = (lin_expr(l, values, &names)?, lin_expr(r, values, &names)?);
             let d = a.sub(&b).as_constant()?;
             return Some(match op {
                 BinOp::Eq => d == 0,

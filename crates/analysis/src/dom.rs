@@ -161,7 +161,7 @@ mod tests {
         let crate::cfg::Terminator::Branch { then_b, else_b, .. } = &cfg.blocks[0].term else {
             panic!()
         };
-        let join = cfg.blocks[*then_b].term.successors()[0];
+        let join = cfg.blocks[*then_b].term.successors().next().unwrap();
         assert_eq!(dom.idom[join], cfg.entry);
         // Arms do not dominate the join.
         assert!(!dom.dominates(*then_b, join));
@@ -176,7 +176,7 @@ mod tests {
         let crate::cfg::Terminator::Branch { then_b, else_b, .. } = &cfg.blocks[0].term else {
             panic!()
         };
-        let join = cfg.blocks[*then_b].term.successors()[0];
+        let join = cfg.blocks[*then_b].term.successors().next().unwrap();
         assert!(dom.frontier[*then_b].contains(&join));
         assert!(dom.frontier[*else_b].contains(&join));
         assert!(!dom.frontier[cfg.entry].contains(&join));

@@ -102,7 +102,7 @@ pub fn analyze_with_profile(prog: &Program, profile: &BTreeMap<usize, f64>) -> A
     // Step 4 runs before SSA so forwarded scalars participate in
     // renaming and value propagation.
     let aggregate_forwards = aggregate::forward_aggregates(&mut base_cfg);
-    let ssa_prog = ssa::to_ssa(&base_cfg, &scalars);
+    let ssa_prog = ssa::to_ssa(base_cfg, &scalars);
     let mut prop = propagate::propagate(&ssa_prog);
     let aliases = alias::detect_aliases(&ssa_prog.cfg);
     alias::apply_invalidations(&mut prop, &aliases);

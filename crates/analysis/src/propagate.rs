@@ -9,7 +9,7 @@
 
 use crate::cfg::{BlockRole, LoopShape, SimpleStmt, Terminator};
 use crate::ssa::SsaProgram;
-use crate::symbolic::{ordered::OrderedF64, Assertion, Ineq, SymExpr, SymRange, SymValue};
+use crate::symbolic::{ordered::OrderedF64, Assertion, Ineq, Names, SymExpr, SymRange, SymValue};
 use orchestra_lang::ast::{BinOp, Expr, LValue, UnOp};
 use std::collections::HashMap;
 
@@ -30,6 +30,8 @@ struct Lookup<'a> {
     loops: HashMap<(usize, &'a str), &'a LoopShape>,
     /// The right-hand side assigned to each SSA scalar.
     defs: HashMap<&'a str, &'a Expr>,
+    /// The SSA names expressions hold opaque, each spelled once.
+    names: Names,
 }
 
 impl<'a> Lookup<'a> {
@@ -44,7 +46,7 @@ impl<'a> Lookup<'a> {
                 _ => None,
             })
             .collect();
-        Lookup { loops, defs }
+        Lookup { loops, defs, names: Names::default() }
     }
 }
 
@@ -77,7 +79,7 @@ pub fn propagate(ssa: &SsaProgram) -> Propagation {
                     if values.contains_key(name) {
                         continue;
                     }
-                    let v = eval_value(value, &values);
+                    let v = eval_value(value, &values, &lookup.names);
                     values.insert(name.clone(), v);
                 }
             }
@@ -101,8 +103,8 @@ pub fn propagate(ssa: &SsaProgram) -> Propagation {
                 merge_edge(&mut assertions, b, *t, &rpo_index, base);
             }
             Terminator::Branch { cond, then_b, else_b } => {
-                let pos = assertions[b].and(&to_assertion(cond, true, &values));
-                let neg = assertions[b].and(&to_assertion(cond, false, &values));
+                let pos = assertions[b].and(&to_assertion(cond, true, &values, &lookup.names));
+                let neg = assertions[b].and(&to_assertion(cond, false, &values, &lookup.names));
                 merge_edge(&mut assertions, b, *then_b, &rpo_index, pos);
                 merge_edge(&mut assertions, b, *else_b, &rpo_index, neg);
             }
@@ -137,22 +139,23 @@ fn phi_value(
 ) -> Option<SymValue> {
     // Induction recognition only applies to loop headers.
     let Some(shape) = lookup.loops.get(&(block, phi.var.as_str())) else {
-        return equal_args_value(phi, values);
+        return equal_args_value(phi, values, &lookup.names);
     };
     let (init_arg, step_arg) = match &phi.args[..] {
         [(pred, init), (_, step)] if *pred == shape.preheader => (init, step),
         [(_, step), (pred, init)] if *pred == shape.preheader => (init, step),
-        _ => return equal_args_value(phi, values),
+        _ => return equal_args_value(phi, values, &lookup.names),
     };
     // The back-edge def must be `phi + k`, k non-zero.
-    let step = lookup.defs.get(step_arg.as_str()).and_then(|def| lin_expr(def, values));
+    let names = &lookup.names;
+    let step = lookup.defs.get(step_arg.as_str()).and_then(|def| lin_expr(def, values, names));
     let k = step
         .filter(|se| se.coeff(&phi.dest) == 1)
         .and_then(|se| se.subst(&phi.dest, &SymExpr::constant(0)).as_constant());
     let Some(k) = k.filter(|k| *k != 0) else {
         return Some(SymValue::Unknown);
     };
-    let init = resolve_expr(init_arg, values)?;
+    let init = resolve_expr(init_arg, values, names)?;
     // The loop bound comes from the renamed header test `phi <= hi`
     // (or `>=`), so it is already in SSA names.
     let Terminator::Branch { cond: Expr::Bin(BinOp::Le | BinOp::Ge, lhs, rhs), .. } =
@@ -163,15 +166,19 @@ fn phi_value(
     if !matches!(&**lhs, Expr::Var(v) if *v == phi.dest) {
         return Some(SymValue::Unknown);
     }
-    let hi = lin_expr(rhs, values)?;
+    let hi = lin_expr(rhs, values, names)?;
     let (start, end) = if k > 0 { (init, hi) } else { (hi, init) };
     Some(SymValue::Range(SymRange { start, end, skip: k.abs() }))
 }
 
-fn equal_args_value(phi: &crate::ssa::Phi, values: &HashMap<String, SymValue>) -> Option<SymValue> {
+fn equal_args_value(
+    phi: &crate::ssa::Phi,
+    values: &HashMap<String, SymValue>,
+    names: &Names,
+) -> Option<SymValue> {
     let mut resolved: Vec<SymExpr> = Vec::new();
     for (_, arg) in &phi.args {
-        resolved.push(resolve_expr(arg, values)?);
+        resolved.push(resolve_expr(arg, values, names)?);
     }
     let first = resolved.first()?;
     if resolved.iter().all(|e| e == first) {
@@ -188,30 +195,34 @@ fn equal_args_value(phi: &crate::ssa::Phi, values: &HashMap<String, SymValue>) -
     }
 }
 
-/// Resolves an SSA name to a symbolic expression: its known value, or
-/// itself as an opaque term.
-pub fn resolve_expr(name: &str, values: &HashMap<String, SymValue>) -> Option<SymExpr> {
+/// Resolves a name to a symbolic expression: its known value, or
+/// itself as an opaque term, spelled as `names` holds it.
+pub fn resolve_expr(
+    name: &str,
+    values: &HashMap<String, SymValue>,
+    names: &Names,
+) -> Option<SymExpr> {
     match values.get(name) {
         Some(SymValue::Expr(e)) => Some(e.clone()),
-        Some(SymValue::Range(_)) | Some(SymValue::Unknown) | None => Some(SymExpr::name(name)),
+        Some(SymValue::Range(_)) | Some(SymValue::Unknown) | None => Some(names.expr(name)),
         Some(SymValue::FloatConst(_)) => None,
     }
 }
 
-/// Linearizes an expression over SSA names, substituting known values.
+/// Linearizes an expression over names, substituting known values.
 ///
 /// Returns `None` when the expression is non-linear or reads memory.
-pub fn lin_expr(e: &Expr, values: &HashMap<String, SymValue>) -> Option<SymExpr> {
+pub fn lin_expr(e: &Expr, values: &HashMap<String, SymValue>, names: &Names) -> Option<SymExpr> {
     match e {
         Expr::IntLit(v) => Some(SymExpr::constant(*v)),
         Expr::FloatLit(_) => None,
-        Expr::Var(name) => resolve_expr(name, values),
+        Expr::Var(name) => resolve_expr(name, values, names),
         Expr::Index(_, _) | Expr::Call(_, _) => None,
-        Expr::Un(UnOp::Neg, inner) => Some(lin_expr(inner, values)?.scale(-1)),
+        Expr::Un(UnOp::Neg, inner) => Some(lin_expr(inner, values, names)?.scale(-1)),
         Expr::Un(UnOp::Not, _) => None,
         Expr::Bin(op, l, r) => {
-            let a = lin_expr(l, values)?;
-            let b = lin_expr(r, values)?;
+            let a = lin_expr(l, values, names)?;
+            let b = lin_expr(r, values, names)?;
             match op {
                 BinOp::Add => Some(a.add(&b)),
                 BinOp::Sub => Some(a.sub(&b)),
@@ -232,8 +243,8 @@ pub fn lin_expr(e: &Expr, values: &HashMap<String, SymValue>) -> Option<SymExpr>
 }
 
 /// Evaluates an expression to a symbolic value.
-pub fn eval_value(e: &Expr, values: &HashMap<String, SymValue>) -> SymValue {
-    if let Some(le) = lin_expr(e, values) {
+pub fn eval_value(e: &Expr, values: &HashMap<String, SymValue>, names: &Names) -> SymValue {
+    if let Some(le) = lin_expr(e, values, names) {
         return SymValue::Expr(le);
     }
     if let Expr::FloatLit(v) = e {
@@ -247,10 +258,16 @@ pub fn eval_value(e: &Expr, values: &HashMap<String, SymValue>) -> SymValue {
 /// `positive` selects the taken (`true`) or fall-through (`false`)
 /// direction. Conditions the analysis cannot express (array reads,
 /// calls, non-linear arithmetic) become the trivially-true assertion.
-pub fn to_assertion(cond: &Expr, positive: bool, values: &HashMap<String, SymValue>) -> Assertion {
+pub fn to_assertion(
+    cond: &Expr,
+    positive: bool,
+    values: &HashMap<String, SymValue>,
+    names: &Names,
+) -> Assertion {
     match cond {
         Expr::Bin(op, l, r) if op.is_comparison() => {
-            let (Some(a), Some(b)) = (lin_expr(l, values), lin_expr(r, values)) else {
+            let (Some(a), Some(b)) = (lin_expr(l, values, names), lin_expr(r, values, names))
+            else {
                 return Assertion::truth();
             };
             let eff_op = if positive { *op } else { op.negate().expect("comparisons negate") };
@@ -266,24 +283,24 @@ pub fn to_assertion(cond: &Expr, positive: bool, values: &HashMap<String, SymVal
         }
         Expr::Bin(BinOp::And, l, r) => {
             if positive {
-                to_assertion(l, true, values).and(&to_assertion(r, true, values))
+                to_assertion(l, true, values, names).and(&to_assertion(r, true, values, names))
             } else {
                 // ¬(l ∧ r) = ¬l ∨ ¬r — but each ¬ may be weakened to true,
                 // which would make the whole disjunction true (sound).
-                to_assertion(l, false, values).or(&to_assertion(r, false, values))
+                to_assertion(l, false, values, names).or(&to_assertion(r, false, values, names))
             }
         }
         Expr::Bin(BinOp::Or, l, r) => {
             if positive {
-                to_assertion(l, true, values).or(&to_assertion(r, true, values))
+                to_assertion(l, true, values, names).or(&to_assertion(r, true, values, names))
             } else {
-                to_assertion(l, false, values).and(&to_assertion(r, false, values))
+                to_assertion(l, false, values, names).and(&to_assertion(r, false, values, names))
             }
         }
-        Expr::Un(UnOp::Not, inner) => to_assertion(inner, !positive, values),
+        Expr::Un(UnOp::Not, inner) => to_assertion(inner, !positive, values, names),
         // A bare scalar `if (x)` means `x <> 0`.
         Expr::Var(_) | Expr::IntLit(_) => {
-            let Some(a) = lin_expr(cond, values) else {
+            let Some(a) = lin_expr(cond, values, names) else {
                 return Assertion::truth();
             };
             let zero = SymExpr::constant(0);
@@ -326,7 +343,7 @@ mod tests {
             }
         }
         ivs(&p.body, &mut scalars);
-        let ssa = to_ssa(&Cfg::from_program(&p), &scalars);
+        let ssa = to_ssa(Cfg::from_program(&p), &scalars);
         let prop = propagate(&ssa);
         (ssa, prop)
     }
@@ -438,10 +455,10 @@ mod tests {
 
     #[test]
     fn to_assertion_negates_correctly() {
-        let values = HashMap::new();
+        let (values, names) = (HashMap::new(), Names::default());
         let cond = Expr::bin(BinOp::Lt, Expr::var("x"), Expr::IntLit(5));
-        let pos = to_assertion(&cond, true, &values);
-        let neg = to_assertion(&cond, false, &values);
+        let pos = to_assertion(&cond, true, &values, &names);
+        let neg = to_assertion(&cond, false, &values, &names);
         assert!(pos.and(&neg).contradictory());
     }
 }

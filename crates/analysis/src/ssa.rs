@@ -54,8 +54,7 @@ pub fn ssa_name(base: &str, version: u32) -> String {
 ///
 /// Any scalar used before being assigned refers to `base#0`, the
 /// implicit entry definition.
-pub fn to_ssa(cfg: &Cfg, scalar_names: &BTreeSet<String>) -> SsaProgram {
-    let mut cfg = cfg.clone();
+pub fn to_ssa(mut cfg: Cfg, scalar_names: &BTreeSet<String>) -> SsaProgram {
     cfg.compute_preds();
     let dom = DomTree::compute(&cfg);
     let n = cfg.len();
@@ -119,11 +118,12 @@ struct Renamer {
 }
 
 impl Renamer {
+    /// A new version of `var`, one of the scalars [`to_ssa`] seeded.
     fn fresh(&mut self, var: &str, block: usize) -> String {
-        let c = self.counters.entry(var.to_string()).or_insert(0);
+        let c = self.counters.get_mut(var).expect("a seeded scalar");
         *c += 1;
         let name = ssa_name(var, *c);
-        self.stacks.entry(var.to_string()).or_default().push(name.clone());
+        self.stacks.get_mut(var).expect("a seeded scalar").push(name.clone());
         self.def_block.insert(name.clone(), block);
         name
     }
@@ -133,26 +133,23 @@ impl Renamer {
     }
 }
 
-fn rename_expr(e: &Expr, r: &Renamer, scalars: &BTreeSet<String>) -> Expr {
+/// Renames every scalar use in `e` to the version on top of its stack.
+fn rename_expr(e: &mut Expr, r: &Renamer, scalars: &BTreeSet<String>) {
     match e {
-        Expr::IntLit(_) | Expr::FloatLit(_) => e.clone(),
+        Expr::IntLit(_) | Expr::FloatLit(_) => {}
         Expr::Var(v) => {
             if scalars.contains(v) {
-                Expr::Var(r.top(v))
-            } else {
-                e.clone()
+                *v = r.top(v);
             }
         }
-        Expr::Index(a, idx) => {
-            Expr::Index(a.clone(), idx.iter().map(|i| rename_expr(i, r, scalars)).collect())
+        Expr::Index(_, args) | Expr::Call(_, args) => {
+            args.iter_mut().for_each(|a| rename_expr(a, r, scalars));
         }
-        Expr::Bin(op, l, rr) => {
-            Expr::bin(*op, rename_expr(l, r, scalars), rename_expr(rr, r, scalars))
+        Expr::Bin(_, l, rr) => {
+            rename_expr(l, r, scalars);
+            rename_expr(rr, r, scalars);
         }
-        Expr::Un(op, inner) => Expr::Un(*op, Box::new(rename_expr(inner, r, scalars))),
-        Expr::Call(f, args) => {
-            Expr::Call(f.clone(), args.iter().map(|a| rename_expr(a, r, scalars)).collect())
-        }
+        Expr::Un(_, inner) => rename_expr(inner, r, scalars),
     }
 }
 
@@ -175,35 +172,29 @@ fn rename_block(
 
     // Statements: uses are renamed with the stacks as of that point,
     // then the definition pushes a fresh version.
-    let stmts = std::mem::take(&mut cfg.blocks[b].stmts);
-    let mut new_stmts = Vec::with_capacity(stmts.len());
-    for s in stmts {
+    for s in &mut cfg.blocks[b].stmts {
         match s {
             SimpleStmt::Assign { target, value } => {
-                let value = rename_expr(&value, r, scalars);
-                let target = match target {
-                    LValue::Var(v) if scalars.contains(&v) => {
-                        let name = r.fresh(&v, b);
-                        pushed.push(v);
-                        LValue::Var(name)
+                rename_expr(value, r, scalars);
+                match target {
+                    LValue::Var(v) if scalars.contains(v) => {
+                        let name = r.fresh(v, b);
+                        pushed.push(std::mem::replace(v, name));
                     }
-                    LValue::Var(v) => LValue::Var(v),
-                    LValue::Index(a, idx) => {
-                        LValue::Index(a, idx.iter().map(|i| rename_expr(i, r, scalars)).collect())
+                    LValue::Var(_) => {}
+                    LValue::Index(_, idx) => {
+                        idx.iter_mut().for_each(|i| rename_expr(i, r, scalars));
                     }
-                };
-                new_stmts.push(SimpleStmt::Assign { target, value });
+                }
             }
-            SimpleStmt::Call { name, args } => {
-                let args = args.iter().map(|a| rename_expr(a, r, scalars)).collect();
-                new_stmts.push(SimpleStmt::Call { name, args });
+            SimpleStmt::Call { args, .. } => {
+                args.iter_mut().for_each(|a| rename_expr(a, r, scalars));
             }
         }
     }
-    cfg.blocks[b].stmts = new_stmts;
 
     if let Terminator::Branch { cond, .. } = &mut cfg.blocks[b].term {
-        *cond = rename_expr(&cond.clone(), r, scalars);
+        rename_expr(cond, r, scalars);
     }
 
     // Fill φ arguments in successors.
@@ -214,7 +205,7 @@ fn rename_block(
     }
 
     // Recurse into dominator-tree children.
-    for &c in dom.children[b].clone().iter() {
+    for &c in &dom.children[b] {
         rename_block(c, cfg, phis, dom, r, scalars);
     }
 
@@ -248,7 +239,7 @@ mod tests {
         }
         collect_ivs(&p.body, &mut scalars);
         let cfg = Cfg::from_stmts(&p.body);
-        to_ssa(&cfg, &scalars)
+        to_ssa(cfg, &scalars)
     }
 
     #[test]

@@ -7,50 +7,99 @@
 //! inequalities; branch conditions are converted to assertions and
 //! propagated through the control-flow graph.
 //!
-//! Term keys are plain strings. The analysis pipeline uses SSA-name
+//! Term names are shared ([`Name`]): the analysis pipeline uses SSA-name
 //! spellings (`"n#1"`); the descriptor layer uses source variable names
 //! of unresolved constants (`"n"`, `"a"`, induction variables).
 
+use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+/// A name as expressions, triples and guards hold it: one allocation
+/// per identifier, shared by every value that mentions it.
+pub type Name = Arc<str>;
 
 /// A linear integer symbolic expression: `Σ coeffᵢ·nameᵢ + constant`.
+///
+/// The order of two expressions is that of their term lists, then
+/// constants — `Display`, `symexpr_to_ast` and the shape of an
+/// [`Assertion`] all follow the lexicographic order of the names.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct SymExpr {
-    terms: BTreeMap<String, i64>,
+    /// `(name, coefficient)` sorted by name, no name twice, no zero
+    /// coefficient; `None` (never an empty list) when there is no term.
+    /// Immutable and shared, so a clone is a reference count.
+    terms: Option<Arc<[(Name, i64)]>>,
     konst: i64,
+}
+
+/// A term list as an expression holds it.
+fn shared(terms: Vec<(Name, i64)>) -> Option<Arc<[(Name, i64)]>> {
+    (!terms.is_empty()).then(|| terms.into())
+}
+
+/// `a + k·b` over sorted term lists, in one merge pass; `k` is non-zero.
+fn merge<'a>(
+    a: impl IntoIterator<Item = &'a (Name, i64)>,
+    b: &[(Name, i64)],
+    k: i64,
+) -> Option<Arc<[(Name, i64)]>> {
+    let mut a = a.into_iter().peekable();
+    let mut b = b.iter().map(|(n, c)| (n, k * c)).peekable();
+    let mut out = Vec::new();
+    loop {
+        let side = match (a.peek(), b.peek()) {
+            (Some(x), Some(y)) => x.0.cmp(y.0),
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (None, None) => break,
+        };
+        let (n, c) = match side {
+            Ordering::Less => a.next().map(|(n, c)| (n, *c)),
+            Ordering::Greater => b.next(),
+            Ordering::Equal => a.next().zip(b.next()).map(|((n, c), (_, d))| (n, c + d)),
+        }
+        .expect("peeked");
+        if c != 0 {
+            out.push((n.clone(), c));
+        }
+    }
+    shared(out)
 }
 
 impl SymExpr {
     /// The constant expression `c`.
     pub fn constant(c: i64) -> Self {
-        SymExpr { terms: BTreeMap::new(), konst: c }
+        SymExpr { terms: None, konst: c }
     }
 
     /// The expression consisting of a single name with coefficient 1.
-    pub fn name(n: impl Into<String>) -> Self {
-        let mut terms = BTreeMap::new();
-        terms.insert(n.into(), 1);
-        SymExpr { terms, konst: 0 }
+    /// Pass a [`Name`] already held to share it.
+    pub fn name(n: impl Into<Name>) -> Self {
+        SymExpr { terms: Some(Arc::new([(n.into(), 1)])), konst: 0 }
     }
 
-    /// Builds an expression from term pairs and a constant.
-    pub fn from_terms(pairs: impl IntoIterator<Item = (String, i64)>, konst: i64) -> Self {
-        let mut e = SymExpr { terms: BTreeMap::new(), konst };
+    /// Builds an expression from term pairs (in any order, a name may
+    /// repeat) and a constant.
+    pub fn from_terms(pairs: impl IntoIterator<Item = (Name, i64)>, konst: i64) -> Self {
+        let mut pairs: Vec<(Name, i64)> = pairs.into_iter().collect();
+        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut terms: Vec<(Name, i64)> = Vec::with_capacity(pairs.len());
         for (n, c) in pairs {
-            if c != 0 {
-                *e.terms.entry(n).or_insert(0) += c;
+            match terms.last_mut() {
+                Some(last) if last.0 == n => last.1 += c,
+                _ => terms.push((n, c)),
             }
         }
-        e.normalize();
-        e
+        terms.retain(|(_, c)| *c != 0);
+        SymExpr { terms: shared(terms), konst }
     }
 
-    fn normalize(&mut self) {
-        self.terms.retain(|_, c| *c != 0);
+    fn term_list(&self) -> &[(Name, i64)] {
+        self.terms.as_deref().unwrap_or(&[])
     }
 
     /// The constant part.
@@ -58,14 +107,14 @@ impl SymExpr {
         self.konst
     }
 
-    /// Iterates over `(name, coefficient)` term pairs.
+    /// Iterates over `(name, coefficient)` term pairs, in name order.
     pub fn terms(&self) -> impl Iterator<Item = (&str, i64)> {
-        self.terms.iter().map(|(n, c)| (n.as_str(), *c))
+        self.term_list().iter().map(|(n, c)| (&**n, *c))
     }
 
     /// True if the expression is a plain constant.
     pub fn is_constant(&self) -> bool {
-        self.terms.is_empty()
+        self.terms.is_none()
     }
 
     /// Returns the constant value if this expression has no terms.
@@ -79,59 +128,55 @@ impl SymExpr {
 
     /// Returns `Some(name)` if the expression is exactly `1·name + 0`.
     pub fn as_name(&self) -> Option<&str> {
-        if self.konst == 0 && self.terms.len() == 1 {
-            let (n, c) = self.terms.iter().next().unwrap();
-            if *c == 1 {
-                return Some(n);
-            }
+        match self.term_list() {
+            [(n, 1)] if self.konst == 0 => Some(n),
+            _ => None,
         }
-        None
     }
 
     /// Whether the expression mentions `name`.
     pub fn mentions(&self, name: &str) -> bool {
-        self.terms.contains_key(name)
+        self.coeff(name) != 0
     }
 
     /// The coefficient of `name` (zero if absent).
     pub fn coeff(&self, name: &str) -> i64 {
-        self.terms.get(name).copied().unwrap_or(0)
+        self.term_list().iter().find(|(n, _)| &**n == name).map_or(0, |(_, c)| *c)
     }
 
     /// Sum of two expressions.
     pub fn add(&self, other: &SymExpr) -> SymExpr {
-        let mut out = self.clone();
-        out.konst += other.konst;
-        for (n, c) in &other.terms {
-            *out.terms.entry(n.clone()).or_insert(0) += c;
-        }
-        out.normalize();
-        out
+        self.plus_scaled(other, 1)
     }
 
     /// Difference of two expressions.
     pub fn sub(&self, other: &SymExpr) -> SymExpr {
-        self.add(&other.scale(-1))
+        self.plus_scaled(other, -1)
+    }
+
+    /// `self + k·other`; a side without terms lends the other's list.
+    fn plus_scaled(&self, other: &SymExpr, k: i64) -> SymExpr {
+        let konst = self.konst + k * other.konst;
+        let terms = match (&self.terms, &other.terms) {
+            (mine, None) => mine.clone(),
+            (None, theirs) if k == 1 => theirs.clone(),
+            (_, Some(theirs)) => merge(self.term_list(), theirs, k),
+        };
+        SymExpr { terms, konst }
     }
 
     /// Adds a constant.
     pub fn offset(&self, c: i64) -> SymExpr {
-        let mut out = self.clone();
-        out.konst += c;
-        out
+        SymExpr { terms: self.terms.clone(), konst: self.konst + c }
     }
 
     /// Multiplies by an integer constant.
     pub fn scale(&self, k: i64) -> SymExpr {
-        if k == 0 {
-            return SymExpr::constant(0);
+        match k {
+            0 => SymExpr::constant(0),
+            1 => self.clone(),
+            _ => SymExpr { terms: merge([], self.term_list(), k), konst: self.konst * k },
         }
-        let mut out = self.clone();
-        out.konst *= k;
-        for c in out.terms.values_mut() {
-            *c *= k;
-        }
-        out
     }
 
     /// Product, defined only when at least one side is constant.
@@ -149,38 +194,72 @@ impl SymExpr {
         if c == 0 {
             return self.clone();
         }
-        let mut base = self.clone();
-        base.terms.remove(name);
-        base.add(&repl.scale(c))
+        if self.term_list().len() == 1 {
+            // `c·name + k`: the replacement's own list, scaled.
+            return SymExpr::constant(self.konst).plus_scaled(repl, c);
+        }
+        let rest = self.term_list().iter().filter(|(n, _)| &**n != name);
+        SymExpr { terms: merge(rest, repl.term_list(), c), konst: self.konst + c * repl.konst }
     }
 
-    /// Compares two expressions when their difference is constant.
+    /// Compares two expressions when their difference is constant, which
+    /// it is exactly when their term lists are equal.
     ///
     /// Returns `Some(ordering of self vs other)` only when provable.
-    pub fn compare(&self, other: &SymExpr) -> Option<std::cmp::Ordering> {
-        self.sub(other).as_constant().map(|d| d.cmp(&0))
+    pub fn compare(&self, other: &SymExpr) -> Option<Ordering> {
+        (self.terms == other.terms).then(|| self.konst.cmp(&other.konst))
     }
 
     /// Proves `self <= other` (conservatively: `None` means unknown).
     pub fn le(&self, other: &SymExpr) -> Option<bool> {
-        self.compare(other).map(|o| o != std::cmp::Ordering::Greater)
+        self.compare(other).map(|o| o != Ordering::Greater)
     }
 
     /// Proves `self < other`.
     pub fn lt(&self, other: &SymExpr) -> Option<bool> {
-        self.compare(other).map(|o| o == std::cmp::Ordering::Less)
+        self.compare(other).map(|o| o == Ordering::Less)
     }
 
     /// Proves syntactic/arithmetic equality.
     pub fn eq_expr(&self, other: &SymExpr) -> Option<bool> {
-        self.compare(other).map(|o| o == std::cmp::Ordering::Equal)
+        self.compare(other).map(|o| o == Ordering::Equal)
+    }
+}
+
+/// The identifiers a compile has met, each spelled once: `1·name` per
+/// identifier, made at its first use, so that every later use copies two
+/// references instead of allocating the spelling and a term list again.
+/// One table per analysis run or symbolic context, dropped with it.
+#[derive(Debug, Default)]
+pub struct Names(Mutex<HashMap<Name, SymExpr>>);
+
+impl Names {
+    fn entry(&self, ident: &str) -> (Name, SymExpr) {
+        let mut met = self.0.lock().expect("nothing panics while the table is held");
+        if let Some((name, e)) = met.get_key_value(ident) {
+            return (name.clone(), e.clone());
+        }
+        let name = Name::from(ident);
+        let e = SymExpr::name(name.clone());
+        met.insert(name.clone(), e.clone());
+        (name, e)
+    }
+
+    /// `1·ident`, the same shared name and term list at every call.
+    pub fn expr(&self, ident: &str) -> SymExpr {
+        self.entry(ident).1
+    }
+
+    /// The shared spelling of `ident`.
+    pub fn name(&self, ident: &str) -> Name {
+        self.entry(ident).0
     }
 }
 
 impl fmt::Display for SymExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut first = true;
-        for (n, c) in &self.terms {
+        for (n, c) in self.term_list() {
             if first {
                 match *c {
                     1 => write!(f, "{n}")?,
@@ -272,7 +351,7 @@ impl SymRange {
         // Two points with provably different values.
         if self.is_point() && other.is_point() {
             if let Some(ord) = self.start.compare(&other.start) {
-                return ord != std::cmp::Ordering::Equal;
+                return ord != Ordering::Equal;
             }
         }
         false
@@ -500,9 +579,9 @@ struct Bucket {
 /// [`pair_contradictory`] needs term lists that are equal or negated,
 /// so atoms it can relate share a key.
 fn linear_key(e: &SymExpr) -> u64 {
-    let flip = e.terms.values().next().is_some_and(|c| *c < 0);
+    let flip = e.term_list().first().is_some_and(|(_, c)| *c < 0);
     let mut h = DefaultHasher::new();
-    for (n, c) in &e.terms {
+    for (n, c) in e.term_list() {
         (n, if flip { -c } else { *c }).hash(&mut h);
     }
     h.finish()
@@ -707,8 +786,9 @@ impl fmt::Display for Assertion {
 fn pair_contradictory(i: &Ineq, j: &Ineq) -> bool {
     let (a, b) = (&i.expr, &j.expr);
     let equal = a.terms == b.terms;
-    let negated = a.terms.len() == b.terms.len()
-        && a.terms.iter().zip(&b.terms).all(|((n, c), (m, d))| n == m && *c == -*d);
+    let (ta, tb) = (a.term_list(), b.term_list());
+    let negated =
+        ta.len() == tb.len() && ta.iter().zip(tb).all(|((n, c), (m, d))| n == m && *c == -*d);
     match (i.rel, j.rel) {
         // e = 0 together with e <> 0.
         (Rel::EqZero, Rel::NeZero) | (Rel::NeZero, Rel::EqZero) => equal && a.konst == b.konst,
@@ -730,6 +810,7 @@ fn pair_contradictory(i: &Ineq, j: &Ineq) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn n() -> SymExpr {
         SymExpr::name("n")
@@ -919,6 +1000,220 @@ mod tests {
         assert_eq!(stepped.len_const(), Some(5));
     }
 
+    // ---- the term lists against the representation they replaced ----
+
+    /// `SymExpr` as it was — a `BTreeMap` from an owned name to its
+    /// coefficient, every operation through `clone`, `entry` and
+    /// `retain` — kept as the model the shared term lists are checked
+    /// against.
+    mod model {
+        use std::collections::BTreeMap;
+        use std::fmt;
+
+        #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
+        pub struct MapExpr {
+            pub terms: BTreeMap<String, i64>,
+            pub konst: i64,
+        }
+
+        impl MapExpr {
+            pub fn from_terms(pairs: impl IntoIterator<Item = (String, i64)>, konst: i64) -> Self {
+                let mut e = MapExpr { terms: BTreeMap::new(), konst };
+                for (n, c) in pairs {
+                    if c != 0 {
+                        *e.terms.entry(n).or_insert(0) += c;
+                    }
+                }
+                e.terms.retain(|_, c| *c != 0);
+                e
+            }
+
+            pub fn as_constant(&self) -> Option<i64> {
+                self.terms.is_empty().then_some(self.konst)
+            }
+
+            pub fn as_name(&self) -> Option<&str> {
+                if self.konst == 0 && self.terms.len() == 1 {
+                    let (n, c) = self.terms.iter().next().unwrap();
+                    if *c == 1 {
+                        return Some(n);
+                    }
+                }
+                None
+            }
+
+            pub fn coeff(&self, name: &str) -> i64 {
+                self.terms.get(name).copied().unwrap_or(0)
+            }
+
+            pub fn add(&self, other: &MapExpr) -> MapExpr {
+                let mut out = self.clone();
+                out.konst += other.konst;
+                for (n, c) in &other.terms {
+                    *out.terms.entry(n.clone()).or_insert(0) += c;
+                }
+                out.terms.retain(|_, c| *c != 0);
+                out
+            }
+
+            pub fn sub(&self, other: &MapExpr) -> MapExpr {
+                self.add(&other.scale(-1))
+            }
+
+            pub fn offset(&self, c: i64) -> MapExpr {
+                let mut out = self.clone();
+                out.konst += c;
+                out
+            }
+
+            pub fn scale(&self, k: i64) -> MapExpr {
+                if k == 0 {
+                    return MapExpr::default();
+                }
+                let mut out = self.clone();
+                out.konst *= k;
+                for c in out.terms.values_mut() {
+                    *c *= k;
+                }
+                out
+            }
+
+            pub fn mul(&self, other: &MapExpr) -> Option<MapExpr> {
+                if let Some(k) = other.as_constant() {
+                    Some(self.scale(k))
+                } else {
+                    self.as_constant().map(|k| other.scale(k))
+                }
+            }
+
+            pub fn subst(&self, name: &str, repl: &MapExpr) -> MapExpr {
+                let c = self.coeff(name);
+                if c == 0 {
+                    return self.clone();
+                }
+                let mut base = self.clone();
+                base.terms.remove(name);
+                base.add(&repl.scale(c))
+            }
+
+            pub fn compare(&self, other: &MapExpr) -> Option<std::cmp::Ordering> {
+                self.sub(other).as_constant().map(|d| d.cmp(&0))
+            }
+        }
+
+        impl fmt::Display for MapExpr {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                let mut first = true;
+                for (n, c) in &self.terms {
+                    if first {
+                        match *c {
+                            1 => write!(f, "{n}")?,
+                            -1 => write!(f, "-{n}")?,
+                            c => write!(f, "{c}*{n}")?,
+                        }
+                        first = false;
+                    } else if *c < 0 {
+                        if *c == -1 {
+                            write!(f, " - {n}")?;
+                        } else {
+                            write!(f, " - {}*{n}", -c)?;
+                        }
+                    } else if *c == 1 {
+                        write!(f, " + {n}")?;
+                    } else {
+                        write!(f, " + {c}*{n}")?;
+                    }
+                }
+                if first {
+                    write!(f, "{}", self.konst)?;
+                } else if self.konst > 0 {
+                    write!(f, " + {}", self.konst)?;
+                } else if self.konst < 0 {
+                    write!(f, " - {}", -self.konst)?;
+                }
+                Ok(())
+            }
+        }
+    }
+
+    use model::MapExpr;
+
+    /// Few enough names that terms of two expressions often meet, and
+    /// sometimes cancel; `"n"` sorts between `"b"` and `"n#1"`.
+    const POOL: [&str; 5] = ["a", "b", "n", "n#1", "z"];
+
+    /// Term pairs in any order, a name possibly more than once or with
+    /// coefficient zero, and a constant.
+    type RawExpr = (Vec<(usize, i64)>, i64);
+
+    fn raw_expr() -> impl Strategy<Value = RawExpr> {
+        (proptest::collection::vec((0usize..POOL.len(), -3i64..4), 0..6), -5i64..6)
+    }
+
+    fn both((pairs, konst): &RawExpr) -> (SymExpr, MapExpr) {
+        let named = |(i, c): &(usize, i64)| (POOL[*i], *c);
+        (
+            SymExpr::from_terms(pairs.iter().map(named).map(|(n, c)| (n.into(), c)), *konst),
+            MapExpr::from_terms(pairs.iter().map(named).map(|(n, c)| (n.into(), c)), *konst),
+        )
+    }
+
+    fn hash_of(e: &impl Hash) -> u64 {
+        let mut h = DefaultHasher::new();
+        e.hash(&mut h);
+        h.finish()
+    }
+
+    /// Everything an expression shows of itself, against the model's.
+    fn assert_same(e: &SymExpr, m: &MapExpr, what: &str) {
+        let listed: Vec<(&str, i64)> = e.terms().collect();
+        let wanted: Vec<(&str, i64)> = m.terms.iter().map(|(n, c)| (n.as_str(), *c)).collect();
+        assert_eq!(listed, wanted, "{what}: terms, in order");
+        assert_eq!(e.terms.is_none(), listed.is_empty(), "{what}: an empty list is `None`");
+        assert_eq!(e.constant_part(), m.konst, "{what}: constant");
+        assert_eq!(e.to_string(), m.to_string(), "{what}: Display");
+        assert_eq!(e.as_constant(), m.as_constant(), "{what}: as_constant");
+        assert_eq!(e.as_name(), m.as_name(), "{what}: as_name");
+        for name in POOL.iter().chain(&["", "m", "zz"]) {
+            assert_eq!(e.coeff(name), m.coeff(name), "{what}: coeff of {name}");
+            assert_eq!(e.mentions(name), m.coeff(name) != 0, "{what}: mentions {name}");
+        }
+        assert_eq!(linear_key(e), linear_key(&e.scale(-1)), "{what}: key up to sign");
+    }
+
+    proptest! {
+        #[test]
+        fn term_lists_agree_with_the_map_model(
+            p in raw_expr(),
+            q in raw_expr(),
+            k in -3i64..4,
+            at in 0usize..POOL.len(),
+        ) {
+            let ((a, ma), (b, mb)) = (both(&p), both(&q));
+            assert_same(&a, &ma, "from_terms");
+            assert_same(&b, &mb, "from_terms");
+            assert_same(&a.add(&b), &ma.add(&mb), "add");
+            assert_same(&a.sub(&b), &ma.sub(&mb), "sub");
+            assert_same(&a.scale(k), &ma.scale(k), "scale");
+            assert_same(&a.offset(k), &ma.offset(k), "offset");
+            assert_same(&a.subst(POOL[at], &b), &ma.subst(POOL[at], &mb), "subst");
+            match (a.mul(&b), ma.mul(&mb)) {
+                (Some(e), Some(m)) => assert_same(&e, &m, "mul"),
+                (e, m) => prop_assert_eq!(e.is_none(), m.is_none(), "mul of {} and {}", a, b),
+            }
+            prop_assert_eq!(a.compare(&b), ma.compare(&mb), "{} against {}", a, b);
+            prop_assert_eq!(a.compare(&b), a.sub(&b).as_constant().map(|d| d.cmp(&0)));
+            prop_assert_eq!(a.compare(&a.offset(k)), Some(0.cmp(&k)));
+            prop_assert_eq!(a.cmp(&b), ma.cmp(&mb), "Ord of {} and {}", a, b);
+            prop_assert_eq!(a == b, ma == mb, "Eq of {} and {}", a, b);
+            // Equal however they were reached, and then hashed alike.
+            let round = a.add(&b).sub(&b);
+            prop_assert_eq!(&round, &a);
+            prop_assert_eq!(hash_of(&round), hash_of(&a));
+            prop_assert_eq!(hash_of(&a) == hash_of(&b) || a != b, true);
+        }
+    }
+
     // ---- the Boolean meaning, by brute force over small valuations ----
 
     use proptest::prelude::*;
@@ -927,7 +1222,7 @@ mod tests {
 
     impl SymExpr {
         fn eval(&self, v: &Valuation) -> i64 {
-            self.terms.iter().map(|(n, c)| c * v[n]).sum::<i64>() + self.konst
+            self.terms().map(|(n, c)| c * v[n]).sum::<i64>() + self.konst
         }
     }
 
@@ -953,7 +1248,7 @@ mod tests {
     fn raw_dnf() -> impl Strategy<Value = RawDnf> {
         let rel = proptest::sample::select(vec![Rel::EqZero, Rel::NeZero, Rel::LeZero]);
         let atom = (-1i64..2, -1i64..2, -2i64..3, rel).prop_map(|(a, b, k, rel)| Ineq {
-            expr: SymExpr::from_terms([("x".to_string(), a), ("y".to_string(), b)], k),
+            expr: SymExpr::from_terms([("x".into(), a), ("y".into(), b)], k),
             rel,
         });
         proptest::collection::vec(proptest::collection::vec(atom, 0..5), 0..4)

@@ -205,7 +205,7 @@ mod tests {
     fn ssa_of(src: &str) -> SsaProgram {
         let p = parse_program(src).unwrap();
         let scalars = collect_scalars(&p);
-        to_ssa(&Cfg::from_program(&p), &scalars)
+        to_ssa(Cfg::from_program(&p), &scalars)
     }
 
     #[test]
@@ -226,7 +226,7 @@ mod tests {
     fn figure1_is_well_formed() {
         let p = orchestra_lang::builder::figure1_program(8);
         let scalars = collect_scalars(&p);
-        let ssa = to_ssa(&Cfg::from_program(&p), &scalars);
+        let ssa = to_ssa(Cfg::from_program(&p), &scalars);
         assert_eq!(verify_ssa(&ssa), vec![]);
     }
 

@@ -263,6 +263,14 @@ mod tests {
         assert!(summary.iter().any(|(n, cl)| n == "B_M" && *cl == "merge"));
     }
 
+    /// A serving daemon holds one `Compiled` per cached plan, reached
+    /// from every connection's thread.
+    #[test]
+    fn compiled_is_send_and_sync() {
+        fn shared_across_threads<T: Send + Sync>() {}
+        shared_across_threads::<Compiled>();
+    }
+
     #[test]
     fn analysis_is_included() {
         let c = compile(figure1_program(4), &SplitOptions::default());

@@ -130,7 +130,7 @@ fn edge_anno(from: &Descriptor, to: &Descriptor, prog: &Program, ctx: &SymCtx) -
     for w in &from.writes {
         if to.reads.iter().any(|r| r.block == w.block) {
             let count = decl_elems(&w.block, prog, ctx);
-            return DataAnno::array(w.block.clone(), count);
+            return DataAnno::array(&*w.block, count);
         }
     }
     DataAnno::scalar("sync")
@@ -319,7 +319,8 @@ pub fn baseline_graph(prog: &Program) -> (DelirGraph, HashMap<String, usize>) {
         let id = if let Stmt::Do { var, ranges, body, .. } = s {
             let dependent_iterations = loop_iteration_descriptor(s, &ctx)
                 .map(|iter| {
-                    let shifted = iter.descriptor.subst(var, &SymExpr::name(var).offset(1));
+                    let shifted =
+                        iter.descriptor.subst(var, &SymExpr::name(iter.var.clone()).offset(1));
                     iter.descriptor.interferes(&shifted)
                 })
                 .unwrap_or(true);

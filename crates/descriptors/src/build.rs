@@ -16,7 +16,7 @@ use crate::descriptor::Descriptor;
 use crate::guard::{Guard, MaskRel, MaskTest};
 use crate::triple::{DimPattern, Triple};
 use orchestra_analysis::propagate::lin_expr;
-use orchestra_analysis::symbolic::{Ineq, SymExpr, SymRange, SymValue};
+use orchestra_analysis::symbolic::{Ineq, Name, Names, SymExpr, SymRange, SymValue};
 use orchestra_lang::ast::{BinOp, Expr, LValue, Program, Stmt};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -33,6 +33,10 @@ pub struct SymCtx {
     /// Scalars whose values were changed by walked code; mentions of
     /// these can no longer be trusted in symbolic expressions.
     pub killed: BTreeSet<String>,
+    /// The identifiers met so far, each spelled once for every triple,
+    /// mask and expression that mentions it; shared, like `arrays`, by
+    /// every context derived from this one.
+    pub names: Arc<Names>,
 }
 
 impl SymCtx {
@@ -56,7 +60,7 @@ impl SymCtx {
 
     /// Linearizes an expression over source names, refusing killed names.
     pub fn lin(&self, e: &Expr) -> Option<SymExpr> {
-        let le = lin_expr(e, &self.values)?;
+        let le = lin_expr(e, &self.values, &self.names)?;
         if le.terms().any(|(n, _)| self.killed.contains(n)) {
             None
         } else {
@@ -71,10 +75,10 @@ impl SymCtx {
         for e in idx {
             match self.lin(e) {
                 Some(le) => dims.push(DimPattern::point(le)),
-                None => return Triple::whole(array),
+                None => return Triple::whole(self.names.name(array)),
             }
         }
-        Triple::patterned(array, dims)
+        Triple::patterned(self.names.name(array), dims)
     }
 }
 
@@ -98,7 +102,7 @@ pub fn parse_mask_test(cond: &Expr, ctx: &SymCtx) -> Option<MaskTest> {
         BinOp::Ne => MaskRel::NeConst(c),
         _ => return None,
     };
-    Some(MaskTest { array: array.clone(), index, rel })
+    Some(MaskTest { array: ctx.names.name(array), index, rel })
 }
 
 /// Converts a branch condition into a guard (best-effort): a mask test,
@@ -138,30 +142,25 @@ pub fn guard_of_cond(cond: &Expr, positive: bool, ctx: &SymCtx) -> Guard {
 }
 
 /// Adds read triples for every memory location an expression touches.
-fn expr_reads(e: &Expr, ctx: &SymCtx, d: &mut Descriptor, skip_scalar: &BTreeSet<String>) {
+fn expr_reads(e: &Expr, ctx: &SymCtx, d: &mut Descriptor) {
     match e {
         Expr::IntLit(_) | Expr::FloatLit(_) => {}
-        Expr::Var(v) => {
-            if ctx.arrays.contains(v) {
-                d.add_read(Triple::whole(v));
-            } else if !skip_scalar.contains(v) {
-                d.add_read(Triple::scalar(v));
-            }
-        }
+        // An array by name is its whole block; a scalar is one too.
+        Expr::Var(v) => d.add_read(Triple::whole(ctx.names.name(v))),
         Expr::Index(a, idx) => {
             d.add_read(ctx.access_triple(a, idx));
             for i in idx {
-                expr_reads(i, ctx, d, skip_scalar);
+                expr_reads(i, ctx, d);
             }
         }
         Expr::Bin(_, l, r) => {
-            expr_reads(l, ctx, d, skip_scalar);
-            expr_reads(r, ctx, d, skip_scalar);
+            expr_reads(l, ctx, d);
+            expr_reads(r, ctx, d);
         }
-        Expr::Un(_, i) => expr_reads(i, ctx, d, skip_scalar),
+        Expr::Un(_, i) => expr_reads(i, ctx, d),
         Expr::Call(_, args) => {
             for a in args {
-                expr_reads(a, ctx, d, skip_scalar);
+                expr_reads(a, ctx, d);
             }
         }
     }
@@ -169,11 +168,13 @@ fn expr_reads(e: &Expr, ctx: &SymCtx, d: &mut Descriptor, skip_scalar: &BTreeSet
 
 /// Summarizes a statement sequence.
 pub fn descriptor_of_stmts(stmts: &[Stmt], ctx: &SymCtx) -> Descriptor {
-    let mut ctx = ctx.clone();
+    descriptor_of_stmts_inner(stmts, &mut ctx.clone())
+}
+
+fn descriptor_of_stmts_inner(stmts: &[Stmt], ctx: &mut SymCtx) -> Descriptor {
     let mut d = Descriptor::new();
     for s in stmts {
-        let ds = descriptor_of_stmt_inner(s, &mut ctx);
-        d.then(&ds);
+        d.then(descriptor_of_stmt_inner(s, ctx));
     }
     d
 }
@@ -190,7 +191,7 @@ pub fn descriptor_of_stmt(s: &Stmt, ctx: &SymCtx) -> Descriptor {
 #[derive(Debug, Clone)]
 pub struct LoopIteration {
     /// Induction variable name.
-    pub var: String,
+    pub var: Name,
     /// The loop's (possibly discontinuous) iteration ranges; empty when
     /// a bound could not be linearized.
     pub ranges: Vec<SymRange>,
@@ -218,43 +219,59 @@ pub fn loop_iteration_descriptor(s: &Stmt, ctx: &SymCtx) -> Option<LoopIteration
     let mut d = Descriptor::new();
     // The mask itself is read by every iteration.
     if let Some(m) = mask {
-        expr_reads(m, &body_ctx, &mut d, &BTreeSet::new());
+        expr_reads(m, &body_ctx, &mut d);
     }
-    let body_d = descriptor_of_stmts(body, &body_ctx);
+    let body_d = descriptor_of_stmts_inner(body, &mut body_ctx);
     // Apply the mask guard to the body's triples only (the mask read
     // occurs regardless).
-    let mut guarded = Descriptor::new();
-    for t in &body_d.reads {
-        guarded.add_read(t.clone().guarded(guard.clone()));
+    for t in body_d.reads {
+        d.add_read(t.guarded(&guard));
     }
-    for t in &body_d.writes {
-        guarded.add_write(t.clone().guarded(guard.clone()));
+    for t in body_d.writes {
+        d.add_write(t.guarded(&guard));
     }
-    d.then(&guarded);
     // Induction-variable traffic is loop machinery, not data (§3.2
     // "ignoring scalar variables" in the example): drop it.
-    let d = d.without_block(var);
+    let descriptor = d.without_block(var);
 
     let mut sym_ranges = Vec::new();
     for r in ranges {
         let (Some(lo), Some(hi)) = (ctx.lin(&r.lo), ctx.lin(&r.hi)) else {
-            return Some(LoopIteration { var: var.clone(), ranges: Vec::new(), descriptor: d });
+            sym_ranges.clear();
+            break;
         };
         let skip = r.step.as_ref().and_then(|e| e.as_int()).unwrap_or(1);
         let (start, end, skip) = if skip < 0 { (hi, lo, -skip) } else { (lo, hi, skip) };
         sym_ranges.push(SymRange { start, end, skip });
     }
-    Some(LoopIteration { var: var.clone(), ranges: sym_ranges, descriptor: d })
+    Some(LoopIteration { var: ctx.names.name(var), ranges: sym_ranges, descriptor })
+}
+
+impl LoopIteration {
+    /// The descriptor of the whole loop: the iteration descriptor with
+    /// the induction variable promoted to each of its ranges.
+    pub fn whole_loop(&self) -> Descriptor {
+        if self.ranges.is_empty() {
+            // Bounds not linearizable: widen every triple mentioning
+            // the induction variable to the whole block.
+            return widen_var(&self.descriptor, &self.var);
+        }
+        let mut acc = Descriptor::new();
+        for r in &self.ranges {
+            acc.union(self.descriptor.promote(&self.var, r));
+        }
+        acc
+    }
 }
 
 fn descriptor_of_stmt_inner(s: &Stmt, ctx: &mut SymCtx) -> Descriptor {
     match s {
         Stmt::Assign { target, value } => {
             let mut d = Descriptor::new();
-            expr_reads(value, ctx, &mut d, &BTreeSet::new());
+            expr_reads(value, ctx, &mut d);
             match target {
                 LValue::Var(v) => {
-                    d.add_write(Triple::scalar(v));
+                    d.add_write(Triple::scalar(ctx.names.name(v)));
                     // Track simple re-derivable values; otherwise kill.
                     match ctx.lin(value) {
                         Some(le) if !le.mentions(v) => {
@@ -269,7 +286,7 @@ fn descriptor_of_stmt_inner(s: &Stmt, ctx: &mut SymCtx) -> Descriptor {
                 }
                 LValue::Index(a, idx) => {
                     for i in idx {
-                        expr_reads(i, ctx, &mut d, &BTreeSet::new());
+                        expr_reads(i, ctx, &mut d);
                     }
                     d.add_write(ctx.access_triple(a, idx));
                 }
@@ -278,35 +295,19 @@ fn descriptor_of_stmt_inner(s: &Stmt, ctx: &mut SymCtx) -> Descriptor {
         }
         Stmt::If { cond, then_body, else_body } => {
             let mut d = Descriptor::new();
-            expr_reads(cond, ctx, &mut d, &BTreeSet::new());
+            expr_reads(cond, ctx, &mut d);
             let then_guard = guard_of_cond(cond, true, ctx);
             let else_guard = guard_of_cond(cond, false, ctx);
             let mut then_ctx = ctx.clone();
             let mut else_ctx = ctx.clone();
-            let mut then_d = Descriptor::new();
-            for s in then_body {
-                let ds = descriptor_of_stmt_inner(s, &mut then_ctx);
-                then_d.then(&ds);
-            }
-            let mut else_d = Descriptor::new();
-            for s in else_body {
-                let ds = descriptor_of_stmt_inner(s, &mut else_ctx);
-                else_d.then(&ds);
-            }
+            let then_d = descriptor_of_stmts_inner(then_body, &mut then_ctx);
+            let else_d = descriptor_of_stmts_inner(else_body, &mut else_ctx);
             let mut guarded = Descriptor::new();
-            for t in &then_d.reads {
-                guarded.reads.push(t.clone().guarded(then_guard.clone()));
+            for (arm, guard) in [(then_d, &then_guard), (else_d, &else_guard)] {
+                guarded.reads.extend(arm.reads.into_iter().map(|t| t.guarded(guard)));
+                guarded.writes.extend(arm.writes.into_iter().map(|t| t.guarded(guard)));
             }
-            for t in &then_d.writes {
-                guarded.writes.push(t.clone().guarded(then_guard.clone()));
-            }
-            for t in &else_d.reads {
-                guarded.reads.push(t.clone().guarded(else_guard.clone()));
-            }
-            for t in &else_d.writes {
-                guarded.writes.push(t.clone().guarded(else_guard.clone()));
-            }
-            d.union(&guarded);
+            d.union(guarded);
             // Kills merge from both arms.
             ctx.killed.extend(then_ctx.killed);
             ctx.killed.extend(else_ctx.killed);
@@ -326,19 +327,9 @@ fn descriptor_of_stmt_inner(s: &Stmt, ctx: &mut SymCtx) -> Descriptor {
             d
         }
         Stmt::Do { var, body, .. } => {
-            let iter = loop_iteration_descriptor(s, ctx)
-                .expect("Stmt::Do always yields an iteration descriptor");
-            let d = if iter.ranges.is_empty() {
-                // Bounds not linearizable: widen every triple mentioning
-                // the induction variable to the whole block.
-                widen_var(&iter.descriptor, var)
-            } else {
-                let mut acc = Descriptor::new();
-                for r in &iter.ranges {
-                    acc.union(&iter.descriptor.promote(var, r));
-                }
-                acc
-            };
+            let d = loop_iteration_descriptor(s, ctx)
+                .expect("Stmt::Do always yields an iteration descriptor")
+                .whole_loop();
             // After the loop: the induction variable and body-assigned
             // scalars are killed in the surrounding context.
             ctx.killed.insert(var.clone());
@@ -360,12 +351,12 @@ fn descriptor_of_stmt_inner(s: &Stmt, ctx: &mut SymCtx) -> Descriptor {
                     if ctx.arrays.contains(name) {
                         // By-reference array argument: may read and write
                         // the whole block.
-                        d.add_read(Triple::whole(name));
-                        d.add_write(Triple::whole(name));
+                        d.add_read(Triple::whole(ctx.names.name(name)));
+                        d.add_write(Triple::whole(ctx.names.name(name)));
                         continue;
                     }
                 }
-                expr_reads(a, ctx, &mut d, &BTreeSet::new());
+                expr_reads(a, ctx, &mut d);
             }
             d
         }
@@ -428,16 +419,15 @@ end
     fn paper_example_iteration_descriptor() {
         let (p, ctx) = setup(PAPER_EXAMPLE);
         let iter = loop_iteration_descriptor(&p.body[0], &ctx).unwrap();
-        assert_eq!(iter.var, "i");
+        assert_eq!(&*iter.var, "i");
         assert_eq!(iter.ranges, vec![SymRange::constant(1, 10)]);
         // write: <miss[i] <> 1> q[i, 1..10]
         assert_eq!(iter.descriptor.writes.len(), 1);
         let w = &iter.descriptor.writes[0];
-        assert_eq!(w.block, "q");
+        assert_eq!(&*w.block, "q");
         assert_eq!(w.to_string(), "<miss[i] <> 1> q[i, 1..10]");
         // reads include q (guarded), x (guarded), miss (mask).
-        let read_blocks: BTreeSet<&str> =
-            iter.descriptor.reads.iter().map(|t| t.block.as_str()).collect();
+        let read_blocks: BTreeSet<&str> = iter.descriptor.reads.iter().map(|t| &*t.block).collect();
         assert!(read_blocks.contains("q"));
         assert!(read_blocks.contains("x"));
         assert!(read_blocks.contains("miss"));
@@ -469,10 +459,10 @@ end
         let ctx = SymCtx::from_program(&p);
         let d = descriptor_of_stmt(&p.body[0], &ctx);
         // A writes q's masked columns and result; reads q, result, mask.
-        let w_q = d.writes.iter().find(|t| t.block == "q").expect("write of q");
+        let w_q = d.writes.iter().find(|t| &*t.block == "q").expect("write of q");
         let dims = w_q.pattern.as_ref().unwrap();
-        assert_eq!(dims[1].mask, Some(("mask".to_string(), MaskRel::NeConst(0))));
-        assert!(d.reads.iter().any(|t| t.block == "mask"));
+        assert_eq!(dims[1].mask, Some(("mask".into(), MaskRel::NeConst(0))));
+        assert!(d.reads.iter().any(|t| &*t.block == "mask"));
     }
 
     #[test]
@@ -506,7 +496,7 @@ end
         );
         let d = descriptor_of_stmts(&p.body, &ctx);
         // k's value comes from memory; the write to x[k] must widen.
-        let w = d.writes.iter().find(|t| t.block == "x").unwrap();
+        let w = d.writes.iter().find(|t| &*t.block == "x").unwrap();
         assert_eq!(w.pattern, None, "killed index ⇒ whole-array write");
     }
 
@@ -517,7 +507,7 @@ end
             "program t\n integer n = 4, k\n float x[1..n]\n k = 1\n k = k + 1\n x[k] = 0.0\nend",
         );
         let d = descriptor_of_stmts(&p.body, &ctx);
-        let w = d.writes.iter().find(|t| t.block == "x").unwrap();
+        let w = d.writes.iter().find(|t| &*t.block == "x").unwrap();
         assert_eq!(w.pattern.as_ref().unwrap()[0].range.start, SymExpr::constant(2));
     }
 
@@ -526,7 +516,7 @@ end
         let (p, ctx) =
             setup("program t\n integer n = 4, k\n float x[1..n]\n k = 2\n x[k] = 0.0\nend");
         let d = descriptor_of_stmts(&p.body, &ctx);
-        let w = d.writes.iter().find(|t| t.block == "x").unwrap();
+        let w = d.writes.iter().find(|t| &*t.block == "x").unwrap();
         let dims = w.pattern.as_ref().unwrap();
         assert_eq!(dims[0].range.start, SymExpr::constant(2));
     }
@@ -537,17 +527,11 @@ end
             "program t\n integer n = 4\n integer m[1..n]\n float a[1..n], b[1..n]\n do i = 1, n {\n if (m[i] = 0) { a[i] = 1.0 } else { b[i] = 2.0 }\n }\nend",
         );
         let d = descriptor_of_stmt(&p.body[0], &ctx);
-        let wa = d.writes.iter().find(|t| t.block == "a").unwrap();
-        let wb = d.writes.iter().find(|t| t.block == "b").unwrap();
+        let wa = d.writes.iter().find(|t| &*t.block == "a").unwrap();
+        let wb = d.writes.iter().find(|t| &*t.block == "b").unwrap();
         // After promotion the guards become dimension masks.
-        assert_eq!(
-            wa.pattern.as_ref().unwrap()[0].mask,
-            Some(("m".to_string(), MaskRel::EqConst(0)))
-        );
-        assert_eq!(
-            wb.pattern.as_ref().unwrap()[0].mask,
-            Some(("m".to_string(), MaskRel::NeConst(0)))
-        );
+        assert_eq!(wa.pattern.as_ref().unwrap()[0].mask, Some(("m".into(), MaskRel::EqConst(0))));
+        assert_eq!(wb.pattern.as_ref().unwrap()[0].mask, Some(("m".into(), MaskRel::NeConst(0))));
         // The two writes are provably disjoint.
         assert!(!wa.overlaps(wb));
     }
@@ -558,8 +542,8 @@ end
             "program t\n integer n = 2\n float x[1..n]\n proc z(float x[1..n], integer n) { x[1] = 0.0 }\n call z(x, n)\nend",
         );
         let d = descriptor_of_stmts(&p.body, &ctx);
-        assert!(d.writes.iter().any(|t| t.block == "x" && t.pattern.is_none()));
-        assert!(d.reads.iter().any(|t| t.block == "n"));
+        assert!(d.writes.iter().any(|t| &*t.block == "x" && t.pattern.is_none()));
+        assert!(d.reads.iter().any(|t| &*t.block == "n"));
     }
 
     #[test]
@@ -568,9 +552,9 @@ end
             "program t\n integer n = 4\n float s, x[1..n]\n do i = 1, n { s = s + x[i] }\nend",
         );
         let d = descriptor_of_stmt(&p.body[0], &ctx);
-        assert!(d.writes.iter().any(|t| t.block == "s"));
-        assert!(d.reads.iter().any(|t| t.block == "s"));
-        let rx = d.reads.iter().find(|t| t.block == "x").unwrap();
+        assert!(d.writes.iter().any(|t| &*t.block == "s"));
+        assert!(d.reads.iter().any(|t| &*t.block == "s"));
+        let rx = d.reads.iter().find(|t| &*t.block == "x").unwrap();
         assert_eq!(rx.pattern.as_ref().unwrap()[0].range, SymRange::constant(1, 4));
     }
 
@@ -579,7 +563,7 @@ end
         let (p, ctx) =
             setup("program t\n integer n\n float x[1..100]\n do i = 1, n { x[i] = 0.0 }\nend");
         let d = descriptor_of_stmt(&p.body[0], &ctx);
-        let w = d.writes.iter().find(|t| t.block == "x").unwrap();
+        let w = d.writes.iter().find(|t| &*t.block == "x").unwrap();
         let dims = w.pattern.as_ref().unwrap();
         assert_eq!(dims[0].range.end, SymExpr::name("n"));
     }

@@ -54,25 +54,25 @@ impl Descriptor {
     /// Merges another descriptor into this one, sequencing `other`
     /// *after* `self`: reads of `other` that are covered by writes of
     /// `self` are not live on entry to the combination.
-    pub fn then(&mut self, other: &Descriptor) {
-        for r in &other.reads {
-            self.add_read(r.clone());
+    pub fn then(&mut self, other: Descriptor) {
+        for r in other.reads {
+            self.add_read(r);
         }
-        for w in &other.writes {
-            self.add_write(w.clone());
+        for w in other.writes {
+            self.add_write(w);
         }
     }
 
     /// Set-union without domination filtering (used when combining
     /// branches of a conditional, where neither side dominates).
-    pub fn union(&mut self, other: &Descriptor) {
-        for r in &other.reads {
-            if !self.reads.contains(r) {
-                self.reads.push(r.clone());
+    pub fn union(&mut self, other: Descriptor) {
+        for r in other.reads {
+            if !self.reads.contains(&r) {
+                self.reads.push(r);
             }
         }
-        for w in &other.writes {
-            self.add_write(w.clone());
+        for w in other.writes {
+            self.add_write(w);
         }
     }
 
@@ -117,17 +117,15 @@ impl Descriptor {
 
     /// Removes triples for the given block (used to ignore a
     /// computation's own induction variable or replicated temporaries).
-    pub fn without_block(&self, block: &str) -> Descriptor {
-        Descriptor {
-            reads: self.reads.iter().filter(|t| t.block != block).cloned().collect(),
-            writes: self.writes.iter().filter(|t| t.block != block).cloned().collect(),
-        }
+    pub fn without_block(mut self, block: &str) -> Descriptor {
+        self.reads.retain(|t| &*t.block != block);
+        self.writes.retain(|t| &*t.block != block);
+        self
     }
 
     /// All block names touched.
     pub fn blocks(&self) -> Vec<&str> {
-        let mut out: Vec<&str> =
-            self.reads.iter().chain(&self.writes).map(|t| t.block.as_str()).collect();
+        let mut out: Vec<&str> = self.reads.iter().chain(&self.writes).map(|t| &*t.block).collect();
         out.sort_unstable();
         out.dedup();
         out
@@ -234,9 +232,9 @@ mod tests {
         let mut second = Descriptor::new();
         second.add_read(Triple::whole("t"));
         second.add_read(Triple::whole("u"));
-        first.then(&second);
+        first.then(second);
         assert_eq!(first.reads.len(), 1, "read of t killed by earlier write");
-        assert_eq!(first.reads[0].block, "u");
+        assert_eq!(&*first.reads[0].block, "u");
     }
 
     #[test]
@@ -245,7 +243,7 @@ mod tests {
         a.add_write(Triple::whole("t"));
         let mut b = Descriptor::new();
         b.add_read(Triple::whole("t"));
-        a.union(&b);
+        a.union(b);
         assert_eq!(a.reads.len(), 1, "union does not filter by domination");
     }
 
@@ -256,12 +254,12 @@ mod tests {
         let mut iter_d = Descriptor::new();
         iter_d.add_write(
             Triple::patterned("q", vec![DimPattern::range(whole()), DimPattern::point(nm("col"))])
-                .guarded(Guard::mask(MaskTest::new("mask", nm("col"), MaskRel::NeConst(0)))),
+                .guarded(&Guard::mask(MaskTest::new("mask", nm("col"), MaskRel::NeConst(0)))),
         );
         let loop_d = iter_d.promote("col", &whole());
         let w = &loop_d.writes[0];
         let dims = w.pattern.as_ref().unwrap();
-        assert_eq!(dims[1].mask, Some(("mask".to_string(), MaskRel::NeConst(0))));
+        assert_eq!(dims[1].mask, Some(("mask".into(), MaskRel::NeConst(0))));
         assert!(w.guard.is_truth());
     }
 

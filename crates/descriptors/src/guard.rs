@@ -11,7 +11,7 @@
 //! The key operation is [`Guard::contradicts`]: two guards that provably
 //! cannot hold together make their triples disjoint.
 
-use orchestra_analysis::symbolic::{Assertion, Ineq, SymExpr};
+use orchestra_analysis::symbolic::{Assertion, Ineq, Name, SymExpr};
 use std::fmt;
 
 /// The relation of a mask test: comparison of an array element against
@@ -57,7 +57,7 @@ impl fmt::Display for MaskRel {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MaskTest {
     /// The mask array name.
-    pub array: String,
+    pub array: Name,
     /// Symbolic index of the tested element.
     pub index: SymExpr,
     /// The relation.
@@ -66,7 +66,7 @@ pub struct MaskTest {
 
 impl MaskTest {
     /// Creates a mask test.
-    pub fn new(array: impl Into<String>, index: SymExpr, rel: MaskRel) -> Self {
+    pub fn new(array: impl Into<Name>, index: SymExpr, rel: MaskRel) -> Self {
         MaskTest { array: array.into(), index, rel }
     }
 
@@ -92,6 +92,15 @@ pub enum GuardAtom {
     Mask(MaskTest),
     /// A linear inequality over unresolved scalars.
     Linear(Ineq),
+}
+
+impl GuardAtom {
+    fn mentions(&self, name: &str) -> bool {
+        match self {
+            GuardAtom::Mask(m) => m.index.mentions(name),
+            GuardAtom::Linear(i) => i.expr.mentions(name),
+        }
+    }
 }
 
 impl fmt::Display for GuardAtom {
@@ -132,14 +141,13 @@ impl Guard {
     }
 
     /// Conjunction of two guards.
-    pub fn and(&self, other: &Guard) -> Guard {
-        let mut atoms = self.atoms.clone();
+    pub fn and(mut self, other: &Guard) -> Guard {
         for a in &other.atoms {
-            if !atoms.contains(a) {
-                atoms.push(a.clone());
+            if !self.atoms.contains(a) {
+                self.atoms.push(a.clone());
             }
         }
-        Guard { atoms }
+        self
     }
 
     /// Substitutes a symbol in every atom (used when shifting a loop
@@ -168,16 +176,19 @@ impl Guard {
         // Mask-test contradictions.
         for a in &self.atoms {
             for b in &other.atoms {
-                match (a, b) {
-                    (GuardAtom::Mask(m1), GuardAtom::Mask(m2)) if m1.contradicts(m2) => {
+                if let (GuardAtom::Mask(m1), GuardAtom::Mask(m2)) = (a, b) {
+                    if m1.contradicts(m2) {
                         return true;
                     }
-                    (GuardAtom::Linear(_), GuardAtom::Linear(_)) => {}
-                    _ => {}
                 }
             }
         }
-        // Linear contradictions via assertion machinery.
+        // Linear contradictions via assertion machinery; without a
+        // linear atom on either side there is nothing to refute.
+        let linear = |a: &GuardAtom| matches!(a, GuardAtom::Linear(_));
+        if !self.atoms.iter().chain(&other.atoms).any(linear) {
+            return false;
+        }
         let lin = |g: &Guard| -> Assertion {
             let mut acc = Assertion::truth();
             for a in &g.atoms {
@@ -192,29 +203,21 @@ impl Guard {
 
     /// The mask tests whose index is exactly the given symbol — used by
     /// induction-variable promotion to turn a guard into a dimension mask.
-    pub fn mask_tests_on(&self, name: &str) -> Vec<&MaskTest> {
-        self.atoms
-            .iter()
-            .filter_map(|a| match a {
-                GuardAtom::Mask(m) if m.index.as_name() == Some(name) => Some(m),
-                _ => None,
-            })
-            .collect()
+    pub fn mask_tests_on<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a MaskTest> {
+        self.atoms.iter().filter_map(move |a| match a {
+            GuardAtom::Mask(m) if m.index.as_name() == Some(name) => Some(m),
+            _ => None,
+        })
+    }
+
+    /// Whether any atom mentions `name`.
+    pub fn mentions(&self, name: &str) -> bool {
+        self.atoms.iter().any(|a| a.mentions(name))
     }
 
     /// Removes atoms that mention `name` (widening; sound for guards).
     pub fn drop_mentions(&self, name: &str) -> Guard {
-        Guard {
-            atoms: self
-                .atoms
-                .iter()
-                .filter(|a| match a {
-                    GuardAtom::Mask(m) => !m.index.mentions(name),
-                    GuardAtom::Linear(i) => i.expr.coeff(name) == 0,
-                })
-                .cloned()
-                .collect(),
-        }
+        Guard { atoms: self.atoms.iter().filter(|a| !a.mentions(name)).cloned().collect() }
     }
 }
 
@@ -289,7 +292,7 @@ mod tests {
     #[test]
     fn and_dedups() {
         let g = Guard::mask(MaskTest::new("m", idx("i"), MaskRel::NeConst(0)));
-        let both = g.and(&g);
+        let both = g.clone().and(&g);
         assert_eq!(both.atoms.len(), 1);
     }
 
@@ -301,7 +304,7 @@ mod tests {
                 GuardAtom::Mask(MaskTest::new("m", idx("i").offset(1), MaskRel::NeConst(0))),
             ],
         };
-        assert_eq!(g.mask_tests_on("i").len(), 1);
+        assert_eq!(g.mask_tests_on("i").count(), 1);
     }
 
     #[test]

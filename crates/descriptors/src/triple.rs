@@ -8,7 +8,7 @@
 //! paper's notation (`*` is the current element of the range).
 
 use crate::guard::{Guard, MaskRel, MaskTest};
-use orchestra_analysis::symbolic::{SymExpr, SymRange};
+use orchestra_analysis::symbolic::{Name, SymExpr, SymRange};
 use std::fmt;
 
 /// A per-dimension access pattern: a range, optionally masked.
@@ -18,7 +18,7 @@ pub struct DimPattern {
     pub range: SymRange,
     /// Optional mask: only elements `e` of `range` with
     /// `mask_array[e] REL` are touched.
-    pub mask: Option<(String, MaskRel)>,
+    pub mask: Option<(Name, MaskRel)>,
 }
 
 impl DimPattern {
@@ -33,7 +33,7 @@ impl DimPattern {
     }
 
     /// A masked dimension pattern.
-    pub fn masked(r: SymRange, array: impl Into<String>, rel: MaskRel) -> Self {
+    pub fn masked(r: SymRange, array: impl Into<Name>, rel: MaskRel) -> Self {
         DimPattern { range: r, mask: Some((array.into(), rel)) }
     }
 
@@ -83,30 +83,30 @@ pub struct Triple {
     /// The guard; [`Guard::truth`] when always-on.
     pub guard: Guard,
     /// The accessed memory block (array or scalar name).
-    pub block: String,
+    pub block: Name,
     /// Per-dimension patterns; `None` means the whole block.
     pub pattern: Option<Vec<DimPattern>>,
 }
 
 impl Triple {
     /// A triple covering an entire block.
-    pub fn whole(block: impl Into<String>) -> Self {
+    pub fn whole(block: impl Into<Name>) -> Self {
         Triple { guard: Guard::truth(), block: block.into(), pattern: None }
     }
 
     /// A scalar access (a block with no dimensions).
-    pub fn scalar(name: impl Into<String>) -> Self {
+    pub fn scalar(name: impl Into<Name>) -> Self {
         Triple::whole(name)
     }
 
     /// A patterned access.
-    pub fn patterned(block: impl Into<String>, dims: Vec<DimPattern>) -> Self {
+    pub fn patterned(block: impl Into<Name>, dims: Vec<DimPattern>) -> Self {
         Triple { guard: Guard::truth(), block: block.into(), pattern: Some(dims) }
     }
 
     /// Returns this triple with an extra guard conjoined.
-    pub fn guarded(mut self, g: Guard) -> Self {
-        self.guard = self.guard.and(&g);
+    pub fn guarded(mut self, g: &Guard) -> Self {
+        self.guard = self.guard.and(g);
         self
     }
 
@@ -188,11 +188,7 @@ impl Triple {
     pub fn mentions(&self, name: &str) -> bool {
         let in_pattern =
             self.pattern.as_ref().is_some_and(|dims| dims.iter().any(|d| d.range.mentions(name)));
-        let in_guard = self.guard.atoms.iter().any(|a| match a {
-            crate::guard::GuardAtom::Mask(m) => m.index.mentions(name),
-            crate::guard::GuardAtom::Linear(i) => i.expr.coeff(name) != 0,
-        });
-        in_pattern || in_guard
+        in_pattern || self.guard.mentions(name)
     }
 
     /// Promotes the unresolved symbol `var` (an induction variable) to
@@ -201,8 +197,10 @@ impl Triple {
     /// exactly by `var` become dimension masks on dimensions whose index
     /// was exactly `var` (§3.2's guard-to-mask conversion).
     pub fn promote(&self, var: &str, range: &SymRange) -> Triple {
-        let mask_tests: Vec<MaskTest> =
-            self.guard.mask_tests_on(var).into_iter().cloned().collect();
+        if !self.mentions(var) {
+            return self.clone();
+        }
+        let mask_test: Option<&MaskTest> = self.guard.mask_tests_on(var).next();
         let pattern = self.pattern.as_ref().map(|dims| {
             dims.iter()
                 .map(|d| {
@@ -215,7 +213,7 @@ impl Triple {
                     let was_exactly_var =
                         d.range.is_point() && d.range.start.as_name() == Some(var);
                     let mask = if was_exactly_var && d.mask.is_none() {
-                        mask_tests.first().map(|m| (m.array.clone(), m.rel))
+                        mask_test.map(|m| (m.array.clone(), m.rel))
                     } else {
                         d.mask.clone()
                     };
@@ -249,14 +247,19 @@ fn promote_range(r: &SymRange, var: &str, var_range: &SymRange) -> SymRange {
 /// the two point expressions — proving the points never coincide.
 fn ne_guard_separates(guard: &Guard, a: &SymExpr, b: &SymExpr) -> bool {
     use orchestra_analysis::symbolic::Rel;
-    let diff = a.sub(b);
-    let neg = b.sub(a);
-    guard.atoms.iter().any(|atom| match atom {
-        crate::guard::GuardAtom::Linear(i) => {
-            i.rel == Rel::NeZero && (i.expr == diff || i.expr == neg)
-        }
-        _ => false,
-    })
+    let mut unequal = guard
+        .atoms
+        .iter()
+        .filter_map(|atom| match atom {
+            crate::guard::GuardAtom::Linear(i) if i.rel == Rel::NeZero => Some(&i.expr),
+            _ => None,
+        })
+        .peekable();
+    if unequal.peek().is_none() {
+        return false;
+    }
+    let (diff, neg) = (a.sub(b), b.sub(a));
+    unequal.any(|e| *e == diff || *e == neg)
 }
 
 /// Does `range` (a point) under `guard` contradict a dimension mask
@@ -268,7 +271,7 @@ fn point_guard_contradicts(range: &SymRange, guard: &Guard, arr: &str, rel: Mask
     }
     guard.atoms.iter().any(|a| match a {
         crate::guard::GuardAtom::Mask(m) => {
-            m.array == arr
+            &*m.array == arr
                 && m.index.eq_expr(&range.start) == Some(true)
                 && m.rel.complementary(rel)
         }
@@ -369,8 +372,8 @@ mod tests {
         use crate::guard::MaskTest;
         let g1 = Guard::mask(MaskTest::new("m", nm("i"), MaskRel::NeConst(0)));
         let g2 = Guard::mask(MaskTest::new("m", nm("i"), MaskRel::EqConst(0)));
-        let a = Triple::whole("x").guarded(g1);
-        let b = Triple::whole("x").guarded(g2);
+        let a = Triple::whole("x").guarded(&g1);
+        let b = Triple::whole("x").guarded(&g2);
         assert!(!a.overlaps(&b));
     }
 
@@ -383,7 +386,7 @@ mod tests {
             vec![DimPattern::masked(whole_range(), "mask", MaskRel::NeConst(0))],
         );
         let b = Triple::patterned("q", vec![DimPattern::point(nm("k"))])
-            .guarded(Guard::mask(MaskTest::new("mask", nm("k"), MaskRel::EqConst(0))));
+            .guarded(&Guard::mask(MaskTest::new("mask", nm("k"), MaskRel::EqConst(0))));
         assert!(!a.overlaps(&b));
         assert!(!b.overlaps(&a));
     }
@@ -403,7 +406,7 @@ mod tests {
     fn guarded_write_never_covers() {
         use crate::guard::MaskTest;
         let w = Triple::patterned("x", vec![DimPattern::range(whole_range())])
-            .guarded(Guard::mask(MaskTest::new("m", nm("i"), MaskRel::NeConst(0))));
+            .guarded(&Guard::mask(MaskTest::new("m", nm("i"), MaskRel::NeConst(0))));
         let r = Triple::patterned("x", vec![DimPattern::range(whole_range())]);
         assert!(!w.covers(&r));
     }
@@ -415,12 +418,12 @@ mod tests {
         // → q[i0, 1..n/(mask[*] <> 0)]
         let t =
             Triple::patterned("q", vec![DimPattern::point(nm("i0")), DimPattern::point(nm("col"))])
-                .guarded(Guard::mask(MaskTest::new("mask", nm("col"), MaskRel::NeConst(0))));
+                .guarded(&Guard::mask(MaskTest::new("mask", nm("col"), MaskRel::NeConst(0))));
         let p = t.promote("col", &whole_range());
         let dims = p.pattern.as_ref().unwrap();
         assert_eq!(dims[0], DimPattern::point(nm("i0")), "unrelated dim untouched");
         assert_eq!(dims[1].range, whole_range());
-        assert_eq!(dims[1].mask, Some(("mask".to_string(), MaskRel::NeConst(0))));
+        assert_eq!(dims[1].mask, Some(("mask".into(), MaskRel::NeConst(0))));
         assert!(p.guard.is_truth(), "guard converted to dim mask");
     }
 

@@ -181,9 +181,10 @@ program figure5
 end
 "#;
 
-    fn figure5_setup() -> (Vec<Prim>, orchestra_descriptors::Descriptor) {
-        let p = parse_program(FIGURE5).unwrap();
-        let ctx = SymCtx::from_program(&p);
+    /// Primitives borrow their statements: the program is leaked.
+    fn figure5_setup() -> (Vec<Prim<'static>>, orchestra_descriptors::Descriptor) {
+        let p = Box::leak(Box::new(parse_program(FIGURE5).unwrap()));
+        let ctx = SymCtx::from_program(p);
         // Split T = {A..E} with respect to W's descriptor.
         let d_w = descriptor_of_stmt(&p.body[0], &ctx);
         let prims = primitives_of(&p.body[1..], &ctx);

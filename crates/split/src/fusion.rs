@@ -75,9 +75,9 @@ pub fn can_fuse(l1: &Stmt, l2: &Stmt, ctx: &SymCtx) -> Result<(), FusionObstacle
         return Err(FusionObstacle::UnanalyzableBounds);
     }
     // Align the second loop's induction variable with the first's.
-    let d2 = it2.descriptor.subst(&it2.var, &SymExpr::name(&it1.var));
+    let d2 = it2.descriptor.subst(&it2.var, &SymExpr::name(it1.var.clone()));
     // Backward-dependence probe: L1 at iteration iv+1 vs L2 at iv.
-    let d1_later = it1.descriptor.subst(&it1.var, &SymExpr::name(&it1.var).offset(1));
+    let d1_later = it1.descriptor.subst(&it1.var, &SymExpr::name(it1.var.clone()).offset(1));
     if d1_later.interferes(&d2) {
         return Err(FusionObstacle::BackwardDependence);
     }

@@ -83,8 +83,8 @@ pub fn can_interchange(nest: &Stmt, ctx: &SymCtx) -> Result<(), InterchangeObsta
     body_ctx.values.remove(inner_var);
     let d = descriptor_of_stmts(body, &body_ctx).without_block(outer_var).without_block(inner_var);
     let probe = d
-        .subst(outer_var, &SymExpr::name(outer_var).offset(1))
-        .subst(inner_var, &SymExpr::name(inner_var).offset(-1));
+        .subst(outer_var, &SymExpr::name(outer_var.as_str()).offset(1))
+        .subst(inner_var, &SymExpr::name(inner_var.as_str()).offset(-1));
     if d.interferes(&probe) {
         return Err(InterchangeObstacle::DirectionConflict);
     }

@@ -19,8 +19,8 @@
 //! Replicated outputs (arrays and reduction scalars) and the merging
 //! computation `C_M` are generated exactly as in Figures 2–4.
 
-use orchestra_analysis::symbolic::{SymExpr, SymRange};
-use orchestra_descriptors::{Descriptor, LoopIteration, MaskRel, SymCtx, Triple};
+use orchestra_analysis::symbolic::{Ineq, Name, SymExpr, SymRange};
+use orchestra_descriptors::{Descriptor, Guard, LoopIteration, MaskRel, MaskTest, SymCtx, Triple};
 use orchestra_lang::ast::{BinOp, Decl, Expr, LValue, Program, Range, Stmt};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -37,7 +37,7 @@ pub enum Restriction {
     /// independent.
     MaskCond {
         /// Mask array.
-        array: String,
+        array: Name,
         /// Relation selecting the *dependent* iterations.
         rel: MaskRel,
     },
@@ -272,21 +272,12 @@ fn verify_restriction(iter: &LoopIteration, d: &Descriptor, r: &Restriction) -> 
             // points; the point-point separation rule then proves the
             // remaining iterations clear of `d` (iteration-level check,
             // valid for every value of the symbolic variable).
-            let mut guard = orchestra_descriptors::Guard::truth();
-            let v = SymExpr::name(&iter.var);
+            let mut guard = Guard::truth();
+            let v = SymExpr::name(iter.var.clone());
             for e in points {
-                guard = guard.and(&orchestra_descriptors::Guard::linear(
-                    orchestra_analysis::symbolic::Ineq::ne(&v, e),
-                ));
+                guard = guard.and(&Guard::linear(Ineq::ne(&v, e)));
             }
-            let mut guarded = Descriptor::new();
-            for t in &iter.descriptor.reads {
-                guarded.reads.push(t.clone().guarded(guard.clone()));
-            }
-            for t in &iter.descriptor.writes {
-                guarded.writes.push(t.clone().guarded(guard.clone()));
-            }
-            !guarded.interferes(d)
+            !guarded_by(&iter.descriptor, &guard).interferes(d)
         }
         Restriction::MaskCond { array, rel } => {
             if iter.ranges.len() != 1 {
@@ -295,20 +286,18 @@ fn verify_restriction(iter: &LoopIteration, d: &Descriptor, r: &Restriction) -> 
             // Guard every triple with the complementary mask test on the
             // induction variable, then promote: the guard becomes a
             // dimension mask where applicable.
-            let comp = rel.negate();
-            let test =
-                orchestra_descriptors::MaskTest::new(array.clone(), SymExpr::name(&iter.var), comp);
-            let guard = orchestra_descriptors::Guard::mask(test);
-            let mut guarded = Descriptor::new();
-            for t in &iter.descriptor.reads {
-                guarded.reads.push(t.clone().guarded(guard.clone()));
-            }
-            for t in &iter.descriptor.writes {
-                guarded.writes.push(t.clone().guarded(guard.clone()));
-            }
-            let promoted = guarded.promote(&iter.var, &iter.ranges[0]);
-            !promoted.interferes(d)
+            let test = MaskTest::new(array.clone(), SymExpr::name(iter.var.clone()), rel.negate());
+            let guarded = guarded_by(&iter.descriptor, &Guard::mask(test));
+            !guarded.promote(&iter.var, &iter.ranges[0]).interferes(d)
         }
+    }
+}
+
+/// `d` with `guard` conjoined to every triple.
+fn guarded_by(d: &Descriptor, guard: &Guard) -> Descriptor {
+    Descriptor {
+        reads: d.reads.iter().map(|t| t.clone().guarded(guard)).collect(),
+        writes: d.writes.iter().map(|t| t.clone().guarded(guard)).collect(),
     }
 }
 
@@ -346,7 +335,7 @@ pub fn check_iterations_commute(iter: &LoopIteration, body: &[Stmt]) -> Option<V
     for r in &reductions {
         stripped = stripped.without_block(&r.name);
     }
-    let shifted = stripped.subst(&iter.var, &SymExpr::name(&iter.var).offset(1));
+    let shifted = stripped.subst(&iter.var, &SymExpr::name(iter.var.clone()).offset(1));
     if stripped.interferes(&shifted) {
         return None;
     }
@@ -620,7 +609,7 @@ pub fn split_loop(
                     MaskRel::EqConst(c) => (BinOp::Eq, c),
                     MaskRel::NeConst(c) => (BinOp::Ne, c),
                 };
-                Expr::bin(op, Expr::index(array.clone(), vec![Expr::var(var)]), Expr::IntLit(c))
+                Expr::bin(op, Expr::index(&**array, vec![Expr::var(var)]), Expr::IntLit(c))
             };
             let ind_mask = conjoin(mask.clone(), Some(test(rel.negate())));
             let dep_mask = conjoin(mask.clone(), Some(test(*rel)));
@@ -781,11 +770,11 @@ fn build_merge(
         let mut from_ind = Vec::new();
         let mut from_dep = Vec::new();
         for t in &iter.descriptor.writes {
-            if !written_arrays.contains(&t.block) {
+            if !written_arrays.contains(&*t.block) {
                 continue;
             }
-            from_ind.push(copy_stmt(t, &ind_map[&t.block], fresh)?);
-            from_dep.push(copy_stmt(t, &dep_map[&t.block], fresh)?);
+            from_ind.push(copy_stmt(t, &ind_map[&*t.block], fresh)?);
+            from_dep.push(copy_stmt(t, &dep_map[&*t.block], fresh)?);
         }
         let dep_cond = match restriction {
             Restriction::ExcludePoint(e) => Expr::bin(BinOp::Eq, Expr::var(var), symexpr_to_ast(e)),
@@ -805,7 +794,7 @@ fn build_merge(
                     MaskRel::EqConst(c) => (BinOp::Eq, *c),
                     MaskRel::NeConst(c) => (BinOp::Ne, *c),
                 };
-                Expr::bin(op, Expr::index(array.clone(), vec![Expr::var(var)]), Expr::IntLit(c))
+                Expr::bin(op, Expr::index(&**array, vec![Expr::var(var)]), Expr::IntLit(c))
             }
         };
         merge.push(Stmt::Do {
@@ -850,7 +839,7 @@ fn copy_stmt(t: &Triple, replica: &str, fresh: &mut FreshNames) -> Option<Stmt> 
         }
     }
     let mut stmt = Stmt::Assign {
-        target: LValue::Index(t.block.clone(), idx_exprs.clone()),
+        target: LValue::Index(t.block.to_string(), idx_exprs.clone()),
         value: Expr::Index(replica.to_string(), idx_exprs),
     };
     for (v, lo, hi, skip) in loops.into_iter().rev() {

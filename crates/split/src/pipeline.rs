@@ -63,10 +63,11 @@ pub fn pipeline_loop(
     // D_{i-1} ∪ … ∪ D_{i-depth}.
     let mut d_prev = Descriptor::new();
     for k in 1..=depth {
-        let shifted = iter
-            .descriptor
-            .subst(var, &orchestra_analysis::symbolic::SymExpr::name(var).offset(-(k as i64)));
-        d_prev.union(&shifted);
+        let shifted = iter.descriptor.subst(
+            var,
+            &orchestra_analysis::symbolic::SymExpr::name(iter.var.clone()).offset(-(k as i64)),
+        );
+        d_prev.union(shifted);
     }
 
     let split = split_computation(prog, body, &d_prev, opts);

@@ -6,7 +6,10 @@
 //! granularity of the split. We have chosen to consider basic blocks,
 //! function calls, and loops as primitive computations."
 
-use orchestra_descriptors::{descriptor_of_stmt, descriptor_of_stmts, Descriptor, SymCtx};
+use orchestra_descriptors::{
+    descriptor_of_stmt, descriptor_of_stmts, loop_iteration_descriptor, Descriptor, LoopIteration,
+    SymCtx,
+};
 use orchestra_lang::ast::Stmt;
 use std::fmt;
 
@@ -24,7 +27,7 @@ pub enum PrimKind {
 /// One primitive computation: a slice of the original statement list
 /// plus its symbolic data descriptor.
 #[derive(Debug, Clone)]
-pub struct Prim {
+pub struct Prim<'a> {
     /// Position among the computation's primitives (program order).
     pub id: usize,
     /// Display name: the loop label when present, else `kind#id`.
@@ -32,12 +35,15 @@ pub struct Prim {
     /// Kind.
     pub kind: PrimKind,
     /// The statements making up this primitive.
-    pub stmts: Vec<Stmt>,
+    pub stmts: &'a [Stmt],
     /// Memory summary of the statements.
     pub descriptor: Descriptor,
+    /// Of a loop, the one-iteration summary `descriptor` was promoted
+    /// from, in the context as of the loop's position.
+    pub iteration: Option<LoopIteration>,
 }
 
-impl fmt::Display for Prim {
+impl fmt::Display for Prim<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} ({:?})", self.name, self.kind)
     }
@@ -47,68 +53,52 @@ impl fmt::Display for Prim {
 /// each one's descriptor with the symbolic context as of its position
 /// (scalar kills accumulate left to right, exactly as in
 /// [`descriptor_of_stmts`]).
-pub fn primitives_of(stmts: &[Stmt], ctx: &SymCtx) -> Vec<Prim> {
+pub fn primitives_of<'a>(stmts: &'a [Stmt], ctx: &SymCtx) -> Vec<Prim<'a>> {
     let mut prims: Vec<Prim> = Vec::new();
     let mut running = ctx.clone();
-    let mut block_run: Vec<Stmt> = Vec::new();
+    // Where the open run of straight-line statements starts.
+    let mut run_start = 0;
 
-    let flush = |run: &mut Vec<Stmt>, prims: &mut Vec<Prim>, running: &SymCtx| {
+    let flush = |run: &'a [Stmt], prims: &mut Vec<Prim<'a>>, running: &SymCtx| {
         if run.is_empty() {
             return;
         }
-        let stmts = std::mem::take(run);
-        let descriptor = descriptor_of_stmts(&stmts, running);
         let id = prims.len();
         prims.push(Prim {
             id,
             name: format!("block#{id}"),
             kind: PrimKind::Block,
-            stmts,
-            descriptor,
+            stmts: run,
+            descriptor: descriptor_of_stmts(run, running),
+            iteration: None,
         });
     };
 
-    for s in stmts {
-        match s {
-            Stmt::Do { label, .. } => {
-                flush(&mut block_run, &mut prims, &running);
-                let descriptor = descriptor_of_stmt(s, &running);
-                let id = prims.len();
-                let name = label.clone().unwrap_or_else(|| format!("loop#{id}"));
-                prims.push(Prim {
-                    id,
-                    name,
-                    kind: PrimKind::Loop,
-                    stmts: vec![s.clone()],
-                    descriptor,
-                });
-                advance_ctx(s, &mut running);
-            }
+    for (at, s) in stmts.iter().enumerate() {
+        if matches!(s, Stmt::Assign { .. } | Stmt::If { .. }) {
+            advance_ctx(s, &mut running);
+            continue;
+        }
+        flush(&stmts[run_start..at], &mut prims, &running);
+        run_start = at + 1;
+        let id = prims.len();
+        let (name, kind, descriptor, iteration) = match s {
             Stmt::Call { name, .. } => {
-                flush(&mut block_run, &mut prims, &running);
-                let descriptor = descriptor_of_stmt(s, &running);
-                let id = prims.len();
-                prims.push(Prim {
-                    id,
-                    name: format!("call:{name}#{id}"),
-                    kind: PrimKind::Call,
-                    stmts: vec![s.clone()],
-                    descriptor,
-                });
+                (format!("call:{name}#{id}"), PrimKind::Call, descriptor_of_stmt(s, &running), None)
             }
-            Stmt::Assign { .. } | Stmt::If { .. } => {
-                block_run.push(s.clone());
-                advance_ctx(s, &mut running);
+            Stmt::Do { label, .. } => {
+                let name = label.clone().unwrap_or_else(|| format!("loop#{id}"));
+                let iter = loop_iteration_descriptor(s, &running).expect("a loop");
+                (name, PrimKind::Loop, iter.whole_loop(), Some(iter))
             }
+            Stmt::Assign { .. } | Stmt::If { .. } => unreachable!("they form the runs"),
+        };
+        prims.push(Prim { id, name, kind, stmts: std::slice::from_ref(s), descriptor, iteration });
+        if kind == PrimKind::Loop {
+            advance_ctx(s, &mut running);
         }
     }
-    flush(&mut block_run, &mut prims, &running);
-
-    // Re-number after flushing order settles (flush during iteration
-    // already numbered consistently, but the final flush may interleave).
-    for (i, p) in prims.iter_mut().enumerate() {
-        p.id = i;
-    }
+    flush(&stmts[run_start..], &mut prims, &running);
     prims
 }
 
@@ -128,9 +118,10 @@ mod tests {
     use super::*;
     use orchestra_lang::parse_program;
 
-    fn prims_of(src: &str) -> Vec<Prim> {
-        let p = parse_program(src).unwrap();
-        let ctx = SymCtx::from_program(&p);
+    /// Primitives borrow their statements: the program is leaked.
+    fn prims_of(src: &str) -> Vec<Prim<'static>> {
+        let p = Box::leak(Box::new(parse_program(src).unwrap()));
+        let ctx = SymCtx::from_program(p);
         primitives_of(&p.body, &ctx)
     }
 
@@ -184,7 +175,7 @@ end
         let ps =
             prims_of("program p\n integer n = 3\n float x[1..n]\n do i = 1, n { x[i] = 1.0 }\nend");
         assert_eq!(ps[0].descriptor.writes.len(), 1);
-        assert_eq!(ps[0].descriptor.writes[0].block, "x");
+        assert_eq!(&*ps[0].descriptor.writes[0].block, "x");
     }
 
     #[test]
@@ -195,7 +186,7 @@ end
             "program p\n integer n = 4, k\n integer m[1..n]\n float x[1..n], y[1..n]\n do i = 1, n { x[i] = 1.0 }\n k = m[1]\n y[k] = 2.0\nend",
         );
         let block = ps.last().unwrap();
-        let w = block.descriptor.writes.iter().find(|t| t.block == "y").unwrap();
+        let w = block.descriptor.writes.iter().find(|t| &*t.block == "y").unwrap();
         assert_eq!(w.pattern, None, "k is killed; write widens to whole array");
     }
 }

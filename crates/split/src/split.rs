@@ -17,7 +17,7 @@
 use crate::categorize::{categorize, transitive_flow_down, Categories};
 use crate::loop_split::{check_iterations_commute, detect_restriction, split_loop, FreshNames};
 use crate::prim::{primitives_of, Prim, PrimKind};
-use orchestra_descriptors::{descriptor_of_stmts, loop_iteration_descriptor, Descriptor, SymCtx};
+use orchestra_descriptors::{descriptor_of_stmts, Descriptor, SymCtx};
 use orchestra_lang::ast::{Decl, Expr, LValue, Program, Stmt};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -142,7 +142,7 @@ pub fn split_computation(
     for prim in &prims {
         let id = prim.id;
         if categories.free.contains(&id) {
-            pieces.push(piece_from_prim(prim, PieceClass::Independent, &ctx));
+            pieces.push(piece_from_prim(prim, PieceClass::Independent));
             continue;
         }
         if categories.bound.contains(&id) {
@@ -154,7 +154,7 @@ pub fn split_computation(
                     continue;
                 }
             }
-            pieces.push(piece_from_prim(prim, PieceClass::Dependent, &ctx));
+            pieces.push(piece_from_prim(prim, PieceClass::Dependent));
             continue;
         }
         // Linked.
@@ -176,17 +176,17 @@ pub fn split_computation(
                 continue;
             }
         }
-        pieces.push(piece_from_prim(prim, PieceClass::Dependent, &ctx));
+        pieces.push(piece_from_prim(prim, PieceClass::Dependent));
     }
 
     SplitResult { pieces, new_decls, categories, prim_names, loop_splits, moved_read_linked }
 }
 
-fn piece_from_prim(prim: &Prim, class: PieceClass, _ctx: &SymCtx) -> Piece {
+fn piece_from_prim(prim: &Prim, class: PieceClass) -> Piece {
     Piece {
         name: prim.name.clone(),
         class,
-        stmts: prim.stmts.clone(),
+        stmts: prim.stmts.to_vec(),
         descriptor: prim.descriptor.clone(),
     }
 }
@@ -203,15 +203,15 @@ fn try_loop_split(
     new_decls: &mut Vec<Decl>,
 ) -> Option<String> {
     let loop_stmt = &prim.stmts[0];
-    let iter = loop_iteration_descriptor(loop_stmt, ctx)?;
+    let iter = prim.iteration.as_ref()?;
     if iter.ranges.is_empty() {
         return None;
     }
     let Stmt::Do { body, .. } = loop_stmt else { return None };
-    let reductions = check_iterations_commute(&iter, body)?;
+    let reductions = check_iterations_commute(iter, body)?;
     let privatized = crate::loop_split::privatized_blocks(body, &reductions);
-    let restriction = detect_restriction(&iter, d, &privatized)?;
-    let split = split_loop(prog, loop_stmt, &restriction, &reductions, &iter, fresh)?;
+    let restriction = detect_restriction(iter, d, &privatized)?;
+    let split = split_loop(prog, loop_stmt, &restriction, &reductions, iter, fresh)?;
     let name = prim.name.clone();
     let ind_d = descriptor_of_stmts(&split.independent, ctx);
     let dep_d = descriptor_of_stmts(&split.dependent, ctx);
@@ -259,7 +259,7 @@ fn plan_read_linked_moves(
         let mut candidates = cats.generate_linked.clone();
         let suppliers = transitive_flow_down(&mut candidates, &[r], prims);
         let cost: Option<u64> =
-            suppliers.iter().map(|&s| static_op_count(&prims[s].stmts, ctx)).sum();
+            suppliers.iter().map(|&s| static_op_count(prims[s].stmts, ctx)).sum();
         match cost {
             Some(c) if c <= opts.replication_threshold => {
                 out.insert(r, suppliers);
@@ -287,7 +287,7 @@ pub fn static_op_count(stmts: &[Stmt], ctx: &SymCtx) -> Option<u64> {
     }
     let mut total: u64 = 0;
     for s in stmts {
-        total += match s {
+        let ops = match s {
             Stmt::Assign { target, value } => {
                 let idx_ops: u64 = match target {
                     LValue::Index(_, idx) => idx.iter().map(expr_ops).sum(),
@@ -297,7 +297,9 @@ pub fn static_op_count(stmts: &[Stmt], ctx: &SymCtx) -> Option<u64> {
             }
             Stmt::If { cond, then_body, else_body } => {
                 // Conservative: both arms counted.
-                expr_ops(cond) + static_op_count(then_body, ctx)? + static_op_count(else_body, ctx)?
+                expr_ops(cond)
+                    .checked_add(static_op_count(then_body, ctx)?)?
+                    .checked_add(static_op_count(else_body, ctx)?)?
             }
             Stmt::Do { ranges, mask, body, .. } => {
                 let mut trips: u64 = 0;
@@ -311,19 +313,18 @@ pub fn static_op_count(stmts: &[Stmt], ctx: &SymCtx) -> Option<u64> {
                     if step == 0 {
                         return None;
                     }
-                    let count = if step > 0 {
-                        ((hi - lo).max(-1) / step + 1).max(0)
-                    } else {
-                        ((lo - hi).max(-1) / (-step) + 1).max(0)
-                    };
-                    trips += count as u64;
+                    let span = if step > 0 { hi.checked_sub(lo)? } else { lo.checked_sub(hi)? };
+                    let count = (span.max(-1) / step.checked_abs()? + 1).max(0);
+                    trips = trips.checked_add(count as u64)?;
                 }
-                let per_iter =
-                    static_op_count(body, ctx)? + mask.as_ref().map(expr_ops).unwrap_or(0) + 1;
-                trips * per_iter
+                let per_iter = static_op_count(body, ctx)?
+                    .checked_add(mask.as_ref().map(expr_ops).unwrap_or(0) + 1)?;
+                trips.checked_mul(per_iter)?
             }
             Stmt::Call { .. } => return None,
         };
+        // A count past `u64` "cannot be calculated" either.
+        total = total.checked_add(ops)?;
     }
     Some(total)
 }
@@ -351,7 +352,7 @@ fn replicate_suppliers(
         // Rename everything the supplier writes.
         let mut written = BTreeSet::new();
         let mut scalars = BTreeSet::new();
-        for s in &sup.stmts {
+        for s in sup.stmts {
             s.array_writes(&mut written);
             collect_assigned_scalars(s, &mut scalars);
         }
@@ -363,11 +364,11 @@ fn replicate_suppliers(
             decls.push(d2);
             rename.insert(name.clone(), copy);
         }
-        for s in &sup.stmts {
+        for s in sup.stmts {
             stmts.push(rename_reads_and_writes(s, &rename));
         }
     }
-    for s in &moved.stmts {
+    for s in moved.stmts {
         stmts.push(rename_reads_and_writes(s, &rename));
     }
     (Some(stmts), decls)
@@ -733,6 +734,24 @@ end
         .unwrap();
         let qctx = SymCtx::from_program(&q);
         assert_eq!(static_op_count(&q.body, &qctx), None, "symbolic trip count");
+    }
+
+    #[test]
+    fn static_op_count_past_u64_is_not_a_count() {
+        // 100000^4 iterations of one add and one loop op: 2e20 > u64::MAX.
+        // Unchecked, release builds returned Some(15533559272904583840)
+        // and a deeper nest can wrap below `replication_threshold`.
+        let nest = |depth: usize| {
+            let vars = ["i", "j", "k", "l", "m"];
+            let open: String =
+                vars[..depth].iter().map(|v| format!("do {v} = 1, 100000 {{ ")).collect();
+            let src = format!("program p\n float s\n {open}s = s + 1.0{}\nend", " }".repeat(depth));
+            let p = parse_program(&src).unwrap();
+            static_op_count(&p.body, &SymCtx::from_program(&p))
+        };
+        assert_eq!(nest(3), Some(2_000_010_000_100_000), "fits: counted exactly");
+        assert_eq!(nest(4), None);
+        assert_eq!(nest(5), None);
     }
 
     #[test]

@@ -143,27 +143,39 @@ fn post_exhaustion_claim_storm() {
 /// A live claim storm against the lock-free adaptive path: 8 threads
 /// hammer one adaptive queue over a tiny-task space, feeding Welford
 /// stats back after every chunk so the winner keeps republishing new
-/// epoch descriptors under fire. The decreasing chunk series (and the
-/// half-remaining epoch cap) forces many epoch rollovers — the only
-/// place the adaptive claim path takes its short critical section —
-/// while the `fetch_add` fast path races it from every other thread.
-/// Every task index must be handed out exactly once across all
-/// threads, whatever the interleaving.
+/// epoch descriptors under fire, while the `fetch_add` fast path races
+/// it from every other thread. Every task index must be handed out
+/// exactly once across all threads, whatever the interleaving.
+///
+/// That the republish path runs at all is not left to the scheduler:
+/// with no feedback yet TAPER's construction-time decision is
+/// `total / workers` per chunk, so eight claimers that all load it
+/// before the fourth claim crosses the epoch end cover the op in eight
+/// chunks (legitimately — it is the policy's no-sample answer). So the
+/// claimers take their *first* chunk one at a time, each feeding it
+/// back before the next claims, and hold it until all have: the fourth
+/// claim republishes with three chunks of samples in hand, and the
+/// fifth must come out smaller. The storm proper starts after that.
 #[test]
 fn adaptive_live_claim_storm_exactly_once() {
     use orchestra_runtime::stats::OnlineStats;
-    use orchestra_runtime::threaded::queue::ChunkQueue;
-    use std::sync::Arc;
+    use orchestra_runtime::threaded::queue::{Chunk, ChunkQueue};
+    use std::sync::{Arc, Barrier, Mutex};
     const TASKS: usize = 12_000;
     for policy in [PolicyKind::Taper, PolicyKind::TaperCostFn] {
         let q = Arc::new(ChunkQueue::new(policy.instantiate(TASKS), TASKS, WORKERS));
         assert!(q.is_adaptive(), "{}: expected the adaptive path", policy.name());
+        // The first claims in the order they were made; the lock is the
+        // turnstile that makes them one at a time.
+        let firsts: Arc<Mutex<Vec<Chunk>>> = Arc::default();
+        let all_observed = Arc::new(Barrier::new(WORKERS));
         let handles: Vec<_> = (0..WORKERS)
             .map(|t| {
-                let q = Arc::clone(&q);
+                let (q, firsts, all_observed) =
+                    (Arc::clone(&q), Arc::clone(&firsts), Arc::clone(&all_observed));
                 std::thread::spawn(move || {
                     let mut claimed: Vec<(usize, usize)> = Vec::new();
-                    while let Some(c) = q.claim() {
+                    let mut run = |c: Chunk| {
                         // Tiny synthetic task costs, varied per thread
                         // so concurrent feedback pushes the policy
                         // state around while descriptors republish.
@@ -173,6 +185,16 @@ fn adaptive_live_claim_storm_exactly_once() {
                         }
                         q.observe_chunk(c.start, c.len, &stats);
                         claimed.push((c.start, c.len));
+                    };
+                    {
+                        let mut order = firsts.lock().expect("no claimer panics in its turn");
+                        let first = q.claim().expect("a first chunk for every claimer");
+                        run(first);
+                        order.push(first);
+                    }
+                    all_observed.wait();
+                    while let Some(c) = q.claim() {
+                        run(c);
                     }
                     claimed
                 })
@@ -199,9 +221,26 @@ fn adaptive_live_claim_storm_exactly_once() {
         assert_eq!(q.chunks_claimed(), chunks, "{}: chunk counter drifted", policy.name());
         assert!(!q.has_more(), "{}: drained queue advertises work", policy.name());
         assert!(q.claim().is_none(), "{}: claim after drain", policy.name());
-        // Tiny tasks over 8 workers must have crossed many epoch
-        // boundaries — the republish path, not just the fast path.
-        assert!(chunks > WORKERS as u64 * 4, "{}: only {chunks} chunks claimed", policy.name());
+        // The construction-time epoch is half the op in `total / workers`
+        // chunks; the claim that ends it republishes, so the next one is
+        // sized from samples. A queue that never republished would hand
+        // out `total / workers` again.
+        let firsts = firsts.lock().expect("claimers joined");
+        let no_sample = TASKS / WORKERS;
+        for (n, c) in firsts[..WORKERS / 2].iter().enumerate() {
+            assert_eq!(
+                (c.start, c.len),
+                (n * no_sample, no_sample),
+                "{}: claim {n}",
+                policy.name()
+            );
+        }
+        assert!(
+            firsts[WORKERS / 2].len < no_sample,
+            "{}: the claim after the first epoch is {} tasks, as before any sample",
+            policy.name(),
+            firsts[WORKERS / 2].len
+        );
     }
 }
 
