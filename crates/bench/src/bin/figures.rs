@@ -293,15 +293,19 @@ fn ablate_batch() {
     let cfg = MachineConfig::ncube2(512);
     let n = 1024; // items streamed per iteration
     let item_bytes = 64;
-    let chosen = choose_batch(n, item_bytes, &cfg);
+    let chosen = choose_batch(n, item_bytes, cfg.alpha, cfg.beta);
     println!("streaming {n} items of {item_bytes} B (α={} µs, β={} µs/B):", cfg.alpha, cfg.beta);
     println!("{:>8} {:>14}", "batch", "latency+fill µs");
     for b in [1usize, 4, 16, 64, 256, 1024] {
         let marker = if b == chosen { "  ← chosen" } else { "" };
-        println!("{:>8} {:>14.0}{marker}", b, batch_cost(n, item_bytes, b, &cfg));
+        println!("{:>8} {:>14.0}{marker}", b, batch_cost(n, item_bytes, b, cfg.alpha, cfg.beta));
     }
     if ![1usize, 4, 16, 64, 256, 1024].contains(&chosen) {
-        println!("{:>8} {:>14.0}  ← chosen", chosen, batch_cost(n, item_bytes, chosen, &cfg));
+        println!(
+            "{:>8} {:>14.0}  ← chosen",
+            chosen,
+            batch_cost(n, item_bytes, chosen, cfg.alpha, cfg.beta)
+        );
     }
 
     // The same trade measured on the real threaded backend: a deep

@@ -24,11 +24,9 @@
 //! precisely the observable a cancelled tenant's eviction leaves
 //! behind.
 
-use orchestra_delirium::{DelirGraph, NodeKind};
+use orchestra_delirium::DelirGraph;
 use orchestra_runtime::alloc::allocate_many_with;
-use orchestra_runtime::{
-    finish_estimate_live, AllocParams, HostCalibration, OnlineStats, OpSpec, PolicyKind,
-};
+use orchestra_runtime::{finish_estimate_live, AllocParams, HostCalibration, OpSpec, PolicyKind};
 use std::collections::BTreeMap;
 
 /// One running graph's contribution to the shared pool's load.
@@ -44,74 +42,24 @@ pub struct GraphLoad {
 
 /// Summarizes a graph's ops as live [`OpSpec`]s at admission time:
 /// every op is still unstarted, so "remaining" is its full task count
-/// and the cost statistics are seeded from the graph's declared
-/// cost model — the same warm-start a live queue's sampled
-/// [`OnlineStats`] would provide mid-run.
+/// and the cost statistics are the graph's declared cost model — the
+/// same warm-start a live queue's sampled µ/σ would provide mid-run.
+/// Shared memory moves no bytes; ops without tasks are left out.
 pub fn graph_load_specs(g: &DelirGraph, policy: PolicyKind) -> Vec<OpSpec> {
-    let mut specs = Vec::new();
-    let mut push = |tasks: usize, mean: f64, cv: f64| {
-        if tasks == 0 {
-            return;
-        }
-        // Two symmetric samples around the declared mean reproduce
-        // (µ, σ = µ·cv) exactly in the online accumulator.
-        let mut stats = OnlineStats::new();
-        stats.observe(mean * (1.0 + cv));
-        stats.observe(mean * (1.0 - cv));
-        specs.push(OpSpec::from_live(tasks, Some(&stats), policy));
-    };
-    for n in &g.nodes {
-        match &n.kind {
-            NodeKind::Task { cost } | NodeKind::Merge { cost } => push(1, *cost, 0.0),
-            NodeKind::DataParallel { tasks, mean_cost, cv } => push(*tasks, *mean_cost, *cv),
-            NodeKind::Mixture { populations } => {
-                for p in populations {
-                    push(p.tasks, p.mean_cost, p.cv);
-                }
-            }
-        }
-    }
-    specs
+    g.nodes.iter().map(|n| OpSpec::of_node(&n.kind, 0, policy)).filter(|s| s.tasks > 0).collect()
 }
 
 /// Total declared tasks of a graph — the admission-control currency.
 pub fn graph_tasks(g: &DelirGraph) -> usize {
-    g.nodes
-        .iter()
-        .map(|n| match &n.kind {
-            NodeKind::Task { .. } | NodeKind::Merge { .. } => 1,
-            NodeKind::DataParallel { tasks, .. } => *tasks,
-            NodeKind::Mixture { populations } => populations.iter().map(|p| p.tasks).sum(),
-        })
-        .sum()
+    g.nodes.iter().map(|n| n.kind.task_count()).sum()
 }
 
 /// Pools a graph's live op specs into the single spec the cross-graph
 /// equalizer compares, with the tenant weight folded into µ/σ.
 fn combined_spec(load: &GraphLoad) -> OpSpec {
-    let tasks: usize = load.specs.iter().map(|s| s.tasks).sum();
-    if tasks == 0 {
-        return OpSpec::empty(PolicyKind::Taper);
-    }
-    let work: f64 = load.specs.iter().map(OpSpec::total_work).sum();
-    let mean = work / tasks as f64;
-    // Pooled variance over the ops' populations: E[x²] − µ².
-    let ex2: f64 = load
-        .specs
-        .iter()
-        .map(|s| s.tasks as f64 * (s.std_dev * s.std_dev + s.mean * s.mean))
-        .sum::<f64>()
-        / tasks as f64;
-    let std_dev = (ex2 - mean * mean).max(0.0).sqrt();
-    let policy = load.specs[0].policy;
-    OpSpec {
-        tasks,
-        mean: mean * load.weight,
-        std_dev: std_dev * load.weight,
-        bytes_in: 0,
-        bytes_out: 0,
-        policy,
-    }
+    let policy = load.specs.first().map_or(PolicyKind::Taper, |s| s.policy);
+    let pooled = OpSpec::pooled(&load.specs, policy);
+    OpSpec { mean: pooled.mean * load.weight, std_dev: pooled.std_dev * load.weight, ..pooled }
 }
 
 /// The daemon's shared-pool partitioner.
@@ -206,6 +154,8 @@ impl PoolScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orchestra_delirium::{NodeKind, Population};
+    use orchestra_runtime::OnlineStats;
 
     fn load(job: u64, weight: f64, tasks: usize, mean: f64) -> GraphLoad {
         let mut stats = OnlineStats::new();
@@ -283,11 +233,23 @@ mod tests {
         let mut g = DelirGraph::new();
         g.add_node("A", NodeKind::DataParallel { tasks: 100, mean_cost: 8.0, cv: 0.5 }, None);
         g.add_node("T", NodeKind::Task { cost: 3.0 }, None);
+        let pop = |mean_cost| Population { tasks: 50, mean_cost, cv: 0.0 };
+        g.add_node("M", NodeKind::Mixture { populations: vec![pop(1.0), pop(101.0)] }, None);
+        g.add_node("E", NodeKind::DataParallel { tasks: 0, mean_cost: 1.0, cv: 0.0 }, None);
         let specs = graph_load_specs(&g, PolicyKind::Taper);
-        assert_eq!(specs.len(), 2);
+        assert_eq!(specs.len(), 3, "one spec per op that has tasks");
         assert_eq!(specs[0].tasks, 100);
         assert!((specs[0].mean - 8.0).abs() < 1e-9);
         assert!((specs[0].std_dev - 4.0).abs() < 1e-9, "σ = µ·cv");
-        assert_eq!(graph_tasks(&g), 101);
+        // A mixture is one op: its populations pool, and two regular
+        // populations 100 apart are an irregular op.
+        assert_eq!((specs[2].tasks, specs[2].mean), (100, 51.0));
+        assert!((specs[2].std_dev - 50.0).abs() < 1e-9);
+        assert_eq!(graph_tasks(&g), 201);
+        // The graph's one pooled spec is the same union, however the
+        // ops divide it.
+        let all = combined_spec(&GraphLoad { job: 1, weight: 2.0, specs });
+        assert_eq!(all.tasks, 201);
+        assert!((all.mean - 2.0 * (800.0 + 3.0 + 5100.0) / 201.0).abs() < 1e-9);
     }
 }

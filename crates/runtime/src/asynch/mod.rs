@@ -35,7 +35,7 @@ use crate::alloc::{OutputArena, Publication};
 use crate::cancel::RunError;
 use crate::checkpoint::{CancelCtl, KillMode, ResumeState, RunCtl};
 use crate::executor::ExecutorOptions;
-use crate::run::{set_up, snapshot_ops, Claimed, ExecLog, OpRecord, OpState, RunReport, Setup};
+use crate::run::{set_up, snapshot_ops, ExecLog, OpRecord, OpState, RunReport, Setup};
 use crate::stats::{OnlineStats, StealStats};
 use crate::threaded::crew::run_on_threads;
 use crate::threaded::queue::{BoundedClaim, Chunk, ChunkQueue};
@@ -83,7 +83,7 @@ struct AsyncOp<'p> {
 #[derive(Default)]
 struct OrphanBoard {
     /// Orphaned chunks.
-    orphans: Vec<Claimed>,
+    orphans: Vec<Chunk>,
     /// Claimers of this op still running.
     live: usize,
 }
@@ -138,9 +138,9 @@ fn us_since(epoch: Instant) -> f64 {
 impl AsyncShared<'_, '_> {
     /// Books one executed chunk of op `op_idx` to the polling driver,
     /// after its tasks ran.
-    fn book_chunk(&self, op_idx: usize, claimed: Claimed) {
+    fn book_chunk(&self, op_idx: usize, chunk: Chunk) {
         let d = driver::current_driver().expect("claimer futures are only polled by drivers");
-        self.logs[d].lock().expect("driver log poisoned").push(op_idx, claimed);
+        self.logs[d].lock().expect("driver log poisoned").push(op_idx, chunk);
     }
 }
 
@@ -160,7 +160,7 @@ fn on_claim_async(
     shared: &AsyncShared<'_, '_>,
     cid: usize,
     op_idx: usize,
-    chunk: &Chunk,
+    chunk: Chunk,
 ) -> ClaimFate {
     let ctl = &shared.ctl;
     // Cancellation aborts the whole cooperative run: stop the
@@ -192,7 +192,7 @@ fn on_claim_async(
             let mut board = op.board.lock().expect("orphan board poisoned");
             if board.live >= 2 && f.try_die(cid, mode) {
                 board.live -= 1;
-                board.orphans.push(Claimed::Span(*chunk));
+                board.orphans.push(chunk);
                 return ClaimFate::Die;
             }
             // Suppressed: the op's last live claimer keeps executing —
@@ -285,7 +285,7 @@ async fn run_claimer(
             BoundedClaim::Exhausted => break,
         };
         if hooked {
-            if let ClaimFate::Die = on_claim_async(shared, cid, op_idx, &chunk) {
+            if let ClaimFate::Die = on_claim_async(shared, cid, op_idx, chunk) {
                 // Dying mid-loop: the batch executed so far still counts.
                 if op.account(done) {
                     complete_op(shared, op_idx, us_since(shared.epoch));
@@ -298,7 +298,7 @@ async fn run_claimer(
         // SAFETY: the claim handed queue indices `[start, start+len)`
         // to this claimer exactly once.
         unsafe {
-            op.run_span(kernel, node, &inputs, arena, chunk.start..chunk.start + chunk.len, |t| {
+            op.run_span(kernel, node, &inputs, arena, chunk.range(), |t| {
                 if adaptive {
                     chunk_stats.observe(op.costs[t]);
                 }
@@ -311,7 +311,7 @@ async fn run_claimer(
             // driver, the whole schedule is).
             aop.queue.observe_chunk(chunk.start, chunk.len, &chunk_stats);
         }
-        shared.book_chunk(op_idx, Claimed::Span(chunk));
+        shared.book_chunk(op_idx, chunk);
         if op.streams_output() {
             // Commit the chunk's span before yielding: once the b*
             // batch fills (or the op finishes) the watermark publishes
@@ -344,8 +344,8 @@ async fn run_claimer(
                 break;
             };
             // SAFETY: the board hands each orphan to one adopter.
-            unsafe { op.run(kernel, node, &inputs, arena, &orphan) };
-            done += orphan.len();
+            unsafe { op.run_span(kernel, node, &inputs, arena, orphan.range(), |_| {}) };
+            done += orphan.len;
             shared.book_chunk(op_idx, orphan);
         }
     }

@@ -10,7 +10,7 @@
 //! [`execute_graph_resumable`](super::execute_graph_resumable)
 //! recovers from via snapshots.
 
-use crate::run::Claimed;
+use crate::threaded::queue::Chunk;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// When a planned kill fires. All triggers are evaluated at claim
@@ -113,7 +113,7 @@ pub(crate) struct Lease {
     /// Plan index of the op the tasks belong to.
     pub(crate) op_idx: usize,
     /// What the victim had claimed, in the op's queue-index space.
-    pub(crate) claimed: Claimed,
+    pub(crate) chunk: Chunk,
 }
 
 /// Runtime arbitration for one run's [`FaultPlan`]: which kills have

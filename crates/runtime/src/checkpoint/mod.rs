@@ -207,6 +207,10 @@ pub(crate) struct RunCtl {
     /// Cooperative cancellation, `None` when neither a token nor a
     /// deadline was configured.
     pub(crate) cancel: Option<CancelCtl>,
+    /// Raised when a worker unwound out of its loop (a kernel
+    /// panicked): the chunk it held will never finish, so everyone else
+    /// must stop waiting for it.
+    aborted: AtomicBool,
 }
 
 impl RunCtl {
@@ -226,7 +230,13 @@ impl RunCtl {
                 .as_ref()
                 .map(|s| CheckpointCtl::new(s.clone(), plan_fingerprint(plan, opts.seed))),
             cancel: CancelCtl::from_opts(opts),
+            aborted: AtomicBool::new(false),
         }
+    }
+
+    /// Stops the run: a worker is unwinding and its op cannot complete.
+    pub(crate) fn abort(&self) {
+        self.aborted.store(true, Ordering::SeqCst);
     }
 
     /// Whether any fault/checkpoint/cancel hook is active (claim loops
@@ -241,11 +251,13 @@ impl RunCtl {
         self.faults.as_ref().is_some_and(FaultState::crashed)
     }
 
-    /// Whether the run is stopping for *any* reason — crash-mode kill
-    /// or cancellation — and workers must exit at their next claim or
-    /// park boundary.
+    /// Whether the run is stopping for *any* reason — crash-mode kill,
+    /// cancellation, or a worker's unwind — and workers must exit at
+    /// their next token or park boundary.
     pub(crate) fn stopping(&self) -> bool {
-        self.crashed() || self.cancel.as_ref().is_some_and(CancelCtl::requested)
+        self.crashed()
+            || self.cancel.as_ref().is_some_and(CancelCtl::requested)
+            || self.aborted.load(Ordering::SeqCst)
     }
 
     /// The cancellation error to abort with, if one fired.

@@ -46,7 +46,12 @@ pub struct ExecutorOptions {
     pub pipeline_iters: HashMap<String, usize>,
     /// RNG seed for task-cost sampling.
     pub seed: u64,
-    /// Execution engine: the nCUBE-2 simulator or real threads.
+    /// Execution engine, for the callers that choose one from the
+    /// options: [`execute_threaded`](crate::threaded::execute_threaded)
+    /// (shared queues or distributed TAPER),
+    /// [`execute_graph_resumable`](crate::checkpoint::execute_graph_resumable)
+    /// and the serving daemon. [`execute_graph`] is the simulator
+    /// whatever this says.
     pub backend: ExecutorBackend,
     /// Worker threads for the threaded backend (0 = the machine's
     /// available parallelism). Ignored by the simulator, which sizes
@@ -81,7 +86,7 @@ pub struct ExecutorOptions {
     /// the real backends' streamed producer→consumer edges. `None`
     /// (the default) lets each producer choose b\* from the measured
     /// [`HostCalibration`](crate::finish::HostCalibration) α/β via
-    /// [`choose_batch_params`](crate::granularity::choose_batch_params).
+    /// [`choose_batch`](crate::granularity::choose_batch).
     /// The simulator ignores this.
     pub stream_batch: Option<usize>,
     /// Cooperative cancellation token. When set, every real backend
@@ -140,13 +145,6 @@ pub struct NodeReport {
     pub finish: f64,
     /// Processors assigned.
     pub procs: usize,
-    /// Input edges this op consumed *streamed* — gated by the
-    /// producer's progress watermark instead of whole-op completion
-    /// (real backends only; the simulator reports 0).
-    pub streamed_inputs: usize,
-    /// Watermark publications this op's producer side performed (real
-    /// backends only; 0 for unstreamed ops and on the simulator).
-    pub watermark_pubs: u64,
 }
 
 /// The result of executing a graph.
@@ -211,73 +209,17 @@ fn node_costs(tasks: usize, mean: f64, cv: f64, seed: u64) -> Vec<f64> {
     CostDistribution::HeavyTail { mean, sigma }.sample(tasks, seed)
 }
 
-fn op_spec(kind: &NodeKind, policy: PolicyKind) -> OpSpec {
-    match kind {
-        NodeKind::Task { cost } | NodeKind::Merge { cost } => OpSpec {
-            tasks: 1,
-            mean: *cost,
-            std_dev: 0.0,
-            bytes_in: BYTES_PER_TASK,
-            bytes_out: BYTES_PER_TASK,
-            policy,
-        },
-        NodeKind::DataParallel { tasks, mean_cost, cv } => OpSpec {
-            tasks: *tasks,
-            mean: *mean_cost,
-            std_dev: mean_cost * cv,
-            bytes_in: *tasks as u64 * BYTES_PER_TASK,
-            bytes_out: *tasks as u64 * BYTES_PER_TASK,
-            policy,
-        },
-        NodeKind::Mixture { .. } => {
-            let tasks = kind.task_count();
-            let (mean, cv) = kind.aggregate_stats();
-            OpSpec {
-                tasks,
-                mean,
-                std_dev: mean * cv,
-                bytes_in: tasks as u64 * BYTES_PER_TASK,
-                bytes_out: tasks as u64 * BYTES_PER_TASK,
-                policy,
-            }
-        }
-    }
-}
-
-/// The aggregate spec the allocator sees for a pipeline group: piece
-/// work per iteration × the group's iteration count. The task-time
-/// variance pools by the law of total variance — within-piece σᵢ²
-/// *plus* the dispersion of the piece means around the pooled mean:
-///
-/// ```text
-/// σ² = Σ nᵢ·(σᵢ² + (µᵢ − µ̄)²) / Σ nᵢ
-/// ```
-///
-/// Dropping the second term (as a naive σ²·n sum does) underestimates
-/// `lag` for heterogeneous groups: two internally regular pieces with
-/// very different means still look irregular to a scheduler drawing
-/// tasks from their union.
+/// The aggregate spec the allocator sees for a pipeline group: the
+/// pieces pooled into one operation ([`OpSpec::pooled`]) × the group's
+/// iteration count.
 fn pipeline_group_spec(pieces: &[OpSpec], iters: usize, policy: PolicyKind) -> OpSpec {
     let iters = iters.max(1);
-    let per_iter_tasks: usize = pieces.iter().map(|s| s.tasks).sum();
-    if per_iter_tasks == 0 {
-        return OpSpec::empty(policy);
-    }
-    let work: f64 = pieces.iter().map(|s| s.total_work()).sum();
-    let mean = work / per_iter_tasks as f64;
-    let var = pieces
-        .iter()
-        .map(|s| s.tasks as f64 * (s.std_dev * s.std_dev + (s.mean - mean).powi(2)))
-        .sum::<f64>()
-        / per_iter_tasks as f64;
-    let tasks = per_iter_tasks * iters;
+    let per_iter = OpSpec::pooled(pieces, policy);
     OpSpec {
-        tasks,
-        mean,
-        std_dev: var.sqrt(),
-        bytes_in: tasks as u64 * BYTES_PER_TASK,
-        bytes_out: tasks as u64 * BYTES_PER_TASK,
-        policy,
+        tasks: per_iter.tasks * iters,
+        bytes_in: per_iter.bytes_in * iters as u64,
+        bytes_out: per_iter.bytes_out * iters as u64,
+        ..per_iter
     }
 }
 
@@ -347,30 +289,23 @@ fn run_node(
     }
 }
 
-/// Executes a graph on the machine.
+/// Simulates a graph on the machine `cfg` describes. This is the
+/// simulator and nothing else: the real engines are
+/// [`execute_threaded`](crate::threaded::execute_threaded) (which reads
+/// `opts.backend`), [`execute_async`](crate::asynch::execute_async) and
+/// [`execute_sequential`](crate::threaded::execute_sequential), which
+/// take the kernel to run and return a
+/// [`RunReport`](crate::run::RunReport).
 ///
 /// # Errors
 ///
-/// Returns the graph's validation error when it is malformed, or a
-/// cancellation/deadline error when the caller aborted the run (real
-/// backends only — the simulator never cancels).
+/// Returns the graph's validation error when it is malformed (the
+/// simulator never cancels).
 pub fn execute_graph(
     g: &DelirGraph,
     cfg: &MachineConfig,
     opts: &ExecutorOptions,
 ) -> Result<ExecutionReport, crate::cancel::RunError> {
-    if matches!(opts.backend, ExecutorBackend::Threaded | ExecutorBackend::ThreadedDist) {
-        // Real execution on this machine: `cfg` describes the simulated
-        // nCUBE-2 and does not apply.
-        let kernel = crate::threaded::SpinKernel::default();
-        let run = crate::threaded::execute_threaded(g, opts, &kernel)?;
-        return Ok(run.to_report());
-    }
-    if opts.backend == ExecutorBackend::Async {
-        let kernel = crate::threaded::SpinKernel::default();
-        let run = crate::asynch::execute_async(g, opts, &kernel)?;
-        return Ok(run.to_report());
-    }
     g.validate()?;
     let levels = g.levels()?;
     let p_total = cfg.processors;
@@ -475,11 +410,13 @@ pub fn execute_graph(
         let specs: Vec<OpSpec> = units
             .iter()
             .map(|u| match u {
-                Unit::Single(v) => op_spec(&g.nodes[*v].kind, opts.policy),
+                Unit::Single(v) => OpSpec::of_node(&g.nodes[*v].kind, BYTES_PER_TASK, opts.policy),
                 Unit::Pipeline(name, vs) => {
                     let iters = opts.pipeline_iters.get(name).copied().unwrap_or(1).max(1);
-                    let pieces: Vec<OpSpec> =
-                        vs.iter().map(|&v| op_spec(&g.nodes[v].kind, opts.policy)).collect();
+                    let pieces: Vec<OpSpec> = vs
+                        .iter()
+                        .map(|&v| OpSpec::of_node(&g.nodes[v].kind, BYTES_PER_TASK, opts.policy))
+                        .collect();
                     pipeline_group_spec(&pieces, iters, opts.policy)
                 }
             })
@@ -555,8 +492,6 @@ pub fn execute_graph(
                             start,
                             finish: end,
                             procs: p_u,
-                            streamed_inputs: 0,
-                            watermark_pubs: 0,
                         });
                         level_end = level_end.max(end);
                     }
@@ -572,8 +507,6 @@ pub fn execute_graph(
                             start,
                             finish: end,
                             procs: p_u,
-                            streamed_inputs: 0,
-                            watermark_pubs: 0,
                         });
                         level_end = level_end.max(end);
                     }
@@ -706,8 +639,9 @@ fn run_pipeline(
 
     let items = carried.len().max(1) * 16;
     let item_bytes = (carried_bytes / items as u64).max(1);
-    let b = choose_batch(items, item_bytes, cfg);
-    let per_iter_floor = pipelined_stage_time(0.0, dep_chain, items, item_bytes, b, cfg);
+    let b = choose_batch(items, item_bytes, cfg.alpha, cfg.beta);
+    let per_iter_floor =
+        pipelined_stage_time(0.0, dep_chain, items, item_bytes, b, cfg.alpha, cfg.beta);
     let fill = stage_time(&ind, p, start);
     start + fill + joint_all.max(per_iter_floor * iters as f64)
 }

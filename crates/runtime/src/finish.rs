@@ -19,6 +19,7 @@
 
 use crate::chunking::{predicted_chunks, PolicyKind};
 use crate::stats::OnlineStats;
+use orchestra_delirium::NodeKind;
 use orchestra_machine::MachineConfig;
 use std::sync::OnceLock;
 
@@ -63,6 +64,55 @@ impl OpSpec {
             std_dev: s.std_dev,
             bytes_in: costs.len() as u64 * bytes_per_task,
             bytes_out: costs.len() as u64 * bytes_per_task,
+            policy,
+        }
+    }
+
+    /// The spec a graph node declares before anything ran: its task
+    /// count, the `(µ, σ = µ·cv)` of its cost model (a mixture's
+    /// populations pooled), and `bytes_per_task` in and out per task —
+    /// what the simulator moves between partitions; a shared-memory
+    /// caller passes 0, the shape [`from_live`](Self::from_live) has.
+    pub fn of_node(kind: &NodeKind, bytes_per_task: u64, policy: PolicyKind) -> Self {
+        let tasks = kind.task_count();
+        let (mean, cv) = kind.aggregate_stats();
+        let bytes = tasks as u64 * bytes_per_task;
+        OpSpec { tasks, mean, std_dev: mean * cv, bytes_in: bytes, bytes_out: bytes, policy }
+    }
+
+    /// One spec for the union of `parts`' tasks (bytes summed), as the
+    /// allocator sees several operations it schedules as one. The
+    /// task-time variance pools by the law of total variance —
+    /// within-part σᵢ² *plus* the dispersion of the part means around
+    /// the pooled mean:
+    ///
+    /// ```text
+    /// σ² = Σ nᵢ·(σᵢ² + (µᵢ − µ̄)²) / Σ nᵢ
+    /// ```
+    ///
+    /// Dropping the second term (as a naive σ²·n sum does)
+    /// underestimates `lag` for heterogeneous parts: two internally
+    /// regular operations with very different means still look
+    /// irregular to a scheduler drawing tasks from their union.
+    /// No tasks at all pool to [`OpSpec::empty`].
+    pub fn pooled(parts: &[OpSpec], policy: PolicyKind) -> Self {
+        let tasks: usize = parts.iter().map(|s| s.tasks).sum();
+        if tasks == 0 {
+            return OpSpec::empty(policy);
+        }
+        let work: f64 = parts.iter().map(|s| s.total_work()).sum();
+        let mean = work / tasks as f64;
+        let var = parts
+            .iter()
+            .map(|s| s.tasks as f64 * (s.std_dev * s.std_dev + (s.mean - mean).powi(2)))
+            .sum::<f64>()
+            / tasks as f64;
+        OpSpec {
+            tasks,
+            mean,
+            std_dev: var.sqrt(),
+            bytes_in: parts.iter().map(|s| s.bytes_in).sum(),
+            bytes_out: parts.iter().map(|s| s.bytes_out).sum(),
             policy,
         }
     }
@@ -181,11 +231,11 @@ pub struct HostCalibration {
     /// Measured cost of one watermark publication — one
     /// [`commit_range`](crate::alloc::OutputArena::commit_range) that
     /// advances the frontier — in µs. The α fed to
-    /// [`choose_batch_params`](crate::choose_batch_params) on the real
+    /// [`choose_batch`](crate::choose_batch) on the real
     /// backends.
     pub publish_alpha_us: f64,
     /// Measured per-byte arena read/copy cost in µs/B. The β fed to
-    /// [`choose_batch_params`](crate::choose_batch_params) on the real
+    /// [`choose_batch`](crate::choose_batch) on the real
     /// backends.
     pub copy_beta_us: f64,
 }
@@ -256,15 +306,16 @@ impl HostCalibration {
     /// b\* for a streamed edge of `tasks` items of `item_bytes` each,
     /// priced at this host's measured α/β.
     pub fn stream_batch(&self, tasks: usize, item_bytes: u64) -> usize {
-        crate::choose_batch_params(tasks, item_bytes, self.publish_alpha_us, self.copy_beta_us)
+        crate::choose_batch(tasks, item_bytes, self.publish_alpha_us, self.copy_beta_us)
     }
 }
 
 /// Estimates the finishing time of a live operation on `p` workers of
-/// a shared-memory pool: the §4.1.2 expression with the message-passing
-/// terms dropped (`setup = comm = 0` — no data is contracted onto a
-/// partition; workers share one address space) and `sched` priced at
-/// the host's measured claim cost instead of the nCUBE-2 constant.
+/// a shared-memory pool: [`finish_estimate`] on a machine whose
+/// messages are free (`setup = comm = 0` — no data is contracted onto a
+/// partition; workers share one address space) and whose scheduling
+/// event costs the host's measured claim instead of the nCUBE-2
+/// constant.
 /// `op` should come from [`OpSpec::from_live`] so `N`, µ, and σ are
 /// the queue's current remaining count and sampled statistics.
 ///
@@ -273,16 +324,8 @@ impl HostCalibration {
 /// Panics if `p` is zero.
 pub fn finish_estimate_live(op: &OpSpec, p: usize, cal: &HostCalibration) -> FinishEstimate {
     assert!(p > 0, "estimate needs at least one processor");
-    if op.tasks == 0 {
-        return FinishEstimate { setup: 0.0, compute: 0.0, lag: 0.0, comm: 0.0, sched: 0.0 };
-    }
-    let p_f = p as f64;
-    let compute = op.tasks as f64 * op.mean / p_f;
-    let m = p.min(op.tasks) as f64;
-    let lag = if m <= 1.0 { 0.0 } else { op.std_dev * (2.0 * m.ln()).sqrt() };
-    let chunks = predicted_chunks(op.policy, op.tasks, p, op.cv());
-    let sched = chunks * cal.sched_overhead_us / p_f;
-    FinishEstimate { setup: 0.0, compute, lag, comm: 0.0, sched }
+    let host = MachineConfig { sched_overhead: cal.sched_overhead_us, ..MachineConfig::ideal(p) };
+    finish_estimate(op, p, &host)
 }
 
 #[cfg(test)]
@@ -414,6 +457,33 @@ mod tests {
         // More workers, less compute share; lag persists.
         let e16 = finish_estimate_live(&s, 16, &HostCalibration::with_overhead(0.2));
         assert!(e16.compute < e.compute);
+    }
+
+    /// Equation 1 is written once: the live estimate is
+    /// `N·µ/p + σ·√(2·ln m) + chunks·o/p` to the bit, whatever bytes the
+    /// spec carries, because every message-passing term of
+    /// [`finish_estimate`] multiplies a zero of the free machine.
+    #[test]
+    fn live_estimate_is_equation_one_on_a_free_machine() {
+        let cal = HostCalibration::with_overhead(0.37);
+        for policy in [PolicyKind::SelfSched, PolicyKind::Gss, PolicyKind::Taper] {
+            for (n, mean, cv) in [(1, 3.0, 0.0), (7, 0.5, 1.5), (4096, 100.0, 0.5), (100, 1.0, 0.0)]
+            {
+                for p in [1usize, 2, 3, 8, 64, 5000] {
+                    let s = spec(n, mean, cv, policy);
+                    let (p_f, m) = (p as f64, p.min(n) as f64);
+                    let lag = if m <= 1.0 { 0.0 } else { s.std_dev * (2.0 * m.ln()).sqrt() };
+                    let sched = predicted_chunks(policy, n, p, s.cv()) * 0.37 / p_f;
+                    let e = finish_estimate_live(&s, p, &cal);
+                    assert_eq!((e.setup, e.comm), (0.0, 0.0));
+                    assert_eq!(
+                        e.total().to_bits(),
+                        (n as f64 * mean / p_f + lag + sched).to_bits(),
+                        "n={n} µ={mean} cv={cv} p={p} {policy:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

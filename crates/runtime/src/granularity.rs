@@ -16,22 +16,20 @@
 //! of one batch (the steady-state transfer of all bytes is paid
 //! regardless). The optimum is `b* = √(n·α / (β·item_bytes))`, clamped
 //! to `[1, n]`.
-
-use orchestra_machine::MachineConfig;
+//!
+//! Every function takes the per-message latency `alpha` (µs) and the
+//! per-byte cost `beta` (µs/B) explicitly: the simulator passes its
+//! `MachineConfig`'s, the real backends the host's measured
+//! [`HostCalibration`](crate::finish::HostCalibration) — one decision
+//! procedure, so the two cannot silently diverge in *how* they pick
+//! b\*, only in the costs they feed it.
 
 /// The latency-vs-fill cost of streaming `n` items batched `b` at a
 /// time (µs): total per-message latency plus the fill delay of one
 /// batch. The steady-state byte-transfer time `n·item_bytes·β` is paid
 /// regardless of batching and is accounted separately by
 /// [`pipelined_stage_time`].
-pub fn batch_cost(n: usize, item_bytes: u64, b: usize, cfg: &MachineConfig) -> f64 {
-    batch_cost_params(n, item_bytes, b, cfg.alpha, cfg.beta)
-}
-
-/// [`batch_cost`] over explicit per-message latency `alpha` (µs) and
-/// per-byte cost `beta` (µs/B) — the form the real backends use with
-/// host-measured values instead of a simulated `MachineConfig`.
-pub fn batch_cost_params(n: usize, item_bytes: u64, b: usize, alpha: f64, beta: f64) -> f64 {
+pub fn batch_cost(n: usize, item_bytes: u64, b: usize, alpha: f64, beta: f64) -> f64 {
     let b = b.clamp(1, n.max(1));
     let msgs = (n as f64 / b as f64).ceil();
     let fill = b as f64 * item_bytes as f64 * beta;
@@ -42,15 +40,7 @@ pub fn batch_cost_params(n: usize, item_bytes: u64, b: usize, alpha: f64, beta: 
 ///
 /// Evaluates the analytic optimum and its neighbours (the cost is
 /// unimodal in `b`, but integer rounding matters near the minimum).
-pub fn choose_batch(n: usize, item_bytes: u64, cfg: &MachineConfig) -> usize {
-    choose_batch_params(n, item_bytes, cfg.alpha, cfg.beta)
-}
-
-/// [`choose_batch`] over explicit `alpha`/`beta`. The simulated and
-/// real backends share this one decision procedure, so a measured
-/// `HostCalibration` and a `MachineConfig` cannot silently diverge in
-/// *how* they pick b\* — only in the costs they feed it.
-pub fn choose_batch_params(n: usize, item_bytes: u64, alpha: f64, beta: f64) -> usize {
+pub fn choose_batch(n: usize, item_bytes: u64, alpha: f64, beta: f64) -> usize {
     if n <= 1 {
         return n.max(1);
     }
@@ -80,7 +70,7 @@ pub fn choose_batch_params(n: usize, item_bytes: u64, alpha: f64, beta: f64) -> 
     ];
     for &b in &candidates {
         let b = b.clamp(1, n);
-        let c = batch_cost_params(n, item_bytes, b, alpha, beta);
+        let c = batch_cost(n, item_bytes, b, alpha, beta);
         if c < best_cost {
             best_cost = c;
             best = b;
@@ -91,23 +81,10 @@ pub fn choose_batch_params(n: usize, item_bytes: u64, alpha: f64, beta: f64) -> 
 
 /// The pipeline-throughput estimate for a producer/consumer pair
 /// exchanging `n` items at batch size `b`: per-iteration overlap-aware
-/// latency added to the slower stage.
+/// latency added to the slower stage — also the overlapped-stage
+/// estimate the real backends' finishing-time equalizer uses for
+/// streamed producer→consumer pairs.
 pub fn pipelined_stage_time(
-    producer_time: f64,
-    consumer_time: f64,
-    n: usize,
-    item_bytes: u64,
-    b: usize,
-    cfg: &MachineConfig,
-) -> f64 {
-    pipelined_stage_time_params(producer_time, consumer_time, n, item_bytes, b, cfg.alpha, cfg.beta)
-}
-
-/// [`pipelined_stage_time`] over explicit `alpha`/`beta` — the
-/// overlapped-stage estimate the real backends' finishing-time
-/// equalizer uses for streamed producer→consumer pairs.
-#[allow(clippy::too_many_arguments)]
-pub fn pipelined_stage_time_params(
     producer_time: f64,
     consumer_time: f64,
     n: usize,
@@ -127,13 +104,14 @@ pub fn pipelined_stage_time_params(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orchestra_machine::MachineConfig;
 
     #[test]
     fn latency_dominant_favors_big_batches() {
         let mut cfg = MachineConfig::ncube2(2);
         cfg.alpha = 10_000.0;
         cfg.beta = 0.001;
-        let b = choose_batch(1024, 8, &cfg);
+        let b = choose_batch(1024, 8, cfg.alpha, cfg.beta);
         assert!(b > 256, "huge α should batch aggressively, got {b}");
     }
 
@@ -142,7 +120,7 @@ mod tests {
         let mut cfg = MachineConfig::ncube2(2);
         cfg.alpha = 1.0;
         cfg.beta = 50.0;
-        let b = choose_batch(1024, 1024, &cfg);
+        let b = choose_batch(1024, 1024, cfg.alpha, cfg.beta);
         assert!(b <= 2, "huge β should stream, got {b}");
     }
 
@@ -150,48 +128,27 @@ mod tests {
     fn chosen_batch_is_no_worse_than_endpoints() {
         let cfg = MachineConfig::ncube2(2);
         for n in [16, 256, 4096] {
-            let b = choose_batch(n, 64, &cfg);
-            let c = batch_cost(n, 64, b, &cfg);
-            assert!(c <= batch_cost(n, 64, 1, &cfg) + 1e-9);
-            assert!(c <= batch_cost(n, 64, n, &cfg) + 1e-9);
+            let (a, b) = (cfg.alpha, cfg.beta);
+            let best = choose_batch(n, 64, a, b);
+            let c = batch_cost(n, 64, best, a, b);
+            assert!(c <= batch_cost(n, 64, 1, a, b) + 1e-9);
+            assert!(c <= batch_cost(n, 64, n, a, b) + 1e-9);
         }
     }
 
     #[test]
     fn degenerate_inputs() {
         let cfg = MachineConfig::ncube2(2);
-        assert_eq!(choose_batch(0, 64, &cfg), 1);
-        assert_eq!(choose_batch(1, 64, &cfg), 1);
+        assert_eq!(choose_batch(0, 64, cfg.alpha, cfg.beta), 1);
+        assert_eq!(choose_batch(1, 64, cfg.alpha, cfg.beta), 1);
         let ideal = MachineConfig::ideal(2);
-        assert_eq!(choose_batch(100, 64, &ideal), 100, "free comm → one message");
-    }
-
-    #[test]
-    fn config_and_params_forms_agree_exactly() {
-        let cfg = MachineConfig::ncube2(2);
-        for n in [1usize, 7, 256, 4096] {
-            for item_bytes in [1u64, 8, 64] {
-                assert_eq!(
-                    choose_batch(n, item_bytes, &cfg),
-                    choose_batch_params(n, item_bytes, cfg.alpha, cfg.beta),
-                );
-                let b = choose_batch(n, item_bytes, &cfg);
-                assert_eq!(
-                    batch_cost(n, item_bytes, b, &cfg),
-                    batch_cost_params(n, item_bytes, b, cfg.alpha, cfg.beta),
-                );
-                assert_eq!(
-                    pipelined_stage_time(10.0, 20.0, n, item_bytes, b, &cfg),
-                    pipelined_stage_time_params(10.0, 20.0, n, item_bytes, b, cfg.alpha, cfg.beta),
-                );
-            }
-        }
+        assert_eq!(choose_batch(100, 64, ideal.alpha, ideal.beta), 100, "free comm → one message");
     }
 
     #[test]
     fn pipelined_time_bounded_below_by_slowest_stage() {
         let cfg = MachineConfig::ncube2(2);
-        let t = pipelined_stage_time(5_000.0, 3_000.0, 256, 64, 16, &cfg);
+        let t = pipelined_stage_time(5_000.0, 3_000.0, 256, 64, 16, cfg.alpha, cfg.beta);
         assert!(t >= 5_000.0);
         // And not absurdly larger when comm is cheap relative to compute.
         assert!(t < 5_000.0 + 10_000.0);

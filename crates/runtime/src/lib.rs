@@ -63,10 +63,7 @@ pub use chunking::{ChunkPolicy, Factoring, Gss, PolicyKind, SelfSched, Taper, RE
 pub use dist_taper::{simulate_dist_taper, simulate_dist_taper_at, DistResult};
 pub use executor::{costs_of_node, execute_graph, ExecutionReport, ExecutorOptions, NodeReport};
 pub use finish::{finish_estimate, finish_estimate_live, FinishEstimate, HostCalibration, OpSpec};
-pub use granularity::{
-    batch_cost, batch_cost_params, choose_batch, choose_batch_params, pipelined_stage_time,
-    pipelined_stage_time_params,
-};
+pub use granularity::{batch_cost, choose_batch, pipelined_stage_time};
 pub use par_op::{
     owner_of, simulate_dynamic, simulate_policy, simulate_static, OpOptions, OpResult,
 };

@@ -62,6 +62,12 @@ pub fn owner_of(i: usize, n: usize, p: usize) -> usize {
     (i * p / n).min(p - 1)
 }
 
+/// The tasks [`owner_of`] places on processor `q`: one contiguous block.
+pub(crate) fn block_of(q: usize, n: usize, p: usize) -> std::ops::Range<usize> {
+    // ⌊i·p/n⌋ = q exactly when q·n ≤ i·p < (q+1)·n.
+    (q * n).div_ceil(p)..((q + 1) * n).div_ceil(p)
+}
+
 /// Simulates static block scheduling: processor `q` executes its block
 /// of the iteration space with a single scheduling event and no
 /// transfers.
@@ -198,6 +204,14 @@ mod tests {
         assert!(owners.windows(2).all(|w| w[1] >= w[0]));
         for q in 0..4 {
             assert_eq!(owners.iter().filter(|&&o| o == q).count(), 25);
+        }
+        // `block_of` is the same placement read the other way round,
+        // uneven and empty blocks included.
+        for (n, p) in (0..40).flat_map(|n| (1..9).map(move |p| (n, p))) {
+            for q in 0..p {
+                let block: Vec<usize> = (0..n).filter(|&i| owner_of(i, n, p) == q).collect();
+                assert_eq!(block_of(q, n, p).collect::<Vec<_>>(), block, "n={n} p={p} q={q}");
+            }
         }
     }
 

@@ -14,7 +14,7 @@
 //! * `OpState` — the per-op state every driver schedules against,
 //!   with the one per-task body (`OpState::run_task`: kernel → store →
 //!   `done` flag) all claim loops call, one claimed chunk at a time
-//!   (`OpState::run`).
+//!   (`OpState::run_span`).
 //! * `ExecLog` — what one worker or driver ran, kept privately while it
 //!   runs and folded into [`RunReport::exec_counts`] afterwards: the
 //!   exactly-once oracle costs one entry per chunk and nothing per task.
@@ -30,7 +30,7 @@ use crate::alloc::{allocate_many_with, AllocParams, OutputArena};
 use crate::cancel::RunError;
 use crate::checkpoint::{op_snapshot, OpSnapshot, ResumeState, RunCtl};
 use crate::chunking::PolicyKind;
-use crate::executor::{costs_of_node, ExecutionReport, ExecutorOptions, NodeReport};
+use crate::executor::{costs_of_node, ExecutorOptions};
 use crate::finish::{finish_estimate_live, HostCalibration, OpSpec};
 use crate::stats::{OnlineStats, StealStats};
 use crate::threaded::queue::{Chunk, ChunkQueue};
@@ -116,15 +116,6 @@ impl OpState<'_> {
     #[inline]
     pub(crate) fn account(&self, done: usize) -> bool {
         done > 0 && self.outstanding.fetch_sub(done, Ordering::AcqRel) == done
-    }
-
-    /// Translates a queue index to the op-local task index.
-    #[inline]
-    pub(crate) fn task_of(&self, qi: usize) -> usize {
-        match &self.remap {
-            Some(r) => r[qi],
-            None => qi,
-        }
     }
 
     /// How far this op's claims may advance right now: the minimum of
@@ -237,32 +228,6 @@ impl OpState<'_> {
         }
     }
 
-    /// Runs everything one claim handed out: a lease replay or an
-    /// orphan adoption, where the claim was somebody else's.
-    ///
-    /// # Safety
-    ///
-    /// As [`run_task`](Self::run_task), for every queue index of `claimed`.
-    pub(crate) unsafe fn run(
-        &self,
-        kernel: &(dyn TaskKernel + Sync),
-        node: &Node,
-        inputs: &[&[f64]],
-        arena: &OutputArena,
-        claimed: &Claimed,
-    ) {
-        match claimed {
-            Claimed::Span(c) => unsafe {
-                self.run_span(kernel, node, inputs, arena, c.start..c.start + c.len, |_| {});
-            },
-            Claimed::List(indices) => {
-                for &qi in indices {
-                    unsafe { self.run_task(kernel, node, inputs, arena, self.task_of(qi)) };
-                }
-            }
-        }
-    }
-
     /// The per-task body of every claim loop, lease replay and orphan
     /// adoption: run the kernel, store the value into the task's arena
     /// cell, and publish the task. ([`run_span`](Self::run_span) is the
@@ -327,47 +292,28 @@ impl OpState<'_> {
     }
 }
 
-/// The queue indices one claim handed out: what a claim loop executes,
-/// what a killed worker leaves behind as a lease or orphan, and what an
-/// [`ExecLog`] records. Queue space throughout — [`OpState::task_of`]
-/// translates, at the per-task body and in the fold.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Claimed {
-    /// A contiguous chunk of a shared queue.
-    Span(Chunk),
-    /// Arbitrary indices: a distributed-TAPER chunk (runs of the
-    /// owner's home block plus migrated tasks).
-    List(Vec<usize>),
-}
-
-impl Claimed {
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            Claimed::Span(c) => c.len,
-            Claimed::List(indices) => indices.len(),
-        }
-    }
-}
-
 /// What one worker (or async driver) ran, chunk by chunk. Private to
 /// its owner while the run is live and handed back with the owner's
 /// record — also when the owner dies at a claim boundary — so no update
 /// can be lost; [`exec_counts`] folds the logs once everyone has joined.
 /// An entry is pushed *after* its chunk's tasks ran: a chunk claimed but
-/// orphaned by a kill is logged by whoever replays it, once.
+/// orphaned by a kill is logged by whoever replays it, once. Chunks are
+/// in the op's queue-index space — what a claim hands out and what a
+/// killed worker leaves behind as a lease or orphan; the op's `remap`
+/// translates to tasks, in [`OpState::run_span`] and in the fold.
 #[derive(Debug, Default)]
-pub(crate) struct ExecLog(Vec<(usize, Claimed)>);
+pub(crate) struct ExecLog(Vec<(usize, Chunk)>);
 
 impl ExecLog {
-    /// Records that the owner ran all of `claimed` of op `op`.
+    /// Records that the owner ran all of `chunk` of op `op`.
     #[inline]
-    pub(crate) fn push(&mut self, op: usize, claimed: Claimed) {
-        self.0.push((op, claimed));
+    pub(crate) fn push(&mut self, op: usize, chunk: Chunk) {
+        self.0.push((op, chunk));
     }
 
     /// Chunks run, and the tasks in them.
     pub(crate) fn totals(&self) -> (u64, u64) {
-        (self.0.len() as u64, self.0.iter().map(|(_, c)| c.len() as u64).sum())
+        (self.0.len() as u64, self.0.iter().map(|(_, c)| c.len as u64).sum())
     }
 }
 
@@ -378,18 +324,11 @@ impl ExecLog {
 /// nobody ran (restored from a snapshot, or lost) reads 0.
 pub(crate) fn exec_counts(ops: &[OpState<'_>], logs: &[ExecLog]) -> Vec<Vec<u32>> {
     let mut counts: Vec<Vec<u32>> = ops.iter().map(|op| vec![0; op.plan.tasks]).collect();
-    for (op, claimed) in logs.iter().flat_map(|log| &log.0) {
-        let (state, counts) = (&ops[*op], &mut counts[*op]);
-        match (claimed, &state.remap) {
-            (Claimed::Span(c), None) => {
-                counts[c.start..c.start + c.len].iter_mut().for_each(|n| *n += 1);
-            }
-            (Claimed::Span(c), Some(remap)) => {
-                remap[c.start..c.start + c.len].iter().for_each(|&t| counts[t] += 1);
-            }
-            (Claimed::List(indices), _) => {
-                indices.iter().for_each(|&qi| counts[state.task_of(qi)] += 1);
-            }
+    for (op, chunk) in logs.iter().flat_map(|log| &log.0) {
+        let counts = &mut counts[*op];
+        match &ops[*op].remap {
+            None => counts[chunk.range()].iter_mut().for_each(|n| *n += 1),
+            Some(remap) => remap[chunk.range()].iter().for_each(|&t| counts[t] += 1),
         }
     }
     counts
@@ -819,31 +758,6 @@ impl RunReport {
         }
         self.stats.total_busy() / (self.workers as f64 * self.wall_us)
     }
-
-    /// Converts the measured run into the executor's report shape so
-    /// callers consume simulated and real runs uniformly. `serial_work`
-    /// is the *measured* total busy time (not the simulator's cost
-    /// hints), so [`ExecutionReport::speedup`] reports the measured
-    /// speedup.
-    pub fn to_report(&self) -> ExecutionReport {
-        ExecutionReport {
-            finish: self.wall_us,
-            nodes: self
-                .ops
-                .iter()
-                .map(|op| NodeReport {
-                    name: op.name.clone(),
-                    start: op.start_us,
-                    finish: op.finish_us,
-                    procs: op.procs,
-                    streamed_inputs: op.streamed_inputs,
-                    watermark_pubs: op.watermark_pubs,
-                })
-                .collect(),
-            serial_work: self.stats.total_busy(),
-            processors: self.workers,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -965,14 +879,14 @@ mod tests {
         set_up(plan, &g.nodes, &opts, AccessPattern::ElementWise, 4, &resume)
     }
 
-    fn log(entries: &[(usize, Claimed)]) -> ExecLog {
+    fn log(entries: &[(usize, Chunk)]) -> ExecLog {
         let mut log = ExecLog::default();
-        entries.iter().cloned().for_each(|(op, c)| log.push(op, c));
+        entries.iter().for_each(|&(op, c)| log.push(op, c));
         log
     }
 
-    fn span(start: usize, len: usize) -> Claimed {
-        Claimed::Span(Chunk { start, len })
+    fn span(start: usize, len: usize) -> Chunk {
+        Chunk { start, len }
     }
 
     /// The oracle itself: disjoint logs read 1 everywhere, an overlap
@@ -996,15 +910,10 @@ mod tests {
             // pending tasks.
             log(&[(p0, span(0, 4)), (q0, span(0, 16)), (p1, span(0, 2))]),
             // Worker 1: the other half of P0, a Q0 chunk overlapping
-            // worker 0's on [12, 16), P1's tail as a dist-style list,
-            // and P2 whole — as the replay of a dead worker's lease,
-            // which the victim itself never logged.
-            log(&[
-                (p0, span(4, 4)),
-                (q0, span(12, 12)),
-                (p1, Claimed::List(vec![3, 2])),
-                (p2, span(0, 8)),
-            ]),
+            // worker 0's on [12, 16), P1's tail, and P2 whole — as the
+            // replay of a dead worker's lease, which the victim itself
+            // never logged.
+            log(&[(p0, span(4, 4)), (q0, span(12, 12)), (p1, span(2, 2)), (p2, span(0, 8))]),
             ExecLog::default(),
         ];
         let counts = exec_counts(&s.ops, &logs);
@@ -1026,7 +935,7 @@ mod tests {
         let opts = ExecutorOptions::default();
         let plan = build_plan(&g, &opts).unwrap();
         let s = chains_set_up(&plan, &g, Vec::new());
-        let whole = |skip: &str| -> Vec<(usize, Claimed)> {
+        let whole = |skip: &str| -> Vec<(usize, Chunk)> {
             let ops = s.ops.iter().filter(|o| o.plan.name != skip);
             ops.map(|o| (o.idx, span(0, o.plan.tasks))).collect()
         };

@@ -315,7 +315,8 @@ pub(crate) fn run_on_threads<T: Send>(
         None => thread::scope(|scope| {
             let f = &f;
             let handles: Vec<_> = (0..n).map(|i| scope.spawn(move || f(i))).collect();
-            handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
+            // The scope has joined every thread before a panic leaves it.
+            handles.into_iter().map(|h| h.join().unwrap_or_else(|p| resume_unwind(p))).collect()
         }),
     }
 }

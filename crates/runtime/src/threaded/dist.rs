@@ -45,21 +45,60 @@
 //! [`OnlineStats`](crate::stats::OnlineStats) records, so the
 //! locality/migration trade-off is *evaluated* against wall clocks.
 
+use super::queue::Chunk;
 use crate::chunking::{ChunkPolicy, Taper};
-use crate::par_op::owner_of;
+use crate::par_op::block_of;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// One claimed epoch chunk: the task indices popped from the claiming
-/// worker's home queue (contiguous runs of the owner's block, plus any
-/// re-assigned tasks), and the epoch the chunk was tokened in.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One claimed epoch chunk: a contiguous span taken off the front of
+/// the claiming worker's home queue, and the epoch it was tokened in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DistChunk {
-    /// Task indices, in execution order.
-    pub tasks: Vec<usize>,
+    /// The claimed task indices.
+    pub chunk: Chunk,
     /// Global epoch at claim time.
     pub epoch: u64,
+}
+
+/// A home queue: the runs of consecutive task indices a worker still
+/// owns, in claim order. It starts as the owner's block — one run — and
+/// gains a run whenever work is re-assigned or adopted into it.
+type Home = VecDeque<Range<usize>>;
+
+/// Unclaimed tasks in one home queue.
+fn tasks_in(home: &Home) -> usize {
+    home.iter().map(Range::len).sum()
+}
+
+/// Moves the last `n` tasks of `homes[from]` to the back of
+/// `homes[to]`, keeping their order: every run behind the cut whole,
+/// and the tail of the run the cut falls in.
+///
+/// # Panics
+///
+/// Panics if `homes[from]` holds fewer than `n` tasks.
+fn move_tail(homes: &mut [Home], from: usize, to: usize, n: usize) {
+    let mut dst = std::mem::take(&mut homes[to]);
+    let src = &mut homes[from];
+    let (mut at, mut behind) = (src.len(), 0usize);
+    while behind < n {
+        at -= 1;
+        behind += src[at].len();
+    }
+    // Runs `at..` hold `behind >= n` tasks: the surplus is the head of
+    // run `at`, which stays.
+    let keep = behind - n;
+    if keep > 0 {
+        let cut = src[at].start + keep;
+        dst.push_back(cut..src[at].end);
+        src[at].end = cut;
+        at += 1;
+    }
+    dst.extend(src.drain(at..));
+    homes[to] = dst;
 }
 
 /// Coordinator state: the collapsed token tree, root counters, and the
@@ -67,7 +106,7 @@ pub struct DistChunk {
 struct Coord {
     /// Per-worker home queues. Owned here so queue membership and the
     /// token counters can never disagree mid-reassignment.
-    homes: Vec<VecDeque<usize>>,
+    homes: Vec<Home>,
     /// Workers the fault layer has declared dead: their tokens are no
     /// longer required for epoch completion (a dead worker would
     /// otherwise freeze the global epoch forever).
@@ -149,12 +188,13 @@ impl DistQueue {
         assert_eq!(node_of.len(), workers, "one node per worker");
         assert!(!members.is_empty(), "partition needs at least one member");
         assert!(members.iter().all(|&m| m < workers), "member out of range");
-        let mut homes: Vec<VecDeque<usize>> = vec![VecDeque::new(); workers];
-        for i in 0..total {
-            homes[members[owner_of(i, total, members.len())]].push_back(i);
-        }
+        let mut homes: Vec<Home> = vec![VecDeque::new(); workers];
         let mut retired = vec![true; workers];
-        for &m in members {
+        for (j, &m) in members.iter().enumerate() {
+            let block = block_of(j, total, members.len());
+            if !block.is_empty() {
+                homes[m].push_back(block);
+            }
             retired[m] = false;
         }
         DistQueue {
@@ -178,11 +218,24 @@ impl DistQueue {
         }
     }
 
-    /// Claims the next epoch chunk for `worker`, or `None` when the
-    /// worker's home queue is empty and nothing could be re-assigned
-    /// to it. Sends one epoch token (and runs the root's reassignment
-    /// and epoch-completion rules) per call, exactly as the simulator
-    /// does per chunk start or work request.
+    /// Claims the next epoch chunk for `worker` among the tasks whose
+    /// index lies strictly below `limit` — the minimum producer
+    /// watermark at claim time for a streamed-edge consumer,
+    /// `usize::MAX` otherwise — or `None` when the worker's home queue
+    /// is empty and nothing could be re-assigned to it. Sends one epoch
+    /// token (and runs the root's reassignment and epoch-completion
+    /// rules) per call, exactly as the simulator does per chunk start
+    /// or work request.
+    ///
+    /// The chunk is a prefix of the home queue's front run, so a visit
+    /// whose front run starts at or above the limit draws nothing (runs
+    /// start sorted per owner block; after migration the front-peek is
+    /// merely conservative, which is safe — the producer's final
+    /// `publish_all` always raises the limit to the whole space). Such
+    /// a visit returns `None` exactly like a starving one; the epoch
+    /// token it sent is harmless, and the worker's wakeup is owed to
+    /// the producer's next watermark publication rather than the queue
+    /// itself.
     ///
     /// `costs` are the operation's per-task cost hints (the control
     /// plane's observation stream); `now_us` is the caller's clock,
@@ -192,22 +245,6 @@ impl DistQueue {
     ///
     /// Panics if `worker >= workers` or `costs` is shorter than the
     /// iteration space.
-    pub fn claim(&self, worker: usize, costs: &[f64], now_us: f64) -> Option<DistChunk> {
-        self.claim_bounded(worker, costs, now_us, usize::MAX)
-    }
-
-    /// Like [`claim`](Self::claim), but only draws tasks whose index
-    /// lies strictly below `limit` — the streamed-edge consumer path,
-    /// where `limit` is the minimum producer watermark at claim time.
-    ///
-    /// The draw stops at the first home-queue entry at or above the
-    /// limit (homes start sorted per owner block; after migration the
-    /// front-peek is merely conservative, which is safe — the
-    /// producer's final `publish_all` always raises the limit to the
-    /// whole space). A visit that draws nothing returns `None` exactly
-    /// like a starving visit; the epoch token it sent is harmless, and
-    /// the worker's wakeup is owed to the producer's next watermark
-    /// publication rather than the queue itself.
     pub fn claim_bounded(
         &self,
         worker: usize,
@@ -228,29 +265,25 @@ impl DistQueue {
         // Token: this claim's epoch value reaches the root.
         c.counts[e][worker] += 1;
         // Re-assignment: two epoch-e tokens from `worker` before some
-        // laggard's first, gated on sampled cv. The stolen tasks are
-        // delivered straight into the claimant's own home queue. Among
-        // eligible laggards the root prefers one on the claimant's
-        // NUMA node — in the paper's frame, a same-node claimant is
-        // served before a remote one — falling back to the fullest
-        // remote laggard only when the claimant's node has none.
+        // laggard's first, gated on sampled cv. The back half of the
+        // laggard's home is delivered straight into the claimant's own
+        // home queue. Among eligible laggards the root prefers one on
+        // the claimant's NUMA node — in the paper's frame, a same-node
+        // claimant is served before a remote one — falling back to the
+        // fullest remote laggard only when the claimant's node has none.
         if c.counts[e][worker] >= 2 && c.policy.reassign_signal(self.workers) {
             let mut laggard: Option<(bool, usize, usize)> = None; // (same_node, len, b)
             for b in 0..self.workers {
                 if b == worker || c.counts[e][b] != 0 || c.homes[b].is_empty() {
                     continue;
                 }
-                let key = (self.node_of[b] == self.node_of[worker], c.homes[b].len());
+                let key = (self.node_of[b] == self.node_of[worker], tasks_in(&c.homes[b]));
                 if laggard.is_none_or(|(s, l, _)| key > (s, l)) {
                     laggard = Some((key.0, key.1, b));
                 }
             }
             if let Some((same_node, len, b)) = laggard {
-                let steal = len.div_ceil(2);
-                for _ in 0..steal {
-                    let t = c.homes[b].pop_back().expect("len checked");
-                    c.homes[worker].push_back(t);
-                }
+                move_tail(&mut c.homes, b, worker, len.div_ceil(2));
                 self.reassignments.fetch_add(1, Ordering::Relaxed);
                 if !same_node {
                     self.remote_reassignments.fetch_add(1, Ordering::Relaxed);
@@ -274,45 +307,34 @@ impl DistQueue {
             }
         }
         // Draw the epoch chunk from the (possibly just refilled) home
-        // queue: the global TAPER sequence clamped to the local queue.
-        if c.homes[worker].is_empty() {
-            // Starving visit: the token above doubles as a work
-            // request, but nothing was stealable this time.
-            return None;
-        }
+        // queue: the global TAPER sequence clamped to the local queue,
+        // to its front run, and to the watermark. An empty home is a
+        // starving visit (the token above doubles as a work request,
+        // but nothing was stealable this time); so is a front run that
+        // sits at or above the watermark.
+        let front = c.homes[worker].front().filter(|run| run.start < limit)?.clone();
         let remaining_global = self.total - c.claimed;
-        let local_len = c.homes[worker].len();
+        let local_len = tasks_in(&c.homes[worker]);
         let done = c.claimed;
         let k = c.policy.epoch_chunk(done, remaining_global, self.workers, local_len);
-        let mut tasks = Vec::with_capacity(k);
-        let mut moved = 0u64;
-        for _ in 0..k {
-            // Watermark gate: stop drawing at the first task the
-            // producer has not committed yet.
-            match c.homes[worker].front() {
-                Some(&t) if t < limit => {}
-                _ => break,
-            }
-            let t = c.homes[worker].pop_front().expect("front peeked");
-            if owner_of(t, self.total, self.workers) != worker {
-                moved += 1;
-            }
-            tasks.push(t);
+        let chunk = Chunk { start: front.start, len: k.min(front.len()).min(limit - front.start) };
+        if chunk.len == front.len() {
+            c.homes[worker].pop_front();
+        } else {
+            c.homes[worker][0].start += chunk.len;
         }
-        if tasks.is_empty() {
-            // Everything in the home queue sits at or above the
-            // watermark: treat it as a starving visit.
-            return None;
-        }
-        for &t in &tasks {
+        for t in chunk.range() {
             c.policy.observe(t, costs[t]);
         }
-        c.claimed += tasks.len();
+        c.claimed += chunk.len;
         self.remaining.store(self.total - c.claimed, Ordering::Release);
         drop(c);
-        self.migrated.fetch_add(moved, Ordering::Relaxed);
+        // Tasks outside the claimant's own block were migrated to it.
+        let (own, span) = (block_of(worker, self.total, self.workers), chunk.range());
+        let at_home = own.end.min(span.end).saturating_sub(own.start.max(span.start));
+        self.migrated.fetch_add((chunk.len - at_home) as u64, Ordering::Relaxed);
         self.chunks.fetch_add(1, Ordering::Relaxed);
-        Some(DistChunk { tasks, epoch: e as u64 })
+        Some(DistChunk { chunk, epoch: e as u64 })
     }
 
     /// Whether unclaimed tasks remain anywhere (exact, not a hint: the
@@ -397,11 +419,11 @@ impl DistQueue {
     /// Panics if `worker >= workers`.
     pub fn home_len(&self, worker: usize) -> usize {
         assert!(worker < self.workers, "worker {worker} out of range");
-        self.coord.lock().expect("dist coordinator poisoned").homes[worker].len()
+        tasks_in(&self.coord.lock().expect("dist coordinator poisoned").homes[worker])
     }
 
-    /// Whether the front of `worker`'s home queue lies strictly below
-    /// `limit` — i.e. whether a [`claim_bounded`](Self::claim_bounded)
+    /// Whether `worker`'s home queue starts strictly below `limit` —
+    /// i.e. whether a [`claim_bounded`](Self::claim_bounded)
     /// at that limit could draw at least one task right now. Crash
     /// recovery uses it to tell reachable work from work still gated
     /// behind an unpublished producer watermark (whose publication
@@ -415,7 +437,7 @@ impl DistQueue {
         assert!(worker < self.workers, "worker {worker} out of range");
         self.coord.lock().expect("dist coordinator poisoned").homes[worker]
             .front()
-            .is_some_and(|&t| t < limit)
+            .is_some_and(|run| run.start < limit)
     }
 
     /// Excuses a dead worker from epoch completion: subsequent epochs
@@ -435,7 +457,7 @@ impl DistQueue {
     /// `heir`'s, returning how many moved. The self-delivery invariant
     /// holds — the heir is the claiming survivor adopting an orphaned
     /// home — and exactly-once is preserved (the move happens under
-    /// the coordinator lock, pop-then-push like re-assignment).
+    /// the coordinator lock, whole runs at a time like re-assignment).
     /// Adopted tasks count as migrated when claimed, exactly like
     /// re-assigned ones. Unlike the cv-gated re-assignment path this
     /// is unconditional: a dead worker's home must drain even on
@@ -451,18 +473,16 @@ impl DistQueue {
             return 0;
         }
         let mut c = self.coord.lock().expect("dist coordinator poisoned");
-        let moved = c.homes[dead].len();
-        while let Some(t) = c.homes[dead].pop_front() {
-            c.homes[heir].push_back(t);
-        }
+        let moved = tasks_in(&c.homes[dead]);
+        move_tail(&mut c.homes, dead, heir, moved);
         moved
     }
 
     /// Admits `worker` into the operation's partition: un-retires it
     /// (its tokens now count toward epoch completion) and seeds its
-    /// home queue with half of the fullest home, returning how many
-    /// tasks moved. Unlike the cv-gated in-protocol re-assignment this
-    /// is unconditional — the §4.1.2 equalizer has already decided the
+    /// home queue with the back half of the fullest home, returning how
+    /// many tasks moved. Unlike the cv-gated in-protocol re-assignment
+    /// this is unconditional — the §4.1.2 equalizer has already decided the
     /// migration, so the gate must not veto it. Idempotent for a
     /// worker that is already a member with a non-empty home (it only
     /// re-seeds when the admitted home is empty).
@@ -479,14 +499,12 @@ impl DistQueue {
         }
         let donor = (0..self.workers)
             .filter(|&b| b != worker)
-            .max_by_key(|&b| c.homes[b].len())
-            .filter(|&b| c.homes[b].len() > 1);
-        let Some(b) = donor else { return 0 };
-        let steal = c.homes[b].len() / 2;
-        for _ in 0..steal {
-            let t = c.homes[b].pop_back().expect("len checked");
-            c.homes[worker].push_back(t);
-        }
+            .map(|b| (tasks_in(&c.homes[b]), b))
+            .max_by_key(|&(len, _)| len)
+            .filter(|&(len, _)| len > 1);
+        let Some((len, b)) = donor else { return 0 };
+        let steal = len / 2;
+        move_tail(&mut c.homes, b, worker, steal);
         self.reassignments.fetch_add(1, Ordering::Relaxed);
         if self.node_of[b] != self.node_of[worker] {
             self.remote_reassignments.fetch_add(1, Ordering::Relaxed);
@@ -505,6 +523,8 @@ impl DistQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::par_op::owner_of;
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     /// Drives a DistQueue with real threads; each worker spins a
@@ -519,8 +539,8 @@ mod tests {
             let costs = Arc::clone(&costs);
             handles.push(std::thread::spawn(move || {
                 let mut mine = Vec::new();
-                while let Some(chunk) = q.claim(w, &costs, t0.elapsed().as_secs_f64() * 1e6) {
-                    for &t in &chunk.tasks {
+                while let Some(chunk) = claim(&q, w, &costs, t0.elapsed().as_secs_f64() * 1e6) {
+                    for t in chunk.chunk.range() {
                         let steps = (costs[t] * spin).max(1.0) as u64;
                         let mut x = t as f64;
                         for _ in 0..steps {
@@ -534,6 +554,11 @@ mod tests {
             }));
         }
         handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
+    }
+
+    /// A claim with no watermark to respect.
+    fn claim(q: &DistQueue, worker: usize, costs: &[f64], now_us: f64) -> Option<DistChunk> {
+        q.claim_bounded(worker, costs, now_us, usize::MAX)
     }
 
     fn assert_exactly_once(per_worker: &[Vec<usize>], n: usize) {
@@ -571,7 +596,7 @@ mod tests {
             let q = Arc::clone(&q);
             let costs = Arc::clone(&costs);
             handles.push(std::thread::spawn(move || {
-                while q.claim(w, &costs, t0.elapsed().as_secs_f64() * 1e6).is_some() {}
+                while claim(&q, w, &costs, t0.elapsed().as_secs_f64() * 1e6).is_some() {}
             }));
         }
         for h in handles {
@@ -587,7 +612,12 @@ mod tests {
     fn concentrated_costs_force_reassignment_exactly_once() {
         // All the heavy work sits on worker 0's home block: the fast
         // workers' tokens race ahead and the root must migrate work,
-        // while every task still executes exactly once.
+        // while every task still executes exactly once. The race is
+        // forced, not hoped for: everyone claims a first chunk (epoch 0
+        // closes, and worker 0's heavy hints open the cv gate), then
+        // worker 0 stays inside that chunk until the root has
+        // re-assigned — any fast worker's second epoch-1 token does it —
+        // or, were the rule broken, until the others are done.
         let p = 4;
         let n = 400;
         let mut costs = vec![1.0; n];
@@ -596,24 +626,29 @@ mod tests {
         }
         let costs = Arc::new(costs);
         let q = Arc::new(DistQueue::new(n, p));
+        let first_claims = Arc::new(std::sync::Barrier::new(p));
+        let fast_done = Arc::new(AtomicUsize::new(0));
         let t0 = std::time::Instant::now();
         let mut handles = Vec::new();
         for w in 0..p {
-            let q = Arc::clone(&q);
-            let costs = Arc::clone(&costs);
+            let (q, costs) = (Arc::clone(&q), Arc::clone(&costs));
+            let (first_claims, fast_done) = (Arc::clone(&first_claims), Arc::clone(&fast_done));
             handles.push(std::thread::spawn(move || {
                 let mut mine = Vec::new();
-                while let Some(chunk) = q.claim(w, &costs, t0.elapsed().as_secs_f64() * 1e6) {
-                    for &t in &chunk.tasks {
-                        let steps = (costs[t] * 40.0) as u64;
-                        let mut x = t as f64;
-                        for _ in 0..steps {
-                            x = x * 0.999_999 + 1e-9;
+                let mut first = true;
+                while let Some(chunk) = claim(&q, w, &costs, t0.elapsed().as_secs_f64() * 1e6) {
+                    mine.extend(chunk.chunk.range());
+                    if std::mem::take(&mut first) {
+                        first_claims.wait();
+                        while w == 0
+                            && q.reassignments() == 0
+                            && fast_done.load(Ordering::Acquire) < p - 1
+                        {
+                            std::thread::yield_now();
                         }
-                        std::hint::black_box(x);
-                        mine.push(t);
                     }
                 }
+                fast_done.fetch_add(1, Ordering::Release);
                 mine
             }));
         }
@@ -635,8 +670,8 @@ mod tests {
         assert_exactly_once(&claimed, 64);
         let q = DistQueue::new(64, 1);
         let mut n = 0usize;
-        while let Some(c) = q.claim(0, &costs, n as f64) {
-            n += c.tasks.len();
+        while let Some(c) = claim(&q, 0, &costs, n as f64) {
+            n += c.chunk.len;
         }
         assert_eq!(n, 64);
         assert_eq!(q.reassignments(), 0);
@@ -648,7 +683,7 @@ mod tests {
     #[test]
     fn empty_queue_yields_nothing() {
         let q = DistQueue::new(0, 4);
-        assert_eq!(q.claim(0, &[], 0.0), None);
+        assert_eq!(claim(&q, 0, &[], 0.0), None);
         assert!(!q.has_more());
         assert_eq!(q.chunks_claimed(), 0);
         assert!((q.locality() - 1.0).abs() < 1e-12);
@@ -660,15 +695,15 @@ mod tests {
         let q = DistQueue::new(32, 2);
         let mut got = 0usize;
         for w in [0usize, 1] {
-            while let Some(c) = q.claim(w, &costs, 0.0) {
-                got += c.tasks.len();
+            while let Some(c) = claim(&q, w, &costs, 0.0) {
+                got += c.chunk.len;
             }
         }
         assert_eq!(got, 32);
         let chunks = q.chunks_claimed();
         for _ in 0..1000 {
-            assert_eq!(q.claim(0, &costs, 0.0), None);
-            assert_eq!(q.claim(1, &costs, 0.0), None);
+            assert_eq!(claim(&q, 0, &costs, 0.0), None);
+            assert_eq!(claim(&q, 1, &costs, 0.0), None);
         }
         assert_eq!(q.chunks_claimed(), chunks, "stale claims counted as chunks");
         assert!(!q.has_more());
@@ -689,12 +724,12 @@ mod tests {
         }
         let q = DistQueue::with_nodes(n, 4, vec![0, 0, 1, 1]);
         // Worker 3 tokens once so it is never an eligible laggard.
-        let _ = q.claim(3, &costs, 0.0);
+        let _ = claim(&q, 3, &costs, 0.0);
         // Worker 0 claims until the root performs its first
         // re-assignment, then stops: that choice must be the same-node
         // laggard (worker 1), i.e. not counted remote, even though the
         // remote worker 2's home queue is exactly as long.
-        while q.claim(0, &costs, 0.0).is_some() {
+        while claim(&q, 0, &costs, 0.0).is_some() {
             if q.reassignments() >= 1 {
                 break;
             }
@@ -720,7 +755,7 @@ mod tests {
             costs[t] = 500.0;
         }
         let q = DistQueue::with_nodes(n, 2, vec![0, 1]);
-        while q.claim(1, &costs, 0.0).is_some() {}
+        while claim(&q, 1, &costs, 0.0).is_some() {}
         assert!(q.reassignments() >= 1, "fast worker never triggered the gate");
         assert_eq!(q.remote_reassignments(), q.reassignments());
     }
@@ -742,8 +777,8 @@ mod tests {
         while active {
             active = false;
             for w in [1usize, 3] {
-                if let Some(c) = q.claim(w, &costs, got as f64) {
-                    got += c.tasks.len();
+                if let Some(c) = claim(&q, w, &costs, got as f64) {
+                    got += c.chunk.len;
                     active = true;
                 }
             }
@@ -768,8 +803,8 @@ mod tests {
         while active {
             active = false;
             for w in [0usize, 2] {
-                if let Some(c) = q.claim(w, &costs, got.len() as f64) {
-                    got.extend(c.tasks);
+                if let Some(c) = claim(&q, w, &costs, got.len() as f64) {
+                    got.extend(c.chunk.range());
                     active = true;
                 }
             }
@@ -792,14 +827,14 @@ mod tests {
         let q = DistQueue::new(n, 1);
         let mut got = Vec::new();
         while let Some(c) = q.claim_bounded(0, &costs, 0.0, 10) {
-            got.extend(c.tasks);
+            got.extend(c.chunk.range());
         }
         assert_eq!(got, (0..10).collect::<Vec<_>>());
         assert!(q.has_more(), "blocked must not read as exhausted");
         assert!(!q.home_ready_below(0, 10));
         assert!(q.home_ready_below(0, 11));
         while let Some(c) = q.claim_bounded(0, &costs, 0.0, usize::MAX) {
-            got.extend(c.tasks);
+            got.extend(c.chunk.range());
         }
         got.sort_unstable();
         assert_eq!(got, (0..n).collect::<Vec<_>>());
@@ -820,13 +855,153 @@ mod tests {
         while active {
             active = false;
             for w in 0..p {
-                if let Some(c) = q.claim(w, &costs, sizes.len() as f64) {
-                    sizes.push(c.tasks.len());
+                if let Some(c) = claim(&q, w, &costs, sizes.len() as f64) {
+                    sizes.push(c.chunk.len);
                     active = true;
                 }
             }
         }
         assert_eq!(sizes.iter().sum::<usize>(), n);
         assert!(sizes.len() >= p, "at least one chunk per home");
+    }
+
+    /// The home queues as they were before they held runs: one entry
+    /// per task index, moved one by one. What the span queue must agree
+    /// with, kept as its model.
+    struct IndexModel {
+        homes: Vec<VecDeque<usize>>,
+        migrated: u64,
+    }
+
+    impl IndexModel {
+        fn new(total: usize, workers: usize, members: &[usize]) -> Self {
+            let mut homes = vec![VecDeque::new(); workers];
+            for i in 0..total {
+                homes[members[owner_of(i, total, members.len())]].push_back(i);
+            }
+            IndexModel { homes, migrated: 0 }
+        }
+
+        /// The last `n` indices of `from`, in order, to the back of `to`.
+        fn move_tail(&mut self, from: usize, to: usize, n: usize) {
+            let at = self.homes[from].len() - n;
+            let tail = self.homes[from].split_off(at);
+            self.homes[to].extend(tail);
+        }
+
+        /// What [`DistQueue::admit_worker`] moves: half of the fullest
+        /// other home, into an empty home only.
+        fn admit(&mut self, worker: usize) -> usize {
+            if !self.homes[worker].is_empty() {
+                return 0;
+            }
+            let donor = (0..self.homes.len())
+                .filter(|&b| b != worker)
+                .max_by_key(|&b| self.homes[b].len())
+                .filter(|&b| self.homes[b].len() > 1);
+            let Some(b) = donor else { return 0 };
+            let steal = self.homes[b].len() / 2;
+            self.move_tail(b, worker, steal);
+            steal
+        }
+    }
+
+    proptest! {
+        /// Interleaved bounded claims (the limit only rises), adoptions,
+        /// admissions and — on the concentrated cost shapes — forced
+        /// re-assignments: every span handed out is the front of the
+        /// model's home for that worker, so spans are non-empty,
+        /// pairwise disjoint and tile `0..total`; none crosses the
+        /// limit; and the counters agree with the model after every step.
+        #[test]
+        fn spans_agree_with_the_index_model(
+            total in 0..200usize,
+            workers in 1..7usize,
+            member_bits in 1..64usize,
+            shape in 0..3usize,
+            steps in proptest::collection::vec((0..8usize, 0..6usize, 0..6usize, 0..40usize), 0..160),
+        ) {
+            let mut members: Vec<usize> =
+                (0..workers).filter(|w| member_bits >> w & 1 == 1).collect();
+            if members.is_empty() {
+                members.push(0);
+            }
+            // Uniform costs never open the cv gate; a heavy first block
+            // or heavy every fourth task does.
+            let costs: Vec<f64> = (0..total)
+                .map(|t| match shape {
+                    1 if t < total / 4 => 500.0,
+                    2 if t % 4 == 0 => 500.0,
+                    _ => 1.0,
+                })
+                .collect();
+            let q = DistQueue::with_partition(total, workers, vec![0; workers], &members);
+            let mut model = IndexModel::new(total, workers, &members);
+            let mut dead = vec![false; workers];
+            let mut seen = vec![false; total];
+            let mut limit = 0usize;
+            let mut step = |kind: usize, a: usize, b: usize, rise: usize| {
+                let (a, b) = (a % workers, b % workers);
+                match kind {
+                    5 if !dead[a] => {
+                        // `a` dies and the first survivor from `b` on
+                        // adopts its home; the last survivor never dies.
+                        let heir =
+                            (0..workers).map(|i| (b + i) % workers).find(|&w| w != a && !dead[w]);
+                        if let Some(heir) = heir {
+                            dead[a] = true;
+                            q.retire_worker(a);
+                            let moved = model.homes[a].len();
+                            prop_assert_eq!(q.adopt_home(a, heir), moved);
+                            model.move_tail(a, heir, moved);
+                        }
+                    }
+                    6 if !dead[a] => prop_assert_eq!(q.admit_worker(a), model.admit(a)),
+                    _ if !dead[a] => {
+                        limit = limit.saturating_add(rise);
+                        let reassigned = q.reassignments();
+                        let got = q.claim_bounded(a, &costs, 0.0, limit);
+                        if q.reassignments() > reassigned {
+                            // The root moved the back half (rounded up)
+                            // of one laggard's home to the claimant.
+                            let laggards: Vec<usize> = (0..workers)
+                                .filter(|&w| w != a && q.home_len(w) != model.homes[w].len())
+                                .collect();
+                            prop_assert_eq!(laggards.len(), 1);
+                            let steal = model.homes[laggards[0]].len().div_ceil(2);
+                            model.move_tail(laggards[0], a, steal);
+                        }
+                        if let Some(DistChunk { chunk, .. }) = got {
+                            prop_assert!(chunk.len > 0, "empty span");
+                            prop_assert!(chunk.range().end <= limit, "{chunk:?} crosses {limit}");
+                            for t in chunk.range() {
+                                prop_assert_eq!(model.homes[a].pop_front(), Some(t));
+                                prop_assert!(!std::mem::replace(&mut seen[t], true), "{t} twice");
+                                model.migrated += u64::from(owner_of(t, total, workers) != a);
+                            }
+                        }
+                    }
+                    _ => {}
+                }
+                for w in 0..workers {
+                    prop_assert_eq!(q.home_len(w), model.homes[w].len(), "home {}", w);
+                }
+                prop_assert_eq!(q.remaining(), model.homes.iter().map(VecDeque::len).sum::<usize>());
+                prop_assert_eq!(q.migrated_tasks(), model.migrated);
+                Ok(())
+            };
+            for (kind, a, b, rise) in steps {
+                step(kind, a, b, rise)?;
+            }
+            // The whole space becomes claimable: every round, every
+            // survivor with a non-empty home draws at least one task.
+            for _ in 0..total {
+                for w in 0..workers {
+                    step(0, w, 0, usize::MAX)?;
+                }
+            }
+            prop_assert_eq!(q.remaining(), 0);
+            prop_assert!(seen.iter().all(|&s| s), "a task was never handed out");
+        }
     }
 }

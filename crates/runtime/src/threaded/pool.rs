@@ -12,10 +12,12 @@
 //!   worker's back. Tokens are hints: exactly-once execution is
 //!   guaranteed by the chunk queue's claim path, so a stale token
 //!   (op already drained) just fails its claim and is dropped.
-//! * **Claim loops** — after claiming its first chunk from an op, a
-//!   worker re-advertises the op (one token push + at most one
-//!   targeted wakeup) and then loops claim→execute directly against
-//!   the queue until the op is drained: no deque traffic per chunk.
+//! * **One claim loop** — every claim, from either kind of queue, is a
+//!   contiguous [`Chunk`]. After claiming its first chunk from an op a
+//!   worker loops claim→execute directly against the queue until the
+//!   op is drained or blocked at a watermark: no deque traffic per
+//!   chunk. A shared op is re-advertised once per visit (one token
+//!   push + at most one targeted wakeup).
 //! * **Targeted wakeups** — sleepers park on a condvar guarded by a
 //!   wake-sequence counter. Producers bump the sequence and
 //!   `notify_one` only when a sleeper is registered; the all-busy
@@ -46,7 +48,7 @@
 
 use super::crew::run_on_threads;
 use super::dist::DistQueue;
-use super::queue::{BoundedClaim, ChunkQueue};
+use super::queue::{BoundedClaim, Chunk, ChunkQueue};
 use super::topology::{pin_current_thread, Affinity, StealDistance, WorkerTopo};
 use super::TaskKernel;
 use crate::alloc::{OutputArena, Publication};
@@ -54,12 +56,13 @@ use crate::checkpoint::{CancelCtl, KillMode, Lease, RunCtl};
 use crate::chunking::PolicyKind;
 use crate::executor::ExecutorOptions;
 use crate::finish::{finish_estimate_live, HostCalibration, OpSpec};
-use crate::granularity::pipelined_stage_time_params;
-use crate::run::{snapshot_ops, Claimed, ExecLog, OpState};
+use crate::granularity::pipelined_stage_time;
+use crate::run::{snapshot_ops, ExecLog, OpState};
 use crate::stats::{OnlineStats, StealStats};
 use orchestra_delirium::Node;
 use orchestra_machine::ProcStats;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
@@ -117,9 +120,30 @@ impl PoolOp<'_> {
             && self.state.outstanding.load(Ordering::Acquire) != 0
     }
 
-    /// The cost hints in the queue's index space.
-    fn claim_costs(&self) -> &[f64] {
-        self.queue_costs.as_deref().unwrap_or(&self.state.costs)
+    /// One claim for `worker` among the queue indices below `limit`:
+    /// the chunk and, from a dist queue, the epoch it was tokened in
+    /// (stamped `now_us()` if the claim completes one). `None` ends the
+    /// visit either way: the queue (this worker's home, for a dist op)
+    /// is drained, or everything claimable sits at or above the
+    /// producers' watermark — the next publication re-tokens the op, so
+    /// a worker never spins on the watermark.
+    fn claim(
+        &self,
+        worker: usize,
+        limit: usize,
+        now_us: impl FnOnce() -> f64,
+    ) -> Option<(Chunk, Option<u64>)> {
+        match &self.queue {
+            OpQueue::Shared(q) => match q.claim_bounded(limit) {
+                BoundedClaim::Chunk(c) => Some((c, None)),
+                BoundedClaim::Blocked | BoundedClaim::Exhausted => None,
+            },
+            OpQueue::Dist(q) => {
+                // Cost hints in the queue's index space.
+                let costs = self.queue_costs.as_deref().unwrap_or(&self.state.costs);
+                q.claim_bounded(worker, costs, now_us(), limit).map(|c| (c.chunk, Some(c.epoch)))
+            }
+        }
     }
 }
 
@@ -374,11 +398,19 @@ pub(crate) fn run_pool(
         // A lent thread outlives the run: if the run pins it, it goes
         // back with the affinity mask it came with.
         let entered = if pin && crew.is_some() { Affinity::current() } else { None };
-        let record = worker_loop(&shared, id, kernel);
+        let record = catch_unwind(AssertUnwindSafe(|| worker_loop(&shared, id, kernel)));
         if let Some(mask) = entered {
             mask.apply();
         }
-        record
+        // A panicking kernel unwinds out of one worker only, and the
+        // chunk that worker held never finishes: stop the others, parked
+        // ones included, instead of leaving them waiting for its op to
+        // complete, then let the panic go on to the caller.
+        record.unwrap_or_else(|panic| {
+            ctl.abort();
+            wake_everyone(&shared);
+            resume_unwind(panic)
+        })
     })
 }
 
@@ -480,7 +512,7 @@ fn worker_loop(shared: &Shared<'_>, id: usize, kernel: &(dyn TaskKernel + Sync))
     };
     let hooked = shared.ctl.hooked();
     loop {
-        if hooked && shared.ctl.stopping() {
+        if shared.ctl.stopping() {
             break;
         }
         let steals0 = me.steal.steals;
@@ -621,7 +653,7 @@ fn wake_everyone(shared: &Shared<'_>) {
 }
 
 /// The post-claim fault/checkpoint hook, called after every successful
-/// chunk claim with (lazily) what the claim handed out. Returns `true`
+/// chunk claim with what the claim handed out. Returns `true`
 /// when the calling worker must exit (it was killed, or the run is
 /// crashing). A killed worker in lease mode records its claimed-but-
 /// unexecuted chunk as an orphaned [`Lease`] for survivors to replay.
@@ -629,7 +661,7 @@ fn after_claim(
     shared: &Shared<'_>,
     id: usize,
     op_idx: usize,
-    claimed: impl FnOnce() -> Claimed,
+    chunk: Chunk,
     epoch: Option<u64>,
 ) -> bool {
     let ctl = shared.ctl;
@@ -646,10 +678,7 @@ fn after_claim(
         if let Some(mode) = f.on_claim(id, epoch) {
             if f.try_die(id, mode) {
                 if mode == KillMode::Lease {
-                    ctl.leases
-                        .lock()
-                        .expect("lease lock poisoned")
-                        .push(Lease { op_idx, claimed: claimed() });
+                    ctl.leases.lock().expect("lease lock poisoned").push(Lease { op_idx, chunk });
                 }
                 wake_everyone(shared);
                 return true;
@@ -683,17 +712,15 @@ fn execute_lease(
     op.stamp_start(us_since(shared.epoch, t0));
     // SAFETY: a lease's tasks were claimed exactly once by the dead
     // worker and are replayed exactly once here (take-all drain).
-    unsafe { op.run(kernel, node, &inputs, arena, &lease.claimed) };
+    unsafe { op.run_span(kernel, node, &inputs, arena, lease.chunk.range(), |_| {}) };
     let now = Instant::now();
-    let n = lease.claimed.len();
-    if n > 0 {
-        let span_us = now.duration_since(t0).as_secs_f64() * 1e6;
-        me.timing.observe_n(span_us / n as f64, n as u64);
-        me.proc.tasks += n as u64;
-        me.proc.chunks += 1;
-        me.proc.busy += span_us;
-    }
-    me.log.push(lease.op_idx, lease.claimed);
+    let n = lease.chunk.len;
+    let span_us = now.duration_since(t0).as_secs_f64() * 1e6;
+    me.timing.observe_n(span_us / n as f64, n as u64);
+    me.proc.tasks += n as u64;
+    me.proc.chunks += 1;
+    me.proc.busy += span_us;
+    me.log.push(lease.op_idx, lease.chunk);
     leave_op(shared, id, lease.op_idx, n, now, &mut me.proc);
 }
 
@@ -809,7 +836,22 @@ fn leave_op(
 const SAMPLE_BUDGET: usize = 48;
 
 /// Claims and executes chunks of one op until this worker can get no
-/// more from it (or an injected fault kills it mid-claim-loop).
+/// more from it (or an injected fault kills it mid-claim-loop): the
+/// queue — for a dist op, this worker's home queue plus anything the
+/// coordinator migrates into it — is drained, or blocked at a streamed
+/// producer's watermark. Either way the token is dropped: a publication
+/// re-tokens a blocked op, and a dist home can never refill behind its
+/// owner's back.
+///
+/// What the two kinds of queue do differently is three per-chunk
+/// decisions. A shared op is re-advertised so idle workers can steal
+/// into it (every member of a dist op got its own token when the op
+/// became ready). An adaptive shared queue is fed sampled wall-clock
+/// task times; a dist queue's control plane feeds on the tasks'
+/// deterministic cost hints inside [`DistQueue::claim_bounded`], so the
+/// clock there only stamps epoch times and the worker's measured µ/σ
+/// and scheduling decisions stay reproducible across runs. And a dist
+/// claim that crosses an epoch boundary re-equalizes.
 fn run_op(
     shared: &Shared<'_>,
     id: usize,
@@ -817,47 +859,44 @@ fn run_op(
     kernel: &(dyn TaskKernel + Sync),
     me: &mut WorkerRecord,
 ) -> Flow {
-    match &shared.ops[op_idx].queue {
-        OpQueue::Shared(q) => run_op_shared(shared, id, op_idx, q, kernel, me),
-        OpQueue::Dist(q) => run_op_dist(shared, id, op_idx, q, kernel, me),
-    }
-}
-
-/// The shared-queue claim loop: claim→execute against one central
-/// queue until the op is drained.
-fn run_op_shared(
-    shared: &Shared<'_>,
-    id: usize,
-    op_idx: usize,
-    queue: &ChunkQueue,
-    kernel: &(dyn TaskKernel + Sync),
-    me: &mut WorkerRecord,
-) -> Flow {
-    let op = &shared.ops[op_idx].state;
+    let pool_op = &shared.ops[op_idx];
+    let op = &pool_op.state;
     let arena = shared.arena;
     let hooked = shared.ctl.hooked();
-    let first = match queue.claim_bounded(op.stream_limit(arena)) {
-        BoundedClaim::Chunk(c) => c,
-        // Stale token: the op drained while this token circulated.
-        BoundedClaim::Exhausted => return Flow::Continue,
-        // Everything claimable sits at or above the producers'
-        // watermark. Drop the token — the next publication re-tokens
-        // this op (never busy-spin on the watermark here).
-        BoundedClaim::Blocked => return Flow::Continue,
+    // One fresh clock read per op visit; every later timestamp chains
+    // off the previous one, so N tasks under per-task sampling cost
+    // N+1 reads (not 2N) and a whole chunk outside the sampling
+    // prefix costs a single read.
+    let t0 = Instant::now();
+    let start_us = us_since(shared.epoch, t0);
+    let Some((first, mut epoch)) = pool_op.claim(id, op.stream_limit(arena), || start_us) else {
+        // Stale token: the op (or this worker's home) drained while the
+        // token circulated, or is blocked.
+        return Flow::Continue;
     };
     // Kills land at the claim boundary: the chunk is claimed (so no
     // other worker can reach it through the queue) but not executed —
-    // exactly the window where work would be lost without leases.
-    if hooked && after_claim(shared, id, op_idx, || Claimed::Span(first), None) {
+    // exactly the window where work would be lost without leases. Dist
+    // claims carry their epoch token: `AtEpoch` faults key off it, and
+    // checkpoints use the epoch boundary as their barrier.
+    if hooked && after_claim(shared, id, op_idx, first, epoch) {
         return Flow::Died;
     }
-    // Re-advertise the op before executing so idle workers can steal
-    // into its remaining chunks; one push per op visit, not per chunk.
-    if queue.has_more() {
-        shared.workers[id].0.ready.lock().expect("deque poisoned").push_back(op_idx);
-        shared.signal(false);
-    }
-    let adaptive = queue.is_adaptive();
+    // The adaptive shared queue this visit's sampled task times feed.
+    let feedback = match &pool_op.queue {
+        OpQueue::Shared(queue) => {
+            // Re-advertise the op before executing so idle workers can
+            // steal into its remaining chunks; one push per op visit,
+            // not per chunk.
+            if queue.has_more() {
+                shared.workers[id].0.ready.lock().expect("deque poisoned").push_back(op_idx);
+                shared.signal(false);
+            }
+            queue.is_adaptive().then_some(queue)
+        }
+        OpQueue::Dist(_) => None,
+    };
+    op.stamp_start(start_us);
     let node = &shared.nodes[op.plan.node];
     let inputs = op.inputs(arena);
     let mut chunk = first;
@@ -867,12 +906,6 @@ fn run_op_shared(
     // policy lock is free — a blocking lock per chunk stalls the whole
     // claim loop whenever the lock holder is descheduled.
     let mut pending: Vec<(usize, usize, OnlineStats)> = Vec::new();
-    // One fresh clock read per op visit; every later timestamp chains
-    // off the previous one, so N tasks under per-task sampling cost
-    // N+1 reads (not 2N) and a whole chunk outside the sampling
-    // prefix costs a single read.
-    let t0 = Instant::now();
-    op.stamp_start(us_since(shared.epoch, t0));
     let mut prev = t0;
     loop {
         let chunk_t0 = prev;
@@ -883,11 +916,15 @@ fn run_op_shared(
         // task cost more than the task, and the budget's worth of
         // samples pins µ/σ well enough. Tasks past the prefix are
         // timed in bulk, one clock read per chunk.
-        let sample_n =
-            if adaptive { SAMPLE_BUDGET.saturating_sub(sampled).min(chunk.len) } else { 0 };
+        let sample_n = if feedback.is_some() {
+            SAMPLE_BUDGET.saturating_sub(sampled).min(chunk.len)
+        } else {
+            0
+        };
         let (mid, end) = (chunk.start + sample_n, chunk.start + chunk.len);
         // SAFETY (both spans): the claim handed queue indices
-        // `[start, end)` to this worker exactly once.
+        // `[start, end)` to this worker exactly once — dist home queues
+        // too: migrated runs move queues, never duplicate.
         if sample_n > 0 {
             unsafe {
                 op.run_span(kernel, node, &inputs, arena, chunk.start..mid, |_| {
@@ -916,7 +953,7 @@ fn run_op_shared(
                 handle_publication(shared, id, op_idx, p);
             }
         }
-        if adaptive {
+        if let Some(queue) = feedback {
             pending.push((chunk.start, chunk.len, chunk_stats));
             queue.try_observe_pending(&mut pending);
         }
@@ -924,142 +961,31 @@ fn run_op_shared(
         me.proc.tasks += chunk.len as u64;
         me.proc.chunks += 1;
         me.proc.busy += prev.duration_since(chunk_t0).as_secs_f64() * 1e6;
-        me.log.push(op_idx, Claimed::Span(chunk));
+        me.log.push(op_idx, chunk);
         done += chunk.len;
-        match queue.claim_bounded(op.stream_limit(arena)) {
-            BoundedClaim::Chunk(c) => {
-                if hooked && after_claim(shared, id, op_idx, || Claimed::Span(c), None) {
-                    // Dying mid-loop: the batch executed so far still
-                    // counts.
-                    leave_op(shared, id, op_idx, done, prev, &mut me.proc);
-                    return Flow::Died;
-                }
-                chunk = c;
-            }
-            BoundedClaim::Blocked => {
-                // The streamable prefix is exhausted but the producer
-                // is still running: fold the executed batch into
-                // `outstanding` and drop the token instead of spinning
-                // — the producer's next publication re-tokens this op.
-                // (`outstanding` cannot reach zero here: blocked means
-                // unclaimed — hence unfinished — tasks remain.)
-                leave_op(shared, id, op_idx, done, prev, &mut me.proc);
-                return Flow::Continue;
-            }
-            BoundedClaim::Exhausted => break,
-        }
-    }
-    leave_op(shared, id, op_idx, done, prev, &mut me.proc);
-    Flow::Continue
-}
-
-/// The distributed-TAPER claim loop: this worker drains its own home
-/// queue (plus anything the coordinator migrates into it) and stops
-/// when a claim comes back empty — at which point its home queue can
-/// never refill, so the token is dropped for good. No re-advertising:
-/// every worker received its own token when the op became ready.
-///
-/// The control plane (chunk sizing, the migration gate) feeds on the
-/// tasks' deterministic cost hints inside [`DistQueue::claim`]; the
-/// wall-clock here only stamps epoch times and the worker's measured
-/// µ/σ, keeping scheduling decisions reproducible across runs.
-fn run_op_dist(
-    shared: &Shared<'_>,
-    id: usize,
-    op_idx: usize,
-    queue: &DistQueue,
-    kernel: &(dyn TaskKernel + Sync),
-    me: &mut WorkerRecord,
-) -> Flow {
-    let claim_costs = shared.ops[op_idx].claim_costs();
-    let op = &shared.ops[op_idx].state;
-    let arena = shared.arena;
-    let hooked = shared.ctl.hooked();
-    let t0 = Instant::now();
-    let start_us = us_since(shared.epoch, t0);
-    let Some(first) = queue.claim_bounded(id, claim_costs, start_us, op.stream_limit(arena)) else {
-        // Empty home queue (stale token, or fewer tasks than workers),
-        // or everything drawable sits at or above the streamed
-        // producers' watermark — either way drop the token; a
-        // publication re-tokens every member's `dist_ready`.
-        return Flow::Continue;
-    };
-    // Dist claims carry their epoch token: `AtEpoch` faults key off it,
-    // and checkpoints use the epoch boundary as their barrier.
-    if hooked {
-        let lease = || Claimed::List(first.tasks.clone());
-        if after_claim(shared, id, op_idx, lease, Some(first.epoch)) {
+        let now_us = || us_since(shared.epoch, prev);
+        let Some((next, next_epoch)) = pool_op.claim(id, op.stream_limit(arena), now_us) else {
+            // Drained, or the streamable prefix is exhausted while the
+            // producer is still running. (`outstanding` cannot reach
+            // zero on a blocked visit: blocked means unclaimed — hence
+            // unfinished — tasks remain.)
+            break;
+        };
+        if hooked && after_claim(shared, id, op_idx, next, next_epoch) {
+            // Dying mid-loop: the batch executed so far still counts.
+            leave_op(shared, id, op_idx, done, prev, &mut me.proc);
             return Flow::Died;
         }
-    }
-    op.stamp_start(start_us);
-    let node = &shared.nodes[op.plan.node];
-    let inputs = op.inputs(arena);
-    let mut chunk = first;
-    let mut done = 0usize;
-    let mut prev = t0;
-    let mut last_epoch = chunk.epoch;
-    loop {
-        let chunk_t0 = prev;
-        for &qi in &chunk.tasks {
-            // SAFETY: dist home queues hand each queue index out
-            // exactly once; migrated tasks move queues, never
-            // duplicate. (Dist chunks list arbitrary indices, so the
-            // scattered per-cell write is the right shape here.)
-            unsafe { op.run_task(kernel, node, &inputs, arena, op.task_of(qi)) };
+        // Epoch boundary: the allocator's iterative re-equalization
+        // point. The TAPER stats are a full epoch warmer, so re-score
+        // the concurrent ops and offer this worker to the laggard (a
+        // no-op when this op *is* the laggard — its mask bit is already
+        // set).
+        if next_epoch > epoch {
+            epoch = next_epoch;
+            reequalize(shared, &[id]);
         }
-        let now = Instant::now();
-        let span_us = now.duration_since(prev).as_secs_f64() * 1e6;
-        prev = now;
-        me.timing.observe_n(span_us / chunk.tasks.len() as f64, chunk.tasks.len() as u64);
-        me.proc.tasks += chunk.tasks.len() as u64;
-        me.proc.chunks += 1;
-        me.proc.busy += prev.duration_since(chunk_t0).as_secs_f64() * 1e6;
-        done += chunk.tasks.len();
-        if op.streams_output() {
-            // A dist chunk lists arbitrary task indices: commit them as
-            // maximal consecutive runs (home blocks are contiguous, so
-            // runs stay long in practice) — before the next claim's
-            // fault hook, as in the shared loop.
-            let mut i = 0;
-            while i < chunk.tasks.len() {
-                let start = chunk.tasks[i];
-                let mut len = 1;
-                while i + len < chunk.tasks.len() && chunk.tasks[i + len] == start + len {
-                    len += 1;
-                }
-                if let Some(p) = arena.commit_range(op_idx, start, len, op.stream_batch) {
-                    handle_publication(shared, id, op_idx, p);
-                }
-                i += len;
-            }
-        }
-        // The chunk's own index list moves into the log: nothing is
-        // copied, and nothing reads it again.
-        me.log.push(op_idx, Claimed::List(chunk.tasks));
-        let now_us = us_since(shared.epoch, prev);
-        match queue.claim_bounded(id, claim_costs, now_us, op.stream_limit(arena)) {
-            Some(c) => {
-                if hooked {
-                    let lease = || Claimed::List(c.tasks.clone());
-                    if after_claim(shared, id, op_idx, lease, Some(c.epoch)) {
-                        leave_op(shared, id, op_idx, done, prev, &mut me.proc);
-                        return Flow::Died;
-                    }
-                }
-                // Epoch boundary: the allocator's iterative
-                // re-equalization point. The TAPER stats are a full
-                // epoch warmer, so re-score the concurrent ops and
-                // offer this worker to the laggard (a no-op when this
-                // op *is* the laggard — its mask bit is already set).
-                if c.epoch > last_epoch {
-                    last_epoch = c.epoch;
-                    reequalize(shared, &[id]);
-                }
-                chunk = c;
-            }
-            None => break,
-        }
+        chunk = next;
     }
     leave_op(shared, id, op_idx, done, prev, &mut me.proc);
     Flow::Continue
@@ -1093,7 +1019,7 @@ fn base_estimate(shared: &Shared<'_>, op_idx: usize, cal: &HostCalibration) -> O
 /// [`base_estimate`], made overlap-aware for streamed consumers: when
 /// one of the op's streamed producers is still running, the pair forms
 /// a pipeline, and the §4.1.2 equalizer must score the consumer by the
-/// pair's *overlapped* stage time (§4.1's [`pipelined_stage_time_params`]
+/// pair's *overlapped* stage time (§4.1's [`pipelined_stage_time`]
 /// over the measured per-publish α / per-byte β and the producer's b\*)
 /// rather than pretend the stages serialize. This is where the
 /// allocator and the granularity model compose at runtime: the laggard
@@ -1108,7 +1034,7 @@ fn live_estimate(shared: &Shared<'_>, op_idx: usize, cal: &HostCalibration) -> O
             continue;
         }
         if let Some(pe) = base_estimate(shared, p, cal) {
-            est = est.max(pipelined_stage_time_params(
+            est = est.max(pipelined_stage_time(
                 pe,
                 base,
                 op.plan.tasks,
@@ -1240,12 +1166,12 @@ fn complete_op(shared: &Shared<'_>, id: usize, op_idx: usize, t_end: f64) {
     let op = &shared.ops[op_idx].state;
     op.finished_bits.fetch_min(t_end.to_bits(), Ordering::AcqRel);
     if !op.stream_dependents.is_empty() {
-        // Belt and braces for paths that never commit ranges (lease
-        // replay, dist scatter with non-contiguous runs) and for any
-        // sub-batch tail: drive the watermark to the full op and run
-        // the publication protocol once more. Idempotent — when the
-        // last commit already published the total, the publication is
-        // empty and `handle_publication` returns immediately.
+        // Belt and braces for the path that never commits ranges (lease
+        // replay) and for any sub-batch tail: drive the watermark to
+        // the full op and run the publication protocol once more.
+        // Idempotent — when the last commit already published the
+        // total, the publication is empty and `handle_publication`
+        // returns immediately.
         let p = shared.arena.publish_all(op_idx);
         handle_publication(shared, id, op_idx, p);
     }

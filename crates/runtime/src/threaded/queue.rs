@@ -45,6 +45,14 @@ pub struct Chunk {
     pub len: usize,
 }
 
+impl Chunk {
+    /// The claimed indices, `start..start + len`.
+    #[inline]
+    pub fn range(&self) -> std::ops::Range<usize> {
+        self.start..self.start + self.len
+    }
+}
+
 /// Outcome of a watermark-bounded claim ([`ChunkQueue::claim_bounded`]).
 ///
 /// Distinguishes "nothing left, ever" from "more tasks exist but the

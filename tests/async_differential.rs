@@ -228,19 +228,3 @@ fn many_inflight_ops_multiplex_over_two_drivers() {
     let seq = execute_sequential(&g, &opts, &kernel).unwrap();
     assert_eq!(seq.outputs, run.outputs);
 }
-
-#[test]
-fn backend_dispatch_runs_async_from_execute_graph() {
-    use orchestra_machine::MachineConfig;
-    use orchestra_runtime::threaded::ExecutorBackend;
-    let (g, opts) = dag_graph();
-    let opts = ExecutorOptions { backend: ExecutorBackend::Async, ..opts };
-    let report =
-        orchestra_runtime::executor::execute_graph(&g, &MachineConfig::ncube2(64), &opts).unwrap();
-    // Real run: processor count is the driver count, not the simulated
-    // machine's 64.
-    assert_eq!(report.processors, 2);
-    assert_eq!(report.nodes.len(), 4);
-    assert!(report.finish > 0.0);
-    assert!(report.speedup() <= 2.0 + 1e-9);
-}

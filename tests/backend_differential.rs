@@ -269,20 +269,43 @@ fn a_pinned_run_leaves_lent_threads_their_affinity() {
     assert_eq!(masks(&crew), before, "same threads, same masks");
 }
 
+/// A kernel's panic on one worker must reach the caller: the other
+/// worker has nothing left to claim from the op the panicking one left
+/// unfinished, nor from its dependent, and would otherwise park for
+/// good — with it the caller, joined to both. On scoped threads and on
+/// a lent crew; the watchdog turns a hang into a failure.
 #[test]
-fn backend_dispatch_runs_threaded_from_execute_graph() {
-    use orchestra_machine::MachineConfig;
-    use orchestra_runtime::threaded::ExecutorBackend;
-    let (g, opts) = dag_graph();
-    let opts = ExecutorOptions { backend: ExecutorBackend::Threaded, ..opts };
-    let report =
-        orchestra_runtime::executor::execute_graph(&g, &MachineConfig::ncube2(64), &opts).unwrap();
-    // Real run: the processor count is the worker count, not the
-    // simulated machine's 64.
-    assert_eq!(report.processors, 2);
-    assert_eq!(report.nodes.len(), 4);
-    assert!(report.finish > 0.0);
-    assert!(report.speedup() <= 2.0 + 1e-9);
+fn a_panicking_kernel_aborts_the_run_instead_of_hanging_it() {
+    use orchestra_runtime::threaded::{TaskCtx, TaskKernel};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    struct PanicsOnTask17(SpinKernel);
+    impl TaskKernel for PanicsOnTask17 {
+        fn run_task(&self, ctx: &TaskCtx<'_>) -> f64 {
+            assert!(ctx.node.name != "c0" || ctx.task != 17, "kernel bug");
+            self.0.run_task(ctx)
+        }
+    }
+
+    for crew in [None, Some(Crew::new())] {
+        let arm = if crew.is_some() { "crew" } else { "scoped" };
+        let (tx, rx) = mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let g = shapes::chain(2, 64, 1.0, 0.4);
+            let opts = ExecutorOptions { threads: 2, crew, ..ExecutorOptions::default() };
+            let kernel = PanicsOnTask17(SpinKernel::with_scale(2.0));
+            let run = catch_unwind(AssertUnwindSafe(|| execute_threaded(&g, &opts, &kernel)));
+            let _ = tx.send(run.map(|r| r.map(|_| ())));
+        });
+        let run = rx
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("{arm}: the run hung on the panicked worker's op"));
+        runner.join().expect("the runner caught the run's panic");
+        let panic = run.expect_err("the kernel's panic must reach the caller");
+        assert_eq!(panic.downcast_ref::<&str>().copied(), Some("kernel bug"), "{arm}");
+    }
 }
 
 /// The zero-copy data plane made observable: [`ReduceKernel`] folds a
@@ -365,11 +388,9 @@ fn concurrent_level_bitwise_equal_with_and_without_allocation() {
 /// equalizer's actual decision, not the pool size: the two concurrent
 /// ops' `procs` sum to the pool, the 8×-heavier op gets the larger
 /// share, and single-op levels keep the whole pool. Checked on all
-/// three real backends and on the `NodeReport`s surfaced through
-/// `execute_graph`.
+/// three real backends.
 #[test]
 fn equalizer_procs_sum_to_pool_size_per_concurrent_level() {
-    use orchestra_machine::MachineConfig;
     use orchestra_runtime::execute_async;
     use orchestra_runtime::threaded::ExecutorBackend;
     let kernel = SpinKernel::with_scale(2.0);
@@ -403,16 +424,6 @@ fn equalizer_procs_sum_to_pool_size_per_concurrent_level() {
 
     let asy = execute_async(&g, &opts, &kernel).unwrap();
     check(&|name| asy.ops.iter().find(|o| o.name == name).unwrap().procs, asy.workers, "async");
-
-    // And the allocation must survive into the unified report.
-    let opts = ExecutorOptions { backend: ExecutorBackend::Threaded, ..opts };
-    let report =
-        orchestra_runtime::executor::execute_graph(&g, &MachineConfig::ncube2(64), &opts).unwrap();
-    check(
-        &|name| report.nodes.iter().find(|n| n.name == name).unwrap().procs,
-        report.processors,
-        "execute_graph",
-    );
 }
 
 proptest! {
