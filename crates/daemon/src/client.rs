@@ -12,7 +12,7 @@ use crate::wire::{
 };
 use orchestra_delirium::DelirGraph;
 use std::fmt;
-use std::io;
+use std::io::{self, BufReader};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 
@@ -55,7 +55,13 @@ impl From<io::Error> for ClientError {
 
 /// A connected session.
 pub struct Client {
-    stream: UnixStream,
+    /// The stream, buffered for reading; requests are written straight
+    /// to it.
+    reader: BufReader<UnixStream>,
+    /// The request and the response frame, one buffer each, reused from
+    /// call to call.
+    outbox: Vec<u8>,
+    inbox: Vec<u8>,
     session: u64,
     workers: usize,
 }
@@ -72,7 +78,13 @@ impl Client {
             return Err(ClientError::Protocol(format!("invalid tenant name `{tenant}`")));
         }
         let stream = UnixStream::connect(socket)?;
-        let mut c = Client { stream, session: 0, workers: 0 };
+        let mut c = Client {
+            reader: BufReader::new(stream),
+            outbox: Vec::new(),
+            inbox: Vec::new(),
+            session: 0,
+            workers: 0,
+        };
         match c.call(&Request::Hello { tenant: tenant.to_string(), weight })? {
             Response::Hello { session, workers } => {
                 c.session = session;
@@ -166,10 +178,11 @@ impl Client {
     }
 
     fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
-        write_frame(&mut self.stream, &req.encode())?;
-        let payload = read_frame(&mut self.stream)?
+        req.encode_into(&mut self.outbox);
+        write_frame(self.reader.get_mut(), &self.outbox)?;
+        let payload = read_frame(&mut self.reader, &mut self.inbox)?
             .ok_or_else(|| ClientError::Protocol("daemon hung up".to_string()))?;
-        Response::decode(&payload).map_err(ClientError::Protocol)
+        Response::decode_bytes(payload).map_err(ClientError::Protocol)
     }
 }
 

@@ -36,7 +36,7 @@ use orchestra_runtime::{
 };
 use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
-use std::io;
+use std::io::{self, BufReader};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -264,30 +264,74 @@ fn stop_accepting(inner: &Inner) {
     let _ = UnixStream::connect(&inner.socket);
 }
 
+/// How long the accept loop waits before it calls `accept` again after
+/// an error of `kind`. An interrupted call or a connection that went
+/// away in the backlog says nothing about the next one; anything else
+/// (no descriptor left, no memory) holds until some connection closes,
+/// and retrying at once would spin.
+fn accept_backoff(kind: io::ErrorKind) -> Duration {
+    match kind {
+        io::ErrorKind::Interrupted | io::ErrorKind::ConnectionAborted => Duration::ZERO,
+        _ => Duration::from_millis(10),
+    }
+}
+
 fn accept_loop(listener: &UnixListener, inner: &Arc<Inner>) {
-    while let Ok((stream, _)) = listener.accept() {
+    loop {
+        let accepted = listener.accept();
         // Checked after the accept, not before: the connection that
         // arrives once `stop` is set is the wake-up call (or a client
         // too late to be served), and is dropped.
         if inner.stop.load(Ordering::SeqCst) {
             return;
         }
-        let conn_inner = Arc::clone(inner);
-        thread::spawn(move || {
-            let _ = serve_connection(stream, &conn_inner);
-        });
+        match accepted {
+            Ok((stream, _)) => {
+                let conn_inner = Arc::clone(inner);
+                thread::spawn(move || {
+                    let _ = serve_connection(stream, &conn_inner);
+                });
+            }
+            // Only `stop` ends the loop: a daemon that cannot take this
+            // connection can still take the next.
+            Err(e) => thread::sleep(accept_backoff(e.kind())),
+        }
+    }
+}
+
+/// One client connection: the stream, buffered for reading, and the
+/// request and the response frame, one buffer each, reused from request
+/// to request.
+struct Connection {
+    reader: BufReader<UnixStream>,
+    inbox: Vec<u8>,
+    outbox: Vec<u8>,
+}
+
+impl Connection {
+    /// The next request, `None` once the peer has hung up. A frame that
+    /// does not decode is the `Err` the peer is answered with.
+    fn receive(&mut self) -> io::Result<Option<Result<Request, String>>> {
+        Ok(read_frame(&mut self.reader, &mut self.inbox)?.map(Request::decode_bytes))
+    }
+
+    fn send(&mut self, resp: &Response) -> io::Result<()> {
+        resp.encode_into(&mut self.outbox);
+        write_frame(self.reader.get_mut(), &self.outbox)
     }
 }
 
 /// Handles one client connection: a `hello` handshake, then a request
 /// loop until the peer hangs up (or a `shutdown` drains the daemon).
-fn serve_connection(mut stream: UnixStream, inner: &Arc<Inner>) -> io::Result<()> {
-    let tenant = match handshake(&mut stream, inner)? {
+fn serve_connection(stream: UnixStream, inner: &Arc<Inner>) -> io::Result<()> {
+    let mut conn =
+        Connection { reader: BufReader::new(stream), inbox: Vec::new(), outbox: Vec::new() };
+    let tenant = match handshake(&mut conn, inner)? {
         Some(t) => t,
         None => return Ok(()),
     };
-    while let Some(payload) = read_frame(&mut stream)? {
-        let resp = match Request::decode(&payload) {
+    while let Some(request) = conn.receive()? {
+        let resp = match request {
             Err(msg) => Response::Err { msg },
             Ok(Request::Hello { .. }) => {
                 Response::Err { msg: "session already established".to_string() }
@@ -298,7 +342,7 @@ fn serve_connection(mut stream: UnixStream, inner: &Arc<Inner>) -> io::Result<()
                 // response that was written whole: if the peer is gone
                 // the result goes back to the table for a retry.
                 let resp = wait(inner, job);
-                let written = write_frame(&mut stream, &resp.encode());
+                let written = conn.send(&resp);
                 if let Response::Result(result) = resp {
                     settle(inner, job, written.is_err().then_some(result));
                 }
@@ -309,35 +353,33 @@ fn serve_connection(mut stream: UnixStream, inner: &Arc<Inner>) -> io::Result<()
             Ok(Request::Stats) => stats(inner),
             Ok(Request::Shutdown) => {
                 drain(inner);
-                let written = write_frame(&mut stream, &Response::Drained.encode());
+                let written = conn.send(&Response::Drained);
                 stop_accepting(inner);
                 return written;
             }
         };
-        write_frame(&mut stream, &resp.encode())?;
+        conn.send(&resp)?;
     }
     Ok(())
 }
 
-fn handshake(stream: &mut UnixStream, inner: &Inner) -> io::Result<Option<Tenant>> {
-    let Some(payload) = read_frame(stream)? else {
+fn handshake(conn: &mut Connection, inner: &Inner) -> io::Result<Option<Tenant>> {
+    let Some(request) = conn.receive()? else {
         return Ok(None);
     };
-    match Request::decode(&payload) {
+    match request {
         Ok(Request::Hello { tenant, weight }) => {
             let session = inner.next_session.fetch_add(1, Ordering::Relaxed);
             let t = Tenant { session, name: tenant, weight };
-            let resp = Response::Hello { session, workers: inner.workers };
-            write_frame(stream, &resp.encode())?;
+            conn.send(&Response::Hello { session, workers: inner.workers })?;
             Ok(Some(t))
         }
         Ok(_) => {
-            let resp = Response::Err { msg: "first request must be hello".to_string() };
-            write_frame(stream, &resp.encode())?;
+            conn.send(&Response::Err { msg: "first request must be hello".to_string() })?;
             Ok(None)
         }
         Err(msg) => {
-            write_frame(stream, &Response::Err { msg }.encode())?;
+            conn.send(&Response::Err { msg })?;
             Ok(None)
         }
     }
@@ -579,6 +621,54 @@ mod tests {
             assert!(!self.armed.swap(false, Ordering::SeqCst), "kernel bug");
             self.spin.run_task(ctx)
         }
+    }
+
+    /// An `accept` that failed for one connection is retried at once,
+    /// one that failed for the process after a pause — and nothing but
+    /// `stop` ends the loop.
+    #[test]
+    fn a_failed_accept_is_retried() {
+        use io::ErrorKind::*;
+        for kind in [Interrupted, ConnectionAborted] {
+            assert_eq!(accept_backoff(kind), Duration::ZERO, "{kind:?}");
+        }
+        // EMFILE and ENFILE have no kind of their own on this toolchain.
+        let emfile = io::Error::from_raw_os_error(24).kind();
+        for kind in [emfile, OutOfMemory, WouldBlock, PermissionDenied, Other] {
+            assert!(accept_backoff(kind) > Duration::ZERO, "{kind:?}");
+        }
+    }
+
+    /// Frames that arrive together are answered one by one — what the
+    /// handshake's read pulled off the socket beyond `hello` is not lost
+    /// to the request loop — and a frame that is not text is answered
+    /// with `err`, after which the session goes on.
+    #[test]
+    fn pipelined_and_non_text_frames_are_answered_in_order() {
+        let socket = std::env::temp_dir().join(format!("orchestrad-pipe-{}", std::process::id()));
+        let cfg = DaemonConfig { socket: socket.clone(), workers: 1, ..DaemonConfig::default() };
+        let mut daemon = Daemon::start(cfg).expect("daemon starts");
+
+        let mut frame = Vec::new();
+        let mut sent = Vec::new();
+        Request::Hello { tenant: "t".to_string(), weight: 1.0 }.encode_into(&mut frame);
+        sent.extend_from_slice(&frame);
+        sent.extend_from_slice(&[2, 0, 0, 0, 0xff, 0xfe]);
+        Request::Stats.encode_into(&mut frame);
+        sent.extend_from_slice(&frame);
+        let mut stream = UnixStream::connect(&socket).expect("connect");
+        io::Write::write_all(&mut stream, &sent).expect("three frames in one write");
+
+        let mut reader = BufReader::new(stream);
+        let mut answers = Vec::new();
+        for _ in 0..3 {
+            let payload = read_frame(&mut reader, &mut frame).expect("read").expect("an answer");
+            answers.push(Response::decode_bytes(payload).expect("a response"));
+        }
+        assert!(matches!(answers[0], Response::Hello { workers: 1, .. }), "{answers:?}");
+        assert_eq!(answers[1], Response::Err { msg: "frame is not UTF-8".to_string() });
+        assert_eq!(answers[2], Response::Stats { workers: 1, jobs: vec![] });
+        daemon.shutdown();
     }
 
     /// A panicking job ends as `Failed` with the panic's message; its

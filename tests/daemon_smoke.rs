@@ -271,10 +271,12 @@ fn a_dropped_wait_leaves_the_result_for_a_retry() {
     let job = c.submit(&g, "wanted", &opts).expect("submit");
     {
         let mut ghost = UnixStream::connect(d.socket()).expect("connect ghost");
-        let hello = Request::Hello { tenant: "ghost".to_string(), weight: 1.0 };
-        write_frame(&mut ghost, &hello.encode()).expect("hello");
-        read_frame(&mut ghost).expect("hello answered");
-        write_frame(&mut ghost, &Request::Wait { job }.encode()).expect("wait sent");
+        let mut frame = Vec::new();
+        Request::Hello { tenant: "ghost".to_string(), weight: 1.0 }.encode_into(&mut frame);
+        write_frame(&mut ghost, &frame).expect("hello");
+        read_frame(&mut ghost, &mut Vec::new()).expect("hello answered");
+        Request::Wait { job }.encode_into(&mut frame);
+        write_frame(&mut ghost, &frame).expect("wait sent");
     }
     // Let the daemon park the ghost's wait first (either order is
     // correct; this one exercises the hand-back).
