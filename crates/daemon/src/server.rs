@@ -41,7 +41,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -247,12 +247,33 @@ impl Drop for Daemon {
     }
 }
 
+/// The guard of a `lock()` or a `Condvar::wait`, whether or not a
+/// thread unwound while it held the lock. Poison only says that one
+/// did; whether the data can still be used is for the code to know, and
+/// here it can. Every write under `state`, `sched` and `chaos` is one
+/// field assignment or one call into a std collection, and none of
+/// those unwinds half done. What can unwind with a guard held is: the
+/// `expect`s and the index at the head of `run_job`'s two sections,
+/// which come before their section's first write; an overflow check on
+/// the counters in a debug build, which fires instead of the write; and
+/// the creation of a crew thread while `run_job` pumps the queue, after
+/// the job was marked running. At each of them every job is in exactly
+/// one `JobState` and `queue` names tabled jobs only, so the next
+/// request reads a table it can answer from. What such an unwind costs
+/// is the accounting of the one job whose section it cut short — a
+/// `running` slot or staged tasks stay booked, so admission queues
+/// sooner — where passing the poison on costs every session: each
+/// connection thread would panic at its next request.
+fn held<G>(result: Result<G, PoisonError<G>>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Blocks until every admitted (running or queued) job is terminal.
 fn drain(inner: &Inner) {
-    let mut st = inner.state.lock().expect("daemon state poisoned");
+    let mut st = held(inner.state.lock());
     st.draining = true;
     while st.running > 0 || !st.queue.is_empty() {
-        st = inner.changed.wait(st).expect("daemon state poisoned");
+        st = held(inner.changed.wait(st));
     }
 }
 
@@ -288,9 +309,17 @@ fn accept_loop(listener: &UnixListener, inner: &Arc<Inner>) {
         match accepted {
             Ok((stream, _)) => {
                 let conn_inner = Arc::clone(inner);
-                thread::spawn(move || {
+                let spawned = thread::Builder::new().spawn(move || {
                     let _ = serve_connection(stream, &conn_inner);
                 });
+                // `thread::spawn` would panic here and end the loop.
+                // A thread the OS refuses (EAGAIN under a thread limit)
+                // costs this connection — the stream is dropped with
+                // the closure — and, like a descriptor limit, holds
+                // until something exits.
+                if let Err(e) = spawned {
+                    thread::sleep(accept_backoff(e.kind()));
+                }
             }
             // Only `stop` ends the loop: a daemon that cannot take this
             // connection can still take the next.
@@ -399,7 +428,7 @@ fn submit(inner: &Arc<Inner>, tenant: &Tenant, opts: JobOptions, graph_text: &st
         return Response::Err { msg: format!("invalid graph: {e}") };
     }
     let tasks = graph_tasks(&graph);
-    let mut st = inner.state.lock().expect("daemon state poisoned");
+    let mut st = held(inner.state.lock());
     if st.draining {
         return Response::Err { msg: "daemon is draining".to_string() };
     }
@@ -437,14 +466,14 @@ fn submit(inner: &Arc<Inner>, tenant: &Tenant, opts: JobOptions, graph_text: &st
 }
 
 fn wait(inner: &Inner, job: u64) -> Response {
-    let mut st = inner.state.lock().expect("daemon state poisoned");
+    let mut st = held(inner.state.lock());
     loop {
         let Some(j) = st.jobs.get_mut(&job) else {
             return Response::Err { msg: format!("no such job {job}") };
         };
         let msg = match &j.state {
             JobState::Queued | JobState::Running | JobState::Delivering => {
-                st = inner.changed.wait(st).expect("daemon state poisoned");
+                st = held(inner.changed.wait(st));
                 continue;
             }
             JobState::Done(_) => {
@@ -469,7 +498,7 @@ fn wait(inner: &Inner, job: u64) -> Response {
 /// gets its `undelivered` result back when the response could not be
 /// written. Either way blocked waiters look again.
 fn settle(inner: &Inner, job: u64, undelivered: Option<WireResult>) {
-    let mut st = inner.state.lock().expect("daemon state poisoned");
+    let mut st = held(inner.state.lock());
     if let Some(j) = st.jobs.get_mut(&job) {
         j.state = undelivered.map_or(JobState::Delivered, JobState::Done);
     }
@@ -478,7 +507,7 @@ fn settle(inner: &Inner, job: u64, undelivered: Option<WireResult>) {
 }
 
 fn cancel(inner: &Inner, job: u64) -> Response {
-    let mut st = inner.state.lock().expect("daemon state poisoned");
+    let mut st = held(inner.state.lock());
     let Some(j) = st.jobs.get_mut(&job) else {
         return Response::Err { msg: format!("no such job {job}") };
     };
@@ -496,8 +525,8 @@ fn cancel(inner: &Inner, job: u64) -> Response {
 }
 
 fn stats(inner: &Inner) -> Response {
-    let st = inner.state.lock().expect("daemon state poisoned");
-    let sched = inner.sched.lock().expect("scheduler poisoned");
+    let st = held(inner.state.lock());
+    let sched = held(inner.sched.lock());
     let jobs = st
         .jobs
         .iter()
@@ -532,13 +561,13 @@ fn panic_message(payload: &(dyn Any + Send)) -> &str {
 /// the job as `Failed`, not the thread or the bookkeeping after it.
 fn run_job(inner: &Arc<Inner>, job: u64) {
     let (graph, opts, token, weight, submitted) = {
-        let mut st = inner.state.lock().expect("daemon state poisoned");
+        let mut st = held(inner.state.lock());
         let j = st.jobs.get_mut(&job).expect("runner spawned for a tabled job");
         let graph = j.graph.take().expect("a job runs once");
         (graph, j.opts.clone(), j.token.clone(), j.tenant.weight, j.submitted)
     };
     let grant = {
-        let mut sched = inner.sched.lock().expect("scheduler poisoned");
+        let mut sched = held(inner.sched.lock());
         let specs = graph_load_specs(&graph, opts.policy);
         sched.admit(GraphLoad { job, weight, specs })
     };
@@ -555,7 +584,7 @@ fn run_job(inner: &Arc<Inner>, job: u64) {
             cancel: Some(token),
             deadline,
             checkpoint: opts.checkpoint_dir.as_ref().map(CheckpointSpec::new),
-            faults: inner.chaos.lock().expect("chaos poisoned").take(),
+            faults: held(inner.chaos.lock()).take(),
             crew: Some(inner.crew.clone()),
             ..ExecutorOptions::default()
         };
@@ -583,8 +612,8 @@ fn run_job(inner: &Arc<Inner>, job: u64) {
                 .collect(),
         }),
     };
-    inner.sched.lock().expect("scheduler poisoned").complete(job);
-    let mut st = inner.state.lock().expect("daemon state poisoned");
+    held(inner.sched.lock()).complete(job);
+    let mut st = held(inner.state.lock());
     let tasks = st.jobs[&job].tasks;
     if let Some(j) = st.jobs.get_mut(&job) {
         j.state = state;
@@ -632,9 +661,11 @@ mod tests {
         for kind in [Interrupted, ConnectionAborted] {
             assert_eq!(accept_backoff(kind), Duration::ZERO, "{kind:?}");
         }
-        // EMFILE and ENFILE have no kind of their own on this toolchain.
+        // EMFILE and ENFILE have no kind of their own on this toolchain;
+        // EAGAIN is what a refused connection thread reports.
         let emfile = io::Error::from_raw_os_error(24).kind();
-        for kind in [emfile, OutOfMemory, WouldBlock, PermissionDenied, Other] {
+        let eagain = io::Error::from_raw_os_error(11).kind();
+        for kind in [emfile, eagain, OutOfMemory, WouldBlock, PermissionDenied, Other] {
             assert!(accept_backoff(kind) > Duration::ZERO, "{kind:?}");
         }
     }
@@ -705,9 +736,36 @@ mod tests {
         let states: Vec<&str> = rows.iter().map(|r| r.state.as_str()).collect();
         assert_eq!(states, ["failed", "done"]);
         assert!(rows.iter().all(|r| r.grant == 0), "grants released: {rows:?}");
-        let st = daemon.inner.state.lock().expect("the job table is not poisoned");
+        assert!(!daemon.inner.state.is_poisoned(), "a job's panic is caught outside the lock");
+        let st = held(daemon.inner.state.lock());
         assert_eq!((st.running, st.staged_tasks, st.queue.len()), (0, 0, 0));
         drop(st);
+        daemon.shutdown();
+    }
+
+    /// A thread that unwinds while it holds the job table poisons the
+    /// lock, not the daemon: `stats` still answers, and a job submitted
+    /// afterwards is admitted, run and delivered.
+    #[test]
+    fn a_poisoned_lock_is_recovered() {
+        let socket = std::env::temp_dir().join(format!("orchestrad-poison-{}", std::process::id()));
+        let cfg = DaemonConfig { socket: socket.clone(), workers: 1, ..DaemonConfig::default() };
+        let mut daemon = Daemon::start(cfg).expect("daemon starts");
+        let inner = Arc::clone(&daemon.inner);
+        let holder = thread::spawn(move || {
+            let _st = inner.state.lock().expect("first holder");
+            panic!("unwinds with the job table locked");
+        });
+        assert!(holder.join().is_err());
+        assert!(daemon.inner.state.is_poisoned());
+
+        let mut graph = DelirGraph::new();
+        graph.add_node("A", NodeKind::DataParallel { tasks: 8, mean_cost: 1.0, cv: 0.0 }, None);
+        let mut client = Client::connect(&socket, "t", 1.0).expect("connect");
+        assert_eq!(client.stats().expect("stats answers").1.len(), 0);
+        let job = client.submit(&graph, "g", &JobOptions::default()).expect("submit");
+        let result = client.wait(job).expect("the job runs and is delivered");
+        assert_eq!(result.outputs[0].values.len(), 8);
         daemon.shutdown();
     }
 }

@@ -1,8 +1,10 @@
 //! Building descriptors from MF syntax.
 //!
 //! The builder walks structured statements with a symbolic context
-//! ([`SymCtx`]): known scalar values (seeded from declaration
-//! initializers and analysis results) and the set of array names. Scalars
+//! ([`SymCtx`]): known scalar values (seeded from constant declaration
+//! initializers only — the `analysis` crate's propagated values are not
+//! consulted; values and kills are re-derived here, syntactically) and
+//! the set of array names. Scalars
 //! assigned *within* the walked code are *killed* — index expressions
 //! mentioning them can no longer be linearized and fall back to
 //! whole-array patterns, which keeps the summary conservative.

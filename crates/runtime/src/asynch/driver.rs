@@ -32,8 +32,8 @@
 //! Runnable tasks live in **per-driver run queues** rather than one
 //! shared injector: each driver owns a cache-padded FIFO deque plus a
 //! single-entry **LIFO slot**. A wake raised *from* a driver thread
-//! (the common case — a dependency gate released by the op that just
-//! completed there) lands in that driver's LIFO slot, so the freshly
+//! (the common case — an op readied by the one that just completed
+//! there) lands in that driver's LIFO slot, so the freshly
 //! unblocked dependent runs next while its inputs are still warm; the
 //! slot's previous occupant is demoted to the back of the same
 //! driver's deque. Cooperative yields requeue at the *back* of the
@@ -121,8 +121,8 @@ pub(crate) struct Sched {
     /// Tasks not yet complete; drivers exit when this reaches zero.
     live: AtomicUsize,
     /// Crash abort: when set, drivers stop popping tasks and exit even
-    /// though parked futures (claimers awaiting a dependency gate that
-    /// will now never open) are still live.
+    /// though parked futures (claimers awaiting a dependency that will
+    /// now never come in) are still live.
     aborted: AtomicBool,
 }
 
@@ -155,7 +155,7 @@ impl Sched {
     /// Aborts the run: drivers exit at their next pop instead of
     /// waiting for parked futures that can no longer make progress
     /// (used by crash-mode fault injection — a simulated process death
-    /// takes the whole executor down, gates and all).
+    /// takes the whole executor down, parked claimers and all).
     pub(crate) fn abort(&self) {
         self.aborted.store(true, Ordering::SeqCst);
         let _guard = self.park.lock().expect("park lock poisoned");
@@ -223,7 +223,7 @@ impl Sched {
     }
 
     /// Pops driver `id`'s next runnable task: own LIFO slot, then own
-    /// deque front, then stealing; parks until work arrives or every
+    /// deque front, then stealing; parks until there is work or every
     /// task is done (`None` = shut down).
     fn next_task(&self, id: usize, steals: &mut u64) -> Option<usize> {
         loop {
@@ -330,7 +330,7 @@ pub(crate) struct DriverRecord {
     /// Run-relative time (µs) of the last poll's end.
     pub(crate) free_at_us: f64,
     /// Futures polled (including polls that immediately returned
-    /// `Pending`, e.g. a dependency-gate registration).
+    /// `Pending`, e.g. a wake-list registration).
     pub(crate) polls: u64,
     /// Pops satisfied by raiding another driver's deque.
     pub(crate) steals: u64,
@@ -412,65 +412,35 @@ impl Future for YieldNow {
     }
 }
 
-/// A readiness counter ops await their DAG predecessors on: it opens
-/// when `deps` predecessors have arrived, waking every registered
-/// waiter.
-pub(crate) struct DepGate {
-    remaining: AtomicUsize,
-    waiters: Mutex<Vec<Waker>>,
-}
-
-impl DepGate {
-    /// A gate expecting `deps` arrivals (0 = open from the start).
-    pub(crate) fn new(deps: usize) -> Self {
-        DepGate { remaining: AtomicUsize::new(deps), waiters: Mutex::new(Vec::new()) }
-    }
-
-    /// Records one predecessor completion. Returns `true` exactly once
-    /// — for the arrival that opened the gate — and the caller must
-    /// then invoke [`Self::release`].
-    pub(crate) fn arrive(&self) -> bool {
-        self.remaining.fetch_sub(1, Ordering::AcqRel) == 1
-    }
-
-    /// Wakes every waiter registered so far (late registrants observe
-    /// the open gate directly in their poll).
-    pub(crate) fn release(&self) {
-        let waiters = std::mem::take(&mut *self.waiters.lock().expect("dep gate poisoned"));
-        for w in waiters {
-            w.wake();
-        }
-    }
-
-    /// A future resolving once the gate is open.
-    pub(crate) fn wait(&self) -> Wait<'_> {
-        Wait { gate: self }
-    }
-}
-
-/// Future returned by [`DepGate::wait`].
-pub(crate) struct Wait<'a> {
-    gate: &'a DepGate,
-}
-
-impl Future for Wait<'_> {
-    type Output = ();
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        if self.gate.remaining.load(Ordering::Acquire) == 0 {
+/// Parks the polling task on the wake list `wakers` until `ready()`
+/// holds. Register-then-recheck: if [`wake_all`] drained the list
+/// between the first look and the registration, the drain missed this
+/// task — the second look, taken after the list's lock, closes that
+/// lost-wakeup window as long as whatever `ready()` reads was written
+/// before the drain. (The symmetric race leaves a stale waker behind;
+/// its wake hits a task that is queued, past this wait or done, and is
+/// a no-op or one re-check.)
+pub(crate) async fn park_until(wakers: &Mutex<Vec<Waker>>, ready: impl Fn() -> bool) {
+    std::future::poll_fn(|cx| {
+        if ready() {
             return Poll::Ready(());
         }
-        self.gate.waiters.lock().expect("dep gate poisoned").push(cx.waker().clone());
-        // Register-then-recheck: if the release ran between the first
-        // check and the registration, the drained waiter list missed
-        // us — this second look closes the lost-wakeup window. (The
-        // symmetric race leaves a stale waker behind; waking a done
-        // task is a no-op.)
-        if self.gate.remaining.load(Ordering::Acquire) == 0 {
+        wakers.lock().expect("wake list poisoned").push(cx.waker().clone());
+        if ready() {
             Poll::Ready(())
         } else {
             Poll::Pending
         }
+    })
+    .await;
+}
+
+/// Wakes every task parked on `wakers` so far (late registrants see
+/// the new state directly in their re-check).
+pub(crate) fn wake_all(wakers: &Mutex<Vec<Waker>>) {
+    let parked = std::mem::take(&mut *wakers.lock().expect("wake list poisoned"));
+    for w in parked {
+        w.wake();
     }
 }
 
@@ -516,50 +486,44 @@ mod tests {
     }
 
     #[test]
-    fn dep_gate_orders_producer_before_consumers() {
+    fn wake_list_orders_producer_before_consumers() {
         for drivers in [1, 3] {
-            let gate = DepGate::new(1);
+            let wakers = Mutex::new(Vec::new());
+            let open = AtomicBool::new(false);
             let value = AtomicU64::new(0);
             let seen: Vec<AtomicU64> = (0..4).map(|_| AtomicU64::new(0)).collect();
             let mut futures: Vec<TaskFuture<'_>> = Vec::new();
             for s in &seen {
-                let (gate, value) = (&gate, &value);
+                let (wakers, open, value) = (&wakers, &open, &value);
                 futures.push(Box::pin(async move {
-                    gate.wait().await;
+                    park_until(wakers, || open.load(Ordering::Acquire)).await;
                     s.store(value.load(Ordering::Acquire), Ordering::Release);
                 }));
             }
-            let (gate_ref, value_ref) = (&gate, &value);
+            let (wakers, open, value) = (&wakers, &open, &value);
             futures.push(Box::pin(async move {
-                // Let the consumers register with the gate first.
+                // Let the consumers park on the list first.
                 for _ in 0..5 {
                     yield_now().await;
                 }
-                value_ref.store(42, Ordering::Release);
-                if gate_ref.arrive() {
-                    gate_ref.release();
-                }
+                value.store(42, Ordering::Release);
+                open.store(true, Ordering::Release);
+                wake_all(wakers);
             }));
             run_all(futures, drivers);
             for s in &seen {
-                assert_eq!(s.load(Ordering::Acquire), 42, "consumer ran before gate opened");
+                assert_eq!(s.load(Ordering::Acquire), 42, "consumer ran before it was readied");
             }
         }
     }
 
     #[test]
-    fn zero_dep_gate_is_open() {
-        let gate = DepGate::new(0);
-        let hit = AtomicU64::new(0);
-        let (g, h) = (&gate, &hit);
-        run_all(
-            vec![Box::pin(async move {
-                g.wait().await;
-                h.fetch_add(1, Ordering::Relaxed);
-            })],
-            2,
-        );
-        assert_eq!(hit.load(Ordering::Relaxed), 1);
+    fn an_enabled_op_never_parks() {
+        let wakers = Mutex::new(Vec::new());
+        let w = &wakers;
+        let records = run_all(vec![Box::pin(park_until(w, || true))], 2);
+        assert!(wakers.lock().unwrap().is_empty(), "nothing to wait for, nothing registered");
+        assert_eq!(records.iter().map(|r| r.polls).sum::<u64>(), 1);
     }
 
     #[test]

@@ -5,14 +5,23 @@
 //! preemptive OS thread; this module multiplexes *many in-flight
 //! operations* over a small pool of driver threads running hand-rolled
 //! futures (see [`driver`] — no tokio, in the spirit of the in-tree
-//! shims). Ops become futures that `await` their DAG predecessors via
-//! readiness counters ([`driver::DepGate`]), and chunk claims reuse
+//! shims). Ops become futures that park on their op's wake list until
+//! the run core's readiness protocol ([`crate::run`]) says the op is
+//! enabled, and chunk claims reuse
 //! the existing [`ChunkQueue`] machinery — lock-free fixed schedules,
 //! TAPER behind its short mutex — but **yield at chunk boundaries**
 //! instead of blocking, so a driver interleaves chunks of every ready
 //! op and the exactly-once claim invariants get stressed by
 //! interleavings real threads rarely produce (each op gets *more
 //! claimer futures than drivers*, deliberately oversubscribed).
+//!
+//! What stays with this engine, beside the run core it shares with the
+//! pool (set-up, `OpState`, the task body, and the readiness protocol
+//! that decides what a completion, a publication or a claim makes
+//! ready, stop or die): the drivers and their run queues ([`driver`]),
+//! the claimer future, one wake list per op — draining it is this
+//! engine's `ready(op)` — and the orphan board through which a killed
+//! claimer's chunk reaches a surviving sibling.
 //!
 //! Two properties the differential suites pin down:
 //!
@@ -21,7 +30,7 @@
 //!   point (`ChunkQueue::claim`), and a claimed chunk is executed to
 //!   completion between two yield points by a single future.
 //! * **Determinism at one driver**: with `drivers = 1` there is a
-//!   single run queue, every yield requeues FIFO at its back, gate
+//!   single run queue, every yield requeues FIFO at its back, wake-list
 //!   wakes route through the driver's LIFO slot in a fixed order, and
 //!   the adaptive policies are fed *deterministic cost hints* (like
 //!   the dist backend's control plane), so the whole schedule — chunk
@@ -31,21 +40,21 @@
 
 pub(crate) mod driver;
 
-use crate::alloc::{OutputArena, Publication};
+use crate::alloc::OutputArena;
 use crate::cancel::RunError;
-use crate::checkpoint::{CancelCtl, KillMode, ResumeState, RunCtl};
+use crate::checkpoint::{FaultState, KillMode, ResumeState, RunCtl};
 use crate::executor::ExecutorOptions;
-use crate::run::{set_up, snapshot_ops, ExecLog, OpRecord, OpState, RunReport, Setup};
+use crate::run::{self, set_up, snapshot_ops, ExecLog, OpRecord, OpState, RunReport, Setup};
 use crate::stats::{OnlineStats, StealStats};
 use crate::threaded::crew::run_on_threads;
 use crate::threaded::queue::{BoundedClaim, Chunk, ChunkQueue};
 use crate::threaded::{build_plan, Plan, TaskKernel};
-use driver::{DepGate, DriverRecord, Sched, TaskFuture, TaskSlot};
+use driver::{DriverRecord, Sched, TaskFuture, TaskSlot};
 use orchestra_delirium::{DelirGraph, Node};
 use orchestra_machine::ProcStats;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::task::{Poll, Waker};
+use std::task::Waker;
 use std::time::Instant;
 
 /// What the cooperative executor itself keeps per operation, beside
@@ -55,18 +64,14 @@ struct AsyncOp<'p> {
     /// The run core's per-op state.
     state: OpState<'p>,
     queue: ChunkQueue,
-    /// Opens when every DAG predecessor has arrived: whole-op
-    /// producers at completion, streamed ones at their *first
-    /// watermark publication*.
-    gate: DepGate,
+    /// The op's one wake list — this engine's `ready(op)` drains it.
+    /// Its claimers park here while the op is not enabled and, later,
+    /// while their next chunk sits at or above a streamed producer's
+    /// watermark; either way the parked claimer re-checks what it
+    /// waits for after registering (see [`driver::park_until`]).
+    wakers: Mutex<Vec<Waker>>,
     /// Chunk-boundary yields taken by this op's claimers.
     yields: AtomicU64,
-    /// Wakers of consumer claimers parked because this producer's
-    /// watermark does not yet cover their next chunk. Drained (and
-    /// woken) on every publication; the waiter re-checks the watermark
-    /// after registering, so a publication racing the registration
-    /// cannot be lost.
-    stream_waiters: Mutex<Vec<Waker>>,
     /// Orphaned-chunk hand-off between this op's claimer futures under
     /// fault injection.
     board: Mutex<OrphanBoard>,
@@ -88,6 +93,12 @@ struct OrphanBoard {
     live: usize,
 }
 
+impl<'p> AsRef<OpState<'p>> for AsyncOp<'p> {
+    fn as_ref(&self) -> &OpState<'p> {
+        &self.state
+    }
+}
+
 /// Everything the claimer futures borrow for the duration of the run.
 struct AsyncShared<'p, 'g> {
     ops: Vec<AsyncOp<'p>>,
@@ -105,8 +116,8 @@ struct AsyncShared<'p, 'g> {
     /// Fault-injection and checkpoint control (inert on normal runs).
     ctl: RunCtl,
     /// Back-reference to the scheduler, set once futures are spawned —
-    /// a crash-mode kill aborts it so drivers don't wait forever on
-    /// gate-parked claimers.
+    /// a crash-mode kill or a cancellation aborts it so drivers don't
+    /// wait forever on parked claimers.
     sched: OnceLock<Arc<Sched>>,
 }
 
@@ -142,72 +153,21 @@ impl AsyncShared<'_, '_> {
         let d = driver::current_driver().expect("claimer futures are only polled by drivers");
         self.logs[d].lock().expect("driver log poisoned").push(op_idx, chunk);
     }
+
+    /// This engine's `ready(op)`: wakes the claimers parked on the
+    /// op's list.
+    fn ready(&self, op_idx: usize) {
+        driver::wake_all(&self.ops[op_idx].wakers);
+    }
+
+    /// Op `op_idx`'s last task ran: the run core decides which
+    /// dependents that readies.
+    fn complete(&self, op_idx: usize) {
+        run::completed(&self.ops, self.arena, op_idx, us_since(self.epoch), |d| self.ready(d));
+    }
 }
 
-/// What the post-claim fault/checkpoint hook decided for a claimer.
-enum ClaimFate {
-    /// Execute the chunk normally (includes suppressed kills).
-    Run,
-    /// The claimer dies; the chunk was orphaned (lease mode) or
-    /// dropped (crash mode).
-    Die,
-}
-
-/// The async claim hook: fires planned kills at the claim boundary and
-/// drives the checkpoint cadence. `cid` is the claimer's spawn index —
-/// the async backend's notion of a "worker" for [`KillSpec::worker`].
-fn on_claim_async(
-    shared: &AsyncShared<'_, '_>,
-    cid: usize,
-    op_idx: usize,
-    chunk: Chunk,
-) -> ClaimFate {
-    let ctl = &shared.ctl;
-    // Cancellation aborts the whole cooperative run: stop the
-    // scheduler so parked futures are never polled again, and retire
-    // this claimer at the boundary (its freshly claimed chunk is
-    // dropped with the rest of the partial run).
-    if ctl.cancel.as_ref().is_some_and(CancelCtl::requested) {
-        if let Some(s) = shared.sched.get() {
-            s.abort();
-        }
-        return ClaimFate::Die;
-    }
-    if let Some(f) = &ctl.faults {
-        if f.crashed() {
-            // Another claimer crashed the run: exit at this boundary,
-            // dropping the claimed-but-unexecuted chunk (the partial
-            // run is discarded anyway).
-            return ClaimFate::Die;
-        }
-        if let Some(mode) = f.on_claim(cid, None) {
-            if mode == KillMode::Crash {
-                f.try_die(cid, mode);
-                if let Some(s) = shared.sched.get() {
-                    s.abort();
-                }
-                return ClaimFate::Die;
-            }
-            let op = &shared.ops[op_idx];
-            let mut board = op.board.lock().expect("orphan board poisoned");
-            if board.live >= 2 && f.try_die(cid, mode) {
-                board.live -= 1;
-                board.orphans.push(chunk);
-                return ClaimFate::Die;
-            }
-            // Suppressed: the op's last live claimer keeps executing —
-            // a fault plan can never strand a queue.
-        }
-    }
-    if let Some(ck) = &ctl.ckpt {
-        if ck.note_claim(None) {
-            ck.commit(snapshot_ops(shared.ops.iter().map(|op| &op.state), shared.arena));
-        }
-    }
-    ClaimFate::Run
-}
-
-/// One claimer's life: await the op's dependency gate, then loop
+/// One claimer's life: park until the op is enabled, then loop
 /// claim → execute chunk → yield until the queue is drained. The
 /// yield between chunks is the backend's entire scheduling story:
 /// between any two chunks the driver is free to run *any* ready op.
@@ -223,18 +183,17 @@ async fn run_claimer(
     let aop = &shared.ops[op_idx];
     let op = &aop.state;
     let arena = shared.arena;
-    aop.gate.wait().await;
+    driver::park_until(&aop.wakers, || op.enabled()).await;
     if op.plan.tasks == 0 {
         // Degenerate op: its single claimer (see `claimers_for`)
         // completes it directly.
-        let now = us_since(shared.epoch);
-        op.stamp_start(now);
-        complete_op(shared, op_idx, now);
+        op.stamp_start(us_since(shared.epoch));
+        shared.complete(op_idx);
         return;
     }
     let hooked = shared.ctl.hooked();
     let adaptive = aop.queue.is_adaptive();
-    // The gate has released: whole-op predecessors are complete, and
+    // The op is enabled: whole-op predecessors are complete, and
     // streamed ones are read only below their watermark.
     let node = &shared.nodes[op.plan.node];
     let inputs = op.inputs(arena);
@@ -252,46 +211,46 @@ async fn run_claimer(
                 // the watermark past the limit that blocked us, then
                 // retry the claim. Busy-yield-and-retry would also be
                 // correct here but burns the driver repolling a future
-                // that cannot progress. Register-then-recheck (as in
-                // `DepGate::wait`) closes the race with a publication
-                // landing between the claim and the registration; the
-                // park is deliberately *not* counted in `yields` —
-                // that counter is pinned one-per-chunk by the
-                // differential suites. If a crash-mode fault fired,
-                // the scheduler is aborted and this future simply
-                // never gets polled again, so the wait cannot hang a
-                // crashed run.
-                std::future::poll_fn(|cx| {
-                    if op.stream_limit(arena) > limit {
-                        return Poll::Ready(());
-                    }
-                    for &p in &op.stream_inputs {
-                        let mut w =
-                            shared.ops[p].stream_waiters.lock().expect("stream waiters poisoned");
-                        w.push(cx.waker().clone());
-                    }
-                    if op.stream_limit(arena) > limit {
-                        // A stale registration stays behind on the
-                        // producers; its wake hits an already-finished
-                        // wait and is a no-op.
-                        Poll::Ready(())
-                    } else {
-                        Poll::Pending
-                    }
-                })
-                .await;
+                // that cannot progress. The park is deliberately *not*
+                // counted in `yields` — that counter is pinned
+                // one-per-chunk by the differential suites. If a
+                // crash-mode fault fired, the scheduler is aborted and
+                // this future simply never gets polled again, so the
+                // wait cannot hang a crashed run.
+                driver::park_until(&aop.wakers, || op.stream_limit(arena) > limit).await;
                 continue;
             }
             BoundedClaim::Exhausted => break,
         };
-        if hooked {
-            if let ClaimFate::Die = on_claim_async(shared, cid, op_idx, chunk) {
-                // Dying mid-loop: the batch executed so far still counts.
-                if op.account(done) {
-                    complete_op(shared, op_idx, us_since(shared.epoch));
-                }
-                return;
+        // How a claimer dies. A crash takes the whole run down. In
+        // lease mode the op's last live claimer refuses — a fault plan
+        // can never strand a queue — and anyone else orphans its chunk
+        // on the board, under the lock retiring claimers take.
+        let die = |f: &FaultState, mode| {
+            if mode == KillMode::Crash {
+                return f.try_die(cid, mode);
             }
+            let mut board = aop.board.lock().expect("orphan board poisoned");
+            let dies = board.live >= 2 && f.try_die(cid, mode);
+            if dies {
+                board.live -= 1;
+                board.orphans.push(chunk);
+            }
+            dies
+        };
+        if hooked && shared.ctl.after_claim(cid, None, die, || snapshot_ops(&shared.ops, arena)) {
+            // A crashed or cancelled run stops the scheduler too, so
+            // that parked futures are never waited for.
+            if shared.ctl.stopping() {
+                if let Some(s) = shared.sched.get() {
+                    s.abort();
+                }
+            }
+            // Dying mid-loop: the batch executed so far still counts.
+            if op.account(done) {
+                shared.complete(op_idx);
+            }
+            return;
         }
         op.stamp_start(us_since(shared.epoch));
         let mut chunk_stats = OnlineStats::new();
@@ -317,7 +276,7 @@ async fn run_claimer(
             // batch fills (or the op finishes) the watermark publishes
             // and downstream claimers may start on the prefix.
             if let Some(p) = arena.commit_range(op_idx, chunk.start, chunk.len, op.stream_batch) {
-                handle_publication_async(shared, op_idx, p);
+                run::published(&shared.ops, op_idx, p, |d| shared.ready(d));
             }
         }
         done += chunk.len;
@@ -353,55 +312,7 @@ async fn run_claimer(
     // zeroes the counter has proof every task ran and completes the op
     // (same protocol as the threaded pool).
     if op.account(done) {
-        complete_op(shared, op_idx, us_since(shared.epoch));
-    }
-}
-
-/// Reacts to a watermark publication from `op_idx`: the *first*
-/// publication performs this producer's gate arrival at every streamed
-/// dependent (releasing consumers whose other deps are already in), so
-/// their claimers start on the published prefix while the producer is
-/// still running. Exactly-once for the arrival is inherited from the
-/// arena: publications are serialized by the frontier mutex, so
-/// exactly one carries `is_first()`. Every publication additionally
-/// wakes consumer claimers parked on this producer's watermark — the
-/// Release watermark store precedes the lock that drains the waiter
-/// list, and waiters re-check after registering under that same lock,
-/// so a wake can race a registration but never miss it.
-fn handle_publication_async(shared: &AsyncShared<'_, '_>, op_idx: usize, publication: Publication) {
-    let op = &shared.ops[op_idx];
-    if publication.is_first() {
-        for &d in &op.state.stream_dependents {
-            let gate = &shared.ops[d].gate;
-            if gate.arrive() {
-                gate.release();
-            }
-        }
-    }
-    let waiters = std::mem::take(&mut *op.stream_waiters.lock().expect("stream waiters poisoned"));
-    for w in waiters {
-        w.wake();
-    }
-}
-
-/// Runs exactly once per op: stamps the finish and arrives at every
-/// dependent's gate, releasing the ones this op was the last
-/// predecessor of (their parked claimers wake through the gate's
-/// wakers). Streamed producers additionally publish their full
-/// watermark — idempotent, and the one publication path that covers
-/// scattered orphan-replay writes no `commit_range` accounted for.
-fn complete_op(shared: &AsyncShared<'_, '_>, op_idx: usize, t_end: f64) {
-    let op = &shared.ops[op_idx].state;
-    op.finished_bits.fetch_min(t_end.to_bits(), Ordering::AcqRel);
-    if !op.stream_dependents.is_empty() {
-        let p = shared.arena.publish_all(op_idx);
-        handle_publication_async(shared, op_idx, p);
-    }
-    for &d in &op.dependents {
-        let gate = &shared.ops[d].gate;
-        if gate.arrive() {
-            gate.release();
-        }
+        shared.complete(op_idx);
     }
 }
 
@@ -421,10 +332,10 @@ pub fn execute_async(
 
 /// Runs an already expanded plan on the cooperative executor from a
 /// restore image (empty for a fresh run): the shared [`set_up`], then
-/// this backend's own part — per op a claim queue, a dependency gate
-/// and an oversubscribed set of claimer futures (none for ops the
-/// snapshot finished: they arrive pre-completed at their dependents'
-/// gates), multiplexed over the driver threads.
+/// this backend's own part — per op a claim queue, a wake list and an
+/// oversubscribed set of claimer futures (none for ops the snapshot
+/// finished: the run core never counted them as dependencies),
+/// multiplexed over the driver threads.
 pub(crate) fn run_async(
     g: &DelirGraph,
     plan: &Plan,
@@ -446,9 +357,8 @@ pub(crate) fn run_async(
         .zip(&n_claimers)
         .map(|(state, &live)| AsyncOp {
             queue: state.chunk_queue(opts.policy),
-            gate: DepGate::new(state.live_deps),
+            wakers: Mutex::new(Vec::new()),
             yields: AtomicU64::new(0),
-            stream_waiters: Mutex::new(Vec::new()),
             board: Mutex::new(OrphanBoard { orphans: Vec::new(), live }),
             state,
         })
@@ -464,8 +374,8 @@ pub(crate) fn run_async(
         sched: OnceLock::new(),
     };
     // Spawn claimer futures op-major: ready ops start interleaved at
-    // the front of the FIFO run queue; blocked ones park in their
-    // gates on first poll. Each claimer's spawn index is its fault-
+    // the front of the FIFO run queue; blocked ones park on their
+    // op's wake list on first poll. Each claimer's spawn index is its fault-
     // injection identity.
     let mut futures: Vec<TaskFuture<'_>> = Vec::new();
     for (i, &n) in n_claimers.iter().enumerate() {

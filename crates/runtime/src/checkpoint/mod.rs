@@ -260,6 +260,53 @@ impl RunCtl {
             || self.aborted.load(Ordering::SeqCst)
     }
 
+    /// A chunk was claimed: the one post-claim sequence of every engine,
+    /// run (when [`hooked`](Self::hooked)) after each successful claim
+    /// by `claimant` — a pool worker, or an async claimer's spawn index
+    /// — with the dist-TAPER `epoch` the claim was tokened in, if any.
+    /// `true` means the claimant stops here without executing the chunk.
+    ///
+    /// The order is the contract. A kill lands exactly at this boundary
+    /// because the chunk is claimed (nobody else can reach it through
+    /// the queue) but unexecuted — the window where work would be lost
+    /// without leases. Cancellation and a crash already under way come
+    /// first: the whole run is being discarded, so the chunk is simply
+    /// dropped and no planned kill is consumed. Then the claim is
+    /// counted against the fault plan; a kill that fires is handed to
+    /// the engine's `die(mode)`, which commits the death its own way
+    /// and says whether it happened — a suppressed kill (the last live
+    /// server refuses) falls through and the chunk runs. The checkpoint
+    /// cadence comes last, so a claimant that dies here never holds the
+    /// snapshot writer slot.
+    #[inline]
+    pub(crate) fn after_claim(
+        &self,
+        claimant: usize,
+        epoch: Option<u64>,
+        die: impl FnOnce(&FaultState, KillMode) -> bool,
+        snapshot: impl FnOnce() -> Vec<OpSnapshot>,
+    ) -> bool {
+        if self.cancel.as_ref().is_some_and(CancelCtl::requested) {
+            return true;
+        }
+        if let Some(f) = &self.faults {
+            if f.crashed() {
+                return true;
+            }
+            if let Some(mode) = f.on_claim(claimant, epoch) {
+                if die(f, mode) {
+                    return true;
+                }
+            }
+        }
+        if let Some(ck) = &self.ckpt {
+            if ck.note_claim(epoch) {
+                ck.commit(snapshot());
+            }
+        }
+        false
+    }
+
     /// The cancellation error to abort with, if one fired.
     pub(crate) fn cancel_error(&self) -> Option<crate::cancel::RunError> {
         self.cancel.as_ref().and_then(CancelCtl::error)

@@ -15,6 +15,13 @@
 //!   with the one per-task body (`OpState::run_task`: kernel → store →
 //!   `done` flag) all claim loops call, one claimed chunk at a time
 //!   (`OpState::run_span`).
+//! * The readiness protocol — *what* becomes ready, stops or dies, in
+//!   three functions every engine calls: [`completed`] (an op's last
+//!   task ran), [`published`] (a streamed producer's watermark moved)
+//!   and [`RunCtl::after_claim`] (a chunk was claimed). The live
+//!   dependency counter they count down is `OpState::deps`; an engine
+//!   supplies only *how* its servers are made to look again — a
+//!   `ready(op)` closure — and how a planned death is committed.
 //! * `ExecLog` — what one worker or driver ran, kept privately while it
 //!   runs and folded into [`RunReport::exec_counts`] afterwards: the
 //!   exactly-once oracle costs one entry per chunk and nothing per task.
@@ -22,11 +29,11 @@
 //!   engine, the sequential reference and the resumable driver included.
 //!
 //! What stays with a driver is only what is genuinely its own: worker
-//! masks and claim queues in `threaded::pool`,
-//! dependency gates, waker lists and the orphan board in
+//! masks, claim queues, tokens and parking in `threaded::pool`; claimer
+//! futures, one wake list per op and the orphan board in
 //! [`asynch`](crate::asynch).
 
-use crate::alloc::{allocate_many_with, AllocParams, OutputArena};
+use crate::alloc::{allocate_many_with, AllocParams, OutputArena, Publication};
 use crate::cancel::RunError;
 use crate::checkpoint::{op_snapshot, OpSnapshot, ResumeState, RunCtl};
 use crate::chunking::PolicyKind;
@@ -53,9 +60,10 @@ pub(crate) struct OpState<'p> {
     /// Per-task simulated cost hints (µs), sampled exactly as the
     /// simulator samples them.
     pub costs: Vec<f64>,
-    /// Dependencies the snapshot did not already finish: the op is
-    /// ready once this many producers have arrived.
-    pub live_deps: usize,
+    /// Dependencies that have not arrived yet, counted down by
+    /// [`completed`] and [`published`]; the op is enabled at 0. Starts
+    /// at the dependencies the snapshot did not already finish.
+    pub deps: AtomicUsize,
     /// Whole-op-gated consumers, notified when this op completes.
     pub dependents: Vec<usize>,
     /// The dependencies consumed *streamed*: claims are bounded by the
@@ -108,6 +116,26 @@ impl OpState<'_> {
         self.plan.tasks > 0 && self.pending() == 0
     }
 
+    /// Whether every dependency has arrived: whole-op producers at
+    /// completion, streamed ones at their first publication.
+    #[inline]
+    pub(crate) fn enabled(&self) -> bool {
+        self.deps.load(Ordering::Acquire) == 0
+    }
+
+    /// Enabled and unfinished: the only ops a server may claim from
+    /// without having been told to look.
+    #[inline]
+    pub(crate) fn runnable(&self) -> bool {
+        self.enabled() && self.outstanding.load(Ordering::Acquire) != 0
+    }
+
+    /// One dependency arrived — the only decrement of the counter.
+    /// `true` for the arrival that enables the op, which happens once.
+    fn arrive(&self) -> bool {
+        self.deps.fetch_sub(1, Ordering::AcqRel) == 1
+    }
+
     /// Accounts `done` executed tasks in one batched decrement. `true`
     /// means this batch finished the op: the caller completes it — the
     /// decrement reaches zero for exactly one caller. An empty batch
@@ -153,7 +181,7 @@ impl OpState<'_> {
     ///
     /// Whole-op-gated inputs are finished: the op only runs after every
     /// such producer's completion was observed with `Acquire` ordering
-    /// (dependency counter or gate), which happens-after every upstream
+    /// (the dependency counter), which happens-after every upstream
     /// write.
     ///
     /// *Streamed* inputs may still be running. The slice then spans
@@ -334,6 +362,71 @@ pub(crate) fn exec_counts(ops: &[OpState<'_>], logs: &[ExecLog]) -> Vec<Vec<u32>
     counts
 }
 
+/// A producer published: reacts to one watermark publication of op
+/// `producer`, calling `ready(d)` for every streamed dependent `d` the
+/// publication gives something to claim.
+///
+/// The *first* publication is the producer's dependency arrival on each
+/// streamed edge (exactly once — the arena's frontier mutex serializes
+/// publications, so `is_first()` holds for one of them only). Every
+/// non-empty publication, first or later, readies the dependents that
+/// are enabled and unfinished: a server that found such an op blocked
+/// at the watermark stopped looking at it, and this is what brings one
+/// back onto the newly streamable prefix.
+///
+/// No wakeup is lost, whatever the engine's `ready` is, as long as a
+/// server stops looking only *after* re-reading the watermark behind
+/// whatever `ready` synchronizes on (the pool's token survives in a
+/// deque for the parking scan; an async claimer registers its waker
+/// under the wake list's lock and then re-checks): the publisher's
+/// `Release` watermark store precedes its `ready` call.
+pub(crate) fn published<'p, O: AsRef<OpState<'p>>>(
+    ops: &[O],
+    producer: usize,
+    publication: Publication,
+    mut ready: impl FnMut(usize),
+) {
+    if publication.current <= publication.previous {
+        return;
+    }
+    for &d in &ops[producer].as_ref().stream_dependents {
+        let dep = ops[d].as_ref();
+        let enabled = if publication.is_first() { dep.arrive() } else { dep.enabled() };
+        if enabled && dep.outstanding.load(Ordering::Acquire) != 0 {
+            ready(d);
+        }
+    }
+}
+
+/// An op completed: runs exactly once per op, by whoever's
+/// [`account`](OpState::account) reached zero. Stamps the finish,
+/// arrives at every whole-op dependent and calls `ready(d)` for those
+/// this was the last arrival of.
+///
+/// A streamed producer first drives its watermark to the full op and
+/// runs the publication protocol once more — for the paths that never
+/// commit ranges (lease replay, scattered orphan adoption) and for any
+/// sub-batch tail. Idempotent: when the last commit already published
+/// the total, the publication is empty and readies nobody.
+pub(crate) fn completed<'p, O: AsRef<OpState<'p>>>(
+    ops: &[O],
+    arena: &OutputArena,
+    op_idx: usize,
+    t_end: f64,
+    mut ready: impl FnMut(usize),
+) {
+    let op = ops[op_idx].as_ref();
+    op.finished_bits.fetch_min(t_end.to_bits(), Ordering::AcqRel);
+    if !op.stream_dependents.is_empty() {
+        published(ops, op_idx, arena.publish_all(op_idx), &mut ready);
+    }
+    for &d in &op.dependents {
+        if ops[d].as_ref().arrive() {
+            ready(d);
+        }
+    }
+}
+
 /// What [`set_up`] hands a driver.
 pub(crate) struct Setup<'p> {
     /// One slab for every op's outputs, restored cells prefilled:
@@ -486,7 +579,7 @@ pub(crate) fn set_up<'p>(
             idx: i,
             plan: op,
             costs,
-            live_deps: op.deps.iter().filter(|&&d| !pre_done(d)).count(),
+            deps: AtomicUsize::new(op.deps.iter().filter(|&&d| !pre_done(d)).count()),
             dependents: std::mem::take(&mut dependents[i]),
             stream_inputs: op.deps.iter().copied().filter(|&d| streamed_edge(d, i)).collect(),
             stream_dependents,
@@ -507,12 +600,13 @@ pub(crate) fn set_up<'p>(
 /// Captures every op's completed-task bitmap, outputs, and cost stats
 /// for a checkpoint commit. The snapshot copies arena cells into its
 /// own buffers — checkpoints keep owned data, the arena keeps none.
-pub(crate) fn snapshot_ops<'a, 'p: 'a>(
-    ops: impl IntoIterator<Item = &'a OpState<'p>>,
+pub(crate) fn snapshot_ops<'p, O: AsRef<OpState<'p>>>(
+    ops: &[O],
     arena: &OutputArena,
 ) -> Vec<OpSnapshot> {
-    ops.into_iter()
+    ops.iter()
         .map(|op| {
+            let op = op.as_ref();
             // SAFETY: `op_snapshot` reads a cell only after observing
             // the task's `done` flag with `Acquire`, pairing with the
             // writer's post-store `Release` — the cell is quiescent by
@@ -763,8 +857,18 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cancel::CancelToken;
+    use crate::checkpoint::{CheckpointSpec, FaultPlan, FaultState, FaultTrigger, KillMode};
     use crate::threaded::build_plan;
     use orchestra_delirium::{DataAnno, DelirGraph, NodeKind};
+
+    /// The protocol functions index any engine's per-op table; here the
+    /// table is the bare states.
+    impl<'p> AsRef<OpState<'p>> for OpState<'p> {
+        fn as_ref(&self) -> &Self {
+            self
+        }
+    }
 
     /// Two independent chains side by side: P0→P1→P2 of 8 tasks and
     /// Q0→Q1 of 24/8, so every level holds two concurrent ops.
@@ -818,7 +922,7 @@ mod tests {
         assert_eq!(s.ops[p1].remap.as_deref(), Some(&[1, 3, 5, 7][..]));
         assert!(s.ops[p2].remap.is_none() && s.ops[q0].remap.is_none());
         assert_eq!(s.ops[p1].pending(), 4);
-        assert_eq!(s.ops[p1].live_deps, 0, "a pre-done producer is no dependency");
+        assert!(s.ops[p1].enabled(), "a pre-done producer is no dependency");
         assert_eq!(s.ops[p1].warm.map(|w| w.count()), Some(4));
         assert!(s.ops[q0].warm.is_none());
         // Restored cells are prefilled, restored masks full-length.
@@ -953,5 +1057,155 @@ mod tests {
             .filter(clean)
             .all(|i| report.exec_counts[i].iter().all(|&c| c == 1)));
         assert_eq!(report.resumed_tasks, 0);
+    }
+
+    /// A diamond A→{B, C}→D in which A→B streams (8 = 8 tasks) and
+    /// A→C, B→D, C→D are whole-op (8→4, →1); B has a second, whole-op
+    /// producer E (3→8); and A's own producer R is finished whole by
+    /// the snapshot.
+    fn diamond() -> DelirGraph {
+        let par = |tasks| NodeKind::DataParallel { tasks, mean_cost: 1.0, cv: 0.0 };
+        let mut g = DelirGraph::new();
+        let r = g.add_node("R", par(8), None);
+        let e = g.add_node("E", par(3), None);
+        let a = g.add_node("A", par(8), None);
+        let b = g.add_node("B", par(8), None);
+        let c = g.add_node("C", par(4), None);
+        let d = g.add_node("D", NodeKind::Merge { cost: 1.0 }, None);
+        for (from, to, n) in [(r, a, 8), (a, b, 8), (e, b, 3), (a, c, 8), (b, d, 8), (c, d, 4)] {
+            g.add_edge(from, to, DataAnno::array("x", n));
+        }
+        g
+    }
+
+    /// [`diamond`] set up on 2 workers with R restored whole.
+    fn diamond_set_up<'p>(plan: &'p Plan, g: &DelirGraph) -> Setup<'p> {
+        let mut images: Vec<OpSnapshot> =
+            plan.ops.iter().map(|o| image(vec![false; o.tasks])).collect();
+        let r = plan.ops.iter().position(|o| o.name == "R").unwrap();
+        images[r] = image(vec![true; 8]);
+        let resume = ResumeState { ops: images };
+        set_up(plan, &g.nodes, &ExecutorOptions::default(), AccessPattern::ElementWise, 2, &resume)
+    }
+
+    /// The readiness protocol, single-threaded, with a recording
+    /// `ready`: which arrival readies whom, and how often.
+    #[test]
+    fn readiness_is_decided_once_by_the_arrival_that_counts() {
+        let g = diamond();
+        let plan = build_plan(&g, &ExecutorOptions::default()).unwrap();
+        let at = |name: &str| plan.ops.iter().position(|o| o.name == name).unwrap();
+        let (e, a, b, c, d) = (at("E"), at("A"), at("B"), at("C"), at("D"));
+        let Setup { ops, arena, .. } = diamond_set_up(&plan, &g);
+        let deps = |i: usize| ops[i].deps.load(Ordering::Acquire);
+        let publish =
+            |start, len| arena.commit_range(a, start, len, len).expect("extends the prefix");
+        let on_publication = |p: Publication| {
+            let mut readied = Vec::new();
+            published(&ops, a, p, |i| readied.push(i));
+            readied
+        };
+        let on_completion = |i: usize, t_us: f64| {
+            let mut readied = Vec::new();
+            completed(&ops, &arena, i, t_us, |i| readied.push(i));
+            readied
+        };
+
+        assert_eq!(
+            (ops[a].stream_dependents.clone(), ops[a].dependents.clone()),
+            (vec![b], vec![c])
+        );
+        assert!(ops[a].enabled() && ops[e].enabled(), "the snapshot's R is no dependency of A");
+        assert_eq!((deps(b), deps(c), deps(d)), (2, 1, 2));
+        assert!(ops[a].runnable() && !ops[b].runnable());
+
+        // A's first publication is its arrival at B, whose other
+        // producer is still out: counted, nobody readied. Later ones
+        // leave the counter alone.
+        let first = publish(0, 4);
+        assert!(first.is_first());
+        assert_eq!(on_publication(first), []);
+        assert_eq!(deps(b), 1);
+        assert_eq!(on_publication(publish(4, 2)), []);
+        assert_eq!(deps(b), 1, "only the first publication is an arrival");
+        // E's completion zeroes B's counter: readied, by that arrival.
+        assert_eq!(on_completion(e, 1.0), [b]);
+        assert_eq!(f64::from_bits(ops[e].finished_bits.load(Ordering::Acquire)), 1.0);
+        // Every later non-empty publication readies B again.
+        assert_eq!(on_publication(publish(6, 1)), [b]);
+        // A completes: its tail publishes (7 → 8), then the whole-op
+        // dependent C gets its one arrival. D has had none yet.
+        assert_eq!(on_completion(a, 2.0), [b, c]);
+        assert_eq!(arena.watermark(a), 8);
+        assert_eq!(deps(d), 2);
+        // An empty publication readies nobody.
+        let again = arena.publish_all(a);
+        assert_eq!((again.previous, again.current), (8, 8));
+        assert_eq!(on_publication(again), []);
+        // Once B has finished, no publication readies it again.
+        assert!(ops[b].account(8) && !ops[b].runnable());
+        assert_eq!(on_publication(Publication { previous: 4, current: 6 }), []);
+        // D is readied once, by the second of its two arrivals.
+        assert_eq!(on_completion(b, 3.0), []);
+        assert_eq!(on_completion(c, 4.0), [d]);
+        assert_eq!(on_completion(d, 5.0), []);
+        assert!((0..plan.ops.len()).all(|i| deps(i) == 0));
+
+        // The other order: with E already in, A's first publication is
+        // the arrival that enables B.
+        let Setup { ops, arena, .. } = diamond_set_up(&plan, &g);
+        let mut readied = Vec::new();
+        completed(&ops, &arena, e, 1.0, |i| readied.push(i));
+        assert_eq!(readied, [], "B still waits for A's first watermark");
+        let first = arena.commit_range(a, 0, 2, 2).unwrap();
+        published(&ops, a, first, |i| readied.push(i));
+        assert_eq!(readied, [b]);
+    }
+
+    /// The claim hook's order: cancellation and a crash under way stop
+    /// the claimant before the fault plan sees the claim; a planned kill
+    /// is the engine's to commit, and a suppressed one falls through to
+    /// the checkpoint cadence, which a committed death never reaches.
+    #[test]
+    fn the_claim_hook_asks_the_engine_only_for_a_planned_death() {
+        let g = two_chains();
+        let dir = std::env::temp_dir().join(format!("orchestra-claim-hook-{}", std::process::id()));
+        let token = CancelToken::new();
+        let opts = ExecutorOptions {
+            faults: Some(FaultPlan::kill(0, FaultTrigger::AfterClaims(2))),
+            checkpoint: Some(CheckpointSpec { every_claims: 1, ..CheckpointSpec::new(&dir) }),
+            cancel: Some(token.clone()),
+            ..ExecutorOptions::default()
+        };
+        let plan = build_plan(&g, &opts).unwrap();
+        // One claim by claimant 0: (stopped, kills offered, snapshots taken).
+        let claim = |ctl: &RunCtl, dies: bool| {
+            let (mut asked, mut snapshots) = (Vec::new(), 0);
+            let die = |_: &FaultState, mode| {
+                asked.push(mode);
+                dies
+            };
+            let stopped = ctl.after_claim(0, None, die, || {
+                snapshots += 1;
+                Vec::new()
+            });
+            (stopped, asked, snapshots)
+        };
+
+        let ctl = RunCtl::new(&opts, &plan, 2);
+        assert_eq!(claim(&ctl, true), (false, vec![], 1), "no kill planned for the first claim");
+        assert_eq!(claim(&ctl, false), (false, vec![KillMode::Lease], 1), "suppressed: runs on");
+        assert_eq!(claim(&ctl, true), (false, vec![], 1), "a kill fires once");
+        let ctl = RunCtl::new(&opts, &plan, 2);
+        assert!(!claim(&ctl, true).0, "the first claim runs");
+        assert_eq!(claim(&ctl, true), (true, vec![KillMode::Lease], 0), "dead before the cadence");
+        // A crash under way, then a cancellation: the engine is not asked.
+        let faults = ctl.faults.as_ref().unwrap();
+        assert!(faults.try_die(1, KillMode::Crash));
+        assert_eq!(claim(&ctl, true), (true, vec![], 0));
+        let ctl = RunCtl::new(&opts, &plan, 2);
+        token.cancel();
+        assert_eq!(claim(&ctl, true), (true, vec![], 0));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -36,7 +36,6 @@ use orchestra_delirium::{DelirGraph, GraphError, Node};
 use orchestra_machine::ProcStats;
 use pool::{OpQueue, PoolOp};
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::AtomicUsize;
 use std::time::Instant;
 use topology::WorkerTopo;
 
@@ -424,7 +423,7 @@ pub(crate) fn run_threaded(
                 } else {
                     (OpQueue::Shared(state.chunk_queue(opts.policy)), None)
                 };
-            PoolOp { deps: AtomicUsize::new(state.live_deps), queue, queue_costs, state }
+            PoolOp { queue, queue_costs, state }
         })
         .collect();
     let ctl = RunCtl::new(opts, plan, workers);

@@ -51,13 +51,13 @@ use super::dist::DistQueue;
 use super::queue::{BoundedClaim, Chunk, ChunkQueue};
 use super::topology::{pin_current_thread, Affinity, StealDistance, WorkerTopo};
 use super::TaskKernel;
-use crate::alloc::{OutputArena, Publication};
-use crate::checkpoint::{CancelCtl, KillMode, Lease, RunCtl};
+use crate::alloc::OutputArena;
+use crate::checkpoint::{FaultState, KillMode, Lease, RunCtl};
 use crate::chunking::PolicyKind;
 use crate::executor::ExecutorOptions;
 use crate::finish::{finish_estimate_live, HostCalibration, OpSpec};
 use crate::granularity::pipelined_stage_time;
-use crate::run::{snapshot_ops, ExecLog, OpState};
+use crate::run::{self, snapshot_ops, ExecLog, OpState};
 use crate::stats::{OnlineStats, StealStats};
 use orchestra_delirium::Node;
 use orchestra_machine::ProcStats;
@@ -99,27 +99,24 @@ impl OpQueue {
 }
 
 /// What the pool itself keeps per operation, beside the shared
-/// [`OpState`]: its claim queue and the live dependency counter.
+/// [`OpState`]: its claim queue.
 pub(crate) struct PoolOp<'p> {
     /// The run core's per-op state.
     pub state: OpState<'p>,
     /// The claim-next-chunk queue (shared or distributed).
     pub queue: OpQueue,
-    /// Unfinished dependency count; the op becomes ready at 0.
-    pub deps: AtomicUsize,
     /// Cost hints over a distributed queue's *index* space when the op
     /// is remapped (`None` = use the state's `costs` directly).
     pub queue_costs: Option<Vec<f64>>,
 }
 
-impl PoolOp<'_> {
-    /// Enabled (every dependency arrived) and unfinished: the only ops
-    /// a worker may claim from without holding a token.
-    fn runnable(&self) -> bool {
-        self.deps.load(Ordering::Acquire) == 0
-            && self.state.outstanding.load(Ordering::Acquire) != 0
+impl<'p> AsRef<OpState<'p>> for PoolOp<'p> {
+    fn as_ref(&self) -> &OpState<'p> {
+        &self.state
     }
+}
 
+impl PoolOp<'_> {
     /// One claim for `worker` among the queue indices below `limit`:
     /// the chunk and, from a dist queue, the epoch it was tokened in
     /// (stamped `now_us()` if the claim completes one). `None` ends the
@@ -316,7 +313,7 @@ impl<'a> Shared<'a> {
         // ops to one member each.
         let mut next = 0usize;
         for (i, op) in ops.iter().enumerate() {
-            if op.state.pre_done() || op.state.live_deps > 0 {
+            if op.state.pre_done() || !op.state.enabled() {
                 continue;
             }
             if op.queue.is_dist() {
@@ -621,7 +618,7 @@ fn recovery_visible(shared: &Shared<'_>, id: usize) -> bool {
     }
     let dead = f.dead_workers();
     shared.ops.iter().any(|op| {
-        if !op.runnable() {
+        if !op.state.runnable() {
             return false;
         }
         // Work blocked on a streamed producer's watermark is not
@@ -652,12 +649,13 @@ fn wake_everyone(shared: &Shared<'_>) {
     shared.wake.notify_all();
 }
 
-/// The post-claim fault/checkpoint hook, called after every successful
-/// chunk claim with what the claim handed out. Returns `true`
-/// when the calling worker must exit (it was killed, or the run is
-/// crashing). A killed worker in lease mode records its claimed-but-
-/// unexecuted chunk as an orphaned [`Lease`] for survivors to replay.
-fn after_claim(
+/// The pool's side of [`RunCtl::after_claim`] for `chunk` of `op_idx`,
+/// claimed in dist epoch `epoch`: how a worker dies. It takes its live
+/// slot (refused for the last live worker), in lease mode leaves the
+/// claimed-but-unexecuted chunk as an orphaned [`Lease`] for survivors
+/// to replay, and wakes everyone to the recovery work. `true` means the
+/// calling worker must exit.
+fn stops_at_claim(
     shared: &Shared<'_>,
     id: usize,
     op_idx: usize,
@@ -665,32 +663,17 @@ fn after_claim(
     epoch: Option<u64>,
 ) -> bool {
     let ctl = shared.ctl;
-    // Cancellation lands at the same boundary as kills: the chunk is
-    // claimed but unexecuted, and the whole run is aborting, so the
-    // chunk can simply be dropped — no lease needed.
-    if ctl.cancel.as_ref().is_some_and(CancelCtl::requested) {
-        return true;
-    }
-    if let Some(f) = &ctl.faults {
-        if f.crashed() {
-            return true;
+    let die = |f: &FaultState, mode| {
+        if !f.try_die(id, mode) {
+            return false;
         }
-        if let Some(mode) = f.on_claim(id, epoch) {
-            if f.try_die(id, mode) {
-                if mode == KillMode::Lease {
-                    ctl.leases.lock().expect("lease lock poisoned").push(Lease { op_idx, chunk });
-                }
-                wake_everyone(shared);
-                return true;
-            }
+        if mode == KillMode::Lease {
+            ctl.leases.lock().expect("lease lock poisoned").push(Lease { op_idx, chunk });
         }
-    }
-    if let Some(ck) = &ctl.ckpt {
-        if ck.note_claim(epoch) {
-            ck.commit(snapshot_ops(shared.ops.iter().map(|op| &op.state), shared.arena));
-        }
-    }
-    false
+        wake_everyone(shared);
+        true
+    };
+    ctl.after_claim(id, epoch, die, || snapshot_ops(shared.ops, shared.arena))
 }
 
 /// Replays one orphaned lease: the chunk a killed worker claimed but
@@ -754,7 +737,7 @@ fn recover(
         // Only enabled (deps == 0), unfinished ops: claiming from an
         // op whose dependencies are still running would break the
         // dependency order the DAG promises.
-        if !op.runnable() {
+        if !op.state.runnable() {
             continue;
         }
         // Skip work blocked at a streamed producer's watermark: a
@@ -811,8 +794,11 @@ fn recover(
 
 /// Ends one visit to an op: books the worker free at `at` and folds
 /// the `done` tasks the visit executed into `outstanding` — one
-/// batched decrement per visit, not one RMW per chunk; whichever
-/// worker's batch reaches zero completes the op.
+/// batched decrement per visit, not one RMW per chunk. Whichever
+/// worker's batch reaches zero completes the op, once: the run core
+/// says which dependents that enables, the pool tokens them, counts the
+/// op as completed — broadcasting only when it was the last one — and
+/// re-equalizes.
 fn leave_op(
     shared: &Shared<'_>,
     id: usize,
@@ -823,8 +809,26 @@ fn leave_op(
 ) {
     let t_end = us_since(shared.epoch, at);
     proc.free_at = proc.free_at.max(t_end);
-    if shared.ops[op_idx].state.account(done) {
-        complete_op(shared, id, op_idx, t_end);
+    if !shared.ops[op_idx].state.account(done) {
+        return;
+    }
+    let (mut woke, mut all) = (0usize, false);
+    run::completed(shared.ops, shared.arena, op_idx, t_end, |d| {
+        woke += 1;
+        all |= push_token(shared, id, d);
+    });
+    if woke > 0 {
+        shared.signal(all || woke > 1);
+    }
+    if shared.completed.fetch_add(1, Ordering::SeqCst) + 1 == shared.ops.len() {
+        // Last op: the pool can exit.
+        wake_everyone(shared);
+    } else if shared.partition.enabled() {
+        // This op's workers are (as far as it is concerned) free:
+        // migrate them to the laggard's partition instead of letting
+        // them idle or thrash another partition's queue.
+        let freed = shared.partition.members(op_idx, shared.workers.len());
+        reequalize(shared, &freed);
     }
 }
 
@@ -879,7 +883,7 @@ fn run_op(
     // exactly the window where work would be lost without leases. Dist
     // claims carry their epoch token: `AtEpoch` faults key off it, and
     // checkpoints use the epoch boundary as their barrier.
-    if hooked && after_claim(shared, id, op_idx, first, epoch) {
+    if hooked && stops_at_claim(shared, id, op_idx, first, epoch) {
         return Flow::Died;
     }
     // The adaptive shared queue this visit's sampled task times feed.
@@ -950,7 +954,14 @@ fn run_op(
             // — whose fault hook may kill this worker — so a committed
             // interval is never lost to a lease.
             if let Some(p) = arena.commit_range(op_idx, chunk.start, chunk.len, op.stream_batch) {
-                handle_publication(shared, id, op_idx, p);
+                let (mut woke, mut all) = (0usize, false);
+                run::published(shared.ops, op_idx, p, |d| {
+                    woke += 1;
+                    all |= push_token(shared, id, d);
+                });
+                if woke > 0 {
+                    shared.signal(all || woke > 1);
+                }
             }
         }
         if let Some(queue) = feedback {
@@ -971,7 +982,7 @@ fn run_op(
             // unfinished — tasks remain.)
             break;
         };
-        if hooked && after_claim(shared, id, op_idx, next, next_epoch) {
+        if hooked && stops_at_claim(shared, id, op_idx, next, next_epoch) {
             // Dying mid-loop: the batch executed so far still counts.
             leave_op(shared, id, op_idx, done, prev, &mut me.proc);
             return Flow::Died;
@@ -998,7 +1009,7 @@ fn run_op(
 /// host-calibrated overheads.
 fn base_estimate(shared: &Shared<'_>, op_idx: usize, cal: &HostCalibration) -> Option<f64> {
     let op = &shared.ops[op_idx];
-    if !op.runnable() {
+    if !op.state.runnable() {
         return None;
     }
     let (remaining, stats, kind) = match &op.queue {
@@ -1094,15 +1105,16 @@ fn reequalize(shared: &Shared<'_>, freed: &[usize]) -> bool {
     progress
 }
 
-/// Makes the enabled op `d` visible to the workers that may serve it,
-/// taking one lock at a time (token lists and deques never nest, so
-/// concurrent completers cannot form a lock-order cycle). A dist op
-/// needs every partition member at its own home queue, so all of them
-/// are tokened (duplicate tokens are hints — a stale one fails its
-/// claim and is dropped) and every sleeper must rise: returns `true`.
-/// A shared op's token goes to the front of the caller's own deque
-/// when it is a member — the data `d` waited for is hottest in its
-/// cache — and to the back of the op's first member otherwise.
+/// The pool's `ready(op)`: makes the enabled op `d` visible to the
+/// workers that may serve it, taking one lock at a time (token lists
+/// and deques never nest, so concurrent completers cannot form a
+/// lock-order cycle). A dist op needs every partition member at its own
+/// home queue, so all of them are tokened (duplicate tokens are hints —
+/// a stale one fails its claim and is dropped) and every sleeper must
+/// rise: returns `true`. A shared op's token goes to the front of the
+/// caller's own deque when it is a member — the data `d` waited for is
+/// hottest in its cache — and to the back of the op's first member
+/// otherwise.
 fn push_token(shared: &Shared<'_>, id: usize, d: usize) -> bool {
     if shared.ops[d].queue.is_dist() {
         for (w, wk) in shared.workers.iter().enumerate() {
@@ -1119,83 +1131,6 @@ fn push_token(shared: &Shared<'_>, id: usize, d: usize) -> bool {
         shared.workers[w].0.ready.lock().expect("deque poisoned").push_back(d);
     }
     false
-}
-
-/// Reacts to one watermark publication by producer `op_idx`.
-///
-/// The *first* publication is the producer's dependency arrival for
-/// each streamed edge: it decrements the consumer's `deps` counter
-/// (exactly once — publications are serialized by the arena's frontier
-/// mutex, so `previous == 0 && current > 0` holds for one publication
-/// only). Every publication, first or later, re-tokens consumers that
-/// are enabled and unfinished: a worker that went blocked dropped its
-/// token, and this fresh token is what brings one back onto the newly
-/// streamable prefix. Lost-wakeup argument: the publisher's `Release`
-/// watermark store precedes these pushes, and a blocked worker only
-/// ever drops its *own* token — the publisher's token survives for
-/// `park`'s visible-work scan and the signalled wakeup below.
-fn handle_publication(shared: &Shared<'_>, id: usize, op_idx: usize, publication: Publication) {
-    if publication.current <= publication.previous {
-        return;
-    }
-    let op = &shared.ops[op_idx].state;
-    let mut woke = 0usize;
-    let mut wake_all = false;
-    for &d in &op.stream_dependents {
-        let dep = &shared.ops[d];
-        let enabled = if publication.is_first() {
-            dep.deps.fetch_sub(1, Ordering::AcqRel) == 1
-        } else {
-            dep.deps.load(Ordering::Acquire) == 0
-        };
-        if !enabled || dep.state.outstanding.load(Ordering::Acquire) == 0 {
-            continue;
-        }
-        woke += 1;
-        wake_all |= push_token(shared, id, d);
-    }
-    if woke > 0 {
-        shared.signal(wake_all || woke > 1);
-    }
-}
-
-/// Runs exactly once per op (by whichever worker drops `outstanding`
-/// to zero): stamps the finish, enables dependents, and counts the op
-/// as completed — broadcasting only when it was the last one.
-fn complete_op(shared: &Shared<'_>, id: usize, op_idx: usize, t_end: f64) {
-    let op = &shared.ops[op_idx].state;
-    op.finished_bits.fetch_min(t_end.to_bits(), Ordering::AcqRel);
-    if !op.stream_dependents.is_empty() {
-        // Belt and braces for the path that never commits ranges (lease
-        // replay) and for any sub-batch tail: drive the watermark to
-        // the full op and run the publication protocol once more.
-        // Idempotent — when the last commit already published the
-        // total, the publication is empty and `handle_publication`
-        // returns immediately.
-        let p = shared.arena.publish_all(op_idx);
-        handle_publication(shared, id, op_idx, p);
-    }
-    let mut newly_ready = 0usize;
-    let mut wake_all = false;
-    for &d in &op.dependents {
-        if shared.ops[d].deps.fetch_sub(1, Ordering::AcqRel) == 1 {
-            newly_ready += 1;
-            wake_all |= push_token(shared, id, d);
-        }
-    }
-    if newly_ready > 0 {
-        shared.signal(wake_all || newly_ready > 1);
-    }
-    if shared.completed.fetch_add(1, Ordering::SeqCst) + 1 == shared.ops.len() {
-        // Last op: the pool can exit.
-        wake_everyone(shared);
-    } else if shared.partition.enabled() {
-        // This op's workers are (as far as it is concerned) free:
-        // migrate them to the laggard's partition instead of letting
-        // them idle or thrash another partition's queue.
-        let freed = shared.partition.members(op_idx, shared.workers.len());
-        reequalize(shared, &freed);
-    }
 }
 
 #[cfg(test)]
@@ -1241,7 +1176,7 @@ mod tests {
                     } else {
                         OpQueue::Shared(state.chunk_queue(opts.policy))
                     };
-                    PoolOp { deps: AtomicUsize::new(0), queue, queue_costs: None, state }
+                    PoolOp { queue, queue_costs: None, state }
                 })
                 .collect();
             assert_eq!((ops[0].state.share.clone(), ops[1].state.share.clone()), (0..1, 1..2));
