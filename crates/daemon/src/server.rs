@@ -253,17 +253,17 @@ impl Drop for Daemon {
 /// here it can. Every write under `state`, `sched` and `chaos` is one
 /// field assignment or one call into a std collection, and none of
 /// those unwinds half done. What can unwind with a guard held is: the
-/// `expect`s and the index at the head of `run_job`'s two sections,
-/// which come before their section's first write; an overflow check on
-/// the counters in a debug build, which fires instead of the write; and
-/// the creation of a crew thread while `run_job` pumps the queue, after
-/// the job was marked running. At each of them every job is in exactly
-/// one `JobState` and `queue` names tabled jobs only, so the next
-/// request reads a table it can answer from. What such an unwind costs
-/// is the accounting of the one job whose section it cut short — a
-/// `running` slot or staged tasks stay booked, so admission queues
-/// sooner — where passing the poison on costs every session: each
-/// connection thread would panic at its next request.
+/// `expect`s at the head of `run_job` and the index at the head of
+/// `finish`, which come before their section's first write; and an
+/// overflow check on the counters in a debug build, which fires instead
+/// of the write. (Runner threads are created after the lock is
+/// released, and a refused one fails its job.) At each of them every job
+/// is in exactly one `JobState` and `queue` names tabled jobs only, so
+/// the next request reads a table it can answer from. What such an
+/// unwind costs is the accounting of the one job whose section it cut
+/// short — a `running` slot or staged tasks stay booked, so admission
+/// queues sooner — where passing the poison on costs every session:
+/// each connection thread would panic at its next request.
 fn held<G>(result: Result<G, PoisonError<G>>) -> G {
     result.unwrap_or_else(PoisonError::into_inner)
 }
@@ -337,6 +337,12 @@ struct Connection {
     outbox: Vec<u8>,
 }
 
+/// The most capacity a connection's frame buffer keeps between
+/// requests: above every frame `serve_mix` sends (a wide job's result
+/// is 1.2 MB), far below the 2 × 16 MiB one rare frame could pin for
+/// the connection's life.
+const KEPT_FRAME_BYTES: usize = 4 << 20;
+
 impl Connection {
     /// The next request, `None` once the peer has hung up. A frame that
     /// does not decode is the `Err` the peer is answered with.
@@ -344,9 +350,18 @@ impl Connection {
         Ok(read_frame(&mut self.reader, &mut self.inbox)?.map(Request::decode_bytes))
     }
 
+    /// Answers the request last received — after which neither buffer
+    /// holds anything, and a larger one than [`KEPT_FRAME_BYTES`] is
+    /// given back.
     fn send(&mut self, resp: &Response) -> io::Result<()> {
         resp.encode_into(&mut self.outbox);
-        write_frame(self.reader.get_mut(), &self.outbox)
+        let written = write_frame(self.reader.get_mut(), &self.outbox);
+        for buf in [&mut self.inbox, &mut self.outbox] {
+            if buf.capacity() > KEPT_FRAME_BYTES {
+                *buf = Vec::new();
+            }
+        }
+        written
     }
 }
 
@@ -460,7 +475,7 @@ fn submit(inner: &Arc<Inner>, tenant: &Tenant, opts: JobOptions, graph_text: &st
     );
     drop(st);
     if run_now {
-        spawn_runner(inner, id);
+        start_runner(inner, id);
     }
     Response::Submitted { job: id }
 }
@@ -540,9 +555,19 @@ fn stats(inner: &Inner) -> Response {
     Response::Stats { workers: inner.workers, jobs }
 }
 
-fn spawn_runner(inner: &Arc<Inner>, job: u64) {
+/// Starts the runner of a job already booked `Running`, outside the
+/// job-table lock.
+fn start_runner(inner: &Arc<Inner>, job: u64) {
     let runner = Arc::clone(inner);
-    inner.crew.spawn(move || run_job(&runner, job));
+    started(inner, job, inner.crew.spawn(move || run_job(&runner, job)));
+}
+
+/// A runner the OS refused a thread (`EAGAIN` under a thread limit) will
+/// never end its job, so the job ends here, `Failed` with the error.
+fn started(inner: &Arc<Inner>, job: u64, spawned: io::Result<()>) {
+    if let Err(e) = spawned {
+        finish(inner, job, JobState::Failed(format!("job could not start: {e}")));
+    }
 }
 
 /// What a caught panic said, for the job's `Failed` state.
@@ -613,23 +638,37 @@ fn run_job(inner: &Arc<Inner>, job: u64) {
         }),
     };
     held(inner.sched.lock()).complete(job);
-    let mut st = held(inner.state.lock());
-    let tasks = st.jobs[&job].tasks;
-    if let Some(j) = st.jobs.get_mut(&job) {
-        j.state = state;
-    }
-    st.running -= 1;
-    st.staged_tasks -= tasks;
-    // Pump the queue: freed capacity starts the oldest queued job.
-    while st.running < inner.admission.max_inflight {
-        let Some(next) = st.queue.pop_front() else { break };
-        if let Some(j) = st.jobs.get_mut(&next) {
-            j.state = JobState::Running;
-            st.running += 1;
-            spawn_runner(inner, next);
+    finish(inner, job, state);
+}
+
+/// Ends a running job in its terminal `state`: releases its `running`
+/// slot and staged tasks, wakes its waiters, and starts the oldest
+/// queued jobs the freed capacity admits — booked under the lock, their
+/// runners created after it is released.
+fn finish(inner: &Arc<Inner>, job: u64, state: JobState) {
+    let mut starting = Vec::new();
+    {
+        let mut st = held(inner.state.lock());
+        let tasks = st.jobs[&job].tasks;
+        if let Some(j) = st.jobs.get_mut(&job) {
+            j.state = state;
+            j.graph = None;
+        }
+        st.running -= 1;
+        st.staged_tasks -= tasks;
+        while st.running < inner.admission.max_inflight {
+            let Some(next) = st.queue.pop_front() else { break };
+            if let Some(j) = st.jobs.get_mut(&next) {
+                j.state = JobState::Running;
+                st.running += 1;
+                starting.push(next);
+            }
         }
     }
     inner.changed.notify_all();
+    for next in starting {
+        start_runner(inner, next);
+    }
 }
 
 #[cfg(test)]
@@ -702,45 +741,141 @@ mod tests {
         daemon.shutdown();
     }
 
+    fn eight_tasks() -> DelirGraph {
+        let mut graph = DelirGraph::new();
+        graph.add_node("A", NodeKind::DataParallel { tasks: 8, mean_cost: 1.0, cv: 0.0 }, None);
+        graph
+    }
+
     /// A panicking job ends as `Failed` with the panic's message; its
     /// grant, its `running` slot and its staged tasks are released, so
-    /// the job queued behind it runs; the daemon keeps serving.
+    /// the job queued behind it runs; the daemon keeps serving. Two
+    /// workers: the one that panics stops the run, its survivor is woken
+    /// to leave — on the pool and on the async drivers.
     #[test]
     fn a_panicking_job_fails_alone() {
-        let socket = std::env::temp_dir().join(format!("orchestrad-panic-{}", std::process::id()));
+        for backend in [ExecutorBackend::Threaded, ExecutorBackend::Async] {
+            let socket = std::env::temp_dir()
+                .join(format!("orchestrad-panic-{backend:?}-{}", std::process::id()));
+            let cfg = DaemonConfig {
+                socket: socket.clone(),
+                workers: 2,
+                admission: AdmissionPolicy { max_inflight: 1, ..AdmissionPolicy::default() },
+                ..DaemonConfig::default()
+            };
+            let kernel =
+                PanicsOnce { armed: AtomicBool::new(true), spin: SpinKernel::with_scale(0.1) };
+            let mut daemon = Daemon::start_serving(cfg, Box::new(kernel)).expect("daemon starts");
+
+            let graph = eight_tasks();
+            let opts = JobOptions { backend, ..JobOptions::default() };
+            let mut client = Client::connect(&socket, "t", 1.0).expect("connect");
+            let first = client.submit(&graph, "g", &opts).expect("submit");
+            let second = client.submit(&graph, "g", &opts).expect("submit");
+
+            match client.wait(first) {
+                Err(ClientError::Remote(msg)) => assert_eq!(msg, "job panicked: kernel bug"),
+                other => panic!("{backend:?}: the first job must fail, got {other:?}"),
+            }
+            let result = client.wait(second).expect("the job behind it runs");
+            assert_eq!(result.outputs[0].values.len(), 8);
+
+            let (_, rows) = client.stats().expect("the daemon still answers");
+            let states: Vec<&str> = rows.iter().map(|r| r.state.as_str()).collect();
+            assert_eq!(states, ["failed", "done"]);
+            assert!(rows.iter().all(|r| r.grant == 0), "grants released: {rows:?}");
+            assert!(!daemon.inner.state.is_poisoned(), "a job's panic is caught outside the lock");
+            let st = held(daemon.inner.state.lock());
+            assert_eq!((st.running, st.staged_tasks, st.queue.len()), (0, 0, 0));
+            drop(st);
+            daemon.shutdown();
+        }
+    }
+
+    /// A runner the OS refuses a thread fails its job instead of leaving
+    /// it `running` with nobody to run it: its waiter gets the error, its
+    /// slot and staged tasks are released, and the job queued behind it
+    /// starts in its place.
+    #[test]
+    fn a_refused_runner_fails_its_job() {
+        let socket =
+            std::env::temp_dir().join(format!("orchestrad-refused-{}", std::process::id()));
         let cfg = DaemonConfig {
             socket: socket.clone(),
-            // One worker: the panicking worker is the whole run, so
-            // the run unwinds instead of waiting on a survivor.
             workers: 1,
             admission: AdmissionPolicy { max_inflight: 1, ..AdmissionPolicy::default() },
             ..DaemonConfig::default()
         };
-        let kernel = PanicsOnce { armed: AtomicBool::new(true), spin: SpinKernel::with_scale(0.1) };
-        let mut daemon = Daemon::start_serving(cfg, Box::new(kernel)).expect("daemon starts");
-
-        let mut graph = DelirGraph::new();
-        graph.add_node("A", NodeKind::DataParallel { tasks: 8, mean_cost: 1.0, cv: 0.0 }, None);
-        let mut client = Client::connect(&socket, "t", 1.0).expect("connect");
-        let first = client.submit(&graph, "g", &JobOptions::default()).expect("submit");
-        let second = client.submit(&graph, "g", &JobOptions::default()).expect("submit");
-
-        match client.wait(first) {
-            Err(ClientError::Remote(msg)) => assert_eq!(msg, "job panicked: kernel bug"),
-            other => panic!("the first job must fail, got {other:?}"),
+        let mut daemon = Daemon::start(cfg).expect("daemon starts");
+        let inner = &daemon.inner;
+        let job = |state| Job {
+            tenant: Tenant { session: 0, name: "t".to_string(), weight: 1.0 },
+            graph: Some(eight_tasks()),
+            opts: JobOptions::default(),
+            tasks: 8,
+            submitted: Instant::now(),
+            token: CancelToken::new(),
+            state,
+        };
+        // What `submit` books for a job it runs now and one it queues.
+        {
+            let mut st = held(inner.state.lock());
+            st.jobs.insert(1, job(JobState::Running));
+            st.jobs.insert(2, job(JobState::Queued));
+            st.queue.push_back(2);
+            (st.running, st.staged_tasks) = (1, 16);
         }
-        let result = client.wait(second).expect("the job behind it runs");
-        assert_eq!(result.outputs[0].values.len(), 8);
+        let eagain = io::Error::from_raw_os_error(11);
+        started(inner, 1, Err(eagain));
 
-        let (_, rows) = client.stats().expect("the daemon still answers");
-        let states: Vec<&str> = rows.iter().map(|r| r.state.as_str()).collect();
-        assert_eq!(states, ["failed", "done"]);
-        assert!(rows.iter().all(|r| r.grant == 0), "grants released: {rows:?}");
-        assert!(!daemon.inner.state.is_poisoned(), "a job's panic is caught outside the lock");
-        let st = held(daemon.inner.state.lock());
+        let mut client = Client::connect(&socket, "t", 1.0).expect("connect");
+        match client.wait(1) {
+            Err(ClientError::Remote(msg)) => {
+                assert!(msg.starts_with("job could not start: "), "{msg}")
+            }
+            other => panic!("the refused job must fail, got {other:?}"),
+        }
+        let result = client.wait(2).expect("the queued job starts in its place");
+        assert_eq!(result.outputs[0].values.len(), 8);
+        let st = held(inner.state.lock());
         assert_eq!((st.running, st.staged_tasks, st.queue.len()), (0, 0, 0));
+        assert!(st.jobs[&1].graph.is_none(), "a failed job keeps no graph");
         drop(st);
         daemon.shutdown();
+    }
+
+    /// A connection gives a frame's buffers back once they grew past
+    /// [`KEPT_FRAME_BYTES`] — an 8 MiB request answered by an 8 MiB
+    /// response leaves neither behind — and keeps them for a frame the
+    /// size of a wide job's result.
+    #[test]
+    fn a_connection_gives_back_a_large_frames_buffers() {
+        for (len, kept) in [(8 << 20, false), (1_200_000, true)] {
+            let (server, mut peer) = UnixStream::pair().expect("socket pair");
+            let mut conn = Connection {
+                reader: BufReader::new(server),
+                inbox: Vec::new(),
+                outbox: Vec::new(),
+            };
+            let client = thread::spawn(move || {
+                let mut frame = u32::try_from(len).expect("under the cap").to_le_bytes().to_vec();
+                frame.resize(4 + len, b'x');
+                write_frame(&mut peer, &frame).expect("request written");
+                read_frame(&mut peer, &mut frame).expect("read").expect("an answer").len()
+            });
+            let request = conn.receive().expect("read").expect("a frame");
+            assert!(request.is_err(), "not a request");
+            conn.send(&Response::Err { msg: "x".repeat(len) }).expect("answer written");
+            assert!(client.join().expect("the peer reads") > len);
+            for (name, buf) in [("inbox", &conn.inbox), ("outbox", &conn.outbox)] {
+                let cap = buf.capacity();
+                if kept {
+                    assert!(cap >= len, "{len}-byte frame: {name} gave back its {cap} bytes");
+                } else {
+                    assert!(cap <= KEPT_FRAME_BYTES, "{len}-byte frame: {name} keeps {cap} bytes");
+                }
+            }
+        }
     }
 
     /// A thread that unwinds while it holds the job table poisons the
@@ -759,11 +894,9 @@ mod tests {
         assert!(holder.join().is_err());
         assert!(daemon.inner.state.is_poisoned());
 
-        let mut graph = DelirGraph::new();
-        graph.add_node("A", NodeKind::DataParallel { tasks: 8, mean_cost: 1.0, cv: 0.0 }, None);
         let mut client = Client::connect(&socket, "t", 1.0).expect("connect");
         assert_eq!(client.stats().expect("stats answers").1.len(), 0);
-        let job = client.submit(&graph, "g", &JobOptions::default()).expect("submit");
+        let job = client.submit(&eight_tasks(), "g", &JobOptions::default()).expect("submit");
         let result = client.wait(job).expect("the job runs and is delivered");
         assert_eq!(result.outputs[0].values.len(), 8);
         daemon.shutdown();

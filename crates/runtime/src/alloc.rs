@@ -379,17 +379,6 @@ impl OutputArena {
         self.marks[op].pubs.load(Ordering::Relaxed)
     }
 
-    /// Pre-publishes a restored prefix during single-threaded setup —
-    /// used for ops whose outputs were pre-filled from a snapshot or
-    /// that completed in a previous attempt. Not counted as a runtime
-    /// publication.
-    pub fn seed_watermark(&mut self, op: usize, len: usize) {
-        assert!(len <= self.spans[op].len(), "seed beyond op {op} bounds");
-        let mark = &mut self.marks[op];
-        mark.state.get_mut().expect("unshared arena").frontier = len;
-        *mark.published.get_mut() = len;
-    }
-
     /// Records that tasks `[start, start+len)` of `op` committed their
     /// outputs, and publishes the watermark when the unpublished
     /// contiguous prefix has grown by at least `batch` tasks (or the op
@@ -582,15 +571,6 @@ mod arena_tests {
         assert_eq!(arena.watermark_pubs(0), 1, "re-publish must not count");
         // Empty op: watermark trivially complete, never "first".
         assert!(!arena.publish_all(1).is_first());
-    }
-
-    #[test]
-    fn seeded_watermark_counts_no_publication() {
-        let mut arena = OutputArena::for_ops([6]);
-        arena.seed_watermark(0, 6);
-        assert_eq!(arena.watermark(0), 6);
-        assert_eq!(arena.watermark_pubs(0), 0);
-        assert!(!arena.publish_all(0).is_first());
     }
 }
 

@@ -41,17 +41,17 @@
 //! the canonical interleaving exactly). Wakes from outside any driver
 //! are distributed round-robin. A driver out of local work **steals
 //! half** a victim's deque from the back; only when the LIFO slot, the
-//! own deque, and every victim come up empty does it park on the
-//! condvar (re-checking a wake sequence number to close the
-//! scan-then-sleep race).
+//! own deque, and every victim come up empty does it park, on the run's
+//! one [`Parking`] — the pool's workers sleep on the same kind.
 
+use crate::parking::Parking;
 use orchestra_machine::ProcStats;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::Instant;
 
@@ -107,31 +107,21 @@ pub(crate) struct Sched {
     queues: Vec<Pad<DriverQueue>>,
     /// Round-robin cursor for wakes raised outside any driver thread.
     external: AtomicUsize,
-    /// Bumped on every enqueue; parking drivers re-check it under the
-    /// park lock so a push between "scanned everything empty" and
-    /// "wait" is never lost.
-    wake_seq: AtomicUsize,
-    /// Park lock — protects nothing but the condvar protocol; queue
-    /// locks are never held while parked.
-    park: Mutex<()>,
-    /// Signalled on every enqueue and when the last task completes.
-    available: Condvar,
+    /// Where idle drivers sleep: notified on every enqueue, broadcast
+    /// when the last task completes or the run stops.
+    parking: Arc<Parking>,
     /// One state byte per task.
     states: Vec<AtomicU8>,
     /// Tasks not yet complete; drivers exit when this reaches zero.
     live: AtomicUsize,
-    /// Crash abort: when set, drivers stop popping tasks and exit even
-    /// though parked futures (claimers awaiting a dependency that will
-    /// now never come in) are still live.
-    aborted: AtomicBool,
 }
 
 impl Sched {
-    /// A scheduler over `tasks` tasks for `drivers` driver threads,
-    /// initially dealt round-robin across the per-driver deques in
-    /// index order (at one driver: a single FIFO queue in index order
-    /// — the deterministic canonical interleaving).
-    pub(crate) fn new(tasks: usize, drivers: usize) -> Arc<Self> {
+    /// A scheduler over `tasks` tasks for `drivers` driver threads
+    /// parking on `parking`, initially dealt round-robin across the
+    /// per-driver deques in index order (at one driver: a single FIFO
+    /// queue in index order — the deterministic canonical interleaving).
+    pub(crate) fn new(tasks: usize, drivers: usize, parking: Arc<Parking>) -> Arc<Self> {
         let drivers = drivers.max(1);
         let mut deques: Vec<VecDeque<usize>> = (0..drivers).map(|_| VecDeque::new()).collect();
         for i in 0..tasks {
@@ -143,23 +133,10 @@ impl Sched {
                 .map(|q| Pad(DriverQueue { lifo: AtomicUsize::new(NO_TASK), deque: Mutex::new(q) }))
                 .collect(),
             external: AtomicUsize::new(0),
-            wake_seq: AtomicUsize::new(0),
-            park: Mutex::new(()),
-            available: Condvar::new(),
+            parking,
             states: (0..tasks).map(|_| AtomicU8::new(QUEUED)).collect(),
             live: AtomicUsize::new(tasks),
-            aborted: AtomicBool::new(false),
         })
-    }
-
-    /// Aborts the run: drivers exit at their next pop instead of
-    /// waiting for parked futures that can no longer make progress
-    /// (used by crash-mode fault injection — a simulated process death
-    /// takes the whole executor down, parked claimers and all).
-    pub(crate) fn abort(&self) {
-        self.aborted.store(true, Ordering::SeqCst);
-        let _guard = self.park.lock().expect("park lock poisoned");
-        self.available.notify_all();
     }
 
     /// Makes task `i` runnable (the waker entry point). Idle tasks are
@@ -204,34 +181,32 @@ impl Sched {
                 self.queues[d].0.deque.lock().expect("driver deque poisoned").push_back(i);
             }
         }
-        self.notify();
+        self.parking.notify(false);
     }
 
     /// Requeues a mid-poll-notified task at the back of driver `id`'s
     /// own deque — cooperative yields stay FIFO on their home driver.
     fn requeue_local(&self, id: usize, i: usize) {
         self.queues[id].0.deque.lock().expect("driver deque poisoned").push_back(i);
-        self.notify();
-    }
-
-    fn notify(&self) {
-        self.wake_seq.fetch_add(1, Ordering::Release);
-        // Taking the park lock orders this notify after any in-flight
-        // "re-check seq, then wait" on the sleeper side.
-        let _guard = self.park.lock().expect("park lock poisoned");
-        self.available.notify_one();
+        self.parking.notify(false);
     }
 
     /// Pops driver `id`'s next runnable task: own LIFO slot, then own
-    /// deque front, then stealing; parks until there is work or every
-    /// task is done (`None` = shut down).
-    fn next_task(&self, id: usize, steals: &mut u64) -> Option<usize> {
+    /// deque front, then stealing; parks until there is work, every
+    /// task is done or the run is `stopping` (`None` = shut down). A
+    /// driver that leaves on a stop wakes the others to it.
+    fn next_task(
+        &self,
+        id: usize,
+        steals: &mut u64,
+        stopping: &impl Fn() -> bool,
+    ) -> Option<usize> {
+        let own = &self.queues[id].0;
         loop {
-            if self.aborted.load(Ordering::SeqCst) {
+            if stopping() {
+                self.parking.broadcast();
                 return None;
             }
-            let seq = self.wake_seq.load(Ordering::Acquire);
-            let own = &self.queues[id].0;
             let t = own.lifo.swap(NO_TASK, Ordering::AcqRel);
             if t != NO_TASK {
                 return Some(t);
@@ -243,16 +218,18 @@ impl Sched {
                 *steals += 1;
                 return Some(t);
             }
-            if self.live.load(Ordering::Acquire) == 0 {
+            let done = || self.live.load(Ordering::Acquire) == 0;
+            if done() {
                 return None;
             }
-            let guard = self.park.lock().expect("park lock poisoned");
-            if self.wake_seq.load(Ordering::Acquire) == seq
-                && !self.aborted.load(Ordering::SeqCst)
-                && self.live.load(Ordering::Acquire) != 0
-            {
-                drop(self.available.wait(guard).expect("park lock poisoned"));
-            }
+            // Only this thread fills its own LIFO slot: the deques are
+            // all another driver can have made runnable.
+            let queued = || {
+                self.queues
+                    .iter()
+                    .any(|q| !q.0.deque.lock().expect("driver deque poisoned").is_empty())
+            };
+            self.parking.park(queued, || done() || stopping());
         }
     }
 
@@ -285,8 +262,7 @@ impl Sched {
     fn finish_one(&self) {
         if self.live.fetch_sub(1, Ordering::AcqRel) == 1 {
             // Last task done: every parked driver must wake and exit.
-            let _guard = self.park.lock().expect("park lock poisoned");
-            self.available.notify_all();
+            self.parking.broadcast();
         }
     }
 }
@@ -345,16 +321,17 @@ impl DriverRecord {
 }
 
 /// One driver thread's main loop: pop, poll, account, repeat until
-/// every task is done.
+/// every task is done or the run is `stopping`.
 pub(crate) fn drive(
     id: usize,
     sched: &Arc<Sched>,
     slots: &[TaskSlot<'_>],
     epoch: Instant,
+    stopping: impl Fn() -> bool,
 ) -> DriverRecord {
     DRIVER_ID.with(|d| d.set(id));
     let mut rec = DriverRecord { busy_us: 0.0, free_at_us: 0.0, polls: 0, steals: 0 };
-    while let Some(i) = sched.next_task(id, &mut rec.steals) {
+    while let Some(i) = sched.next_task(id, &mut rec.steals, &stopping) {
         sched.states[i].store(RUNNING, Ordering::Release);
         let waker = Waker::from(Arc::new(WakeHandle { sched: Arc::clone(sched), index: i }));
         let mut cx = Context::from_waker(&waker);
@@ -447,11 +424,11 @@ pub(crate) fn wake_all(wakers: &Mutex<Vec<Waker>>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicBool, AtomicU64};
 
     /// Runs `futures` to completion on `drivers` threads.
     fn run_all(futures: Vec<TaskFuture<'_>>, drivers: usize) -> Vec<DriverRecord> {
-        let sched = Sched::new(futures.len(), drivers);
+        let sched = Sched::new(futures.len(), drivers, Arc::default());
         let slots: Vec<TaskSlot<'_>> = futures.into_iter().map(TaskSlot::new).collect();
         let epoch = Instant::now();
         std::thread::scope(|s| {
@@ -459,7 +436,7 @@ mod tests {
                 .map(|id| {
                     let sched = Arc::clone(&sched);
                     let slots = &slots;
-                    s.spawn(move || drive(id, &sched, slots, epoch))
+                    s.spawn(move || drive(id, &sched, slots, epoch, || false))
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().expect("driver panicked")).collect()
@@ -526,18 +503,78 @@ mod tests {
         assert_eq!(records.iter().map(|r| r.polls).sum::<u64>(), 1);
     }
 
+    /// A cancel fired while one driver is parked and the other polls a
+    /// task that holds its thread (a chunk, as far as the drivers can
+    /// tell). The parked driver has nothing coming — its one task waits
+    /// on a wake list nobody drains — and the held task's end readies no
+    /// one, so only the driver that leaves on the stop can wake it. Both
+    /// drivers return; one nobody woke is a failure, not a hang (the test
+    /// wakes it itself, then fails).
+    #[test]
+    fn a_cancel_wakes_the_parked_driver() {
+        use crate::checkpoint::RunCtl;
+        use crate::executor::ExecutorOptions;
+        use crate::threaded::build_plan;
+        use orchestra_delirium::{DelirGraph, NodeKind};
+
+        let mut g = DelirGraph::new();
+        g.add_node("A", NodeKind::Task { cost: 1.0 }, None);
+        let token = crate::cancel::CancelToken::new();
+        let opts = ExecutorOptions { cancel: Some(token.clone()), ..ExecutorOptions::default() };
+        let ctl = RunCtl::new(&opts, &build_plan(&g, &opts).expect("valid graph"), 2);
+        let (holding, release) = (AtomicBool::new(false), AtomicBool::new(false));
+        let never = Mutex::new(Vec::new());
+        let futures: Vec<TaskFuture<'_>> = vec![
+            Box::pin(async {
+                holding.store(true, Ordering::SeqCst);
+                while !release.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+            }),
+            Box::pin(park_until(&never, || false)),
+        ];
+        let sched = Sched::new(futures.len(), 2, Arc::clone(&ctl.parking));
+        let slots: Vec<TaskSlot<'_>> = futures.into_iter().map(TaskSlot::new).collect();
+        let epoch = Instant::now();
+        std::thread::scope(|s| {
+            let drivers: Vec<_> = (0..2)
+                .map(|id| {
+                    let (sched, slots, ctl) = (&sched, &slots, &ctl);
+                    s.spawn(move || drive(id, sched, slots, epoch, || ctl.stopping()))
+                })
+                .collect();
+            let t0 = Instant::now();
+            let watchdog = |what: &str| {
+                if t0.elapsed() > std::time::Duration::from_secs(60) {
+                    ctl.parking.broadcast();
+                    panic!("{what}");
+                }
+                std::thread::yield_now();
+            };
+            while !(holding.load(Ordering::SeqCst) && ctl.parking.sleepers() == 1) {
+                watchdog("never one driver holding its task and the other parked");
+            }
+            token.cancel();
+            release.store(true, Ordering::SeqCst);
+            while !drivers.iter().all(|d| d.is_finished()) {
+                watchdog("the parked driver was never woken");
+            }
+        });
+        assert_eq!(sched.live.load(Ordering::SeqCst), 1, "the parked task never ran again");
+    }
+
     #[test]
     fn steal_takes_half_from_victim_back() {
         // 6 tasks dealt over 2 drivers: deque0 = [0,2,4], deque1 =
         // [1,3,5]. Zero the live count so an exhausted scheduler
         // returns None instead of parking.
-        let sched = Sched::new(6, 2);
+        let sched = Sched::new(6, 2, Arc::default());
         for _ in 0..6 {
             sched.finish_one();
         }
         let mut steals = 0u64;
         let mut order = Vec::new();
-        while let Some(t) = sched.next_task(1, &mut steals) {
+        while let Some(t) = sched.next_task(1, &mut steals, &|| false) {
             order.push(t);
         }
         // Own deque FIFO first; then one steal grabs the back half of
@@ -546,7 +583,7 @@ mod tests {
         assert_eq!(order, vec![1, 3, 5, 2, 4, 0]);
         assert_eq!(steals, 2);
         let mut untouched = 0;
-        assert_eq!(sched.next_task(0, &mut untouched), None);
+        assert_eq!(sched.next_task(0, &mut untouched, &|| false), None);
         assert_eq!(untouched, 0);
     }
 

@@ -53,7 +53,7 @@ use driver::{DriverRecord, Sched, TaskFuture, TaskSlot};
 use orchestra_delirium::{DelirGraph, Node};
 use orchestra_machine::ProcStats;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::task::Waker;
 use std::time::Instant;
 
@@ -113,12 +113,9 @@ struct AsyncShared<'p, 'g> {
     /// by the driver loop itself).
     logs: Vec<Mutex<ExecLog>>,
     epoch: Instant,
-    /// Fault-injection and checkpoint control (inert on normal runs).
+    /// Fault-injection, checkpoint and stop control, and the parking
+    /// the drivers sleep on.
     ctl: RunCtl,
-    /// Back-reference to the scheduler, set once futures are spawned —
-    /// a crash-mode kill or a cancellation aborts it so drivers don't
-    /// wait forever on parked claimers.
-    sched: OnceLock<Arc<Sched>>,
 }
 
 /// Driver-count resolution: `opts.drivers`, else `opts.threads`, else
@@ -213,10 +210,9 @@ async fn run_claimer(
                 // correct here but burns the driver repolling a future
                 // that cannot progress. The park is deliberately *not*
                 // counted in `yields` — that counter is pinned
-                // one-per-chunk by the differential suites. If a
-                // crash-mode fault fired, the scheduler is aborted and
-                // this future simply never gets polled again, so the
-                // wait cannot hang a crashed run.
+                // one-per-chunk by the differential suites. If the run
+                // stops, the drivers leave and this future is simply
+                // never polled again, so the wait cannot hang it.
                 driver::park_until(&aop.wakers, || op.stream_limit(arena) > limit).await;
                 continue;
             }
@@ -239,14 +235,9 @@ async fn run_claimer(
             dies
         };
         if hooked && shared.ctl.after_claim(cid, None, die, || snapshot_ops(&shared.ops, arena)) {
-            // A crashed or cancelled run stops the scheduler too, so
-            // that parked futures are never waited for.
-            if shared.ctl.stopping() {
-                if let Some(s) = shared.sched.get() {
-                    s.abort();
-                }
-            }
-            // Dying mid-loop: the batch executed so far still counts.
+            // Dying mid-loop: the batch executed so far still counts. (A
+            // crashed or cancelled run is `stopping`: the drivers leave
+            // and parked futures are never waited for.)
             if op.account(done) {
                 shared.complete(op_idx);
             }
@@ -321,7 +312,7 @@ async fn run_claimer(
 /// # Errors
 ///
 /// Returns the graph's validation error when it is malformed, or a
-/// cancellation/deadline error when the caller aborted the run.
+/// cancellation/deadline error when the caller cancelled the run.
 pub fn execute_async(
     g: &DelirGraph,
     opts: &ExecutorOptions,
@@ -371,7 +362,6 @@ pub(crate) fn run_async(
         logs: (0..drivers).map(|_| Mutex::default()).collect(),
         epoch: Instant::now(),
         ctl: RunCtl::new(opts, plan, spawned),
-        sched: OnceLock::new(),
     };
     // Spawn claimer futures op-major: ready ops start interleaved at
     // the front of the FIFO run queue; blocked ones park on their
@@ -385,12 +375,14 @@ pub(crate) fn run_async(
         }
     }
     debug_assert_eq!(futures.len(), spawned);
-    let sched = Sched::new(spawned, drivers);
-    let _ = shared.sched.set(Arc::clone(&sched));
+    let ctl = &shared.ctl;
+    let sched = Sched::new(spawned, drivers, Arc::clone(&ctl.parking));
     let records: Vec<DriverRecord> = {
         let slots: Vec<TaskSlot<'_>> = futures.into_iter().map(TaskSlot::new).collect();
         let epoch = shared.epoch;
-        run_on_threads(opts.crew.as_ref(), drivers, |id| driver::drive(id, &sched, &slots, epoch))
+        run_on_threads(opts.crew.as_ref(), drivers, |id| {
+            ctl.guard(|| driver::drive(id, &sched, &slots, epoch, || ctl.stopping()))
+        })
     };
     let wall_us = us_since(shared.epoch);
 

@@ -38,9 +38,11 @@ pub(crate) use resume::ResumeState;
 pub use snapshot::{graph_fingerprint, load_latest, plan_fingerprint, snapshot_versions, Snapshot};
 pub(crate) use snapshot::{op_snapshot, OpSnapshot};
 
+use crate::parking::Parking;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Where and how often a run persists snapshots.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -194,7 +196,8 @@ impl CancelCtl {
 /// threaded through the threaded pool and the async driver. With no
 /// fault plan, checkpoint spec, or cancel token configured (the
 /// default) every hook is `None`, keeping the claim hot path at one
-/// `Option` check.
+/// `Option` check. A stop is one flag, [`stopping`](Self::stopping),
+/// and one rule: whoever raises or first sees it broadcasts on `parking`.
 pub(crate) struct RunCtl {
     /// Fault-injection state, `None` when no plan was configured.
     pub(crate) faults: Option<FaultState>,
@@ -211,6 +214,9 @@ pub(crate) struct RunCtl {
     /// panicked): the chunk it held will never finish, so everyone else
     /// must stop waiting for it.
     aborted: AtomicBool,
+    /// Where both engines' idle servers sleep (shared with the async
+    /// scheduler's `'static` wakers).
+    pub(crate) parking: Arc<Parking>,
 }
 
 impl RunCtl {
@@ -231,12 +237,19 @@ impl RunCtl {
                 .map(|s| CheckpointCtl::new(s.clone(), plan_fingerprint(plan, opts.seed))),
             cancel: CancelCtl::from_opts(opts),
             aborted: AtomicBool::new(false),
+            parking: Arc::default(),
         }
     }
 
-    /// Stops the run: a worker is unwinding and its op cannot complete.
-    pub(crate) fn abort(&self) {
-        self.aborted.store(true, Ordering::SeqCst);
+    /// The unwind boundary of every engine's server threads: a kernel's
+    /// panic leaves its chunk unfinished for good, so the run stops
+    /// before the panic goes on to the caller.
+    pub(crate) fn guard<T>(&self, server: impl FnOnce() -> T) -> T {
+        catch_unwind(AssertUnwindSafe(server)).unwrap_or_else(|panic| {
+            self.aborted.store(true, Ordering::SeqCst);
+            self.parking.broadcast();
+            resume_unwind(panic)
+        })
     }
 
     /// Whether any fault/checkpoint/cancel hook is active (claim loops
@@ -252,8 +265,8 @@ impl RunCtl {
     }
 
     /// Whether the run is stopping for *any* reason — crash-mode kill,
-    /// cancellation, or a worker's unwind — and workers must exit at
-    /// their next token or park boundary.
+    /// cancellation, or a server's unwind — and both engines' servers
+    /// must leave their loops (broadcasting: a cancel has no other witness).
     pub(crate) fn stopping(&self) -> bool {
         self.crashed()
             || self.cancel.as_ref().is_some_and(CancelCtl::requested)
@@ -275,9 +288,11 @@ impl RunCtl {
     /// counted against the fault plan; a kill that fires is handed to
     /// the engine's `die(mode)`, which commits the death its own way
     /// and says whether it happened — a suppressed kill (the last live
-    /// server refuses) falls through and the chunk runs. The checkpoint
-    /// cadence comes last, so a claimant that dies here never holds the
-    /// snapshot writer slot.
+    /// server refuses) falls through and the chunk runs. A claimant that
+    /// stops, for any of these, wakes everyone: the parked must see the
+    /// stop, or the work a death orphaned. The checkpoint cadence comes
+    /// last, so a claimant that dies here never holds the snapshot
+    /// writer slot.
     #[inline]
     pub(crate) fn after_claim(
         &self,
@@ -286,18 +301,13 @@ impl RunCtl {
         die: impl FnOnce(&FaultState, KillMode) -> bool,
         snapshot: impl FnOnce() -> Vec<OpSnapshot>,
     ) -> bool {
-        if self.cancel.as_ref().is_some_and(CancelCtl::requested) {
+        let stops = self.cancel.as_ref().is_some_and(CancelCtl::requested)
+            || self.faults.as_ref().is_some_and(|f| {
+                f.crashed() || f.on_claim(claimant, epoch).is_some_and(|mode| die(f, mode))
+            });
+        if stops {
+            self.parking.broadcast();
             return true;
-        }
-        if let Some(f) = &self.faults {
-            if f.crashed() {
-                return true;
-            }
-            if let Some(mode) = f.on_claim(claimant, epoch) {
-                if die(f, mode) {
-                    return true;
-                }
-            }
         }
         if let Some(ck) = &self.ckpt {
             if ck.note_claim(epoch) {

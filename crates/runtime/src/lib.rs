@@ -48,6 +48,7 @@ pub mod executor;
 pub mod finish;
 pub mod granularity;
 pub mod par_op;
+mod parking;
 pub mod run;
 pub mod stats;
 pub mod threaded;

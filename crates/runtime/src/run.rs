@@ -25,12 +25,14 @@
 //! * `ExecLog` — what one worker or driver ran, kept privately while it
 //!   runs and folded into [`RunReport::exec_counts`] afterwards: the
 //!   exactly-once oracle costs one entry per chunk and nothing per task.
+//! * Parking and stopping — one `Parking` in `RunCtl` for both engines'
+//!   idle servers, and `RunCtl::guard`, their threads' unwind boundary.
 //! * [`RunReport`] / [`OpRecord`] — the one result shape of every
 //!   engine, the sequential reference and the resumable driver included.
 //!
 //! What stays with a driver is only what is genuinely its own: worker
-//! masks, claim queues, tokens and parking in `threaded::pool`; claimer
-//! futures, one wake list per op and the orphan board in
+//! masks, claim queues and tokens in `threaded::pool`; claimer futures,
+//! one wake list per op and the orphan board in
 //! [`asynch`](crate::asynch).
 
 use crate::alloc::{allocate_many_with, AllocParams, OutputArena, Publication};

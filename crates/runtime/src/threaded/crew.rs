@@ -23,6 +23,7 @@
 
 use std::any::Any;
 use std::fmt;
+use std::io;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
@@ -145,7 +146,7 @@ fn work(seat: &Arc<Seat>, idle: &Idle) {
 }
 
 /// Seats taken out of the idle set to be given jobs. Those still here
-/// at the end go back: creating a thread can panic halfway through a
+/// at the end go back: creating a thread can fail halfway through a
 /// batch, and a parked thread nobody can reach would hang the drop.
 struct Taken<'a> {
     idle: &'a Idle,
@@ -224,8 +225,9 @@ impl Crew {
     /// recently parked first, then new ones. The parked threads are
     /// all taken before any job is handed out, so a thread that
     /// finishes an early job cannot come back for a later one of the
-    /// same batch — the jobs of a batch run at once.
-    fn hire(&self, jobs: impl ExactSizeIterator<Item = Job>) {
+    /// same batch — the jobs of a batch run at once. Stops at the first
+    /// thread the OS refuses; that job and the rest are dropped unrun.
+    fn hire(&self, jobs: impl ExactSizeIterator<Item = Job>) -> io::Result<()> {
         let mut taken = Taken { idle: &self.0.idle, seats: Vec::new() };
         {
             let mut idle = self.0.idle.lock().expect("no holder of this lock can panic");
@@ -238,17 +240,19 @@ impl Crew {
                 None => {
                     let seat = Arc::new(Seat { job: Mutex::new(Some(job)), ready: Condvar::new() });
                     let idle = Arc::clone(&self.0.idle);
-                    let handle = thread::spawn(move || work(&seat, &idle));
+                    let handle = thread::Builder::new().spawn(move || work(&seat, &idle))?;
                     self.0.threads.lock().expect("no holder of this lock can panic").push(handle);
                 }
             }
         }
+        Ok(())
     }
 
     /// Runs `task` on a crew thread, detached: nobody waits for it, and
-    /// if it panics the thread reports it and parks again.
-    pub fn spawn(&self, task: impl FnOnce() + Send + 'static) {
-        self.hire(std::iter::once(Job::Task(Box::new(task))));
+    /// if it panics the thread reports it and parks again. Fails, and
+    /// drops `task` unrun, when the OS refuses a thread the crew needed.
+    pub fn spawn(&self, task: impl FnOnce() + Send + 'static) -> io::Result<()> {
+        self.hire(std::iter::once(Job::Task(Box::new(task))))
     }
 
     /// Runs `f(0)`, …, `f(n - 1)` on `n` crew threads at once and
@@ -258,7 +262,8 @@ impl Crew {
     /// # Panics
     ///
     /// If a call panics, the first panic is resumed on the caller —
-    /// after every other call has returned.
+    /// after every other call has returned. If the OS refuses a thread
+    /// the crew needs, the calls that did start are waited for first.
     pub fn run<T: Send>(&self, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
         let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let body = |index: usize| {
@@ -282,11 +287,13 @@ impl Crew {
         };
         let latch = Arc::new(Latch::default());
         let all_returned = AllReturned(&latch);
-        self.hire((0..n).map(|index| Job::Call { body, index, ticket: Ticket::new(&latch) }));
+        let hired =
+            self.hire((0..n).map(|index| Job::Call { body, index, ticket: Ticket::new(&latch) }));
         drop(all_returned);
         if let Some(panic) = latch.state.lock().unwrap_or_else(PoisonError::into_inner).1.take() {
             resume_unwind(panic);
         }
+        hired.expect("the crew could not create a thread");
         slots
             .into_iter()
             .map(|s| {
@@ -447,7 +454,8 @@ mod tests {
         crew.spawn(move || {
             tx.send(thread::current().id()).unwrap();
             panic!("detached");
-        });
+        })
+        .expect("a crew thread");
         let panicked_on = rx.recv().unwrap();
         await_parked(&crew, 1);
         assert_eq!(crew.run(1, |_| thread::current().id()), vec![panicked_on]);
@@ -477,7 +485,8 @@ mod tests {
         crew.spawn(move || {
             let _ = rx.recv();
             flag.store(true, Ordering::SeqCst);
-        });
+        })
+        .expect("a crew thread");
         tx.send(()).unwrap();
         drop(crew);
         assert!(done.load(Ordering::SeqCst), "the busy thread finished its task first");
@@ -495,7 +504,8 @@ mod tests {
             release_rx.recv().unwrap();
             drop(mine);
             done_tx.send(()).unwrap();
-        });
+        })
+        .expect("a crew thread");
         drop(crew);
         release_tx.send(()).unwrap();
         done_rx

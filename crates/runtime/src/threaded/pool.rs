@@ -18,11 +18,11 @@
 //!   op is drained or blocked at a watermark: no deque traffic per
 //!   chunk. A shared op is re-advertised once per visit (one token
 //!   push + at most one targeted wakeup).
-//! * **Targeted wakeups** — sleepers park on a condvar guarded by a
-//!   wake-sequence counter. Producers bump the sequence and
-//!   `notify_one` only when a sleeper is registered; the all-busy
-//!   steady state does zero wake syscalls, and completion of the last
-//!   op broadcasts once.
+//! * **Targeted wakeups** — idle workers park on the run's one
+//!   [`Parking`](crate::parking::Parking): a token push wakes one
+//!   sleeper only when one is registered, so the all-busy steady state
+//!   does zero wake syscalls; completion of the last op, a death and a
+//!   stop broadcast once.
 //! * **Batched sampling** — workers time only a bounded prefix of
 //!   tasks per op visit (48, chained clock reads so N samples cost
 //!   N+1 `Instant::now` calls), bulk-time the rest one read per
@@ -62,9 +62,8 @@ use crate::stats::{OnlineStats, StealStats};
 use orchestra_delirium::Node;
 use orchestra_machine::ProcStats;
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// How one operation's chunks are handed out: a shared claim queue
@@ -271,15 +270,6 @@ struct Shared<'a> {
     /// One padded deque per worker.
     workers: Vec<CachePadded<WorkerState>>,
     completed: AtomicUsize,
-    /// Workers currently parked (or about to park) on `wake`.
-    /// Producers skip the wake path entirely while this is zero.
-    sleepers: AtomicUsize,
-    /// Wake-sequence counter: bumped under the lock before any notify,
-    /// so a parker that saw sequence `s` before scanning for work can
-    /// sleep iff the sequence is still `s` — pushes are never lost
-    /// between its scan and its wait.
-    wake_seq: Mutex<u64>,
-    wake: Condvar,
     epoch: Instant,
 }
 
@@ -339,27 +329,7 @@ impl<'a> Shared<'a> {
             partition,
             workers: deques,
             completed: AtomicUsize::new(ops.iter().filter(|op| op.state.pre_done()).count()),
-            sleepers: AtomicUsize::new(0),
-            wake_seq: Mutex::new(0),
-            wake: Condvar::new(),
             epoch: Instant::now(),
-        }
-    }
-
-    /// Wakes sleeping workers after making work visible. `all` only
-    /// when several ops became ready at once or the run completed.
-    fn signal(&self, all: bool) {
-        if self.sleepers.load(Ordering::SeqCst) == 0 {
-            return;
-        }
-        {
-            let mut seq = self.wake_seq.lock().expect("wake lock poisoned");
-            *seq += 1;
-        }
-        if all {
-            self.wake.notify_all();
-        } else {
-            self.wake.notify_one();
         }
     }
 
@@ -392,23 +362,22 @@ pub(crate) fn run_pool(
     let crew = opts.crew.as_ref();
     let shared = Shared::new(ops, nodes, arena, topo, pin, ctl);
     run_on_threads(crew, shared.workers.len(), |id| {
-        // A lent thread outlives the run: if the run pins it, it goes
-        // back with the affinity mask it came with.
-        let entered = if pin && crew.is_some() { Affinity::current() } else { None };
-        let record = catch_unwind(AssertUnwindSafe(|| worker_loop(&shared, id, kernel)));
-        if let Some(mask) = entered {
+        let _entered =
+            RestoreAffinity(if pin && crew.is_some() { Affinity::current() } else { None });
+        ctl.guard(|| worker_loop(&shared, id, kernel))
+    })
+}
+
+/// A lent thread outlives the run: if the run pins it, it goes back
+/// with the affinity mask it came with, unwinding or not.
+struct RestoreAffinity(Option<Affinity>);
+
+impl Drop for RestoreAffinity {
+    fn drop(&mut self) {
+        if let Some(mask) = self.0 {
             mask.apply();
         }
-        // A panicking kernel unwinds out of one worker only, and the
-        // chunk that worker held never finishes: stop the others, parked
-        // ones included, instead of leaving them waiting for its op to
-        // complete, then let the panic go on to the caller.
-        record.unwrap_or_else(|panic| {
-            ctl.abort();
-            wake_everyone(&shared);
-            resume_unwind(panic)
-        })
-    })
+    }
 }
 
 /// Pops a token: own private dist list first (only this worker can
@@ -507,9 +476,11 @@ fn worker_loop(shared: &Shared<'_>, id: usize, kernel: &(dyn TaskKernel + Sync))
         pinned: shared.pin && pin_current_thread(shared.topo.cpu_of_worker[id]),
         log: ExecLog::default(),
     };
-    let hooked = shared.ctl.hooked();
+    let ctl = shared.ctl;
+    let hooked = ctl.hooked();
     loop {
-        if shared.ctl.stopping() {
+        if ctl.stopping() {
+            ctl.parking.broadcast();
             break;
         }
         let steals0 = me.steal.steals;
@@ -526,7 +497,8 @@ fn worker_loop(shared: &Shared<'_>, id: usize, kernel: &(dyn TaskKernel + Sync))
                     if reequalize(shared, &[id]) {
                         continue;
                     }
-                    park(shared, id);
+                    let done = || shared.all_done() || ctl.stopping();
+                    ctl.parking.park(|| visible_work(shared, id), done);
                     continue;
                 }
             }
@@ -537,10 +509,10 @@ fn worker_loop(shared: &Shared<'_>, id: usize, kernel: &(dyn TaskKernel + Sync))
         // remaining chunks survivors reach through the recovery sweep's
         // direct `has_more` claims.
         if hooked && me.steal.steals > steals0 {
-            if let Some(f) = &shared.ctl.faults {
+            if let Some(f) = &ctl.faults {
                 if let Some(mode) = f.on_steal(id) {
                     if f.try_die(id, mode) {
-                        wake_everyone(shared);
+                        ctl.parking.broadcast();
                         break;
                     }
                 }
@@ -554,50 +526,21 @@ fn worker_loop(shared: &Shared<'_>, id: usize, kernel: &(dyn TaskKernel + Sync))
     me
 }
 
-/// Parks until new work is signalled. The wake-sequence protocol makes
-/// the scan-then-sleep race benign: any token pushed after `seq0` was
-/// read either bumps the sequence (we don't sleep) or was pushed by a
-/// producer that saw no sleepers — and our post-registration rescan
-/// is then guaranteed to see it. Work made visible by a worker's
-/// *death* (orphaned leases, stranded queues) has no token, so the
-/// scan also covers recovery work; the dying worker always bumps the
-/// sequence and broadcasts, closing the same race for deaths.
-fn park(shared: &Shared<'_>, id: usize) {
-    let seq0 = { *shared.wake_seq.lock().expect("wake lock poisoned") };
-    shared.sleepers.fetch_add(1, Ordering::SeqCst);
-    let visible_work =
-        !shared.workers[id].0.dist_ready.lock().expect("dist list poisoned").is_empty()
-            || (0..shared.workers.len()).any(|w| {
-                // Only tokens this worker's partitions allow count:
-                // another partition's backlog must not busy-wake us.
-                shared.workers[w]
-                    .0
-                    .ready
-                    .lock()
-                    .expect("deque poisoned")
-                    .iter()
-                    .any(|&t| shared.partition.allows(t, id))
-            })
-            || recovery_visible(shared, id);
-    if !visible_work && !shared.all_done() && !shared.ctl.stopping() {
-        let mut seq = shared.wake_seq.lock().expect("wake lock poisoned");
-        while *seq == seq0 && !shared.all_done() && !shared.ctl.stopping() {
-            if shared.ctl.cancel.is_some() {
-                // A cancellation request has no producer to bump the
-                // wake sequence — the canceller is outside the pool —
-                // so a cancellable run polls the flag on a short
-                // timeout instead of sleeping unboundedly.
-                let (s, _) = shared
-                    .wake
-                    .wait_timeout(seq, std::time::Duration::from_millis(5))
-                    .expect("wake lock poisoned");
-                seq = s;
-            } else {
-                seq = shared.wake.wait(seq).expect("wake lock poisoned");
-            }
-        }
-    }
-    shared.sleepers.fetch_sub(1, Ordering::SeqCst);
+/// What a parking worker rescans after registering (see
+/// [`Parking::park`](crate::parking::Parking::park)): its private dist
+/// tokens, any token its partitions allow — another partition's backlog
+/// must not busy-wake it — and recovery work, which a death leaves
+/// without a token (the death broadcasts).
+fn visible_work(shared: &Shared<'_>, id: usize) -> bool {
+    !shared.workers[id].0.dist_ready.lock().expect("dist list poisoned").is_empty()
+        || shared.workers.iter().any(|w| {
+            w.0.ready
+                .lock()
+                .expect("deque poisoned")
+                .iter()
+                .any(|&t| shared.partition.allows(t, id))
+        })
+        || recovery_visible(shared, id)
 }
 
 /// Whether any fault-recovery work is reachable from this worker:
@@ -624,7 +567,7 @@ fn recovery_visible(shared: &Shared<'_>, id: usize) -> bool {
         // Work blocked on a streamed producer's watermark is not
         // *reachable* yet: counting it here would busy-wake this
         // worker in a park loop. The producer's next publication
-        // signals, so ignoring blocked work loses no wakeups.
+        // notifies, so ignoring blocked work loses no wakeups.
         let limit = op.state.stream_limit(shared.arena);
         match &op.queue {
             OpQueue::Shared(q) => q.has_more_below(limit),
@@ -635,25 +578,11 @@ fn recovery_visible(shared: &Shared<'_>, id: usize) -> bool {
     })
 }
 
-/// Wakes every worker unconditionally: sequence bump plus broadcast —
-/// for an injected death, and for the completion of the last op.
-/// `signal` would be wrong for either — it no-ops at `sleepers == 0`,
-/// and a worker mid-park-protocol (registered but pre-scan) must still
-/// observe the bump to rescan for the recovery work a death just
-/// created, or to see that the pool can exit.
-fn wake_everyone(shared: &Shared<'_>) {
-    {
-        let mut seq = shared.wake_seq.lock().expect("wake lock poisoned");
-        *seq += 1;
-    }
-    shared.wake.notify_all();
-}
-
 /// The pool's side of [`RunCtl::after_claim`] for `chunk` of `op_idx`,
 /// claimed in dist epoch `epoch`: how a worker dies. It takes its live
-/// slot (refused for the last live worker), in lease mode leaves the
+/// slot (refused for the last live worker) and in lease mode leaves the
 /// claimed-but-unexecuted chunk as an orphaned [`Lease`] for survivors
-/// to replay, and wakes everyone to the recovery work. `true` means the
+/// to replay — the hook then wakes everyone to it. `true` means the
 /// calling worker must exit.
 fn stops_at_claim(
     shared: &Shared<'_>,
@@ -664,14 +593,11 @@ fn stops_at_claim(
 ) -> bool {
     let ctl = shared.ctl;
     let die = |f: &FaultState, mode| {
-        if !f.try_die(id, mode) {
-            return false;
-        }
-        if mode == KillMode::Lease {
+        let dies = f.try_die(id, mode);
+        if dies && mode == KillMode::Lease {
             ctl.leases.lock().expect("lease lock poisoned").push(Lease { op_idx, chunk });
         }
-        wake_everyone(shared);
-        true
+        dies
     };
     ctl.after_claim(id, epoch, die, || snapshot_ops(shared.ops, shared.arena))
 }
@@ -818,11 +744,11 @@ fn leave_op(
         all |= push_token(shared, id, d);
     });
     if woke > 0 {
-        shared.signal(all || woke > 1);
+        shared.ctl.parking.notify(all || woke > 1);
     }
     if shared.completed.fetch_add(1, Ordering::SeqCst) + 1 == shared.ops.len() {
         // Last op: the pool can exit.
-        wake_everyone(shared);
+        shared.ctl.parking.broadcast();
     } else if shared.partition.enabled() {
         // This op's workers are (as far as it is concerned) free:
         // migrate them to the laggard's partition instead of letting
@@ -894,7 +820,7 @@ fn run_op(
             // not per chunk.
             if queue.has_more() {
                 shared.workers[id].0.ready.lock().expect("deque poisoned").push_back(op_idx);
-                shared.signal(false);
+                shared.ctl.parking.notify(false);
             }
             queue.is_adaptive().then_some(queue)
         }
@@ -960,7 +886,7 @@ fn run_op(
                     all |= push_token(shared, id, d);
                 });
                 if woke > 0 {
-                    shared.signal(all || woke > 1);
+                    shared.ctl.parking.notify(all || woke > 1);
                 }
             }
         }
@@ -1100,7 +1026,7 @@ fn reequalize(shared: &Shared<'_>, freed: &[usize]) -> bool {
         progress = true;
     }
     if progress {
-        shared.signal(true);
+        shared.ctl.parking.notify(true);
     }
     progress
 }
@@ -1203,5 +1129,78 @@ mod tests {
             assert!(shared.all_done(), "dist={dist}: recovery left work behind");
             assert_eq!(me.proc.tasks, 128, "dist={dist}");
         }
+    }
+
+    /// Holds task 0 until released, and says when it has it.
+    #[derive(Default)]
+    struct HoldsTaskZero {
+        holding: std::sync::atomic::AtomicBool,
+        release: std::sync::atomic::AtomicBool,
+    }
+
+    impl TaskKernel for HoldsTaskZero {
+        fn run_task(&self, ctx: &crate::threaded::TaskCtx<'_>) -> f64 {
+            if ctx.task == 0 {
+                self.holding.store(true, Ordering::SeqCst);
+                while !self.release.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+            }
+            SpinKernel::with_scale(1.0).run_task(ctx)
+        }
+    }
+
+    /// A cancel fired while one worker is parked and the other runs a
+    /// chunk. Uniform costs: no dist home migrates, so the parked worker
+    /// has drained its own and has no work coming; nothing polls, so
+    /// only the worker whose next claim sees the cancel can wake it. The
+    /// run ends `Cancelled` with both workers returned; a worker nobody
+    /// woke is a failure, not a hang (the test wakes it itself, then
+    /// fails).
+    #[test]
+    fn a_cancel_wakes_the_parked_worker() {
+        let mut g = DelirGraph::new();
+        g.add_node("F", NodeKind::DataParallel { tasks: 256, mean_cost: 1.0, cv: 0.0 }, None);
+        let token = crate::cancel::CancelToken::new();
+        let opts = ExecutorOptions {
+            threads: 2,
+            cancel: Some(token.clone()),
+            ..ExecutorOptions::default()
+        };
+        let plan = build_plan(&g, &opts).expect("valid graph");
+        let kernel = HoldsTaskZero::default();
+        let Setup { arena, ops, .. } =
+            set_up(&plan, &g.nodes, &opts, kernel.access(), 2, &ResumeState::empty());
+        let ops: Vec<PoolOp> = ops
+            .into_iter()
+            .map(|state| {
+                let queue = OpQueue::Dist(DistQueue::with_nodes(state.pending(), 2, vec![0; 2]));
+                PoolOp { queue, queue_costs: None, state }
+            })
+            .collect();
+        let topo = WorkerTopo::new(&CpuTopology::synthetic(1, 2, 1), 2);
+        let ctl = RunCtl::new(&opts, &plan, 2);
+        let records = std::thread::scope(|s| {
+            let run = s.spawn(|| run_pool(&ops, &g.nodes, &arena, &topo, &opts, &kernel, &ctl));
+            let t0 = Instant::now();
+            let watchdog = |what: &str| {
+                if t0.elapsed() > std::time::Duration::from_secs(60) {
+                    ctl.parking.broadcast();
+                    panic!("{what}");
+                }
+                std::thread::yield_now();
+            };
+            while !(kernel.holding.load(Ordering::SeqCst) && ctl.parking.sleepers() == 1) {
+                watchdog("never one worker holding task 0 and the other parked");
+            }
+            token.cancel();
+            kernel.release.store(true, Ordering::SeqCst);
+            while !run.is_finished() {
+                watchdog("the parked worker was never woken");
+            }
+            run.join().expect("no worker panicked")
+        });
+        assert_eq!(records.len(), 2, "both workers returned");
+        assert_eq!(ctl.cancel_error(), Some(crate::cancel::RunError::Cancelled));
     }
 }

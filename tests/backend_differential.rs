@@ -269,13 +269,15 @@ fn a_pinned_run_leaves_lent_threads_their_affinity() {
     assert_eq!(masks(&crew), before, "same threads, same masks");
 }
 
-/// A kernel's panic on one worker must reach the caller: the other
-/// worker has nothing left to claim from the op the panicking one left
+/// A kernel's panic on one server must reach the caller: the other
+/// server has nothing left to claim from the op the panicking one left
 /// unfinished, nor from its dependent, and would otherwise park for
-/// good — with it the caller, joined to both. On scoped threads and on
-/// a lent crew; the watchdog turns a hang into a failure.
+/// good — with it the caller, joined to both. On the pool and on the
+/// async drivers, each on scoped threads and on a lent crew; the
+/// watchdog turns a hang into a failure.
 #[test]
 fn a_panicking_kernel_aborts_the_run_instead_of_hanging_it() {
+    use orchestra_runtime::execute_async;
     use orchestra_runtime::threaded::{TaskCtx, TaskKernel};
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::mpsc;
@@ -289,22 +291,30 @@ fn a_panicking_kernel_aborts_the_run_instead_of_hanging_it() {
         }
     }
 
-    for crew in [None, Some(Crew::new())] {
-        let arm = if crew.is_some() { "crew" } else { "scoped" };
-        let (tx, rx) = mpsc::channel();
-        let runner = std::thread::spawn(move || {
-            let g = shapes::chain(2, 64, 1.0, 0.4);
-            let opts = ExecutorOptions { threads: 2, crew, ..ExecutorOptions::default() };
-            let kernel = PanicsOnTask17(SpinKernel::with_scale(2.0));
-            let run = catch_unwind(AssertUnwindSafe(|| execute_threaded(&g, &opts, &kernel)));
-            let _ = tx.send(run.map(|r| r.map(|_| ())));
-        });
-        let run = rx
-            .recv_timeout(Duration::from_secs(60))
-            .unwrap_or_else(|_| panic!("{arm}: the run hung on the panicked worker's op"));
-        runner.join().expect("the runner caught the run's panic");
-        let panic = run.expect_err("the kernel's panic must reach the caller");
-        assert_eq!(panic.downcast_ref::<&str>().copied(), Some("kernel bug"), "{arm}");
+    type Engine = fn(
+        &DelirGraph,
+        &ExecutorOptions,
+        &(dyn TaskKernel + Sync),
+    ) -> Result<orchestra_runtime::RunReport, orchestra_runtime::RunError>;
+    let engines: [(&str, Engine); 2] = [("pool", execute_threaded), ("async", execute_async)];
+    for (engine, execute) in engines {
+        for crew in [None, Some(Crew::new())] {
+            let arm = format!("{engine}/{}", if crew.is_some() { "crew" } else { "scoped" });
+            let (tx, rx) = mpsc::channel();
+            let runner = std::thread::spawn(move || {
+                let g = shapes::chain(2, 64, 1.0, 0.4);
+                let opts = ExecutorOptions { threads: 2, crew, ..ExecutorOptions::default() };
+                let kernel = PanicsOnTask17(SpinKernel::with_scale(2.0));
+                let run = catch_unwind(AssertUnwindSafe(|| execute(&g, &opts, &kernel)));
+                let _ = tx.send(run.map(|r| r.map(|_| ())));
+            });
+            let run = rx
+                .recv_timeout(Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("{arm}: the run hung on the panicked server's op"));
+            runner.join().expect("the runner caught the run's panic");
+            let panic = run.expect_err("the kernel's panic must reach the caller");
+            assert_eq!(panic.downcast_ref::<&str>().copied(), Some("kernel bug"), "{arm}");
+        }
     }
 }
 

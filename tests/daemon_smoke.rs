@@ -116,17 +116,31 @@ fn cancelled_tenant_frees_its_partition_to_the_survivor() {
     let opts = JobOptions { seed: 7, ..JobOptions::default() };
 
     let mut alice = Client::connect(&socket, "alice", 1.0).expect("connect alice");
-    let job_a = alice.submit(&long, "long-a", &opts).expect("submit a");
-    wait_for(&mut alice, |rows| rows.iter().any(|r| r.job == job_a && r.state == "running"));
-
     let mut bob = Client::connect(&socket, "bob", 1.0).expect("connect bob");
-    let job_b = bob.submit(&long, "long-b", &opts).expect("submit b");
-    wait_for(&mut bob, |rows| rows.iter().any(|r| r.job == job_b && r.state == "running"));
-
-    // Alice ran alone first, so she holds the full pool (widen-only);
-    // Bob entered a busy pool and got the equalized share of it.
-    let rows = bob.stats().expect("stats").1;
-    let grant_b = rows.iter().find(|r| r.job == job_b).expect("bob's row").grant;
+    // Alice runs alone first, so she holds the full pool (widen-only);
+    // Bob, admitted while she still runs, gets the equalized share of
+    // it. Both are read from one `stats` reply: the first that shows Bob
+    // admitted (granted) must show Alice still running and granted, or
+    // her job finished first and the pair is submitted again.
+    let (job_a, job_b, grant_b) = (0..5)
+        .find_map(|_| {
+            let job_a = alice.submit(&long, "long-a", &opts).expect("submit a");
+            let admitted = |r: &orchestra_daemon::JobRow| r.grant > 0 || r.state == "done";
+            wait_for(&mut alice, |rows| rows.iter().any(|r| r.job == job_a && admitted(r)));
+            let job_b = bob.submit(&long, "long-b", &opts).expect("submit b");
+            let rows =
+                wait_for(&mut bob, |rows| rows.iter().any(|r| r.job == job_b && r.grant > 0));
+            let row = |job| rows.iter().find(|r| r.job == job).expect("a submitted job's row");
+            let (a, b) = (row(job_a), row(job_b));
+            if a.state == "running" && a.grant > 0 {
+                return Some((job_a, job_b, b.grant));
+            }
+            bob.cancel(job_b).expect("retry cancel");
+            let _ = bob.wait(job_b);
+            let _ = alice.wait(job_a);
+            None
+        })
+        .expect("alice's long job finished before bob was admitted, five times over");
     assert!(grant_b < 4, "bob entered a shared pool and must not own all of it, got {grant_b}");
 
     // Cancel alice: her workers must flow to bob via re-equalization.
@@ -144,14 +158,18 @@ fn cancelled_tenant_frees_its_partition_to_the_survivor() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Polls `stats` until the predicate holds (10 s cap — generous for
-/// loaded CI hosts, instant in the common case).
-fn wait_for(c: &mut Client, pred: impl Fn(&[orchestra_daemon::JobRow]) -> bool) {
+/// Polls `stats` until the predicate holds and returns the reply that
+/// satisfied it (10 s cap — generous for loaded CI hosts, instant in the
+/// common case).
+fn wait_for(
+    c: &mut Client,
+    pred: impl Fn(&[orchestra_daemon::JobRow]) -> bool,
+) -> Vec<orchestra_daemon::JobRow> {
     let t0 = Instant::now();
     loop {
         let rows = c.stats().expect("stats").1;
         if pred(&rows) {
-            return;
+            return rows;
         }
         assert!(t0.elapsed() < Duration::from_secs(10), "stats predicate never held: {rows:?}");
         std::thread::sleep(Duration::from_millis(10));
