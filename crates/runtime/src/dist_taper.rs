@@ -14,15 +14,21 @@
 //! thus, the algorithm reduces task transfer costs and maintains
 //! communication locality."
 //!
+//! The protocol is written once, in [`coord`]: a clock-free state
+//! machine that this module's discrete-event simulation and the
+//! threaded home queues ([`DistQueue`](crate::threaded::dist::DistQueue))
+//! both drive. The simulator adds the clocks.
+//!
 //! The epoch tokens earn a second job in the real threaded backend:
 //! every global-epoch increment is a consistent-cut barrier (all p
 //! workers have tokened in for the previous epoch), so the
 //! [`checkpoint`](crate::checkpoint) layer snapshots at each epoch
 //! boundary in addition to its claim-count cadence.
 
-use crate::chunking::{ChunkPolicy, Taper};
+pub(crate) mod coord;
+
+use coord::{Coord, Move};
 use orchestra_machine::{EventQueue, MachineConfig, RunStats};
-use std::collections::VecDeque;
 
 /// Result of a distributed-TAPER run.
 #[derive(Debug, Clone)]
@@ -55,11 +61,11 @@ enum Ev {
     /// Processor became idle and looks for its next chunk.
     Idle(usize),
     /// A token (proc, epoch) reached the root.
-    Token(usize, u64),
-    /// Stolen tasks arrive at a processor.
-    Delivery(usize, Vec<usize>),
+    Token(usize, usize),
+    /// Re-assigned work arrives at its claimant.
+    Delivery(Move),
     /// The root's epoch-increment broadcast reached a processor.
-    Broadcast(usize, u64),
+    Broadcast(usize, usize),
 }
 
 /// Per-hop cost of a control message. Tokens are 8-byte values that the
@@ -87,24 +93,20 @@ fn broadcast_latency(cfg: &MachineConfig, p: usize) -> f64 {
     (p.max(2) as f64).log2().ceil() * token_hop_cost(cfg)
 }
 
-/// Simulates one parallel operation under distributed TAPER.
+/// Simulates one parallel operation under distributed TAPER, starting
+/// at `start_time` (the dataflow executor passes the time the
+/// operation's inputs are ready).
 ///
 /// Tasks start block-decomposed onto their home processors
 /// (owner-computes); each processor draws decreasing-size chunks from
-/// its *local* queue; the root re-assigns work from laggards to
-/// fast processors when their epoch tokens race ahead.
+/// its *local* queue; the root re-assigns work from laggards to fast
+/// processors when their epoch tokens race ahead. Every decision is
+/// [`Coord`]'s, the coordinator the threaded home queues run too; this
+/// function keeps the clocks. A chunk start sends a token carrying the
+/// processor's epoch, which reaches the root after its tree latency;
+/// re-assigned work lands after a message flight; an epoch increment
+/// reaches the leaves after a broadcast.
 pub fn simulate_dist_taper(
-    cfg: &MachineConfig,
-    p: usize,
-    costs: &[f64],
-    bytes_per_task: u64,
-) -> DistResult {
-    simulate_dist_taper_at(cfg, p, costs, bytes_per_task, 0.0)
-}
-
-/// Like [`simulate_dist_taper`], starting at an absolute time (used by
-/// the dataflow executor when the operation waits on its inputs).
-pub fn simulate_dist_taper_at(
     cfg: &MachineConfig,
     p: usize,
     costs: &[f64],
@@ -112,30 +114,14 @@ pub fn simulate_dist_taper_at(
     start_time: f64,
 ) -> DistResult {
     let p = p.max(1);
-    let n = costs.len();
+    let members: Vec<usize> = (0..p).collect();
+    let mut coord = Coord::new(costs.len(), vec![0; p], &members);
     let mut stats = RunStats::new(p);
-    let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); p];
-    for i in 0..n {
-        queues[crate::par_op::owner_of(i, n, p)].push_back(i);
-    }
-    let mut policy = Taper::new();
-    let mut remaining_global = n;
-
-    // The paper's protocol: a *global* epoch maintained by the root.
-    // Every chunk start (and every starving work request) sends a token
-    // carrying the processor's current epoch. A second token of epoch e
-    // from one processor before another's first lets the root re-assign
-    // work from the laggard; once every processor has sent an epoch-e
-    // token the root increments the epoch and broadcasts.
-    let mut global_epoch: usize = 0;
-    let mut counts: Vec<Vec<u32>> = vec![vec![0; p]]; // counts[e][proc]
+    // What each processor knows: the last epoch broadcast to reach it,
+    // whether its work request is out, whether it is running a chunk.
     let mut local_epoch: Vec<usize> = vec![0; p];
     let mut starving: Vec<bool> = vec![false; p];
     let mut busy: Vec<bool> = vec![false; p];
-
-    let mut migrated = 0u64;
-    let mut reassignments = 0u64;
-    let mut epoch_times: Vec<f64> = Vec::new();
     let mut finish: f64 = start_time;
 
     let mut q: EventQueue<Ev> = EventQueue::new();
@@ -147,102 +133,50 @@ pub fn simulate_dist_taper_at(
         match ev {
             Ev::Idle(me) => {
                 busy[me] = false;
-                let epoch = local_epoch[me];
-                if queues[me].is_empty() {
-                    // Work request: keep tokening the current epoch so
-                    // the root can feed us (but only while work exists).
-                    if remaining_global > 0 && !starving[me] {
+                let Some(chunk) = coord.draw(me, usize::MAX, costs) else {
+                    // Work request: token the current epoch so the root
+                    // can feed us (but only while work exists).
+                    if coord.remaining() > 0 && !starving[me] {
                         starving[me] = true;
-                        q.push(t + token_latency(cfg, me), Ev::Token(me, epoch as u64));
+                        q.push(t + token_latency(cfg, me), Ev::Token(me, local_epoch[me]));
                     }
                     continue;
-                }
+                };
                 starving[me] = false;
-                // Draw the epoch's chunk from the local queue: the
-                // *global* TAPER sequence clamped to the home queue
-                // (see [`Taper::epoch_chunk`]), so every processor's
-                // epoch-e chunk has comparable size — that is what
-                // makes token frequency a speed signal ("the
-                // processors compete for the p chunks of each epoch").
-                let k =
-                    policy.epoch_chunk(n - remaining_global, remaining_global, p, queues[me].len());
-                let mut work = 0.0;
-                let mut moved = 0u64;
-                for _ in 0..k {
-                    let task = queues[me].pop_front().expect("nonempty");
-                    work += costs[task];
-                    policy.observe(task, costs[task]);
-                    if crate::par_op::owner_of(task, n, p) != me {
-                        moved += 1;
-                    }
-                }
-                migrated += moved;
-                remaining_global -= k;
                 busy[me] = true;
-                q.push(t + token_latency(cfg, me), Ev::Token(me, epoch as u64));
+                q.push(t + token_latency(cfg, me), Ev::Token(me, local_epoch[me]));
+                let work: f64 = costs[chunk.range()].iter().sum();
                 let end = t + cfg.sched_overhead + work;
-                stats.record_chunk(me, k as u64, work, end);
+                stats.record_chunk(me, chunk.len as u64, work, end);
                 finish = finish.max(end);
                 q.push(end, Ev::Idle(me));
             }
             Ev::Token(from, epoch) => {
-                let e = epoch as usize;
-                if counts.len() <= e {
-                    counts.resize(e + 1, vec![0; p]);
+                let before = coord.epoch();
+                if let Some(m) = coord.token(from, epoch, t) {
+                    let bytes = m.tasks() as u64 * bytes_per_task;
+                    q.push(t + cfg.msg_time(m.from, m.to, bytes), Ev::Delivery(m));
                 }
-                counts[e][from] += 1;
-                // Re-assignment: `from` has tokened epoch e twice before
-                // some processor's first — the laggard's pending work
-                // moves to `from`. Gated on the sampled coefficient of
-                // variation ([`Taper::reassign_signal`]): with
-                // (near-)uniform costs there is no load imbalance to
-                // repair, and an ungated root would steal on mere
-                // token-latency asymmetry between shallow and deep
-                // tree leaves, defeating the locality the scheme
-                // exists to preserve.
-                if counts[e][from] >= 2 && policy.reassign_signal(p) {
-                    let laggard = (0..p)
-                        .filter(|&b| b != from && counts[e][b] == 0 && !queues[b].is_empty())
-                        .max_by_key(|&b| queues[b].len());
-                    if let Some(b) = laggard {
-                        let steal = queues[b].len().div_ceil(2);
-                        let tasks: Vec<usize> = (0..steal)
-                            .map(|_| queues[b].pop_back().expect("len checked"))
-                            .collect();
-                        reassignments += 1;
-                        let bytes = tasks.len() as u64 * bytes_per_task;
-                        let delay = cfg.msg_time(b, from, bytes);
-                        q.push(t + delay, Ev::Delivery(from, tasks));
-                    }
-                }
-                // Epoch completion: every processor has tokened e.
-                if e == global_epoch && counts[e].iter().all(|&c| c > 0) {
-                    global_epoch += 1;
-                    epoch_times.push(t);
-                    if counts.len() <= global_epoch {
-                        counts.resize(global_epoch + 1, vec![0; p]);
-                    }
-                    let bcast = broadcast_latency(cfg, p);
+                if coord.epoch() > before {
+                    let at = t + broadcast_latency(cfg, p);
                     for proc in 0..p {
-                        q.push(t + bcast, Ev::Broadcast(proc, global_epoch as u64));
+                        q.push(at, Ev::Broadcast(proc, coord.epoch()));
                     }
                 }
             }
-            Ev::Broadcast(proc, epoch) => {
-                let e = epoch as usize;
+            Ev::Broadcast(proc, e) => {
                 if e > local_epoch[proc] {
                     local_epoch[proc] = e;
                     // Starving processors renew their work request in
                     // the new epoch.
-                    if starving[proc] && !busy[proc] && remaining_global > 0 {
-                        q.push(q.now() + token_latency(cfg, proc), Ev::Token(proc, e as u64));
+                    if starving[proc] && !busy[proc] && coord.remaining() > 0 {
+                        q.push(q.now() + token_latency(cfg, proc), Ev::Token(proc, e));
                     }
                 }
             }
-            Ev::Delivery(to, tasks) => {
-                for task in tasks {
-                    queues[to].push_back(task);
-                }
+            Ev::Delivery(m) => {
+                let to = m.to;
+                coord.deliver(m);
                 if !busy[to] {
                     starving[to] = false;
                     q.push_after(0.0, Ev::Idle(to));
@@ -251,8 +185,14 @@ pub fn simulate_dist_taper_at(
         }
     }
 
-    let locality = if n == 0 { 1.0 } else { 1.0 - migrated as f64 / n as f64 };
-    DistResult { finish, stats, migrated_tasks: migrated, reassignments, locality, epoch_times }
+    DistResult {
+        finish,
+        stats,
+        migrated_tasks: coord.migrated,
+        reassignments: coord.reassignments,
+        locality: coord.locality(),
+        epoch_times: coord.epoch_times,
+    }
 }
 
 #[cfg(test)]
@@ -263,7 +203,7 @@ mod tests {
     #[test]
     fn all_tasks_execute_exactly_once() {
         let costs = CostDistribution::HeavyTail { mean: 10.0, sigma: 1.2 }.sample(800, 5);
-        let r = simulate_dist_taper(&MachineConfig::ncube2(16), 16, &costs, 128);
+        let r = simulate_dist_taper(&MachineConfig::ncube2(16), 16, &costs, 128, 0.0);
         assert_eq!(r.stats.total_tasks(), 800);
         let total: f64 = costs.iter().sum();
         assert!((r.stats.total_busy() - total).abs() < 1e-6);
@@ -274,7 +214,7 @@ mod tests {
         // "If task costs are independent then we expect most tasks to
         // remain on the processor owning them."
         let costs = CostDistribution::Uniform { mean: 20.0, spread: 0.2 }.sample(2048, 9);
-        let r = simulate_dist_taper(&MachineConfig::ncube2(32), 32, &costs, 128);
+        let r = simulate_dist_taper(&MachineConfig::ncube2(32), 32, &costs, 128, 0.0);
         assert!(r.locality > 0.8, "locality {} too low for near-uniform costs", r.locality);
     }
 
@@ -289,7 +229,7 @@ mod tests {
             *c = 200.0;
         }
         let cfg = MachineConfig::ncube2(p);
-        let r = simulate_dist_taper(&cfg, p, &costs, 64);
+        let r = simulate_dist_taper(&cfg, p, &costs, 64, 0.0);
         assert!(r.reassignments > 0, "laggard's chunks must be re-assigned");
         // Compare with no-stealing: proc 0 alone does 64×200.
         let local_only: f64 = 64.0 * 200.0;
@@ -304,8 +244,8 @@ mod tests {
     fn deterministic() {
         let costs = CostDistribution::Bimodal { mean: 5.0, heavy_frac: 0.2, heavy_mult: 10.0 }
             .sample(300, 21);
-        let a = simulate_dist_taper(&MachineConfig::ncube2(8), 8, &costs, 64);
-        let b = simulate_dist_taper(&MachineConfig::ncube2(8), 8, &costs, 64);
+        let a = simulate_dist_taper(&MachineConfig::ncube2(8), 8, &costs, 64, 0.0);
+        let b = simulate_dist_taper(&MachineConfig::ncube2(8), 8, &costs, 64, 0.0);
         assert_eq!(a.finish, b.finish);
         assert_eq!(a.reassignments, b.reassignments);
     }
@@ -313,7 +253,7 @@ mod tests {
     #[test]
     fn single_processor_degenerates() {
         let costs = vec![3.0; 30];
-        let r = simulate_dist_taper(&MachineConfig::ncube2(1), 1, &costs, 64);
+        let r = simulate_dist_taper(&MachineConfig::ncube2(1), 1, &costs, 64, 0.0);
         assert_eq!(r.migrated_tasks, 0);
         assert_eq!(r.reassignments, 0);
         assert!((r.stats.total_busy() - 90.0).abs() < 1e-9);
@@ -326,7 +266,7 @@ mod tests {
         for p in [2usize, 4, 8, 16, 32] {
             for n in [64usize, 256, 1024] {
                 let costs = vec![10.0; n];
-                let r = simulate_dist_taper(&MachineConfig::ncube2(p), p, &costs, 64);
+                let r = simulate_dist_taper(&MachineConfig::ncube2(p), p, &costs, 64, 0.0);
                 assert_eq!(r.migrated_tasks, 0, "p={p} n={n} migrated");
                 assert_eq!(r.reassignments, 0, "p={p} n={n} reassigned");
                 assert!((r.locality - 1.0).abs() < 1e-12);
@@ -337,7 +277,7 @@ mod tests {
     #[test]
     fn epochs_advance_monotonically() {
         let costs = CostDistribution::HeavyTail { mean: 10.0, sigma: 1.2 }.sample(800, 5);
-        let r = simulate_dist_taper(&MachineConfig::ncube2(16), 16, &costs, 128);
+        let r = simulate_dist_taper(&MachineConfig::ncube2(16), 16, &costs, 128, 0.0);
         assert!(r.epochs() >= 1, "an 800-task run must complete at least one epoch");
         assert!(
             r.epoch_times.windows(2).all(|w| w[0] <= w[1]),
@@ -354,7 +294,7 @@ mod tests {
             "epoch increments must happen within the run (+control tail)"
         );
         // Offset runs shift epoch times with the clock.
-        let shifted = simulate_dist_taper_at(&MachineConfig::ncube2(16), 16, &costs, 128, 500.0);
+        let shifted = simulate_dist_taper(&MachineConfig::ncube2(16), 16, &costs, 128, 500.0);
         assert!(shifted.epoch_times.iter().all(|&t| t >= 500.0));
         assert_eq!(shifted.epochs(), r.epochs());
     }

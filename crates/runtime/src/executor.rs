@@ -273,7 +273,7 @@ fn run_node(
         _ => {
             let costs = costs_of_node(node, opts.seed);
             if opts.distributed {
-                return crate::dist_taper::simulate_dist_taper_at(
+                return crate::dist_taper::simulate_dist_taper(
                     cfg,
                     p.max(1),
                     &costs,

@@ -12,8 +12,9 @@
 //!   guided self-scheduling, factoring);
 //! * [`par_op`] — simulation of a single parallel operation under
 //!   owner-computes data placement;
-//! * [`dist_taper`] — the distributed TAPER epoch/token binary tree
-//!   with root-driven chunk re-assignment;
+//! * [`dist_taper`] — distributed TAPER: one clock-free coordinator
+//!   (home queues, epoch tokens, root-driven chunk re-assignment) that
+//!   its binary-tree simulation and the threaded home queues both drive;
 //! * [`finish`] — the finishing-time estimate
 //!   `finish = setup + compute + lag + comm + sched` (equation 1);
 //! * [`alloc`] — the iterative processor-allocation equalizer
@@ -61,7 +62,7 @@ pub use checkpoint::{
     CheckpointSpec, FaultPlan, FaultTrigger, KillSpec, Snapshot,
 };
 pub use chunking::{ChunkPolicy, Factoring, Gss, PolicyKind, SelfSched, Taper, REASSIGN_CV_GATE};
-pub use dist_taper::{simulate_dist_taper, simulate_dist_taper_at, DistResult};
+pub use dist_taper::{simulate_dist_taper, DistResult};
 pub use executor::{costs_of_node, execute_graph, ExecutionReport, ExecutorOptions, NodeReport};
 pub use finish::{finish_estimate, finish_estimate_live, FinishEstimate, HostCalibration, OpSpec};
 pub use granularity::{batch_cost, choose_batch, pipelined_stage_time};

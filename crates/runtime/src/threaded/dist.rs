@@ -2,33 +2,28 @@
 //!
 //! The threaded counterpart of [`crate::dist_taper`]: each worker owns
 //! a *home queue* of tasks (block-decomposed by
-//! [`owner_of`](crate::par_op::owner_of), exactly as the simulator
-//! places them), draws decreasing-size epoch chunks from it via the
-//! same [`Taper`] policy, and publishes an epoch *token* to a logical
-//! binary tree whenever it starts a chunk. The root counts tokens per
-//! epoch: once every worker has tokened epoch `e` the global epoch
-//! increments; if one worker gets two epoch-`e` tokens in before some
-//! other worker's first, the root re-assigns half of that laggard's
-//! unstarted home queue to the fast tokener — gated on the sampled
-//! coefficient of variation ([`Taper::reassign_signal`]), so uniform
-//! workloads never migrate and locality stays at 1.
+//! [`owner_of`](crate::par_op::owner_of) over the op's members, exactly
+//! as the simulator places them), draws decreasing-size epoch chunks
+//! from it, and sends an epoch *token* to a logical binary tree
+//! whenever it claims. The decisions — token counts, the cv-gated
+//! re-assignment of half a laggard's home, epoch completion, chunk
+//! sizes — are the coordinator's, the same clock-free state machine the
+//! simulator drives.
 //!
-//! On shared memory the token tree and the root collapse into one
-//! coordinator guarded by a short mutex: "sending a token" is a counter
-//! increment performed by the claiming worker itself, and the root's
-//! re-assignment delivers the stolen tasks directly into *that
-//! worker's* home queue (the fast tokener is, by construction, the
-//! worker currently claiming). This keeps the protocol's decisions
-//! identical in kind to the simulator's while the critical section
-//! stays one `epoch_chunk` call plus counter updates per chunk — the
-//! same order as the shared [`ChunkQueue`](super::queue::ChunkQueue)'s
-//! adaptive path.
+//! On shared memory the token tree and the root collapse into that
+//! coordinator behind one short mutex: a claim tokens the *global*
+//! epoch and delivers any re-assigned work at once, straight into the
+//! claiming worker's home queue (the fast tokener is, by construction,
+//! the worker currently claiming). The critical section stays one
+//! `epoch_chunk` call plus counter updates per chunk — the same order
+//! as the shared [`ChunkQueue`](super::queue::ChunkQueue)'s adaptive
+//! path.
 //!
 //! Two invariants carry over from the shared queue:
 //!
 //! * **Exactly-once** — a task index lives in exactly one home queue at
-//!   any instant (re-assignment pops before it pushes, all under the
-//!   coordinator lock), and a claim pops it exactly once.
+//!   any instant (re-assignment takes before it delivers, all under the
+//!   coordinator lock), and a claim takes it exactly once.
 //! * **Self-delivery** — tasks only ever move into the home queue of
 //!   the worker performing the claim. A worker whose claim fails
 //!   (empty home, nothing stealable) can therefore drop its op token
@@ -46,12 +41,9 @@
 //! locality/migration trade-off is *evaluated* against wall clocks.
 
 use super::queue::Chunk;
-use crate::chunking::{ChunkPolicy, Taper};
-use crate::par_op::block_of;
-use std::collections::VecDeque;
-use std::ops::Range;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use crate::dist_taper::coord::Coord;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// One claimed epoch chunk: a contiguous span taken off the front of
 /// the claiming worker's home queue, and the epoch it was tokened in.
@@ -63,66 +55,6 @@ pub struct DistChunk {
     pub epoch: u64,
 }
 
-/// A home queue: the runs of consecutive task indices a worker still
-/// owns, in claim order. It starts as the owner's block — one run — and
-/// gains a run whenever work is re-assigned or adopted into it.
-type Home = VecDeque<Range<usize>>;
-
-/// Unclaimed tasks in one home queue.
-fn tasks_in(home: &Home) -> usize {
-    home.iter().map(Range::len).sum()
-}
-
-/// Moves the last `n` tasks of `homes[from]` to the back of
-/// `homes[to]`, keeping their order: every run behind the cut whole,
-/// and the tail of the run the cut falls in.
-///
-/// # Panics
-///
-/// Panics if `homes[from]` holds fewer than `n` tasks.
-fn move_tail(homes: &mut [Home], from: usize, to: usize, n: usize) {
-    let mut dst = std::mem::take(&mut homes[to]);
-    let src = &mut homes[from];
-    let (mut at, mut behind) = (src.len(), 0usize);
-    while behind < n {
-        at -= 1;
-        behind += src[at].len();
-    }
-    // Runs `at..` hold `behind >= n` tasks: the surplus is the head of
-    // run `at`, which stays.
-    let keep = behind - n;
-    if keep > 0 {
-        let cut = src[at].start + keep;
-        dst.push_back(cut..src[at].end);
-        src[at].end = cut;
-        at += 1;
-    }
-    dst.extend(src.drain(at..));
-    homes[to] = dst;
-}
-
-/// Coordinator state: the collapsed token tree, root counters, and the
-/// shared TAPER policy, all behind one short critical section.
-struct Coord {
-    /// Per-worker home queues. Owned here so queue membership and the
-    /// token counters can never disagree mid-reassignment.
-    homes: Vec<Home>,
-    /// Workers the fault layer has declared dead: their tokens are no
-    /// longer required for epoch completion (a dead worker would
-    /// otherwise freeze the global epoch forever).
-    retired: Vec<bool>,
-    policy: Taper,
-    global_epoch: usize,
-    /// counts[e][worker]: epoch-e tokens seen by the root.
-    counts: Vec<Vec<u32>>,
-    /// Times (µs on the caller's clock) of each global-epoch
-    /// increment, in order — the threaded analogue of
-    /// [`DistResult::epoch_times`](crate::dist_taper::DistResult).
-    epoch_times_us: Vec<f64>,
-    /// Tasks handed out so far (the global TAPER sequence's position).
-    claimed: usize,
-}
-
 /// The per-worker home-queue claim path for one parallel operation
 /// under distributed TAPER.
 pub struct DistQueue {
@@ -130,92 +62,30 @@ pub struct DistQueue {
     /// Tasks not yet handed out; updated inside the claim's critical
     /// section so an exhausted queue is detectable with a single load.
     remaining: AtomicUsize,
-    chunks: AtomicU64,
-    reassignments: AtomicU64,
-    remote_reassignments: AtomicU64,
-    migrated: AtomicU64,
-    total: usize,
-    workers: usize,
-    /// NUMA node of each home queue's worker; re-assignment prefers a
-    /// laggard on the claimant's node, so migrated tasks cross a node
-    /// boundary only when no same-node laggard exists.
-    node_of: Vec<usize>,
 }
 
 impl DistQueue {
-    /// A distributed queue over `total` tasks, block-decomposed onto
-    /// `workers` home queues (owner-computes placement), with every
-    /// worker on one NUMA node (no placement preference).
-    pub fn new(total: usize, workers: usize) -> Self {
-        let workers = workers.max(1);
-        DistQueue::with_nodes(total, workers, vec![0; workers])
-    }
-
-    /// Like [`new`](Self::new), with each worker's NUMA node supplied
-    /// so the root's re-assignment can prefer same-node migration. The
-    /// task→home mapping is unchanged — topology shapes only *where
-    /// stolen work goes*, never where work starts (the simulator's
-    /// owner-computes placement stays bit-identical).
+    /// A distributed queue over `total` tasks for one worker per entry
+    /// of `node_of` (its NUMA node: re-assignment prefers a same-node
+    /// laggard), block-decomposed onto the home queues of `members` —
+    /// the §4.1.2 allocator's partition of the pool for this operation.
+    /// Non-members start retired (their tokens are not required for
+    /// epoch completion and their homes are empty);
+    /// [`admit_worker`](Self::admit_worker) later widens the partition
+    /// when the equalizer migrates freed processors here.
     ///
     /// # Panics
     ///
-    /// Panics if `node_of.len() != workers.max(1)`.
-    pub fn with_nodes(total: usize, workers: usize, node_of: Vec<usize>) -> Self {
-        let workers = workers.max(1);
-        let members: Vec<usize> = (0..workers).collect();
-        DistQueue::with_partition(total, workers, node_of, &members)
-    }
-
-    /// Like [`with_nodes`](Self::with_nodes), but block-decomposes the
-    /// iteration space over `members` only — the §4.1.2 allocator's
-    /// partition of the pool for this operation. Non-members start
-    /// retired (their tokens are not required for epoch completion and
-    /// their homes are empty); [`admit_worker`](Self::admit_worker)
-    /// later widens the partition when the equalizer migrates freed
-    /// processors here.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node_of.len() != workers.max(1)`, `members` is empty,
-    /// or any member index is out of range.
-    pub fn with_partition(
-        total: usize,
-        workers: usize,
-        node_of: Vec<usize>,
-        members: &[usize],
-    ) -> Self {
-        let workers = workers.max(1);
-        assert_eq!(node_of.len(), workers, "one node per worker");
-        assert!(!members.is_empty(), "partition needs at least one member");
-        assert!(members.iter().all(|&m| m < workers), "member out of range");
-        let mut homes: Vec<Home> = vec![VecDeque::new(); workers];
-        let mut retired = vec![true; workers];
-        for (j, &m) in members.iter().enumerate() {
-            let block = block_of(j, total, members.len());
-            if !block.is_empty() {
-                homes[m].push_back(block);
-            }
-            retired[m] = false;
-        }
+    /// Panics if `members` is empty or any member index is out of range.
+    pub fn new(total: usize, node_of: Vec<usize>, members: &[usize]) -> Self {
         DistQueue {
-            coord: Mutex::new(Coord {
-                homes,
-                retired,
-                policy: Taper::new(),
-                global_epoch: 0,
-                counts: vec![vec![0; workers]],
-                epoch_times_us: Vec::new(),
-                claimed: 0,
-            }),
+            coord: Mutex::new(Coord::new(total, node_of, members)),
             remaining: AtomicUsize::new(total),
-            chunks: AtomicU64::new(0),
-            reassignments: AtomicU64::new(0),
-            remote_reassignments: AtomicU64::new(0),
-            migrated: AtomicU64::new(0),
-            total,
-            workers,
-            node_of,
         }
+    }
+
+    fn coord(&self) -> MutexGuard<'_, Coord> {
+        self.coord.lock().expect("dist coordinator poisoned")
     }
 
     /// Claims the next epoch chunk for `worker` among the tasks whose
@@ -243,8 +113,8 @@ impl DistQueue {
     ///
     /// # Panics
     ///
-    /// Panics if `worker >= workers` or `costs` is shorter than the
-    /// iteration space.
+    /// Panics if `worker` is out of range or `costs` is shorter than
+    /// the iteration space.
     pub fn claim_bounded(
         &self,
         worker: usize,
@@ -252,95 +122,24 @@ impl DistQueue {
         now_us: f64,
         limit: usize,
     ) -> Option<DistChunk> {
-        assert!(worker < self.workers, "worker {worker} out of range");
         if self.remaining.load(Ordering::Acquire) == 0 {
             // Exhausted fast path: stale claims are a single load.
             return None;
         }
-        let mut c = self.coord.lock().expect("dist coordinator poisoned");
-        let e = c.global_epoch;
-        if c.counts.len() <= e {
-            c.counts.resize(e + 1, vec![0; self.workers]);
+        let mut c = self.coord();
+        let epoch = c.epoch();
+        if let Some(m) = c.token(worker, epoch, now_us) {
+            c.deliver(m);
         }
-        // Token: this claim's epoch value reaches the root.
-        c.counts[e][worker] += 1;
-        // Re-assignment: two epoch-e tokens from `worker` before some
-        // laggard's first, gated on sampled cv. The back half of the
-        // laggard's home is delivered straight into the claimant's own
-        // home queue. Among eligible laggards the root prefers one on
-        // the claimant's NUMA node — in the paper's frame, a same-node
-        // claimant is served before a remote one — falling back to the
-        // fullest remote laggard only when the claimant's node has none.
-        if c.counts[e][worker] >= 2 && c.policy.reassign_signal(self.workers) {
-            let mut laggard: Option<(bool, usize, usize)> = None; // (same_node, len, b)
-            for b in 0..self.workers {
-                if b == worker || c.counts[e][b] != 0 || c.homes[b].is_empty() {
-                    continue;
-                }
-                let key = (self.node_of[b] == self.node_of[worker], tasks_in(&c.homes[b]));
-                if laggard.is_none_or(|(s, l, _)| key > (s, l)) {
-                    laggard = Some((key.0, key.1, b));
-                }
-            }
-            if let Some((same_node, len, b)) = laggard {
-                move_tail(&mut c.homes, b, worker, len.div_ceil(2));
-                self.reassignments.fetch_add(1, Ordering::Relaxed);
-                if !same_node {
-                    self.remote_reassignments.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        // Epoch completion: every worker has tokened epoch e (retired
-        // workers are excused — the dead can't token).
-        if e == c.global_epoch
-            && c.counts[e].iter().enumerate().all(|(w, &x)| x > 0 || c.retired[w])
-        {
-            c.global_epoch += 1;
-            // Clamp to the previous increment: callers read their
-            // clock before taking the lock, so two racing claims can
-            // arrive with timestamps out of lock order.
-            let t = c.epoch_times_us.last().map_or(now_us, |&last| now_us.max(last));
-            c.epoch_times_us.push(t);
-            let ge = c.global_epoch;
-            if c.counts.len() <= ge {
-                c.counts.resize(ge + 1, vec![0; self.workers]);
-            }
-        }
-        // Draw the epoch chunk from the (possibly just refilled) home
-        // queue: the global TAPER sequence clamped to the local queue,
-        // to its front run, and to the watermark. An empty home is a
-        // starving visit (the token above doubles as a work request,
-        // but nothing was stealable this time); so is a front run that
-        // sits at or above the watermark.
-        let front = c.homes[worker].front().filter(|run| run.start < limit)?.clone();
-        let remaining_global = self.total - c.claimed;
-        let local_len = tasks_in(&c.homes[worker]);
-        let done = c.claimed;
-        let k = c.policy.epoch_chunk(done, remaining_global, self.workers, local_len);
-        let chunk = Chunk { start: front.start, len: k.min(front.len()).min(limit - front.start) };
-        if chunk.len == front.len() {
-            c.homes[worker].pop_front();
-        } else {
-            c.homes[worker][0].start += chunk.len;
-        }
-        for t in chunk.range() {
-            c.policy.observe(t, costs[t]);
-        }
-        c.claimed += chunk.len;
-        self.remaining.store(self.total - c.claimed, Ordering::Release);
-        drop(c);
-        // Tasks outside the claimant's own block were migrated to it.
-        let (own, span) = (block_of(worker, self.total, self.workers), chunk.range());
-        let at_home = own.end.min(span.end).saturating_sub(own.start.max(span.start));
-        self.migrated.fetch_add((chunk.len - at_home) as u64, Ordering::Relaxed);
-        self.chunks.fetch_add(1, Ordering::Relaxed);
-        Some(DistChunk { chunk, epoch: e as u64 })
+        let chunk = c.draw(worker, limit, costs)?;
+        self.remaining.store(c.remaining(), Ordering::Release);
+        Some(DistChunk { chunk, epoch: epoch as u64 })
     }
 
     /// Whether unclaimed tasks remain anywhere (exact, not a hint: the
     /// counter is updated inside the claim's critical section).
     pub fn has_more(&self) -> bool {
-        self.remaining.load(Ordering::Acquire) > 0
+        self.remaining() > 0
     }
 
     /// Unclaimed tasks remaining across all home queues.
@@ -352,17 +151,17 @@ impl DistQueue {
     /// `None` when the coordinator lock is contended — the §4.1.2
     /// equalizer's live µ/σ feed, best-effort by design.
     pub fn sampled_stats(&self) -> Option<crate::stats::OnlineStats> {
-        self.coord.try_lock().ok().and_then(|c| c.policy.live_stats())
+        self.coord.try_lock().ok().and_then(|c| c.live_stats())
     }
 
     /// Chunks handed out so far.
     pub fn chunks_claimed(&self) -> u64 {
-        self.chunks.load(Ordering::Relaxed)
+        self.coord().chunks
     }
 
     /// Chunk re-assignments performed by the root.
     pub fn reassignments(&self) -> u64 {
-        self.reassignments.load(Ordering::Relaxed)
+        self.coord().reassignments
     }
 
     /// Re-assignments that crossed a NUMA node boundary (the claimant
@@ -370,28 +169,25 @@ impl DistQueue {
     /// [`reassignments`](Self::reassignments); 0 when every worker
     /// shares one node.
     pub fn remote_reassignments(&self) -> u64 {
-        self.remote_reassignments.load(Ordering::Relaxed)
+        self.coord().remote_reassignments
     }
 
-    /// Tasks claimed away from their home worker.
+    /// Tasks claimed outside the claiming member's own block (every
+    /// task a non-member claims).
     pub fn migrated_tasks(&self) -> u64 {
-        self.migrated.load(Ordering::Relaxed)
+        self.coord().migrated
     }
 
     /// Fraction of tasks that stayed on their home worker (1.0 for an
     /// empty operation), matching
     /// [`DistResult::locality`](crate::dist_taper::DistResult).
     pub fn locality(&self) -> f64 {
-        if self.total == 0 {
-            1.0
-        } else {
-            1.0 - self.migrated_tasks() as f64 / self.total as f64
-        }
+        self.coord().locality()
     }
 
     /// Completed global epochs.
     pub fn epochs(&self) -> usize {
-        self.coord.lock().expect("dist coordinator poisoned").epoch_times_us.len()
+        self.coord().epoch()
     }
 
     /// Caller-clock times of each global-epoch increment, in the order
@@ -399,27 +195,16 @@ impl DistQueue {
     /// are serialized by the coordinator lock and each stamp is
     /// clamped to its predecessor.
     pub fn epoch_times_us(&self) -> Vec<f64> {
-        self.coord.lock().expect("dist coordinator poisoned").epoch_times_us.clone()
-    }
-
-    /// Total tasks in the operation.
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
-    /// Home-queue (worker) count.
-    pub fn workers(&self) -> usize {
-        self.workers
+        self.coord().epoch_times.clone()
     }
 
     /// Unclaimed tasks currently in `worker`'s home queue.
     ///
     /// # Panics
     ///
-    /// Panics if `worker >= workers`.
+    /// Panics if `worker` is out of range.
     pub fn home_len(&self, worker: usize) -> usize {
-        assert!(worker < self.workers, "worker {worker} out of range");
-        tasks_in(&self.coord.lock().expect("dist coordinator poisoned").homes[worker])
+        self.coord().home_len(worker)
     }
 
     /// Whether `worker`'s home queue starts strictly below `limit` —
@@ -432,12 +217,9 @@ impl DistQueue {
     ///
     /// # Panics
     ///
-    /// Panics if `worker >= workers`.
+    /// Panics if `worker` is out of range.
     pub fn home_ready_below(&self, worker: usize, limit: usize) -> bool {
-        assert!(worker < self.workers, "worker {worker} out of range");
-        self.coord.lock().expect("dist coordinator poisoned").homes[worker]
-            .front()
-            .is_some_and(|run| run.start < limit)
+        self.coord().home_ready_below(worker, limit)
     }
 
     /// Excuses a dead worker from epoch completion: subsequent epochs
@@ -447,76 +229,42 @@ impl DistQueue {
     ///
     /// # Panics
     ///
-    /// Panics if `worker >= workers`.
+    /// Panics if `worker` is out of range.
     pub fn retire_worker(&self, worker: usize) {
-        assert!(worker < self.workers, "worker {worker} out of range");
-        self.coord.lock().expect("dist coordinator poisoned").retired[worker] = true;
+        self.coord().retire(worker);
     }
 
     /// Moves every unclaimed task from `dead`'s home queue into
-    /// `heir`'s, returning how many moved. The self-delivery invariant
-    /// holds — the heir is the claiming survivor adopting an orphaned
-    /// home — and exactly-once is preserved (the move happens under
-    /// the coordinator lock, whole runs at a time like re-assignment).
-    /// Adopted tasks count as migrated when claimed, exactly like
-    /// re-assigned ones. Unlike the cv-gated re-assignment path this
-    /// is unconditional: a dead worker's home must drain even on
-    /// perfectly uniform costs.
+    /// `heir`'s, returning how many moved — unconditionally, so a dead
+    /// worker's home drains even on uniform costs. Self-delivery holds:
+    /// the heir is the claiming survivor. Adopted tasks count as
+    /// migrated when claimed.
     ///
     /// # Panics
     ///
-    /// Panics if `dead >= workers` or `heir >= workers`.
+    /// Panics if `dead` or `heir` is out of range.
     pub fn adopt_home(&self, dead: usize, heir: usize) -> usize {
-        assert!(dead < self.workers, "worker {dead} out of range");
-        assert!(heir < self.workers, "worker {heir} out of range");
-        if dead == heir {
-            return 0;
-        }
-        let mut c = self.coord.lock().expect("dist coordinator poisoned");
-        let moved = tasks_in(&c.homes[dead]);
-        move_tail(&mut c.homes, dead, heir, moved);
-        moved
+        self.coord().adopt(dead, heir)
     }
 
-    /// Admits `worker` into the operation's partition: un-retires it
-    /// (its tokens now count toward epoch completion) and seeds its
-    /// home queue with the back half of the fullest home, returning how
-    /// many tasks moved. Unlike the cv-gated in-protocol re-assignment
-    /// this is unconditional — the §4.1.2 equalizer has already decided the
-    /// migration, so the gate must not veto it. Idempotent for a
-    /// worker that is already a member with a non-empty home (it only
-    /// re-seeds when the admitted home is empty).
+    /// Admits `worker` into the operation's partition: its tokens count
+    /// toward epoch completion, and an empty home is seeded with the
+    /// back half of the fullest home — unconditionally, since the
+    /// §4.1.2 equalizer has already decided the migration. Returns how
+    /// many tasks moved.
     ///
     /// # Panics
     ///
-    /// Panics if `worker >= workers`.
+    /// Panics if `worker` is out of range.
     pub fn admit_worker(&self, worker: usize) -> usize {
-        assert!(worker < self.workers, "worker {worker} out of range");
-        let mut c = self.coord.lock().expect("dist coordinator poisoned");
-        c.retired[worker] = false;
-        if !c.homes[worker].is_empty() {
-            return 0;
-        }
-        let donor = (0..self.workers)
-            .filter(|&b| b != worker)
-            .map(|b| (tasks_in(&c.homes[b]), b))
-            .max_by_key(|&(len, _)| len)
-            .filter(|&(len, _)| len > 1);
-        let Some((len, b)) = donor else { return 0 };
-        let steal = len / 2;
-        move_tail(&mut c.homes, b, worker, steal);
-        self.reassignments.fetch_add(1, Ordering::Relaxed);
-        if self.node_of[b] != self.node_of[worker] {
-            self.remote_reassignments.fetch_add(1, Ordering::Relaxed);
-        }
-        steal
+        self.coord().admit(worker)
     }
 
     /// Merges previously persisted cost statistics into the TAPER
     /// policy so a resumed operation restarts with the µ/σ (and so the
     /// chunk-size schedule) it had already learned before the crash.
     pub fn warm(&self, stats: &crate::stats::OnlineStats) {
-        self.coord.lock().expect("dist coordinator poisoned").policy.observe_chunk(0, 0, stats);
+        self.coord().warm(stats);
     }
 }
 
@@ -525,13 +273,19 @@ mod tests {
     use super::*;
     use crate::par_op::owner_of;
     use proptest::prelude::*;
+    use std::collections::VecDeque;
     use std::sync::Arc;
+
+    /// A queue whose every worker is a member, all on one node.
+    fn everyone(total: usize, workers: usize) -> DistQueue {
+        DistQueue::new(total, vec![0; workers], &(0..workers).collect::<Vec<_>>())
+    }
 
     /// Drives a DistQueue with real threads; each worker spins a
     /// busy-loop proportional to the task's cost so laggards are
     /// laggards in wall time too. Returns per-worker claimed indices.
     fn drain_with_threads(costs: Arc<Vec<f64>>, workers: usize, spin: f64) -> Vec<Vec<usize>> {
-        let q = Arc::new(DistQueue::new(costs.len(), workers));
+        let q = Arc::new(everyone(costs.len(), workers));
         let t0 = std::time::Instant::now();
         let mut handles = Vec::new();
         for w in 0..workers {
@@ -570,7 +324,7 @@ mod tests {
     #[test]
     fn uniform_costs_claim_exactly_once_with_full_locality() {
         let costs = Arc::new(vec![5.0; 600]);
-        let q = Arc::new(DistQueue::new(costs.len(), 4));
+        let q = Arc::new(everyone(costs.len(), 4));
         // Same protocol, checked through the public accessors after a
         // threaded drain.
         drop(q);
@@ -589,7 +343,7 @@ mod tests {
     #[test]
     fn uniform_costs_never_reassign() {
         let costs = Arc::new(vec![5.0; 600]);
-        let q = Arc::new(DistQueue::new(costs.len(), 4));
+        let q = Arc::new(everyone(costs.len(), 4));
         let t0 = std::time::Instant::now();
         let mut handles = Vec::new();
         for w in 0..4 {
@@ -625,7 +379,7 @@ mod tests {
             *c = 500.0;
         }
         let costs = Arc::new(costs);
-        let q = Arc::new(DistQueue::new(n, p));
+        let q = Arc::new(everyone(n, p));
         let first_claims = Arc::new(std::sync::Barrier::new(p));
         let fast_done = Arc::new(AtomicUsize::new(0));
         let t0 = std::time::Instant::now();
@@ -668,7 +422,7 @@ mod tests {
         let costs = Arc::new(vec![3.0; 64]);
         let claimed = drain_with_threads(Arc::clone(&costs), 1, 1.0);
         assert_exactly_once(&claimed, 64);
-        let q = DistQueue::new(64, 1);
+        let q = everyone(64, 1);
         let mut n = 0usize;
         while let Some(c) = claim(&q, 0, &costs, n as f64) {
             n += c.chunk.len;
@@ -682,7 +436,7 @@ mod tests {
 
     #[test]
     fn empty_queue_yields_nothing() {
-        let q = DistQueue::new(0, 4);
+        let q = everyone(0, 4);
         assert_eq!(claim(&q, 0, &[], 0.0), None);
         assert!(!q.has_more());
         assert_eq!(q.chunks_claimed(), 0);
@@ -692,7 +446,7 @@ mod tests {
     #[test]
     fn post_exhaustion_claims_stay_none() {
         let costs = vec![1.0; 32];
-        let q = DistQueue::new(32, 2);
+        let q = everyone(32, 2);
         let mut got = 0usize;
         for w in [0usize, 1] {
             while let Some(c) = claim(&q, w, &costs, 0.0) {
@@ -722,7 +476,7 @@ mod tests {
         for c in costs.iter_mut().take(n / 4) {
             *c = 500.0;
         }
-        let q = DistQueue::with_nodes(n, 4, vec![0, 0, 1, 1]);
+        let q = DistQueue::new(n, vec![0, 0, 1, 1], &[0, 1, 2, 3]);
         // Worker 3 tokens once so it is never an eligible laggard.
         let _ = claim(&q, 3, &costs, 0.0);
         // Worker 0 claims until the root performs its first
@@ -754,7 +508,7 @@ mod tests {
         for t in (n / 2..n).step_by(4) {
             costs[t] = 500.0;
         }
-        let q = DistQueue::with_nodes(n, 2, vec![0, 1]);
+        let q = DistQueue::new(n, vec![0, 1], &[0, 1]);
         while claim(&q, 1, &costs, 0.0).is_some() {}
         assert!(q.reassignments() >= 1, "fast worker never triggered the gate");
         assert_eq!(q.remote_reassignments(), q.reassignments());
@@ -768,7 +522,7 @@ mod tests {
         // from the non-members.
         let n = 200;
         let costs = vec![2.0; n];
-        let q = DistQueue::with_partition(n, 4, vec![0; 4], &[1, 3]);
+        let q = DistQueue::new(n, vec![0; 4], &[1, 3]);
         assert_eq!(q.home_len(0), 0);
         assert_eq!(q.home_len(2), 0);
         assert_eq!(q.home_len(1) + q.home_len(3), n);
@@ -788,10 +542,31 @@ mod tests {
     }
 
     #[test]
+    fn partitioned_members_claim_their_own_blocks_unmigrated() {
+        // Members {2, 3} of 4 workers each own half the space. Uniform
+        // costs re-assign nothing, so nothing migrates: a member's home
+        // is its block of the two-way split, not of a four-way one.
+        let n = 200;
+        let costs = vec![1.0; n];
+        let q = DistQueue::new(n, vec![0; 4], &[2, 3]);
+        let mut active = true;
+        while active {
+            active = false;
+            for w in [2usize, 3] {
+                active |= claim(&q, w, &costs, 0.0).is_some();
+            }
+        }
+        assert!(!q.has_more());
+        assert_eq!(q.reassignments(), 0);
+        assert_eq!(q.migrated_tasks(), 0);
+        assert!((q.locality() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
     fn admitted_worker_inherits_half_the_fullest_home() {
         let n = 128;
         let costs = vec![1.0; n];
-        let q = DistQueue::with_partition(n, 4, vec![0; 4], &[0]);
+        let q = DistQueue::new(n, vec![0; 4], &[0]);
         assert_eq!(q.home_len(0), n);
         let moved = q.admit_worker(2);
         assert_eq!(moved, n / 2);
@@ -812,7 +587,7 @@ mod tests {
         got.sort_unstable();
         assert_eq!(got, (0..n).collect::<Vec<_>>());
         // Idempotent once the home is non-empty.
-        let q2 = DistQueue::with_partition(n, 2, vec![0; 2], &[0, 1]);
+        let q2 = DistQueue::new(n, vec![0; 2], &[0, 1]);
         assert_eq!(q2.admit_worker(1), 0, "member with work must not re-seed");
     }
 
@@ -824,7 +599,7 @@ mod tests {
         // exhausted. Raising the limit drains the rest.
         let n = 64;
         let costs = vec![1.0; n];
-        let q = DistQueue::new(n, 1);
+        let q = everyone(n, 1);
         let mut got = Vec::new();
         while let Some(c) = q.claim_bounded(0, &costs, 0.0, 10) {
             got.extend(c.chunk.range());
@@ -849,7 +624,7 @@ mod tests {
         let n = 512;
         let p = 4;
         let costs = vec![2.0; n];
-        let q = DistQueue::new(n, p);
+        let q = everyone(n, p);
         let mut sizes = Vec::new();
         let mut active = true;
         while active {
@@ -935,7 +710,7 @@ mod tests {
                     _ => 1.0,
                 })
                 .collect();
-            let q = DistQueue::with_partition(total, workers, vec![0; workers], &members);
+            let q = DistQueue::new(total, vec![0; workers], &members);
             let mut model = IndexModel::new(total, workers, &members);
             let mut dead = vec![false; workers];
             let mut seen = vec![false; total];
@@ -977,7 +752,7 @@ mod tests {
                             for t in chunk.range() {
                                 prop_assert_eq!(model.homes[a].pop_front(), Some(t));
                                 prop_assert!(!std::mem::replace(&mut seen[t], true), "{t} twice");
-                                model.migrated += u64::from(owner_of(t, total, workers) != a);
+                                model.migrated += u64::from(members[owner_of(t, total, members.len())] != a);
                             }
                         }
                     }

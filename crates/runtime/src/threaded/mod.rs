@@ -403,15 +403,10 @@ pub(crate) fn run_threaded(
             // so a lone Task/Merge node doesn't token every worker.
             let (queue, queue_costs) =
                 if opts.backend == ExecutorBackend::ThreadedDist && pending > 1 {
-                    let nodes = wt.node_of_worker.clone();
-                    let q = if state.share.len() < workers {
-                        // Block-decompose over the op's share only: the
-                        // other shares' workers start with no home here.
-                        let members: Vec<usize> = state.share.clone().collect();
-                        DistQueue::with_partition(pending, workers, nodes, &members)
-                    } else {
-                        DistQueue::with_nodes(pending, workers, nodes)
-                    };
+                    // Block-decompose over the op's share: the other
+                    // shares' workers start with no home here.
+                    let members: Vec<usize> = state.share.clone().collect();
+                    let q = DistQueue::new(pending, wt.node_of_worker.clone(), &members);
                     if let Some(stats) = &state.warm {
                         q.warm(stats);
                     }

@@ -1098,7 +1098,7 @@ mod tests {
                 .map(|state| {
                     let queue = if dist {
                         let members: Vec<usize> = state.share.clone().collect();
-                        OpQueue::Dist(DistQueue::with_partition(64, 2, vec![0; 2], &members))
+                        OpQueue::Dist(DistQueue::new(64, vec![0; 2], &members))
                     } else {
                         OpQueue::Shared(state.chunk_queue(opts.policy))
                     };
@@ -1174,7 +1174,7 @@ mod tests {
         let ops: Vec<PoolOp> = ops
             .into_iter()
             .map(|state| {
-                let queue = OpQueue::Dist(DistQueue::with_nodes(state.pending(), 2, vec![0; 2]));
+                let queue = OpQueue::Dist(DistQueue::new(state.pending(), vec![0; 2], &[0, 1]));
                 PoolOp { queue, queue_costs: None, state }
             })
             .collect();

@@ -119,7 +119,7 @@ proptest! {
         let costs = dist.sample(n, seed);
         let total: f64 = costs.iter().sum();
         let cfg = MachineConfig::ncube2(p);
-        let r = simulate_dist_taper(&cfg, p, &costs, 64);
+        let r = simulate_dist_taper(&cfg, p, &costs, 64, 0.0);
         prop_assert_eq!(r.stats.total_tasks(), n as u64);
         prop_assert!((r.stats.total_busy() - total).abs() < 1e-6 * total.max(1.0));
         prop_assert!(r.finish + 1e-9 >= total / p as f64);
@@ -214,7 +214,7 @@ proptest! {
         let p = 1usize << p_exp;
         let costs = vec![10.0; n];
         let cfg = MachineConfig::ncube2(p);
-        let r = simulate_dist_taper(&cfg, p, &costs, 64);
+        let r = simulate_dist_taper(&cfg, p, &costs, 64, 0.0);
         prop_assert!(
             r.locality >= 0.95,
             "uniform work must stay on its owners, locality {}",
