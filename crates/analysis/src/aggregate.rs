@@ -13,7 +13,7 @@
 //! invalidate the remembered element.
 
 use crate::cfg::{Cfg, SimpleStmt};
-use orchestra_lang::ast::{Expr, LValue};
+use orchestra_lang::ast::{Expr, LValue, Name};
 use orchestra_lang::pretty::expr_to_string;
 use std::collections::HashMap;
 
@@ -41,7 +41,7 @@ fn forward_block(stmts: &mut [SimpleStmt]) -> usize {
     // Map element key → forwarded value expression.
     let mut known: HashMap<String, Expr> = HashMap::new();
     // Which array each key belongs to, for invalidation.
-    let mut by_array: HashMap<String, Vec<String>> = HashMap::new();
+    let mut by_array: HashMap<Name, Vec<String>> = HashMap::new();
     let mut forwarded = 0;
 
     for s in stmts.iter_mut() {
@@ -57,8 +57,8 @@ fn forward_block(stmts: &mut [SimpleStmt]) -> usize {
                         // expressions mention it — but in SSA form scalar
                         // names are single-assignment, so nothing to do
                         // unless the name is reused (non-SSA input).
-                        let name = name.clone();
-                        known.retain(|k, val| !k.contains(&name) && !expr_mentions(val, &name));
+                        let name = name.as_str();
+                        known.retain(|k, val| !k.contains(name) && !expr_mentions(val, name));
                     }
                     LValue::Index(array, idx) => {
                         let mut new_idx = idx.clone();

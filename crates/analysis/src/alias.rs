@@ -16,16 +16,16 @@
 use crate::cfg::{Cfg, SimpleStmt};
 use crate::propagate::Propagation;
 use crate::symbolic::SymValue;
-use orchestra_lang::ast::{Expr, LValue};
+use orchestra_lang::ast::{Expr, LValue, Name};
 use std::collections::BTreeSet;
 
 /// The result of alias detection.
 #[derive(Debug, Clone, Default)]
 pub struct AliasInfo {
     /// Arrays that participate in at least one aliasing call.
-    pub aliased_arrays: BTreeSet<String>,
+    pub aliased_arrays: BTreeSet<Name>,
     /// SSA names whose symbolic values must be discarded.
-    pub invalidated: BTreeSet<String>,
+    pub invalidated: BTreeSet<Name>,
 }
 
 impl AliasInfo {

@@ -6,7 +6,7 @@
 //! others sharing the same *aliasing pattern* and *constant values*;
 //! lighter sites are grouped more coarsely under a tunable heuristic.
 
-use orchestra_lang::ast::{Expr, Program, Stmt};
+use orchestra_lang::ast::{Expr, Name, Program, Stmt};
 use std::collections::BTreeMap;
 
 /// One syntactic call site discovered in a program.
@@ -15,7 +15,7 @@ pub struct CallSite {
     /// Sequential id in discovery (pre-order) order.
     pub id: usize,
     /// Procedure name.
-    pub proc: String,
+    pub proc: Name,
     /// Actual argument expressions.
     pub args: Vec<Expr>,
     /// Profile weight (estimated or measured executions × cost).
@@ -28,7 +28,7 @@ pub struct CallSite {
 }
 
 impl CallSite {
-    fn from_call(id: usize, name: &str, args: &[Expr], weight: f64) -> CallSite {
+    fn from_call(id: usize, name: &Name, args: &[Expr], weight: f64) -> CallSite {
         let mut alias_pattern = vec![None; args.len()];
         for i in 0..args.len() {
             if let Expr::Var(vi) = &args[i] {
@@ -37,14 +37,7 @@ impl CallSite {
             }
         }
         let const_args = args.iter().map(|a| a.as_int()).collect();
-        CallSite {
-            id,
-            proc: name.to_string(),
-            args: args.to_vec(),
-            weight,
-            alias_pattern,
-            const_args,
-        }
+        CallSite { id, proc: name.clone(), args: args.to_vec(), weight, alias_pattern, const_args }
     }
 
     /// True if any two arguments name the same variable.
@@ -57,7 +50,7 @@ impl CallSite {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CallGroup {
     /// Procedure name.
-    pub proc: String,
+    pub proc: Name,
     /// Ids of member call sites.
     pub sites: Vec<usize>,
     /// Whether the members are "hot" (analyzed with full precision).

@@ -9,7 +9,7 @@
 //! touches — the "memory usage" annotation the paper attaches to CFG
 //! nodes before descriptor construction.
 
-use orchestra_lang::ast::{BinOp, Expr, LValue, Stmt};
+use orchestra_lang::ast::{BinOp, Expr, LValue, Name, Stmt};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -29,7 +29,7 @@ pub enum SimpleStmt {
     /// Procedure call.
     Call {
         /// Procedure name.
-        name: String,
+        name: Name,
         /// Actual arguments.
         args: Vec<Expr>,
     },
@@ -102,7 +102,7 @@ impl Block {
     }
 
     /// Scalar variables written by statements in this block.
-    pub fn scalar_defs(&self) -> BTreeSet<String> {
+    pub fn scalar_defs(&self) -> BTreeSet<Name> {
         let mut out = BTreeSet::new();
         for s in &self.stmts {
             if let SimpleStmt::Assign { target: LValue::Var(v), .. } = s {
@@ -113,7 +113,7 @@ impl Block {
     }
 
     /// Scalar variables read by statements or the terminator.
-    pub fn scalar_uses(&self) -> BTreeSet<String> {
+    pub fn scalar_uses(&self) -> BTreeSet<Name> {
         let mut out = BTreeSet::new();
         for s in &self.stmts {
             match s {
@@ -139,7 +139,7 @@ impl Block {
     }
 
     /// Arrays written by statements in this block.
-    pub fn array_defs(&self) -> BTreeSet<String> {
+    pub fn array_defs(&self) -> BTreeSet<Name> {
         let mut out = BTreeSet::new();
         for s in &self.stmts {
             match s {
@@ -161,7 +161,7 @@ impl Block {
     }
 
     /// Arrays read by statements or the terminator.
-    pub fn array_uses(&self) -> BTreeSet<String> {
+    pub fn array_uses(&self) -> BTreeSet<Name> {
         let mut out = BTreeSet::new();
         for s in &self.stmts {
             match s {
@@ -191,7 +191,7 @@ impl Block {
 #[derive(Debug, Clone)]
 pub struct LoopShape {
     /// Induction variable name.
-    pub var: String,
+    pub var: Name,
     /// Preheader block.
     pub preheader: BlockId,
     /// Header (bounds-test) block.
@@ -303,7 +303,7 @@ impl fmt::Display for Cfg {
                 match s {
                     SimpleStmt::Assign { target, value } => {
                         let t = match target {
-                            LValue::Var(v) => v.clone(),
+                            LValue::Var(v) => v.to_string(),
                             LValue::Index(a, _) => format!("{a}[…]"),
                         };
                         writeln!(f, "  {t} = {}", orchestra_lang::pretty::expr_to_string(value))?;
@@ -386,7 +386,7 @@ impl Builder {
 
     fn lower_loop(
         &mut self,
-        var: &str,
+        var: &Name,
         r: &orchestra_lang::ast::Range,
         mask: Option<&Expr>,
         body: &[Stmt],
@@ -400,7 +400,7 @@ impl Builder {
         // preheader: var = lo
         self.blocks[preheader]
             .stmts
-            .push(SimpleStmt::Assign { target: LValue::Var(var.to_string()), value: r.lo.clone() });
+            .push(SimpleStmt::Assign { target: LValue::Var(var.clone()), value: r.lo.clone() });
         self.blocks[preheader].term = Terminator::Jump(header);
         if self.blocks[preheader].role == BlockRole::Plain {
             self.blocks[preheader].role = BlockRole::Preheader;
@@ -410,7 +410,7 @@ impl Builder {
         // constant step uses `var >= hi`.
         let descending = r.step.as_ref().and_then(|e| e.as_int()).is_some_and(|v| v < 0);
         let cmp = if descending { BinOp::Ge } else { BinOp::Le };
-        let cond = Expr::bin(cmp, Expr::Var(var.to_string()), r.hi.clone());
+        let cond = Expr::bin(cmp, Expr::Var(var.clone()), r.hi.clone());
 
         // Body entry (behind the mask test if masked).
         let body_entry = if let Some(m) = mask {
@@ -433,13 +433,13 @@ impl Builder {
         // increment: var = var + step
         let step = r.step.clone().unwrap_or(Expr::IntLit(1));
         self.blocks[increment].stmts.push(SimpleStmt::Assign {
-            target: LValue::Var(var.to_string()),
-            value: Expr::bin(BinOp::Add, Expr::Var(var.to_string()), step.clone()),
+            target: LValue::Var(var.clone()),
+            value: Expr::bin(BinOp::Add, Expr::Var(var.clone()), step),
         });
         self.blocks[increment].term = Terminator::Jump(header);
 
         self.loops.push(LoopShape {
-            var: var.to_string(),
+            var: var.clone(),
             preheader,
             header,
             increment,

@@ -14,8 +14,8 @@
 //! program's observable output in MF).
 
 use crate::propagate::lin_expr;
-use crate::symbolic::{Names, SymValue};
-use orchestra_lang::ast::{Expr, LValue, Program, Stmt};
+use crate::symbolic::SymValue;
+use orchestra_lang::ast::{Expr, LValue, Name, Program, Stmt};
 use std::collections::{BTreeSet, HashMap};
 
 /// Statistics from one DCE run.
@@ -45,7 +45,7 @@ pub fn eliminate_dead_code(prog: &Program) -> (Program, DceStats) {
         let mut round = DceStats::default();
         // Constant-fold decidable branches first: this can make code
         // dead that liveness then removes.
-        let values: HashMap<String, SymValue> = out
+        let values: HashMap<Name, SymValue> = out
             .decls
             .iter()
             .filter(|d| !d.is_array())
@@ -57,7 +57,7 @@ pub fn eliminate_dead_code(prog: &Program) -> (Program, DceStats) {
 
         // Backward liveness: array writes and mask/bound reads keep
         // scalars alive.
-        let mut live: BTreeSet<String> = BTreeSet::new();
+        let mut live: BTreeSet<Name> = BTreeSet::new();
         out.body = sweep_stmts(&out.body, &mut live, &mut round);
 
         stats.assignments_removed += round.assignments_removed;
@@ -72,7 +72,7 @@ pub fn eliminate_dead_code(prog: &Program) -> (Program, DceStats) {
 /// Replaces decidable conditionals with the taken branch.
 fn fold_branches(
     stmts: &[Stmt],
-    values: &HashMap<String, SymValue>,
+    values: &HashMap<Name, SymValue>,
     stats: &mut DceStats,
 ) -> Vec<Stmt> {
     let mut out = Vec::with_capacity(stmts.len());
@@ -110,12 +110,11 @@ fn fold_branches(
 }
 
 /// Decides a branch condition from known symbolic values, when possible.
-fn decide(cond: &Expr, values: &HashMap<String, SymValue>) -> Option<bool> {
+fn decide(cond: &Expr, values: &HashMap<Name, SymValue>) -> Option<bool> {
     use orchestra_lang::ast::BinOp;
     if let Expr::Bin(op, l, r) = cond {
         if op.is_comparison() {
-            let names = Names::default();
-            let (a, b) = (lin_expr(l, values, &names)?, lin_expr(r, values, &names)?);
+            let (a, b) = (lin_expr(l, values)?, lin_expr(r, values)?);
             let d = a.sub(&b).as_constant()?;
             return Some(match op {
                 BinOp::Eq => d == 0,
@@ -133,7 +132,7 @@ fn decide(cond: &Expr, values: &HashMap<String, SymValue>) -> Option<bool> {
 
 /// Backward sweep removing dead scalar assignments and empty control
 /// structure. `live` is the set of scalars live *after* the statements.
-fn sweep_stmts(stmts: &[Stmt], live: &mut BTreeSet<String>, stats: &mut DceStats) -> Vec<Stmt> {
+fn sweep_stmts(stmts: &[Stmt], live: &mut BTreeSet<Name>, stats: &mut DceStats) -> Vec<Stmt> {
     let mut kept_rev: Vec<Stmt> = Vec::with_capacity(stmts.len());
     for s in stmts.iter().rev() {
         match s {

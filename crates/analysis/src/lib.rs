@@ -44,7 +44,7 @@ pub mod ssa;
 pub mod symbolic;
 pub mod verify;
 
-use orchestra_lang::ast::{Program, Stmt};
+use orchestra_lang::ast::{Name, Program, Stmt};
 use std::collections::{BTreeMap, BTreeSet};
 
 pub use propagate::Propagation;
@@ -67,10 +67,10 @@ pub struct AnalyzedProgram {
 
 /// Collects the scalar variable names of a program: declared scalars
 /// plus every loop induction variable.
-pub fn collect_scalars(prog: &Program) -> BTreeSet<String> {
-    let mut out: BTreeSet<String> =
+pub fn collect_scalars(prog: &Program) -> BTreeSet<Name> {
+    let mut out: BTreeSet<Name> =
         prog.decls.iter().filter(|d| !d.is_array()).map(|d| d.name.clone()).collect();
-    fn walk(stmts: &[Stmt], out: &mut BTreeSet<String>) {
+    fn walk(stmts: &[Stmt], out: &mut BTreeSet<Name>) {
         for s in stmts {
             match s {
                 Stmt::Do { var, body, .. } => {

@@ -9,19 +9,19 @@
 
 use crate::cfg::{BlockRole, LoopShape, SimpleStmt, Terminator};
 use crate::ssa::SsaProgram;
-use crate::symbolic::{ordered::OrderedF64, Assertion, Ineq, Names, SymExpr, SymRange, SymValue};
-use orchestra_lang::ast::{BinOp, Expr, LValue, UnOp};
+use crate::symbolic::{ordered::OrderedF64, Assertion, Ineq, SymExpr, SymRange, SymValue};
+use orchestra_lang::ast::{BinOp, Expr, LValue, Name, UnOp};
 use std::collections::HashMap;
 
 /// Results of propagation over one SSA program.
 #[derive(Debug, Clone)]
 pub struct Propagation {
     /// Symbolic value per SSA name.
-    pub values: HashMap<String, SymValue>,
+    pub values: HashMap<Name, SymValue>,
     /// Path assertion per block (over SSA names).
     pub assertions: Vec<Assertion>,
     /// Induction ranges: header-φ SSA name → iteration range.
-    pub loop_ranges: HashMap<String, SymRange>,
+    pub loop_ranges: HashMap<Name, SymRange>,
 }
 
 /// What [`phi_value`] looks up, indexed once per run.
@@ -30,8 +30,6 @@ struct Lookup<'a> {
     loops: HashMap<(usize, &'a str), &'a LoopShape>,
     /// The right-hand side assigned to each SSA scalar.
     defs: HashMap<&'a str, &'a Expr>,
-    /// The SSA names expressions hold opaque, each spelled once.
-    names: Names,
 }
 
 impl<'a> Lookup<'a> {
@@ -46,13 +44,13 @@ impl<'a> Lookup<'a> {
                 _ => None,
             })
             .collect();
-        Lookup { loops, defs, names: Names::default() }
+        Lookup { loops, defs }
     }
 }
 
 /// Runs value and assertion propagation.
 pub fn propagate(ssa: &SsaProgram) -> Propagation {
-    let mut values: HashMap<String, SymValue> = HashMap::new();
+    let mut values: HashMap<Name, SymValue> = HashMap::new();
     let mut loop_ranges = HashMap::new();
     let lookup = Lookup::new(ssa);
 
@@ -79,7 +77,7 @@ pub fn propagate(ssa: &SsaProgram) -> Propagation {
                     if values.contains_key(name) {
                         continue;
                     }
-                    let v = eval_value(value, &values, &lookup.names);
+                    let v = eval_value(value, &values);
                     values.insert(name.clone(), v);
                 }
             }
@@ -103,8 +101,8 @@ pub fn propagate(ssa: &SsaProgram) -> Propagation {
                 merge_edge(&mut assertions, b, *t, &rpo_index, base);
             }
             Terminator::Branch { cond, then_b, else_b } => {
-                let pos = assertions[b].and(&to_assertion(cond, true, &values, &lookup.names));
-                let neg = assertions[b].and(&to_assertion(cond, false, &values, &lookup.names));
+                let pos = assertions[b].and(&to_assertion(cond, true, &values));
+                let neg = assertions[b].and(&to_assertion(cond, false, &values));
                 merge_edge(&mut assertions, b, *then_b, &rpo_index, pos);
                 merge_edge(&mut assertions, b, *else_b, &rpo_index, neg);
             }
@@ -134,28 +132,27 @@ fn phi_value(
     ssa: &SsaProgram,
     block: usize,
     phi: &crate::ssa::Phi,
-    values: &HashMap<String, SymValue>,
+    values: &HashMap<Name, SymValue>,
     lookup: &Lookup,
 ) -> Option<SymValue> {
     // Induction recognition only applies to loop headers.
     let Some(shape) = lookup.loops.get(&(block, phi.var.as_str())) else {
-        return equal_args_value(phi, values, &lookup.names);
+        return equal_args_value(phi, values);
     };
     let (init_arg, step_arg) = match &phi.args[..] {
         [(pred, init), (_, step)] if *pred == shape.preheader => (init, step),
         [(_, step), (pred, init)] if *pred == shape.preheader => (init, step),
-        _ => return equal_args_value(phi, values, &lookup.names),
+        _ => return equal_args_value(phi, values),
     };
     // The back-edge def must be `phi + k`, k non-zero.
-    let names = &lookup.names;
-    let step = lookup.defs.get(step_arg.as_str()).and_then(|def| lin_expr(def, values, names));
+    let step = lookup.defs.get(step_arg.as_str()).and_then(|def| lin_expr(def, values));
     let k = step
         .filter(|se| se.coeff(&phi.dest) == 1)
         .and_then(|se| se.subst(&phi.dest, &SymExpr::constant(0)).as_constant());
     let Some(k) = k.filter(|k| *k != 0) else {
         return Some(SymValue::Unknown);
     };
-    let init = resolve_expr(init_arg, values, names)?;
+    let init = resolve_expr(init_arg, values)?;
     // The loop bound comes from the renamed header test `phi <= hi`
     // (or `>=`), so it is already in SSA names.
     let Terminator::Branch { cond: Expr::Bin(BinOp::Le | BinOp::Ge, lhs, rhs), .. } =
@@ -166,19 +163,15 @@ fn phi_value(
     if !matches!(&**lhs, Expr::Var(v) if *v == phi.dest) {
         return Some(SymValue::Unknown);
     }
-    let hi = lin_expr(rhs, values, names)?;
+    let hi = lin_expr(rhs, values)?;
     let (start, end) = if k > 0 { (init, hi) } else { (hi, init) };
     Some(SymValue::Range(SymRange { start, end, skip: k.abs() }))
 }
 
-fn equal_args_value(
-    phi: &crate::ssa::Phi,
-    values: &HashMap<String, SymValue>,
-    names: &Names,
-) -> Option<SymValue> {
+fn equal_args_value(phi: &crate::ssa::Phi, values: &HashMap<Name, SymValue>) -> Option<SymValue> {
     let mut resolved: Vec<SymExpr> = Vec::new();
     for (_, arg) in &phi.args {
-        resolved.push(resolve_expr(arg, values, names)?);
+        resolved.push(resolve_expr(arg, values)?);
     }
     let first = resolved.first()?;
     if resolved.iter().all(|e| e == first) {
@@ -196,15 +189,13 @@ fn equal_args_value(
 }
 
 /// Resolves a name to a symbolic expression: its known value, or
-/// itself as an opaque term, spelled as `names` holds it.
-pub fn resolve_expr(
-    name: &str,
-    values: &HashMap<String, SymValue>,
-    names: &Names,
-) -> Option<SymExpr> {
+/// itself as an opaque term sharing the caller's spelling.
+pub fn resolve_expr(name: &Name, values: &HashMap<Name, SymValue>) -> Option<SymExpr> {
     match values.get(name) {
         Some(SymValue::Expr(e)) => Some(e.clone()),
-        Some(SymValue::Range(_)) | Some(SymValue::Unknown) | None => Some(names.expr(name)),
+        Some(SymValue::Range(_)) | Some(SymValue::Unknown) | None => {
+            Some(SymExpr::name(name.clone()))
+        }
         Some(SymValue::FloatConst(_)) => None,
     }
 }
@@ -212,17 +203,17 @@ pub fn resolve_expr(
 /// Linearizes an expression over names, substituting known values.
 ///
 /// Returns `None` when the expression is non-linear or reads memory.
-pub fn lin_expr(e: &Expr, values: &HashMap<String, SymValue>, names: &Names) -> Option<SymExpr> {
+pub fn lin_expr(e: &Expr, values: &HashMap<Name, SymValue>) -> Option<SymExpr> {
     match e {
         Expr::IntLit(v) => Some(SymExpr::constant(*v)),
         Expr::FloatLit(_) => None,
-        Expr::Var(name) => resolve_expr(name, values, names),
+        Expr::Var(name) => resolve_expr(name, values),
         Expr::Index(_, _) | Expr::Call(_, _) => None,
-        Expr::Un(UnOp::Neg, inner) => Some(lin_expr(inner, values, names)?.scale(-1)),
+        Expr::Un(UnOp::Neg, inner) => Some(lin_expr(inner, values)?.scale(-1)),
         Expr::Un(UnOp::Not, _) => None,
         Expr::Bin(op, l, r) => {
-            let a = lin_expr(l, values, names)?;
-            let b = lin_expr(r, values, names)?;
+            let a = lin_expr(l, values)?;
+            let b = lin_expr(r, values)?;
             match op {
                 BinOp::Add => Some(a.add(&b)),
                 BinOp::Sub => Some(a.sub(&b)),
@@ -243,8 +234,8 @@ pub fn lin_expr(e: &Expr, values: &HashMap<String, SymValue>, names: &Names) -> 
 }
 
 /// Evaluates an expression to a symbolic value.
-pub fn eval_value(e: &Expr, values: &HashMap<String, SymValue>, names: &Names) -> SymValue {
-    if let Some(le) = lin_expr(e, values, names) {
+pub fn eval_value(e: &Expr, values: &HashMap<Name, SymValue>) -> SymValue {
+    if let Some(le) = lin_expr(e, values) {
         return SymValue::Expr(le);
     }
     if let Expr::FloatLit(v) = e {
@@ -258,16 +249,10 @@ pub fn eval_value(e: &Expr, values: &HashMap<String, SymValue>, names: &Names) -
 /// `positive` selects the taken (`true`) or fall-through (`false`)
 /// direction. Conditions the analysis cannot express (array reads,
 /// calls, non-linear arithmetic) become the trivially-true assertion.
-pub fn to_assertion(
-    cond: &Expr,
-    positive: bool,
-    values: &HashMap<String, SymValue>,
-    names: &Names,
-) -> Assertion {
+pub fn to_assertion(cond: &Expr, positive: bool, values: &HashMap<Name, SymValue>) -> Assertion {
     match cond {
         Expr::Bin(op, l, r) if op.is_comparison() => {
-            let (Some(a), Some(b)) = (lin_expr(l, values, names), lin_expr(r, values, names))
-            else {
+            let (Some(a), Some(b)) = (lin_expr(l, values), lin_expr(r, values)) else {
                 return Assertion::truth();
             };
             let eff_op = if positive { *op } else { op.negate().expect("comparisons negate") };
@@ -283,24 +268,24 @@ pub fn to_assertion(
         }
         Expr::Bin(BinOp::And, l, r) => {
             if positive {
-                to_assertion(l, true, values, names).and(&to_assertion(r, true, values, names))
+                to_assertion(l, true, values).and(&to_assertion(r, true, values))
             } else {
                 // ¬(l ∧ r) = ¬l ∨ ¬r — but each ¬ may be weakened to true,
                 // which would make the whole disjunction true (sound).
-                to_assertion(l, false, values, names).or(&to_assertion(r, false, values, names))
+                to_assertion(l, false, values).or(&to_assertion(r, false, values))
             }
         }
         Expr::Bin(BinOp::Or, l, r) => {
             if positive {
-                to_assertion(l, true, values, names).or(&to_assertion(r, true, values, names))
+                to_assertion(l, true, values).or(&to_assertion(r, true, values))
             } else {
-                to_assertion(l, false, values, names).and(&to_assertion(r, false, values, names))
+                to_assertion(l, false, values).and(&to_assertion(r, false, values))
             }
         }
-        Expr::Un(UnOp::Not, inner) => to_assertion(inner, !positive, values, names),
+        Expr::Un(UnOp::Not, inner) => to_assertion(inner, !positive, values),
         // A bare scalar `if (x)` means `x <> 0`.
         Expr::Var(_) | Expr::IntLit(_) => {
-            let Some(a) = lin_expr(cond, values, names) else {
+            let Some(a) = lin_expr(cond, values) else {
                 return Assertion::truth();
             };
             let zero = SymExpr::constant(0);
@@ -325,9 +310,9 @@ mod tests {
 
     fn analyzed(src: &str) -> (SsaProgram, Propagation) {
         let p = parse_program(src).unwrap();
-        let mut scalars: BTreeSet<String> =
+        let mut scalars: BTreeSet<Name> =
             p.decls.iter().filter(|d| !d.is_array()).map(|d| d.name.clone()).collect();
-        fn ivs(stmts: &[orchestra_lang::ast::Stmt], out: &mut BTreeSet<String>) {
+        fn ivs(stmts: &[orchestra_lang::ast::Stmt], out: &mut BTreeSet<Name>) {
             for s in stmts {
                 match s {
                     orchestra_lang::ast::Stmt::Do { var, body, .. } => {
@@ -455,10 +440,10 @@ mod tests {
 
     #[test]
     fn to_assertion_negates_correctly() {
-        let (values, names) = (HashMap::new(), Names::default());
+        let values = HashMap::new();
         let cond = Expr::bin(BinOp::Lt, Expr::var("x"), Expr::IntLit(5));
-        let pos = to_assertion(&cond, true, &values, &names);
-        let neg = to_assertion(&cond, false, &values, &names);
+        let pos = to_assertion(&cond, true, &values);
+        let neg = to_assertion(&cond, false, &values);
         assert!(pos.and(&neg).contradictory());
     }
 }

@@ -8,18 +8,18 @@
 
 use crate::cfg::{Cfg, SimpleStmt, Terminator};
 use crate::dom::{DomTree, UNREACHABLE};
-use orchestra_lang::ast::{Expr, LValue};
+use orchestra_lang::ast::{Expr, LValue, Name};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// A φ node placed at a block head.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Phi {
     /// Source variable name.
-    pub var: String,
+    pub var: Name,
     /// SSA name defined by this φ.
-    pub dest: String,
+    pub dest: Name,
     /// One `(predecessor block, SSA name)` pair per incoming edge.
-    pub args: Vec<(usize, String)>,
+    pub args: Vec<(usize, Name)>,
 }
 
 /// The result of SSA conversion.
@@ -32,9 +32,9 @@ pub struct SsaProgram {
     /// Dominator tree used during construction.
     pub dom: DomTree,
     /// Defining block of each SSA name (φ or assignment).
-    pub def_block: HashMap<String, usize>,
+    pub def_block: HashMap<Name, usize>,
     /// The scalar variables that were renamed.
-    pub scalars: BTreeSet<String>,
+    pub scalars: BTreeSet<Name>,
 }
 
 /// Splits an SSA name into `(base, version)`.
@@ -46,21 +46,21 @@ pub fn split_ssa_name(name: &str) -> Option<(&str, u32)> {
 }
 
 /// Builds the SSA name for `(base, version)`.
-pub fn ssa_name(base: &str, version: u32) -> String {
-    format!("{base}#{version}")
+pub fn ssa_name(base: &str, version: u32) -> Name {
+    format!("{base}#{version}").into()
 }
 
 /// Converts a CFG to SSA form, renaming the given scalar variables.
 ///
 /// Any scalar used before being assigned refers to `base#0`, the
 /// implicit entry definition.
-pub fn to_ssa(mut cfg: Cfg, scalar_names: &BTreeSet<String>) -> SsaProgram {
+pub fn to_ssa(mut cfg: Cfg, scalar_names: &BTreeSet<Name>) -> SsaProgram {
     cfg.compute_preds();
     let dom = DomTree::compute(&cfg);
     let n = cfg.len();
 
     // Blocks assigning each variable.
-    let mut def_sites: BTreeMap<String, BTreeSet<usize>> = BTreeMap::new();
+    let mut def_sites: BTreeMap<Name, BTreeSet<usize>> = BTreeMap::new();
     for v in scalar_names {
         // The entry holds the implicit initial definition (version 0).
         def_sites.entry(v.clone()).or_default().insert(cfg.entry);
@@ -88,7 +88,8 @@ pub fn to_ssa(mut cfg: Cfg, scalar_names: &BTreeSet<String>) -> SsaProgram {
             for &f in &dom.frontier[b] {
                 if !has_phi[f] {
                     has_phi[f] = true;
-                    phis[f].push(Phi { var: var.clone(), dest: String::new(), args: Vec::new() });
+                    // `dest` is named when renaming reaches block `f`.
+                    phis[f].push(Phi { var: var.clone(), dest: var.clone(), args: Vec::new() });
                     if ever.insert(f) {
                         work.push(f);
                     }
@@ -103,8 +104,9 @@ pub fn to_ssa(mut cfg: Cfg, scalar_names: &BTreeSet<String>) -> SsaProgram {
     for v in scalar_names {
         // Version 0 is the implicit entry definition.
         renamer.counters.insert(v.clone(), 0);
-        renamer.stacks.insert(v.clone(), vec![ssa_name(v, 0)]);
-        renamer.def_block.insert(ssa_name(v, 0), cfg.entry);
+        let entry_def = ssa_name(v, 0);
+        renamer.stacks.insert(v.clone(), vec![entry_def.clone()]);
+        renamer.def_block.insert(entry_def, cfg.entry);
     }
     rename_block(cfg.entry, &mut cfg, &mut phis, &dom, &mut renamer, scalar_names);
 
@@ -112,14 +114,14 @@ pub fn to_ssa(mut cfg: Cfg, scalar_names: &BTreeSet<String>) -> SsaProgram {
 }
 
 struct Renamer {
-    counters: HashMap<String, u32>,
-    stacks: HashMap<String, Vec<String>>,
-    def_block: HashMap<String, usize>,
+    counters: HashMap<Name, u32>,
+    stacks: HashMap<Name, Vec<Name>>,
+    def_block: HashMap<Name, usize>,
 }
 
 impl Renamer {
     /// A new version of `var`, one of the scalars [`to_ssa`] seeded.
-    fn fresh(&mut self, var: &str, block: usize) -> String {
+    fn fresh(&mut self, var: &str, block: usize) -> Name {
         let c = self.counters.get_mut(var).expect("a seeded scalar");
         *c += 1;
         let name = ssa_name(var, *c);
@@ -128,13 +130,13 @@ impl Renamer {
         name
     }
 
-    fn top(&self, var: &str) -> String {
+    fn top(&self, var: &str) -> Name {
         self.stacks.get(var).and_then(|s| s.last()).cloned().unwrap_or_else(|| ssa_name(var, 0))
     }
 }
 
 /// Renames every scalar use in `e` to the version on top of its stack.
-fn rename_expr(e: &mut Expr, r: &Renamer, scalars: &BTreeSet<String>) {
+fn rename_expr(e: &mut Expr, r: &Renamer, scalars: &BTreeSet<Name>) {
     match e {
         Expr::IntLit(_) | Expr::FloatLit(_) => {}
         Expr::Var(v) => {
@@ -159,9 +161,9 @@ fn rename_block(
     phis: &mut [Vec<Phi>],
     dom: &DomTree,
     r: &mut Renamer,
-    scalars: &BTreeSet<String>,
+    scalars: &BTreeSet<Name>,
 ) {
-    let mut pushed: Vec<String> = Vec::new();
+    let mut pushed: Vec<Name> = Vec::new();
 
     // φ destinations first.
     for phi in &mut phis[b] {
@@ -222,10 +224,10 @@ mod tests {
 
     fn ssa_of(src: &str) -> SsaProgram {
         let p = parse_program(src).unwrap();
-        let mut scalars: BTreeSet<String> =
+        let mut scalars: BTreeSet<Name> =
             p.decls.iter().filter(|d| !d.is_array()).map(|d| d.name.clone()).collect();
         // Induction variables are scalars too.
-        fn collect_ivs(stmts: &[orchestra_lang::ast::Stmt], out: &mut BTreeSet<String>) {
+        fn collect_ivs(stmts: &[orchestra_lang::ast::Stmt], out: &mut BTreeSet<Name>) {
             for s in stmts {
                 if let orchestra_lang::ast::Stmt::Do { var, body, .. } = s {
                     out.insert(var.clone());

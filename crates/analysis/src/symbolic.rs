@@ -7,20 +7,18 @@
 //! inequalities; branch conditions are converted to assertions and
 //! propagated through the control-flow graph.
 //!
-//! Term names are shared ([`Name`]): the analysis pipeline uses SSA-name
-//! spellings (`"n#1"`); the descriptor layer uses source variable names
-//! of unresolved constants (`"n"`, `"a"`, induction variables).
+//! Term names are the program's own [`Name`]s, shared with the AST: the
+//! analysis pipeline uses SSA-name spellings (`"n#1"`); the descriptor
+//! layer uses source variable names of unresolved constants (`"n"`,
+//! `"a"`, induction variables).
 
 use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-/// A name as expressions, triples and guards hold it: one allocation
-/// per identifier, shared by every value that mentions it.
-pub type Name = Arc<str>;
+pub use orchestra_lang::ast::Name;
 
 /// A linear integer symbolic expression: `Σ coeffᵢ·nameᵢ + constant`.
 ///
@@ -108,8 +106,8 @@ impl SymExpr {
     }
 
     /// Iterates over `(name, coefficient)` term pairs, in name order.
-    pub fn terms(&self) -> impl Iterator<Item = (&str, i64)> {
-        self.term_list().iter().map(|(n, c)| (&**n, *c))
+    pub fn terms(&self) -> impl Iterator<Item = (&Name, i64)> {
+        self.term_list().iter().map(|(n, c)| (n, *c))
     }
 
     /// True if the expression is a plain constant.
@@ -223,36 +221,6 @@ impl SymExpr {
     /// Proves syntactic/arithmetic equality.
     pub fn eq_expr(&self, other: &SymExpr) -> Option<bool> {
         self.compare(other).map(|o| o == Ordering::Equal)
-    }
-}
-
-/// The identifiers a compile has met, each spelled once: `1·name` per
-/// identifier, made at its first use, so that every later use copies two
-/// references instead of allocating the spelling and a term list again.
-/// One table per analysis run or symbolic context, dropped with it.
-#[derive(Debug, Default)]
-pub struct Names(Mutex<HashMap<Name, SymExpr>>);
-
-impl Names {
-    fn entry(&self, ident: &str) -> (Name, SymExpr) {
-        let mut met = self.0.lock().expect("nothing panics while the table is held");
-        if let Some((name, e)) = met.get_key_value(ident) {
-            return (name.clone(), e.clone());
-        }
-        let name = Name::from(ident);
-        let e = SymExpr::name(name.clone());
-        met.insert(name.clone(), e.clone());
-        (name, e)
-    }
-
-    /// `1·ident`, the same shared name and term list at every call.
-    pub fn expr(&self, ident: &str) -> SymExpr {
-        self.entry(ident).1
-    }
-
-    /// The shared spelling of `ident`.
-    pub fn name(&self, ident: &str) -> Name {
-        self.entry(ident).0
     }
 }
 
@@ -1166,7 +1134,7 @@ mod tests {
 
     /// Everything an expression shows of itself, against the model's.
     fn assert_same(e: &SymExpr, m: &MapExpr, what: &str) {
-        let listed: Vec<(&str, i64)> = e.terms().collect();
+        let listed: Vec<(&str, i64)> = e.terms().map(|(n, c)| (n.as_str(), c)).collect();
         let wanted: Vec<(&str, i64)> = m.terms.iter().map(|(n, c)| (n.as_str(), *c)).collect();
         assert_eq!(listed, wanted, "{what}: terms, in order");
         assert_eq!(e.terms.is_none(), listed.is_empty(), "{what}: an empty list is `None`");
@@ -1222,7 +1190,7 @@ mod tests {
 
     impl SymExpr {
         fn eval(&self, v: &Valuation) -> i64 {
-            self.terms().map(|(n, c)| c * v[n]).sum::<i64>() + self.konst
+            self.terms().map(|(n, c)| c * v[n.as_str()]).sum::<i64>() + self.konst
         }
     }
 

@@ -14,7 +14,7 @@
 
 use crate::cfg::{SimpleStmt, Terminator};
 use crate::ssa::{split_ssa_name, SsaProgram};
-use orchestra_lang::ast::{Expr, LValue};
+use orchestra_lang::ast::{Expr, LValue, Name};
 use std::collections::{BTreeSet, HashMap};
 
 /// A violation of the SSA invariants.
@@ -23,26 +23,26 @@ pub enum SsaViolation {
     /// A name is assigned more than once.
     MultipleDefinitions {
         /// The offending SSA name.
-        name: String,
+        name: Name,
     },
     /// A use is not dominated by its definition.
     UseNotDominated {
         /// The offending SSA name.
-        name: String,
+        name: Name,
         /// The block containing the use.
         use_block: usize,
     },
     /// A φ's argument count differs from its block's predecessor count.
     PhiArityMismatch {
         /// The φ's destination name.
-        dest: String,
+        dest: Name,
         /// Block holding the φ.
         block: usize,
     },
     /// A φ argument names a block that is not a predecessor.
     PhiBadPredecessor {
         /// The φ's destination name.
-        dest: String,
+        dest: Name,
         /// The claimed predecessor.
         pred: usize,
     },
@@ -128,7 +128,7 @@ pub fn verify_ssa(ssa: &SsaProgram) -> Vec<SsaViolation> {
         collect_ssa_uses(e, &mut |name| {
             if !dominated(name, bi) {
                 violations
-                    .push(SsaViolation::UseNotDominated { name: name.to_string(), use_block: bi });
+                    .push(SsaViolation::UseNotDominated { name: name.clone(), use_block: bi });
             }
         });
     };
@@ -170,7 +170,7 @@ pub fn verify_ssa(ssa: &SsaProgram) -> Vec<SsaViolation> {
     violations
 }
 
-fn collect_ssa_uses<'a>(e: &'a Expr, f: &mut dyn FnMut(&'a str)) {
+fn collect_ssa_uses<'a>(e: &'a Expr, f: &mut dyn FnMut(&'a Name)) {
     match e {
         Expr::Var(v) if split_ssa_name(v).is_some() => {
             f(v);

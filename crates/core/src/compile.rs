@@ -263,6 +263,22 @@ mod tests {
         assert!(summary.iter().any(|(n, cl)| n == "B_M" && *cl == "merge"));
     }
 
+    /// `A` counts down by a step held in a scalar and writes all of `x`,
+    /// which `B` reads: `B` depends on `A` exactly as with the literal
+    /// step (taken for +1, the step made `A` write nothing and `B`
+    /// independent).
+    #[test]
+    fn a_loop_reading_what_a_scalar_stepped_loop_writes_depends_on_it() {
+        for step in ["-1", "s"] {
+            let src = format!(
+                "program t\n integer n = 8, s = -1\n float x[1..n], q[1..n], y[1..n]\n A: do i = n, 1, {step} {{ x[i] = q[i] + 1.0 }}\n B: do j = 1, n {{ y[j] = x[j] * 2.0 }}\nend"
+            );
+            let c = compile_source(&src, &SplitOptions::default()).unwrap();
+            let summary = summarize_pieces(&c);
+            assert!(summary.contains(&("B".to_string(), "dependent")), "step {step}: {summary:?}");
+        }
+    }
+
     /// A serving daemon holds one `Compiled` per cached plan, reached
     /// from every connection's thread.
     #[test]

@@ -313,7 +313,7 @@ pub fn baseline_graph(prog: &Program) -> (DelirGraph, HashMap<String, usize>) {
     let mut prev: Option<usize> = None;
     for (i, s) in prog.body.iter().enumerate() {
         let name = match s {
-            Stmt::Do { label: Some(l), .. } => l.clone(),
+            Stmt::Do { label: Some(l), .. } => l.to_string(),
             _ => format!("stmt{i}"),
         };
         let id = if let Stmt::Do { var, ranges, body, .. } = s {

@@ -18,7 +18,7 @@ use crate::descriptor::Descriptor;
 use crate::guard::{Guard, MaskRel, MaskTest};
 use crate::triple::{DimPattern, Triple};
 use orchestra_analysis::propagate::lin_expr;
-use orchestra_analysis::symbolic::{Ineq, Name, Names, SymExpr, SymRange, SymValue};
+use orchestra_analysis::symbolic::{Ineq, Name, SymExpr, SymRange, SymValue};
 use orchestra_lang::ast::{BinOp, Expr, LValue, Program, Stmt};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -27,18 +27,14 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Default)]
 pub struct SymCtx {
     /// Known symbolic values of scalars, keyed by source name.
-    pub values: HashMap<String, SymValue>,
+    pub values: HashMap<Name, SymValue>,
     /// Names of arrays (anything else in an index is a scalar). Fixed
     /// per program and shared: a context is cloned at every statement
     /// list and loop nest, and the array names are most of it.
-    pub arrays: Arc<BTreeSet<String>>,
+    pub arrays: Arc<BTreeSet<Name>>,
     /// Scalars whose values were changed by walked code; mentions of
     /// these can no longer be trusted in symbolic expressions.
-    pub killed: BTreeSet<String>,
-    /// The identifiers met so far, each spelled once for every triple,
-    /// mask and expression that mentions it; shared, like `arrays`, by
-    /// every context derived from this one.
-    pub names: Arc<Names>,
+    pub killed: BTreeSet<Name>,
 }
 
 impl SymCtx {
@@ -62,7 +58,7 @@ impl SymCtx {
 
     /// Linearizes an expression over source names, refusing killed names.
     pub fn lin(&self, e: &Expr) -> Option<SymExpr> {
-        let le = lin_expr(e, &self.values, &self.names)?;
+        let le = lin_expr(e, &self.values)?;
         if le.terms().any(|(n, _)| self.killed.contains(n)) {
             None
         } else {
@@ -72,15 +68,15 @@ impl SymCtx {
 
     /// The declared-range pattern is unknown here, so a failed
     /// linearization yields a whole-block triple.
-    fn access_triple(&self, array: &str, idx: &[Expr]) -> Triple {
+    fn access_triple(&self, array: &Name, idx: &[Expr]) -> Triple {
         let mut dims = Vec::with_capacity(idx.len());
         for e in idx {
             match self.lin(e) {
                 Some(le) => dims.push(DimPattern::point(le)),
-                None => return Triple::whole(self.names.name(array)),
+                None => return Triple::whole(array.clone()),
             }
         }
-        Triple::patterned(self.names.name(array), dims)
+        Triple::patterned(array.clone(), dims)
     }
 }
 
@@ -104,7 +100,7 @@ pub fn parse_mask_test(cond: &Expr, ctx: &SymCtx) -> Option<MaskTest> {
         BinOp::Ne => MaskRel::NeConst(c),
         _ => return None,
     };
-    Some(MaskTest { array: ctx.names.name(array), index, rel })
+    Some(MaskTest { array: array.clone(), index, rel })
 }
 
 /// Converts a branch condition into a guard (best-effort): a mask test,
@@ -148,7 +144,7 @@ fn expr_reads(e: &Expr, ctx: &SymCtx, d: &mut Descriptor) {
     match e {
         Expr::IntLit(_) | Expr::FloatLit(_) => {}
         // An array by name is its whole block; a scalar is one too.
-        Expr::Var(v) => d.add_read(Triple::whole(ctx.names.name(v))),
+        Expr::Var(v) => d.add_read(Triple::whole(v.clone())),
         Expr::Index(a, idx) => {
             d.add_read(ctx.access_triple(a, idx));
             for i in idx {
@@ -238,15 +234,22 @@ pub fn loop_iteration_descriptor(s: &Stmt, ctx: &SymCtx) -> Option<LoopIteration
 
     let mut sym_ranges = Vec::new();
     for r in ranges {
-        let (Some(lo), Some(hi)) = (ctx.lin(&r.lo), ctx.lin(&r.hi)) else {
+        // The step resolves like the bounds do; a step that is not a
+        // known non-zero constant leaves the range unknown.
+        let step = match &r.step {
+            Some(e) => ctx.lin(e).and_then(|s| s.as_constant()).filter(|s| *s != 0),
+            None => Some(1),
+        };
+        let (Some(lo), Some(hi), Some(step)) = (ctx.lin(&r.lo), ctx.lin(&r.hi), step) else {
             sym_ranges.clear();
             break;
         };
-        let skip = r.step.as_ref().and_then(|e| e.as_int()).unwrap_or(1);
-        let (start, end, skip) = if skip < 0 { (hi, lo, -skip) } else { (lo, hi, skip) };
+        // Counting down, the values sit on `lo`'s lattice, not on the
+        // new start `hi`'s: such a range keeps its bounds only.
+        let (start, end, skip) = if step < 0 { (hi, lo, 1) } else { (lo, hi, step) };
         sym_ranges.push(SymRange { start, end, skip });
     }
-    Some(LoopIteration { var: ctx.names.name(var), ranges: sym_ranges, descriptor })
+    Some(LoopIteration { var: var.clone(), ranges: sym_ranges, descriptor })
 }
 
 impl LoopIteration {
@@ -273,7 +276,7 @@ fn descriptor_of_stmt_inner(s: &Stmt, ctx: &mut SymCtx) -> Descriptor {
             expr_reads(value, ctx, &mut d);
             match target {
                 LValue::Var(v) => {
-                    d.add_write(Triple::scalar(ctx.names.name(v)));
+                    d.add_write(Triple::scalar(v.clone()));
                     // Track simple re-derivable values; otherwise kill.
                     match ctx.lin(value) {
                         Some(le) if !le.mentions(v) => {
@@ -341,8 +344,8 @@ fn descriptor_of_stmt_inner(s: &Stmt, ctx: &mut SymCtx) -> Descriptor {
                 b.scalar_writes(&mut writes);
             }
             for w in writes {
-                ctx.killed.insert(w.clone());
                 ctx.values.remove(&w);
+                ctx.killed.insert(w);
             }
             d
         }
@@ -353,8 +356,8 @@ fn descriptor_of_stmt_inner(s: &Stmt, ctx: &mut SymCtx) -> Descriptor {
                     if ctx.arrays.contains(name) {
                         // By-reference array argument: may read and write
                         // the whole block.
-                        d.add_read(Triple::whole(ctx.names.name(name)));
-                        d.add_write(Triple::whole(ctx.names.name(name)));
+                        d.add_read(Triple::whole(name.clone()));
+                        d.add_write(Triple::whole(name.clone()));
                         continue;
                     }
                 }
@@ -568,6 +571,26 @@ end
         let w = d.writes.iter().find(|t| &*t.block == "x").unwrap();
         let dims = w.pattern.as_ref().unwrap();
         assert_eq!(dims[0].range.end, SymExpr::name("n"));
+    }
+
+    /// A step held in a scalar resolves through the context like the
+    /// bounds; read as a literal it was taken for +1, and the loop below
+    /// was summarized as writing `x[8..1]`, an empty range.
+    #[test]
+    fn scalar_step_resolves_like_a_literal() {
+        for step in ["-1", "s"] {
+            let (p, ctx) = setup(&format!(
+                "program t\n integer n = 8, s = -1\n float x[1..n], q[1..n]\n A: do i = n, 1, {step} {{ x[i] = q[i] + 1.0 }}\nend"
+            ));
+            let d = descriptor_of_stmt(&p.body[0], &ctx);
+            assert_eq!(d.writes[0].to_string(), "x[1..8]", "step {step}");
+        }
+        // A step that is no known constant leaves the whole block.
+        let (p, ctx) = setup(
+            "program t\n integer n = 8, s\n float x[1..n]\n do i = n, 1, s { x[i] = 0.0 }\nend",
+        );
+        let d = descriptor_of_stmt(&p.body[0], &ctx);
+        assert_eq!(d.writes[0].to_string(), "x");
     }
 
     #[test]

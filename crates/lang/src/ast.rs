@@ -5,8 +5,123 @@
 //! notation: masked loops (`do i = lo, hi where (e)`) and discontinuous
 //! ranges (`do i = 1, a-1 and a+1, n`).
 
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
+use std::sync::Arc;
+
+/// An identifier, spelled once and shared: the lexer makes one `Name`
+/// per distinct spelling of a source, and every token, AST node, SSA
+/// table, symbolic term and descriptor triple that mentions it holds a
+/// reference count, not a copy.
+///
+/// Equality, order and hashing are those of the spelling, so a `Name`
+/// sorts, compares and hashes exactly as its `str` does, and maps keyed
+/// by `Name` are looked up by `&str`.
+#[derive(Clone)]
+pub struct Name(Arc<str>);
+
+impl Name {
+    /// The spelling.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl PartialEq for Name {
+    fn eq(&self, other: &Name) -> bool {
+        Arc::ptr_eq(&self.0, &other.0) || *self.0 == *other.0
+    }
+}
+
+impl Eq for Name {}
+
+impl PartialOrd for Name {
+    fn partial_cmp(&self, other: &Name) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Name {
+    fn cmp(&self, other: &Name) -> Ordering {
+        if Arc::ptr_eq(&self.0, &other.0) {
+            Ordering::Equal
+        } else {
+            self.0.cmp(&other.0)
+        }
+    }
+}
+
+impl Hash for Name {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state);
+    }
+}
+
+impl Deref for Name {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Borrow<str> for Name {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
+impl AsRef<str> for Name {
+    fn as_ref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self.as_str(), f)
+    }
+}
+
+impl From<&str> for Name {
+    fn from(s: &str) -> Name {
+        Name(s.into())
+    }
+}
+
+impl From<String> for Name {
+    fn from(s: String) -> Name {
+        Name(s.into())
+    }
+}
+
+impl From<&Name> for Name {
+    fn from(n: &Name) -> Name {
+        n.clone()
+    }
+}
+
+impl PartialEq<str> for Name {
+    fn eq(&self, other: &str) -> bool {
+        self.as_str() == other
+    }
+}
+
+impl PartialEq<&str> for Name {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_str() == *other
+    }
+}
 
 /// Scalar element types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -30,7 +145,7 @@ impl fmt::Display for Type {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     /// The program name from the `program` header.
-    pub name: String,
+    pub name: Name,
     /// Variable declarations (scalars and arrays).
     pub decls: Vec<Decl>,
     /// Procedure definitions.
@@ -41,7 +156,7 @@ pub struct Program {
 
 impl Program {
     /// Creates an empty program with the given name.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: impl Into<Name>) -> Self {
         Program { name: name.into(), decls: Vec::new(), procs: Vec::new(), body: Vec::new() }
     }
 
@@ -60,7 +175,7 @@ impl Program {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Decl {
     /// Variable name.
-    pub name: String,
+    pub name: Name,
     /// Element type.
     pub ty: Type,
     /// Declared index range per dimension; empty for a scalar.
@@ -71,17 +186,17 @@ pub struct Decl {
 
 impl Decl {
     /// Creates a scalar declaration without initializer.
-    pub fn scalar(name: impl Into<String>, ty: Type) -> Self {
+    pub fn scalar(name: impl Into<Name>, ty: Type) -> Self {
         Decl { name: name.into(), ty, dims: Vec::new(), init: None }
     }
 
     /// Creates a scalar declaration with an initializer.
-    pub fn scalar_init(name: impl Into<String>, ty: Type, init: Expr) -> Self {
+    pub fn scalar_init(name: impl Into<Name>, ty: Type, init: Expr) -> Self {
         Decl { name: name.into(), ty, dims: Vec::new(), init: Some(init) }
     }
 
     /// Creates an array declaration.
-    pub fn array(name: impl Into<String>, ty: Type, dims: Vec<Range>) -> Self {
+    pub fn array(name: impl Into<Name>, ty: Type, dims: Vec<Range>) -> Self {
         Decl { name: name.into(), ty, dims, init: None }
     }
 
@@ -96,7 +211,7 @@ impl Decl {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProcDef {
     /// Procedure name.
-    pub name: String,
+    pub name: Name,
     /// Formal parameters (declarations without initializers).
     pub params: Vec<Decl>,
     /// Local declarations.
@@ -235,20 +350,20 @@ pub enum Expr {
     /// Float literal.
     FloatLit(f64),
     /// Scalar variable reference.
-    Var(String),
+    Var(Name),
     /// Array element reference `a[i, j]`.
-    Index(String, Vec<Expr>),
+    Index(Name, Vec<Expr>),
     /// Binary operation.
     Bin(BinOp, Box<Expr>, Box<Expr>),
     /// Unary operation.
     Un(UnOp, Box<Expr>),
     /// Call to a pure intrinsic function.
-    Call(String, Vec<Expr>),
+    Call(Name, Vec<Expr>),
 }
 
 impl Expr {
     /// Shorthand for a variable reference.
-    pub fn var(name: impl Into<String>) -> Self {
+    pub fn var(name: impl Into<Name>) -> Self {
         Expr::Var(name.into())
     }
 
@@ -258,13 +373,13 @@ impl Expr {
     }
 
     /// Shorthand for an array index expression.
-    pub fn index(name: impl Into<String>, idx: Vec<Expr>) -> Self {
+    pub fn index(name: impl Into<Name>, idx: Vec<Expr>) -> Self {
         Expr::Index(name.into(), idx)
     }
 
     /// Collects the names of all scalar variables read by this expression
     /// (array index variables included; array names excluded).
-    pub fn scalar_reads(&self, out: &mut BTreeSet<String>) {
+    pub fn scalar_reads(&self, out: &mut BTreeSet<Name>) {
         match self {
             Expr::IntLit(_) | Expr::FloatLit(_) => {}
             Expr::Var(v) => {
@@ -289,7 +404,7 @@ impl Expr {
     }
 
     /// Collects the names of all arrays referenced by this expression.
-    pub fn array_reads(&self, out: &mut BTreeSet<String>) {
+    pub fn array_reads(&self, out: &mut BTreeSet<Name>) {
         match self {
             Expr::IntLit(_) | Expr::FloatLit(_) | Expr::Var(_) => {}
             Expr::Index(name, idx) => {
@@ -348,14 +463,14 @@ impl Expr {
 #[derive(Debug, Clone, PartialEq)]
 pub enum LValue {
     /// Scalar variable.
-    Var(String),
+    Var(Name),
     /// Array element.
-    Index(String, Vec<Expr>),
+    Index(Name, Vec<Expr>),
 }
 
 impl LValue {
     /// The name of the variable or array being written.
-    pub fn name(&self) -> &str {
+    pub fn name(&self) -> &Name {
         match self {
             LValue::Var(n) => n,
             LValue::Index(n, _) => n,
@@ -376,9 +491,9 @@ pub enum Stmt {
     /// A `do` loop, possibly masked, possibly over a discontinuous range.
     Do {
         /// Optional label (used by split to name generated pieces).
-        label: Option<String>,
+        label: Option<Name>,
         /// Induction variable name.
-        var: String,
+        var: Name,
         /// One or more ranges, iterated in order (`do i = r1 and r2`).
         ranges: Vec<Range>,
         /// Optional `where` mask; iterations with a false mask are skipped.
@@ -398,7 +513,7 @@ pub enum Stmt {
     /// `call p(args)` — procedure invocation (by-reference).
     Call {
         /// Procedure name.
-        name: String,
+        name: Name,
         /// Actual arguments.
         args: Vec<Expr>,
     },
@@ -406,7 +521,7 @@ pub enum Stmt {
 
 impl Stmt {
     /// Creates a simple (unlabeled, unmasked, single-range) `do` loop.
-    pub fn simple_do(var: impl Into<String>, lo: Expr, hi: Expr, body: Vec<Stmt>) -> Self {
+    pub fn simple_do(var: impl Into<Name>, lo: Expr, hi: Expr, body: Vec<Stmt>) -> Self {
         Stmt::Do {
             label: None,
             var: var.into(),
@@ -430,7 +545,7 @@ impl Stmt {
     }
 
     /// Collects scalar variables written by this statement (transitively).
-    pub fn scalar_writes(&self, out: &mut BTreeSet<String>) {
+    pub fn scalar_writes(&self, out: &mut BTreeSet<Name>) {
         match self {
             Stmt::Assign { target: LValue::Var(v), .. } => {
                 out.insert(v.clone());
@@ -453,7 +568,7 @@ impl Stmt {
 
     /// Collects array names written by this statement (transitively;
     /// calls are treated as writing every array argument, conservatively).
-    pub fn array_writes(&self, out: &mut BTreeSet<String>) {
+    pub fn array_writes(&self, out: &mut BTreeSet<Name>) {
         match self {
             Stmt::Assign { target: LValue::Index(a, _), .. } => {
                 out.insert(a.clone());
@@ -523,6 +638,49 @@ impl Stmt {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::hash_map::DefaultHasher;
+    use std::collections::HashMap;
+
+    /// A spelling over a small alphabet (a non-ASCII letter included),
+    /// so that pairs are often equal or share a prefix.
+    fn spelling() -> impl Strategy<Value = String> {
+        let letter = proptest::sample::select(vec!['a', 'b', 'z', '_', '#', '1', 'é']);
+        proptest::collection::vec(letter, 0..5).prop_map(|cs| cs.into_iter().collect())
+    }
+
+    fn hash_of<T: Hash + ?Sized>(v: &T) -> u64 {
+        let mut h = DefaultHasher::new();
+        v.hash(&mut h);
+        h.finish()
+    }
+
+    proptest! {
+        /// Everything ordered, keyed or printed by `Name` reads as it did
+        /// by `String`: term lists, sets, maps and the goldens.
+        #[test]
+        fn a_name_is_its_spelling(a in spelling(), b in spelling()) {
+            let (x, y) = (Name::from(a.as_str()), Name::from(b.clone()));
+            prop_assert_eq!(x == y, a == b);
+            prop_assert_eq!(x.cmp(&y), a.cmp(&b));
+            prop_assert_eq!(x.partial_cmp(&y), a.partial_cmp(&b));
+            prop_assert_eq!(hash_of(&x), hash_of(a.as_str()));
+            prop_assert_eq!(hash_of(&x) == hash_of(&y), hash_of(a.as_str()) == hash_of(b.as_str()));
+            prop_assert!(x == x.clone() && x.cmp(&x.clone()) == Ordering::Equal);
+            prop_assert!(x == a.as_str() && x.as_str() == a && &*x == a.as_str());
+            prop_assert_eq!(format!("{x} {x:?} {x:>6}"), format!("{a} {a:?} {a:>6}"));
+
+            let map = HashMap::from([(x.clone(), 1)]);
+            prop_assert_eq!(map.get(a.as_str()), Some(&1));
+            prop_assert_eq!(map.contains_key(b.as_str()), a == b);
+            let set = BTreeSet::from([x.clone(), y.clone()]);
+            prop_assert!(set.contains(a.as_str()) && set.contains(b.as_str()));
+            let mut spelled = vec![a.as_str(), b.as_str()];
+            spelled.sort();
+            spelled.dedup();
+            prop_assert_eq!(set.iter().map(Name::as_str).collect::<Vec<_>>(), spelled);
+        }
+    }
 
     fn sample_loop() -> Stmt {
         // do i = 1, n { q[i, col] = result[i] }

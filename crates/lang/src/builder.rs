@@ -25,17 +25,17 @@ pub fn float(v: f64) -> Expr {
 
 /// Scalar variable reference.
 pub fn v(name: &str) -> Expr {
-    Expr::Var(name.to_string())
+    Expr::Var(name.into())
 }
 
 /// Array element reference.
 pub fn elem(name: &str, idx: Vec<Expr>) -> Expr {
-    Expr::Index(name.to_string(), idx)
+    Expr::Index(name.into(), idx)
 }
 
 /// Intrinsic call.
 pub fn call(name: &str, args: Vec<Expr>) -> Expr {
-    Expr::Call(name.to_string(), args)
+    Expr::Call(name.into(), args)
 }
 
 /// `a + b`
@@ -110,12 +110,12 @@ pub fn neg(a: Expr) -> Expr {
 
 /// Scalar assignment statement.
 pub fn set(name: &str, value: Expr) -> Stmt {
-    Stmt::Assign { target: LValue::Var(name.to_string()), value }
+    Stmt::Assign { target: LValue::Var(name.into()), value }
 }
 
 /// Array element assignment statement.
 pub fn set_elem(name: &str, idx: Vec<Expr>, value: Expr) -> Stmt {
-    Stmt::Assign { target: LValue::Index(name.to_string(), idx), value }
+    Stmt::Assign { target: LValue::Index(name.into(), idx), value }
 }
 
 /// Unmasked single-range `do` loop.
@@ -126,8 +126,8 @@ pub fn do_loop(var: &str, lo: Expr, hi: Expr, body: Vec<Stmt>) -> Stmt {
 /// Labeled unmasked single-range `do` loop.
 pub fn labeled_do(label: &str, var: &str, lo: Expr, hi: Expr, body: Vec<Stmt>) -> Stmt {
     Stmt::Do {
-        label: Some(label.to_string()),
-        var: var.to_string(),
+        label: Some(label.into()),
+        var: var.into(),
         ranges: vec![Range::new(lo, hi)],
         mask: None,
         body,
@@ -138,7 +138,7 @@ pub fn labeled_do(label: &str, var: &str, lo: Expr, hi: Expr, body: Vec<Stmt>) -
 pub fn masked_do(var: &str, lo: Expr, hi: Expr, mask: Expr, body: Vec<Stmt>) -> Stmt {
     Stmt::Do {
         label: None,
-        var: var.to_string(),
+        var: var.into(),
         ranges: vec![Range::new(lo, hi)],
         mask: Some(mask),
         body,
@@ -147,7 +147,7 @@ pub fn masked_do(var: &str, lo: Expr, hi: Expr, mask: Expr, body: Vec<Stmt>) -> 
 
 /// `do` loop over a discontinuous pair of ranges (`do v = r1 and r2`).
 pub fn split_range_do(var: &str, r1: Range, r2: Range, body: Vec<Stmt>) -> Stmt {
-    Stmt::Do { label: None, var: var.to_string(), ranges: vec![r1, r2], mask: None, body }
+    Stmt::Do { label: None, var: var.into(), ranges: vec![r1, r2], mask: None, body }
 }
 
 /// `if` without `else`.

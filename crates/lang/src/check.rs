@@ -5,7 +5,7 @@
 //! indexing arrays), rank mismatches, duplicate declarations, unknown
 //! procedures and intrinsics, and arity errors.
 
-use crate::ast::{Expr, LValue, ProcDef, Program, Range, Stmt};
+use crate::ast::{Expr, LValue, Name, ProcDef, Program, Range, Stmt};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -13,30 +13,30 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckError {
     /// A name declared more than once in the same scope.
-    DuplicateDeclaration(String),
+    DuplicateDeclaration(Name),
     /// A variable used without a declaration.
-    Undeclared(String),
+    Undeclared(Name),
     /// An array used without indices (outside call arguments).
-    ArrayUsedAsScalar(String),
+    ArrayUsedAsScalar(Name),
     /// A scalar (or induction variable) indexed like an array.
-    ScalarIndexed(String),
+    ScalarIndexed(Name),
     /// Wrong number of indices for an array.
     RankMismatch {
         /// The array.
-        name: String,
+        name: Name,
         /// Declared rank.
         expected: usize,
         /// Indices supplied.
         got: usize,
     },
     /// Call to an unknown procedure.
-    UnknownProcedure(String),
+    UnknownProcedure(Name),
     /// Call to an unknown intrinsic function.
-    UnknownIntrinsic(String),
+    UnknownIntrinsic(Name),
     /// Wrong number of arguments to a procedure.
     ProcedureArity {
         /// The procedure.
-        name: String,
+        name: Name,
         /// Declared parameter count.
         expected: usize,
         /// Arguments supplied.
@@ -77,7 +77,7 @@ const INTRINSICS: &[(&str, usize)] = &[
 ];
 
 /// Name → rank (0 for scalars) in one scope.
-type Scope = BTreeMap<String, usize>;
+type Scope = BTreeMap<Name, usize>;
 
 struct Checker<'a> {
     prog: &'a Program,
@@ -202,12 +202,12 @@ impl Checker<'_> {
         self.check_range(r, scope);
     }
 
-    fn check_indexing(&mut self, name: &str, got: usize, scope: &Scope) {
+    fn check_indexing(&mut self, name: &Name, got: usize, scope: &Scope) {
         match scope.get(name) {
-            None => self.errors.push(CheckError::Undeclared(name.to_string())),
-            Some(0) => self.errors.push(CheckError::ScalarIndexed(name.to_string())),
+            None => self.errors.push(CheckError::Undeclared(name.clone())),
+            Some(0) => self.errors.push(CheckError::ScalarIndexed(name.clone())),
             Some(&rank) if rank != got => self.errors.push(CheckError::RankMismatch {
-                name: name.to_string(),
+                name: name.clone(),
                 expected: rank,
                 got,
             }),
@@ -237,7 +237,7 @@ impl Checker<'_> {
             }
             Expr::Un(_, i) => self.check_expr(i, scope),
             Expr::Call(name, args) => {
-                match INTRINSICS.iter().find(|(n, _)| n == name) {
+                match INTRINSICS.iter().find(|(n, _)| *n == name.as_str()) {
                     None => self.errors.push(CheckError::UnknownIntrinsic(name.clone())),
                     Some((_, arity)) if *arity != args.len() => {
                         self.errors.push(CheckError::ProcedureArity {

@@ -164,7 +164,7 @@ impl Interp {
         // reference earlier (possibly input-overridden) scalars.
         for d in &prog.decls {
             let v = if d.dims.is_empty() {
-                if let Some(v) = inputs.get(&d.name) {
+                if let Some(v) = inputs.get(d.name.as_str()) {
                     coerce(v, d.ty)?
                 } else if let Some(init) = &d.init {
                     let v = self.eval(init, &env, prog)?;
@@ -177,14 +177,14 @@ impl Interp {
                 }
             } else {
                 let zeroed = self.alloc(d, &env)?;
-                if let Some(v) = inputs.get(&d.name) {
+                if let Some(v) = inputs.get(d.name.as_str()) {
                     self.check_shape(&zeroed, v, &d.name)?;
                     v.clone()
                 } else {
                     zeroed
                 }
             };
-            env.insert(d.name.clone(), v);
+            env.insert(d.name.to_string(), v);
         }
         for k in inputs.keys() {
             if !env.contains_key(k) {
@@ -256,7 +256,7 @@ impl Interp {
                 match target {
                     LValue::Var(name) => {
                         let slot = env
-                            .get_mut(name)
+                            .get_mut(name.as_str())
                             .ok_or_else(|| LangError::eval(format!("unknown variable `{name}`")))?;
                         *slot = match slot {
                             Value::Int(_) => Value::Int(v.as_int()?),
@@ -270,7 +270,7 @@ impl Interp {
                             idx.push(self.eval(ie, env, prog)?.as_int()?);
                         }
                         let slot = env
-                            .get_mut(name)
+                            .get_mut(name.as_str())
                             .ok_or_else(|| LangError::eval(format!("unknown array `{name}`")))?;
                         // borrow juggling: take the slot out to allow v reuse
                         slot.set(&idx, &v)?;
@@ -286,7 +286,7 @@ impl Interp {
                         if self.stats.iterations > self.max_iterations {
                             return Err(LangError::eval("iteration limit exceeded"));
                         }
-                        env.insert(var.clone(), Value::Int(i));
+                        env.insert(var.to_string(), Value::Int(i));
                         if let Some(m) = mask {
                             if !self.eval(m, env, prog)?.truthy()? {
                                 continue;
@@ -357,20 +357,20 @@ impl Interp {
         }
         // Copy-in.
         let mut local = Env::new();
-        let mut outs: Vec<(String, String)> = Vec::new(); // (param, caller var)
+        let mut outs: Vec<(&str, &str)> = Vec::new(); // (param, caller var)
         for (p, a) in def.params.iter().zip(args) {
             let v = self.eval(a, env, prog)?;
-            local.insert(p.name.clone(), v);
+            local.insert(p.name.to_string(), v);
             if let Expr::Var(caller_name) = a {
-                outs.push((p.name.clone(), caller_name.clone()));
+                outs.push((&p.name, caller_name));
             }
         }
         for d in &def.locals {
             let v = self.alloc(d, &local)?;
-            local.insert(d.name.clone(), v);
+            local.insert(d.name.to_string(), v);
             if let Some(init) = &d.init {
                 let v = self.eval(init, &local, prog)?;
-                local.insert(d.name.clone(), coerce(&v, d.ty)?);
+                local.insert(d.name.to_string(), coerce(&v, d.ty)?);
             }
         }
         for s in &def.body {
@@ -378,8 +378,8 @@ impl Interp {
         }
         // Copy-out for variable arguments (by-reference emulation).
         for (param, caller) in outs {
-            let v = local.remove(&param).expect("param bound");
-            env.insert(caller, v);
+            let v = local.remove(param).expect("param bound");
+            env.insert(caller.to_string(), v);
         }
         Ok(())
     }
@@ -390,7 +390,7 @@ impl Interp {
         match e {
             Expr::IntLit(v) => Ok(Value::Int(*v)),
             Expr::FloatLit(v) => Ok(Value::Float(*v)),
-            Expr::Var(name) => match env.get(name) {
+            Expr::Var(name) => match env.get(name.as_str()) {
                 Some(Value::Int(v)) => Ok(Value::Int(*v)),
                 Some(Value::Float(v)) => Ok(Value::Float(*v)),
                 Some(arr) => Ok(arr.clone()),
@@ -401,7 +401,7 @@ impl Interp {
                 for ie in idx_exprs {
                     idx.push(self.eval(ie, env, prog)?.as_int()?);
                 }
-                env.get(name)
+                env.get(name.as_str())
                     .ok_or_else(|| LangError::eval(format!("unknown array `{name}`")))?
                     .get(&idx)
             }

@@ -2,9 +2,15 @@
 //!
 //! Converts source text into a vector of [`Token`]s. Comments run from
 //! `#` to end of line. Numbers with a decimal point are float literals.
+//!
+//! Every occurrence of an identifier shares one [`Name`]: the spellings
+//! are interned in a table that lives for one [`tokenize`] call, so it
+//! is bounded by the source it was given.
 
+use crate::ast::Name;
 use crate::error::{LangError, LangResult};
 use crate::token::{keyword, Token, TokenKind};
+use std::collections::HashSet;
 
 /// Tokenizes an entire source string.
 ///
@@ -17,24 +23,34 @@ pub fn tokenize(src: &str) -> LangResult<Vec<Token>> {
 }
 
 struct Lexer<'a> {
-    chars: Vec<char>,
+    /// `(byte offset, char)` of every character of `src`.
+    chars: Vec<(usize, char)>,
     pos: usize,
     line: u32,
     col: u32,
     src: &'a str,
+    /// The identifiers met so far, each spelled once.
+    names: HashSet<Name>,
 }
 
 impl<'a> Lexer<'a> {
     fn new(src: &'a str) -> Self {
-        Lexer { chars: src.chars().collect(), pos: 0, line: 1, col: 1, src }
+        let chars = src.char_indices().collect();
+        Lexer { chars, pos: 0, line: 1, col: 1, src, names: HashSet::new() }
     }
 
     fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
+        self.chars.get(self.pos).map(|&(_, c)| c)
     }
 
     fn peek2(&self) -> Option<char> {
-        self.chars.get(self.pos + 1).copied()
+        self.chars.get(self.pos + 1).map(|&(_, c)| c)
+    }
+
+    /// The source text from character `start` up to the current one.
+    fn text_from(&self, start: usize) -> &'a str {
+        let at = |i: usize| self.chars.get(i).map_or(self.src.len(), |&(b, _)| b);
+        &self.src[at(start)..at(self.pos)]
     }
 
     fn bump(&mut self) -> Option<char> {
@@ -106,7 +122,7 @@ impl<'a> Lexer<'a> {
         if matches!(self.peek(), Some('e') | Some('E'))
             && (self.peek2().is_some_and(|c| c.is_ascii_digit())
                 || (matches!(self.peek2(), Some('+') | Some('-'))
-                    && self.chars.get(self.pos + 2).is_some_and(|c| c.is_ascii_digit())))
+                    && self.chars.get(self.pos + 2).is_some_and(|(_, c)| c.is_ascii_digit())))
         {
             is_float = true;
             self.bump(); // e
@@ -117,7 +133,7 @@ impl<'a> Lexer<'a> {
                 self.bump();
             }
         }
-        let text: String = self.chars[start..self.pos].iter().collect();
+        let text = self.text_from(start);
         if is_float {
             text.parse::<f64>()
                 .map(TokenKind::Float)
@@ -134,8 +150,19 @@ impl<'a> Lexer<'a> {
         while self.peek().is_some_and(|c| c.is_ascii_alphanumeric() || c == '_') {
             self.bump();
         }
-        let text: String = self.chars[start..self.pos].iter().collect();
-        keyword(&text).unwrap_or(TokenKind::Ident(text))
+        let text = self.text_from(start);
+        if let Some(k) = keyword(text) {
+            return k;
+        }
+        let name = match self.names.get(text) {
+            Some(name) => name.clone(),
+            None => {
+                let name = Name::from(text);
+                self.names.insert(name.clone());
+                name
+            }
+        };
+        TokenKind::Ident(name)
     }
 
     fn punct(&mut self, line: u32, col: u32) -> LangResult<TokenKind> {
@@ -183,7 +210,6 @@ impl<'a> Lexer<'a> {
                 }
             }
             other => {
-                let _ = self.src;
                 return Err(LangError::lex(format!("unexpected character `{other}`"), line, col));
             }
         })
@@ -264,6 +290,15 @@ mod tests {
     #[test]
     fn negative_numbers_lex_as_minus_then_literal() {
         assert_eq!(kinds("-3"), vec![Minus, Int(3), Eof]);
+    }
+
+    #[test]
+    fn one_spelling_is_one_name() {
+        let toks = tokenize("x y x").unwrap();
+        let (TokenKind::Ident(a), TokenKind::Ident(b)) = (&toks[0].kind, &toks[2].kind) else {
+            panic!("identifiers expected")
+        };
+        assert!(std::ptr::eq(a.as_str(), b.as_str()), "both `x` share one allocation");
     }
 
     #[test]

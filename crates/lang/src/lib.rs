@@ -46,7 +46,7 @@ pub mod parser;
 pub mod pretty;
 pub mod token;
 
-pub use ast::{BinOp, Decl, Expr, LValue, Program, Range, Stmt, Type, UnOp};
+pub use ast::{BinOp, Decl, Expr, LValue, Name, Program, Range, Stmt, Type, UnOp};
 pub use check::{check_program, CheckError};
 pub use error::{LangError, LangResult};
 pub use interp::{Env, Interp, Value};

@@ -22,7 +22,7 @@
 //! precedence (no `and`/`or`) so that `do i = 1, a-1 and a+1, n`
 //! unambiguously reads `and` as the discontinuous-range connector.
 
-use crate::ast::{BinOp, Decl, Expr, LValue, ProcDef, Program, Range, Stmt, Type, UnOp};
+use crate::ast::{BinOp, Decl, Expr, LValue, Name, ProcDef, Program, Range, Stmt, Type, UnOp};
 use crate::error::{LangError, LangResult};
 use crate::lexer::tokenize;
 use crate::token::{Token, TokenKind};
@@ -66,12 +66,25 @@ impl Parser {
         (t.line, t.col)
     }
 
-    fn bump(&mut self) -> TokenKind {
-        let k = self.tokens[self.pos].kind.clone();
+    /// Moves past the current token (never past the final `Eof`).
+    fn bump(&mut self) {
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        k
+    }
+
+    /// A type keyword; `what` names the expected item in the error.
+    fn type_kw(&mut self, what: &str) -> LangResult<Type> {
+        let ty = match self.peek() {
+            TokenKind::Integer => Type::Int,
+            TokenKind::FloatKw => Type::Float,
+            other => {
+                let (l, c) = self.here();
+                return Err(LangError::parse(format!("expected {what}, found `{other}`"), l, c));
+            }
+        };
+        self.bump();
+        Ok(ty)
     }
 
     fn eat(&mut self, want: &TokenKind) -> LangResult<()> {
@@ -84,8 +97,9 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self) -> LangResult<String> {
-        if let TokenKind::Ident(s) = self.peek().clone() {
+    fn ident(&mut self) -> LangResult<Name> {
+        if let TokenKind::Ident(s) = self.peek() {
+            let s = s.clone();
             self.bump();
             Ok(s)
         } else {
@@ -112,14 +126,7 @@ impl Parser {
     }
 
     fn decl_line(&mut self) -> LangResult<Vec<Decl>> {
-        let ty = match self.bump() {
-            TokenKind::Integer => Type::Int,
-            TokenKind::FloatKw => Type::Float,
-            other => {
-                let (l, c) = self.here();
-                return Err(LangError::parse(format!("expected type, found `{other}`"), l, c));
-            }
-        };
+        let ty = self.type_kw("type")?;
         let mut out = Vec::new();
         loop {
             out.push(self.decl_item(ty)?);
@@ -166,18 +173,7 @@ impl Parser {
         let mut params = Vec::new();
         if !matches!(self.peek(), TokenKind::RParen) {
             loop {
-                let ty = match self.bump() {
-                    TokenKind::Integer => Type::Int,
-                    TokenKind::FloatKw => Type::Float,
-                    other => {
-                        let (l, c) = self.here();
-                        return Err(LangError::parse(
-                            format!("expected parameter type, found `{other}`"),
-                            l,
-                            c,
-                        ));
-                    }
-                };
+                let ty = self.type_kw("parameter type")?;
                 params.push(self.decl_item(ty)?);
                 if matches!(self.peek(), TokenKind::Comma) {
                     self.bump();
@@ -228,7 +224,7 @@ impl Parser {
         }
     }
 
-    fn do_stmt(&mut self, label: Option<String>) -> LangResult<Stmt> {
+    fn do_stmt(&mut self, label: Option<Name>) -> LangResult<Stmt> {
         self.eat(&TokenKind::Do)?;
         let var = self.ident()?;
         self.eat(&TokenKind::Eq)?;

@@ -67,7 +67,7 @@ fn print_stmt(out: &mut String, s: &Stmt, indent: usize) {
     match s {
         Stmt::Assign { target, value } => {
             let t = match target {
-                LValue::Var(v) => v.clone(),
+                LValue::Var(v) => v.to_string(),
                 LValue::Index(a, idx) => {
                     let parts: Vec<String> = idx.iter().map(expr_to_string).collect();
                     format!("{a}[{}]", parts.join(", "))
@@ -149,7 +149,7 @@ fn expr_prec(e: &Expr, min: u8) -> String {
                 format!("{s}.0")
             }
         }
-        Expr::Var(v) => v.clone(),
+        Expr::Var(v) => v.to_string(),
         Expr::Index(a, idx) => {
             let parts: Vec<String> = idx.iter().map(|e| expr_prec(e, 0)).collect();
             format!("{a}[{}]", parts.join(", "))

@@ -1,5 +1,6 @@
 //! Lexical tokens of the MF language.
 
+use crate::ast::Name;
 use std::fmt;
 
 /// A lexical token together with its source position.
@@ -29,7 +30,7 @@ pub enum TokenKind {
     /// A floating-point literal such as `3.5`.
     Float(f64),
     /// An identifier such as `mask` or `col`.
-    Ident(String),
+    Ident(Name),
 
     // Keywords
     /// `program`

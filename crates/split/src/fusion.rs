@@ -19,7 +19,7 @@
 
 use orchestra_analysis::symbolic::SymExpr;
 use orchestra_descriptors::{loop_iteration_descriptor, SymCtx};
-use orchestra_lang::ast::{Expr, Range, Stmt};
+use orchestra_lang::ast::{Expr, Name, Range, Stmt};
 
 /// Why two loops cannot fuse.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,7 +105,7 @@ fn masks_equal(m1: &Option<Expr>, m2: &Option<Expr>, l1: &Stmt, l2: &Stmt) -> bo
     };
     match (m1, m2) {
         (None, None) => true,
-        (Some(a), Some(b)) => *a == b.subst(v2, &Expr::var(v1.clone())),
+        (Some(a), Some(b)) => *a == b.subst(v2, &Expr::var(v1)),
         _ => false,
     }
 }
@@ -150,13 +150,13 @@ pub fn fuse_adjacent(stmts: &[Stmt], ctx: &SymCtx) -> (Vec<Stmt>, usize) {
     (out, fused)
 }
 
-fn rename_var(s: &Stmt, from: &str, to: &str) -> Stmt {
-    let to_expr = Expr::var(to.to_string());
+fn rename_var(s: &Stmt, from: &str, to: &Name) -> Stmt {
+    let to_expr = Expr::var(to);
     match s {
         Stmt::Assign { target, value } => Stmt::Assign {
             target: match target {
                 orchestra_lang::ast::LValue::Var(v) if v == from => {
-                    orchestra_lang::ast::LValue::Var(to.to_string())
+                    orchestra_lang::ast::LValue::Var(to.clone())
                 }
                 orchestra_lang::ast::LValue::Var(v) => orchestra_lang::ast::LValue::Var(v.clone()),
                 orchestra_lang::ast::LValue::Index(a, idx) => orchestra_lang::ast::LValue::Index(

@@ -10,7 +10,7 @@
 
 use orchestra_analysis::symbolic::SymExpr;
 use orchestra_descriptors::{descriptor_of_stmts, SymCtx};
-use orchestra_lang::ast::{Range, Stmt};
+use orchestra_lang::ast::{Name, Range, Stmt};
 
 /// Why a nest cannot be interchanged.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,7 +38,7 @@ impl std::fmt::Display for InterchangeObstacle {
     }
 }
 
-fn nest_parts(s: &Stmt) -> Option<(&String, &Vec<Range>, &Stmt)> {
+fn nest_parts(s: &Stmt) -> Option<(&Name, &Vec<Range>, &Stmt)> {
     let Stmt::Do { var, ranges, mask, body, .. } = s else { return None };
     if mask.is_some() || ranges.len() != 1 || body.len() != 1 {
         return None;
@@ -83,8 +83,8 @@ pub fn can_interchange(nest: &Stmt, ctx: &SymCtx) -> Result<(), InterchangeObsta
     body_ctx.values.remove(inner_var);
     let d = descriptor_of_stmts(body, &body_ctx).without_block(outer_var).without_block(inner_var);
     let probe = d
-        .subst(outer_var, &SymExpr::name(outer_var.as_str()).offset(1))
-        .subst(inner_var, &SymExpr::name(inner_var.as_str()).offset(-1));
+        .subst(outer_var, &SymExpr::name(outer_var).offset(1))
+        .subst(inner_var, &SymExpr::name(inner_var).offset(-1));
     if d.interferes(&probe) {
         return Err(InterchangeObstacle::DirectionConflict);
     }

@@ -47,7 +47,7 @@ pub enum Restriction {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReductionVar {
     /// Scalar name.
-    pub name: String,
+    pub name: Name,
     /// The associative operation (`Add` or `Mul`).
     pub op: BinOp,
 }
@@ -66,27 +66,28 @@ impl ReductionVar {
 /// Fresh-name generation avoiding a taken set.
 #[derive(Debug, Clone, Default)]
 pub struct FreshNames {
-    taken: BTreeSet<String>,
+    taken: BTreeSet<Name>,
 }
 
 impl FreshNames {
     /// Seeds the taken set from a program's declarations.
     pub fn from_program(prog: &Program) -> Self {
-        let mut taken: BTreeSet<String> = prog.decls.iter().map(|d| d.name.clone()).collect();
+        let mut taken: BTreeSet<Name> = prog.decls.iter().map(|d| d.name.clone()).collect();
         taken.extend(prog.procs.iter().map(|p| p.name.clone()));
         FreshNames { taken }
     }
 
     /// Returns `base` + `suffix`, disambiguated if already taken.
-    pub fn fresh(&mut self, base: &str, suffix: &str) -> String {
+    pub fn fresh(&mut self, base: &str, suffix: &str) -> Name {
         let mut candidate = format!("{base}{suffix}");
         let mut k = 2;
-        while self.taken.contains(&candidate) {
+        while self.taken.contains(candidate.as_str()) {
             candidate = format!("{base}{suffix}{k}");
             k += 1;
         }
-        self.taken.insert(candidate.clone());
-        candidate
+        let name = Name::from(candidate);
+        self.taken.insert(name.clone());
+        name
     }
 }
 
@@ -138,7 +139,7 @@ pub fn symexpr_to_ast(e: &SymExpr) -> Expr {
 pub fn detect_restriction(
     iter: &LoopIteration,
     d: &Descriptor,
-    privatized: &BTreeSet<String>,
+    privatized: &BTreeSet<Name>,
 ) -> Option<Restriction> {
     let mut stripped = iter.descriptor.clone();
     for b in privatized {
@@ -199,7 +200,7 @@ pub fn detect_restriction(
 
 /// The set of blocks privatized by splitting this loop body: its written
 /// arrays plus the given reduction accumulators.
-pub fn privatized_blocks(body: &[Stmt], reductions: &[ReductionVar]) -> BTreeSet<String> {
+pub fn privatized_blocks(body: &[Stmt], reductions: &[ReductionVar]) -> BTreeSet<Name> {
     let mut out = BTreeSet::new();
     for s in body {
         s.array_writes(&mut out);
@@ -312,7 +313,7 @@ pub fn check_iterations_commute(iter: &LoopIteration, body: &[Stmt]) -> Option<V
         return None;
     }
     // 2. Every scalar assigned in the body must be a reduction.
-    let mut reductions: BTreeMap<String, BinOp> = BTreeMap::new();
+    let mut reductions: BTreeMap<Name, BinOp> = BTreeMap::new();
     if !collect_reductions(body, &mut reductions) {
         return None;
     }
@@ -360,9 +361,9 @@ fn contains_call(body: &[Stmt]) -> bool {
 /// Collects reduction assignments; returns false on any scalar
 /// assignment that is not of the form `s = s ⊕ e` (⊕ associative, `e`
 /// not mentioning `s`), or when a reduction scalar is read elsewhere.
-fn collect_reductions(body: &[Stmt], out: &mut BTreeMap<String, BinOp>) -> bool {
+fn collect_reductions(body: &[Stmt], out: &mut BTreeMap<Name, BinOp>) -> bool {
     // Gather assignments.
-    fn walk(stmts: &[Stmt], out: &mut BTreeMap<String, BinOp>) -> bool {
+    fn walk(stmts: &[Stmt], out: &mut BTreeMap<Name, BinOp>) -> bool {
         for s in stmts {
             match s {
                 Stmt::Assign { target: LValue::Var(name), value } => {
@@ -408,14 +409,14 @@ fn reduction_op(name: &str, value: &Expr) -> Option<BinOp> {
     if !matches!(op, BinOp::Add | BinOp::Mul) {
         return None;
     }
-    let (acc, rest) = if **l == Expr::Var(name.to_string()) {
-        (l, r)
-    } else if **r == Expr::Var(name.to_string()) {
-        (r, l)
+    let is_acc = |e: &Expr| matches!(e, Expr::Var(v) if v == name);
+    let rest = if is_acc(l) {
+        r
+    } else if is_acc(r) {
+        l
     } else {
         return None;
     };
-    let _ = acc;
     let mut reads = BTreeSet::new();
     rest.scalar_reads(&mut reads);
     if reads.contains(name) {
@@ -493,7 +494,7 @@ pub struct LoopSplitPieces {
     /// Declarations for replicated arrays and accumulators.
     pub new_decls: Vec<Decl>,
     /// `(original, independent copy, dependent copy)` renames.
-    pub renames: Vec<(String, String, String)>,
+    pub renames: Vec<(Name, Name, Name)>,
 }
 
 /// Performs the iteration split of one loop. `iter` must come from
@@ -530,8 +531,8 @@ pub fn split_loop(
     }
     let mut renames = Vec::new();
     let mut new_decls = Vec::new();
-    let mut ind_map: BTreeMap<String, String> = BTreeMap::new();
-    let mut dep_map: BTreeMap<String, String> = BTreeMap::new();
+    let mut ind_map: BTreeMap<Name, Name> = BTreeMap::new();
+    let mut dep_map: BTreeMap<Name, Name> = BTreeMap::new();
     for a in &written_arrays {
         let decl = prog.decl(a)?;
         let ind = fresh.fresh(a, "__i");
@@ -633,16 +634,16 @@ pub fn split_loop(
             value: r.identity(),
         });
     }
-    let base = label.clone().unwrap_or_else(|| "C".to_string());
+    let base = label.as_deref().unwrap_or("C");
     independent.push(Stmt::Do {
-        label: Some(format!("{base}_I")),
+        label: Some(format!("{base}_I").into()),
         var: var.clone(),
         ranges: ind_ranges,
         mask: ind_mask,
         body: ind_body,
     });
     dependent.push(Stmt::Do {
-        label: Some(format!("{base}_D")),
+        label: Some(format!("{base}_D").into()),
         var: var.clone(),
         ranges: dep_ranges,
         mask: dep_mask,
@@ -651,7 +652,7 @@ pub fn split_loop(
 
     // The merge.
     let merge = build_merge(
-        &base,
+        base,
         var,
         range,
         mask,
@@ -677,14 +678,14 @@ fn conjoin(a: Option<Expr>, b: Option<Expr>) -> Option<Expr> {
 /// Renames written arrays and reduction scalars in a loop body.
 fn rename_stmts(
     body: &[Stmt],
-    map: &BTreeMap<String, String>,
+    map: &BTreeMap<Name, Name>,
     reductions: &[ReductionVar],
 ) -> Vec<Stmt> {
     let red_names: BTreeSet<&str> = reductions.iter().map(|r| r.name.as_str()).collect();
     body.iter().map(|s| rename_stmt(s, map, &red_names)).collect()
 }
 
-fn rename_stmt(s: &Stmt, map: &BTreeMap<String, String>, reds: &BTreeSet<&str>) -> Stmt {
+fn rename_stmt(s: &Stmt, map: &BTreeMap<Name, Name>, reds: &BTreeSet<&str>) -> Stmt {
     match s {
         Stmt::Assign { target, value } => {
             let target = match target {
@@ -725,7 +726,7 @@ fn rename_stmt(s: &Stmt, map: &BTreeMap<String, String>, reds: &BTreeSet<&str>) 
 /// Renames only (a) reduction scalars anywhere and (b) array names in
 /// index positions. Plain scalar reads of non-reduction names are left
 /// alone (written arrays are never read in a splittable body).
-fn rename_expr(e: &Expr, map: &BTreeMap<String, String>, reds: &BTreeSet<&str>) -> Expr {
+fn rename_expr(e: &Expr, map: &BTreeMap<Name, Name>, reds: &BTreeSet<&str>) -> Expr {
     match e {
         Expr::IntLit(_) | Expr::FloatLit(_) => e.clone(),
         Expr::Var(v) => {
@@ -753,14 +754,14 @@ fn rename_expr(e: &Expr, map: &BTreeMap<String, String>, reds: &BTreeSet<&str>) 
 #[allow(clippy::too_many_arguments)]
 fn build_merge(
     base: &str,
-    var: &str,
+    var: &Name,
     range: &Range,
     mask: &Option<Expr>,
     restriction: &Restriction,
     iter: &LoopIteration,
-    written_arrays: &BTreeSet<String>,
-    ind_map: &BTreeMap<String, String>,
-    dep_map: &BTreeMap<String, String>,
+    written_arrays: &BTreeSet<Name>,
+    ind_map: &BTreeMap<Name, Name>,
+    dep_map: &BTreeMap<Name, Name>,
     reductions: &[ReductionVar],
     fresh: &mut FreshNames,
 ) -> Option<Vec<Stmt>> {
@@ -798,8 +799,8 @@ fn build_merge(
             }
         };
         merge.push(Stmt::Do {
-            label: Some(format!("{base}_M")),
-            var: var.to_string(),
+            label: Some(format!("{base}_M").into()),
+            var: var.clone(),
             ranges: vec![range.clone()],
             mask: mask.clone(),
             body: vec![Stmt::If { cond: dep_cond, then_body: from_dep, else_body: from_ind }],
@@ -817,10 +818,10 @@ fn build_merge(
 /// Generates the copy of one iteration's writes described by a triple:
 /// nested loops over the range dimensions assigning
 /// `block[idx…] = replica[idx…]`.
-fn copy_stmt(t: &Triple, replica: &str, fresh: &mut FreshNames) -> Option<Stmt> {
+fn copy_stmt(t: &Triple, replica: &Name, fresh: &mut FreshNames) -> Option<Stmt> {
     let dims = t.pattern.as_ref()?;
     let mut idx_exprs: Vec<Expr> = Vec::with_capacity(dims.len());
-    let mut loops: Vec<(String, Expr, Expr, i64)> = Vec::new();
+    let mut loops: Vec<(Name, Expr, Expr, i64)> = Vec::new();
     for d in dims {
         if d.mask.is_some() {
             return None;
@@ -839,8 +840,8 @@ fn copy_stmt(t: &Triple, replica: &str, fresh: &mut FreshNames) -> Option<Stmt> 
         }
     }
     let mut stmt = Stmt::Assign {
-        target: LValue::Index(t.block.to_string(), idx_exprs.clone()),
-        value: Expr::Index(replica.to_string(), idx_exprs),
+        target: LValue::Index(t.block.clone(), idx_exprs.clone()),
+        value: Expr::Index(replica.clone(), idx_exprs),
     };
     for (v, lo, hi, skip) in loops.into_iter().rev() {
         stmt = Stmt::Do {
@@ -910,7 +911,7 @@ end
     #[test]
     fn figure4_restriction_is_exclude_a() {
         let (_, iter, dg) = figure4_like();
-        let r = detect_restriction(&iter, &dg, &BTreeSet::from(["sum".to_string()]))
+        let r = detect_restriction(&iter, &dg, &BTreeSet::from(["sum".into()]))
             .expect("restriction found");
         assert_eq!(r, Restriction::ExcludePoint(SymExpr::constant(3)), "a folds to 3");
     }
@@ -926,7 +927,7 @@ end
     #[test]
     fn figure4_split_produces_three_pieces() {
         let (p, iter, dg) = figure4_like();
-        let r = detect_restriction(&iter, &dg, &BTreeSet::from(["sum".to_string()])).unwrap();
+        let r = detect_restriction(&iter, &dg, &BTreeSet::from(["sum".into()])).unwrap();
         let Stmt::Do { body, .. } = &p.body[1] else { panic!() };
         let reds = check_iterations_commute(&iter, body).unwrap();
         let mut fresh = FreshNames::from_program(&p);
@@ -954,7 +955,7 @@ end
     #[test]
     fn figure1_restriction_is_mask_cond() {
         let (_, iter, da) = masked_b_like();
-        let r = detect_restriction(&iter, &da, &BTreeSet::from(["output".to_string()]))
+        let r = detect_restriction(&iter, &da, &BTreeSet::from(["output".into()]))
             .expect("mask restriction");
         assert_eq!(r, Restriction::MaskCond { array: "mask".into(), rel: MaskRel::NeConst(0) });
     }
@@ -962,7 +963,7 @@ end
     #[test]
     fn figure1_split_matches_figure2_shape() {
         let (p, iter, da) = masked_b_like();
-        let r = detect_restriction(&iter, &da, &BTreeSet::from(["output".to_string()])).unwrap();
+        let r = detect_restriction(&iter, &da, &BTreeSet::from(["output".into()])).unwrap();
         let Stmt::Do { body, .. } = &p.body[1] else { panic!() };
         let reds = check_iterations_commute(&iter, body).unwrap();
         assert!(reds.is_empty());
@@ -1025,7 +1026,7 @@ end
         let ctx = SymCtx::from_program(&p);
         let dw = descriptor_of_stmt(&p.body[0], &ctx);
         let iter = loop_iteration_descriptor(&p.body[1], &ctx).unwrap();
-        assert!(detect_restriction(&iter, &dw, &BTreeSet::from(["y".to_string()])).is_none());
+        assert!(detect_restriction(&iter, &dw, &BTreeSet::from(["y".into()])).is_none());
     }
 
     #[test]

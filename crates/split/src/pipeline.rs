@@ -15,7 +15,7 @@
 
 use crate::split::{split_computation, SplitOptions, SplitResult};
 use orchestra_descriptors::{loop_iteration_descriptor, Descriptor, SymCtx};
-use orchestra_lang::ast::{Decl, Program, Stmt};
+use orchestra_lang::ast::{Decl, Name, Program, Stmt};
 
 /// The result of pipelining one loop.
 #[derive(Debug, Clone)]
@@ -23,7 +23,7 @@ pub struct PipelineResult {
     /// The loop's label (or a synthesized name).
     pub loop_name: String,
     /// Induction variable.
-    pub var: String,
+    pub var: Name,
     /// Pipeline depth used (number of previous iterations split
     /// against).
     pub depth: usize,
@@ -83,7 +83,7 @@ pub fn pipeline_loop(
         body: split.stmts(),
     };
     Some(PipelineResult {
-        loop_name: label.clone().unwrap_or_else(|| "loop".to_string()),
+        loop_name: label.as_deref().unwrap_or("loop").to_string(),
         var: var.clone(),
         depth,
         transformed,

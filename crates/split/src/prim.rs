@@ -87,7 +87,7 @@ pub fn primitives_of<'a>(stmts: &'a [Stmt], ctx: &SymCtx) -> Vec<Prim<'a>> {
                 (format!("call:{name}#{id}"), PrimKind::Call, descriptor_of_stmt(s, &running), None)
             }
             Stmt::Do { label, .. } => {
-                let name = label.clone().unwrap_or_else(|| format!("loop#{id}"));
+                let name = label.as_deref().map_or_else(|| format!("loop#{id}"), str::to_string);
                 let iter = loop_iteration_descriptor(s, &running).expect("a loop");
                 (name, PrimKind::Loop, iter.whole_loop(), Some(iter))
             }

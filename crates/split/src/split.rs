@@ -18,7 +18,7 @@ use crate::categorize::{categorize, transitive_flow_down, Categories};
 use crate::loop_split::{check_iterations_commute, detect_restriction, split_loop, FreshNames};
 use crate::prim::{primitives_of, Prim, PrimKind};
 use orchestra_descriptors::{descriptor_of_stmts, Descriptor, SymCtx};
-use orchestra_lang::ast::{Decl, Expr, LValue, Program, Stmt};
+use orchestra_lang::ast::{Decl, Expr, LValue, Name, Program, Stmt};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Options controlling the split heuristics.
@@ -340,7 +340,7 @@ fn replicate_suppliers(
     suppliers: &[usize],
     fresh: &mut FreshNames,
 ) -> (Option<Vec<Stmt>>, Vec<Decl>) {
-    let mut rename: BTreeMap<String, String> = BTreeMap::new();
+    let mut rename: BTreeMap<Name, Name> = BTreeMap::new();
     let mut decls = Vec::new();
     let mut stmts = Vec::new();
     // Process suppliers in program order so chained copies read the
@@ -374,7 +374,7 @@ fn replicate_suppliers(
     (Some(stmts), decls)
 }
 
-fn collect_assigned_scalars(s: &Stmt, out: &mut BTreeSet<String>) {
+fn collect_assigned_scalars(s: &Stmt, out: &mut BTreeSet<Name>) {
     match s {
         Stmt::Assign { target: LValue::Var(v), .. } => {
             out.insert(v.clone());
@@ -395,8 +395,8 @@ fn collect_assigned_scalars(s: &Stmt, out: &mut BTreeSet<String>) {
 
 /// Renames both reads and writes of the mapped names (full α-rename,
 /// appropriate because the replicas start fresh).
-fn rename_reads_and_writes(s: &Stmt, map: &BTreeMap<String, String>) -> Stmt {
-    fn rex(e: &Expr, map: &BTreeMap<String, String>) -> Expr {
+fn rename_reads_and_writes(s: &Stmt, map: &BTreeMap<Name, Name>) -> Stmt {
+    fn rex(e: &Expr, map: &BTreeMap<Name, Name>) -> Expr {
         match e {
             Expr::IntLit(_) | Expr::FloatLit(_) => e.clone(),
             Expr::Var(v) => Expr::Var(map.get(v).cloned().unwrap_or_else(|| v.clone())),
@@ -495,7 +495,7 @@ mod tests {
         // Induction variables are loop machinery; their exit values are
         // not preserved by the transformation (nor by the paper's).
         let mut ivs = std::collections::BTreeSet::new();
-        fn collect_ivs(stmts: &[Stmt], out: &mut std::collections::BTreeSet<String>) {
+        fn collect_ivs(stmts: &[Stmt], out: &mut std::collections::BTreeSet<Name>) {
             for s in stmts {
                 match s {
                     Stmt::Do { var, body, .. } => {
@@ -513,7 +513,7 @@ mod tests {
         collect_ivs(&orig.body, &mut ivs);
         collect_ivs(&transformed.body, &mut ivs);
         for (name, v) in &e1 {
-            if ivs.contains(name) {
+            if ivs.contains(name.as_str()) {
                 continue;
             }
             let got = e2.get(name).unwrap_or_else(|| panic!("missing {name}"));

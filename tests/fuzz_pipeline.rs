@@ -7,7 +7,7 @@
 use orchestra_analysis::{analyze_program, collect_scalars, dce::eliminate_dead_code};
 use orchestra_core::compile;
 use orchestra_descriptors::{descriptor_of_stmts, SymCtx};
-use orchestra_lang::ast::{BinOp, Decl, Expr, LValue, Program, Range, Stmt, Type};
+use orchestra_lang::ast::{BinOp, Decl, Expr, LValue, Name, Program, Range, Stmt, Type};
 use orchestra_lang::interp::{Env, Interp, Value};
 use orchestra_lang::{parse_program, pretty::pretty_print};
 use orchestra_split::SplitOptions;
@@ -45,7 +45,7 @@ fn gen_loop(arrays: Vec<String>, out: String, label: String, masked: bool) -> Bo
     gen_value_expr(arrays, iv.clone())
         .prop_map(move |value| {
             let body = vec![Stmt::Assign {
-                target: LValue::Index(out.clone(), vec![Expr::var(iv.clone())]),
+                target: LValue::Index(out.clone().into(), vec![Expr::var(iv.clone())]),
                 value,
             }];
             let mask = masked.then(|| {
@@ -56,8 +56,8 @@ fn gen_loop(arrays: Vec<String>, out: String, label: String, masked: bool) -> Bo
                 )
             });
             Stmt::Do {
-                label: Some(label.clone()),
-                var: iv.clone(),
+                label: Some(label.clone().into()),
+                var: iv.clone().into(),
                 ranges: vec![Range::new(Expr::IntLit(1), Expr::var("n"))],
                 mask,
                 body,
@@ -116,9 +116,9 @@ fn random_inputs(seed: u64) -> Env {
     env
 }
 
-fn stores_match(e1: &Env, e2: &Env, skip: &std::collections::BTreeSet<String>) {
+fn stores_match(e1: &Env, e2: &Env, skip: &std::collections::BTreeSet<Name>) {
     for (name, v) in e1 {
-        if skip.contains(name) {
+        if skip.contains(name.as_str()) {
             continue;
         }
         let got = e2.get(name).unwrap_or_else(|| panic!("missing {name}"));
@@ -168,8 +168,7 @@ proptest! {
         let inputs = random_inputs(seed);
         let e1 = Interp::new().run(&p, &inputs).expect("original runs");
         let e2 = Interp::new().run(&cleaned, &inputs).expect("cleaned runs");
-        let skip: std::collections::BTreeSet<String> =
-            collect_scalars(&p).into_iter().collect();
+        let skip = collect_scalars(&p);
         stores_match(&e1, &e2, &skip);
     }
 
@@ -188,8 +187,7 @@ proptest! {
         let e2 = Interp::new()
             .run(&compiled.transformed, &inputs)
             .expect("transformed runs");
-        let mut skip: std::collections::BTreeSet<String> =
-            collect_scalars(&p).into_iter().collect();
+        let mut skip = collect_scalars(&p);
         skip.extend(collect_scalars(&compiled.transformed));
         stores_match(&e1, &e2, &skip);
     }

@@ -4,7 +4,7 @@
 //! agree.
 
 use orchestra_core::compile;
-use orchestra_lang::ast::Program;
+use orchestra_lang::ast::{Name, Program};
 use orchestra_lang::builder::{figure1_program, figure4_program};
 use orchestra_lang::interp::{Env, Interp, Value};
 use orchestra_split::SplitOptions;
@@ -20,7 +20,7 @@ fn assert_equivalent(prog: &Program, inputs: &Env) {
     collect_ivs(&prog.body, &mut ivs);
     collect_ivs(&compiled.transformed.body, &mut ivs);
     for (name, v) in &e1 {
-        if ivs.contains(name) {
+        if ivs.contains(name.as_str()) {
             continue;
         }
         let got = e2.get(name).unwrap_or_else(|| panic!("missing {name}"));
@@ -40,7 +40,7 @@ fn prop_assert_close(name: &str, i: usize, x: f64, y: f64) {
     assert!((x - y).abs() <= 1e-9 * (1.0 + x.abs()), "{name}[{i}]: {x} vs {y}");
 }
 
-fn collect_ivs(stmts: &[orchestra_lang::ast::Stmt], out: &mut std::collections::BTreeSet<String>) {
+fn collect_ivs(stmts: &[orchestra_lang::ast::Stmt], out: &mut std::collections::BTreeSet<Name>) {
     use orchestra_lang::ast::Stmt;
     for s in stmts {
         match s {
