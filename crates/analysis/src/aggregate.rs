@@ -58,7 +58,7 @@ fn forward_block(stmts: &mut [SimpleStmt]) -> usize {
                         // names are single-assignment, so nothing to do
                         // unless the name is reused (non-SSA input).
                         let name = name.as_str();
-                        known.retain(|k, val| !k.contains(name) && !expr_mentions(val, name));
+                        known.retain(|k, val| !k.contains(name) && !val.reads(name));
                     }
                     LValue::Index(array, idx) => {
                         let mut new_idx = idx.clone();
@@ -96,50 +96,12 @@ fn forward_block(stmts: &mut [SimpleStmt]) -> usize {
     forwarded
 }
 
-fn expr_mentions(e: &Expr, name: &str) -> bool {
-    let mut found = false;
-    walk(e, &mut |x| {
-        if let Expr::Var(v) = x {
-            if v == name {
-                found = true;
-            }
-        }
-    });
-    found
-}
-
-fn walk<'a>(e: &'a Expr, f: &mut dyn FnMut(&'a Expr)) {
-    f(e);
-    match e {
-        Expr::Bin(_, l, r) => {
-            walk(l, f);
-            walk(r, f);
-        }
-        Expr::Un(_, i) => walk(i, f),
-        Expr::Index(_, idx) => {
-            for i in idx {
-                walk(i, f);
-            }
-        }
-        Expr::Call(_, args) => {
-            for a in args {
-                walk(a, f);
-            }
-        }
-        _ => {}
-    }
-}
-
+/// Intrinsics are pure in MF, but forwarding a call would duplicate its
+/// cost: a value is forwarded only when it calls nothing.
 fn is_pure(e: &Expr) -> bool {
-    match e {
-        Expr::IntLit(_) | Expr::FloatLit(_) | Expr::Var(_) => true,
-        Expr::Index(_, idx) => idx.iter().all(is_pure),
-        Expr::Bin(_, l, r) => is_pure(l) && is_pure(r),
-        Expr::Un(_, i) => is_pure(i),
-        // Intrinsics are pure in MF, but forwarding a call would
-        // duplicate its cost; skip.
-        Expr::Call(_, _) => false,
-    }
+    let mut calls = false;
+    e.walk(&mut |e| calls |= matches!(e, Expr::Call(..)));
+    !calls
 }
 
 fn rewrite_reads(e: &mut Expr, known: &HashMap<String, Expr>) -> usize {

@@ -70,22 +70,13 @@ pub struct AnalyzedProgram {
 pub fn collect_scalars(prog: &Program) -> BTreeSet<Name> {
     let mut out: BTreeSet<Name> =
         prog.decls.iter().filter(|d| !d.is_array()).map(|d| d.name.clone()).collect();
-    fn walk(stmts: &[Stmt], out: &mut BTreeSet<Name>) {
-        for s in stmts {
-            match s {
-                Stmt::Do { var, body, .. } => {
-                    out.insert(var.clone());
-                    walk(body, out);
-                }
-                Stmt::If { then_body, else_body, .. } => {
-                    walk(then_body, out);
-                    walk(else_body, out);
-                }
-                _ => {}
+    for s in &prog.body {
+        s.walk(&mut |s| {
+            if let Stmt::Do { var, .. } = s {
+                out.insert(var.clone());
             }
-        }
+        });
     }
-    walk(&prog.body, &mut out);
     out
 }
 

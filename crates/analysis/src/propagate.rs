@@ -306,29 +306,10 @@ mod tests {
     use crate::cfg::Cfg;
     use crate::ssa::to_ssa;
     use orchestra_lang::parse_program;
-    use std::collections::BTreeSet;
 
     fn analyzed(src: &str) -> (SsaProgram, Propagation) {
         let p = parse_program(src).unwrap();
-        let mut scalars: BTreeSet<Name> =
-            p.decls.iter().filter(|d| !d.is_array()).map(|d| d.name.clone()).collect();
-        fn ivs(stmts: &[orchestra_lang::ast::Stmt], out: &mut BTreeSet<Name>) {
-            for s in stmts {
-                match s {
-                    orchestra_lang::ast::Stmt::Do { var, body, .. } => {
-                        out.insert(var.clone());
-                        ivs(body, out);
-                    }
-                    orchestra_lang::ast::Stmt::If { then_body, else_body, .. } => {
-                        ivs(then_body, out);
-                        ivs(else_body, out);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        ivs(&p.body, &mut scalars);
-        let ssa = to_ssa(Cfg::from_program(&p), &scalars);
+        let ssa = to_ssa(Cfg::from_program(&p), &crate::collect_scalars(&p));
         let prop = propagate(&ssa);
         (ssa, prop)
     }

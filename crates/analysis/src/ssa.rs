@@ -224,24 +224,7 @@ mod tests {
 
     fn ssa_of(src: &str) -> SsaProgram {
         let p = parse_program(src).unwrap();
-        let mut scalars: BTreeSet<Name> =
-            p.decls.iter().filter(|d| !d.is_array()).map(|d| d.name.clone()).collect();
-        // Induction variables are scalars too.
-        fn collect_ivs(stmts: &[orchestra_lang::ast::Stmt], out: &mut BTreeSet<Name>) {
-            for s in stmts {
-                if let orchestra_lang::ast::Stmt::Do { var, body, .. } = s {
-                    out.insert(var.clone());
-                    collect_ivs(body, out);
-                }
-                if let orchestra_lang::ast::Stmt::If { then_body, else_body, .. } = s {
-                    collect_ivs(then_body, out);
-                    collect_ivs(else_body, out);
-                }
-            }
-        }
-        collect_ivs(&p.body, &mut scalars);
-        let cfg = Cfg::from_stmts(&p.body);
-        to_ssa(cfg, &scalars)
+        to_ssa(Cfg::from_stmts(&p.body), &crate::collect_scalars(&p))
     }
 
     #[test]

@@ -125,11 +125,11 @@ pub fn verify_ssa(ssa: &SsaProgram) -> Vec<SsaViolation> {
         }
     };
     let check_expr = |e: &Expr, bi: usize, violations: &mut Vec<SsaViolation>| {
-        collect_ssa_uses(e, &mut |name| {
-            if !dominated(name, bi) {
-                violations
-                    .push(SsaViolation::UseNotDominated { name: name.clone(), use_block: bi });
+        e.walk(&mut |e| match e {
+            Expr::Var(name) if split_ssa_name(name).is_some() && !dominated(name, bi) => {
+                violations.push(SsaViolation::UseNotDominated { name: name.clone(), use_block: bi })
             }
+            _ => {}
         });
     };
     for (bi, block) in ssa.cfg.blocks.iter().enumerate() {
@@ -168,30 +168,6 @@ pub fn verify_ssa(ssa: &SsaProgram) -> Vec<SsaViolation> {
         }
     }
     violations
-}
-
-fn collect_ssa_uses<'a>(e: &'a Expr, f: &mut dyn FnMut(&'a Name)) {
-    match e {
-        Expr::Var(v) if split_ssa_name(v).is_some() => {
-            f(v);
-        }
-        Expr::Index(_, idx) => {
-            for i in idx {
-                collect_ssa_uses(i, f);
-            }
-        }
-        Expr::Bin(_, l, r) => {
-            collect_ssa_uses(l, f);
-            collect_ssa_uses(r, f);
-        }
-        Expr::Un(_, i) => collect_ssa_uses(i, f),
-        Expr::Call(_, args) => {
-            for a in args {
-                collect_ssa_uses(a, f);
-            }
-        }
-        _ => {}
-    }
 }
 
 #[cfg(test)]

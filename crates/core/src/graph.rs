@@ -16,7 +16,7 @@ use crate::compile::Compiled;
 use orchestra_analysis::symbolic::{SymExpr, SymValue};
 use orchestra_delirium::{DataAnno, DelirGraph, NodeKind};
 use orchestra_descriptors::{loop_iteration_descriptor, Descriptor, SymCtx};
-use orchestra_lang::ast::{Program, Range, Stmt};
+use orchestra_lang::ast::{Expr, Program, Stmt};
 use orchestra_split::{static_op_count, Piece, PieceClass};
 use std::collections::HashMap;
 
@@ -39,25 +39,6 @@ const MASK_DENSITY: f64 = 0.5;
 /// loop (mask clustering makes them mildly irregular).
 const MASKED_CV: f64 = 0.25;
 
-/// Constant trip count of a range list under `ctx`, if computable.
-fn const_trips(ranges: &[Range], ctx: &SymCtx) -> Option<i64> {
-    let mut trips = 0i64;
-    for r in ranges {
-        let lo = ctx.lin(&r.lo)?.as_constant()?;
-        let hi = ctx.lin(&r.hi)?.as_constant()?;
-        let step = match &r.step {
-            Some(e) => ctx.lin(e)?.as_constant()?,
-            None => 1,
-        };
-        if step == 0 {
-            return None;
-        }
-        trips +=
-            if step > 0 { ((hi - lo) / step + 1).max(0) } else { ((lo - hi) / (-step) + 1).max(0) };
-    }
-    Some(trips)
-}
-
 /// Factor applied to merge-piece costs: "merging can often be handled
 /// implicitly by the runtime system during data communication" (§2), so
 /// only a small residue of the merge's nominal copy cost is charged.
@@ -75,7 +56,7 @@ fn piece_shape(piece: &Piece, ctx: &SymCtx, density: f64) -> NodeKind {
     // any other data-parallel operation when it has a loop.
     let merge_factor = if piece.class == PieceClass::Merge { IMPLICIT_MERGE_FACTOR } else { 1.0 };
     if let (Some(Stmt::Do { ranges, .. }), Some(ops)) = (main_loop, total_ops) {
-        if let Some(trips) = const_trips(ranges, ctx) {
+        if let Some(trips) = ctx.trips(ranges) {
             if trips > 0 {
                 let mean = ops as f64 * OP_MICROSECONDS * density * merge_factor / trips as f64;
                 // A data-dependent mask selects a fraction of the
@@ -100,27 +81,22 @@ fn piece_shape(piece: &Piece, ctx: &SymCtx, density: f64) -> NodeKind {
     }
 }
 
-/// True when the piece contains a loop whose `where` mask reads memory
-/// (a data-dependent mask like `mask[i] <> 0`), as opposed to the pure
-/// scalar bounds tests iteration splitting inserts for range clipping.
+/// True when a `where` mask reads memory (a data-dependent mask like
+/// `mask[i] <> 0`), as opposed to the pure scalar bounds tests iteration
+/// splitting inserts for range clipping.
+fn is_data_mask(mask: &Expr) -> bool {
+    let mut reads_memory = false;
+    mask.walk(&mut |e| reads_memory |= matches!(e, Expr::Index(..)));
+    reads_memory
+}
+
+/// True when the piece contains a loop with a data-dependent mask.
 fn piece_has_data_mask(piece: &Piece) -> bool {
-    fn stmt_has(s: &Stmt) -> bool {
-        match s {
-            Stmt::Do { mask, body, .. } => {
-                let data_mask = mask.as_ref().is_some_and(|m| {
-                    let mut arrays = std::collections::BTreeSet::new();
-                    m.array_reads(&mut arrays);
-                    !arrays.is_empty()
-                });
-                data_mask || body.iter().any(stmt_has)
-            }
-            Stmt::If { then_body, else_body, .. } => {
-                then_body.iter().any(stmt_has) || else_body.iter().any(stmt_has)
-            }
-            _ => false,
-        }
+    let mut found = false;
+    for s in &piece.stmts {
+        s.walk(&mut |s| found |= matches!(s, Stmt::Do { mask: Some(m), .. } if is_data_mask(m)));
     }
-    piece.stmts.iter().any(stmt_has)
+    found
 }
 
 /// Bytes estimate for the data flowing between two pieces: the first
@@ -201,22 +177,14 @@ pub fn graph_of_compiled(c: &Compiled) -> (DelirGraph, HashMap<String, usize>) {
     if let Some(p) = &c.pipeline {
         let group = format!("pipe_{}", p.loop_name);
         let trips = if let Stmt::Do { ranges, .. } = &p.transformed {
-            const_trips(ranges, &ctx).unwrap_or(1).max(1) as usize
+            ctx.trips(ranges).unwrap_or(1).max(1) as usize
         } else {
             1
         };
         // A data-masked pipelined loop executes only a fraction of its
         // iterations: the mask scales the pipeline's iteration count.
         let loop_density = match &p.transformed {
-            Stmt::Do { mask: Some(m), .. } => {
-                let mut arrays = std::collections::BTreeSet::new();
-                m.array_reads(&mut arrays);
-                if arrays.is_empty() {
-                    1.0
-                } else {
-                    MASK_DENSITY
-                }
-            }
+            Stmt::Do { mask: Some(m), .. } if is_data_mask(m) => MASK_DENSITY,
             _ => 1.0,
         };
         let effective_iters = ((trips as f64 * loop_density) as usize).max(1);
@@ -324,14 +292,14 @@ pub fn baseline_graph(prog: &Program) -> (DelirGraph, HashMap<String, usize>) {
                     iter.descriptor.interferes(&shifted)
                 })
                 .unwrap_or(true);
-            let outer_trips = const_trips(ranges, &ctx).unwrap_or(1).max(1);
+            let outer_trips = ctx.trips(ranges).unwrap_or(1).max(1);
             if dependent_iterations {
                 // Sequential phases: per-iteration inner parallelism.
                 let pipe_ctx = midpoint_ctx(&ctx, s);
                 let inner_tasks = body
                     .iter()
                     .find_map(|b| match b {
-                        Stmt::Do { ranges, .. } => const_trips(ranges, &pipe_ctx),
+                        Stmt::Do { ranges, .. } => pipe_ctx.trips(ranges),
                         _ => None,
                     })
                     .unwrap_or(1)

@@ -19,7 +19,7 @@ use crate::guard::{Guard, MaskRel, MaskTest};
 use crate::triple::{DimPattern, Triple};
 use orchestra_analysis::propagate::lin_expr;
 use orchestra_analysis::symbolic::{Ineq, Name, SymExpr, SymRange, SymValue};
-use orchestra_lang::ast::{BinOp, Expr, LValue, Program, Stmt};
+use orchestra_lang::ast::{BinOp, Expr, LValue, Program, Range, Stmt};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -64,6 +64,27 @@ impl SymCtx {
         } else {
             Some(le)
         }
+    }
+
+    /// The number of iterations a `do` over `ranges` runs, counted as
+    /// the interpreter runs them; `None` when a bound or step is not a
+    /// known constant, a step is zero, or the count overflows.
+    pub fn trips(&self, ranges: &[Range]) -> Option<i64> {
+        ranges.iter().try_fold(0i64, |total, r| {
+            let lo = self.lin(&r.lo)?.as_constant()?;
+            let hi = self.lin(&r.hi)?.as_constant()?;
+            let step = match &r.step {
+                Some(e) => self.lin(e)?.as_constant()?,
+                None => 1,
+            };
+            let span = match step.signum() {
+                1 => hi.checked_sub(lo)?,
+                -1 => lo.checked_sub(hi)?,
+                _ => return None,
+            };
+            let count = if span < 0 { 0 } else { (span / step.checked_abs()?).checked_add(1)? };
+            total.checked_add(count)
+        })
     }
 
     /// The declared-range pattern is unknown here, so a failed
@@ -591,6 +612,43 @@ end
         );
         let d = descriptor_of_stmt(&p.body[0], &ctx);
         assert_eq!(d.writes[0].to_string(), "x");
+    }
+
+    #[test]
+    fn trips_count_as_the_interpreter_runs() {
+        let (p, ctx) = setup(
+            "program t\n integer n = 9, s = -2\n do i = 1, n { }\n do i = 1, n, 4 { }\n do i = n, 1, s { }\n do i = 1, 3 and 7, n { }\nend",
+        );
+        let trips: Vec<_> = p
+            .body
+            .iter()
+            .map(|s| match s {
+                Stmt::Do { ranges, .. } => ctx.trips(ranges),
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(trips, [Some(9), Some(3), Some(5), Some(6)]);
+    }
+
+    /// An empty range runs nothing whichever way it steps; a zero step, an
+    /// unknown bound and a count past `i64` are no count at all.
+    #[test]
+    fn trips_of_empty_zero_unknown_and_overflowing_ranges() {
+        let ctx = SymCtx::default();
+        let range = |lo: i64, hi: i64, step: i64| Range {
+            lo: Expr::IntLit(lo),
+            hi: Expr::IntLit(hi),
+            step: Some(Expr::IntLit(step)),
+        };
+        for (lo, hi, step) in [(2, 1, 2), (5, 3, 2), (3, 5, -2), (1, 0, 1), (0, 1, -1)] {
+            assert_eq!(ctx.trips(&[range(lo, hi, step)]), Some(0), "{lo}, {hi}, {step}");
+        }
+        assert_eq!(ctx.trips(&[range(1, 5, 0)]), None);
+        assert_eq!(ctx.trips(&[Range::new(Expr::IntLit(1), Expr::var("m"))]), None);
+        assert_eq!(ctx.trips(&[range(i64::MIN, i64::MAX, 1)]), None, "span overflows");
+        assert_eq!(ctx.trips(&[range(0, i64::MAX, 1)]), None, "count overflows");
+        assert_eq!(ctx.trips(&[range(1, i64::MAX, 1), range(1, 1, 1)]), None, "sum overflows");
+        assert_eq!(ctx.trips(&[range(0, -5, i64::MIN)]), None, "|step| overflows");
     }
 
     #[test]

@@ -377,75 +377,75 @@ impl Expr {
         Expr::Index(name.into(), idx)
     }
 
+    /// Visits this node, then every subexpression, outermost first.
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        f(self);
+        match self {
+            Expr::IntLit(_) | Expr::FloatLit(_) | Expr::Var(_) => {}
+            Expr::Index(_, es) | Expr::Call(_, es) => es.iter().for_each(|e| e.walk(f)),
+            Expr::Bin(_, l, r) => {
+                l.walk(f);
+                r.walk(f);
+            }
+            Expr::Un(_, e) => e.walk(f),
+        }
+    }
+
+    /// Rebuilds this expression bottom-up: every subexpression is mapped
+    /// first, then `f` maps the node built from the results.
+    pub fn map(&self, f: &mut impl FnMut(Expr) -> Expr) -> Expr {
+        let node = match self {
+            Expr::IntLit(_) | Expr::FloatLit(_) | Expr::Var(_) => self.clone(),
+            Expr::Index(a, es) => Expr::Index(a.clone(), es.iter().map(|e| e.map(f)).collect()),
+            Expr::Call(g, es) => Expr::Call(g.clone(), es.iter().map(|e| e.map(f)).collect()),
+            Expr::Bin(op, l, r) => Expr::bin(*op, l.map(f), r.map(f)),
+            Expr::Un(op, e) => Expr::Un(*op, Box::new(e.map(f))),
+        };
+        f(node)
+    }
+
+    /// Renames every variable and array this expression reads by `f`
+    /// (`None` keeps a name); intrinsic names are left alone.
+    pub fn rename(&self, f: &impl Fn(&Name) -> Option<Name>) -> Expr {
+        self.map(&mut |e| match e {
+            Expr::Var(v) => Expr::Var(f(&v).unwrap_or(v)),
+            Expr::Index(a, idx) => Expr::Index(f(&a).unwrap_or(a), idx),
+            e => e,
+        })
+    }
+
+    /// True when this expression reads scalar variable `name`.
+    pub fn reads(&self, name: &str) -> bool {
+        let mut found = false;
+        self.walk(&mut |e| found |= matches!(e, Expr::Var(v) if v == name));
+        found
+    }
+
     /// Collects the names of all scalar variables read by this expression
     /// (array index variables included; array names excluded).
     pub fn scalar_reads(&self, out: &mut BTreeSet<Name>) {
-        match self {
-            Expr::IntLit(_) | Expr::FloatLit(_) => {}
-            Expr::Var(v) => {
+        self.walk(&mut |e| {
+            if let Expr::Var(v) = e {
                 out.insert(v.clone());
             }
-            Expr::Index(_, idx) => {
-                for e in idx {
-                    e.scalar_reads(out);
-                }
-            }
-            Expr::Bin(_, a, b) => {
-                a.scalar_reads(out);
-                b.scalar_reads(out);
-            }
-            Expr::Un(_, a) => a.scalar_reads(out),
-            Expr::Call(_, args) => {
-                for a in args {
-                    a.scalar_reads(out);
-                }
-            }
-        }
+        });
     }
 
     /// Collects the names of all arrays referenced by this expression.
     pub fn array_reads(&self, out: &mut BTreeSet<Name>) {
-        match self {
-            Expr::IntLit(_) | Expr::FloatLit(_) | Expr::Var(_) => {}
-            Expr::Index(name, idx) => {
-                out.insert(name.clone());
-                for e in idx {
-                    e.array_reads(out);
-                }
+        self.walk(&mut |e| {
+            if let Expr::Index(a, _) = e {
+                out.insert(a.clone());
             }
-            Expr::Bin(_, a, b) => {
-                a.array_reads(out);
-                b.array_reads(out);
-            }
-            Expr::Un(_, a) => a.array_reads(out),
-            Expr::Call(_, args) => {
-                for a in args {
-                    a.array_reads(out);
-                }
-            }
-        }
+        });
     }
 
     /// Substitutes every occurrence of scalar variable `name` with `repl`.
     pub fn subst(&self, name: &str, repl: &Expr) -> Expr {
-        match self {
-            Expr::IntLit(_) | Expr::FloatLit(_) => self.clone(),
-            Expr::Var(v) => {
-                if v == name {
-                    repl.clone()
-                } else {
-                    self.clone()
-                }
-            }
-            Expr::Index(a, idx) => {
-                Expr::Index(a.clone(), idx.iter().map(|e| e.subst(name, repl)).collect())
-            }
-            Expr::Bin(op, l, r) => Expr::bin(*op, l.subst(name, repl), r.subst(name, repl)),
-            Expr::Un(op, e) => Expr::Un(*op, Box::new(e.subst(name, repl))),
-            Expr::Call(f, args) => {
-                Expr::Call(f.clone(), args.iter().map(|e| e.subst(name, repl)).collect())
-            }
-        }
+        self.map(&mut |e| match e {
+            Expr::Var(v) if v == name => repl.clone(),
+            e => e,
+        })
     }
 
     /// Returns the constant integer value of this expression if it is a
@@ -544,94 +544,110 @@ impl Stmt {
         }
     }
 
+    /// Visits this statement, then every nested statement, in program
+    /// order.
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Stmt)) {
+        f(self);
+        match self {
+            Stmt::Assign { .. } | Stmt::Call { .. } => {}
+            Stmt::Do { body, .. } => body.iter().for_each(|s| s.walk(f)),
+            Stmt::If { then_body, else_body, .. } => {
+                then_body.iter().chain(else_body).for_each(|s| s.walk(f))
+            }
+        }
+    }
+
+    /// Visits the expressions this statement holds itself, not those of
+    /// nested statements: an assignment's target indices and value; each
+    /// range's `lo`, `hi` and `step`, then the mask; the condition; the
+    /// call arguments.
+    pub fn exprs<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        match self {
+            Stmt::Assign { target, value } => {
+                if let LValue::Index(_, idx) = target {
+                    idx.iter().for_each(&mut *f);
+                }
+                f(value);
+            }
+            Stmt::Do { ranges, mask, .. } => {
+                for r in ranges {
+                    f(&r.lo);
+                    f(&r.hi);
+                    r.step.iter().for_each(&mut *f);
+                }
+                mask.iter().for_each(f);
+            }
+            Stmt::If { cond, .. } => f(cond),
+            Stmt::Call { args, .. } => args.iter().for_each(f),
+        }
+    }
+
+    /// Renames every variable and array by `f` (`None` keeps a name):
+    /// reads, assignment targets and loop variables. Labels, procedure
+    /// names and intrinsic names are left alone.
+    pub fn rename(&self, f: &impl Fn(&Name) -> Option<Name>) -> Stmt {
+        let name = |n: &Name| f(n).unwrap_or_else(|| n.clone());
+        let exprs = |es: &[Expr]| es.iter().map(|e| e.rename(f)).collect();
+        let stmts = |ss: &[Stmt]| ss.iter().map(|s| s.rename(f)).collect();
+        match self {
+            Stmt::Assign { target, value } => Stmt::Assign {
+                target: match target {
+                    LValue::Var(v) => LValue::Var(name(v)),
+                    LValue::Index(a, idx) => LValue::Index(name(a), exprs(idx)),
+                },
+                value: value.rename(f),
+            },
+            Stmt::Do { label, var, ranges, mask, body } => Stmt::Do {
+                label: label.clone(),
+                var: name(var),
+                ranges: ranges
+                    .iter()
+                    .map(|r| Range {
+                        lo: r.lo.rename(f),
+                        hi: r.hi.rename(f),
+                        step: r.step.as_ref().map(|e| e.rename(f)),
+                    })
+                    .collect(),
+                mask: mask.as_ref().map(|m| m.rename(f)),
+                body: stmts(body),
+            },
+            Stmt::If { cond, then_body, else_body } => Stmt::If {
+                cond: cond.rename(f),
+                then_body: stmts(then_body),
+                else_body: stmts(else_body),
+            },
+            Stmt::Call { name: p, args } => Stmt::Call { name: p.clone(), args: exprs(args) },
+        }
+    }
+
     /// Collects scalar variables written by this statement (transitively).
     pub fn scalar_writes(&self, out: &mut BTreeSet<Name>) {
-        match self {
-            Stmt::Assign { target: LValue::Var(v), .. } => {
+        self.walk(&mut |s| match s {
+            Stmt::Assign { target: LValue::Var(v), .. } | Stmt::Do { var: v, .. } => {
                 out.insert(v.clone());
             }
-            Stmt::Assign { .. } => {}
-            Stmt::Do { var, body, .. } => {
-                out.insert(var.clone());
-                for s in body {
-                    s.scalar_writes(out);
-                }
-            }
-            Stmt::If { then_body, else_body, .. } => {
-                for s in then_body.iter().chain(else_body) {
-                    s.scalar_writes(out);
-                }
-            }
-            Stmt::Call { .. } => {}
-        }
+            _ => {}
+        });
     }
 
     /// Collects array names written by this statement (transitively;
     /// calls are treated as writing every array argument, conservatively).
     pub fn array_writes(&self, out: &mut BTreeSet<Name>) {
-        match self {
+        self.walk(&mut |s| match s {
             Stmt::Assign { target: LValue::Index(a, _), .. } => {
                 out.insert(a.clone());
             }
-            Stmt::Assign { .. } => {}
-            Stmt::Do { body, .. } => {
-                for s in body {
-                    s.array_writes(out);
-                }
-            }
-            Stmt::If { then_body, else_body, .. } => {
-                for s in then_body.iter().chain(else_body) {
-                    s.array_writes(out);
-                }
-            }
-            Stmt::Call { args, .. } => {
-                for a in args {
-                    if let Expr::Var(name) = a {
-                        out.insert(name.clone());
-                    }
-                }
-            }
-        }
+            Stmt::Call { args, .. } => out.extend(args.iter().filter_map(|a| match a {
+                Expr::Var(name) => Some(name.clone()),
+                _ => None,
+            })),
+            _ => {}
+        });
     }
 
     /// Visits every expression in this statement, outermost first.
-    pub fn visit_exprs<'a>(&'a self, f: &mut dyn FnMut(&'a Expr)) {
-        match self {
-            Stmt::Assign { target, value } => {
-                if let LValue::Index(_, idx) = target {
-                    for e in idx {
-                        f(e);
-                    }
-                }
-                f(value);
-            }
-            Stmt::Do { ranges, mask, body, .. } => {
-                for r in ranges {
-                    f(&r.lo);
-                    f(&r.hi);
-                    if let Some(s) = &r.step {
-                        f(s);
-                    }
-                }
-                if let Some(m) = mask {
-                    f(m);
-                }
-                for s in body {
-                    s.visit_exprs(f);
-                }
-            }
-            Stmt::If { cond, then_body, else_body } => {
-                f(cond);
-                for s in then_body.iter().chain(else_body) {
-                    s.visit_exprs(f);
-                }
-            }
-            Stmt::Call { args, .. } => {
-                for a in args {
-                    f(a);
-                }
-            }
-        }
+    pub fn visit_exprs<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        self.walk(&mut |s| s.exprs(f));
     }
 }
 
@@ -784,5 +800,57 @@ mod tests {
         let mut count = 0;
         s.visit_exprs(&mut |_| count += 1);
         assert_eq!(count, 3, "lo, hi, mask");
+    }
+
+    #[test]
+    fn walk_is_outermost_first() {
+        let e = Expr::bin(BinOp::Add, Expr::index("q", vec![Expr::var("i")]), Expr::IntLit(1));
+        let mut seen = Vec::new();
+        e.walk(&mut |x| seen.push(x));
+        let q_i = Expr::index("q", vec![Expr::var("i")]);
+        assert_eq!(seen, [&e, &q_i, &Expr::var("i"), &Expr::IntLit(1)]);
+    }
+
+    /// A statement's own expressions include every range's step and stop
+    /// at its body; the walk reaches the nested statements.
+    #[test]
+    fn exprs_hold_the_step_and_not_the_body() {
+        let p = crate::parse_program(
+            "program p\n integer n = 4, s = 2\n float y[1..n]\n do k = 1, n, s where (k > 0) { y[k] = 1.0 }\nend",
+        )
+        .unwrap();
+        let mut own = Vec::new();
+        p.body[0].exprs(&mut |e| own.push(crate::pretty::expr_to_string(e)));
+        assert_eq!(own, ["1", "n", "s", "k > 0"]);
+        let mut stmts = 0;
+        p.body[0].walk(&mut |_| stmts += 1);
+        assert_eq!(stmts, 2);
+    }
+
+    #[test]
+    fn reads_sees_scalars_not_array_names() {
+        let e = Expr::bin(BinOp::Mul, Expr::index("q", vec![Expr::var("i")]), Expr::var("s"));
+        assert!(e.reads("i") && e.reads("s"));
+        assert!(!e.reads("q") && !e.reads("n"));
+    }
+
+    /// Every name a program binds is renamed, wherever it occurs; the
+    /// identity rename rebuilds an equal tree.
+    #[test]
+    fn rename_reaches_targets_and_loop_variables() {
+        let src = "program p\n integer n = 4, s\n float y[1..n]\n L: do k = 1, n, s where (y[k] <> 0) { s = s + 1\n y[k] = f(y[k]) }\n call r(y)\nend";
+        let p = crate::parse_program(src).unwrap();
+        let suffixed = |n: &Name| Some(Name::from(format!("{n}_")));
+        let printed: String =
+            p.body.iter().map(|s| crate::pretty::stmt_to_string(&s.rename(&suffixed))).collect();
+        assert!(printed.contains("L: do k_ = 1, n_, s_ where (y_[k_] <> 0)"), "{printed}");
+        assert!(
+            printed.contains("s_ = s_ + 1") && printed.contains("y_[k_] = f(y_[k_])"),
+            "{printed}"
+        );
+        assert!(printed.contains("call r(y_)"), "{printed}");
+        for s in &p.body {
+            assert_eq!(s.rename(&|_| None), *s);
+        }
     }
 }

@@ -19,7 +19,7 @@
 
 use orchestra_analysis::symbolic::SymExpr;
 use orchestra_descriptors::{loop_iteration_descriptor, SymCtx};
-use orchestra_lang::ast::{Expr, Name, Range, Stmt};
+use orchestra_lang::ast::{Expr, Range, Stmt};
 
 /// Why two loops cannot fuse.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -122,7 +122,7 @@ pub fn fuse_loops(l1: &Stmt, l2: &Stmt, ctx: &SymCtx) -> Option<Stmt> {
         return None;
     };
     let mut body = b1.clone();
-    body.extend(b2.iter().map(|s| rename_var(s, v2, v1)));
+    body.extend(b2.iter().map(|s| s.rename(&|n| (n == v2).then(|| v1.clone()))));
     Some(Stmt::Do {
         label: label.clone(),
         var: v1.clone(),
@@ -148,54 +148,6 @@ pub fn fuse_adjacent(stmts: &[Stmt], ctx: &SymCtx) -> (Vec<Stmt>, usize) {
         out.push(s.clone());
     }
     (out, fused)
-}
-
-fn rename_var(s: &Stmt, from: &str, to: &Name) -> Stmt {
-    let to_expr = Expr::var(to);
-    match s {
-        Stmt::Assign { target, value } => Stmt::Assign {
-            target: match target {
-                orchestra_lang::ast::LValue::Var(v) if v == from => {
-                    orchestra_lang::ast::LValue::Var(to.clone())
-                }
-                orchestra_lang::ast::LValue::Var(v) => orchestra_lang::ast::LValue::Var(v.clone()),
-                orchestra_lang::ast::LValue::Index(a, idx) => orchestra_lang::ast::LValue::Index(
-                    a.clone(),
-                    idx.iter().map(|e| e.subst(from, &to_expr)).collect(),
-                ),
-            },
-            value: value.subst(from, &to_expr),
-        },
-        Stmt::Do { label, var, ranges, mask, body } => {
-            if var == from {
-                // Shadowed: inner loop reuses the name; leave untouched.
-                return s.clone();
-            }
-            Stmt::Do {
-                label: label.clone(),
-                var: var.clone(),
-                ranges: ranges
-                    .iter()
-                    .map(|r| Range {
-                        lo: r.lo.subst(from, &to_expr),
-                        hi: r.hi.subst(from, &to_expr),
-                        step: r.step.as_ref().map(|e| e.subst(from, &to_expr)),
-                    })
-                    .collect(),
-                mask: mask.as_ref().map(|m| m.subst(from, &to_expr)),
-                body: body.iter().map(|b| rename_var(b, from, to)).collect(),
-            }
-        }
-        Stmt::If { cond, then_body, else_body } => Stmt::If {
-            cond: cond.subst(from, &to_expr),
-            then_body: then_body.iter().map(|b| rename_var(b, from, to)).collect(),
-            else_body: else_body.iter().map(|b| rename_var(b, from, to)).collect(),
-        },
-        Stmt::Call { name, args } => Stmt::Call {
-            name: name.clone(),
-            args: args.iter().map(|a| a.subst(from, &to_expr)).collect(),
-        },
-    }
 }
 
 #[cfg(test)]

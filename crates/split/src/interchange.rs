@@ -64,14 +64,9 @@ pub fn can_interchange(nest: &Stmt, ctx: &SymCtx) -> Result<(), InterchangeObsta
         return Err(InterchangeObstacle::NotAPerfectNest);
     }
     // Triangular nests change their iteration space under interchange.
-    let r = &inner_ranges[0];
-    let mentions_outer = |e: &orchestra_lang::ast::Expr| {
-        let mut reads = std::collections::BTreeSet::new();
-        e.scalar_reads(&mut reads);
-        reads.contains(outer_var)
-    };
-    if mentions_outer(&r.lo) || mentions_outer(&r.hi) || r.step.as_ref().is_some_and(mentions_outer)
-    {
+    let mut triangular = false;
+    inner.exprs(&mut |e| triangular |= e.reads(outer_var));
+    if triangular {
         return Err(InterchangeObstacle::TriangularBounds);
     }
 

@@ -308,13 +308,11 @@ fn guarded_by(d: &Descriptor, guard: &Guard) -> Descriptor {
 ///
 /// Returns `None` when splitting the iterations would be illegal.
 pub fn check_iterations_commute(iter: &LoopIteration, body: &[Stmt]) -> Option<Vec<ReductionVar>> {
-    // 1. Calls in the body defeat the analysis.
-    if contains_call(body) {
-        return None;
-    }
-    // 2. Every scalar assigned in the body must be a reduction.
-    let mut reductions: BTreeMap<Name, BinOp> = BTreeMap::new();
-    if !collect_reductions(body, &mut reductions) {
+    // 1–2. No calls, every scalar the body assigns is a reduction
+    // accumulator, and no accumulator is the variable of this loop (the
+    // body's own loops are checked with the body).
+    let reductions = collect_reductions(body)?;
+    if reductions.contains_key(&iter.var) {
         return None;
     }
     let reductions: Vec<ReductionVar> =
@@ -347,68 +345,51 @@ pub fn check_iterations_commute(iter: &LoopIteration, body: &[Stmt]) -> Option<V
     Some(reductions)
 }
 
-fn contains_call(body: &[Stmt]) -> bool {
-    body.iter().any(|s| match s {
-        Stmt::Call { .. } => true,
-        Stmt::Do { body, .. } => contains_call(body),
-        Stmt::If { then_body, else_body, .. } => {
-            contains_call(then_body) || contains_call(else_body)
-        }
-        Stmt::Assign { .. } => false,
-    })
-}
-
-/// Collects reduction assignments; returns false on any scalar
-/// assignment that is not of the form `s = s ⊕ e` (⊕ associative, `e`
-/// not mentioning `s`), or when a reduction scalar is read elsewhere.
-fn collect_reductions(body: &[Stmt], out: &mut BTreeMap<Name, BinOp>) -> bool {
-    // Gather assignments.
-    fn walk(stmts: &[Stmt], out: &mut BTreeMap<Name, BinOp>) -> bool {
-        for s in stmts {
-            match s {
-                Stmt::Assign { target: LValue::Var(name), value } => {
-                    let Some(op) = reduction_op(name, value) else { return false };
-                    match out.get(name) {
-                        Some(prev) if *prev != op => return false,
-                        _ => {
-                            out.insert(name.clone(), op);
-                        }
-                    }
-                }
-                Stmt::Assign { .. } => {}
-                Stmt::Do { body, .. } => {
-                    if !walk(body, out) {
-                        return false;
-                    }
-                }
-                Stmt::If { then_body, else_body, .. } => {
-                    if !walk(then_body, out) || !walk(else_body, out) {
-                        return false;
-                    }
-                }
-                Stmt::Call { .. } => return false,
+/// The reduction accumulators of a loop body, with their operators.
+///
+/// Every scalar the body assigns must be an accumulator: assigned only
+/// as `s = s ⊕ e`, with one associative ⊕ throughout and `e` reading no
+/// accumulator. An accumulator may occur only as the accumulator of its
+/// own assignments: any other read (an index, a value, a condition, a
+/// loop's bounds, step or mask) and any loop over it refuse the split,
+/// as does a call. `None` when the body breaks the rule.
+fn collect_reductions(body: &[Stmt]) -> Option<BTreeMap<Name, BinOp>> {
+    let mut accs = BTreeMap::new();
+    let mut ok = true;
+    for s in body {
+        s.walk(&mut |s| match s {
+            Stmt::Assign { target: LValue::Var(v), value } => match reduction(v, value) {
+                Some((op, _)) if *accs.entry(v.clone()).or_insert(op) == op => {}
+                _ => ok = false,
+            },
+            Stmt::Call { .. } => ok = false,
+            _ => {}
+        });
+    }
+    if !ok || accs.is_empty() {
+        return ok.then_some(accs);
+    }
+    let reads_acc = |e: &Expr| {
+        let mut hit = false;
+        e.walk(&mut |e| hit |= matches!(e, Expr::Var(v) if accs.contains_key(v)));
+        hit
+    };
+    for s in body {
+        s.walk(&mut |s| match s {
+            Stmt::Assign { target: LValue::Var(v), value } => {
+                ok &= reduction(v, value).is_some_and(|(_, rest)| !reads_acc(rest))
             }
-        }
-        true
+            Stmt::Do { var, .. } if accs.contains_key(var) => ok = false,
+            _ => s.exprs(&mut |e| ok &= !reads_acc(e)),
+        });
     }
-    if !walk(body, out) {
-        return false;
-    }
-    // A reduction scalar may only appear as the accumulator operand of
-    // its own assignments: verify it is not read anywhere else.
-    for name in out.keys() {
-        if scalar_read_outside_reduction(body, name) {
-            return false;
-        }
-    }
-    true
+    ok.then_some(accs)
 }
 
-fn reduction_op(name: &str, value: &Expr) -> Option<BinOp> {
-    let Expr::Bin(op, l, r) = value else { return None };
-    if !matches!(op, BinOp::Add | BinOp::Mul) {
-        return None;
-    }
+/// Of `name = name ⊕ rest` (either operand order, ⊕ `+` or `*`, `rest`
+/// not reading `name`): the operator and `rest`.
+fn reduction<'a>(name: &str, value: &'a Expr) -> Option<(BinOp, &'a Expr)> {
+    let Expr::Bin(op @ (BinOp::Add | BinOp::Mul), l, r) = value else { return None };
     let is_acc = |e: &Expr| matches!(e, Expr::Var(v) if v == name);
     let rest = if is_acc(l) {
         r
@@ -417,68 +398,7 @@ fn reduction_op(name: &str, value: &Expr) -> Option<BinOp> {
     } else {
         return None;
     };
-    let mut reads = BTreeSet::new();
-    rest.scalar_reads(&mut reads);
-    if reads.contains(name) {
-        return None;
-    }
-    Some(*op)
-}
-
-fn scalar_read_outside_reduction(body: &[Stmt], name: &str) -> bool {
-    fn expr_reads_scalar(e: &Expr, name: &str) -> bool {
-        let mut s = BTreeSet::new();
-        e.scalar_reads(&mut s);
-        s.contains(name)
-    }
-    for s in body {
-        match s {
-            Stmt::Assign { target, value } => {
-                let is_own_reduction = matches!(target, LValue::Var(t) if t == name);
-                if is_own_reduction {
-                    // The single accumulator occurrence is allowed; any
-                    // other occurrence in the RHS was rejected by
-                    // `reduction_op` already.
-                    continue;
-                }
-                if expr_reads_scalar(value, name) {
-                    return true;
-                }
-                if let LValue::Index(_, idx) = target {
-                    if idx.iter().any(|e| expr_reads_scalar(e, name)) {
-                        return true;
-                    }
-                }
-            }
-            Stmt::Do { ranges, mask, body, .. } => {
-                for r in ranges {
-                    if expr_reads_scalar(&r.lo, name) || expr_reads_scalar(&r.hi, name) {
-                        return true;
-                    }
-                }
-                if mask.as_ref().is_some_and(|m| expr_reads_scalar(m, name)) {
-                    return true;
-                }
-                if scalar_read_outside_reduction(body, name) {
-                    return true;
-                }
-            }
-            Stmt::If { cond, then_body, else_body } => {
-                if expr_reads_scalar(cond, name)
-                    || scalar_read_outside_reduction(then_body, name)
-                    || scalar_read_outside_reduction(else_body, name)
-                {
-                    return true;
-                }
-            }
-            Stmt::Call { args, .. } => {
-                if args.iter().any(|a| expr_reads_scalar(a, name)) {
-                    return true;
-                }
-            }
-        }
-    }
-    false
+    (!rest.reads(name)).then_some((*op, rest))
 }
 
 /// The generated pieces of a split loop.
@@ -618,9 +538,12 @@ pub fn split_loop(
         }
     };
 
-    // Piece bodies with renamed outputs.
-    let ind_body = rename_stmts(body, &ind_map, reductions);
-    let dep_body = rename_stmts(body, &dep_map, reductions);
+    // Piece bodies with renamed outputs. The maps hold only written
+    // arrays and accumulators, which occur nowhere but as themselves.
+    let renamed = |map: &BTreeMap<Name, Name>| -> Vec<Stmt> {
+        body.iter().map(|s| s.rename(&|n| map.get(n).cloned())).collect()
+    };
+    let (ind_body, dep_body) = (renamed(&ind_map), renamed(&dep_map));
 
     let mut independent = Vec::new();
     let mut dependent = Vec::new();
@@ -672,79 +595,6 @@ fn conjoin(a: Option<Expr>, b: Option<Expr>) -> Option<Expr> {
     match (a, b) {
         (None, x) | (x, None) => x,
         (Some(a), Some(b)) => Some(Expr::bin(BinOp::And, a, b)),
-    }
-}
-
-/// Renames written arrays and reduction scalars in a loop body.
-fn rename_stmts(
-    body: &[Stmt],
-    map: &BTreeMap<Name, Name>,
-    reductions: &[ReductionVar],
-) -> Vec<Stmt> {
-    let red_names: BTreeSet<&str> = reductions.iter().map(|r| r.name.as_str()).collect();
-    body.iter().map(|s| rename_stmt(s, map, &red_names)).collect()
-}
-
-fn rename_stmt(s: &Stmt, map: &BTreeMap<Name, Name>, reds: &BTreeSet<&str>) -> Stmt {
-    match s {
-        Stmt::Assign { target, value } => {
-            let target = match target {
-                LValue::Var(v) => LValue::Var(map.get(v).cloned().unwrap_or_else(|| v.clone())),
-                LValue::Index(a, idx) => LValue::Index(
-                    map.get(a).cloned().unwrap_or_else(|| a.clone()),
-                    idx.iter().map(|e| rename_expr(e, map, reds)).collect(),
-                ),
-            };
-            Stmt::Assign { target, value: rename_expr(value, map, reds) }
-        }
-        Stmt::Do { label, var, ranges, mask, body } => Stmt::Do {
-            label: label.clone(),
-            var: var.clone(),
-            ranges: ranges
-                .iter()
-                .map(|r| Range {
-                    lo: rename_expr(&r.lo, map, reds),
-                    hi: rename_expr(&r.hi, map, reds),
-                    step: r.step.as_ref().map(|e| rename_expr(e, map, reds)),
-                })
-                .collect(),
-            mask: mask.as_ref().map(|m| rename_expr(m, map, reds)),
-            body: body.iter().map(|b| rename_stmt(b, map, reds)).collect(),
-        },
-        Stmt::If { cond, then_body, else_body } => Stmt::If {
-            cond: rename_expr(cond, map, reds),
-            then_body: then_body.iter().map(|b| rename_stmt(b, map, reds)).collect(),
-            else_body: else_body.iter().map(|b| rename_stmt(b, map, reds)).collect(),
-        },
-        Stmt::Call { name, args } => Stmt::Call {
-            name: name.clone(),
-            args: args.iter().map(|e| rename_expr(e, map, reds)).collect(),
-        },
-    }
-}
-
-/// Renames only (a) reduction scalars anywhere and (b) array names in
-/// index positions. Plain scalar reads of non-reduction names are left
-/// alone (written arrays are never read in a splittable body).
-fn rename_expr(e: &Expr, map: &BTreeMap<Name, Name>, reds: &BTreeSet<&str>) -> Expr {
-    match e {
-        Expr::IntLit(_) | Expr::FloatLit(_) => e.clone(),
-        Expr::Var(v) => {
-            if reds.contains(v.as_str()) {
-                Expr::Var(map.get(v).cloned().unwrap_or_else(|| v.clone()))
-            } else {
-                e.clone()
-            }
-        }
-        Expr::Index(a, idx) => Expr::Index(
-            map.get(a).cloned().unwrap_or_else(|| a.clone()),
-            idx.iter().map(|i| rename_expr(i, map, reds)).collect(),
-        ),
-        Expr::Bin(op, l, r) => Expr::bin(*op, rename_expr(l, map, reds), rename_expr(r, map, reds)),
-        Expr::Un(op, i) => Expr::Un(*op, Box::new(rename_expr(i, map, reds))),
-        Expr::Call(f, args) => {
-            Expr::Call(f.clone(), args.iter().map(|a| rename_expr(a, map, reds)).collect())
-        }
     }
 }
 
@@ -1006,6 +856,32 @@ end
         let iter = loop_iteration_descriptor(&p.body[0], &ctx).unwrap();
         let Stmt::Do { body, .. } = &p.body[0] else { panic!() };
         assert!(check_iterations_commute(&iter, body).is_none(), "last = i is not a reduction");
+    }
+
+    /// An accumulator occurs only as the accumulator of its own
+    /// assignments: read by an inner loop's step or bound, looped over by
+    /// an inner loop or by the loop itself, it refuses the split.
+    #[test]
+    fn accumulator_used_elsewhere_is_rejected() {
+        let commutes = |body: &str| {
+            let src = format!(
+                "program p\n integer n = 5, s = 1\n float y[1..n]\n L: do j = 1, n {{ {body} }}\nend"
+            );
+            let p = parse_program(&src).unwrap();
+            let iter = loop_iteration_descriptor(&p.body[0], &SymCtx::from_program(&p)).unwrap();
+            let Stmt::Do { body, .. } = &p.body[0] else { panic!() };
+            check_iterations_commute(&iter, body).map(|reds| reds.len())
+        };
+        assert_eq!(commutes("s = s * 2\n do k = 1, 8 { y[j] = 1.0 }"), Some(1));
+        for body in [
+            "s = s * 2\n do k = 1, 8, s { y[j] = 1.0 }",
+            "s = s * 2\n do k = s, 8 { y[j] = 1.0 }",
+            "s = s + 5\n do s = 1, 2 { y[j] = 1.0 }",
+            "s = s + 5\n if (s > 2) { y[j] = 1.0 }",
+            "j = j + 1",
+        ] {
+            assert_eq!(commutes(body), None, "{body}");
+        }
     }
 
     #[test]

@@ -276,49 +276,29 @@ fn plan_read_linked_moves(
 /// scalar values from `ctx` (e.g. declaration initializers) fold into
 /// the trip counts.
 pub fn static_op_count(stmts: &[Stmt], ctx: &SymCtx) -> Option<u64> {
-    fn expr_ops(e: &Expr) -> u64 {
-        match e {
-            Expr::IntLit(_) | Expr::FloatLit(_) | Expr::Var(_) => 0,
-            Expr::Index(_, idx) => idx.iter().map(expr_ops).sum(),
-            Expr::Bin(_, l, r) => 1 + expr_ops(l) + expr_ops(r),
-            Expr::Un(_, i) => 1 + expr_ops(i),
-            Expr::Call(_, args) => 1 + args.iter().map(expr_ops).sum::<u64>(),
-        }
-    }
+    let ops = |e: &Expr| {
+        let mut n = 0;
+        e.walk(&mut |e| n += u64::from(matches!(e, Expr::Bin(..) | Expr::Un(..) | Expr::Call(..))));
+        n
+    };
     let mut total: u64 = 0;
     for s in stmts {
         let ops = match s {
-            Stmt::Assign { target, value } => {
-                let idx_ops: u64 = match target {
-                    LValue::Index(_, idx) => idx.iter().map(expr_ops).sum(),
-                    LValue::Var(_) => 0,
-                };
-                idx_ops + expr_ops(value)
+            Stmt::Assign { .. } => {
+                let mut n = 0;
+                s.exprs(&mut |e| n += ops(e));
+                n
             }
             Stmt::If { cond, then_body, else_body } => {
                 // Conservative: both arms counted.
-                expr_ops(cond)
+                ops(cond)
                     .checked_add(static_op_count(then_body, ctx)?)?
                     .checked_add(static_op_count(else_body, ctx)?)?
             }
             Stmt::Do { ranges, mask, body, .. } => {
-                let mut trips: u64 = 0;
-                for r in ranges {
-                    let lo = ctx.lin(&r.lo)?.as_constant()?;
-                    let hi = ctx.lin(&r.hi)?.as_constant()?;
-                    let step = match &r.step {
-                        Some(e) => ctx.lin(e)?.as_constant()?,
-                        None => 1,
-                    };
-                    if step == 0 {
-                        return None;
-                    }
-                    let span = if step > 0 { hi.checked_sub(lo)? } else { lo.checked_sub(hi)? };
-                    let count = (span.max(-1) / step.checked_abs()? + 1).max(0);
-                    trips = trips.checked_add(count as u64)?;
-                }
+                let trips = u64::try_from(ctx.trips(ranges)?).ok()?;
                 let per_iter = static_op_count(body, ctx)?
-                    .checked_add(mask.as_ref().map(expr_ops).unwrap_or(0) + 1)?;
+                    .checked_add(mask.as_ref().map(ops).unwrap_or(0) + 1)?;
                 trips.checked_mul(per_iter)?
             }
             Stmt::Call { .. } => return None,
@@ -354,7 +334,11 @@ fn replicate_suppliers(
         let mut scalars = BTreeSet::new();
         for s in sup.stmts {
             s.array_writes(&mut written);
-            collect_assigned_scalars(s, &mut scalars);
+            s.walk(&mut |s| {
+                if let Stmt::Assign { target: LValue::Var(v), .. } = s {
+                    scalars.insert(v.clone());
+                }
+            });
         }
         for name in written.iter().chain(&scalars) {
             let Some(decl) = prog.decl(name) else { return (None, Vec::new()) };
@@ -364,87 +348,11 @@ fn replicate_suppliers(
             decls.push(d2);
             rename.insert(name.clone(), copy);
         }
-        for s in sup.stmts {
-            stmts.push(rename_reads_and_writes(s, &rename));
-        }
+        // A full α-rename: the replicas start fresh.
+        stmts.extend(sup.stmts.iter().map(|s| s.rename(&|n| rename.get(n).cloned())));
     }
-    for s in moved.stmts {
-        stmts.push(rename_reads_and_writes(s, &rename));
-    }
+    stmts.extend(moved.stmts.iter().map(|s| s.rename(&|n| rename.get(n).cloned())));
     (Some(stmts), decls)
-}
-
-fn collect_assigned_scalars(s: &Stmt, out: &mut BTreeSet<Name>) {
-    match s {
-        Stmt::Assign { target: LValue::Var(v), .. } => {
-            out.insert(v.clone());
-        }
-        Stmt::Assign { .. } | Stmt::Call { .. } => {}
-        Stmt::Do { body, .. } => {
-            for b in body {
-                collect_assigned_scalars(b, out);
-            }
-        }
-        Stmt::If { then_body, else_body, .. } => {
-            for b in then_body.iter().chain(else_body) {
-                collect_assigned_scalars(b, out);
-            }
-        }
-    }
-}
-
-/// Renames both reads and writes of the mapped names (full α-rename,
-/// appropriate because the replicas start fresh).
-fn rename_reads_and_writes(s: &Stmt, map: &BTreeMap<Name, Name>) -> Stmt {
-    fn rex(e: &Expr, map: &BTreeMap<Name, Name>) -> Expr {
-        match e {
-            Expr::IntLit(_) | Expr::FloatLit(_) => e.clone(),
-            Expr::Var(v) => Expr::Var(map.get(v).cloned().unwrap_or_else(|| v.clone())),
-            Expr::Index(a, idx) => Expr::Index(
-                map.get(a).cloned().unwrap_or_else(|| a.clone()),
-                idx.iter().map(|i| rex(i, map)).collect(),
-            ),
-            Expr::Bin(op, l, r) => Expr::bin(*op, rex(l, map), rex(r, map)),
-            Expr::Un(op, i) => Expr::Un(*op, Box::new(rex(i, map))),
-            Expr::Call(f, args) => {
-                Expr::Call(f.clone(), args.iter().map(|a| rex(a, map)).collect())
-            }
-        }
-    }
-    match s {
-        Stmt::Assign { target, value } => Stmt::Assign {
-            target: match target {
-                LValue::Var(v) => LValue::Var(map.get(v).cloned().unwrap_or_else(|| v.clone())),
-                LValue::Index(a, idx) => LValue::Index(
-                    map.get(a).cloned().unwrap_or_else(|| a.clone()),
-                    idx.iter().map(|i| rex(i, map)).collect(),
-                ),
-            },
-            value: rex(value, map),
-        },
-        Stmt::Do { label, var, ranges, mask, body } => Stmt::Do {
-            label: label.clone(),
-            var: var.clone(),
-            ranges: ranges
-                .iter()
-                .map(|r| orchestra_lang::ast::Range {
-                    lo: rex(&r.lo, map),
-                    hi: rex(&r.hi, map),
-                    step: r.step.as_ref().map(|e| rex(e, map)),
-                })
-                .collect(),
-            mask: mask.as_ref().map(|m| rex(m, map)),
-            body: body.iter().map(|b| rename_reads_and_writes(b, map)).collect(),
-        },
-        Stmt::If { cond, then_body, else_body } => Stmt::If {
-            cond: rex(cond, map),
-            then_body: then_body.iter().map(|b| rename_reads_and_writes(b, map)).collect(),
-            else_body: else_body.iter().map(|b| rename_reads_and_writes(b, map)).collect(),
-        },
-        Stmt::Call { name, args } => {
-            Stmt::Call { name: name.clone(), args: args.iter().map(|a| rex(a, map)).collect() }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -492,31 +400,12 @@ mod tests {
         }
         let e1 = Interp::new().run(orig, &inputs).unwrap();
         let e2 = Interp::new().run(transformed, &inputs).unwrap();
-        // Induction variables are loop machinery; their exit values are
-        // not preserved by the transformation (nor by the paper's).
-        let mut ivs = std::collections::BTreeSet::new();
-        fn collect_ivs(stmts: &[Stmt], out: &mut std::collections::BTreeSet<Name>) {
-            for s in stmts {
-                match s {
-                    Stmt::Do { var, body, .. } => {
-                        out.insert(var.clone());
-                        collect_ivs(body, out);
-                    }
-                    Stmt::If { then_body, else_body, .. } => {
-                        collect_ivs(then_body, out);
-                        collect_ivs(else_body, out);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        collect_ivs(&orig.body, &mut ivs);
-        collect_ivs(&transformed.body, &mut ivs);
-        for (name, v) in &e1 {
-            if ivs.contains(name.as_str()) {
-                continue;
-            }
-            let got = e2.get(name).unwrap_or_else(|| panic!("missing {name}"));
+        // Every declared variable: an undeclared loop variable is loop
+        // machinery, and its exit value is not preserved by the
+        // transformation (nor by the paper's).
+        for d in &orig.decls {
+            let name = &d.name;
+            let (v, got) = (&e1[name.as_str()], &e2[name.as_str()]);
             match (v, got) {
                 (Value::Float(a), Value::Float(b)) => {
                     assert!((a - b).abs() < 1e-9, "{name}: {a} vs {b}")
@@ -734,6 +623,17 @@ end
         .unwrap();
         let qctx = SymCtx::from_program(&q);
         assert_eq!(static_op_count(&q.body, &qctx), None, "symbolic trip count");
+    }
+
+    /// An empty strided range runs no iteration, whichever way it steps;
+    /// each of these was counted as one.
+    #[test]
+    fn static_op_count_of_an_empty_strided_range_is_zero() {
+        for range in ["2, 1, 2", "5, 3, 2", "3, 5, -2"] {
+            let src = format!("program p\n integer z\n do i = {range} {{ z = z + 1 }}\nend");
+            let p = parse_program(&src).unwrap();
+            assert_eq!(static_op_count(&p.body, &SymCtx::from_program(&p)), Some(0), "{range}");
+        }
     }
 
     #[test]
