@@ -17,10 +17,11 @@
 //! * an idle worker steals the **oldest** (bottom-of-stack — largest)
 //!   range of the first non-empty victim, so one steal moves half the
 //!   victim's remaining subtree, just like a `join` thief;
-//! * task values are written straight into a shared
-//!   [`OutputArena`](orchestra_runtime::OutputArena) through disjoint
-//!   chunk views — ranges partition the index space, so the views never
-//!   alias — the same zero-copy data plane the real backends use.
+//! * task values are stored straight into a shared
+//!   [`OutputArena`](orchestra_runtime::OutputArena) through the raw
+//!   window of each range — ranges partition the index space, so no cell
+//!   has two writers — the same zero-copy data plane the real backends
+//!   use.
 //!
 //! What this baseline deliberately lacks is everything the paper adds:
 //! no cost feedback, no variance awareness, no decreasing chunk series
@@ -167,11 +168,13 @@ fn split_worker(
             state.splits.fetch_add(1, Ordering::Relaxed);
             len = half;
         }
-        // Ranges partition the index space, so this view is exclusive.
-        let view = unsafe { arena.chunk_view(0, start, len) };
-        for (slot, task) in view.iter_mut().zip(start..start + len) {
-            let ctx = TaskCtx { node, iter: 0, task, cost_hint: costs[task], inputs: &[] };
-            *slot = kernel.run_task(&ctx);
+        let out = arena.cells(0, start..start + len);
+        for (k, &cost_hint) in costs[start..start + len].iter().enumerate() {
+            let ctx = TaskCtx { node, iter: 0, task: start + k, cost_hint, inputs: &[] };
+            // SAFETY: `k < len`, inside the window `cells` checked, and
+            // ranges partition the index space, so this worker is the
+            // cell's only writer.
+            unsafe { out.add(k).write(kernel.run_task(&ctx)) };
         }
         state.chunks.fetch_add(1, Ordering::Relaxed);
         state.remaining.fetch_sub(len, Ordering::AcqRel);

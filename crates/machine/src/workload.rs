@@ -60,26 +60,40 @@ pub enum CostDistribution {
 }
 
 impl CostDistribution {
-    /// Draws `n` task costs deterministically from `seed`.
+    /// Draws `n` task costs deterministically from `seed`. Every variant
+    /// but `ClusteredBimodal` yields bitwise the costs of `n` successive
+    /// [`draw`](Self::draw)s from `StdRng::seed_from_u64(seed)`; the
+    /// variant is matched once, not once per task.
     pub fn sample(&self, n: usize, seed: u64) -> Vec<f64> {
         let mut rng = StdRng::seed_from_u64(seed);
-        if let CostDistribution::ClusteredBimodal { mean, heavy_frac, heavy_mult, cluster } = *self
-        {
-            // Markov run model: switch into a heavy run with the rate
-            // that makes the long-run heavy fraction come out right.
-            let cluster = cluster.max(1) as f64;
-            let p_exit = 1.0 / cluster;
-            let p_enter = p_exit * heavy_frac / (1.0 - heavy_frac).max(1e-9);
-            let mut heavy = rng.gen::<f64>() < heavy_frac;
-            let mut out = Vec::with_capacity(n);
-            for _ in 0..n {
-                out.push(if heavy { mean * heavy_mult } else { mean });
-                let flip: f64 = rng.gen();
-                heavy = if heavy { flip >= p_exit } else { flip < p_enter };
+        match *self {
+            CostDistribution::Constant { mean } => vec![mean; n],
+            CostDistribution::Uniform { mean, spread } => {
+                let (lo, hi) = (mean * (1.0 - spread), mean * (1.0 + spread));
+                (0..n).map(|_| rng.gen_range(lo..=hi)).collect()
             }
-            return out;
+            CostDistribution::Bimodal { mean, heavy_frac, heavy_mult } => {
+                (0..n).map(|_| two_point(&mut rng, mean, heavy_frac, heavy_mult)).collect()
+            }
+            CostDistribution::HeavyTail { mean, sigma } => {
+                (0..n).map(|_| heavy_tail(&mut rng, mean, sigma)).collect()
+            }
+            CostDistribution::ClusteredBimodal { mean, heavy_frac, heavy_mult, cluster } => {
+                // Markov run model: switch into a heavy run with the rate
+                // that makes the long-run heavy fraction come out right.
+                let cluster = cluster.max(1) as f64;
+                let p_exit = 1.0 / cluster;
+                let p_enter = p_exit * heavy_frac / (1.0 - heavy_frac).max(1e-9);
+                let mut heavy = rng.gen::<f64>() < heavy_frac;
+                let mut out = Vec::with_capacity(n);
+                for _ in 0..n {
+                    out.push(if heavy { mean * heavy_mult } else { mean });
+                    let flip: f64 = rng.gen();
+                    heavy = if heavy { flip >= p_exit } else { flip < p_enter };
+                }
+                out
+            }
         }
-        (0..n).map(|_| self.draw(&mut rng)).collect()
     }
 
     /// Draws one cost.
@@ -91,29 +105,13 @@ impl CostDistribution {
                 let hi = mean * (1.0 + spread);
                 rng.gen_range(lo..=hi)
             }
-            CostDistribution::Bimodal { mean, heavy_frac, heavy_mult } => {
-                if rng.gen::<f64>() < heavy_frac {
-                    mean * heavy_mult
-                } else {
-                    mean
-                }
+            // `draw` cannot carry cluster state: a clustered mixture
+            // draws as the uncorrelated one (sample() handles clustering).
+            CostDistribution::Bimodal { mean, heavy_frac, heavy_mult }
+            | CostDistribution::ClusteredBimodal { mean, heavy_frac, heavy_mult, .. } => {
+                two_point(rng, mean, heavy_frac, heavy_mult)
             }
-            CostDistribution::HeavyTail { mean, sigma } => {
-                // Box–Muller normal.
-                let u1: f64 = rng.gen_range(1e-12..1.0);
-                let u2: f64 = rng.gen::<f64>();
-                let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-                mean * (sigma * z - sigma * sigma / 2.0).exp()
-            }
-            // `draw` cannot carry cluster state; fall back to the
-            // uncorrelated mixture (sample() handles clustering).
-            CostDistribution::ClusteredBimodal { mean, heavy_frac, heavy_mult, .. } => {
-                if rng.gen::<f64>() < heavy_frac {
-                    mean * heavy_mult
-                } else {
-                    mean
-                }
-            }
+            CostDistribution::HeavyTail { mean, sigma } => heavy_tail(rng, mean, sigma),
         }
     }
 
@@ -130,6 +128,26 @@ impl CostDistribution {
             }
         }
     }
+}
+
+/// One draw of the two-point mixture: `mean · heavy_mult` with
+/// probability `heavy_frac`, `mean` otherwise.
+#[inline]
+fn two_point(rng: &mut StdRng, mean: f64, heavy_frac: f64, heavy_mult: f64) -> f64 {
+    if rng.gen::<f64>() < heavy_frac {
+        mean * heavy_mult
+    } else {
+        mean
+    }
+}
+
+/// One log-normal draw with mean `mean` through a Box–Muller normal.
+#[inline]
+fn heavy_tail(rng: &mut StdRng, mean: f64, sigma: f64) -> f64 {
+    let u1: f64 = rng.gen_range(1e-12..1.0);
+    let u2: f64 = rng.gen::<f64>();
+    let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+    mean * (sigma * z - sigma * sigma / 2.0).exp()
 }
 
 /// Summary statistics of a cost vector.
@@ -176,6 +194,32 @@ pub fn try_summarize(costs: &[f64]) -> Option<CostSummary> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// `sample` is `n` successive `draw`s from one seeded generator,
+        /// bit for bit, on every variant whose `draw` is the same
+        /// distribution (a clustered mixture's is not).
+        #[test]
+        fn sample_is_successive_draws(
+            seed in any::<u64>(),
+            n in proptest::sample::select(vec![0usize, 1, 2, 1000]),
+            mean in 0.01..100.0f64,
+            shape in 0.0..1.0f64,
+        ) {
+            for d in [
+                CostDistribution::Constant { mean },
+                CostDistribution::Uniform { mean, spread: shape },
+                CostDistribution::Bimodal { mean, heavy_frac: shape, heavy_mult: 1.0 + 9.0 * shape },
+                CostDistribution::HeavyTail { mean, sigma: 2.0 * shape },
+            ] {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let drawn: Vec<u64> = (0..n).map(|_| d.draw(&mut rng).to_bits()).collect();
+                let sampled: Vec<u64> = d.sample(n, seed).iter().map(|c| c.to_bits()).collect();
+                prop_assert_eq!(sampled, drawn, "{:?}", d);
+            }
+        }
+    }
 
     #[test]
     fn constant_has_zero_cv() {

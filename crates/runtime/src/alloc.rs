@@ -18,12 +18,12 @@
 //! "In practice, using a max_count of four has been sufficient."
 //!
 //! This module also owns the runtime's other allocation concern: the
-//! [`OutputArena`], a single slab holding every operation's output
-//! buffer. Workers write task results in place through disjoint
-//! `&mut [f64]` chunk views (one per claimed chunk) instead of going
-//! through per-task atomic stores, and downstream operations read
-//! their inputs by slice reference out of the same slab — the
-//! zero-copy data plane described in DESIGN §14.
+//! [`OutputArena`], one zero-allocated buffer per operation. Workers
+//! write task results in place through raw stores into the cells of
+//! the chunks they claimed instead of going through per-task atomic
+//! stores, downstream operations read their inputs by slice reference
+//! out of the same buffers, and the run hands the buffers out as its
+//! outputs — the zero-copy data plane described in DESIGN §14.
 
 use crate::finish::{finish_estimate, OpSpec};
 use orchestra_machine::MachineConfig;
@@ -171,30 +171,29 @@ pub fn allocate_many_with(
 /// race-free by construction: concurrent *writers* hold disjoint cell
 /// ranges (the chunk queue hands each task index out exactly once),
 /// and *readers* only touch a cell after observing, with `Acquire`
-/// ordering, the `Release` store of the task's `done` flag that the
-/// writer performs after its plain store — or after the pool has
-/// joined, when no writer exists at all.
+/// ordering, a `Release` store the writer made after its plain store
+/// (a watermark, a dependency counter, a checkpoint's `done` flag) —
+/// or after the pool has joined, when no writer exists at all.
 #[repr(transparent)]
 struct OutputCell(UnsafeCell<f64>);
 
 // SAFETY: see the type-level comment — all concurrent access is
-// coordinated externally (disjoint claims for writers, done-flag
-// Release/Acquire for readers).
+// coordinated externally (disjoint claims for writers, Release/Acquire
+// publication for readers).
 unsafe impl Sync for OutputCell {}
 
-/// A single slab backing every operation's output buffer: the
-/// zero-copy data plane.
+/// One zero-allocated buffer per operation: the zero-copy data plane.
 ///
 /// Built once from the expanded plan's op sizes, then shared by
 /// reference across the worker pool (or the async drivers). Writers
-/// obtain per-chunk [`chunk_view`](Self::chunk_view)s, the checkpoint
-/// scanner reads completed cells via [`read`](Self::read), downstream
-/// ops see a whole finished op through [`op_slice`](Self::op_slice),
-/// and the run's final owned buffers come out of
-/// [`into_outputs`](Self::into_outputs) once the pool has joined.
+/// store through the raw pointer [`cells`](Self::cells) hands out for
+/// the chunk they claimed, the checkpoint scanner reads completed cells
+/// via [`read`](Self::read), downstream ops see a whole op through
+/// [`op_slice`](Self::op_slice), and once the pool has joined
+/// [`into_outputs`](Self::into_outputs) hands every buffer out as the
+/// run's owned output, where the workers wrote it.
 pub struct OutputArena {
-    cells: Box<[OutputCell]>,
-    spans: Vec<Range<usize>>,
+    bufs: Vec<Box<[OutputCell]>>,
     marks: Vec<Watermark>,
 }
 
@@ -238,17 +237,22 @@ struct Watermark {
 }
 
 impl OutputArena {
-    /// An arena with one zero-initialized span of `sizes[i]` cells per
-    /// operation.
+    /// An arena with one zero-allocated buffer of `sizes[i]` cells per
+    /// operation. A large buffer comes from the allocator already
+    /// zeroed, so nothing here touches its cells.
     pub fn for_ops<I: IntoIterator<Item = usize>>(sizes: I) -> Self {
-        let mut spans = Vec::new();
-        let mut acc = 0usize;
-        for n in sizes {
-            spans.push(acc..acc + n);
-            acc += n;
-        }
-        let cells: Box<[OutputCell]> = (0..acc).map(|_| OutputCell(UnsafeCell::new(0.0))).collect();
-        let marks = spans
+        let bufs: Vec<Box<[OutputCell]>> = sizes
+            .into_iter()
+            .map(|n| {
+                let buf = Box::into_raw(vec![0.0f64; n].into_boxed_slice());
+                // SAFETY: `OutputCell` is `repr(transparent)` over
+                // `UnsafeCell<f64>`, which has the layout of `f64`, so the
+                // allocation is a valid `[OutputCell]` of the same length;
+                // the new box owns it alone.
+                unsafe { Box::from_raw(buf as *mut [OutputCell]) }
+            })
+            .collect();
+        let marks = bufs
             .iter()
             .map(|_| Watermark {
                 published: AtomicUsize::new(0),
@@ -256,71 +260,47 @@ impl OutputArena {
                 state: Mutex::new(Frontier { frontier: 0, pending: Vec::new() }),
             })
             .collect();
-        OutputArena { cells, spans, marks }
+        OutputArena { bufs, marks }
     }
 
     /// Number of operations the arena was sized for.
     pub fn ops(&self) -> usize {
-        self.spans.len()
+        self.bufs.len()
     }
 
     /// Task count of operation `op`.
     pub fn op_len(&self, op: usize) -> usize {
-        self.spans[op].len()
+        self.bufs[op].len()
     }
 
     /// Writes one cell through exclusive access — used to pre-fill
     /// restored outputs before the arena is shared with any worker.
     pub fn set(&mut self, op: usize, task: usize, value: f64) {
-        let span = self.spans[op].clone();
-        assert!(task < span.len(), "task {task} out of op {op} bounds {}", span.len());
-        *self.cells[span.start + task].0.get_mut() = value;
+        *self.bufs[op][task].0.get_mut() = value;
     }
 
-    /// A mutable view of operation `op`'s cells `[start, start+len)`,
-    /// the per-chunk write window of the data plane.
+    /// The write window of operation `op`'s cells `span`: a raw pointer
+    /// to the first, bounds-checked once for the whole span, through
+    /// which the span's claimant stores cell `span.start + k` at offset
+    /// `k`. The stores never form a `&mut`, so they may overlap a
+    /// consumer's [`op_slice`](Self::op_slice) of the same op (a
+    /// streamed edge) — writing is sound only for the claimant of
+    /// exactly these cells, and a reader may read a cell only after an
+    /// `Acquire` that pairs with a `Release` made after its store.
     ///
     /// # Panics
     ///
-    /// Panics if the range exceeds the operation's span.
-    ///
-    /// # Safety
-    ///
-    /// The caller must hold exclusive write access to exactly these
-    /// cells for the view's lifetime: in the runtime that is the claim
-    /// queue's exactly-once chunk hand-out. No [`op_slice`] of the same
-    /// op may be created while the view is live.
-    // The `&self → &mut` shape is the point of the interior-mutability
-    // arena: disjointness comes from the claim protocol, not the borrow
-    // checker, which is why the method is `unsafe`.
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn chunk_view(&self, op: usize, start: usize, len: usize) -> &mut [f64] {
-        let span = &self.spans[op];
+    /// Panics if `span` exceeds the operation's buffer.
+    pub fn cells(&self, op: usize, span: Range<usize>) -> *mut f64 {
+        let buf = &self.bufs[op];
         assert!(
-            start.checked_add(len).is_some_and(|end| end <= span.len()),
-            "chunk [{start}, {start}+{len}) out of op {op} bounds {}",
-            span.len()
+            span.start <= span.end && span.end <= buf.len(),
+            "cells {span:?} out of op {op} bounds {}",
+            buf.len()
         );
-        let base = self.cells[span.start + start].0.get();
-        // SAFETY: range checked above; exclusivity is the caller's
-        // contract. Cells are `repr(transparent)` over `UnsafeCell<f64>`,
-        // which has the layout of `f64`, so consecutive cells form a
-        // valid `[f64]`.
-        unsafe { std::slice::from_raw_parts_mut(base, len) }
-    }
-
-    /// Writes a single task's output — the scattered-write fallback
-    /// for resumed ops whose queue indices are remapped non-contiguously.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`chunk_view`](Self::chunk_view) for the one
-    /// cell: the caller must be the task's exactly-once claimant.
-    pub unsafe fn write(&self, op: usize, task: usize, value: f64) {
-        let span = &self.spans[op];
-        assert!(task < span.len(), "task {task} out of op {op} bounds {}", span.len());
-        // SAFETY: in-bounds; exclusivity is the caller's contract.
-        unsafe { *self.cells[span.start + task].0.get() = value };
+        // `wrapping_add` keeps this safe; `span.start ≤ len` was just
+        // checked, so the offset stays inside (or one past) the buffer.
+        UnsafeCell::raw_get(buf.as_ptr().wrapping_add(span.start).cast())
     }
 
     /// Reads a single task's output.
@@ -332,37 +312,42 @@ impl OutputArena {
     /// (pairing with the writer's post-store `Release`), or otherwise
     /// know no writer can touch it.
     pub unsafe fn read(&self, op: usize, task: usize) -> f64 {
-        let span = &self.spans[op];
-        assert!(task < span.len(), "task {task} out of op {op} bounds {}", span.len());
-        // SAFETY: in-bounds; quiescence is the caller's contract.
-        unsafe { *self.cells[span.start + task].0.get() }
+        // SAFETY: indexing is bounds-checked; quiescence is the
+        // caller's contract.
+        unsafe { *self.bufs[op][task].0.get() }
     }
 
-    /// The whole output slice of a *finished* operation, handed to
-    /// downstream ops as their input — no copy.
+    /// The whole output slice of operation `op`, handed to downstream
+    /// ops as their input — no copy.
     ///
     /// # Safety
     ///
-    /// Every task of `op` must have completed, and that completion must
-    /// have been observed with `Acquire` ordering (in the runtime:
-    /// dependency counters reach zero before any dependent runs). No
-    /// [`chunk_view`](Self::chunk_view) of this op may be live.
+    /// The caller reads only cells whose stores it has observed: every
+    /// task of `op` completed and that completion seen with `Acquire`
+    /// ordering (in the runtime: dependency counters reach zero before
+    /// any dependent runs), or — a streamed edge — only cells below the
+    /// `Acquire`-loaded [`watermark`](Self::watermark).
     pub unsafe fn op_slice(&self, op: usize) -> &[f64] {
-        let span = &self.spans[op];
-        if span.is_empty() {
-            return &[];
-        }
-        let base = self.cells[span.start].0.get() as *const f64;
-        // SAFETY: in-bounds by construction; quiescence is the
-        // caller's contract.
-        unsafe { std::slice::from_raw_parts(base, span.len()) }
+        let buf = &self.bufs[op];
+        // SAFETY: the buffer's own pointer and length (dangling but
+        // aligned when empty); `OutputCell` has the layout of `f64`;
+        // what is read is the caller's contract.
+        unsafe { std::slice::from_raw_parts(buf.as_ptr().cast::<f64>(), buf.len()) }
     }
 
-    /// Consumes the arena into one owned `Vec<f64>` per operation.
-    /// Safe: ownership proves no view or writer can still exist.
-    pub fn into_outputs(mut self) -> Vec<Vec<f64>> {
-        let spans = std::mem::take(&mut self.spans);
-        spans.into_iter().map(|span| span.map(|i| *self.cells[i].0.get_mut()).collect()).collect()
+    /// Consumes the arena into one owned `Vec<f64>` per operation: the
+    /// buffers the workers wrote, handed out without a copy. Safe:
+    /// ownership proves no writer or reader can still exist.
+    pub fn into_outputs(self) -> Vec<Vec<f64>> {
+        self.bufs
+            .into_iter()
+            .map(|buf| {
+                let buf = Box::into_raw(buf);
+                // SAFETY: the reverse of `for_ops`' cast — the same
+                // allocation, layout and length, owned by the new box alone.
+                unsafe { Box::from_raw(buf as *mut [f64]) }.into_vec()
+            })
+            .collect()
     }
 
     /// The op's published watermark: every cell below it holds its
@@ -401,7 +386,7 @@ impl OutputArena {
         if len == 0 {
             return None;
         }
-        let total = self.spans[op].len();
+        let total = self.bufs[op].len();
         assert!(
             start.checked_add(len).is_some_and(|end| end <= total),
             "commit [{start}, {start}+{len}) out of op {op} bounds {total}"
@@ -453,7 +438,7 @@ impl OutputArena {
     /// ops). Takes the frontier lock so it serializes with in-flight
     /// commits; idempotent once fully published.
     pub fn publish_all(&self, op: usize) -> Publication {
-        let total = self.spans[op].len();
+        let total = self.bufs[op].len();
         let mark = &self.marks[op];
         let mut st = mark.state.lock().expect("watermark state poisoned");
         st.frontier = total;
@@ -472,19 +457,38 @@ mod arena_tests {
     use super::OutputArena;
 
     #[test]
-    fn spans_are_disjoint_and_sized() {
+    fn buffers_are_disjoint_and_sized() {
         let arena = OutputArena::for_ops([3, 0, 5]);
         assert_eq!(arena.ops(), 3);
         assert_eq!(arena.op_len(0), 3);
         assert_eq!(arena.op_len(1), 0);
         assert_eq!(arena.op_len(2), 5);
-        // SAFETY: single-threaded test, views dropped before reads.
+        let (a, b) = (arena.cells(0, 0..3), arena.cells(2, 1..3));
+        // SAFETY: single-threaded test, every store in bounds of its
+        // window and no slice of either op alive.
         unsafe {
-            arena.chunk_view(0, 0, 3).copy_from_slice(&[1.0, 2.0, 3.0]);
-            arena.chunk_view(2, 1, 2).copy_from_slice(&[9.0, 8.0]);
+            for (k, v) in [1.0, 2.0, 3.0].into_iter().enumerate() {
+                a.add(k).write(v);
+            }
+            b.write(9.0);
+            b.add(1).write(8.0);
         }
         let out = arena.into_outputs();
         assert_eq!(out, vec![vec![1.0, 2.0, 3.0], vec![], vec![0.0, 9.0, 8.0, 0.0, 0.0]]);
+    }
+
+    /// The run's outputs are the buffers downstream ops read: each comes
+    /// out at the address its `op_slice` had, a zero-task op included.
+    #[test]
+    fn outputs_are_handed_out_where_they_were_written() {
+        let arena = OutputArena::for_ops([1 << 16, 0, 3]);
+        // SAFETY: no writers in this test.
+        let seen: Vec<*const f64> =
+            (0..arena.ops()).map(|op| unsafe { arena.op_slice(op) }.as_ptr()).collect();
+        let out = arena.into_outputs();
+        assert_eq!(out.iter().map(|o| o.as_ptr()).collect::<Vec<_>>(), seen);
+        assert_eq!(out.iter().map(Vec::len).collect::<Vec<_>>(), [1 << 16, 0, 3]);
+        assert!(out.iter().flatten().all(|&v| v.to_bits() == 0), "zero-allocated");
     }
 
     #[test]
@@ -499,18 +503,10 @@ mod arena_tests {
 
     #[test]
     #[should_panic(expected = "out of op 0 bounds")]
-    fn chunk_view_bounds_checked() {
-        let arena = OutputArena::for_ops([4]);
-        // SAFETY: panics before any aliasing could occur.
-        let _ = unsafe { arena.chunk_view(0, 2, 3) };
-    }
-
-    #[test]
-    #[should_panic(expected = "out of op 1 bounds")]
-    fn write_bounds_checked() {
+    fn cells_are_bounds_checked() {
         let arena = OutputArena::for_ops([4, 1]);
-        // SAFETY: panics before the store.
-        unsafe { arena.write(1, 1, 0.0) };
+        assert!(!arena.cells(1, 1..1).is_null(), "an empty window one past the end");
+        let _ = arena.cells(0, 2..5);
     }
 
     #[test]

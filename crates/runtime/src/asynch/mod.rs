@@ -103,7 +103,7 @@ impl<'p> AsRef<OpState<'p>> for AsyncOp<'p> {
 struct AsyncShared<'p, 'g> {
     ops: Vec<AsyncOp<'p>>,
     nodes: &'g [Node],
-    /// Shared output slab: every op's tasks write disjoint cells, and
+    /// Shared output buffers: every op's tasks write disjoint cells, and
     /// finished ops hand their slices downstream by reference.
     arena: &'g OutputArena,
     /// One executed-chunk log per driver, filled by the claimer futures
@@ -335,8 +335,7 @@ pub(crate) fn run_async(
     resume: &ResumeState,
 ) -> Result<RunReport, RunError> {
     let drivers = resolve_drivers(opts);
-    let Setup { arena, ops, hinted_serial_us } =
-        set_up(plan, &g.nodes, opts, kernel.access(), drivers, resume);
+    let Setup { arena, ops } = set_up(plan, &g.nodes, opts, kernel.access(), drivers, resume);
     // Claimers, like the chunk schedule, size for the op's equalizer
     // share of the driver pool.
     let n_claimers: Vec<usize> = ops
@@ -388,8 +387,8 @@ pub(crate) fn run_async(
 
     let polls: u64 = records.iter().map(|r| r.polls).sum();
     let steal = StealStats { steals: records.iter().map(|r| r.steals).sum(), ..StealStats::new() };
-    // End the arena borrow (the drivers have joined) so the slab can
-    // be carved into owned per-op buffers.
+    // End the arena borrow (the drivers have joined) so its buffers
+    // can be handed out as the run's outputs.
     let AsyncShared { ops, ctl, logs, .. } = shared;
     let logs: Vec<ExecLog> =
         logs.into_iter().map(|l| l.into_inner().expect("driver log poisoned")).collect();
@@ -404,7 +403,7 @@ pub(crate) fn run_async(
         .collect();
     let states = ops.into_iter().map(|op| op.state);
     let report = RunReport::from_run(wall_us, procs, op_records, states, &logs, arena, &ctl)?;
-    Ok(RunReport { hinted_serial_us, polls, spawned, steal, ..report })
+    Ok(RunReport { polls, spawned, steal, ..report })
 }
 
 #[cfg(test)]

@@ -683,6 +683,48 @@ mod tests {
         (g, ExecutorOptions::default())
     }
 
+    /// The cost-hint stream is pinned: the figures, the snapshot
+    /// fingerprints' meaning and every differential suite's reference
+    /// draw from it. One node per `node_costs` regime (constant,
+    /// uniform, clustered mixture, heavy tail) and one `Mixture` node
+    /// hash, bit for bit, to recorded values.
+    #[test]
+    fn cost_streams_are_pinned() {
+        use orchestra_delirium::Population;
+        let mut g = DelirGraph::new();
+        for (name, cv) in [("C", 0.0), ("U", 0.2), ("B", 0.9), ("H", 2.5)] {
+            g.add_node(name, NodeKind::DataParallel { tasks: 1000, mean_cost: 5.0, cv }, None);
+        }
+        let populations = vec![
+            Population { tasks: 300, mean_cost: 10.0, cv: 0.0 },
+            Population { tasks: 100, mean_cost: 40.0, cv: 1.2 },
+            Population { tasks: 50, mean_cost: 2.0, cv: 0.25 },
+        ];
+        g.add_node("M", NodeKind::Mixture { populations }, None);
+        let fnv = |costs: &[f64]| {
+            let bytes = costs.iter().flat_map(|c| c.to_bits().to_le_bytes());
+            bytes.fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+            })
+        };
+        let hashes: Vec<(usize, u64)> = g
+            .nodes
+            .iter()
+            .map(|node| {
+                let costs = costs_of_node(node, 42);
+                (costs.len(), fnv(&costs))
+            })
+            .collect();
+        let pinned = [
+            (1000, 0x252a_f687_79d9_6225),
+            (1000, 0xad91_8aff_7381_755d),
+            (1000, 0x43ff_60e4_2413_0db9),
+            (1000, 0x317e_c9a0_16ff_994c),
+            (450, 0x8abe_500b_3123_13cf),
+        ];
+        assert_eq!(hashes, pinned);
+    }
+
     #[test]
     fn report_accounts_all_nodes() {
         let (g, opts) = irregular_then_regular(false);

@@ -12,9 +12,9 @@
 //!   equalizer share of the pool and its publication batch b\*. A fresh
 //!   run is a resume from the empty image.
 //! * `OpState` — the per-op state every driver schedules against,
-//!   with the one per-task body (`OpState::run_task`: kernel → store →
-//!   `done` flag) all claim loops call, one claimed chunk at a time
-//!   (`OpState::run_span`).
+//!   with the one task loop (`OpState::run_span`: kernel → store, then
+//!   the checkpoint scanner's `done` flags) all claim loops call, one
+//!   claimed chunk at a time.
 //! * The readiness protocol — *what* becomes ready, stops or dies, in
 //!   three functions every engine calls: [`completed`] (an op's last
 //!   task ran), [`published`] (a streamed producer's watermark moved)
@@ -54,7 +54,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 /// One schedulable operation instance — a graph node at one pipeline
 /// iteration — as every real driver sees it.
 pub(crate) struct OpState<'p> {
-    /// Plan index: this op's span in the arena.
+    /// Plan index: this op's buffer in the arena.
     pub idx: usize,
     /// The planned op: name, node, iteration, task count, and the
     /// dependencies whose output slices are the kernel's inputs.
@@ -89,10 +89,11 @@ pub(crate) struct OpState<'p> {
     pub warm: Option<OnlineStats>,
     /// Tasks not yet executed; the op is complete at 0.
     pub outstanding: AtomicUsize,
-    /// Per-task publication flags: set with `Release` after the task's
-    /// output store, read with `Acquire` by the snapshot scanner. (How
-    /// often a task ran is not kept here — that is the [`ExecLog`]s'.)
-    pub done: Vec<AtomicBool>,
+    /// Per-task completion flags for the snapshot scanner, their only
+    /// reader — `None` unless the run checkpoints. Set with `Release`
+    /// after the span's output stores, read with `Acquire`. (How often
+    /// a task ran is not kept here — that is the [`ExecLog`]s'.)
+    pub done: Option<Vec<AtomicBool>>,
     /// First-claim time, µs since run start (f64 bits; MAX = never).
     pub started_bits: AtomicU64,
     /// Completion time, µs since run start (f64 bits; MAX = never).
@@ -195,32 +196,42 @@ impl OpState<'_> {
     /// [`AccessPattern::ElementWise`] contract means task `t`
     /// dereferences only cells `≤ t <` watermark — cells at or above
     /// the watermark are *in* the slice but never read through it;
-    /// (3) streamed producers write those cells through raw per-cell
-    /// stores (never a `&mut` view, see [`Self::run_span`]), so no
-    /// exclusive reference ever overlaps this shared slice.
+    /// (3) producers write their cells through raw stores (never a
+    /// `&mut` view, see [`Self::run_span`]), so no exclusive reference
+    /// ever overlaps this shared slice.
     pub(crate) fn inputs<'a>(&self, arena: &'a OutputArena) -> Vec<&'a [f64]> {
         // SAFETY: see above — whole-op inputs are quiescent; streamed
         // inputs are only read below their watermark.
         self.plan.deps.iter().map(|&d| unsafe { arena.op_slice(d) }).collect()
     }
 
-    /// Runs the tasks at queue indices `span`, calling `each(task)` after
-    /// every one (the pool's per-task clock sampling; `|_| {}` elsewhere).
-    /// Whatever is the same for every task of the span is decided here,
-    /// once: for unremapped ops the queue span IS the task span, so the
-    /// values go through one disjoint zero-copy `&mut [f64]` window of
-    /// the arena and the cost hints and publication flags are the
-    /// matching sub-slices. Remapped ops scatter through per-cell stores
-    /// — as do streamed producers, whose consumers concurrently hold
-    /// shared slices over this op's span: a `&mut` view overlapping
-    /// those would be UB regardless of cell-level disjointness, while
-    /// the raw-pointer store never forms an exclusive reference.
+    /// The task loop of every claim loop, lease replay and orphan
+    /// adoption: runs the tasks at queue indices `span`, storing each
+    /// value into its arena cell and calling `each(task)` after every
+    /// one (the pool's per-task clock sampling; `|_| {}` elsewhere).
+    /// `node` is this op's graph node and `inputs` its
+    /// [`inputs`](Self::inputs), both resolved by the caller once per
+    /// visit.
+    ///
+    /// For unremapped ops the queue span IS the task span: the values go
+    /// through one raw window of the arena, bounds-checked once, and the
+    /// cost hints are the matching sub-slice. Remapped ops scatter, one
+    /// checked cell at a time. Either way a store never forms a `&mut`,
+    /// so it is sound while a streamed consumer holds a shared slice over
+    /// this op's buffer (see [`inputs`](Self::inputs)).
+    ///
+    /// When the run checkpoints, the span's `done` flags are set once
+    /// its stores are made: each `Release` pairs with the snapshot
+    /// scanner's `Acquire`, so a task seen done has its output visible.
+    /// Nothing here counts executions — the caller logs the chunk in its
+    /// [`ExecLog`] once the span has run.
     ///
     /// # Safety
     ///
-    /// As [`run_task`](Self::run_task), for every queue index of `span`
-    /// — a claimed chunk or part of one, never empty: no other thread
-    /// touches these cells while the window is live.
+    /// The caller must be the exactly-once claimant of every queue index
+    /// of `span` — a claimed chunk or part of one — so no other thread
+    /// writes these cells, and `inputs` must have been taken after the
+    /// op became ready (only then are the slices sound to read).
     #[inline]
     pub(crate) unsafe fn run_span(
         &self,
@@ -231,63 +242,37 @@ impl OpState<'_> {
         span: Range<usize>,
         mut each: impl FnMut(usize),
     ) {
+        let iter = self.plan.iter;
         match &self.remap {
-            None if self.stream_dependents.is_empty() => {
-                // SAFETY: exclusivity is the caller's contract.
-                let view = unsafe { arena.chunk_view(self.idx, span.start, span.len()) };
-                let (costs, done) = (&self.costs[span.clone()], &self.done[span.clone()]);
-                for (((task, cell), &cost_hint), done) in span.zip(view).zip(costs).zip(done) {
-                    let ctx = TaskCtx { node, iter: self.plan.iter, task, cost_hint, inputs };
-                    *cell = kernel.run_task(&ctx);
-                    done.store(true, Ordering::Release);
-                    each(task);
-                }
-            }
             None => {
-                for task in span {
-                    unsafe { self.run_task(kernel, node, inputs, arena, task) };
+                let out = arena.cells(self.idx, span.clone());
+                for (k, &cost_hint) in self.costs[span.clone()].iter().enumerate() {
+                    let task = span.start + k;
+                    let ctx = TaskCtx { node, iter, task, cost_hint, inputs };
+                    // SAFETY: `k < span.len()`, the window `cells` checked;
+                    // the caller is the cell's only writer.
+                    unsafe { out.add(k).write(kernel.run_task(&ctx)) };
                     each(task);
                 }
             }
             Some(remap) => {
-                for &task in &remap[span] {
-                    unsafe { self.run_task(kernel, node, inputs, arena, task) };
+                for &task in &remap[span.clone()] {
+                    let ctx = TaskCtx { node, iter, task, cost_hint: self.costs[task], inputs };
+                    let out = arena.cells(self.idx, task..task + 1);
+                    // SAFETY: a one-cell window `cells` checked; the
+                    // caller is the cell's only writer.
+                    unsafe { out.write(kernel.run_task(&ctx)) };
                     each(task);
                 }
             }
         }
-    }
-
-    /// The per-task body of every claim loop, lease replay and orphan
-    /// adoption: run the kernel, store the value into the task's arena
-    /// cell, and publish the task. ([`run_span`](Self::run_span) is the
-    /// same body over a contiguous span.) `node` is this op's graph node
-    /// and `inputs` its [`inputs`](Self::inputs), both resolved by the
-    /// caller once per visit.
-    ///
-    /// The `Release` store of the `done` flag pairs with the snapshot
-    /// scanner's `Acquire` load: a task seen done has its output store
-    /// visible. Nothing here counts executions — the caller logs the
-    /// chunk in its [`ExecLog`] once the chunk's tasks have run.
-    ///
-    /// # Safety
-    ///
-    /// The caller must be `task`'s exactly-once claimant, and `inputs`
-    /// must have been taken after the op became ready (only then are
-    /// the slices sound to read, see [`inputs`](Self::inputs)).
-    #[inline]
-    pub(crate) unsafe fn run_task(
-        &self,
-        kernel: &(dyn TaskKernel + Sync),
-        node: &Node,
-        inputs: &[&[f64]],
-        arena: &OutputArena,
-        task: usize,
-    ) {
-        let ctx = TaskCtx { node, iter: self.plan.iter, task, cost_hint: self.costs[task], inputs };
-        // SAFETY: exactly-once claim of `task`.
-        unsafe { arena.write(self.idx, task, kernel.run_task(&ctx)) };
-        self.done[task].store(true, Ordering::Release);
+        if let Some(done) = &self.done {
+            let flag = |t: usize| done[t].store(true, Ordering::Release);
+            match &self.remap {
+                None => span.for_each(flag),
+                Some(remap) => remap[span].iter().copied().for_each(flag),
+            }
+        }
     }
 
     /// The shared claim queue over this op's pending tasks: chunk
@@ -431,15 +416,12 @@ pub(crate) fn completed<'p, O: AsRef<OpState<'p>>>(
 
 /// What [`set_up`] hands a driver.
 pub(crate) struct Setup<'p> {
-    /// One slab for every op's outputs, restored cells prefilled:
-    /// workers write chunk views in place, dependents read finished
-    /// slices by reference, and the run's owned buffers come out at the
-    /// end without a copy.
+    /// One buffer per op's outputs, restored cells prefilled: workers
+    /// store their chunks in place, dependents read slices by
+    /// reference, and the buffers are the run's outputs at the end.
     pub arena: OutputArena,
     /// Per-op state, aligned with the plan's op order.
     pub ops: Vec<OpState<'p>>,
-    /// Σ of the tasks' simulated cost hints (µs).
-    pub hinted_serial_us: f64,
 }
 
 /// Everything between plan expansion and "spawn the drivers", for a
@@ -545,11 +527,9 @@ pub(crate) fn set_up<'p>(
     }
 
     let mut arena = OutputArena::for_ops(plan.ops.iter().map(|o| o.tasks));
-    let mut hinted_serial_us = 0.0;
     let mut ops: Vec<OpState<'p>> = Vec::with_capacity(n);
     for (i, op) in plan.ops.iter().enumerate() {
         let costs = costs_of_node(&nodes[op.node], opts.seed);
-        hinted_serial_us += costs.iter().sum::<f64>();
         let restored: Vec<bool> =
             image(i).map_or_else(|| vec![false; op.tasks], |o| o.completed.clone());
         let remap: Option<Vec<usize>> =
@@ -589,19 +569,27 @@ pub(crate) fn set_up<'p>(
             share: shares[i].clone(),
             warm: image(i).map(|o| o.stats).filter(|s| s.count() > 0),
             outstanding: AtomicUsize::new(pending[i]),
-            done: (0..op.tasks).map(|_| AtomicBool::new(false)).collect(),
+            done: opts
+                .checkpoint
+                .as_ref()
+                .map(|_| (0..op.tasks).map(|_| AtomicBool::new(false)).collect()),
             started_bits: AtomicU64::new(stamp),
             finished_bits: AtomicU64::new(stamp),
             restored,
             remap,
         });
     }
-    Setup { arena, ops, hinted_serial_us }
+    Setup { arena, ops }
 }
 
 /// Captures every op's completed-task bitmap, outputs, and cost stats
 /// for a checkpoint commit. The snapshot copies arena cells into its
 /// own buffers — checkpoints keep owned data, the arena keeps none.
+///
+/// # Panics
+///
+/// Panics if the run was set up without a checkpoint spec: only then
+/// are there `done` flags to scan.
 pub(crate) fn snapshot_ops<'p, O: AsRef<OpState<'p>>>(
     ops: &[O],
     arena: &OutputArena,
@@ -609,11 +597,12 @@ pub(crate) fn snapshot_ops<'p, O: AsRef<OpState<'p>>>(
     ops.iter()
         .map(|op| {
             let op = op.as_ref();
+            let done = op.done.as_deref().expect("snapshots are taken by checkpointed runs only");
             // SAFETY: `op_snapshot` reads a cell only after observing
             // the task's `done` flag with `Acquire`, pairing with the
             // writer's post-store `Release` — the cell is quiescent by
             // then.
-            op_snapshot(&op.costs, &op.restored, &op.done, |t| unsafe { arena.read(op.idx, t) })
+            op_snapshot(&op.costs, &op.restored, done, |t| unsafe { arena.read(op.idx, t) })
         })
         .collect()
 }
@@ -698,9 +687,6 @@ pub struct RunReport {
     /// run started from a snapshot. (Empty from the sequential
     /// reference.)
     pub restored: Vec<Vec<bool>>,
-    /// Σ of the tasks' simulated cost hints (µs) — the work the
-    /// simulator would call `serial_work`.
-    pub hinted_serial_us: f64,
     /// Chunk claims across all ops (scheduling events).
     pub claims: u64,
     /// Cooperative yields across all ops (async: one per executed
@@ -791,7 +777,6 @@ impl RunReport {
             attempts: 1,
             resumed_tasks: 0,
             recovery_us: 0.0,
-            hinted_serial_us: 0.0,
             ops,
             outputs,
             exec_counts,
@@ -993,6 +978,58 @@ mod tests {
 
     fn span(start: usize, len: usize) -> Chunk {
         Chunk { start, len }
+    }
+
+    /// A kernel whose value names its task.
+    struct TaskIndex;
+
+    impl TaskKernel for TaskIndex {
+        fn run_task(&self, ctx: &TaskCtx<'_>) -> f64 {
+            ctx.task as f64 + 0.5
+        }
+    }
+
+    /// The `done` flags are the snapshot scanner's alone: a run without
+    /// a checkpoint spec sets none up, and in a checkpointed run a
+    /// snapshot taken after one chunk marks exactly that chunk's tasks
+    /// (through the remap, for a resumed op) besides the restored ones.
+    #[test]
+    fn completion_flags_exist_for_checkpoints_only() {
+        let g = two_chains();
+        let plan = build_plan(&g, &ExecutorOptions::default()).unwrap();
+        let at = |name: &str| plan.ops.iter().position(|o| o.name == name).unwrap();
+        let (p1, q0) = (at("P1"), at("Q0"));
+        let plain = chains_set_up(&plan, &g, Vec::new());
+        assert!(plain.ops.iter().all(|o| o.done.is_none()));
+
+        // P1 resumes with its even tasks restored: queue 0..4 = tasks 1, 3, 5, 7.
+        let mut images: Vec<OpSnapshot> =
+            plan.ops.iter().map(|o| image(vec![false; o.tasks])).collect();
+        images[p1] = image((0..8).map(|t| t % 2 == 0).collect());
+        // Nothing is written under the directory: no snapshot is committed.
+        let spec = CheckpointSpec::new(std::env::temp_dir().join("orchestra-done-flags"));
+        let opts = ExecutorOptions { checkpoint: Some(spec), ..ExecutorOptions::default() };
+        let resume = ResumeState { ops: images };
+        let Setup { arena, ops } =
+            set_up(&plan, &g.nodes, &opts, AccessPattern::ElementWise, 4, &resume);
+        for (op, span) in [(q0, 5..9), (p1, 1..3)] {
+            let op = &ops[op];
+            let node = &g.nodes[op.plan.node];
+            // SAFETY: single-threaded, so this is each chunk's only
+            // claimant, and neither op's producers are read.
+            unsafe { op.run_span(&TaskIndex, node, &[], &arena, span, |_| {}) };
+        }
+        let snaps = snapshot_ops(&ops, &arena);
+        let completed = |i: usize| -> Vec<usize> {
+            (0..plan.ops[i].tasks).filter(|&t| snaps[i].completed[t]).collect()
+        };
+        assert_eq!(completed(q0), [5, 6, 7, 8]);
+        assert_eq!(snaps[q0].outputs[5..9], [5.5, 6.5, 7.5, 8.5]);
+        assert_eq!(completed(p1), [0, 2, 3, 4, 5, 6]);
+        assert_eq!((snaps[p1].outputs[3], snaps[p1].outputs[5]), (3.5, 5.5));
+        assert!((0..plan.ops.len())
+            .filter(|&i| i != q0 && i != p1)
+            .all(|i| completed(i).is_empty()));
     }
 
     /// The oracle itself: disjoint logs read 1 everywhere, an overlap

@@ -392,8 +392,7 @@ pub(crate) fn run_threaded(
     let workers = resolve_workers(opts);
     let topo = opts.topology.resolve();
     let wt = WorkerTopo::new(&topo, workers);
-    let Setup { arena, ops, hinted_serial_us } =
-        set_up(plan, &g.nodes, opts, kernel.access(), workers, resume);
+    let Setup { arena, ops } = set_up(plan, &g.nodes, opts, kernel.access(), workers, resume);
     let ops: Vec<PoolOp> = ops
         .into_iter()
         .map(|state| {
@@ -459,7 +458,6 @@ pub(crate) fn run_threaded(
     let locality =
         if dist_tasks == 0 { 1.0 } else { 1.0 - report.migrated_tasks as f64 / dist_tasks as f64 };
     Ok(RunReport {
-        hinted_serial_us,
         worker_timing,
         locality,
         steal,

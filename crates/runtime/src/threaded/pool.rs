@@ -256,8 +256,8 @@ struct WorkerState {
 struct Shared<'a> {
     ops: &'a [PoolOp<'a>],
     nodes: &'a [Node],
-    /// The zero-copy output slab every op writes into and reads its
-    /// inputs from; spans are indexed by op.
+    /// The zero-copy output buffers every op writes into and reads its
+    /// inputs from, indexed by op.
     arena: &'a OutputArena,
     /// Worker→CPU placement and precomputed steal schedules.
     topo: &'a WorkerTopo,
