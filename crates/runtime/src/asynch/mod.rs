@@ -18,10 +18,9 @@
 //! What stays with this engine, beside the run core it shares with the
 //! pool (set-up, `OpState`, the task body, and the readiness protocol
 //! that decides what a completion, a publication or a claim makes
-//! ready, stop or die): the drivers and their run queues ([`driver`]),
-//! the claimer future, one wake list per op — draining it is this
-//! engine's `ready(op)` — and the orphan board through which a killed
-//! claimer's chunk reaches a surviving sibling.
+//! ready or stop): the drivers and their run queues ([`driver`]), the
+//! claimer future, and one wake list per op — draining it is this
+//! engine's `ready(op)`.
 //!
 //! Two properties the differential suites pin down:
 //!
@@ -42,7 +41,7 @@ pub(crate) mod driver;
 
 use crate::alloc::OutputArena;
 use crate::cancel::RunError;
-use crate::checkpoint::{FaultState, KillMode, ResumeState, RunCtl};
+use crate::checkpoint::{ResumeState, RunCtl};
 use crate::executor::ExecutorOptions;
 use crate::run::{self, set_up, snapshot_ops, ExecLog, OpRecord, OpState, RunReport, Setup};
 use crate::stats::{OnlineStats, StealStats};
@@ -72,25 +71,6 @@ struct AsyncOp<'p> {
     wakers: Mutex<Vec<Waker>>,
     /// Chunk-boundary yields taken by this op's claimers.
     yields: AtomicU64,
-    /// Orphaned-chunk hand-off between this op's claimer futures under
-    /// fault injection.
-    board: Mutex<OrphanBoard>,
-}
-
-/// Lease accounting for one op's claimer futures: chunks orphaned by
-/// killed claimers, and how many claimers have neither died nor
-/// retired. A claimer retires (decrements `live`) only when the queue
-/// is drained *and* no orphans remain — both checked under this lock,
-/// the same lock a kill takes to orphan its chunk — so every orphan is
-/// replayed by exactly one surviving claimer, and the last live
-/// claimer of an op suppresses its own kill rather than stranding the
-/// queue.
-#[derive(Default)]
-struct OrphanBoard {
-    /// Orphaned chunks.
-    orphans: Vec<Chunk>,
-    /// Claimers of this op still running.
-    live: usize,
 }
 
 impl<'p> AsRef<OpState<'p>> for AsyncOp<'p> {
@@ -168,9 +148,9 @@ impl AsyncShared<'_, '_> {
 /// claim → execute chunk → yield until the queue is drained. The
 /// yield between chunks is the backend's entire scheduling story:
 /// between any two chunks the driver is free to run *any* ready op.
-/// Under fault injection the claimer additionally checks for its
-/// planned death after every claim, and on retirement adopts chunks
-/// orphaned by killed siblings.
+/// Under a hook (faults, checkpoints, cancellation) the claimer runs
+/// the run core's post-claim sequence after every claim, and leaves
+/// when it says the run stops.
 async fn run_claimer(
     shared: &AsyncShared<'_, '_>,
     op_idx: usize,
@@ -218,30 +198,11 @@ async fn run_claimer(
             }
             BoundedClaim::Exhausted => break,
         };
-        // How a claimer dies. A crash takes the whole run down. In
-        // lease mode the op's last live claimer refuses — a fault plan
-        // can never strand a queue — and anyone else orphans its chunk
-        // on the board, under the lock retiring claimers take.
-        let die = |f: &FaultState, mode| {
-            if mode == KillMode::Crash {
-                return f.try_die(cid, mode);
-            }
-            let mut board = aop.board.lock().expect("orphan board poisoned");
-            let dies = board.live >= 2 && f.try_die(cid, mode);
-            if dies {
-                board.live -= 1;
-                board.orphans.push(chunk);
-            }
-            dies
-        };
-        if hooked && shared.ctl.after_claim(cid, None, die, || snapshot_ops(&shared.ops, arena)) {
-            // Dying mid-loop: the batch executed so far still counts. (A
-            // crashed or cancelled run is `stopping`: the drivers leave
-            // and parked futures are never waited for.)
-            if op.account(done) {
-                shared.complete(op_idx);
-            }
-            return;
+        if hooked && shared.ctl.after_claim(cid, None, || snapshot_ops(&shared.ops, arena)) {
+            // Stopping mid-loop: the batch executed so far still counts.
+            // (The run is `stopping`: the drivers leave and parked
+            // futures are never waited for.)
+            break;
         }
         op.stamp_start(us_since(shared.epoch));
         let mut chunk_stats = OnlineStats::new();
@@ -273,31 +234,6 @@ async fn run_claimer(
         done += chunk.len;
         aop.yields.fetch_add(1, Ordering::Relaxed);
         driver::yield_now().await;
-    }
-    // Queue drained. Under fault injection, adopt orphaned chunks
-    // before retiring: the pop and the retirement share the board
-    // lock with the kill path, so every orphan is replayed exactly
-    // once and none can appear after the last claimer retires.
-    if hooked && shared.ctl.faults.is_some() {
-        loop {
-            let orphan = {
-                let mut board = aop.board.lock().expect("orphan board poisoned");
-                match board.orphans.pop() {
-                    Some(o) => Some(o),
-                    None => {
-                        board.live = board.live.saturating_sub(1);
-                        None
-                    }
-                }
-            };
-            let Some(orphan) = orphan else {
-                break;
-            };
-            // SAFETY: the board hands each orphan to one adopter.
-            unsafe { op.run_span(kernel, node, &inputs, arena, orphan.range(), |_| {}) };
-            done += orphan.len;
-            shared.book_chunk(op_idx, orphan);
-        }
     }
     // Account this claimer's work in one batched decrement; whoever
     // zeroes the counter has proof every task ran and completes the op
@@ -344,12 +280,10 @@ pub(crate) fn run_async(
         .collect();
     let ops: Vec<AsyncOp> = ops
         .into_iter()
-        .zip(&n_claimers)
-        .map(|(state, &live)| AsyncOp {
+        .map(|state| AsyncOp {
             queue: state.chunk_queue(opts.policy),
             wakers: Mutex::new(Vec::new()),
             yields: AtomicU64::new(0),
-            board: Mutex::new(OrphanBoard { orphans: Vec::new(), live }),
             state,
         })
         .collect();

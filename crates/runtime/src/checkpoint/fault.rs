@@ -2,16 +2,15 @@
 //! runtime state that arbitrates them.
 //!
 //! A kill fires only at a *claim boundary* — right after a queue hands
-//! a worker a chunk, before any of its tasks execute — so a dying
-//! worker never leaves a half-executed chunk behind. In lease mode the
-//! freshly claimed tasks become an orphaned [`Lease`] that exactly one
-//! survivor re-executes; in crash mode ([`FaultPlan::crash_run`]) the
-//! first kill aborts the whole run, simulating a process death that
-//! [`execute_graph_resumable`](super::execute_graph_resumable)
-//! recovers from via snapshots.
+//! a worker a chunk, before any of its tasks execute — or right after a
+//! steal, and it always crashes the whole run: the first kill that
+//! fires marks the run crashed, every worker exits at its next claim
+//! boundary, and [`execute_graph_resumable`](super::execute_graph_resumable)
+//! recovers from the latest snapshot. That is the only failure a worker
+//! thread of this process can have: it stops only by unwinding, and an
+//! unwind aborts the run (`RunCtl::guard`).
 
-use crate::threaded::queue::Chunk;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// When a planned kill fires. All triggers are evaluated at claim
 /// boundaries (or, for [`OnSteal`](FaultTrigger::OnSteal), right after
@@ -47,109 +46,39 @@ pub struct KillSpec {
 /// A deterministic fault-injection schedule, threaded through
 /// [`ExecutorOptions::faults`](crate::executor::ExecutorOptions::faults).
 ///
-/// Each [`KillSpec`] fires at most once. In lease mode (the default) a
-/// kill takes down a single worker and the pool recovers in-process;
-/// the last live worker refuses to die (the kill is suppressed) so a
-/// plan can never wedge a run. With [`crash_run`](Self::crash_run) the
-/// first kill aborts the entire execution instead.
+/// Each [`KillSpec`] fires at most once, and the first one that fires
+/// crashes the run: the partial result comes back with
+/// `crashed = true`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     /// The planned kills.
     pub kills: Vec<KillSpec>,
-    /// When set, every kill in `kills` fires in crash mode: the first
-    /// one that fires marks the whole run crashed, every worker exits
-    /// at its next claim boundary, and the partial result is returned
-    /// with `crashed = true`.
-    pub crash_run: bool,
-    /// Kills that fire in crash mode regardless of `crash_run` — a
-    /// combined plan stages in-process lease recoveries (`kills` with
-    /// `crash_run = false`) *and* a later process death in the same
-    /// run, the way real incidents compound.
-    pub crash_kills: Vec<KillSpec>,
 }
 
 impl FaultPlan {
-    /// A single-kill lease-mode plan.
-    pub fn kill(worker: usize, trigger: FaultTrigger) -> Self {
-        FaultPlan {
-            kills: vec![KillSpec { worker, trigger }],
-            crash_run: false,
-            crash_kills: Vec::new(),
-        }
-    }
-
-    /// A single-kill crash-mode plan.
+    /// A single-kill plan.
     pub fn crash(worker: usize, trigger: FaultTrigger) -> Self {
-        FaultPlan {
-            kills: vec![KillSpec { worker, trigger }],
-            crash_run: true,
-            crash_kills: Vec::new(),
-        }
+        FaultPlan { kills: vec![KillSpec { worker, trigger }] }
     }
-
-    /// A combined plan: `lease` kills recover in-process, and the
-    /// `crash` kill aborts the run when it fires (typically later —
-    /// triggers are per-victim, so stagger the claim counts).
-    pub fn combined(lease: Vec<KillSpec>, crash: KillSpec) -> Self {
-        FaultPlan { kills: lease, crash_run: false, crash_kills: vec![crash] }
-    }
-}
-
-/// How a fired kill takes its victim down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum KillMode {
-    /// The victim dies alone; its claimed chunk becomes a lease a
-    /// survivor replays.
-    Lease,
-    /// The whole run crashes; every worker exits at its next boundary.
-    Crash,
-}
-
-/// An orphaned claim: tasks a dead worker had claimed but not started
-/// executing. Survivors drain the lease list exactly once (take-all
-/// under the lock) and replay each task — kernels are pure, so the
-/// replayed values are bitwise those the victim would have produced.
-pub(crate) struct Lease {
-    /// Plan index of the op the tasks belong to.
-    pub(crate) op_idx: usize,
-    /// What the victim had claimed, in the op's queue-index space.
-    pub(crate) chunk: Chunk,
 }
 
 /// Runtime arbitration for one run's [`FaultPlan`]: which kills have
-/// fired, which workers are dead, and whether the run crashed.
+/// fired, and whether the run crashed.
 pub(crate) struct FaultState {
-    /// Every planned kill with its resolved mode (`kills` under the
-    /// plan-level `crash_run` flag, then `crash_kills`).
-    specs: Vec<(KillSpec, KillMode)>,
+    kills: Vec<KillSpec>,
     /// One-shot latch per planned kill.
     fired: Vec<AtomicBool>,
-    /// Per-worker death flag (set in lease *and* crash mode).
-    dead: Vec<AtomicBool>,
     /// Per-worker claim counter driving the claim-count triggers.
     claims: Vec<AtomicU64>,
-    /// Workers not yet dead in lease mode; [`try_die`](Self::try_die)
-    /// refuses to drop this below 1.
-    live: AtomicUsize,
     crashed: AtomicBool,
 }
 
 impl FaultState {
-    pub(crate) fn new(plan: FaultPlan, workers: usize) -> Self {
-        let base = if plan.crash_run { KillMode::Crash } else { KillMode::Lease };
-        let specs: Vec<(KillSpec, KillMode)> = plan
-            .kills
-            .iter()
-            .map(|&k| (k, base))
-            .chain(plan.crash_kills.iter().map(|&k| (k, KillMode::Crash)))
-            .collect();
-        let kills = specs.len();
+    pub(crate) fn new(plan: &FaultPlan, workers: usize) -> Self {
         FaultState {
-            specs,
-            fired: (0..kills).map(|_| AtomicBool::new(false)).collect(),
-            dead: (0..workers).map(|_| AtomicBool::new(false)).collect(),
+            kills: plan.kills.clone(),
+            fired: plan.kills.iter().map(|_| AtomicBool::new(false)).collect(),
             claims: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            live: AtomicUsize::new(workers),
             crashed: AtomicBool::new(false),
         }
     }
@@ -158,42 +87,29 @@ impl FaultState {
         self.crashed.load(Ordering::SeqCst)
     }
 
-    /// Whether any worker died in lease mode (crash-mode deaths abort
-    /// the run instead of triggering in-process recovery).
-    pub(crate) fn any_dead(&self) -> bool {
-        self.live.load(Ordering::SeqCst) < self.dead.len()
-    }
-
-    pub(crate) fn dead_workers(&self) -> Vec<usize> {
-        (0..self.dead.len()).filter(|&w| self.dead[w].load(Ordering::SeqCst)).collect()
-    }
-
-    fn check(&self, worker: usize, hit: impl Fn(FaultTrigger) -> bool) -> Option<KillMode> {
-        for (k, (spec, mode)) in self.specs.iter().enumerate() {
-            if spec.worker != worker || !hit(spec.trigger) {
-                continue;
-            }
-            if self.fired[k]
-                .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                return Some(*mode);
-            }
+    /// Fires the first unfired kill of `worker` whose trigger `hit`s,
+    /// crashing the run. `true` when one fired.
+    fn fire(&self, worker: usize, hit: impl Fn(FaultTrigger) -> bool) -> bool {
+        let fires = self.kills.iter().zip(&self.fired).any(|(spec, fired)| {
+            spec.worker == worker
+                && hit(spec.trigger)
+                && fired.compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst).is_ok()
+        });
+        if fires {
+            self.crashed.store(true, Ordering::SeqCst);
         }
-        None
+        fires
     }
 
     /// Notes one chunk claim by `worker` (`epoch` tags dist-TAPER
-    /// claims with their global epoch) and reports the mode of the
-    /// planned kill that fires here, if any. Firing consumes the spec;
-    /// the caller must still win [`try_die`](Self::try_die) for the
-    /// death to happen.
-    pub(crate) fn on_claim(&self, worker: usize, epoch: Option<u64>) -> Option<KillMode> {
+    /// claims with their global epoch); `true` when a planned kill
+    /// fires here and crashes the run.
+    pub(crate) fn on_claim(&self, worker: usize, epoch: Option<u64>) -> bool {
         if worker >= self.claims.len() {
-            return None;
+            return false;
         }
         let c = self.claims[worker].fetch_add(1, Ordering::Relaxed) + 1;
-        self.check(worker, |t| match t {
+        self.fire(worker, |t| match t {
             FaultTrigger::AfterClaims(n) => c >= n.max(1),
             FaultTrigger::AtEpoch(e) => match epoch {
                 Some(ep) => ep >= e,
@@ -203,40 +119,10 @@ impl FaultState {
         })
     }
 
-    /// Reports the mode of the `OnSteal` kill firing for `worker`'s
-    /// just-completed steal, if any.
-    pub(crate) fn on_steal(&self, worker: usize) -> Option<KillMode> {
-        if worker >= self.dead.len() {
-            return None;
-        }
-        self.check(worker, |t| matches!(t, FaultTrigger::OnSteal))
-    }
-
-    /// Commits a fired kill. In crash mode this always succeeds and
-    /// marks the whole run crashed. In lease mode it atomically takes
-    /// one live slot — refusing (and suppressing the kill) when
-    /// `worker` is the last live worker, so a fault plan can never
-    /// wedge the pool.
-    pub(crate) fn try_die(&self, worker: usize, mode: KillMode) -> bool {
-        if mode == KillMode::Crash {
-            self.dead[worker].store(true, Ordering::SeqCst);
-            self.crashed.store(true, Ordering::SeqCst);
-            return true;
-        }
-        loop {
-            let live = self.live.load(Ordering::SeqCst);
-            if live <= 1 {
-                return false;
-            }
-            if self
-                .live
-                .compare_exchange(live, live - 1, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                self.dead[worker].store(true, Ordering::SeqCst);
-                return true;
-            }
-        }
+    /// `true` when an `OnSteal` kill fires for `worker`'s
+    /// just-completed steal and crashes the run.
+    pub(crate) fn on_steal(&self, worker: usize) -> bool {
+        worker < self.claims.len() && self.fire(worker, |t| matches!(t, FaultTrigger::OnSteal))
     }
 }
 
@@ -246,78 +132,52 @@ mod tests {
 
     #[test]
     fn after_claims_fires_once_at_the_right_count() {
-        let f = FaultState::new(FaultPlan::kill(1, FaultTrigger::AfterClaims(3)), 4);
-        assert!(f.on_claim(1, None).is_none());
-        assert!(f.on_claim(1, None).is_none());
-        assert!(f.on_claim(0, None).is_none(), "wrong worker");
-        assert_eq!(f.on_claim(1, None), Some(KillMode::Lease), "third claim fires");
-        assert!(f.on_claim(1, None).is_none(), "spec consumed");
+        let f = FaultState::new(&FaultPlan::crash(1, FaultTrigger::AfterClaims(3)), 4);
+        assert!(!f.on_claim(1, None));
+        assert!(!f.on_claim(1, None));
+        assert!(!f.on_claim(0, None), "wrong worker");
+        assert!(!f.crashed());
+        assert!(f.on_claim(1, None), "third claim fires");
+        assert!(f.crashed(), "a fired kill crashes the run");
+        assert!(!f.on_claim(1, None), "spec consumed");
     }
 
     #[test]
     fn at_epoch_matches_dist_epochs_and_degrades_to_claims() {
-        let f = FaultState::new(FaultPlan::kill(0, FaultTrigger::AtEpoch(2)), 2);
-        assert!(f.on_claim(0, Some(0)).is_none());
-        assert!(f.on_claim(0, Some(1)).is_none());
-        assert!(f.on_claim(0, Some(2)).is_some());
-        let g = FaultState::new(FaultPlan::kill(0, FaultTrigger::AtEpoch(2)), 2);
-        assert!(g.on_claim(0, None).is_none());
-        assert!(g.on_claim(0, None).is_none());
-        assert!(g.on_claim(0, None).is_some(), "claim 3 > epoch 2");
+        let f = FaultState::new(&FaultPlan::crash(0, FaultTrigger::AtEpoch(2)), 2);
+        assert!(!f.on_claim(0, Some(0)));
+        assert!(!f.on_claim(0, Some(1)));
+        assert!(f.on_claim(0, Some(2)));
+        let g = FaultState::new(&FaultPlan::crash(0, FaultTrigger::AtEpoch(2)), 2);
+        assert!(!g.on_claim(0, None));
+        assert!(!g.on_claim(0, None));
+        assert!(g.on_claim(0, None), "claim 3 > epoch 2");
     }
 
     #[test]
-    fn last_live_worker_refuses_to_die() {
-        let f = FaultState::new(
-            FaultPlan {
-                kills: vec![
-                    KillSpec { worker: 0, trigger: FaultTrigger::AfterClaims(1) },
-                    KillSpec { worker: 1, trigger: FaultTrigger::AfterClaims(1) },
-                ],
-                crash_run: false,
-                crash_kills: Vec::new(),
-            },
-            2,
-        );
-        assert!(f.try_die(0, KillMode::Lease));
-        assert!(f.any_dead());
-        assert!(!f.try_die(1, KillMode::Lease), "last live worker must survive");
-        assert_eq!(f.dead_workers(), vec![0]);
-        assert!(!f.crashed());
-    }
-
-    #[test]
-    fn crash_mode_always_dies_and_marks_crashed() {
-        let f = FaultState::new(FaultPlan::crash(0, FaultTrigger::AfterClaims(1)), 1);
-        assert!(f.try_die(0, KillMode::Crash));
+    fn on_steal_fires_only_its_own_trigger() {
+        let plan = FaultPlan {
+            kills: vec![
+                KillSpec { worker: 0, trigger: FaultTrigger::AfterClaims(1) },
+                KillSpec { worker: 1, trigger: FaultTrigger::OnSteal },
+            ],
+        };
+        let f = FaultState::new(&plan, 2);
+        assert!(!f.on_steal(0), "worker 0 plans no steal kill");
+        assert!(!f.on_claim(1, None), "worker 1 plans no claim kill");
+        assert!(f.on_steal(1));
         assert!(f.crashed());
-        assert!(!f.any_dead(), "crash deaths don't trigger lease recovery");
+        assert!(!f.on_steal(1), "spec consumed");
     }
 
     #[test]
     fn out_of_range_victims_never_fire() {
-        let f = FaultState::new(FaultPlan::kill(7, FaultTrigger::AfterClaims(1)), 2);
+        let f = FaultState::new(&FaultPlan::crash(7, FaultTrigger::AfterClaims(1)), 2);
         for _ in 0..10 {
-            assert!(f.on_claim(0, None).is_none());
-            assert!(f.on_claim(1, None).is_none());
+            assert!(!f.on_claim(0, None));
+            assert!(!f.on_claim(1, None));
         }
-        assert!(f.on_steal(7).is_none());
-    }
-
-    #[test]
-    fn combined_plans_keep_lease_and_crash_modes_apart() {
-        let plan = FaultPlan::combined(
-            vec![KillSpec { worker: 0, trigger: FaultTrigger::AfterClaims(1) }],
-            KillSpec { worker: 1, trigger: FaultTrigger::AfterClaims(2) },
-        );
-        let f = FaultState::new(plan, 3);
-        assert_eq!(f.on_claim(0, None), Some(KillMode::Lease));
-        assert!(f.try_die(0, KillMode::Lease));
-        assert!(f.any_dead(), "the lease death recovers in-process");
+        assert!(!f.on_steal(7));
         assert!(!f.crashed());
-        assert!(f.on_claim(1, None).is_none(), "crash trigger not yet reached");
-        assert_eq!(f.on_claim(1, None), Some(KillMode::Crash));
-        assert!(f.try_die(1, KillMode::Crash));
-        assert!(f.crashed(), "the crash kill aborts the run");
     }
 }

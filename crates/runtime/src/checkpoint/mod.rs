@@ -19,10 +19,9 @@
 //! * **Fault plans** ([`FaultPlan`]) — injectable, deterministic
 //!   worker kills (at epoch `e` / after `n` claims / on a steal)
 //!   threaded through
-//!   [`ExecutorOptions`](crate::executor::ExecutorOptions). A killed
-//!   worker's freshly claimed chunk becomes an orphaned *lease* that a
-//!   survivor re-executes exactly once; in crash mode the whole run
-//!   aborts instead, simulating a process death.
+//!   [`ExecutorOptions`](crate::executor::ExecutorOptions). A kill
+//!   crashes the whole run, simulating a process death: a worker thread
+//!   of this process stops only by unwinding, and that aborts the run.
 //! * **Resume** ([`execute_graph_resumable`]) — runs a graph, and on a
 //!   crash restores from the latest valid snapshot (falling back past
 //!   torn or corrupt files) and replays to completion.
@@ -31,8 +30,8 @@ mod fault;
 mod resume;
 mod snapshot;
 
+pub(crate) use fault::FaultState;
 pub use fault::{FaultPlan, FaultTrigger, KillSpec};
-pub(crate) use fault::{FaultState, KillMode, Lease};
 pub use resume::execute_graph_resumable;
 pub(crate) use resume::ResumeState;
 pub use snapshot::{graph_fingerprint, load_latest, plan_fingerprint, snapshot_versions, Snapshot};
@@ -42,7 +41,7 @@ use crate::parking::Parking;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Where and how often a run persists snapshots.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -201,9 +200,6 @@ impl CancelCtl {
 pub(crate) struct RunCtl {
     /// Fault-injection state, `None` when no plan was configured.
     pub(crate) faults: Option<FaultState>,
-    /// Orphaned claims of dead workers, re-executed exactly once by a
-    /// survivor (drained under the lock with `mem::take`).
-    pub(crate) leases: Mutex<Vec<Lease>>,
     /// Snapshot cadence + writer slot, `None` when checkpointing is
     /// off.
     pub(crate) ckpt: Option<CheckpointCtl>,
@@ -229,8 +225,7 @@ impl RunCtl {
         workers: usize,
     ) -> Self {
         RunCtl {
-            faults: opts.faults.as_ref().map(|p| FaultState::new(p.clone(), workers)),
-            leases: Mutex::new(Vec::new()),
+            faults: opts.faults.as_ref().map(|p| FaultState::new(p, workers)),
             ckpt: opts
                 .checkpoint
                 .as_ref()
@@ -258,13 +253,13 @@ impl RunCtl {
         self.faults.is_some() || self.ckpt.is_some() || self.cancel.is_some()
     }
 
-    /// Whether a crash-mode kill has fired: the run is aborting and
-    /// every worker exits at its next claim boundary.
+    /// Whether a planned kill has fired: the run is aborting and every
+    /// worker exits at its next claim boundary.
     pub(crate) fn crashed(&self) -> bool {
         self.faults.as_ref().is_some_and(FaultState::crashed)
     }
 
-    /// Whether the run is stopping for *any* reason — crash-mode kill,
+    /// Whether the run is stopping for *any* reason — a planned kill,
     /// cancellation, or a server's unwind — and both engines' servers
     /// must leave their loops (broadcasting: a cancel has no other witness).
     pub(crate) fn stopping(&self) -> bool {
@@ -280,31 +275,24 @@ impl RunCtl {
     /// `true` means the claimant stops here without executing the chunk.
     ///
     /// The order is the contract. A kill lands exactly at this boundary
-    /// because the chunk is claimed (nobody else can reach it through
-    /// the queue) but unexecuted — the window where work would be lost
-    /// without leases. Cancellation and a crash already under way come
-    /// first: the whole run is being discarded, so the chunk is simply
-    /// dropped and no planned kill is consumed. Then the claim is
-    /// counted against the fault plan; a kill that fires is handed to
-    /// the engine's `die(mode)`, which commits the death its own way
-    /// and says whether it happened — a suppressed kill (the last live
-    /// server refuses) falls through and the chunk runs. A claimant that
-    /// stops, for any of these, wakes everyone: the parked must see the
-    /// stop, or the work a death orphaned. The checkpoint cadence comes
-    /// last, so a claimant that dies here never holds the snapshot
-    /// writer slot.
+    /// because the chunk is claimed but unexecuted, so the crashed
+    /// attempt leaves no half-run chunk behind. Cancellation and a crash
+    /// already under way come first: the whole run is being discarded,
+    /// so the chunk is simply dropped and no planned kill is consumed.
+    /// Then the claim is counted against the fault plan, and a kill that
+    /// fires crashes the run. A claimant that stops, for any of these,
+    /// wakes everyone: the parked must see the stop. The checkpoint
+    /// cadence comes last, so a claimant that stops here never holds
+    /// the snapshot writer slot.
     #[inline]
     pub(crate) fn after_claim(
         &self,
         claimant: usize,
         epoch: Option<u64>,
-        die: impl FnOnce(&FaultState, KillMode) -> bool,
         snapshot: impl FnOnce() -> Vec<OpSnapshot>,
     ) -> bool {
         let stops = self.cancel.as_ref().is_some_and(CancelCtl::requested)
-            || self.faults.as_ref().is_some_and(|f| {
-                f.crashed() || f.on_claim(claimant, epoch).is_some_and(|mode| die(f, mode))
-            });
+            || self.faults.as_ref().is_some_and(|f| f.crashed() || f.on_claim(claimant, epoch));
         if stops {
             self.parking.broadcast();
             return true;

@@ -34,16 +34,16 @@ impl ResumeState {
     }
 }
 
-/// Executes a graph with crash recovery: run, and if a crash-mode
-/// fault aborts the attempt, restore from the latest valid snapshot in
+/// Executes a graph with crash recovery: run, and if a planned kill
+/// crashes the attempt, restore from the latest valid snapshot in
 /// `opts.checkpoint.dir` (falling back past torn or corrupt files) and
 /// replay the remaining tasks. The injected faults apply only to the
-/// first attempt — a simulated process crash happens once — so the
+/// first attempt — a simulated process crash happens once — so the one
 /// replay runs clean.
 ///
 /// The report is the final attempt's, with the recovery story folded
-/// in: `attempts` counts the crashed executions too, `wall_us` sums
-/// every attempt, `recovery_us` the post-crash ones, and `restored` /
+/// in: `attempts` counts the crashed execution too, `wall_us` sums
+/// both attempts, `recovery_us` is the replay's, and `restored` /
 /// `resumed_tasks` / `exec_counts` say which tasks came out of the
 /// snapshot (count 0) instead of being replayed (count 1).
 ///
@@ -66,40 +66,25 @@ pub fn execute_graph_resumable(
     kernel: &(dyn TaskKernel + Sync),
 ) -> Result<RunReport, RunError> {
     let plan = build_plan(g, opts)?;
-    let fingerprint = plan_fingerprint(&plan, opts.seed);
-    // Every kill fires at most once, so attempts are bounded even if a
-    // plan manages to crash a replay (it can't — replays run clean).
-    let max_attempts = opts.faults.as_ref().map_or(0, |f| f.kills.len() + f.crash_kills.len()) + 2;
-    let mut attempts = 0usize;
-    let mut wall_us = 0.0;
-    let mut recovery_us = 0.0;
-    let mut resume = ResumeState::empty();
-    loop {
-        attempts += 1;
-        let replay_opts;
-        let run_opts = if attempts == 1 {
-            opts
+    let attempt = |opts: &ExecutorOptions, resume: &ResumeState| {
+        if opts.backend == ExecutorBackend::Async {
+            crate::asynch::run_async(g, &plan, opts, kernel, resume)
         } else {
-            replay_opts = ExecutorOptions { faults: None, ..opts.clone() };
-            &replay_opts
-        };
-        let run = if opts.backend == ExecutorBackend::Async {
-            crate::asynch::run_async(g, &plan, run_opts, kernel, &resume)?
-        } else {
-            crate::threaded::run_threaded(g, &plan, run_opts, kernel, &resume)?
-        };
-        wall_us += run.wall_us;
-        if attempts > 1 {
-            recovery_us += run.wall_us;
+            crate::threaded::run_threaded(g, &plan, opts, kernel, resume)
         }
-        if !run.crashed || attempts >= max_attempts {
-            return Ok(RunReport { attempts, wall_us, recovery_us, ..run });
-        }
-        resume = opts
-            .checkpoint
-            .as_ref()
-            .and_then(|spec| load_latest(&spec.dir, fingerprint))
-            .and_then(|snap| ResumeState::from_snapshot(snap, &plan))
-            .unwrap_or_else(ResumeState::empty);
+    };
+    let first = attempt(opts, &ResumeState::empty())?;
+    if !first.crashed {
+        return Ok(first);
     }
+    let fingerprint = plan_fingerprint(&plan, opts.seed);
+    let resume = opts
+        .checkpoint
+        .as_ref()
+        .and_then(|spec| load_latest(&spec.dir, fingerprint))
+        .and_then(|snap| ResumeState::from_snapshot(snap, &plan))
+        .unwrap_or_else(ResumeState::empty);
+    let replay = attempt(&ExecutorOptions { faults: None, ..opts.clone() }, &resume)?;
+    let wall_us = first.wall_us + replay.wall_us;
+    Ok(RunReport { attempts: 2, wall_us, recovery_us: replay.wall_us, ..replay })
 }

@@ -11,8 +11,8 @@
 //!
 //! A home is what it is: the runs of consecutive task indices a worker
 //! still owns, in claim order. It starts as the worker's block — one
-//! run — and gains a run whenever work is delivered, adopted or
-//! admitted into it. A task is always in exactly one place: a home, an
+//! run — and gains a run whenever work is delivered or admitted into
+//! it. A task is always in exactly one place: a home, an
 //! undelivered `Move`, or a claimed chunk.
 
 use crate::chunking::{ChunkPolicy, Taper};
@@ -59,8 +59,8 @@ pub(crate) struct Coord {
     /// claimant's node, so migrated tasks cross a node boundary only
     /// when no same-node laggard exists.
     node_of: Vec<usize>,
-    /// Workers excused from epoch completion: the dead (who can't
-    /// token) and non-members.
+    /// Workers excused from epoch completion: the non-members, until
+    /// admitted.
     retired: Vec<bool>,
     policy: Taper,
     total: usize,
@@ -146,12 +146,6 @@ impl Coord {
         tasks_in(&self.homes[worker])
     }
 
-    /// Whether `worker`'s home starts strictly below `limit`, i.e.
-    /// whether [`draw`](Self::draw) at that limit could draw now.
-    pub fn home_ready_below(&self, worker: usize, limit: usize) -> bool {
-        self.homes[worker].front().is_some_and(|run| run.start < limit)
-    }
-
     /// The TAPER policy's sampled cost statistics.
     pub fn live_stats(&self) -> Option<OnlineStats> {
         self.policy.live_stats()
@@ -227,25 +221,6 @@ impl Coord {
         Some(chunk)
     }
 
-    /// Excuses a dead worker from epoch completion. Idempotent.
-    pub fn retire(&mut self, worker: usize) {
-        self.retired[worker] = true;
-    }
-
-    /// Moves every unclaimed task of `dead`'s home to the back of
-    /// `heir`'s, returning how many moved. Unconditional, unlike the
-    /// cv-gated re-assignment: a dead worker's home must drain even on
-    /// uniform costs.
-    pub fn adopt(&mut self, dead: usize, heir: usize) -> usize {
-        if dead == heir {
-            return 0;
-        }
-        let runs = std::mem::take(&mut self.homes[dead]);
-        let moved = tasks_in(&runs);
-        self.homes[heir].extend(runs);
-        moved
-    }
-
     /// Admits `worker` into the partition: its tokens count toward epoch
     /// completion again, and an empty home is seeded with the back half
     /// of the fullest other home (the last on a tie) if that holds at
@@ -314,17 +289,14 @@ mod tests {
         /// Per worker, whether its one work request (a token from an
         /// empty home) is spent.
         asked: Vec<bool>,
-        /// Workers that claim and token: members, neither dead nor yet
-        /// to be admitted.
+        /// Workers that claim and token: members, and the one admitted.
         live: Vec<bool>,
-        dead: Vec<bool>,
         flight: Vec<Move>,
         spans: Vec<Chunk>,
         /// tokened[e][w]: worker w's token for epoch e reached the root.
         tokened: Vec<Vec<bool>>,
-        /// Whether the path's one retire+adopt, or its one admission,
-        /// is spent.
-        died: bool,
+        /// Whether the path's one admission is spent (from the start on
+        /// a path over the whole pool).
         admitted: bool,
     }
 
@@ -334,27 +306,21 @@ mod tests {
         Token(usize),
         Request(usize),
         Deliver(usize),
-        Die(usize, usize),
         Admit(usize),
     }
 
     impl World {
         fn new(n: usize, p: usize, members: &[usize]) -> Self {
             let live: Vec<bool> = (0..p).map(|w| members.contains(&w)).collect();
-            // A path over the whole pool may lose one worker; one over a
-            // partition may admit one.
-            let partition = members.len() < p;
             World {
                 coord: Coord::new(n, vec![0; p], members),
                 owed: vec![VecDeque::new(); p],
                 asked: vec![false; p],
+                admitted: live.iter().all(|&l| l),
                 live,
-                dead: vec![false; p],
                 flight: Vec::new(),
                 spans: Vec::new(),
                 tokened: Vec::new(),
-                died: partition,
-                admitted: !partition,
             }
         }
 
@@ -373,14 +339,8 @@ mod tests {
                 }
             }
             out.extend((0..self.flight.len()).map(Step::Deliver));
-            // Worker 0 (the heavy block's owner) dies and worker 1
-            // adopts. Moves are delivered at once wherever workers die,
-            // so the victim has none in flight.
-            if !self.died && p >= 2 && self.flight.iter().all(|m| m.to != 0) {
-                out.push(Step::Die(0, 1));
-            }
             if !self.admitted {
-                out.extend((0..p).filter(|&w| !self.live[w] && !self.dead[w]).map(Step::Admit));
+                out.extend((0..p).filter(|&w| !self.live[w]).map(Step::Admit));
             }
             out
         }
@@ -432,15 +392,6 @@ mod tests {
                     self.coord.deliver(m);
                     Some(to)
                 }
-                Step::Die(v, heir) => {
-                    self.died = true;
-                    self.live[v] = false;
-                    self.dead[v] = true;
-                    self.owed[v].clear();
-                    self.coord.retire(v);
-                    self.coord.adopt(v, heir);
-                    Some(heir)
-                }
                 Step::Admit(w) => {
                     self.admitted = true;
                     self.live[w] = true;
@@ -481,10 +432,10 @@ mod tests {
             }
             for w in 0..self.live.len() {
                 k.extend([u64::MAX, u64::from(self.asked[w]), u64::from(self.live[w])]);
-                k.extend([u64::from(self.dead[w]), u64::from(c.retired[w])]);
+                k.push(u64::from(c.retired[w]));
                 k.extend(self.owed[w].iter().map(|&e| e as u64));
             }
-            k.extend([u64::from(self.died), u64::from(self.admitted)]);
+            k.push(u64::from(self.admitted));
             k
         }
     }

@@ -71,8 +71,7 @@ pub struct ExecutorOptions {
     pub topology: TopologyMode,
     /// Deterministic fault-injection schedule for the real backends
     /// (threaded / threaded-dist / async): planned worker kills at
-    /// claim boundaries, recovered in-process via claim leases — or,
-    /// in crash mode, aborting the run for
+    /// claim boundaries, each crashing the run for
     /// [`execute_graph_resumable`](crate::checkpoint::execute_graph_resumable)
     /// to recover from snapshots. `None` (the default) injects
     /// nothing; the simulator ignores this.

@@ -36,8 +36,9 @@
 //!   boundaries;
 //! * [`checkpoint`] — fault tolerance for the real backends: versioned
 //!   crc-checked snapshots piggybacked on dist-TAPER epoch barriers,
-//!   deterministic fault injection ([`FaultPlan`]), and crash recovery
-//!   via [`execute_graph_resumable`].
+//!   deterministic fault injection ([`FaultPlan`], whose every kill
+//!   crashes the run), and crash recovery — restore the latest snapshot,
+//!   replay the rest — via [`execute_graph_resumable`].
 
 pub mod alloc;
 pub mod asynch;

@@ -9,10 +9,9 @@
 //! visible — behind a lock the scan takes — *before* `notify` reads the
 //! sleeper count: either that read sees the registration and the bump
 //! under the lock reaches the parker, or the registration came later and
-//! the scan after it sees the work. A stop, the run's end or a death's
-//! orphaned work have no token to scan for, so whoever raises or first
-//! sees one **broadcasts**: bumps whether anyone sleeps or not. Nothing
-//! polls.
+//! the scan after it sees the work. A stop and the run's end have no
+//! token to scan for, so whoever raises or first sees one
+//! **broadcasts**: bumps whether anyone sleeps or not. Nothing polls.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};

@@ -15,13 +15,13 @@
 //!   with the one task loop (`OpState::run_span`: kernel → store, then
 //!   the checkpoint scanner's `done` flags) all claim loops call, one
 //!   claimed chunk at a time.
-//! * The readiness protocol — *what* becomes ready, stops or dies, in
-//!   three functions every engine calls: [`completed`] (an op's last
-//!   task ran), [`published`] (a streamed producer's watermark moved)
-//!   and [`RunCtl::after_claim`] (a chunk was claimed). The live
-//!   dependency counter they count down is `OpState::deps`; an engine
-//!   supplies only *how* its servers are made to look again — a
-//!   `ready(op)` closure — and how a planned death is committed.
+//! * The readiness protocol — *what* becomes ready or stops, in three
+//!   functions every engine calls: [`completed`] (an op's last task
+//!   ran), [`published`] (a streamed producer's watermark moved) and
+//!   [`RunCtl::after_claim`] (a chunk was claimed; a cancellation or a
+//!   planned kill stops the run there). The live dependency counter
+//!   they count down is `OpState::deps`; an engine supplies only *how*
+//!   its servers are made to look again — a `ready(op)` closure.
 //! * `ExecLog` — what one worker or driver ran, kept privately while it
 //!   runs and folded into [`RunReport::exec_counts`] afterwards: the
 //!   exactly-once oracle costs one entry per chunk and nothing per task.
@@ -31,9 +31,8 @@
 //!   engine, the sequential reference and the resumable driver included.
 //!
 //! What stays with a driver is only what is genuinely its own: worker
-//! masks, claim queues and tokens in `threaded::pool`; claimer futures,
-//! one wake list per op and the orphan board in
-//! [`asynch`](crate::asynch).
+//! masks, claim queues and tokens in `threaded::pool`; claimer futures
+//! and one wake list per op in [`asynch`](crate::asynch).
 
 use crate::alloc::{allocate_many_with, AllocParams, OutputArena, Publication};
 use crate::cancel::RunError;
@@ -205,8 +204,8 @@ impl OpState<'_> {
         self.plan.deps.iter().map(|&d| unsafe { arena.op_slice(d) }).collect()
     }
 
-    /// The task loop of every claim loop, lease replay and orphan
-    /// adoption: runs the tasks at queue indices `span`, storing each
+    /// The task loop of every claim loop: runs the tasks at queue
+    /// indices `span`, storing each
     /// value into its arena cell and calling `each(task)` after every
     /// one (the pool's per-task clock sampling; `|_| {}` elsewhere).
     /// `node` is this op's graph node and `inputs` its
@@ -309,12 +308,11 @@ impl OpState<'_> {
 
 /// What one worker (or async driver) ran, chunk by chunk. Private to
 /// its owner while the run is live and handed back with the owner's
-/// record — also when the owner dies at a claim boundary — so no update
+/// record — also when the run stops at a claim boundary — so no update
 /// can be lost; [`exec_counts`] folds the logs once everyone has joined.
-/// An entry is pushed *after* its chunk's tasks ran: a chunk claimed but
-/// orphaned by a kill is logged by whoever replays it, once. Chunks are
-/// in the op's queue-index space — what a claim hands out and what a
-/// killed worker leaves behind as a lease or orphan; the op's `remap`
+/// An entry is pushed *after* its chunk's tasks ran: a chunk claimed
+/// when the run stopped is never logged. Chunks are in the op's
+/// queue-index space — what a claim hands out; the op's `remap`
 /// translates to tasks, in [`OpState::run_span`] and in the fold.
 #[derive(Debug, Default)]
 pub(crate) struct ExecLog(Vec<(usize, Chunk)>);
@@ -391,10 +389,10 @@ pub(crate) fn published<'p, O: AsRef<OpState<'p>>>(
 /// this was the last arrival of.
 ///
 /// A streamed producer first drives its watermark to the full op and
-/// runs the publication protocol once more — for the paths that never
-/// commit ranges (lease replay, scattered orphan adoption) and for any
-/// sub-batch tail. Idempotent: when the last commit already published
-/// the total, the publication is empty and readies nobody.
+/// runs the publication protocol once more — for an op whose tasks
+/// never commit a range (an empty one) and for any sub-batch tail.
+/// Idempotent: when the last commit already published the total, the
+/// publication is empty and readies nobody.
 pub(crate) fn completed<'p, O: AsRef<OpState<'p>>>(
     ops: &[O],
     arena: &OutputArena,
@@ -729,7 +727,7 @@ pub struct RunReport {
     /// The machine layout the threaded pool scheduled against
     /// (`source == "none"` on engines that place no workers).
     pub topology: TopologyFingerprint,
-    /// Whether an injected crash-mode fault aborted the run (the
+    /// Whether a planned kill crashed the run (the
     /// outputs are then partial; see
     /// [`execute_graph_resumable`](crate::checkpoint::execute_graph_resumable)).
     pub crashed: bool,
@@ -845,7 +843,7 @@ impl RunReport {
 mod tests {
     use super::*;
     use crate::cancel::CancelToken;
-    use crate::checkpoint::{CheckpointSpec, FaultPlan, FaultState, FaultTrigger, KillMode};
+    use crate::checkpoint::{CheckpointSpec, FaultPlan, FaultTrigger};
     use crate::threaded::build_plan;
     use orchestra_delirium::{DataAnno, DelirGraph, NodeKind};
 
@@ -1034,8 +1032,8 @@ mod tests {
 
     /// The oracle itself: disjoint logs read 1 everywhere, an overlap
     /// reads 2 exactly where two claims met, a remapped op counts in
-    /// task space and leaves its restored tasks at 0, a replayed lease
-    /// counts once, and an op nobody ran stays 0.
+    /// task space and leaves its restored tasks at 0, a whole op in one
+    /// entry counts once, and an op nobody ran stays 0.
     #[test]
     fn fold_counts_exactly_what_the_logs_say() {
         let g = two_chains();
@@ -1053,9 +1051,8 @@ mod tests {
             // pending tasks.
             log(&[(p0, span(0, 4)), (q0, span(0, 16)), (p1, span(0, 2))]),
             // Worker 1: the other half of P0, a Q0 chunk overlapping
-            // worker 0's on [12, 16), P1's tail, and P2 whole — as the
-            // replay of a dead worker's lease, which the victim itself
-            // never logged.
+            // worker 0's on [12, 16), P1's tail, and P2 whole in one
+            // chunk.
             log(&[(p0, span(4, 4)), (q0, span(12, 12)), (p1, span(2, 2)), (p2, span(0, 8))]),
             ExecLog::default(),
         ];
@@ -1065,7 +1062,7 @@ mod tests {
         assert_eq!(counts[q0], q0_expected, "2 exactly on the overlap");
         assert_eq!(counts[p1], [0, 1, 0, 1, 0, 1, 0, 1], "queue indices go through the remap");
         assert_eq!(s.ops[p1].restored, [true, false, true, false, true, false, true, false]);
-        assert_eq!(counts[p2], [1; 8], "a lease replay counts once");
+        assert_eq!(counts[p2], [1; 8], "one whole-op chunk counts once");
         assert_eq!(counts[q1], [0; 8], "an op nobody ran");
     }
 
@@ -1203,48 +1200,44 @@ mod tests {
 
     /// The claim hook's order: cancellation and a crash under way stop
     /// the claimant before the fault plan sees the claim; a planned kill
-    /// is the engine's to commit, and a suppressed one falls through to
-    /// the checkpoint cadence, which a committed death never reaches.
+    /// that fires crashes the run before the checkpoint cadence, which
+    /// every claim that runs on reaches.
     #[test]
-    fn the_claim_hook_asks_the_engine_only_for_a_planned_death() {
+    fn the_claim_hook_crashes_a_fired_kill_before_the_cadence() {
         let g = two_chains();
         let dir = std::env::temp_dir().join(format!("orchestra-claim-hook-{}", std::process::id()));
         let token = CancelToken::new();
         let opts = ExecutorOptions {
-            faults: Some(FaultPlan::kill(0, FaultTrigger::AfterClaims(2))),
+            faults: Some(FaultPlan::crash(0, FaultTrigger::AfterClaims(2))),
             checkpoint: Some(CheckpointSpec { every_claims: 1, ..CheckpointSpec::new(&dir) }),
             cancel: Some(token.clone()),
             ..ExecutorOptions::default()
         };
         let plan = build_plan(&g, &opts).unwrap();
-        // One claim by claimant 0: (stopped, kills offered, snapshots taken).
-        let claim = |ctl: &RunCtl, dies: bool| {
-            let (mut asked, mut snapshots) = (Vec::new(), 0);
-            let die = |_: &FaultState, mode| {
-                asked.push(mode);
-                dies
-            };
-            let stopped = ctl.after_claim(0, None, die, || {
+        // One claim by `claimant`: (stopped, snapshots taken).
+        let claim = |ctl: &RunCtl, claimant: usize| {
+            let mut snapshots = 0;
+            let stopped = ctl.after_claim(claimant, None, || {
                 snapshots += 1;
                 Vec::new()
             });
-            (stopped, asked, snapshots)
+            (stopped, snapshots)
         };
 
         let ctl = RunCtl::new(&opts, &plan, 2);
-        assert_eq!(claim(&ctl, true), (false, vec![], 1), "no kill planned for the first claim");
-        assert_eq!(claim(&ctl, false), (false, vec![KillMode::Lease], 1), "suppressed: runs on");
-        assert_eq!(claim(&ctl, true), (false, vec![], 1), "a kill fires once");
-        let ctl = RunCtl::new(&opts, &plan, 2);
-        assert!(!claim(&ctl, true).0, "the first claim runs");
-        assert_eq!(claim(&ctl, true), (true, vec![KillMode::Lease], 0), "dead before the cadence");
-        // A crash under way, then a cancellation: the engine is not asked.
-        let faults = ctl.faults.as_ref().unwrap();
-        assert!(faults.try_die(1, KillMode::Crash));
-        assert_eq!(claim(&ctl, true), (true, vec![], 0));
+        assert_eq!(claim(&ctl, 0), (false, 1), "no kill planned for the first claim");
+        assert_eq!(claim(&ctl, 1), (false, 1), "nor for another claimant");
+        assert!(!ctl.crashed() && !ctl.stopping());
+        assert_eq!(claim(&ctl, 0), (true, 0), "the kill fires before the cadence");
+        assert!(ctl.crashed() && ctl.stopping());
+        // A crash under way stops every claimant, without a snapshot.
+        assert_eq!(claim(&ctl, 1), (true, 0));
+        // So does a cancellation, before the plan counts the claim.
         let ctl = RunCtl::new(&opts, &plan, 2);
         token.cancel();
-        assert_eq!(claim(&ctl, true), (true, vec![], 0));
+        assert_eq!(claim(&ctl, 0), (true, 0));
+        assert_eq!(claim(&ctl, 0), (true, 0));
+        assert!(!ctl.crashed(), "a cancelled run's kill never fired");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -207,46 +207,6 @@ impl DistQueue {
         self.coord().home_len(worker)
     }
 
-    /// Whether `worker`'s home queue starts strictly below `limit` —
-    /// i.e. whether a [`claim_bounded`](Self::claim_bounded)
-    /// at that limit could draw at least one task right now. Crash
-    /// recovery uses it to tell reachable work from work still gated
-    /// behind an unpublished producer watermark (whose publication
-    /// re-tokens the consumer anyway). Conservative after migration
-    /// reorders a home queue, exactly like the claim's own front-peek.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `worker` is out of range.
-    pub fn home_ready_below(&self, worker: usize, limit: usize) -> bool {
-        self.coord().home_ready_below(worker, limit)
-    }
-
-    /// Excuses a dead worker from epoch completion: subsequent epochs
-    /// close without its tokens. Idempotent; part of the fault layer's
-    /// recovery path (a dead worker would otherwise freeze the global
-    /// epoch, and with it the checkpoint barrier, forever).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `worker` is out of range.
-    pub fn retire_worker(&self, worker: usize) {
-        self.coord().retire(worker);
-    }
-
-    /// Moves every unclaimed task from `dead`'s home queue into
-    /// `heir`'s, returning how many moved — unconditionally, so a dead
-    /// worker's home drains even on uniform costs. Self-delivery holds:
-    /// the heir is the claiming survivor. Adopted tasks count as
-    /// migrated when claimed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dead` or `heir` is out of range.
-    pub fn adopt_home(&self, dead: usize, heir: usize) -> usize {
-        self.coord().adopt(dead, heir)
-    }
-
     /// Admits `worker` into the operation's partition: its tokens count
     /// toward epoch completion, and an empty home is seeded with the
     /// back half of the fullest home — unconditionally, since the
@@ -606,8 +566,7 @@ mod tests {
         }
         assert_eq!(got, (0..10).collect::<Vec<_>>());
         assert!(q.has_more(), "blocked must not read as exhausted");
-        assert!(!q.home_ready_below(0, 10));
-        assert!(q.home_ready_below(0, 11));
+        assert_eq!(q.home_len(0), n - 10);
         while let Some(c) = q.claim_bounded(0, &costs, 0.0, usize::MAX) {
             got.extend(c.chunk.range());
         }
@@ -682,8 +641,8 @@ mod tests {
     }
 
     proptest! {
-        /// Interleaved bounded claims (the limit only rises), adoptions,
-        /// admissions and — on the concentrated cost shapes — forced
+        /// Interleaved bounded claims (the limit only rises), admissions
+        /// and — on the concentrated cost shapes — forced
         /// re-assignments: every span handed out is the front of the
         /// model's home for that worker, so spans are non-empty,
         /// pairwise disjoint and tile `0..total`; none crosses the
@@ -694,7 +653,7 @@ mod tests {
             workers in 1..7usize,
             member_bits in 1..64usize,
             shape in 0..3usize,
-            steps in proptest::collection::vec((0..8usize, 0..6usize, 0..6usize, 0..40usize), 0..160),
+            steps in proptest::collection::vec((0..8usize, 0..6usize, 0..40usize), 0..160),
         ) {
             let mut members: Vec<usize> =
                 (0..workers).filter(|w| member_bits >> w & 1 == 1).collect();
@@ -712,27 +671,13 @@ mod tests {
                 .collect();
             let q = DistQueue::new(total, vec![0; workers], &members);
             let mut model = IndexModel::new(total, workers, &members);
-            let mut dead = vec![false; workers];
             let mut seen = vec![false; total];
             let mut limit = 0usize;
-            let mut step = |kind: usize, a: usize, b: usize, rise: usize| {
-                let (a, b) = (a % workers, b % workers);
+            let mut step = |kind: usize, a: usize, rise: usize| {
+                let a = a % workers;
                 match kind {
-                    5 if !dead[a] => {
-                        // `a` dies and the first survivor from `b` on
-                        // adopts its home; the last survivor never dies.
-                        let heir =
-                            (0..workers).map(|i| (b + i) % workers).find(|&w| w != a && !dead[w]);
-                        if let Some(heir) = heir {
-                            dead[a] = true;
-                            q.retire_worker(a);
-                            let moved = model.homes[a].len();
-                            prop_assert_eq!(q.adopt_home(a, heir), moved);
-                            model.move_tail(a, heir, moved);
-                        }
-                    }
-                    6 if !dead[a] => prop_assert_eq!(q.admit_worker(a), model.admit(a)),
-                    _ if !dead[a] => {
+                    6 => prop_assert_eq!(q.admit_worker(a), model.admit(a)),
+                    _ => {
                         limit = limit.saturating_add(rise);
                         let reassigned = q.reassignments();
                         let got = q.claim_bounded(a, &costs, 0.0, limit);
@@ -756,7 +701,6 @@ mod tests {
                             }
                         }
                     }
-                    _ => {}
                 }
                 for w in 0..workers {
                     prop_assert_eq!(q.home_len(w), model.homes[w].len(), "home {}", w);
@@ -765,14 +709,14 @@ mod tests {
                 prop_assert_eq!(q.migrated_tasks(), model.migrated);
                 Ok(())
             };
-            for (kind, a, b, rise) in steps {
-                step(kind, a, b, rise)?;
+            for (kind, a, rise) in steps {
+                step(kind, a, rise)?;
             }
             // The whole space becomes claimable: every round, every
-            // survivor with a non-empty home draws at least one task.
+            // worker with a non-empty home draws at least one task.
             for _ in 0..total {
                 for w in 0..workers {
-                    step(0, w, 0, usize::MAX)?;
+                    step(0, w, usize::MAX)?;
                 }
             }
             prop_assert_eq!(q.remaining(), 0);

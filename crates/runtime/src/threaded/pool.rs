@@ -21,8 +21,8 @@
 //! * **Targeted wakeups** — idle workers park on the run's one
 //!   [`Parking`](crate::parking::Parking): a token push wakes one
 //!   sleeper only when one is registered, so the all-busy steady state
-//!   does zero wake syscalls; completion of the last op, a death and a
-//!   stop broadcast once.
+//!   does zero wake syscalls; completion of the last op and a stop
+//!   broadcast once.
 //! * **Batched sampling** — workers time only a bounded prefix of
 //!   tasks per op visit (48, chained clock reads so N samples cost
 //!   N+1 `Instant::now` calls), bulk-time the rest one read per
@@ -52,7 +52,7 @@ use super::queue::{BoundedClaim, Chunk, ChunkQueue};
 use super::topology::{pin_current_thread, Affinity, StealDistance, WorkerTopo};
 use super::TaskKernel;
 use crate::alloc::OutputArena;
-use crate::checkpoint::{FaultState, KillMode, Lease, RunCtl};
+use crate::checkpoint::RunCtl;
 use crate::chunking::PolicyKind;
 use crate::executor::ExecutorOptions;
 use crate::finish::{finish_estimate_live, HostCalibration, OpSpec};
@@ -447,24 +447,6 @@ fn pop_allowed_back(dq: &mut VecDeque<usize>, part: &Partition, id: usize) -> Op
     dq.remove(i)
 }
 
-/// What a claim-loop visit did to the calling worker.
-enum Flow {
-    /// Keep scheduling.
-    Continue,
-    /// The worker hit an injected fault and must exit its loop.
-    Died,
-}
-
-/// What a recovery sweep accomplished.
-enum Recover {
-    /// Nothing to recover — safe to park.
-    Idle,
-    /// Recovered leases or queues; rescan for tokens before parking.
-    Progress,
-    /// The recovering worker itself hit an injected fault.
-    Died,
-}
-
 fn worker_loop(shared: &Shared<'_>, id: usize, kernel: &(dyn TaskKernel + Sync)) -> WorkerRecord {
     // Pinning is best-effort: a failed pin (CPU offline, synthetic
     // topology wider than the host, restrictive cgroup mask) leaves
@@ -485,52 +467,38 @@ fn worker_loop(shared: &Shared<'_>, id: usize, kernel: &(dyn TaskKernel + Sync))
         }
         let steals0 = me.steal.steals;
         let Some(op_idx) = find_token(shared, id, &mut me.steal) else {
-            match recover(shared, id, kernel, &mut me) {
-                Recover::Progress => continue,
-                Recover::Died => break,
-                Recover::Idle => {
-                    if shared.all_done() {
-                        break;
-                    }
-                    // A drained partition frees this worker: offer it
-                    // to the laggard op before sleeping on it.
-                    if reequalize(shared, &[id]) {
-                        continue;
-                    }
-                    let done = || shared.all_done() || ctl.stopping();
-                    ctl.parking.park(|| visible_work(shared, id), done);
-                    continue;
-                }
+            if shared.all_done() {
+                break;
             }
+            // A drained partition frees this worker: offer it to the
+            // laggard op before sleeping on it.
+            if reequalize(shared, &[id]) {
+                continue;
+            }
+            let done = || shared.all_done() || ctl.stopping();
+            ctl.parking.park(|| visible_work(shared, id), done);
+            continue;
         };
         // An `OnSteal` kill fires the instant the theft lands, before
-        // the stolen token is honoured. The dropped token is always a
-        // shared-queue op (dist tokens are never stealable), whose
-        // remaining chunks survivors reach through the recovery sweep's
-        // direct `has_more` claims.
-        if hooked && me.steal.steals > steals0 {
-            if let Some(f) = &ctl.faults {
-                if let Some(mode) = f.on_steal(id) {
-                    if f.try_die(id, mode) {
-                        ctl.parking.broadcast();
-                        break;
-                    }
-                }
-            }
+        // the stolen token is honoured: the run crashes, and the loop's
+        // stop check sends this worker out.
+        if hooked
+            && me.steal.steals > steals0
+            && ctl.faults.as_ref().is_some_and(|f| f.on_steal(id))
+        {
+            continue;
         }
-        match run_op(shared, id, op_idx, kernel, &mut me) {
-            Flow::Continue => {}
-            Flow::Died => break,
-        }
+        // A claim that stops the run returns here too; the stop check
+        // above then sends this worker out.
+        run_op(shared, id, op_idx, kernel, &mut me);
     }
     me
 }
 
 /// What a parking worker rescans after registering (see
 /// [`Parking::park`](crate::parking::Parking::park)): its private dist
-/// tokens, any token its partitions allow — another partition's backlog
-/// must not busy-wake it — and recovery work, which a death leaves
-/// without a token (the death broadcasts).
+/// tokens, and any token its partitions allow — another partition's
+/// backlog must not busy-wake it.
 fn visible_work(shared: &Shared<'_>, id: usize) -> bool {
     !shared.workers[id].0.dist_ready.lock().expect("dist list poisoned").is_empty()
         || shared.workers.iter().any(|w| {
@@ -540,182 +508,6 @@ fn visible_work(shared: &Shared<'_>, id: usize) -> bool {
                 .iter()
                 .any(|&t| shared.partition.allows(t, id))
         })
-        || recovery_visible(shared, id)
-}
-
-/// Whether any fault-recovery work is reachable from this worker:
-/// orphaned leases, a stranded shared queue with unclaimed chunks, or
-/// a dist home queue (this worker's own, or a dead worker's awaiting
-/// adoption). Restricted to homes this worker may touch so an idle
-/// pool doesn't busy-wake on another live worker's backlog.
-fn recovery_visible(shared: &Shared<'_>, id: usize) -> bool {
-    let ctl = shared.ctl;
-    let Some(f) = &ctl.faults else {
-        return false;
-    };
-    if !f.any_dead() {
-        return false;
-    }
-    if !ctl.leases.lock().expect("lease lock poisoned").is_empty() {
-        return true;
-    }
-    let dead = f.dead_workers();
-    shared.ops.iter().any(|op| {
-        if !op.state.runnable() {
-            return false;
-        }
-        // Work blocked on a streamed producer's watermark is not
-        // *reachable* yet: counting it here would busy-wake this
-        // worker in a park loop. The producer's next publication
-        // notifies, so ignoring blocked work loses no wakeups.
-        let limit = op.state.stream_limit(shared.arena);
-        match &op.queue {
-            OpQueue::Shared(q) => q.has_more_below(limit),
-            OpQueue::Dist(q) => {
-                q.home_ready_below(id, limit) || dead.iter().any(|&d| q.home_len(d) > 0)
-            }
-        }
-    })
-}
-
-/// The pool's side of [`RunCtl::after_claim`] for `chunk` of `op_idx`,
-/// claimed in dist epoch `epoch`: how a worker dies. It takes its live
-/// slot (refused for the last live worker) and in lease mode leaves the
-/// claimed-but-unexecuted chunk as an orphaned [`Lease`] for survivors
-/// to replay — the hook then wakes everyone to it. `true` means the
-/// calling worker must exit.
-fn stops_at_claim(
-    shared: &Shared<'_>,
-    id: usize,
-    op_idx: usize,
-    chunk: Chunk,
-    epoch: Option<u64>,
-) -> bool {
-    let ctl = shared.ctl;
-    let die = |f: &FaultState, mode| {
-        let dies = f.try_die(id, mode);
-        if dies && mode == KillMode::Lease {
-            ctl.leases.lock().expect("lease lock poisoned").push(Lease { op_idx, chunk });
-        }
-        dies
-    };
-    ctl.after_claim(id, epoch, die, || snapshot_ops(shared.ops, shared.arena))
-}
-
-/// Replays one orphaned lease: the chunk a killed worker claimed but
-/// never executed. Kernels are pure functions of (node, iter, task,
-/// cost_hint), so replaying from scratch is bitwise-identical to what
-/// the dead worker would have produced.
-fn execute_lease(
-    shared: &Shared<'_>,
-    id: usize,
-    lease: Lease,
-    kernel: &(dyn TaskKernel + Sync),
-    me: &mut WorkerRecord,
-) {
-    let op = &shared.ops[lease.op_idx].state;
-    let arena = shared.arena;
-    let node = &shared.nodes[op.plan.node];
-    let inputs = op.inputs(arena);
-    let t0 = Instant::now();
-    op.stamp_start(us_since(shared.epoch, t0));
-    // SAFETY: a lease's tasks were claimed exactly once by the dead
-    // worker and are replayed exactly once here (take-all drain).
-    unsafe { op.run_span(kernel, node, &inputs, arena, lease.chunk.range(), |_| {}) };
-    let now = Instant::now();
-    let n = lease.chunk.len;
-    let span_us = now.duration_since(t0).as_secs_f64() * 1e6;
-    me.timing.observe_n(span_us / n as f64, n as u64);
-    me.proc.tasks += n as u64;
-    me.proc.chunks += 1;
-    me.proc.busy += span_us;
-    me.log.push(lease.op_idx, lease.chunk);
-    leave_op(shared, id, lease.op_idx, n, now, &mut me.proc);
-}
-
-/// The recovery sweep, run by an idle worker before parking: drains
-/// orphaned leases (take-all under the mutex, so each is replayed
-/// exactly once), retires dead workers from epoch accounting, adopts
-/// their dist home queues, and claims directly into any enabled op
-/// with unclaimed work — the paths a dropped token would have covered —
-/// joining the op's partition first when the survivor is not in it.
-fn recover(
-    shared: &Shared<'_>,
-    id: usize,
-    kernel: &(dyn TaskKernel + Sync),
-    me: &mut WorkerRecord,
-) -> Recover {
-    let ctl = shared.ctl;
-    let Some(f) = &ctl.faults else {
-        return Recover::Idle;
-    };
-    if !f.any_dead() {
-        return Recover::Idle;
-    }
-    let mut progress = false;
-    let leases: Vec<Lease> = std::mem::take(&mut *ctl.leases.lock().expect("lease lock poisoned"));
-    for lease in leases {
-        execute_lease(shared, id, lease, kernel, me);
-        progress = true;
-    }
-    let dead = f.dead_workers();
-    for (op_idx, op) in shared.ops.iter().enumerate() {
-        // Only enabled (deps == 0), unfinished ops: claiming from an
-        // op whose dependencies are still running would break the
-        // dependency order the DAG promises.
-        if !op.state.runnable() {
-            continue;
-        }
-        // Skip work blocked at a streamed producer's watermark: a
-        // direct claim would come back `Blocked` anyway, and reporting
-        // it as progress would spin this worker against the watermark.
-        let limit = op.state.stream_limit(shared.arena);
-        match &op.queue {
-            OpQueue::Dist(q) => {
-                for &d in &dead {
-                    // Excuse the dead worker from epoch completion and
-                    // take over its home queue. Adoption is
-                    // unconditional — unlike the coordinator's
-                    // cv-gated reassignment — because under uniform
-                    // costs the gate never opens and a dead worker's
-                    // home would otherwise strand forever.
-                    q.retire_worker(d);
-                    if q.adopt_home(d, id) > 0 {
-                        progress = true;
-                    }
-                }
-                if q.home_ready_below(id, limit) {
-                    // Joins like the shared arm below; a new member's
-                    // tokens count toward epoch completion again.
-                    if shared.partition.admit(op_idx, id) {
-                        q.admit_worker(id);
-                    }
-                    if let Flow::Died = run_op(shared, id, op_idx, kernel, me) {
-                        return Recover::Died;
-                    }
-                    progress = true;
-                }
-            }
-            OpQueue::Shared(q) => {
-                if q.has_more_below(limit) {
-                    // The stranded queue may belong to a partition this
-                    // survivor is not in: it joins first (masks only
-                    // widen), so the token its visit re-advertises on
-                    // its own deque is a member's token like any other.
-                    shared.partition.admit(op_idx, id);
-                    if let Flow::Died = run_op(shared, id, op_idx, kernel, me) {
-                        return Recover::Died;
-                    }
-                    progress = true;
-                }
-            }
-        }
-    }
-    if progress {
-        Recover::Progress
-    } else {
-        Recover::Idle
-    }
 }
 
 /// Ends one visit to an op: books the worker free at `at` and folds
@@ -766,10 +558,9 @@ fn leave_op(
 const SAMPLE_BUDGET: usize = 48;
 
 /// Claims and executes chunks of one op until this worker can get no
-/// more from it (or an injected fault kills it mid-claim-loop): the
-/// queue — for a dist op, this worker's home queue plus anything the
-/// coordinator migrates into it — is drained, or blocked at a streamed
-/// producer's watermark. Either way the token is dropped: a publication
+/// more from it (or a claim stops the run): the queue — for a dist op,
+/// this worker's home queue plus anything the coordinator migrates into
+/// it — is drained, or blocked at a streamed producer's watermark. Either way the token is dropped: a publication
 /// re-tokens a blocked op, and a dist home can never refill behind its
 /// owner's back.
 ///
@@ -788,7 +579,7 @@ fn run_op(
     op_idx: usize,
     kernel: &(dyn TaskKernel + Sync),
     me: &mut WorkerRecord,
-) -> Flow {
+) {
     let pool_op = &shared.ops[op_idx];
     let op = &pool_op.state;
     let arena = shared.arena;
@@ -802,15 +593,13 @@ fn run_op(
     let Some((first, mut epoch)) = pool_op.claim(id, op.stream_limit(arena), || start_us) else {
         // Stale token: the op (or this worker's home) drained while the
         // token circulated, or is blocked.
-        return Flow::Continue;
+        return;
     };
-    // Kills land at the claim boundary: the chunk is claimed (so no
-    // other worker can reach it through the queue) but not executed —
-    // exactly the window where work would be lost without leases. Dist
-    // claims carry their epoch token: `AtEpoch` faults key off it, and
-    // checkpoints use the epoch boundary as their barrier.
-    if hooked && stops_at_claim(shared, id, op_idx, first, epoch) {
-        return Flow::Died;
+    // Dist claims carry their epoch token: `AtEpoch` faults key off it,
+    // and checkpoints use the epoch boundary as their barrier.
+    let snapshot = || snapshot_ops(shared.ops, arena);
+    if hooked && shared.ctl.after_claim(id, epoch, snapshot) {
+        return;
     }
     // The adaptive shared queue this visit's sampled task times feed.
     let feedback = match &pool_op.queue {
@@ -876,9 +665,8 @@ fn run_op(
         if op.streams_output() {
             // Commit this chunk's task interval and, when a full b\*
             // batch (or the op's tail) extends the contiguous frontier,
-            // publish the watermark. This happens BEFORE the next claim
-            // — whose fault hook may kill this worker — so a committed
-            // interval is never lost to a lease.
+            // publish the watermark. This happens BEFORE the next claim,
+            // whose hook may stop the run.
             if let Some(p) = arena.commit_range(op_idx, chunk.start, chunk.len, op.stream_batch) {
                 let (mut woke, mut all) = (0usize, false);
                 run::published(shared.ops, op_idx, p, |d| {
@@ -908,10 +696,9 @@ fn run_op(
             // unfinished — tasks remain.)
             break;
         };
-        if hooked && stops_at_claim(shared, id, op_idx, next, next_epoch) {
-            // Dying mid-loop: the batch executed so far still counts.
-            leave_op(shared, id, op_idx, done, prev, &mut me.proc);
-            return Flow::Died;
+        if hooked && shared.ctl.after_claim(id, next_epoch, snapshot) {
+            // Stopping mid-loop: the batch executed so far still counts.
+            break;
         }
         // Epoch boundary: the allocator's iterative re-equalization
         // point. The TAPER stats are a full epoch warmer, so re-score
@@ -925,7 +712,6 @@ fn run_op(
         chunk = next;
     }
     leave_op(shared, id, op_idx, done, prev, &mut me.proc);
-    Flow::Continue
 }
 
 /// The serial (non-overlapped) live finishing-time estimate of one
@@ -1062,74 +848,11 @@ fn push_token(shared: &Shared<'_>, id: usize, d: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::{FaultPlan, FaultTrigger, ResumeState};
+    use crate::checkpoint::ResumeState;
     use crate::run::{set_up, Setup};
     use crate::threaded::topology::CpuTopology;
     use crate::threaded::{build_plan, SpinKernel};
     use orchestra_delirium::{DelirGraph, NodeKind};
-
-    /// Two concurrent ops on two workers: the equalizer gives each op
-    /// one worker. The first op's worker dies before claiming
-    /// anything, so the survivor's recovery sweep reaches that op's
-    /// stranded queue — in plan order *before* completing its own op
-    /// could have re-equalized it in — and must join the partition
-    /// before it claims: the visit re-advertises the op on the
-    /// survivor's own deque, where only members' tokens may sit.
-    #[test]
-    fn survivor_joins_a_stranded_partition_before_claiming() {
-        for dist in [false, true] {
-            let mut g = DelirGraph::new();
-            for name in ["stranded", "own"] {
-                let kind = NodeKind::DataParallel { tasks: 64, mean_cost: 1.0, cv: 0.0 };
-                g.add_node(name, kind, None);
-            }
-            let opts = ExecutorOptions {
-                policy: PolicyKind::SelfSched,
-                threads: 2,
-                faults: Some(FaultPlan::kill(0, FaultTrigger::AfterClaims(1))),
-                ..ExecutorOptions::default()
-            };
-            let plan = build_plan(&g, &opts).expect("valid graph");
-            let kernel = SpinKernel::with_scale(1.0);
-            let Setup { arena, ops, .. } =
-                set_up(&plan, &g.nodes, &opts, kernel.access(), 2, &ResumeState::empty());
-            let ops: Vec<PoolOp> = ops
-                .into_iter()
-                .map(|state| {
-                    let queue = if dist {
-                        let members: Vec<usize> = state.share.clone().collect();
-                        OpQueue::Dist(DistQueue::new(64, vec![0; 2], &members))
-                    } else {
-                        OpQueue::Shared(state.chunk_queue(opts.policy))
-                    };
-                    PoolOp { queue, queue_costs: None, state }
-                })
-                .collect();
-            assert_eq!((ops[0].state.share.clone(), ops[1].state.share.clone()), (0..1, 1..2));
-            let topo = WorkerTopo::new(&CpuTopology::synthetic(1, 2, 1), 2);
-            let ctl = RunCtl::new(&opts, &plan, 2);
-            let shared = Shared::new(&ops, &g.nodes, &arena, &topo, false, &ctl);
-            assert!(!shared.partition.allows(0, 1), "dist={dist}: the level was not split");
-            assert!(ctl.faults.as_ref().expect("plan set").try_die(0, KillMode::Lease));
-
-            let mut me = WorkerRecord {
-                proc: ProcStats::default(),
-                timing: OnlineStats::new(),
-                steal: StealStats::new(),
-                pinned: false,
-                log: ExecLog::default(),
-            };
-            assert!(matches!(recover(&shared, 1, &kernel, &mut me), Recover::Progress));
-            assert!(shared.partition.allows(0, 1), "dist={dist}: claimed without joining");
-            // `find_token` debug-asserts the same of every token in the
-            // survivor's own deque.
-            while let Some(t) = find_token(&shared, 1, &mut me.steal) {
-                assert!(shared.partition.allows(t, 1), "dist={dist}: non-member token {t}");
-            }
-            assert!(shared.all_done(), "dist={dist}: recovery left work behind");
-            assert_eq!(me.proc.tasks, 128, "dist={dist}");
-        }
-    }
 
     /// Holds task 0 until released, and says when it has it.
     #[derive(Default)]

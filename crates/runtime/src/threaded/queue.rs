@@ -319,25 +319,6 @@ impl ChunkQueue {
         BoundedClaim::Chunk(chunk)
     }
 
-    /// Whether an unclaimed chunk exists entirely below `limit` — the
-    /// watermark-aware variant of [`Self::has_more`], used by crash
-    /// recovery to tell *reachable* work (worth re-running an op for)
-    /// from work still gated behind an unpublished watermark (re-tokened
-    /// by the producer's next publication, so waking for it would
-    /// busy-spin). Racy in the same benign direction as `has_more`.
-    pub fn has_more_below(&self, limit: usize) -> bool {
-        match &self.mode {
-            Mode::Fixed { bounds, cursor } => {
-                let i = cursor.load(Ordering::Relaxed);
-                i + 1 < bounds.len() && bounds[i + 1] <= limit.min(self.total)
-            }
-            Mode::Adaptive(ad) => {
-                let c = ad.cursor.0.load(Ordering::Relaxed);
-                c < self.total && c < limit
-            }
-        }
-    }
-
     /// Publishes the next epoch descriptor: chunk size recomputed by
     /// the policy at the current claim frontier, valid for roughly one
     /// chunk per worker. Non-blocking — if another worker is already
@@ -647,8 +628,6 @@ mod tests {
         // (not Exhausted) until the limit rises.
         let q = ChunkQueue::new(PolicyKind::SelfSched.instantiate(8), 8, 2);
         assert_eq!(q.claim_bounded(0), BoundedClaim::Blocked);
-        assert!(!q.has_more_below(0));
-        assert!(q.has_more_below(1));
         let mut covered = 0usize;
         loop {
             match q.claim_bounded(4) {
@@ -690,8 +669,7 @@ mod tests {
             }
         }
         assert_eq!(covered, 10, "everything below the watermark must be claimable");
-        assert!(!q.has_more_below(10));
-        assert!(q.has_more_below(11));
+        assert_eq!(q.remaining(), 90);
         loop {
             match q.claim_bounded(usize::MAX) {
                 BoundedClaim::Chunk(c) => covered += c.len,

@@ -2,25 +2,25 @@
 //! every real backend × graph shape, checked bitwise against the
 //! sequential reference.
 //!
-//! Kernels are pure in `(node, iter, task, cost_hint)`, so fault
-//! recovery is *bitwise-verifiable by construction*: whatever workers
-//! die, whenever they die, the surviving schedule must produce exactly
-//! the buffers an uninterrupted sequential run produces, with every
-//! task executed exactly once. The proptest-driven tests below throw
-//! ≥ 100 randomized kill schedules per backend (victim × trigger ×
-//! schedule length × shape) at that invariant:
+//! Kernels are pure in `(node, iter, task, cost_hint)`, so crash
+//! recovery is *bitwise-verifiable by construction*: whichever worker's
+//! planned kill fires first, whenever it fires, the restored and
+//! replayed run must produce exactly the buffers an uninterrupted
+//! sequential run produces. The proptest-driven tests below throw
+//! ≥ 100 randomized kill schedules per backend (1–3 kills: victim ×
+//! trigger × shape) at that invariant:
 //!
-//! * **lease mode** — killed workers orphan their freshly claimed
-//!   chunk as a lease; survivors adopt it. The run completes
-//!   in-process, `crashed` stays false.
-//! * **crash mode** — the first kill aborts the whole run (a simulated
-//!   process death); [`execute_graph_resumable`] restores from the
-//!   latest on-disk snapshot and replays the rest. Restored tasks show
-//!   execution count 0 in the final attempt, replayed ones 1, and
-//!   snapshot versions stay strictly monotone.
+//! * **crash + resume** — the first kill that fires aborts the whole
+//!   run (a simulated process death); [`execute_graph_resumable`]
+//!   restores from the latest on-disk snapshot and replays the rest
+//!   once. Restored tasks show execution count 0 in the final attempt,
+//!   replayed ones 1, and snapshot versions stay strictly monotone.
 //! * **torn writes** — a truncated newest snapshot must be skipped in
 //!   favor of the next older valid version, and the resume must still
 //!   be bitwise-exact.
+//!
+//! The directed tests show the matrix is not vacuous: each trigger
+//! fires, on each backend where it can, and forces the replay.
 //!
 //! The kill-schedule RNG derives from the proptest shim's fixed
 //! per-test seed (`PROPTEST_SEED` reseeds it); task costs derive from
@@ -31,22 +31,25 @@
 mod common;
 
 use common::shapes;
-use orchestra_delirium::DelirGraph;
+use orchestra_delirium::{DelirGraph, NodeKind};
 use orchestra_runtime::executor::ExecutorOptions;
 use orchestra_runtime::threaded::{execute_sequential, execute_threaded, ExecutorBackend};
 use orchestra_runtime::{
-    execute_async, execute_graph_resumable, load_latest, snapshot_versions, CheckpointSpec, Crew,
-    FaultPlan, FaultTrigger, KillSpec, PolicyKind, RunReport, SpinKernel,
+    execute_graph_resumable, load_latest, snapshot_versions, AccessPattern, CheckpointSpec, Crew,
+    FaultPlan, FaultTrigger, KillSpec, PolicyKind, RunReport, SpinKernel, TaskCtx, TaskKernel,
 };
 use proptest::collection;
 use proptest::prelude::*;
+use std::cell::RefCell;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-/// Kill schedules per proptest target. The default meets the suite's
-/// floor of 100 schedules per backend while staying debug-mode fast;
-/// the full matrix triples it.
-fn lease_cases() -> u32 {
+/// Kill schedules per backend. The default meets the suite's floor of
+/// 100 schedules per backend while staying debug-mode fast; the full
+/// matrix triples it.
+fn kill_cases() -> u32 {
     if common::chaos_full() {
         300
     } else {
@@ -54,8 +57,9 @@ fn lease_cases() -> u32 {
     }
 }
 
-/// Crash + resume cases per backend (each case runs a crashed attempt
-/// plus a restore-and-replay attempt and touches the filesystem).
+/// Single-kill crash + resume cases per backend (each case runs a
+/// crashed attempt plus a restore-and-replay attempt and touches the
+/// filesystem).
 fn crash_cases() -> u32 {
     if common::chaos_full() {
         150
@@ -117,18 +121,16 @@ fn kills(victims: usize, steals: bool) -> impl Strategy<Value = Vec<KillSpec>> {
     )
 }
 
-/// A crash-mode plan under which whichever of the first `victims`
-/// workers (or claimers) claims first takes the run down, before
-/// anything executes or any snapshot is cut. A plan that names one
-/// victim only crashes if that worker gets to claim at all — on a
-/// loaded host the others can drain a small graph first.
-fn crash_at_first_claim(victims: usize) -> FaultPlan {
+/// A plan under which whichever of the first `victims` workers (or
+/// claimers) first reaches its `n`-th claim takes the run down — at
+/// `n = 1` before anything executes or any snapshot is cut. A plan that
+/// names one victim only crashes if that worker gets to claim often
+/// enough — on a loaded host the others can drain a small graph first.
+fn crash_at_claim(n: u64, victims: usize) -> FaultPlan {
     FaultPlan {
         kills: (0..victims)
-            .map(|worker| KillSpec { worker, trigger: FaultTrigger::AfterClaims(1) })
+            .map(|worker| KillSpec { worker, trigger: FaultTrigger::AfterClaims(n) })
             .collect(),
-        crash_run: true,
-        crash_kills: Vec::new(),
     }
 }
 
@@ -160,95 +162,14 @@ fn scratch_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("orchestra-chaos-{}-{tag}-{n}", std::process::id()))
 }
 
-/// Shared checks for one lease-mode threaded/dist case.
-fn check_threaded_lease(
-    backend: ExecutorBackend,
-    shape: usize,
-    kill_list: Vec<KillSpec>,
-) -> Result<(), TestCaseError> {
-    let (name, g, opts) = chaos_graph(shape);
-    let opts = ExecutorOptions {
-        backend,
-        threads: 3,
-        faults: Some(FaultPlan { kills: kill_list.clone(), ..FaultPlan::default() }),
-        ..opts
-    };
-    let label = format!("{backend:?}/{name}/seed={:#x}/kills={kill_list:?}", opts.seed);
-    let k = kernel();
-    let seq = execute_sequential(&g, &opts, &k).expect("sequential reference");
-    let thr = execute_threaded(&g, &opts, &k).expect("chaotic run");
-    prop_assert!(!thr.crashed, "{}: lease-mode run reported crashed", label);
-    for (op, counts) in thr.ops.iter().zip(&thr.exec_counts) {
-        prop_assert!(
-            counts.iter().all(|&c| c == 1),
-            "{}: op {} exec counts {:?} not exactly-once",
-            label,
-            op.name,
-            counts
-        );
-    }
-    assert_bitwise(&seq.outputs, &thr.outputs, &seq.op_names(), &label)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(lease_cases()))]
-
-    /// Shared-queue threaded backend: random kill schedules leave the
-    /// run exactly-once and bitwise-exact.
-    #[test]
-    fn threaded_lease_kills_stay_exact(
-        shape in 0..SHAPES,
-        kill_list in kills(5, true),
-    ) {
-        check_threaded_lease(ExecutorBackend::Threaded, shape, kill_list)?;
-    }
-
-    /// Distributed-TAPER backend: kills land mid-epoch (the epoch
-    /// trigger fires on real epoch tokens here), orphaned home queues
-    /// are adopted, and epoch completion excuses the dead.
-    #[test]
-    fn dist_lease_kills_stay_exact(
-        shape in 0..SHAPES,
-        kill_list in kills(5, true),
-    ) {
-        check_threaded_lease(ExecutorBackend::ThreadedDist, shape, kill_list)?;
-    }
-
-    /// Async cooperative backend: victims are claimer futures; a
-    /// killed claimer's chunk goes through the per-op orphan board.
-    #[test]
-    fn async_lease_kills_stay_exact(
-        shape in 0..SHAPES,
-        kill_list in kills(8, false),
-    ) {
-        let (name, g, opts) = chaos_graph(shape);
-        let opts = ExecutorOptions {
-            drivers: 2,
-            faults: Some(FaultPlan { kills: kill_list.clone(), ..FaultPlan::default() }),
-            ..opts
-        };
-        let label = format!("async/{name}/seed={:#x}/kills={kill_list:?}", opts.seed);
-        let k = kernel();
-        let seq = execute_sequential(&g, &opts, &k).expect("sequential reference");
-        let run = execute_async(&g, &opts, &k).expect("chaotic run");
-        prop_assert!(!run.crashed, "{}: lease-mode run reported crashed", label);
-        for (op, counts) in run.ops.iter().zip(&run.exec_counts) {
-            prop_assert!(
-                counts.iter().all(|&c| c == 1),
-                "{}: op {} exec counts {:?} not exactly-once",
-                label, op.name, counts
-            );
-        }
-        assert_bitwise(&seq.outputs, &run.outputs, &seq.op_names(), &label)?;
-    }
-}
-
-/// Shared checks for one crash-mode resume case on any backend.
+/// Shared checks for one crash + resume case on any backend: `kill_list`
+/// crashes the first attempt wherever one of its kills fires first (or
+/// never, and the run is clean), and the resume must land on the
+/// sequential bits.
 fn check_crash_resume(
     backend: ExecutorBackend,
     shape: usize,
-    victim: usize,
-    trig: FaultTrigger,
+    kill_list: Vec<KillSpec>,
 ) -> Result<(), TestCaseError> {
     let (name, g, opts) = chaos_graph(shape);
     let dir = scratch_dir("resume");
@@ -256,11 +177,11 @@ fn check_crash_resume(
         backend,
         threads: 3,
         drivers: 2,
-        faults: Some(FaultPlan::crash(victim, trig)),
+        faults: Some(FaultPlan { kills: kill_list.clone() }),
         checkpoint: Some(CheckpointSpec { dir: dir.clone(), every_claims: 2, keep: 4 }),
         ..opts
     };
-    let label = format!("{backend:?}/{name}/seed={:#x}/kill={victim}@{trig:?}", opts.seed);
+    let label = format!("{backend:?}/{name}/seed={:#x}/kills={kill_list:?}", opts.seed);
     let k = kernel();
     let seq = execute_sequential(&g, &opts, &k).expect("sequential reference");
     let run = execute_graph_resumable(&g, &opts, &k).expect("resumable run");
@@ -299,8 +220,8 @@ fn check_resumable(
     }
     prop_assert_eq!(run.resumed_tasks, restored_total, "{}: resumed_tasks tally", label);
     prop_assert!(
-        run.attempts >= 1 && run.attempts <= 3,
-        "{}: {} attempts for a single planned crash",
+        run.attempts >= 1 && run.attempts <= 2,
+        "{}: {} attempts — a crash is followed by one clean replay",
         label,
         run.attempts
     );
@@ -320,6 +241,105 @@ fn check_resumable(
     Ok(())
 }
 
+// The `*_lease_kills_stay_exact` names predate the single fault mode,
+// when a fired kill could also remove one worker and let the survivors
+// finish its chunk. Every fired kill now crashes the run, so the same
+// random schedules run as crash + resume.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(kill_cases()))]
+
+    /// Shared-queue threaded backend: random kill schedules, steals
+    /// included, crash the run and the resume stays exact.
+    #[test]
+    fn threaded_lease_kills_stay_exact(
+        shape in 0..SHAPES,
+        kill_list in kills(5, true),
+    ) {
+        check_crash_resume(ExecutorBackend::Threaded, shape, kill_list)?;
+    }
+
+    /// Distributed-TAPER backend: the epoch trigger fires on real epoch
+    /// tokens here, and snapshots also cut at the §4.1.1 epoch barriers.
+    #[test]
+    fn dist_lease_kills_stay_exact(
+        shape in 0..SHAPES,
+        kill_list in kills(5, true),
+    ) {
+        check_crash_resume(ExecutorBackend::ThreadedDist, shape, kill_list)?;
+    }
+
+    /// Async cooperative backend: victims are claimer futures.
+    #[test]
+    fn async_lease_kills_stay_exact(
+        shape in 0..SHAPES,
+        kill_list in kills(8, false),
+    ) {
+        check_crash_resume(ExecutorBackend::Async, shape, kill_list)?;
+    }
+}
+
+/// Two-kill plans per backend — each runs a faulted attempt plus a
+/// restore-and-replay attempt.
+fn combined_cases() -> u32 {
+    if common::chaos_full() {
+        100
+    } else {
+        35
+    }
+}
+
+/// One plan with an early kill (claim 1–3) and a later one (claim 4–9)
+/// on possibly different victims: whichever fires first crashes the run,
+/// the other must not fire again in the replay, and the resume lands on
+/// the sequential bits.
+fn check_combined(
+    backend: ExecutorBackend,
+    shape: usize,
+    early: (usize, u64),
+    late: (usize, u64),
+) -> Result<(), TestCaseError> {
+    let kill =
+        |(worker, n): (usize, u64)| KillSpec { worker, trigger: FaultTrigger::AfterClaims(n) };
+    check_crash_resume(backend, shape, vec![kill(early), kill(late)])
+}
+
+// The `*_combined_lease_and_crash_bitwise` names come from the same
+// time: the early kill was once a lease, the late one a crash.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(combined_cases()))]
+
+    /// Threaded backend: two kills in one plan.
+    #[test]
+    fn threaded_combined_lease_and_crash_bitwise(
+        shape in 0..SHAPES,
+        early in (0..3usize, 1..4u64),
+        late in (0..3usize, 4..10u64),
+    ) {
+        check_combined(ExecutorBackend::Threaded, shape, early, late)?;
+    }
+
+    /// Dist-TAPER backend: two kills in one plan, cut at epoch-tagged
+    /// claims.
+    #[test]
+    fn dist_combined_lease_and_crash_bitwise(
+        shape in 0..SHAPES,
+        early in (0..3usize, 1..4u64),
+        late in (0..3usize, 4..10u64),
+    ) {
+        check_combined(ExecutorBackend::ThreadedDist, shape, early, late)?;
+    }
+
+    /// Async backend: two kills on claimer futures in one plan.
+    #[test]
+    fn async_combined_lease_and_crash_bitwise(
+        shape in 0..SHAPES,
+        early in (0..6usize, 1..4u64),
+        late in (0..6usize, 4..10u64),
+    ) {
+        check_combined(ExecutorBackend::Async, shape, early, late)?;
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(crash_cases()))]
 
@@ -330,19 +350,17 @@ proptest! {
         victim in 0..4usize,
         trig in trigger(false),
     ) {
-        check_crash_resume(ExecutorBackend::Threaded, shape, victim, trig)?;
+        check_crash_resume(ExecutorBackend::Threaded, shape, vec![KillSpec { worker: victim, trigger: trig }])?;
     }
 
-    /// Dist-TAPER backend crash + snapshot resume: snapshots also cut
-    /// at the §4.1.1 epoch barriers, and `AtEpoch` triggers fire on
-    /// real epoch tokens.
+    /// Dist-TAPER backend crash + snapshot resume.
     #[test]
     fn dist_crash_resume_bitwise(
         shape in 0..SHAPES,
         victim in 0..4usize,
         trig in trigger(false),
     ) {
-        check_crash_resume(ExecutorBackend::ThreadedDist, shape, victim, trig)?;
+        check_crash_resume(ExecutorBackend::ThreadedDist, shape, vec![KillSpec { worker: victim, trigger: trig }])?;
     }
 
     /// Async backend crash (driver abort) + snapshot resume.
@@ -352,52 +370,212 @@ proptest! {
         victim in 0..6usize,
         trig in trigger(false),
     ) {
-        check_crash_resume(ExecutorBackend::Async, shape, victim, trig)?;
+        check_crash_resume(ExecutorBackend::Async, shape, vec![KillSpec { worker: victim, trigger: trig }])?;
     }
 }
 
-/// The non-vacuousness guard for the randomized matrix: a kill at the
-/// victim's *first* claim really removes it. The victim dies at the
-/// claim boundary before executing anything, so its measured task
-/// count is 0 and the survivor replays the whole op — including the
-/// orphaned lease — exactly once.
+/// One directed crash + resume under `faults`: the plan must fire, so
+/// the run takes exactly two attempts, and the resume must hold every
+/// invariant of the randomized matrix. `k` computes what [`kernel`]`()`
+/// does, which is the sequential reference's.
+fn crashes_and_resumes(
+    label: &str,
+    g: &DelirGraph,
+    opts: ExecutorOptions,
+    faults: FaultPlan,
+    k: &(dyn TaskKernel + Sync),
+) {
+    let dir = scratch_dir("directed");
+    let opts = ExecutorOptions {
+        faults: Some(faults),
+        checkpoint: Some(CheckpointSpec { dir: dir.clone(), every_claims: 1, keep: 8 }),
+        ..opts
+    };
+    let seq = execute_sequential(g, &opts, &kernel()).unwrap();
+    let run = execute_graph_resumable(g, &opts, k).unwrap();
+    assert_eq!(run.attempts, 2, "{label}: the kill must fire and force one replay");
+    let checked = check_resumable(&seq.outputs, &seq.op_names(), &run, &dir, label);
+    let _ = std::fs::remove_dir_all(&dir);
+    checked.expect(label);
+}
+
+/// `AfterClaims` on the shared queue: 96 one-task claims over three
+/// workers, so some worker reaches its third whatever the interleaving.
 #[test]
-fn lease_kill_really_removes_the_victim() {
+fn after_claims_kill_crashes_and_resumes_threaded() {
     let (_, g, opts) = chaos_graph(0);
     let opts = ExecutorOptions {
         backend: ExecutorBackend::Threaded,
-        threads: 2,
-        policy: orchestra_runtime::chunking::PolicyKind::SelfSched,
-        faults: Some(FaultPlan::kill(0, FaultTrigger::AfterClaims(1))),
+        policy: PolicyKind::SelfSched,
+        threads: 3,
         ..opts
     };
-    let k = kernel();
-    let seq = execute_sequential(&g, &opts, &k).unwrap();
-    let thr = execute_threaded(&g, &opts, &k).unwrap();
-    assert!(!thr.crashed);
-    assert!(thr.exec_counts.iter().flatten().all(|&c| c == 1));
-    assert_eq!(seq.outputs, thr.outputs);
-    assert_eq!(
-        thr.worker_timing[0].count(),
-        0,
-        "the victim executed tasks after its first-claim kill"
-    );
-    assert_eq!(
-        thr.worker_timing[1].count(),
-        96,
-        "the survivor must replay every task, including the orphaned lease"
-    );
+    crashes_and_resumes("threaded/AfterClaims", &g, opts, crash_at_claim(3, 3), &kernel());
+}
+
+/// `AfterClaims` on the home queues: whichever worker claims first.
+/// (A later claim count is not forced here — a laggard's home can be
+/// re-assigned away before it claims again.)
+#[test]
+fn after_claims_kill_crashes_and_resumes_dist() {
+    let (_, g, opts) = chaos_graph(0);
+    let opts = ExecutorOptions { backend: ExecutorBackend::ThreadedDist, threads: 3, ..opts };
+    crashes_and_resumes("dist/AfterClaims", &g, opts, crash_at_claim(1, 3), &kernel());
+}
+
+/// `AfterClaims` on the async claimers: 96 one-task claims over four
+/// claimer futures, so some claimer reaches its third.
+#[test]
+fn after_claims_kill_crashes_and_resumes_async() {
+    let (_, g, opts) = chaos_graph(0);
+    let opts = ExecutorOptions {
+        backend: ExecutorBackend::Async,
+        policy: PolicyKind::SelfSched,
+        drivers: 2,
+        ..opts
+    };
+    crashes_and_resumes("async/AfterClaims", &g, opts, crash_at_claim(3, 64), &kernel());
+}
+
+/// Parks the calling task until `released` holds — a failure, not a
+/// hang, when it never does.
+fn hold_until(released: impl Fn() -> bool) {
+    let t0 = Instant::now();
+    while !released() {
+        assert!(t0.elapsed() < Duration::from_secs(60), "the hold was never released");
+        std::thread::yield_now();
+    }
+}
+
+/// [`kernel`]`()` with task 0 held, once, until task 48 has started.
+struct HoldsTask0ForTask48 {
+    inner: SpinKernel,
+    started_48: AtomicBool,
+    armed: AtomicBool,
+}
+
+impl TaskKernel for HoldsTask0ForTask48 {
+    fn run_task(&self, ctx: &TaskCtx<'_>) -> f64 {
+        if ctx.task == 48 {
+            self.started_48.store(true, Ordering::SeqCst);
+        }
+        if ctx.task == 0 && self.armed.swap(false, Ordering::SeqCst) {
+            hold_until(|| self.started_48.load(Ordering::SeqCst));
+        }
+        self.inner.run_task(ctx)
+    }
+
+    fn access(&self) -> AccessPattern {
+        self.inner.access()
+    }
+}
+
+/// `AtEpoch` on real dist epochs. Two workers own tasks 0..48 and
+/// 48..96 of a uniform op (nothing is re-assigned), and worker 0 holds
+/// task 0 until worker 1 has started on 48: both have tokened epoch 0,
+/// so worker 0's next claim — its first chunk is at most 36 of its 48
+/// tasks — is tagged epoch 1.
+#[test]
+fn at_epoch_kill_crashes_and_resumes_dist() {
+    let g = shapes::flat(96, 1.0, 0.0);
+    let opts = ExecutorOptions {
+        backend: ExecutorBackend::ThreadedDist,
+        threads: 2,
+        seed: common::test_seed(),
+        ..ExecutorOptions::default()
+    };
+    let k = HoldsTask0ForTask48 {
+        inner: kernel(),
+        started_48: AtomicBool::new(false),
+        armed: AtomicBool::new(true),
+    };
+    let faults = FaultPlan::crash(0, FaultTrigger::AtEpoch(1));
+    crashes_and_resumes("dist/AtEpoch", &g, opts, faults, &k);
+}
+
+/// Sets its flag when dropped: at the exit of the thread whose local
+/// it is.
+struct SetsOnExit(Arc<AtomicBool>);
+
+impl Drop for SetsOnExit {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::SeqCst);
+    }
+}
+
+thread_local! {
+    static ON_EXIT: RefCell<Option<SetsOnExit>> = const { RefCell::new(None) };
+}
+
+/// [`kernel`]`()` with op B's task 0 held, once, until a thread that ran
+/// op A's tasks has exited.
+struct HoldsBUntilARunnerLeaves {
+    inner: SpinKernel,
+    a_runner_left: Arc<AtomicBool>,
+    armed: AtomicBool,
+}
+
+impl TaskKernel for HoldsBUntilARunnerLeaves {
+    fn run_task(&self, ctx: &TaskCtx<'_>) -> f64 {
+        if ctx.node.name == "A" {
+            ON_EXIT.with(|guard| {
+                guard
+                    .borrow_mut()
+                    .get_or_insert_with(|| SetsOnExit(Arc::clone(&self.a_runner_left)));
+            });
+        } else if ctx.task == 0 && self.armed.swap(false, Ordering::SeqCst) {
+            hold_until(|| self.a_runner_left.load(Ordering::SeqCst));
+        }
+        self.inner.run_task(ctx)
+    }
+
+    fn access(&self) -> AccessPattern {
+        self.inner.access()
+    }
+}
+
+/// `OnSteal` on the shared queues, forced. Two independent ops on two
+/// workers with the pool unsplit: A's token starts on one worker, B's
+/// on the other. B's runner claims B's first task — re-advertising B
+/// on its own deque — and holds it until A's runner has left the run.
+/// A's runner drains A, finds its own deque empty and steals B's token,
+/// and its planned steal kill crashes the run. Nothing else lets it
+/// leave: the run cannot finish while B's task is held.
+#[test]
+fn on_steal_kill_crashes_and_resumes_threaded() {
+    let mut g = DelirGraph::new();
+    for name in ["A", "B"] {
+        g.add_node(name, NodeKind::DataParallel { tasks: 32, mean_cost: 1.0, cv: 0.0 }, None);
+    }
+    let opts = ExecutorOptions {
+        backend: ExecutorBackend::Threaded,
+        policy: PolicyKind::SelfSched,
+        threads: 2,
+        use_allocation: false,
+        seed: common::test_seed(),
+        ..ExecutorOptions::default()
+    };
+    let k = HoldsBUntilARunnerLeaves {
+        inner: kernel(),
+        a_runner_left: Arc::default(),
+        armed: AtomicBool::new(true),
+    };
+    let steals = FaultPlan {
+        kills: (0..2).map(|worker| KillSpec { worker, trigger: FaultTrigger::OnSteal }).collect(),
+    };
+    crashes_and_resumes("threaded/OnSteal", &g, opts, steals, &k);
 }
 
 /// The commit/publish gap under fire: with the stream batch forced to
 /// the whole op, producer chunks *commit* to the frontier on every
 /// claim boundary but the watermark can only *publish* when the
-/// frontier completes — so lease kills land squarely between a chunk's
-/// commit and its (deferred) publication. The lease replay, scattered
-/// orphan writes, and the completion-path `publish_all` must between
-/// them publish each producer's watermark exactly once: a lost
-/// publication would deadlock blocked consumers (the run would hang),
-/// a double publication would show up in the per-op counter.
+/// frontier completes. A clean run must publish each streamed
+/// producer's watermark exactly once — the completion path's
+/// `publish_all` and the last commit between them, never both. Then a
+/// kill at some worker's second claim lands squarely between a
+/// chunk's commit and its deferred publication: the crashed attempt
+/// never publishes it, and the resumed attempt still publishes each
+/// producer at most once and lands on the sequential bits.
 #[test]
 fn kill_between_commit_and_publish_never_double_publishes() {
     let g = shapes::chain(4, 24, 1.0, 0.5);
@@ -407,23 +585,14 @@ fn kill_between_commit_and_publish_never_double_publishes() {
             threads: 3,
             seed: common::test_seed(),
             stream_batch: Some(usize::MAX),
-            faults: Some(FaultPlan {
-                kills: vec![
-                    KillSpec { worker: 0, trigger: FaultTrigger::AfterClaims(1) },
-                    KillSpec { worker: 1, trigger: FaultTrigger::AfterClaims(3) },
-                ],
-                ..FaultPlan::default()
-            }),
             ..ExecutorOptions::default()
         };
         let k = kernel();
         let seq = execute_sequential(&g, &opts, &k).unwrap();
-        let thr = execute_threaded(&g, &opts, &k).unwrap();
-        assert!(!thr.crashed, "{backend:?}: lease-mode run reported crashed");
-        assert!(thr.exec_counts.iter().flatten().all(|&c| c == 1), "{backend:?}: exactly-once");
-        assert_eq!(seq.outputs, thr.outputs, "{backend:?}: bitwise");
-        assert_eq!(thr.streamed_edges, 3, "{backend:?}: streaming must engage on the chain");
-        for op in &thr.ops {
+        let clean = execute_threaded(&g, &opts, &k).unwrap();
+        assert_eq!(seq.outputs, clean.outputs, "{backend:?}: bitwise");
+        assert_eq!(clean.streamed_edges, 3, "{backend:?}: streaming must engage on the chain");
+        for op in &clean.ops {
             assert!(
                 op.watermark_pubs <= 1,
                 "{backend:?}: op {} published {} times with a whole-op batch",
@@ -431,8 +600,21 @@ fn kill_between_commit_and_publish_never_double_publishes() {
                 op.watermark_pubs
             );
         }
-        let pubs: u64 = thr.ops.iter().map(|o| o.watermark_pubs).sum();
+        let pubs: u64 = clean.ops.iter().map(|o| o.watermark_pubs).sum();
         assert_eq!(pubs, 3, "{backend:?}: each streamed producer publishes exactly once");
+
+        let dir = scratch_dir("publish");
+        let faulted = ExecutorOptions {
+            faults: Some(crash_at_claim(2, 3)),
+            checkpoint: Some(CheckpointSpec { dir: dir.clone(), every_claims: 1, keep: 8 }),
+            ..opts
+        };
+        let run = execute_graph_resumable(&g, &faulted, &k).unwrap();
+        let label = format!("{backend:?}: kill between commit and publish");
+        let checked = check_resumable(&seq.outputs, &seq.op_names(), &run, &dir, &label);
+        let _ = std::fs::remove_dir_all(&dir);
+        checked.expect(&label);
+        assert!(run.ops.iter().all(|op| op.watermark_pubs <= 1), "{label}: a double publication");
     }
 }
 
@@ -480,18 +662,11 @@ fn crash_resume_on_a_lent_crew_reuses_the_aborted_attempts_threads() {
     let crew = Crew::new();
     // One claim per task, and whichever worker first makes three
     // crashes the run: 96 claims over 3 workers cannot avoid it.
-    let crash = FaultPlan {
-        kills: (0..3)
-            .map(|worker| KillSpec { worker, trigger: FaultTrigger::AfterClaims(3) })
-            .collect(),
-        crash_run: true,
-        crash_kills: Vec::new(),
-    };
     let opts = ExecutorOptions {
         backend: ExecutorBackend::Threaded,
         policy: PolicyKind::SelfSched,
         threads: 3,
-        faults: Some(crash),
+        faults: Some(crash_at_claim(3, 3)),
         checkpoint: Some(CheckpointSpec { dir: dir.clone(), every_claims: 1, keep: 4 }),
         crew: Some(crew.clone()),
         ..opts
@@ -514,7 +689,7 @@ fn crash_without_checkpoint_restarts_from_scratch() {
     let opts = ExecutorOptions {
         backend: ExecutorBackend::Threaded,
         threads: 3,
-        faults: Some(crash_at_first_claim(3)),
+        faults: Some(crash_at_claim(1, 3)),
         ..opts
     };
     let k = kernel();
@@ -566,7 +741,7 @@ fn torn_snapshot_falls_back_to_older_version() {
     // fallback path. The resumed run is still bitwise-exact.
     let crash_opts = ExecutorOptions {
         threads: 3,
-        faults: Some(crash_at_first_claim(3)),
+        faults: Some(crash_at_claim(1, 3)),
         checkpoint: Some(CheckpointSpec { dir: dir.clone(), every_claims: 0, keep: 64 }),
         ..seed_opts.clone()
     };
@@ -595,7 +770,7 @@ fn torn_snapshot_falls_back_to_older_version() {
 /// Staging: a clean checkpointed run leaves one snapshot per claim; a
 /// middle version (partial by construction) is copied alone into a
 /// fresh directory per backend. Every worker and claimer is then
-/// planned to crash at its *first* claim (`crash_at_first_claim`), so
+/// planned to crash at its *first* claim (`crash_at_claim`), so
 /// each backend's second attempt restores exactly the staged image.
 #[test]
 fn one_snapshot_resumes_identically_on_every_backend() {
@@ -633,7 +808,7 @@ fn one_snapshot_resumes_identically_on_every_backend() {
                 backend,
                 threads: 3,
                 drivers: 3,
-                faults: Some(crash_at_first_claim(64)),
+                faults: Some(crash_at_claim(1, 64)),
                 checkpoint: Some(CheckpointSpec { dir: dir.clone(), every_claims: 0, keep: 64 }),
                 ..opts.clone()
             };
@@ -691,140 +866,4 @@ fn checkpointing_clean_run_is_invisible_and_monotone() {
         assert!(versions.len() <= 4, "{name}: pruning kept {} versions", versions.len());
         let _ = std::fs::remove_dir_all(&dir);
     }
-}
-
-/// Shared checks for one *combined*-failure case: a lease-mode kill
-/// recovers in-process, and a crash-mode kill aborts the same run —
-/// the way real incidents compound (a worker dies, the survivors
-/// absorb its lease, then the whole process goes down). Resume must
-/// still replay to the bitwise sequential result.
-fn check_combined_failure(
-    backend: ExecutorBackend,
-    shape: usize,
-    lease_victim: usize,
-    lease_claims: u64,
-    crash_victim: usize,
-    crash_claims: u64,
-) -> Result<(), TestCaseError> {
-    let (name, g, opts) = chaos_graph(shape);
-    let dir = scratch_dir("combined");
-    let opts = ExecutorOptions {
-        backend,
-        threads: 3,
-        drivers: 2,
-        faults: Some(FaultPlan::combined(
-            vec![KillSpec {
-                worker: lease_victim,
-                trigger: FaultTrigger::AfterClaims(lease_claims),
-            }],
-            KillSpec { worker: crash_victim, trigger: FaultTrigger::AfterClaims(crash_claims) },
-        )),
-        checkpoint: Some(CheckpointSpec { dir: dir.clone(), every_claims: 2, keep: 4 }),
-        ..opts
-    };
-    let label = format!(
-        "{backend:?}/{name}/seed={:#x}/lease={lease_victim}@{lease_claims}/crash={crash_victim}@{crash_claims}",
-        opts.seed
-    );
-    let k = kernel();
-    let seq = execute_sequential(&g, &opts, &k).expect("sequential reference");
-    let run = execute_graph_resumable(&g, &opts, &k).expect("combined resumable run");
-    // The generic resume invariants (bitwise outputs, restored tasks
-    // never re-executed, monotone snapshot versions) carry over
-    // wholesale; the combined plan has exactly one crash kill, so the
-    // attempt bound of `check_resumable` still holds.
-    let result = check_resumable(&seq.outputs, &seq.op_names(), &run, &dir, &label);
-    let _ = std::fs::remove_dir_all(&dir);
-    result
-}
-
-/// Combined cases per backend — each runs a doubly-faulted attempt
-/// plus a restore-and-replay attempt.
-fn combined_cases() -> u32 {
-    if common::chaos_full() {
-        100
-    } else {
-        35
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(combined_cases()))]
-
-    /// Threaded backend: lease kill + later crash in one run.
-    #[test]
-    fn threaded_combined_lease_and_crash_bitwise(
-        shape in 0..SHAPES,
-        lease_victim in 0..3usize,
-        lease_claims in 1..4u64,
-        crash_victim in 0..3usize,
-        crash_claims in 4..10u64,
-    ) {
-        check_combined_failure(
-            ExecutorBackend::Threaded, shape, lease_victim, lease_claims, crash_victim, crash_claims,
-        )?;
-    }
-
-    /// Dist-TAPER backend: the lease recovery adopts the dead home
-    /// queue, then the crash cuts the run at an epoch-tagged claim.
-    #[test]
-    fn dist_combined_lease_and_crash_bitwise(
-        shape in 0..SHAPES,
-        lease_victim in 0..3usize,
-        lease_claims in 1..4u64,
-        crash_victim in 0..3usize,
-        crash_claims in 4..10u64,
-    ) {
-        check_combined_failure(
-            ExecutorBackend::ThreadedDist, shape, lease_victim, lease_claims, crash_victim, crash_claims,
-        )?;
-    }
-
-    /// Async backend: a claimer's orphaned chunk is adopted by a
-    /// sibling, then a crash kill aborts the scheduler.
-    #[test]
-    fn async_combined_lease_and_crash_bitwise(
-        shape in 0..SHAPES,
-        lease_victim in 0..6usize,
-        lease_claims in 1..4u64,
-        crash_victim in 0..6usize,
-        crash_claims in 4..10u64,
-    ) {
-        check_combined_failure(
-            ExecutorBackend::Async, shape, lease_victim, lease_claims, crash_victim, crash_claims,
-        )?;
-    }
-}
-
-/// The non-vacuousness guard for the combined matrix: with both kills
-/// on fixed early triggers, the first attempt really does absorb a
-/// lease *and* crash, and the resume still lands bitwise.
-#[test]
-fn combined_failure_really_fires_both_kills() {
-    let (_, g, opts) = chaos_graph(0);
-    let dir = scratch_dir("combined-pinned");
-    let opts = ExecutorOptions {
-        backend: ExecutorBackend::Threaded,
-        // Two workers make the schedule deterministic: worker 0 dies on
-        // its first claim, so worker 1 is the *only* surviving claimer
-        // and its per-worker claim counter must reach 4. (With a third
-        // worker the one that wins the every-claim snapshot slot blocks
-        // in the fsync while the other drains the queue, and the victim
-        // may never reach its trigger.)
-        threads: 2,
-        policy: orchestra_runtime::PolicyKind::SelfSched,
-        faults: Some(FaultPlan::combined(
-            vec![KillSpec { worker: 0, trigger: FaultTrigger::AfterClaims(1) }],
-            KillSpec { worker: 1, trigger: FaultTrigger::AfterClaims(4) },
-        )),
-        checkpoint: Some(CheckpointSpec { dir: dir.clone(), every_claims: 1, keep: 8 }),
-        ..opts
-    };
-    let k = kernel();
-    let seq = execute_sequential(&g, &opts, &k).unwrap();
-    let run = execute_graph_resumable(&g, &opts, &k).unwrap();
-    assert_eq!(run.attempts, 2, "the crash kill must fire and force a resume");
-    assert!(run.resumed_tasks > 0, "the resume must restore from a snapshot");
-    assert_eq!(seq.outputs, run.outputs, "combined failure diverged from sequential");
-    let _ = std::fs::remove_dir_all(&dir);
 }
