@@ -18,7 +18,8 @@ use orchestra_apps::{all_paper_workloads, climate, psirrfan};
 use orchestra_bench::{fig6_processor_counts, measure, Config, Measurement};
 use orchestra_machine::MachineConfig;
 use orchestra_runtime::{
-    allocate_pair, execute_graph, finish_estimate, AllocParams, ExecutorOptions, OpSpec, PolicyKind,
+    allocate_pair, execute_graph, finish_estimate, AllocParams, ExecutorBackend, ExecutorOptions,
+    OpSpec, PolicyKind,
 };
 
 fn main() {
@@ -274,7 +275,7 @@ fn ablate_dist() {
         let mut central =
             ExecutorOptions { policy: PolicyKind::TaperCostFn, ..ExecutorOptions::default() };
         central.pipeline_iters.extend(w.pipeline_iters.clone());
-        let dist = ExecutorOptions { distributed: true, ..central.clone() };
+        let dist = ExecutorOptions { backend: ExecutorBackend::ThreadedDist, ..central.clone() };
         let tc = execute_graph(&w.split, &cfg, &central).expect("valid").finish;
         let td = execute_graph(&w.split, &cfg, &dist).expect("valid").finish;
         println!("{:>6} {:>14.0} {:>14.0}", p, tc, td);

@@ -8,8 +8,8 @@
 //! shims). Ops become futures that park on their op's wake list until
 //! the run core's readiness protocol ([`crate::run`]) says the op is
 //! enabled, and chunk claims reuse
-//! the existing [`ChunkQueue`] machinery — lock-free fixed schedules,
-//! TAPER behind its short mutex — but **yield at chunk boundaries**
+//! the existing [`ChunkQueue`] machinery — the one lock-free
+//! epoch-descriptor claim every policy uses — but **yield at chunk boundaries**
 //! instead of blocking, so a driver interleaves chunks of every ready
 //! op and the exactly-once claim invariants get stressed by
 //! interleavings real threads rarely produce (each op gets *more

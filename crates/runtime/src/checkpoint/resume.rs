@@ -7,6 +7,7 @@ use crate::executor::ExecutorOptions;
 use crate::run::RunReport;
 use crate::threaded::{build_plan, ExecutorBackend, Plan, TaskKernel};
 use orchestra_delirium::DelirGraph;
+use std::time::{Duration, Instant};
 
 /// The restore image handed to a backend: the per-op state of one
 /// snapshot — completed-task masks, the completed tasks' outputs, and
@@ -59,12 +60,15 @@ impl ResumeState {
 /// Returns the graph's validation error when it is malformed, or the
 /// cancellation/deadline error when the caller aborted the run —
 /// cancellation is never retried: an evicted tenant's graph must not
-/// resurrect itself from its own snapshots.
+/// resurrect itself from its own snapshots. The deadline is the whole
+/// call's: the replay runs under what the crashed attempt left of it,
+/// and is not started when nothing is left.
 pub fn execute_graph_resumable(
     g: &DelirGraph,
     opts: &ExecutorOptions,
     kernel: &(dyn TaskKernel + Sync),
 ) -> Result<RunReport, RunError> {
+    let expires = opts.deadline.map(|d| Instant::now() + d);
     let plan = build_plan(g, opts)?;
     let attempt = |opts: &ExecutorOptions, resume: &ResumeState| {
         if opts.backend == ExecutorBackend::Async {
@@ -84,7 +88,11 @@ pub fn execute_graph_resumable(
         .and_then(|spec| load_latest(&spec.dir, fingerprint))
         .and_then(|snap| ResumeState::from_snapshot(snap, &plan))
         .unwrap_or_else(ResumeState::empty);
-    let replay = attempt(&ExecutorOptions { faults: None, ..opts.clone() }, &resume)?;
+    let deadline = expires.map(|t| t.saturating_duration_since(Instant::now()));
+    if deadline == Some(Duration::ZERO) {
+        return Err(RunError::DeadlineExceeded);
+    }
+    let replay = attempt(&ExecutorOptions { faults: None, deadline, ..opts.clone() }, &resume)?;
     let wall_us = first.wall_us + replay.wall_us;
     Ok(RunReport { attempts: 2, wall_us, recovery_us: replay.wall_us, ..replay })
 }

@@ -8,15 +8,24 @@
 //! chunk self-scheduling (one task at a time), guided self-scheduling
 //! \[17\], and factoring \[10\]; static block decomposition is the
 //! no-runtime-decisions baseline.
+//!
+//! The simulator ([`crate::par_op`]) asks a policy once per claim, the
+//! threaded [`ChunkQueue`](crate::threaded::queue::ChunkQueue) once per
+//! epoch of about one chunk per worker ([`ChunkPolicy::next_chunk`]).
 
 use crate::stats::{CostFn, OnlineStats};
 
-/// A chunk-size policy: asked for the next chunk when a processor goes
-/// idle, given the remaining task count and processor count.
+/// A chunk-size policy: asked for the next chunk size at a frontier of
+/// the iteration space, given the remaining task count and processor
+/// count. The simulator asks when a processor goes idle; the threaded
+/// queue asks when a claim crosses the published epoch end, and hands
+/// the answer to every claim until the next one.
 pub trait ChunkPolicy {
     /// Chooses the size of the next chunk starting at task index
     /// `next_index`, with `remaining` tasks left and `p` processors.
-    /// Must return `1..=remaining` when `remaining > 0`.
+    /// Must return `1..=remaining` when `remaining > 0`. Callers may ask
+    /// once per chunk or once per several, so any state a policy keeps
+    /// between calls must follow `next_index`, not the call count.
     fn next_chunk(&mut self, next_index: usize, remaining: usize, p: usize) -> usize;
 
     /// Observes a completed task's execution time (for adaptive
@@ -38,44 +47,19 @@ pub trait ChunkPolicy {
         }
     }
 
-    /// For policies whose chunk sequence is a pure function of the
-    /// iteration-space size and worker count — never of observed task
-    /// times — the full chunk-size sequence over `total` tasks. The
-    /// threaded backend serves such schedules from a lock-free atomic
-    /// cursor; adaptive policies return `None` and keep a (short)
-    /// mutex-guarded critical section per chunk.
-    fn fixed_schedule(&self, total: usize, p: usize) -> Option<Vec<usize>> {
-        let _ = (total, p);
-        None
-    }
-
     /// A snapshot of the task-time statistics the policy has sampled
     /// so far, for policies that keep them (TAPER). The allocation
     /// equalizer reads this to build live [`finish
     /// estimates`](crate::finish::finish_estimate_live) from the chunk
-    /// queues instead of the synthetic cost model; schedule-only
-    /// policies return `None`.
+    /// queues instead of the synthetic cost model, and the queue reads
+    /// it once to decide whether the policy wants timing feedback at
+    /// all; schedule-only policies return `None`.
     fn live_stats(&self) -> Option<OnlineStats> {
         None
     }
 
     /// Display name of the policy.
     fn name(&self) -> &'static str;
-}
-
-/// Replays a fresh policy over `total` tasks to precompute its chunk
-/// sequence (for observation-independent policies).
-fn replay_schedule<P: ChunkPolicy + Default>(total: usize, p: usize) -> Vec<usize> {
-    let mut pol = P::default();
-    let mut sizes = Vec::new();
-    let (mut next, mut remaining) = (0usize, total);
-    while remaining > 0 {
-        let k = pol.next_chunk(next, remaining, p).clamp(1, remaining);
-        sizes.push(k);
-        next += k;
-        remaining -= k;
-    }
-    sizes
 }
 
 /// One task per scheduling event (pure self-scheduling).
@@ -85,10 +69,6 @@ pub struct SelfSched;
 impl ChunkPolicy for SelfSched {
     fn next_chunk(&mut self, _next: usize, remaining: usize, _p: usize) -> usize {
         remaining.min(1)
-    }
-
-    fn fixed_schedule(&self, total: usize, _p: usize) -> Option<Vec<usize>> {
-        Some(vec![1; total])
     }
 
     fn name(&self) -> &'static str {
@@ -105,35 +85,28 @@ impl ChunkPolicy for Gss {
         remaining.min(remaining.div_ceil(p).max(1))
     }
 
-    fn fixed_schedule(&self, total: usize, p: usize) -> Option<Vec<usize>> {
-        Some(replay_schedule::<Gss>(total, p))
-    }
-
     fn name(&self) -> &'static str {
         "guided self-scheduling"
     }
 }
 
 /// Factoring (Hummel, Schonberg & Flynn): batches of `p` equal chunks,
-/// each batch covering half the remaining work.
+/// each batch covering half the remaining work. A batch is a span of
+/// the iteration space: a new one starts when the frontier reaches the
+/// end of the last.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Factoring {
-    in_batch: usize,
+    batch_end: usize,
     batch_chunk: usize,
 }
 
 impl ChunkPolicy for Factoring {
-    fn next_chunk(&mut self, _next: usize, remaining: usize, p: usize) -> usize {
-        if self.in_batch == 0 {
-            self.batch_chunk = (remaining.div_ceil(2 * p)).max(1);
-            self.in_batch = p;
+    fn next_chunk(&mut self, next: usize, remaining: usize, p: usize) -> usize {
+        if next >= self.batch_end {
+            self.batch_chunk = remaining.div_ceil(2 * p).max(1);
+            self.batch_end = next + self.batch_chunk * p;
         }
-        self.in_batch -= 1;
         remaining.min(self.batch_chunk)
-    }
-
-    fn fixed_schedule(&self, total: usize, p: usize) -> Option<Vec<usize>> {
-        Some(replay_schedule::<Factoring>(total, p))
     }
 
     fn name(&self) -> &'static str {
@@ -373,15 +346,23 @@ mod tests {
     fn factoring_issues_equal_batches() {
         let mut f = Factoring::default();
         let p = 4;
-        let mut remaining = 80usize;
-        let mut first_batch = Vec::new();
-        for _ in 0..p {
-            let k = f.next_chunk(0, remaining, p);
-            first_batch.push(k);
+        let (mut next, mut remaining) = (0usize, 80usize);
+        let mut sizes = Vec::new();
+        while remaining > 0 {
+            let k = f.next_chunk(next, remaining, p);
+            sizes.push(k);
+            next += k;
             remaining -= k;
         }
-        assert!(first_batch.iter().all(|&k| k == first_batch[0]));
-        assert_eq!(first_batch[0], 10, "80/(2·4)");
+        assert_eq!(sizes[..8], [10, 10, 10, 10, 5, 5, 5, 5], "80/(2·4), then 40/(2·4)");
+        // The batch follows the frontier, not the call count: asked
+        // twice at the same index, or mid-batch after a skipped call,
+        // the answer is the batch's chunk.
+        let mut g = Factoring::default();
+        assert_eq!(g.next_chunk(0, 80, p), 10);
+        assert_eq!(g.next_chunk(0, 80, p), 10);
+        assert_eq!(g.next_chunk(30, 50, p), 10);
+        assert_eq!(g.next_chunk(40, 40, p), 5);
     }
 
     #[test]
@@ -502,40 +483,6 @@ mod tests {
         assert!(sizes.len() > 2, "irregular costs must yield several chunks");
         assert_eq!(per_task.samples(), batched.samples());
         assert!((per_task.cv() - batched.cv()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fixed_schedules_cover_space_and_match_replay() {
-        for (pol, total, p) in [
-            (PolicyKind::SelfSched, 257usize, 4usize),
-            (PolicyKind::Gss, 1000, 8),
-            (PolicyKind::Factoring, 1000, 8),
-        ] {
-            let schedule = pol
-                .instantiate(total)
-                .fixed_schedule(total, p)
-                .expect("observation-independent policy");
-            assert_eq!(schedule.iter().sum::<usize>(), total, "{}", pol.name());
-            let mut reference = pol.instantiate(total);
-            let (mut next, mut remaining) = (0usize, total);
-            for &k in &schedule {
-                assert_eq!(
-                    k,
-                    reference.next_chunk(next, remaining, p).clamp(1, remaining),
-                    "{} diverges from event-at-a-time replay",
-                    pol.name()
-                );
-                next += k;
-                remaining -= k;
-            }
-        }
-        for pol in [PolicyKind::Taper, PolicyKind::TaperCostFn] {
-            assert!(
-                pol.instantiate(100).fixed_schedule(100, 4).is_none(),
-                "{} is observation-driven",
-                pol.name()
-            );
-        }
     }
 
     #[test]

@@ -39,9 +39,6 @@ pub struct ExecutorOptions {
     /// Overlap pipeline groups (false = barrier between every piece,
     /// i.e. the unpipelined baseline).
     pub pipeline_overlap: bool,
-    /// Schedule data-parallel nodes with the *distributed* TAPER
-    /// epoch/token tree (§4.1.1) instead of the centralized simulator.
-    pub distributed: bool,
     /// Iteration counts per pipeline group name.
     pub pipeline_iters: HashMap<String, usize>,
     /// RNG seed for task-cost sampling.
@@ -51,7 +48,10 @@ pub struct ExecutorOptions {
     /// (shared queues or distributed TAPER),
     /// [`execute_graph_resumable`](crate::checkpoint::execute_graph_resumable)
     /// and the serving daemon. [`execute_graph`] is the simulator
-    /// whatever this says.
+    /// whatever this says, and reads one thing from it: under
+    /// [`ThreadedDist`](ExecutorBackend::ThreadedDist) it schedules
+    /// data-parallel nodes with the simulated *distributed* TAPER
+    /// epoch/token tree (§4.1.1) instead of a centralized chunk policy.
     pub backend: ExecutorBackend,
     /// Worker threads for the threaded backend (0 = the machine's
     /// available parallelism). Ignored by the simulator, which sizes
@@ -115,7 +115,6 @@ impl Default for ExecutorOptions {
             policy: PolicyKind::Taper,
             use_allocation: true,
             pipeline_overlap: true,
-            distributed: false,
             pipeline_iters: HashMap::new(),
             seed: 0x5eed,
             backend: ExecutorBackend::Simulated,
@@ -271,7 +270,7 @@ fn run_node(
         NodeKind::Task { cost } | NodeKind::Merge { cost } => start + cost,
         _ => {
             let costs = costs_of_node(node, opts.seed);
-            if opts.distributed {
+            if opts.backend == ExecutorBackend::ThreadedDist {
                 return crate::dist_taper::simulate_dist_taper(
                     cfg,
                     p.max(1),
@@ -824,7 +823,7 @@ mod tests {
         let (g, opts) = irregular_then_regular(true);
         let cfg = MachineConfig::ncube2(128);
         let central = execute_graph(&g, &cfg, &opts).unwrap();
-        let dist_opts = ExecutorOptions { distributed: true, ..opts };
+        let dist_opts = ExecutorOptions { backend: ExecutorBackend::ThreadedDist, ..opts };
         let dist = execute_graph(&g, &cfg, &dist_opts).unwrap();
         assert!(dist.finish > 0.0);
         // The decentralized scheme pays token latency but must stay in

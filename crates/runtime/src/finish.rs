@@ -255,9 +255,13 @@ impl HostCalibration {
         HostCalibration { sched_overhead_us, publish_alpha_us: 0.05, copy_beta_us: 1e-4 }
     }
 
-    /// Measures the per-claim cost by draining a throwaway
+    /// Measures the per-claim cost by draining a throwaway one-worker
     /// self-scheduling queue (one task per claim, so elapsed/tasks is
-    /// the pure scheduling hot path), the per-publish cost by driving
+    /// the pure scheduling hot path). At one worker every chunk is its
+    /// own epoch, so the claim timed is the full one — cursor
+    /// `fetch_add`, `try_lock`, one policy call and the descriptor
+    /// republish — which at more workers only about one claim in
+    /// `workers` pays. It measures the per-publish cost by driving
     /// a throwaway arena watermark one commit at a time, and the
     /// per-byte cost by summing a cold slab. All three are clamped to
     /// sane bands so a descheduled measurement on a loaded host cannot

@@ -276,17 +276,17 @@ impl OpState<'_> {
 
     /// The shared claim queue over this op's pending tasks: chunk
     /// schedules are sized for the op's equalizer share, not the whole
-    /// pool, and the policy warm-starts from the snapshot's µ/σ so a
-    /// resumed run sizes chunks as if it had kept sampling. (`Static`
-    /// has no dynamic queue; it instantiates as GSS, one near-equal
-    /// chunk per worker.)
+    /// pool, and the policy warm-starts from the snapshot's µ/σ — before
+    /// the queue publishes its first decision — so a resumed run sizes
+    /// chunks as if it had kept sampling. (`Static` has no dynamic
+    /// queue on real threads; it instantiates as GSS.)
     pub(crate) fn chunk_queue(&self, policy: PolicyKind) -> ChunkQueue {
         let pending = self.pending();
-        let queue = ChunkQueue::new(policy.instantiate(pending), pending, self.share.len());
+        let mut policy = policy.instantiate(pending);
         if let Some(stats) = &self.warm {
-            queue.observe_chunk(0, 0, stats);
+            policy.observe_chunk(0, 0, stats);
         }
-        queue
+        ChunkQueue::new(policy, pending, self.share.len())
     }
 
     /// This op's report row; drivers add the counters of their own
@@ -1239,5 +1239,33 @@ mod tests {
         assert_eq!(claim(&ctl, 0), (true, 0));
         assert!(!ctl.crashed(), "a cancelled run's kill never fired");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A resumed op's queue publishes its first decision from the
+    /// snapshot's µ/σ: warmed after construction, the queue would hand
+    /// out half the pending tasks as if nothing had been sampled.
+    #[test]
+    fn a_resumed_queue_sizes_its_first_chunks_from_the_snapshot() {
+        use crate::chunking::{ChunkPolicy, Taper};
+        let mut g = DelirGraph::new();
+        g.add_node("F", NodeKind::DataParallel { tasks: 2000, mean_cost: 1.0, cv: 0.0 }, None);
+        let opts = ExecutorOptions::default();
+        let plan = build_plan(&g, &opts).unwrap();
+        // The first half restored, from irregular samples.
+        let mut stats = OnlineStats::new();
+        (0..1000).for_each(|t| stats.observe(if t % 10 == 0 { 50.0 } else { 1.0 }));
+        let completed = (0..2000).map(|t| t < 1000).collect();
+        let image = OpSnapshot { completed, outputs: vec![0.0; 2000], stats };
+        let resume = ResumeState { ops: vec![image] };
+        let s = set_up(&plan, &g.nodes, &opts, AccessPattern::ElementWise, 2, &resume);
+        assert_eq!((s.ops[0].pending(), s.ops[0].share.len()), (1000, 2));
+
+        let q = s.ops[0].chunk_queue(PolicyKind::Taper);
+        let mut warm = Taper::new();
+        warm.observe_chunk(0, 0, &stats);
+        let k = warm.next_chunk(0, 1000, 2);
+        assert!(k < 500, "irregular samples shrink the first chunk below the cold 500, got {k}");
+        assert_eq!(q.claim(), Some(Chunk { start: 0, len: k }));
+        assert_eq!(q.claim(), Some(Chunk { start: k, len: k }), "one decision per epoch");
     }
 }

@@ -7,29 +7,20 @@
 //! self-scheduling all drive real execution through the exact same
 //! policy objects the simulator uses.
 //!
-//! Two claim paths, chosen at construction:
-//!
-//! * **Fixed** — policies whose chunk sequence never depends on
-//!   observed task times (self-scheduling, GSS, factoring) declare it
-//!   up front via [`ChunkPolicy::fixed_schedule`]. The queue
-//!   precomputes the chunk boundaries and a claim is one
-//!   check-then-claim `compare_exchange` on an atomic cursor: no lock
-//!   anywhere on the per-task or per-chunk hot path, task-time
-//!   feedback is a no-op, and a claim on an exhausted queue is a pure
-//!   load (stale steal attempts never write the contended line).
-//! * **Adaptive** — TAPER resizes chunks from live µ/σ samples, but its
-//!   claim path is lock-free too: the policy's latest chunk-size
-//!   decision is published in a padded atomic *epoch descriptor*
-//!   (`epoch_end << 32 | chunk_len`), and a claim is one `fetch_add`
-//!   on a task cursor plus a bounds check. Only when a claim crosses
-//!   the published epoch end does the claiming worker `try_lock` the
-//!   policy, recompute the chunk size at the new frontier, and publish
-//!   the next descriptor — losers of that race keep claiming at the
-//!   (one epoch stale) size and never block. Batched
-//!   [`observe_chunk`](ChunkPolicy::observe_chunk) feedback — one merge
-//!   per *completed chunk*, from a worker-local [`OnlineStats`] — is
-//!   the only other place the policy mutex is taken, and it is never
-//!   on the claim path.
+//! Every policy claims the same way, lock-free. The policy's latest
+//! chunk-size decision is published in a padded atomic *epoch
+//! descriptor* (`epoch_end << 32 | chunk_len`), and a claim is one
+//! `fetch_add` on a task cursor plus a bounds check. Only when a claim
+//! crosses the published epoch end does the claiming worker `try_lock`
+//! the policy, ask it for the size at the new frontier, and publish the
+//! next descriptor — losers of that race keep claiming at the (one
+//! epoch stale) size and never block. One decision serves about one
+//! chunk per worker, so the policies differ only in what
+//! [`next_chunk`](ChunkPolicy::next_chunk) returns once per epoch.
+//! Batched [`observe_chunk`](ChunkPolicy::observe_chunk) feedback — one
+//! merge per *completed chunk*, from a worker-local [`OnlineStats`], and
+//! only for policies that sample task times (TAPER) — is the only other
+//! place the policy mutex is taken, and it is never on the claim path.
 
 use crate::chunking::ChunkPolicy;
 use crate::stats::OnlineStats;
@@ -76,24 +67,6 @@ pub enum BoundedClaim {
 #[repr(align(64))]
 struct Padded<T>(T);
 
-/// State of an observation-driven (TAPER) queue: a lock-free claim
-/// cursor over the task space, the published epoch descriptor, and the
-/// policy object behind a mutex that the claim path only ever
-/// `try_lock`s (on epoch rollover).
-struct AdaptiveMode {
-    /// Next unclaimed task index; a claim is one `fetch_add` of the
-    /// published chunk length.
-    cursor: Padded<AtomicUsize>,
-    /// The published decision: `(epoch_end << 32) | chunk_len`, where
-    /// `epoch_end` is the task index at which the size should be
-    /// recomputed (one decision serves ~`workers` chunks).
-    plan: Padded<AtomicU64>,
-    /// Locked to publish the next epoch's decision (`try_lock`; the
-    /// loser keeps claiming at the stale size) and by `observe_chunk`
-    /// feedback — never blocking on the claim path.
-    policy: Mutex<Box<dyn ChunkPolicy + Send>>,
-}
-
 /// Packs an epoch descriptor. Task indices are asserted to fit 32 bits
 /// at construction.
 fn pack_plan(epoch_end: usize, chunk_len: usize) -> u64 {
@@ -117,18 +90,25 @@ fn unpack_plan(d: u64) -> (usize, usize) {
     ((d >> 32) as usize, (d & u64::from(u32::MAX)) as usize)
 }
 
-enum Mode {
-    /// Precomputed schedule: chunk `i` spans `bounds[i]..bounds[i+1]`;
-    /// claiming is a lock-free cursor increment.
-    Fixed { bounds: Vec<usize>, cursor: AtomicUsize },
-    /// Observation-driven schedule claimed through the epoch
-    /// descriptor.
-    Adaptive(AdaptiveMode),
-}
-
-/// Claim-next-chunk queue over one operation's iteration space.
+/// Claim-next-chunk queue over one operation's iteration space: a
+/// lock-free claim cursor, the published epoch descriptor, and the
+/// policy behind a mutex that the claim path only ever `try_lock`s (on
+/// epoch rollover).
 pub struct ChunkQueue {
-    mode: Mode,
+    /// Next unclaimed task index; a claim is one `fetch_add` of the
+    /// published chunk length.
+    cursor: Padded<AtomicUsize>,
+    /// The published decision: `(epoch_end << 32) | chunk_len`, where
+    /// `epoch_end` is the task index at which the size should be
+    /// recomputed (one decision serves ~`workers` chunks).
+    plan: Padded<AtomicU64>,
+    /// Locked to publish the next epoch's decision (`try_lock`; the
+    /// loser keeps claiming at the stale size) and by `observe_chunk`
+    /// feedback — never blocking on the claim path.
+    policy: Mutex<Box<dyn ChunkPolicy + Send>>,
+    /// Whether the policy samples task times, read once at
+    /// construction.
+    adaptive: bool,
     chunks: AtomicU64,
     total: usize,
     workers: usize,
@@ -137,115 +117,65 @@ pub struct ChunkQueue {
 impl ChunkQueue {
     /// A queue over `total` tasks scheduled for `workers` workers.
     ///
-    /// Policies that can precompute their whole chunk sequence get the
-    /// lock-free fixed path; the rest stay adaptive.
-    pub fn new(policy: Box<dyn ChunkPolicy + Send>, total: usize, workers: usize) -> Self {
+    /// The policy's first decision is published here, so a claim never
+    /// needs the lock to get started — a policy that should start warm
+    /// (a resumed op's snapshot statistics) must be warmed before it is
+    /// handed in.
+    pub fn new(mut policy: Box<dyn ChunkPolicy + Send>, total: usize, workers: usize) -> Self {
         let workers = workers.max(1);
-        let mode = match policy.fixed_schedule(total, workers) {
-            Some(sizes) => {
-                let mut bounds = Vec::with_capacity(sizes.len() + 1);
-                bounds.push(0usize);
-                let mut acc = 0usize;
-                for k in sizes {
-                    acc += k;
-                    bounds.push(acc);
-                }
-                debug_assert_eq!(acc, total, "fixed schedule must cover the iteration space");
-                Mode::Fixed { bounds, cursor: AtomicUsize::new(0) }
-            }
-            None => {
-                let mut policy = policy;
-                assert!(
-                    total < u32::MAX as usize,
-                    "adaptive epoch descriptor packs task indices into 32 bits"
-                );
-                // Publish the first decision up front so claim never
-                // needs the lock to get started.
-                let plan = if total == 0 {
-                    pack_plan(0, 0)
-                } else {
-                    let k = policy.next_chunk(0, total, workers).clamp(1, total);
-                    pack_plan(epoch_span(k, total, workers).min(total), k)
-                };
-                Mode::Adaptive(AdaptiveMode {
-                    cursor: Padded(AtomicUsize::new(0)),
-                    plan: Padded(AtomicU64::new(plan)),
-                    policy: Mutex::new(policy),
-                })
-            }
+        assert!(total < u32::MAX as usize, "the epoch descriptor packs task indices into 32 bits");
+        let plan = if total == 0 {
+            pack_plan(0, 0)
+        } else {
+            let k = policy.next_chunk(0, total, workers).clamp(1, total);
+            pack_plan(epoch_span(k, total, workers).min(total), k)
         };
-        ChunkQueue { mode, chunks: AtomicU64::new(0), total, workers }
+        ChunkQueue {
+            cursor: Padded(AtomicUsize::new(0)),
+            plan: Padded(AtomicU64::new(plan)),
+            adaptive: policy.live_stats().is_some(),
+            policy: Mutex::new(policy),
+            chunks: AtomicU64::new(0),
+            total,
+            workers,
+        }
     }
 
     /// Claims the next chunk, or `None` when the iteration space is
     /// exhausted. Each task index is handed out exactly once across
     /// all claimants.
     pub fn claim(&self) -> Option<Chunk> {
-        let chunk = match &self.mode {
-            Mode::Fixed { bounds, cursor } => {
-                // Check-then-claim: the cursor never advances past the
-                // chunk count, so a post-exhaustion claim (a stale
-                // steal attempt) is a single load — no `fetch_add`
-                // hammering the contended cache line, and no unbounded
-                // cursor growth.
-                let n_chunks = bounds.len() - 1;
-                let mut i = cursor.load(Ordering::Relaxed);
-                loop {
-                    if i >= n_chunks {
-                        return None;
-                    }
-                    match cursor.compare_exchange_weak(
-                        i,
-                        i + 1,
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => break,
-                        Err(seen) => i = seen,
-                    }
-                }
-                Chunk { start: bounds[i], len: bounds[i + 1] - bounds[i] }
-            }
-            Mode::Adaptive(ad) => {
-                // Pure-load precheck: a claim on an exhausted queue (a
-                // stale steal attempt, or a claim storm after the run)
-                // never writes the contended cursor line.
-                if ad.cursor.0.load(Ordering::Relaxed) >= self.total {
-                    return None;
-                }
-                let (end, k) = unpack_plan(ad.plan.0.load(Ordering::Acquire));
-                let start = ad.cursor.0.fetch_add(k, Ordering::Relaxed);
-                if start >= self.total {
-                    // Lost the exhaustion race by a whisker; the
-                    // precheck stops any further RMWs from this point.
-                    return None;
-                }
-                let len = k.min(self.total - start);
-                // Crossing the published epoch end is the one place a
-                // critical section exists — and it is a `try_lock`:
-                // the winner recomputes the size at the new frontier,
-                // everyone else claims on at the stale size.
-                if start + len >= end {
-                    self.advance_epoch(ad);
-                }
-                Chunk { start, len }
-            }
-        };
+        // Pure-load precheck: a claim on an exhausted queue (a stale
+        // steal attempt, or a claim storm after the run) never writes
+        // the contended cursor line.
+        if self.cursor.0.load(Ordering::Relaxed) >= self.total {
+            return None;
+        }
+        let (end, k) = unpack_plan(self.plan.0.load(Ordering::Acquire));
+        let start = self.cursor.0.fetch_add(k, Ordering::Relaxed);
+        if start >= self.total {
+            // Lost the exhaustion race by a whisker; the precheck stops
+            // any further RMWs from this point.
+            return None;
+        }
+        let len = k.min(self.total - start);
+        // Crossing the published epoch end is the one place a critical
+        // section exists — and it is a `try_lock`: the winner
+        // recomputes the size at the new frontier, everyone else claims
+        // on at the stale size.
+        if start + len >= end {
+            self.advance_epoch();
+        }
         self.chunks.fetch_add(1, Ordering::Relaxed);
-        Some(chunk)
+        Some(Chunk { start, len })
     }
 
     /// Claims the next chunk whose task indices all lie strictly below
     /// `limit` — the streamed-edge consumer path, where `limit` is the
-    /// minimum producer watermark read fresh at every claim.
-    ///
-    /// * **Fixed** queues never split a precomputed chunk: the claim
-    ///   blocks until the watermark covers the whole next chunk, which
-    ///   keeps the handed-out chunk sequence identical to the unbounded
-    ///   path (the differential suites replay it bitwise).
-    /// * **Adaptive** queues truncate the claimed length at the limit —
-    ///   the descriptor's size decision is a target, not a contract, so
-    ///   a shorter chunk is indistinguishable from a policy decision.
+    /// minimum producer watermark read fresh at every claim. The
+    /// claimed length is truncated at the limit: the descriptor's size
+    /// decision is a target, not a contract, so a shorter chunk is
+    /// indistinguishable from a policy decision.
     ///
     /// `limit >= total` delegates to [`Self::claim`], so whole-op
     /// (non-streamed) consumers pay nothing for the shared call site.
@@ -256,67 +186,36 @@ impl ChunkQueue {
                 None => BoundedClaim::Exhausted,
             };
         }
-        let chunk = match &self.mode {
-            Mode::Fixed { bounds, cursor } => {
-                let n_chunks = bounds.len() - 1;
-                let mut i = cursor.load(Ordering::Relaxed);
-                loop {
-                    if i >= n_chunks {
-                        return BoundedClaim::Exhausted;
-                    }
-                    if bounds[i + 1] > limit {
-                        // The next precomputed chunk reaches past the
-                        // watermark; claiming it would read cells the
-                        // producer has not committed.
-                        return BoundedClaim::Blocked;
-                    }
-                    match cursor.compare_exchange_weak(
-                        i,
-                        i + 1,
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => break,
-                        Err(seen) => i = seen,
-                    }
-                }
-                Chunk { start: bounds[i], len: bounds[i + 1] - bounds[i] }
+        // The unbounded path's `fetch_add` would overshoot the limit,
+        // handing out tasks above the watermark — so the bounded path
+        // claims by CAS with the length truncated at the limit. Slightly
+        // more contention than `fetch_add`, paid only by streamed
+        // consumers whose producer is still running.
+        let (end, k) = unpack_plan(self.plan.0.load(Ordering::Acquire));
+        let mut start = self.cursor.0.load(Ordering::Relaxed);
+        let len = loop {
+            if start >= self.total {
+                return BoundedClaim::Exhausted;
             }
-            Mode::Adaptive(ad) => {
-                // The unbounded path's `fetch_add` would overshoot the
-                // limit, handing out tasks above the watermark — so the
-                // bounded path claims by CAS with the length truncated
-                // at the limit. Slightly more contention than
-                // `fetch_add`, paid only by streamed consumers whose
-                // producer is still running.
-                let (end, k) = unpack_plan(ad.plan.0.load(Ordering::Acquire));
-                let mut start = ad.cursor.0.load(Ordering::Relaxed);
-                let len = loop {
-                    if start >= self.total {
-                        return BoundedClaim::Exhausted;
-                    }
-                    if start >= limit {
-                        return BoundedClaim::Blocked;
-                    }
-                    let len = k.min(self.total - start).min(limit - start).max(1);
-                    match ad.cursor.0.compare_exchange_weak(
-                        start,
-                        start + len,
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => break len,
-                        Err(seen) => start = seen,
-                    }
-                };
-                if start + len >= end {
-                    self.advance_epoch(ad);
-                }
-                Chunk { start, len }
+            if start >= limit {
+                return BoundedClaim::Blocked;
+            }
+            let len = k.min(self.total - start).min(limit - start).max(1);
+            match self.cursor.0.compare_exchange_weak(
+                start,
+                start + len,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => break len,
+                Err(seen) => start = seen,
             }
         };
+        if start + len >= end {
+            self.advance_epoch();
+        }
         self.chunks.fetch_add(1, Ordering::Relaxed);
-        BoundedClaim::Chunk(chunk)
+        BoundedClaim::Chunk(Chunk { start, len })
     }
 
     /// Publishes the next epoch descriptor: chunk size recomputed by
@@ -324,35 +223,32 @@ impl ChunkQueue {
     /// chunk per worker. Non-blocking — if another worker is already
     /// publishing (or a feedback merge holds the lock), this claimant
     /// simply keeps the stale size for one more chunk.
-    fn advance_epoch(&self, ad: &AdaptiveMode) {
-        let Ok(mut policy) = ad.policy.try_lock() else {
+    fn advance_epoch(&self) {
+        let Ok(mut policy) = self.policy.try_lock() else {
             return;
         };
-        let next = ad.cursor.0.load(Ordering::Relaxed);
+        let next = self.cursor.0.load(Ordering::Relaxed);
         if next >= self.total {
             return;
         }
         // Another claimant may have published past the frontier while
         // we raced for the lock; never move the descriptor backwards.
-        let (end, _) = unpack_plan(ad.plan.0.load(Ordering::Relaxed));
+        let (end, _) = unpack_plan(self.plan.0.load(Ordering::Relaxed));
         if end > next {
             return;
         }
         let remaining = self.total - next;
         let k = policy.next_chunk(next, remaining, self.workers).clamp(1, remaining);
         let new_end = next.saturating_add(epoch_span(k, remaining, self.workers)).min(self.total);
-        ad.plan.0.store(pack_plan(new_end, k), Ordering::Release);
+        self.plan.0.store(pack_plan(new_end, k), Ordering::Release);
     }
 
     /// Feeds one completed chunk's task-time statistics back to the
-    /// adaptive policy — the worker's locally accumulated µ/σ merged
-    /// in one short critical section. No-op (and no lock) for fixed
-    /// schedules.
+    /// policy — the worker's locally accumulated µ/σ merged in one
+    /// short critical section. Policies that sample nothing ignore it.
     pub fn observe_chunk(&self, start: usize, len: usize, stats: &OnlineStats) {
-        if let Mode::Adaptive(ad) = &self.mode {
-            let mut policy = ad.policy.lock().expect("chunk queue poisoned");
-            policy.observe_chunk(start, len, stats);
-        }
+        let mut policy = self.policy.lock().expect("chunk queue poisoned");
+        policy.observe_chunk(start, len, stats);
     }
 
     /// Non-blocking feedback for the claim hot path: drains a worker's
@@ -364,21 +260,15 @@ impl ChunkQueue {
     /// same `observe_chunk` calls, merely time-shifted); feedback that
     /// never wins the lock before the queue drains is dropped, which
     /// is sound because the policy only uses it to size this op's
-    /// remaining chunks. Clears the buffer without locking for fixed
-    /// schedules (which ignore feedback entirely).
+    /// remaining chunks.
     pub fn try_observe_pending(&self, pending: &mut Vec<(usize, usize, OnlineStats)>) {
         if pending.is_empty() {
             return;
         }
-        match &self.mode {
-            Mode::Adaptive(ad) => {
-                if let Ok(mut policy) = ad.policy.try_lock() {
-                    for (start, len, stats) in pending.drain(..) {
-                        policy.observe_chunk(start, len, &stats);
-                    }
-                }
+        if let Ok(mut policy) = self.policy.try_lock() {
+            for (start, len, stats) in pending.drain(..) {
+                policy.observe_chunk(start, len, &stats);
             }
-            Mode::Fixed { .. } => pending.clear(),
         }
     }
 
@@ -386,35 +276,20 @@ impl ChunkQueue {
     /// use it to decide if an operation is worth advertising to
     /// thieves; exactness is guaranteed by [`Self::claim`], not here).
     /// One direction *is* exact: once the final chunk has been handed
-    /// out, this never reports `true` again — both paths derive the
-    /// hint from the same atomic cursor a claim advances, so the hint
-    /// flips in the very `fetch_add`/CAS that hands the final chunk
-    /// out, with no window for a stale `true`.
+    /// out, this never reports `true` again — the hint is derived from
+    /// the same atomic cursor a claim advances, so it flips in the very
+    /// `fetch_add`/CAS that hands the final chunk out, with no window
+    /// for a stale `true`.
     pub fn has_more(&self) -> bool {
-        match &self.mode {
-            Mode::Fixed { bounds, cursor } => cursor.load(Ordering::Relaxed) + 1 < bounds.len(),
-            Mode::Adaptive(ad) => ad.cursor.0.load(Ordering::Relaxed) < self.total,
-        }
+        self.cursor.0.load(Ordering::Relaxed) < self.total
     }
 
-    /// The fixed-mode claim cursor (number of claims that advanced
-    /// it), or `None` for adaptive queues. Exposed so stress tests can
-    /// assert that post-exhaustion claim storms do not grow the
-    /// cursor beyond the chunk count.
-    pub fn fixed_cursor(&self) -> Option<usize> {
-        match &self.mode {
-            Mode::Fixed { cursor, .. } => Some(cursor.load(Ordering::Relaxed)),
-            Mode::Adaptive(_) => None,
-        }
-    }
-
-    /// Whether this queue resizes chunks from live observations
-    /// (TAPER). Adaptive queues want per-chunk timing feedback through
-    /// [`Self::observe_chunk`]; fixed-schedule queues ignore it. Both
-    /// kinds claim lock-free — the distinction is about feedback, not
-    /// about locking.
+    /// Whether the policy resizes chunks from live observations
+    /// (TAPER), and so wants per-chunk timing feedback through
+    /// [`Self::observe_chunk`]. Every policy claims the same way — the
+    /// distinction is about feedback, not about claiming.
     pub fn is_adaptive(&self) -> bool {
-        matches!(self.mode, Mode::Adaptive(_))
+        self.adaptive
     }
 
     /// Chunks handed out so far.
@@ -426,30 +301,16 @@ impl ChunkQueue {
     /// already cover some of them). The allocation equalizer uses it
     /// as the live `N` of a finish estimate.
     pub fn remaining(&self) -> usize {
-        match &self.mode {
-            Mode::Fixed { bounds, cursor } => {
-                let i = cursor.load(Ordering::Relaxed).min(bounds.len() - 1);
-                self.total - bounds[i]
-            }
-            Mode::Adaptive(ad) => self.total.saturating_sub(ad.cursor.0.load(Ordering::Relaxed)),
-        }
+        self.total.saturating_sub(self.cursor.0.load(Ordering::Relaxed))
     }
 
-    /// A snapshot of the µ/σ the adaptive policy has sampled so far —
-    /// the *live* statistics the §4.1.2 equalizer estimates finishing
-    /// times from. Non-blocking (`try_lock`): returns `None` when the
-    /// policy is mid-update or keeps no statistics (fixed schedules),
-    /// in which case the caller falls back to task counts.
+    /// A snapshot of the µ/σ the policy has sampled so far — the *live*
+    /// statistics the §4.1.2 equalizer estimates finishing times from.
+    /// Non-blocking (`try_lock`): returns `None` when the policy is
+    /// mid-update or keeps no statistics (everything but TAPER), in
+    /// which case the caller falls back to task counts.
     pub fn sampled_stats(&self) -> Option<OnlineStats> {
-        match &self.mode {
-            Mode::Adaptive(ad) => ad.policy.try_lock().ok().and_then(|p| p.live_stats()),
-            Mode::Fixed { .. } => None,
-        }
-    }
-
-    /// Total tasks in the operation.
-    pub fn total(&self) -> usize {
-        self.total
+        self.policy.try_lock().ok().and_then(|p| p.live_stats())
     }
 }
 
@@ -458,6 +319,14 @@ mod tests {
     use super::*;
     use crate::chunking::PolicyKind;
     use std::sync::Arc;
+
+    const KINDS: [PolicyKind; 5] = [
+        PolicyKind::SelfSched,
+        PolicyKind::Gss,
+        PolicyKind::Factoring,
+        PolicyKind::Taper,
+        PolicyKind::TaperCostFn,
+    ];
 
     fn drain_concurrently(kind: PolicyKind, total: usize, workers: usize) -> Vec<usize> {
         let q = Arc::new(ChunkQueue::new(kind.instantiate(total), total, workers));
@@ -483,15 +352,27 @@ mod tests {
         all
     }
 
+    /// Synthetic task times: a sawtooth with a heavy task every 97.
+    fn cost(i: usize) -> f64 {
+        1.0 + (i % 7) as f64 + if i % 97 < 5 { 40.0 } else { 0.0 }
+    }
+
+    /// The chunks one claimant draws from `q`, feeding each chunk's
+    /// task times back before the next claim.
+    fn one_claimant(q: &ChunkQueue) -> Vec<Chunk> {
+        let mut chunks = Vec::new();
+        while let Some(c) = q.claim() {
+            let mut stats = OnlineStats::new();
+            c.range().for_each(|i| stats.observe(cost(i)));
+            q.observe_chunk(c.start, c.len, &stats);
+            chunks.push(c);
+        }
+        chunks
+    }
+
     #[test]
     fn every_task_claimed_exactly_once() {
-        for kind in [
-            PolicyKind::SelfSched,
-            PolicyKind::Gss,
-            PolicyKind::Factoring,
-            PolicyKind::Taper,
-            PolicyKind::TaperCostFn,
-        ] {
+        for kind in KINDS {
             let claimed = drain_concurrently(kind, 1000, 4);
             assert_eq!(claimed, (0..1000).collect::<Vec<_>>(), "{}", kind.name());
         }
@@ -518,13 +399,10 @@ mod tests {
 
     #[test]
     fn adaptive_detection_per_policy() {
-        for kind in [PolicyKind::SelfSched, PolicyKind::Gss, PolicyKind::Factoring] {
+        for kind in KINDS {
             let q = ChunkQueue::new(kind.instantiate(100), 100, 4);
-            assert!(!q.is_adaptive(), "{}", kind.name());
-        }
-        for kind in [PolicyKind::Taper, PolicyKind::TaperCostFn] {
-            let q = ChunkQueue::new(kind.instantiate(100), 100, 4);
-            assert!(q.is_adaptive(), "{}", kind.name());
+            let taper = matches!(kind, PolicyKind::Taper | PolicyKind::TaperCostFn);
+            assert_eq!(q.is_adaptive(), taper, "{}", kind.name());
         }
     }
 
@@ -572,58 +450,124 @@ mod tests {
         assert!(covered.iter().all(|&b| b), "iteration space not covered");
     }
 
+    /// The chunks `policy` answers when asked once per chunk over
+    /// `total` tasks, as the simulator asks.
+    fn per_claim(mut policy: Box<dyn ChunkPolicy + Send>, total: usize, p: usize) -> Vec<Chunk> {
+        let mut chunks = Vec::new();
+        let (mut next, mut remaining) = (0usize, total);
+        while remaining > 0 {
+            let len = policy.next_chunk(next, remaining, p).clamp(1, remaining);
+            chunks.push(Chunk { start: next, len });
+            next += len;
+            remaining -= len;
+        }
+        chunks
+    }
+
     #[test]
-    fn fixed_path_replays_the_policy_chunk_sequence() {
-        // The lock-free cursor must hand out exactly the chunks the
-        // policy would have chosen one scheduling event at a time.
-        for kind in [PolicyKind::SelfSched, PolicyKind::Gss, PolicyKind::Factoring] {
-            let q = ChunkQueue::new(kind.instantiate(500), 500, 8);
-            let mut reference = kind.instantiate(500);
-            let mut remaining = 500usize;
-            let mut next = 0usize;
-            while let Some(c) = q.claim() {
-                let k = reference.next_chunk(next, remaining, 8).clamp(1, remaining);
-                assert_eq!(c, Chunk { start: next, len: k }, "{}", kind.name());
-                next += k;
-                remaining -= k;
-            }
-            assert_eq!(remaining, 0, "{}", kind.name());
+    fn one_claimant_at_one_worker_draws_the_per_claim_sequence() {
+        // At one worker every chunk is its own epoch, so the descriptor
+        // asks the policy once per claim — exactly the simulator's
+        // one-decision-per-event sequence. Both policies start warm
+        // from high-variance samples, so TAPER's first chunk is not the
+        // whole space.
+        let mut warm = OnlineStats::new();
+        (0..64).for_each(|i| warm.observe(cost(i * 13)));
+        let warmed = |kind: PolicyKind| {
+            let mut policy = kind.instantiate(500);
+            policy.observe_chunk(0, 0, &warm);
+            policy
+        };
+        for kind in KINDS {
+            let q = ChunkQueue::new(warmed(kind), 500, 1);
+            let expected = per_claim(warmed(kind), 500, 1);
+            assert!(
+                !q.is_adaptive() || expected.len() > 1,
+                "{}: a one-chunk sequence pins nothing",
+                kind.name()
+            );
+            assert_eq!(
+                std::iter::from_fn(|| q.claim()).collect::<Vec<_>>(),
+                expected,
+                "{}",
+                kind.name()
+            );
         }
     }
 
     #[test]
-    fn exhausted_has_more_is_false_and_claims_stay_none() {
-        let q = ChunkQueue::new(PolicyKind::SelfSched.instantiate(3), 3, 2);
-        while q.claim().is_some() {}
-        assert!(!q.has_more());
-        // Extra claims after exhaustion (stale steal attempts) are
-        // harmless.
-        for _ in 0..10 {
-            assert_eq!(q.claim(), None);
+    fn decisions_are_per_epoch_and_factoring_keeps_its_batches() {
+        // One claimant sized for 8 workers over 1 000 tasks: GSS decides
+        // once per epoch (half the remaining space here), while
+        // factoring keys its batches on the task index, so the batches
+        // of p equal chunks the simulator sees survive one decision per
+        // epoch. (Near the tail an epoch that starts mid-batch may reach
+        // past the batch end; the space is still covered exactly once.)
+        let lens = |kind: PolicyKind| -> Vec<usize> {
+            let q = ChunkQueue::new(kind.instantiate(1000), 1000, 8);
+            std::iter::from_fn(|| q.claim()).map(|c| c.len).collect()
+        };
+        let gss = lens(PolicyKind::Gss);
+        assert_eq!(gss[..12], [[125; 4], [63; 4], [31; 4]].concat()[..]);
+        let batches = [[63; 8], [31; 8], [16; 8], [8; 8]].concat();
+        let factoring = lens(PolicyKind::Factoring);
+        assert_eq!(factoring[..32], batches[..]);
+        let simulated = per_claim(PolicyKind::Factoring.instantiate(1000), 1000, 8);
+        assert_eq!(simulated.iter().map(|c| c.len).take(32).collect::<Vec<_>>(), batches);
+        assert_eq!(factoring.iter().sum::<usize>(), 1000);
+    }
+
+    #[test]
+    fn taper_one_claimant_sequences_are_pinned() {
+        // TAPER's one-claimant sequences, as the epoch-descriptor claim
+        // drew them when it served TAPER alone: FNV-1a of every
+        // (start, len), 1 000 tasks, feedback after every chunk.
+        let fnv = |chunks: &[Chunk]| {
+            let words = chunks.iter().flat_map(|c| [c.start as u64, c.len as u64]);
+            words.flat_map(u64::to_le_bytes).fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+            })
+        };
+        let pinned = [
+            (PolicyKind::Taper, 1, 1, 0xd342_7fbb_ed6f_e83c),
+            (PolicyKind::Taper, 2, 22, 0x4302_f329_4c6c_77bb),
+            (PolicyKind::Taper, 4, 50, 0xbb5c_a0c9_ecab_a09a),
+            (PolicyKind::Taper, 8, 96, 0x24e5_aacf_1596_3410),
+            (PolicyKind::TaperCostFn, 1, 1, 0xd342_7fbb_ed6f_e83c),
+            (PolicyKind::TaperCostFn, 2, 20, 0x52dc_c32d_79af_0e85),
+            (PolicyKind::TaperCostFn, 4, 50, 0xa454_889b_9120_d726),
+            (PolicyKind::TaperCostFn, 8, 76, 0xc703_4725_2ad0_c532),
+        ];
+        for (kind, workers, n, hash) in pinned {
+            let chunks = one_claimant(&ChunkQueue::new(kind.instantiate(1000), 1000, workers));
+            assert_eq!((chunks.len(), fnv(&chunks)), (n, hash), "{} at {workers}", kind.name());
         }
     }
 
     #[test]
-    fn fixed_cursor_capped_at_chunk_count() {
+    fn exhausted_claims_write_nothing() {
         let q = ChunkQueue::new(PolicyKind::SelfSched.instantiate(5), 5, 2);
         let mut n = 0usize;
         while q.claim().is_some() {
             n += 1;
         }
         assert_eq!(n, 5);
-        assert_eq!(q.fixed_cursor(), Some(5));
-        // Post-exhaustion claims must not advance the cursor at all.
+        assert!(!q.has_more());
+        let cursor = q.cursor.0.load(Ordering::Relaxed);
+        // Extra claims after exhaustion (stale steal attempts) are
+        // harmless, and pure loads: neither the cursor nor the chunk
+        // counter moves.
         for _ in 0..1000 {
             assert_eq!(q.claim(), None);
+            assert_eq!(q.claim_bounded(3), BoundedClaim::Exhausted);
         }
-        assert_eq!(q.fixed_cursor(), Some(5), "stale claims grew the cursor");
-        // Adaptive queues have no fixed cursor.
-        assert_eq!(ChunkQueue::new(PolicyKind::Taper.instantiate(5), 5, 2).fixed_cursor(), None);
+        assert_eq!(q.cursor.0.load(Ordering::Relaxed), cursor, "stale claims grew the cursor");
+        assert_eq!((q.chunks_claimed(), q.remaining()), (5, 0));
     }
 
     #[test]
-    fn bounded_claims_respect_limit_fixed() {
-        // Self-scheduling precomputes unit chunks, so the bounded path
+    fn bounded_claims_respect_limit_self_sched() {
+        // Self-scheduling hands out unit chunks, so the bounded path
         // must hand out exactly `limit` tasks and then report Blocked
         // (not Exhausted) until the limit rises.
         let q = ChunkQueue::new(PolicyKind::SelfSched.instantiate(8), 8, 2);

@@ -14,7 +14,10 @@ use orchestra_runtime::executor::ExecutorOptions;
 use orchestra_runtime::threaded::{
     execute_sequential, execute_threaded, ExecutorBackend, SpinKernel,
 };
-use std::time::Duration;
+use orchestra_runtime::{
+    execute_graph_resumable, FaultPlan, FaultTrigger, PolicyKind, TaskCtx, TaskKernel,
+};
+use std::time::{Duration, Instant};
 
 fn kernel() -> SpinKernel {
     SpinKernel::with_scale(8.0)
@@ -167,4 +170,33 @@ fn generous_deadline_never_perturbs_results() {
         let seq = execute_sequential(&g, &opts(backend), &k).unwrap();
         assert_eq!(run.outputs, seq.outputs, "backend {backend:?}");
     }
+}
+
+/// A resumed run's deadline is the call's, not each attempt's: 40 tasks
+/// that sleep 5 ms each on one worker, a crash at claim 30 and a 250 ms
+/// deadline. The crashed attempt spends at least 145 ms, and the replay
+/// (no checkpoint, so from scratch) at least 200 ms more — a replay
+/// granted a fresh deadline finishes, one held to what is left cannot.
+/// The sleeps bound the run time from below, so nothing lets this pass
+/// early.
+#[test]
+fn a_replay_runs_under_what_is_left_of_the_deadline() {
+    struct Sleep;
+    impl TaskKernel for Sleep {
+        fn run_task(&self, ctx: &TaskCtx<'_>) -> f64 {
+            std::thread::sleep(Duration::from_millis(5));
+            ctx.task as f64
+        }
+    }
+    let o = ExecutorOptions {
+        policy: PolicyKind::SelfSched,
+        threads: 1,
+        faults: Some(FaultPlan::crash(0, FaultTrigger::AfterClaims(30))),
+        deadline: Some(Duration::from_millis(250)),
+        ..opts(ExecutorBackend::Threaded)
+    };
+    let t0 = Instant::now();
+    let res = execute_graph_resumable(&shapes::flat(40, 1.0, 0.0), &o, &Sleep);
+    let took = t0.elapsed();
+    assert_eq!(res.map(|r| r.attempts).unwrap_err(), RunError::DeadlineExceeded, "after {took:?}");
 }
