@@ -101,17 +101,6 @@ impl Block {
         Block { stmts: Vec::new(), term: Terminator::Exit, preds: Vec::new(), role }
     }
 
-    /// Scalar variables written by statements in this block.
-    pub fn scalar_defs(&self) -> BTreeSet<Name> {
-        let mut out = BTreeSet::new();
-        for s in &self.stmts {
-            if let SimpleStmt::Assign { target: LValue::Var(v), .. } = s {
-                out.insert(v.clone());
-            }
-        }
-        out
-    }
-
     /// Scalar variables read by statements or the terminator.
     pub fn scalar_uses(&self) -> BTreeSet<Name> {
         let mut out = BTreeSet::new();

@@ -7,7 +7,7 @@
 //! each block carries the strongest disjunction of path conditions the
 //! analysis can prove.
 
-use crate::cfg::{BlockRole, LoopShape, SimpleStmt, Terminator};
+use crate::cfg::{LoopShape, SimpleStmt, Terminator};
 use crate::ssa::SsaProgram;
 use crate::symbolic::{ordered::OrderedF64, Assertion, Ineq, SymExpr, SymRange, SymValue};
 use orchestra_lang::ast::{BinOp, Expr, LValue, Name, UnOp};
@@ -295,15 +295,10 @@ pub fn to_assertion(cond: &Expr, positive: bool, values: &HashMap<Name, SymValue
     }
 }
 
-/// Finds the block role, for tests and diagnostics.
-pub fn role_of(ssa: &SsaProgram, b: usize) -> BlockRole {
-    ssa.cfg.blocks[b].role
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cfg::Cfg;
+    use crate::cfg::{BlockRole, Cfg};
     use crate::ssa::to_ssa;
     use orchestra_lang::parse_program;
 

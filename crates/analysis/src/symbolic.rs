@@ -386,14 +386,6 @@ impl SymValue {
         SymValue::Expr(SymExpr::constant(v))
     }
 
-    /// The expression if this is a single-expression value.
-    pub fn as_expr(&self) -> Option<&SymExpr> {
-        match self {
-            SymValue::Expr(e) => Some(e),
-            _ => None,
-        }
-    }
-
     /// The value as a range (a single expression becomes a point range).
     pub fn to_range(&self) -> Option<SymRange> {
         match self {

@@ -124,22 +124,6 @@ pub struct PhasedParams {
     pub carried_elems: u64,
 }
 
-impl PhasedParams {
-    /// Combined (mean, cv) of the two phase populations, used for the
-    /// baseline's single merged operation.
-    pub fn combined_phase_stats(&self) -> (f64, f64) {
-        let (ni, nd) = (self.ind_tasks as f64, self.dep_tasks as f64);
-        let n = ni + nd;
-        let mean = (ni * self.ind_mean + nd * self.dep_mean) / n;
-        let (si, sd) = (self.ind_mean * self.ind_cv, self.dep_mean * self.dep_cv);
-        let second = (ni * (si * si + self.ind_mean * self.ind_mean)
-            + nd * (sd * sd + self.dep_mean * self.dep_mean))
-            / n;
-        let var = (second - mean * mean).max(0.0);
-        (mean, var.sqrt() / mean)
-    }
-}
-
 /// Builds an [`AppWorkload`] from the phase template.
 pub fn phased_app(
     name: &'static str,
@@ -236,93 +220,6 @@ pub fn phased_app(
     AppWorkload { name, description, baseline: base, split, pipeline_iters, kernel }
 }
 
-/// Real compute kernels for the threaded backend.
-///
-/// These give the applications actual arithmetic to run when a graph
-/// executes on real threads ([`ExecutorBackend::Threaded`]
-/// (orchestra_runtime::threaded::ExecutorBackend)) instead of the
-/// simulator's cost model. Every kernel is a pure function of
-/// `(node, iter, task)` — the differential test harness depends on
-/// bit-identical results regardless of which worker runs a task or in
-/// what order.
-pub mod kernels {
-    use orchestra_runtime::threaded::{TaskCtx, TaskKernel};
-
-    /// A 1-D Jacobi relaxation: each task owns a strip of cells seeded
-    /// deterministically from its index and runs a number of sweeps
-    /// proportional to the task's cost hint — the shape of the paper's
-    /// grid applications (fluids/CFD phases).
-    #[derive(Debug, Clone, Copy)]
-    pub struct StencilKernel {
-        /// Cells per task strip.
-        pub cells: usize,
-        /// Sweep count per simulated µs of cost.
-        pub sweeps_per_us: f64,
-    }
-
-    impl Default for StencilKernel {
-        fn default() -> Self {
-            StencilKernel { cells: 32, sweeps_per_us: 1.0 }
-        }
-    }
-
-    impl TaskKernel for StencilKernel {
-        fn run_task(&self, ctx: &TaskCtx<'_>) -> f64 {
-            let n = self.cells.max(2);
-            let mut cur = vec![0.0f64; n];
-            for (i, c) in cur.iter_mut().enumerate() {
-                // Deterministic "initial condition" from the task's
-                // global position.
-                let t = (ctx.node.id * 131 + ctx.iter * 31 + ctx.task) * n + i;
-                *c = ((t as f64) * 0.618_033_988_75).fract();
-            }
-            let sweeps = (ctx.cost_hint * self.sweeps_per_us).max(1.0) as usize;
-            let mut next = cur.clone();
-            for _ in 0..sweeps {
-                for i in 0..n {
-                    let l = cur[(i + n - 1) % n];
-                    let r = cur[(i + 1) % n];
-                    next[i] = 0.25 * l + 0.5 * cur[i] + 0.25 * r;
-                }
-                std::mem::swap(&mut cur, &mut next);
-            }
-            cur.iter().sum()
-        }
-    }
-
-    /// Midpoint quadrature of a task-indexed oscillator: each task
-    /// integrates over its own subinterval with a step count
-    /// proportional to the cost hint — the shape of the paper's
-    /// particle/circuit evaluation phases (independent element loops
-    /// of very uneven cost).
-    #[derive(Debug, Clone, Copy)]
-    pub struct QuadratureKernel {
-        /// Integration steps per simulated µs of cost.
-        pub steps_per_us: f64,
-    }
-
-    impl Default for QuadratureKernel {
-        fn default() -> Self {
-            QuadratureKernel { steps_per_us: 8.0 }
-        }
-    }
-
-    impl TaskKernel for QuadratureKernel {
-        fn run_task(&self, ctx: &TaskCtx<'_>) -> f64 {
-            let steps = (ctx.cost_hint * self.steps_per_us).max(1.0) as usize;
-            let a = ctx.task as f64 + ctx.iter as f64 * 1e-2;
-            let h = 1.0 / steps as f64;
-            let omega = 1.0 + (ctx.node.id % 7) as f64;
-            let mut acc = 0.0;
-            for s in 0..steps {
-                let x = a + (s as f64 + 0.5) * h;
-                acc += (omega * x).sin() * (-x * 1e-3).exp() * h;
-            }
-            acc
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,41 +240,6 @@ mod tests {
         };
         assert_eq!(w.serial_work(), 25.0);
         w.validate();
-    }
-
-    #[test]
-    fn app_kernels_are_schedule_independent() {
-        use kernels::{QuadratureKernel, StencilKernel};
-        use orchestra_runtime::executor::ExecutorOptions;
-        use orchestra_runtime::threaded::{execute_sequential, execute_threaded, TaskKernel};
-
-        let params = PhasedParams {
-            iters: 3,
-            ind_tasks: 24,
-            ind_mean: 2.0,
-            ind_cv: 0.4,
-            dep_tasks: 8,
-            dep_mean: 2.0,
-            dep_cv: 0.4,
-            merge_cost: 1.0,
-            post_tasks: 30,
-            post_mean: 1.0,
-            post_cv: 0.1,
-            carried_elems: 64,
-        };
-        let app = phased_app("t", "", &params, Program::new("t"));
-        let mut opts = ExecutorOptions { threads: 2, ..ExecutorOptions::default() };
-        opts.pipeline_iters.clone_from(&app.pipeline_iters);
-        let kernels: [&dyn TaskKernel; 2] = [
-            &StencilKernel { cells: 8, sweeps_per_us: 1.0 },
-            &QuadratureKernel { steps_per_us: 2.0 },
-        ];
-        for kernel in kernels {
-            let seq = execute_sequential(&app.split, &opts, kernel).unwrap();
-            let thr = execute_threaded(&app.split, &opts, kernel).unwrap();
-            assert_eq!(seq.outputs, thr.outputs, "kernel results depend on schedule");
-            assert!(thr.exec_counts.iter().all(|c| c.iter().all(|&n| n == 1)));
-        }
     }
 
     #[test]

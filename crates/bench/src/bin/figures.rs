@@ -18,7 +18,7 @@ use orchestra_apps::{all_paper_workloads, climate, psirrfan};
 use orchestra_bench::{fig6_processor_counts, measure, Config, Measurement};
 use orchestra_machine::MachineConfig;
 use orchestra_runtime::{
-    allocate_pair, execute_graph, finish_estimate, AllocParams, ExecutorBackend, ExecutorOptions,
+    allocate_many, execute_graph, finish_estimate, AllocParams, ExecutorBackend, ExecutorOptions,
     OpSpec, PolicyKind,
 };
 
@@ -392,9 +392,12 @@ fn ablate_iters() {
     };
     println!("{:>9} {:>6} {:>6} {:>12}", "max_count", "p1", "p2", "imbalance");
     for max_count in [0u32, 1, 2, 4, 8] {
-        let r = allocate_pair(&big, &small, 1024, &cfg, &AllocParams { epsilon: 0.0, max_count });
-        let imb = (r.est_a - r.est_b).abs() / r.est_a.max(r.est_b);
-        println!("{:>9} {:>6} {:>6} {:>11.1}%", max_count, r.p1, r.p2, imb * 100.0);
+        let params = AllocParams { epsilon: 0.0, max_count };
+        let alloc = allocate_many(&[big, small], 1024, &cfg, &params);
+        let (p1, p2) = (alloc[0], alloc[1]);
+        let ea = finish_estimate(&big, p1, &cfg).total();
+        let eb = finish_estimate(&small, p2, &cfg).total();
+        let imb = (ea - eb).abs() / ea.max(eb);
+        println!("{:>9} {:>6} {:>6} {:>11.1}%", max_count, p1, p2, imb * 100.0);
     }
-    let _ = finish_estimate(&big, 512, &cfg);
 }

@@ -27,16 +27,6 @@ pub struct Comparison {
     pub orchestrated: ExecutionReport,
 }
 
-impl Comparison {
-    /// Speedup of orchestration over the baseline.
-    pub fn improvement(&self) -> f64 {
-        if self.orchestrated.finish <= 0.0 {
-            return 1.0;
-        }
-        self.baseline.finish / self.orchestrated.finish
-    }
-}
-
 impl Orchestrator {
     /// An orchestrator for an nCUBE-2-like machine with `p` processors.
     pub fn ncube2(p: usize) -> Self {

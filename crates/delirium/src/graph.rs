@@ -243,11 +243,6 @@ impl DelirGraph {
         self.edges.iter().filter(|e| e.to == id && !e.carried).map(|e| e.from).collect()
     }
 
-    /// Direct successors via non-carried edges.
-    pub fn succs(&self, id: NodeId) -> Vec<NodeId> {
-        self.edges.iter().filter(|e| e.from == id && !e.carried).map(|e| e.to).collect()
-    }
-
     /// Validates structure: edges reference live nodes, names unique,
     /// and the non-carried edges form a DAG.
     pub fn validate(&self) -> Result<(), GraphError> {

@@ -280,11 +280,6 @@ impl BinOp {
         matches!(self, BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge)
     }
 
-    /// Whether this is a logical connective.
-    pub fn is_logical(&self) -> bool {
-        matches!(self, BinOp::And | BinOp::Or)
-    }
-
     /// The comparison with swapped operands (`a < b` ⇔ `b > a`), if any.
     pub fn swap(&self) -> Option<BinOp> {
         Some(match self {

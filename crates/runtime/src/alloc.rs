@@ -1,21 +1,26 @@
 //! Runtime processor allocation (§4.1.2).
 //!
-//! When two parallel operations execute concurrently, the runtime
-//! rations processors between them by iteratively equalizing their
-//! finishing-time estimates — the paper's pseudocode verbatim:
+//! When parallel operations execute concurrently, the runtime rations
+//! processors between them by equalizing their finishing-time
+//! estimates. [`allocate_many_with`] is the one equalizer: the
+//! simulator (through [`allocate_many`], its modeled-machine form), the
+//! real pool's set-up and the serving daemon's scheduler all run it.
+//! For `k` operations on `p` processors it
 //!
 //! ```text
-//! epsilon = 5%
-//! p1 = p/2, p2 = p − p1, count = 0
-//! eA = finish_estimate(A, p1), eB = finish_estimate(B, p2)
-//! while (count < max_count) and (|eA − eB| > epsilon):
-//!     if eA > eB:  p1 = p1 + p2/2;  p2 = p − p1
-//!     else:        p2 = p2 + p1/2;  p1 = p − p2
-//!     eA = finish_estimate(A, p1);  eB = finish_estimate(B, p2)
-//!     count = count + 1
+//! start from the even split (p/k each, the remainder one apiece)
+//! repeat at most max_count · k times:
+//!     hi = the op with the latest estimate, lo = the earliest
+//!     stop if |e_hi − e_lo| ≤ epsilon · e_hi, or lo holds one processor
+//!     move max(1, alloc[lo]/4) processors from lo to hi
 //! ```
 //!
-//! "In practice, using a max_count of four has been sufficient."
+//! The paper's listing is the two-op case with different steps: it
+//! starts at p/2 each, moves half of the donor's processors per step,
+//! and runs at most `max_count` steps. ("In practice, using a max_count
+//! of four has been sufficient.") Quarter-of-donor moves over a budget
+//! scaled by `k` converge more gently; the paper's ε = 5 % and
+//! `max_count` = 4 are the defaults.
 //!
 //! This module also owns the runtime's other allocation concern: the
 //! [`OutputArena`], one zero-allocated buffer per operation. Workers
@@ -47,62 +52,14 @@ impl Default for AllocParams {
     }
 }
 
-/// The chosen allocation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Allocation {
-    /// Processors given to operation A.
-    pub p1: usize,
-    /// Processors given to operation B.
-    pub p2: usize,
-    /// Final finishing-time estimate for A.
-    pub est_a: f64,
-    /// Final finishing-time estimate for B.
-    pub est_b: f64,
-    /// Iterations used.
-    pub iterations: u32,
-}
-
-/// Rations `p` processors between two concurrently executing parallel
-/// operations, equalizing their estimated finishing times.
+/// Rations `p` processors among `k ≥ 1` concurrently executing
+/// operations by the module's equalizer, estimating each operation's
+/// finishing time on the modeled machine `cfg`.
 ///
 /// # Panics
 ///
-/// Panics if `p < 2` (each operation needs at least one processor).
-pub fn allocate_pair(
-    a: &OpSpec,
-    b: &OpSpec,
-    p: usize,
-    cfg: &MachineConfig,
-    params: &AllocParams,
-) -> Allocation {
-    assert!(p >= 2, "allocation needs at least two processors");
-    let mut p1 = p / 2;
-    let mut p2 = p - p1;
-    let mut count = 0;
-    let mut ea = finish_estimate(a, p1, cfg).total();
-    let mut eb = finish_estimate(b, p2, cfg).total();
-    while count < params.max_count
-        && (ea - eb).abs() > params.epsilon * ea.max(eb).max(f64::EPSILON)
-    {
-        if ea > eb {
-            p1 = (p1 + p2 / 2).min(p - 1);
-        } else {
-            let p2_grown = (p2 + p1 / 2).min(p - 1);
-            p1 = p - p2_grown;
-        }
-        p1 = p1.clamp(1, p - 1);
-        p2 = p - p1;
-        ea = finish_estimate(a, p1, cfg).total();
-        eb = finish_estimate(b, p2, cfg).total();
-        count += 1;
-    }
-    Allocation { p1, p2, est_a: ea, est_b: eb, iterations: count }
-}
-
-/// Generalization to `k ≥ 1` concurrent operations: start from an even
-/// split and repeatedly move processors from the earliest-finishing
-/// operation to the latest-finishing one (pairwise equalization steps),
-/// bounded by `max_count · k` moves.
+/// Panics if `ops` is empty or `p < ops.len()` (each operation needs at
+/// least one processor).
 pub fn allocate_many(
     ops: &[OpSpec],
     p: usize,
@@ -132,13 +89,8 @@ pub fn allocate_many_with(
         return vec![p];
     }
     let mut alloc = vec![p / k; k];
-    let mut extra = p - p / k * k;
-    for a in alloc.iter_mut() {
-        if extra == 0 {
-            break;
-        }
+    for a in alloc.iter_mut().take(p % k) {
         *a += 1;
-        extra -= 1;
     }
     for _ in 0..params.max_count * k as u32 {
         let (mut hi, mut lo) = (0, 0);
@@ -157,7 +109,7 @@ pub fn allocate_many_with(
         if hi == lo || (hi_e - lo_e) <= params.epsilon * hi_e || alloc[lo] <= 1 {
             break;
         }
-        // Move half of the donor's surplus (at least one processor).
+        // Move a quarter of the donor's processors (at least one).
         let transfer = (alloc[lo] / 4).max(1).min(alloc[lo] - 1);
         alloc[lo] -= transfer;
         alloc[hi] += transfer;
@@ -590,10 +542,8 @@ mod tests {
     fn equal_ops_get_equal_processors() {
         let a = spec(2048, 50.0, 0.3);
         let cfg = MachineConfig::ncube2(64);
-        let r = allocate_pair(&a, &a.clone(), 64, &cfg, &AllocParams::default());
-        assert_eq!(r.p1, 32);
-        assert_eq!(r.p2, 32);
-        assert_eq!(r.iterations, 0, "already balanced");
+        let alloc = allocate_many(&[a, a], 64, &cfg, &AllocParams::default());
+        assert_eq!(alloc, [32, 32], "already balanced");
     }
 
     #[test]
@@ -601,9 +551,9 @@ mod tests {
         let big = spec(8192, 100.0, 0.3);
         let small = spec(512, 20.0, 0.3);
         let cfg = MachineConfig::ncube2(128);
-        let r = allocate_pair(&big, &small, 128, &cfg, &AllocParams::default());
-        assert!(r.p1 > r.p2, "A has 80× the work: p1={} p2={}", r.p1, r.p2);
-        assert_eq!(r.p1 + r.p2, 128);
+        let alloc = allocate_many(&[big, small], 128, &cfg, &AllocParams::default());
+        assert!(alloc[0] > alloc[1], "A has 80× the work: {alloc:?}");
+        assert_eq!(alloc[0] + alloc[1], 128);
     }
 
     #[test]
@@ -611,22 +561,24 @@ mod tests {
         let big = spec(8192, 100.0, 0.5);
         let small = spec(1024, 10.0, 0.1);
         let cfg = MachineConfig::ncube2(256);
-        let even_a = finish_estimate(&big, 128, &cfg).total();
-        let even_b = finish_estimate(&small, 128, &cfg).total();
-        let r = allocate_pair(&big, &small, 256, &cfg, &AllocParams::default());
-        let before = (even_a - even_b).abs();
-        let after = (r.est_a - r.est_b).abs();
+        let imbalance = |p1: usize, p2: usize| {
+            (finish_estimate(&big, p1, &cfg).total() - finish_estimate(&small, p2, &cfg).total())
+                .abs()
+        };
+        let alloc = allocate_many(&[big, small], 256, &cfg, &AllocParams::default());
+        let (before, after) = (imbalance(128, 128), imbalance(alloc[0], alloc[1]));
         assert!(after < before, "imbalance must shrink: {before} → {after}");
     }
 
     #[test]
-    fn iterations_bounded_by_max_count() {
+    fn zero_budget_keeps_the_even_split() {
         let big = spec(1_000_000, 100.0, 0.0);
         let small = spec(1, 1.0, 0.0);
         let cfg = MachineConfig::ncube2(1024);
-        let r = allocate_pair(&big, &small, 1024, &cfg, &AllocParams::default());
-        assert!(r.iterations <= 4);
-        assert!(r.p1 >= 1 && r.p2 >= 1);
+        let params = AllocParams { max_count: 0, ..AllocParams::default() };
+        assert_eq!(allocate_many(&[big, small], 1024, &cfg, &params), [512, 512]);
+        let three = allocate_many(&[big, small, small], 1024, &cfg, &params);
+        assert_eq!(three, [342, 341, 341]);
     }
 
     #[test]
@@ -648,18 +600,6 @@ mod tests {
     }
 
     #[test]
-    fn pair_and_many_agree_roughly() {
-        let a = spec(8192, 100.0, 0.3);
-        let b = spec(512, 20.0, 0.3);
-        let cfg = MachineConfig::ncube2(128);
-        let pair = allocate_pair(&a, &b, 128, &cfg, &AllocParams::default());
-        let many = allocate_many(&[a, b], 128, &cfg, &AllocParams::default());
-        // Same direction of skew.
-        assert!(many[0] > many[1]);
-        assert!(pair.p1 > pair.p2);
-    }
-
-    #[test]
     fn many_with_uses_the_supplied_estimator() {
         // A trivial work/p estimator must still skew toward the op
         // with more total work, without any MachineConfig in sight.
@@ -672,9 +612,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least two processors")]
-    fn pair_rejects_single_processor() {
-        let cfg = MachineConfig::ncube2(1);
-        allocate_pair(&spec(1, 1.0, 0.0), &spec(1, 1.0, 0.0), 1, &cfg, &AllocParams::default());
+    #[should_panic(expected = "at least one processor per operation")]
+    fn fewer_processors_than_ops_is_refused() {
+        let cfg = MachineConfig::ncube2(2);
+        let op = spec(1, 1.0, 0.0);
+        allocate_many(&[op, op, op], 2, &cfg, &AllocParams::default());
     }
 }

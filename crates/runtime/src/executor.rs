@@ -351,21 +351,22 @@ pub fn execute_graph(
             }
         }
 
-        // Each single node and each pipeline group is one allocation
-        // unit.
+        // Each single node and each pipeline group (with its iteration
+        // count) is one allocation unit.
         #[derive(Debug)]
         enum Unit {
             Single(NodeId),
-            Pipeline(String, Vec<NodeId>),
+            Pipeline(String, Vec<NodeId>, usize),
         }
         let mut units: Vec<Unit> = singles.into_iter().map(Unit::Single).collect();
         for (name, nodes) in groups {
-            units.push(Unit::Pipeline(name, nodes));
+            let iters = opts.pipeline_iters.get(&name).copied().unwrap_or(1);
+            units.push(Unit::Pipeline(name, nodes, iters));
         }
         // Deterministic order.
         units.sort_by_key(|u| match u {
             Unit::Single(v) => (0, *v),
-            Unit::Pipeline(_, vs) => (1, vs[0]),
+            Unit::Pipeline(_, vs, _) => (1, vs[0]),
         });
         if units.is_empty() {
             continue; // level held only already-run pipeline members
@@ -404,137 +405,65 @@ pub fn execute_graph(
             t
         }
 
-        // Allocate processors across units.
-        let specs: Vec<OpSpec> = units
-            .iter()
-            .map(|u| match u {
-                Unit::Single(v) => OpSpec::of_node(&g.nodes[*v].kind, BYTES_PER_TASK, opts.policy),
-                Unit::Pipeline(name, vs) => {
-                    let iters = opts.pipeline_iters.get(name).copied().unwrap_or(1).max(1);
-                    let pieces: Vec<OpSpec> = vs
-                        .iter()
-                        .map(|&v| OpSpec::of_node(&g.nodes[v].kind, BYTES_PER_TASK, opts.policy))
-                        .collect();
-                    pipeline_group_spec(&pieces, iters, opts.policy)
-                }
-            })
-            .collect();
-        // Candidate allocations: the paper's finishing-time equalizer
-        // and a work-proportional split. The runtime "uses runtime
-        // information to improve the scheduling efficiency": we simulate
-        // the level under each candidate and keep the better one.
-        let even_split = |k: usize| -> Vec<usize> {
-            let base = p_total / k;
-            let mut v = vec![base.max(1); k];
-            let used: usize = v.iter().sum();
-            if used < p_total {
-                v[0] += p_total - used;
-            }
-            v
-        };
-        let proportional = |specs: &[OpSpec]| -> Vec<usize> {
-            let total: f64 = specs.iter().map(|s| s.total_work()).sum();
-            if total <= 0.0 {
-                return even_split(specs.len());
-            }
-            let mut v: Vec<usize> = specs
-                .iter()
-                .map(|s| ((s.total_work() / total) * p_total as f64).floor() as usize)
-                .map(|x| x.max(1))
-                .collect();
-            let mut used: usize = v.iter().sum();
-            // Distribute remainder to the largest op; trim overshoot.
-            while used < p_total {
-                let i = (0..v.len())
-                    .max_by(|&a, &b| specs[a].total_work().total_cmp(&specs[b].total_work()))
-                    .expect("nonempty");
-                v[i] += 1;
-                used += 1;
-            }
-            while used > p_total {
-                let i = (0..v.len()).max_by_key(|&i| v[i]).expect("nonempty");
-                if v[i] > 1 {
-                    v[i] -= 1;
-                    used -= 1;
-                } else {
-                    break;
-                }
-            }
-            v
-        };
-        let candidates: Vec<Vec<usize>> = if units.len() == 1 {
-            vec![vec![p_total]]
+        // Allocate processors across units: from the equalizer's
+        // estimates, or evenly. A level with more units than processors
+        // cannot be split; its units run one after another, each on the
+        // whole machine.
+        let k = units.len();
+        let serial = k > p_total;
+        let alloc: Vec<usize> = if serial {
+            vec![p_total; k]
         } else if opts.use_allocation {
-            vec![allocate_many(&specs, p_total, cfg, &AllocParams::default()), proportional(&specs)]
+            let spec_of =
+                |v: NodeId| OpSpec::of_node(&g.nodes[v].kind, BYTES_PER_TASK, opts.policy);
+            let specs: Vec<OpSpec> = units
+                .iter()
+                .map(|u| match u {
+                    Unit::Single(v) => spec_of(*v),
+                    Unit::Pipeline(_, vs, iters) => {
+                        let pieces: Vec<OpSpec> = vs.iter().map(|&v| spec_of(v)).collect();
+                        pipeline_group_spec(&pieces, *iters, opts.policy)
+                    }
+                })
+                .collect();
+            allocate_many(&specs, p_total, cfg, &AllocParams::default())
         } else {
-            vec![even_split(units.len())]
+            let mut even = vec![p_total / k; k];
+            even[0] += p_total % k;
+            even
         };
 
-        // Simulate the level under one allocation without committing.
-        let simulate_level = |alloc: &[usize],
-                              node_finish: &[f64]|
-         -> (f64, Vec<NodeReport>, Vec<(NodeId, f64)>) {
-            let mut level_end = clock;
-            let mut local_reports = Vec::new();
-            let mut finishes = Vec::new();
-            let mut offset = 0usize;
-            for (u, &p_u) in units.iter().zip(alloc) {
-                match u {
-                    Unit::Single(v) => {
-                        let start =
-                            unit_ready(std::slice::from_ref(v), clock, g, cfg, node_finish, p_u);
-                        let end = run_node(&g.nodes[*v], p_u, start, offset, cfg, opts);
-                        finishes.push((*v, end));
-                        local_reports.push(NodeReport {
-                            name: g.nodes[*v].name.clone(),
-                            start,
-                            finish: end,
-                            procs: p_u,
-                        });
-                        level_end = level_end.max(end);
-                    }
-                    Unit::Pipeline(name, vs) => {
-                        let start = unit_ready(vs, clock, g, cfg, node_finish, p_u);
-                        let iters = opts.pipeline_iters.get(name).copied().unwrap_or(1);
-                        let end = run_pipeline(g, vs, iters, p_u, start, offset, cfg, opts);
-                        for &v in vs {
-                            finishes.push((v, end));
-                        }
-                        local_reports.push(NodeReport {
-                            name: format!("pipeline:{name}"),
-                            start,
-                            finish: end,
-                            procs: p_u,
-                        });
-                        level_end = level_end.max(end);
-                    }
+        let mut level_end = clock;
+        let mut offset = 0usize;
+        for (u, &p_u) in units.iter().zip(&alloc) {
+            // A serial level's unit waits for the one before it.
+            let floor = if serial { level_end } else { clock };
+            let (name, vs, start, end) = match u {
+                Unit::Single(v) => {
+                    let vs = std::slice::from_ref(v);
+                    let start = unit_ready(vs, floor, g, cfg, &node_finish, p_u);
+                    let end = run_node(&g.nodes[*v], p_u, start, offset, cfg, opts);
+                    serial_work += g.nodes[*v].kind.total_work();
+                    (g.nodes[*v].name.clone(), vs, start, end)
                 }
+                Unit::Pipeline(name, vs, iters) => {
+                    let start = unit_ready(vs, floor, g, cfg, &node_finish, p_u);
+                    let end = run_pipeline(g, vs, *iters, p_u, start, offset, cfg, opts);
+                    for &v in vs {
+                        serial_work += g.nodes[v].kind.total_work() * *iters as f64;
+                    }
+                    (format!("pipeline:{name}"), vs.as_slice(), start, end)
+                }
+            };
+            for &v in vs {
+                node_finish[v] = end;
+            }
+            reports.push(NodeReport { name, start, finish: end, procs: p_u });
+            level_end = level_end.max(end);
+            if !serial {
                 offset += p_u;
             }
-            (level_end, local_reports, finishes)
-        };
-
-        let best = candidates
-            .iter()
-            .map(|alloc| simulate_level(alloc, &node_finish))
-            .min_by(|a, b| a.0.total_cmp(&b.0))
-            .expect("at least one candidate");
-        let (level_end, local_reports, finishes) = best;
-        for (v, end) in finishes {
-            node_finish[v] = end;
         }
-        for u in &units {
-            match u {
-                Unit::Single(v) => serial_work += g.nodes[*v].kind.total_work(),
-                Unit::Pipeline(name, vs) => {
-                    let iters = opts.pipeline_iters.get(name).copied().unwrap_or(1);
-                    for &v in vs {
-                        serial_work += g.nodes[v].kind.total_work() * iters as f64;
-                    }
-                }
-            }
-        }
-        reports.extend(local_reports);
         clock = level_end;
     }
 
@@ -543,8 +472,8 @@ pub fn execute_graph(
 
 /// Simulates a pipelined loop: nodes with carried edges (plus merges)
 /// form the dependent stage; the rest is the independent stage. With
-/// overlap enabled, the two stages run concurrently on partitions
-/// chosen by the allocation equalizer; otherwise every piece
+/// overlap enabled, the two stages share the unit's `p` processors
+/// (see the steady-state comment below); otherwise every piece
 /// synchronizes, reproducing the unpipelined baseline.
 #[allow(clippy::too_many_arguments)]
 fn run_pipeline(
@@ -775,6 +704,35 @@ mod tests {
             with.finish,
             without.finish
         );
+    }
+
+    /// A level with more units than processors cannot be split: its
+    /// units run one after another on the whole machine, so the level
+    /// takes at least its serial work over `p`, and no unit is given a
+    /// processor the machine does not have.
+    #[test]
+    fn more_units_than_processors_run_one_after_another() {
+        let mut g = DelirGraph::new();
+        for name in ["X", "Y", "Z"] {
+            g.add_node(name, NodeKind::DataParallel { tasks: 64, mean_cost: 1.0, cv: 0.0 }, None);
+        }
+        for p in [1, 2] {
+            let cfg = MachineConfig::ncube2(p);
+            for use_allocation in [true, false] {
+                let opts = ExecutorOptions { use_allocation, ..ExecutorOptions::default() };
+                let r = execute_graph(&g, &cfg, &opts).unwrap();
+                assert!(
+                    r.finish >= r.serial_work / p as f64,
+                    "p={p} allocation={use_allocation}: finish {} before {} of serial work",
+                    r.finish,
+                    r.serial_work
+                );
+                assert!(r.nodes.iter().all(|n| n.procs == p), "{:?}", r.nodes);
+                for w in r.nodes.windows(2) {
+                    assert!(w[1].start >= w[0].finish, "units overlap: {:?}", r.nodes);
+                }
+            }
+        }
     }
 
     #[test]

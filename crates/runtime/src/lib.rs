@@ -55,7 +55,7 @@ pub mod run;
 pub mod stats;
 pub mod threaded;
 
-pub use alloc::{allocate_many, allocate_pair, AllocParams, Allocation, OutputArena, Publication};
+pub use alloc::{allocate_many, AllocParams, OutputArena, Publication};
 pub use asynch::{execute_async, resolve_drivers};
 pub use cancel::{CancelToken, RunError};
 pub use checkpoint::{

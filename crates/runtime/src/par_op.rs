@@ -9,6 +9,7 @@
 
 use crate::chunking::{ChunkPolicy, PolicyKind};
 use orchestra_machine::{EventQueue, MachineConfig, RunStats};
+use std::ops::Range;
 
 /// Options for one parallel-operation simulation.
 #[derive(Debug, Clone, Copy)]
@@ -63,7 +64,7 @@ pub fn owner_of(i: usize, n: usize, p: usize) -> usize {
 }
 
 /// The tasks [`owner_of`] places on processor `q`: one contiguous block.
-pub(crate) fn block_of(q: usize, n: usize, p: usize) -> std::ops::Range<usize> {
+pub(crate) fn block_of(q: usize, n: usize, p: usize) -> Range<usize> {
     // ⌊i·p/n⌋ = q exactly when q·n ≤ i·p < (q+1)·n.
     (q * n).div_ceil(p)..((q + 1) * n).div_ceil(p)
 }
@@ -110,18 +111,12 @@ pub fn simulate_dynamic(
     let n = costs.len();
     let mut stats = RunStats::new(p);
     let mut queue: EventQueue<usize> = EventQueue::new();
-    // Per-processor pending ranges, as (lo, hi) of the owned block.
-    let mut local: Vec<std::collections::VecDeque<usize>> =
-        vec![std::collections::VecDeque::new(); p];
-    for i in 0..n {
-        local[owner_of(i, n, p)].push_back(i);
-    }
+    // Per-processor pending ranges: what is left of each owned block.
+    let mut local: Vec<Range<usize>> = (0..p).map(|q| block_of(q, n, p)).collect();
     let mut remaining = n;
     let mut chunks = 0u64;
     let mut migrated = 0u64;
     let mut finish = opts.start_time;
-    // Reused across chunks — the hot loop allocates nothing.
-    let mut taken: Vec<usize> = Vec::new();
 
     // All processors request work at the start.
     for q in 0..p {
@@ -134,10 +129,13 @@ pub fn simulate_dynamic(
         let next_hint = n - remaining;
         let k = policy.next_chunk(next_hint, remaining, p).clamp(1, remaining);
         let mut transfer = 0.0;
-        taken.clear();
-        if !local[q].is_empty() {
+        // The chunk, and whether it was stolen (taken from the back of
+        // the victim's block, last task first).
+        let (span, stolen) = if !local[q].is_empty() {
             let take = k.min(local[q].len());
-            taken.extend((0..take).map(|_| local[q].pop_front().expect("len checked")));
+            let span = local[q].start..local[q].start + take;
+            local[q].start += take;
+            (span, false)
         } else {
             // Steal from the most-loaded processor (at most half its
             // remaining block, never more than the chunk).
@@ -146,23 +144,23 @@ pub fn simulate_dynamic(
                 continue;
             }
             let take = k.min(local[victim].len().div_ceil(2));
-            taken.extend((0..take).map(|_| local[victim].pop_back().expect("len checked")));
-            let bytes = taken.len() as u64 * opts.bytes_per_task;
+            let span = local[victim].end - take..local[victim].end;
+            local[victim].end -= take;
+            let bytes = take as u64 * opts.bytes_per_task;
             transfer = cfg.msg_time(opts.proc_offset + victim, opts.proc_offset + q, bytes);
-            migrated += taken.len() as u64;
-        }
-        if taken.is_empty() {
-            continue;
-        }
-        remaining -= taken.len();
+            migrated += take as u64;
+            (span, true)
+        };
+        remaining -= span.len();
         chunks += 1;
         let mut work = 0.0;
-        for &i in &taken {
+        for j in 0..span.len() {
+            let i = if stolen { span.end - 1 - j } else { span.start + j };
             work += costs[i];
             policy.observe(i, costs[i]);
         }
         let end = t + cfg.sched_overhead + transfer + work;
-        stats.record_chunk(q, taken.len() as u64, work, end);
+        stats.record_chunk(q, span.len() as u64, work, end);
         finish = finish.max(end);
         queue.push(end, q);
     }

@@ -668,8 +668,6 @@ pub struct RunReport {
     /// Per-worker busy/tasks/chunks, assembled with
     /// [`RunStats::from_procs`] exactly as the simulator reports runs.
     pub stats: RunStats,
-    /// Per-worker online µ/σ over task times (µs); threaded pool only.
-    pub worker_timing: Vec<OnlineStats>,
     /// Per-op records, aligned with the plan's op order.
     pub ops: Vec<OpRecord>,
     /// Output buffers, aligned with the plan's op order — bitwise what
@@ -757,7 +755,6 @@ impl RunReport {
             wall_us,
             workers: procs.len(),
             stats: RunStats::from_procs(procs, wall_us),
-            worker_timing: Vec::new(),
             claims: ops.iter().map(|o| o.chunks).sum(),
             yields: ops.iter().map(|o| o.yields).sum(),
             polls: 0,

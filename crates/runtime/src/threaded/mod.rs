@@ -428,12 +428,11 @@ pub(crate) fn run_threaded(
 
     let mut steal = StealStats::new();
     let mut pinned_workers = 0usize;
-    let (mut procs, mut worker_timing, mut logs) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut procs, mut logs) = (Vec::new(), Vec::new());
     for r in records {
         steal.merge(&r.steal);
         pinned_workers += usize::from(r.pinned);
         procs.push(r.proc);
-        worker_timing.push(r.timing);
         logs.push(r.log);
     }
     let mut dist_tasks = 0usize;
@@ -457,14 +456,7 @@ pub(crate) fn run_threaded(
     let report = RunReport::from_run(wall_us, procs, op_records, states, &logs, arena, &ctl)?;
     let locality =
         if dist_tasks == 0 { 1.0 } else { 1.0 - report.migrated_tasks as f64 / dist_tasks as f64 };
-    Ok(RunReport {
-        worker_timing,
-        locality,
-        steal,
-        pinned_workers,
-        topology: wt.fingerprint(),
-        ..report
-    })
+    Ok(RunReport { locality, steal, pinned_workers, topology: wt.fingerprint(), ..report })
 }
 
 /// Executes the same plan on the calling thread in dependency order —

@@ -225,8 +225,6 @@ pub struct WorkerRecord {
     /// Busy time / task count / chunk count, as the simulator records
     /// them per processor.
     pub proc: ProcStats,
-    /// Online µ/σ over this worker's task times (µs).
-    pub timing: OnlineStats,
     /// Steal counters bucketed by hierarchy distance.
     pub steal: StealStats,
     /// Whether the kernel accepted this worker's CPU pin (always
@@ -453,7 +451,6 @@ fn worker_loop(shared: &Shared<'_>, id: usize, kernel: &(dyn TaskKernel + Sync))
     // the worker floating and the run proceeds unaffected.
     let mut me = WorkerRecord {
         proc: ProcStats::default(),
-        timing: OnlineStats::new(),
         steal: StealStats::new(),
         pinned: shared.pin && pin_current_thread(shared.topo.cpu_of_worker[id]),
         log: ExecLog::default(),
@@ -682,7 +679,6 @@ fn run_op(
             pending.push((chunk.start, chunk.len, chunk_stats));
             queue.try_observe_pending(&mut pending);
         }
-        me.timing.merge(&chunk_stats);
         me.proc.tasks += chunk.len as u64;
         me.proc.chunks += 1;
         me.proc.busy += prev.duration_since(chunk_t0).as_secs_f64() * 1e6;

@@ -20,7 +20,7 @@
 //! computation `C_M` are generated exactly as in Figures 2–4.
 
 use orchestra_analysis::symbolic::{Ineq, Name, SymExpr, SymRange};
-use orchestra_descriptors::{Descriptor, Guard, LoopIteration, MaskRel, MaskTest, SymCtx, Triple};
+use orchestra_descriptors::{Descriptor, Guard, LoopIteration, MaskRel, MaskTest, Triple};
 use orchestra_lang::ast::{BinOp, Decl, Expr, LValue, Program, Range, Stmt};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -709,15 +709,10 @@ fn copy_stmt(t: &Triple, replica: &Name, fresh: &mut FreshNames) -> Option<Stmt>
     Some(stmt)
 }
 
-/// Convenience context builder used by the split driver and tests.
-pub fn ctx_of(prog: &Program) -> SymCtx {
-    SymCtx::from_program(prog)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use orchestra_descriptors::{descriptor_of_stmt, loop_iteration_descriptor};
+    use orchestra_descriptors::{descriptor_of_stmt, loop_iteration_descriptor, SymCtx};
     use orchestra_lang::parse_program;
 
     #[test]

@@ -5,6 +5,10 @@
 use orchestra_apps::{all_paper_workloads, psirrfan, Scale};
 use orchestra_bench::{measure, Config};
 use orchestra_core::{graph_of_compiled, Orchestrator};
+use orchestra_machine::MachineConfig;
+use orchestra_runtime::{
+    allocate_many, execute_graph, AllocParams, ExecutorOptions, OpSpec, PolicyKind,
+};
 
 #[test]
 fn every_app_kernel_compiles_and_runs() {
@@ -43,6 +47,38 @@ fn split_beats_taper_on_every_app_at_scale() {
             tp.speedup
         );
     }
+}
+
+/// The simulator allocates a level from estimates alone: on Psirrfan's
+/// split graph, level 0's two units (`B_I` and the pipelined phases)
+/// get exactly what the equalizer gives their specs.
+#[test]
+fn simulator_keeps_the_equalizers_allocation() {
+    const BYTES_PER_TASK: u64 = 32;
+    let w = psirrfan::workload(&psirrfan::paper_scale());
+    let policy = PolicyKind::TaperCostFn;
+    let mut opts = ExecutorOptions { policy, ..ExecutorOptions::default() };
+    opts.pipeline_iters.extend(w.pipeline_iters.clone());
+    let cfg = MachineConfig::ncube2(1024);
+    let report = execute_graph(&w.split, &cfg, &opts).expect("split graph valid");
+
+    let spec = |name: &str| {
+        let node = w.split.nodes.iter().find(|n| n.name == name).expect("node exists");
+        OpSpec::of_node(&node.kind, BYTES_PER_TASK, policy)
+    };
+    let phase = OpSpec::pooled(&[spec("A_I"), spec("A_D"), spec("A_M")], policy);
+    let iters = w.pipeline_iters["phase"];
+    let phases = OpSpec {
+        tasks: phase.tasks * iters,
+        bytes_in: phase.bytes_in * iters as u64,
+        bytes_out: phase.bytes_out * iters as u64,
+        ..phase
+    };
+    let want = allocate_many(&[spec("B_I"), phases], 1024, &cfg, &AllocParams::default());
+    assert_eq!(want, [52, 972]);
+    let level0: Vec<(&str, usize)> =
+        report.nodes[..2].iter().map(|n| (n.name.as_str(), n.procs)).collect();
+    assert_eq!(level0, [("B_I", want[0]), ("pipeline:phase", want[1])]);
 }
 
 #[test]
