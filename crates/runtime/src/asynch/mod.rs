@@ -44,7 +44,7 @@ use crate::cancel::RunError;
 use crate::checkpoint::{ResumeState, RunCtl};
 use crate::executor::ExecutorOptions;
 use crate::run::{self, set_up, snapshot_ops, ExecLog, OpRecord, OpState, RunReport, Setup};
-use crate::stats::{OnlineStats, StealStats};
+use crate::stats::OnlineStats;
 use crate::threaded::crew::run_on_threads;
 use crate::threaded::queue::{BoundedClaim, Chunk, ChunkQueue};
 use crate::threaded::{build_plan, Plan, TaskKernel};
@@ -320,7 +320,7 @@ pub(crate) fn run_async(
     let wall_us = us_since(shared.epoch);
 
     let polls: u64 = records.iter().map(|r| r.polls).sum();
-    let steal = StealStats { steals: records.iter().map(|r| r.steals).sum(), ..StealStats::new() };
+    let steals: u64 = records.iter().map(|r| r.steals).sum();
     // End the arena borrow (the drivers have joined) so its buffers
     // can be handed out as the run's outputs.
     let AsyncShared { ops, ctl, logs, .. } = shared;
@@ -337,7 +337,7 @@ pub(crate) fn run_async(
         .collect();
     let states = ops.into_iter().map(|op| op.state);
     let report = RunReport::from_run(wall_us, procs, op_records, states, &logs, arena, &ctl)?;
-    Ok(RunReport { polls, spawned, steal, ..report })
+    Ok(RunReport { polls, spawned, steals, ..report })
 }
 
 #[cfg(test)]

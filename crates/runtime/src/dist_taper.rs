@@ -115,7 +115,7 @@ pub fn simulate_dist_taper(
 ) -> DistResult {
     let p = p.max(1);
     let members: Vec<usize> = (0..p).collect();
-    let mut coord = Coord::new(costs.len(), vec![0; p], &members);
+    let mut coord = Coord::new(costs.len(), p, &members);
     let mut stats = RunStats::new(p);
     // What each processor knows: the last epoch broadcast to reach it,
     // whether its work request is out, whether it is running a chunk.

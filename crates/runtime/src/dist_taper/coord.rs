@@ -55,10 +55,6 @@ pub(crate) struct Coord {
     /// Each worker's own block, where its home started (empty for a
     /// non-member): a task claimed outside it has migrated.
     own: Vec<Range<usize>>,
-    /// NUMA node of each worker; re-assignment prefers a laggard on the
-    /// claimant's node, so migrated tasks cross a node boundary only
-    /// when no same-node laggard exists.
-    node_of: Vec<usize>,
     /// Workers excused from epoch completion: the non-members, until
     /// admitted.
     retired: Vec<bool>,
@@ -75,23 +71,20 @@ pub(crate) struct Coord {
     pub chunks: u64,
     /// Re-assignments, by the root or by admission.
     pub reassignments: u64,
-    /// Re-assignments whose laggard (or donor) sits on another node.
-    pub remote_reassignments: u64,
     /// Tasks drawn outside the drawing worker's own block.
     pub migrated: u64,
 }
 
 impl Coord {
-    /// A coordinator over `total` tasks for the workers `node_of`
-    /// places, block-decomposing the iteration space over `members`
-    /// only (owner-computes placement). Non-members start retired with
-    /// empty homes; [`admit`](Self::admit) widens the partition.
+    /// A coordinator over `total` tasks for `workers` workers,
+    /// block-decomposing the iteration space over `members` only
+    /// (owner-computes placement). Non-members start retired with empty
+    /// homes; [`admit`](Self::admit) widens the partition.
     ///
     /// # Panics
     ///
-    /// Panics if `members` is empty or names a worker `node_of` does not.
-    pub fn new(total: usize, node_of: Vec<usize>, members: &[usize]) -> Self {
-        let workers = node_of.len();
+    /// Panics if `members` is empty or names a worker past `workers`.
+    pub fn new(total: usize, workers: usize, members: &[usize]) -> Self {
         assert!(!members.is_empty(), "partition needs at least one member");
         assert!(members.iter().all(|&m| m < workers), "member out of range");
         let mut homes = vec![Home::new(); workers];
@@ -107,7 +100,6 @@ impl Coord {
         Coord {
             homes,
             own,
-            node_of,
             retired,
             policy: Taper::new(),
             total,
@@ -116,7 +108,6 @@ impl Coord {
             epoch_times: Vec::new(),
             chunks: 0,
             reassignments: 0,
-            remote_reassignments: 0,
             migrated: 0,
         }
     }
@@ -158,9 +149,8 @@ impl Coord {
     /// `worker`, if the sampled cv clears [`Taper::reassign_signal`]:
     /// with (near-)uniform costs there is no imbalance to repair, and an
     /// ungated root would steal on mere token-latency asymmetry. Among
-    /// eligible laggards the root takes one on `worker`'s node before a
-    /// remote one, then the fullest (the last on a tie). The runs come
-    /// back in transit, in order, for the caller to
+    /// eligible laggards the root takes the fullest (the last on a
+    /// tie). The runs come back in transit, in order, for the caller to
     /// [`deliver`](Self::deliver).
     ///
     /// Once every non-retired worker has tokened the current epoch, the
@@ -176,7 +166,7 @@ impl Coord {
         let laggard = if counts[worker] >= 2 && self.policy.reassign_signal(workers) {
             (0..workers)
                 .filter(|&b| b != worker && counts[b] == 0 && !self.homes[b].is_empty())
-                .max_by_key(|&b| (self.node_of[b] == self.node_of[worker], self.home_len(b)))
+                .max_by_key(|&b| self.home_len(b))
         } else {
             None
         };
@@ -267,7 +257,6 @@ impl Coord {
             runs[0].start += keep;
         }
         self.reassignments += 1;
-        self.remote_reassignments += u64::from(self.node_of[from] != self.node_of[to]);
         Move { from, to, runs }
     }
 }
@@ -313,7 +302,7 @@ mod tests {
         fn new(n: usize, p: usize, members: &[usize]) -> Self {
             let live: Vec<bool> = (0..p).map(|w| members.contains(&w)).collect();
             World {
-                coord: Coord::new(n, vec![0; p], members),
+                coord: Coord::new(n, p, members),
                 owed: vec![VecDeque::new(); p],
                 asked: vec![false; p],
                 admitted: live.iter().all(|&l| l),

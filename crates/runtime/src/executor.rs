@@ -19,7 +19,6 @@ use crate::chunking::PolicyKind;
 use crate::finish::OpSpec;
 use crate::granularity::{choose_batch, pipelined_stage_time};
 use crate::par_op::{simulate_policy, OpOptions};
-use crate::threaded::topology::TopologyMode;
 use crate::threaded::ExecutorBackend;
 use orchestra_delirium::{DelirGraph, NodeId, NodeKind};
 use orchestra_machine::{CostDistribution, MachineConfig};
@@ -61,14 +60,14 @@ pub struct ExecutorOptions {
     /// to `threads`, then to a small pool — available parallelism
     /// capped at 4). Ignored by every other backend.
     pub drivers: usize,
-    /// Pin each worker thread to its topology-assigned CPU
-    /// (`sched_setaffinity`; best-effort, off by default). Ignored by
-    /// the simulator.
+    /// Pin each worker thread of the threaded pool to one CPU
+    /// (`sched_setaffinity`; best-effort, off by default): worker `w`
+    /// takes the `w mod n`-th of the `n` CPUs in the calling thread's
+    /// affinity mask, so a pinned pool never leaves the CPUs its caller
+    /// was confined to. Ignored by the simulator and by the async
+    /// drivers, whose [`RunReport::pinned_workers`](crate::RunReport)
+    /// stays 0.
     pub pin_workers: bool,
-    /// The machine layout the threaded backend schedules against:
-    /// probe the host, or a deterministic synthetic machine for tests.
-    /// Ignored by the simulator.
-    pub topology: TopologyMode,
     /// Deterministic fault-injection schedule for the real backends
     /// (threaded / threaded-dist / async): planned worker kills at
     /// claim boundaries, each crashing the run for
@@ -121,7 +120,6 @@ impl Default for ExecutorOptions {
             threads: 0,
             drivers: 0,
             pin_workers: false,
-            topology: TopologyMode::Auto,
             faults: None,
             checkpoint: None,
             stream_batch: None,

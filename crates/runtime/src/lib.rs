@@ -71,13 +71,10 @@ pub use par_op::{
     owner_of, simulate_dynamic, simulate_policy, simulate_static, OpOptions, OpResult,
 };
 pub use run::{OpRecord, RunReport};
-pub use stats::{CostFn, OnlineStats, StealStats};
+pub use stats::{CostFn, OnlineStats};
+pub use threaded::affinity::{pin_current_thread, Affinity};
 pub use threaded::crew::Crew;
 pub use threaded::dist::{DistChunk, DistQueue};
-pub use threaded::topology::{
-    pin_current_thread, Affinity, CpuInfo, CpuTopology, StealDistance, StealTarget,
-    TopologyFingerprint, TopologyMode, TopologySource, WorkerTopo,
-};
 pub use threaded::{
     execute_sequential, execute_threaded, AccessPattern, ExecutorBackend, ReduceKernel, SpinKernel,
     TaskCtx, TaskKernel,

@@ -40,9 +40,8 @@ use crate::checkpoint::{op_snapshot, OpSnapshot, ResumeState, RunCtl};
 use crate::chunking::PolicyKind;
 use crate::executor::{costs_of_node, ExecutorOptions};
 use crate::finish::{finish_estimate_live, HostCalibration, OpSpec};
-use crate::stats::{OnlineStats, StealStats};
+use crate::stats::OnlineStats;
 use crate::threaded::queue::{Chunk, ChunkQueue};
-use crate::threaded::topology::TopologyFingerprint;
 use crate::threaded::{AccessPattern, Plan, PlannedOp, TaskCtx, TaskKernel};
 use orchestra_delirium::Node;
 use orchestra_machine::{ProcStats, RunStats};
@@ -632,9 +631,6 @@ pub struct OpRecord {
     /// Run-relative times (µs) of each global-epoch increment (empty
     /// for shared-queue ops); monotone non-decreasing.
     pub epoch_times_us: Vec<f64>,
-    /// Re-assignments that crossed a NUMA node boundary (≤
-    /// `reassignments`; 0 for shared-queue ops and single-node runs).
-    pub remote_reassignments: u64,
     /// Workers the §4.1.2 equalizer initially allocated to this op —
     /// the whole pool when the op had its level to itself (or
     /// allocation was off), a share of it when concurrent ops split the
@@ -701,18 +697,15 @@ pub struct RunReport {
     pub migrated_tasks: u64,
     /// Coordinator re-assignments, summed over all dist-TAPER ops.
     pub reassignments: u64,
-    /// Coordinator re-assignments that crossed a NUMA node boundary,
-    /// summed over all dist-TAPER ops.
-    pub remote_reassignments: u64,
     /// Fraction of dist-TAPER tasks that ran on their home worker
     /// (1.0 when nothing migrated, and for runs with no dist ops),
     /// matching the simulator's
     /// [`DistResult::locality`](crate::dist_taper::DistResult).
     pub locality: f64,
-    /// Work-steal counters merged over all workers: bucketed by
-    /// hierarchy distance on the threaded pool; the async drivers' run
-    /// queues have no distance, so their steals count in `steals` only.
-    pub steal: StealStats,
+    /// Successful steals, summed over all workers: one op token each on
+    /// the threaded pool, half a victim's run queue each on the async
+    /// drivers.
+    pub steals: u64,
     /// Streamed (watermark-gated) producer→consumer edges in the plan,
     /// summed over all ops (0 with `pipeline_overlap` off, under a
     /// `WholeInput` kernel, and for ops with restored tasks).
@@ -720,11 +713,9 @@ pub struct RunReport {
     /// Watermark publications performed across all producer ops.
     pub watermark_pubs: u64,
     /// Workers whose CPU pin the kernel accepted (0 when pinning was
-    /// off or every pin failed).
+    /// off or every pin failed, and on every engine but the threaded
+    /// pool).
     pub pinned_workers: usize,
-    /// The machine layout the threaded pool scheduled against
-    /// (`source == "none"` on engines that place no workers).
-    pub topology: TopologyFingerprint,
     /// Whether a planned kill crashed the run (the
     /// outputs are then partial; see
     /// [`execute_graph_resumable`](crate::checkpoint::execute_graph_resumable)).
@@ -761,13 +752,11 @@ impl RunReport {
             spawned: 0,
             migrated_tasks: ops.iter().map(|o| o.migrated).sum(),
             reassignments: ops.iter().map(|o| o.reassignments).sum(),
-            remote_reassignments: ops.iter().map(|o| o.remote_reassignments).sum(),
             locality: 1.0,
-            steal: StealStats::new(),
+            steals: 0,
             streamed_edges: ops.iter().map(|o| o.streamed_inputs).sum(),
             watermark_pubs: ops.iter().map(|o| o.watermark_pubs).sum(),
             pinned_workers: 0,
-            topology: TopologyFingerprint::default(),
             crashed: false,
             attempts: 1,
             resumed_tasks: 0,

@@ -122,70 +122,6 @@ impl OnlineStats {
     }
 }
 
-/// Work-stealing counters bucketed by machine-hierarchy distance.
-///
-/// The pool's steal schedule tags every victim with a distance class
-/// (0 = SMT sibling, 1 = same NUMA node/package, 2 = remote node); a
-/// worker records each successful steal here and the pool merges the
-/// per-worker accumulators after the run. Distance classes are plain
-/// numbers at this layer so the statistics module stays independent of
-/// the topology types that produce them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StealStats {
-    /// Successful steals, all distances.
-    pub steals: u64,
-    /// Steals from an SMT sibling (class 0).
-    pub sibling_steals: u64,
-    /// Steals within the thief's node/package (class 1).
-    pub node_steals: u64,
-    /// Steals across a node boundary (class 2).
-    pub remote_steals: u64,
-    /// Extra tokens taken beyond the first by remote steal batching.
-    pub batched_tokens: u64,
-    /// Sum of distance classes over all steals (for the mean).
-    pub distance_sum: u64,
-}
-
-impl StealStats {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        StealStats::default()
-    }
-
-    /// Records one successful steal at `distance_class` (0 sibling,
-    /// 1 node, 2 remote) that took `extra_tokens` tokens beyond the
-    /// first (nonzero only for batched remote steals).
-    pub fn record(&mut self, distance_class: u64, extra_tokens: u64) {
-        self.steals += 1;
-        match distance_class {
-            0 => self.sibling_steals += 1,
-            1 => self.node_steals += 1,
-            _ => self.remote_steals += 1,
-        }
-        self.batched_tokens += extra_tokens;
-        self.distance_sum += distance_class;
-    }
-
-    /// Folds another worker's counters into this one.
-    pub fn merge(&mut self, other: &StealStats) {
-        self.steals += other.steals;
-        self.sibling_steals += other.sibling_steals;
-        self.node_steals += other.node_steals;
-        self.remote_steals += other.remote_steals;
-        self.batched_tokens += other.batched_tokens;
-        self.distance_sum += other.distance_sum;
-    }
-
-    /// Mean steal distance class (0 with no steals).
-    pub fn mean_distance(&self) -> f64 {
-        if self.steals == 0 {
-            0.0
-        } else {
-            self.distance_sum as f64 / self.steals as f64
-        }
-    }
-}
-
 /// A positional cost function: mean task cost per bucket of the
 /// iteration space, built from samples.
 #[derive(Debug, Clone)]
@@ -420,27 +356,5 @@ mod tests {
     fn no_samples_scale_is_one() {
         let f = CostFn::new(4, 100);
         assert_eq!(f.chunk_scale(0, 10), 1.0);
-    }
-
-    #[test]
-    fn steal_stats_bucket_and_merge() {
-        let mut a = StealStats::new();
-        a.record(0, 0); // sibling
-        a.record(1, 0); // same node
-        a.record(2, 3); // remote, batched 3 extra tokens
-        assert_eq!(a.steals, 3);
-        assert_eq!((a.sibling_steals, a.node_steals, a.remote_steals), (1, 1, 1));
-        assert_eq!(a.batched_tokens, 3);
-        assert!((a.mean_distance() - 1.0).abs() < 1e-12);
-        let mut b = StealStats::new();
-        b.record(2, 1);
-        b.merge(&a);
-        assert_eq!(b.steals, 4);
-        assert_eq!(b.remote_steals, 2);
-        assert_eq!(b.batched_tokens, 4);
-        assert!((b.mean_distance() - 1.25).abs() < 1e-12);
-        // Internal consistency: class buckets partition the steals.
-        assert_eq!(b.sibling_steals + b.node_steals + b.remote_steals, b.steals);
-        assert_eq!(StealStats::new().mean_distance(), 0.0);
     }
 }

@@ -65,9 +65,8 @@ pub struct DistQueue {
 }
 
 impl DistQueue {
-    /// A distributed queue over `total` tasks for one worker per entry
-    /// of `node_of` (its NUMA node: re-assignment prefers a same-node
-    /// laggard), block-decomposed onto the home queues of `members` —
+    /// A distributed queue over `total` tasks for `workers` workers,
+    /// block-decomposed onto the home queues of `members` —
     /// the §4.1.2 allocator's partition of the pool for this operation.
     /// Non-members start retired (their tokens are not required for
     /// epoch completion and their homes are empty);
@@ -77,9 +76,9 @@ impl DistQueue {
     /// # Panics
     ///
     /// Panics if `members` is empty or any member index is out of range.
-    pub fn new(total: usize, node_of: Vec<usize>, members: &[usize]) -> Self {
+    pub fn new(total: usize, workers: usize, members: &[usize]) -> Self {
         DistQueue {
-            coord: Mutex::new(Coord::new(total, node_of, members)),
+            coord: Mutex::new(Coord::new(total, workers, members)),
             remaining: AtomicUsize::new(total),
         }
     }
@@ -164,14 +163,6 @@ impl DistQueue {
         self.coord().reassignments
     }
 
-    /// Re-assignments that crossed a NUMA node boundary (the claimant
-    /// and the chosen laggard on different nodes). Always ≤
-    /// [`reassignments`](Self::reassignments); 0 when every worker
-    /// shares one node.
-    pub fn remote_reassignments(&self) -> u64 {
-        self.coord().remote_reassignments
-    }
-
     /// Tasks claimed outside the claiming member's own block (every
     /// task a non-member claims).
     pub fn migrated_tasks(&self) -> u64 {
@@ -236,9 +227,9 @@ mod tests {
     use std::collections::VecDeque;
     use std::sync::Arc;
 
-    /// A queue whose every worker is a member, all on one node.
+    /// A queue whose every worker is a member.
     fn everyone(total: usize, workers: usize) -> DistQueue {
-        DistQueue::new(total, vec![0; workers], &(0..workers).collect::<Vec<_>>())
+        DistQueue::new(total, workers, &(0..workers).collect::<Vec<_>>())
     }
 
     /// Drives a DistQueue with real threads; each worker spins a
@@ -424,57 +415,6 @@ mod tests {
     }
 
     #[test]
-    fn reassignment_prefers_same_node_laggard() {
-        // Single-threaded protocol drive: 4 workers on 2 nodes
-        // ({0,1} node 0, {2,3} node 1). Worker 0 tokens epoch 0 twice
-        // while workers 1 and 2 both lag with equal home queues; once
-        // the cv gate opens, the root must pick worker 1 (same node)
-        // even though worker 2's queue is no shorter.
-        let n = 400;
-        let mut costs = vec![1.0; n];
-        // Concentrated costs open the cv gate quickly.
-        for c in costs.iter_mut().take(n / 4) {
-            *c = 500.0;
-        }
-        let q = DistQueue::new(n, vec![0, 0, 1, 1], &[0, 1, 2, 3]);
-        // Worker 3 tokens once so it is never an eligible laggard.
-        let _ = claim(&q, 3, &costs, 0.0);
-        // Worker 0 claims until the root performs its first
-        // re-assignment, then stops: that choice must be the same-node
-        // laggard (worker 1), i.e. not counted remote, even though the
-        // remote worker 2's home queue is exactly as long.
-        while claim(&q, 0, &costs, 0.0).is_some() {
-            if q.reassignments() >= 1 {
-                break;
-            }
-        }
-        assert!(q.reassignments() >= 1, "gate never opened on concentrated costs");
-        assert_eq!(
-            q.remote_reassignments(),
-            0,
-            "first migration crossed a node despite a same-node laggard"
-        );
-    }
-
-    #[test]
-    fn remote_reassignment_counted_when_node_has_no_laggard() {
-        // 2 workers on 2 different nodes: any re-assignment is remote
-        // by construction, so the remote counter must track the total.
-        let n = 300;
-        let mut costs = vec![1.0; n];
-        // Mix heavy tasks into worker 1's own home block so its
-        // samples open the cv gate while worker 0 never tokens (and so
-        // stays an eligible laggard).
-        for t in (n / 2..n).step_by(4) {
-            costs[t] = 500.0;
-        }
-        let q = DistQueue::new(n, vec![0, 1], &[0, 1]);
-        while claim(&q, 1, &costs, 0.0).is_some() {}
-        assert!(q.reassignments() >= 1, "fast worker never triggered the gate");
-        assert_eq!(q.remote_reassignments(), q.reassignments());
-    }
-
-    #[test]
     fn partition_decomposes_over_members_only() {
         // 4 workers, but the allocator gave this op only {1, 3}: every
         // task must start in a member's home queue, the op must drain
@@ -482,7 +422,7 @@ mod tests {
         // from the non-members.
         let n = 200;
         let costs = vec![2.0; n];
-        let q = DistQueue::new(n, vec![0; 4], &[1, 3]);
+        let q = DistQueue::new(n, 4, &[1, 3]);
         assert_eq!(q.home_len(0), 0);
         assert_eq!(q.home_len(2), 0);
         assert_eq!(q.home_len(1) + q.home_len(3), n);
@@ -508,7 +448,7 @@ mod tests {
         // is its block of the two-way split, not of a four-way one.
         let n = 200;
         let costs = vec![1.0; n];
-        let q = DistQueue::new(n, vec![0; 4], &[2, 3]);
+        let q = DistQueue::new(n, 4, &[2, 3]);
         let mut active = true;
         while active {
             active = false;
@@ -526,7 +466,7 @@ mod tests {
     fn admitted_worker_inherits_half_the_fullest_home() {
         let n = 128;
         let costs = vec![1.0; n];
-        let q = DistQueue::new(n, vec![0; 4], &[0]);
+        let q = DistQueue::new(n, 4, &[0]);
         assert_eq!(q.home_len(0), n);
         let moved = q.admit_worker(2);
         assert_eq!(moved, n / 2);
@@ -547,7 +487,7 @@ mod tests {
         got.sort_unstable();
         assert_eq!(got, (0..n).collect::<Vec<_>>());
         // Idempotent once the home is non-empty.
-        let q2 = DistQueue::new(n, vec![0; 2], &[0, 1]);
+        let q2 = DistQueue::new(n, 2, &[0, 1]);
         assert_eq!(q2.admit_worker(1), 0, "member with work must not re-seed");
     }
 
@@ -669,7 +609,7 @@ mod tests {
                     _ => 1.0,
                 })
                 .collect();
-            let q = DistQueue::new(total, vec![0; workers], &members);
+            let q = DistQueue::new(total, workers, &members);
             let mut model = IndexModel::new(total, workers, &members);
             let mut seen = vec![false; total];
             let mut limit = 0usize;

@@ -20,24 +20,22 @@
 //!   the plan and the pool that is not specific to this backend is the
 //!   shared run core, [`crate::run`].
 
+pub mod affinity;
 pub mod crew;
 pub mod dist;
 pub mod pool;
 pub mod queue;
-pub mod topology;
 
 use crate::cancel::RunError;
 use crate::checkpoint::{CancelCtl, ResumeState, RunCtl};
 use crate::executor::{costs_of_node, ExecutorOptions};
 use crate::run::{set_up, OpRecord, RunReport, Setup};
-use crate::stats::StealStats;
 use dist::DistQueue;
 use orchestra_delirium::{DelirGraph, GraphError, Node};
 use orchestra_machine::ProcStats;
 use pool::{OpQueue, PoolOp};
 use std::collections::{BTreeSet, HashMap};
 use std::time::Instant;
-use topology::WorkerTopo;
 
 /// Which execution engine runs a graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -390,8 +388,6 @@ pub(crate) fn run_threaded(
     resume: &ResumeState,
 ) -> Result<RunReport, RunError> {
     let workers = resolve_workers(opts);
-    let topo = opts.topology.resolve();
-    let wt = WorkerTopo::new(&topo, workers);
     let Setup { arena, ops } = set_up(plan, &g.nodes, opts, kernel.access(), workers, resume);
     let ops: Vec<PoolOp> = ops
         .into_iter()
@@ -405,7 +401,7 @@ pub(crate) fn run_threaded(
                     // Block-decompose over the op's share: the other
                     // shares' workers start with no home here.
                     let members: Vec<usize> = state.share.clone().collect();
-                    let q = DistQueue::new(pending, wt.node_of_worker.clone(), &members);
+                    let q = DistQueue::new(pending, workers, &members);
                     if let Some(stats) = &state.warm {
                         q.warm(stats);
                     }
@@ -423,14 +419,13 @@ pub(crate) fn run_threaded(
     let ctl = RunCtl::new(opts, plan, workers);
 
     let t0 = Instant::now();
-    let records = pool::run_pool(&ops, &g.nodes, &arena, &wt, opts, kernel, &ctl);
+    let records = pool::run_pool(&ops, &g.nodes, &arena, workers, opts, kernel, &ctl);
     let wall_us = t0.elapsed().as_secs_f64() * 1e6;
 
-    let mut steal = StealStats::new();
-    let mut pinned_workers = 0usize;
+    let (mut steals, mut pinned_workers) = (0u64, 0usize);
     let (mut procs, mut logs) = (Vec::new(), Vec::new());
     for r in records {
-        steal.merge(&r.steal);
+        steals += r.steals;
         pinned_workers += usize::from(r.pinned);
         procs.push(r.proc);
         logs.push(r.log);
@@ -447,7 +442,6 @@ pub(crate) fn run_threaded(
                 migrated: d.migrated_tasks(),
                 epochs: d.epochs(),
                 epoch_times_us: d.epoch_times_us(),
-                remote_reassignments: d.remote_reassignments(),
                 ..base
             }
         })
@@ -456,7 +450,7 @@ pub(crate) fn run_threaded(
     let report = RunReport::from_run(wall_us, procs, op_records, states, &logs, arena, &ctl)?;
     let locality =
         if dist_tasks == 0 { 1.0 } else { 1.0 - report.migrated_tasks as f64 / dist_tasks as f64 };
-    Ok(RunReport { locality, steal, pinned_workers, topology: wt.fingerprint(), ..report })
+    Ok(RunReport { locality, steals, pinned_workers, ..report })
 }
 
 /// Executes the same plan on the calling thread in dependency order —

@@ -8,10 +8,11 @@
 //!
 //! * **Per-worker ready deques** — each worker owns a deque of *op
 //!   tokens* (indices of operations with unclaimed chunks). A worker
-//!   pops from its own front and, when empty, steals from another
-//!   worker's back. Tokens are hints: exactly-once execution is
-//!   guaranteed by the chunk queue's claim path, so a stale token
-//!   (op already drained) just fails its claim and is dropped.
+//!   pops from its own front and, when empty, steals one token from
+//!   the back of the next worker round a ring. Tokens are hints:
+//!   exactly-once execution is guaranteed by the chunk queue's claim
+//!   path, so a stale token (op already drained) just fails its claim
+//!   and is dropped.
 //! * **One claim loop** — every claim, from either kind of queue, is a
 //!   contiguous [`Chunk`]. After claiming its first chunk from an op a
 //!   worker loops claim→execute directly against the queue until the
@@ -46,10 +47,10 @@
 //!   the claiming worker's own queue, so an abandoned home can never
 //!   refill behind its owner's back.
 
+use super::affinity::{pin_current_thread, Affinity};
 use super::crew::run_on_threads;
 use super::dist::DistQueue;
 use super::queue::{BoundedClaim, Chunk, ChunkQueue};
-use super::topology::{pin_current_thread, Affinity, StealDistance, WorkerTopo};
 use super::TaskKernel;
 use crate::alloc::OutputArena;
 use crate::checkpoint::RunCtl;
@@ -58,7 +59,7 @@ use crate::executor::ExecutorOptions;
 use crate::finish::{finish_estimate_live, HostCalibration, OpSpec};
 use crate::granularity::pipelined_stage_time;
 use crate::run::{self, snapshot_ops, ExecLog, OpState};
-use crate::stats::{OnlineStats, StealStats};
+use crate::stats::OnlineStats;
 use orchestra_delirium::Node;
 use orchestra_machine::ProcStats;
 use std::collections::VecDeque;
@@ -148,8 +149,8 @@ impl PoolOp<'_> {
 ///
 /// When a graph level holds several concurrent operations the
 /// finishing-time equalizer splits the pool between them; the masks
-/// then restrict token routing and steal schedules to each op's
-/// partition. Masks only ever *widen* — re-equalization admits a fast
+/// then restrict token routing and steals to each op's partition.
+/// Masks only ever *widen* — re-equalization admits a fast
 /// op's freed workers into the laggard's partition, never evicts a
 /// worker mid-claim — so exactly-once execution and bitwise
 /// determinism are untouched: partitioning moves *where* a task runs,
@@ -225,8 +226,8 @@ pub struct WorkerRecord {
     /// Busy time / task count / chunk count, as the simulator records
     /// them per processor.
     pub proc: ProcStats,
-    /// Steal counters bucketed by hierarchy distance.
-    pub steal: StealStats,
+    /// Tokens this worker stole from another's deque.
+    pub steals: u64,
     /// Whether the kernel accepted this worker's CPU pin (always
     /// `false` when pinning is disabled).
     pub pinned: bool,
@@ -257,10 +258,6 @@ struct Shared<'a> {
     /// The zero-copy output buffers every op writes into and reads its
     /// inputs from, indexed by op.
     arena: &'a OutputArena,
-    /// Worker→CPU placement and precomputed steal schedules.
-    topo: &'a WorkerTopo,
-    /// Pin each worker to its assigned CPU at startup.
-    pin: bool,
     /// Fault-injection and checkpoint control (inert on normal runs).
     ctl: &'a RunCtl,
     /// The §4.1.2 worker partition (all-ones when allocation is off).
@@ -272,7 +269,7 @@ struct Shared<'a> {
 }
 
 impl<'a> Shared<'a> {
-    /// The pool state for one run on `topo`'s workers: the partition
+    /// The pool state for one run on `workers` workers: the partition
     /// the ops' shares describe, and the initially ready ops' tokens
     /// scattered over the deques. Ops a restored snapshot already
     /// finished count as completed from the start.
@@ -280,11 +277,9 @@ impl<'a> Shared<'a> {
         ops: &'a [PoolOp<'a>],
         nodes: &'a [Node],
         arena: &'a OutputArena,
-        topo: &'a WorkerTopo,
-        pin: bool,
+        workers: usize,
         ctl: &'a RunCtl,
     ) -> Self {
-        let workers = topo.workers().max(1);
         let partition = Partition::from_shares(ops, workers);
         let mut deques: Vec<CachePadded<WorkerState>> = (0..workers)
             .map(|_| {
@@ -321,8 +316,6 @@ impl<'a> Shared<'a> {
             ops,
             nodes,
             arena,
-            topo,
-            pin,
             ctl,
             partition,
             workers: deques,
@@ -340,29 +333,38 @@ fn us_since(epoch: Instant, t: Instant) -> f64 {
     t.duration_since(epoch).as_secs_f64() * 1e6
 }
 
-/// Executes the op DAG on one thread per worker of `topo` — the
-/// threads of `opts.crew` when one is lent, scoped threads of this
-/// call's own otherwise — which supplies the per-worker steal schedules
-/// (and pin targets under `opts.pin_workers`). `ctl` carries the fault
-/// plan and checkpoint state (inert on normal runs). Ops a restored
+/// Executes the op DAG on `workers` threads — the threads of
+/// `opts.crew` when one is lent, scoped threads of this call's own
+/// otherwise. Under `opts.pin_workers` worker `w` pins itself to the
+/// `w mod n`-th of the `n` CPUs the calling thread may run on, so the
+/// pool stays inside its caller's mask. `ctl` carries the fault plan
+/// and checkpoint state (inert on normal runs). Ops a restored
 /// snapshot already finished count as completed from the start; ops
 /// with no live dependency start ready.
 pub(crate) fn run_pool(
     ops: &[PoolOp],
     nodes: &[Node],
     arena: &OutputArena,
-    topo: &WorkerTopo,
+    workers: usize,
     opts: &ExecutorOptions,
     kernel: &(dyn TaskKernel + Sync),
     ctl: &RunCtl,
 ) -> Vec<WorkerRecord> {
-    let pin = opts.pin_workers;
+    // Empty when pinning is off or the caller's mask cannot be read.
+    let cpus = match opts.pin_workers.then(Affinity::current).flatten() {
+        Some(mask) => mask.cpus(),
+        None => Vec::new(),
+    };
+    let pin = !cpus.is_empty();
     let crew = opts.crew.as_ref();
-    let shared = Shared::new(ops, nodes, arena, topo, pin, ctl);
-    run_on_threads(crew, shared.workers.len(), |id| {
+    let shared = Shared::new(ops, nodes, arena, workers, ctl);
+    run_on_threads(crew, workers, |id| {
         let _entered =
             RestoreAffinity(if pin && crew.is_some() { Affinity::current() } else { None });
-        ctl.guard(|| worker_loop(&shared, id, kernel))
+        // Best-effort: a refused pin leaves the worker floating and the
+        // run proceeds unaffected.
+        let pinned = pin && pin_current_thread(cpus[id % cpus.len()]);
+        ctl.guard(|| worker_loop(&shared, id, kernel, pinned))
     })
 }
 
@@ -379,14 +381,10 @@ impl Drop for RestoreAffinity {
 }
 
 /// Pops a token: own private dist list first (only this worker can
-/// drain those home queues), then own deque front, then the other
-/// workers' backs in this worker's precomputed steal schedule — SMT
-/// sibling, same node, then remote. A *remote* steal takes half the
-/// victim's deque in one visit (the extra tokens move to the thief's
-/// own deque after the victim's lock is released), amortizing the
-/// cross-node trip; nearby steals stay single-token so hot work keeps
-/// spreading.
-fn find_token(shared: &Shared<'_>, id: usize, steal: &mut StealStats) -> Option<usize> {
+/// drain those home queues), then own deque front, then one token from
+/// the back of each other worker's deque in ring order — `id + 1`,
+/// `id + 2`, … (mod the pool size) — counting a success in `steals`.
+fn find_token(shared: &Shared<'_>, id: usize, steals: &mut u64) -> Option<usize> {
     if let Some(i) = shared.workers[id].0.dist_ready.lock().expect("dist list poisoned").pop() {
         return Some(i);
     }
@@ -397,39 +395,15 @@ fn find_token(shared: &Shared<'_>, id: usize, steal: &mut StealStats) -> Option<
         debug_assert!(shared.partition.allows(i, id), "non-member token in own deque");
         return Some(i);
     }
-    let part = &shared.partition;
-    for target in shared.topo.steal_schedule(id) {
-        let mut extras: Vec<usize> = Vec::new();
-        let first = {
-            let mut victim = shared.workers[target.victim].0.ready.lock().expect("deque poisoned");
-            let len = victim.len();
-            // Steal schedules are restricted to the thief's partitions:
-            // a token for an op this worker may not serve stays put.
-            let Some(first) = pop_allowed_back(&mut victim, part, id) else {
-                continue;
-            };
-            if target.distance == StealDistance::Remote {
-                // Batch: take ceil(len/2) tokens total, counting the
-                // one already popped.
-                for _ in 1..len.div_ceil(2) {
-                    match pop_allowed_back(&mut victim, part, id) {
-                        Some(t) => extras.push(t),
-                        None => break,
-                    }
-                }
-            }
-            first
-        };
-        steal.record(target.distance.class(), extras.len() as u64);
-        if !extras.is_empty() {
-            // Victim lock is released; taking our own deque lock here
-            // keeps lock holds disjoint (no nested deque locks).
-            let mut own = shared.workers[id].0.ready.lock().expect("deque poisoned");
-            for t in extras {
-                own.push_back(t);
-            }
+    let n = shared.workers.len();
+    for victim in (1..n).map(|k| (id + k) % n) {
+        let mut deque = shared.workers[victim].0.ready.lock().expect("deque poisoned");
+        // Steals are restricted to the thief's partitions: a token for
+        // an op this worker may not serve stays put.
+        if let Some(t) = pop_allowed_back(&mut deque, &shared.partition, id) {
+            *steals += 1;
+            return Some(t);
         }
-        return Some(first);
     }
     None
 }
@@ -445,16 +419,14 @@ fn pop_allowed_back(dq: &mut VecDeque<usize>, part: &Partition, id: usize) -> Op
     dq.remove(i)
 }
 
-fn worker_loop(shared: &Shared<'_>, id: usize, kernel: &(dyn TaskKernel + Sync)) -> WorkerRecord {
-    // Pinning is best-effort: a failed pin (CPU offline, synthetic
-    // topology wider than the host, restrictive cgroup mask) leaves
-    // the worker floating and the run proceeds unaffected.
-    let mut me = WorkerRecord {
-        proc: ProcStats::default(),
-        steal: StealStats::new(),
-        pinned: shared.pin && pin_current_thread(shared.topo.cpu_of_worker[id]),
-        log: ExecLog::default(),
-    };
+fn worker_loop(
+    shared: &Shared<'_>,
+    id: usize,
+    kernel: &(dyn TaskKernel + Sync),
+    pinned: bool,
+) -> WorkerRecord {
+    let mut me =
+        WorkerRecord { proc: ProcStats::default(), steals: 0, pinned, log: ExecLog::default() };
     let ctl = shared.ctl;
     let hooked = ctl.hooked();
     loop {
@@ -462,8 +434,8 @@ fn worker_loop(shared: &Shared<'_>, id: usize, kernel: &(dyn TaskKernel + Sync))
             ctl.parking.broadcast();
             break;
         }
-        let steals0 = me.steal.steals;
-        let Some(op_idx) = find_token(shared, id, &mut me.steal) else {
+        let steals0 = me.steals;
+        let Some(op_idx) = find_token(shared, id, &mut me.steals) else {
             if shared.all_done() {
                 break;
             }
@@ -479,10 +451,7 @@ fn worker_loop(shared: &Shared<'_>, id: usize, kernel: &(dyn TaskKernel + Sync))
         // An `OnSteal` kill fires the instant the theft lands, before
         // the stolen token is honoured: the run crashes, and the loop's
         // stop check sends this worker out.
-        if hooked
-            && me.steal.steals > steals0
-            && ctl.faults.as_ref().is_some_and(|f| f.on_steal(id))
-        {
+        if hooked && me.steals > steals0 && ctl.faults.as_ref().is_some_and(|f| f.on_steal(id)) {
             continue;
         }
         // A claim that stops the run returns here too; the stop check
@@ -846,7 +815,6 @@ mod tests {
     use super::*;
     use crate::checkpoint::ResumeState;
     use crate::run::{set_up, Setup};
-    use crate::threaded::topology::CpuTopology;
     use crate::threaded::{build_plan, SpinKernel};
     use orchestra_delirium::{DelirGraph, NodeKind};
 
@@ -893,14 +861,13 @@ mod tests {
         let ops: Vec<PoolOp> = ops
             .into_iter()
             .map(|state| {
-                let queue = OpQueue::Dist(DistQueue::new(state.pending(), vec![0; 2], &[0, 1]));
+                let queue = OpQueue::Dist(DistQueue::new(state.pending(), 2, &[0, 1]));
                 PoolOp { queue, queue_costs: None, state }
             })
             .collect();
-        let topo = WorkerTopo::new(&CpuTopology::synthetic(1, 2, 1), 2);
         let ctl = RunCtl::new(&opts, &plan, 2);
         let records = std::thread::scope(|s| {
-            let run = s.spawn(|| run_pool(&ops, &g.nodes, &arena, &topo, &opts, &kernel, &ctl));
+            let run = s.spawn(|| run_pool(&ops, &g.nodes, &arena, 2, &opts, &kernel, &ctl));
             let t0 = Instant::now();
             let watchdog = |what: &str| {
                 if t0.elapsed() > std::time::Duration::from_secs(60) {

@@ -123,39 +123,26 @@ fn threaded_results_bit_identical_to_sequential() {
     }
 }
 
-/// Pinning and synthetic placement must be invisible to results:
-/// bit-identical outputs and exactly-once execution on every sample
-/// graph, whether workers float (pin off), pin to probed CPUs, or
-/// attempt pins against a synthetic topology wider than the host
-/// (where the syscall fails and the worker keeps floating).
+/// Pinning must be invisible to results: bit-identical outputs and
+/// exactly-once execution on every sample graph, whether workers float
+/// (pin off) or pin to the caller's CPUs.
 #[test]
 fn affinity_and_topology_do_not_change_results() {
-    use orchestra_runtime::TopologyMode;
     let kernel = SpinKernel::with_scale(2.0);
     for (name, g, opts) in graphs() {
         let seq = execute_sequential(&g, &opts, &kernel).unwrap();
         for pin_workers in [false, true] {
-            for topology in [
-                TopologyMode::Auto,
-                TopologyMode::Synthetic { nodes: 2, cores_per_node: 4, smt: 2 },
-            ] {
-                let opts = ExecutorOptions {
-                    policy: PolicyKind::Taper,
-                    pin_workers,
-                    topology,
-                    ..opts.clone()
-                };
-                let label = format!("{name}/pin={pin_workers}/{topology:?}");
-                let thr = execute_threaded(&g, &opts, &kernel).unwrap();
-                for (op, counts) in thr.ops.iter().zip(&thr.exec_counts) {
-                    assert!(
-                        counts.iter().all(|&c| c == 1),
-                        "{label}: op {} task exec counts {counts:?}",
-                        op.name
-                    );
-                }
-                assert_eq!(seq.outputs, thr.outputs, "{label}: buffers diverge");
+            let opts = ExecutorOptions { policy: PolicyKind::Taper, pin_workers, ..opts.clone() };
+            let label = format!("{name}/pin={pin_workers}");
+            let thr = execute_threaded(&g, &opts, &kernel).unwrap();
+            for (op, counts) in thr.ops.iter().zip(&thr.exec_counts) {
+                assert!(
+                    counts.iter().all(|&c| c == 1),
+                    "{label}: op {} task exec counts {counts:?}",
+                    op.name
+                );
             }
+            assert_eq!(seq.outputs, thr.outputs, "{label}: buffers diverge");
         }
     }
 }
@@ -267,6 +254,46 @@ fn a_pinned_run_leaves_lent_threads_their_affinity() {
     assert_eq!(seq.outputs, run.outputs);
     assert!(run.pinned_workers > 0, "no worker could pin itself: the check would be vacuous");
     assert_eq!(masks(&crew), before, "same threads, same masks");
+}
+
+/// A caller confined to one CPU confines its pinned pool too: every
+/// task of a pinned 2-worker run executes under the caller's own mask,
+/// never on a CPU the caller was kept off.
+#[cfg(target_os = "linux")]
+#[test]
+fn pinned_workers_stay_inside_the_callers_cpus() {
+    use orchestra_runtime::threaded::{TaskCtx, TaskKernel};
+    use orchestra_runtime::{pin_current_thread, Affinity};
+    use std::sync::Mutex;
+
+    /// Records the mask each task ran under.
+    struct RecordsMasks(SpinKernel, Mutex<Vec<Option<Affinity>>>);
+    impl TaskKernel for RecordsMasks {
+        fn run_task(&self, ctx: &TaskCtx<'_>) -> f64 {
+            self.1.lock().expect("mask log poisoned").push(Affinity::current());
+            self.0.run_task(ctx)
+        }
+    }
+
+    let before = Affinity::current().expect("sched_getaffinity works on Linux");
+    let Some(&cpu) = before.cpus().get(1) else {
+        println!("skipped: needs 2 CPUs, this thread may use {:?}", before.cpus());
+        return;
+    };
+    assert!(pin_current_thread(cpu), "the test thread confines itself to CPU {cpu}");
+    let caller = Affinity::current();
+    let (g, opts) = flat_graph();
+    let opts = ExecutorOptions { pin_workers: true, ..opts };
+    let kernel = RecordsMasks(SpinKernel::with_scale(2.0), Mutex::new(Vec::new()));
+    let run = execute_threaded(&g, &opts, &kernel);
+    assert!(before.apply(), "the test thread gets its mask back");
+    let run = run.unwrap();
+    assert_eq!(run.pinned_workers, 2, "both workers pinned");
+    let masks = kernel.1.into_inner().expect("mask log poisoned");
+    assert_eq!(masks.len(), 256, "one mask per task");
+    for mask in masks {
+        assert_eq!(mask, caller, "a worker ran outside the caller's CPU {cpu}");
+    }
 }
 
 /// A kernel's panic on one server must reach the caller: the other

@@ -209,50 +209,25 @@ fn skewed_graph_repeated_runs_stay_sound() {
     }
 }
 
-/// The full affinity matrix: pinning {off, on} × topology {probed,
-/// synthetic 2-node} over both the uniform and the skewed workload.
-/// Pinning and placement must never affect correctness — exactly-once,
-/// bitwise equality, and the cv gate hold whether workers are pinned,
-/// floating, or placed on a topology wider than the host (where the
-/// pin syscall fails and the worker falls back to floating). Under the
-/// synthetic 2-node mode the run must also report that topology's
-/// fingerprint, and remote re-assignments can never exceed total
-/// re-assignments.
+/// Pinning {off, on} over both the uniform and the skewed workload.
+/// Pinning must never affect correctness — exactly-once, bitwise
+/// equality, and the cv gate hold whether workers are pinned or
+/// floating. Every pin targets a CPU the caller may use, so on Linux
+/// every worker's pin sticks.
 #[test]
 fn pinning_and_topology_modes_preserve_invariants() {
-    use orchestra_runtime::TopologyMode;
     for pin_workers in [false, true] {
-        for (tname, topology) in [
-            ("auto", TopologyMode::Auto),
-            ("synthetic", TopologyMode::Synthetic { nodes: 2, cores_per_node: 2, smt: 1 }),
-        ] {
-            let mut opts = dist_opts(4);
-            opts.pin_workers = pin_workers;
-            opts.topology = topology;
-            let label = format!("affinity/pin={pin_workers}/{tname}");
+        let opts = ExecutorOptions { pin_workers, ..dist_opts(4) };
+        let label = format!("affinity/pin={pin_workers}");
+        let pinned = if pin_workers && cfg!(target_os = "linux") { 4 } else { 0 };
 
-            let uniform = run_and_check(&flat_graph(400), &opts, &format!("{label}/uniform"));
-            assert_eq!(uniform.reassignments, 0, "{label}: re-assigned uniform work");
-            assert_eq!(uniform.migrated_tasks, 0, "{label}: migrated uniform work");
+        let uniform = run_and_check(&flat_graph(400), &opts, &format!("{label}/uniform"));
+        assert_eq!(uniform.reassignments, 0, "{label}: re-assigned uniform work");
+        assert_eq!(uniform.migrated_tasks, 0, "{label}: migrated uniform work");
 
-            let skewed = run_and_check(&skewed_graph(), &opts, &format!("{label}/skewed"));
-            assert!(
-                skewed.remote_reassignments <= skewed.reassignments,
-                "{label}: remote re-assignments {} exceed total {}",
-                skewed.remote_reassignments,
-                skewed.reassignments
-            );
-            for thr in [&uniform, &skewed] {
-                assert!(
-                    thr.pinned_workers <= 4,
-                    "{label}: pinned {} of 4 workers",
-                    thr.pinned_workers
-                );
-                if tname == "synthetic" {
-                    assert_eq!(thr.topology.source, "synthetic", "{label}: fingerprint source");
-                    assert_eq!(thr.topology.nodes, 2, "{label}: fingerprint nodes");
-                }
-            }
+        let skewed = run_and_check(&skewed_graph(), &opts, &format!("{label}/skewed"));
+        for thr in [&uniform, &skewed] {
+            assert_eq!(thr.pinned_workers, pinned, "{label}: pinned workers");
         }
     }
 }

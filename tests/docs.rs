@@ -6,11 +6,25 @@
 //! "Figures capture" step diffs against a fresh run — so a change that
 //! moves a figure row and regenerates the capture fails here until the
 //! document quotes the new rows too.
+//!
+//! README.md and DESIGN.md name the runtime's options and report
+//! fields as `ExecutorOptions::x`, `RunReport::x` and `OpRecord::x`;
+//! every such name must still exist. EXPERIMENTS.md and CHANGES.md are
+//! history and may name what is gone.
 
 use std::collections::HashSet;
 
 const EXPERIMENTS: &str = include_str!("../EXPERIMENTS.md");
 const FIGURES: &str = include_str!("../results/figures_all.txt");
+const README: &str = include_str!("../README.md");
+const DESIGN: &str = include_str!("../DESIGN.md");
+const EXECUTOR_RS: &str = include_str!("../crates/runtime/src/executor.rs");
+const RUN_RS: &str = include_str!("../crates/runtime/src/run.rs");
+
+/// The types whose members the documents name, and the sources that
+/// declare them.
+const TYPES: [(&str, &str); 3] =
+    [("ExecutorOptions", EXECUTOR_RS), ("RunReport", RUN_RS), ("OpRecord", RUN_RS)];
 
 /// The first heading of the §5 sections, and the heading after the last.
 const FIRST: &str = "## Figure 6";
@@ -47,5 +61,63 @@ fn experiments_tables_quote_the_figures_capture() {
         "{} table lines are not in results/figures_all.txt:\n{}",
         stale.len(),
         stale.join("\n")
+    );
+}
+
+/// Every `Type::member` inside a backticked span of `doc` (a braced
+/// group `Type::{a, b}` names each member), with its line number.
+fn named_members<'d>(doc: &'d str, ty: &str) -> Vec<(usize, &'d str)> {
+    let ident = |s: &'d str| {
+        let end = s.find(|c: char| !(c.is_alphanumeric() || c == '_')).unwrap_or(s.len());
+        &s[..end]
+    };
+    let mut out = Vec::new();
+    for (i, line) in doc.lines().enumerate() {
+        for span in line.split('`').skip(1).step_by(2) {
+            for (at, _) in span.match_indices(&format!("{ty}::")) {
+                let rest = &span[at + ty.len() + 2..];
+                let names: Vec<&str> = match rest.strip_prefix('{') {
+                    Some(group) => group.split('}').next().unwrap_or("").split(',').collect(),
+                    None => vec![rest],
+                };
+                out.extend(names.into_iter().map(|n| (i + 1, ident(n.trim()))));
+            }
+        }
+    }
+    out
+}
+
+/// Whether `src` declares `name` as a `pub` field of `struct ty` or as
+/// a `fn` anywhere.
+fn declares(src: &str, ty: &str, name: &str) -> bool {
+    let fields = src
+        .split_once(&format!("pub struct {ty} {{"))
+        .and_then(|(_, body)| body.split_once("\n}\n"))
+        .map_or("", |(fields, _)| fields);
+    fields.contains(&format!("pub {name}:"))
+        || src.contains(&format!("fn {name}("))
+        || src.contains(&format!("fn {name}<"))
+}
+
+#[test]
+fn readme_and_design_name_only_fields_that_exist() {
+    let mut named = 0;
+    let mut missing = Vec::new();
+    for (file, doc) in [("README.md", README), ("DESIGN.md", DESIGN)] {
+        for (ty, src) in TYPES {
+            for (n, name) in named_members(doc, ty) {
+                named += 1;
+                if name.is_empty() || !declares(src, ty, name) {
+                    missing.push(format!("{file}:{n}: `{ty}::{name}`"));
+                }
+            }
+        }
+    }
+    assert!(named > 10, "only {named} names found: do the documents still use `Type::x`?");
+    assert!(
+        missing.is_empty(),
+        "{} names match no pub field or fn in crates/runtime/src/{{executor,run}}.rs:\n{}",
+        missing.len(),
+        missing.join("\n")
     );
 }

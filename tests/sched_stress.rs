@@ -20,7 +20,7 @@ use orchestra_delirium::DelirGraph;
 use orchestra_runtime::chunking::PolicyKind;
 use orchestra_runtime::executor::ExecutorOptions;
 use orchestra_runtime::threaded::{execute_sequential, execute_threaded, SpinKernel};
-use orchestra_runtime::{RunReport, TopologyMode};
+use orchestra_runtime::RunReport;
 
 const POLICIES: [PolicyKind; 6] = [
     PolicyKind::Static,
@@ -244,54 +244,20 @@ fn adaptive_live_claim_storm_exactly_once() {
 
 /// A steal storm against one loaded victim: completing `src` enables
 /// all 12 fan-out ops at once, and the completer pushes every token
-/// onto its OWN deque — so seven empty thieves hammer a single
-/// worker's deque back through their steal schedules. Runs under the
-/// host's and under a synthetic 2-node × 2-core × SMT-2 topology
-/// (which gives the hierarchical schedules real sibling/node/remote
-/// classes even on a 1-CPU host). Steal *counts* depend on host timing
-/// — on one core the victim often drains its deque before a thief gets
-/// a window — so the metric assertions are internal consistency only,
-/// never `steals > 0`.
+/// onto its OWN deque — so seven empty thieves walking the steal ring
+/// all end on a single worker's deque. Steal *counts* depend on host
+/// timing — on one core the victim often drains its deque before a
+/// thief gets a window — so the test checks exactly-once execution and
+/// bitwise results only, never `steals > 0`.
 #[test]
 fn steal_storm_single_loaded_victim() {
     let g = wide_dag_graph();
-    for (tname, topology) in [
-        ("auto", TopologyMode::Auto),
-        ("synthetic", TopologyMode::Synthetic { nodes: 2, cores_per_node: 2, smt: 2 }),
-    ] {
-        for round in 0..3 {
-            let opts = ExecutorOptions { topology, ..stress_opts(PolicyKind::Taper) };
-            let label = format!("storm/{tname}/round{round}");
-            let thr = assert_exactly_once_and_bitwise(&g, &opts, &label);
-            let s = &thr.steal;
-            assert_eq!(
-                s.sibling_steals + s.node_steals + s.remote_steals,
-                s.steals,
-                "{label}: distance buckets don't sum to the steal total"
-            );
-            assert!(
-                s.distance_sum == s.node_steals + 2 * s.remote_steals,
-                "{label}: distance sum inconsistent with buckets"
-            );
-            if s.remote_steals == 0 {
-                assert_eq!(s.batched_tokens, 0, "{label}: batched tokens without a remote steal");
-            }
-            if s.steals > 0 {
-                let d = s.mean_distance();
-                assert!((0.0..=2.0).contains(&d), "{label}: mean distance {d} out of range");
-            }
-            if tname == "synthetic" {
-                let fp = thr.topology;
-                assert_eq!(fp.source, "synthetic", "{label}: fingerprint source");
-                assert_eq!(fp.nodes, 2, "{label}: fingerprint nodes");
-                assert_eq!(fp.cpus, 8, "{label}: fingerprint cpus");
-            }
-            assert!(
-                thr.pinned_workers <= WORKERS,
-                "{label}: pinned {} of {WORKERS} workers",
-                thr.pinned_workers
-            );
-        }
+    for round in 0..3 {
+        assert_exactly_once_and_bitwise(
+            &g,
+            &stress_opts(PolicyKind::Taper),
+            &format!("storm/{round}"),
+        );
     }
 }
 
