@@ -7,7 +7,7 @@
 //! figures ablate-alloc   allocation equalizer vs even split
 //! figures ablate-costfn  TAPER cost-function scaling on/off
 //! figures ablate-pipeline  pipeline overlap on/off
-//! figures ablate-iters   equalizer iteration budget sweep
+//! figures ablate-iters   the paper's equalizer listing vs the exact allocation
 //! figures ablate-batch   pipelined communication batch-size curve
 //! figures ablate-dist    centralized vs distributed TAPER
 //! figures intro-fusion   loop fusion vs split (§1's motivating example)
@@ -18,8 +18,8 @@ use orchestra_apps::{all_paper_workloads, climate, psirrfan};
 use orchestra_bench::{fig6_processor_counts, measure, Config, Measurement};
 use orchestra_machine::MachineConfig;
 use orchestra_runtime::{
-    allocate_many, execute_graph, finish_estimate, AllocParams, ExecutorBackend, ExecutorOptions,
-    OpSpec, PolicyKind,
+    allocate_many, execute_graph, finish_estimate, ExecutorBackend, ExecutorOptions, OpSpec,
+    PolicyKind,
 };
 
 fn main() {
@@ -369,11 +369,14 @@ fn ablate_batch() {
     }
 }
 
-/// Ablation: the equalizer's iteration budget (`max_count`), checked on
-/// the estimate imbalance it leaves behind.
+/// Ablation: the paper's two-op equalizer listing (§4.1.2) at a growing
+/// iteration budget, against the exact allocation `allocate_many`
+/// returns, by the estimate imbalance and the latest estimate each
+/// leaves behind.
 fn ablate_iters() {
-    header("Ablation — allocation equalizer iterations (max_count)");
-    let cfg = MachineConfig::ncube2(1024);
+    header("Ablation — the paper's equalizer listing vs the exact allocation");
+    let p = 1024;
+    let cfg = MachineConfig::ncube2(p);
     let big = OpSpec {
         tasks: 8192,
         mean: 400.0,
@@ -390,14 +393,30 @@ fn ablate_iters() {
         bytes_out: 1024 * 256,
         policy: PolicyKind::Taper,
     };
-    println!("{:>9} {:>6} {:>6} {:>12}", "max_count", "p1", "p2", "imbalance");
-    for max_count in [0u32, 1, 2, 4, 8] {
-        let params = AllocParams { epsilon: 0.0, max_count };
-        let alloc = allocate_many(&[big, small], 1024, &cfg, &params);
-        let (p1, p2) = (alloc[0], alloc[1]);
-        let ea = finish_estimate(&big, p1, &cfg).total();
-        let eb = finish_estimate(&small, p2, &cfg).total();
+    let est = |op: &OpSpec, q: usize| finish_estimate(op, q, &cfg).total();
+    // The paper's listing, verbatim: p1 = p/2, and while the estimates
+    // differ by more than ε = 5 % of the later one, for at most
+    // max_count steps, the later op gains half the other's processors.
+    let listing = |max_count: u32| {
+        let mut p1 = p / 2;
+        for _ in 0..max_count {
+            let (ea, eb) = (est(&big, p1), est(&small, p - p1));
+            if (ea - eb).abs() <= 0.05 * ea.max(eb) {
+                break;
+            }
+            let p2 = p - p1;
+            p1 = if ea > eb { p1 + p2 / 2 } else { p - (p2 + p1 / 2) }.clamp(1, p - 1);
+        }
+        p1
+    };
+    println!("{:>9} {:>6} {:>6} {:>12} {:>12}", "max_count", "p1", "p2", "imbalance", "latest µs");
+    let row = |label: &str, p1: usize| {
+        let (ea, eb) = (est(&big, p1), est(&small, p - p1));
         let imb = (ea - eb).abs() / ea.max(eb);
-        println!("{:>9} {:>6} {:>6} {:>11.1}%", max_count, p1, p2, imb * 100.0);
+        println!("{label:>9} {p1:>6} {:>6} {:>11.1}% {:>12.0}", p - p1, imb * 100.0, ea.max(eb));
+    };
+    for max_count in [0, 1, 2, 4, 8] {
+        row(&max_count.to_string(), listing(max_count));
     }
+    row("exact", allocate_many(&[big, small], p, est)[0]);
 }

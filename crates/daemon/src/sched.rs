@@ -6,14 +6,14 @@
 //! [`OpSpec`](orchestra_runtime::OpSpec) — its unfinished ops reduced
 //! to remaining tasks and pooled µ/σ, exactly the shape
 //! [`OpSpec::from_live`] produces mid-run — and
-//! [`allocate_many_with`](orchestra_runtime::alloc::allocate_many_with)
-//! partitions the shared worker pool by iteratively equalizing the
-//! graphs' [`finish_estimate_live`] totals. A tenant's scheduling
-//! weight scales its graph's apparent work (µ and σ multiplied by the
-//! weight), so the equalizer hands a weight-2 tenant the share it
-//! would hand a graph with twice the remaining work: weighted quotas
-//! fall out of the paper's own algorithm rather than a separate
-//! quota system.
+//! [`allocate_many`](orchestra_runtime::allocate_many) partitions the
+//! shared worker pool so that the latest of the graphs'
+//! [`finish_estimate_live`] totals is as early as it can be. A
+//! tenant's scheduling weight scales its graph's apparent work (µ and
+//! σ multiplied by the weight), so the equalizer hands a weight-2
+//! tenant the share it would hand a graph with twice the remaining
+//! work: weighted quotas fall out of the paper's own algorithm rather
+//! than a separate quota system.
 //!
 //! Grants are **widen-only** for the lifetime of a run, mirroring how
 //! the in-run partition masks of the threaded pool only ever widen: a
@@ -25,8 +25,7 @@
 //! behind.
 
 use orchestra_delirium::DelirGraph;
-use orchestra_runtime::alloc::allocate_many_with;
-use orchestra_runtime::{finish_estimate_live, AllocParams, HostCalibration, OpSpec, PolicyKind};
+use orchestra_runtime::{allocate_many, finish_estimate_live, HostCalibration, OpSpec, PolicyKind};
 use std::collections::BTreeMap;
 
 /// One running graph's contribution to the shared pool's load.
@@ -67,7 +66,6 @@ fn combined_spec(load: &GraphLoad) -> OpSpec {
 pub struct PoolScheduler {
     workers: usize,
     cal: HostCalibration,
-    params: AllocParams,
     running: Vec<GraphLoad>,
     grants: BTreeMap<u64, usize>,
 }
@@ -82,13 +80,7 @@ impl PoolScheduler {
     /// A scheduler using a caller-supplied (typically measured) host
     /// calibration for its finishing-time estimates.
     pub fn with_calibration(workers: usize, cal: HostCalibration) -> Self {
-        PoolScheduler {
-            workers: workers.max(1),
-            cal,
-            params: AllocParams::default(),
-            running: Vec::new(),
-            grants: BTreeMap::new(),
-        }
+        PoolScheduler { workers: workers.max(1), cal, running: Vec::new(), grants: BTreeMap::new() }
     }
 
     /// Size of the pool being partitioned.
@@ -135,7 +127,7 @@ impl PoolScheduler {
         }
         let specs: Vec<OpSpec> = self.running.iter().map(combined_spec).collect();
         let shares = if specs.len() <= self.workers {
-            allocate_many_with(&specs, self.workers, &self.params, |s, p| {
+            allocate_many(&specs, self.workers, |s, p| {
                 finish_estimate_live(s, p, &self.cal).total()
             })
         } else {

@@ -2,25 +2,30 @@
 //!
 //! When parallel operations execute concurrently, the runtime rations
 //! processors between them by equalizing their finishing-time
-//! estimates. [`allocate_many_with`] is the one equalizer: the
-//! simulator (through [`allocate_many`], its modeled-machine form), the
-//! real pool's set-up and the serving daemon's scheduler all run it.
-//! For `k` operations on `p` processors it
+//! estimates: the paper's min–max, each of `k` operations holding at
+//! least one of `p` processors and the latest estimate as early as it
+//! can be. [`allocate_many`] solves it exactly over the caller's
+//! estimator (the simulator's `finish_estimate`, the pool's and the
+//! daemon's `finish_estimate_live`) by a dynamic program over the ops:
 //!
 //! ```text
-//! start from the even split (p/k each, the remainder one apiece)
-//! repeat at most max_count · k times:
-//!     hi = the op with the latest estimate, lo = the earliest
-//!     stop if |e_hi − e_lo| ≤ epsilon · e_hi, or lo holds one processor
-//!     move max(1, alloc[lo]/4) processors from lo to hi
+//! latest[0][s] = est(op 0, s)
+//! latest[j][s] = min over q of max(latest[j−1][s−q], est(op j, q));  held[j][s] = that q
 //! ```
 //!
-//! The paper's listing is the two-op case with different steps: it
-//! starts at p/2 each, moves half of the donor's processors per step,
-//! and runs at most `max_count` steps. ("In practice, using a max_count
-//! of four has been sufficient.") Quarter-of-donor moves over a budget
-//! scaled by `k` converge more gently; the paper's ε = 5 % and
-//! `max_count` = 4 are the defaults.
+//! read back from `s = p`, the last op first. **Ties:** `q` is scanned
+//! upward and replaced only by a strictly smaller value, so among equal
+//! optima each later op takes the fewest processors and op 0 holds the
+//! rest. **Cost:** `k·(p−k+1)` estimates; each middle op costs `O(p²)`
+//! compares and the first and last `O(p)`, so a two-op level is `O(p)`.
+//!
+//! There is no ε or iteration budget: `figures ablate-iters` measures
+//! the paper's listing, a heuristic for the same problem, against this
+//! answer. Nor are demands read off the monotone envelope
+//! `min_{r≤q} est(r)`: the estimate is not monotone in `p` (`setup`
+//! grows with `log p`, `lag` with `√ln p`), so spare processors an
+//! envelope rule hands to an op can raise its raw estimate past the
+//! optimum.
 //!
 //! This module also owns the runtime's other allocation concern: the
 //! [`OutputArena`], one zero-allocated buffer per operation. Workers
@@ -30,90 +35,61 @@
 //! out of the same buffers, and the run hands the buffers out as its
 //! outputs — the zero-copy data plane described in DESIGN §14.
 
-use crate::finish::{finish_estimate, OpSpec};
-use orchestra_machine::MachineConfig;
+use crate::finish::OpSpec;
 use std::cell::UnsafeCell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Parameters of the iterative equalizer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AllocParams {
-    /// Relative imbalance tolerance (the paper's 5%).
-    pub epsilon: f64,
-    /// Maximum iterations (the paper's 4).
-    pub max_count: u32,
-}
-
-impl Default for AllocParams {
-    fn default() -> Self {
-        AllocParams { epsilon: 0.05, max_count: 4 }
-    }
-}
-
 /// Rations `p` processors among `k ≥ 1` concurrently executing
-/// operations by the module's equalizer, estimating each operation's
-/// finishing time on the modeled machine `cfg`.
+/// operations: the allocation of all `p`, each op holding at least
+/// one, whose largest `est(op, procs)` is the least possible (ties as
+/// the module doc states).
 ///
 /// # Panics
 ///
 /// Panics if `ops` is empty or `p < ops.len()` (each operation needs at
 /// least one processor).
-pub fn allocate_many(
-    ops: &[OpSpec],
-    p: usize,
-    cfg: &MachineConfig,
-    params: &AllocParams,
-) -> Vec<usize> {
-    allocate_many_with(ops, p, params, |op, procs| finish_estimate(op, procs, cfg).total())
-}
-
-/// [`allocate_many`] with a caller-supplied finishing-time estimator.
-///
-/// The simulator calls it with the modeled machine's
-/// [`finish_estimate`]; the real backends call it with
-/// [`finish_estimate_live`](crate::finish::finish_estimate_live) over
-/// live sampled statistics and host-calibrated overheads, where no
-/// `MachineConfig` exists.
-pub fn allocate_many_with(
-    ops: &[OpSpec],
-    p: usize,
-    params: &AllocParams,
-    est: impl Fn(&OpSpec, usize) -> f64,
-) -> Vec<usize> {
+pub fn allocate_many(ops: &[OpSpec], p: usize, est: impl Fn(&OpSpec, usize) -> f64) -> Vec<usize> {
     let k = ops.len();
     assert!(k >= 1, "need at least one operation");
     assert!(p >= k, "need at least one processor per operation");
     if k == 1 {
         return vec![p];
     }
-    let mut alloc = vec![p / k; k];
-    for a in alloc.iter_mut().take(p % k) {
-        *a += 1;
-    }
-    for _ in 0..params.max_count * k as u32 {
-        let (mut hi, mut lo) = (0, 0);
-        let (mut hi_e, mut lo_e) = (f64::MIN, f64::MAX);
-        for i in 0..k {
-            let e = est(&ops[i], alloc[i].max(1));
-            if e > hi_e {
-                hi_e = e;
-                hi = i;
+    // The most processors one op can hold: the others keep one each.
+    let most = p - k + 1;
+    // `latest[s]`: the least latest estimate ops 0..=j reach on exactly
+    // `s` processors; for op 0 alone, its own estimate.
+    let mut latest: Vec<f64> =
+        std::iter::once(f64::INFINITY).chain((1..=most).map(|q| est(&ops[0], q))).collect();
+    let mut held: Vec<Vec<usize>> = Vec::with_capacity(k - 1);
+    for (j, op) in ops.iter().enumerate().skip(1) {
+        let e: Vec<f64> = (1..=most).map(|q| est(op, q)).collect();
+        // Ops 0..=j hold s ∈ j+1 ..= p−(k−1−j); the last op needs only s = p.
+        let first = if j + 1 == k { p } else { j + 1 };
+        let mut next = vec![f64::INFINITY; p - (k - 1 - j) + 1];
+        let mut took = vec![0usize; next.len()];
+        for s in first..next.len() {
+            let (mut best, mut arg) = (latest[s - 1].max(e[0]), 1);
+            for q in 2..=s - j {
+                let v = latest[s - q].max(e[q - 1]);
+                if v < best {
+                    (best, arg) = (v, q);
+                }
             }
-            if e < lo_e {
-                lo_e = e;
-                lo = i;
-            }
+            (next[s], took[s]) = (best, arg);
         }
-        if hi == lo || (hi_e - lo_e) <= params.epsilon * hi_e || alloc[lo] <= 1 {
-            break;
-        }
-        // Move a quarter of the donor's processors (at least one).
-        let transfer = (alloc[lo] / 4).max(1).min(alloc[lo] - 1);
-        alloc[lo] -= transfer;
-        alloc[hi] += transfer;
+        latest = next;
+        held.push(took);
     }
+    let mut alloc = vec![0; k];
+    let mut s = p;
+    for (j, took) in held.iter().enumerate().rev() {
+        alloc[j + 1] = took[s];
+        s -= took[s];
+    }
+    alloc[0] = s;
     alloc
 }
 
@@ -526,6 +502,10 @@ mod arena_tests {
 mod tests {
     use super::*;
     use crate::chunking::PolicyKind;
+    use crate::finish::{finish_estimate, finish_estimate_live, HostCalibration};
+    use orchestra_machine::MachineConfig;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn spec(n: usize, mean: f64, cv: f64) -> OpSpec {
         OpSpec {
@@ -538,20 +518,23 @@ mod tests {
         }
     }
 
+    /// `ops`' allocation on the modeled machine `ncube2(p)`.
+    fn modeled(ops: &[OpSpec], p: usize) -> Vec<usize> {
+        let cfg = MachineConfig::ncube2(p);
+        allocate_many(ops, p, |op, q| finish_estimate(op, q, &cfg).total())
+    }
+
     #[test]
     fn equal_ops_get_equal_processors() {
         let a = spec(2048, 50.0, 0.3);
-        let cfg = MachineConfig::ncube2(64);
-        let alloc = allocate_many(&[a, a], 64, &cfg, &AllocParams::default());
-        assert_eq!(alloc, [32, 32], "already balanced");
+        assert_eq!(modeled(&[a, a], 64), [32, 32], "already balanced");
     }
 
     #[test]
     fn bigger_op_gets_more_processors() {
         let big = spec(8192, 100.0, 0.3);
         let small = spec(512, 20.0, 0.3);
-        let cfg = MachineConfig::ncube2(128);
-        let alloc = allocate_many(&[big, small], 128, &cfg, &AllocParams::default());
+        let alloc = modeled(&[big, small], 128);
         assert!(alloc[0] > alloc[1], "A has 80× the work: {alloc:?}");
         assert_eq!(alloc[0] + alloc[1], 128);
     }
@@ -565,34 +548,41 @@ mod tests {
             (finish_estimate(&big, p1, &cfg).total() - finish_estimate(&small, p2, &cfg).total())
                 .abs()
         };
-        let alloc = allocate_many(&[big, small], 256, &cfg, &AllocParams::default());
+        let alloc = modeled(&[big, small], 256);
         let (before, after) = (imbalance(128, 128), imbalance(alloc[0], alloc[1]));
         assert!(after < before, "imbalance must shrink: {before} → {after}");
     }
 
+    /// An op whose estimate is negligible at one processor keeps just
+    /// that one: the rest shortens the heavy op.
     #[test]
-    fn zero_budget_keeps_the_even_split() {
+    fn a_negligible_op_keeps_one_processor() {
         let big = spec(1_000_000, 100.0, 0.0);
         let small = spec(1, 1.0, 0.0);
-        let cfg = MachineConfig::ncube2(1024);
-        let params = AllocParams { max_count: 0, ..AllocParams::default() };
-        assert_eq!(allocate_many(&[big, small], 1024, &cfg, &params), [512, 512]);
-        let three = allocate_many(&[big, small, small], 1024, &cfg, &params);
-        assert_eq!(three, [342, 341, 341]);
+        assert_eq!(modeled(&[big, small], 1024), [1023, 1]);
+        assert_eq!(modeled(&[big, small, small], 1024), [1022, 1, 1]);
+    }
+
+    /// Two equal ops whose estimate stops falling at `n` processors:
+    /// every split that gives each at least `n` is optimal, and the
+    /// later op takes the fewest, so op 0 holds the rest.
+    #[test]
+    fn among_equal_optima_the_later_ops_take_the_fewest() {
+        let op = spec(4, 1.0, 0.0);
+        let est = |op: &OpSpec, q: usize| op.tasks as f64 * op.mean / q.min(op.tasks) as f64;
+        assert_eq!(allocate_many(&[op, op], 16, est), [12, 4]);
+        assert_eq!(allocate_many(&[op, op, op], 16, est), [8, 4, 4]);
     }
 
     #[test]
     fn many_degenerates_to_all_for_single_op() {
-        let cfg = MachineConfig::ncube2(64);
-        let alloc = allocate_many(&[spec(100, 1.0, 0.0)], 64, &cfg, &AllocParams::default());
-        assert_eq!(alloc, vec![64]);
+        assert_eq!(modeled(&[spec(100, 1.0, 0.0)], 64), vec![64]);
     }
 
     #[test]
     fn many_allocates_all_processors() {
-        let cfg = MachineConfig::ncube2(96);
         let ops = vec![spec(4096, 50.0, 0.2), spec(1024, 10.0, 1.0), spec(2048, 30.0, 0.5)];
-        let alloc = allocate_many(&ops, 96, &cfg, &AllocParams::default());
+        let alloc = modeled(&ops, 96);
         assert_eq!(alloc.iter().sum::<usize>(), 96);
         assert!(alloc.iter().all(|&a| a >= 1));
         // The heaviest op receives the most processors.
@@ -600,22 +590,99 @@ mod tests {
     }
 
     #[test]
-    fn many_with_uses_the_supplied_estimator() {
+    fn uses_the_supplied_estimator() {
         // A trivial work/p estimator must still skew toward the op
         // with more total work, without any MachineConfig in sight.
         let ops = vec![spec(8000, 1.0, 0.0), spec(1000, 1.0, 0.0)];
-        let alloc = allocate_many_with(&ops, 8, &AllocParams::default(), |op, p| {
-            op.total_work() / p as f64
-        });
-        assert_eq!(alloc.iter().sum::<usize>(), 8);
-        assert!(alloc[0] > alloc[1], "8× work must earn more processors: {alloc:?}");
+        let alloc = allocate_many(&ops, 8, |op, p| op.total_work() / p as f64);
+        assert_eq!(alloc, [7, 1], "8× work must earn more processors");
     }
 
     #[test]
     #[should_panic(expected = "at least one processor per operation")]
     fn fewer_processors_than_ops_is_refused() {
-        let cfg = MachineConfig::ncube2(2);
         let op = spec(1, 1.0, 0.0);
-        allocate_many(&[op, op, op], 2, &cfg, &AllocParams::default());
+        modeled(&[op, op, op], 2);
+    }
+
+    /// The least largest estimate over every allocation of all `p`
+    /// processors to `table.len()` ops (each ≥ 1), where `table[j][q−1]`
+    /// is op `j`'s estimate on `q`.
+    fn brute_force(table: &[Vec<f64>], p: usize) -> f64 {
+        fn go(table: &[Vec<f64>], left: usize, worst: f64) -> f64 {
+            match table {
+                [last] => worst.max(last[left - 1]),
+                [op, rest @ ..] => (1..=left - rest.len())
+                    .map(|q| go(rest, left - q, worst.max(op[q - 1])))
+                    .fold(f64::INFINITY, f64::min),
+                [] => unreachable!("at least one op"),
+            }
+        }
+        go(table, p, f64::NEG_INFINITY)
+    }
+
+    /// The allocation is exact on the raw estimate: no allocation of all
+    /// `p` processors has a smaller largest estimate. Brute-forced over
+    /// k ≤ 3 and p ≤ 24 for the modeled machine's estimate (bytes up to
+    /// 4 KiB per task, so `setup` grows with `p` and the estimate is not
+    /// monotone), the live estimate on the same specs, and arbitrary
+    /// tables with ties.
+    #[test]
+    fn the_allocation_is_the_exact_min_max() {
+        let policies = [
+            PolicyKind::Static,
+            PolicyKind::SelfSched,
+            PolicyKind::Gss,
+            PolicyKind::Factoring,
+            PolicyKind::Taper,
+            PolicyKind::TaperCostFn,
+        ];
+        let cal = HostCalibration::with_overhead(0.5);
+        let mut rng = StdRng::seed_from_u64(18);
+        for case in 0..10_000 {
+            let k = rng.gen_range(1..=3usize);
+            let p = rng.gen_range(k..=24usize);
+            let ops: Vec<OpSpec> = (0..k)
+                .map(|_| {
+                    let tasks = rng.gen_range(1..=4096usize);
+                    let mean = rng.gen_range(0.5..500.0);
+                    let bytes = rng.gen_range(0..=4096u64);
+                    OpSpec {
+                        tasks,
+                        mean,
+                        std_dev: mean * rng.gen_range(0.0..2.0),
+                        bytes_in: tasks as u64 * bytes,
+                        bytes_out: tasks as u64 * rng.gen_range(0..=bytes),
+                        policy: policies[rng.gen_range(0..policies.len())],
+                    }
+                })
+                .collect();
+            let cfg = MachineConfig::ncube2(p);
+            let tabulate = |est: &dyn Fn(&OpSpec, usize) -> f64| -> Vec<Vec<f64>> {
+                ops.iter().map(|op| (1..=p).map(|q| est(op, q)).collect()).collect()
+            };
+            let tables = [
+                ("modeled", tabulate(&|op, q| finish_estimate(op, q, &cfg).total())),
+                ("live", tabulate(&|op, q| finish_estimate_live(op, q, &cal).total())),
+                (
+                    "table",
+                    (0..k).map(|_| (0..p).map(|_| rng.gen_range(0..40) as f64).collect()).collect(),
+                ),
+            ];
+            for (name, table) in tables {
+                // Equal specs are told apart by address.
+                let index = |op: &OpSpec| ops.iter().position(|o| std::ptr::eq(o, op)).unwrap();
+                let alloc = allocate_many(&ops, p, |op, q| table[index(op)][q - 1]);
+                let ctx = format!("case {case} ({name}, k={k}, p={p}): {alloc:?} for {ops:?}");
+                assert_eq!(alloc.iter().sum::<usize>(), p, "{ctx}");
+                assert!(alloc.iter().all(|&a| a >= 1), "{ctx}");
+                let got = alloc
+                    .iter()
+                    .enumerate()
+                    .map(|(j, &q)| table[j][q - 1])
+                    .fold(f64::NEG_INFINITY, f64::max);
+                assert_eq!(got, brute_force(&table, p), "{ctx}");
+            }
+        }
     }
 }

@@ -14,9 +14,9 @@
 //! traditional compiler, and a split graph reproduces the orchestrated
 //! one.
 
-use crate::alloc::{allocate_many, AllocParams};
+use crate::alloc::allocate_many;
 use crate::chunking::PolicyKind;
-use crate::finish::OpSpec;
+use crate::finish::{finish_estimate, OpSpec};
 use crate::granularity::{choose_batch, pipelined_stage_time};
 use crate::par_op::{simulate_policy, OpOptions};
 use crate::threaded::ExecutorBackend;
@@ -424,7 +424,7 @@ pub fn execute_graph(
                     }
                 })
                 .collect();
-            allocate_many(&specs, p_total, cfg, &AllocParams::default())
+            allocate_many(&specs, p_total, |s, p| finish_estimate(s, p, cfg).total())
         } else {
             let mut even = vec![p_total / k; k];
             even[0] += p_total % k;

@@ -17,9 +17,9 @@
 //!   its binary-tree simulation and the threaded home queues both drive;
 //! * [`finish`] — the finishing-time estimate
 //!   `finish = setup + compute + lag + comm + sched` (equation 1);
-//! * [`alloc`] — the iterative processor-allocation equalizer
-//!   (ε = 5%, max_count = 4) and the zero-copy [`OutputArena`] backing
-//!   every operation's output buffer;
+//! * [`alloc`] — the processor-allocation equalizer, which solves the
+//!   paper's min–max over finishing-time estimates exactly, and the
+//!   zero-copy [`OutputArena`] backing every operation's output buffer;
 //! * [`granularity`] — communication batch-size choice for pipelined
 //!   operation pairs;
 //! * [`executor`] — level-structured graph execution combining all of
@@ -55,7 +55,7 @@ pub mod run;
 pub mod stats;
 pub mod threaded;
 
-pub use alloc::{allocate_many, AllocParams, OutputArena, Publication};
+pub use alloc::{allocate_many, OutputArena, Publication};
 pub use asynch::{execute_async, resolve_drivers};
 pub use cancel::{CancelToken, RunError};
 pub use checkpoint::{

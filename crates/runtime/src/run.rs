@@ -34,7 +34,7 @@
 //! masks, claim queues and tokens in `threaded::pool`; claimer futures
 //! and one wake list per op in [`asynch`](crate::asynch).
 
-use crate::alloc::{allocate_many_with, AllocParams, OutputArena, Publication};
+use crate::alloc::{allocate_many, OutputArena, Publication};
 use crate::cancel::RunError;
 use crate::checkpoint::{op_snapshot, OpSnapshot, ResumeState, RunCtl};
 use crate::chunking::PolicyKind;
@@ -480,9 +480,8 @@ pub(crate) fn set_up<'p>(
             }
             let specs: Vec<OpSpec> =
                 group.iter().map(|&i| OpSpec::from_live(pending[i], None, kind)).collect();
-            let alloc = allocate_many_with(&specs, pool, &AllocParams::default(), |s, p| {
-                finish_estimate_live(s, p, &cal).total()
-            });
+            let alloc =
+                allocate_many(&specs, pool, |s, p| finish_estimate_live(s, p, &cal).total());
             let mut offset = 0usize;
             for (&i, &a) in group.iter().zip(&alloc) {
                 shares[i] = offset..offset + a;

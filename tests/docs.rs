@@ -11,8 +11,13 @@
 //! fields as `ExecutorOptions::x`, `RunReport::x` and `OpRecord::x`;
 //! every such name must still exist. EXPERIMENTS.md and CHANGES.md are
 //! history and may name what is gone.
+//!
+//! DESIGN.md's experiment index (§4) and ablation list (§5) say what
+//! regenerates each figure; every file, test and `figures` subcommand
+//! they name must exist.
 
 use std::collections::HashSet;
+use std::path::Path;
 
 const EXPERIMENTS: &str = include_str!("../EXPERIMENTS.md");
 const FIGURES: &str = include_str!("../results/figures_all.txt");
@@ -119,5 +124,79 @@ fn readme_and_design_name_only_fields_that_exist() {
         "{} names match no pub field or fn in crates/runtime/src/{{executor,run}}.rs:\n{}",
         missing.len(),
         missing.join("\n")
+    );
+}
+
+/// The `figures` subcommands: the string arms of `figures.rs`'s `match`.
+fn figures_arms(src: &str) -> HashSet<&str> {
+    src.lines()
+        .filter_map(|l| l.trim().strip_prefix('"')?.split_once("\" =>").map(|(arm, _)| arm))
+        .collect()
+}
+
+/// Every backticked span DESIGN.md's §4 and §5 use to say what
+/// regenerates an experiment, with its line number: each span in the
+/// last column of §4's table, and each `figures.rs <exp>` or bare
+/// `ablate-*` / `intro-*` span in either section.
+fn design_experiment_refs(doc: &str) -> Vec<(usize, &str)> {
+    let (mut section, mut out) = ("", Vec::new());
+    for (i, line) in doc.lines().enumerate() {
+        if line.starts_with("## ") {
+            section = line;
+            continue;
+        }
+        if !(section.starts_with("## 4.") || section.starts_with("## 5.")) {
+            continue;
+        }
+        let last_column = match line.trim_end().strip_suffix('|') {
+            Some(row) if section.starts_with("## 4.") && !row.starts_with("|---") => {
+                row.rsplit('|').next().unwrap_or("")
+            }
+            _ => "",
+        };
+        for span in line.split('`').skip(1).step_by(2) {
+            let figures = span.contains("figures.rs ")
+                || span.starts_with("ablate-")
+                || span.starts_with("intro-");
+            if figures || last_column.contains(&format!("`{span}`")) {
+                out.push((i + 1, span));
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn design_experiment_index_resolves() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |rel: &str| std::fs::read_to_string(root.join(rel)).unwrap_or_default();
+    let design = read("DESIGN.md");
+    let figures = read("crates/bench/src/bin/figures.rs");
+    let arms = figures_arms(&figures);
+    assert!(arms.contains("fig6") && arms.contains("all"), "figures.rs arms not found: {arms:?}");
+    let refs = design_experiment_refs(&design);
+    assert!(refs.len() > 10, "only {} references found: did §4's table move?", refs.len());
+    let unresolved: Vec<String> = refs
+        .iter()
+        .filter(|(_, span)| {
+            let resolves = if let Some((_, exp)) = span.split_once("figures.rs ") {
+                arms.contains(exp)
+            } else if span.starts_with("ablate-") || span.starts_with("intro-") {
+                arms.contains(span)
+            } else if let Some((path, rest)) = span.split_once("::") {
+                let name = rest.rsplit("::").next().unwrap_or(rest);
+                read(path).contains(&format!("fn {name}("))
+            } else {
+                root.join(span).exists()
+            };
+            !resolves
+        })
+        .map(|(n, span)| format!("DESIGN.md:{n}: `{span}`"))
+        .collect();
+    assert!(
+        unresolved.is_empty(),
+        "{} experiment references name no file, test or figures subcommand:\n{}",
+        unresolved.len(),
+        unresolved.join("\n")
     );
 }

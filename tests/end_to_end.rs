@@ -7,7 +7,7 @@ use orchestra_bench::{measure, Config};
 use orchestra_core::{graph_of_compiled, Orchestrator};
 use orchestra_machine::MachineConfig;
 use orchestra_runtime::{
-    allocate_many, execute_graph, AllocParams, ExecutorOptions, OpSpec, PolicyKind,
+    allocate_many, execute_graph, finish_estimate, ExecutorOptions, OpSpec, PolicyKind,
 };
 
 #[test]
@@ -51,7 +51,10 @@ fn split_beats_taper_on_every_app_at_scale() {
 
 /// The simulator allocates a level from estimates alone: on Psirrfan's
 /// split graph, level 0's two units (`B_I` and the pipelined phases)
-/// get exactly what the equalizer gives their specs.
+/// get exactly what the equalizer gives their specs. That is 36/988,
+/// the split whose later estimate is least. The move loop the exact
+/// solver replaced stopped at 52/972: eight quarter-moves from the
+/// even split, its budget, not its estimates, decided where.
 #[test]
 fn simulator_keeps_the_equalizers_allocation() {
     const BYTES_PER_TASK: u64 = 32;
@@ -74,8 +77,9 @@ fn simulator_keeps_the_equalizers_allocation() {
         bytes_out: phase.bytes_out * iters as u64,
         ..phase
     };
-    let want = allocate_many(&[spec("B_I"), phases], 1024, &cfg, &AllocParams::default());
-    assert_eq!(want, [52, 972]);
+    let want =
+        allocate_many(&[spec("B_I"), phases], 1024, |s, p| finish_estimate(s, p, &cfg).total());
+    assert_eq!(want, [36, 988]);
     let level0: Vec<(&str, usize)> =
         report.nodes[..2].iter().map(|n| (n.name.as_str(), n.procs)).collect();
     assert_eq!(level0, [("B_I", want[0]), ("pipeline:phase", want[1])]);
