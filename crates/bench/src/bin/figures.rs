@@ -9,7 +9,7 @@
 //! figures ablate-pipeline  pipeline overlap on/off
 //! figures ablate-iters   the paper's equalizer listing vs the exact allocation
 //! figures ablate-batch   pipelined communication batch-size curve
-//! figures ablate-dist    centralized vs distributed TAPER
+//! figures ablate-dist    centralized vs distributed TAPER, per operation
 //! figures intro-fusion   loop fusion vs split (§1's motivating example)
 //! figures all            everything above
 //! ```
@@ -18,9 +18,13 @@ use orchestra_apps::{all_paper_workloads, climate, psirrfan};
 use orchestra_bench::{fig6_processor_counts, measure, Config, Measurement};
 use orchestra_machine::MachineConfig;
 use orchestra_runtime::{
-    allocate_many, execute_graph, finish_estimate, ExecutorBackend, ExecutorOptions, OpSpec,
-    PolicyKind,
+    allocate_many, costs_of_node, execute_graph, finish_estimate, simulate_dist_taper,
+    simulate_policy, ExecutorOptions, OpOptions, OpSpec, PolicyKind,
 };
+
+/// Bytes each task moves when it runs off its home processor: the
+/// simulator's figure for graph operations.
+const BYTES_PER_TASK: u64 = 32;
 
 fn main() {
     let arg = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
@@ -263,22 +267,25 @@ fn ablate_pipeline() {
 }
 
 /// Ablation: the distributed TAPER epoch/token scheme (§4.1.1) vs the
-/// centralized chunk queue on the split graph — the decentralization
+/// centralized chunk queue, one operation at a time on the whole
+/// machine — both are per-operation schedulers. The decentralization
 /// trades scheduling-bottleneck freedom for token latency, and is
 /// designed to preserve owner-computes locality.
 fn ablate_dist() {
-    header("Ablation — centralized vs distributed TAPER (split graph)");
+    header("Ablation — centralized vs distributed TAPER (Psirrfan ops, µs)");
     let w = psirrfan::workload(&psirrfan::paper_scale());
-    println!("{:>6} {:>14} {:>14}", "procs", "centralized", "distributed");
+    let seed = ExecutorOptions::default().seed;
+    println!("{:>6} {:>6} {:>14} {:>14}", "procs", "op", "centralized", "distributed");
     for p in [256usize, 512, 1024] {
         let cfg = MachineConfig::ncube2(p);
-        let mut central =
-            ExecutorOptions { policy: PolicyKind::TaperCostFn, ..ExecutorOptions::default() };
-        central.pipeline_iters.extend(w.pipeline_iters.clone());
-        let dist = ExecutorOptions { backend: ExecutorBackend::ThreadedDist, ..central.clone() };
-        let tc = execute_graph(&w.split, &cfg, &central).expect("valid").finish;
-        let td = execute_graph(&w.split, &cfg, &dist).expect("valid").finish;
-        println!("{:>6} {:>14.0} {:>14.0}", p, tc, td);
+        for name in ["A_I", "A_D", "B_I"] {
+            let node = w.split.nodes.iter().find(|n| n.name == name).expect("Psirrfan op");
+            let costs = costs_of_node(node, seed);
+            let opts = OpOptions { bytes_per_task: BYTES_PER_TASK };
+            let tc = simulate_policy(&cfg, p, &costs, PolicyKind::TaperCostFn, &opts).finish;
+            let td = simulate_dist_taper(&cfg, p, &costs, BYTES_PER_TASK).finish;
+            println!("{:>6} {:>6} {:>14.0} {:>14.0}", p, name, tc, td);
+        }
     }
 }
 

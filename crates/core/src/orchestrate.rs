@@ -163,18 +163,23 @@ end
         let p = orchestra_lang::parse_program(src).unwrap();
         let (c, cmp) = orch.compare(p);
         assert!(c.exposed_concurrency());
-        // B_I and the pipeline overlap in time.
+        // B_I overlaps the span of the pipelined phase's instances.
         let report = &cmp.orchestrated;
         let bi = report.nodes.iter().find(|n| n.name == "B_I").expect("B_I ran");
-        let pipe =
-            report.nodes.iter().find(|n| n.name.starts_with("pipeline:")).expect("pipeline ran");
+        let (g, _) = crate::graph::graph_of_compiled(&c);
+        let in_phase = |row: &str| {
+            let node = row.split('@').next().unwrap_or(row);
+            g.nodes.iter().any(|v| v.group.is_some() && v.name == node)
+        };
+        let phase: Vec<_> = report.nodes.iter().filter(|n| in_phase(&n.name)).collect();
+        assert!(!phase.is_empty(), "no phase instance ran: {:?}", report.nodes);
+        let start = phase.iter().map(|n| n.start).fold(f64::INFINITY, f64::min);
+        let finish = phase.iter().map(|n| n.finish).fold(0.0, f64::max);
         assert!(
-            bi.start < pipe.finish && pipe.start < bi.finish,
-            "B_I [{}, {}] must overlap the pipeline [{}, {}]",
+            bi.start < finish && start < bi.finish,
+            "B_I [{}, {}] must overlap the phase instances [{start}, {finish}]",
             bi.start,
             bi.finish,
-            pipe.start,
-            pipe.finish
         );
         assert!(
             cmp.orchestrated.finish < 2.5 * cmp.baseline.finish,

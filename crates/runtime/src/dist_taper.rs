@@ -93,9 +93,7 @@ fn broadcast_latency(cfg: &MachineConfig, p: usize) -> f64 {
     (p.max(2) as f64).log2().ceil() * token_hop_cost(cfg)
 }
 
-/// Simulates one parallel operation under distributed TAPER, starting
-/// at `start_time` (the dataflow executor passes the time the
-/// operation's inputs are ready).
+/// Simulates one parallel operation under distributed TAPER.
 ///
 /// Tasks start block-decomposed onto their home processors
 /// (owner-computes); each processor draws decreasing-size chunks from
@@ -111,7 +109,6 @@ pub fn simulate_dist_taper(
     p: usize,
     costs: &[f64],
     bytes_per_task: u64,
-    start_time: f64,
 ) -> DistResult {
     let p = p.max(1);
     let members: Vec<usize> = (0..p).collect();
@@ -122,11 +119,11 @@ pub fn simulate_dist_taper(
     let mut local_epoch: Vec<usize> = vec![0; p];
     let mut starving: Vec<bool> = vec![false; p];
     let mut busy: Vec<bool> = vec![false; p];
-    let mut finish: f64 = start_time;
+    let mut finish: f64 = 0.0;
 
     let mut q: EventQueue<Ev> = EventQueue::new();
     for proc in 0..p {
-        q.push(start_time, Ev::Idle(proc));
+        q.push(0.0, Ev::Idle(proc));
     }
 
     while let Some((t, ev)) = q.pop() {
@@ -203,7 +200,7 @@ mod tests {
     #[test]
     fn all_tasks_execute_exactly_once() {
         let costs = CostDistribution::HeavyTail { mean: 10.0, sigma: 1.2 }.sample(800, 5);
-        let r = simulate_dist_taper(&MachineConfig::ncube2(16), 16, &costs, 128, 0.0);
+        let r = simulate_dist_taper(&MachineConfig::ncube2(16), 16, &costs, 128);
         assert_eq!(r.stats.total_tasks(), 800);
         let total: f64 = costs.iter().sum();
         assert!((r.stats.total_busy() - total).abs() < 1e-6);
@@ -214,7 +211,7 @@ mod tests {
         // "If task costs are independent then we expect most tasks to
         // remain on the processor owning them."
         let costs = CostDistribution::Uniform { mean: 20.0, spread: 0.2 }.sample(2048, 9);
-        let r = simulate_dist_taper(&MachineConfig::ncube2(32), 32, &costs, 128, 0.0);
+        let r = simulate_dist_taper(&MachineConfig::ncube2(32), 32, &costs, 128);
         assert!(r.locality > 0.8, "locality {} too low for near-uniform costs", r.locality);
     }
 
@@ -229,7 +226,7 @@ mod tests {
             *c = 200.0;
         }
         let cfg = MachineConfig::ncube2(p);
-        let r = simulate_dist_taper(&cfg, p, &costs, 64, 0.0);
+        let r = simulate_dist_taper(&cfg, p, &costs, 64);
         assert!(r.reassignments > 0, "laggard's chunks must be re-assigned");
         // Compare with no-stealing: proc 0 alone does 64×200.
         let local_only: f64 = 64.0 * 200.0;
@@ -244,8 +241,8 @@ mod tests {
     fn deterministic() {
         let costs = CostDistribution::Bimodal { mean: 5.0, heavy_frac: 0.2, heavy_mult: 10.0 }
             .sample(300, 21);
-        let a = simulate_dist_taper(&MachineConfig::ncube2(8), 8, &costs, 64, 0.0);
-        let b = simulate_dist_taper(&MachineConfig::ncube2(8), 8, &costs, 64, 0.0);
+        let a = simulate_dist_taper(&MachineConfig::ncube2(8), 8, &costs, 64);
+        let b = simulate_dist_taper(&MachineConfig::ncube2(8), 8, &costs, 64);
         assert_eq!(a.finish, b.finish);
         assert_eq!(a.reassignments, b.reassignments);
     }
@@ -253,7 +250,7 @@ mod tests {
     #[test]
     fn single_processor_degenerates() {
         let costs = vec![3.0; 30];
-        let r = simulate_dist_taper(&MachineConfig::ncube2(1), 1, &costs, 64, 0.0);
+        let r = simulate_dist_taper(&MachineConfig::ncube2(1), 1, &costs, 64);
         assert_eq!(r.migrated_tasks, 0);
         assert_eq!(r.reassignments, 0);
         assert!((r.stats.total_busy() - 90.0).abs() < 1e-9);
@@ -266,7 +263,7 @@ mod tests {
         for p in [2usize, 4, 8, 16, 32] {
             for n in [64usize, 256, 1024] {
                 let costs = vec![10.0; n];
-                let r = simulate_dist_taper(&MachineConfig::ncube2(p), p, &costs, 64, 0.0);
+                let r = simulate_dist_taper(&MachineConfig::ncube2(p), p, &costs, 64);
                 assert_eq!(r.migrated_tasks, 0, "p={p} n={n} migrated");
                 assert_eq!(r.reassignments, 0, "p={p} n={n} reassigned");
                 assert!((r.locality - 1.0).abs() < 1e-12);
@@ -277,7 +274,7 @@ mod tests {
     #[test]
     fn epochs_advance_monotonically() {
         let costs = CostDistribution::HeavyTail { mean: 10.0, sigma: 1.2 }.sample(800, 5);
-        let r = simulate_dist_taper(&MachineConfig::ncube2(16), 16, &costs, 128, 0.0);
+        let r = simulate_dist_taper(&MachineConfig::ncube2(16), 16, &costs, 128);
         assert!(r.epochs() >= 1, "an 800-task run must complete at least one epoch");
         assert!(
             r.epoch_times.windows(2).all(|w| w[0] <= w[1]),
@@ -293,10 +290,6 @@ mod tests {
             r.epoch_times.iter().all(|&t| t >= 0.0 && t <= r.finish + slack),
             "epoch increments must happen within the run (+control tail)"
         );
-        // Offset runs shift epoch times with the clock.
-        let shifted = simulate_dist_taper(&MachineConfig::ncube2(16), 16, &costs, 128, 500.0);
-        assert!(shifted.epoch_times.iter().all(|&t| t >= 500.0));
-        assert_eq!(shifted.epochs(), r.epochs());
     }
 
     #[test]

@@ -1,28 +1,34 @@
 //! Executing a Delirium dataflow graph on the simulated machine.
 //!
-//! The executor realizes the paper's runtime scenario: the graph's
-//! concurrency levels determine which parallel operations execute
-//! simultaneously; the processor-allocation equalizer (§4.1.2) rations
-//! processors among them; each operation is scheduled by a chunk policy
-//! (§4.1.1); pipeline groups overlap the independent piece of iteration
-//! `i` with the dependent piece of iteration `i−1` (§3.3.2) using the
-//! communication-granularity model (§4.1).
+//! The simulator runs the plan the real engines run:
+//! [`build_plan`] unrolls each pipeline group into one operation per
+//! iteration, with carried edges as real dependences, and every
+//! operation instance goes through the one scheduling loop of
+//! [`par_op`](crate::par_op). There an operation
+//! waits only for its producers and their transfers, as a runtime
+//! would, so the independent piece of iteration `i` fills in behind the
+//! dependent chain of iteration `i−1` (§3.3.2) because the oldest
+//! iteration is served first. Each operation is scheduled by a chunk
+//! policy (§4.1.1) on a share of the machine that the
+//! processor-allocation equalizer (§4.1.2) gives its graph level's
+//! concurrent units, and idle processors widen the share of the op
+//! whose estimate lags most.
 //!
-//! Sequentially dependent levels synchronize — exactly the "processor
-//! synchronization barrier between sub-computations" the paper's
-//! baseline imposes — so running a non-split graph reproduces the
-//! traditional compiler, and a split graph reproduces the orchestrated
-//! one.
+//! With `pipeline_overlap` off the plan chains every piece of a group
+//! behind the one before it — the "processor synchronization barrier
+//! between sub-computations" the paper's baseline imposes — so running
+//! a non-split graph reproduces the traditional compiler, and a split
+//! graph reproduces the orchestrated one.
 
 use crate::alloc::allocate_many;
 use crate::chunking::PolicyKind;
 use crate::finish::{finish_estimate, OpSpec};
-use crate::granularity::{choose_batch, pipelined_stage_time};
-use crate::par_op::{simulate_policy, OpOptions};
-use crate::threaded::ExecutorBackend;
-use orchestra_delirium::{DelirGraph, NodeId, NodeKind};
+use crate::par_op::{simulate, OpOptions, SimOp};
+use crate::threaded::{build_plan, ExecutorBackend};
+use orchestra_delirium::{DelirGraph, GraphError, NodeId, NodeKind};
 use orchestra_machine::{CostDistribution, MachineConfig};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 
 /// Bytes per task for owner-computes transfers on the simulated machine.
 const BYTES_PER_TASK: u64 = 32;
@@ -32,8 +38,10 @@ const BYTES_PER_TASK: u64 = 32;
 pub struct ExecutorOptions {
     /// Chunk policy for data-parallel nodes.
     pub policy: PolicyKind,
-    /// Use the finishing-time equalizer for concurrent operations
-    /// (false = naive even split).
+    /// Use the finishing-time equalizer to split each level's
+    /// concurrent operations' processors (false = an even split). The
+    /// simulator then widens shares only by admitting idle processors,
+    /// either way.
     pub use_allocation: bool,
     /// Overlap pipeline groups (false = barrier between every piece,
     /// i.e. the unpipelined baseline).
@@ -47,10 +55,9 @@ pub struct ExecutorOptions {
     /// (shared queues or distributed TAPER),
     /// [`execute_graph_resumable`](crate::checkpoint::execute_graph_resumable)
     /// and the serving daemon. [`execute_graph`] is the simulator
-    /// whatever this says, and reads one thing from it: under
-    /// [`ThreadedDist`](ExecutorBackend::ThreadedDist) it schedules
-    /// data-parallel nodes with the simulated *distributed* TAPER
-    /// epoch/token tree (§4.1.1) instead of a centralized chunk policy.
+    /// whatever this says and reads nothing from it; the simulated
+    /// distributed TAPER is a per-operation scheduler,
+    /// [`simulate_dist_taper`](crate::dist_taper::simulate_dist_taper).
     pub backend: ExecutorBackend,
     /// Worker threads for the threaded backend (0 = the machine's
     /// available parallelism). Ignored by the simulator, which sizes
@@ -130,16 +137,17 @@ impl Default for ExecutorOptions {
     }
 }
 
-/// Per-node execution record.
+/// The execution record of one plan operation: a node, or one
+/// iteration of a pipelined node.
 #[derive(Debug, Clone)]
 pub struct NodeReport {
-    /// Node name.
+    /// Operation name (`B_I`, or `A_D@3` for pipeline iteration 3).
     pub name: String,
-    /// Start time (µs).
+    /// When its first chunk was dispatched (µs).
     pub start: f64,
     /// Finish time (µs).
     pub finish: f64,
-    /// Processors assigned.
+    /// Its share: the processors its tasks start on.
     pub procs: usize,
 }
 
@@ -148,7 +156,7 @@ pub struct NodeReport {
 pub struct ExecutionReport {
     /// Simulated completion time (µs).
     pub finish: f64,
-    /// Per-node records.
+    /// One record per plan operation, in plan order.
     pub nodes: Vec<NodeReport>,
     /// Total sequential work (µs), including pipeline iterations.
     pub serial_work: f64,
@@ -254,39 +262,79 @@ pub fn costs_of_node(node: &orchestra_delirium::Node, seed: u64) -> Vec<f64> {
     }
 }
 
-/// Simulates one node on `p` processors starting at `start`; returns
-/// its finish time.
-fn run_node(
-    node: &orchestra_delirium::Node,
-    p: usize,
-    start: f64,
-    proc_offset: usize,
+/// Each node's share of the machine. A graph level holds units: its
+/// single nodes, plus each pipeline group at its earliest member's
+/// level. A level with `2 ≤ k ≤ p` units is split among them by the
+/// equalizer over their specs, or evenly when `use_allocation` is off;
+/// every other unit gets the whole machine. Every node of a unit, and
+/// every instance of those nodes, gets the unit's share.
+fn unit_shares(
+    g: &DelirGraph,
     cfg: &MachineConfig,
     opts: &ExecutorOptions,
-) -> f64 {
-    match &node.kind {
-        NodeKind::Task { cost } | NodeKind::Merge { cost } => start + cost,
-        _ => {
-            let costs = costs_of_node(node, opts.seed);
-            if opts.backend == ExecutorBackend::ThreadedDist {
-                return crate::dist_taper::simulate_dist_taper(
-                    cfg,
-                    p.max(1),
-                    &costs,
-                    BYTES_PER_TASK,
-                    start,
-                )
-                .finish;
-            }
-            let op_opts =
-                OpOptions { bytes_per_task: BYTES_PER_TASK, start_time: start, proc_offset };
-            simulate_policy(cfg, p.max(1), &costs, opts.policy, &op_opts).finish
+) -> Result<Vec<Range<usize>>, GraphError> {
+    let p = cfg.processors;
+    let mut level_of = vec![0usize; g.nodes.len()];
+    for (li, level) in g.levels()?.iter().enumerate() {
+        for &v in level {
+            level_of[v] = li;
         }
     }
+    // (level, group, members): singles before groups, each in node
+    // order.
+    let mut groups: BTreeMap<&str, Vec<NodeId>> = BTreeMap::new();
+    let mut units: Vec<(usize, Option<&str>, Vec<NodeId>)> = Vec::new();
+    for n in &g.nodes {
+        match &n.group {
+            Some(gr) => groups.entry(gr).or_default().push(n.id),
+            None => units.push((level_of[n.id], None, vec![n.id])),
+        }
+    }
+    for (name, vs) in groups {
+        let home = vs.iter().map(|&v| level_of[v]).min().expect("nonempty group");
+        units.push((home, Some(name), vs));
+    }
+    units.sort_by_key(|(level, group, vs)| (*level, group.is_some(), vs[0]));
+
+    let spec_of = |v: NodeId| OpSpec::of_node(&g.nodes[v].kind, BYTES_PER_TASK, opts.policy);
+    let mut shares = vec![0..p; g.nodes.len()];
+    for level in units.chunk_by(|a, b| a.0 == b.0) {
+        let k = level.len();
+        if k < 2 || k > p {
+            continue;
+        }
+        let alloc = if opts.use_allocation {
+            let specs: Vec<OpSpec> = level
+                .iter()
+                .map(|(_, group, vs)| match group {
+                    None => spec_of(vs[0]),
+                    Some(name) => {
+                        let iters = opts.pipeline_iters.get(*name).copied().unwrap_or(1);
+                        let pieces: Vec<OpSpec> = vs.iter().map(|&v| spec_of(v)).collect();
+                        pipeline_group_spec(&pieces, iters, opts.policy)
+                    }
+                })
+                .collect();
+            allocate_many(&specs, p, |s, q| finish_estimate(s, q, cfg).total())
+        } else {
+            let mut even = vec![p / k; k];
+            even[0] += p % k;
+            even
+        };
+        let mut offset = 0usize;
+        for ((_, _, vs), a) in level.iter().zip(alloc) {
+            for &v in vs {
+                shares[v] = offset..offset + a;
+            }
+            offset += a;
+        }
+    }
+    Ok(shares)
 }
 
-/// Simulates a graph on the machine `cfg` describes. This is the
-/// simulator and nothing else: the real engines are
+/// Simulates a graph on the machine `cfg` describes: every instance of
+/// [`build_plan`]'s plan, one report row each. This is the simulator
+/// and nothing else: the real engines are
 /// [`execute_threaded`](crate::threaded::execute_threaded) (which reads
 /// `opts.backend`), [`execute_async`](crate::asynch::execute_async) and
 /// [`execute_sequential`](crate::threaded::execute_sequential), which
@@ -302,273 +350,64 @@ pub fn execute_graph(
     cfg: &MachineConfig,
     opts: &ExecutorOptions,
 ) -> Result<ExecutionReport, crate::cancel::RunError> {
-    g.validate()?;
-    let levels = g.levels()?;
-    let p_total = cfg.processors;
-    let mut node_finish: Vec<f64> = vec![0.0; g.nodes.len()];
-    let mut reports: Vec<NodeReport> = Vec::new();
-    let mut serial_work = 0.0;
-    let mut clock = 0.0f64;
-
-    // Pipeline groups span levels (A_I/A_D at one level, A_M below):
-    // gather members globally and schedule each group as one unit at the
-    // level of its earliest member.
-    let mut group_members: HashMap<String, Vec<NodeId>> = HashMap::new();
-    for n in &g.nodes {
-        if let Some(gr) = &n.group {
-            group_members.entry(gr.clone()).or_default().push(n.id);
-        }
-    }
-    let mut node_level = vec![0usize; g.nodes.len()];
-    for (li, lv) in levels.iter().enumerate() {
-        for &v in lv {
-            node_level[v] = li;
-        }
-    }
-    let group_home: HashMap<String, usize> = group_members
+    let plan = build_plan(g, opts)?;
+    let shares = unit_shares(g, cfg, opts)?;
+    let costs: Vec<Vec<f64>> = g.nodes.iter().map(|n| costs_of_node(n, opts.seed)).collect();
+    // A dependence d→c costs its largest graph edge node(d)→node(c):
+    // each of c's processors receives its share of the data, and the
+    // message rounds pipeline with it, so one latency plus the routed
+    // volume. A barrier with no edge behind it costs nothing.
+    let transfer = |from: NodeId, to: NodeId| {
+        let procs = shares[to].len() as f64;
+        g.edges
+            .iter()
+            .filter(|e| e.from == from && e.to == to)
+            .map(|e| {
+                cfg.alpha
+                    + cfg.beta * e.data.bytes() as f64 / procs
+                    + cfg.hop * cfg.diameter() as f64
+            })
+            .fold(0.0, f64::max)
+    };
+    let ops: Vec<SimOp<'_>> = plan
+        .ops
         .iter()
-        .map(|(k, vs)| {
-            let home = vs.iter().map(|&v| node_level[v]).min().expect("nonempty group");
-            (k.clone(), home)
+        .map(|op| SimOp {
+            costs: &costs[op.node],
+            share: shares[op.node].clone(),
+            deps: op.deps.iter().map(|&d| (d, transfer(plan.ops[d].node, op.node))).collect(),
+            rank: op.iter,
         })
         .collect();
-
-    for (li, level) in levels.iter().enumerate() {
-        // This level's singles, plus every pipeline group homed here.
-        let mut singles: Vec<NodeId> = Vec::new();
-        let mut groups: HashMap<String, Vec<NodeId>> = HashMap::new();
-        for &v in level {
-            match &g.nodes[v].group {
-                Some(gr) => {
-                    if group_home[gr] == li && !groups.contains_key(gr) {
-                        groups.insert(gr.clone(), group_members[gr].clone());
-                    }
-                    // Members homed at earlier levels were already run.
-                }
-                None => singles.push(v),
-            }
-        }
-
-        // Each single node and each pipeline group (with its iteration
-        // count) is one allocation unit.
-        #[derive(Debug)]
-        enum Unit {
-            Single(NodeId),
-            Pipeline(String, Vec<NodeId>, usize),
-        }
-        let mut units: Vec<Unit> = singles.into_iter().map(Unit::Single).collect();
-        for (name, nodes) in groups {
-            let iters = opts.pipeline_iters.get(&name).copied().unwrap_or(1);
-            units.push(Unit::Pipeline(name, nodes, iters));
-        }
-        // Deterministic order.
-        units.sort_by_key(|u| match u {
-            Unit::Single(v) => (0, *v),
-            Unit::Pipeline(_, vs, _) => (1, vs[0]),
-        });
-        if units.is_empty() {
-            continue; // level held only already-run pipeline members
-        }
-
-        // Ready time of each unit: preds' finishes plus edge transfer.
-        // `procs` is the *consuming unit's* allocation — the transfer
-        // is expanded onto the partition that will run the unit, not
-        // onto the whole machine, so a 4-proc unit receives its input
-        // at 4-way parallelism rather than `cfg.processors`-way.
-        fn unit_ready(
-            vs: &[NodeId],
-            clock: f64,
-            g: &DelirGraph,
-            cfg: &MachineConfig,
-            node_finish: &[f64],
-            procs: usize,
-        ) -> f64 {
-            let mut t = clock;
-            for &v in vs {
-                for e in g.edges.iter().filter(|e| e.to == v && !e.carried) {
-                    if vs.contains(&e.from) {
-                        continue;
-                    }
-                    // Distributed transfer: each receiving processor
-                    // moves its 1/p share; the message rounds pipeline
-                    // with the data, so one latency plus the routed
-                    // volume.
-                    let p = procs.max(1) as f64;
-                    let comm = cfg.alpha
-                        + cfg.beta * e.data.bytes() as f64 / p
-                        + cfg.hop * cfg.diameter() as f64;
-                    t = t.max(node_finish[e.from] + comm);
-                }
-            }
-            t
-        }
-
-        // Allocate processors across units: from the equalizer's
-        // estimates, or evenly. A level with more units than processors
-        // cannot be split; its units run one after another, each on the
-        // whole machine.
-        let k = units.len();
-        let serial = k > p_total;
-        let alloc: Vec<usize> = if serial {
-            vec![p_total; k]
-        } else if opts.use_allocation {
-            let spec_of =
-                |v: NodeId| OpSpec::of_node(&g.nodes[v].kind, BYTES_PER_TASK, opts.policy);
-            let specs: Vec<OpSpec> = units
-                .iter()
-                .map(|u| match u {
-                    Unit::Single(v) => spec_of(*v),
-                    Unit::Pipeline(_, vs, iters) => {
-                        let pieces: Vec<OpSpec> = vs.iter().map(|&v| spec_of(v)).collect();
-                        pipeline_group_spec(&pieces, *iters, opts.policy)
-                    }
-                })
-                .collect();
-            allocate_many(&specs, p_total, |s, p| finish_estimate(s, p, cfg).total())
-        } else {
-            let mut even = vec![p_total / k; k];
-            even[0] += p_total % k;
-            even
-        };
-
-        let mut level_end = clock;
-        let mut offset = 0usize;
-        for (u, &p_u) in units.iter().zip(&alloc) {
-            // A serial level's unit waits for the one before it.
-            let floor = if serial { level_end } else { clock };
-            let (name, vs, start, end) = match u {
-                Unit::Single(v) => {
-                    let vs = std::slice::from_ref(v);
-                    let start = unit_ready(vs, floor, g, cfg, &node_finish, p_u);
-                    let end = run_node(&g.nodes[*v], p_u, start, offset, cfg, opts);
-                    serial_work += g.nodes[*v].kind.total_work();
-                    (g.nodes[*v].name.clone(), vs, start, end)
-                }
-                Unit::Pipeline(name, vs, iters) => {
-                    let start = unit_ready(vs, floor, g, cfg, &node_finish, p_u);
-                    let end = run_pipeline(g, vs, *iters, p_u, start, offset, cfg, opts);
-                    for &v in vs {
-                        serial_work += g.nodes[v].kind.total_work() * *iters as f64;
-                    }
-                    (format!("pipeline:{name}"), vs.as_slice(), start, end)
-                }
-            };
-            for &v in vs {
-                node_finish[v] = end;
-            }
-            reports.push(NodeReport { name, start, finish: end, procs: p_u });
-            level_end = level_end.max(end);
-            if !serial {
-                offset += p_u;
-            }
-        }
-        clock = level_end;
-    }
-
-    Ok(ExecutionReport { finish: clock, nodes: reports, serial_work, processors: p_total })
-}
-
-/// Simulates a pipelined loop: nodes with carried edges (plus merges)
-/// form the dependent stage; the rest is the independent stage. With
-/// overlap enabled, the two stages share the unit's `p` processors
-/// (see the steady-state comment below); otherwise every piece
-/// synchronizes, reproducing the unpipelined baseline.
-#[allow(clippy::too_many_arguments)]
-fn run_pipeline(
-    g: &DelirGraph,
-    vs: &[NodeId],
-    iters: usize,
-    p: usize,
-    start: f64,
-    offset: usize,
-    cfg: &MachineConfig,
-    opts: &ExecutorOptions,
-) -> f64 {
-    let iters = iters.max(1);
-    // Dependent pieces: targets or sources of carried edges, and merges.
-    let carried: Vec<&orchestra_delirium::Edge> =
-        g.edges.iter().filter(|e| e.carried && vs.contains(&e.from)).collect();
-    let seed_dependent = |v: NodeId| -> bool {
-        carried.iter().any(|e| e.from == v || e.to == v)
-            || matches!(g.nodes[v].kind, NodeKind::Merge { .. })
+    // Re-equalization scores an op by its node's spec, cut to the
+    // tasks it has left.
+    let estimate = |i: usize, remaining: usize, procs: usize| {
+        let node = &g.nodes[plan.ops[i].node];
+        let bytes = remaining as u64 * BYTES_PER_TASK;
+        let spec = OpSpec::of_node(&node.kind, BYTES_PER_TASK, opts.policy);
+        let spec = OpSpec { tasks: remaining, bytes_in: bytes, bytes_out: bytes, ..spec };
+        finish_estimate(&spec, procs, cfg).total()
     };
-    // Close the dependent set under in-group dataflow successors: a
-    // piece reading a merge's output belongs to the dependent chain.
-    let mut dep_set: Vec<NodeId> = vs.iter().copied().filter(|&v| seed_dependent(v)).collect();
-    loop {
-        let mut grew = false;
-        for e in g.edges.iter().filter(|e| !e.carried) {
-            if dep_set.contains(&e.from) && vs.contains(&e.to) && !dep_set.contains(&e.to) {
-                dep_set.push(e.to);
-                grew = true;
-            }
-        }
-        if !grew {
-            break;
-        }
-    }
-    let dep: Vec<NodeId> = vs.iter().copied().filter(|&v| dep_set.contains(&v)).collect();
-    let ind: Vec<NodeId> = vs.iter().copied().filter(|&v| !dep_set.contains(&v)).collect();
+    let op_opts = OpOptions { bytes_per_task: BYTES_PER_TASK };
+    let (runs, _) = simulate(cfg, cfg.processors, &ops, opts.policy, &op_opts, estimate);
 
-    let stage_time = |nodes: &[NodeId], p_stage: usize, t0: f64| -> f64 {
-        let mut t = t0;
-        for &v in nodes {
-            t = run_node(&g.nodes[v], p_stage.max(1), t, offset, cfg, opts);
-        }
-        t - t0
-    };
-
-    // The carried data crosses iterations either way. Under
-    // owner-computes placement it stays distributed: each processor
-    // exchanges only its 1/p share, so the per-iteration volume divides
-    // by the partition size.
-    let carried_bytes: u64 =
-        (carried.iter().map(|e| e.data.bytes()).sum::<u64>() / p.max(1) as u64).max(8);
-
-    if !opts.pipeline_overlap || dep.is_empty() || ind.is_empty() || p < 2 {
-        // Barrier per iteration over all pieces in order.
-        let per_iter = stage_time(vs, p, start) + cfg.alpha + carried_bytes as f64 * cfg.beta;
-        return start + per_iter * iters as f64;
-    }
-
-    // Steady state: iteration i's independent pieces overlap iteration
-    // i−1's dependent chain, and the whole pool of processors serves
-    // both — "the runtime scheduler can use the additional parallelism
-    // of one sub-computation to compensate for … load imbalance in the
-    // other" (§1). Adjacent iterations' independent work absorbs each
-    // iteration's straggler tail, so the pipeline's completion time is
-    // the *joint* schedule of every iteration's tasks on all p
-    // processors, bounded below by the dependent chain's serial latency
-    // (one chain traversal per iteration) and by the carried-data
-    // stream, plus the first iteration's fill.
-    let mut iter_costs: Vec<f64> = Vec::new();
-    for &v in ind.iter().chain(&dep) {
-        iter_costs.extend(costs_of_node(&g.nodes[v], opts.seed));
-    }
-    // All iterations' tasks in one pool (each iteration re-draws the
-    // same populations; replicating the vector models that).
-    let mut joint_costs = Vec::with_capacity(iter_costs.len() * iters);
-    for k in 0..iters {
-        // Rotate so heavy tasks land at different pool positions.
-        let rot = (k * 131) % iter_costs.len().max(1);
-        joint_costs.extend_from_slice(&iter_costs[rot..]);
-        joint_costs.extend_from_slice(&iter_costs[..rot]);
-    }
-    let mut policy = opts.policy.instantiate(joint_costs.len());
-    let op_opts =
-        OpOptions { bytes_per_task: BYTES_PER_TASK, start_time: start, proc_offset: offset };
-    let joint_all =
-        crate::par_op::simulate_dynamic(cfg, p, &joint_costs, policy.as_mut(), &op_opts).finish
-            - start;
-    let dep_chain = stage_time(&dep, p, start);
-
-    let items = carried.len().max(1) * 16;
-    let item_bytes = (carried_bytes / items as u64).max(1);
-    let b = choose_batch(items, item_bytes, cfg.alpha, cfg.beta);
-    let per_iter_floor =
-        pipelined_stage_time(0.0, dep_chain, items, item_bytes, b, cfg.alpha, cfg.beta);
-    let fill = stage_time(&ind, p, start);
-    start + fill + joint_all.max(per_iter_floor * iters as f64)
+    let nodes: Vec<NodeReport> = plan
+        .ops
+        .iter()
+        .zip(&runs)
+        .map(|(op, run)| NodeReport {
+            name: op.name.clone(),
+            start: run.start,
+            finish: run.finish,
+            procs: shares[op.node].len(),
+        })
+        .collect();
+    Ok(ExecutionReport {
+        finish: runs.iter().map(|r| r.finish).fold(0.0, f64::max),
+        serial_work: plan.ops.iter().map(|op| g.nodes[op.node].kind.total_work()).sum(),
+        nodes,
+        processors: cfg.processors,
+    })
 }
 
 #[cfg(test)]
@@ -704,12 +543,12 @@ mod tests {
         );
     }
 
-    /// A level with more units than processors cannot be split: its
-    /// units run one after another on the whole machine, so the level
-    /// takes at least its serial work over `p`, and no unit is given a
-    /// processor the machine does not have.
+    /// A level with more units than processors cannot be split: every
+    /// unit's share is the whole machine, and the units share it. No
+    /// row holds a processor the machine does not have, and the run
+    /// takes at least its serial work over `p`.
     #[test]
-    fn more_units_than_processors_run_one_after_another() {
+    fn more_units_than_processors_share_the_machine() {
         let mut g = DelirGraph::new();
         for name in ["X", "Y", "Z"] {
             g.add_node(name, NodeKind::DataParallel { tasks: 64, mean_cost: 1.0, cv: 0.0 }, None);
@@ -725,10 +564,7 @@ mod tests {
                     r.finish,
                     r.serial_work
                 );
-                assert!(r.nodes.iter().all(|n| n.procs == p), "{:?}", r.nodes);
-                for w in r.nodes.windows(2) {
-                    assert!(w[1].start >= w[0].finish, "units overlap: {:?}", r.nodes);
-                }
+                assert!(r.nodes.iter().all(|n| n.procs <= p), "{:?}", r.nodes);
             }
         }
     }
@@ -772,20 +608,6 @@ mod tests {
         let r = execute_graph(&g, &cfg, &opts).unwrap();
         assert!((r.speedup() / 128.0 - r.efficiency()).abs() < 1e-12);
         assert!(r.efficiency() <= 1.0 + 1e-9);
-    }
-
-    #[test]
-    fn distributed_scheduling_runs_and_stays_close() {
-        let (g, opts) = irregular_then_regular(true);
-        let cfg = MachineConfig::ncube2(128);
-        let central = execute_graph(&g, &cfg, &opts).unwrap();
-        let dist_opts = ExecutorOptions { backend: ExecutorBackend::ThreadedDist, ..opts };
-        let dist = execute_graph(&g, &cfg, &dist_opts).unwrap();
-        assert!(dist.finish > 0.0);
-        // The decentralized scheme pays token latency but must stay in
-        // the same regime (within 2× either way).
-        let ratio = dist.finish / central.finish;
-        assert!((0.5..2.0).contains(&ratio), "ratio {ratio}");
     }
 
     #[test]
@@ -848,13 +670,11 @@ mod tests {
 
     #[test]
     fn simulator_policy_state_is_per_op() {
-        // DESIGN §12's sampling contract, simulator side: every node's
-        // scheduling loop instantiates a fresh policy, so swapping the
-        // upstream node's variance must shift only B's *start* (via
-        // A's finish), never B's duration — if TAPER's µ/σ leaked
-        // across ops, B would inherit A's high cv and carve different
-        // chunks. (The only joint pool is an overlapped pipeline
-        // group, which is modelled as a single fused operation.)
+        // DESIGN §12's sampling contract, simulator side: every op
+        // instance gets a fresh policy, so swapping the upstream
+        // node's variance must shift only B's *start* (via A's
+        // finish), never B's duration — if TAPER's µ/σ leaked across
+        // ops, B would inherit A's high cv and carve different chunks.
         let graph_with_upstream_cv = |cv: f64| {
             let mut g = DelirGraph::new();
             let a =

@@ -10,8 +10,9 @@
 //!   decreasing chunks with `s = µg/µc` cost-function scaling) and the
 //!   baselines it is compared against (static block, self-scheduling,
 //!   guided self-scheduling, factoring);
-//! * [`par_op`] — simulation of a single parallel operation under
-//!   owner-computes data placement;
+//! * [`par_op`] — the simulated machine's one scheduling loop: a DAG
+//!   of parallel operations under owner-computes data placement, each
+//!   served by its chunk policy, a single operation its simplest case;
 //! * [`dist_taper`] — distributed TAPER: one clock-free coordinator
 //!   (home queues, epoch tokens, root-driven chunk re-assignment) that
 //!   its binary-tree simulation and the threaded home queues both drive;
@@ -22,8 +23,9 @@
 //!   zero-copy [`OutputArena`] backing every operation's output buffer;
 //! * [`granularity`] — communication batch-size choice for pipelined
 //!   operation pairs;
-//! * [`executor`] — level-structured graph execution combining all of
-//!   the above;
+//! * [`executor`] — the simulator: the real engines' plan, every
+//!   operation instance through [`par_op`]'s loop on shares the
+//!   equalizer allocates;
 //! * [`run`] — the run core the real backends share: one set-up from
 //!   plan + restore image to per-op state, one per-task body, and the
 //!   one [`RunReport`] every engine returns;
@@ -67,9 +69,7 @@ pub use dist_taper::{simulate_dist_taper, DistResult};
 pub use executor::{costs_of_node, execute_graph, ExecutionReport, ExecutorOptions, NodeReport};
 pub use finish::{finish_estimate, finish_estimate_live, FinishEstimate, HostCalibration, OpSpec};
 pub use granularity::{batch_cost, choose_batch, pipelined_stage_time};
-pub use par_op::{
-    owner_of, simulate_dynamic, simulate_policy, simulate_static, OpOptions, OpResult,
-};
+pub use par_op::{owner_of, simulate_policy, OpOptions, OpResult};
 pub use run::{OpRecord, RunReport};
 pub use stats::{CostFn, OnlineStats};
 pub use threaded::affinity::{pin_current_thread, Affinity};

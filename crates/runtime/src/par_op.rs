@@ -1,39 +1,53 @@
-//! Simulation of a single parallel operation under a chunk policy.
+//! The simulated machine's scheduling loop.
 //!
-//! Tasks execute under the owner-computes rule \[9\]: an initial block
-//! decomposition assigns each task a home processor; a processor
-//! executing a chunk of non-owned tasks pays the data-transfer message
-//! cost. Every chunk dispatch costs the machine's scheduling overhead.
-//! Static block scheduling (the no-runtime baseline) has its own path
-//! with no dynamic events at all.
+//! `simulate` runs a DAG of parallel operations on `p` processors,
+//! one event each time a processor becomes free or an operation
+//! becomes ready. Every operation is scheduled the same way:
+//!
+//! * **Placement.** Its tasks start block-decomposed over its *share*,
+//!   a range of processors (owner-computes \[9\], [`owner_of`]).
+//! * **Readiness.** It is ready once every producer has finished and
+//!   that producer's transfer has arrived.
+//! * **Serving.** A free processor serves the ready operation of lowest
+//!   rank that its shares allow, ties in operation order. It draws its
+//!   next chunk from its *own* block first, with no data movement; once
+//!   that block is exhausted it steals at most half of the most-loaded
+//!   block, from the back, and pays the transfer message ("as the
+//!   runtime system gains information about the work distribution, it
+//!   refines the data decomposition"). Every chunk dispatch costs the
+//!   machine's scheduling overhead, and sampled task times feed back
+//!   into the operation's own chunk policy. Static block scheduling
+//!   runs each block as one chunk and never steals.
+//! * **Re-equalization.** A processor with nothing to serve is
+//!   admitted, widen-only, to the ready operation whose finishing-time
+//!   estimate of its remaining tasks on its current processors is the
+//!   largest: the real pool's `reequalize` rule (§4.1.2), over the
+//!   caller's estimator. Static scheduling admits no one.
+//!
+//! [`simulate_policy`] is the one-operation case.
 
 use crate::chunking::{ChunkPolicy, PolicyKind};
 use orchestra_machine::{EventQueue, MachineConfig, RunStats};
 use std::ops::Range;
 
-/// Options for one parallel-operation simulation.
+/// Options for a simulation.
 #[derive(Debug, Clone, Copy)]
 pub struct OpOptions {
     /// Bytes of task data that move when a task runs off its home
     /// processor.
     pub bytes_per_task: u64,
-    /// Simulation start time (µs) — operations later in a dataflow
-    /// schedule start when their inputs are ready.
-    pub start_time: f64,
-    /// First processor of the partition executing this op.
-    pub proc_offset: usize,
 }
 
 impl Default for OpOptions {
     fn default() -> Self {
-        OpOptions { bytes_per_task: 256, start_time: 0.0, proc_offset: 0 }
+        OpOptions { bytes_per_task: 256 }
     }
 }
 
-/// Result of simulating one parallel operation.
+/// Result of simulating one parallel operation on its own.
 #[derive(Debug, Clone)]
 pub struct OpResult {
-    /// Completion time (µs, absolute).
+    /// Completion time (µs).
     pub finish: f64,
     /// Per-processor stats.
     pub stats: RunStats,
@@ -43,15 +57,32 @@ pub struct OpResult {
     pub migrated_tasks: u64,
 }
 
-impl OpResult {
-    /// Efficiency relative to perfect speedup of the total task work.
-    pub fn efficiency(&self, total_work: f64, p: usize, start: f64) -> f64 {
-        let span = self.finish - start;
-        if span <= 0.0 {
-            return 1.0;
-        }
-        total_work / (p as f64 * span)
-    }
+/// One operation of a [`simulate`] run.
+#[derive(Debug, Clone)]
+pub(crate) struct SimOp<'a> {
+    /// Task costs (µs).
+    pub costs: &'a [f64],
+    /// The processors whose blocks the tasks start in (nonempty).
+    pub share: Range<usize>,
+    /// Producers, by index into the run's operations, each with the
+    /// time (µs) its data takes to arrive after it finishes.
+    pub deps: Vec<(usize, f64)>,
+    /// Serving order: a free processor serves the lowest rank first.
+    pub rank: usize,
+}
+
+/// What one operation did in a [`simulate`] run.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct OpRun {
+    /// When its first chunk was dispatched (µs); its ready time if it
+    /// has no tasks.
+    pub start: f64,
+    /// When its last task finished (µs).
+    pub finish: f64,
+    /// Chunks dispatched.
+    pub chunks: u64,
+    /// Tasks that ran off their home processor.
+    pub migrated_tasks: u64,
 }
 
 /// The home processor of task `i` under block decomposition of `n`
@@ -69,106 +100,208 @@ pub(crate) fn block_of(q: usize, n: usize, p: usize) -> Range<usize> {
     (q * n).div_ceil(p)..((q + 1) * n).div_ceil(p)
 }
 
-/// Simulates static block scheduling: processor `q` executes its block
-/// of the iteration space with a single scheduling event and no
-/// transfers.
-pub fn simulate_static(cfg: &MachineConfig, p: usize, costs: &[f64], opts: &OpOptions) -> OpResult {
-    let p = p.max(1);
-    let n = costs.len();
-    let mut stats = RunStats::new(p);
-    let mut finish = opts.start_time;
-    for q in 0..p {
-        let lo = q * n / p;
-        let hi = (q + 1) * n / p;
-        if lo >= hi {
-            continue;
-        }
-        let work: f64 = costs[lo..hi].iter().sum();
-        let end = opts.start_time + cfg.sched_overhead + work;
-        stats.record_chunk(q, (hi - lo) as u64, work, end);
-        finish = finish.max(end);
-    }
-    OpResult { finish, stats, chunks: p.min(n) as u64, migrated_tasks: 0 }
+/// One operation's state during a run.
+struct Live {
+    /// What is left of each share member's block.
+    local: Vec<Range<usize>>,
+    /// Tasks not yet dispatched.
+    remaining: usize,
+    /// Which processors serve it: its share plus admissions.
+    allowed: Vec<bool>,
+    /// How many do.
+    procs: usize,
+    /// Its chunk policy; `None` under static scheduling.
+    policy: Option<Box<dyn ChunkPolicy + Send>>,
+    /// Producers that have not finished.
+    waiting: usize,
+    /// When the data of the producers that have finished has arrived.
+    ready_at: f64,
+    run: OpRun,
 }
 
-/// Simulates a dynamically scheduled parallel operation.
+enum Ev {
+    /// A processor is free to take its next chunk.
+    Free(usize),
+    /// An operation's inputs have all arrived.
+    Ready(usize),
+}
+
+/// Simulates `ops` on `p` processors of `cfg`, every operation under a
+/// fresh `kind` policy; returns what each did and the per-processor
+/// stats. `estimate(op, remaining, procs)` scores an operation for
+/// re-equalization: its finishing time with `remaining` tasks left on
+/// `procs` processors.
 ///
-/// Tasks start block-decomposed onto their home processors
-/// (owner-computes). An idle processor draws its next chunk from its
-/// *own* block first — no data movement; once its block is exhausted it
-/// takes work from the most-loaded processor, paying the transfer
-/// message cost ("as the runtime system gains information about the
-/// work distribution, it refines the data decomposition"). Sampled task
-/// times feed back into the policy.
-pub fn simulate_dynamic(
+/// # Panics
+///
+/// Panics if an operation's share is empty or reaches past `p`, or a
+/// dependence names no operation.
+pub(crate) fn simulate(
     cfg: &MachineConfig,
     p: usize,
-    costs: &[f64],
-    policy: &mut dyn ChunkPolicy,
+    ops: &[SimOp<'_>],
+    kind: PolicyKind,
     opts: &OpOptions,
-) -> OpResult {
+    estimate: impl Fn(usize, usize, usize) -> f64,
+) -> (Vec<OpRun>, RunStats) {
     let p = p.max(1);
-    let n = costs.len();
-    let mut stats = RunStats::new(p);
-    let mut queue: EventQueue<usize> = EventQueue::new();
-    // Per-processor pending ranges: what is left of each owned block.
-    let mut local: Vec<Range<usize>> = (0..p).map(|q| block_of(q, n, p)).collect();
-    let mut remaining = n;
-    let mut chunks = 0u64;
-    let mut migrated = 0u64;
-    let mut finish = opts.start_time;
-
-    // All processors request work at the start.
-    for q in 0..p {
-        queue.push(opts.start_time, q);
-    }
-    while let Some((t, q)) = queue.pop() {
-        if remaining == 0 {
-            continue;
+    let mut dependents: Vec<Vec<(usize, f64)>> = vec![Vec::new(); ops.len()];
+    for (c, op) in ops.iter().enumerate() {
+        assert!(!op.share.is_empty() && op.share.end <= p, "share {:?} of {p}", op.share);
+        for &(d, transfer) in &op.deps {
+            dependents[d].push((c, transfer));
         }
-        let next_hint = n - remaining;
-        let k = policy.next_chunk(next_hint, remaining, p).clamp(1, remaining);
-        let mut transfer = 0.0;
-        // The chunk, and whether it was stolen (taken from the back of
-        // the victim's block, last task first).
-        let (span, stolen) = if !local[q].is_empty() {
-            let take = k.min(local[q].len());
-            let span = local[q].start..local[q].start + take;
-            local[q].start += take;
-            (span, false)
-        } else {
-            // Steal from the most-loaded processor (at most half its
-            // remaining block, never more than the chunk).
-            let victim = (0..p).max_by_key(|&v| local[v].len()).expect("p >= 1");
-            if local[victim].is_empty() {
+    }
+    let mut live: Vec<Live> = ops
+        .iter()
+        .map(|op| {
+            let (n, w) = (op.costs.len(), op.share.len());
+            Live {
+                local: (0..w).map(|v| block_of(v, n, w)).collect(),
+                remaining: n,
+                allowed: (0..p).map(|q| op.share.contains(&q)).collect(),
+                procs: w,
+                policy: (kind != PolicyKind::Static).then(|| kind.instantiate(n)),
+                waiting: op.deps.len(),
+                ready_at: 0.0,
+                run: OpRun::default(),
+            }
+        })
+        .collect();
+    let mut stats = RunStats::new(p);
+    let mut queue: EventQueue<Ev> = EventQueue::new();
+    for (i, op) in ops.iter().enumerate() {
+        if op.deps.is_empty() {
+            queue.push(0.0, Ev::Ready(i));
+        }
+    }
+    // Processors with no event pending, and the ready operations with
+    // tasks left, in serving order.
+    let mut idle = vec![true; p];
+    let mut ready: Vec<usize> = Vec::new();
+
+    while let Some((t, ev)) = queue.pop() {
+        let q = match ev {
+            Ev::Free(q) => q,
+            Ev::Ready(i) if live[i].remaining == 0 => {
+                live[i].run.start = t;
+                live[i].run.finish = t;
+                finished(i, &dependents, &mut live, &mut queue);
                 continue;
             }
-            let take = k.min(local[victim].len().div_ceil(2));
-            let span = local[victim].end - take..local[victim].end;
-            local[victim].end -= take;
-            let bytes = take as u64 * opts.bytes_per_task;
-            transfer = cfg.msg_time(opts.proc_offset + victim, opts.proc_offset + q, bytes);
-            migrated += take as u64;
-            (span, true)
+            Ev::Ready(i) => {
+                let key = |j: usize| (ops[j].rank, j);
+                let at = ready.partition_point(|&j| key(j) < key(i));
+                ready.insert(at, i);
+                for (q, idle) in idle.iter_mut().enumerate().filter(|(_, idle)| **idle) {
+                    *idle = false;
+                    queue.push(t, Ev::Free(q));
+                }
+                continue;
+            }
         };
-        remaining -= span.len();
-        chunks += 1;
+        let own = |i: usize| ops[i].share.contains(&q).then(|| q - ops[i].share.start);
+        let mut served = ready.iter().copied().find(|&i| {
+            let runs_own = |v: usize| !live[i].local[v].is_empty();
+            live[i].allowed[q] && (live[i].policy.is_some() || own(i).is_some_and(runs_own))
+        });
+        if served.is_none() && kind != PolicyKind::Static {
+            let laggard = ready
+                .iter()
+                .copied()
+                .filter(|&i| !live[i].allowed[q])
+                .map(|i| (estimate(i, live[i].remaining, live[i].procs), i))
+                .max_by(|a, b| a.0.total_cmp(&b.0));
+            if let Some((_, i)) = laggard {
+                live[i].allowed[q] = true;
+                live[i].procs += 1;
+                served = Some(i);
+            }
+        }
+        let Some(i) = served else {
+            idle[q] = true;
+            continue;
+        };
+
+        let (costs, share) = (ops[i].costs, &ops[i].share);
+        let own = own(i);
+        let op = &mut live[i];
+        // The chunk, whether it was stolen (taken from the back of the
+        // victim's block, last task first), and its transfer time.
+        let (span, stolen, transfer) = match (&mut op.policy, own) {
+            (None, Some(v)) => (std::mem::take(&mut op.local[v]), false, 0.0),
+            (None, None) => unreachable!("static scheduling serves only its own block"),
+            (Some(policy), own) => {
+                let n = costs.len();
+                let k = policy.next_chunk(n - op.remaining, op.remaining, op.procs);
+                let k = k.clamp(1, op.remaining);
+                match own.filter(|&v| !op.local[v].is_empty()) {
+                    Some(v) => {
+                        let take = k.min(op.local[v].len());
+                        let span = op.local[v].start..op.local[v].start + take;
+                        op.local[v].start += take;
+                        (span, false, 0.0)
+                    }
+                    None => {
+                        let w = op.local.len();
+                        let victim = (0..w).max_by_key(|&v| op.local[v].len()).expect("share");
+                        let take = k.min(op.local[victim].len().div_ceil(2));
+                        let span = op.local[victim].end - take..op.local[victim].end;
+                        op.local[victim].end -= take;
+                        let bytes = take as u64 * opts.bytes_per_task;
+                        op.run.migrated_tasks += take as u64;
+                        (span, true, cfg.msg_time(share.start + victim, q, bytes))
+                    }
+                }
+            }
+        };
+        op.remaining -= span.len();
+        op.run.chunks += 1;
         let mut work = 0.0;
         for j in 0..span.len() {
-            let i = if stolen { span.end - 1 - j } else { span.start + j };
-            work += costs[i];
-            policy.observe(i, costs[i]);
+            let task = if stolen { span.end - 1 - j } else { span.start + j };
+            work += costs[task];
+            if let Some(policy) = &mut op.policy {
+                policy.observe(task, costs[task]);
+            }
         }
         let end = t + cfg.sched_overhead + transfer + work;
         stats.record_chunk(q, span.len() as u64, work, end);
-        finish = finish.max(end);
-        queue.push(end, q);
+        if op.run.chunks == 1 {
+            op.run.start = t;
+        }
+        op.run.finish = op.run.finish.max(end);
+        queue.push(end, Ev::Free(q));
+        // Its last chunk is out, so its finish is known.
+        if op.remaining == 0 {
+            ready.retain(|&j| j != i);
+            finished(i, &dependents, &mut live, &mut queue);
+        }
     }
-    OpResult { finish, stats, chunks, migrated_tasks: migrated }
+    (live.into_iter().map(|op| op.run).collect(), stats)
 }
 
-/// Simulates under a [`PolicyKind`], dispatching to the static or
-/// dynamic path.
+/// Operation `i` has finished: each dependent counts it off, and one
+/// whose producers have all finished is ready once the last data lands.
+fn finished(
+    i: usize,
+    dependents: &[Vec<(usize, f64)>],
+    live: &mut [Live],
+    queue: &mut EventQueue<Ev>,
+) {
+    let finish = live[i].run.finish;
+    for &(c, transfer) in &dependents[i] {
+        let op = &mut live[c];
+        op.ready_at = op.ready_at.max(finish + transfer);
+        op.waiting -= 1;
+        if op.waiting == 0 {
+            queue.push(op.ready_at, Ev::Ready(c));
+        }
+    }
+}
+
+/// Simulates one parallel operation on `p` processors under `kind`:
+/// `simulate`'s one-operation case, its share the whole machine.
 pub fn simulate_policy(
     cfg: &MachineConfig,
     p: usize,
@@ -176,13 +309,11 @@ pub fn simulate_policy(
     kind: PolicyKind,
     opts: &OpOptions,
 ) -> OpResult {
-    match kind {
-        PolicyKind::Static => simulate_static(cfg, p, costs, opts),
-        other => {
-            let mut policy = other.instantiate(costs.len());
-            simulate_dynamic(cfg, p, costs, policy.as_mut(), opts)
-        }
-    }
+    let p = p.max(1);
+    let op = SimOp { costs, share: 0..p, deps: Vec::new(), rank: 0 };
+    let (runs, stats) = simulate(cfg, p, &[op], kind, opts, |_, _, _| 0.0);
+    let run = runs[0];
+    OpResult { finish: run.finish, stats, chunks: run.chunks, migrated_tasks: run.migrated_tasks }
 }
 
 #[cfg(test)]
@@ -216,7 +347,7 @@ mod tests {
     #[test]
     fn static_on_uniform_work_is_perfect() {
         let costs = vec![10.0; 64];
-        let r = simulate_static(&ideal(8), 8, &costs, &OpOptions::default());
+        let r = simulate_policy(&ideal(8), 8, &costs, PolicyKind::Static, &OpOptions::default());
         assert!((r.finish - 80.0).abs() < 1e-9);
         assert!((r.stats.utilization() - 1.0).abs() < 1e-9);
     }
@@ -261,9 +392,8 @@ mod tests {
         let costs = CostDistribution::Bimodal { mean: 500.0, heavy_frac: 0.1, heavy_mult: 30.0 }
             .sample(1000, 7);
         let cfg = MachineConfig::ncube2(64);
-        let st = simulate_static(&cfg, 64, &costs, &OpOptions::default());
-        let mut taper = crate::chunking::Taper::new();
-        let dy = simulate_dynamic(&cfg, 64, &costs, &mut taper, &OpOptions::default());
+        let st = simulate_policy(&cfg, 64, &costs, PolicyKind::Static, &OpOptions::default());
+        let dy = simulate_policy(&cfg, 64, &costs, PolicyKind::Taper, &OpOptions::default());
         assert!(dy.finish < st.finish, "TAPER {} should beat static {}", dy.finish, st.finish);
     }
 
@@ -271,7 +401,7 @@ mod tests {
     fn static_beats_self_sched_on_regular_work_with_overhead() {
         let costs = vec![5.0; 4096];
         let cfg = MachineConfig::ncube2(64);
-        let st = simulate_static(&cfg, 64, &costs, &OpOptions::default());
+        let st = simulate_policy(&cfg, 64, &costs, PolicyKind::Static, &OpOptions::default());
         let ss = simulate_policy(&cfg, 64, &costs, PolicyKind::SelfSched, &OpOptions::default());
         assert!(
             st.finish < ss.finish,
@@ -288,14 +418,6 @@ mod tests {
         let ss = simulate_policy(&cfg, 32, &costs, PolicyKind::SelfSched, &OpOptions::default());
         let tp = simulate_policy(&cfg, 32, &costs, PolicyKind::Taper, &OpOptions::default());
         assert!(tp.chunks < ss.chunks / 4);
-    }
-
-    #[test]
-    fn start_time_offsets_everything() {
-        let costs = vec![2.0; 64];
-        let opts = OpOptions { start_time: 1000.0, ..OpOptions::default() };
-        let r = simulate_policy(&ideal(8), 8, &costs, PolicyKind::Gss, &opts);
-        assert!(r.finish >= 1016.0);
     }
 
     #[test]
@@ -318,5 +440,76 @@ mod tests {
         let t8 = simulate_policy(&ideal(8), 8, &costs, PolicyKind::Gss, &OpOptions::default());
         let t64 = simulate_policy(&ideal(64), 64, &costs, PolicyKind::Gss, &OpOptions::default());
         assert!(t64.finish <= t8.finish + 1e-9);
+    }
+
+    /// The one-op schedule is pinned: every dynamic policy's finish,
+    /// chunk count and migrated tasks on three cost distributions hash,
+    /// bit for bit, to values recorded before the op loop served graphs.
+    #[test]
+    fn one_op_schedules_are_pinned() {
+        let dists = [
+            CostDistribution::Uniform { mean: 5.0, spread: 0.5 },
+            CostDistribution::Bimodal { mean: 40.0, heavy_frac: 0.1, heavy_mult: 12.0 },
+            CostDistribution::HeavyTail { mean: 20.0, sigma: 1.2 },
+        ];
+        let cfg = MachineConfig::ncube2(64);
+        let hashes: Vec<(&str, u64)> = [
+            PolicyKind::SelfSched,
+            PolicyKind::Gss,
+            PolicyKind::Factoring,
+            PolicyKind::Taper,
+            PolicyKind::TaperCostFn,
+        ]
+        .into_iter()
+        .map(|kind| {
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for (seed, dist) in (11..).zip(&dists) {
+                let costs = dist.sample(3000, seed);
+                let r = simulate_policy(&cfg, 64, &costs, kind, &OpOptions::default());
+                for word in [r.finish.to_bits(), r.chunks, r.migrated_tasks] {
+                    for b in word.to_le_bytes() {
+                        h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+                    }
+                }
+            }
+            (kind.name(), h)
+        })
+        .collect();
+        let pinned = [
+            ("self-scheduling", 0x522d_c15a_3c03_4e07),
+            ("GSS", 0x9991_efc7_dcef_fb87),
+            ("factoring", 0x28cf_10a9_cf4a_2b27),
+            ("TAPER", 0x8e5d_893a_c673_f602),
+            ("TAPER+costfn", 0xbb35_014c_14fe_9d0a),
+        ];
+        assert_eq!(hashes, pinned);
+    }
+
+    /// A consumer waits for its producer's last task plus the transfer,
+    /// and a processor with nothing left to serve in its own share is
+    /// admitted to the op that still has work.
+    #[test]
+    fn consumers_wait_and_idle_processors_widen() {
+        let cfg = ideal(4);
+        let (a, b) = (vec![10.0; 8], vec![4.0; 64]);
+        let ops = [
+            SimOp { costs: &a, share: 0..2, deps: Vec::new(), rank: 0 },
+            SimOp { costs: &b, share: 2..4, deps: Vec::new(), rank: 0 },
+            SimOp { costs: &a, share: 0..4, deps: vec![(0, 5.0)], rank: 0 },
+        ];
+        let (runs, stats) =
+            simulate(&cfg, 4, &ops, PolicyKind::SelfSched, &OpOptions::default(), |_, n, p| {
+                n as f64 / p as f64
+            });
+        assert!(runs[2].start >= runs[0].finish + 5.0, "{runs:?}");
+        // Op 0's two processors finish its 80 µs of work at 40 µs and
+        // then help op 1, which would take 128 µs on its own two.
+        assert!(runs[1].migrated_tasks > 0 && runs[1].finish < 128.0, "{runs:?}");
+        assert_eq!(stats.total_tasks(), 80);
+        // Static scheduling never widens a share.
+        let (runs, _) =
+            simulate(&cfg, 4, &ops, PolicyKind::Static, &OpOptions::default(), |_, _, _| 0.0);
+        assert_eq!(runs[1].migrated_tasks, 0);
+        assert!((runs[1].finish - 128.0).abs() < 1e-9, "{runs:?}");
     }
 }

@@ -57,7 +57,7 @@ fn main() {
     // Distributed TAPER: epoch tokens through the binary tree, chunk
     // re-assignment from laggards.
     println!("\ndistributed TAPER (epoch/token tree):");
-    let d = simulate_dist_taper(&cfg, p, &costs, 64, 0.0);
+    let d = simulate_dist_taper(&cfg, p, &costs, 64);
     println!(
         "  finish {:.0} µs (eff {:.0}%), locality {:.0}%, re-assignments {}",
         d.finish,
@@ -68,7 +68,7 @@ fn main() {
 
     // A regular operation keeps near-perfect locality.
     let regular = CostDistribution::Uniform { mean: 100.0, spread: 0.1 }.sample(4096, 18);
-    let dr = simulate_dist_taper(&cfg, p, &regular, 64, 0.0);
+    let dr = simulate_dist_taper(&cfg, p, &regular, 64);
     println!(
         "  on regular work: locality {:.0}%, re-assignments {} — \"most tasks\n   remain on the processor owning them\" (§4.1.1)",
         dr.locality * 100.0,

@@ -15,6 +15,9 @@
 //! DESIGN.md's experiment index (§4) and ablation list (§5) say what
 //! regenerates each figure; every file, test and `figures` subcommand
 //! they name must exist.
+//!
+//! Every `DESIGN §N` (or `DESIGN.md §N`) cited in `crates/`, `tests/`,
+//! README.md and ROADMAP.md names one of DESIGN.md's `## N.` headings.
 
 use std::collections::HashSet;
 use std::path::Path;
@@ -198,5 +201,66 @@ fn design_experiment_index_resolves() {
         "{} experiment references name no file, test or figures subcommand:\n{}",
         unresolved.len(),
         unresolved.join("\n")
+    );
+}
+
+/// The `.rs` and `.md` files under `dir`, recursively.
+fn sources_under(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+    for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            sources_under(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs" || e == "md") {
+            out.push(path);
+        }
+    }
+}
+
+/// The section numbers `text` cites as `DESIGN §N` or `DESIGN.md §N`,
+/// with their line numbers.
+fn design_citations(text: &str) -> Vec<(usize, &str)> {
+    let mut out = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        for prefix in ["DESIGN §", "DESIGN.md §"] {
+            for (at, _) in line.match_indices(prefix) {
+                let rest = &line[at + prefix.len()..];
+                let digits = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
+                if digits > 0 {
+                    out.push((i + 1, &rest[..digits]));
+                }
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn design_section_citations_resolve() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let headings: HashSet<&str> = DESIGN
+        .lines()
+        .filter_map(|l| l.strip_prefix("## ")?.split_once(". ").map(|(n, _)| n))
+        .collect();
+    assert!(headings.len() > 10, "only {} numbered headings in DESIGN.md", headings.len());
+    let mut files = vec![root.join("README.md"), root.join("ROADMAP.md")];
+    sources_under(&root.join("crates"), &mut files);
+    sources_under(&root.join("tests"), &mut files);
+    let (mut cited, mut dangling) = (0, Vec::new());
+    for file in &files {
+        let text = std::fs::read_to_string(file).unwrap_or_default();
+        for (n, section) in design_citations(&text) {
+            cited += 1;
+            if !headings.contains(section) {
+                let rel = file.strip_prefix(root).unwrap_or(file).display();
+                dangling.push(format!("{rel}:{n}: DESIGN §{section}"));
+            }
+        }
+    }
+    assert!(cited > 5, "only {cited} citations found: do the sources still cite `DESIGN §N`?");
+    assert!(
+        dangling.is_empty(),
+        "{} citations name no `## N.` heading of DESIGN.md:\n{}",
+        dangling.len(),
+        dangling.join("\n")
     );
 }

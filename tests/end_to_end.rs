@@ -54,7 +54,9 @@ fn split_beats_taper_on_every_app_at_scale() {
 /// get exactly what the equalizer gives their specs. That is 36/988,
 /// the split whose later estimate is least. The move loop the exact
 /// solver replaced stopped at 52/972: eight quarter-moves from the
-/// even split, its budget, not its estimates, decided where.
+/// even split, its budget, not its estimates, decided where. A row's
+/// `procs` is its op's share, and every instance of the phases has
+/// the group's.
 #[test]
 fn simulator_keeps_the_equalizers_allocation() {
     const BYTES_PER_TASK: u64 = 32;
@@ -80,9 +82,13 @@ fn simulator_keeps_the_equalizers_allocation() {
     let want =
         allocate_many(&[spec("B_I"), phases], 1024, |s, p| finish_estimate(s, p, &cfg).total());
     assert_eq!(want, [36, 988]);
-    let level0: Vec<(&str, usize)> =
-        report.nodes[..2].iter().map(|n| (n.name.as_str(), n.procs)).collect();
-    assert_eq!(level0, [("B_I", want[0]), ("pipeline:phase", want[1])]);
+    let procs = |name: &str| report.nodes.iter().find(|n| n.name == name).map(|n| n.procs);
+    assert_eq!(procs("B_I"), Some(want[0]));
+    for k in 0..iters {
+        for piece in ["A_I", "A_D", "A_M"] {
+            assert_eq!(procs(&format!("{piece}@{k}")), Some(want[1]), "{piece}@{k}");
+        }
+    }
 }
 
 #[test]

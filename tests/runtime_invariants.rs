@@ -1,12 +1,16 @@
 //! Property tests on the runtime's scheduling invariants: every policy
 //! executes every task exactly once, conserves work, and respects the
-//! trivial lower bounds; distributed TAPER additionally preserves
+//! trivial lower bounds; the graph simulator starts no operation before
+//! its producers finish; distributed TAPER additionally preserves
 //! locality on regular work.
 
+use orchestra_apps::psirrfan;
 use orchestra_delirium::{DataAnno, DelirGraph, NodeKind};
 use orchestra_machine::{CostDistribution, MachineConfig};
+use orchestra_runtime::threaded::build_plan;
 use orchestra_runtime::{
-    execute_graph, simulate_dist_taper, simulate_policy, ExecutorOptions, OpOptions, PolicyKind,
+    execute_graph, simulate_dist_taper, simulate_policy, ExecutionReport, ExecutorOptions,
+    OpOptions, PolicyKind,
 };
 use proptest::prelude::*;
 
@@ -58,8 +62,94 @@ fn build_graph(specs: &[(u8, usize, f64, usize)], cv: f64) -> (DelirGraph, usize
     (g, count)
 }
 
+/// [`build_graph`]'s DAG plus a pipeline group `P` of `iters`
+/// iterations: `P_I ∥ P_D → P_M`, `P_M` carried into the next
+/// iteration's `P_D`, entered from node `from % n` and left into a
+/// final task.
+fn with_pipeline(
+    specs: &[(u8, usize, f64, usize)],
+    cv: f64,
+    from: usize,
+    iters: usize,
+) -> (DelirGraph, ExecutorOptions) {
+    let (mut g, n) = build_graph(specs, cv);
+    let group = Some("P".to_string());
+    let kind = |tasks| NodeKind::DataParallel { tasks, mean_cost: 6.0, cv };
+    let pi = g.add_node("P_I", kind(40), group.clone());
+    let pd = g.add_node("P_D", kind(12), group.clone());
+    let pm = g.add_node("P_M", NodeKind::Merge { cost: 9.0 }, group);
+    g.add_edge(from % n, pd, DataAnno::array("in", 12));
+    g.add_edge(pi, pm, DataAnno::array("res_i", 40));
+    g.add_edge(pd, pm, DataAnno::array("res_d", 12));
+    g.add_carried_edge(pm, pd, DataAnno::array("carried", 12));
+    let out = g.add_node("out", NodeKind::Task { cost: 3.0 }, None);
+    g.add_edge(pm, out, DataAnno::array("q", 12));
+    let mut opts = ExecutorOptions::default();
+    opts.pipeline_iters.insert("P".into(), iters);
+    (g, opts)
+}
+
+/// Each row that starts before one of its producers has finished,
+/// described with that producer. The report holds one row per plan
+/// op, in plan order.
+fn early_starts(g: &DelirGraph, opts: &ExecutorOptions, r: &ExecutionReport) -> Vec<String> {
+    let plan = build_plan(g, opts).expect("valid graph");
+    assert_eq!(plan.ops.len(), r.nodes.len());
+    let mut early = Vec::new();
+    for (op, row) in plan.ops.iter().zip(&r.nodes) {
+        assert_eq!(op.name, row.name);
+        for &d in &op.deps {
+            if row.start < r.nodes[d].finish {
+                early.push(format!(
+                    "{} starts at {} before {} finishes at {}",
+                    row.name, row.start, r.nodes[d].name, r.nodes[d].finish
+                ));
+            }
+        }
+    }
+    early
+}
+
+/// On Psirrfan at 1024 processors, each phase's dependent piece waits
+/// for the previous phase's merge: the carried edge is a real
+/// dependence.
+#[test]
+fn psirrfan_dependent_pieces_wait_for_the_previous_merge() {
+    let w = psirrfan::workload(&psirrfan::paper_scale());
+    let mut opts =
+        ExecutorOptions { policy: PolicyKind::TaperCostFn, ..ExecutorOptions::default() };
+    opts.pipeline_iters.extend(w.pipeline_iters.clone());
+    let r = execute_graph(&w.split, &MachineConfig::ncube2(1024), &opts).expect("valid graph");
+    let row = |name: String| r.nodes.iter().find(|n| n.name == name).expect("row exists");
+    for k in 1..w.pipeline_iters["phase"] {
+        let (dep, merge) = (row(format!("A_D@{k}")), row(format!("A_M@{}", k - 1)));
+        assert!(dep.start > merge.finish, "{dep:?} starts before {merge:?} finishes");
+    }
+    assert!(early_starts(&w.split, &opts, &r).is_empty());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn no_op_starts_before_its_producers_finish(
+        kind in any_policy(),
+        specs in proptest::collection::vec(
+            (0u8..3, 1usize..150, 1.0f64..40.0, 0usize..100),
+            1..6,
+        ),
+        cv in 0.0f64..1.8,
+        from in 0usize..100,
+        iters in 1usize..5,
+        overlap in any::<bool>(),
+        p_exp in 0u32..7,
+    ) {
+        let (g, opts) = with_pipeline(&specs, cv, from, iters);
+        let opts = ExecutorOptions { policy: kind, pipeline_overlap: overlap, ..opts };
+        let r = execute_graph(&g, &MachineConfig::ncube2(1 << p_exp), &opts).unwrap();
+        let early = early_starts(&g, &opts, &r);
+        prop_assert!(early.is_empty(), "{}", early.join("\n"));
+    }
 
     #[test]
     fn every_policy_conserves_tasks_and_work(
@@ -119,7 +209,7 @@ proptest! {
         let costs = dist.sample(n, seed);
         let total: f64 = costs.iter().sum();
         let cfg = MachineConfig::ncube2(p);
-        let r = simulate_dist_taper(&cfg, p, &costs, 64, 0.0);
+        let r = simulate_dist_taper(&cfg, p, &costs, 64);
         prop_assert_eq!(r.stats.total_tasks(), n as u64);
         prop_assert!((r.stats.total_busy() - total).abs() < 1e-6 * total.max(1.0));
         prop_assert!(r.finish + 1e-9 >= total / p as f64);
@@ -214,7 +304,7 @@ proptest! {
         let p = 1usize << p_exp;
         let costs = vec![10.0; n];
         let cfg = MachineConfig::ncube2(p);
-        let r = simulate_dist_taper(&cfg, p, &costs, 64, 0.0);
+        let r = simulate_dist_taper(&cfg, p, &costs, 64);
         prop_assert!(
             r.locality >= 0.95,
             "uniform work must stay on its owners, locality {}",
