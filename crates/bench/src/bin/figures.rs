@@ -148,7 +148,7 @@ fn intro_fusion() {
     let params = psirrfan::params(&scale);
     let w = psirrfan::workload(&scale);
 
-    // The fused graph: one mixed operation per phase.
+    // The fused graph, drawn by hand: one mixed operation per phase.
     let mut fused = DelirGraph::new();
     let a = fused.add_node(
         "A_fused",

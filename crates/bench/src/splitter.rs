@@ -18,7 +18,7 @@
 //!   range of the first non-empty victim, so one steal moves half the
 //!   victim's remaining subtree, just like a `join` thief;
 //! * task values are stored straight into a shared
-//!   [`OutputArena`](orchestra_runtime::OutputArena) through the raw
+//!   [`OutputArena`] through the raw
 //!   window of each range — ranges partition the index space, so no cell
 //!   has two writers — the same zero-copy data plane the real backends
 //!   use.

@@ -3,10 +3,10 @@
 //! inside one graph.
 //!
 //! Each running graph is summarized as one live
-//! [`OpSpec`](orchestra_runtime::OpSpec) — its unfinished ops reduced
+//! [`OpSpec`] — its unfinished ops reduced
 //! to remaining tasks and pooled µ/σ, exactly the shape
 //! [`OpSpec::from_live`] produces mid-run — and
-//! [`allocate_many`](orchestra_runtime::allocate_many) partitions the
+//! [`allocate_many`] partitions the
 //! shared worker pool so that the latest of the graphs'
 //! [`finish_estimate_live`] totals is as early as it can be. A
 //! tenant's scheduling weight scales its graph's apparent work (µ and

@@ -5,14 +5,14 @@
 //! names the tenant and its scheduling weight); each `submit` carries
 //! a Delirium graph that passes admission control, receives a worker
 //! grant from the cross-graph equalizer
-//! ([`PoolScheduler`](crate::sched::PoolScheduler)), and executes on
+//! ([`PoolScheduler`]), and executes on
 //! a real backend under a per-job
-//! [`CancelToken`](orchestra_runtime::CancelToken). The pool's threads
+//! [`CancelToken`]. The pool's threads
 //! are the daemon's own [`Crew`]: they persist across jobs, parked,
 //! and each job is lent its runner and as many workers as its grant —
 //! a job costs wake-ups, not thread creation. Jobs submitted
 //! with a checkpoint directory run under
-//! [`execute_graph_resumable`](orchestra_runtime::execute_graph_resumable),
+//! [`execute_graph_resumable`],
 //! so a worker-pool crash mid-job restores from the latest snapshot
 //! instead of losing the tenant's work.
 //!

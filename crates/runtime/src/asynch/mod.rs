@@ -4,7 +4,7 @@
 //! opposite sides: [`threaded`](crate::threaded) gives every worker a
 //! preemptive OS thread; this module multiplexes *many in-flight
 //! operations* over a small pool of driver threads running hand-rolled
-//! futures (see [`driver`] — no tokio, in the spirit of the in-tree
+//! futures (see `driver` — no tokio, in the spirit of the in-tree
 //! shims). Ops become futures that park on their op's wake list until
 //! the run core's readiness protocol ([`crate::run`]) says the op is
 //! enabled, and chunk claims reuse
@@ -18,7 +18,7 @@
 //! What stays with this engine, beside the run core it shares with the
 //! pool (set-up, `OpState`, the task body, and the readiness protocol
 //! that decides what a completion, a publication or a claim makes
-//! ready or stop): the drivers and their run queues ([`driver`]), the
+//! ready or stop): the drivers and their run queues (`driver`), the
 //! claimer future, and one wake list per op — draining it is this
 //! engine's `ready(op)`.
 //!
@@ -35,7 +35,7 @@
 //!   the dist backend's control plane), so the whole schedule — chunk
 //!   sizes, claim order, yield counts — replays identically run over
 //!   run. At several drivers the run queues are per-driver with
-//!   LIFO-slot wakes and steal-half balancing (see [`driver`]).
+//!   LIFO-slot wakes and steal-half balancing (see `driver`).
 
 pub(crate) mod driver;
 

@@ -57,9 +57,9 @@ pub enum RunError {
     /// The caller's [`CancelToken`] fired; the run aborted at the next
     /// claim boundary and its partial outputs were discarded.
     Cancelled,
-    /// The run outlived [`ExecutorOptions::deadline`]
-    /// (crate::executor::ExecutorOptions::deadline) and was aborted at
-    /// the next claim boundary.
+    /// The run outlived
+    /// [`ExecutorOptions::deadline`](crate::ExecutorOptions::deadline)
+    /// and was aborted at the next claim boundary.
     DeadlineExceeded,
 }
 

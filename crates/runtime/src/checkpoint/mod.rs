@@ -9,7 +9,7 @@
 //! reference. This module adds the three pieces that turn that
 //! property into fault tolerance:
 //!
-//! * **Snapshots** ([`snapshot`]) — versioned, crc-checked, fsync'd
+//! * **Snapshots** (`snapshot`) — versioned, crc-checked, fsync'd
 //!   on-disk images of the claim frontier: each op's completed-task
 //!   bitmap, the completed tasks' output values, and the per-op
 //!   [`OnlineStats`](crate::stats::OnlineStats) that warm-start the

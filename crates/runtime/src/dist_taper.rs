@@ -14,7 +14,7 @@
 //! thus, the algorithm reduces task transfer costs and maintains
 //! communication locality."
 //!
-//! The protocol is written once, in [`coord`]: a clock-free state
+//! The protocol is written once, in `coord`: a clock-free state
 //! machine that this module's discrete-event simulation and the
 //! threaded home queues ([`DistQueue`](crate::threaded::dist::DistQueue))
 //! both drive. The simulator adds the clocks.
@@ -99,7 +99,7 @@ fn broadcast_latency(cfg: &MachineConfig, p: usize) -> f64 {
 /// (owner-computes); each processor draws decreasing-size chunks from
 /// its *local* queue; the root re-assigns work from laggards to fast
 /// processors when their epoch tokens race ahead. Every decision is
-/// [`Coord`]'s, the coordinator the threaded home queues run too; this
+/// `Coord`'s, the coordinator the threaded home queues run too; this
 /// function keeps the clocks. A chunk start sends a token carrying the
 /// processor's epoch, which reaches the root after its tree latency;
 /// re-assigned work lands after a message flight; an epoch increment
@@ -141,6 +141,7 @@ pub fn simulate_dist_taper(
                 };
                 starving[me] = false;
                 busy[me] = true;
+                assert!(t >= stats.procs[me].free_at, "processor {me} double-booked at {t}");
                 q.push(t + token_latency(cfg, me), Ev::Token(me, local_epoch[me]));
                 let work: f64 = costs[chunk.range()].iter().sum();
                 let end = t + cfg.sched_overhead + work;
@@ -175,6 +176,9 @@ pub fn simulate_dist_taper(
                 let to = m.to;
                 coord.deliver(m);
                 if !busy[to] {
+                    // Claim the processor now: a second delivery at the
+                    // same instant must not queue a second `Idle`.
+                    busy[to] = true;
                     starving[to] = false;
                     q.push_after(0.0, Ev::Idle(to));
                 }
@@ -245,6 +249,18 @@ mod tests {
         let b = simulate_dist_taper(&MachineConfig::ncube2(8), 8, &costs, 64);
         assert_eq!(a.finish, b.finish);
         assert_eq!(a.reassignments, b.reassignments);
+    }
+
+    #[test]
+    fn same_instant_deliveries_start_one_chunk() {
+        // Two deliveries reach processor 13 at one instant here; only
+        // one may wake it, or it starts a second chunk while its first
+        // still runs (finish 502.6, 56 re-assignments).
+        let costs = CostDistribution::Bimodal { mean: 5.0, heavy_frac: 0.2, heavy_mult: 10.0 }
+            .sample(1000, 17);
+        let r = simulate_dist_taper(&MachineConfig::ncube2(256), 256, &costs, 64);
+        assert!((r.finish - 512.6).abs() < 0.05, "finish {}", r.finish);
+        assert_eq!(r.reassignments, 57);
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //!   the checkpoint scanner's `done` flags) all claim loops call, one
 //!   claimed chunk at a time.
 //! * The readiness protocol — *what* becomes ready or stops, in three
-//!   functions every engine calls: [`completed`] (an op's last task
-//!   ran), [`published`] (a streamed producer's watermark moved) and
-//!   [`RunCtl::after_claim`] (a chunk was claimed; a cancellation or a
+//!   functions every engine calls: `completed` (an op's last task
+//!   ran), `published` (a streamed producer's watermark moved) and
+//!   `RunCtl::after_claim` (a chunk was claimed; a cancellation or a
 //!   planned kill stops the run there). The live dependency counter
 //!   they count down is `OpState::deps`; an engine supplies only *how*
 //!   its servers are made to look again — a `ready(op)` closure.
@@ -61,7 +61,7 @@ pub(crate) struct OpState<'p> {
     /// simulator samples them.
     pub costs: Vec<f64>,
     /// Dependencies that have not arrived yet, counted down by
-    /// [`completed`] and [`published`]; the op is enabled at 0. Starts
+    /// `completed` and `published`; the op is enabled at 0. Starts
     /// at the dependencies the snapshot did not already finish.
     pub deps: AtomicUsize,
     /// Whole-op-gated consumers, notified when this op completes.

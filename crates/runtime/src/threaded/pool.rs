@@ -1,8 +1,8 @@
 //! The worker pool: N OS threads executing a dependency-counted DAG of
 //! parallel operations, each operation scheduled through a shared
-//! [`ChunkQueue`](super::queue::ChunkQueue) or, under distributed
+//! [`ChunkQueue`] or, under distributed
 //! TAPER, through per-worker home queues
-//! ([`DistQueue`](super::dist::DistQueue)).
+//! ([`DistQueue`]).
 //!
 //! The scheduling hot path is built to stay off the data path:
 //!
@@ -20,7 +20,7 @@
 //!   chunk. A shared op is re-advertised once per visit (one token
 //!   push + at most one targeted wakeup).
 //! * **Targeted wakeups** — idle workers park on the run's one
-//!   [`Parking`](crate::parking::Parking): a token push wakes one
+//!   `Parking`: a token push wakes one
 //!   sleeper only when one is registered, so the all-busy steady state
 //!   does zero wake syscalls; completion of the last op and a stop
 //!   broadcast once.
@@ -43,7 +43,7 @@
 //!   a stolen dist token would be dropped by a thief whose own home
 //!   queue is empty, stranding the owner's tasks forever. A worker that
 //!   exhausts its home queue can drop its token for good —
-//!   [`DistQueue`](super::dist::DistQueue) re-assigns work only into
+//!   [`DistQueue`] re-assigns work only into
 //!   the claiming worker's own queue, so an abandoned home can never
 //!   refill behind its owner's back.
 

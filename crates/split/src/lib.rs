@@ -22,26 +22,22 @@
 //!   (replicating supplier computations below an operation-count
 //!   threshold when profile data justifies it);
 //! * [`pipeline`] — pipelining a loop by splitting its body against the
-//!   descriptor of the previous iteration(s) (Figure 3);
-//! * [`fusion`] and [`mod@interchange`] — the companion source-to-source
-//!   transformations §3 combines with split, with descriptor-driven
-//!   legality checks.
+//!   descriptor of the previous iteration(s) (Figure 3).
+//!
+//! Loop fusion, the remedy §1 finds incomplete next to split, is not a
+//! pass here: `figures intro-fusion` draws the fused graph by hand.
 //!
 //! The transformed source is order-preserving (sequentially equivalent
 //! to the input — property-tested against the MF interpreter); exposed
 //! concurrency is recorded in piece classes for the Delirium graph.
 
 pub mod categorize;
-pub mod fusion;
-pub mod interchange;
 pub mod loop_split;
 pub mod pipeline;
 pub mod prim;
 pub mod split;
 
 pub use categorize::{categorize, transitive_interfere, Categories};
-pub use fusion::{can_fuse, fuse_adjacent, fuse_loops, FusionObstacle};
-pub use interchange::{can_interchange, interchange, InterchangeObstacle};
 pub use loop_split::{
     check_iterations_commute, detect_restriction, split_loop, symexpr_to_ast, FreshNames,
     LoopSplitPieces, ReductionVar, Restriction,

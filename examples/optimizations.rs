@@ -1,84 +1,16 @@
-//! The companion source-to-source optimizations §3 combines with split:
-//! loop fusion, loop interchange, and symbolic-analysis-driven dead code
-//! elimination.
+//! Dead code elimination driven by the symbolic analysis: the
+//! optimization §3.1 says the analysis "improves".
 //!
 //! ```sh
 //! cargo run --release --example optimizations
 //! ```
 
 use orchestra_analysis::dce::eliminate_dead_code;
-use orchestra_descriptors::SymCtx;
 use orchestra_lang::parse_program;
-use orchestra_lang::pretty::{pretty_print, stmt_to_string};
-use orchestra_split::{can_fuse, can_interchange, fuse_adjacent, interchange};
+use orchestra_lang::pretty::pretty_print;
 
 fn main() {
-    fusion_demo();
-    interchange_demo();
-    dce_demo();
-}
-
-fn fusion_demo() {
-    println!("==== loop fusion (descriptor-driven legality) ====\n");
-    let src = r#"
-program fusion
-  integer n = 8
-  float a[1..n], b[1..n], c[0..n], d[1..n]
-  do i = 1, n { a[i] = i * 1.0 }
-  do j = 1, n { b[j] = a[j] * 2.0 }
-  do k = 1, n { c[k] = b[k] + 1.0 }
-  do m = 1, n { d[m] = c[m - 1] }
-end
-"#;
-    let p = parse_program(src).unwrap();
-    let ctx = SymCtx::from_program(&p);
-    let (fused, count) = fuse_adjacent(&p.body, &ctx);
-    println!("fused {count} adjacent loop pairs:");
-    for s in &fused {
-        print!("{}", stmt_to_string(s));
-    }
-
-    // The paper's Figure 1 pair must NOT fuse (B reads columns A's
-    // later iterations write).
-    let fig1 = orchestra_lang::builder::figure1_program(8);
-    let fig1_ctx = SymCtx::from_program(&fig1);
-    println!(
-        "\nFigure 1's A and B: {}",
-        match can_fuse(&fig1.body[0], &fig1.body[1], &fig1_ctx) {
-            Ok(()) => "fusable (unexpected!)".to_string(),
-            Err(e) => format!("refused — {e}"),
-        }
-    );
-}
-
-fn interchange_demo() {
-    println!("\n==== loop interchange ====\n");
-    let legal = parse_program(
-        "program t\n integer n = 6\n float a[0..n, 0..n]\n L: do i = 1, n { do j = 1, n { a[i, j] = a[i - 1, j - 1] } }\nend",
-    )
-    .unwrap();
-    let ctx = SymCtx::from_program(&legal);
-    println!("dependence direction (<, <):");
-    print!("{}", stmt_to_string(&legal.body[0]));
-    println!("→ interchange legal; result:");
-    print!("{}", stmt_to_string(&interchange(&legal.body[0], &ctx).unwrap()));
-
-    let illegal = parse_program(
-        "program t\n integer n = 6\n float a[0..n, 0..n + 1]\n L: do i = 1, n { do j = 1, n { a[i, j] = a[i - 1, j + 1] } }\nend",
-    )
-    .unwrap();
-    let ctx2 = SymCtx::from_program(&illegal);
-    println!(
-        "\ndependence direction (<, >): {}",
-        match can_interchange(&illegal.body[0], &ctx2) {
-            Ok(()) => "accepted (unexpected!)".to_string(),
-            Err(e) => format!("refused — {e}"),
-        }
-    );
-}
-
-fn dce_demo() {
-    println!("\n==== dead code elimination ====\n");
+    println!("==== dead code elimination ====\n");
     let src = r#"
 program dce
   integer n = 8, unused, temp

@@ -18,6 +18,9 @@
 //!
 //! Every `DESIGN §N` (or `DESIGN.md §N`) cited in `crates/`, `tests/`,
 //! README.md and ROADMAP.md names one of DESIGN.md's `## N.` headings.
+//!
+//! README.md runs the examples that exist and no others: every
+//! `--example <name>` is a file, and every `examples/*.rs` is named.
 
 use std::collections::HashSet;
 use std::path::Path;
@@ -263,4 +266,51 @@ fn design_section_citations_resolve() {
         dangling.len(),
         dangling.join("\n")
     );
+}
+
+/// Every `--example <name>` README.md runs, with the package directory
+/// it names (`-p orchestra-daemon` → `crates/daemon`, none → the root)
+/// and its line number.
+fn readme_examples(doc: &str) -> Vec<(usize, String, &str)> {
+    let mut out = Vec::new();
+    for (i, line) in doc.lines().enumerate() {
+        let words: Vec<&str> = line.split_whitespace().collect();
+        let after = |flag: &str| words.windows(2).find(|w| w[0] == flag).map(|w| w[1]);
+        if let Some(word) = after("--example") {
+            let name = word.trim_end_matches(|c: char| !(c.is_alphanumeric() || c == '_'));
+            let dir = after("-p")
+                .and_then(|pkg| pkg.strip_prefix("orchestra-"))
+                .map_or(String::new(), |pkg| format!("crates/{pkg}/"));
+            out.push((i + 1, dir, name));
+        }
+    }
+    out
+}
+
+#[test]
+fn readme_names_exactly_the_examples_that_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let named = readme_examples(README);
+    assert!(named.len() > 5, "only {} `--example` runs found in README.md", named.len());
+    let missing: Vec<String> = named
+        .iter()
+        .filter(|(_, dir, name)| !root.join(format!("{dir}examples/{name}.rs")).exists())
+        .map(|(n, dir, name)| format!("README.md:{n}: {dir}examples/{name}.rs"))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "{} examples README.md runs are not files:\n{}",
+        missing.len(),
+        missing.join("\n")
+    );
+    let root_named: HashSet<&str> =
+        named.iter().filter(|(_, dir, _)| dir.is_empty()).map(|(_, _, name)| *name).collect();
+    let mut unnamed: Vec<String> = std::fs::read_dir(root.join("examples"))
+        .expect("examples/ exists")
+        .flatten()
+        .filter_map(|e| e.file_name().to_str()?.strip_suffix(".rs").map(str::to_owned))
+        .filter(|name| !root_named.contains(name.as_str()))
+        .collect();
+    unnamed.sort();
+    assert!(unnamed.is_empty(), "examples/ holds files README.md never runs: {unnamed:?}");
 }
