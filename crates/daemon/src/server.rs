@@ -88,14 +88,31 @@ impl Default for DaemonConfig {
     }
 }
 
-/// A job's lifecycle. Terminal states keep what `wait` needs — the
-/// result only until the first `wait` takes it: a finished job stays
-/// in the table as a tombstone, not as its payload.
-#[derive(Debug)]
-enum JobState {
+/// Where a live job is.
+#[derive(Clone, Copy, PartialEq)]
+enum Live {
     Queued,
     Running,
-    Done(WireResult),
+}
+
+/// A live job's full record.
+struct Job {
+    /// Its session's tenant, one `Arc` per session.
+    tenant: Arc<Tenant>,
+    /// The parsed graph, until the job's runner takes it.
+    graph: Option<orchestra_delirium::DelirGraph>,
+    opts: JobOptions,
+    tasks: usize,
+    submitted: Instant,
+    token: CancelToken,
+    state: Live,
+}
+
+/// How a job ended: what `wait` needs, and the result only until the
+/// first `wait` takes it.
+#[derive(Debug)]
+enum End {
+    Done(Box<WireResult>),
     /// Done, and a `wait` holds the result while it writes its
     /// response; other waiters block until that delivery settles.
     Delivering,
@@ -105,37 +122,51 @@ enum JobState {
     Cancelled,
 }
 
-impl JobState {
-    fn name(&self) -> &'static str {
-        match self {
-            JobState::Queued => "queued",
-            JobState::Running => "running",
-            JobState::Done(_) | JobState::Delivering | JobState::Delivered => "done",
-            JobState::Failed(_) => "failed",
-            JobState::Cancelled => "cancelled",
-        }
-    }
-}
-
-struct Job {
-    tenant: Tenant,
-    /// The parsed graph, until the job's runner takes it (or a cancel
-    /// retires the job before it ever ran).
-    graph: Option<orchestra_delirium::DelirGraph>,
-    opts: JobOptions,
-    tasks: usize,
-    submitted: Instant,
-    token: CancelToken,
-    state: JobState,
+/// An ended job as the table keeps it for good: its session's tenant,
+/// shared with every other job of the session, and how it ended — 32
+/// bytes, where the live record's options, token and emptied graph slot
+/// are gone with it.
+struct Ended {
+    tenant: Arc<Tenant>,
+    end: End,
 }
 
 #[derive(Default)]
 struct State {
+    /// Queued and running jobs.
     jobs: BTreeMap<u64, Job>,
+    /// Ended jobs, indexed by id: ids are handed out one after the
+    /// other, so the slots are dense; a job still in `jobs` has none
+    /// filled.
+    ended: Vec<Option<Ended>>,
     queue: VecDeque<u64>,
     running: usize,
     staged_tasks: usize,
     draining: bool,
+}
+
+impl State {
+    /// The entry of `job` once it has ended.
+    fn ended(&mut self, job: u64) -> Option<&mut Ended> {
+        let slot = usize::try_from(job).ok().and_then(|i| self.ended.get_mut(i))?;
+        slot.as_mut()
+    }
+
+    /// Moves the live `job` to its ended entry — its full record is
+    /// dropped — and returns the tasks it had staged.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before any write, if `job` is not live.
+    fn retire(&mut self, job: u64, end: End) -> usize {
+        let i = usize::try_from(job).expect("job ids are counted in memory");
+        let Job { tenant, tasks, .. } = self.jobs.remove(&job).expect("a live job ends once");
+        if self.ended.len() <= i {
+            self.ended.resize_with(i + 1, || None);
+        }
+        self.ended[i] = Some(Ended { tenant, end });
+        tasks
+    }
 }
 
 struct Inner {
@@ -253,12 +284,12 @@ impl Drop for Daemon {
 /// here it can. Every write under `state`, `sched` and `chaos` is one
 /// field assignment or one call into a std collection, and none of
 /// those unwinds half done. What can unwind with a guard held is: the
-/// `expect`s at the head of `run_job` and the index at the head of
-/// `finish`, which come before their section's first write; and an
+/// `expect`s at the head of `run_job` and of `finish`'s `retire`, which
+/// come before their section's first write; and an
 /// overflow check on the counters in a debug build, which fires instead
 /// of the write. (Runner threads are created after the lock is
 /// released, and a refused one fails its job.) At each of them every job
-/// is in exactly one `JobState` and `queue` names tabled jobs only, so
+/// is either live or ended and `queue` names live jobs only, so
 /// the next request reads a table it can answer from. What such an
 /// unwind costs is the accounting of the one job whose section it cut
 /// short — a `running` slot or staged tasks stay booked, so admission
@@ -407,7 +438,7 @@ fn serve_connection(stream: UnixStream, inner: &Arc<Inner>) -> io::Result<()> {
     Ok(())
 }
 
-fn handshake(conn: &mut Connection, inner: &Inner) -> io::Result<Option<Tenant>> {
+fn handshake(conn: &mut Connection, inner: &Inner) -> io::Result<Option<Arc<Tenant>>> {
     let Some(request) = conn.receive()? else {
         return Ok(None);
     };
@@ -416,7 +447,7 @@ fn handshake(conn: &mut Connection, inner: &Inner) -> io::Result<Option<Tenant>>
             let session = inner.next_session.fetch_add(1, Ordering::Relaxed);
             let t = Tenant { session, name: tenant, weight };
             conn.send(&Response::Hello { session, workers: inner.workers })?;
-            Ok(Some(t))
+            Ok(Some(Arc::new(t)))
         }
         Ok(_) => {
             conn.send(&Response::Err { msg: "first request must be hello".to_string() })?;
@@ -429,7 +460,12 @@ fn handshake(conn: &mut Connection, inner: &Inner) -> io::Result<Option<Tenant>>
     }
 }
 
-fn submit(inner: &Arc<Inner>, tenant: &Tenant, opts: JobOptions, graph_text: &str) -> Response {
+fn submit(
+    inner: &Arc<Inner>,
+    tenant: &Arc<Tenant>,
+    opts: JobOptions,
+    graph_text: &str,
+) -> Response {
     if opts.backend == ExecutorBackend::Simulated {
         return Response::Err {
             msg: "the simulator backend is not served; use threaded, dist, or async".to_string(),
@@ -450,11 +486,11 @@ fn submit(inner: &Arc<Inner>, tenant: &Tenant, opts: JobOptions, graph_text: &st
     let verdict = inner.admission.admit(tasks, st.running, st.staged_tasks);
     let state = match verdict {
         Admission::Reject(msg) => return Response::Err { msg },
-        Admission::Run => JobState::Running,
-        Admission::Queue => JobState::Queued,
+        Admission::Run => Live::Running,
+        Admission::Queue => Live::Queued,
     };
     let id = inner.next_job.fetch_add(1, Ordering::Relaxed);
-    let run_now = matches!(state, JobState::Running);
+    let run_now = state == Live::Running;
     st.staged_tasks += tasks;
     if run_now {
         st.running += 1;
@@ -464,7 +500,7 @@ fn submit(inner: &Arc<Inner>, tenant: &Tenant, opts: JobOptions, graph_text: &st
     st.jobs.insert(
         id,
         Job {
-            tenant: tenant.clone(),
+            tenant: Arc::clone(tenant),
             graph: Some(graph),
             opts,
             tasks,
@@ -483,39 +519,44 @@ fn submit(inner: &Arc<Inner>, tenant: &Tenant, opts: JobOptions, graph_text: &st
 fn wait(inner: &Inner, job: u64) -> Response {
     let mut st = held(inner.state.lock());
     loop {
-        let Some(j) = st.jobs.get_mut(&job) else {
+        if st.jobs.contains_key(&job) {
+            st = held(inner.changed.wait(st));
+            continue;
+        }
+        let Some(ended) = st.ended(job) else {
             return Response::Err { msg: format!("no such job {job}") };
         };
-        let msg = match &j.state {
-            JobState::Queued | JobState::Running | JobState::Delivering => {
+        let msg = match &ended.end {
+            // Looked at again once the delivery settles: the result is
+            // then either delivered or back for this waiter to take.
+            End::Delivering => {
                 st = held(inner.changed.wait(st));
                 continue;
             }
-            JobState::Done(_) => {
+            End::Done(_) => {
                 // Moved out, not cloned: the state lock is held for a
                 // swap, not for a copy of a wide job's values. The
                 // caller `settle`s the delivery once it has written.
-                let JobState::Done(result) = std::mem::replace(&mut j.state, JobState::Delivering)
-                else {
+                let End::Done(result) = std::mem::replace(&mut ended.end, End::Delivering) else {
                     unreachable!("matched Done above");
                 };
-                return Response::Result(result);
+                return Response::Result(*result);
             }
-            JobState::Delivered => format!("job {job}: result already delivered"),
-            JobState::Failed(msg) => msg.clone(),
-            JobState::Cancelled => RunError::Cancelled.to_string(),
+            End::Delivered => format!("job {job}: result already delivered"),
+            End::Failed(msg) => msg.clone(),
+            End::Cancelled => RunError::Cancelled.to_string(),
         };
         return Response::Err { msg };
     }
 }
 
-/// Ends the delivery a `wait` began: the job becomes a tombstone, or
-/// gets its `undelivered` result back when the response could not be
-/// written. Either way blocked waiters look again.
+/// Ends the delivery a `wait` began: the job keeps only that it was
+/// delivered, or gets its `undelivered` result back when the response
+/// could not be written. Either way blocked waiters look again.
 fn settle(inner: &Inner, job: u64, undelivered: Option<WireResult>) {
     let mut st = held(inner.state.lock());
-    if let Some(j) = st.jobs.get_mut(&job) {
-        j.state = undelivered.map_or(JobState::Delivered, JobState::Done);
+    if let Some(ended) = st.ended(job) {
+        ended.end = undelivered.map_or(End::Delivered, |r| End::Done(Box::new(r)));
     }
     drop(st);
     inner.changed.notify_all();
@@ -524,14 +565,16 @@ fn settle(inner: &Inner, job: u64, undelivered: Option<WireResult>) {
 fn cancel(inner: &Inner, job: u64) -> Response {
     let mut st = held(inner.state.lock());
     let Some(j) = st.jobs.get_mut(&job) else {
-        return Response::Err { msg: format!("no such job {job}") };
+        // An ended job has nothing left to cancel.
+        return match st.ended(job) {
+            Some(_) => Response::Cancelled { job },
+            None => Response::Err { msg: format!("no such job {job}") },
+        };
     };
     j.token.cancel();
-    if matches!(j.state, JobState::Queued) {
+    if j.state == Live::Queued {
         // Never started: retire it here — there is no runner to do it.
-        j.state = JobState::Cancelled;
-        j.graph = None;
-        let tasks = j.tasks;
+        let tasks = st.retire(job, End::Cancelled);
         st.queue.retain(|&q| q != job);
         st.staged_tasks -= tasks;
         inner.changed.notify_all();
@@ -542,16 +585,27 @@ fn cancel(inner: &Inner, job: u64) -> Response {
 fn stats(inner: &Inner) -> Response {
     let st = held(inner.state.lock());
     let sched = held(inner.sched.lock());
-    let jobs = st
-        .jobs
-        .iter()
-        .map(|(&id, j)| JobRow {
-            job: id,
-            tenant: j.tenant.name.clone(),
-            state: j.state.name().to_string(),
-            grant: sched.grant(id).unwrap_or(0),
-        })
-        .collect();
+    let row = |job: u64, tenant: &Tenant, state: &str| JobRow {
+        job,
+        tenant: tenant.name.clone(),
+        state: state.to_string(),
+        grant: sched.grant(job).unwrap_or(0),
+    };
+    let ended = (0u64..).zip(&st.ended).filter_map(|(id, e)| {
+        let Ended { tenant, end } = e.as_ref()?;
+        let state = match end {
+            End::Done(_) | End::Delivering | End::Delivered => "done",
+            End::Failed(_) => "failed",
+            End::Cancelled => "cancelled",
+        };
+        Some(row(id, tenant, state))
+    });
+    let live = st.jobs.iter().map(|(&id, j)| {
+        row(id, &j.tenant, if j.state == Live::Queued { "queued" } else { "running" })
+    });
+    let mut jobs: Vec<JobRow> = ended.chain(live).collect();
+    // Two runs already in id order: the stable sort merges them.
+    jobs.sort_by_key(|r| r.job);
     Response::Stats { workers: inner.workers, jobs }
 }
 
@@ -566,7 +620,7 @@ fn start_runner(inner: &Arc<Inner>, job: u64) {
 /// never end its job, so the job ends here, `Failed` with the error.
 fn started(inner: &Arc<Inner>, job: u64, spawned: io::Result<()>) {
     if let Err(e) = spawned {
-        finish(inner, job, JobState::Failed(format!("job could not start: {e}")));
+        finish(inner, job, End::Failed(format!("job could not start: {e}")));
     }
 }
 
@@ -620,11 +674,11 @@ fn run_job(inner: &Arc<Inner>, job: u64) {
             execute_graph_resumable(&graph, &exec_opts, inner.kernel.as_ref())
         }))
     };
-    let state = match outcome {
-        Err(panic) => JobState::Failed(format!("job panicked: {}", panic_message(&*panic))),
-        Ok(Err(RunError::Cancelled)) => JobState::Cancelled,
-        Ok(Err(e)) => JobState::Failed(e.to_string()),
-        Ok(Ok(run)) => JobState::Done(WireResult {
+    let end = match outcome {
+        Err(panic) => End::Failed(format!("job panicked: {}", panic_message(&*panic))),
+        Ok(Err(RunError::Cancelled)) => End::Cancelled,
+        Ok(Err(e)) => End::Failed(e.to_string()),
+        Ok(Ok(run)) => End::Done(Box::new(WireResult {
             job,
             wall_us: run.wall_us,
             attempts: run.attempts,
@@ -635,31 +689,27 @@ fn run_job(inner: &Arc<Inner>, job: u64) {
                 .zip(run.outputs)
                 .map(|(op, values)| WireOutput { name: op.name, values })
                 .collect(),
-        }),
+        })),
     };
     held(inner.sched.lock()).complete(job);
-    finish(inner, job, state);
+    finish(inner, job, end);
 }
 
-/// Ends a running job in its terminal `state`: releases its `running`
-/// slot and staged tasks, wakes its waiters, and starts the oldest
-/// queued jobs the freed capacity admits — booked under the lock, their
-/// runners created after it is released.
-fn finish(inner: &Arc<Inner>, job: u64, state: JobState) {
+/// Ends a running job as `end`: moves it to its ended entry, releases
+/// its `running` slot and staged tasks, wakes its waiters, and starts
+/// the oldest queued jobs the freed capacity admits — booked under the
+/// lock, their runners created after it is released.
+fn finish(inner: &Arc<Inner>, job: u64, end: End) {
     let mut starting = Vec::new();
     {
         let mut st = held(inner.state.lock());
-        let tasks = st.jobs[&job].tasks;
-        if let Some(j) = st.jobs.get_mut(&job) {
-            j.state = state;
-            j.graph = None;
-        }
+        let tasks = st.retire(job, end);
         st.running -= 1;
         st.staged_tasks -= tasks;
         while st.running < inner.admission.max_inflight {
             let Some(next) = st.queue.pop_front() else { break };
             if let Some(j) = st.jobs.get_mut(&next) {
-                j.state = JobState::Running;
+                j.state = Live::Running;
                 st.running += 1;
                 starting.push(next);
             }
@@ -809,7 +859,7 @@ mod tests {
         let mut daemon = Daemon::start(cfg).expect("daemon starts");
         let inner = &daemon.inner;
         let job = |state| Job {
-            tenant: Tenant { session: 0, name: "t".to_string(), weight: 1.0 },
+            tenant: Arc::new(Tenant { session: 0, name: "t".to_string(), weight: 1.0 }),
             graph: Some(eight_tasks()),
             opts: JobOptions::default(),
             tasks: 8,
@@ -820,8 +870,8 @@ mod tests {
         // What `submit` books for a job it runs now and one it queues.
         {
             let mut st = held(inner.state.lock());
-            st.jobs.insert(1, job(JobState::Running));
-            st.jobs.insert(2, job(JobState::Queued));
+            st.jobs.insert(1, job(Live::Running));
+            st.jobs.insert(2, job(Live::Queued));
             st.queue.push_back(2);
             (st.running, st.staged_tasks) = (1, 16);
         }
@@ -839,8 +889,99 @@ mod tests {
         assert_eq!(result.outputs[0].values.len(), 8);
         let st = held(inner.state.lock());
         assert_eq!((st.running, st.staged_tasks, st.queue.len()), (0, 0, 0));
-        assert!(st.jobs[&1].graph.is_none(), "a failed job keeps no graph");
+        assert!(st.jobs.is_empty(), "an ended job keeps no full record");
+        assert!(matches!(st.ended[1].as_ref().map(|e| &e.end), Some(End::Failed(_))));
         drop(st);
+        daemon.shutdown();
+    }
+
+    /// One task: the smallest job the daemon admits.
+    fn one_task() -> DelirGraph {
+        let mut graph = DelirGraph::new();
+        graph.add_node("A", NodeKind::DataParallel { tasks: 1, mean_cost: 1.0, cv: 0.0 }, None);
+        graph
+    }
+
+    /// The answer a client got, as the text of its error.
+    fn refusal<T: std::fmt::Debug>(answer: Result<T, ClientError>) -> String {
+        match answer {
+            Err(ClientError::Remote(msg)) => msg,
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+    }
+
+    /// After 1 000 delivered jobs the table holds no full record of
+    /// any of them, only ended entries that share the session's tenant,
+    /// and each job still answers as before. `stats` lists it `done`, in
+    /// id order. `wait` says its result was delivered. `cancel` is
+    /// answered. An id never handed out is still unknown to both.
+    #[test]
+    fn a_delivered_job_leaves_only_a_compact_entry() {
+        assert!(std::mem::size_of::<Option<Ended>>() <= 32, "an ended entry's slot");
+        let socket = std::env::temp_dir().join(format!("orchestrad-ended-{}", std::process::id()));
+        let cfg = DaemonConfig { socket: socket.clone(), workers: 1, ..DaemonConfig::default() };
+        let mut daemon = Daemon::start(cfg).expect("daemon starts");
+        let mut client = Client::connect(&socket, "t", 1.0).expect("connect");
+        let (graph, opts) = (one_task(), JobOptions::default());
+        let ids: Vec<u64> = (0..1000)
+            .map(|_| {
+                let id = client.submit(&graph, "g", &opts).expect("submit");
+                client.wait(id).expect("delivered");
+                id
+            })
+            .collect();
+        // Answered after the last delivery settled: one connection's
+        // requests are served in turn.
+        let (_, rows) = client.stats().expect("stats");
+        {
+            let st = held(daemon.inner.state.lock());
+            assert_eq!(st.jobs.len(), 0, "full records of delivered jobs");
+            let ended: Vec<&Ended> = st.ended.iter().flatten().collect();
+            assert_eq!(ended.len(), 1000);
+            assert!(ended.iter().all(|e| matches!(e.end, End::Delivered)));
+            let tenant = &ended[0].tenant;
+            assert!(ended.iter().all(|e| Arc::ptr_eq(&e.tenant, tenant)), "one tenant per session");
+        }
+        assert_eq!(rows.iter().map(|r| r.job).collect::<Vec<_>>(), ids, "listed in id order");
+        assert!(rows
+            .iter()
+            .all(|r| (r.tenant.as_str(), r.state.as_str(), r.grant) == ("t", "done", 0)));
+        for id in [ids[0], ids[999]] {
+            let msg = refusal(client.wait(id));
+            assert_eq!(msg, format!("job {id}: result already delivered"));
+            client.cancel(id).expect("an ended job's cancel is answered");
+        }
+        let unknown = ids[999] + 1;
+        assert_eq!(refusal(client.wait(unknown)), format!("no such job {unknown}"));
+        assert_eq!(refusal(client.cancel(unknown)), format!("no such job {unknown}"));
+        daemon.shutdown();
+    }
+
+    /// A second `wait` that blocks while the first delivers the result
+    /// learns, when that delivery settles, that the result was
+    /// delivered — the job's ended entry outlives its delivery.
+    #[test]
+    fn a_waiter_blocked_on_a_delivery_learns_it_was_delivered() {
+        let socket = std::env::temp_dir().join(format!("orchestrad-settle-{}", std::process::id()));
+        let cfg = DaemonConfig { socket: socket.clone(), workers: 1, ..DaemonConfig::default() };
+        let mut daemon = Daemon::start(cfg).expect("daemon starts");
+        let mut client = Client::connect(&socket, "t", 1.0).expect("connect");
+        let job = client.submit(&one_task(), "g", &JobOptions::default()).expect("submit");
+        let t0 = Instant::now();
+        while client.stats().expect("stats").1[0].state != "done" {
+            assert!(t0.elapsed() < Duration::from_secs(10), "the job never ended");
+            thread::sleep(Duration::from_millis(1));
+        }
+        let inner = Arc::clone(&daemon.inner);
+        let first = wait(&inner, job);
+        assert!(matches!(first, Response::Result(_)), "{first:?}");
+        let second = thread::spawn(move || wait(&inner, job));
+        // Long enough for the second waiter to block on the delivery;
+        // if it has not yet, it reads the settled entry instead.
+        thread::sleep(Duration::from_millis(50));
+        settle(&daemon.inner, job, None);
+        let answer = second.join().expect("the waiter returns");
+        assert_eq!(answer, Response::Err { msg: format!("job {job}: result already delivered") });
         daemon.shutdown();
     }
 

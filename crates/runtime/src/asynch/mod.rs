@@ -336,7 +336,7 @@ pub(crate) fn run_async(
         })
         .collect();
     let states = ops.into_iter().map(|op| op.state);
-    let report = RunReport::from_run(wall_us, procs, op_records, states, &logs, arena, &ctl)?;
+    let report = RunReport::from_run(wall_us, procs, op_records, states, logs, arena, &ctl)?;
     Ok(RunReport { polls, spawned, steals, ..report })
 }
 
@@ -364,7 +364,7 @@ mod tests {
         let kernel = SpinKernel::with_scale(4.0);
         let r = execute_async(&g, &opts, &kernel).unwrap();
         assert_eq!(r.stats.total_tasks(), 102);
-        for counts in &r.exec_counts {
+        for counts in &r.exec_counts() {
             assert!(counts.iter().all(|&c| c == 1));
         }
         assert!(r.wall_us > 0.0);

@@ -44,8 +44,8 @@ impl ResumeState {
 ///
 /// The report is the final attempt's, with the recovery story folded
 /// in: `attempts` counts the crashed execution too, `wall_us` sums
-/// both attempts, `recovery_us` is the replay's, and `restored` /
-/// `resumed_tasks` / `exec_counts` say which tasks came out of the
+/// both attempts, `recovery_us` is the replay's, and `restored()` /
+/// `resumed_tasks` / `exec_counts()` say which tasks came out of the
 /// snapshot (count 0) instead of being replayed (count 1).
 ///
 /// Backends: [`Threaded`](ExecutorBackend::Threaded) /

@@ -94,8 +94,8 @@ impl Snapshot {
 }
 
 /// Captures one op's live execution state for a snapshot. A task
-/// counts as complete when it was restored from a previous snapshot or
-/// its `done` flag is visible — executors store the output cell
+/// counts as complete when it was restored from a previous snapshot
+/// (no `restored` mask: nothing was) or its `done` flag is visible — executors store the output cell
 /// *before* the `Release` store of the flag, so an `Acquire` read of
 /// `true` guarantees `read_output` sees a quiescent final value: the
 /// bitmap is a consistent cut, and the copy taken here is
@@ -104,7 +104,7 @@ impl Snapshot {
 /// arena's raw cell read race-free.
 pub(crate) fn op_snapshot(
     costs: &[f64],
-    restored: &[bool],
+    restored: Option<&[bool]>,
     done: &[AtomicBool],
     read_output: impl Fn(usize) -> f64,
 ) -> OpSnapshot {
@@ -113,7 +113,7 @@ pub(crate) fn op_snapshot(
     let mut outputs = vec![0.0f64; n];
     let mut stats = OnlineStats::new();
     for t in 0..n {
-        if restored.get(t).copied().unwrap_or(false) || done[t].load(Ordering::Acquire) {
+        if restored.is_some_and(|r| r[t]) || done[t].load(Ordering::Acquire) {
             completed[t] = true;
             outputs[t] = read_output(t);
             stats.observe(costs[t]);

@@ -23,8 +23,9 @@
 //!   they count down is `OpState::deps`; an engine supplies only *how*
 //!   its servers are made to look again — a `ready(op)` closure.
 //! * `ExecLog` — what one worker or driver ran, kept privately while it
-//!   runs and folded into [`RunReport::exec_counts`] afterwards: the
-//!   exactly-once oracle costs one entry per chunk and nothing per task.
+//!   runs and handed to the [`RunReport`], which folds the logs into
+//!   [`RunReport::exec_counts`] only when asked: the exactly-once oracle
+//!   costs at most one entry per chunk and nothing per task.
 //! * Parking and stopping — one `Parking` in `RunCtl` for both engines'
 //!   idle servers, and `RunCtl::guard`, their threads' unwind boundary.
 //! * [`RunReport`] / [`OpRecord`] — the one result shape of every
@@ -96,9 +97,10 @@ pub(crate) struct OpState<'p> {
     pub started_bits: AtomicU64,
     /// Completion time, µs since run start (f64 bits; MAX = never).
     pub finished_bits: AtomicU64,
-    /// Per-task restored-from-snapshot flags: restored tasks have their
-    /// outputs prefilled and are excluded from the queue's index space.
-    pub restored: Vec<bool>,
+    /// Per-task restored-from-snapshot flags — `None` for an op the
+    /// snapshot holds nothing of: restored tasks have their outputs
+    /// prefilled and are excluded from the queue's index space.
+    pub restored: Option<Vec<bool>>,
     /// Queue-index → task-index translation for ops with restored
     /// tasks (`None` = identity): the queue schedules only the pending
     /// tasks, packed.
@@ -308,42 +310,47 @@ impl OpState<'_> {
 /// What one worker (or async driver) ran, chunk by chunk. Private to
 /// its owner while the run is live and handed back with the owner's
 /// record — also when the run stops at a claim boundary — so no update
-/// can be lost; [`exec_counts`] folds the logs once everyone has joined.
-/// An entry is pushed *after* its chunk's tasks ran: a chunk claimed
-/// when the run stopped is never logged. Chunks are in the op's
-/// queue-index space — what a claim hands out; the op's `remap`
-/// translates to tasks, in [`OpState::run_span`] and in the fold.
-#[derive(Debug, Default)]
-pub(crate) struct ExecLog(Vec<(usize, Chunk)>);
+/// can be lost; the [`RunReport`] keeps the logs once everyone has
+/// joined and [`RunReport::exec_counts`] folds them.
+/// A chunk is logged *after* its tasks ran: a chunk claimed when the
+/// run stopped is never logged. Chunks are in the op's queue-index
+/// space — what a claim hands out; the op's `remap` translates to
+/// tasks, in [`OpState::run_span`] and in the fold. A chunk that
+/// continues the owner's last logged span of the same op extends it, so
+/// an entry is a run of adjacent chunks: the fold counts the same
+/// tasks, and a task claimed twice never extends a span it is in.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ExecLog {
+    spans: Vec<(usize, Chunk)>,
+    chunks: u64,
+}
 
 impl ExecLog {
     /// Records that the owner ran all of `chunk` of op `op`.
     #[inline]
     pub(crate) fn push(&mut self, op: usize, chunk: Chunk) {
-        self.0.push((op, chunk));
+        self.chunks += 1;
+        match self.spans.last_mut() {
+            Some((last, span)) if *last == op && span.start + span.len == chunk.start => {
+                span.len += chunk.len;
+            }
+            _ => self.spans.push((op, chunk)),
+        }
     }
 
     /// Chunks run, and the tasks in them.
     pub(crate) fn totals(&self) -> (u64, u64) {
-        (self.0.len() as u64, self.0.iter().map(|(_, c)| c.len as u64).sum())
+        (self.chunks, self.spans.iter().map(|(_, c)| c.len as u64).sum())
     }
 }
 
-/// The exactly-once oracle: per-task execution counts, aligned with
-/// the plan, folded from every worker's log through each op's
-/// queue-index → task translation. The logs are complete and private,
-/// so the fold is exact: a task two claims covered reads 2, a task
-/// nobody ran (restored from a snapshot, or lost) reads 0.
-pub(crate) fn exec_counts(ops: &[OpState<'_>], logs: &[ExecLog]) -> Vec<Vec<u32>> {
-    let mut counts: Vec<Vec<u32>> = ops.iter().map(|op| vec![0; op.plan.tasks]).collect();
-    for (op, chunk) in logs.iter().flat_map(|log| &log.0) {
-        let counts = &mut counts[*op];
-        match &ops[*op].remap {
-            None => counts[chunk.range()].iter_mut().for_each(|n| *n += 1),
-            Some(remap) => remap[chunk.range()].iter().for_each(|&t| counts[t] += 1),
-        }
-    }
-    counts
+/// One op's task space as a finished run's report keeps it: its task
+/// count and, for an op resumed from a snapshot, the queue-index → task
+/// translation its chunks were claimed through.
+#[derive(Debug, Clone)]
+pub(crate) struct TaskSpace {
+    tasks: usize,
+    remap: Option<Vec<usize>>,
 }
 
 /// A producer published: reacts to one watermark publication of op
@@ -526,15 +533,14 @@ pub(crate) fn set_up<'p>(
     let mut ops: Vec<OpState<'p>> = Vec::with_capacity(n);
     for (i, op) in plan.ops.iter().enumerate() {
         let costs = costs_of_node(&nodes[op.node], opts.seed);
-        let restored: Vec<bool> =
-            image(i).map_or_else(|| vec![false; op.tasks], |o| o.completed.clone());
+        let restored: Option<Vec<bool>> = image(i).map(|o| o.completed.clone());
         let remap: Option<Vec<usize>> =
-            image(i).map(|_| (0..op.tasks).filter(|&t| !restored[t]).collect());
+            restored.as_ref().map(|r| (0..op.tasks).filter(|&t| !r[t]).collect());
         // Prefill restored outputs while the arena is still exclusive
         // — workers and the snapshot scanner only ever see them as
         // quiescent completed cells.
-        if let Some(o) = image(i) {
-            for t in (0..op.tasks).filter(|&t| restored[t]) {
+        if let (Some(o), Some(r)) = (image(i), &restored) {
+            for t in (0..op.tasks).filter(|&t| r[t]) {
                 arena.set(i, t, o.outputs[t]);
             }
         }
@@ -598,7 +604,8 @@ pub(crate) fn snapshot_ops<'p, O: AsRef<OpState<'p>>>(
             // the task's `done` flag with `Acquire`, pairing with the
             // writer's post-store `Release` — the cell is quiescent by
             // then.
-            op_snapshot(&op.costs, &op.restored, done, |t| unsafe { arena.read(op.idx, t) })
+            let restored = op.restored.as_deref();
+            op_snapshot(&op.costs, restored, done, |t| unsafe { arena.read(op.idx, t) })
         })
         .collect()
 }
@@ -668,16 +675,13 @@ pub struct RunReport {
     /// Output buffers, aligned with the plan's op order — bitwise what
     /// the sequential reference produces (kernels are pure).
     pub outputs: Vec<Vec<f64>>,
-    /// Per-task execution counts of this (the final) attempt, aligned
-    /// with the plan's op order: 1 for every executed task, 0 for tasks
-    /// restored from a snapshot. (Empty from the sequential reference,
-    /// which keeps no counters.)
-    pub exec_counts: Vec<Vec<u32>>,
-    /// Per-task restored-from-snapshot masks, aligned like
-    /// `exec_counts`: all-false unless the final attempt of a resumable
-    /// run started from a snapshot. (Empty from the sequential
-    /// reference.)
-    pub restored: Vec<Vec<bool>>,
+    /// What every worker (or async driver) of the final attempt ran,
+    /// chunk by chunk: the whole of what
+    /// [`exec_counts`](Self::exec_counts) is folded from.
+    pub(crate) logs: Vec<ExecLog>,
+    /// Per op, aligned with the plan: the task space the logs' chunks
+    /// index. Empty from the sequential reference, which keeps no logs.
+    pub(crate) spaces: Vec<TaskSpace>,
     /// Chunk claims across all ops (scheduling events).
     pub claims: u64,
     /// Cooperative yields across all ops (async: one per executed
@@ -738,8 +742,6 @@ impl RunReport {
         procs: Vec<ProcStats>,
         ops: Vec<OpRecord>,
         outputs: Vec<Vec<f64>>,
-        exec_counts: Vec<Vec<u32>>,
-        restored: Vec<Vec<bool>>,
     ) -> Self {
         RunReport {
             wall_us,
@@ -762,8 +764,8 @@ impl RunReport {
             recovery_us: 0.0,
             ops,
             outputs,
-            exec_counts,
-            restored,
+            logs: Vec::new(),
+            spaces: Vec::new(),
         }
     }
 
@@ -771,6 +773,8 @@ impl RunReport {
     /// joined: the arena's cells are quiescent, so the consuming
     /// conversion hands back one owned buffer per op. `records` must
     /// have been taken (they read the arena) before this consumes it.
+    /// The logs are kept as they are, with each op's task count and
+    /// remap: nothing per task is counted here.
     ///
     /// # Errors
     ///
@@ -782,22 +786,62 @@ impl RunReport {
         procs: Vec<ProcStats>,
         records: Vec<OpRecord>,
         ops: impl IntoIterator<Item = OpState<'p>>,
-        logs: &[ExecLog],
+        logs: Vec<ExecLog>,
         arena: OutputArena,
         ctl: &RunCtl,
     ) -> Result<Self, RunError> {
         if let Some(e) = ctl.cancel_error() {
             return Err(e);
         }
-        let ops: Vec<OpState<'p>> = ops.into_iter().collect();
-        let exec_counts = exec_counts(&ops, logs);
-        let resumed_tasks = ops.iter().map(|op| op.plan.tasks - op.pending()).sum();
-        let restored = ops.into_iter().map(|op| op.restored).collect();
+        let mut resumed_tasks = 0;
+        let spaces = ops
+            .into_iter()
+            .map(|op| {
+                resumed_tasks += op.plan.tasks - op.pending();
+                TaskSpace { tasks: op.plan.tasks, remap: op.remap }
+            })
+            .collect();
         Ok(RunReport {
             crashed: ctl.crashed(),
             resumed_tasks,
-            ..RunReport::new(wall_us, procs, records, arena.into_outputs(), exec_counts, restored)
+            logs,
+            spaces,
+            ..RunReport::new(wall_us, procs, records, arena.into_outputs())
         })
+    }
+
+    /// The exactly-once oracle: per-task execution counts of this (the
+    /// final) attempt, aligned with the plan's op order — 1 for every
+    /// executed task, 0 for tasks restored from a snapshot. Folded on
+    /// each call from every worker's chunk log through each op's
+    /// queue-index → task translation. The logs are complete and
+    /// private, so the fold is exact: a task two claims covered reads
+    /// 2, a task nobody ran (restored from a snapshot, or lost) reads 0.
+    /// (Empty from the sequential reference, which keeps no logs.)
+    pub fn exec_counts(&self) -> Vec<Vec<u32>> {
+        let mut counts: Vec<Vec<u32>> = self.spaces.iter().map(|s| vec![0; s.tasks]).collect();
+        for (op, chunk) in self.logs.iter().flat_map(|log| &log.spans) {
+            let counts = &mut counts[*op];
+            match &self.spaces[*op].remap {
+                None => counts[chunk.range()].iter_mut().for_each(|n| *n += 1),
+                Some(remap) => remap[chunk.range()].iter().for_each(|&t| counts[t] += 1),
+            }
+        }
+        counts
+    }
+
+    /// Per-task restored-from-snapshot masks, aligned like
+    /// [`exec_counts`](Self::exec_counts): all-false unless the final
+    /// attempt of a resumable run started from a snapshot, derived on
+    /// each call from the resumed ops' remaps — a task is restored when
+    /// no queue index maps to it. (Empty from the sequential reference.)
+    pub fn restored(&self) -> Vec<Vec<bool>> {
+        let mask = |s: &TaskSpace| {
+            let mut mask = vec![s.remap.is_some(); s.tasks];
+            s.remap.iter().flatten().for_each(|&t| mask[t] = false);
+            mask
+        };
+        self.spaces.iter().map(mask).collect()
     }
 
     /// Op names, aligned with the plan's op order.
@@ -895,10 +939,12 @@ mod tests {
         assert!(s.ops[p1].enabled(), "a pre-done producer is no dependency");
         assert_eq!(s.ops[p1].warm.map(|w| w.count()), Some(4));
         assert!(s.ops[q0].warm.is_none());
-        // Restored cells are prefilled, restored masks full-length.
+        // Restored cells are prefilled; restored masks are full-length,
+        // and only an op the image holds tasks of has one.
         let out = s.arena.into_outputs();
         assert_eq!(out[p1], [0.0, 0.0, 2.0, 0.0, 4.0, 0.0, 6.0, 0.0]);
-        assert_eq!(s.ops[q0].restored, vec![false; 24]);
+        assert_eq!(s.ops[p1].restored.as_ref().map(Vec::len), Some(8));
+        assert!(s.ops[q0].restored.is_none() && s.ops[p2].restored.is_none());
 
         // Streamed edges: only fresh, equal-cardinality pairs. P1→P2 is
         // equal-cardinality but P1 is remapped; Q0→Q1 is 24→8.
@@ -1015,6 +1061,14 @@ mod tests {
             .all(|i| completed(i).is_empty()));
     }
 
+    /// The report of a run of `plan`, set up as `s`, whose two workers
+    /// logged `logs`.
+    fn report_of(plan: &Plan, s: Setup<'_>, logs: Vec<ExecLog>) -> RunReport {
+        let ctl = RunCtl::new(&ExecutorOptions::default(), plan, 2);
+        let procs = vec![ProcStats::default(); 2];
+        RunReport::from_run(1.0, procs, Vec::new(), s.ops, logs, s.arena, &ctl).unwrap()
+    }
+
     /// The oracle itself: disjoint logs read 1 everywhere, an overlap
     /// reads 2 exactly where two claims met, a remapped op counts in
     /// task space and leaves its restored tasks at 0, a whole op in one
@@ -1031,7 +1085,7 @@ mod tests {
         images[p1] = image((0..8).map(|t| t % 2 == 0).collect());
         let s = chains_set_up(&plan, &g, images);
 
-        let logs = [
+        let logs = vec![
             // Worker 0: half of P0, Q0's head, and P1's first two
             // pending tasks.
             log(&[(p0, span(0, 4)), (q0, span(0, 16)), (p1, span(0, 2))]),
@@ -1041,14 +1095,29 @@ mod tests {
             log(&[(p0, span(4, 4)), (q0, span(12, 12)), (p1, span(2, 2)), (p2, span(0, 8))]),
             ExecLog::default(),
         ];
-        let counts = exec_counts(&s.ops, &logs);
+        let report = report_of(&plan, s, logs);
+        let counts = report.exec_counts();
         assert_eq!(counts[p0], [1; 8], "disjoint ranges");
         let q0_expected: Vec<u32> = (0..24).map(|t| 1 + u32::from((12..16).contains(&t))).collect();
         assert_eq!(counts[q0], q0_expected, "2 exactly on the overlap");
         assert_eq!(counts[p1], [0, 1, 0, 1, 0, 1, 0, 1], "queue indices go through the remap");
-        assert_eq!(s.ops[p1].restored, [true, false, true, false, true, false, true, false]);
+        assert_eq!(report.restored()[p1], [true, false, true, false, true, false, true, false]);
         assert_eq!(counts[p2], [1; 8], "one whole-op chunk counts once");
         assert_eq!(counts[q1], [0; 8], "an op nobody ran");
+        assert!(report.restored()[q0].iter().all(|&r| !r), "no image, nothing restored");
+        assert_eq!(report.resumed_tasks, 4);
+    }
+
+    /// Adjacent chunks of one op share a log entry; a chunk of another
+    /// op, a gap, or a chunk run again starts a new one. The totals
+    /// still count every chunk, and the fold every task run.
+    #[test]
+    fn a_log_entry_spans_adjacent_chunks() {
+        let log = log(&[(0, span(0, 4)), (0, span(4, 2)), (1, span(6, 2)), (0, span(6, 2))]);
+        assert_eq!(log.spans, [(0, span(0, 6)), (1, span(6, 2)), (0, span(6, 2))]);
+        assert_eq!(log.totals(), (4, 10));
+        let again = self::log(&[(0, span(0, 4)), (0, span(0, 4)), (0, span(8, 1))]);
+        assert_eq!(again.spans.len(), 3, "a repeated or a disjoint chunk is its own entry");
     }
 
     /// The oracle can fire: a forced double claim (two workers' logs
@@ -1066,17 +1135,14 @@ mod tests {
         };
         let at = |name: &str| plan.ops.iter().position(|o| o.name == name).unwrap();
         let (p0, q1) = (at("P0"), at("Q1"));
-        let logs = [log(&whole("Q1")), log(&[(p0, span(2, 4)), (q1, span(0, 4))])];
-        let ctl = RunCtl::new(&opts, &plan, 2);
-        let procs = vec![ProcStats::default(); 2];
-        let report =
-            RunReport::from_run(1.0, procs, Vec::new(), s.ops, &logs, s.arena, &ctl).unwrap();
-        assert_eq!(report.exec_counts[p0], [1, 1, 2, 2, 2, 2, 1, 1]);
-        assert_eq!(report.exec_counts[q1], [1, 1, 1, 1, 0, 0, 0, 0]);
+        let logs = vec![log(&whole("Q1")), log(&[(p0, span(2, 4)), (q1, span(0, 4))])];
+        let report = report_of(&plan, s, logs);
+        assert_eq!(report.exec_counts()[p0], [1, 1, 2, 2, 2, 2, 1, 1]);
+        assert_eq!(report.exec_counts()[q1], [1, 1, 1, 1, 0, 0, 0, 0]);
         let clean = |i: &usize| *i != p0 && *i != q1;
         assert!((0..plan.ops.len())
             .filter(clean)
-            .all(|i| report.exec_counts[i].iter().all(|&c| c == 1)));
+            .all(|i| report.exec_counts()[i].iter().all(|&c| c == 1)));
         assert_eq!(report.resumed_tasks, 0);
     }
 

@@ -447,7 +447,7 @@ pub(crate) fn run_threaded(
         })
         .collect();
     let states = ops.into_iter().map(|op| op.state);
-    let report = RunReport::from_run(wall_us, procs, op_records, states, &logs, arena, &ctl)?;
+    let report = RunReport::from_run(wall_us, procs, op_records, states, logs, arena, &ctl)?;
     let locality =
         if dist_tasks == 0 { 1.0 } else { 1.0 - report.migrated_tasks as f64 / dist_tasks as f64 };
     Ok(RunReport { locality, steals, pinned_workers, ..report })
@@ -509,9 +509,9 @@ pub fn execute_sequential(
     let wall_us = us(Instant::now());
     let tasks: u64 = plan.ops.iter().map(|o| o.tasks as u64).sum();
     let me = ProcStats { busy: wall_us, tasks, chunks: 0, free_at: wall_us };
-    // The reference keeps no per-task counters or masks, and prices
-    // nothing: those report fields stay empty / zero.
-    Ok(RunReport::new(wall_us, vec![me], records, outputs, Vec::new(), Vec::new()))
+    // The reference keeps no chunk logs, and prices nothing: its
+    // `exec_counts()` and `restored()` read empty, its counters zero.
+    Ok(RunReport::new(wall_us, vec![me], records, outputs))
 }
 
 #[cfg(test)]
@@ -601,7 +601,7 @@ mod tests {
         let kernel = SpinKernel::with_scale(4.0);
         let r = execute_threaded(&g, &opts, &kernel).unwrap();
         assert_eq!(r.stats.total_tasks(), 102);
-        for counts in &r.exec_counts {
+        for counts in &r.exec_counts() {
             assert!(counts.iter().all(|&c| c == 1));
         }
         assert!(r.wall_us > 0.0);

@@ -71,7 +71,7 @@ fn every_policy_executes_each_task_exactly_once() {
         for policy in POLICIES {
             let opts = ExecutorOptions { policy, ..opts.clone() };
             let run = execute_async(&g, &opts, &kernel).unwrap();
-            for (op, counts) in run.ops.iter().zip(&run.exec_counts) {
+            for (op, counts) in run.ops.iter().zip(&run.exec_counts()) {
                 assert!(
                     counts.iter().all(|&c| c == 1),
                     "{name}/{}: op {} task exec counts {counts:?}",
@@ -79,7 +79,7 @@ fn every_policy_executes_each_task_exactly_once() {
                     op.name,
                 );
             }
-            let total: u64 = run.exec_counts.iter().map(|c| c.len() as u64).sum();
+            let total: u64 = run.exec_counts().iter().map(|c| c.len() as u64).sum();
             assert_eq!(
                 run.stats.total_tasks(),
                 total,
@@ -220,7 +220,7 @@ fn many_inflight_ops_multiplex_over_two_drivers() {
     let kernel = SpinKernel::with_scale(2.0);
     let run = execute_async(&g, &opts, &kernel).unwrap();
     assert_eq!(run.stats.total_tasks(), 1 + 16 * 24);
-    for counts in &run.exec_counts {
+    for counts in &run.exec_counts() {
         assert!(counts.iter().all(|&c| c == 1));
     }
     assert!(run.driver_utilization() <= 1.0 + 1e-9);

@@ -81,7 +81,7 @@ fn every_policy_executes_each_task_exactly_once() {
         for policy in POLICIES {
             let opts = ExecutorOptions { policy, ..opts.clone() };
             let run = execute_threaded(&g, &opts, &kernel).unwrap();
-            for (op, counts) in run.ops.iter().zip(&run.exec_counts) {
+            for (op, counts) in run.ops.iter().zip(&run.exec_counts()) {
                 assert!(
                     counts.iter().all(|&c| c == 1),
                     "{name}/{}: op {} task exec counts {counts:?}",
@@ -89,7 +89,7 @@ fn every_policy_executes_each_task_exactly_once() {
                     op.name,
                 );
             }
-            let total: u64 = run.exec_counts.iter().map(|c| c.len() as u64).sum();
+            let total: u64 = run.exec_counts().iter().map(|c| c.len() as u64).sum();
             assert_eq!(
                 run.stats.total_tasks(),
                 total,
@@ -135,7 +135,7 @@ fn affinity_and_topology_do_not_change_results() {
             let opts = ExecutorOptions { policy: PolicyKind::Taper, pin_workers, ..opts.clone() };
             let label = format!("{name}/pin={pin_workers}");
             let thr = execute_threaded(&g, &opts, &kernel).unwrap();
-            for (op, counts) in thr.ops.iter().zip(&thr.exec_counts) {
+            for (op, counts) in thr.ops.iter().zip(&thr.exec_counts()) {
                 assert!(
                     counts.iter().all(|&c| c == 1),
                     "{label}: op {} task exec counts {counts:?}",
@@ -407,7 +407,7 @@ fn concurrent_level_bitwise_equal_with_and_without_allocation() {
                 ExecutorOptions { backend: ExecutorBackend::ThreadedDist, ..opts.clone() };
             let dist = execute_threaded(&g, &dist_opts, &kernel).unwrap();
             let asy = execute_async(&g, &opts, &kernel).unwrap();
-            for (op, counts) in thr.ops.iter().zip(&thr.exec_counts) {
+            for (op, counts) in thr.ops.iter().zip(&thr.exec_counts()) {
                 assert!(
                     counts.iter().all(|&c| c == 1),
                     "{label}: op {} task exec counts {counts:?}",
@@ -548,7 +548,7 @@ proptest! {
             prop_assert_eq!(&seq.outputs, &asy.outputs);
             for run in [&thr, &dist] {
                 prop_assert!(
-                    run.exec_counts.iter().flatten().all(|&c| c == 1),
+                    run.exec_counts().iter().flatten().all(|&c| c == 1),
                     "exactly-once violated"
                 );
                 // Non-vacuousness: every chain edge actually streamed.

@@ -108,7 +108,7 @@ fn mid_run_cancel_frees_the_pool_for_a_clean_rerun() {
         let run = execute_threaded(&g2, &o2, &k2).expect("pool reusable after cancel");
         let seq = execute_sequential(&g2, &o2, &k2).unwrap();
         assert_eq!(run.outputs, seq.outputs, "backend {backend:?}");
-        for counts in &run.exec_counts {
+        for counts in &run.exec_counts() {
             assert!(counts.iter().all(|&c| c == 1), "exactly-once after cancel");
         }
     }

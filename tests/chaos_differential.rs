@@ -202,9 +202,10 @@ fn check_resumable(
 ) -> Result<(), TestCaseError> {
     assert_bitwise(seq_outputs, &run.outputs, names, label)?;
     let mut restored_total = 0usize;
-    for (i, counts) in run.exec_counts.iter().enumerate() {
+    let masks = run.restored();
+    for (i, counts) in run.exec_counts().iter().enumerate() {
         for (t, &c) in counts.iter().enumerate() {
-            let restored = run.restored[i][t];
+            let restored = masks[i][t];
             restored_total += usize::from(restored);
             prop_assert_eq!(
                 c,
@@ -640,11 +641,12 @@ fn crash_resume_mid_stream_stays_exact() {
     let seq = execute_sequential(&g, &opts, &k).unwrap();
     let run = execute_graph_resumable(&g, &opts, &k).unwrap();
     assert_eq!(seq.outputs, run.outputs, "mid-stream resume diverged from sequential");
-    for (i, counts) in run.exec_counts.iter().enumerate() {
+    let restored = run.restored();
+    for (i, counts) in run.exec_counts().iter().enumerate() {
         for (t, &c) in counts.iter().enumerate() {
             assert_eq!(
                 c,
-                u32::from(!run.restored[i][t]),
+                u32::from(!restored[i][t]),
                 "op {i} task {t}: restored tasks must not re-execute"
             );
         }
@@ -698,7 +700,7 @@ fn crash_without_checkpoint_restarts_from_scratch() {
     assert_eq!(run.attempts, 2, "first attempt must crash, second must finish");
     assert_eq!(run.resumed_tasks, 0, "no snapshots to restore from");
     assert_eq!(seq.outputs, run.outputs);
-    assert!(run.exec_counts.iter().flatten().all(|&c| c == 1));
+    assert!(run.exec_counts().iter().flatten().all(|&c| c == 1));
     assert!(run.recovery_us > 0.0);
 }
 
@@ -753,9 +755,10 @@ fn torn_snapshot_falls_back_to_older_version() {
         "resume did not restore the fallback snapshot's frontier"
     );
     assert_eq!(seq.outputs, run.outputs, "torn-write resume diverged from sequential");
-    for (i, counts) in run.exec_counts.iter().enumerate() {
+    let restored = run.restored();
+    for (i, counts) in run.exec_counts().iter().enumerate() {
         for (t, &c) in counts.iter().enumerate() {
-            assert_eq!(c, u32::from(!run.restored[i][t]), "op {i} task {t}");
+            assert_eq!(c, u32::from(!restored[i][t]), "op {i} task {t}");
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -817,11 +820,12 @@ fn one_snapshot_resumes_identically_on_every_backend() {
             assert_eq!(run.attempts, 2, "{name}/{backend:?}: crash, then one clean replay");
             assert_eq!(run.resumed_tasks, image.completed_tasks(), "{name}/{backend:?}");
             assert_eq!(seq.outputs, run.outputs, "{name}/{backend:?}: diverged from sequential");
-            for (i, counts) in run.exec_counts.iter().enumerate() {
+            let restored = run.restored();
+            for (i, counts) in run.exec_counts().iter().enumerate() {
                 for (t, &c) in counts.iter().enumerate() {
                     assert_eq!(
                         c,
-                        u32::from(!run.restored[i][t]),
+                        u32::from(!restored[i][t]),
                         "{name}/{backend:?}: op {i} task {t}"
                     );
                 }
@@ -832,7 +836,7 @@ fn one_snapshot_resumes_identically_on_every_backend() {
         let (_, first) = &runs[0];
         let procs = |r: &RunReport| -> Vec<usize> { r.ops.iter().map(|o| o.procs).collect() };
         for (backend, run) in &runs[1..] {
-            assert_eq!(first.restored, run.restored, "{name}/{backend:?}: restored masks");
+            assert_eq!(first.restored(), run.restored(), "{name}/{backend:?}: restored masks");
             assert_eq!(
                 first.streamed_edges, run.streamed_edges,
                 "{name}/{backend:?}: streamed edges"

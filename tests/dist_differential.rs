@@ -51,7 +51,7 @@ fn run_and_check_with(
     let seq =
         execute_sequential(g, opts, &SpinKernel::with_scale(2.0)).expect("sequential reference");
     let thr = execute_threaded(g, opts, kernel).expect("dist-TAPER run");
-    for (op, counts) in thr.ops.iter().zip(&thr.exec_counts) {
+    for (op, counts) in thr.ops.iter().zip(&thr.exec_counts()) {
         assert!(
             counts.iter().all(|&c| c == 1),
             "{label}: op {} has a task executed != once under migration",

@@ -63,7 +63,7 @@ fn assert_exactly_once_and_bitwise(
     let kernel = SpinKernel::with_scale(1.0);
     let seq = execute_sequential(g, opts, &kernel).expect("sequential reference");
     let thr = execute_threaded(g, opts, &kernel).expect("threaded run");
-    for (op, counts) in thr.ops.iter().zip(&thr.exec_counts) {
+    for (op, counts) in thr.ops.iter().zip(&thr.exec_counts()) {
         assert!(
             counts.iter().all(|&c| c == 1),
             "{label}: op {} has a task executed != once",
@@ -272,7 +272,7 @@ fn repeated_self_sched_churn() {
     let kernel = SpinKernel::with_scale(1.0);
     for round in 0..5 {
         let thr = execute_threaded(&g, &opts, &kernel).expect("threaded run");
-        let counts = &thr.exec_counts[0];
+        let counts = &thr.exec_counts()[0];
         assert!(
             counts.iter().all(|&c| c == 1),
             "round {round}/seed={:#x}: lost or duplicated task",
