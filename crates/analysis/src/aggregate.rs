@@ -48,9 +48,7 @@ fn forward_block(stmts: &mut [SimpleStmt]) -> usize {
         match s {
             SimpleStmt::Assign { target, value } => {
                 // Rewrite reads in the value first.
-                let mut v = value.clone();
-                forwarded += rewrite_reads(&mut v, &known);
-                *value = v;
+                forwarded += rewrite_reads(value, &known);
                 match target {
                     LValue::Var(name) => {
                         // A scalar def invalidates keys whose index
@@ -61,11 +59,9 @@ fn forward_block(stmts: &mut [SimpleStmt]) -> usize {
                         known.retain(|k, val| !k.contains(name) && !val.reads(name));
                     }
                     LValue::Index(array, idx) => {
-                        let mut new_idx = idx.clone();
-                        for e in &mut new_idx {
+                        for e in idx.iter_mut() {
                             forwarded += rewrite_reads(e, &known);
                         }
-                        *idx = new_idx;
                         // Invalidate every remembered element of this
                         // array (a write may touch any of them), then
                         // remember this one.
@@ -111,8 +107,11 @@ fn rewrite_reads(e: &mut Expr, known: &HashMap<String, Expr>) -> usize {
             for i in idx.iter_mut() {
                 n += rewrite_reads(i, known);
             }
-            let key = elem_key(array, idx);
-            if let Some(v) = known.get(&key) {
+            // With nothing remembered, no key is spelled.
+            if known.is_empty() {
+                return n;
+            }
+            if let Some(v) = known.get(&elem_key(array, idx)) {
                 *e = v.clone();
                 n + 1
             } else {

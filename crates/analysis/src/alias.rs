@@ -37,16 +37,15 @@ impl AliasInfo {
 
 /// Detects aliasing calls and the SSA names they invalidate.
 ///
-/// The traversal is top-down in reverse postorder; once an array becomes
-/// aliased it stays aliased for all later blocks (a sound
-/// over-approximation of the paper's per-path marking).
+/// Once an array becomes aliased it stays aliased for every block (a
+/// sound over-approximation of the paper's per-path marking), so the
+/// sweeps may visit the blocks in any order.
 pub fn detect_aliases(cfg: &Cfg) -> AliasInfo {
     let mut info = AliasInfo::default();
-    let rpo = cfg.reverse_postorder();
 
     // First sweep: find aliasing calls.
-    for &b in &rpo {
-        for s in &cfg.blocks[b].stmts {
+    for block in &cfg.blocks {
+        for s in &block.stmts {
             if let SimpleStmt::Call { args, .. } = s {
                 let mut seen: BTreeSet<&str> = BTreeSet::new();
                 for a in args {
@@ -67,8 +66,8 @@ pub fn detect_aliases(cfg: &Cfg) -> AliasInfo {
     // Second sweep: any SSA def whose RHS reads an aliased array is
     // invalid (the write through one alias may have changed the value
     // observed through the other).
-    for &b in &rpo {
-        for s in &cfg.blocks[b].stmts {
+    for block in &cfg.blocks {
+        for s in &block.stmts {
             if let SimpleStmt::Assign { target: LValue::Var(def), value } = s {
                 let mut arrays = BTreeSet::new();
                 value.array_reads(&mut arrays);

@@ -9,7 +9,7 @@
 //! touches — the "memory usage" annotation the paper attaches to CFG
 //! nodes before descriptor construction.
 
-use orchestra_lang::ast::{BinOp, Expr, LValue, Name, Stmt};
+use orchestra_lang::ast::{BinOp, Expr, LValue, Name, Program, Stmt, UnOp};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -211,26 +211,44 @@ pub struct Cfg {
 impl Cfg {
     /// Lowers a whole program: scalar declaration initializers become
     /// assignments in the entry block, followed by the body.
-    pub fn from_program(prog: &orchestra_lang::ast::Program) -> Cfg {
-        let mut stmts: Vec<Stmt> = prog
-            .decls
-            .iter()
-            .filter(|d| !d.is_array())
-            .filter_map(|d| {
-                d.init.as_ref().map(|init| Stmt::Assign {
-                    target: LValue::Var(d.name.clone()),
-                    value: init.clone(),
-                })
+    pub fn from_program(prog: &Program) -> Cfg {
+        let inits = prog.decls.iter().filter(|d| !d.is_array()).filter_map(|d| {
+            d.init.as_ref().map(|init| SimpleStmt::Assign {
+                target: LValue::Var(d.name.clone()),
+                value: init.clone(),
             })
-            .collect();
-        stmts.extend(prog.body.iter().cloned());
-        Cfg::from_stmts(&stmts)
+        });
+        Cfg::lower(inits, &prog.body, constant_scalars(prog))
     }
 
     /// Lowers a statement list into a CFG.
     pub fn from_stmts(stmts: &[Stmt]) -> Cfg {
-        let mut b = Builder { blocks: Vec::new(), loops: Vec::new() };
+        Cfg::lower(std::iter::empty(), stmts, Vec::new())
+    }
+
+    /// Lowers `stmts` behind `prologue`, placed in the entry block;
+    /// `consts` are scalars that hold one value throughout.
+    fn lower(
+        prologue: impl Iterator<Item = SimpleStmt>,
+        stmts: &[Stmt],
+        consts: Vec<(Name, i64)>,
+    ) -> Cfg {
+        // A loop range lowers to at most five new blocks, an `if` to three.
+        let (mut ranges, mut ifs) = (0, 0);
+        for s in stmts {
+            s.walk(&mut |s| match s {
+                Stmt::Do { ranges: r, .. } => ranges += r.len(),
+                Stmt::If { .. } => ifs += 1,
+                _ => {}
+            });
+        }
+        let mut b = Builder {
+            blocks: Vec::with_capacity(1 + 5 * ranges + 3 * ifs),
+            loops: Vec::with_capacity(ranges),
+            consts,
+        };
         let entry = b.new_block(BlockRole::Plain);
+        b.blocks[entry].stmts.extend(prologue);
         let last = b.lower_seq(stmts, entry);
         b.blocks[last].term = Terminator::Exit;
         let mut cfg = Cfg { blocks: b.blocks, entry, loops: b.loops };
@@ -314,9 +332,57 @@ impl fmt::Display for Cfg {
     }
 }
 
+/// The scalars of `prog` that hold one integer throughout: declared
+/// with an initializer that folds to a constant, and never assigned,
+/// used as a loop variable, or passed to a call (which copies back).
+fn constant_scalars(prog: &Program) -> Vec<(Name, i64)> {
+    let mut written = BTreeSet::new();
+    for s in &prog.body {
+        s.scalar_writes(&mut written);
+        s.walk(&mut |s| {
+            if let Stmt::Call { args, .. } = s {
+                for a in args {
+                    if let Expr::Var(v) = a {
+                        written.insert(v.clone());
+                    }
+                }
+            }
+        });
+    }
+    let mut consts: Vec<(Name, i64)> = Vec::new();
+    for d in prog.decls.iter().filter(|d| !d.is_array() && !written.contains(&d.name)) {
+        if let Some(v) = d.init.as_ref().and_then(|e| fold_int(e, &consts)) {
+            consts.push((d.name.clone(), v));
+        }
+    }
+    consts
+}
+
+/// The integer `e` always evaluates to: literals and `consts` under
+/// negation, `+`, `-` and `*`, short of overflow.
+fn fold_int(e: &Expr, consts: &[(Name, i64)]) -> Option<i64> {
+    match e {
+        Expr::IntLit(v) => Some(*v),
+        Expr::Var(v) => consts.iter().find(|(n, _)| n == v).map(|(_, c)| *c),
+        Expr::Un(UnOp::Neg, inner) => fold_int(inner, consts)?.checked_neg(),
+        Expr::Bin(op, l, r) => {
+            let (a, b) = (fold_int(l, consts)?, fold_int(r, consts)?);
+            match op {
+                BinOp::Add => a.checked_add(b),
+                BinOp::Sub => a.checked_sub(b),
+                BinOp::Mul => a.checked_mul(b),
+                _ => None,
+            }
+        }
+        _ => None,
+    }
+}
+
 struct Builder {
     blocks: Vec<Block>,
     loops: Vec<LoopShape>,
+    /// Scalars of constant value, for the sign of a loop step.
+    consts: Vec<(Name, i64)>,
 }
 
 impl Builder {
@@ -395,11 +461,23 @@ impl Builder {
             self.blocks[preheader].role = BlockRole::Preheader;
         }
 
-        // Loop test: positive step uses `var <= hi`; a provably negative
-        // constant step uses `var >= hi`.
-        let descending = r.step.as_ref().and_then(|e| e.as_int()).is_some_and(|v| v < 0);
-        let cmp = if descending { BinOp::Ge } else { BinOp::Le };
-        let cond = Expr::bin(cmp, Expr::Var(var.clone()), r.hi.clone());
+        // Loop test: `var <= hi` counting up, `var >= hi` counting down.
+        // A step of no provable sign tests `(var - hi) * step <= 0`,
+        // which holds exactly when the loop continues either way and
+        // asserts no direction unless propagation learns the step.
+        let var_e = Expr::Var(var.clone());
+        let cond = match &r.step {
+            None => Expr::bin(BinOp::Le, var_e, r.hi.clone()),
+            Some(step) => match fold_int(step, &self.consts).map(i64::signum) {
+                Some(1) => Expr::bin(BinOp::Le, var_e, r.hi.clone()),
+                Some(-1) => Expr::bin(BinOp::Ge, var_e, r.hi.clone()),
+                _ => Expr::bin(
+                    BinOp::Le,
+                    Expr::bin(BinOp::Mul, Expr::bin(BinOp::Sub, var_e, r.hi.clone()), step.clone()),
+                    Expr::IntLit(0),
+                ),
+            },
+        };
 
         // Body entry (behind the mask test if masked).
         let body_entry = if let Some(m) = mask {

@@ -12,11 +12,62 @@ pub struct DomTree {
     /// Immediate dominator per block; `idom[entry] == entry`.
     /// Unreachable blocks carry `usize::MAX`.
     pub idom: Vec<BlockId>,
-    /// Dominance frontier per block.
-    pub frontier: Vec<Vec<BlockId>>,
-    /// Children in the dominator tree.
-    pub children: Vec<Vec<BlockId>>,
+    /// Dominance frontiers, block by block (see [`DomTree::frontier`]).
+    frontier: Lists,
+    /// Dominator-tree children, block by block (see
+    /// [`DomTree::children`]).
+    children: Lists,
+    /// The reachable blocks in reverse postorder.
+    rpo: Vec<BlockId>,
     rpo_index: Vec<usize>,
+}
+
+/// One list of blocks per block, all in one vector: block `b`'s list is
+/// `items[starts[b]..starts[b + 1]]`.
+#[derive(Debug, Clone)]
+struct Lists {
+    starts: Vec<usize>,
+    items: Vec<BlockId>,
+}
+
+impl Lists {
+    /// The lists `pairs` spell as `(owner, item)`: each owner's items in
+    /// the order they first occur, once.
+    fn from_pairs(n: usize, pairs: Vec<(BlockId, BlockId)>) -> Lists {
+        // Bucket by owner, keeping each owner's order.
+        let mut starts = vec![0; n + 1];
+        for &(owner, _) in &pairs {
+            starts[owner + 1] += 1;
+        }
+        for b in 0..n {
+            starts[b + 1] += starts[b];
+        }
+        let mut fill = starts.clone();
+        let mut items = vec![0; pairs.len()];
+        for (owner, item) in pairs {
+            items[fill[owner]] = item;
+            fill[owner] += 1;
+        }
+        // Drop repeats within a list, closing the gaps.
+        let mut kept = 0;
+        for b in 0..n {
+            let (from, to) = (starts[b], starts[b + 1]);
+            starts[b] = kept;
+            for at in from..to {
+                if !items[starts[b]..kept].contains(&items[at]) {
+                    items[kept] = items[at];
+                    kept += 1;
+                }
+            }
+        }
+        starts[n] = kept;
+        items.truncate(kept);
+        Lists { starts, items }
+    }
+
+    fn of(&self, b: BlockId) -> &[BlockId] {
+        &self.items[self.starts[b]..self.starts[b + 1]]
+    }
 }
 
 /// Sentinel for unreachable blocks.
@@ -58,7 +109,7 @@ impl DomTree {
         }
 
         // Dominance frontiers (Cooper et al. §4).
-        let mut frontier = vec![Vec::new(); n];
+        let mut frontier = Vec::new();
         for b in 0..n {
             if cfg.blocks[b].preds.len() >= 2 {
                 for &p in &cfg.blocks[b].preds {
@@ -67,9 +118,7 @@ impl DomTree {
                     }
                     let mut runner = p;
                     while runner != idom[b] {
-                        if !frontier[runner].contains(&b) {
-                            frontier[runner].push(b);
-                        }
+                        frontier.push((runner, b));
                         if runner == idom[runner] {
                             break; // reached entry
                         }
@@ -79,14 +128,33 @@ impl DomTree {
             }
         }
 
-        let mut children = vec![Vec::new(); n];
-        for b in 0..n {
-            if b != cfg.entry && idom[b] != UNREACHABLE {
-                children[idom[b]].push(b);
-            }
-        }
+        let children = (0..n)
+            .filter(|&b| b != cfg.entry && idom[b] != UNREACHABLE)
+            .map(|b| (idom[b], b))
+            .collect();
 
-        DomTree { idom, frontier, children, rpo_index }
+        DomTree {
+            idom,
+            frontier: Lists::from_pairs(n, frontier),
+            children: Lists::from_pairs(n, children),
+            rpo,
+            rpo_index,
+        }
+    }
+
+    /// The dominance frontier of block `b`.
+    pub fn frontier(&self, b: BlockId) -> &[BlockId] {
+        self.frontier.of(b)
+    }
+
+    /// The children of block `b` in the dominator tree, ascending.
+    pub fn children(&self, b: BlockId) -> &[BlockId] {
+        self.children.of(b)
+    }
+
+    /// The reachable blocks in reverse postorder.
+    pub fn rpo(&self) -> &[BlockId] {
+        &self.rpo
     }
 
     /// True if `a` dominates `b` (reflexive).
@@ -113,7 +181,7 @@ impl DomTree {
         let mut stack = vec![root];
         while let Some(b) = stack.pop() {
             out.push(b);
-            for &c in self.children[b].iter().rev() {
+            for &c in self.children(b).iter().rev() {
                 stack.push(c);
             }
         }
@@ -177,9 +245,9 @@ mod tests {
             panic!()
         };
         let join = cfg.blocks[*then_b].term.successors().next().unwrap();
-        assert!(dom.frontier[*then_b].contains(&join));
-        assert!(dom.frontier[*else_b].contains(&join));
-        assert!(!dom.frontier[cfg.entry].contains(&join));
+        assert!(dom.frontier(*then_b).contains(&join));
+        assert!(dom.frontier(*else_b).contains(&join));
+        assert!(!dom.frontier(cfg.entry).contains(&join));
     }
 
     #[test]
@@ -191,7 +259,7 @@ mod tests {
         // The header has a back edge into itself, so it appears in its
         // own dominance frontier — the classic reason loop-carried scalars
         // need φ nodes in the header.
-        assert!(dom.frontier[header].contains(&header));
+        assert!(dom.frontier(header).contains(&header));
     }
 
     #[test]

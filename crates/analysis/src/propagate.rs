@@ -36,29 +36,26 @@ impl<'a> Lookup<'a> {
     fn new(ssa: &'a SsaProgram) -> Self {
         let loops = ssa.cfg.loops.iter().map(|l| ((l.header, l.var.as_str()), l)).collect();
         let stmts = ssa.cfg.blocks.iter().flat_map(|b| &b.stmts);
-        let defs = stmts
-            .filter_map(|s| match s {
-                SimpleStmt::Assign { target: LValue::Var(name), value } => {
-                    Some((name.as_str(), value))
-                }
-                _ => None,
-            })
-            .collect();
+        let mut defs = HashMap::with_capacity(ssa.def_block.len());
+        defs.extend(stmts.filter_map(|s| match s {
+            SimpleStmt::Assign { target: LValue::Var(name), value } => Some((name.as_str(), value)),
+            _ => None,
+        }));
         Lookup { loops, defs }
     }
 }
 
 /// Runs value and assertion propagation.
 pub fn propagate(ssa: &SsaProgram) -> Propagation {
-    let mut values: HashMap<Name, SymValue> = HashMap::new();
+    let mut values: HashMap<Name, SymValue> = HashMap::with_capacity(ssa.def_block.len());
     let mut loop_ranges = HashMap::new();
     let lookup = Lookup::new(ssa);
 
     // Two passes in RPO: the first resolves straight-line values, the
     // second lets header φs see the back-edge increment definitions.
-    let rpo = ssa.cfg.reverse_postorder();
+    let rpo = ssa.dom.rpo();
     for pass in 0..2 {
-        for &b in &rpo {
+        for &b in rpo {
             for phi in &ssa.phis[b] {
                 if values.contains_key(&phi.dest) {
                     continue;
@@ -71,6 +68,10 @@ pub fn propagate(ssa: &SsaProgram) -> Propagation {
                 } else if pass == 1 {
                     values.insert(phi.dest.clone(), SymValue::Unknown);
                 }
+            }
+            // Every assignment is valued in the first pass.
+            if pass == 1 {
+                continue;
             }
             for s in &ssa.cfg.blocks[b].stmts {
                 if let SimpleStmt::Assign { target: LValue::Var(name), value } = s {
@@ -94,7 +95,7 @@ pub fn propagate(ssa: &SsaProgram) -> Propagation {
     for (i, &b) in rpo.iter().enumerate() {
         rpo_index[b] = i;
     }
-    for &b in &rpo {
+    for &b in rpo {
         match &ssa.cfg.blocks[b].term {
             Terminator::Jump(t) => {
                 let base = assertions[b].clone();
@@ -123,7 +124,7 @@ fn merge_edge(
     // A back edge (target not later in RPO) contributes `true` so the
     // merged assertion stays conservative without a fixpoint iteration.
     let contrib = if rpo_index[to] <= rpo_index[from] { Assertion::truth() } else { incoming };
-    assertions[to] = assertions[to].or(&contrib);
+    assertions[to].or_in(contrib);
 }
 
 /// Recognizes a loop-header φ as an induction variable and returns its
@@ -400,6 +401,32 @@ mod tests {
         let a = &prop.assertions[then_b];
         assert!(!a.is_truth());
         assert!(!a.is_falsity());
+    }
+
+    /// Counting down by a literal, a folded constant expression or a
+    /// constant scalar, the body knows `i >= 1` and the exit `i < 1`; a
+    /// step of unprovable sign asserts neither direction.
+    #[test]
+    fn a_loop_counts_down_only_when_its_step_is_provably_negative() {
+        let arms = |decls: &str, step: &str, body: &str| {
+            let (ssa, prop) = analyzed(&format!(
+                "program p\n integer n = 3{decls}\n integer x[1..n]\n do i = n, 1, {step} {{ {body} }}\nend"
+            ));
+            let header = ssa.cfg.loops[0].header;
+            let Terminator::Branch { then_b, else_b, .. } = ssa.cfg.blocks[header].term else {
+                panic!("a header branches")
+            };
+            (prop.assertions[then_b].to_string(), prop.assertions[else_b].to_string())
+        };
+        let down = ("(-i#2 + 1 <= 0)".to_string(), "(i#2 <= 0)".to_string());
+        for (decls, step) in [("", "-1"), ("", "0 - 1"), (", s = -1", "s"), (", s = 1 - 2", "s")] {
+            assert_eq!(arms(decls, step, "x[i] = i"), down, "step {step}");
+        }
+        // `s` read from the input, or assigned in the body: no sign.
+        for (decls, body) in [(", s", "x[i] = i"), (", s = -1", "s = 1")] {
+            let (then_a, else_a) = arms(decls, "s", body);
+            assert!(!then_a.contains("i#") && !else_a.contains("i#"), "{then_a}; {else_a}");
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use crate::cfg::{Cfg, SimpleStmt, Terminator};
 use crate::dom::{DomTree, UNREACHABLE};
 use orchestra_lang::ast::{Expr, LValue, Name};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 /// A φ node placed at a block head.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,7 +47,19 @@ pub fn split_ssa_name(name: &str) -> Option<(&str, u32)> {
 
 /// Builds the SSA name for `(base, version)`.
 pub fn ssa_name(base: &str, version: u32) -> Name {
-    format!("{base}#{version}").into()
+    let mut digits = [0u8; 10];
+    let mut at = digits.len();
+    let mut v = version;
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    let digits = std::str::from_utf8(&digits[at..]).expect("ASCII digits");
+    Name::concat(&[base, "#", digits])
 }
 
 /// Converts a CFG to SSA form, renaming the given scalar variables.
@@ -58,18 +70,20 @@ pub fn to_ssa(mut cfg: Cfg, scalar_names: &BTreeSet<Name>) -> SsaProgram {
     cfg.compute_preds();
     let dom = DomTree::compute(&cfg);
     let n = cfg.len();
+    // Scalars by index, in name order; every table below is indexed so.
+    let scalars: Vec<&Name> = scalar_names.iter().collect();
+    let index = |v: &str| scalars.binary_search_by(|s| s.as_str().cmp(v)).ok();
 
-    // Blocks assigning each variable.
-    let mut def_sites: BTreeMap<Name, BTreeSet<usize>> = BTreeMap::new();
-    for v in scalar_names {
-        // The entry holds the implicit initial definition (version 0).
-        def_sites.entry(v.clone()).or_default().insert(cfg.entry);
-    }
+    // Blocks assigning each variable, ascending; the entry holds the
+    // implicit initial definition (version 0).
+    let mut def_sites: Vec<Vec<usize>> = vec![vec![cfg.entry]; scalars.len()];
     for (bi, b) in cfg.blocks.iter().enumerate() {
         for s in &b.stmts {
             if let SimpleStmt::Assign { target: LValue::Var(v), .. } = s {
-                if scalar_names.contains(v) {
-                    def_sites.entry(v.clone()).or_default().insert(bi);
+                if let Some(k) = index(v) {
+                    if def_sites[k].last() != Some(&bi) {
+                        def_sites[k].push(bi);
+                    }
                 }
             }
         }
@@ -77,20 +91,24 @@ pub fn to_ssa(mut cfg: Cfg, scalar_names: &BTreeSet<Name>) -> SsaProgram {
 
     // φ insertion via iterated dominance frontiers.
     let mut phis: Vec<Vec<Phi>> = vec![Vec::new(); n];
-    for (var, sites) in &def_sites {
-        let mut has_phi = vec![false; n];
-        let mut work: Vec<usize> = sites.iter().copied().collect();
-        let mut ever: BTreeSet<usize> = sites.clone();
+    let (mut has_phi, mut ever) = (vec![false; n], vec![false; n]);
+    for (var, sites) in scalars.iter().zip(def_sites) {
+        has_phi.fill(false);
+        ever.fill(false);
+        sites.iter().for_each(|&b| ever[b] = true);
+        let mut work = sites;
         while let Some(b) = work.pop() {
             if dom.idom[b] == UNREACHABLE {
                 continue;
             }
-            for &f in &dom.frontier[b] {
+            for &f in dom.frontier(b) {
                 if !has_phi[f] {
                     has_phi[f] = true;
                     // `dest` is named when renaming reaches block `f`.
-                    phis[f].push(Phi { var: var.clone(), dest: var.clone(), args: Vec::new() });
-                    if ever.insert(f) {
+                    let var = (*var).clone();
+                    phis[f].push(Phi { var: var.clone(), dest: var, args: Vec::new() });
+                    if !ever[f] {
+                        ever[f] = true;
                         work.push(f);
                     }
                 }
@@ -98,78 +116,95 @@ pub fn to_ssa(mut cfg: Cfg, scalar_names: &BTreeSet<Name>) -> SsaProgram {
         }
     }
 
-    // Renaming.
-    let mut renamer =
-        Renamer { counters: HashMap::new(), stacks: HashMap::new(), def_block: HashMap::new() };
-    for v in scalar_names {
-        // Version 0 is the implicit entry definition.
-        renamer.counters.insert(v.clone(), 0);
-        let entry_def = ssa_name(v, 0);
-        renamer.stacks.insert(v.clone(), vec![entry_def.clone()]);
-        renamer.def_block.insert(entry_def, cfg.entry);
-    }
-    rename_block(cfg.entry, &mut cfg, &mut phis, &dom, &mut renamer, scalar_names);
+    // Renaming. Version 0 is the implicit entry definition; every
+    // assignment and φ defines one more name.
+    let defs = phis.iter().map(Vec::len).sum::<usize>()
+        + cfg.blocks.iter().map(|b| b.stmts.len()).sum::<usize>();
+    let mut def_block = HashMap::with_capacity(scalars.len() + defs);
+    let stacks = scalars
+        .iter()
+        .map(|v| {
+            let entry_def = ssa_name(v, 0);
+            def_block.insert(entry_def.clone(), cfg.entry);
+            let mut stack = Vec::with_capacity(4);
+            stack.push(entry_def);
+            stack
+        })
+        .collect();
+    let mut renamer = Renamer {
+        scalars: &scalars,
+        counters: vec![0; scalars.len()],
+        stacks,
+        pushed: Vec::new(),
+        def_block,
+    };
+    rename_block(cfg.entry, &mut cfg, &mut phis, &dom, &mut renamer);
 
     SsaProgram { cfg, phis, dom, def_block: renamer.def_block, scalars: scalar_names.clone() }
 }
 
-struct Renamer {
-    counters: HashMap<Name, u32>,
-    stacks: HashMap<Name, Vec<Name>>,
+/// Renaming state, indexed by scalar.
+struct Renamer<'a> {
+    /// The renamed scalars, in name order.
+    scalars: &'a [&'a Name],
+    /// The last version given out.
+    counters: Vec<u32>,
+    /// The versions in scope, innermost last.
+    stacks: Vec<Vec<Name>>,
+    /// The scalars whose stacks the blocks on the dominator path pushed,
+    /// in push order.
+    pushed: Vec<usize>,
     def_block: HashMap<Name, usize>,
 }
 
-impl Renamer {
-    /// A new version of `var`, one of the scalars [`to_ssa`] seeded.
-    fn fresh(&mut self, var: &str, block: usize) -> Name {
-        let c = self.counters.get_mut(var).expect("a seeded scalar");
-        *c += 1;
-        let name = ssa_name(var, *c);
-        self.stacks.get_mut(var).expect("a seeded scalar").push(name.clone());
+impl Renamer<'_> {
+    /// The index of `var` when it is renamed.
+    fn index(&self, var: &str) -> Option<usize> {
+        self.scalars.binary_search_by(|s| s.as_str().cmp(var)).ok()
+    }
+
+    /// A new version of scalar `k`, pushed on its stack.
+    fn fresh(&mut self, k: usize, block: usize) -> Name {
+        self.counters[k] += 1;
+        let name = ssa_name(self.scalars[k], self.counters[k]);
+        self.stacks[k].push(name.clone());
+        self.pushed.push(k);
         self.def_block.insert(name.clone(), block);
         name
     }
 
-    fn top(&self, var: &str) -> Name {
-        self.stacks.get(var).and_then(|s| s.last()).cloned().unwrap_or_else(|| ssa_name(var, 0))
+    fn top(&self, k: usize) -> Name {
+        self.stacks[k].last().cloned().unwrap_or_else(|| ssa_name(self.scalars[k], 0))
     }
-}
 
-/// Renames every scalar use in `e` to the version on top of its stack.
-fn rename_expr(e: &mut Expr, r: &Renamer, scalars: &BTreeSet<Name>) {
-    match e {
-        Expr::IntLit(_) | Expr::FloatLit(_) => {}
-        Expr::Var(v) => {
-            if scalars.contains(v) {
-                *v = r.top(v);
+    /// Renames every scalar use in `e` to the version on top of its stack.
+    fn rename_expr(&self, e: &mut Expr) {
+        match e {
+            Expr::IntLit(_) | Expr::FloatLit(_) => {}
+            Expr::Var(v) => {
+                if let Some(k) = self.index(v) {
+                    *v = self.top(k);
+                }
             }
+            Expr::Index(_, args) | Expr::Call(_, args) => {
+                args.iter_mut().for_each(|a| self.rename_expr(a));
+            }
+            Expr::Bin(_, l, rr) => {
+                self.rename_expr(l);
+                self.rename_expr(rr);
+            }
+            Expr::Un(_, inner) => self.rename_expr(inner),
         }
-        Expr::Index(_, args) | Expr::Call(_, args) => {
-            args.iter_mut().for_each(|a| rename_expr(a, r, scalars));
-        }
-        Expr::Bin(_, l, rr) => {
-            rename_expr(l, r, scalars);
-            rename_expr(rr, r, scalars);
-        }
-        Expr::Un(_, inner) => rename_expr(inner, r, scalars),
     }
 }
 
-fn rename_block(
-    b: usize,
-    cfg: &mut Cfg,
-    phis: &mut [Vec<Phi>],
-    dom: &DomTree,
-    r: &mut Renamer,
-    scalars: &BTreeSet<Name>,
-) {
-    let mut pushed: Vec<Name> = Vec::new();
+fn rename_block(b: usize, cfg: &mut Cfg, phis: &mut [Vec<Phi>], dom: &DomTree, r: &mut Renamer) {
+    let mark = r.pushed.len();
 
     // φ destinations first.
     for phi in &mut phis[b] {
-        let dest = r.fresh(&phi.var, b);
-        pushed.push(phi.var.clone());
-        phi.dest = dest;
+        let k = r.index(&phi.var).expect("a φ is placed for a renamed scalar");
+        phi.dest = r.fresh(k, b);
     }
 
     // Statements: uses are renamed with the stacks as of that point,
@@ -177,43 +212,40 @@ fn rename_block(
     for s in &mut cfg.blocks[b].stmts {
         match s {
             SimpleStmt::Assign { target, value } => {
-                rename_expr(value, r, scalars);
+                r.rename_expr(value);
                 match target {
-                    LValue::Var(v) if scalars.contains(v) => {
-                        let name = r.fresh(v, b);
-                        pushed.push(std::mem::replace(v, name));
+                    LValue::Var(v) => {
+                        if let Some(k) = r.index(v) {
+                            *v = r.fresh(k, b);
+                        }
                     }
-                    LValue::Var(_) => {}
-                    LValue::Index(_, idx) => {
-                        idx.iter_mut().for_each(|i| rename_expr(i, r, scalars));
-                    }
+                    LValue::Index(_, idx) => idx.iter_mut().for_each(|i| r.rename_expr(i)),
                 }
             }
-            SimpleStmt::Call { args, .. } => {
-                args.iter_mut().for_each(|a| rename_expr(a, r, scalars));
-            }
+            SimpleStmt::Call { args, .. } => args.iter_mut().for_each(|a| r.rename_expr(a)),
         }
     }
 
     if let Terminator::Branch { cond, .. } = &mut cfg.blocks[b].term {
-        rename_expr(cond, r, scalars);
+        r.rename_expr(cond);
     }
 
     // Fill φ arguments in successors.
     for s in cfg.blocks[b].term.successors() {
         for phi in &mut phis[s] {
-            phi.args.push((b, r.top(&phi.var)));
+            let k = r.index(&phi.var).expect("a φ is placed for a renamed scalar");
+            phi.args.push((b, r.top(k)));
         }
     }
 
     // Recurse into dominator-tree children.
-    for &c in &dom.children[b] {
-        rename_block(c, cfg, phis, dom, r, scalars);
+    for &c in dom.children(b) {
+        rename_block(c, cfg, phis, dom, r);
     }
 
-    // Pop stacks.
-    for var in pushed.into_iter().rev() {
-        r.stacks.get_mut(&var).expect("stack exists").pop();
+    // Pop what this block pushed.
+    for k in r.pushed.drain(mark..) {
+        r.stacks[k].pop();
     }
 }
 

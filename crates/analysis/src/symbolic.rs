@@ -25,29 +25,92 @@ pub use orchestra_lang::ast::Name;
 /// The order of two expressions is that of their term lists, then
 /// constants — `Display`, `symexpr_to_ast` and the shape of an
 /// [`Assertion`] all follow the lexicographic order of the names.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct SymExpr {
-    /// `(name, coefficient)` sorted by name, no name twice, no zero
-    /// coefficient; `None` (never an empty list) when there is no term.
-    /// Immutable and shared, so a clone is a reference count.
-    terms: Option<Arc<[(Name, i64)]>>,
+    terms: Terms,
     konst: i64,
 }
 
-/// A term list as an expression holds it.
-fn shared(terms: Vec<(Name, i64)>) -> Option<Arc<[(Name, i64)]>> {
-    (!terms.is_empty()).then(|| terms.into())
+/// `(name, coefficient)` pairs sorted by name, no name twice, no zero
+/// coefficient. A lone term is held inline, so a name's own expression
+/// (`n`, `i#2 - 1`) costs a reference count; two or more are immutable
+/// and shared, so a clone is a reference count too. Each list has one
+/// representation: no term is `None`, one is `One`.
+#[derive(Debug, Clone, Default)]
+enum Terms {
+    #[default]
+    None,
+    One([(Name, i64); 1]),
+    Many(Arc<[(Name, i64)]>),
+}
+
+impl Terms {
+    fn as_slice(&self) -> &[(Name, i64)] {
+        match self {
+            Terms::None => &[],
+            Terms::One(t) => t,
+            Terms::Many(ts) => ts,
+        }
+    }
+}
+
+impl PartialEq for Terms {
+    fn eq(&self, other: &Terms) -> bool {
+        match (self, other) {
+            (Terms::Many(a), Terms::Many(b)) if Arc::ptr_eq(a, b) => true,
+            _ => self.as_slice() == other.as_slice(),
+        }
+    }
+}
+
+impl Eq for Terms {}
+
+impl PartialEq for SymExpr {
+    fn eq(&self, other: &SymExpr) -> bool {
+        self.konst == other.konst && self.terms == other.terms
+    }
+}
+
+impl Eq for SymExpr {}
+
+impl PartialOrd for SymExpr {
+    fn partial_cmp(&self, other: &SymExpr) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for SymExpr {
+    fn cmp(&self, other: &SymExpr) -> Ordering {
+        let terms = self.term_list().cmp(other.term_list());
+        terms.then(self.konst.cmp(&other.konst))
+    }
+}
+
+impl Hash for SymExpr {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.term_list().hash(state);
+        self.konst.hash(state);
+    }
+}
+
+/// A term list as an expression holds it: only a list of two or more
+/// terms allocates.
+fn shared(mut terms: Vec<(Name, i64)>) -> Terms {
+    match terms.len() {
+        0 => Terms::None,
+        1 => Terms::One([terms.pop().expect("one term")]),
+        _ => Terms::Many(terms.into()),
+    }
 }
 
 /// `a + k·b` over sorted term lists, in one merge pass; `k` is non-zero.
-fn merge<'a>(
-    a: impl IntoIterator<Item = &'a (Name, i64)>,
-    b: &[(Name, i64)],
-    k: i64,
-) -> Option<Arc<[(Name, i64)]>> {
+/// The first term waits aside, so a result of fewer than two terms is
+/// never collected.
+fn merge<'a>(a: impl IntoIterator<Item = &'a (Name, i64)>, b: &[(Name, i64)], k: i64) -> Terms {
     let mut a = a.into_iter().peekable();
     let mut b = b.iter().map(|(n, c)| (n, k * c)).peekable();
-    let mut out = Vec::new();
+    let mut first = None;
+    let mut rest = Vec::new();
     loop {
         let side = match (a.peek(), b.peek()) {
             (Some(x), Some(y)) => x.0.cmp(y.0),
@@ -61,23 +124,30 @@ fn merge<'a>(
             Ordering::Equal => a.next().zip(b.next()).map(|((n, c), (_, d))| (n, c + d)),
         }
         .expect("peeked");
-        if c != 0 {
-            out.push((n.clone(), c));
+        if c == 0 {
+            continue;
+        }
+        match first.take() {
+            None if rest.is_empty() => first = Some((n.clone(), c)),
+            held => rest.extend(held.into_iter().chain([(n.clone(), c)])),
         }
     }
-    shared(out)
+    match first {
+        Some(t) => Terms::One([t]),
+        None => shared(rest),
+    }
 }
 
 impl SymExpr {
     /// The constant expression `c`.
     pub fn constant(c: i64) -> Self {
-        SymExpr { terms: None, konst: c }
+        SymExpr { terms: Terms::None, konst: c }
     }
 
     /// The expression consisting of a single name with coefficient 1.
     /// Pass a [`Name`] already held to share it.
     pub fn name(n: impl Into<Name>) -> Self {
-        SymExpr { terms: Some(Arc::new([(n.into(), 1)])), konst: 0 }
+        SymExpr { terms: Terms::One([(n.into(), 1)]), konst: 0 }
     }
 
     /// Builds an expression from term pairs (in any order, a name may
@@ -97,7 +167,7 @@ impl SymExpr {
     }
 
     fn term_list(&self) -> &[(Name, i64)] {
-        self.terms.as_deref().unwrap_or(&[])
+        self.terms.as_slice()
     }
 
     /// The constant part.
@@ -112,7 +182,7 @@ impl SymExpr {
 
     /// True if the expression is a plain constant.
     pub fn is_constant(&self) -> bool {
-        self.terms.is_none()
+        matches!(self.terms, Terms::None)
     }
 
     /// Returns the constant value if this expression has no terms.
@@ -156,9 +226,9 @@ impl SymExpr {
     fn plus_scaled(&self, other: &SymExpr, k: i64) -> SymExpr {
         let konst = self.konst + k * other.konst;
         let terms = match (&self.terms, &other.terms) {
-            (mine, None) => mine.clone(),
-            (None, theirs) if k == 1 => theirs.clone(),
-            (_, Some(theirs)) => merge(self.term_list(), theirs, k),
+            (mine, Terms::None) => mine.clone(),
+            (Terms::None, theirs) if k == 1 => theirs.clone(),
+            (_, theirs) => merge(self.term_list(), theirs.as_slice(), k),
         };
         SymExpr { terms, konst }
     }
@@ -514,25 +584,20 @@ impl fmt::Display for Ineq {
 /// [`pair_contradictory`]. [`Conj::with`] is the only way to add an
 /// atom, so nothing ever re-validates a whole clause.
 ///
-/// The atoms sit in a persistent binary trie over [`linear_key`]: one
-/// leaf per linear part, so conjoining looks at the one or two atoms
-/// the rules can relate it to, and a clause shares all but one root
-/// path with the clause it extends. Each key set has one trie shape and
-/// leaves are sorted, so `==` is set equality.
+/// The atoms sit in a persistent trie over [`linear_key`], two bits a
+/// level: one leaf per linear part, so conjoining looks at the one or
+/// two atoms the rules can relate it to, and a clause shares all but
+/// one root path with the clause it extends. Each key set has one trie
+/// shape and leaves are sorted, so `==` is set equality.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 enum Conj {
     #[default]
     Empty,
-    Leaf(Arc<Bucket>),
-    /// Children by bit `depth` of the key.
-    Fork(Arc<[Conj; 2]>),
-}
-
-/// The atoms of a clause whose linear parts hash to `key`, sorted.
-#[derive(Debug, PartialEq, Eq)]
-struct Bucket {
-    key: u64,
-    atoms: Vec<Ineq>,
+    /// The atoms whose linear parts hash to `key`, sorted.
+    Leaf(u64, Arc<[Ineq]>),
+    /// Children by the key's two bits at level `depth`, the lower bit
+    /// first, so the leaves lie in the order of the bit-reversed keys.
+    Fork(Arc<[Conj; 4]>),
 }
 
 /// Hash of an expression's terms up to an overall sign. Every rule of
@@ -558,21 +623,24 @@ impl Conj {
     }
 
     fn insert(&self, key: u64, depth: u32, atom: &Ineq) -> Option<Conj> {
-        let side = |k: u64| (k >> depth) as usize & 1;
+        let side = |k: u64| {
+            let bits = (k >> (2 * depth)) as usize;
+            (bits & 1) << 1 | (bits >> 1) & 1
+        };
         match self {
-            Conj::Empty => Some(Conj::Leaf(Arc::new(Bucket { key, atoms: vec![atom.clone()] }))),
-            Conj::Leaf(b) if b.key == key => {
-                if b.atoms.iter().any(|held| pair_contradictory(held, atom)) {
+            Conj::Empty => Some(Conj::Leaf(key, Arc::from([atom.clone()]))),
+            Conj::Leaf(k, atoms) if *k == key => {
+                if atoms.iter().any(|held| pair_contradictory(held, atom)) {
                     return None;
                 }
-                let Err(at) = b.atoms.binary_search(atom) else { return Some(self.clone()) };
-                let mut atoms = b.atoms.clone();
-                atoms.insert(at, atom.clone());
-                Some(Conj::Leaf(Arc::new(Bucket { key, atoms })))
+                let Err(at) = atoms.binary_search(atom) else { return Some(self.clone()) };
+                let (below, above) = atoms.split_at(at);
+                let atoms = below.iter().chain([atom]).chain(above).cloned().collect();
+                Some(Conj::Leaf(key, atoms))
             }
-            Conj::Leaf(b) => {
-                let mut kids = [Conj::Empty, Conj::Empty];
-                kids[side(b.key)] = self.clone();
+            Conj::Leaf(k, _) => {
+                let mut kids = [Conj::Empty, Conj::Empty, Conj::Empty, Conj::Empty];
+                kids[side(*k)] = self.clone();
                 kids[side(key)] = kids[side(key)].insert(key, depth + 1, atom)?;
                 Some(Conj::Fork(Arc::new(kids)))
             }
@@ -584,9 +652,14 @@ impl Conj {
         }
     }
 
-    /// `self ∧ other`, or `None` when that is contradictory.
+    /// `self ∧ other`, or `None` when that is contradictory: `other`'s
+    /// atoms conjoined one by one, in key order.
     fn and(&self, other: &Conj) -> Option<Conj> {
-        other.atoms().into_iter().try_fold(self.clone(), |acc, atom| acc.with(atom))
+        match other {
+            Conj::Empty => Some(self.clone()),
+            Conj::Leaf(_, atoms) => atoms.iter().try_fold(self.clone(), |acc, atom| acc.with(atom)),
+            Conj::Fork(kids) => kids.iter().try_fold(self.clone(), |acc, kid| acc.and(kid)),
+        }
     }
 
     /// The atoms, in key order.
@@ -594,7 +667,7 @@ impl Conj {
         fn walk<'a>(c: &'a Conj, out: &mut Vec<&'a Ineq>) {
             match c {
                 Conj::Empty => {}
-                Conj::Leaf(b) => out.extend(&b.atoms),
+                Conj::Leaf(_, atoms) => out.extend(atoms.iter()),
                 Conj::Fork(kids) => kids.iter().for_each(|k| walk(k, out)),
             }
         }
@@ -667,10 +740,17 @@ impl Assertion {
     /// Disjunction.
     pub fn or(&self, other: &Assertion) -> Assertion {
         let mut out = self.clone();
-        for c in &other.clauses {
-            out.push(c.clone());
-        }
+        out.or_in(other.clone());
         out
+    }
+
+    /// `self ∨ other` in place: *false* takes `other` as it is.
+    pub(crate) fn or_in(&mut self, other: Assertion) {
+        if self.is_falsity() {
+            *self = other;
+        } else {
+            other.clauses.into_iter().for_each(|c| self.push(c));
+        }
     }
 
     /// Negation. Exact for single-clause assertions; conservative
@@ -1129,7 +1209,8 @@ mod tests {
         let listed: Vec<(&str, i64)> = e.terms().map(|(n, c)| (n.as_str(), c)).collect();
         let wanted: Vec<(&str, i64)> = m.terms.iter().map(|(n, c)| (n.as_str(), *c)).collect();
         assert_eq!(listed, wanted, "{what}: terms, in order");
-        assert_eq!(e.terms.is_none(), listed.is_empty(), "{what}: an empty list is `None`");
+        assert_eq!(e.is_constant(), listed.is_empty(), "{what}: an empty list is `None`");
+        assert_eq!(matches!(e.terms, Terms::One(_)), listed.len() == 1, "{what}: one term inline");
         assert_eq!(e.constant_part(), m.konst, "{what}: constant");
         assert_eq!(e.to_string(), m.to_string(), "{what}: Display");
         assert_eq!(e.as_constant(), m.as_constant(), "{what}: as_constant");

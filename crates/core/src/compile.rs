@@ -16,11 +16,11 @@
 //! the paper's §2 example.
 
 use orchestra_analysis::{analyze_program, AnalyzedProgram};
-use orchestra_descriptors::{descriptor_of_stmt, SymCtx};
+use orchestra_descriptors::{loop_iteration_descriptor, SymCtx};
 use orchestra_lang::ast::{Program, Stmt};
 use orchestra_lang::{parse_program, LangError};
 use orchestra_split::{
-    pipeline_loop, split_computation, PieceClass, PipelineResult, SplitOptions, SplitResult,
+    pipeline_iterations, split_in, PieceClass, PipelineResult, SplitOptions, SplitResult,
 };
 
 /// Everything the compiler produces for one program.
@@ -115,7 +115,6 @@ pub fn compile_source(src: &str, opts: &SplitOptions) -> Result<Compiled, Compil
 /// Compiles a parsed program.
 pub fn compile(original: Program, opts: &SplitOptions) -> Compiled {
     let analysis = analyze_program(&original);
-    let ctx = SymCtx::from_program(&original);
 
     // Find the reference computation: the first labeled top-level loop.
     let ref_idx = original.body.iter().position(|s| matches!(s, Stmt::Do { label: Some(_), .. }));
@@ -130,28 +129,42 @@ pub fn compile(original: Program, opts: &SplitOptions) -> Compiled {
         };
     };
 
+    // The reference loop's iteration descriptor, in the declarations'
+    // context, serves both its pipelining and its whole-loop descriptor.
     let ref_stmt = &original.body[ref_idx];
-    let d_ref = descriptor_of_stmt(ref_stmt, &ctx);
+    let ctx = SymCtx::from_program(&original);
+    let ref_iter =
+        loop_iteration_descriptor(ref_stmt, &ctx).expect("the reference computation is a loop");
+    let d_ref = ref_iter.whole_loop();
 
     // Pipeline the reference loop against its own previous iteration.
-    let pipeline = pipeline_loop(&original, ref_stmt, 1, opts).filter(|p| p.exposed_concurrency());
+    let pipeline = pipeline_iterations(&original, &ctx, ref_stmt, &ref_iter, 1, opts)
+        .filter(|p| p.exposed_concurrency());
 
     // Split everything after the reference loop against its descriptor.
     let tail = &original.body[ref_idx + 1..];
-    let split =
-        if tail.is_empty() { None } else { Some(split_computation(&original, tail, &d_ref, opts)) };
+    let split = (!tail.is_empty()).then(|| split_in(&original, &ctx, tail, &d_ref, opts));
 
-    // Assemble the transformed program.
-    let mut transformed = original.clone();
-    if let Some(p) = &pipeline {
-        transformed.decls.extend(p.new_decls.iter().cloned());
-        transformed.body[ref_idx] = p.transformed.clone();
+    // Assemble the transformed program, copying only what it keeps of
+    // the original.
+    let mut decls = original.decls.clone();
+    let mut body = original.body[..ref_idx].to_vec();
+    match &pipeline {
+        Some(p) => {
+            decls.extend(p.new_decls.iter().cloned());
+            body.push(p.transformed.clone());
+        }
+        None => body.push(ref_stmt.clone()),
     }
-    if let Some(s) = &split {
-        transformed.decls.extend(s.new_decls.iter().cloned());
-        transformed.body.truncate(ref_idx + 1);
-        transformed.body.extend(s.stmts());
+    match &split {
+        Some(s) => {
+            decls.extend(s.new_decls.iter().cloned());
+            body.extend(s.pieces.iter().flat_map(|p| p.stmts.iter().cloned()));
+        }
+        None => body.extend(tail.iter().cloned()),
     }
+    let transformed =
+        Program { name: original.name.clone(), decls, procs: original.procs.clone(), body };
 
     Compiled { original, transformed, pipeline, split, analysis }
 }

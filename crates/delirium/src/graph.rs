@@ -7,7 +7,7 @@
 //! carry data with size/type annotations the runtime uses to estimate
 //! communication costs.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Node identifier within a graph.
@@ -251,9 +251,9 @@ impl DelirGraph {
                 return Err(GraphError::DanglingEdge { edge: i });
             }
         }
-        let mut seen = BTreeMap::new();
+        let mut seen = BTreeSet::new();
         for n in &self.nodes {
-            if seen.insert(n.name.clone(), n.id).is_some() {
+            if !seen.insert(n.name.as_str()) {
                 return Err(GraphError::DuplicateName { name: n.name.clone() });
             }
         }

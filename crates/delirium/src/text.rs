@@ -20,6 +20,7 @@
 use crate::graph::{DataAnno, DelirGraph, NodeKind, Population};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::str::FromStr;
 
 /// Errors from parsing the textual form.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,29 +44,29 @@ pub fn print(g: &DelirGraph, name: &str) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "delirium {name}");
     for n in &g.nodes {
-        let mut line = format!("node {} ", n.name);
+        let _ = write!(out, "node {} ", n.name);
         match &n.kind {
             NodeKind::Task { cost } => {
-                let _ = write!(line, "task cost={cost}");
+                let _ = write!(out, "task cost={cost}");
             }
             NodeKind::DataParallel { tasks, mean_cost, cv } => {
-                let _ = write!(line, "dpar tasks={tasks} mean={mean_cost} cv={cv}");
+                let _ = write!(out, "dpar tasks={tasks} mean={mean_cost} cv={cv}");
             }
             NodeKind::Merge { cost } => {
-                let _ = write!(line, "merge cost={cost}");
+                let _ = write!(out, "merge cost={cost}");
             }
             NodeKind::Mixture { populations } => {
-                let pops: Vec<String> = populations
-                    .iter()
-                    .map(|p| format!("{}x{}x{}", p.tasks, p.mean_cost, p.cv))
-                    .collect();
-                let _ = write!(line, "mix pops={}", pops.join("+"));
+                out.push_str("mix pops=");
+                for (i, p) in populations.iter().enumerate() {
+                    let sep = if i > 0 { "+" } else { "" };
+                    let _ = write!(out, "{sep}{}x{}x{}", p.tasks, p.mean_cost, p.cv);
+                }
             }
         }
         if let Some(gr) = &n.group {
-            let _ = write!(line, " group={gr}");
+            let _ = write!(out, " group={gr}");
         }
-        let _ = writeln!(out, "{line}");
+        out.push('\n');
     }
     for e in &g.edges {
         let arrow = if e.carried { "=>" } else { "->" };
@@ -88,7 +89,8 @@ pub fn parse(src: &str) -> Result<(String, DelirGraph), ParseError> {
     let err = |line: usize, msg: &str| ParseError { line, msg: msg.to_string() };
     let mut name = String::new();
     let mut g = DelirGraph::new();
-    let mut ids: BTreeMap<String, usize> = BTreeMap::new();
+    // Node names borrowed from the text.
+    let mut ids: BTreeMap<&str, usize> = BTreeMap::new();
     let mut saw_header = false;
     let mut saw_end = false;
 
@@ -111,16 +113,10 @@ pub fn parse(src: &str) -> Result<(String, DelirGraph), ParseError> {
                 if !saw_header {
                     return Err(err(lineno, "node before header"));
                 }
-                let nname =
-                    words.next().ok_or_else(|| err(lineno, "missing node name"))?.to_string();
+                let nname = words.next().ok_or_else(|| err(lineno, "missing node name"))?;
                 let kind_word = words.next().ok_or_else(|| err(lineno, "missing node kind"))?;
-                let kv = parse_kv(words)?;
-                let get = |k: &str| -> Result<f64, ParseError> {
-                    kv.get(k)
-                        .ok_or_else(|| err(lineno, &format!("missing {k}=")))?
-                        .parse::<f64>()
-                        .map_err(|_| err(lineno, &format!("bad number for {k}")))
-                };
+                let kv = Kv::new(after(line, kind_word), lineno)?;
+                let get = |k: &str| kv.number::<f64>(k);
                 let kind = match kind_word {
                     "task" => NodeKind::Task { cost: get("cost")? },
                     "merge" => NodeKind::Merge { cost: get("cost")? },
@@ -150,36 +146,28 @@ pub fn parse(src: &str) -> Result<(String, DelirGraph), ParseError> {
                     },
                     other => return Err(err(lineno, &format!("unknown node kind `{other}`"))),
                 };
-                let group = kv.get("group").cloned();
-                let id = g.add_node(nname.clone(), kind, group);
+                let group = kv.get("group").map(str::to_string);
+                let id = g.add_node(nname, kind, group);
                 ids.insert(nname, id);
             }
             Some("edge") => {
-                let from =
-                    words.next().ok_or_else(|| err(lineno, "missing edge source"))?.to_string();
+                let from = words.next().ok_or_else(|| err(lineno, "missing edge source"))?;
                 let arrow = words.next().ok_or_else(|| err(lineno, "missing arrow"))?;
                 let carried = match arrow {
                     "->" => false,
                     "=>" => true,
                     other => return Err(err(lineno, &format!("bad arrow `{other}`"))),
                 };
-                let to =
-                    words.next().ok_or_else(|| err(lineno, "missing edge target"))?.to_string();
-                let kv = parse_kv(words)?;
+                let to = words.next().ok_or_else(|| err(lineno, "missing edge target"))?;
+                let kv = Kv::new(after(line, to), lineno)?;
                 let &from_id =
-                    ids.get(&from).ok_or_else(|| err(lineno, &format!("unknown node `{from}`")))?;
+                    ids.get(from).ok_or_else(|| err(lineno, &format!("unknown node `{from}`")))?;
                 let &to_id =
-                    ids.get(&to).ok_or_else(|| err(lineno, &format!("unknown node `{to}`")))?;
+                    ids.get(to).ok_or_else(|| err(lineno, &format!("unknown node `{to}`")))?;
                 let data = DataAnno {
-                    name: kv.get("data").cloned().unwrap_or_else(|| "data".into()),
-                    count: kv
-                        .get("count")
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| err(lineno, "missing count="))?,
-                    elem_bytes: kv
-                        .get("bytes")
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| err(lineno, "missing bytes="))?,
+                    name: kv.get("data").unwrap_or("data").to_string(),
+                    count: kv.number("count")?,
+                    elem_bytes: kv.number("bytes")?,
                 };
                 if carried {
                     g.add_carried_edge(from_id, to_id, data);
@@ -200,17 +188,45 @@ pub fn parse(src: &str) -> Result<(String, DelirGraph), ParseError> {
     Ok((name, g))
 }
 
-fn parse_kv<'a>(
-    words: impl Iterator<Item = &'a str>,
-) -> Result<BTreeMap<String, String>, ParseError> {
-    let mut out = BTreeMap::new();
-    for w in words {
-        let Some((k, v)) = w.split_once('=') else {
-            return Err(ParseError { line: 0, msg: format!("expected key=value, found `{w}`") });
-        };
-        out.insert(k.to_string(), v.to_string());
+/// The text of `line` after `word`, one of its words.
+fn after<'a>(line: &'a str, word: &'a str) -> &'a str {
+    let at = word.as_ptr() as usize - line.as_ptr() as usize;
+    &line[at + word.len()..]
+}
+
+/// The `key=value` words that end a line, borrowed from it; a key
+/// given twice reads as its last value.
+struct Kv<'a> {
+    /// The words, from the first `key=value` on.
+    rest: &'a str,
+    line: usize,
+}
+
+impl<'a> Kv<'a> {
+    /// Checks that every word is a `key=value` pair.
+    fn new(rest: &'a str, line: usize) -> Result<Self, ParseError> {
+        if let Some(w) = rest.split_whitespace().find(|w| !w.contains('=')) {
+            return Err(ParseError { line, msg: format!("expected key=value, found `{w}`") });
+        }
+        Ok(Kv { rest, line })
     }
-    Ok(out)
+
+    /// The value of the last word that starts `key=`.
+    fn get(&self, key: &str) -> Option<&'a str> {
+        let rest = self.rest;
+        rest.rmatch_indices(key).find_map(|(at, _)| {
+            let word_start = rest[..at].chars().next_back().is_none_or(char::is_whitespace);
+            let value = rest[at + key.len()..].strip_prefix('=')?;
+            word_start.then(|| value.split(char::is_whitespace).next().unwrap_or(""))
+        })
+    }
+
+    /// The number `key` gives, which the line must hold.
+    fn number<T: FromStr>(&self, key: &str) -> Result<T, ParseError> {
+        let err = |msg: String| ParseError { line: self.line, msg };
+        let v = self.get(key).ok_or_else(|| err(format!("missing {key}=")))?;
+        v.parse().map_err(|_| err(format!("bad number for {key}")))
+    }
 }
 
 #[cfg(test)]
@@ -243,6 +259,19 @@ mod tests {
     fn parse_rejects_unknown_node() {
         let e = parse("delirium t\nedge A -> B data=x count=1 bytes=8\nend\n").unwrap_err();
         assert!(e.msg.contains("unknown node"));
+    }
+
+    #[test]
+    fn a_malformed_edge_number_is_reported_as_bad_not_missing() {
+        let edge = |kv: &str| {
+            let text = format!("delirium t\nnode A task cost=1\nnode B task cost=1\nedge A -> B data=x {kv}\nend\n");
+            parse(&text).map(|_| ()).map_err(|e| e.msg)
+        };
+        assert_eq!(edge("count=abc bytes=8"), Err("bad number for count".to_string()));
+        assert_eq!(edge("count=1 bytes=x"), Err("bad number for bytes".to_string()));
+        assert_eq!(edge("bytes=8"), Err("missing count=".to_string()));
+        assert_eq!(edge("count=1"), Err("missing bytes=".to_string()));
+        assert_eq!(edge("count=1 bytes=8"), Ok(()));
     }
 
     #[test]

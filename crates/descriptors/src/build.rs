@@ -187,21 +187,16 @@ fn expr_reads(e: &Expr, ctx: &SymCtx, d: &mut Descriptor) {
 
 /// Summarizes a statement sequence.
 pub fn descriptor_of_stmts(stmts: &[Stmt], ctx: &SymCtx) -> Descriptor {
-    descriptor_of_stmts_inner(stmts, &mut ctx.clone())
-}
-
-fn descriptor_of_stmts_inner(stmts: &[Stmt], ctx: &mut SymCtx) -> Descriptor {
     let mut d = Descriptor::new();
-    for s in stmts {
-        d.then(descriptor_of_stmt_inner(s, ctx));
-    }
+    Walk::new(ctx).stmts_into(stmts, &mut d);
     d
 }
 
 /// Summarizes one statement.
 pub fn descriptor_of_stmt(s: &Stmt, ctx: &SymCtx) -> Descriptor {
-    let mut ctx = ctx.clone();
-    descriptor_of_stmt_inner(s, &mut ctx)
+    let mut d = Descriptor::new();
+    Walk::new(ctx).stmt_into(s, &mut d);
+    d
 }
 
 /// The iteration-level summary of a loop: induction variable, its
@@ -224,168 +219,269 @@ pub struct LoopIteration {
 ///
 /// Returns `None` if `s` is not a loop.
 pub fn loop_iteration_descriptor(s: &Stmt, ctx: &SymCtx) -> Option<LoopIteration> {
-    let Stmt::Do { var, ranges, mask, body, .. } = s else { return None };
-    let mut body_ctx = ctx.clone();
-    // Within the body the induction variable is a valid unresolved
-    // symbol, shadowing any outer kill or value.
-    body_ctx.killed.remove(var);
-    body_ctx.values.remove(var);
-
-    let guard = match mask {
-        Some(m) => guard_of_cond(m, true, &body_ctx),
-        None => Guard::truth(),
-    };
-    let mut d = Descriptor::new();
-    // The mask itself is read by every iteration.
-    if let Some(m) = mask {
-        expr_reads(m, &body_ctx, &mut d);
-    }
-    let body_d = descriptor_of_stmts_inner(body, &mut body_ctx);
-    // Apply the mask guard to the body's triples only (the mask read
-    // occurs regardless).
-    for t in body_d.reads {
-        d.add_read(t.guarded(&guard));
-    }
-    for t in body_d.writes {
-        d.add_write(t.guarded(&guard));
-    }
-    // Induction-variable traffic is loop machinery, not data (§3.2
-    // "ignoring scalar variables" in the example): drop it.
-    let descriptor = d.without_block(var);
-
-    let mut sym_ranges = Vec::new();
-    for r in ranges {
-        // The step resolves like the bounds do; a step that is not a
-        // known non-zero constant leaves the range unknown.
-        let step = match &r.step {
-            Some(e) => ctx.lin(e).and_then(|s| s.as_constant()).filter(|s| *s != 0),
-            None => Some(1),
-        };
-        let (Some(lo), Some(hi), Some(step)) = (ctx.lin(&r.lo), ctx.lin(&r.hi), step) else {
-            sym_ranges.clear();
-            break;
-        };
-        // Counting down, the values sit on `lo`'s lattice, not on the
-        // new start `hi`'s: such a range keeps its bounds only.
-        let (start, end, skip) = if step < 0 { (hi, lo, 1) } else { (lo, hi, step) };
-        sym_ranges.push(SymRange { start, end, skip });
-    }
-    Some(LoopIteration { var: var.clone(), ranges: sym_ranges, descriptor })
+    Walk::new(ctx).iteration(s)
 }
 
 impl LoopIteration {
     /// The descriptor of the whole loop: the iteration descriptor with
     /// the induction variable promoted to each of its ranges.
     pub fn whole_loop(&self) -> Descriptor {
-        if self.ranges.is_empty() {
+        self.clone().into_whole_loop()
+    }
+
+    /// [`whole_loop`](Self::whole_loop) of an iteration summary the
+    /// caller gives up: a loop of one range promotes its triples in
+    /// place.
+    pub fn into_whole_loop(self) -> Descriptor {
+        let mut acc = Descriptor::new();
+        match &self.ranges[..] {
             // Bounds not linearizable: widen every triple mentioning
             // the induction variable to the whole block.
-            return widen_var(&self.descriptor, &self.var);
-        }
-        let mut acc = Descriptor::new();
-        for r in &self.ranges {
-            acc.union(self.descriptor.promote(&self.var, r));
+            [] => return widen_var(&self.descriptor, &self.var),
+            [r] => acc.union(self.descriptor.into_promoted(&self.var, r)),
+            ranges => {
+                for r in ranges {
+                    acc.union(self.descriptor.promote(&self.var, r));
+                }
+            }
         }
         acc
     }
 }
 
-fn descriptor_of_stmt_inner(s: &Stmt, ctx: &mut SymCtx) -> Descriptor {
-    match s {
-        Stmt::Assign { target, value } => {
-            let mut d = Descriptor::new();
-            expr_reads(value, ctx, &mut d);
-            match target {
-                LValue::Var(v) => {
-                    d.add_write(Triple::scalar(v.clone()));
-                    // Track simple re-derivable values; otherwise kill.
-                    match ctx.lin(value) {
-                        Some(le) if !le.mentions(v) => {
-                            ctx.values.insert(v.clone(), SymValue::Expr(le));
-                            ctx.killed.remove(v);
+/// What a walk changed of one context entry: its state before.
+#[derive(Debug)]
+enum Undo {
+    Value(Name, Option<SymValue>),
+    Killed(Name, bool),
+}
+
+/// One descriptor walk: the caller's context, copied once and changed
+/// in place as walked code assigns scalars. A scope (a loop body, an
+/// `if` arm) logs what it changes and is undone on leaving, instead of
+/// walking a copy of the context.
+struct Walk {
+    ctx: SymCtx,
+    /// The earlier state of every change, oldest first.
+    undo: Vec<Undo>,
+}
+
+impl Walk {
+    fn new(ctx: &SymCtx) -> Self {
+        Walk { ctx: ctx.clone(), undo: Vec::new() }
+    }
+
+    fn set_value(&mut self, v: &Name, value: SymValue) {
+        let old = self.ctx.values.insert(v.clone(), value);
+        self.undo.push(Undo::Value(v.clone(), old));
+    }
+
+    fn remove_value(&mut self, v: &str) {
+        if let Some((name, old)) = self.ctx.values.remove_entry(v) {
+            self.undo.push(Undo::Value(name, Some(old)));
+        }
+    }
+
+    fn kill(&mut self, v: &Name) {
+        if self.ctx.killed.insert(v.clone()) {
+            self.undo.push(Undo::Killed(v.clone(), false));
+        }
+    }
+
+    fn unkill(&mut self, v: &str) {
+        if let Some(name) = self.ctx.killed.take(v) {
+            self.undo.push(Undo::Killed(name, true));
+        }
+    }
+
+    /// Restores the context as it was when the log was `mark` long.
+    fn undo_to(&mut self, mark: usize) {
+        while self.undo.len() > mark {
+            match self.undo.pop().expect("longer than the mark") {
+                Undo::Value(v, Some(old)) => {
+                    self.ctx.values.insert(v, old);
+                }
+                Undo::Value(v, None) => {
+                    self.ctx.values.remove(&v);
+                }
+                Undo::Killed(v, true) => {
+                    self.ctx.killed.insert(v);
+                }
+                Undo::Killed(v, false) => {
+                    self.ctx.killed.remove(&v);
+                }
+            }
+        }
+    }
+
+    /// What the scope opened at `mark` leaves for the join of an `if`:
+    /// the scalars it left killed, and those it left holding a value
+    /// other than the one they held at `mark`.
+    fn arm_effects(&self, mark: usize) -> Vec<(Name, bool)> {
+        let log = &self.undo[mark..];
+        let mut out = Vec::new();
+        for (at, entry) in log.iter().enumerate() {
+            match entry {
+                Undo::Killed(v, _) if self.ctx.killed.contains(v) => out.push((v.clone(), true)),
+                Undo::Value(v, before) => {
+                    let first = !log[..at].iter().any(|e| matches!(e, Undo::Value(w, _) if w == v));
+                    let after = self.ctx.values.get(v);
+                    if first && after.is_some() && after != before.as_ref() {
+                        out.push((v.clone(), false));
+                    }
+                }
+                Undo::Killed(..) => {}
+            }
+        }
+        out
+    }
+
+    fn stmts_into(&mut self, stmts: &[Stmt], d: &mut Descriptor) {
+        for s in stmts {
+            self.stmt_into(s, d);
+        }
+    }
+
+    /// Sequences `s`'s summary after what `d` holds.
+    fn stmt_into(&mut self, s: &Stmt, d: &mut Descriptor) {
+        match s {
+            Stmt::Assign { target, value } => {
+                expr_reads(value, &self.ctx, d);
+                match target {
+                    LValue::Var(v) => {
+                        d.add_write(Triple::scalar(v.clone()));
+                        // Track simple re-derivable values; otherwise kill.
+                        match self.ctx.lin(value) {
+                            Some(le) if !le.mentions(v) => {
+                                self.set_value(v, SymValue::Expr(le));
+                                self.unkill(v);
+                            }
+                            _ => {
+                                self.remove_value(v);
+                                self.kill(v);
+                            }
                         }
-                        _ => {
-                            ctx.values.remove(v);
-                            ctx.killed.insert(v.clone());
+                    }
+                    LValue::Index(a, idx) => {
+                        for i in idx {
+                            expr_reads(i, &self.ctx, d);
+                        }
+                        d.add_write(self.ctx.access_triple(a, idx));
+                    }
+                }
+            }
+            Stmt::If { cond, then_body, else_body } => {
+                let mut arms = Descriptor::new();
+                expr_reads(cond, &self.ctx, &mut arms);
+                let mut guarded = Descriptor::new();
+                let mut effects = Vec::new();
+                let mark = self.undo.len();
+                for (positive, body) in [(true, then_body), (false, else_body)] {
+                    let guard = guard_of_cond(cond, positive, &self.ctx);
+                    let mut arm = Descriptor::new();
+                    self.stmts_into(body, &mut arm);
+                    guarded.reads.extend(arm.reads.into_iter().map(|t| t.guarded(&guard)));
+                    guarded.writes.extend(arm.writes.into_iter().map(|t| t.guarded(&guard)));
+                    effects.extend(self.arm_effects(mark));
+                    self.undo_to(mark);
+                }
+                arms.union(guarded);
+                d.then(arms);
+                // Kills merge from both arms; a value assigned in either
+                // is unreliable afterwards.
+                for (v, killed) in effects {
+                    if killed {
+                        self.kill(&v);
+                    } else {
+                        self.remove_value(&v);
+                    }
+                }
+            }
+            Stmt::Do { var, body, .. } => {
+                let iter =
+                    self.iteration(s).expect("Stmt::Do always yields an iteration descriptor");
+                d.then(iter.into_whole_loop());
+                // After the loop: the induction variable and body-assigned
+                // scalars are killed in the surrounding context.
+                self.kill(var);
+                self.remove_value(var);
+                let mut writes = BTreeSet::new();
+                for b in body {
+                    b.scalar_writes(&mut writes);
+                }
+                for w in &writes {
+                    self.remove_value(w);
+                    self.kill(w);
+                }
+            }
+            Stmt::Call { args, .. } => {
+                for a in args {
+                    if let Expr::Var(name) = a {
+                        if self.ctx.arrays.contains(name) {
+                            // By-reference array argument: may read and
+                            // write the whole block.
+                            d.add_read(Triple::whole(name.clone()));
+                            d.add_write(Triple::whole(name.clone()));
+                            continue;
                         }
                     }
-                }
-                LValue::Index(a, idx) => {
-                    for i in idx {
-                        expr_reads(i, ctx, &mut d);
-                    }
-                    d.add_write(ctx.access_triple(a, idx));
+                    expr_reads(a, &self.ctx, d);
                 }
             }
-            d
         }
-        Stmt::If { cond, then_body, else_body } => {
-            let mut d = Descriptor::new();
-            expr_reads(cond, ctx, &mut d);
-            let then_guard = guard_of_cond(cond, true, ctx);
-            let else_guard = guard_of_cond(cond, false, ctx);
-            let mut then_ctx = ctx.clone();
-            let mut else_ctx = ctx.clone();
-            let then_d = descriptor_of_stmts_inner(then_body, &mut then_ctx);
-            let else_d = descriptor_of_stmts_inner(else_body, &mut else_ctx);
-            let mut guarded = Descriptor::new();
-            for (arm, guard) in [(then_d, &then_guard), (else_d, &else_guard)] {
-                guarded.reads.extend(arm.reads.into_iter().map(|t| t.guarded(guard)));
-                guarded.writes.extend(arm.writes.into_iter().map(|t| t.guarded(guard)));
-            }
-            d.union(guarded);
-            // Kills merge from both arms.
-            ctx.killed.extend(then_ctx.killed);
-            ctx.killed.extend(else_ctx.killed);
-            // Values assigned in either arm are unreliable afterwards.
-            let mut d_out = ctx.values.clone();
-            for (k, v) in &then_ctx.values {
-                if ctx.values.get(k) != Some(v) {
-                    d_out.remove(k);
+    }
+
+    /// [`loop_iteration_descriptor`] in the walk's context, which it
+    /// leaves as it found it.
+    fn iteration(&mut self, s: &Stmt) -> Option<LoopIteration> {
+        let Stmt::Do { var, ranges, mask, body, .. } = s else { return None };
+        let ctx = &self.ctx;
+        let mut sym_ranges = Vec::new();
+        for r in ranges {
+            // The step resolves like the bounds do; a step that is not a
+            // known non-zero constant leaves the range unknown.
+            let step = match &r.step {
+                Some(e) => ctx.lin(e).and_then(|s| s.as_constant()).filter(|s| *s != 0),
+                None => Some(1),
+            };
+            let (Some(lo), Some(hi), Some(step)) = (ctx.lin(&r.lo), ctx.lin(&r.hi), step) else {
+                sym_ranges.clear();
+                break;
+            };
+            // Counting down, the values sit on `lo`'s lattice, not on the
+            // new start `hi`'s: such a range keeps its bounds only.
+            let (start, end, skip) = if step < 0 { (hi, lo, 1) } else { (lo, hi, step) };
+            sym_ranges.push(SymRange { start, end, skip });
+        }
+
+        // Within the body the induction variable is a valid unresolved
+        // symbol, shadowing any outer kill or value.
+        let mark = self.undo.len();
+        self.unkill(var);
+        self.remove_value(var);
+        let mut d = Descriptor::new();
+        match mask {
+            None => self.stmts_into(body, &mut d),
+            Some(m) => {
+                let guard = guard_of_cond(m, true, &self.ctx);
+                // The mask itself is read by every iteration, and guards
+                // the body's triples only.
+                expr_reads(m, &self.ctx, &mut d);
+                let mut body_d = Descriptor::new();
+                self.stmts_into(body, &mut body_d);
+                for t in body_d.reads {
+                    d.add_read(t.guarded(&guard));
+                }
+                for t in body_d.writes {
+                    d.add_write(t.guarded(&guard));
                 }
             }
-            for (k, v) in &else_ctx.values {
-                if ctx.values.get(k) != Some(v) {
-                    d_out.remove(k);
-                }
-            }
-            ctx.values = d_out;
-            d
         }
-        Stmt::Do { var, body, .. } => {
-            let d = loop_iteration_descriptor(s, ctx)
-                .expect("Stmt::Do always yields an iteration descriptor")
-                .whole_loop();
-            // After the loop: the induction variable and body-assigned
-            // scalars are killed in the surrounding context.
-            ctx.killed.insert(var.clone());
-            ctx.values.remove(var);
-            let mut writes = BTreeSet::new();
-            for b in body {
-                b.scalar_writes(&mut writes);
-            }
-            for w in writes {
-                ctx.values.remove(&w);
-                ctx.killed.insert(w);
-            }
-            d
-        }
-        Stmt::Call { args, .. } => {
-            let mut d = Descriptor::new();
-            for a in args {
-                if let Expr::Var(name) = a {
-                    if ctx.arrays.contains(name) {
-                        // By-reference array argument: may read and write
-                        // the whole block.
-                        d.add_read(Triple::whole(name.clone()));
-                        d.add_write(Triple::whole(name.clone()));
-                        continue;
-                    }
-                }
-                expr_reads(a, ctx, &mut d);
-            }
-            d
-        }
+        self.undo_to(mark);
+        // Induction-variable traffic is loop machinery, not data (§3.2
+        // "ignoring scalar variables" in the example): drop it.
+        let descriptor = d.without_block(var);
+        Some(LoopIteration { var: var.clone(), ranges: sym_ranges, descriptor })
     }
 }
 

@@ -55,6 +55,9 @@ impl Descriptor {
     /// *after* `self`: reads of `other` that are covered by writes of
     /// `self` are not live on entry to the combination.
     pub fn then(&mut self, other: Descriptor) {
+        if self.is_empty() {
+            return self.take_deduped(other);
+        }
         for r in other.reads {
             self.add_read(r);
         }
@@ -66,6 +69,9 @@ impl Descriptor {
     /// Set-union without domination filtering (used when combining
     /// branches of a conditional, where neither side dominates).
     pub fn union(&mut self, other: Descriptor) {
+        if self.is_empty() {
+            return self.take_deduped(other);
+        }
         for r in other.reads {
             if !self.reads.contains(&r) {
                 self.reads.push(r);
@@ -74,6 +80,15 @@ impl Descriptor {
         for w in other.writes {
             self.add_write(w);
         }
+    }
+
+    /// What [`then`](Self::then) and [`union`](Self::union) make of
+    /// `other` on an empty descriptor — its triples, each once, in order
+    /// — keeping `other`'s vectors.
+    fn take_deduped(&mut self, other: Descriptor) {
+        *self = other;
+        dedup_in_order(&mut self.reads);
+        dedup_in_order(&mut self.writes);
     }
 
     /// True when any triple of `a` may overlap any triple of `b`.
@@ -109,10 +124,15 @@ impl Descriptor {
     /// (computing the whole-loop descriptor from the iteration
     /// descriptor).
     pub fn promote(&self, var: &str, range: &SymRange) -> Descriptor {
-        Descriptor {
-            reads: self.reads.iter().map(|t| t.promote(var, range)).collect(),
-            writes: self.writes.iter().map(|t| t.promote(var, range)).collect(),
+        self.clone().into_promoted(var, range)
+    }
+
+    /// [`promote`](Self::promote) of a descriptor the caller gives up.
+    pub fn into_promoted(mut self, var: &str, range: &SymRange) -> Descriptor {
+        for t in self.reads.iter_mut().chain(&mut self.writes) {
+            t.promote_in_place(var, range);
         }
+        self
     }
 
     /// Removes triples for the given block (used to ignore a
@@ -135,6 +155,18 @@ impl Descriptor {
     pub fn is_empty(&self) -> bool {
         self.reads.is_empty() && self.writes.is_empty()
     }
+}
+
+/// Drops every triple equal to an earlier one, in place.
+fn dedup_in_order(v: &mut Vec<Triple>) {
+    let mut kept = 0;
+    for i in 0..v.len() {
+        if !v[..kept].contains(&v[i]) {
+            v.swap(kept, i);
+            kept += 1;
+        }
+    }
+    v.truncate(kept);
 }
 
 impl fmt::Display for Descriptor {

@@ -95,7 +95,7 @@ pub enum GuardAtom {
 }
 
 impl GuardAtom {
-    fn mentions(&self, name: &str) -> bool {
+    pub(crate) fn mentions(&self, name: &str) -> bool {
         match self {
             GuardAtom::Mask(m) => m.index.mentions(name),
             GuardAtom::Linear(i) => i.expr.mentions(name),

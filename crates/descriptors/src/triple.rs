@@ -7,7 +7,7 @@
 //! array entry satisfies a relation, written `1..n/(mask[*] <> 0)` in the
 //! paper's notation (`*` is the current element of the range).
 
-use crate::guard::{Guard, MaskRel, MaskTest};
+use crate::guard::{Guard, MaskRel};
 use orchestra_analysis::symbolic::{Name, SymExpr, SymRange};
 use std::fmt;
 
@@ -197,33 +197,32 @@ impl Triple {
     /// exactly by `var` become dimension masks on dimensions whose index
     /// was exactly `var` (§3.2's guard-to-mask conversion).
     pub fn promote(&self, var: &str, range: &SymRange) -> Triple {
+        let mut t = self.clone();
+        t.promote_in_place(var, range);
+        t
+    }
+
+    /// [`promote`](Self::promote), in place.
+    pub fn promote_in_place(&mut self, var: &str, range: &SymRange) {
         if !self.mentions(var) {
-            return self.clone();
+            return;
         }
-        let mask_test: Option<&MaskTest> = self.guard.mask_tests_on(var).next();
-        let pattern = self.pattern.as_ref().map(|dims| {
-            dims.iter()
-                .map(|d| {
-                    if !d.range.mentions(var) {
-                        return d.clone();
-                    }
-                    let promoted = promote_range(&d.range, var, range);
-                    // Attach guard masks when the dimension's index was
-                    // exactly the promoted variable.
-                    let was_exactly_var =
-                        d.range.is_point() && d.range.start.as_name() == Some(var);
-                    let mask = if was_exactly_var && d.mask.is_none() {
-                        mask_test.map(|m| (m.array.clone(), m.rel))
-                    } else {
-                        d.mask.clone()
-                    };
-                    DimPattern { range: promoted, mask }
-                })
-                .collect()
-        });
+        let mask_test = self.guard.mask_tests_on(var).next().map(|m| (m.array.clone(), m.rel));
+        for d in self.pattern.iter_mut().flatten() {
+            if !d.range.mentions(var) {
+                continue;
+            }
+            // Attach guard masks when the dimension's index was
+            // exactly the promoted variable.
+            let was_exactly_var = d.range.is_point() && d.range.start.as_name() == Some(var);
+            d.range = promote_range(&d.range, var, range);
+            if was_exactly_var && d.mask.is_none() {
+                d.mask.clone_from(&mask_test);
+            }
+        }
         // Guard atoms mentioning the variable no longer make sense after
         // promotion; drop them (widening, hence sound).
-        Triple { guard: self.guard.drop_mentions(var), block: self.block.clone(), pattern }
+        self.guard.atoms.retain(|a| !a.mentions(var));
     }
 }
 

@@ -29,6 +29,21 @@ impl Name {
     pub fn as_str(&self) -> &str {
         &self.0
     }
+
+    /// The name `parts` spell in turn, written straight into the name's
+    /// one allocation when it is short (a `format!` would make a
+    /// `String` first, then copy it).
+    pub fn concat(parts: &[&str]) -> Name {
+        let len = parts.iter().map(|p| p.len()).sum::<usize>();
+        let mut buf = [0u8; 64];
+        let Some(spelled) = buf.get_mut(..len) else { return Name::from(parts.concat()) };
+        let mut at = 0;
+        for p in parts {
+            spelled[at..at + p.len()].copy_from_slice(p.as_bytes());
+            at += p.len();
+        }
+        Name::from(std::str::from_utf8(spelled).expect("joined spellings are UTF-8"))
+    }
 }
 
 impl PartialEq for Name {
@@ -763,6 +778,14 @@ mod tests {
         assert_eq!(BinOp::Lt.negate(), Some(BinOp::Ge));
         assert_eq!(BinOp::Eq.negate(), Some(BinOp::Ne));
         assert_eq!(BinOp::Add.negate(), None);
+    }
+
+    #[test]
+    fn a_concatenated_name_spells_its_parts_in_turn() {
+        let long = "x".repeat(70);
+        for parts in [vec!["col", "#", "12"], vec![], vec![long.as_str(), "_I"]] {
+            assert_eq!(Name::concat(&parts).as_str(), parts.concat());
+        }
     }
 
     #[test]

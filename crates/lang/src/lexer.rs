@@ -23,39 +23,61 @@ pub fn tokenize(src: &str) -> LangResult<Vec<Token>> {
 }
 
 struct Lexer<'a> {
-    /// `(byte offset, char)` of every character of `src`.
-    chars: Vec<(usize, char)>,
+    src: &'a str,
+    /// Byte offset of the next character.
     pos: usize,
     line: u32,
     col: u32,
-    src: &'a str,
     /// The identifiers met so far, each spelled once.
     names: HashSet<Name>,
+    /// A direct-mapped front to `names`: an identifier mostly repeats
+    /// one met a few tokens before, and comparing two short spellings
+    /// costs less than hashing one.
+    recent: [Option<Name>; RECENT],
 }
+
+/// Slots of [`Lexer::recent`].
+const RECENT: usize = 32;
 
 impl<'a> Lexer<'a> {
     fn new(src: &'a str) -> Self {
-        let chars = src.char_indices().collect();
-        Lexer { chars, pos: 0, line: 1, col: 1, src, names: HashSet::new() }
+        // A distinct spelling per 64 bytes or so of MF; fewer regrowths.
+        let names = HashSet::with_capacity(src.len() / 64);
+        Lexer { src, pos: 0, line: 1, col: 1, names, recent: [const { None }; RECENT] }
+    }
+
+    /// The character `k` places ahead of the next one.
+    fn peek_at(&self, k: usize) -> Option<char> {
+        self.src[self.pos..].chars().nth(k)
     }
 
     fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).map(|&(_, c)| c)
+        match *self.src.as_bytes().get(self.pos)? {
+            b if b.is_ascii() => Some(char::from(b)),
+            _ => self.peek_at(0),
+        }
+    }
+
+    /// Advances over the ASCII bytes that `accept` takes, which must
+    /// not take a line break.
+    fn bump_ascii_while(&mut self, accept: impl Fn(u8) -> bool) {
+        let n = self.src.as_bytes()[self.pos..].iter().take_while(|&&b| accept(b)).count();
+        self.pos += n;
+        self.col += n as u32;
     }
 
     fn peek2(&self) -> Option<char> {
-        self.chars.get(self.pos + 1).map(|&(_, c)| c)
+        self.peek_at(1)
     }
 
-    /// The source text from character `start` up to the current one.
+    /// The source text from byte offset `start` up to the next character.
     fn text_from(&self, start: usize) -> &'a str {
-        let at = |i: usize| self.chars.get(i).map_or(self.src.len(), |&(b, _)| b);
-        &self.src[at(start)..at(self.pos)]
+        &self.src[start..self.pos]
     }
 
     fn bump(&mut self) -> Option<char> {
         let c = self.peek()?;
-        self.pos += 1;
+        self.pos += c.len_utf8();
         if c == '\n' {
             self.line += 1;
             self.col = 1;
@@ -66,7 +88,8 @@ impl<'a> Lexer<'a> {
     }
 
     fn run(mut self) -> LangResult<Vec<Token>> {
-        let mut out = Vec::new();
+        // MF averages a token per four bytes or so.
+        let mut out = Vec::with_capacity(self.src.len() / 4);
         loop {
             self.skip_trivia();
             let (line, col) = (self.line, self.col);
@@ -87,6 +110,7 @@ impl<'a> Lexer<'a> {
 
     fn skip_trivia(&mut self) {
         loop {
+            self.bump_ascii_while(|b| matches!(b, b' ' | b'\t' | b'\r'));
             match self.peek() {
                 Some(c) if c.is_whitespace() => {
                     self.bump();
@@ -106,32 +130,26 @@ impl<'a> Lexer<'a> {
 
     fn number(&mut self, line: u32, col: u32) -> LangResult<TokenKind> {
         let start = self.pos;
-        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-            self.bump();
-        }
+        self.bump_ascii_while(|b| b.is_ascii_digit());
         // A '.' starts a float only if followed by a digit; `1..n` must
         // lex as Int(1), DotDot, Ident(n).
         let mut is_float = false;
         if self.peek() == Some('.') && self.peek2().is_some_and(|c| c.is_ascii_digit()) {
             is_float = true;
             self.bump();
-            while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                self.bump();
-            }
+            self.bump_ascii_while(|b| b.is_ascii_digit());
         }
         if matches!(self.peek(), Some('e') | Some('E'))
             && (self.peek2().is_some_and(|c| c.is_ascii_digit())
                 || (matches!(self.peek2(), Some('+') | Some('-'))
-                    && self.chars.get(self.pos + 2).is_some_and(|(_, c)| c.is_ascii_digit())))
+                    && self.peek_at(2).is_some_and(|c| c.is_ascii_digit())))
         {
             is_float = true;
             self.bump(); // e
             if matches!(self.peek(), Some('+') | Some('-')) {
                 self.bump();
             }
-            while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                self.bump();
-            }
+            self.bump_ascii_while(|b| b.is_ascii_digit());
         }
         let text = self.text_from(start);
         if is_float {
@@ -147,12 +165,17 @@ impl<'a> Lexer<'a> {
 
     fn ident(&mut self) -> TokenKind {
         let start = self.pos;
-        while self.peek().is_some_and(|c| c.is_ascii_alphanumeric() || c == '_') {
-            self.bump();
-        }
+        self.bump_ascii_while(|b| b.is_ascii_alphanumeric() || b == b'_');
         let text = self.text_from(start);
         if let Some(k) = keyword(text) {
             return k;
+        }
+        let bytes = text.as_bytes();
+        let slot =
+            (bytes.len() + 7 * usize::from(bytes[0]) + 13 * usize::from(bytes[bytes.len() - 1]))
+                % RECENT;
+        if let Some(name) = self.recent[slot].as_ref().filter(|n| n.as_str() == text) {
+            return TokenKind::Ident(name.clone());
         }
         let name = match self.names.get(text) {
             Some(name) => name.clone(),
@@ -162,6 +185,7 @@ impl<'a> Lexer<'a> {
                 name
             }
         };
+        self.recent[slot] = Some(name.clone());
         TokenKind::Ident(name)
     }
 

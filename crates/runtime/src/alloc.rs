@@ -191,6 +191,15 @@ impl OutputArena {
         OutputArena { bufs, marks }
     }
 
+    /// Readies operation `op` to publish its progress to streamed
+    /// consumers: room for the few out-of-order committed intervals its
+    /// workers leave above the frontier, so that whether they leave any
+    /// does not decide whether the run allocates.
+    pub(crate) fn expect_streaming(&mut self, op: usize) {
+        let state = self.marks[op].state.get_mut().expect("watermark state poisoned");
+        state.pending.reserve(4);
+    }
+
     /// Number of operations the arena was sized for.
     pub fn ops(&self) -> usize {
         self.bufs.len()

@@ -43,7 +43,9 @@ use crate::alloc::OutputArena;
 use crate::cancel::RunError;
 use crate::checkpoint::{ResumeState, RunCtl};
 use crate::executor::ExecutorOptions;
-use crate::run::{self, set_up, snapshot_ops, ExecLog, OpRecord, OpState, RunReport, Setup};
+use crate::run::{
+    self, set_up, snapshot_ops, ExecLog, OpInputs, OpRecord, OpState, RunReport, Setup,
+};
 use crate::stats::OnlineStats;
 use crate::threaded::crew::run_on_threads;
 use crate::threaded::queue::{BoundedClaim, Chunk, ChunkQueue};
@@ -86,6 +88,8 @@ struct AsyncShared<'p, 'g> {
     /// Shared output buffers: every op's tasks write disjoint cells, and
     /// finished ops hand their slices downstream by reference.
     arena: &'g OutputArena,
+    /// Every op's input slices, resolved by its first claimer.
+    inputs: OpInputs<'g>,
     /// One executed-chunk log per driver, filled by the claimer futures
     /// via [`driver::current_driver`]: while the run is live only the
     /// driver's own thread takes its lock, once per chunk. The drivers'
@@ -173,7 +177,7 @@ async fn run_claimer(
     // The op is enabled: whole-op predecessors are complete, and
     // streamed ones are read only below their watermark.
     let node = &shared.nodes[op.plan.node];
-    let inputs = op.inputs(arena);
+    let inputs = shared.inputs.of(op);
     let mut done = 0usize;
     loop {
         // Streamed consumers re-read the producers' watermarks at
@@ -209,7 +213,7 @@ async fn run_claimer(
         // SAFETY: the claim handed queue indices `[start, start+len)`
         // to this claimer exactly once.
         unsafe {
-            op.run_span(kernel, node, &inputs, arena, chunk.range(), |t| {
+            op.run_span(kernel, node, inputs, arena, chunk.range(), |t| {
                 if adaptive {
                     chunk_stats.observe(op.costs[t]);
                 }
@@ -292,6 +296,7 @@ pub(crate) fn run_async(
         ops,
         nodes: &g.nodes,
         arena: &arena,
+        inputs: OpInputs::new(&arena, plan.ops.len()),
         logs: (0..drivers).map(|_| Mutex::default()).collect(),
         epoch: Instant::now(),
         ctl: RunCtl::new(opts, plan, spawned),

@@ -49,6 +49,60 @@ use orchestra_machine::{ProcStats, RunStats};
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
+
+/// Every op's kernel inputs: the upstream output slices handed to its
+/// kernel as [`TaskCtx::inputs`] — zero-copy references into the arena,
+/// in the plan's dependency order. Each op's list is resolved once, at
+/// its first visit, and every later visit of the run borrows it, so a
+/// visit allocates nothing for its inputs.
+pub(crate) struct OpInputs<'a> {
+    arena: &'a OutputArena,
+    lists: Vec<OnceLock<Box<[&'a [f64]]>>>,
+}
+
+impl<'a> OpInputs<'a> {
+    /// Room for `ops` operations' lists, none resolved yet.
+    pub(crate) fn new(arena: &'a OutputArena, ops: usize) -> Self {
+        OpInputs { arena, lists: (0..ops).map(|_| OnceLock::new()).collect() }
+    }
+
+    /// `op`'s inputs; the caller visits `op` to run it, so `op` is
+    /// enabled.
+    ///
+    /// Whole-op-gated inputs are finished: the op only runs after every
+    /// such producer's completion was observed with `Acquire` ordering
+    /// (the dependency counter), which happens-after every upstream
+    /// write.
+    ///
+    /// *Streamed* inputs may still be running. The slice then spans
+    /// cells the producer has not written yet, and soundness rests on
+    /// the watermark protocol: (1) every claim of this op is bounded by
+    /// the producers' committed-prefix watermarks, whose `Release`
+    /// publication happens-after the covered cells' stores and pairs
+    /// with the claim's `Acquire` load; (2) the kernel's declared
+    /// [`AccessPattern::ElementWise`] contract means task `t`
+    /// dereferences only cells `≤ t <` watermark — cells at or above
+    /// the watermark are *in* the slice but never read through it;
+    /// (3) producers write their cells through raw stores (never a
+    /// `&mut` view, see [`OpState::run_span`]), so no exclusive
+    /// reference ever overlaps this shared slice.
+    ///
+    /// The slices live as long as the arena borrow, over all of the
+    /// op's visits, not just the first. Both conditions hold for that
+    /// longer borrow, because the run only strengthens them: a finished
+    /// producer is never written again, and a streamed producer's
+    /// watermark only rises, every later claim being bounded by it
+    /// afresh.
+    pub(crate) fn of(&self, op: &OpState<'_>) -> &[&'a [f64]] {
+        debug_assert!(op.enabled(), "op {} visited before its inputs arrived", op.idx);
+        self.lists[op.idx].get_or_init(|| {
+            // SAFETY: see above — whole-op inputs are quiescent; streamed
+            // inputs are only read below their watermark.
+            op.plan.deps.iter().map(|&d| unsafe { self.arena.op_slice(d) }).collect()
+        })
+    }
+}
 
 /// One schedulable operation instance — a graph node at one pipeline
 /// iteration — as every real driver sees it.
@@ -178,47 +232,19 @@ impl OpState<'_> {
         }
     }
 
-    /// The upstream output slices handed to this op's kernel as
-    /// [`TaskCtx::inputs`] — zero-copy references into the arena, in
-    /// the plan's dependency order.
-    ///
-    /// Whole-op-gated inputs are finished: the op only runs after every
-    /// such producer's completion was observed with `Acquire` ordering
-    /// (the dependency counter), which happens-after every upstream
-    /// write.
-    ///
-    /// *Streamed* inputs may still be running. The slice then spans
-    /// cells the producer has not written yet, and soundness rests on
-    /// the watermark protocol: (1) every claim of this op is bounded by
-    /// the producers' committed-prefix watermarks, whose `Release`
-    /// publication happens-after the covered cells' stores and pairs
-    /// with the claim's `Acquire` load; (2) the kernel's declared
-    /// [`AccessPattern::ElementWise`] contract means task `t`
-    /// dereferences only cells `≤ t <` watermark — cells at or above
-    /// the watermark are *in* the slice but never read through it;
-    /// (3) producers write their cells through raw stores (never a
-    /// `&mut` view, see [`Self::run_span`]), so no exclusive reference
-    /// ever overlaps this shared slice.
-    pub(crate) fn inputs<'a>(&self, arena: &'a OutputArena) -> Vec<&'a [f64]> {
-        // SAFETY: see above — whole-op inputs are quiescent; streamed
-        // inputs are only read below their watermark.
-        self.plan.deps.iter().map(|&d| unsafe { arena.op_slice(d) }).collect()
-    }
-
     /// The task loop of every claim loop: runs the tasks at queue
     /// indices `span`, storing each
     /// value into its arena cell and calling `each(task)` after every
     /// one (the pool's per-task clock sampling; `|_| {}` elsewhere).
-    /// `node` is this op's graph node and `inputs` its
-    /// [`inputs`](Self::inputs), both resolved by the caller once per
-    /// visit.
+    /// `node` is this op's graph node, resolved by the caller once per
+    /// visit, and `inputs` its [`OpInputs::of`].
     ///
     /// For unremapped ops the queue span IS the task span: the values go
     /// through one raw window of the arena, bounds-checked once, and the
     /// cost hints are the matching sub-slice. Remapped ops scatter, one
     /// checked cell at a time. Either way a store never forms a `&mut`,
     /// so it is sound while a streamed consumer holds a shared slice over
-    /// this op's buffer (see [`inputs`](Self::inputs)).
+    /// this op's buffer (see [`OpInputs::of`]).
     ///
     /// When the run checkpoints, the span's `done` flags are set once
     /// its stores are made: each `Release` pairs with the snapshot
@@ -230,8 +256,8 @@ impl OpState<'_> {
     ///
     /// The caller must be the exactly-once claimant of every queue index
     /// of `span` — a claimed chunk or part of one — so no other thread
-    /// writes these cells, and `inputs` must have been taken after the
-    /// op became ready (only then are the slices sound to read).
+    /// writes these cells, and `inputs` must be this op's
+    /// [`OpInputs::of`] (only those slices are sound to read).
     #[inline]
     pub(crate) unsafe fn run_span(
         &self,
@@ -326,6 +352,11 @@ pub(crate) struct ExecLog {
 }
 
 impl ExecLog {
+    /// An empty log with room for `spans` spans.
+    pub(crate) fn with_capacity(spans: usize) -> Self {
+        ExecLog { spans: Vec::with_capacity(spans), chunks: 0 }
+    }
+
     /// Records that the owner ran all of `chunk` of op `op`.
     #[inline]
     pub(crate) fn push(&mut self, op: usize, chunk: Chunk) {
@@ -545,6 +576,9 @@ pub(crate) fn set_up<'p>(
             }
         }
         let stream_dependents = std::mem::take(&mut stream_dependents[i]);
+        if !stream_dependents.is_empty() {
+            arena.expect_streaming(i);
+        }
         // b\*: how many completed producer tasks coalesce per watermark
         // publication, from the host's measured per-publish α and
         // per-byte β (§4.1's batch-granularity model over the arena's

@@ -58,7 +58,7 @@ use crate::chunking::PolicyKind;
 use crate::executor::ExecutorOptions;
 use crate::finish::{finish_estimate_live, HostCalibration, OpSpec};
 use crate::granularity::pipelined_stage_time;
-use crate::run::{self, snapshot_ops, ExecLog, OpState};
+use crate::run::{self, snapshot_ops, ExecLog, OpInputs, OpState};
 use crate::stats::OnlineStats;
 use orchestra_delirium::Node;
 use orchestra_machine::ProcStats;
@@ -258,6 +258,8 @@ struct Shared<'a> {
     /// The zero-copy output buffers every op writes into and reads its
     /// inputs from, indexed by op.
     arena: &'a OutputArena,
+    /// Every op's input slices, resolved at its first visit.
+    inputs: OpInputs<'a>,
     /// Fault-injection and checkpoint control (inert on normal runs).
     ctl: &'a RunCtl,
     /// The §4.1.2 worker partition (all-ones when allocation is off).
@@ -284,7 +286,7 @@ impl<'a> Shared<'a> {
         let mut deques: Vec<CachePadded<WorkerState>> = (0..workers)
             .map(|_| {
                 CachePadded(WorkerState {
-                    ready: Mutex::new(VecDeque::new()),
+                    ready: Mutex::new(VecDeque::with_capacity(READY_TOKENS)),
                     dist_ready: Mutex::new(Vec::new()),
                 })
             })
@@ -316,6 +318,7 @@ impl<'a> Shared<'a> {
             ops,
             nodes,
             arena,
+            inputs: OpInputs::new(arena, ops.len()),
             ctl,
             partition,
             workers: deques,
@@ -425,8 +428,16 @@ fn worker_loop(
     kernel: &(dyn TaskKernel + Sync),
     pinned: bool,
 ) -> WorkerRecord {
-    let mut me =
-        WorkerRecord { proc: ProcStats::default(), steals: 0, pinned, log: ExecLog::default() };
+    let mut me = WorkerRecord {
+        proc: ProcStats::default(),
+        steals: 0,
+        pinned,
+        log: ExecLog::with_capacity(LOG_SPANS),
+    };
+    // The worker's one feedback buffer, reused by every op visit: its
+    // capacity bounds it (see `ChunkQueue::try_observe_pending`), so a
+    // run allocates it once per worker however the workers race.
+    let mut pending = Vec::with_capacity(PENDING_FEEDBACK);
     let ctl = shared.ctl;
     let hooked = ctl.hooked();
     loop {
@@ -456,7 +467,7 @@ fn worker_loop(
         }
         // A claim that stops the run returns here too; the stop check
         // above then sends this worker out.
-        run_op(shared, id, op_idx, kernel, &mut me);
+        run_op(shared, id, op_idx, kernel, &mut me, &mut pending);
     }
     me
 }
@@ -523,6 +534,17 @@ fn leave_op(
 /// each chunk contributes its mean at full weight.
 const SAMPLE_BUDGET: usize = 48;
 
+/// Chunks of feedback a worker buffers while the policy lock is taken;
+/// a full buffer waits for the lock instead of growing.
+const PENDING_FEEDBACK: usize = 4;
+
+/// What a worker's deque and chunk log start with room for, so that
+/// on a small graph neither grows, nor allocates at all only if the
+/// worker happens to win a claim: a small run's allocations then do not
+/// depend on how its workers race.
+const READY_TOKENS: usize = 4;
+const LOG_SPANS: usize = 4;
+
 /// Claims and executes chunks of one op until this worker can get no
 /// more from it (or a claim stops the run): the queue — for a dist op,
 /// this worker's home queue plus anything the coordinator migrates into
@@ -545,6 +567,7 @@ fn run_op(
     op_idx: usize,
     kernel: &(dyn TaskKernel + Sync),
     me: &mut WorkerRecord,
+    pending: &mut Vec<(usize, usize, OnlineStats)>,
 ) {
     let pool_op = &shared.ops[op_idx];
     let op = &pool_op.state;
@@ -583,14 +606,15 @@ fn run_op(
     };
     op.stamp_start(start_us);
     let node = &shared.nodes[op.plan.node];
-    let inputs = op.inputs(arena);
+    let inputs = shared.inputs.of(op);
     let mut chunk = first;
     let mut done = 0usize;
     let mut sampled = 0usize;
-    // Per-chunk feedback buffered locally and merged only when the
-    // policy lock is free — a blocking lock per chunk stalls the whole
-    // claim loop whenever the lock holder is descheduled.
-    let mut pending: Vec<(usize, usize, OnlineStats)> = Vec::new();
+    // Per-chunk feedback is buffered in the worker's `pending` and
+    // merged only when the policy lock is free — a blocking lock per
+    // chunk stalls the whole claim loop whenever the lock holder is
+    // descheduled. What a visit could not merge is dropped with it.
+    pending.clear();
     let mut prev = t0;
     loop {
         let chunk_t0 = prev;
@@ -612,7 +636,7 @@ fn run_op(
         // too: migrated runs move queues, never duplicate.
         if sample_n > 0 {
             unsafe {
-                op.run_span(kernel, node, &inputs, arena, chunk.start..mid, |_| {
+                op.run_span(kernel, node, inputs, arena, chunk.start..mid, |_| {
                     let now = Instant::now();
                     chunk_stats.observe(now.duration_since(prev).as_secs_f64() * 1e6);
                     prev = now;
@@ -622,7 +646,7 @@ fn run_op(
         sampled += sample_n;
         let rest = chunk.len - sample_n;
         if rest > 0 {
-            unsafe { op.run_span(kernel, node, &inputs, arena, mid..end, |_| {}) };
+            unsafe { op.run_span(kernel, node, inputs, arena, mid..end, |_| {}) };
             let now = Instant::now();
             let span_us = now.duration_since(prev).as_secs_f64() * 1e6;
             prev = now;
@@ -646,7 +670,7 @@ fn run_op(
         }
         if let Some(queue) = feedback {
             pending.push((chunk.start, chunk.len, chunk_stats));
-            queue.try_observe_pending(&mut pending);
+            queue.try_observe_pending(pending);
         }
         me.proc.tasks += chunk.len as u64;
         me.proc.chunks += 1;

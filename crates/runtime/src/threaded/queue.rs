@@ -260,12 +260,18 @@ impl ChunkQueue {
     /// same `observe_chunk` calls, merely time-shifted); feedback that
     /// never wins the lock before the queue drains is dropped, which
     /// is sound because the policy only uses it to size this op's
-    /// remaining chunks.
+    /// remaining chunks. A buffer filled to its capacity waits for the
+    /// lock, so it never grows: a worker allocates it once.
     pub fn try_observe_pending(&self, pending: &mut Vec<(usize, usize, OnlineStats)>) {
         if pending.is_empty() {
             return;
         }
-        if let Ok(mut policy) = self.policy.try_lock() {
+        let policy = if pending.len() < pending.capacity() {
+            self.policy.try_lock().ok()
+        } else {
+            self.policy.lock().ok()
+        };
+        if let Some(mut policy) = policy {
             for (start, len, stats) in pending.drain(..) {
                 policy.observe_chunk(start, len, &stats);
             }

@@ -42,6 +42,8 @@ pub use loop_split::{
     check_iterations_commute, detect_restriction, split_loop, symexpr_to_ast, FreshNames,
     LoopSplitPieces, ReductionVar, Restriction,
 };
-pub use pipeline::{pipeline_loop, PipelineResult};
+pub use pipeline::{pipeline_iterations, pipeline_loop, PipelineResult};
 pub use prim::{primitives_of, Prim, PrimKind};
-pub use split::{split_computation, static_op_count, Piece, PieceClass, SplitOptions, SplitResult};
+pub use split::{
+    split_computation, split_in, static_op_count, Piece, PieceClass, SplitOptions, SplitResult,
+};

@@ -67,6 +67,10 @@ impl ReductionVar {
 #[derive(Debug, Clone, Default)]
 pub struct FreshNames {
     taken: BTreeSet<Name>,
+    /// For each `base + suffix` found taken, the next counter to try:
+    /// the taken set only grows, so every counter below it stays taken,
+    /// and the `k`-th name of one spelling costs one probe, not `k`.
+    next: BTreeMap<Name, usize>,
 }
 
 impl FreshNames {
@@ -74,18 +78,29 @@ impl FreshNames {
     pub fn from_program(prog: &Program) -> Self {
         let mut taken: BTreeSet<Name> = prog.decls.iter().map(|d| d.name.clone()).collect();
         taken.extend(prog.procs.iter().map(|p| p.name.clone()));
-        FreshNames { taken }
+        FreshNames { taken, next: BTreeMap::new() }
     }
 
-    /// Returns `base` + `suffix`, disambiguated if already taken.
+    /// Returns `base` + `suffix`, disambiguated if already taken: the
+    /// first of `base` + `suffix` + 2, 3, … that is not.
     pub fn fresh(&mut self, base: &str, suffix: &str) -> Name {
-        let mut candidate = format!("{base}{suffix}");
-        let mut k = 2;
-        while self.taken.contains(candidate.as_str()) {
-            candidate = format!("{base}{suffix}{k}");
-            k += 1;
-        }
-        let name = Name::from(candidate);
+        let plain = Name::concat(&[base, suffix]);
+        let name = if self.taken.contains(&plain) {
+            let k = self.next.entry(plain).or_insert(2);
+            let mut spelled = String::new();
+            loop {
+                spelled.clear();
+                spelled.push_str(base);
+                spelled.push_str(suffix);
+                spelled.push_str(&k.to_string());
+                *k += 1;
+                if !self.taken.contains(spelled.as_str()) {
+                    break Name::from(spelled);
+                }
+            }
+        } else {
+            plain
+        };
         self.taken.insert(name.clone());
         name
     }
@@ -141,13 +156,8 @@ pub fn detect_restriction(
     d: &Descriptor,
     privatized: &BTreeSet<Name>,
 ) -> Option<Restriction> {
-    let mut stripped = iter.descriptor.clone();
-    for b in privatized {
-        stripped = stripped.without_block(b);
-    }
-    let stripped_iter =
-        LoopIteration { var: iter.var.clone(), ranges: iter.ranges.clone(), descriptor: stripped };
-    let pairs: Vec<(&Triple, &Triple)> = interference_pairs(&stripped_iter.descriptor, d);
+    let stripped = kept_triples(&iter.descriptor, |block| !privatized.contains(block));
+    let pairs: Vec<(&Triple, &Triple)> = interference_pairs(&stripped, d);
     if pairs.is_empty() {
         return None;
     }
@@ -191,7 +201,7 @@ pub fn detect_restriction(
         }
         Restriction::ExcludePoints(points)
     };
-    if verify_restriction(&stripped_iter, d, &candidate) {
+    if verify_restriction(&iter.var, &iter.ranges, &stripped, d, &candidate) {
         Some(candidate)
     } else {
         None
@@ -250,23 +260,36 @@ fn explain_pair(t: &Triple, u: &Triple, var: &str) -> Option<Restriction> {
     None
 }
 
-/// Re-promotes the iteration descriptor over the *independent* side of
-/// the restriction and checks that it no longer interferes with `d`.
-fn verify_restriction(iter: &LoopIteration, d: &Descriptor, r: &Restriction) -> bool {
+/// The triples of `d` on the blocks `keep` accepts.
+fn kept_triples(d: &Descriptor, keep: impl Fn(&Name) -> bool) -> Descriptor {
+    let kept = |ts: &[Triple]| ts.iter().filter(|t| keep(&t.block)).cloned().collect();
+    Descriptor { reads: kept(&d.reads), writes: kept(&d.writes) }
+}
+
+/// Re-promotes the iteration descriptor of a loop over `var` (its
+/// `ranges`) over the *independent* side of the restriction and checks
+/// that it no longer interferes with `d`.
+fn verify_restriction(
+    var: &Name,
+    ranges: &[SymRange],
+    iteration: &Descriptor,
+    d: &Descriptor,
+    r: &Restriction,
+) -> bool {
     match r {
         Restriction::ExcludePoint(e) => {
-            if iter.ranges.len() != 1 || iter.ranges[0].skip != 1 {
+            if ranges.len() != 1 || ranges[0].skip != 1 {
                 return false;
             }
-            let whole = &iter.ranges[0];
+            let whole = &ranges[0];
             let below = SymRange::new(whole.start.clone(), e.offset(-1));
             let above = SymRange::new(e.offset(1), whole.end.clone());
-            let promoted_below = iter.descriptor.promote(&iter.var, &below);
-            let promoted_above = iter.descriptor.promote(&iter.var, &above);
+            let promoted_below = iteration.promote(var, &below);
+            let promoted_above = iteration.promote(var, &above);
             !promoted_below.interferes(d) && !promoted_above.interferes(d)
         }
         Restriction::ExcludePoints(points) => {
-            if iter.ranges.len() != 1 || iter.ranges[0].skip != 1 {
+            if ranges.len() != 1 || ranges[0].skip != 1 {
                 return false;
             }
             // Guard every triple with `var ≠ e_k` for all excluded
@@ -274,22 +297,22 @@ fn verify_restriction(iter: &LoopIteration, d: &Descriptor, r: &Restriction) -> 
             // remaining iterations clear of `d` (iteration-level check,
             // valid for every value of the symbolic variable).
             let mut guard = Guard::truth();
-            let v = SymExpr::name(iter.var.clone());
+            let v = SymExpr::name(var.clone());
             for e in points {
                 guard = guard.and(&Guard::linear(Ineq::ne(&v, e)));
             }
-            !guarded_by(&iter.descriptor, &guard).interferes(d)
+            !guarded_by(iteration, &guard).interferes(d)
         }
         Restriction::MaskCond { array, rel } => {
-            if iter.ranges.len() != 1 {
+            if ranges.len() != 1 {
                 return false;
             }
             // Guard every triple with the complementary mask test on the
             // induction variable, then promote: the guard becomes a
             // dimension mask where applicable.
-            let test = MaskTest::new(array.clone(), SymExpr::name(iter.var.clone()), rel.negate());
-            let guarded = guarded_by(&iter.descriptor, &Guard::mask(test));
-            !guarded.promote(&iter.var, &iter.ranges[0]).interferes(d)
+            let test = MaskTest::new(array.clone(), SymExpr::name(var.clone()), rel.negate());
+            let guarded = guarded_by(iteration, &Guard::mask(test));
+            !guarded.promote(var, &ranges[0]).interferes(d)
         }
     }
 }
@@ -330,10 +353,8 @@ pub fn check_iterations_commute(iter: &LoopIteration, body: &[Stmt]) -> Option<V
     // 4. Distinct iterations must not interfere (ignoring reductions):
     // substitute var := var + 1 — sound for the linear patterns the
     // descriptors contain.
-    let mut stripped = iter.descriptor.clone();
-    for r in &reductions {
-        stripped = stripped.without_block(&r.name);
-    }
+    let stripped =
+        kept_triples(&iter.descriptor, |block| reductions.iter().all(|r| r.name != *block));
     let shifted = stripped.subst(&iter.var, &SymExpr::name(iter.var.clone()).offset(1));
     if stripped.interferes(&shifted) {
         return None;
@@ -559,14 +580,14 @@ pub fn split_loop(
     }
     let base = label.as_deref().unwrap_or("C");
     independent.push(Stmt::Do {
-        label: Some(format!("{base}_I").into()),
+        label: Some(Name::concat(&[base, "_I"])),
         var: var.clone(),
         ranges: ind_ranges,
         mask: ind_mask,
         body: ind_body,
     });
     dependent.push(Stmt::Do {
-        label: Some(format!("{base}_D").into()),
+        label: Some(Name::concat(&[base, "_D"])),
         var: var.clone(),
         ranges: dep_ranges,
         mask: dep_mask,
@@ -649,7 +670,7 @@ fn build_merge(
             }
         };
         merge.push(Stmt::Do {
-            label: Some(format!("{base}_M").into()),
+            label: Some(Name::concat(&[base, "_M"])),
             var: var.clone(),
             ranges: vec![range.clone()],
             mask: mask.clone(),

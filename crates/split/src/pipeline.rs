@@ -13,8 +13,8 @@
 //! pipelining — iteration `i`'s `A_I` may overlap iteration `i-1` — is
 //! recorded in the result and consumed by the Delirium graph builder.
 
-use crate::split::{split_computation, SplitOptions, SplitResult};
-use orchestra_descriptors::{loop_iteration_descriptor, Descriptor, SymCtx};
+use crate::split::{split_in, SplitOptions, SplitResult};
+use orchestra_descriptors::{loop_iteration_descriptor, Descriptor, LoopIteration, SymCtx};
 use orchestra_lang::ast::{Decl, Name, Program, Stmt};
 
 /// The result of pipelining one loop.
@@ -55,10 +55,24 @@ pub fn pipeline_loop(
     depth: usize,
     opts: &SplitOptions,
 ) -> Option<PipelineResult> {
-    let Stmt::Do { label, var, ranges, mask, body } = loop_stmt else { return None };
-    let depth = depth.max(1);
     let ctx = SymCtx::from_program(prog);
     let iter = loop_iteration_descriptor(loop_stmt, &ctx)?;
+    pipeline_iterations(prog, &ctx, loop_stmt, &iter, depth, opts)
+}
+
+/// [`pipeline_loop`] given `ctx`, the context of `prog`'s declarations
+/// ([`SymCtx::from_program`]), and the loop's iteration descriptor in
+/// it, for a caller that already holds them.
+pub fn pipeline_iterations(
+    prog: &Program,
+    ctx: &SymCtx,
+    loop_stmt: &Stmt,
+    iter: &LoopIteration,
+    depth: usize,
+    opts: &SplitOptions,
+) -> Option<PipelineResult> {
+    let Stmt::Do { label, var, ranges, mask, body } = loop_stmt else { return None };
+    let depth = depth.max(1);
 
     // D_{i-1} ∪ … ∪ D_{i-depth}.
     let mut d_prev = Descriptor::new();
@@ -70,7 +84,7 @@ pub fn pipeline_loop(
         d_prev.union(shifted);
     }
 
-    let split = split_computation(prog, body, &d_prev, opts);
+    let split = split_in(prog, ctx, body, &d_prev, opts);
     if !split.has_independent_work() {
         return None;
     }

@@ -121,8 +121,20 @@ pub fn split_computation(
     d: &Descriptor,
     opts: &SplitOptions,
 ) -> SplitResult {
-    let ctx = SymCtx::from_program(prog);
-    let prims = primitives_of(c, &ctx);
+    split_in(prog, &SymCtx::from_program(prog), c, d, opts)
+}
+
+/// [`split_computation`] given `ctx`, the context of `prog`'s
+/// declarations ([`SymCtx::from_program`]), for a caller that already
+/// holds it.
+pub fn split_in(
+    prog: &Program,
+    ctx: &SymCtx,
+    c: &[Stmt],
+    d: &Descriptor,
+    opts: &SplitOptions,
+) -> SplitResult {
+    let mut prims = primitives_of(c, ctx);
     let categories = categorize(&prims, d);
     let prim_names: Vec<String> = prims.iter().map(|p| p.name.clone()).collect();
     let mut fresh = FreshNames::from_program(prog);
@@ -134,27 +146,29 @@ pub fn split_computation(
 
     // Decide ReadLinked moves up front (they need supplier replication).
     let moves: BTreeMap<usize, Vec<usize>> = if opts.move_read_linked {
-        plan_read_linked_moves(&prims, &categories, opts, &ctx)
+        plan_read_linked_moves(&prims, &categories, opts, ctx)
     } else {
         BTreeMap::new()
     };
 
-    for prim in &prims {
-        let id = prim.id;
+    // Categorized, a primitive's descriptor is wanted only by its piece,
+    // which takes it.
+    for id in 0..prims.len() {
+        let prim = &prims[id];
         if categories.free.contains(&id) {
-            pieces.push(piece_from_prim(prim, PieceClass::Independent));
+            pieces.push(piece_from_prim(&mut prims[id], PieceClass::Independent));
             continue;
         }
         if categories.bound.contains(&id) {
             if opts.enable_loop_split && prim.kind == PrimKind::Loop {
                 if let Some(done) =
-                    try_loop_split(prog, prim, d, &ctx, &mut fresh, &mut pieces, &mut new_decls)
+                    try_loop_split(prog, prim, d, ctx, &mut fresh, &mut pieces, &mut new_decls)
                 {
                     loop_splits.push(done);
                     continue;
                 }
             }
-            pieces.push(piece_from_prim(prim, PieceClass::Dependent));
+            pieces.push(piece_from_prim(&mut prims[id], PieceClass::Dependent));
             continue;
         }
         // Linked.
@@ -164,7 +178,7 @@ pub fn split_computation(
             // independent piece at this position.
             let (stmts, decls) = replicate_suppliers(prog, &prims, prim, suppliers, &mut fresh);
             if let Some((stmts, decls)) = stmts.map(|s| (s, decls)) {
-                let descriptor = descriptor_of_stmts(&stmts, &ctx);
+                let descriptor = descriptor_of_stmts(&stmts, ctx);
                 pieces.push(Piece {
                     name: format!("{}_I", prim.name),
                     class: PieceClass::Independent,
@@ -176,18 +190,18 @@ pub fn split_computation(
                 continue;
             }
         }
-        pieces.push(piece_from_prim(prim, PieceClass::Dependent));
+        pieces.push(piece_from_prim(&mut prims[id], PieceClass::Dependent));
     }
 
     SplitResult { pieces, new_decls, categories, prim_names, loop_splits, moved_read_linked }
 }
 
-fn piece_from_prim(prim: &Prim, class: PieceClass) -> Piece {
+fn piece_from_prim(prim: &mut Prim, class: PieceClass) -> Piece {
     Piece {
         name: prim.name.clone(),
         class,
         stmts: prim.stmts.to_vec(),
-        descriptor: prim.descriptor.clone(),
+        descriptor: std::mem::take(&mut prim.descriptor),
     }
 }
 

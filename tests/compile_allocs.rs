@@ -14,8 +14,9 @@
 mod common;
 
 use common::programs::seq_loops_source;
-use orchestra_apps::psirrfan;
-use orchestra_core::compile_source;
+use orchestra_apps::{climate, emu, psirrfan, vortex};
+use orchestra_core::{compile_source, graph_of_compiled};
+use orchestra_lang::ast::Program;
 use orchestra_lang::builder::figure1_program;
 use orchestra_lang::{pretty_print, Name};
 use orchestra_split::SplitOptions;
@@ -86,23 +87,37 @@ fn allocs_of(src: &str) -> (u64, u64) {
 
 #[test]
 fn allocations_per_compile_stay_in_budget() {
-    // Budgets ≈ 20 % above the reading. For scale, the readings while a
+    // Budgets ≈ 10 % above the reading. For scale, the readings while a
     // `SymExpr` was a `BTreeMap<String, i64>` and every nesting level
-    // cloned its triples ("then"), and while every pass copied each
+    // cloned its triples ("then"), while every pass copied each
     // identifier into a fresh `String` that an interner shared again
-    // ("strings"); the kernel has Figure 1's shape, hence its count:
-    //                      then  strings    now   budget
-    //   seq_loops(30)    56 898   19 391  12 009   14 400
-    //   figure 1          9 097    2 492   1 636    2 000
-    //   psirrfan kernel   9 097    2 492   1 636    2 000
+    // ("strings"), and while every descriptor walk copied its context,
+    // SSA renaming kept its tables in maps keyed by name, a lone-term
+    // expression held its term behind its own allocation and a fresh
+    // name was probed once per counter ("copies"); the four paper
+    // kernels and Figure 1 share a shape, hence their counts:
+    //                      then  strings  copies    now  budget
+    //   seq_loops(30)    56 898   19 391  12 009  6 452   7 100
+    //   figure 1          9 097    2 492   1 636    980   1 080
+    //   psirrfan kernel   9 097    2 492   1 636    980   1 080
+    //   climate kernel        —        —   1 643    986   1 085
+    //   emu kernel            —        —   1 634    980   1 080
+    //   vortex kernel         —        —   1 630    978   1 075
     // of which spellings:
-    //   seq_loops(30)              8 898     808      970
-    //   figure 1                   1 019      89      107
-    //   psirrfan kernel            1 019      89      107
+    //   seq_loops(30)              8 898     808    228     250
+    //   figure 1                   1 019      89     31      34
+    //   psirrfan kernel            1 019      89     31      34
+    //   climate kernel                 —      95     34      37
+    //   emu kernel                     —      89     31      34
+    //   vortex kernel                  —      87     31      34
+    let kernel = |p: Program| pretty_print(&p);
     let cases = [
-        ("seq_loops(30)", seq_loops_source(30), 14_400, 970),
-        ("figure 1", pretty_print(&figure1_program(24)), 2_000, 107),
-        ("psirrfan kernel", pretty_print(&psirrfan::kernel()), 2_000, 107),
+        ("seq_loops(30)", seq_loops_source(30), 7_100, 250),
+        ("figure 1", kernel(figure1_program(24)), 1_080, 34),
+        ("psirrfan kernel", kernel(psirrfan::kernel()), 1_080, 34),
+        ("climate kernel", kernel(climate::kernel()), 1_085, 37),
+        ("emu kernel", kernel(emu::kernel()), 1_080, 34),
+        ("vortex kernel", kernel(vortex::kernel()), 1_075, 34),
     ];
     for (name, src, budget, spelling_budget) in cases {
         let (n, spellings) = allocs_of(&src);
@@ -114,6 +129,28 @@ fn allocations_per_compile_stay_in_budget() {
             "{name}: {spellings} spellings per compile_source, budget {spelling_budget}"
         );
     }
+}
+
+/// What the Delirium text of a compiled graph costs to print and to
+/// parse back and validate: 167 allocations for seq_loops(30)'s graph,
+/// 1 409 while each parsed line built a map of owned keys and values,
+/// and each printed one a `String` of its own.
+#[test]
+fn a_compiled_graphs_delirium_text_prints_and_parses_in_budget() {
+    let compiled = compile_source(&seq_loops_source(30), &SplitOptions::default())
+        .expect("the source compiles");
+    let (graph, _) = graph_of_compiled(&compiled);
+    let round_trip = || {
+        let text = orchestra_delirium::print(&graph, "g");
+        let (_, parsed) = orchestra_delirium::parse(&text).expect("the text parses");
+        parsed.validate().expect("the graph is valid");
+        parsed
+    };
+    let ((n, _), parsed) = counted(round_trip);
+    println!("print + parse: {n} allocations");
+    assert_eq!(parsed.nodes.len(), graph.nodes.len());
+    assert_eq!(n, counted(round_trip).0 .0, "the count repeats");
+    assert!(n <= 185, "{n} allocations per print + parse, budget 185");
 }
 
 #[test]
