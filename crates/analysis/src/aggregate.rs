@@ -21,7 +21,7 @@ use std::collections::HashMap;
 ///
 /// Returns the number of forwarded reads. The rewrite is purely local to
 /// basic blocks, which keeps it trivially sound in the presence of loops.
-pub fn forward_aggregates(cfg: &mut Cfg) -> usize {
+pub(crate) fn forward_aggregates(cfg: &mut Cfg) -> usize {
     let mut total = 0;
     for b in &mut cfg.blocks {
         total += forward_block(&mut b.stmts);

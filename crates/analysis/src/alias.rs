@@ -40,7 +40,7 @@ impl AliasInfo {
 /// Once an array becomes aliased it stays aliased for every block (a
 /// sound over-approximation of the paper's per-path marking), so the
 /// sweeps may visit the blocks in any order.
-pub fn detect_aliases(cfg: &Cfg) -> AliasInfo {
+pub(crate) fn detect_aliases(cfg: &Cfg) -> AliasInfo {
     let mut info = AliasInfo::default();
 
     // First sweep: find aliasing calls.
@@ -82,7 +82,7 @@ pub fn detect_aliases(cfg: &Cfg) -> AliasInfo {
 
 /// Applies invalidations to a propagation result, downgrading the
 /// affected SSA names to [`SymValue::Unknown`].
-pub fn apply_invalidations(prop: &mut Propagation, info: &AliasInfo) {
+pub(crate) fn apply_invalidations(prop: &mut Propagation, info: &AliasInfo) {
     for name in &info.invalidated {
         if let Some(v) = prop.values.get_mut(name) {
             *v = SymValue::Unknown;

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 
 /// One syntactic call site discovered in a program.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CallSite {
+pub(crate) struct CallSite {
     /// Sequential id in discovery (pre-order) order.
     pub id: usize,
     /// Procedure name.
@@ -39,11 +39,6 @@ impl CallSite {
         let const_args = args.iter().map(|a| a.as_int()).collect();
         CallSite { id, proc: name.clone(), args: args.to_vec(), weight, alias_pattern, const_args }
     }
-
-    /// True if any two arguments name the same variable.
-    pub fn has_aliasing(&self) -> bool {
-        self.alias_pattern.iter().any(Option::is_some)
-    }
 }
 
 /// A group of call sites that will share one procedure summary.
@@ -59,7 +54,7 @@ pub struct CallGroup {
 
 /// Tunables for the grouping heuristic.
 #[derive(Debug, Clone, Copy)]
-pub struct ClassifyConfig {
+pub(crate) struct ClassifyConfig {
     /// Sites at or above this weight are summarized per
     /// (alias-pattern, constant-values) signature.
     pub hot_threshold: f64,
@@ -79,7 +74,7 @@ impl Default for ClassifyConfig {
 /// `profile` maps a pre-order call index to a measured weight; sites
 /// without an entry get weight 1. Loop nesting multiplies the default
 /// weight by a per-level factor of 100 as a static estimate.
-pub fn collect_call_sites(prog: &Program, profile: &BTreeMap<usize, f64>) -> Vec<CallSite> {
+pub(crate) fn collect_call_sites(prog: &Program, profile: &BTreeMap<usize, f64>) -> Vec<CallSite> {
     let mut sites = Vec::new();
     fn walk(stmts: &[Stmt], depth: u32, sites: &mut Vec<CallSite>, profile: &BTreeMap<usize, f64>) {
         for s in stmts {
@@ -104,7 +99,7 @@ pub fn collect_call_sites(prog: &Program, profile: &BTreeMap<usize, f64>) -> Vec
 }
 
 /// Groups call sites per the paper's heuristic.
-pub fn classify(sites: &[CallSite], config: &ClassifyConfig) -> Vec<CallGroup> {
+pub(crate) fn classify(sites: &[CallSite], config: &ClassifyConfig) -> Vec<CallGroup> {
     // Group key: hot sites use (proc, alias pattern, constant values);
     // cold sites use (proc [, alias pattern]).
     let mut groups: BTreeMap<String, CallGroup> = BTreeMap::new();
@@ -162,8 +157,7 @@ end
     fn detects_alias_pattern() {
         let p = prog(SRC);
         let sites = collect_call_sites(&p, &BTreeMap::new());
-        assert!(!sites[1].has_aliasing());
-        assert!(sites[2].has_aliasing());
+        assert!(sites[1].alias_pattern.iter().all(Option::is_none));
         assert_eq!(sites[2].alias_pattern[1], Some(0));
     }
 

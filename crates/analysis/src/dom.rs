@@ -19,7 +19,6 @@ pub struct DomTree {
     children: Lists,
     /// The reachable blocks in reverse postorder.
     rpo: Vec<BlockId>,
-    rpo_index: Vec<usize>,
 }
 
 /// One list of blocks per block, all in one vector: block `b`'s list is
@@ -71,7 +70,7 @@ impl Lists {
 }
 
 /// Sentinel for unreachable blocks.
-pub const UNREACHABLE: usize = usize::MAX;
+pub(crate) const UNREACHABLE: usize = usize::MAX;
 
 impl DomTree {
     /// Computes dominators and frontiers for `cfg`.
@@ -138,7 +137,6 @@ impl DomTree {
             frontier: Lists::from_pairs(n, frontier),
             children: Lists::from_pairs(n, children),
             rpo,
-            rpo_index,
         }
     }
 
@@ -153,7 +151,7 @@ impl DomTree {
     }
 
     /// The reachable blocks in reverse postorder.
-    pub fn rpo(&self) -> &[BlockId] {
+    pub(crate) fn rpo(&self) -> &[BlockId] {
         &self.rpo
     }
 
@@ -173,24 +171,6 @@ impl DomTree {
             }
             cur = up;
         }
-    }
-
-    /// Pre-order walk of the dominator tree starting at `root`.
-    pub fn preorder(&self, root: BlockId) -> Vec<BlockId> {
-        let mut out = Vec::new();
-        let mut stack = vec![root];
-        while let Some(b) = stack.pop() {
-            out.push(b);
-            for &c in self.children(b).iter().rev() {
-                stack.push(c);
-            }
-        }
-        out
-    }
-
-    /// RPO index of a block (`UNREACHABLE` for unreachable blocks).
-    pub fn rpo_index(&self, b: BlockId) -> usize {
-        self.rpo_index[b]
     }
 }
 
@@ -271,16 +251,5 @@ mod tests {
         assert!(dom.dominates(l.header, l.increment));
         assert!(dom.dominates(l.header, l.exit));
         assert!(!dom.dominates(l.increment, l.exit));
-    }
-
-    #[test]
-    fn preorder_covers_tree() {
-        let cfg = cfg_of(
-            "program p\n integer n = 3, s\n do i = 1, n { if (i = 2) { s = s + 1 } else { s = s + 2 } }\nend",
-        );
-        let dom = DomTree::compute(&cfg);
-        let order = dom.preorder(cfg.entry);
-        assert_eq!(order.len(), cfg.len());
-        assert_eq!(order[0], cfg.entry);
     }
 }

@@ -87,7 +87,10 @@ pub fn analyze_program(prog: &Program) -> AnalyzedProgram {
 
 /// Like [`analyze_program`], with measured profile weights for call
 /// sites (pre-order call index → weight).
-pub fn analyze_with_profile(prog: &Program, profile: &BTreeMap<usize, f64>) -> AnalyzedProgram {
+pub(crate) fn analyze_with_profile(
+    prog: &Program,
+    profile: &BTreeMap<usize, f64>,
+) -> AnalyzedProgram {
     let scalars = collect_scalars(prog);
     let mut base_cfg = cfg::Cfg::from_program(prog);
     // Step 4 runs before SSA so forwarded scalars participate in

@@ -191,7 +191,7 @@ fn equal_args_value(phi: &crate::ssa::Phi, values: &HashMap<Name, SymValue>) -> 
 
 /// Resolves a name to a symbolic expression: its known value, or
 /// itself as an opaque term sharing the caller's spelling.
-pub fn resolve_expr(name: &Name, values: &HashMap<Name, SymValue>) -> Option<SymExpr> {
+pub(crate) fn resolve_expr(name: &Name, values: &HashMap<Name, SymValue>) -> Option<SymExpr> {
     match values.get(name) {
         Some(SymValue::Expr(e)) => Some(e.clone()),
         Some(SymValue::Range(_)) | Some(SymValue::Unknown) | None => {
@@ -235,7 +235,7 @@ pub fn lin_expr(e: &Expr, values: &HashMap<Name, SymValue>) -> Option<SymExpr> {
 }
 
 /// Evaluates an expression to a symbolic value.
-pub fn eval_value(e: &Expr, values: &HashMap<Name, SymValue>) -> SymValue {
+pub(crate) fn eval_value(e: &Expr, values: &HashMap<Name, SymValue>) -> SymValue {
     if let Some(le) = lin_expr(e, values) {
         return SymValue::Expr(le);
     }
@@ -250,7 +250,11 @@ pub fn eval_value(e: &Expr, values: &HashMap<Name, SymValue>) -> SymValue {
 /// `positive` selects the taken (`true`) or fall-through (`false`)
 /// direction. Conditions the analysis cannot express (array reads,
 /// calls, non-linear arithmetic) become the trivially-true assertion.
-pub fn to_assertion(cond: &Expr, positive: bool, values: &HashMap<Name, SymValue>) -> Assertion {
+pub(crate) fn to_assertion(
+    cond: &Expr,
+    positive: bool,
+    values: &HashMap<Name, SymValue>,
+) -> Assertion {
     match cond {
         Expr::Bin(op, l, r) if op.is_comparison() => {
             let (Some(a), Some(b)) = (lin_expr(l, values), lin_expr(r, values)) else {

@@ -40,13 +40,13 @@ pub struct SsaProgram {
 /// Splits an SSA name into `(base, version)`.
 ///
 /// Returns `None` for names that are not in SSA form.
-pub fn split_ssa_name(name: &str) -> Option<(&str, u32)> {
+pub(crate) fn split_ssa_name(name: &str) -> Option<(&str, u32)> {
     let (base, ver) = name.rsplit_once('#')?;
     ver.parse().ok().map(|v| (base, v))
 }
 
 /// Builds the SSA name for `(base, version)`.
-pub fn ssa_name(base: &str, version: u32) -> Name {
+pub(crate) fn ssa_name(base: &str, version: u32) -> Name {
     let mut digits = [0u8; 10];
     let mut at = digits.len();
     let mut v = version;
@@ -66,7 +66,7 @@ pub fn ssa_name(base: &str, version: u32) -> Name {
 ///
 /// Any scalar used before being assigned refers to `base#0`, the
 /// implicit entry definition.
-pub fn to_ssa(mut cfg: Cfg, scalar_names: &BTreeSet<Name>) -> SsaProgram {
+pub(crate) fn to_ssa(mut cfg: Cfg, scalar_names: &BTreeSet<Name>) -> SsaProgram {
     cfg.compute_preds();
     let dom = DomTree::compute(&cfg);
     let n = cfg.len();

@@ -181,7 +181,7 @@ impl SymExpr {
     }
 
     /// True if the expression is a plain constant.
-    pub fn is_constant(&self) -> bool {
+    pub(crate) fn is_constant(&self) -> bool {
         matches!(self.terms, Terms::None)
     }
 
@@ -414,16 +414,6 @@ impl SymRange {
     pub fn contains_range(&self, other: &SymRange) -> bool {
         self.start.le(&other.start) == Some(true) && other.end.le(&self.end) == Some(true)
     }
-
-    /// Number of values, when bounds are constant.
-    pub fn len_const(&self) -> Option<i64> {
-        let (a, b) = (self.start.as_constant()?, self.end.as_constant()?);
-        if b < a {
-            Some(0)
-        } else {
-            Some((b - a) / self.skip + 1)
-        }
-    }
 }
 
 impl fmt::Display for SymRange {
@@ -454,15 +444,6 @@ impl SymValue {
     /// Convenience constructor for a constant integer value.
     pub fn int(v: i64) -> Self {
         SymValue::Expr(SymExpr::constant(v))
-    }
-
-    /// The value as a range (a single expression becomes a point range).
-    pub fn to_range(&self) -> Option<SymRange> {
-        match self {
-            SymValue::Expr(e) => Some(SymRange::point(e.clone())),
-            SymValue::Range(r) => Some(r.clone()),
-            _ => None,
-        }
     }
 }
 
@@ -543,7 +524,7 @@ impl Ineq {
     }
 
     /// Evaluates the inequality when the expression is constant.
-    pub fn eval_const(&self) -> Option<bool> {
+    pub(crate) fn eval_const(&self) -> Option<bool> {
         let c = self.expr.as_constant()?;
         Some(match self.rel {
             Rel::EqZero => c == 0,
@@ -710,7 +691,7 @@ impl Assertion {
     }
 
     /// True when this assertion is the constant *false*.
-    pub fn is_falsity(&self) -> bool {
+    pub(crate) fn is_falsity(&self) -> bool {
         self.clauses.is_empty()
     }
 
@@ -1025,21 +1006,6 @@ mod tests {
         assert_eq!(Assertion::truth().to_string(), "true");
     }
 
-    #[test]
-    fn sym_value_to_range() {
-        let v = SymValue::Expr(n());
-        let r = v.to_range().unwrap();
-        assert!(r.is_point());
-        assert_eq!(SymValue::Unknown.to_range(), None);
-    }
-
-    #[test]
-    fn range_len_const() {
-        assert_eq!(SymRange::constant(1, 10).len_const(), Some(10));
-        let stepped = SymRange { start: SymExpr::constant(1), end: SymExpr::constant(9), skip: 2 };
-        assert_eq!(stepped.len_const(), Some(5));
-    }
-
     // ---- the term lists against the representation they replaced ----
 
     /// `SymExpr` as it was — a `BTreeMap` from an owned name to its
@@ -1051,7 +1017,7 @@ mod tests {
         use std::fmt;
 
         #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-        pub struct MapExpr {
+        pub(crate) struct MapExpr {
             pub terms: BTreeMap<String, i64>,
             pub konst: i64,
         }

@@ -48,7 +48,7 @@ pub struct AppWorkload {
 
 impl AppWorkload {
     /// Sequential work of a graph including pipeline-group iterations.
-    pub fn graph_serial_work(&self, g: &DelirGraph) -> f64 {
+    pub(crate) fn graph_serial_work(&self, g: &DelirGraph) -> f64 {
         g.nodes
             .iter()
             .map(|n| {
@@ -78,13 +78,6 @@ impl AppWorkload {
     pub fn validate(&self) {
         self.baseline.validate().expect("baseline graph valid");
         self.split.validate().expect("split graph valid");
-    }
-
-    /// The split graph's serial work including pipeline iterations —
-    /// must match the baseline's within tolerance (the transformation
-    /// adds only merge overhead, never loses work).
-    pub fn split_serial_work(&self) -> f64 {
-        self.graph_serial_work(&self.split)
     }
 }
 
@@ -125,7 +118,7 @@ pub struct PhasedParams {
 }
 
 /// Builds an [`AppWorkload`] from the phase template.
-pub fn phased_app(
+pub(crate) fn phased_app(
     name: &'static str,
     description: &'static str,
     params: &PhasedParams,
@@ -256,6 +249,6 @@ mod tests {
             pipeline_iters: iters,
             kernel: Program::new("t"),
         };
-        assert_eq!(w.split_serial_work(), 50.0);
+        assert_eq!(w.graph_serial_work(&w.split), 50.0);
     }
 }

@@ -25,7 +25,7 @@ pub mod emu;
 pub mod psirrfan;
 pub mod vortex;
 
-pub use common::{phased_app, AppWorkload, PhasedParams, Scale};
+pub use common::{AppWorkload, PhasedParams, Scale};
 
 /// All four applications at their paper scales.
 pub fn all_paper_workloads() -> Vec<AppWorkload> {

@@ -22,7 +22,7 @@ use std::collections::HashMap;
 
 /// Simulated time per abstract MF operation (µs). Calibrated to the
 /// nCUBE-2's ≈ 7.5 MFLOPS node processors (≈ 0.13 µs per flop).
-pub const OP_MICROSECONDS: f64 = 0.13;
+pub(crate) const OP_MICROSECONDS: f64 = 0.13;
 
 /// Fallback cost for pieces whose operation count is not statically
 /// calculable (µs).
@@ -274,7 +274,7 @@ pub fn graph_of_compiled(c: &Compiled) -> (DelirGraph, HashMap<String, usize>) {
 /// independent loop becomes one data-parallel operation.
 ///
 /// Returns the graph and the phase-group iteration counts.
-pub fn baseline_graph(prog: &Program) -> (DelirGraph, HashMap<String, usize>) {
+pub(crate) fn baseline_graph(prog: &Program) -> (DelirGraph, HashMap<String, usize>) {
     let ctx = SymCtx::from_program(prog);
     let mut g = DelirGraph::new();
     let mut iters = HashMap::new();

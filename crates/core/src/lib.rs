@@ -22,5 +22,5 @@ pub mod graph;
 pub mod orchestrate;
 
 pub use compile::{compile, compile_source, summarize_pieces, CompileError, Compiled};
-pub use graph::{baseline_graph, graph_of_compiled, OP_MICROSECONDS};
+pub use graph::graph_of_compiled;
 pub use orchestrate::{Comparison, Orchestrator};

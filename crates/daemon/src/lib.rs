@@ -31,7 +31,7 @@ pub mod session;
 pub mod wire;
 
 pub use client::{Client, ClientError};
-pub use sched::{graph_load_specs, graph_tasks, GraphLoad, PoolScheduler};
+pub use sched::{graph_load_specs, GraphLoad, PoolScheduler};
 pub use server::{Daemon, DaemonConfig};
 pub use session::{Admission, AdmissionPolicy, Tenant};
 pub use wire::{JobOptions, JobRow, Request, Response, WireOutput, WireResult};

@@ -49,7 +49,7 @@ pub fn graph_load_specs(g: &DelirGraph, policy: PolicyKind) -> Vec<OpSpec> {
 }
 
 /// Total declared tasks of a graph — the admission-control currency.
-pub fn graph_tasks(g: &DelirGraph) -> usize {
+pub(crate) fn graph_tasks(g: &DelirGraph) -> usize {
     g.nodes.iter().map(|n| n.kind.task_count()).sum()
 }
 
@@ -79,7 +79,7 @@ impl PoolScheduler {
 
     /// A scheduler using a caller-supplied (typically measured) host
     /// calibration for its finishing-time estimates.
-    pub fn with_calibration(workers: usize, cal: HostCalibration) -> Self {
+    pub(crate) fn with_calibration(workers: usize, cal: HostCalibration) -> Self {
         PoolScheduler { workers: workers.max(1), cal, running: Vec::new(), grants: BTreeMap::new() }
     }
 
@@ -109,11 +109,6 @@ impl PoolScheduler {
     /// The current grant of a running job.
     pub fn grant(&self, job: u64) -> Option<usize> {
         self.grants.get(&job).copied()
-    }
-
-    /// All current grants, by job id.
-    pub fn grants(&self) -> &BTreeMap<u64, usize> {
-        &self.grants
     }
 
     /// Re-runs the equalizer over the running graphs. Each job's new
@@ -183,7 +178,7 @@ mod tests {
         assert!(
             s.grant(1).unwrap() > s.grant(2).unwrap(),
             "the weight-3 tenant must out-rank the weight-1 tenant: {:?}",
-            s.grants()
+            (s.grant(1), s.grant(2))
         );
     }
 

@@ -30,12 +30,12 @@ use orchestra_runtime::threaded::ExecutorBackend;
 use orchestra_runtime::PolicyKind;
 
 /// Protocol revision, checked in `hello`.
-pub const PROTOCOL_VERSION: u32 = 1;
+pub(crate) const PROTOCOL_VERSION: u32 = 2;
 
 /// Upper bound on one frame's payload; a graph plus its outputs fits
 /// comfortably, and a corrupt length prefix fails fast instead of
 /// attempting a multi-gigabyte read.
-pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
+pub(crate) const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
 /// Bytes of a frame's length prefix.
 const PREFIX: usize = 4;
@@ -68,7 +68,7 @@ fn payload_text(payload: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) -> String 
 ///
 /// # Errors
 ///
-/// Propagates the transport's I/O errors; a payload over [`MAX_FRAME`],
+/// Propagates the transport's I/O errors; a payload over `MAX_FRAME`,
 /// or bytes whose prefix is not their length, are rejected with
 /// [`io::ErrorKind::InvalidInput`] and nothing is written.
 pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> io::Result<()> {
@@ -176,8 +176,6 @@ fn policy_name(p: PolicyKind) -> &'static str {
     match p {
         PolicyKind::Static => "static",
         PolicyKind::SelfSched => "selfsched",
-        PolicyKind::Gss => "gss",
-        PolicyKind::Factoring => "factoring",
         PolicyKind::Taper => "taper",
         PolicyKind::TaperCostFn => "tapercost",
     }
@@ -187,8 +185,6 @@ fn parse_policy(s: &str) -> Option<PolicyKind> {
     match s {
         "static" => Some(PolicyKind::Static),
         "selfsched" => Some(PolicyKind::SelfSched),
-        "gss" => Some(PolicyKind::Gss),
-        "factoring" => Some(PolicyKind::Factoring),
         "taper" => Some(PolicyKind::Taper),
         "tapercost" => Some(PolicyKind::TaperCostFn),
         _ => None,
@@ -342,7 +338,7 @@ fn job_field(line: &str) -> Result<u64, String> {
 
 /// Whether `name` is a valid tenant token (so names never need
 /// escaping on the wire).
-pub fn valid_tenant(name: &str) -> bool {
+pub(crate) fn valid_tenant(name: &str) -> bool {
     !name.is_empty()
         && name.len() <= 64
         && name.chars().all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '-'))
@@ -397,7 +393,7 @@ impl Request {
     ///
     /// As [`decode`](Request::decode), and for a payload that is not
     /// UTF-8.
-    pub fn decode_bytes(payload: &[u8]) -> Result<Request, String> {
+    pub(crate) fn decode_bytes(payload: &[u8]) -> Result<Request, String> {
         Request::decode(utf8(payload)?)
     }
 
@@ -683,7 +679,7 @@ impl Response {
     ///
     /// Returns a one-line reason when the payload is not a valid
     /// response frame.
-    pub fn decode_bytes(payload: &[u8]) -> Result<Response, String> {
+    pub(crate) fn decode_bytes(payload: &[u8]) -> Result<Response, String> {
         let (head, body) = split_line(payload);
         let head = utf8(head)?;
         let verb = head.split_whitespace().next().unwrap_or("");
@@ -736,12 +732,12 @@ impl Response {
         }
     }
 
-    /// [`decode_bytes`](Response::decode_bytes) of a payload held as
+    /// `decode_bytes` of a payload held as
     /// text.
     ///
     /// # Errors
     ///
-    /// As [`decode_bytes`](Response::decode_bytes).
+    /// As `decode_bytes`.
     pub fn decode(payload: &str) -> Result<Response, String> {
         Response::decode_bytes(payload.as_bytes())
     }
@@ -789,7 +785,7 @@ mod tests {
         round_trip_req(Request::Submit {
             opts: JobOptions {
                 backend: ExecutorBackend::ThreadedDist,
-                policy: PolicyKind::Gss,
+                policy: PolicyKind::SelfSched,
                 seed: 42,
                 deadline: Some(Duration::from_micros(1_500_000)),
                 checkpoint_dir: Some("/tmp/ck".into()),
@@ -1357,10 +1353,11 @@ mod tests {
     #[test]
     fn malformed_requests_are_rejected() {
         assert!(Request::decode("nonsense").is_err());
-        assert!(Request::decode("hello v=1 tenant=a/b weight=1").is_err(), "bad tenant char");
+        assert!(Request::decode("hello v=2 tenant=a/b weight=1").is_err(), "bad tenant char");
         assert!(Request::decode("hello v=99 tenant=a weight=1").is_err(), "bad version");
-        assert!(Request::decode("hello v=1 tenant=a weight=-2").is_err(), "negative weight");
+        assert!(Request::decode("hello v=2 tenant=a weight=-2").is_err(), "negative weight");
         assert!(Request::decode("submit backend=gpu policy=taper seed=1\n").is_err());
+        assert!(Request::decode("submit backend=threaded policy=gss seed=1\n").is_err());
         assert!(Request::decode("wait").is_err(), "missing job id");
     }
 }

@@ -103,7 +103,7 @@ impl SymCtx {
 
 /// Parses a condition of the form `m[idx] REL const` (either side) into
 /// a mask test; returns `None` for anything else.
-pub fn parse_mask_test(cond: &Expr, ctx: &SymCtx) -> Option<MaskTest> {
+pub(crate) fn parse_mask_test(cond: &Expr, ctx: &SymCtx) -> Option<MaskTest> {
     let Expr::Bin(op, l, r) = cond else { return None };
     let (arr_side, const_side, op) = match (&**l, &**r) {
         (Expr::Index(_, _), _) => (l, r, *op),
@@ -126,7 +126,7 @@ pub fn parse_mask_test(cond: &Expr, ctx: &SymCtx) -> Option<MaskTest> {
 
 /// Converts a branch condition into a guard (best-effort): a mask test,
 /// a linear inequality, a conjunction of those, or truth.
-pub fn guard_of_cond(cond: &Expr, positive: bool, ctx: &SymCtx) -> Guard {
+pub(crate) fn guard_of_cond(cond: &Expr, positive: bool, ctx: &SymCtx) -> Guard {
     if let Some(mut m) = parse_mask_test(cond, ctx) {
         if !positive {
             m.rel = m.rel.negate();
@@ -232,7 +232,7 @@ impl LoopIteration {
     /// [`whole_loop`](Self::whole_loop) of an iteration summary the
     /// caller gives up: a loop of one range promotes its triples in
     /// place.
-    pub fn into_whole_loop(self) -> Descriptor {
+    pub(crate) fn into_whole_loop(self) -> Descriptor {
         let mut acc = Descriptor::new();
         match &self.ranges[..] {
             // Bounds not linearizable: widen every triple mentioning
@@ -282,7 +282,11 @@ impl Walk {
         }
     }
 
+    /// Kills `v` and drops its value with it: a killed scalar never
+    /// holds a value, which [`SymCtx::lin`] would substitute before it
+    /// looks at the kills.
     fn kill(&mut self, v: &Name) {
+        self.remove_value(v);
         if self.ctx.killed.insert(v.clone()) {
             self.undo.push(Undo::Killed(v.clone(), false));
         }
@@ -356,10 +360,7 @@ impl Walk {
                                 self.set_value(v, SymValue::Expr(le));
                                 self.unkill(v);
                             }
-                            _ => {
-                                self.remove_value(v);
-                                self.kill(v);
-                            }
+                            _ => self.kill(v),
                         }
                     }
                     LValue::Index(a, idx) => {
@@ -404,13 +405,11 @@ impl Walk {
                 // After the loop: the induction variable and body-assigned
                 // scalars are killed in the surrounding context.
                 self.kill(var);
-                self.remove_value(var);
                 let mut writes = BTreeSet::new();
                 for b in body {
                     b.scalar_writes(&mut writes);
                 }
                 for w in &writes {
-                    self.remove_value(w);
                     self.kill(w);
                 }
             }
@@ -620,6 +619,18 @@ end
         // k's value comes from memory; the write to x[k] must widen.
         let w = d.writes.iter().find(|t| &*t.block == "x").unwrap();
         assert_eq!(w.pattern, None, "killed index ⇒ whole-array write");
+    }
+
+    #[test]
+    fn a_scalar_one_if_arm_kills_loses_its_value_at_the_join() {
+        // `v` is 3 unless the arm ran, and then it is 1: after the join
+        // the write to `a` may be to either element.
+        let (p, ctx) = setup(
+            "program t\n integer n = 4, v = 3\n float x[1..n], a[1..n]\n x[1] = 1.0\n if (x[1] < 0.0) { v = v / 2 }\n a[v] = 1.0\nend",
+        );
+        let d = descriptor_of_stmts(&p.body, &ctx);
+        let w = d.writes.iter().find(|t| &*t.block == "a").unwrap();
+        assert_eq!(w.pattern, None, "a killed index ⇒ whole-array write, got {w}");
     }
 
     #[test]

@@ -35,7 +35,7 @@ impl Descriptor {
     /// Adds a read triple unless it is covered by an existing write
     /// (reads dominated by writes are not live on entry) or is a
     /// duplicate.
-    pub fn add_read(&mut self, t: Triple) {
+    pub(crate) fn add_read(&mut self, t: Triple) {
         if self.writes.iter().any(|w| w.covers(&t)) {
             return;
         }
@@ -45,7 +45,7 @@ impl Descriptor {
     }
 
     /// Adds a write triple (deduplicated).
-    pub fn add_write(&mut self, t: Triple) {
+    pub(crate) fn add_write(&mut self, t: Triple) {
         if !self.writes.contains(&t) {
             self.writes.push(t);
         }
@@ -128,7 +128,7 @@ impl Descriptor {
     }
 
     /// [`promote`](Self::promote) of a descriptor the caller gives up.
-    pub fn into_promoted(mut self, var: &str, range: &SymRange) -> Descriptor {
+    pub(crate) fn into_promoted(mut self, var: &str, range: &SymRange) -> Descriptor {
         for t in self.reads.iter_mut().chain(&mut self.writes) {
             t.promote_in_place(var, range);
         }
@@ -137,7 +137,7 @@ impl Descriptor {
 
     /// Removes triples for the given block (used to ignore a
     /// computation's own induction variable or replicated temporaries).
-    pub fn without_block(mut self, block: &str) -> Descriptor {
+    pub(crate) fn without_block(mut self, block: &str) -> Descriptor {
         self.reads.retain(|t| &*t.block != block);
         self.writes.retain(|t| &*t.block != block);
         self

@@ -8,7 +8,7 @@
 //!   `mask[col] <> 0` — the form the paper's Figure 1/2/3 examples use;
 //! * **linear inequalities** over unresolved scalars, e.g. `i <= a - 1`.
 //!
-//! The key operation is [`Guard::contradicts`]: two guards that provably
+//! The key operation is `Guard::contradicts`: two guards that provably
 //! cannot hold together make their triples disjoint.
 
 use orchestra_analysis::symbolic::{Assertion, Ineq, Name, SymExpr};
@@ -72,7 +72,7 @@ impl MaskTest {
 
     /// True when the two tests provably contradict: same array, provably
     /// equal index, complementary relations.
-    pub fn contradicts(&self, other: &MaskTest) -> bool {
+    pub(crate) fn contradicts(&self, other: &MaskTest) -> bool {
         self.array == other.array
             && self.index.eq_expr(&other.index) == Some(true)
             && self.rel.complementary(other.rel)
@@ -172,7 +172,7 @@ impl Guard {
     /// True when any atom of `self` provably contradicts an atom of
     /// `other` (or an atom set is internally contradictory), meaning the
     /// two guarded accesses can never both occur.
-    pub fn contradicts(&self, other: &Guard) -> bool {
+    pub(crate) fn contradicts(&self, other: &Guard) -> bool {
         // Mask-test contradictions.
         for a in &self.atoms {
             for b in &other.atoms {
@@ -203,7 +203,7 @@ impl Guard {
 
     /// The mask tests whose index is exactly the given symbol — used by
     /// induction-variable promotion to turn a guard into a dimension mask.
-    pub fn mask_tests_on<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a MaskTest> {
+    pub(crate) fn mask_tests_on<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a MaskTest> {
         self.atoms.iter().filter_map(move |a| match a {
             GuardAtom::Mask(m) if m.index.as_name() == Some(name) => Some(m),
             _ => None,
@@ -216,7 +216,7 @@ impl Guard {
     }
 
     /// Removes atoms that mention `name` (widening; sound for guards).
-    pub fn drop_mentions(&self, name: &str) -> Guard {
+    pub(crate) fn drop_mentions(&self, name: &str) -> Guard {
         Guard { atoms: self.atoms.iter().filter(|a| !a.mentions(name)).cloned().collect() }
     }
 }

@@ -38,8 +38,7 @@ pub mod guard;
 pub mod triple;
 
 pub use build::{
-    descriptor_of_stmt, descriptor_of_stmts, guard_of_cond, loop_iteration_descriptor,
-    parse_mask_test, LoopIteration, SymCtx,
+    descriptor_of_stmt, descriptor_of_stmts, loop_iteration_descriptor, LoopIteration, SymCtx,
 };
 pub use descriptor::Descriptor;
 pub use guard::{Guard, GuardAtom, MaskRel, MaskTest};

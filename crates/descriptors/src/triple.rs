@@ -100,7 +100,7 @@ impl Triple {
     }
 
     /// A patterned access.
-    pub fn patterned(block: impl Into<Name>, dims: Vec<DimPattern>) -> Self {
+    pub(crate) fn patterned(block: impl Into<Name>, dims: Vec<DimPattern>) -> Self {
         Triple { guard: Guard::truth(), block: block.into(), pattern: Some(dims) }
     }
 
@@ -203,7 +203,7 @@ impl Triple {
     }
 
     /// [`promote`](Self::promote), in place.
-    pub fn promote_in_place(&mut self, var: &str, range: &SymRange) {
+    pub(crate) fn promote_in_place(&mut self, var: &str, range: &SymRange) {
         if !self.mentions(var) {
             return;
         }

@@ -531,7 +531,7 @@ pub enum Stmt {
 
 impl Stmt {
     /// Creates a simple (unlabeled, unmasked, single-range) `do` loop.
-    pub fn simple_do(var: impl Into<Name>, lo: Expr, hi: Expr, body: Vec<Stmt>) -> Self {
+    pub(crate) fn simple_do(var: impl Into<Name>, lo: Expr, hi: Expr, body: Vec<Stmt>) -> Self {
         Stmt::Do {
             label: None,
             var: var.into(),

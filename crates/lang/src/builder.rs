@@ -53,11 +53,6 @@ pub fn mul(a: Expr, b: Expr) -> Expr {
     Expr::bin(BinOp::Mul, a, b)
 }
 
-/// `a / b`
-pub fn div(a: Expr, b: Expr) -> Expr {
-    Expr::bin(BinOp::Div, a, b)
-}
-
 /// `a = b` (comparison)
 pub fn eq(a: Expr, b: Expr) -> Expr {
     Expr::bin(BinOp::Eq, a, b)
@@ -76,11 +71,6 @@ pub fn lt(a: Expr, b: Expr) -> Expr {
 /// `a <= b`
 pub fn le(a: Expr, b: Expr) -> Expr {
     Expr::bin(BinOp::Le, a, b)
-}
-
-/// `a > b`
-pub fn gt(a: Expr, b: Expr) -> Expr {
-    Expr::bin(BinOp::Gt, a, b)
 }
 
 /// `a >= b`
@@ -124,7 +114,7 @@ pub fn do_loop(var: &str, lo: Expr, hi: Expr, body: Vec<Stmt>) -> Stmt {
 }
 
 /// Labeled unmasked single-range `do` loop.
-pub fn labeled_do(label: &str, var: &str, lo: Expr, hi: Expr, body: Vec<Stmt>) -> Stmt {
+pub(crate) fn labeled_do(label: &str, var: &str, lo: Expr, hi: Expr, body: Vec<Stmt>) -> Stmt {
     Stmt::Do {
         label: Some(label.into()),
         var: var.into(),
@@ -132,32 +122,6 @@ pub fn labeled_do(label: &str, var: &str, lo: Expr, hi: Expr, body: Vec<Stmt>) -
         mask: None,
         body,
     }
-}
-
-/// Masked `do` loop (`do v = lo, hi where (mask) { ... }`).
-pub fn masked_do(var: &str, lo: Expr, hi: Expr, mask: Expr, body: Vec<Stmt>) -> Stmt {
-    Stmt::Do {
-        label: None,
-        var: var.into(),
-        ranges: vec![Range::new(lo, hi)],
-        mask: Some(mask),
-        body,
-    }
-}
-
-/// `do` loop over a discontinuous pair of ranges (`do v = r1 and r2`).
-pub fn split_range_do(var: &str, r1: Range, r2: Range, body: Vec<Stmt>) -> Stmt {
-    Stmt::Do { label: None, var: var.into(), ranges: vec![r1, r2], mask: None, body }
-}
-
-/// `if` without `else`.
-pub fn if_then(cond: Expr, then_body: Vec<Stmt>) -> Stmt {
-    Stmt::If { cond, then_body, else_body: Vec::new() }
-}
-
-/// `if`/`else`.
-pub fn if_else(cond: Expr, then_body: Vec<Stmt>, else_body: Vec<Stmt>) -> Stmt {
-    Stmt::If { cond, then_body, else_body }
 }
 
 /// A builder for whole programs.

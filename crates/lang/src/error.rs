@@ -4,7 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 /// Result alias used throughout the crate.
-pub type LangResult<T> = Result<T, LangError>;
+pub(crate) type LangResult<T> = Result<T, LangError>;
 
 /// An error produced while lexing, parsing, or interpreting MF source.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,7 +33,7 @@ pub enum LangError {
 
 impl LangError {
     /// Creates a lexer error.
-    pub fn lex(msg: impl Into<String>, line: u32, col: u32) -> Self {
+    pub(crate) fn lex(msg: impl Into<String>, line: u32, col: u32) -> Self {
         LangError::Lex { msg: msg.into(), line, col }
     }
 

@@ -41,7 +41,7 @@ pub enum Value {
 
 impl Value {
     /// Interprets the value as a float, coercing integers.
-    pub fn as_float(&self) -> LangResult<f64> {
+    pub(crate) fn as_float(&self) -> LangResult<f64> {
         match self {
             Value::Int(v) => Ok(*v as f64),
             Value::Float(v) => Ok(*v),
@@ -60,7 +60,7 @@ impl Value {
     }
 
     /// Whether this scalar counts as true (non-zero).
-    pub fn truthy(&self) -> LangResult<bool> {
+    pub(crate) fn truthy(&self) -> LangResult<bool> {
         Ok(self.as_float()? != 0.0)
     }
 

@@ -4,7 +4,7 @@
 //! `#` to end of line. Numbers with a decimal point are float literals.
 //!
 //! Every occurrence of an identifier shares one [`Name`]: the spellings
-//! are interned in a table that lives for one [`tokenize`] call, so it
+//! are interned in a table that lives for one `tokenize` call, so it
 //! is bounded by the source it was given.
 
 use crate::ast::Name;
@@ -18,7 +18,7 @@ use std::collections::HashSet;
 ///
 /// Returns [`LangError::Lex`] on any character that cannot begin a token
 /// or on a malformed numeric literal.
-pub fn tokenize(src: &str) -> LangResult<Vec<Token>> {
+pub(crate) fn tokenize(src: &str) -> LangResult<Vec<Token>> {
     Lexer::new(src).run()
 }
 

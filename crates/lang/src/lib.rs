@@ -48,7 +48,7 @@ pub mod token;
 
 pub use ast::{BinOp, Decl, Expr, LValue, Name, Program, Range, Stmt, Type, UnOp};
 pub use check::{check_program, CheckError};
-pub use error::{LangError, LangResult};
+pub use error::LangError;
 pub use interp::{Env, Interp, Value};
 pub use parser::parse_program;
 pub use pretty::pretty_print;

@@ -25,7 +25,7 @@ pub fn pretty_print(p: &Program) -> String {
 }
 
 /// Renders a single declaration, e.g. `float q[1..n, 1..n]`.
-pub fn decl_to_string(d: &Decl) -> String {
+pub(crate) fn decl_to_string(d: &Decl) -> String {
     let mut s = format!("{} {}", d.ty, d.name);
     if !d.dims.is_empty() {
         s.push('[');

@@ -154,7 +154,7 @@ impl fmt::Display for TokenKind {
 }
 
 /// Looks up the keyword for an identifier spelling, if any.
-pub fn keyword(s: &str) -> Option<TokenKind> {
+pub(crate) fn keyword(s: &str) -> Option<TokenKind> {
     Some(match s {
         "program" => TokenKind::Program,
         "end" => TokenKind::End,

@@ -68,7 +68,7 @@ impl MachineConfig {
     }
 
     /// Hop distance between two processors.
-    pub fn distance(&self, a: usize, b: usize) -> u32 {
+    pub(crate) fn distance(&self, a: usize, b: usize) -> u32 {
         if a == b {
             return 0;
         }
@@ -94,13 +94,6 @@ impl MachineConfig {
             .saturating_sub(1),
             Topology::FullyConnected => 1,
         }
-    }
-
-    /// Time to broadcast `bytes` from one processor to all others along
-    /// a binomial tree (log₂ p rounds).
-    pub fn broadcast_time(&self, bytes: u64) -> f64 {
-        let rounds = (self.processors.max(2) as f64).log2().ceil();
-        rounds * (self.alpha + self.beta * bytes as f64 + self.hop)
     }
 }
 
@@ -151,14 +144,6 @@ mod tests {
     fn ideal_machine_communicates_free() {
         let m = MachineConfig::ideal(4);
         assert_eq!(m.msg_time(0, 3, 1_000_000), 0.0);
-    }
-
-    #[test]
-    fn broadcast_scales_logarithmically() {
-        let small = MachineConfig::ncube2(4).broadcast_time(8);
-        let large = MachineConfig::ncube2(1024).broadcast_time(8);
-        assert!(large > small);
-        assert!(large < 11.0 * (100.0 + 0.45 * 8.0 + 5.0));
     }
 
     #[test]

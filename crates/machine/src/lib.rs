@@ -30,4 +30,4 @@ pub mod workload;
 pub use config::{MachineConfig, Topology};
 pub use event::EventQueue;
 pub use procs::{ProcStats, RunStats};
-pub use workload::{summarize, try_summarize, CostDistribution, CostSummary};
+pub use workload::{summarize, CostDistribution, CostSummary};

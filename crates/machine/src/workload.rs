@@ -165,21 +165,20 @@ pub struct CostSummary {
 
 impl CostSummary {
     /// The summary of an empty cost vector: every statistic is zero.
-    /// Callers that must distinguish "no tasks" from "all tasks free"
-    /// should use [`try_summarize`] instead.
-    pub const EMPTY: CostSummary = CostSummary { mean: 0.0, std_dev: 0.0, cv: 0.0, total: 0.0 };
+    /// Callers in this crate that must distinguish "no tasks" from
+    /// "all tasks free" use `try_summarize` instead.
+    pub(crate) const EMPTY: CostSummary =
+        CostSummary { mean: 0.0, std_dev: 0.0, cv: 0.0, total: 0.0 };
 }
 
-/// Computes summary statistics. An empty slice yields
-/// [`CostSummary::EMPTY`] (all zeros) — explicitly, not as an artifact
-/// of division guards; use [`try_summarize`] when the empty case needs
-/// to be handled rather than propagated as zeros.
+/// Computes summary statistics. An empty slice yields all zeros —
+/// explicitly, not as an artifact of division guards.
 pub fn summarize(costs: &[f64]) -> CostSummary {
     try_summarize(costs).unwrap_or(CostSummary::EMPTY)
 }
 
 /// Computes summary statistics, or `None` for an empty slice.
-pub fn try_summarize(costs: &[f64]) -> Option<CostSummary> {
+pub(crate) fn try_summarize(costs: &[f64]) -> Option<CostSummary> {
     if costs.is_empty() {
         return None;
     }

@@ -117,7 +117,7 @@ unsafe impl Sync for OutputCell {}
 /// store through the raw pointer [`cells`](Self::cells) hands out for
 /// the chunk they claimed, the checkpoint scanner reads completed cells
 /// via [`read`](Self::read), downstream ops see a whole op through
-/// [`op_slice`](Self::op_slice), and once the pool has joined
+/// `op_slice`, and once the pool has joined
 /// [`into_outputs`](Self::into_outputs) hands every buffer out as the
 /// run's owned output, where the workers wrote it.
 pub struct OutputArena {
@@ -138,7 +138,7 @@ pub struct Publication {
 impl Publication {
     /// True iff this publication was the op's first (the streamed-edge
     /// enable event).
-    pub fn is_first(&self) -> bool {
+    pub(crate) fn is_first(&self) -> bool {
         self.previous == 0 && self.current > 0
     }
 }
@@ -205,11 +205,6 @@ impl OutputArena {
         self.bufs.len()
     }
 
-    /// Task count of operation `op`.
-    pub fn op_len(&self, op: usize) -> usize {
-        self.bufs[op].len()
-    }
-
     /// Writes one cell through exclusive access — used to pre-fill
     /// restored outputs before the arena is shared with any worker.
     pub fn set(&mut self, op: usize, task: usize, value: f64) {
@@ -220,7 +215,7 @@ impl OutputArena {
     /// to the first, bounds-checked once for the whole span, through
     /// which the span's claimant stores cell `span.start + k` at offset
     /// `k`. The stores never form a `&mut`, so they may overlap a
-    /// consumer's [`op_slice`](Self::op_slice) of the same op (a
+    /// consumer's `op_slice` of the same op (a
     /// streamed edge) — writing is sound only for the claimant of
     /// exactly these cells, and a reader may read a cell only after an
     /// `Acquire` that pairs with a `Release` made after its store.
@@ -264,7 +259,7 @@ impl OutputArena {
     /// ordering (in the runtime: dependency counters reach zero before
     /// any dependent runs), or — a streamed edge — only cells below the
     /// `Acquire`-loaded [`watermark`](Self::watermark).
-    pub unsafe fn op_slice(&self, op: usize) -> &[f64] {
+    pub(crate) unsafe fn op_slice(&self, op: usize) -> &[f64] {
         let buf = &self.bufs[op];
         // SAFETY: the buffer's own pointer and length (dangling but
         // aligned when empty); `OutputCell` has the layout of `f64`;
@@ -290,7 +285,7 @@ impl OutputArena {
     /// The op's published watermark: every cell below it holds its
     /// final value and may be read concurrently with the op still
     /// executing above it. `Acquire`: pairs with the `Release` store in
-    /// [`commit_range`](Self::commit_range) / [`publish_all`](Self::publish_all).
+    /// `commit_range` / [`publish_all`](Self::publish_all).
     pub fn watermark(&self, op: usize) -> usize {
         self.marks[op].published.load(Ordering::Acquire)
     }
@@ -313,7 +308,7 @@ impl OutputArena {
     /// publisher locks the same mutex before `Release`-storing the
     /// advanced watermark, so a reader's `Acquire` load of the
     /// watermark makes every covered cell's final value visible.
-    pub fn commit_range(
+    pub(crate) fn commit_range(
         &self,
         op: usize,
         start: usize,
@@ -371,7 +366,7 @@ impl OutputArena {
 
     /// Force-publishes the whole op — the completion path, which also
     /// covers producers whose chunks never went through
-    /// [`commit_range`](Self::commit_range) (scattered writers, empty
+    /// `commit_range` (scattered writers, empty
     /// ops). Takes the frontier lock so it serializes with in-flight
     /// commits; idempotent once fully published.
     pub fn publish_all(&self, op: usize) -> Publication {
@@ -397,9 +392,6 @@ mod arena_tests {
     fn buffers_are_disjoint_and_sized() {
         let arena = OutputArena::for_ops([3, 0, 5]);
         assert_eq!(arena.ops(), 3);
-        assert_eq!(arena.op_len(0), 3);
-        assert_eq!(arena.op_len(1), 0);
-        assert_eq!(arena.op_len(2), 5);
         let (a, b) = (arena.cells(0, 0..3), arena.cells(2, 1..3));
         // SAFETY: single-threaded test, every store in bounds of its
         // window and no slice of either op alive.
@@ -638,14 +630,8 @@ mod tests {
     /// tables with ties.
     #[test]
     fn the_allocation_is_the_exact_min_max() {
-        let policies = [
-            PolicyKind::Static,
-            PolicyKind::SelfSched,
-            PolicyKind::Gss,
-            PolicyKind::Factoring,
-            PolicyKind::Taper,
-            PolicyKind::TaperCostFn,
-        ];
+        let policies =
+            [PolicyKind::Static, PolicyKind::SelfSched, PolicyKind::Taper, PolicyKind::TaperCostFn];
         let cal = HostCalibration::with_overhead(0.5);
         let mut rng = StdRng::seed_from_u64(18);
         for case in 0..10_000 {

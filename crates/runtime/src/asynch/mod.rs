@@ -105,7 +105,7 @@ struct AsyncShared<'p, 'g> {
 /// Driver-count resolution: `opts.drivers`, else `opts.threads`, else
 /// a small pool (available parallelism capped at 4 — the point of the
 /// backend is a handful of drivers multiplexing many ops).
-pub fn resolve_drivers(opts: &ExecutorOptions) -> usize {
+pub(crate) fn resolve_drivers(opts: &ExecutorOptions) -> usize {
     if opts.drivers > 0 {
         return opts.drivers;
     }

@@ -34,8 +34,8 @@ pub(crate) use fault::FaultState;
 pub use fault::{FaultPlan, FaultTrigger, KillSpec};
 pub use resume::execute_graph_resumable;
 pub(crate) use resume::ResumeState;
-pub use snapshot::{graph_fingerprint, load_latest, plan_fingerprint, snapshot_versions, Snapshot};
-pub(crate) use snapshot::{op_snapshot, OpSnapshot};
+pub use snapshot::{graph_fingerprint, load_latest, snapshot_versions, Snapshot};
+pub(crate) use snapshot::{op_snapshot, plan_fingerprint, OpSnapshot};
 
 use crate::parking::Parking;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

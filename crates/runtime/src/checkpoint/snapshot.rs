@@ -77,7 +77,7 @@ impl Snapshot {
     }
 
     /// The plan fingerprint this snapshot belongs to (see
-    /// [`plan_fingerprint`]).
+    /// `plan_fingerprint`).
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
@@ -85,11 +85,6 @@ impl Snapshot {
     /// Tasks recorded complete, summed over all ops.
     pub fn completed_tasks(&self) -> usize {
         self.ops.iter().map(|o| o.completed.iter().filter(|&&c| c).count()).sum()
-    }
-
-    /// Number of op records in the snapshot.
-    pub fn op_count(&self) -> usize {
-        self.ops.len()
     }
 }
 
@@ -126,7 +121,7 @@ pub(crate) fn op_snapshot(
 /// counts, dependency edges) and the cost seed. Two runs with the same
 /// fingerprint sample identical per-task costs and build identical op
 /// DAGs, so a snapshot from one is a valid resume point for the other.
-pub fn plan_fingerprint(plan: &Plan, seed: u64) -> u64 {
+pub(crate) fn plan_fingerprint(plan: &Plan, seed: u64) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut eat = |bytes: &[u8]| {
         for &b in bytes {
@@ -149,7 +144,7 @@ pub fn plan_fingerprint(plan: &Plan, seed: u64) -> u64 {
     h
 }
 
-/// [`plan_fingerprint`] for a graph + options pair: expands the plan
+/// `plan_fingerprint` for a graph + options pair: expands the plan
 /// the same way the executors do, then fingerprints it.
 ///
 /// # Errors

@@ -4,10 +4,10 @@
 //! beginning of a parallel operation and successively smaller chunks as
 //! the computation proceeds", with chunk sizes shrunk in proportion to
 //! the sampled task-time variability and scaled by the positional cost
-//! function. The baselines it cites are also implemented:
-//! chunk self-scheduling (one task at a time), guided self-scheduling
-//! \[17\], and factoring \[10\]; static block decomposition is the
-//! no-runtime-decisions baseline.
+//! function. Static block decomposition is the no-runtime-decisions
+//! baseline the paper's figures compare it with; chunk
+//! self-scheduling (one task at a time) is kept as the one-task-claim
+//! policy the runtime and its tests need.
 //!
 //! The simulator ([`crate::par_op`]) asks a policy once per claim, the
 //! threaded [`ChunkQueue`](crate::threaded::queue::ChunkQueue) once per
@@ -62,9 +62,15 @@ pub trait ChunkPolicy {
     fn name(&self) -> &'static str;
 }
 
-/// One task per scheduling event (pure self-scheduling).
+/// One task per scheduling event (pure self-scheduling). No figure
+/// runs it; it is kept for the readers that need a claim to be one
+/// task: [`HostCalibration::measure`](crate::HostCalibration::measure)
+/// times one claim on a one-worker self-scheduling queue, and the
+/// crash-at-claim-N tests (`chaos_differential`'s `AfterClaims`,
+/// threaded and async; `cancel`; `daemon_smoke`;
+/// `sched_stress::repeated_self_sched_churn`) count claims as tasks.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SelfSched;
+pub(crate) struct SelfSched;
 
 impl ChunkPolicy for SelfSched {
     fn next_chunk(&mut self, _next: usize, remaining: usize, _p: usize) -> usize {
@@ -76,41 +82,22 @@ impl ChunkPolicy for SelfSched {
     }
 }
 
-/// Guided self-scheduling: `K = ⌈R/p⌉` (Polychronopoulos & Kuck).
+/// Static scheduling on the real backends: `K = ⌈R/p⌉`, a block per
+/// processor of what remains. The claim queue asks once per epoch, and
+/// an epoch spans at most half the remaining tasks, so the op goes out
+/// in `⌈R/p⌉` blocks whose size halves from epoch to epoch. (The
+/// simulator schedules [`PolicyKind::Static`] by its own block path and
+/// never asks this.)
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Gss;
+pub(crate) struct Static;
 
-impl ChunkPolicy for Gss {
+impl ChunkPolicy for Static {
     fn next_chunk(&mut self, _next: usize, remaining: usize, p: usize) -> usize {
         remaining.min(remaining.div_ceil(p).max(1))
     }
 
     fn name(&self) -> &'static str {
-        "guided self-scheduling"
-    }
-}
-
-/// Factoring (Hummel, Schonberg & Flynn): batches of `p` equal chunks,
-/// each batch covering half the remaining work. A batch is a span of
-/// the iteration space: a new one starts when the frontier reaches the
-/// end of the last.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Factoring {
-    batch_end: usize,
-    batch_chunk: usize,
-}
-
-impl ChunkPolicy for Factoring {
-    fn next_chunk(&mut self, next: usize, remaining: usize, p: usize) -> usize {
-        if next >= self.batch_end {
-            self.batch_chunk = remaining.div_ceil(2 * p).max(1);
-            self.batch_end = next + self.batch_chunk * p;
-        }
-        remaining.min(self.batch_chunk)
-    }
-
-    fn name(&self) -> &'static str {
-        "factoring"
+        "static"
     }
 }
 
@@ -120,7 +107,7 @@ impl ChunkPolicy for Factoring {
 /// mere token-latency asymmetry, defeating the locality the scheme
 /// exists to preserve. Shared by the event-driven simulator and the
 /// threaded backend so both make the same migration decisions.
-pub const REASSIGN_CV_GATE: f64 = 0.05;
+pub(crate) const REASSIGN_CV_GATE: f64 = 0.05;
 
 /// TAPER: variance-adaptive decreasing chunks with cost-function
 /// scaling.
@@ -132,14 +119,14 @@ pub const REASSIGN_CV_GATE: f64 = 0.05;
 /// ```
 ///
 /// where `cv = σ/µ` is the sampled coefficient of variation — regular
-/// operations (`cv ≈ 0`) get GSS-like large chunks, irregular ones get
+/// operations (`cv ≈ 0`) get large `⌈R/p⌉` chunks, irregular ones get
 /// proportionally smaller chunks so the expected chunk-time spread
 /// stays bounded (this is the quantitative µ/σ relationship of \[14\]).
 /// The chunk is then scaled by `s = µg/µc` from the positional cost
 /// function, shrinking chunks in expensive regions of the iteration
 /// space.
 #[derive(Debug, Clone)]
-pub struct Taper {
+pub(crate) struct Taper {
     stats: OnlineStats,
     cost_fn: Option<CostFn>,
     min_chunk: usize,
@@ -152,17 +139,12 @@ impl Taper {
     }
 
     /// TAPER with a positional cost function over `total_tasks`.
-    pub fn with_cost_fn(total_tasks: usize) -> Self {
+    pub(crate) fn with_cost_fn(total_tasks: usize) -> Self {
         Taper {
             stats: OnlineStats::new(),
             cost_fn: Some(CostFn::new(16, total_tasks)),
             min_chunk: 1,
         }
-    }
-
-    /// The sampled coefficient of variation so far.
-    pub fn cv(&self) -> f64 {
-        self.stats.cv()
     }
 
     /// Number of task-time samples observed so far.
@@ -183,7 +165,7 @@ impl Taper {
     /// `done` is the number of tasks already handed out globally,
     /// `remaining_global` the number not yet handed out, `local_len`
     /// the caller's home-queue length (must be nonzero).
-    pub fn epoch_chunk(
+    pub(crate) fn epoch_chunk(
         &mut self,
         done: usize,
         remaining_global: usize,
@@ -198,7 +180,7 @@ impl Taper {
     /// from a laggard: cv above [`REASSIGN_CV_GATE`] once at least
     /// `2p` samples exist (the same sampling threshold that ends
     /// [`epoch_chunk`](Self::epoch_chunk)'s conservative phase).
-    pub fn reassign_signal(&self, p: usize) -> bool {
+    pub(crate) fn reassign_signal(&self, p: usize) -> bool {
         self.stats.cv_if_sampled(2 * p as u64).is_some_and(|cv| cv > REASSIGN_CV_GATE)
     }
 }
@@ -256,10 +238,6 @@ pub enum PolicyKind {
     Static,
     /// One task per event.
     SelfSched,
-    /// Guided self-scheduling.
-    Gss,
-    /// Factoring.
-    Factoring,
     /// TAPER without cost function.
     Taper,
     /// TAPER with positional cost function.
@@ -267,15 +245,14 @@ pub enum PolicyKind {
 }
 
 impl PolicyKind {
-    /// Instantiates the policy (for dynamic kinds; `Static` has its own
-    /// simulation path and yields GSS here as a harmless default). The
-    /// box is `Send` so real-thread backends can move it into a shared
-    /// chunk queue.
+    /// Instantiates the policy a claim queue asks. `Static` yields the
+    /// `⌈R/p⌉` rule, which the real backends run; the simulator
+    /// schedules `Static` by its own block path. The box is `Send` so
+    /// real-thread backends can move it into a shared chunk queue.
     pub fn instantiate(&self, total_tasks: usize) -> Box<dyn ChunkPolicy + Send> {
         match self {
             PolicyKind::SelfSched => Box::new(SelfSched),
-            PolicyKind::Gss | PolicyKind::Static => Box::<Gss>::default(),
-            PolicyKind::Factoring => Box::<Factoring>::default(),
+            PolicyKind::Static => Box::new(Static),
             PolicyKind::Taper => Box::new(Taper::new()),
             PolicyKind::TaperCostFn => Box::new(Taper::with_cost_fn(total_tasks)),
         }
@@ -286,8 +263,6 @@ impl PolicyKind {
         match self {
             PolicyKind::Static => "static",
             PolicyKind::SelfSched => "self-scheduling",
-            PolicyKind::Gss => "GSS",
-            PolicyKind::Factoring => "factoring",
             PolicyKind::Taper => "TAPER",
             PolicyKind::TaperCostFn => "TAPER+costfn",
         }
@@ -298,20 +273,29 @@ impl PolicyKind {
 /// `n` tasks on `p` processors under each policy — the paper predicts
 /// this count at runtime to estimate scheduling overhead (`sched` in
 /// the finishing-time expression).
-pub fn predicted_chunks(kind: PolicyKind, n: usize, p: usize, cv: f64) -> f64 {
+pub(crate) fn predicted_chunks(kind: PolicyKind, n: usize, p: usize, cv: f64) -> f64 {
     let n_f = n as f64;
     let p_f = p as f64;
     match kind {
         PolicyKind::Static => p_f.min(n_f),
         PolicyKind::SelfSched => n_f,
-        // Decreasing-chunk schemes schedule ≈ p·ln(n/p) chunks.
-        PolicyKind::Gss | PolicyKind::Factoring => {
-            (p_f * (n_f / p_f).max(1.0).ln()).max(p_f.min(n_f))
-        }
         PolicyKind::Taper | PolicyKind::TaperCostFn => {
             let spread = 1.0 + cv * (2.0 * p_f.max(2.0).ln()).sqrt();
             (spread * p_f * (n_f / p_f).max(1.0).ln()).max(p_f.min(n_f))
         }
+    }
+}
+
+/// Expected number of claims on a real backend's
+/// [`ChunkQueue`](crate::threaded::queue::ChunkQueue) for an operation
+/// of `n` tasks sized for `p` workers: [`predicted_chunks`], except for
+/// `Static`, whose `⌈R/p⌉` rule the queue asks once per epoch of at
+/// most half the remaining tasks, so its halving blocks number about
+/// `p/2 · log2(n/p)` ([`static_claims`](crate::threaded::queue::static_claims)).
+pub(crate) fn predicted_claims(kind: PolicyKind, n: usize, p: usize, cv: f64) -> f64 {
+    match kind {
+        PolicyKind::Static => crate::threaded::queue::static_claims(n, p) as f64,
+        _ => predicted_chunks(kind, n, p, cv),
     }
 }
 
@@ -328,51 +312,22 @@ mod tests {
     }
 
     #[test]
-    fn gss_halves_geometrically() {
-        let mut g = Gss;
-        let mut remaining = 64usize;
-        let mut sizes = Vec::new();
-        while remaining > 0 {
-            let k = g.next_chunk(64 - remaining, remaining, 4);
-            sizes.push(k);
-            remaining -= k;
-        }
-        assert_eq!(sizes[0], 16);
-        assert!(sizes.windows(2).all(|w| w[1] <= w[0]));
-        assert_eq!(sizes.iter().sum::<usize>(), 64);
+    fn static_hands_a_block_per_processor() {
+        let mut s = Static;
+        assert_eq!(s.next_chunk(0, 64, 4), 16);
+        assert_eq!(s.next_chunk(0, 63, 4), 16);
+        assert_eq!(s.next_chunk(60, 3, 4), 1);
+        assert_eq!(s.next_chunk(64, 0, 4), 0);
     }
 
     #[test]
-    fn factoring_issues_equal_batches() {
-        let mut f = Factoring::default();
-        let p = 4;
-        let (mut next, mut remaining) = (0usize, 80usize);
-        let mut sizes = Vec::new();
-        while remaining > 0 {
-            let k = f.next_chunk(next, remaining, p);
-            sizes.push(k);
-            next += k;
-            remaining -= k;
-        }
-        assert_eq!(sizes[..8], [10, 10, 10, 10, 5, 5, 5, 5], "80/(2·4), then 40/(2·4)");
-        // The batch follows the frontier, not the call count: asked
-        // twice at the same index, or mid-batch after a skipped call,
-        // the answer is the batch's chunk.
-        let mut g = Factoring::default();
-        assert_eq!(g.next_chunk(0, 80, p), 10);
-        assert_eq!(g.next_chunk(0, 80, p), 10);
-        assert_eq!(g.next_chunk(30, 50, p), 10);
-        assert_eq!(g.next_chunk(40, 40, p), 5);
-    }
-
-    #[test]
-    fn taper_matches_gss_for_regular_work() {
+    fn taper_matches_static_for_regular_work() {
         let mut t = Taper::new();
         for _ in 0..50 {
             t.observe(0, 5.0); // constant costs → cv = 0
         }
         let k = t.next_chunk(0, 64, 4);
-        assert_eq!(k, 16, "cv=0 behaves like GSS");
+        assert_eq!(k, Static.next_chunk(0, 64, 4), "cv=0 behaves like static");
     }
 
     #[test]
@@ -381,7 +336,7 @@ mod tests {
         for i in 0..60 {
             t.observe(0, if i % 10 == 0 { 50.0 } else { 1.0 });
         }
-        assert!(t.cv() > 1.0);
+        assert!(t.stats.cv() > 1.0);
         let k = t.next_chunk(0, 64, 4);
         assert!(k < 16, "irregular work gets smaller chunks, got {k}");
         assert!(k >= 1);
@@ -435,12 +390,8 @@ mod tests {
 
     #[test]
     fn chunks_always_within_bounds() {
-        let mut policies: Vec<Box<dyn ChunkPolicy>> = vec![
-            Box::new(SelfSched),
-            Box::<Gss>::default(),
-            Box::<Factoring>::default(),
-            Box::new(Taper::new()),
-        ];
+        let mut policies: Vec<Box<dyn ChunkPolicy>> =
+            vec![Box::new(SelfSched), Box::new(Static), Box::new(Taper::new())];
         for pol in &mut policies {
             let mut remaining = 1000usize;
             while remaining > 0 {
@@ -482,18 +433,18 @@ mod tests {
         assert_eq!(sizes.iter().sum::<usize>(), total);
         assert!(sizes.len() > 2, "irregular costs must yield several chunks");
         assert_eq!(per_task.samples(), batched.samples());
-        assert!((per_task.cv() - batched.cv()).abs() < 1e-9);
+        assert!((per_task.stats.cv() - batched.stats.cv()).abs() < 1e-9);
     }
 
     #[test]
     fn predicted_chunks_ordering() {
-        // static ≤ guided ≤ taper(irregular) ≤ self-sched
+        // static ≤ taper(regular) ≤ taper(irregular) ≤ self-sched
         let n = 4096;
         let p = 64;
         let st = predicted_chunks(PolicyKind::Static, n, p, 0.0);
-        let gss = predicted_chunks(PolicyKind::Gss, n, p, 0.0);
+        let regular = predicted_chunks(PolicyKind::Taper, n, p, 0.0);
         let tp = predicted_chunks(PolicyKind::Taper, n, p, 1.5);
         let ss = predicted_chunks(PolicyKind::SelfSched, n, p, 0.0);
-        assert!(st <= gss && gss <= tp && tp <= ss);
+        assert!(st <= regular && regular <= tp && tp <= ss);
     }
 }

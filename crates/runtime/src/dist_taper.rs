@@ -16,7 +16,7 @@
 //!
 //! The protocol is written once, in `coord`: a clock-free state
 //! machine that this module's discrete-event simulation and the
-//! threaded home queues ([`DistQueue`](crate::threaded::dist::DistQueue))
+//! threaded home queues (`DistQueue`)
 //! both drive. The simulator adds the clocks.
 //!
 //! The epoch tokens earn a second job in the real threaded backend:

@@ -133,12 +133,12 @@ impl Coord {
     }
 
     /// Unclaimed tasks in `worker`'s home.
-    pub fn home_len(&self, worker: usize) -> usize {
+    pub(crate) fn home_len(&self, worker: usize) -> usize {
         tasks_in(&self.homes[worker])
     }
 
     /// The TAPER policy's sampled cost statistics.
-    pub fn live_stats(&self) -> Option<OnlineStats> {
+    pub(crate) fn live_stats(&self) -> Option<OnlineStats> {
         self.policy.live_stats()
     }
 
@@ -179,7 +179,7 @@ impl Coord {
     }
 
     /// Lands re-assigned work at the back of its claimant's home.
-    pub fn deliver(&mut self, m: Move) {
+    pub(crate) fn deliver(&mut self, m: Move) {
         self.homes[m.to].extend(m.runs);
     }
 
@@ -408,7 +408,8 @@ mod tests {
         /// What the rest of the path depends on: the memo key.
         fn key(&self) -> Vec<u64> {
             let c = &self.coord;
-            let mut k = vec![c.claimed as u64, c.policy.samples(), c.policy.cv().to_bits()];
+            let cv = c.policy.live_stats().expect("TAPER samples").cv();
+            let mut k = vec![c.claimed as u64, c.policy.samples(), cv.to_bits()];
             k.push(c.epoch_times.last().map_or(u64::MAX, |t| t.to_bits()));
             for runs in c.homes.iter().chain(self.flight.iter().map(|m| &m.runs)) {
                 k.push(u64::MAX);

@@ -17,7 +17,7 @@
 //! * `sched` — predicted scheduling events × per-event overhead,
 //!   divided across processors.
 
-use crate::chunking::{predicted_chunks, PolicyKind};
+use crate::chunking::{predicted_chunks, predicted_claims, PolicyKind};
 use crate::stats::OnlineStats;
 use orchestra_delirium::NodeKind;
 use orchestra_machine::MachineConfig;
@@ -48,24 +48,6 @@ impl OpSpec {
     /// allocation decision.
     pub const fn empty(policy: PolicyKind) -> Self {
         OpSpec { tasks: 0, mean: 0.0, std_dev: 0.0, bytes_in: 0, bytes_out: 0, policy }
-    }
-
-    /// A spec from sampled costs. An empty slice yields
-    /// [`OpSpec::empty`] — explicitly, rather than by letting
-    /// `summarize`'s division guards leak zeros into a spec that still
-    /// claims tasks.
-    pub fn from_costs(costs: &[f64], bytes_per_task: u64, policy: PolicyKind) -> Self {
-        let Some(s) = orchestra_machine::try_summarize(costs) else {
-            return OpSpec::empty(policy);
-        };
-        OpSpec {
-            tasks: costs.len(),
-            mean: s.mean,
-            std_dev: s.std_dev,
-            bytes_in: costs.len() as u64 * bytes_per_task,
-            bytes_out: costs.len() as u64 * bytes_per_task,
-            policy,
-        }
     }
 
     /// The spec a graph node declares before anything ran: its task
@@ -181,6 +163,18 @@ const MIGRATED_FRACTION: f64 = 0.1;
 /// Panics if `p` is zero.
 pub fn finish_estimate(op: &OpSpec, p: usize, cfg: &MachineConfig) -> FinishEstimate {
     assert!(p > 0, "estimate needs at least one processor");
+    estimate(op, p, cfg, predicted_chunks)
+}
+
+/// Equation 1 with the scheduling-event count drawn from `chunks`
+/// (policy, tasks, processors, cv): the simulator's count for
+/// [`finish_estimate`], the claim queue's for [`finish_estimate_live`].
+fn estimate(
+    op: &OpSpec,
+    p: usize,
+    cfg: &MachineConfig,
+    chunks: fn(PolicyKind, usize, usize, f64) -> f64,
+) -> FinishEstimate {
     if op.tasks == 0 {
         return FinishEstimate { setup: 0.0, compute: 0.0, lag: 0.0, comm: 0.0, sched: 0.0 };
     }
@@ -212,8 +206,7 @@ pub fn finish_estimate(op: &OpSpec, p: usize, cfg: &MachineConfig) -> FinishEsti
     };
 
     // sched: predicted chunk count × overhead, shared across processors.
-    let chunks = predicted_chunks(op.policy, op.tasks, p, op.cv());
-    let sched = chunks * cfg.sched_overhead / p_f;
+    let sched = chunks(op.policy, op.tasks, p, op.cv()) * cfg.sched_overhead / p_f;
 
     FinishEstimate { setup, compute, lag, comm, sched }
 }
@@ -229,7 +222,7 @@ pub struct HostCalibration {
     /// [`ChunkQueue`](crate::threaded::queue::ChunkQueue) — in µs.
     pub sched_overhead_us: f64,
     /// Measured cost of one watermark publication — one
-    /// [`commit_range`](crate::alloc::OutputArena::commit_range) that
+    /// `commit_range` that
     /// advances the frontier — in µs. The α fed to
     /// [`choose_batch`](crate::choose_batch) on the real
     /// backends.
@@ -319,7 +312,10 @@ impl HostCalibration {
 /// messages are free (`setup = comm = 0` — no data is contracted onto a
 /// partition; workers share one address space) and whose scheduling
 /// event costs the host's measured claim instead of the nCUBE-2
-/// constant.
+/// constant. Its scheduling events are the claims the op's
+/// [`ChunkQueue`](crate::threaded::queue::ChunkQueue) hands out
+/// (`predicted_claims`): a `Static` op goes out there in halving
+/// blocks, not in the simulator's one block per processor.
 /// `op` should come from [`OpSpec::from_live`] so `N`, µ, and σ are
 /// the queue's current remaining count and sampled statistics.
 ///
@@ -329,7 +325,7 @@ impl HostCalibration {
 pub fn finish_estimate_live(op: &OpSpec, p: usize, cal: &HostCalibration) -> FinishEstimate {
     assert!(p > 0, "estimate needs at least one processor");
     let host = MachineConfig { sched_overhead: cal.sched_overhead_us, ..MachineConfig::ideal(p) };
-    finish_estimate(op, p, &host)
+    estimate(op, p, &host, predicted_claims)
 }
 
 #[cfg(test)]
@@ -380,7 +376,7 @@ mod tests {
 
     #[test]
     fn single_processor_is_pure_compute_plus_sched() {
-        let s = spec(100, 10.0, 0.3, PolicyKind::Gss);
+        let s = spec(100, 10.0, 0.3, PolicyKind::Static);
         let e = finish_estimate(&s, 1, &MachineConfig::ncube2(1));
         assert_eq!(e.setup, 0.0);
         assert_eq!(e.comm, 0.0);
@@ -402,7 +398,8 @@ mod tests {
         let costs = CostDistribution::Bimodal { mean: 50.0, heavy_frac: 0.2, heavy_mult: 5.0 }
             .sample(2048, 33);
         let cfg = MachineConfig::ncube2(64);
-        let s = OpSpec::from_costs(&costs, 256, PolicyKind::Taper);
+        let sum = orchestra_machine::summarize(&costs);
+        let s = spec(costs.len(), sum.mean, sum.std_dev / sum.mean, PolicyKind::Taper);
         let est = finish_estimate(&s, 64, &cfg).total();
         let sim =
             simulate_policy(&cfg, 64, &costs, PolicyKind::Taper, &OpOptions::default()).finish;
@@ -411,23 +408,12 @@ mod tests {
     }
 
     #[test]
-    fn from_costs_matches_summary() {
-        let costs = vec![2.0, 4.0, 6.0];
-        let s = OpSpec::from_costs(&costs, 100, PolicyKind::Gss);
-        assert_eq!(s.tasks, 3);
-        assert!((s.mean - 4.0).abs() < 1e-12);
-        assert_eq!(s.bytes_in, 300);
-        assert!((s.total_work() - 12.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_costs_yield_the_explicit_empty_spec() {
-        let s = OpSpec::from_costs(&[], 256, PolicyKind::Taper);
-        assert_eq!(s, OpSpec::empty(PolicyKind::Taper));
+        let s = OpSpec::empty(PolicyKind::Taper);
         assert_eq!(s.tasks, 0);
         assert_eq!(s.total_work(), 0.0);
-        // And the estimator maps it to a zero estimate instead of
-        // folding a zero mean into a nonzero sched/setup term.
+        // The estimator maps it to a zero estimate instead of folding a
+        // zero mean into a nonzero sched/setup term.
         let e = finish_estimate(&s, 8, &MachineConfig::ncube2(8));
         assert_eq!(e.total(), 0.0);
         let el = finish_estimate_live(&s, 8, &HostCalibration::with_overhead(0.5));
@@ -464,20 +450,20 @@ mod tests {
     }
 
     /// Equation 1 is written once: the live estimate is
-    /// `N·µ/p + σ·√(2·ln m) + chunks·o/p` to the bit, whatever bytes the
+    /// `N·µ/p + σ·√(2·ln m) + claims·o/p` to the bit, whatever bytes the
     /// spec carries, because every message-passing term of
     /// [`finish_estimate`] multiplies a zero of the free machine.
     #[test]
     fn live_estimate_is_equation_one_on_a_free_machine() {
         let cal = HostCalibration::with_overhead(0.37);
-        for policy in [PolicyKind::SelfSched, PolicyKind::Gss, PolicyKind::Taper] {
+        for policy in [PolicyKind::Static, PolicyKind::SelfSched, PolicyKind::Taper] {
             for (n, mean, cv) in [(1, 3.0, 0.0), (7, 0.5, 1.5), (4096, 100.0, 0.5), (100, 1.0, 0.0)]
             {
                 for p in [1usize, 2, 3, 8, 64, 5000] {
                     let s = spec(n, mean, cv, policy);
                     let (p_f, m) = (p as f64, p.min(n) as f64);
                     let lag = if m <= 1.0 { 0.0 } else { s.std_dev * (2.0 * m.ln()).sqrt() };
-                    let sched = predicted_chunks(policy, n, p, s.cv()) * 0.37 / p_f;
+                    let sched = predicted_claims(policy, n, p, s.cv()) * 0.37 / p_f;
                     let e = finish_estimate_live(&s, p, &cal);
                     assert_eq!((e.setup, e.comm), (0.0, 0.0));
                     assert_eq!(

@@ -28,7 +28,7 @@
 /// time (µs): total per-message latency plus the fill delay of one
 /// batch. The steady-state byte-transfer time `n·item_bytes·β` is paid
 /// regardless of batching and is accounted separately by
-/// [`pipelined_stage_time`].
+/// `pipelined_stage_time`.
 pub fn batch_cost(n: usize, item_bytes: u64, b: usize, alpha: f64, beta: f64) -> f64 {
     let b = b.clamp(1, n.max(1));
     let msgs = (n as f64 / b as f64).ceil();
@@ -84,7 +84,7 @@ pub fn choose_batch(n: usize, item_bytes: u64, alpha: f64, beta: f64) -> usize {
 /// latency added to the slower stage — also the overlapped-stage
 /// estimate the real backends' finishing-time equalizer uses for
 /// streamed producer→consumer pairs.
-pub fn pipelined_stage_time(
+pub(crate) fn pipelined_stage_time(
     producer_time: f64,
     consumer_time: f64,
     n: usize,

@@ -8,8 +8,8 @@
 //! * [`stats`] — online µ/σ sampling and positional cost functions;
 //! * [`chunking`] — grain-size policies: **TAPER** (variance-adaptive
 //!   decreasing chunks with `s = µg/µc` cost-function scaling) and the
-//!   baselines it is compared against (static block, self-scheduling,
-//!   guided self-scheduling, factoring);
+//!   static block baseline it is compared against, and one-task
+//!   self-scheduling;
 //! * [`par_op`] — the simulated machine's one scheduling loop: a DAG
 //!   of parallel operations under owner-computes data placement, each
 //!   served by its chunk policy, a single operation its simplest case;
@@ -58,23 +58,22 @@ pub mod stats;
 pub mod threaded;
 
 pub use alloc::{allocate_many, OutputArena, Publication};
-pub use asynch::{execute_async, resolve_drivers};
+pub use asynch::execute_async;
 pub use cancel::{CancelToken, RunError};
 pub use checkpoint::{
-    execute_graph_resumable, graph_fingerprint, load_latest, plan_fingerprint, snapshot_versions,
-    CheckpointSpec, FaultPlan, FaultTrigger, KillSpec, Snapshot,
+    execute_graph_resumable, graph_fingerprint, load_latest, snapshot_versions, CheckpointSpec,
+    FaultPlan, FaultTrigger, KillSpec, Snapshot,
 };
-pub use chunking::{ChunkPolicy, Factoring, Gss, PolicyKind, SelfSched, Taper, REASSIGN_CV_GATE};
+pub use chunking::{ChunkPolicy, PolicyKind};
 pub use dist_taper::{simulate_dist_taper, DistResult};
 pub use executor::{costs_of_node, execute_graph, ExecutionReport, ExecutorOptions, NodeReport};
 pub use finish::{finish_estimate, finish_estimate_live, FinishEstimate, HostCalibration, OpSpec};
-pub use granularity::{batch_cost, choose_batch, pipelined_stage_time};
-pub use par_op::{owner_of, simulate_policy, OpOptions, OpResult};
+pub use granularity::{batch_cost, choose_batch};
+pub use par_op::{simulate_policy, OpOptions, OpResult};
 pub use run::{OpRecord, RunReport};
-pub use stats::{CostFn, OnlineStats};
+pub use stats::OnlineStats;
 pub use threaded::affinity::{pin_current_thread, Affinity};
 pub use threaded::crew::Crew;
-pub use threaded::dist::{DistChunk, DistQueue};
 pub use threaded::{
     execute_sequential, execute_threaded, AccessPattern, ExecutorBackend, ReduceKernel, SpinKernel,
     TaskCtx, TaskKernel,

@@ -305,8 +305,7 @@ impl OpState<'_> {
     /// schedules are sized for the op's equalizer share, not the whole
     /// pool, and the policy warm-starts from the snapshot's µ/σ — before
     /// the queue publishes its first decision — so a resumed run sizes
-    /// chunks as if it had kept sampling. (`Static` has no dynamic
-    /// queue on real threads; it instantiates as GSS.)
+    /// chunks as if it had kept sampling.
     pub(crate) fn chunk_queue(&self, policy: PolicyKind) -> ChunkQueue {
         let pending = self.pending();
         let mut policy = policy.instantiate(pending);
@@ -500,10 +499,6 @@ pub(crate) fn set_up<'p>(
     let mut shares: Vec<Range<usize>> = vec![0..pool; n];
     if opts.use_allocation && pool > 1 && pool <= 64 {
         let cal = HostCalibration::get();
-        let kind = match opts.policy {
-            PolicyKind::Static => PolicyKind::Gss,
-            p => p,
-        };
         let mut depth = vec![0usize; n];
         let mut by_depth: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for (i, op) in plan.ops.iter().enumerate() {
@@ -517,7 +512,7 @@ pub(crate) fn set_up<'p>(
                 continue;
             }
             let specs: Vec<OpSpec> =
-                group.iter().map(|&i| OpSpec::from_live(pending[i], None, kind)).collect();
+                group.iter().map(|&i| OpSpec::from_live(pending[i], None, opts.policy)).collect();
             let alloc =
                 allocate_many(&specs, pool, |s, p| finish_estimate_live(s, p, &cal).total());
             let mut offset = 0usize;

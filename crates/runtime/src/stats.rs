@@ -86,7 +86,7 @@ impl OnlineStats {
     /// Observes the same value `k` times (a weighted observation):
     /// shifts the mean exactly as `k` calls to [`observe`](Self::observe)
     /// would, with zero within-group spread.
-    pub fn observe_n(&mut self, x: f64, k: u64) {
+    pub(crate) fn observe_n(&mut self, x: f64, k: u64) {
         self.merge(&OnlineStats { n: k, mean: x, m2: 0.0 });
     }
 
@@ -95,7 +95,7 @@ impl OnlineStats {
     /// re-assignment rule) need "no signal yet" to be distinguishable
     /// from "measured ≈ 0": acting on a cv estimated from one or two
     /// samples would steal work on noise.
-    pub fn cv_if_sampled(&self, min: u64) -> Option<f64> {
+    pub(crate) fn cv_if_sampled(&self, min: u64) -> Option<f64> {
         if self.n >= min.max(1) {
             Some(self.cv())
         } else {
@@ -114,7 +114,7 @@ impl OnlineStats {
     /// reading [`count`](Self::count) / [`mean`](Self::mean) /
     /// [`m2`](Self::m2). `merge`-ing the result behaves exactly like
     /// the original accumulator (checkpoint restore path).
-    pub fn from_parts(count: u64, mean: f64, m2: f64) -> Self {
+    pub(crate) fn from_parts(count: u64, mean: f64, m2: f64) -> Self {
         if count == 0 {
             return OnlineStats::new();
         }
@@ -125,7 +125,7 @@ impl OnlineStats {
 /// A positional cost function: mean task cost per bucket of the
 /// iteration space, built from samples.
 #[derive(Debug, Clone)]
-pub struct CostFn {
+pub(crate) struct CostFn {
     buckets: Vec<OnlineStats>,
     total_tasks: usize,
 }
@@ -157,7 +157,7 @@ impl CostFn {
     /// weighted by how many of the chunk's indices fall in it. Bucket
     /// means — all the cost function reads — match per-task feeding of
     /// the same mean; only within-chunk spread is dropped.
-    pub fn observe_span(&mut self, start: usize, len: usize, mean_cost: f64) {
+    pub(crate) fn observe_span(&mut self, start: usize, len: usize, mean_cost: f64) {
         let mut i = start;
         let end = start + len;
         while i < end {
@@ -183,7 +183,7 @@ impl CostFn {
     }
 
     /// Mean over all samples.
-    pub fn global_mean(&self) -> f64 {
+    pub(crate) fn global_mean(&self) -> f64 {
         let (mut total, mut n) = (0.0, 0u64);
         for b in &self.buckets {
             total += b.mean() * b.count() as f64;
@@ -198,7 +198,7 @@ impl CostFn {
 
     /// The chunk scaling factor `s = µg/µc` for a chunk covering
     /// `[start, start+len)` (1.0 with no data).
-    pub fn chunk_scale(&self, start: usize, len: usize) -> f64 {
+    pub(crate) fn chunk_scale(&self, start: usize, len: usize) -> f64 {
         let g = self.global_mean();
         if g <= 0.0 || len == 0 {
             return 1.0;

@@ -1,10 +1,9 @@
 //! Distributed TAPER on real threads (§4.1.1).
 //!
 //! The threaded counterpart of [`crate::dist_taper`]: each worker owns
-//! a *home queue* of tasks (block-decomposed by
-//! [`owner_of`](crate::par_op::owner_of) over the op's members, exactly
-//! as the simulator places them), draws decreasing-size epoch chunks
-//! from it, and sends an epoch *token* to a logical binary tree
+//! a *home queue* of tasks (block-decomposed over the op's members,
+//! exactly as the simulator places them), draws decreasing-size epoch
+//! chunks from it, and sends an epoch *token* to a logical binary tree
 //! whenever it claims. The decisions — token counts, the cv-gated
 //! re-assignment of half a laggard's home, epoch completion, chunk
 //! sizes — are the coordinator's, the same clock-free state machine the
@@ -48,7 +47,7 @@ use std::sync::{Mutex, MutexGuard};
 /// One claimed epoch chunk: a contiguous span taken off the front of
 /// the claiming worker's home queue, and the epoch it was tokened in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DistChunk {
+pub(crate) struct DistChunk {
     /// The claimed task indices.
     pub chunk: Chunk,
     /// Global epoch at claim time.
@@ -57,7 +56,7 @@ pub struct DistChunk {
 
 /// The per-worker home-queue claim path for one parallel operation
 /// under distributed TAPER.
-pub struct DistQueue {
+pub(crate) struct DistQueue {
     coord: Mutex<Coord>,
     /// Tasks not yet handed out; updated inside the claim's critical
     /// section so an exhausted queue is detectable with a single load.
@@ -114,7 +113,7 @@ impl DistQueue {
     ///
     /// Panics if `worker` is out of range or `costs` is shorter than
     /// the iteration space.
-    pub fn claim_bounded(
+    pub(crate) fn claim_bounded(
         &self,
         worker: usize,
         costs: &[f64],
@@ -135,13 +134,9 @@ impl DistQueue {
         Some(DistChunk { chunk, epoch: epoch as u64 })
     }
 
-    /// Whether unclaimed tasks remain anywhere (exact, not a hint: the
-    /// counter is updated inside the claim's critical section).
-    pub fn has_more(&self) -> bool {
-        self.remaining() > 0
-    }
-
-    /// Unclaimed tasks remaining across all home queues.
+    /// Unclaimed tasks remaining across all home queues (exact, not a
+    /// hint: the counter is updated inside the claim's critical
+    /// section).
     pub fn remaining(&self) -> usize {
         self.remaining.load(Ordering::Acquire)
     }
@@ -149,7 +144,7 @@ impl DistQueue {
     /// A snapshot of the TAPER policy's sampled cost statistics, or
     /// `None` when the coordinator lock is contended — the §4.1.2
     /// equalizer's live µ/σ feed, best-effort by design.
-    pub fn sampled_stats(&self) -> Option<crate::stats::OnlineStats> {
+    pub(crate) fn sampled_stats(&self) -> Option<crate::stats::OnlineStats> {
         self.coord.try_lock().ok().and_then(|c| c.live_stats())
     }
 
@@ -167,13 +162,6 @@ impl DistQueue {
     /// task a non-member claims).
     pub fn migrated_tasks(&self) -> u64 {
         self.coord().migrated
-    }
-
-    /// Fraction of tasks that stayed on their home worker (1.0 for an
-    /// empty operation), matching
-    /// [`DistResult::locality`](crate::dist_taper::DistResult).
-    pub fn locality(&self) -> f64 {
-        self.coord().locality()
     }
 
     /// Completed global epochs.
@@ -194,7 +182,8 @@ impl DistQueue {
     /// # Panics
     ///
     /// Panics if `worker` is out of range.
-    pub fn home_len(&self, worker: usize) -> usize {
+    #[cfg(test)]
+    pub(crate) fn home_len(&self, worker: usize) -> usize {
         self.coord().home_len(worker)
     }
 
@@ -207,7 +196,7 @@ impl DistQueue {
     /// # Panics
     ///
     /// Panics if `worker` is out of range.
-    pub fn admit_worker(&self, worker: usize) -> usize {
+    pub(crate) fn admit_worker(&self, worker: usize) -> usize {
         self.coord().admit(worker)
     }
 
@@ -309,8 +298,7 @@ mod tests {
         }
         assert_eq!(q.reassignments(), 0);
         assert_eq!(q.migrated_tasks(), 0);
-        assert!((q.locality() - 1.0).abs() < 1e-12);
-        assert!(!q.has_more());
+        assert_eq!(q.remaining(), 0);
     }
 
     #[test]
@@ -362,8 +350,7 @@ mod tests {
         assert_exactly_once(&claimed, n);
         assert!(q.reassignments() > 0, "laggard's work must be re-assigned");
         assert!(q.migrated_tasks() > 0);
-        assert!(q.locality() < 1.0);
-        assert!(q.locality() >= 0.0);
+        assert!(q.migrated_tasks() <= n as u64);
         let times = q.epoch_times_us();
         assert!(times.windows(2).all(|w| w[0] <= w[1]), "epoch increments out of order");
     }
@@ -389,9 +376,9 @@ mod tests {
     fn empty_queue_yields_nothing() {
         let q = everyone(0, 4);
         assert_eq!(claim(&q, 0, &[], 0.0), None);
-        assert!(!q.has_more());
+        assert_eq!(q.remaining(), 0);
         assert_eq!(q.chunks_claimed(), 0);
-        assert!((q.locality() - 1.0).abs() < 1e-12);
+        assert_eq!(q.migrated_tasks(), 0);
     }
 
     #[test]
@@ -411,7 +398,7 @@ mod tests {
             assert_eq!(claim(&q, 1, &costs, 0.0), None);
         }
         assert_eq!(q.chunks_claimed(), chunks, "stale claims counted as chunks");
-        assert!(!q.has_more());
+        assert_eq!(q.remaining(), 0);
     }
 
     #[test]
@@ -456,10 +443,9 @@ mod tests {
                 active |= claim(&q, w, &costs, 0.0).is_some();
             }
         }
-        assert!(!q.has_more());
+        assert_eq!(q.remaining(), 0);
         assert_eq!(q.reassignments(), 0);
         assert_eq!(q.migrated_tasks(), 0);
-        assert!((q.locality() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -495,7 +481,7 @@ mod tests {
     fn bounded_claims_stop_at_the_watermark() {
         // One worker owns all 64 tasks (sorted home queue). With the
         // limit at 10, claims must drain exactly tasks 0..10 and then
-        // report None while has_more() stays true — blocked, not
+        // report None while remaining() stays nonzero — blocked, not
         // exhausted. Raising the limit drains the rest.
         let n = 64;
         let costs = vec![1.0; n];
@@ -505,14 +491,14 @@ mod tests {
             got.extend(c.chunk.range());
         }
         assert_eq!(got, (0..10).collect::<Vec<_>>());
-        assert!(q.has_more(), "blocked must not read as exhausted");
+        assert!(q.remaining() > 0, "blocked must not read as exhausted");
         assert_eq!(q.home_len(0), n - 10);
         while let Some(c) = q.claim_bounded(0, &costs, 0.0, usize::MAX) {
             got.extend(c.chunk.range());
         }
         got.sort_unstable();
         assert_eq!(got, (0..n).collect::<Vec<_>>());
-        assert!(!q.has_more());
+        assert_eq!(q.remaining(), 0);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! Structure:
 //! * [`queue`] — the shared claim-next-chunk queue, driven by the same
 //!   [`ChunkPolicy`](crate::chunking::ChunkPolicy) objects the
-//!   simulator uses (TAPER / GSS / factoring / self-scheduling);
+//!   simulator uses (TAPER / static / self-scheduling);
 //! * [`pool`] — the worker pool executing a dependency-counted DAG of
 //!   operation instances, timing every task like
 //!   [`stats`](crate::stats) does in simulation;
@@ -47,7 +47,7 @@ pub enum ExecutorBackend {
     Threaded,
     /// Real threads under distributed TAPER (§4.1.1): per-worker home
     /// queues with epoch-token migration instead of a shared claim
-    /// queue — see [`dist::DistQueue`].
+    /// queue — see `dist::DistQueue`.
     ThreadedDist,
     /// Cooperative futures executor: ops await their DAG predecessors
     /// and yield at chunk boundaries, a few driver threads multiplexing
@@ -354,7 +354,7 @@ pub fn build_plan(g: &DelirGraph, opts: &ExecutorOptions) -> Result<Plan, GraphE
 
 /// Worker-count resolution: `opts.threads`, or the machine's available
 /// parallelism (capped at 16) when zero.
-pub fn resolve_workers(opts: &ExecutorOptions) -> usize {
+pub(crate) fn resolve_workers(opts: &ExecutorOptions) -> usize {
     if opts.threads > 0 {
         return opts.threads;
     }

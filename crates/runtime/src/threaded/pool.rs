@@ -2,7 +2,7 @@
 //! parallel operations, each operation scheduled through a shared
 //! [`ChunkQueue`] or, under distributed
 //! TAPER, through per-worker home queues
-//! ([`DistQueue`]).
+//! (`DistQueue`).
 //!
 //! The scheduling hot path is built to stay off the data path:
 //!
@@ -30,7 +30,7 @@
 //!   chunk, accumulate µ/σ into a stack-local [`OnlineStats`], and
 //!   merge buffered per-chunk feedback into the chunk policy only
 //!   when its lock is free
-//!   ([`ChunkQueue::try_observe_pending`]) — the claim loop never
+//!   (`ChunkQueue::try_observe_pending`) — the claim loop never
 //!   blocks on feedback.
 //! * **Cache-line padding** — per-worker shared state is 64-byte
 //!   aligned so one worker's deque lock never false-shares with its
@@ -43,7 +43,7 @@
 //!   a stolen dist token would be dropped by a thief whose own home
 //!   queue is empty, stranding the owner's tasks forever. A worker that
 //!   exhausts its home queue can drop its token for good —
-//!   [`DistQueue`] re-assigns work only into
+//!   `DistQueue` re-assigns work only into
 //!   the claiming worker's own queue, so an abandoned home can never
 //!   refill behind its owner's back.
 
@@ -222,7 +222,7 @@ impl Partition {
 }
 
 /// Per-worker measurements from one pool run.
-pub struct WorkerRecord {
+pub(crate) struct WorkerRecord {
     /// Busy time / task count / chunk count, as the simulator records
     /// them per processor.
     pub proc: ProcStats,
@@ -264,6 +264,9 @@ struct Shared<'a> {
     ctl: &'a RunCtl,
     /// The §4.1.2 worker partition (all-ones when allocation is off).
     partition: Partition,
+    /// The run's chunk policy, which the live estimate of a shared
+    /// queue's op predicts scheduling events for.
+    policy: PolicyKind,
     /// One padded deque per worker.
     workers: Vec<CachePadded<WorkerState>>,
     completed: AtomicUsize,
@@ -281,6 +284,7 @@ impl<'a> Shared<'a> {
         arena: &'a OutputArena,
         workers: usize,
         ctl: &'a RunCtl,
+        policy: PolicyKind,
     ) -> Self {
         let partition = Partition::from_shares(ops, workers);
         let mut deques: Vec<CachePadded<WorkerState>> = (0..workers)
@@ -321,6 +325,7 @@ impl<'a> Shared<'a> {
             inputs: OpInputs::new(arena, ops.len()),
             ctl,
             partition,
+            policy,
             workers: deques,
             completed: AtomicUsize::new(ops.iter().filter(|op| op.state.pre_done()).count()),
             epoch: Instant::now(),
@@ -360,7 +365,7 @@ pub(crate) fn run_pool(
     };
     let pin = !cpus.is_empty();
     let crew = opts.crew.as_ref();
-    let shared = Shared::new(ops, nodes, arena, workers, ctl);
+    let shared = Shared::new(ops, nodes, arena, workers, ctl, opts.policy);
     run_on_threads(crew, workers, |id| {
         let _entered =
             RestoreAffinity(if pin && crew.is_some() { Affinity::current() } else { None });
@@ -714,10 +719,7 @@ fn base_estimate(shared: &Shared<'_>, op_idx: usize, cal: &HostCalibration) -> O
         return None;
     }
     let (remaining, stats, kind) = match &op.queue {
-        OpQueue::Shared(q) => {
-            let kind = if q.is_adaptive() { PolicyKind::Taper } else { PolicyKind::Gss };
-            (q.remaining(), q.sampled_stats(), kind)
-        }
+        OpQueue::Shared(q) => (q.remaining(), q.sampled_stats(), shared.policy),
         OpQueue::Dist(q) => (q.remaining(), q.sampled_stats(), PolicyKind::Taper),
     };
     if remaining == 0 {

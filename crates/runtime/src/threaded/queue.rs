@@ -3,7 +3,7 @@
 //!
 //! This is the concurrent counterpart of the simulator's scheduling
 //! loop in [`crate::par_op`]: idle workers claim the next chunk whose
-//! size the [`ChunkPolicy`] chooses, so TAPER, GSS, factoring, and
+//! size the [`ChunkPolicy`] chooses, so TAPER, static and
 //! self-scheduling all drive real execution through the exact same
 //! policy objects the simulator uses.
 //!
@@ -51,7 +51,7 @@ impl Chunk {
 /// latter (the producer re-tokens it at the next watermark publication)
 /// and *finish* on the former.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BoundedClaim {
+pub(crate) enum BoundedClaim {
     /// A chunk entirely below the watermark limit was claimed.
     Chunk(Chunk),
     /// Unclaimed tasks remain, but the next one sits at or above the
@@ -84,6 +84,26 @@ fn pack_plan(epoch_end: usize, chunk_len: usize) -> u64 {
 /// own epoch, which reproduces per-claim decisions exactly.
 fn epoch_span(chunk_len: usize, remaining: usize, workers: usize) -> usize {
     (chunk_len * workers).min((remaining / 2).max(chunk_len))
+}
+
+/// The number of claims one claimant makes draining a queue of `total`
+/// tasks sized for `workers` under
+/// [`PolicyKind::Static`](crate::PolicyKind::Static)'s `⌈R/p⌉` rule:
+/// each epoch spans [`epoch_span`] tasks from the frontier, and its
+/// chunks are claimed at the epoch's size until one reaches the epoch
+/// end. The live finishing-time estimate counts a static op's
+/// scheduling events with it.
+pub(crate) fn static_claims(total: usize, workers: usize) -> usize {
+    let workers = workers.max(1);
+    let (mut next, mut claims) = (0usize, 0usize);
+    while next < total {
+        let remaining = total - next;
+        let k = remaining.div_ceil(workers);
+        let in_epoch = epoch_span(k, remaining, workers).min(remaining).div_ceil(k);
+        claims += in_epoch;
+        next += in_epoch * k;
+    }
+    claims
 }
 
 fn unpack_plan(d: u64) -> (usize, usize) {
@@ -179,7 +199,7 @@ impl ChunkQueue {
     ///
     /// `limit >= total` delegates to [`Self::claim`], so whole-op
     /// (non-streamed) consumers pay nothing for the shared call site.
-    pub fn claim_bounded(&self, limit: usize) -> BoundedClaim {
+    pub(crate) fn claim_bounded(&self, limit: usize) -> BoundedClaim {
         if limit >= self.total {
             return match self.claim() {
                 Some(c) => BoundedClaim::Chunk(c),
@@ -262,7 +282,7 @@ impl ChunkQueue {
     /// is sound because the policy only uses it to size this op's
     /// remaining chunks. A buffer filled to its capacity waits for the
     /// lock, so it never grows: a worker allocates it once.
-    pub fn try_observe_pending(&self, pending: &mut Vec<(usize, usize, OnlineStats)>) {
+    pub(crate) fn try_observe_pending(&self, pending: &mut Vec<(usize, usize, OnlineStats)>) {
         if pending.is_empty() {
             return;
         }
@@ -315,7 +335,7 @@ impl ChunkQueue {
     /// Non-blocking (`try_lock`): returns `None` when the policy is
     /// mid-update or keeps no statistics (everything but TAPER), in
     /// which case the caller falls back to task counts.
-    pub fn sampled_stats(&self) -> Option<OnlineStats> {
+    pub(crate) fn sampled_stats(&self) -> Option<OnlineStats> {
         self.policy.try_lock().ok().and_then(|p| p.live_stats())
     }
 }
@@ -326,13 +346,8 @@ mod tests {
     use crate::chunking::PolicyKind;
     use std::sync::Arc;
 
-    const KINDS: [PolicyKind; 5] = [
-        PolicyKind::SelfSched,
-        PolicyKind::Gss,
-        PolicyKind::Factoring,
-        PolicyKind::Taper,
-        PolicyKind::TaperCostFn,
-    ];
+    const KINDS: [PolicyKind; 4] =
+        [PolicyKind::Static, PolicyKind::SelfSched, PolicyKind::Taper, PolicyKind::TaperCostFn];
 
     fn drain_concurrently(kind: PolicyKind, total: usize, workers: usize) -> Vec<usize> {
         let q = Arc::new(ChunkQueue::new(kind.instantiate(total), total, workers));
@@ -394,7 +409,7 @@ mod tests {
 
     #[test]
     fn chunk_count_bounded_by_tasks() {
-        let q = ChunkQueue::new(PolicyKind::Gss.instantiate(64), 64, 4);
+        let q = ChunkQueue::new(PolicyKind::Static.instantiate(64), 64, 4);
         let mut n = 0;
         while q.claim().is_some() {
             n += 1;
@@ -427,7 +442,7 @@ mod tests {
         }
         assert_eq!(next, 1000);
         assert!(sizes.len() > 4, "1000 tasks over 4 workers must take many chunks");
-        // TAPER with no feedback decays like GSS: sizes never grow
+        // TAPER with no feedback decays like static: sizes never grow
         // within the drain (each epoch recomputes at a smaller
         // remaining count).
         assert!(sizes.windows(2).all(|w| w[1] <= w[0]), "sizes grew: {sizes:?}");
@@ -502,25 +517,32 @@ mod tests {
     }
 
     #[test]
-    fn decisions_are_per_epoch_and_factoring_keeps_its_batches() {
-        // One claimant sized for 8 workers over 1 000 tasks: GSS decides
-        // once per epoch (half the remaining space here), while
-        // factoring keys its batches on the task index, so the batches
-        // of p equal chunks the simulator sees survive one decision per
-        // epoch. (Near the tail an epoch that starts mid-batch may reach
-        // past the batch end; the space is still covered exactly once.)
-        let lens = |kind: PolicyKind| -> Vec<usize> {
-            let q = ChunkQueue::new(kind.instantiate(1000), 1000, 8);
-            std::iter::from_fn(|| q.claim()).map(|c| c.len).collect()
-        };
-        let gss = lens(PolicyKind::Gss);
-        assert_eq!(gss[..12], [[125; 4], [63; 4], [31; 4]].concat()[..]);
-        let batches = [[63; 8], [31; 8], [16; 8], [8; 8]].concat();
-        let factoring = lens(PolicyKind::Factoring);
-        assert_eq!(factoring[..32], batches[..]);
-        let simulated = per_claim(PolicyKind::Factoring.instantiate(1000), 1000, 8);
-        assert_eq!(simulated.iter().map(|c| c.len).take(32).collect::<Vec<_>>(), batches);
-        assert_eq!(factoring.iter().sum::<usize>(), 1000);
+    fn static_decides_once_per_epoch() {
+        // One claimant sized for 8 workers over 1 000 tasks: static
+        // decides once per epoch — half the remaining space here, as
+        // one claimant takes every chunk of an epoch in turn.
+        let q = ChunkQueue::new(PolicyKind::Static.instantiate(1000), 1000, 8);
+        let lens: Vec<usize> = std::iter::from_fn(|| q.claim()).map(|c| c.len).collect();
+        assert_eq!(lens[..12], [[125; 4], [63; 4], [31; 4]].concat()[..]);
+        assert_eq!(lens.iter().sum::<usize>(), 1000);
+    }
+
+    #[test]
+    fn static_claims_count_the_queues_static_schedule() {
+        for total in [0usize, 1, 2, 7, 64, 100, 1000, 4096, 100_003] {
+            for workers in [1usize, 2, 3, 8, 64] {
+                let q = ChunkQueue::new(PolicyKind::Static.instantiate(total), total, workers);
+                let drained = std::iter::from_fn(|| q.claim()).count();
+                assert_eq!(
+                    static_claims(total, workers),
+                    drained,
+                    "{total} tasks, {workers} workers"
+                );
+            }
+        }
+        // About p/2 · log2(n/p) halving blocks and a short tail: 33 at
+        // 8 workers over 1 000 tasks, not the simulator's 8 blocks.
+        assert_eq!(static_claims(1000, 8), 33);
     }
 
     #[test]

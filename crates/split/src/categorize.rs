@@ -35,15 +35,6 @@ pub struct Categories {
 }
 
 impl Categories {
-    /// All Linked members (union of the three refinements).
-    pub fn linked(&self) -> Vec<usize> {
-        let mut v = self.needs_bound.clone();
-        v.extend(&self.generate_linked);
-        v.extend(&self.read_linked);
-        v.sort_unstable();
-        v
-    }
-
     /// The category name of a primitive, for reports.
     pub fn category_of(&self, id: usize) -> &'static str {
         if self.bound.contains(&id) {
@@ -69,7 +60,7 @@ impl Categories {
 /// The fixpoint iterates at most `n` times; each round either moves a
 /// primitive into the result or terminates, giving the paper's `O(n²)`
 /// bound on interference tests.
-pub fn transitive_interfere(
+pub(crate) fn transitive_interfere(
     initial: &mut Vec<usize>,
     target: &[usize],
     prims: &[Prim],
@@ -81,7 +72,7 @@ pub fn transitive_interfere(
 /// transitively have a flow interference **from** `target` (they consume
 /// values `target` produces, possibly through other members of
 /// `initial`).
-pub fn transitive_flow_up(
+pub(crate) fn transitive_flow_up(
     initial: &mut Vec<usize>,
     target: &[usize],
     prims: &[Prim],
@@ -93,7 +84,7 @@ pub fn transitive_flow_up(
 /// Transitive flow closure downward: members of `initial` from which
 /// `target` transitively has a flow interference (they produce values
 /// `target` consumes).
-pub fn transitive_flow_down(
+pub(crate) fn transitive_flow_down(
     initial: &mut Vec<usize>,
     target: &[usize],
     prims: &[Prim],

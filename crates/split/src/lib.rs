@@ -37,11 +37,8 @@ pub mod pipeline;
 pub mod prim;
 pub mod split;
 
-pub use categorize::{categorize, transitive_interfere, Categories};
-pub use loop_split::{
-    check_iterations_commute, detect_restriction, split_loop, symexpr_to_ast, FreshNames,
-    LoopSplitPieces, ReductionVar, Restriction,
-};
+pub use categorize::{categorize, Categories};
+pub use loop_split::symexpr_to_ast;
 pub use pipeline::{pipeline_iterations, pipeline_loop, PipelineResult};
 pub use prim::{primitives_of, Prim, PrimKind};
 pub use split::{

@@ -8,11 +8,11 @@
 //!
 //! Two restriction shapes cover the paper's examples:
 //!
-//! * [`Restriction::ExcludePoint`] — the conflict is confined to one
+//! * `Restriction::ExcludePoint` — the conflict is confined to one
 //!   induction value (Figure 4: row `a`; Figure 3: column `col-1`);
 //!   the independent piece iterates the discontinuous range
 //!   `lo..e-1 and e+1..hi`.
-//! * [`Restriction::MaskCond`] — the conflict occurs exactly when a mask
+//! * `Restriction::MaskCond` — the conflict occurs exactly when a mask
 //!   element test holds (Figures 1–2: `mask[i] <> 0`); the pieces get
 //!   complementary `where` clauses.
 //!
@@ -26,7 +26,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// How the dependent iterations of a loop are characterized.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Restriction {
+pub(crate) enum Restriction {
     /// Iterations with `var = e` are dependent; all others independent.
     ExcludePoint(SymExpr),
     /// Iterations hitting any of several pairwise-distinct points are
@@ -45,7 +45,7 @@ pub enum Restriction {
 
 /// A recognized reduction accumulator in a loop body.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ReductionVar {
+pub(crate) struct ReductionVar {
     /// Scalar name.
     pub name: Name,
     /// The associative operation (`Add` or `Mul`).
@@ -65,7 +65,7 @@ impl ReductionVar {
 
 /// Fresh-name generation avoiding a taken set.
 #[derive(Debug, Clone, Default)]
-pub struct FreshNames {
+pub(crate) struct FreshNames {
     taken: BTreeSet<Name>,
     /// For each `base + suffix` found taken, the next counter to try:
     /// the taken set only grows, so every counter below it stays taken,
@@ -151,7 +151,7 @@ pub fn symexpr_to_ast(e: &SymExpr) -> Expr {
 /// restriction; the result is then verified by re-promoting the
 /// restricted descriptor and checking non-interference, so a loose match
 /// here can never produce an unsound split.
-pub fn detect_restriction(
+pub(crate) fn detect_restriction(
     iter: &LoopIteration,
     d: &Descriptor,
     privatized: &BTreeSet<Name>,
@@ -210,7 +210,7 @@ pub fn detect_restriction(
 
 /// The set of blocks privatized by splitting this loop body: its written
 /// arrays plus the given reduction accumulators.
-pub fn privatized_blocks(body: &[Stmt], reductions: &[ReductionVar]) -> BTreeSet<Name> {
+pub(crate) fn privatized_blocks(body: &[Stmt], reductions: &[ReductionVar]) -> BTreeSet<Name> {
     let mut out = BTreeSet::new();
     for s in body {
         s.array_writes(&mut out);
@@ -330,7 +330,10 @@ fn guarded_by(d: &Descriptor, guard: &Guard) -> Descriptor {
 /// the recognized reduction accumulators.
 ///
 /// Returns `None` when splitting the iterations would be illegal.
-pub fn check_iterations_commute(iter: &LoopIteration, body: &[Stmt]) -> Option<Vec<ReductionVar>> {
+pub(crate) fn check_iterations_commute(
+    iter: &LoopIteration,
+    body: &[Stmt],
+) -> Option<Vec<ReductionVar>> {
     // 1–2. No calls, every scalar the body assigns is a reduction
     // accumulator, and no accumulator is the variable of this loop (the
     // body's own loops are checked with the body).
@@ -424,7 +427,7 @@ fn reduction<'a>(name: &str, value: &'a Expr) -> Option<(BinOp, &'a Expr)> {
 
 /// The generated pieces of a split loop.
 #[derive(Debug, Clone)]
-pub struct LoopSplitPieces {
+pub(crate) struct LoopSplitPieces {
     /// `C_I`: statements executing the independent iterations (with
     /// replicated outputs), including accumulator initializations.
     pub independent: Vec<Stmt>,
@@ -434,8 +437,6 @@ pub struct LoopSplitPieces {
     pub merge: Vec<Stmt>,
     /// Declarations for replicated arrays and accumulators.
     pub new_decls: Vec<Decl>,
-    /// `(original, independent copy, dependent copy)` renames.
-    pub renames: Vec<(Name, Name, Name)>,
 }
 
 /// Performs the iteration split of one loop. `iter` must come from
@@ -446,7 +447,7 @@ pub struct LoopSplitPieces {
 /// Returns `None` when the loop shape is unsupported (multiple ranges,
 /// non-unit step for `ExcludePoint`, or a bound that failed to
 /// linearize).
-pub fn split_loop(
+pub(crate) fn split_loop(
     prog: &Program,
     loop_stmt: &Stmt,
     restriction: &Restriction,
@@ -470,7 +471,6 @@ pub fn split_loop(
     for s in body {
         s.array_writes(&mut written_arrays);
     }
-    let mut renames = Vec::new();
     let mut new_decls = Vec::new();
     let mut ind_map: BTreeMap<Name, Name> = BTreeMap::new();
     let mut dep_map: BTreeMap<Name, Name> = BTreeMap::new();
@@ -483,9 +483,8 @@ pub fn split_loop(
             d2.name = n.clone();
             new_decls.push(d2);
         }
-        ind_map.insert(a.clone(), ind.clone());
-        dep_map.insert(a.clone(), dep.clone());
-        renames.push((a.clone(), ind, dep));
+        ind_map.insert(a.clone(), ind);
+        dep_map.insert(a.clone(), dep);
     }
     for r in reductions {
         let decl = prog.decl(&r.name)?;
@@ -497,9 +496,8 @@ pub fn split_loop(
             d2.init = None;
             new_decls.push(d2);
         }
-        ind_map.insert(r.name.clone(), ind.clone());
-        dep_map.insert(r.name.clone(), dep.clone());
-        renames.push((r.name.clone(), ind, dep));
+        ind_map.insert(r.name.clone(), ind);
+        dep_map.insert(r.name.clone(), dep);
     }
 
     // Loop headers for the two pieces.
@@ -609,7 +607,7 @@ pub fn split_loop(
         fresh,
     )?;
 
-    Some(LoopSplitPieces { independent, dependent, merge, new_decls, renames })
+    Some(LoopSplitPieces { independent, dependent, merge, new_decls })
 }
 
 fn conjoin(a: Option<Expr>, b: Option<Expr>) -> Option<Expr> {

@@ -129,8 +129,8 @@ mod tests {
         assert!(r.exposed_concurrency());
         // The independent piece contains the Figure 3 discontinuous
         // range do i = 1, col-2 and col, n.
-        let ind = r.split.stmts_of(PieceClass::Independent);
-        let printed: String = ind.iter().map(stmt_to_string).collect();
+        let ind = r.split.pieces.iter().filter(|p| p.class == PieceClass::Independent);
+        let printed: String = ind.flat_map(|p| &p.stmts).map(stmt_to_string).collect();
         assert!(
             printed.contains("do i = 1, col - 1 - 1 and col - 1 + 1, n")
                 || printed.contains("do i = 1, col - 2 and col, n"),

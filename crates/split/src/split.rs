@@ -98,15 +98,6 @@ impl SplitResult {
         self.pieces.iter().flat_map(|p| p.stmts.iter().cloned()).collect()
     }
 
-    /// Statements of all pieces with the given class.
-    pub fn stmts_of(&self, class: PieceClass) -> Vec<Stmt> {
-        self.pieces
-            .iter()
-            .filter(|p| p.class == class)
-            .flat_map(|p| p.stmts.iter().cloned())
-            .collect()
-    }
-
     /// True when the split exposed any concurrency.
     pub fn has_independent_work(&self) -> bool {
         self.pieces.iter().any(|p| p.class == PieceClass::Independent)

@@ -35,14 +35,9 @@ fn main() {
 
     println!("irregular operation: 4096 tasks, {p} processors, ideal {ideal:.0} µs\n");
     println!("{:<22} {:>10} {:>6} {:>8} {:>9}", "policy", "finish µs", "eff", "chunks", "migrated");
-    for kind in [
-        PolicyKind::Static,
-        PolicyKind::SelfSched,
-        PolicyKind::Gss,
-        PolicyKind::Factoring,
-        PolicyKind::Taper,
-        PolicyKind::TaperCostFn,
-    ] {
+    for kind in
+        [PolicyKind::Static, PolicyKind::SelfSched, PolicyKind::Taper, PolicyKind::TaperCostFn]
+    {
         let r = simulate_policy(&cfg, p, &costs, kind, &OpOptions::default());
         println!(
             "{:<22} {:>10.0} {:>5.0}% {:>8} {:>9}",
@@ -96,7 +91,8 @@ fn simulated_vs_measured() {
     );
     println!("{:<22} {:>13} {:>13} {:>12}", "policy", "sim speedup", "real speedup", "wall ms");
     let kernel = SpinKernel::default();
-    for policy in [PolicyKind::SelfSched, PolicyKind::Gss, PolicyKind::Factoring, PolicyKind::Taper]
+    for policy in
+        [PolicyKind::Static, PolicyKind::SelfSched, PolicyKind::Taper, PolicyKind::TaperCostFn]
     {
         let opts = ExecutorOptions { policy, threads, ..ExecutorOptions::default() };
         let sim = execute_graph(&g, &MachineConfig::ncube2(threads), &opts).expect("valid graph");

@@ -27,13 +27,8 @@ use orchestra_runtime::executor::ExecutorOptions;
 use orchestra_runtime::threaded::{execute_sequential, SpinKernel};
 use orchestra_runtime::{execute_async, RunReport};
 
-const POLICIES: [PolicyKind; 5] = [
-    PolicyKind::SelfSched,
-    PolicyKind::Gss,
-    PolicyKind::Factoring,
-    PolicyKind::Taper,
-    PolicyKind::TaperCostFn,
-];
+const POLICIES: [PolicyKind; 4] =
+    [PolicyKind::Static, PolicyKind::SelfSched, PolicyKind::Taper, PolicyKind::TaperCostFn];
 
 fn flat_graph() -> (DelirGraph, ExecutorOptions) {
     (shapes::flat(256, 1.5, 0.6), ExecutorOptions { drivers: 2, ..ExecutorOptions::default() })

@@ -15,20 +15,18 @@
 mod common;
 
 use common::shapes;
+use orchestra_apps::{climate, emu, psirrfan, vortex, Scale};
 use orchestra_delirium::DelirGraph;
 use orchestra_runtime::chunking::PolicyKind;
 use orchestra_runtime::executor::ExecutorOptions;
-use orchestra_runtime::threaded::{execute_sequential, execute_threaded, SpinKernel};
-use orchestra_runtime::Crew;
+use orchestra_runtime::threaded::{
+    execute_sequential, execute_threaded, ExecutorBackend, SpinKernel, TaskKernel,
+};
+use orchestra_runtime::{execute_async, Crew, ReduceKernel};
 use proptest::prelude::*;
 
-const POLICIES: [PolicyKind; 5] = [
-    PolicyKind::SelfSched,
-    PolicyKind::Gss,
-    PolicyKind::Factoring,
-    PolicyKind::Taper,
-    PolicyKind::TaperCostFn,
-];
+const POLICIES: [PolicyKind; 4] =
+    [PolicyKind::Static, PolicyKind::SelfSched, PolicyKind::Taper, PolicyKind::TaperCostFn];
 
 /// A flat shape: one wide data-parallel node, nothing else.
 fn flat_graph() -> (DelirGraph, ExecutorOptions) {
@@ -72,6 +70,57 @@ fn graphs() -> Vec<(&'static str, DelirGraph, ExecutorOptions)> {
         ("mixture", g3, o3),
         ("chain", g4, o4),
     ]
+}
+
+/// The paper's four applications at n = 64: each one's split
+/// (pipelined) graph and its barrier-per-phase baseline.
+fn app_graphs() -> Vec<(String, DelirGraph, ExecutorOptions)> {
+    let scale = Scale { n: 64, seed: 1 };
+    [psirrfan::workload, climate::workload, emu::workload, vortex::workload]
+        .into_iter()
+        .flat_map(|workload| {
+            let w = workload(&scale);
+            let opts = ExecutorOptions {
+                threads: 2,
+                drivers: 2,
+                pipeline_iters: w.pipeline_iters,
+                ..ExecutorOptions::default()
+            };
+            [
+                (format!("{}/split", w.name), w.split, opts.clone()),
+                (format!("{}/baseline", w.name), w.baseline, opts),
+            ]
+        })
+        .collect()
+}
+
+/// Runs `g` on the sequential reference and on every real backend —
+/// Threaded, ThreadedDist and Async — under the same `opts`, and
+/// asserts that each real run executes every task exactly once and
+/// that its output buffers are bit-identical to the reference's.
+fn assert_every_backend_bitwise(
+    label: &str,
+    g: &DelirGraph,
+    opts: &ExecutorOptions,
+    kernel: &(dyn TaskKernel + Sync),
+) {
+    let seq = execute_sequential(g, opts, kernel).unwrap();
+    let dist_opts = ExecutorOptions { backend: ExecutorBackend::ThreadedDist, ..opts.clone() };
+    let runs = [
+        ("threaded", execute_threaded(g, opts, kernel).unwrap()),
+        ("threaded-dist", execute_threaded(g, &dist_opts, kernel).unwrap()),
+        ("async", execute_async(g, opts, kernel).unwrap()),
+    ];
+    for (backend, run) in &runs {
+        for (op, counts) in run.ops.iter().zip(&run.exec_counts()) {
+            assert!(
+                counts.iter().all(|&c| c == 1),
+                "{label}: {backend}: op {} task exec counts {counts:?}",
+                op.name
+            );
+        }
+        assert_eq!(seq.outputs, run.outputs, "{label}: {backend}: buffers diverge");
+    }
 }
 
 #[test]
@@ -124,25 +173,16 @@ fn threaded_results_bit_identical_to_sequential() {
 }
 
 /// Pinning must be invisible to results: bit-identical outputs and
-/// exactly-once execution on every sample graph, whether workers float
-/// (pin off) or pin to the caller's CPUs.
+/// exactly-once execution on every sample graph and every real
+/// backend, whether workers float (pin off) or pin to the caller's
+/// CPUs.
 #[test]
 fn affinity_and_topology_do_not_change_results() {
     let kernel = SpinKernel::with_scale(2.0);
     for (name, g, opts) in graphs() {
-        let seq = execute_sequential(&g, &opts, &kernel).unwrap();
         for pin_workers in [false, true] {
             let opts = ExecutorOptions { policy: PolicyKind::Taper, pin_workers, ..opts.clone() };
-            let label = format!("{name}/pin={pin_workers}");
-            let thr = execute_threaded(&g, &opts, &kernel).unwrap();
-            for (op, counts) in thr.ops.iter().zip(&thr.exec_counts()) {
-                assert!(
-                    counts.iter().all(|&c| c == 1),
-                    "{label}: op {} task exec counts {counts:?}",
-                    op.name
-                );
-            }
-            assert_eq!(seq.outputs, thr.outputs, "{label}: buffers diverge");
+            assert_every_backend_bitwise(&format!("{name}/pin={pin_workers}"), &g, &opts, &kernel);
         }
     }
 }
@@ -167,8 +207,6 @@ fn barrier_mode_matches_too() {
 /// modes stay bitwise equal to the sequential reference.
 #[test]
 fn streaming_engages_on_chains_and_pipeline_overlap_gates_it() {
-    use orchestra_runtime::execute_async;
-    use orchestra_runtime::threaded::ExecutorBackend;
     let kernel = SpinKernel::with_scale(2.0);
     let (g, base) = chain_graph();
     let edges = 9; // depth 10 chain
@@ -207,8 +245,6 @@ fn streaming_engages_on_chains_and_pipeline_overlap_gates_it() {
 /// the test, which then never needs more than the two a run uses.
 #[test]
 fn all_backends_bit_identical_on_all_shapes() {
-    use orchestra_runtime::execute_async;
-    use orchestra_runtime::threaded::ExecutorBackend;
     let kernel = SpinKernel::with_scale(2.0);
     let crew = Crew::new();
     for (name, g, opts) in graphs() {
@@ -216,16 +252,12 @@ fn all_backends_bit_identical_on_all_shapes() {
             for lent in [None, Some(crew.clone())] {
                 let on = if lent.is_some() { "crew" } else { "scoped" };
                 let opts = ExecutorOptions { policy, crew: lent, ..opts.clone() };
-                let seq = execute_sequential(&g, &opts, &kernel).unwrap();
-                let thr = execute_threaded(&g, &opts, &kernel).unwrap();
-                let dist_opts =
-                    ExecutorOptions { backend: ExecutorBackend::ThreadedDist, ..opts.clone() };
-                let dist = execute_threaded(&g, &dist_opts, &kernel).unwrap();
-                let asy = execute_async(&g, &opts, &kernel).unwrap();
-                let label = format!("{name}/{}/{on}", policy.name());
-                assert_eq!(seq.outputs, thr.outputs, "{label}: threaded");
-                assert_eq!(seq.outputs, dist.outputs, "{label}: threaded-dist");
-                assert_eq!(seq.outputs, asy.outputs, "{label}: async");
+                assert_every_backend_bitwise(
+                    &format!("{name}/{}/{on}", policy.name()),
+                    &g,
+                    &opts,
+                    &kernel,
+                );
             }
         }
     }
@@ -262,7 +294,7 @@ fn a_pinned_run_leaves_lent_threads_their_affinity() {
 #[cfg(target_os = "linux")]
 #[test]
 fn pinned_workers_stay_inside_the_callers_cpus() {
-    use orchestra_runtime::threaded::{TaskCtx, TaskKernel};
+    use orchestra_runtime::threaded::TaskCtx;
     use orchestra_runtime::{pin_current_thread, Affinity};
     use std::sync::Mutex;
 
@@ -304,8 +336,7 @@ fn pinned_workers_stay_inside_the_callers_cpus() {
 /// watchdog turns a hang into a failure.
 #[test]
 fn a_panicking_kernel_aborts_the_run_instead_of_hanging_it() {
-    use orchestra_runtime::execute_async;
-    use orchestra_runtime::threaded::{TaskCtx, TaskKernel};
+    use orchestra_runtime::threaded::TaskCtx;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::mpsc;
     use std::time::Duration;
@@ -352,22 +383,43 @@ fn a_panicking_kernel_aborts_the_run_instead_of_hanging_it() {
 /// sequential owned-buffer reference exactly.
 #[test]
 fn reduce_kernel_dataplane_bitwise_across_backends() {
-    use orchestra_runtime::execute_async;
-    use orchestra_runtime::threaded::ExecutorBackend;
-    use orchestra_runtime::ReduceKernel;
     let kernel = ReduceKernel::with_scale(2.0);
     for (name, g, opts) in graphs() {
         for policy in POLICIES {
             let opts = ExecutorOptions { policy, ..opts.clone() };
-            let seq = execute_sequential(&g, &opts, &kernel).unwrap();
-            let thr = execute_threaded(&g, &opts, &kernel).unwrap();
-            let dist_opts =
-                ExecutorOptions { backend: ExecutorBackend::ThreadedDist, ..opts.clone() };
-            let dist = execute_threaded(&g, &dist_opts, &kernel).unwrap();
-            let asy = execute_async(&g, &opts, &kernel).unwrap();
-            assert_eq!(seq.outputs, thr.outputs, "{name}/{}: threaded inputs", policy.name());
-            assert_eq!(seq.outputs, dist.outputs, "{name}/{}: dist inputs", policy.name());
-            assert_eq!(seq.outputs, asy.outputs, "{name}/{}: async inputs", policy.name());
+            assert_every_backend_bitwise(&format!("{name}/{}", policy.name()), &g, &opts, &kernel);
+        }
+    }
+}
+
+/// The paper's applications on every real backend, as the benchmark's
+/// `exec_apps` runs them: TAPER at 2 workers on Threaded (pinned and
+/// not), ThreadedDist and Async, each bitwise equal to the sequential
+/// reference under the *same* `pipeline_overlap`. (A barriered plan
+/// chains barrier edges into the kernel's inputs, so its outputs are
+/// not the overlapped plan's.) Both kernels: [`SpinKernel`], which the
+/// benchmark runs, and [`ReduceKernel`], which reads every input slice,
+/// so a stale or torn hand-off between pieces changes output bits.
+#[test]
+fn paper_apps_bitwise_on_every_real_backend() {
+    let spin = SpinKernel::with_scale(0.05);
+    let reduce = ReduceKernel::with_scale(0.05);
+    let kernels: [(&str, &(dyn TaskKernel + Sync)); 2] = [("spin", &spin), ("reduce", &reduce)];
+    for (name, g, opts) in app_graphs() {
+        for (kname, kernel) in kernels {
+            for pipeline_overlap in [true, false] {
+                for pin_workers in [false, true] {
+                    let opts = ExecutorOptions {
+                        policy: PolicyKind::Taper,
+                        pipeline_overlap,
+                        pin_workers,
+                        ..opts.clone()
+                    };
+                    let label =
+                        format!("{name}/{kname}/overlap={pipeline_overlap}/pin={pin_workers}");
+                    assert_every_backend_bitwise(&label, &g, &opts, kernel);
+                }
+            }
         }
     }
 }
@@ -388,8 +440,6 @@ fn asymmetric_concurrent_graph() -> DelirGraph {
 /// on and off, at a worker count (4) that forces a real partition.
 #[test]
 fn concurrent_level_bitwise_equal_with_and_without_allocation() {
-    use orchestra_runtime::execute_async;
-    use orchestra_runtime::threaded::ExecutorBackend;
     let kernel = SpinKernel::with_scale(2.0);
     let g = asymmetric_concurrent_graph();
     for use_allocation in [true, false] {
@@ -428,8 +478,6 @@ fn concurrent_level_bitwise_equal_with_and_without_allocation() {
 /// three real backends.
 #[test]
 fn equalizer_procs_sum_to_pool_size_per_concurrent_level() {
-    use orchestra_runtime::execute_async;
-    use orchestra_runtime::threaded::ExecutorBackend;
     let kernel = SpinKernel::with_scale(2.0);
     let g = asymmetric_concurrent_graph();
     let opts = ExecutorOptions {
@@ -482,9 +530,6 @@ proptest! {
         cv in 0.0f64..1.2,
         sink in proptest::bool::ANY,
     ) {
-        use orchestra_runtime::execute_async;
-        use orchestra_runtime::threaded::ExecutorBackend;
-        use orchestra_runtime::ReduceKernel;
         let g = shapes::fanout(ops, tasks_base, tasks_step, mean_cost, cv, sink);
         let kernel = ReduceKernel::with_scale(1.0);
         for policy in [PolicyKind::SelfSched, PolicyKind::Taper] {
@@ -524,9 +569,6 @@ proptest! {
         forced_batch in 0usize..9,
         threads in 2usize..4,
     ) {
-        use orchestra_runtime::execute_async;
-        use orchestra_runtime::threaded::ExecutorBackend;
-        use orchestra_runtime::ReduceKernel;
         let g = shapes::chain(depth, tasks, mean_cost, cv);
         let kernel = ReduceKernel::with_scale(1.0);
         for policy in [PolicyKind::SelfSched, PolicyKind::Taper] {

@@ -21,6 +21,10 @@
 //!
 //! README.md runs the examples that exist and no others: every
 //! `--example <name>` is a file, and every `examples/*.rs` is named.
+//!
+//! README.md and DESIGN.md write their lists of chunk policies as
+//! `PolicyKind::{…}`; every policy such a list names is a variant of
+//! `PolicyKind`, and every variant is named by one.
 
 use std::collections::HashSet;
 use std::path::Path;
@@ -31,6 +35,7 @@ const README: &str = include_str!("../README.md");
 const DESIGN: &str = include_str!("../DESIGN.md");
 const EXECUTOR_RS: &str = include_str!("../crates/runtime/src/executor.rs");
 const RUN_RS: &str = include_str!("../crates/runtime/src/run.rs");
+const CHUNKING_RS: &str = include_str!("../crates/runtime/src/chunking.rs");
 
 /// The types whose members the documents name, and the sources that
 /// declare them.
@@ -313,4 +318,45 @@ fn readme_names_exactly_the_examples_that_exist() {
         .collect();
     unnamed.sort();
     assert!(unnamed.is_empty(), "examples/ holds files README.md never runs: {unnamed:?}");
+}
+
+/// The variants of `pub enum PolicyKind`, as `chunking.rs` declares
+/// them.
+fn policy_variants(src: &str) -> Vec<&str> {
+    let body = src
+        .split_once("pub enum PolicyKind {")
+        .and_then(|(_, rest)| rest.split_once("\n}\n"))
+        .map_or("", |(body, _)| body);
+    body.lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with("//"))
+        .map(|l| l.trim_end_matches(','))
+        .collect()
+}
+
+#[test]
+fn readme_and_design_name_only_policies_that_exist() {
+    let variants = policy_variants(CHUNKING_RS);
+    assert!(variants.len() > 1, "no `pub enum PolicyKind` variants found: {variants:?}");
+    let mut named = HashSet::new();
+    let mut unknown = Vec::new();
+    for (file, doc) in [("README.md", README), ("DESIGN.md", DESIGN)] {
+        let listed = named_members(doc, "PolicyKind");
+        assert!(!listed.is_empty(), "{file} lists no policies as `PolicyKind::{{…}}`");
+        for (n, name) in listed {
+            if variants.contains(&name) {
+                named.insert(name);
+            } else {
+                unknown.push(format!("{file}:{n}: `PolicyKind::{name}`"));
+            }
+        }
+    }
+    assert!(
+        unknown.is_empty(),
+        "{} policies named in the documents are not `PolicyKind` variants:\n{}",
+        unknown.len(),
+        unknown.join("\n")
+    );
+    let unnamed: Vec<&&str> = variants.iter().filter(|v| !named.contains(*v)).collect();
+    assert!(unnamed.is_empty(), "no policy list in README.md or DESIGN.md names {unnamed:?}");
 }

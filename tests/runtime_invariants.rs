@@ -18,8 +18,6 @@ fn any_policy() -> impl Strategy<Value = PolicyKind> {
     prop_oneof![
         Just(PolicyKind::Static),
         Just(PolicyKind::SelfSched),
-        Just(PolicyKind::Gss),
-        Just(PolicyKind::Factoring),
         Just(PolicyKind::Taper),
         Just(PolicyKind::TaperCostFn),
     ]

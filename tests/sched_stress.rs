@@ -22,14 +22,8 @@ use orchestra_runtime::executor::ExecutorOptions;
 use orchestra_runtime::threaded::{execute_sequential, execute_threaded, SpinKernel};
 use orchestra_runtime::RunReport;
 
-const POLICIES: [PolicyKind; 6] = [
-    PolicyKind::Static,
-    PolicyKind::SelfSched,
-    PolicyKind::Gss,
-    PolicyKind::Factoring,
-    PolicyKind::Taper,
-    PolicyKind::TaperCostFn,
-];
+const POLICIES: [PolicyKind; 4] =
+    [PolicyKind::Static, PolicyKind::SelfSched, PolicyKind::Taper, PolicyKind::TaperCostFn];
 
 const WORKERS: usize = 8;
 
@@ -107,9 +101,9 @@ fn post_exhaustion_claim_storm() {
     use std::sync::Arc;
     const TASKS: usize = 512;
     const SPINS: usize = 5_000;
-    // One claim path for both: GSS asks its policy for nothing but a
-    // size, TAPER also takes feedback.
-    for policy in [PolicyKind::Gss, PolicyKind::Taper] {
+    // One claim path for both: static asks its policy for nothing but
+    // a size, TAPER also takes feedback.
+    for policy in [PolicyKind::Static, PolicyKind::Taper] {
         let q = Arc::new(ChunkQueue::new(policy.instantiate(TASKS), TASKS, WORKERS));
         let mut drained = 0usize;
         while let Some(c) = q.claim() {
