@@ -8,7 +8,8 @@
 //! uses it.
 
 use crate::wire::{
-    read_frame, valid_tenant, write_frame, JobOptions, JobRow, Request, Response, WireResult,
+    read_response, valid_tenant, write_frame, JobOptions, JobRow, Request, Response, WireResult,
+    CHUNK, RESULT_HEAD_BOUND,
 };
 use orchestra_delirium::DelirGraph;
 use std::fmt;
@@ -55,11 +56,16 @@ impl From<io::Error> for ClientError {
 
 /// A connected session.
 pub struct Client {
-    /// The stream, buffered for reading; requests are written straight
-    /// to it.
+    /// The stream, read through a buffer of 64 KiB that a result's
+    /// values are decoded from where they lie; requests are written
+    /// straight to it.
     reader: BufReader<UnixStream>,
-    /// The request and the response frame, one buffer each, reused from
-    /// call to call.
+    /// The request frame, and what a response carries over from one
+    /// read into the next (a token or a line head that straddles two
+    /// reads, or a response other than a result, whole), one buffer
+    /// each, reused from call to call. The carry starts with room for
+    /// any result's head line, the longest piece of a result the daemon
+    /// writes, so that reading one never grows it.
     outbox: Vec<u8>,
     inbox: Vec<u8>,
     session: u64,
@@ -79,9 +85,9 @@ impl Client {
         }
         let stream = UnixStream::connect(socket)?;
         let mut c = Client {
-            reader: BufReader::new(stream),
+            reader: BufReader::with_capacity(CHUNK, stream),
             outbox: Vec::new(),
-            inbox: Vec::new(),
+            inbox: Vec::with_capacity(RESULT_HEAD_BOUND),
             session: 0,
             workers: 0,
         };
@@ -180,9 +186,9 @@ impl Client {
     fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
         req.encode_into(&mut self.outbox);
         write_frame(self.reader.get_mut(), &self.outbox)?;
-        let payload = read_frame(&mut self.reader, &mut self.inbox)?
-            .ok_or_else(|| ClientError::Protocol("daemon hung up".to_string()))?;
-        Response::decode_bytes(payload).map_err(ClientError::Protocol)
+        read_response(&mut self.reader, &mut self.inbox)?
+            .ok_or_else(|| ClientError::Protocol("daemon hung up".to_string()))?
+            .map_err(ClientError::Protocol)
     }
 }
 
@@ -190,5 +196,49 @@ fn unexpected(r: Response) -> ClientError {
     match r {
         Response::Err { msg } => ClientError::Remote(msg),
         other => ClientError::Protocol(format!("unexpected response {other:?}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::read_frame;
+
+    /// A result frame that does not decode is read to its end all the
+    /// same: the client reports it, and the next call on the connection
+    /// reads its own answer.
+    #[test]
+    fn a_bad_result_frame_does_not_desync_the_client() {
+        let (ours, mut daemon) = UnixStream::pair().expect("socket pair");
+        let mut client = Client {
+            reader: BufReader::with_capacity(CHUNK, ours),
+            outbox: Vec::new(),
+            inbox: Vec::new(),
+            session: 1,
+            workers: 1,
+        };
+        // 40 000 values, the one in the middle not hex: far more bytes
+        // than one read takes, before the fault and after it.
+        let mut bad =
+            String::from("ok-result job=1 wall_us=2 attempts=1 resumed=0 outs=1\nout A 40000");
+        for i in 0..40_000 {
+            bad += if i == 20_000 { " zzzzzzzzzzzzzzzz" } else { " 3ff0000000000000" };
+        }
+        let fake = std::thread::spawn(move || {
+            let mut inbox = Vec::new();
+            read_frame(&mut daemon, &mut inbox).expect("read").expect("the wait");
+            let mut frame = u32::try_from(bad.len()).expect("under the cap").to_le_bytes().to_vec();
+            frame.extend_from_slice(bad.as_bytes());
+            write_frame(&mut daemon, &frame).expect("the bad result written");
+            read_frame(&mut daemon, &mut inbox).expect("read").expect("the stats");
+            Response::Stats { workers: 1, jobs: vec![] }.encode_into(&mut frame);
+            write_frame(&mut daemon, &frame).expect("the stats written");
+        });
+        match client.wait(1) {
+            Err(ClientError::Protocol(msg)) => assert_eq!(msg, "malformed value bits"),
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+        assert_eq!(client.stats().expect("the next call is answered"), (1, vec![]));
+        fake.join().expect("the fake daemon");
     }
 }

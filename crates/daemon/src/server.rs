@@ -26,7 +26,8 @@
 use crate::sched::{graph_load_specs, graph_tasks, GraphLoad, PoolScheduler};
 use crate::session::{Admission, AdmissionPolicy, Tenant};
 use crate::wire::{
-    read_frame, write_frame, JobOptions, JobRow, Request, Response, WireOutput, WireResult,
+    read_frame, result_bound, JobOptions, JobRow, Request, Response, WireOutput, WireResult,
+    MAX_FRAME,
 };
 use orchestra_runtime::executor::ExecutorOptions;
 use orchestra_runtime::threaded::ExecutorBackend;
@@ -359,19 +360,23 @@ fn accept_loop(listener: &UnixListener, inner: &Arc<Inner>) {
     }
 }
 
-/// One client connection: the stream, buffered for reading, and the
-/// request and the response frame, one buffer each, reused from request
-/// to request.
+/// One client connection: the stream, buffered for reading, and one
+/// buffer per direction, reused from request to request — the inbox
+/// holds a request whole, the outbox a response whole or a result's
+/// next piece.
 struct Connection {
     reader: BufReader<UnixStream>,
     inbox: Vec<u8>,
     outbox: Vec<u8>,
 }
 
-/// The most capacity a connection's frame buffer keeps between
-/// requests: above every frame `serve_mix` sends (a wide job's result
-/// is 1.2 MB), far below the 2 × 16 MiB one rare frame could pin for
-/// the connection's life.
+/// The most capacity a connection's frame buffers keep between
+/// requests. A result passes the outbox in pieces of at most 64 KiB
+/// (a wide job's is 487 510 bytes), so only a request (a submit's graph
+/// text) or a response built whole (an `err`, the `stats` of many jobs)
+/// grows one further: 4 MiB is above every such frame `serve_mix`
+/// sends, and far below the 2 × 16 MiB one rare frame could pin for the
+/// connection's life.
 const KEPT_FRAME_BYTES: usize = 4 << 20;
 
 impl Connection {
@@ -385,8 +390,7 @@ impl Connection {
     /// holds anything, and a larger one than [`KEPT_FRAME_BYTES`] is
     /// given back.
     fn send(&mut self, resp: &Response) -> io::Result<()> {
-        resp.encode_into(&mut self.outbox);
-        let written = write_frame(self.reader.get_mut(), &self.outbox);
+        let written = resp.write_to(self.reader.get_mut(), &mut self.outbox);
         for buf in [&mut self.inbox, &mut self.outbox] {
             if buf.capacity() > KEPT_FRAME_BYTES {
                 *buf = Vec::new();
@@ -479,6 +483,19 @@ fn submit(
         return Response::Err { msg: format!("invalid graph: {e}") };
     }
     let tasks = graph_tasks(&graph);
+    // A result holds one value per declared task, and is delivered in
+    // one frame: a graph whose result the frame cap could not carry
+    // would run, and then never be delivered nor freed.
+    let result_len =
+        result_bound(graph.nodes.iter().map(|n| (n.name.as_str(), n.kind.task_count())));
+    if result_len > MAX_FRAME as usize {
+        return Response::Err {
+            msg: format!(
+                "the graph's result would take up to {result_len} bytes, over the \
+                 {MAX_FRAME}-byte frame cap"
+            ),
+        };
+    }
     let mut st = held(inner.state.lock());
     if st.draining {
         return Response::Err { msg: "daemon is draining".to_string() };
@@ -725,6 +742,7 @@ fn finish(inner: &Arc<Inner>, job: u64, end: End) {
 mod tests {
     use super::*;
     use crate::client::{Client, ClientError};
+    use crate::wire::write_frame;
     use orchestra_delirium::{DelirGraph, NodeKind};
     use orchestra_runtime::TaskCtx;
 
@@ -987,8 +1005,8 @@ mod tests {
 
     /// A connection gives a frame's buffers back once they grew past
     /// [`KEPT_FRAME_BYTES`] — an 8 MiB request answered by an 8 MiB
-    /// response leaves neither behind — and keeps them for a frame the
-    /// size of a wide job's result.
+    /// response leaves neither behind — and keeps them for a 1.2 MB
+    /// frame built whole (an `err` here; a result never grows them).
     #[test]
     fn a_connection_gives_back_a_large_frames_buffers() {
         for (len, kept) in [(8 << 20, false), (1_200_000, true)] {
@@ -1017,6 +1035,44 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A graph whose result the frame cap could not carry — one value
+    /// per task, 17 bytes each, over 16 MiB — is refused at `submit`,
+    /// naming both sizes, instead of running to a result no `wait` can
+    /// be sent and the table never frees; the session goes on.
+    #[test]
+    fn a_result_over_the_frame_cap_is_refused_at_submit() {
+        let socket = std::env::temp_dir().join(format!("orchestrad-cap-{}", std::process::id()));
+        let cfg = DaemonConfig {
+            socket: socket.clone(),
+            workers: 1,
+            admission: AdmissionPolicy {
+                max_graph_tasks: 1 << 21,
+                max_total_tasks: 1 << 22,
+                ..AdmissionPolicy::default()
+            },
+            kernel_scale: 0.001,
+            ..DaemonConfig::default()
+        };
+        let mut daemon = Daemon::start(cfg).expect("daemon starts");
+        let mut graph = DelirGraph::new();
+        let tasks = 1_100_000;
+        graph.add_node("A", NodeKind::DataParallel { tasks, mean_cost: 1.0, cv: 0.0 }, None);
+        let mut client = Client::connect(&socket, "t", 1.0).expect("connect");
+        let msg = refusal(client.submit(&graph, "g", &JobOptions::default()));
+        let bound = result_bound([("A", tasks)]);
+        assert!(bound > 17 * tasks, "{bound}");
+        assert_eq!(
+            msg,
+            format!(
+                "the graph's result would take up to {bound} bytes, over the 16777216-byte frame \
+                 cap"
+            )
+        );
+        let (_, rows) = client.stats().expect("the session goes on");
+        assert!(rows.is_empty(), "nothing was admitted: {rows:?}");
+        daemon.shutdown();
     }
 
     /// A thread that unwinds while it holds the job table poisons the

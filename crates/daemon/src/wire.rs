@@ -10,19 +10,30 @@
 //! client reassembles — bitwise, with no decimal round-trip in
 //! between.
 //!
-//! A frame is built and read in one byte buffer per direction, which a
-//! connection keeps: `encode_into` appends the payload behind a
-//! placeholder and patches the length in, so a frame is one `write`;
-//! [`read_frame`] fills the caller's buffer as bytes arrive; and
-//! `decode_bytes` reads the text where it lies, checking that it is
-//! UTF-8 as it goes. `encode` and `decode` are the same codec for a
-//! caller that holds a frame's payload as a `String`.
+//! A result streams through a fixed buffer at both ends; nothing else
+//! is large enough to need it. The daemon writes a result frame in
+//! pieces of at most 64 KiB, through one buffer its connection reuses.
+//! The length prefix is worked out before the first piece: the head
+//! line's bytes, plus each `out` line's head, plus 17 bytes per value.
+//! A wide job's result of 28 672 values (some 487 500 bytes) is eight
+//! `write`s. The client reads it with [`read_response`] from a
+//! `BufReader` of 64 KiB, decoding values from the reader's buffer
+//! straight into each output's `Vec<f64>`, in eight `read`s where the
+//! socket has the bytes ready and more where it does not. Only a token
+//! or a line head that straddles two reads is carried over, in a small
+//! buffer the caller keeps. Any other frame is built and read whole:
+//! `encode_into` appends the payload behind a placeholder and patches
+//! the length in, so it is one `write`; [`read_frame`] fills the
+//! caller's buffer as bytes arrive. `encode` and `decode` are the same
+//! codec for a caller that holds a frame's payload as a `String`: the
+//! result writer with a `Vec` for its sink, and the result reader over
+//! a byte slice.
 //!
 //! The protocol is deliberately hand-rolled over `std` only: the
 //! workspace is offline and the paper's runtime needs nothing richer
 //! than "submit a graph, stream back results".
 
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::str;
 use std::time::Duration;
 
@@ -39,6 +50,11 @@ pub(crate) const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
 /// Bytes of a frame's length prefix.
 const PREFIX: usize = 4;
+
+/// The most bytes a result's writer holds before it writes them, and
+/// the read buffer its reader is given: a wide job's result crosses in
+/// eight pieces, a small job's in one.
+pub(crate) const CHUNK: usize = 64 << 10;
 
 /// Builds one frame in `frame`, replacing what the buffer held: room
 /// for the length prefix, the payload `payload` appends, and the prefix
@@ -95,6 +111,19 @@ pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> io::Result<()> {
 /// Propagates transport errors; an oversized length is
 /// [`io::ErrorKind::InvalidData`].
 pub fn read_frame<'a>(r: &mut impl Read, buf: &'a mut Vec<u8>) -> io::Result<Option<&'a [u8]>> {
+    let Some(n) = read_prefix(r)? else {
+        return Ok(None);
+    };
+    buf.clear();
+    if r.take(u64::from(n)).read_to_end(buf)? < n as usize {
+        return Err(cut_short());
+    }
+    Ok(Some(buf))
+}
+
+/// A frame's length prefix, checked against [`MAX_FRAME`]; `None` on a
+/// clean end-of-stream.
+fn read_prefix(r: &mut impl Read) -> io::Result<Option<u32>> {
     let mut len = [0u8; PREFIX];
     match r.read_exact(&mut len) {
         Ok(()) => {}
@@ -105,11 +134,11 @@ pub fn read_frame<'a>(r: &mut impl Read, buf: &'a mut Vec<u8>) -> io::Result<Opt
     if n > MAX_FRAME {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "frame length out of range"));
     }
-    buf.clear();
-    if r.take(u64::from(n)).read_to_end(buf)? < n as usize {
-        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "frame cut short"));
-    }
-    Ok(Some(buf))
+    Ok(Some(n))
+}
+
+fn cut_short() -> io::Error {
+    io::Error::new(io::ErrorKind::UnexpectedEof, "frame cut short")
 }
 
 fn utf8(bytes: &[u8]) -> Result<&str, String> {
@@ -532,87 +561,364 @@ fn write_values(out: &mut Vec<u8>, values: &[f64]) {
     }
 }
 
-/// Reads the values of one `out` line — whitespace-separated hex `u64`
-/// bit patterns — from the head of `body`, which begins after the
-/// line's count field; returns them and what follows the line.
-///
-/// A value written the way [`write_values`] writes it (one space,
-/// sixteen hex digits, then a space or the end of the line) is read by
-/// [`unhex8`] in one pass over the bytes, which also finds the line's
-/// end; from the first token that is anything else, the rest of the
-/// line goes through `split_whitespace` and `from_str_radix`. Sixteen
-/// hex digits mean to `from_str_radix` what they mean to `unhex8`, so
-/// what is accepted, and as what, is exactly what the general reader
-/// alone accepts. `declared` only sizes the buffer, and never past what
-/// the bytes present could hold (a value takes at least two).
-fn read_values(body: &[u8], declared: usize) -> Result<(Vec<f64>, &[u8]), String> {
-    let mut values = Vec::with_capacity(declared.min(body.len() / 2));
+/// Bytes of the head of the `out` line a result writes for an op named
+/// `name` with `values` values: the line feed that opens it, `out`, and
+/// the name and the count behind one space each.
+fn out_head_len(name: &str, values: usize) -> usize {
+    let digits = values.checked_ilog10().map_or(1, |d| d as usize + 1);
+    "\nout ".len() + name.len() + 1 + digits
+}
+
+/// Bytes of that whole line: its head and a [`TOKEN`] per value.
+fn out_line_len(name: &str, values: usize) -> usize {
+    TOKEN.saturating_mul(values).saturating_add(out_head_len(name, values))
+}
+
+/// More than any `ok-result` head line takes: four integers of at most
+/// 20 digits and a wall time, an `f64` that `Display` writes in at most
+/// 327 characters (a negative number just below the least normal one),
+/// with their keys — 455 bytes.
+pub(crate) const RESULT_HEAD_BOUND: usize = 512;
+
+/// A bound on the payload of the result of a job whose ops, named and
+/// sized as in `ops`, each hold one value per task: what `submit` holds
+/// against [`MAX_FRAME`], so that a result the frame could not carry is
+/// refused before it is computed.
+pub(crate) fn result_bound<'a>(ops: impl IntoIterator<Item = (&'a str, usize)>) -> usize {
+    ops.into_iter().fold(RESULT_HEAD_BOUND, |len, (name, values)| {
+        len.saturating_add(out_line_len(name, values))
+    })
+}
+
+fn write_result_head(r: &WireResult, out: &mut Vec<u8>) -> io::Result<()> {
+    write!(
+        out,
+        "ok-result job={} wall_us={} attempts={} resumed={} outs={}",
+        r.job,
+        r.wall_us,
+        r.attempts,
+        r.resumed_tasks,
+        r.outputs.len()
+    )
+}
+
+/// Writes the `out` lines of `outputs` behind what `buf` holds — the one
+/// encoder of a result's values. Given a transport `to`, `buf` is
+/// written to it and emptied whenever the next piece would take it past
+/// [`CHUNK`] bytes, and once more at the end; without one, `buf` ends
+/// holding every line.
+fn write_outputs<W: Write>(
+    outputs: &[WireOutput],
+    buf: &mut Vec<u8>,
+    mut to: Option<&mut W>,
+) -> io::Result<()> {
+    let limit = if to.is_some() { CHUNK } else { usize::MAX };
+    let mut spill = |buf: &mut Vec<u8>| match to.as_deref_mut() {
+        Some(w) => {
+            w.write_all(buf)?;
+            buf.clear();
+            Ok(())
+        }
+        None => Ok(()),
+    };
+    for o in outputs {
+        if buf.len() + out_head_len(&o.name, o.values.len()) > limit {
+            spill(buf)?;
+        }
+        write!(buf, "\nout {} {}", o.name, o.values.len())?;
+        let mut values = &o.values[..];
+        while !values.is_empty() {
+            let fit = limit.saturating_sub(buf.len()) / TOKEN;
+            if fit == 0 {
+                spill(buf)?;
+                continue;
+            }
+            let (now, rest) = values.split_at(fit.min(values.len()));
+            write_values(buf, now);
+            values = rest;
+        }
+    }
+    spill(buf)
+}
+
+/// Reads the canonical value tokens at the head of `bytes` — one space
+/// and sixteen hex digits, then a space, a line feed or the payload's
+/// end — into `values`, each by [`unhex8`] in one pass over the bytes.
+/// `after` is the byte that follows `bytes`: `Some(None)` where the
+/// payload ends there, `None` where it has not been read yet. Returns
+/// the bytes the tokens took, and whether what follows them is known to
+/// be something else (`true`) or needs more bytes to tell (`false`).
+fn read_canonical(bytes: &[u8], after: Option<Option<u8>>, values: &mut Vec<f64>) -> (usize, bool) {
     let mut at = 0;
-    while let Some(token) = body.get(at..at + TOKEN) {
-        if token[0] != b' ' || !matches!(body.get(at + TOKEN), None | Some(b' ' | b'\n')) {
-            break;
+    loop {
+        let Some(token) = bytes.get(at..at + TOKEN) else {
+            let other = after == Some(None) || bytes.get(at).is_some_and(|&b| b != b' ');
+            return (at, other);
+        };
+        let next = match (bytes.get(at + TOKEN), after) {
+            (Some(&b), _) => Some(b),
+            (None, Some(b)) => b,
+            (None, None) => return (at, false),
+        };
+        if token[0] != b' ' || !matches!(next, None | Some(b' ' | b'\n')) {
+            return (at, true);
         }
         let (hi, bad_hi) = unhex8(token[1..9].try_into().expect("eight of seventeen bytes"));
         let (lo, bad_lo) = unhex8(token[9..].try_into().expect("eight of seventeen bytes"));
         if bad_hi | bad_lo != 0 {
-            break;
+            return (at, true);
         }
         values.push(f64::from_bits(u64::from(hi) << 32 | u64::from(lo)));
         at += TOKEN;
     }
-    let (tail, rest) = split_line(&body[at..]);
-    for token in utf8(tail)?.split_whitespace() {
-        let bits =
-            u64::from_str_radix(token, 16).map_err(|_| "malformed value bits".to_string())?;
-        values.push(f64::from_bits(bits));
-    }
-    Ok((values, rest))
 }
 
-/// How many leading bytes of `body` hold the first three words of its
-/// first line (`out`, the op's name, the value count): up to the third
-/// word's end, counting only the encoder's single space as a separator,
-/// or the line's end. Whatever else separates words is found by
-/// [`next_token`] once these bytes are known to be text — it may find
-/// the third word earlier, never later.
-fn out_head_len(body: &[u8]) -> usize {
-    let mut words = 0;
-    for (at, &b) in body.iter().enumerate() {
-        match b {
-            b'\n' => return at,
-            b' ' if at > 0 && body[at - 1] != b' ' => {
-                words += 1;
-                if words == 3 {
-                    return at;
+/// The source's next buffered bytes: empty at the payload's end, and
+/// after a transport error, which is kept in `failed`.
+fn fill<'s, R: BufRead>(src: &'s mut io::Take<R>, failed: &mut Option<io::Error>) -> &'s [u8] {
+    if failed.is_some() {
+        return &[];
+    }
+    loop {
+        match src.fill_buf() {
+            Ok(_) => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => {
+                *failed = Some(e);
+                return &[];
+            }
+        }
+    }
+    // Filled above: this call hands back the same bytes.
+    src.fill_buf().unwrap_or(&[])
+}
+
+/// A frame's payload as the response reader reads it: first what it
+/// carried over from one read into the next, `carry[at..]`, then the
+/// rest of `src`. A transport error ends the payload as the reader sees
+/// it; [`read_response`] reports it once the reader is done.
+struct Payload<'a, R> {
+    src: io::Take<R>,
+    carry: &'a mut Vec<u8>,
+    at: usize,
+    failed: Option<io::Error>,
+}
+
+impl<'a, R: BufRead> Payload<'a, R> {
+    /// The `len` bytes of payload that `src` reads next, with `carry`
+    /// emptied to carry bytes over in.
+    fn new(src: R, len: u64, carry: &'a mut Vec<u8>) -> Self {
+        carry.clear();
+        Payload { src: src.take(len), carry, at: 0, failed: None }
+    }
+
+    /// Unread bytes of the payload.
+    fn left(&self) -> usize {
+        let unread = usize::try_from(self.src.limit()).unwrap_or(usize::MAX);
+        unread.saturating_add(self.carry.len() - self.at)
+    }
+
+    fn at_end(&mut self) -> bool {
+        self.at == self.carry.len() && fill(&mut self.src, &mut self.failed).is_empty()
+    }
+
+    /// Marks the next `n` unread bytes read: carried ones first, then
+    /// the source's.
+    fn consume(&mut self, n: usize) {
+        let carried = (self.carry.len() - self.at).min(n);
+        self.at += carried;
+        if self.at == self.carry.len() {
+            self.carry.clear();
+            self.at = 0;
+        }
+        self.src.consume(n - carried);
+    }
+
+    /// Marks the next unread byte read if it is a line feed.
+    fn skip_line_feed(&mut self) {
+        let next = match self.carry.get(self.at) {
+            Some(&b) => Some(b),
+            None => fill(&mut self.src, &mut self.failed).first().copied(),
+        };
+        if next == Some(b'\n') {
+            self.consume(1);
+        }
+    }
+
+    /// Moves the source's next `n` bytes (fewer at the payload's end)
+    /// into the carry.
+    fn carry_over(&mut self, mut n: usize) {
+        while n > 0 {
+            let buf = fill(&mut self.src, &mut self.failed);
+            let take = n.min(buf.len());
+            if take == 0 {
+                return;
+            }
+            self.carry.extend_from_slice(&buf[..take]);
+            self.src.consume(take);
+            n -= take;
+        }
+    }
+
+    /// The unread bytes up to the first that `end` holds for, or to the
+    /// payload's end, as one slice; `end` sees each byte once, in order.
+    /// Bytes that lie in the source's buffer are handed out where they
+    /// lie; bytes that straddle two reads are gathered in the carry.
+    /// Nothing is marked read.
+    fn until(&mut self, mut end: impl FnMut(u8) -> bool) -> &[u8] {
+        if self.at == self.carry.len() {
+            let limit = self.src.limit();
+            let buf = fill(&mut self.src, &mut self.failed);
+            match buf.iter().position(|&b| end(b)) {
+                Some(i) => return &fill(&mut self.src, &mut self.failed)[..i],
+                None if buf.is_empty() => return &[],
+                None if buf.len() as u64 == limit => return fill(&mut self.src, &mut self.failed),
+                None => {
+                    let n = buf.len();
+                    self.carry.extend_from_slice(buf);
+                    self.src.consume(n);
                 }
             }
-            _ => {}
+        } else {
+            if let Some(i) = self.carry[self.at..].iter().position(|&b| end(b)) {
+                return &self.carry[self.at..self.at + i];
+            }
+            self.carry.drain(..self.at);
+            self.at = 0;
+        }
+        loop {
+            let buf = fill(&mut self.src, &mut self.failed);
+            let found = buf.iter().position(|&b| end(b));
+            let take = found.unwrap_or(buf.len());
+            self.carry.extend_from_slice(&buf[..take]);
+            self.src.consume(take);
+            if found.is_some() || take == 0 {
+                return &self.carry[..];
+            }
         }
     }
-    body.len()
+
+    /// Reads the values of one `out` line — whitespace-separated hex
+    /// `u64` bit patterns — from just after its count field, and the
+    /// line's end.
+    ///
+    /// Canonical tokens are read by [`read_canonical`], in bulk where
+    /// they lie in one read and one at a time, through the carry, where
+    /// a token or the byte after it lies in the next. From the first
+    /// token that is anything else, the rest of the line goes through
+    /// `split_whitespace` and `from_str_radix`. Sixteen hex digits mean
+    /// to `from_str_radix` what they mean to `unhex8`, so what is
+    /// accepted, and as what, is exactly what the general reader alone
+    /// accepts, however the payload arrives. `declared` only sizes the
+    /// buffer, and never past what the payload's unread bytes could hold
+    /// (a value takes at least two).
+    fn read_values(&mut self, declared: usize) -> Result<Vec<f64>, String> {
+        let mut values = Vec::with_capacity(declared.min(self.left() / 2));
+        loop {
+            let (took, other, unread) = if self.at == self.carry.len() {
+                let limit = self.src.limit();
+                let buf = fill(&mut self.src, &mut self.failed);
+                let end = buf.is_empty() || buf.len() as u64 == limit;
+                let (took, other) = read_canonical(buf, end.then_some(None), &mut values);
+                (took, other, buf.len() - took)
+            } else {
+                let carried = self.carry.len() - self.at;
+                self.carry_over(TOKEN.saturating_sub(carried));
+                let after = fill(&mut self.src, &mut self.failed).first().copied();
+                let (took, other) =
+                    read_canonical(&self.carry[self.at..], Some(after), &mut values);
+                (took, other, 0)
+            };
+            self.consume(took);
+            if other {
+                break;
+            }
+            // What is left of the source's buffer — part of a token, or
+            // a token without the byte after it — goes on in the carry.
+            self.carry_over(unread);
+        }
+        let tail = self.until(|b| b == b'\n');
+        for token in utf8(tail)?.split_whitespace() {
+            let bits =
+                u64::from_str_radix(token, 16).map_err(|_| "malformed value bits".to_string())?;
+            values.push(f64::from_bits(bits));
+        }
+        let tail = tail.len();
+        self.consume(tail);
+        self.skip_line_feed();
+        Ok(values)
+    }
+
+    /// Reads the `out` lines of a result, one per op. A line's head is
+    /// its first three words (`out`, the op's name, the value count):
+    /// up to the third word's end, counting only the encoder's single
+    /// space as a separator, or the line's end. Whatever else separates
+    /// words is found by [`next_token`] once these bytes are known to be
+    /// text — it may find the third word earlier, never later, and what
+    /// it leaves of the head is where the values begin.
+    fn read_outputs(&mut self) -> Result<Vec<WireOutput>, String> {
+        let mut outputs = Vec::new();
+        while !self.at_end() {
+            let (mut words, mut prev) = (0, None);
+            let head = self.until(|b| {
+                let word_ends = b == b' ' && prev.is_some_and(|p| p != b' ');
+                words += usize::from(word_ends);
+                prev = Some(b);
+                b == b'\n' || word_ends && words == 3
+            });
+            let (name, n, took) = {
+                let head = utf8(head)?;
+                let Some(("out", rest)) = next_token(head) else {
+                    return Err("malformed result body".to_string());
+                };
+                let (name, rest) = next_token(rest).ok_or_else(|| "missing op name".to_string())?;
+                let (n, rest) = next_token(rest)
+                    .and_then(|(n, rest)| Some((n.parse::<usize>().ok()?, rest)))
+                    .ok_or_else(|| "missing value count".to_string())?;
+                (name.to_string(), n, head.len() - rest.len())
+            };
+            self.consume(took);
+            let values = self.read_values(n)?;
+            if values.len() != n {
+                return Err("value count mismatch".to_string());
+            }
+            outputs.push(WireOutput { name, values });
+        }
+        Ok(outputs)
+    }
 }
 
-/// Reads the `out` lines of a result, one per op, without looking for
-/// a line's end before its values are read.
-fn read_outputs(mut body: &[u8]) -> Result<Vec<WireOutput>, String> {
-    let mut outputs = Vec::new();
-    while !body.is_empty() {
-        let head = utf8(&body[..out_head_len(body)])?;
-        let Some(("out", rest)) = next_token(head) else {
-            return Err("malformed result body".to_string());
-        };
-        let (name, rest) = next_token(rest).ok_or_else(|| "missing op name".to_string())?;
-        let (n, rest) = next_token(rest)
-            .and_then(|(n, rest)| Some((n.parse::<usize>().ok()?, rest)))
-            .ok_or_else(|| "missing value count".to_string())?;
-        let (values, after) = read_values(&body[head.len() - rest.len()..], n)?;
-        if values.len() != n {
-            return Err("value count mismatch".to_string());
-        }
-        outputs.push(WireOutput { name: name.to_string(), values });
-        body = after;
+/// Reads one response frame from `r`, decoding it as it arrives. A
+/// result's values go from `r`'s buffer straight into each output's
+/// `Vec<f64>`; only a token or a line head that straddles two reads is
+/// carried over, in `carry`, which the caller keeps from frame to frame.
+/// Any other response is gathered whole first. Returns `Ok(None)` on a
+/// clean end-of-stream (the peer closed between frames), and the
+/// decoder's one-line reason for a frame that does not decode — read to
+/// its end all the same, so that the next frame is read from its start.
+///
+/// # Errors
+///
+/// Propagates transport errors; an oversized length is
+/// [`io::ErrorKind::InvalidData`], a stream that ends inside a frame
+/// [`io::ErrorKind::UnexpectedEof`].
+pub fn read_response(
+    r: &mut impl BufRead,
+    carry: &mut Vec<u8>,
+) -> io::Result<Option<Result<Response, String>>> {
+    let Some(len) = read_prefix(r)? else {
+        return Ok(None);
+    };
+    let mut payload = Payload::new(r, u64::from(len), carry);
+    let response = Response::read(&mut payload);
+    if let Some(e) = payload.failed {
+        return Err(e);
     }
-    Ok(outputs)
+    io::copy(&mut payload.src, &mut io::sink())?;
+    if payload.src.limit() > 0 {
+        return Err(cut_short());
+    }
+    Ok(Some(response))
 }
 
 impl Response {
@@ -623,20 +929,8 @@ impl Response {
             }
             Response::Submitted { job } => write!(out, "ok-submit job={job}"),
             Response::Result(r) => {
-                write!(
-                    out,
-                    "ok-result job={} wall_us={} attempts={} resumed={} outs={}",
-                    r.job,
-                    r.wall_us,
-                    r.attempts,
-                    r.resumed_tasks,
-                    r.outputs.len()
-                )?;
-                for o in &r.outputs {
-                    write!(out, "\nout {} {}", o.name, o.values.len())?;
-                    write_values(out, &o.values);
-                }
-                Ok(())
+                write_result_head(r, out)?;
+                write_outputs(&r.outputs, out, None::<&mut io::Sink>)
             }
             Response::Cancelled { job } => write!(out, "ok-cancel job={job}"),
             Response::Stats { workers, jobs } => {
@@ -671,37 +965,99 @@ impl Response {
         payload_text(|out| self.write_payload(out))
     }
 
-    /// Decodes a frame payload. The text is checked to be UTF-8 where
-    /// it is read — the head line, op names, a value token that is not
-    /// sixteen hex digits — not in a pass of its own.
+    /// Writes the response's frame to `to`, through `buf` (replacing
+    /// what it held). A result goes out in pieces of at most [`CHUNK`]
+    /// bytes, its length prefix worked out before the first: the head
+    /// line's bytes and each `out` line's ([`out_line_len`]). Any other
+    /// response is built whole and written by [`write_frame`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates the transport's I/O errors; a frame over `MAX_FRAME`
+    /// is [`io::ErrorKind::InvalidInput`], and nothing is written.
+    pub(crate) fn write_to(&self, to: &mut impl Write, buf: &mut Vec<u8>) -> io::Result<()> {
+        let Response::Result(r) = self else {
+            self.encode_into(buf);
+            return write_frame(to, buf);
+        };
+        buf.clear();
+        // All the buffer will hold, so that growing does not double it.
+        buf.reserve_exact(CHUNK);
+        buf.extend_from_slice(&[0; PREFIX]);
+        write_result_head(r, buf)?;
+        let len = r.outputs.iter().fold(buf.len() - PREFIX, |len, o| {
+            len.saturating_add(out_line_len(&o.name, o.values.len()))
+        });
+        let len = u32::try_from(len)
+            .ok()
+            .filter(|&len| len <= MAX_FRAME)
+            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
+        buf[..PREFIX].copy_from_slice(&len.to_le_bytes());
+        write_outputs(&r.outputs, buf, Some(to))
+    }
+
+    /// Decodes a frame payload, with the reader [`read_response`] runs
+    /// over a socket. The text is checked to be UTF-8 where it is read —
+    /// the head line, op names, a value token that is not sixteen hex
+    /// digits — not in a pass of its own.
     ///
     /// # Errors
     ///
     /// Returns a one-line reason when the payload is not a valid
     /// response frame.
     pub(crate) fn decode_bytes(payload: &[u8]) -> Result<Response, String> {
+        let mut carry = Vec::new();
+        Response::read(&mut Payload::new(payload, payload.len() as u64, &mut carry))
+    }
+
+    /// The response decoder. A result is read line by line as its bytes
+    /// arrive; the head line's fields are read before its body, and
+    /// their errors reported after the body's.
+    fn read<R: BufRead>(p: &mut Payload<'_, R>) -> Result<Response, String> {
+        let (head_len, fields_of_result) = {
+            let left = p.left();
+            let head = p.until(|b| b == b'\n');
+            let line =
+                if head.len() < left { head.strip_suffix(b"\r").unwrap_or(head) } else { head };
+            let line = utf8(line)?;
+            let result = (line.split_whitespace().next() == Some("ok-result")).then(|| {
+                let [outs, job, wall_us, attempts, resumed] =
+                    fields(line, ["outs", "job", "wall_us", "attempts", "resumed"]);
+                (
+                    need_u64(outs, "outs"),
+                    need_u64(job, "job"),
+                    need(wall_us, "wall_us")
+                        .and_then(|w| w.parse::<f64>().map_err(|_| "bad wall_us".to_string())),
+                    need_u64(attempts, "attempts"),
+                    need_u64(resumed, "resumed"),
+                )
+            });
+            (head.len(), result)
+        };
+        let Some((outs, job, wall_us, attempts, resumed)) = fields_of_result else {
+            return Response::decode_whole(p.until(|_| false));
+        };
+        p.consume(head_len);
+        p.skip_line_feed();
+        let outputs = p.read_outputs()?;
+        if outputs.len() != outs? as usize {
+            return Err("output count mismatch".to_string());
+        }
+        Ok(Response::Result(WireResult {
+            job: job?,
+            wall_us: wall_us?,
+            attempts: attempts? as usize,
+            resumed_tasks: resumed? as usize,
+            outputs,
+        }))
+    }
+
+    /// Decodes a whole payload that is not a result.
+    fn decode_whole(payload: &[u8]) -> Result<Response, String> {
         let (head, body) = split_line(payload);
         let head = utf8(head)?;
-        let verb = head.split_whitespace().next().unwrap_or("");
-        if verb == "ok-result" {
-            let outputs = read_outputs(body)?;
-            let [outs, job, wall_us, attempts, resumed] =
-                fields(head, ["outs", "job", "wall_us", "attempts", "resumed"]);
-            if outputs.len() != need_u64(outs, "outs")? as usize {
-                return Err("output count mismatch".to_string());
-            }
-            return Ok(Response::Result(WireResult {
-                job: need_u64(job, "job")?,
-                wall_us: need(wall_us, "wall_us")?
-                    .parse()
-                    .map_err(|_| "bad wall_us".to_string())?,
-                attempts: need_u64(attempts, "attempts")? as usize,
-                resumed_tasks: need_u64(resumed, "resumed")? as usize,
-                outputs,
-            }));
-        }
         let body = utf8(body)?;
-        match verb {
+        match head.split_whitespace().next().unwrap_or("") {
             "ok-hello" => {
                 let [session, workers] = fields(head, ["session", "workers"]);
                 Ok(Response::Hello {
@@ -748,10 +1104,25 @@ mod tests {
     use super::*;
     use std::io::BufReader;
 
-    /// The value reader on one line's values with no frame around them,
-    /// which is how most tests below call it.
+    /// The value reader on the bytes of a line from just after its
+    /// count field, with no frame around them: the values, and the bytes
+    /// the line leaves unread.
+    fn line_values(body: &[u8], declared: usize) -> Result<(Vec<f64>, &[u8]), String> {
+        let mut carry = Vec::new();
+        let mut payload = Payload::new(body, body.len() as u64, &mut carry);
+        let values = payload.read_values(declared)?;
+        Ok((values, &body[body.len() - payload.left()..]))
+    }
+
+    /// The value reader on one line's values, which is how most tests
+    /// below call it.
     fn read_values(rest: &str, declared: usize) -> Result<Vec<f64>, String> {
-        super::read_values(rest.as_bytes(), declared).map(|(values, _)| values)
+        line_values(rest.as_bytes(), declared).map(|(values, _)| values)
+    }
+
+    /// The `out` line reader on a result's body with no frame around it.
+    fn read_outputs(body: &[u8]) -> Result<Vec<WireOutput>, String> {
+        Payload::new(body, body.len() as u64, &mut Vec::new()).read_outputs()
     }
 
     /// `payload` as the frame `encode_into` would make of it.
@@ -1146,6 +1517,313 @@ mod tests {
         });
     }
 
+    /// Hands out at most `step` bytes per `read`.
+    struct Trickle<'a> {
+        data: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.step.min(buf.len()).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    /// How many bytes a read hands the response reader: around a
+    /// token's length, a page, and all there is.
+    const STEPS: [usize; 7] = [1, 7, 16, 17, 18, 4096, usize::MAX];
+
+    /// A decoded response with every `f64` as its bit pattern, so that
+    /// NaN payloads compare too.
+    type Bits = (u64, u64, usize, usize, Vec<(String, Vec<u64>)>);
+
+    fn bitwise(decoded: Result<Response, String>) -> Result<Bits, String> {
+        match decoded? {
+            Response::Result(r) => Ok((
+                r.job,
+                r.wall_us.to_bits(),
+                r.attempts,
+                r.resumed_tasks,
+                r.outputs
+                    .into_iter()
+                    .map(|o| (o.name, o.values.into_iter().map(f64::to_bits).collect()))
+                    .collect(),
+            )),
+            other => Err(format!("not a result: {other:?}")),
+        }
+    }
+
+    /// `payload` as [`read_response`] reads it from a stream, `step`
+    /// bytes per read, with a frame behind it that must still be read
+    /// from its start: the response, and what the carry grew to.
+    fn read_streamed(payload: &[u8], step: usize) -> (Result<Response, String>, usize) {
+        let mut wire = frame_of(payload);
+        wire.extend(frame_of(b"ok-drained"));
+        let mut reader = BufReader::with_capacity(CHUNK, Trickle { data: &wire, step });
+        let mut carry = Vec::new();
+        let got = read_response(&mut reader, &mut carry).expect("read").expect("a frame");
+        let next = read_response(&mut reader, &mut carry).expect("read");
+        assert_eq!(next, Some(Ok(Response::Drained)), "the next frame is read from its start");
+        assert_eq!(read_response(&mut reader, &mut carry).expect("read"), None, "clean EOF");
+        (got, carry.capacity())
+    }
+
+    /// `n` values from `seed`, NaN payloads, infinities, −0.0 and
+    /// subnormals of both signs among them.
+    fn special_values(n: usize, seed: u64) -> Vec<f64> {
+        let mut x = seed | 1;
+        let values = (0..n).map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            f64::from_bits(match x % 8 {
+                0 => (-0.0f64).to_bits(),
+                1 => x >> 12,
+                2 => 1 << 63 | x >> 12,
+                3 => 0x7ff0_0000_0000_0000 | x >> 12,
+                4 => 0xfff8_0000_0000_0000 | x >> 13,
+                _ => x,
+            })
+        });
+        values.collect()
+    }
+
+    /// Op names of a few lengths, one not ASCII.
+    const NAMES: [&str; 4] = ["A", "C0", "\u{e9}t\u{e9}", "a_rather_longer_op_name.7"];
+
+    /// Mostly a few values, often a wide job's many.
+    fn value_count() -> impl proptest::strategy::Strategy<Value = usize> {
+        proptest::prop_oneof![0..40usize, 0..40_000usize]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The streamed writer makes the bytes `encode` makes, behind the
+        /// length it worked out first, in writes of at most `CHUNK` bytes
+        /// from a buffer that holds no more; the streamed reader reads
+        /// them back bit for bit, however the reads fall, carrying over
+        /// no more than a line head.
+        #[test]
+        fn a_streamed_result_is_the_whole_frame_codec_piece_by_piece(
+            outputs in proptest::collection::vec(
+                (0..NAMES.len(), value_count(), proptest::prelude::any::<u64>()),
+                0..4,
+            ),
+            wall_us in proptest::prelude::any::<u64>(),
+            step in 0..STEPS.len(),
+        ) {
+            let result = WireResult {
+                job: wall_us >> 7,
+                wall_us: f64::from_bits(wall_us),
+                attempts: 1 + (wall_us % 3) as usize,
+                resumed_tasks: (wall_us % 1000) as usize,
+                outputs: outputs
+                    .iter()
+                    .map(|&(name, n, seed)| WireOutput {
+                        name: NAMES[name].to_string(),
+                        values: special_values(n, seed),
+                    })
+                    .collect(),
+            };
+            let resp = Response::Result(result.clone());
+            let whole = frame_of(resp.encode().as_bytes());
+
+            let (mut wire, mut buf, mut largest) = (Vec::new(), Vec::new(), 0);
+            let mut to = WriteSizes { inner: &mut wire, largest: &mut largest };
+            resp.write_to(&mut to, &mut buf).expect("written");
+            proptest::prop_assert!(wire == whole, "the streamed frame is the whole frame");
+            proptest::prop_assert!(largest <= CHUNK, "a write of {largest} bytes");
+            proptest::prop_assert!(buf.capacity() <= CHUNK, "a {} byte buffer", buf.capacity());
+
+            let sizes = result.outputs.iter().map(|o| (o.name.as_str(), o.values.len()));
+            let bound = result_bound(sizes);
+            let payload = whole.len() - PREFIX;
+            proptest::prop_assert!((payload..=payload + RESULT_HEAD_BOUND).contains(&bound));
+
+            let (got, carried) = read_streamed(&whole[PREFIX..], STEPS[step]);
+            proptest::prop_assert_eq!(bitwise(got), bitwise(Ok(resp)));
+            // A head line, its wall time written from arbitrary bits.
+            proptest::prop_assert!(carried <= 2 * RESULT_HEAD_BOUND, "a {carried} byte carry");
+        }
+    }
+
+    /// Records the largest single write.
+    struct WriteSizes<'a, W> {
+        inner: &'a mut W,
+        largest: &'a mut usize,
+    }
+
+    impl<W: Write> Write for WriteSizes<'_, W> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            *self.largest = (*self.largest).max(buf.len());
+            self.inner.write(buf)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// Result payloads of every shape the reader accepts or refuses —
+        /// extra and Unicode whitespace, CRLF, upper-case, short and
+        /// signed tokens, miscounted `outs` and value counts, cut short,
+        /// not UTF-8 — decode the same from a stream, however its reads
+        /// fall, as from a slice; whole and UTF-8, as the line-by-line
+        /// reference reads them.
+        #[test]
+        fn a_result_decodes_alike_whatever_the_reads(
+            lines in proptest::collection::vec(
+                (
+                    0..OUT_HEADS.len(),
+                    value_count(),
+                    proptest::prelude::any::<u64>(),
+                    proptest::collection::vec(
+                        (
+                            proptest::prelude::any::<u64>(),
+                            0..SEPARATORS.len(),
+                            0..13usize,
+                        ),
+                        0..3,
+                    ),
+                    0..LINE_ENDS.len(),
+                    0..8usize,
+                ),
+                0..4,
+            ),
+            miscount in 0..8usize,
+            cut in 0..3000usize,
+            flip in (proptest::prelude::any::<u64>(), 0..4usize),
+            step in 0..STEPS.len(),
+        ) {
+            let outs = lines.len() + usize::from(miscount == 0);
+            let head = format!("ok-result job=1 wall_us=2 attempts=1 resumed=0 outs={outs}");
+            let mut body = String::new();
+            for (at, &(out_head, n, seed, ref odd, end, short)) in lines.iter().enumerate() {
+                if at > 0 {
+                    body += LINE_ENDS[end];
+                }
+                let declared = n + usize::from(short == 0);
+                body += &OUT_HEADS[out_head].replace("{n}", &declared.to_string());
+                let mut tokens: Vec<String> = special_values(n, seed)
+                    .iter()
+                    .map(|v| format!(" {:016x}", v.to_bits()))
+                    .collect();
+                for &(pos, sep, kind) in odd {
+                    if n > 0 {
+                        let bits = seed.rotate_left(pos as u32);
+                        let token = format!("{}{}", SEPARATORS[sep], value_token(kind, bits));
+                        tokens[pos as usize % n] = token;
+                    }
+                }
+                body.extend(tokens);
+            }
+            let mut payload = format!("{head}\n{body}").into_bytes();
+            let whole = cut % 3 != 0 && flip.1 != 0;
+            if cut % 3 == 0 {
+                payload.truncate(payload.len().saturating_sub(cut / 3));
+            }
+            if flip.1 == 0 && !payload.is_empty() {
+                let at = flip.0 as usize % payload.len();
+                payload[at] = 0xff;
+            }
+
+            let sliced = Response::decode_bytes(&payload);
+            let (streamed, _) = read_streamed(&payload, STEPS[step]);
+            let sliced = bitwise(sliced);
+            proptest::prop_assert_eq!(&bitwise(streamed), &sliced);
+            if whole {
+                let reference = reference_outputs(&body).ok().filter(|o| o.len() == outs);
+                proptest::prop_assert_eq!(sliced.ok().map(|r| r.4), reference);
+            }
+        }
+    }
+
+    #[test]
+    fn no_head_line_passes_the_bound() {
+        let extreme = WireResult {
+            job: u64::MAX,
+            wall_us: -8.773_496_003_510_878e-309,
+            attempts: usize::MAX,
+            resumed_tasks: usize::MAX,
+            outputs: vec![],
+        };
+        let mut head = Vec::new();
+        write_result_head(&extreme, &mut head).unwrap();
+        // `outs=0` here: 19 digits short of its widest.
+        assert_eq!(head.len() + 19, 455);
+        assert!(455 <= RESULT_HEAD_BOUND);
+    }
+
+    #[test]
+    fn a_result_over_the_cap_is_refused_before_a_byte_is_written() {
+        // 17 bytes a value: a million of them pass 16 MiB.
+        let resp = result_of(vec![0.0; 1_000_000]);
+        let (mut wire, mut buf) = (Vec::new(), Vec::new());
+        let err = resp.write_to(&mut wire, &mut buf).unwrap_err();
+        assert_eq!((err.kind(), wire.len()), (io::ErrorKind::InvalidInput, 0));
+        let huge = (MAX_FRAME + 1).to_le_bytes();
+        let mut reader = BufReader::new(&huge[..]);
+        let err = read_response(&mut reader, &mut buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "oversized length prefix");
+        let mut torn = frame_of(b"ok-result job=1 wall_us=2 attempts=1 resumed=0 outs=0");
+        torn.pop();
+        let err = read_response(&mut BufReader::new(&torn[..]), &mut buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "a frame cut short");
+    }
+
+    #[test]
+    fn a_result_is_one_write_and_one_read_per_64_kib() {
+        // A small job's result, 8 KiB; a wide job's in `serve_mix`,
+        // 28 672 values in 476 KiB.
+        for (values, calls) in [(477, 1), (28_672, 8)] {
+            let resp = result_of((0..values).map(f64::from).collect());
+            let mut wire = Counted { inner: Vec::new(), calls: 0 };
+            resp.write_to(&mut wire, &mut Vec::new()).unwrap();
+            assert_eq!(wire.calls, calls, "{values} values: writes, no flush");
+
+            let mut reader =
+                BufReader::with_capacity(CHUNK, Counted { inner: &wire.inner[..], calls: 0 });
+            let got = read_response(&mut reader, &mut Vec::new()).unwrap().expect("a frame");
+            assert_eq!(got, Ok(resp));
+            assert_eq!(reader.get_ref().calls, calls, "{values} values: reads");
+        }
+    }
+
+    #[test]
+    fn a_wide_result_streams_across_a_socket_through_fixed_buffers() {
+        use std::os::unix::net::UnixStream;
+        // 2 MiB of values, far more than a socket buffer holds.
+        let wide = result_of(special_values((2 << 20) / TOKEN, 0x9e37_79b9_7f4a_7c15));
+        let small = Response::Submitted { job: 9 };
+        let (mut tx, rx) = UnixStream::pair().unwrap();
+        std::thread::scope(|s| {
+            let writer = s.spawn(|| {
+                let mut buf = Vec::new();
+                for resp in [&wide, &small, &wide] {
+                    resp.write_to(&mut tx, &mut buf).unwrap();
+                }
+                buf.capacity()
+            });
+            let (mut reader, mut carry) = (BufReader::with_capacity(CHUNK, rx), Vec::new());
+            for resp in [&wide, &small, &wide] {
+                let got = read_response(&mut reader, &mut carry).unwrap().expect("a frame");
+                assert!(
+                    bitwise(got) == bitwise(Ok(resp.clone())),
+                    "the values crossed bit for bit"
+                );
+            }
+            assert!(carry.capacity() <= 128, "the carry grew to {} bytes", carry.capacity());
+            assert_eq!(writer.join().unwrap(), CHUNK, "the writer's buffer");
+        });
+    }
+
     /// Sixteen hex digits as `from_str_radix` reads them: the reference
     /// for [`unhex8`].
     fn reference_bits(digits: &[u8]) -> Option<u64> {
@@ -1177,7 +1855,7 @@ mod tests {
                         [&token[..], b" 0000000000000001"].concat(),
                         [b" 0000000000000001", &token[..]].concat(),
                     ] {
-                        let got = super::read_values(&line, 2);
+                        let got = line_values(&line, 2);
                         let (text, rest) = split_line(&line);
                         let expected = utf8(text).and_then(reference_values);
                         assert_eq!(
@@ -1221,7 +1899,7 @@ mod tests {
         write_values(&mut out, &values);
         let reference: String = patterns.iter().map(|bits| format!(" {bits:016x}")).collect();
         assert_eq!(str::from_utf8(&out).unwrap(), format!("kept{reference}"));
-        let (read, after) = super::read_values(&out[4..], values.len()).unwrap();
+        let (read, after) = line_values(&out[4..], values.len()).unwrap();
         assert!(after.is_empty());
         assert_eq!(bit_patterns(Ok(read)), Ok(patterns));
     }

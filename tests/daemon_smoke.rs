@@ -9,16 +9,18 @@
 mod common;
 
 use common::shapes;
-use orchestra_daemon::wire::{read_frame, write_frame};
+use orchestra_daemon::wire::{read_frame, read_response, write_frame};
 use orchestra_daemon::{
-    AdmissionPolicy, Client, ClientError, Daemon, DaemonConfig, JobOptions, Request,
+    AdmissionPolicy, Client, ClientError, Daemon, DaemonConfig, JobOptions, Request, Response,
 };
 use orchestra_delirium::DelirGraph;
 use orchestra_runtime::executor::ExecutorOptions;
 use orchestra_runtime::threaded::{execute_sequential, ExecutorBackend, SpinKernel};
 use orchestra_runtime::{FaultPlan, FaultTrigger, PolicyKind};
+use std::io::{self, BufReader, Read};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// Wall-clock scale served by test daemons (small: CI time, not
@@ -367,5 +369,94 @@ fn shutdown_drains_admitted_work_then_refuses_connections() {
     };
     assert!(refused, "the drained daemon must stop accepting connections");
     drop(d);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Reads at most 4 KiB at a time, with a pause before each read; once
+/// `midway` bytes have arrived it signals `start` and reads nothing more
+/// until `done` arrives.
+struct Paced {
+    stream: UnixStream,
+    arrived: usize,
+    midway: usize,
+    handoff: Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>,
+}
+
+impl Read for Paced {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if self.arrived >= self.midway {
+            if let Some((start, done)) = self.handoff.take() {
+                start.send(()).expect("the other tenant listens");
+                done.recv_timeout(Duration::from_secs(30))
+                    .expect("the other tenant's jobs complete while this result is mid-frame");
+            }
+        }
+        std::thread::sleep(Duration::from_micros(50));
+        let n = buf.len().min(4096);
+        let n = self.stream.read(&mut buf[..n])?;
+        self.arrived += n;
+        Ok(n)
+    }
+}
+
+/// A tenant that reads a large result slowly holds up no one else: the
+/// daemon writes the result piece by piece as the socket drains, and
+/// while it is mid-frame — more of it written than a socket buffer
+/// holds, the writer blocked — a second tenant's small jobs run and are
+/// delivered. The slow tenant's values are the sequential reference's,
+/// bit for bit.
+#[test]
+fn a_slow_reader_of_a_large_result_holds_up_no_one_else() {
+    let (mut d, dir) = daemon("slow-reader", 2, AdmissionPolicy::default());
+    let socket = d.socket().to_path_buf();
+    // 131 072 values, 17 bytes each on the wire: a 2.2 MB frame.
+    let wide = shapes::flat(131_072, 1.0, 0.2);
+    let opts = JobOptions { seed: 29, ..JobOptions::default() };
+
+    // The slow tenant speaks the protocol itself, so that it can pace
+    // its reads.
+    let mut stream = UnixStream::connect(&socket).expect("connect");
+    let mut frame = Vec::new();
+    let mut ask = |stream: &mut UnixStream, req: Request| {
+        req.encode_into(&mut frame);
+        write_frame(stream, &frame).expect("request written");
+    };
+    let answer = |stream: &mut UnixStream| {
+        let mut inbox = Vec::new();
+        let payload = read_frame(stream, &mut inbox).expect("read").expect("an answer");
+        Response::decode(std::str::from_utf8(payload).expect("text")).expect("a response")
+    };
+    ask(&mut stream, Request::Hello { tenant: "slow".to_string(), weight: 1.0 });
+    assert!(matches!(answer(&mut stream), Response::Hello { .. }));
+    let graph = orchestra_delirium::text::print(&wide, "wide");
+    ask(&mut stream, Request::Submit { opts: opts.clone(), graph });
+    let Response::Submitted { job } = answer(&mut stream) else { panic!("not admitted") };
+    ask(&mut stream, Request::Wait { job });
+
+    let (start_tx, start_rx) = mpsc::channel();
+    let (done_tx, done_rx) = mpsc::channel();
+    let other = std::thread::spawn(move || {
+        start_rx.recv_timeout(Duration::from_secs(30)).expect("the slow read reaches midway");
+        let mut c = Client::connect(&socket, "quick", 1.0).expect("connect");
+        let small = shapes::flat(16, 20.0, 0.1);
+        let opts = JobOptions { seed: 31, ..JobOptions::default() };
+        for _ in 0..5 {
+            let job = c.submit(&small, "small", &opts).expect("submit");
+            let result = c.wait(job).expect("a small job completes");
+            assert_eq!(result.outputs[0].values, reference(&small, &opts)[0]);
+        }
+        done_tx.send(()).expect("the slow reader listens");
+    });
+
+    let paced = Paced { stream, arrived: 0, midway: 512 << 10, handoff: Some((start_tx, done_rx)) };
+    let mut reader = BufReader::with_capacity(4096, paced);
+    let got = read_response(&mut reader, &mut Vec::new()).expect("read").expect("a frame");
+    other.join().expect("the other tenant");
+    assert!(reader.get_ref().handoff.is_none(), "the read paused midway");
+    let Ok(Response::Result(result)) = got else { panic!("a result, got {got:?}") };
+    let expect = reference(&wide, &opts);
+    let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert!(bits(&result.outputs[0].values) == bits(&expect[0]), "the values crossed bit for bit");
+    d.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
