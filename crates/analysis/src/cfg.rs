@@ -18,7 +18,7 @@ pub(crate) type BlockId = usize;
 
 /// A non-branching statement placed inside a basic block.
 #[derive(Debug, Clone, PartialEq)]
-pub enum SimpleStmt {
+pub(crate) enum SimpleStmt {
     /// Assignment to a scalar or array element.
     Assign {
         /// Destination.
@@ -37,7 +37,7 @@ pub enum SimpleStmt {
 
 /// A basic-block terminator.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Terminator {
+pub(crate) enum Terminator {
     /// Unconditional jump.
     Jump(BlockId),
     /// Two-way conditional branch.
@@ -68,7 +68,7 @@ impl Terminator {
 /// The role a block plays in the loop structure (used by the induction
 /// variable recognizer and by tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BlockRole {
+pub(crate) enum BlockRole {
     /// Ordinary straight-line code.
     Plain,
     /// Loop preheader (initializes the induction variable).
@@ -85,7 +85,7 @@ pub enum BlockRole {
 
 /// A basic block.
 #[derive(Debug, Clone)]
-pub struct Block {
+pub(crate) struct Block {
     /// Straight-line statements.
     pub stmts: Vec<SimpleStmt>,
     /// Terminator.
@@ -127,9 +127,9 @@ pub struct LoopShape {
 #[derive(Debug, Clone)]
 pub struct Cfg {
     /// All blocks; block 0 is the entry.
-    pub blocks: Vec<Block>,
+    pub(crate) blocks: Vec<Block>,
     /// Entry block id (always 0).
-    pub entry: BlockId,
+    pub(crate) entry: BlockId,
     /// Loops discovered during lowering, outermost first.
     pub loops: Vec<LoopShape>,
 }
@@ -137,7 +137,7 @@ pub struct Cfg {
 impl Cfg {
     /// Lowers a whole program: scalar declaration initializers become
     /// assignments in the entry block, followed by the body.
-    pub fn from_program(prog: &Program) -> Cfg {
+    pub(crate) fn from_program(prog: &Program) -> Cfg {
         let inits = prog.decls.iter().filter(|d| !d.is_array()).filter_map(|d| {
             d.init.as_ref().map(|init| SimpleStmt::Assign {
                 target: LValue::Var(d.name.clone()),

@@ -31,7 +31,7 @@ pub struct DceStats {
 
 impl DceStats {
     /// Total number of eliminations.
-    pub fn total(&self) -> usize {
+    pub(crate) fn total(&self) -> usize {
         self.assignments_removed + self.loops_removed + self.branches_folded
     }
 }

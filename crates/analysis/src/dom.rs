@@ -8,7 +8,7 @@ use crate::cfg::{BlockId, Cfg};
 
 /// Dominator information for a CFG.
 #[derive(Debug, Clone)]
-pub struct DomTree {
+pub(crate) struct DomTree {
     /// Immediate dominator per block; `idom[entry] == entry`.
     /// Unreachable blocks carry `usize::MAX`.
     pub idom: Vec<BlockId>,
@@ -74,7 +74,7 @@ pub(crate) const UNREACHABLE: usize = usize::MAX;
 
 impl DomTree {
     /// Computes dominators and frontiers for `cfg`.
-    pub fn compute(cfg: &Cfg) -> DomTree {
+    pub(crate) fn compute(cfg: &Cfg) -> DomTree {
         let n = cfg.len();
         let rpo = cfg.reverse_postorder();
         let mut rpo_index = vec![UNREACHABLE; n];
@@ -141,12 +141,12 @@ impl DomTree {
     }
 
     /// The dominance frontier of block `b`.
-    pub fn frontier(&self, b: BlockId) -> &[BlockId] {
+    pub(crate) fn frontier(&self, b: BlockId) -> &[BlockId] {
         self.frontier.of(b)
     }
 
     /// The children of block `b` in the dominator tree, ascending.
-    pub fn children(&self, b: BlockId) -> &[BlockId] {
+    pub(crate) fn children(&self, b: BlockId) -> &[BlockId] {
         self.children.of(b)
     }
 
@@ -156,7 +156,7 @@ impl DomTree {
     }
 
     /// True if `a` dominates `b` (reflexive).
-    pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
+    pub(crate) fn dominates(&self, a: BlockId, b: BlockId) -> bool {
         if self.idom[b] == UNREACHABLE {
             return false;
         }

@@ -20,7 +20,9 @@
 //!    [`symbolic::SymValue`]s (linear expressions and ranges) and blocks
 //!    with path [`symbolic::Assertion`]s.
 //!
-//! The one-call entry point is [`analyze_program`].
+//! The one-call entry point is [`analyze_program`]. It only copies the
+//! program: the six steps run when an accessor of the
+//! [`AnalyzedProgram`] it returns is first read, and once.
 //!
 //! ```
 //! use orchestra_lang::parse_program;
@@ -29,8 +31,8 @@
 //! let p = parse_program(
 //!     "program t\n integer n = 4\n integer x[1..n]\n do i = 1, n { x[i] = i }\nend",
 //! ).unwrap();
-//! let a = analyze_program(&p);
-//! assert_eq!(a.ssa.cfg.loops.len(), 1);
+//! let a = analyze_program(&p); // a copy of `p`, nothing analyzed yet
+//! assert_eq!(a.ssa().cfg.loops.len(), 1); // the first read runs the steps
 //! ```
 
 pub mod aggregate;
@@ -46,23 +48,60 @@ pub mod verify;
 
 use orchestra_lang::ast::{Name, Program, Stmt};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::OnceLock;
 
 pub use propagate::Propagation;
 pub use symbolic::{Assertion, Ineq, SymExpr, SymRange, SymValue};
 
-/// The complete analysis result for one program.
+/// The complete analysis of one program. It owns a copy of the program
+/// and runs the six steps the first time an accessor is read, once:
+/// a clone taken before that read runs its own, and threads reading
+/// one value share one run.
 #[derive(Debug, Clone)]
 pub struct AnalyzedProgram {
+    program: Program,
+    result: OnceLock<Analysis>,
+}
+
+/// What the six steps produce.
+#[derive(Debug, Clone)]
+struct Analysis {
+    ssa: ssa::SsaProgram,
+    prop: Propagation,
+    call_groups: Vec<callsites::CallGroup>,
+    aliases: alias::AliasInfo,
+    aggregate_forwards: usize,
+}
+
+impl AnalyzedProgram {
+    fn analysis(&self) -> &Analysis {
+        self.result.get_or_init(|| analyze(&self.program))
+    }
+
     /// SSA-form CFG with φ nodes and dominator tree.
-    pub ssa: ssa::SsaProgram,
+    pub fn ssa(&self) -> &ssa::SsaProgram {
+        &self.analysis().ssa
+    }
+
     /// Symbolic values, block assertions, loop ranges.
-    pub prop: propagate::Propagation,
+    pub fn prop(&self) -> &Propagation {
+        &self.analysis().prop
+    }
+
     /// Call-site groups.
-    pub call_groups: Vec<callsites::CallGroup>,
+    pub fn call_groups(&self) -> &[callsites::CallGroup] {
+        &self.analysis().call_groups
+    }
+
     /// Alias findings.
-    pub aliases: alias::AliasInfo,
+    pub fn aliases(&self) -> &alias::AliasInfo {
+        &self.analysis().aliases
+    }
+
     /// Number of aggregate reads forwarded.
-    pub aggregate_forwards: usize,
+    pub fn aggregate_forwards(&self) -> usize {
+        self.analysis().aggregate_forwards
+    }
 }
 
 /// Collects the scalar variable names of a program: declared scalars
@@ -80,17 +119,14 @@ pub fn collect_scalars(prog: &Program) -> BTreeSet<Name> {
     out
 }
 
-/// Runs the full analysis pipeline on a program body.
+/// The analysis of a program, run when it is first read: this call
+/// only copies the program.
 pub fn analyze_program(prog: &Program) -> AnalyzedProgram {
-    analyze_with_profile(prog, &BTreeMap::new())
+    AnalyzedProgram { program: prog.clone(), result: OnceLock::new() }
 }
 
-/// Like [`analyze_program`], with measured profile weights for call
-/// sites (pre-order call index → weight).
-pub(crate) fn analyze_with_profile(
-    prog: &Program,
-    profile: &BTreeMap<usize, f64>,
-) -> AnalyzedProgram {
+/// The six steps, in the order each needs the last.
+fn analyze(prog: &Program) -> Analysis {
     let scalars = collect_scalars(prog);
     let mut base_cfg = cfg::Cfg::from_program(prog);
     // Step 4 runs before SSA so forwarded scalars participate in
@@ -100,9 +136,9 @@ pub(crate) fn analyze_with_profile(
     let mut prop = propagate::propagate(&ssa_prog);
     let aliases = alias::detect_aliases(&ssa_prog.cfg);
     alias::apply_invalidations(&mut prop, &aliases);
-    let sites = callsites::collect_call_sites(prog, profile);
+    let sites = callsites::collect_call_sites(prog, &BTreeMap::new());
     let call_groups = callsites::classify(&sites, &callsites::ClassifyConfig::default());
-    AnalyzedProgram { ssa: ssa_prog, prop, call_groups, aliases, aggregate_forwards }
+    Analysis { ssa: ssa_prog, prop, call_groups, aliases, aggregate_forwards }
 }
 
 #[cfg(test)]
@@ -114,8 +150,8 @@ mod tests {
     fn pipeline_runs_on_figure1() {
         let p = orchestra_lang::builder::figure1_program(8);
         let a = analyze_program(&p);
-        assert_eq!(a.ssa.cfg.loops.len(), 5, "col, two inner i loops, B nest i and j");
-        assert!(a.aliases.is_clean());
+        assert_eq!(a.ssa().cfg.loops.len(), 5, "col, two inner i loops, B nest i and j");
+        assert!(a.aliases().is_clean());
     }
 
     #[test]
@@ -137,9 +173,47 @@ mod tests {
         )
         .unwrap();
         let a = analyze_program(&p);
-        assert_eq!(a.aggregate_forwards, 1);
+        assert_eq!(a.aggregate_forwards(), 1);
         // w's value folds to 7 through the array round-trip.
-        assert_eq!(a.prop.values.get("w#1"), Some(&SymValue::int(7)));
+        assert_eq!(a.prop().values.get("w#1"), Some(&SymValue::int(7)));
+    }
+
+    #[test]
+    fn the_first_read_runs_the_analysis_once() {
+        let a = analyze_program(&orchestra_lang::builder::figure1_program(8));
+        assert!(a.result.get().is_none(), "building the value runs nothing");
+        let first = a.prop();
+        assert!(a.result.get().is_some(), "the first read ran it");
+        assert!(std::ptr::eq(first, a.prop()), "a second read returns the same result");
+    }
+
+    #[test]
+    fn a_clone_taken_before_the_first_read_reads_the_same() {
+        let a = analyze_program(&orchestra_lang::builder::figure1_program(8));
+        let b = a.clone();
+        assert!(b.result.get().is_none());
+        let (pa, pb) = (a.prop(), b.prop());
+        assert!(!std::ptr::eq(pa, pb), "the clone ran its own analysis");
+        assert_eq!(pa.values, pb.values);
+        assert_eq!(pa.loop_ranges, pb.loop_ranges);
+        assert_eq!(pa.assertions, pb.assertions);
+        assert_eq!(a.call_groups(), b.call_groups());
+        assert_eq!(a.aggregate_forwards(), b.aggregate_forwards());
+    }
+
+    #[test]
+    fn threads_reading_one_value_share_one_run() {
+        let a = analyze_program(&orchestra_lang::builder::figure1_program(8));
+        let start = std::sync::Barrier::new(2);
+        let (x, y) = std::thread::scope(|s| {
+            let read = || {
+                start.wait();
+                a.prop()
+            };
+            let (x, y) = (s.spawn(read), s.spawn(read));
+            (x.join().expect("the reader finishes"), y.join().expect("the reader finishes"))
+        });
+        assert!(std::ptr::eq(x, y), "both threads read the one result");
     }
 
     #[test]
@@ -149,6 +223,6 @@ mod tests {
         )
         .unwrap();
         let a = analyze_program(&p);
-        assert_eq!(a.prop.values.get("s#1"), Some(&SymValue::Unknown));
+        assert_eq!(a.prop().values.get("s#1"), Some(&SymValue::Unknown));
     }
 }

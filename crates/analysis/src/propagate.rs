@@ -46,7 +46,7 @@ impl<'a> Lookup<'a> {
 }
 
 /// Runs value and assertion propagation.
-pub fn propagate(ssa: &SsaProgram) -> Propagation {
+pub(crate) fn propagate(ssa: &SsaProgram) -> Propagation {
     let mut values: HashMap<Name, SymValue> = HashMap::with_capacity(ssa.def_block.len());
     let mut loop_ranges = HashMap::new();
     let lookup = Lookup::new(ssa);

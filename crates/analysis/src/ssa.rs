@@ -13,7 +13,7 @@ use std::collections::{BTreeSet, HashMap};
 
 /// A φ node placed at a block head.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Phi {
+pub(crate) struct Phi {
     /// Source variable name.
     pub var: Name,
     /// SSA name defined by this φ.
@@ -28,13 +28,11 @@ pub struct SsaProgram {
     /// The CFG with every scalar reference renamed to `base#version`.
     pub cfg: Cfg,
     /// φ nodes per block.
-    pub phis: Vec<Vec<Phi>>,
+    pub(crate) phis: Vec<Vec<Phi>>,
     /// Dominator tree used during construction.
-    pub dom: DomTree,
+    pub(crate) dom: DomTree,
     /// Defining block of each SSA name (φ or assignment).
-    pub def_block: HashMap<Name, usize>,
-    /// The scalar variables that were renamed.
-    pub scalars: BTreeSet<Name>,
+    pub(crate) def_block: HashMap<Name, usize>,
 }
 
 /// Splits an SSA name into `(base, version)`.
@@ -140,7 +138,7 @@ pub(crate) fn to_ssa(mut cfg: Cfg, scalar_names: &BTreeSet<Name>) -> SsaProgram 
     };
     rename_block(cfg.entry, &mut cfg, &mut phis, &dom, &mut renamer);
 
-    SsaProgram { cfg, phis, dom, def_block: renamer.def_block, scalars: scalar_names.clone() }
+    SsaProgram { cfg, phis, dom, def_block: renamer.def_block }
 }
 
 /// Renaming state, indexed by scalar.

@@ -213,7 +213,7 @@ impl SymExpr {
     }
 
     /// Sum of two expressions.
-    pub fn add(&self, other: &SymExpr) -> SymExpr {
+    pub(crate) fn add(&self, other: &SymExpr) -> SymExpr {
         self.plus_scaled(other, 1)
     }
 
@@ -248,7 +248,7 @@ impl SymExpr {
     }
 
     /// Product, defined only when at least one side is constant.
-    pub fn mul(&self, other: &SymExpr) -> Option<SymExpr> {
+    pub(crate) fn mul(&self, other: &SymExpr) -> Option<SymExpr> {
         if let Some(k) = other.as_constant() {
             Some(self.scale(k))
         } else {
@@ -274,17 +274,17 @@ impl SymExpr {
     /// it is exactly when their term lists are equal.
     ///
     /// Returns `Some(ordering of self vs other)` only when provable.
-    pub fn compare(&self, other: &SymExpr) -> Option<Ordering> {
+    pub(crate) fn compare(&self, other: &SymExpr) -> Option<Ordering> {
         (self.terms == other.terms).then(|| self.konst.cmp(&other.konst))
     }
 
     /// Proves `self <= other` (conservatively: `None` means unknown).
-    pub fn le(&self, other: &SymExpr) -> Option<bool> {
+    pub(crate) fn le(&self, other: &SymExpr) -> Option<bool> {
         self.compare(other).map(|o| o != Ordering::Greater)
     }
 
     /// Proves `self < other`.
-    pub fn lt(&self, other: &SymExpr) -> Option<bool> {
+    pub(crate) fn lt(&self, other: &SymExpr) -> Option<bool> {
         self.compare(other).map(|o| o == Ordering::Less)
     }
 
@@ -361,7 +361,7 @@ impl SymRange {
     }
 
     /// Proves the range empty (`end < start`).
-    pub fn is_empty(&self) -> Option<bool> {
+    pub(crate) fn is_empty(&self) -> Option<bool> {
         self.end.lt(&self.start)
     }
 
@@ -535,7 +535,7 @@ impl Ineq {
 
     /// The logical negation. `LeZero` negates to `expr-1 >= 0`, i.e.
     /// `-(expr)+1 <= 0`.
-    pub fn negate(&self) -> Ineq {
+    pub(crate) fn negate(&self) -> Ineq {
         match self.rel {
             Rel::EqZero => Ineq { expr: self.expr.clone(), rel: Rel::NeZero },
             Rel::NeZero => Ineq { expr: self.expr.clone(), rel: Rel::EqZero },
@@ -686,7 +686,7 @@ impl Assertion {
     }
 
     /// True when this assertion is the constant *true*.
-    pub fn is_truth(&self) -> bool {
+    pub(crate) fn is_truth(&self) -> bool {
         self.clauses.first() == Some(&Conj::Empty)
     }
 

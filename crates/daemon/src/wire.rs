@@ -1758,7 +1758,7 @@ mod tests {
         write_result_head(&extreme, &mut head).unwrap();
         // `outs=0` here: 19 digits short of its widest.
         assert_eq!(head.len() + 19, 455);
-        assert!(455 <= RESULT_HEAD_BOUND);
+        const { assert!(455 <= RESULT_HEAD_BOUND) };
     }
 
     #[test]

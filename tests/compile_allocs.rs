@@ -3,8 +3,8 @@
 //! not a time, so it reads the same on a loaded host. The budgets hold
 //! what sharing names, term lists and triples bought (a `Name` or
 //! `SymExpr` clone is a reference count, a triple is built once and
-//! moved), and the ratio pins the whole of `compile`, not only
-//! `analyze_program`, as linear in program size.
+//! moved), and the ratios pin the whole of `compile`, and the analysis
+//! it defers to its first read, as linear in program size.
 //!
 //! Spellings — `String`s, the only allocations aligned to one byte —
 //! are counted apart: an identifier is spelled once, by the lexer, and
@@ -14,11 +14,12 @@
 mod common;
 
 use common::programs::seq_loops_source;
+use orchestra_analysis::analyze_program;
 use orchestra_apps::{climate, emu, psirrfan, vortex};
 use orchestra_core::{compile_source, graph_of_compiled};
 use orchestra_lang::ast::Program;
 use orchestra_lang::builder::figure1_program;
-use orchestra_lang::{pretty_print, Name};
+use orchestra_lang::{parse_program, pretty_print, Name};
 use orchestra_split::SplitOptions;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -91,33 +92,34 @@ fn allocations_per_compile_stay_in_budget() {
     // `SymExpr` was a `BTreeMap<String, i64>` and every nesting level
     // cloned its triples ("then"), while every pass copied each
     // identifier into a fresh `String` that an interner shared again
-    // ("strings"), and while every descriptor walk copied its context,
-    // SSA renaming kept its tables in maps keyed by name, a lone-term
+    // ("strings"), while every descriptor walk copied its context, SSA
+    // renaming kept its tables in maps keyed by name, a lone-term
     // expression held its term behind its own allocation and a fresh
-    // name was probed once per counter ("copies"); the four paper
-    // kernels and Figure 1 share a shape, hence their counts:
-    //                      then  strings  copies    now  budget
-    //   seq_loops(30)    56 898   19 391  12 009  6 452   7 100
-    //   figure 1          9 097    2 492   1 636    980   1 080
-    //   psirrfan kernel   9 097    2 492   1 636    980   1 080
-    //   climate kernel        —        —   1 643    986   1 085
-    //   emu kernel            —        —   1 634    980   1 080
-    //   vortex kernel         —        —   1 630    978   1 075
+    // name was probed once per counter ("copies"), and while `compile`
+    // ran the analysis it stores though nothing read it ("eager"); the
+    // four paper kernels and Figure 1 share a shape, hence their counts:
+    //                      then  strings  copies  eager    now  budget
+    //   seq_loops(30)    56 898   19 391  12 009  6 452  4 202   4 620
+    //   figure 1          9 097    2 492   1 636    980    729     800
+    //   psirrfan kernel   9 097    2 492   1 636    980    729     800
+    //   climate kernel        —        —   1 643    986    733     805
+    //   emu kernel            —        —   1 634    980    729     800
+    //   vortex kernel         —        —   1 630    978    729     800
     // of which spellings:
-    //   seq_loops(30)              8 898     808    228     250
-    //   figure 1                   1 019      89     31      34
-    //   psirrfan kernel            1 019      89     31      34
-    //   climate kernel                 —      95     34      37
-    //   emu kernel                     —      89     31      34
-    //   vortex kernel                  —      87     31      34
+    //   seq_loops(30)              8 898     808    228    165     180
+    //   figure 1                   1 019      89     31     18      20
+    //   psirrfan kernel            1 019      89     31     18      20
+    //   climate kernel                 —      95     34     21      23
+    //   emu kernel                     —      89     31     18      20
+    //   vortex kernel                  —      87     31     18      20
     let kernel = |p: Program| pretty_print(&p);
     let cases = [
-        ("seq_loops(30)", seq_loops_source(30), 7_100, 250),
-        ("figure 1", kernel(figure1_program(24)), 1_080, 34),
-        ("psirrfan kernel", kernel(psirrfan::kernel()), 1_080, 34),
-        ("climate kernel", kernel(climate::kernel()), 1_085, 37),
-        ("emu kernel", kernel(emu::kernel()), 1_080, 34),
-        ("vortex kernel", kernel(vortex::kernel()), 1_075, 34),
+        ("seq_loops(30)", seq_loops_source(30), 4_620, 180),
+        ("figure 1", kernel(figure1_program(24)), 800, 20),
+        ("psirrfan kernel", kernel(psirrfan::kernel()), 800, 20),
+        ("climate kernel", kernel(climate::kernel()), 805, 23),
+        ("emu kernel", kernel(emu::kernel()), 800, 20),
+        ("vortex kernel", kernel(vortex::kernel()), 800, 20),
     ];
     for (name, src, budget, spelling_budget) in cases {
         let (n, spellings) = allocs_of(&src);
@@ -170,4 +172,41 @@ fn four_times_the_loops_allocate_at_most_four_and_a_half_times_as_much() {
         "compile_source: 30 loops {small} allocations, 120 loops {large} ({:.2}x, linear is 4x)",
         large as f64 / small as f64
     );
+}
+
+/// Allocations of one analysis of `src`, forced by a read.
+fn analysis_allocs_of(src: &str) -> u64 {
+    let prog = parse_program(src).expect("the source parses");
+    let (n, _) = counted(|| {
+        let analysis = analyze_program(&prog);
+        analysis.prop();
+        analysis
+    });
+    n.0
+}
+
+#[test]
+fn four_times_the_loops_cost_a_forced_analysis_at_most_four_and_a_half_times_as_much() {
+    let (small, large) =
+        (analysis_allocs_of(&seq_loops_source(30)), analysis_allocs_of(&seq_loops_source(120)));
+    println!("forced analysis: 30 loops {small} allocations, 120 loops {large}");
+    assert!(
+        2 * large <= 9 * small,
+        "analysis: 30 loops {small} allocations, 120 loops {large} ({:.2}x, linear is 4x)",
+        large as f64 / small as f64
+    );
+}
+
+#[test]
+fn the_analysis_allocates_a_copy_until_it_is_read() {
+    let prog = parse_program(&seq_loops_source(30)).expect("the source parses");
+    let (copy, _) = counted(|| prog.clone());
+    let (deferred, analysis) = counted(|| analyze_program(&prog));
+    assert_eq!(deferred, copy, "analyze_program allocates what a copy of the program does");
+    let (first, prop) = counted(|| analysis.prop() as *const _);
+    assert!(first.0 > 0, "the first read runs the analysis");
+    println!("analyze_program {deferred:?}, a copy {copy:?}, the first read {first:?}");
+    let (second, again) = counted(|| analysis.prop() as *const _);
+    assert_eq!(second, (0, 0), "a second read allocates nothing");
+    assert!(std::ptr::eq(prop, again), "a second read returns the same result");
 }

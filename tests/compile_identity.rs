@@ -52,7 +52,7 @@ fn record(name: &str, prog: Program, out: &mut String) {
     writeln!(out, "transformed {:016x}", fnv1a(pretty_print(&c.transformed).as_bytes())).unwrap();
     writeln!(out, "delirium {:016x}", fnv1a(orchestra_delirium::print(&graph, "g").as_bytes()))
         .unwrap();
-    let prop = &c.analysis.prop;
+    let prop = c.analysis.prop();
     let mut values: Vec<String> = prop.values.iter().map(|(n, v)| format!("{n} = {v}")).collect();
     values.sort_unstable();
     let mut ranges: Vec<String> =

@@ -201,10 +201,10 @@ proptest! {
     #[test]
     fn analysis_produces_valid_ssa(p in gen_program()) {
         let a = analyze_program(&p);
-        let violations = orchestra_analysis::verify::verify_ssa(&a.ssa);
+        let violations = orchestra_analysis::verify::verify_ssa(a.ssa());
         prop_assert!(violations.is_empty(), "{violations:?}");
         // Every block got an assertion slot and values don't panic.
-        prop_assert_eq!(a.prop.assertions.len(), a.ssa.cfg.len());
+        prop_assert_eq!(a.prop().assertions.len(), a.ssa().cfg.len());
     }
 
     #[test]
