@@ -1,10 +1,11 @@
 //! Call-site analysis (step 1 of the paper's analysis).
 //!
 //! Rather than summarizing each procedure once, the compiler classifies
-//! call sites into groups by profile weight and argument characteristics.
+//! call sites into groups by weight and argument characteristics.
 //! Sites representing significant computation are only grouped with
 //! others sharing the same *aliasing pattern* and *constant values*;
-//! lighter sites are grouped more coarsely under a tunable heuristic.
+//! lighter sites merge per procedure. The weight is a static estimate
+//! from loop nesting; a measured profile would replace it.
 
 use orchestra_lang::ast::{Expr, Name, Program, Stmt};
 use std::collections::BTreeMap;
@@ -52,63 +53,45 @@ pub struct CallGroup {
     pub hot: bool,
 }
 
-/// Tunables for the grouping heuristic.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ClassifyConfig {
-    /// Sites at or above this weight are summarized per
-    /// (alias-pattern, constant-values) signature.
-    pub hot_threshold: f64,
-    /// When true, cold sites are still separated by aliasing pattern;
-    /// when false they merge per procedure.
-    pub separate_cold_aliases: bool,
-}
-
-impl Default for ClassifyConfig {
-    fn default() -> Self {
-        ClassifyConfig { hot_threshold: 1000.0, separate_cold_aliases: false }
-    }
-}
+/// Sites at or above this weight are summarized per (alias-pattern,
+/// constant-values) signature; lighter sites merge per procedure.
+const HOT_THRESHOLD: f64 = 1000.0;
 
 /// Collects the call sites of a program in pre-order.
 ///
-/// `profile` maps a pre-order call index to a measured weight; sites
-/// without an entry get weight 1. Loop nesting multiplies the default
-/// weight by a per-level factor of 100 as a static estimate.
-pub(crate) fn collect_call_sites(prog: &Program, profile: &BTreeMap<usize, f64>) -> Vec<CallSite> {
+/// A site's weight is a static estimate: 1, times 100 per enclosing
+/// loop.
+pub(crate) fn collect_call_sites(prog: &Program) -> Vec<CallSite> {
     let mut sites = Vec::new();
-    fn walk(stmts: &[Stmt], depth: u32, sites: &mut Vec<CallSite>, profile: &BTreeMap<usize, f64>) {
+    fn walk(stmts: &[Stmt], depth: u32, sites: &mut Vec<CallSite>) {
         for s in stmts {
             match s {
                 Stmt::Call { name, args } => {
-                    let id = sites.len();
-                    let weight =
-                        profile.get(&id).copied().unwrap_or_else(|| 100f64.powi(depth as i32));
-                    sites.push(CallSite::from_call(id, name, args, weight));
+                    let weight = 100f64.powi(depth as i32);
+                    sites.push(CallSite::from_call(sites.len(), name, args, weight));
                 }
-                Stmt::Do { body, .. } => walk(body, depth + 1, sites, profile),
+                Stmt::Do { body, .. } => walk(body, depth + 1, sites),
                 Stmt::If { then_body, else_body, .. } => {
-                    walk(then_body, depth, sites, profile);
-                    walk(else_body, depth, sites, profile);
+                    walk(then_body, depth, sites);
+                    walk(else_body, depth, sites);
                 }
                 Stmt::Assign { .. } => {}
             }
         }
     }
-    walk(&prog.body, 0, &mut sites, profile);
+    walk(&prog.body, 0, &mut sites);
     sites
 }
 
 /// Groups call sites per the paper's heuristic.
-pub(crate) fn classify(sites: &[CallSite], config: &ClassifyConfig) -> Vec<CallGroup> {
+pub(crate) fn classify(sites: &[CallSite]) -> Vec<CallGroup> {
     // Group key: hot sites use (proc, alias pattern, constant values);
-    // cold sites use (proc [, alias pattern]).
+    // cold sites use (proc).
     let mut groups: BTreeMap<String, CallGroup> = BTreeMap::new();
     for s in sites {
-        let hot = s.weight >= config.hot_threshold;
+        let hot = s.weight >= HOT_THRESHOLD;
         let key = if hot {
             format!("hot|{}|{:?}|{:?}", s.proc, s.alias_pattern, s.const_args)
-        } else if config.separate_cold_aliases {
-            format!("cold|{}|{:?}", s.proc, s.alias_pattern)
         } else {
             format!("cold|{}", s.proc)
         };
@@ -146,7 +129,7 @@ end
     #[test]
     fn collects_sites_with_nesting_weights() {
         let p = prog(SRC);
-        let sites = collect_call_sites(&p, &BTreeMap::new());
+        let sites = collect_call_sites(&p);
         assert_eq!(sites.len(), 3);
         assert_eq!(sites[0].weight, 1.0);
         assert_eq!(sites[1].weight, 100.0);
@@ -156,7 +139,7 @@ end
     #[test]
     fn detects_alias_pattern() {
         let p = prog(SRC);
-        let sites = collect_call_sites(&p, &BTreeMap::new());
+        let sites = collect_call_sites(&p);
         assert!(sites[1].alias_pattern.iter().all(Option::is_none));
         assert_eq!(sites[2].alias_pattern[1], Some(0));
     }
@@ -164,19 +147,33 @@ end
     #[test]
     fn constant_args_recorded() {
         let p = prog(SRC);
-        let sites = collect_call_sites(&p, &BTreeMap::new());
+        let sites = collect_call_sites(&p);
         assert_eq!(sites[1].const_args[2], Some(1));
         assert_eq!(sites[1].const_args[0], None);
     }
 
     #[test]
     fn hot_sites_split_by_signature() {
-        let p = prog(SRC);
-        let mut profile = BTreeMap::new();
-        profile.insert(1usize, 10_000.0);
-        profile.insert(2usize, 10_000.0);
-        let sites = collect_call_sites(&p, &profile);
-        let groups = classify(&sites, &ClassifyConfig::default());
+        // Inside a doubly nested loop the two calls weigh 10 000 each.
+        let p = prog(
+            r#"
+program p
+  integer n = 8
+  float x[1..n], y[1..n]
+  proc work(float a[1..n], float b[1..n], integer k) { a[1] = b[1] }
+  call work(x, y, 1)
+  do i = 1, n {
+    do j = 1, n {
+      call work(x, y, 1)
+      call work(x, x, 2)
+    }
+  }
+end
+"#,
+        );
+        let sites = collect_call_sites(&p);
+        assert_eq!(sites[1].weight, 10_000.0);
+        let groups = classify(&sites);
         // Sites 1 and 2 are hot with different alias/const signatures →
         // separate groups; site 0 is cold → its own group.
         assert_eq!(groups.len(), 3);
@@ -187,28 +184,9 @@ end
     #[test]
     fn cold_sites_merge_per_proc() {
         let p = prog(SRC);
-        let sites = collect_call_sites(&p, &BTreeMap::new());
-        let groups =
-            classify(&sites, &ClassifyConfig { hot_threshold: 1e9, separate_cold_aliases: false });
+        let sites = collect_call_sites(&p);
+        let groups = classify(&sites);
         assert_eq!(groups.len(), 1, "all cold sites of `work` merge");
         assert_eq!(groups[0].sites.len(), 3);
-    }
-
-    #[test]
-    fn cold_alias_separation_heuristic() {
-        let p = prog(SRC);
-        let sites = collect_call_sites(&p, &BTreeMap::new());
-        let groups =
-            classify(&sites, &ClassifyConfig { hot_threshold: 1e9, separate_cold_aliases: true });
-        assert_eq!(groups.len(), 2, "aliased and non-aliased patterns separate");
-    }
-
-    #[test]
-    fn profile_overrides_static_weight() {
-        let p = prog(SRC);
-        let mut profile = BTreeMap::new();
-        profile.insert(0usize, 5_000.0);
-        let sites = collect_call_sites(&p, &profile);
-        assert_eq!(sites[0].weight, 5_000.0);
     }
 }

@@ -47,7 +47,7 @@ pub mod symbolic;
 pub mod verify;
 
 use orchestra_lang::ast::{Name, Program, Stmt};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
 pub use propagate::Propagation;
@@ -136,8 +136,7 @@ fn analyze(prog: &Program) -> Analysis {
     let mut prop = propagate::propagate(&ssa_prog);
     let aliases = alias::detect_aliases(&ssa_prog.cfg);
     alias::apply_invalidations(&mut prop, &aliases);
-    let sites = callsites::collect_call_sites(prog, &BTreeMap::new());
-    let call_groups = callsites::classify(&sites, &callsites::ClassifyConfig::default());
+    let call_groups = callsites::classify(&callsites::collect_call_sites(prog));
     Analysis { ssa: ssa_prog, prop, call_groups, aliases, aggregate_forwards }
 }
 

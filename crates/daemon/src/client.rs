@@ -60,12 +60,11 @@ pub struct Client {
     /// values are decoded from where they lie; requests are written
     /// straight to it.
     reader: BufReader<UnixStream>,
-    /// The request frame, and what a response carries over from one
-    /// read into the next (a token or a line head that straddles two
-    /// reads, or a response other than a result, whole), one buffer
-    /// each, reused from call to call. The carry starts with room for
-    /// any result's head line, the longest piece of a result the daemon
-    /// writes, so that reading one never grows it.
+    /// The request frame, and the line head of a response being read
+    /// (or a response other than a result, whole), one buffer each,
+    /// reused from call to call. The inbox starts with room for any
+    /// result's head line, so that reading a result grows it only for
+    /// an op name of hundreds of bytes.
     outbox: Vec<u8>,
     inbox: Vec<u8>,
     session: u64,

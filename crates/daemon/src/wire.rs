@@ -17,17 +17,24 @@
 //! line's bytes, plus each `out` line's head, plus 17 bytes per value.
 //! A wide job's result of 28 672 values (some 487 500 bytes) is eight
 //! `write`s. The client reads it with [`read_response`] from a
-//! `BufReader` of 64 KiB, decoding values from the reader's buffer
-//! straight into each output's `Vec<f64>`, in eight `read`s where the
-//! socket has the bytes ready and more where it does not. Only a token
-//! or a line head that straddles two reads is carried over, in a small
-//! buffer the caller keeps. Any other frame is built and read whole:
-//! `encode_into` appends the payload behind a placeholder and patches
-//! the length in, so it is one `write`; [`read_frame`] fills the
-//! caller's buffer as bytes arrive. `encode` and `decode` are the same
-//! codec for a caller that holds a frame's payload as a `String`: the
-//! result writer with a `Vec` for its sink, and the result reader over
-//! a byte slice.
+//! `BufReader` of 64 KiB, in eight `read`s where the socket has the
+//! bytes ready and more where it does not. A result's body is exactly
+//! what the encoder writes: after the `ok-result … outs=K` head line
+//! come K lines, each `\nout <name> <n>` and then n tokens of one space
+//! and sixteen lowercase hex digits; any other byte is refused. The
+//! counts say where every token lies, so values are decoded in whole
+//! tokens from the reader's buffer straight into each output's
+//! `Vec<f64>`, and a token that straddles two reads is completed in a
+//! 17-byte array; the caller's buffer holds only a line head.
+//!
+//! Any other frame is built and read whole: `encode_into` appends the
+//! payload behind a placeholder and patches the length in, so it is one
+//! `write`; [`read_frame`] fills the caller's buffer as bytes arrive.
+//! Their head lines are read by words, and every word after the verb
+//! is a `key=value` field. `encode` and `decode` are the same codec for
+//! a caller that holds a frame's payload as a `String`: the result
+//! writer with a `Vec` for its sink, and the result reader over a byte
+//! slice.
 //!
 //! The protocol is deliberately hand-rolled over `std` only: the
 //! workspace is offline and the paper's runtime needs nothing richer
@@ -338,17 +345,23 @@ pub enum Response {
     },
 }
 
-/// The values of the fields `keys` among the `key=value` words of a
-/// verb line, found in one pass over the line; where a key repeats its
-/// last value counts.
-fn fields<'a, const N: usize>(line: &'a str, keys: [&str; N]) -> [Option<&'a str>; N] {
+/// The values of the fields `keys` among the `key=value` words after a
+/// line's verb, found in one pass; where a key repeats its last value
+/// counts. Any other word — what a value with a space in it leaves — is
+/// refused by name.
+fn fields<'a, const N: usize>(
+    line: &'a str,
+    keys: [&str; N],
+) -> Result<[Option<&'a str>; N], String> {
     let mut values = [None; N];
-    for (key, value) in line.split_whitespace().filter_map(|word| word.split_once('=')) {
+    for word in line.split_whitespace().skip(1) {
+        let (key, value) =
+            word.split_once('=').ok_or_else(|| format!("`{word}` is not a key=value field"))?;
         if let Some(at) = keys.iter().position(|k| *k == key) {
             values[at] = Some(value);
         }
     }
-    values
+    Ok(values)
 }
 
 fn need<'a>(value: Option<&'a str>, key: &str) -> Result<&'a str, String> {
@@ -361,7 +374,7 @@ fn need_u64(value: Option<&str>, key: &str) -> Result<u64, String> {
 
 /// The `job` field four verbs carry and nothing else.
 fn job_field(line: &str) -> Result<u64, String> {
-    let [job] = fields(line, ["job"]);
+    let [job] = fields(line, ["job"])?;
     need_u64(job, "job")
 }
 
@@ -437,7 +450,7 @@ impl Request {
         let verb = head.split_whitespace().next().unwrap_or("");
         match verb {
             "hello" => {
-                let [v, tenant, weight] = fields(head, ["v", "tenant", "weight"]);
+                let [v, tenant, weight] = fields(head, ["v", "tenant", "weight"])?;
                 let v: u32 =
                     need_u64(v, "v")?.try_into().map_err(|_| "version out of range".to_string())?;
                 if v != PROTOCOL_VERSION {
@@ -457,7 +470,7 @@ impl Request {
             }
             "submit" => {
                 let [backend, policy, seed, deadline, checkpoint] =
-                    fields(head, ["backend", "policy", "seed", "deadline_us", "checkpoint"]);
+                    fields(head, ["backend", "policy", "seed", "deadline_us", "checkpoint"])?;
                 let backend = parse_backend(need(backend, "backend")?)
                     .ok_or_else(|| "unknown backend".to_string())?;
                 let policy = parse_policy(need(policy, "policy")?)
@@ -481,26 +494,6 @@ impl Request {
             "shutdown" => Ok(Request::Shutdown),
             other => Err(format!("unknown request `{other}`")),
         }
-    }
-}
-
-/// Splits off the next whitespace-delimited token of `s`, as
-/// `split_whitespace` would, returning it and what follows it.
-fn next_token(s: &str) -> Option<(&str, &str)> {
-    let s = s.trim_start();
-    let end = s.find(char::is_whitespace).unwrap_or(s.len());
-    (end > 0).then(|| s.split_at(end))
-}
-
-/// Splits `bytes` at its first line feed the way `str::lines` does:
-/// the line without its terminator (`\n` or `\r\n`), and what follows.
-fn split_line(bytes: &[u8]) -> (&[u8], &[u8]) {
-    match bytes.iter().position(|&b| b == b'\n') {
-        Some(at) => {
-            let line = &bytes[..at];
-            (line.strip_suffix(b"\r").unwrap_or(line), &bytes[at + 1..])
-        }
-        None => (bytes, &[]),
     }
 }
 
@@ -528,26 +521,36 @@ fn hex8(x: u32) -> [u8; 8] {
     (x + bytes_of(b'0') + letters * u64::from(b'a' - 10 - b'0')).to_be_bytes()
 }
 
-/// Reads eight hex digits of either case, most significant first: their
-/// value, and a word that is zero exactly when all eight bytes were hex
+/// Reads eight lowercase hex digits, most significant first: their
+/// value, and a word that is zero exactly when all eight bytes were such
 /// digits (the value means nothing otherwise).
 fn unhex8(digits: [u8; 8]) -> (u32, u64) {
     let x = u64::from_be_bytes(digits);
     // With bit 7 cleared, adding less than 0x80 to each byte carries
     // nowhere, and leaves bit 7 set where the byte reached a bound:
     // `b + (0x80 - lo)` where `b >= lo`, `b + (0x7f - hi)` where
-    // `b > hi`. Letters are compared with bit 5 set, digits as they are.
+    // `b > hi`.
     let low7 = x & bytes_of(0x7f);
-    let lower = low7 | bytes_of(0x20);
     let digit = (low7 + bytes_of(0x80 - b'0')) & !(low7 + bytes_of(0x7f - b'9'));
-    let letter =
-        (lower + bytes_of(0x80 - b'a')) & !(lower + bytes_of(0x7f - b'f')) & bytes_of(0x80);
+    let letter = (low7 + bytes_of(0x80 - b'a')) & !(low7 + bytes_of(0x7f - b'f')) & bytes_of(0x80);
     let bad = (!(digit | letter) | x) & bytes_of(0x80);
     // A letter's low nibble is its value less 9.
     let x = (x & bytes_of(0x0f)) + (letter >> 7) * 9;
     let x = (x | x >> 4) & 0x00ff_00ff_00ff_00ff;
     let x = (x | x >> 8) & 0x0000_ffff_0000_ffff;
     ((x | x >> 16) as u32, bad)
+}
+
+/// The value of a token written the encoder's way: one space and
+/// sixteen lowercase hex digits.
+fn token_value(token: &[u8; TOKEN]) -> Result<f64, Fault> {
+    let (hi, bad_hi) = unhex8(token[1..9].try_into().expect("eight of seventeen bytes"));
+    let (lo, bad_lo) = unhex8(token[9..].try_into().expect("eight of seventeen bytes"));
+    if token[0] == b' ' && bad_hi | bad_lo == 0 {
+        return Ok(f64::from_bits(u64::from(hi) << 32 | u64::from(lo)));
+    }
+    // A line feed where a value should begin: the line held fewer.
+    refused(if token[0] == b'\n' { "value count mismatch" } else { "malformed value bits" })
 }
 
 /// Appends `values` as [`TOKEN`]-byte tokens.
@@ -641,261 +644,152 @@ fn write_outputs<W: Write>(
     spill(buf)
 }
 
-/// Reads the canonical value tokens at the head of `bytes` — one space
-/// and sixteen hex digits, then a space, a line feed or the payload's
-/// end — into `values`, each by [`unhex8`] in one pass over the bytes.
-/// `after` is the byte that follows `bytes`: `Some(None)` where the
-/// payload ends there, `None` where it has not been read yet. Returns
-/// the bytes the tokens took, and whether what follows them is known to
-/// be something else (`true`) or needs more bytes to tell (`false`).
-fn read_canonical(bytes: &[u8], after: Option<Option<u8>>, values: &mut Vec<f64>) -> (usize, bool) {
-    let mut at = 0;
+/// Why a response was not read: the transport failed, or the frame does
+/// not decode, for a one-line reason.
+enum Fault {
+    Io(io::Error),
+    Refused(String),
+}
+
+impl From<io::Error> for Fault {
+    fn from(e: io::Error) -> Self {
+        Fault::Io(e)
+    }
+}
+
+impl From<String> for Fault {
+    fn from(reason: String) -> Self {
+        Fault::Refused(reason)
+    }
+}
+
+#[cold]
+fn refused<T>(reason: &str) -> Result<T, Fault> {
+    Err(Fault::Refused(reason.to_string()))
+}
+
+/// The payload's next buffered bytes: empty at its end, or where the
+/// stream ended first (which [`read_response`] tells apart).
+fn fill(src: &mut io::Take<impl BufRead>) -> io::Result<&[u8]> {
+    while let Err(e) = src.fill_buf() {
+        if e.kind() != io::ErrorKind::Interrupted {
+            return Err(e);
+        }
+    }
+    src.fill_buf()
+}
+
+/// Fills `to` from the payload, or refuses the frame for `reason` where
+/// it ends first.
+fn read_exact(src: &mut io::Take<impl BufRead>, to: &mut [u8], reason: &str) -> Result<(), Fault> {
+    match src.read_exact(to) {
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => refused(reason),
+        read => Ok(read?),
+    }
+}
+
+/// Reads `bytes` exactly, or refuses the frame for `reason`.
+fn expect(src: &mut io::Take<impl BufRead>, bytes: &[u8], reason: &str) -> Result<(), Fault> {
+    let mut got = [0; 5];
+    let got = &mut got[..bytes.len()];
+    read_exact(src, got, reason)?;
+    if got != bytes {
+        return refused(reason);
+    }
+    Ok(())
+}
+
+/// Appends to `word` the payload's bytes up to the first of `stops`, or
+/// to its end; the stop is left unread.
+fn read_word(src: &mut io::Take<impl BufRead>, word: &mut Vec<u8>, stops: &[u8]) -> io::Result<()> {
     loop {
-        let Some(token) = bytes.get(at..at + TOKEN) else {
-            let other = after == Some(None) || bytes.get(at).is_some_and(|&b| b != b' ');
-            return (at, other);
-        };
-        let next = match (bytes.get(at + TOKEN), after) {
-            (Some(&b), _) => Some(b),
-            (None, Some(b)) => b,
-            (None, None) => return (at, false),
-        };
-        if token[0] != b' ' || !matches!(next, None | Some(b' ' | b'\n')) {
-            return (at, true);
+        let buf = fill(src)?;
+        let found = buf.iter().position(|b| stops.contains(b));
+        let take = found.unwrap_or(buf.len());
+        word.extend_from_slice(&buf[..take]);
+        src.consume(take);
+        if found.is_some() || take == 0 {
+            return Ok(());
         }
-        let (hi, bad_hi) = unhex8(token[1..9].try_into().expect("eight of seventeen bytes"));
-        let (lo, bad_lo) = unhex8(token[9..].try_into().expect("eight of seventeen bytes"));
-        if bad_hi | bad_lo != 0 {
-            return (at, true);
-        }
-        values.push(f64::from_bits(u64::from(hi) << 32 | u64::from(lo)));
-        at += TOKEN;
     }
 }
 
-/// The source's next buffered bytes: empty at the payload's end, and
-/// after a transport error, which is kept in `failed`.
-fn fill<'s, R: BufRead>(src: &'s mut io::Take<R>, failed: &mut Option<io::Error>) -> &'s [u8] {
-    if failed.is_some() {
-        return &[];
-    }
-    loop {
-        match src.fill_buf() {
-            Ok(_) => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => {
-                *failed = Some(e);
-                return &[];
-            }
+/// Reads `n` value tokens into `values`, which is given room for `n`,
+/// or for as many as the payload's unread bytes could hold if fewer.
+/// Tokens are read where they lie in the source's buffer; one that
+/// straddles two reads is completed in a `TOKEN`-byte array.
+fn read_values(
+    src: &mut io::Take<impl BufRead>,
+    n: usize,
+    values: &mut Vec<f64>,
+) -> Result<(), Fault> {
+    let room = usize::try_from(src.limit() / TOKEN as u64).unwrap_or(usize::MAX);
+    values.reserve_exact(n.min(room));
+    let mut left = n;
+    while left > 0 {
+        let (tokens, _) = fill(src)?.as_chunks::<TOKEN>();
+        let took = tokens.len().min(left);
+        for token in &tokens[..took] {
+            values.push(token_value(token)?);
         }
+        src.consume(took * TOKEN);
+        if took == 0 {
+            let mut token = [0; TOKEN];
+            read_exact(src, &mut token, "value count mismatch")?;
+            values.push(token_value(&token)?);
+        }
+        left -= took.max(1);
     }
-    // Filled above: this call hands back the same bytes.
-    src.fill_buf().unwrap_or(&[])
+    Ok(())
 }
 
-/// A frame's payload as the response reader reads it: first what it
-/// carried over from one read into the next, `carry[at..]`, then the
-/// rest of `src`. A transport error ends the payload as the reader sees
-/// it; [`read_response`] reports it once the reader is done.
-struct Payload<'a, R> {
-    src: io::Take<R>,
-    carry: &'a mut Vec<u8>,
-    at: usize,
-    failed: Option<io::Error>,
+/// Reads one `out` line — `\nout <name> <n>` and `n` value tokens —
+/// with `head` to gather the name and the count in.
+fn read_output(src: &mut io::Take<impl BufRead>, head: &mut Vec<u8>) -> Result<WireOutput, Fault> {
+    if fill(src)?.is_empty() {
+        return refused("output count mismatch");
+    }
+    expect(src, b"\nout ", "malformed result body")?;
+    head.clear();
+    read_word(src, head, b" \n")?;
+    let name_len = head.len();
+    expect(src, b" ", "missing value count")?;
+    read_word(src, head, b" \n")?;
+    let (name, n) = head.split_at(name_len);
+    let name = utf8(name)?;
+    if name.is_empty() || name.contains(char::is_whitespace) {
+        return refused("malformed op name");
+    }
+    // Decimal digits, with no sign and no leading zero.
+    let digits = str::from_utf8(n).ok().filter(|_| matches!(n, [b'1'..=b'9', ..] | [b'0']));
+    let Some(n) = digits.and_then(|n| n.parse().ok()) else {
+        return refused("malformed value count");
+    };
+    let mut values = Vec::new();
+    read_values(src, n, &mut values)?;
+    if !matches!(fill(src)?.first(), None | Some(b'\n')) {
+        return refused("line runs past its value count");
+    }
+    Ok(WireOutput { name: name.to_string(), values })
 }
 
-impl<'a, R: BufRead> Payload<'a, R> {
-    /// The `len` bytes of payload that `src` reads next, with `carry`
-    /// emptied to carry bytes over in.
-    fn new(src: R, len: u64, carry: &'a mut Vec<u8>) -> Self {
-        carry.clear();
-        Payload { src: src.take(len), carry, at: 0, failed: None }
-    }
-
-    /// Unread bytes of the payload.
-    fn left(&self) -> usize {
-        let unread = usize::try_from(self.src.limit()).unwrap_or(usize::MAX);
-        unread.saturating_add(self.carry.len() - self.at)
-    }
-
-    fn at_end(&mut self) -> bool {
-        self.at == self.carry.len() && fill(&mut self.src, &mut self.failed).is_empty()
-    }
-
-    /// Marks the next `n` unread bytes read: carried ones first, then
-    /// the source's.
-    fn consume(&mut self, n: usize) {
-        let carried = (self.carry.len() - self.at).min(n);
-        self.at += carried;
-        if self.at == self.carry.len() {
-            self.carry.clear();
-            self.at = 0;
-        }
-        self.src.consume(n - carried);
-    }
-
-    /// Marks the next unread byte read if it is a line feed.
-    fn skip_line_feed(&mut self) {
-        let next = match self.carry.get(self.at) {
-            Some(&b) => Some(b),
-            None => fill(&mut self.src, &mut self.failed).first().copied(),
-        };
-        if next == Some(b'\n') {
-            self.consume(1);
-        }
-    }
-
-    /// Moves the source's next `n` bytes (fewer at the payload's end)
-    /// into the carry.
-    fn carry_over(&mut self, mut n: usize) {
-        while n > 0 {
-            let buf = fill(&mut self.src, &mut self.failed);
-            let take = n.min(buf.len());
-            if take == 0 {
-                return;
-            }
-            self.carry.extend_from_slice(&buf[..take]);
-            self.src.consume(take);
-            n -= take;
-        }
-    }
-
-    /// The unread bytes up to the first that `end` holds for, or to the
-    /// payload's end, as one slice; `end` sees each byte once, in order.
-    /// Bytes that lie in the source's buffer are handed out where they
-    /// lie; bytes that straddle two reads are gathered in the carry.
-    /// Nothing is marked read.
-    fn until(&mut self, mut end: impl FnMut(u8) -> bool) -> &[u8] {
-        if self.at == self.carry.len() {
-            let limit = self.src.limit();
-            let buf = fill(&mut self.src, &mut self.failed);
-            match buf.iter().position(|&b| end(b)) {
-                Some(i) => return &fill(&mut self.src, &mut self.failed)[..i],
-                None if buf.is_empty() => return &[],
-                None if buf.len() as u64 == limit => return fill(&mut self.src, &mut self.failed),
-                None => {
-                    let n = buf.len();
-                    self.carry.extend_from_slice(buf);
-                    self.src.consume(n);
-                }
-            }
-        } else {
-            if let Some(i) = self.carry[self.at..].iter().position(|&b| end(b)) {
-                return &self.carry[self.at..self.at + i];
-            }
-            self.carry.drain(..self.at);
-            self.at = 0;
-        }
-        loop {
-            let buf = fill(&mut self.src, &mut self.failed);
-            let found = buf.iter().position(|&b| end(b));
-            let take = found.unwrap_or(buf.len());
-            self.carry.extend_from_slice(&buf[..take]);
-            self.src.consume(take);
-            if found.is_some() || take == 0 {
-                return &self.carry[..];
-            }
-        }
-    }
-
-    /// Reads the values of one `out` line — whitespace-separated hex
-    /// `u64` bit patterns — from just after its count field, and the
-    /// line's end.
-    ///
-    /// Canonical tokens are read by [`read_canonical`], in bulk where
-    /// they lie in one read and one at a time, through the carry, where
-    /// a token or the byte after it lies in the next. From the first
-    /// token that is anything else, the rest of the line goes through
-    /// `split_whitespace` and `from_str_radix`. Sixteen hex digits mean
-    /// to `from_str_radix` what they mean to `unhex8`, so what is
-    /// accepted, and as what, is exactly what the general reader alone
-    /// accepts, however the payload arrives. `declared` only sizes the
-    /// buffer, and never past what the payload's unread bytes could hold
-    /// (a value takes at least two).
-    fn read_values(&mut self, declared: usize) -> Result<Vec<f64>, String> {
-        let mut values = Vec::with_capacity(declared.min(self.left() / 2));
-        loop {
-            let (took, other, unread) = if self.at == self.carry.len() {
-                let limit = self.src.limit();
-                let buf = fill(&mut self.src, &mut self.failed);
-                let end = buf.is_empty() || buf.len() as u64 == limit;
-                let (took, other) = read_canonical(buf, end.then_some(None), &mut values);
-                (took, other, buf.len() - took)
-            } else {
-                let carried = self.carry.len() - self.at;
-                self.carry_over(TOKEN.saturating_sub(carried));
-                let after = fill(&mut self.src, &mut self.failed).first().copied();
-                let (took, other) =
-                    read_canonical(&self.carry[self.at..], Some(after), &mut values);
-                (took, other, 0)
-            };
-            self.consume(took);
-            if other {
-                break;
-            }
-            // What is left of the source's buffer — part of a token, or
-            // a token without the byte after it — goes on in the carry.
-            self.carry_over(unread);
-        }
-        let tail = self.until(|b| b == b'\n');
-        for token in utf8(tail)?.split_whitespace() {
-            let bits =
-                u64::from_str_radix(token, 16).map_err(|_| "malformed value bits".to_string())?;
-            values.push(f64::from_bits(bits));
-        }
-        let tail = tail.len();
-        self.consume(tail);
-        self.skip_line_feed();
-        Ok(values)
-    }
-
-    /// Reads the `out` lines of a result, one per op. A line's head is
-    /// its first three words (`out`, the op's name, the value count):
-    /// up to the third word's end, counting only the encoder's single
-    /// space as a separator, or the line's end. Whatever else separates
-    /// words is found by [`next_token`] once these bytes are known to be
-    /// text — it may find the third word earlier, never later, and what
-    /// it leaves of the head is where the values begin.
-    fn read_outputs(&mut self) -> Result<Vec<WireOutput>, String> {
-        let mut outputs = Vec::new();
-        while !self.at_end() {
-            let (mut words, mut prev) = (0, None);
-            let head = self.until(|b| {
-                let word_ends = b == b' ' && prev.is_some_and(|p| p != b' ');
-                words += usize::from(word_ends);
-                prev = Some(b);
-                b == b'\n' || word_ends && words == 3
-            });
-            let (name, n, took) = {
-                let head = utf8(head)?;
-                let Some(("out", rest)) = next_token(head) else {
-                    return Err("malformed result body".to_string());
-                };
-                let (name, rest) = next_token(rest).ok_or_else(|| "missing op name".to_string())?;
-                let (n, rest) = next_token(rest)
-                    .and_then(|(n, rest)| Some((n.parse::<usize>().ok()?, rest)))
-                    .ok_or_else(|| "missing value count".to_string())?;
-                (name.to_string(), n, head.len() - rest.len())
-            };
-            self.consume(took);
-            let values = self.read_values(n)?;
-            if values.len() != n {
-                return Err("value count mismatch".to_string());
-            }
-            outputs.push(WireOutput { name, values });
-        }
-        Ok(outputs)
+/// A read's outcome as [`read_response`] reports it.
+fn outcome(read: Result<Response, Fault>) -> io::Result<Result<Response, String>> {
+    match read {
+        Ok(response) => Ok(Ok(response)),
+        Err(Fault::Refused(reason)) => Ok(Err(reason)),
+        Err(Fault::Io(e)) => Err(e),
     }
 }
 
 /// Reads one response frame from `r`, decoding it as it arrives. A
 /// result's values go from `r`'s buffer straight into each output's
-/// `Vec<f64>`; only a token or a line head that straddles two reads is
-/// carried over, in `carry`, which the caller keeps from frame to frame.
-/// Any other response is gathered whole first. Returns `Ok(None)` on a
-/// clean end-of-stream (the peer closed between frames), and the
-/// decoder's one-line reason for a frame that does not decode — read to
-/// its end all the same, so that the next frame is read from its start.
+/// `Vec<f64>`; `buf`, which the caller keeps from frame to frame, holds
+/// only a line head, or a response other than a result, whole. Returns
+/// `Ok(None)` on a clean end-of-stream (the peer closed between
+/// frames), and the decoder's one-line reason for a frame that does not
+/// decode — read to its end all the same, so that the next frame is
+/// read from its start.
 ///
 /// # Errors
 ///
@@ -904,18 +798,15 @@ impl<'a, R: BufRead> Payload<'a, R> {
 /// [`io::ErrorKind::UnexpectedEof`].
 pub fn read_response(
     r: &mut impl BufRead,
-    carry: &mut Vec<u8>,
+    buf: &mut Vec<u8>,
 ) -> io::Result<Option<Result<Response, String>>> {
     let Some(len) = read_prefix(r)? else {
         return Ok(None);
     };
-    let mut payload = Payload::new(r, u64::from(len), carry);
-    let response = Response::read(&mut payload);
-    if let Some(e) = payload.failed {
-        return Err(e);
-    }
-    io::copy(&mut payload.src, &mut io::sink())?;
-    if payload.src.limit() > 0 {
+    let mut payload = r.take(u64::from(len));
+    let response = outcome(Response::read(&mut payload, buf))?;
+    io::copy(&mut payload, &mut io::sink())?;
+    if payload.limit() > 0 {
         return Err(cut_short());
     }
     Ok(Some(response))
@@ -997,69 +888,54 @@ impl Response {
     }
 
     /// Decodes a frame payload, with the reader [`read_response`] runs
-    /// over a socket. The text is checked to be UTF-8 where it is read —
-    /// the head line, op names, a value token that is not sixteen hex
-    /// digits — not in a pass of its own.
+    /// over a socket.
     ///
     /// # Errors
     ///
     /// Returns a one-line reason when the payload is not a valid
     /// response frame.
     pub(crate) fn decode_bytes(payload: &[u8]) -> Result<Response, String> {
-        let mut carry = Vec::new();
-        Response::read(&mut Payload::new(payload, payload.len() as u64, &mut carry))
+        let mut src = payload.take(payload.len() as u64);
+        outcome(Response::read(&mut src, &mut Vec::new())).unwrap_or_else(|e| Err(e.to_string()))
     }
 
-    /// The response decoder. A result is read line by line as its bytes
-    /// arrive; the head line's fields are read before its body, and
-    /// their errors reported after the body's.
-    fn read<R: BufRead>(p: &mut Payload<'_, R>) -> Result<Response, String> {
-        let (head_len, fields_of_result) = {
-            let left = p.left();
-            let head = p.until(|b| b == b'\n');
-            let line =
-                if head.len() < left { head.strip_suffix(b"\r").unwrap_or(head) } else { head };
-            let line = utf8(line)?;
-            let result = (line.split_whitespace().next() == Some("ok-result")).then(|| {
-                let [outs, job, wall_us, attempts, resumed] =
-                    fields(line, ["outs", "job", "wall_us", "attempts", "resumed"]);
-                (
-                    need_u64(outs, "outs"),
-                    need_u64(job, "job"),
-                    need(wall_us, "wall_us")
-                        .and_then(|w| w.parse::<f64>().map_err(|_| "bad wall_us".to_string())),
-                    need_u64(attempts, "attempts"),
-                    need_u64(resumed, "resumed"),
-                )
-            });
-            (head.len(), result)
-        };
-        let Some((outs, job, wall_us, attempts, resumed)) = fields_of_result else {
-            return Response::decode_whole(p.until(|_| false));
-        };
-        p.consume(head_len);
-        p.skip_line_feed();
-        let outputs = p.read_outputs()?;
-        if outputs.len() != outs? as usize {
-            return Err("output count mismatch".to_string());
+    /// The response decoder. The head line is read into `buf`; a result's
+    /// `out` lines are read as their bytes arrive, any other response
+    /// whole into `buf` behind its head.
+    fn read(src: &mut io::Take<impl BufRead>, buf: &mut Vec<u8>) -> Result<Response, Fault> {
+        buf.clear();
+        read_word(src, buf, b"\n")?;
+        let head = utf8(buf)?;
+        if head.split_whitespace().next() != Some("ok-result") {
+            src.read_to_end(buf)?;
+            return Ok(Response::decode_whole(buf)?);
         }
-        Ok(Response::Result(WireResult {
-            job: job?,
-            wall_us: wall_us?,
-            attempts: attempts? as usize,
-            resumed_tasks: resumed? as usize,
-            outputs,
-        }))
+        let [job, wall_us, attempts, resumed, outs] =
+            fields(head, ["job", "wall_us", "attempts", "resumed", "outs"])?;
+        let mut result = WireResult {
+            job: need_u64(job, "job")?,
+            wall_us: need(wall_us, "wall_us")?.parse().map_err(|_| "bad wall_us".to_string())?,
+            attempts: need_u64(attempts, "attempts")? as usize,
+            resumed_tasks: need_u64(resumed, "resumed")? as usize,
+            outputs: Vec::new(),
+        };
+        for _ in 0..need_u64(outs, "outs")? {
+            result.outputs.push(read_output(src, buf)?);
+        }
+        if !fill(src)?.is_empty() {
+            return refused("output count mismatch");
+        }
+        Ok(Response::Result(result))
     }
 
     /// Decodes a whole payload that is not a result.
     fn decode_whole(payload: &[u8]) -> Result<Response, String> {
-        let (head, body) = split_line(payload);
-        let head = utf8(head)?;
-        let body = utf8(body)?;
+        let text = utf8(payload)?;
+        let (head, body) = text.split_once('\n').unwrap_or((text, ""));
+        let head = head.strip_suffix('\r').unwrap_or(head);
         match head.split_whitespace().next().unwrap_or("") {
             "ok-hello" => {
-                let [session, workers] = fields(head, ["session", "workers"]);
+                let [session, workers] = fields(head, ["session", "workers"])?;
                 Ok(Response::Hello {
                     session: need_u64(session, "session")?,
                     workers: need_u64(workers, "workers")? as usize,
@@ -1071,7 +947,7 @@ impl Response {
                 let mut jobs = Vec::new();
                 for line in body.lines() {
                     let [id, tenant, state, grant] =
-                        fields(line, ["id", "tenant", "state", "grant"]);
+                        fields(line, ["id", "tenant", "state", "grant"])?;
                     jobs.push(JobRow {
                         job: need_u64(id, "id")?,
                         tenant: need(tenant, "tenant")?.to_string(),
@@ -1079,7 +955,7 @@ impl Response {
                         grant: need_u64(grant, "grant")? as usize,
                     });
                 }
-                let [workers] = fields(head, ["workers"]);
+                let [workers] = fields(head, ["workers"])?;
                 Ok(Response::Stats { workers: need_u64(workers, "workers")? as usize, jobs })
             }
             "ok-drained" => Ok(Response::Drained),
@@ -1088,8 +964,7 @@ impl Response {
         }
     }
 
-    /// `decode_bytes` of a payload held as
-    /// text.
+    /// `decode_bytes` of a payload held as text.
     ///
     /// # Errors
     ///
@@ -1104,25 +979,19 @@ mod tests {
     use super::*;
     use std::io::BufReader;
 
-    /// The value reader on the bytes of a line from just after its
-    /// count field, with no frame around them: the values, and the bytes
-    /// the line leaves unread.
-    fn line_values(body: &[u8], declared: usize) -> Result<(Vec<f64>, &[u8]), String> {
-        let mut carry = Vec::new();
-        let mut payload = Payload::new(body, body.len() as u64, &mut carry);
-        let values = payload.read_values(declared)?;
-        Ok((values, &body[body.len() - payload.left()..]))
-    }
-
-    /// The value reader on one line's values, which is how most tests
-    /// below call it.
-    fn read_values(rest: &str, declared: usize) -> Result<Vec<f64>, String> {
-        line_values(rest.as_bytes(), declared).map(|(values, _)| values)
-    }
-
-    /// The `out` line reader on a result's body with no frame around it.
-    fn read_outputs(body: &[u8]) -> Result<Vec<WireOutput>, String> {
-        Payload::new(body, body.len() as u64, &mut Vec::new()).read_outputs()
+    /// The value reader on `n` tokens at the head of `bytes`, with no
+    /// frame around them: the values it read, what it made of them, and
+    /// the bytes it left unread.
+    fn line_values(bytes: &[u8], n: usize) -> (Vec<f64>, Result<(), String>, &[u8]) {
+        let mut src = bytes.take(bytes.len() as u64);
+        let mut values = Vec::new();
+        let read = match read_values(&mut src, n, &mut values) {
+            Ok(()) => Ok(()),
+            Err(Fault::Refused(reason)) => Err(reason),
+            Err(Fault::Io(e)) => panic!("a slice does not fail: {e}"),
+        };
+        let left = src.limit() as usize;
+        (values, read, &bytes[bytes.len() - left..])
     }
 
     /// `payload` as the frame `encode_into` would make of it.
@@ -1210,179 +1079,94 @@ mod tests {
         assert_eq!(text.lines().nth(1), Some(format!("out A 5{reference}").as_str()));
     }
 
-    /// The value reader `decode` had before `read_values`: every token
-    /// through `from_str_radix`. Kept as the reference for it.
-    fn reference_values(rest: &str) -> Result<Vec<f64>, String> {
-        rest.split_whitespace()
-            .map(|h| u64::from_str_radix(h, 16).map(f64::from_bits))
-            .collect::<Result<_, _>>()
-            .map_err(|_| "malformed value bits".to_string())
+    fn bit_patterns(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
     }
 
-    /// One value token of kind `kind` carrying (some of) `bits`.
-    fn value_token(kind: usize, bits: u64) -> String {
-        match kind {
-            0..=3 => format!("{bits:016x}"),
-            4 => format!("{bits:016X}"),
-            5 => format!("{:x}", bits >> (bits % 61)),
-            6 => format!("000{bits:016x}"),
-            7 => format!("f{bits:016x}"),
-            8 => format!("+{:015x}", bits >> 4),
-            9 => format!("{:014x}\u{e9}", bits >> 8),
-            10 => format!("{:015x}g", bits >> 4),
-            11 => format!("-{:x}", bits >> 40),
-            _ => "0x10".to_string(),
-        }
+    /// A result payload declaring `outs` outputs, with `body` behind its
+    /// head line.
+    fn result_frame(outs: usize, body: &str) -> String {
+        format!("ok-result job=1 wall_us=2 attempts=1 resumed=0 outs={outs}\n{body}")
     }
 
-    /// Mostly the encoder's single space; doubled, ASCII and Unicode
-    /// whitespace among them.
-    const SEPARATORS: [&str; 8] = [" ", " ", " ", " ", "  ", "\t", "\u{a0}", " \u{3000}"];
-
-    /// The values part of an `out` line made of `tokens` (separator,
-    /// token kind, bits), with its last `cut` bytes missing (back to a
-    /// character boundary).
-    fn values_line(tokens: &[(usize, usize, u64)], cut: usize) -> String {
-        let mut line: String = tokens
-            .iter()
-            .map(|&(sep, kind, bits)| format!("{}{}", SEPARATORS[sep], value_token(kind, bits)))
-            .collect();
-        let mut end = line.len().saturating_sub(cut);
-        while !line.is_char_boundary(end) {
-            end -= 1;
-        }
-        line.truncate(end);
-        line
-    }
-
-    fn bit_patterns(read: Result<Vec<f64>, String>) -> Result<Vec<u64>, String> {
-        read.map(|values| values.into_iter().map(f64::to_bits).collect())
-    }
-
-    proptest::proptest! {
-        #[test]
-        fn value_reader_agrees_with_the_per_token_reference(
-            tokens in proptest::collection::vec(
-                (0..SEPARATORS.len(), 0..13usize, proptest::prelude::any::<u64>()),
-                0..14,
-            ),
-            cut in 0..40usize,
-            declared in 0..20usize,
-        ) {
-            // Every other line is whole, the rest lose up to 19 bytes.
-            let line = values_line(&tokens, cut.saturating_sub(20));
-            proptest::prop_assert_eq!(
-                bit_patterns(read_values(&line, declared)),
-                bit_patterns(reference_values(&line))
-            );
-        }
-    }
-
-    /// The result body reader `decode` had before `read_outputs`: split
-    /// into lines first, every token through the general readers. Kept
-    /// as the reference for it.
-    fn reference_outputs(body: &str) -> Result<Vec<(String, Vec<u64>)>, String> {
-        let mut outputs = Vec::new();
-        for line in body.lines() {
-            let Some(("out", rest)) = next_token(line) else {
-                return Err("malformed result body".to_string());
-            };
-            let (name, rest) = next_token(rest).ok_or("missing op name")?;
-            let (n, rest) = next_token(rest)
-                .and_then(|(n, rest)| Some((n.parse::<usize>().ok()?, rest)))
-                .ok_or("missing value count")?;
-            let values = bit_patterns(reference_values(rest))?;
-            if values.len() != n {
-                return Err("value count mismatch".to_string());
-            }
-            outputs.push((name.to_string(), values));
-        }
-        Ok(outputs)
-    }
-
-    /// How an `out` line may begin; `{n}` is the count of its values.
-    const OUT_HEADS: [&str; 10] = [
-        "out A {n}",
-        "out A {n}",
-        "out \u{e9}t\u{e9} {n}",
-        "out\tA  {n}",
-        "\u{a0}out A\u{2003}{n}",
-        "out A +{n}",
-        " out  A {n}",
-        "out A",
-        "put A {n}",
-        "",
+    /// What the reader once accepted beside the encoder's form, and the
+    /// encoder's form miscounted: a result's output count, body, and the
+    /// reason it is refused.
+    const REFUSED: [(usize, &str, &str); 27] = [
+        (1, "out A 1\t3ff0000000000000", "malformed value count"),
+        (1, "out A 1 \u{a0}3ff0000000000000", "malformed value bits"),
+        (1, "out A 1\u{3000}3ff0000000000000", "malformed value count"),
+        (1, "out A 1  3ff0000000000000", "malformed value bits"),
+        (1, "out A  1 3ff0000000000000", "malformed value count"),
+        (1, "out  A 1 3ff0000000000000", "malformed op name"),
+        (1, "out A\t1 3ff0000000000000", "malformed op name"),
+        (1, "out\tA 1 3ff0000000000000", "malformed result body"),
+        (1, " out A 1 3ff0000000000000", "malformed result body"),
+        (1, "\u{a0}out A 1 3ff0000000000000", "malformed result body"),
+        (1, "out A 1 3FF0000000000000", "malformed value bits"),
+        (1, "out A 1 3ff", "value count mismatch"),
+        (1, "out A 2 3ff 3ff0000000000000", "malformed value bits"),
+        (1, "out A 1 3ff00000000000000", "line runs past its value count"),
+        (1, "out A 1 +3ff000000000000", "malformed value bits"),
+        (1, "out A 1 3ff0000000000000 ", "line runs past its value count"),
+        (1, "out A 1 3ff0000000000000\r", "line runs past its value count"),
+        (1, "out A +1 3ff0000000000000", "malformed value count"),
+        (1, "out A 01 3ff0000000000000", "malformed value count"),
+        (1, "out A 2 3ff0000000000000", "value count mismatch"),
+        (1, "out A 0 3ff0000000000000", "line runs past its value count"),
+        (1, "out A 0\n", "output count mismatch"),
+        (1, "out A", "missing value count"),
+        (2, "out A 1 3ff0000000000000\r\nout B 0", "line runs past its value count"),
+        (2, "out A 0\r\nout B 0", "malformed value count"),
+        (2, "out A 0\n\nout B 0", "malformed result body"),
+        (2, "out A 1\nout B 0", "value count mismatch"),
     ];
 
-    /// How a line may end.
-    const LINE_ENDS: [&str; 6] = ["\n", "\n", "\n", "\r\n", "\r", "\n\n"];
-
-    proptest::proptest! {
-        #[test]
-        fn result_body_reader_agrees_with_the_line_by_line_reference(
-            lines in proptest::collection::vec(
-                (
-                    0..OUT_HEADS.len(),
-                    proptest::collection::vec(
-                        (0..SEPARATORS.len(), 0..13usize, proptest::prelude::any::<u64>()),
-                        0..5,
-                    ),
-                    0..8usize,
-                    0..LINE_ENDS.len(),
-                ),
-                0..5,
-            ),
-            cut in 0..60usize,
-        ) {
-            let mut body = String::new();
-            for (head, tokens, miscount, end) in &lines {
-                // One line in eight declares a count it does not hold.
-                let n = tokens.len() + usize::from(*miscount == 0);
-                body += &OUT_HEADS[*head].replace("{n}", &n.to_string());
-                body += &values_line(tokens, 0);
-                body += LINE_ENDS[*end];
-            }
-            // Every other body is whole, the rest lose up to 29 bytes.
-            let mut end = body.len().saturating_sub(cut.saturating_sub(30));
-            while !body.is_char_boundary(end) {
-                end -= 1;
-            }
-            body.truncate(end);
-            let read = read_outputs(body.as_bytes()).map(|outputs| {
-                outputs
-                    .into_iter()
-                    .map(|o| (o.name, o.values.into_iter().map(f64::to_bits).collect()))
-                    .collect::<Vec<(String, Vec<u64>)>>()
-            });
-            proptest::prop_assert_eq!(read.ok(), reference_outputs(&body).ok());
+    #[test]
+    fn every_form_but_the_encoders_is_refused_with_its_reason() {
+        let canonical = result_frame(2, "out A 1 3ff0000000000000\nout B 0");
+        let Ok(Response::Result(r)) = Response::decode(&canonical) else { panic!("decodes") };
+        assert_eq!((r.outputs[0].values.as_slice(), r.outputs[1].name.as_str()), (&[1.0][..], "B"));
+        for (outs, body, reason) in REFUSED {
+            let frame = result_frame(outs, body);
+            assert_eq!(Response::decode(&frame), Err(reason.to_string()), "{frame:?}");
+        }
+        for (outs, body) in [(2, "out A 0"), (1, "out A 0\nout B 0"), (0, "out A 0")] {
+            let frame = result_frame(outs, body);
+            assert_eq!(Response::decode(&frame), Err("output count mismatch".into()), "{frame:?}");
         }
     }
 
     #[test]
-    fn result_lines_split_on_any_whitespace_as_before() {
-        let frame = "ok-result job=1 wall_us=2 attempts=1 resumed=0 outs=2\n\
-                     out\tA  3 3ff0000000000000\t+1  4000000000000000\n\
-                     \u{a0}out B 0 ";
-        let Response::Result(r) = Response::decode(frame).unwrap() else { panic!("a result") };
-        assert_eq!(r.outputs[0].values, vec![1.0, f64::from_bits(1), 2.0]);
-        assert_eq!((r.outputs[1].name.as_str(), r.outputs[1].values.len()), ("B", 0));
-        for bad in ["out A 1 zz", "out A x 0", "out", "put A 0", "out A 2 0000000000000000"] {
-            let frame = format!("ok-result job=1 wall_us=2 attempts=1 resumed=0 outs=1\n{bad}");
-            assert!(Response::decode(&frame).is_err(), "{bad}");
-        }
+    fn a_refused_result_leaves_the_next_frame_whole() {
+        use std::os::unix::net::UnixStream;
+        let (mut tx, rx) = UnixStream::pair().unwrap();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                for (outs, body, _) in REFUSED {
+                    write_frame(&mut tx, &frame_of(result_frame(outs, body).as_bytes())).unwrap();
+                    write_frame(&mut tx, &frame_of(b"ok-submit job=9")).unwrap();
+                }
+            });
+            let (mut reader, mut buf) = (BufReader::new(rx), Vec::new());
+            for (_, body, reason) in REFUSED {
+                let refused = read_response(&mut reader, &mut buf).unwrap();
+                assert_eq!(refused, Some(Err(reason.to_string())), "{body:?}");
+                let next = read_response(&mut reader, &mut buf).unwrap();
+                assert_eq!(next, Some(Ok(Response::Submitted { job: 9 })), "after {body:?}");
+            }
+            assert_eq!(read_response(&mut reader, &mut buf).unwrap(), None, "clean EOF");
+        });
     }
 
     #[test]
     fn a_declared_count_does_not_size_the_allocation() {
-        // 2^32 values declared on a 40-byte line: rejected, and the
-        // buffer was sized by the bytes present, not by the claim.
-        let line = "out A 4294967296 3ff0000000000000";
-        assert!(line.len() <= 40);
-        let (_, rest) = line.split_at(16);
-        let values = read_values(rest, 1 << 32).unwrap();
-        assert_eq!(values, vec![1.0]);
-        assert!(values.capacity() <= rest.len() / 2, "capacity {}", values.capacity());
-        let frame = format!("ok-result job=1 wall_us=2 attempts=1 resumed=0 outs=1\n{line}");
+        // 2^32 values declared, one present: refused, and the buffer was
+        // sized by the bytes present, not by the claim.
+        let (values, read, _) = line_values(b" 3ff0000000000000", 1 << 32);
+        assert_eq!(read, Err("value count mismatch".to_string()));
+        assert_eq!((values.as_slice(), values.capacity()), (&[1.0][..], 1));
+        let frame = result_frame(1, "out A 4294967296 3ff0000000000000");
         assert_eq!(Response::decode(&frame), Err("value count mismatch".to_string()));
     }
 
@@ -1558,17 +1342,17 @@ mod tests {
 
     /// `payload` as [`read_response`] reads it from a stream, `step`
     /// bytes per read, with a frame behind it that must still be read
-    /// from its start: the response, and what the carry grew to.
+    /// from its start: the response, and what the line buffer grew to.
     fn read_streamed(payload: &[u8], step: usize) -> (Result<Response, String>, usize) {
         let mut wire = frame_of(payload);
         wire.extend(frame_of(b"ok-drained"));
         let mut reader = BufReader::with_capacity(CHUNK, Trickle { data: &wire, step });
-        let mut carry = Vec::new();
-        let got = read_response(&mut reader, &mut carry).expect("read").expect("a frame");
-        let next = read_response(&mut reader, &mut carry).expect("read");
+        let mut buf = Vec::new();
+        let got = read_response(&mut reader, &mut buf).expect("read").expect("a frame");
+        let next = read_response(&mut reader, &mut buf).expect("read");
         assert_eq!(next, Some(Ok(Response::Drained)), "the next frame is read from its start");
-        assert_eq!(read_response(&mut reader, &mut carry).expect("read"), None, "clean EOF");
-        (got, carry.capacity())
+        assert_eq!(read_response(&mut reader, &mut buf).expect("read"), None, "clean EOF");
+        (got, buf.capacity())
     }
 
     /// `n` values from `seed`, NaN payloads, infinities, −0.0 and
@@ -1605,8 +1389,8 @@ mod tests {
         /// The streamed writer makes the bytes `encode` makes, behind the
         /// length it worked out first, in writes of at most `CHUNK` bytes
         /// from a buffer that holds no more; the streamed reader reads
-        /// them back bit for bit, however the reads fall, carrying over
-        /// no more than a line head.
+        /// them back bit for bit, however the reads fall, holding no more
+        /// than a line head.
         #[test]
         fn a_streamed_result_is_the_whole_frame_codec_piece_by_piece(
             outputs in proptest::collection::vec(
@@ -1644,10 +1428,10 @@ mod tests {
             let payload = whole.len() - PREFIX;
             proptest::prop_assert!((payload..=payload + RESULT_HEAD_BOUND).contains(&bound));
 
-            let (got, carried) = read_streamed(&whole[PREFIX..], STEPS[step]);
+            let (got, held) = read_streamed(&whole[PREFIX..], STEPS[step]);
             proptest::prop_assert_eq!(bitwise(got), bitwise(Ok(resp)));
             // A head line, its wall time written from arbitrary bits.
-            proptest::prop_assert!(carried <= 2 * RESULT_HEAD_BOUND, "a {carried} byte carry");
+            proptest::prop_assert!(held <= 2 * RESULT_HEAD_BOUND, "a {held} byte line buffer");
         }
     }
 
@@ -1668,79 +1452,62 @@ mod tests {
         }
     }
 
+    /// A payload's bytes from the line feed that ends its head line.
+    fn body_of(payload: &[u8]) -> &[u8] {
+        &payload[payload.iter().position(|&b| b == b'\n').unwrap_or(payload.len())..]
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
 
-        /// Result payloads of every shape the reader accepts or refuses —
-        /// extra and Unicode whitespace, CRLF, upper-case, short and
-        /// signed tokens, miscounted `outs` and value counts, cut short,
-        /// not UTF-8 — decode the same from a stream, however its reads
-        /// fall, as from a slice; whole and UTF-8, as the line-by-line
-        /// reference reads them.
+        /// Result payloads as the encoder writes them, whole, with one
+        /// byte changed (to any byte, or to one the old reader took for
+        /// a separator, a digit or a sign) or with their tail cut, decode
+        /// the same from a stream, however its reads fall, as from a
+        /// slice. Whole, they decode to what was written; changed or cut,
+        /// a body is accepted only where it is what the encoder writes
+        /// of what it decoded to.
         #[test]
         fn a_result_decodes_alike_whatever_the_reads(
-            lines in proptest::collection::vec(
-                (
-                    0..OUT_HEADS.len(),
-                    value_count(),
-                    proptest::prelude::any::<u64>(),
-                    proptest::collection::vec(
-                        (
-                            proptest::prelude::any::<u64>(),
-                            0..SEPARATORS.len(),
-                            0..13usize,
-                        ),
-                        0..3,
-                    ),
-                    0..LINE_ENDS.len(),
-                    0..8usize,
-                ),
+            outputs in proptest::collection::vec(
+                (0..NAMES.len(), value_count(), proptest::prelude::any::<u64>()),
                 0..4,
             ),
-            miscount in 0..8usize,
-            cut in 0..3000usize,
-            flip in (proptest::prelude::any::<u64>(), 0..4usize),
+            damage in (proptest::prelude::any::<u64>(), 0..256usize, 0..4usize),
             step in 0..STEPS.len(),
         ) {
-            let outs = lines.len() + usize::from(miscount == 0);
-            let head = format!("ok-result job=1 wall_us=2 attempts=1 resumed=0 outs={outs}");
-            let mut body = String::new();
-            for (at, &(out_head, n, seed, ref odd, end, short)) in lines.iter().enumerate() {
-                if at > 0 {
-                    body += LINE_ENDS[end];
-                }
-                let declared = n + usize::from(short == 0);
-                body += &OUT_HEADS[out_head].replace("{n}", &declared.to_string());
-                let mut tokens: Vec<String> = special_values(n, seed)
+            let resp = Response::Result(WireResult {
+                job: 1,
+                wall_us: 2.0,
+                attempts: 1,
+                resumed_tasks: 0,
+                outputs: outputs
                     .iter()
-                    .map(|v| format!(" {:016x}", v.to_bits()))
-                    .collect();
-                for &(pos, sep, kind) in odd {
-                    if n > 0 {
-                        let bits = seed.rotate_left(pos as u32);
-                        let token = format!("{}{}", SEPARATORS[sep], value_token(kind, bits));
-                        tokens[pos as usize % n] = token;
-                    }
-                }
-                body.extend(tokens);
-            }
-            let mut payload = format!("{head}\n{body}").into_bytes();
-            let whole = cut % 3 != 0 && flip.1 != 0;
-            if cut % 3 == 0 {
-                payload.truncate(payload.len().saturating_sub(cut / 3));
-            }
-            if flip.1 == 0 && !payload.is_empty() {
-                let at = flip.0 as usize % payload.len();
-                payload[at] = 0xff;
+                    .map(|&(name, n, seed)| WireOutput {
+                        name: NAMES[name].to_string(),
+                        values: special_values(n, seed),
+                    })
+                    .collect(),
+            });
+            let mut payload = resp.encode().into_bytes();
+            let (at, byte, how) = damage;
+            let at = at as usize % payload.len();
+            match how {
+                0 => {}
+                1 => payload[at] = byte as u8,
+                2 => payload[at] = b" \t\r\n0aA+"[byte % 8],
+                _ => payload.truncate(at),
             }
 
-            let sliced = Response::decode_bytes(&payload);
+            let decoded = Response::decode_bytes(&payload);
             let (streamed, _) = read_streamed(&payload, STEPS[step]);
-            let sliced = bitwise(sliced);
-            proptest::prop_assert_eq!(&bitwise(streamed), &sliced);
-            if whole {
-                let reference = reference_outputs(&body).ok().filter(|o| o.len() == outs);
-                proptest::prop_assert_eq!(sliced.ok().map(|r| r.4), reference);
+            proptest::prop_assert_eq!(bitwise(streamed), bitwise(decoded.clone()));
+            if how == 0 {
+                proptest::prop_assert_eq!(bitwise(decoded.clone()), bitwise(Ok(resp)));
+            }
+            if let Ok(decoded) = decoded {
+                let written = decoded.encode();
+                proptest::prop_assert!(body_of(written.as_bytes()) == body_of(&payload));
             }
         }
     }
@@ -1824,48 +1591,43 @@ mod tests {
         });
     }
 
-    /// Sixteen hex digits as `from_str_radix` reads them: the reference
-    /// for [`unhex8`].
-    fn reference_bits(digits: &[u8]) -> Option<u64> {
-        let text = str::from_utf8(digits).ok()?;
-        // `from_str_radix` takes a sign; a canonical token has none.
-        u64::from_str_radix(text, 16).ok().filter(|_| !text.starts_with('+'))
-    }
-
     #[test]
-    fn every_byte_at_every_position_of_a_token_reads_as_the_reference_reads_it() {
-        for base in [" 0123456789abcdef", " FEDCBA9876543210", " ffffffffffffffff"] {
+    fn every_byte_at_every_position_of_a_token_is_accepted_exactly_as_lowercase_hex() {
+        let one = f64::from_bits(1);
+        for base in [" 0123456789abcdef", " fedcba9876543210", " ffffffffffffffff"] {
             for at in 0..TOKEN {
                 for byte in 0..=255u8 {
-                    let mut token = base.as_bytes().to_vec();
+                    let mut token: [u8; TOKEN] = base.as_bytes().try_into().unwrap();
                     token[at] = byte;
+                    let lowercase_hex = token[0] == b' '
+                        && token[1..].iter().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+                    let expected = lowercase_hex.then(|| {
+                        let digits = str::from_utf8(&token[1..]).unwrap();
+                        f64::from_bits(u64::from_str_radix(digits, 16).unwrap())
+                    });
+                    let context = format!("byte {byte:#04x} at {at} of {base:?}");
+                    let got = token_value(&token).ok();
+                    assert_eq!(got.map(f64::to_bits), expected.map(f64::to_bits), "{context}");
 
-                    // The SWAR reader alone.
-                    let (hi, bad_hi) = unhex8(token[1..9].try_into().unwrap());
-                    let (lo, bad_lo) = unhex8(token[9..].try_into().unwrap());
-                    let swar = (token[0] == b' ' && bad_hi | bad_lo == 0)
-                        .then_some(u64::from(hi) << 32 | u64::from(lo));
-                    let reference = reference_bits(&token[1..]).filter(|_| token[0] == b' ');
-                    assert_eq!(swar, reference, "byte {byte:#04x} at {at} of {base:?}");
-
-                    // The line reader around it, the token first, last
+                    // The frame reader around it, the token first, last
                     // and alone on its line.
-                    for line in [
-                        token.clone(),
-                        [&token[..], b" 0000000000000001"].concat(),
-                        [b" 0000000000000001", &token[..]].concat(),
+                    for (line, values) in [
+                        (token.to_vec(), expected.map(|v| vec![v])),
+                        (
+                            [&token[..], b" 0000000000000001"].concat(),
+                            expected.map(|v| vec![v, one]),
+                        ),
+                        (
+                            [b" 0000000000000001", &token[..]].concat(),
+                            expected.map(|v| vec![one, v]),
+                        ),
                     ] {
-                        let got = line_values(&line, 2);
-                        let (text, rest) = split_line(&line);
-                        let expected = utf8(text).and_then(reference_values);
-                        assert_eq!(
-                            bit_patterns(got.map(|(values, after)| {
-                                assert_eq!(after, rest, "the line ends where `lines` ends it");
-                                values
-                            })),
-                            bit_patterns(expected),
-                            "byte {byte:#04x} at {at} of {base:?}"
-                        );
+                        let n = line.len() / TOKEN;
+                        let frame =
+                            [result_frame(1, &format!("out A {n}")).as_bytes(), &line].concat();
+                        let got =
+                            bitwise(Response::decode_bytes(&frame)).ok().map(|r| r.4[0].1.clone());
+                        assert_eq!(got, values.map(|v| bit_patterns(&v)), "{context}");
                     }
                 }
             }
@@ -1899,9 +1661,9 @@ mod tests {
         write_values(&mut out, &values);
         let reference: String = patterns.iter().map(|bits| format!(" {bits:016x}")).collect();
         assert_eq!(str::from_utf8(&out).unwrap(), format!("kept{reference}"));
-        let (read, after) = line_values(&out[4..], values.len()).unwrap();
-        assert!(after.is_empty());
-        assert_eq!(bit_patterns(Ok(read)), Ok(patterns));
+        let (read, ok, after) = line_values(&out[4..], values.len());
+        assert_eq!((ok, after), (Ok(()), &b""[..]));
+        assert_eq!(bit_patterns(&read), patterns);
     }
 
     /// A frame payload to mutate: every verb of both directions, and
@@ -2001,7 +1763,7 @@ mod tests {
                 proptest::prop_assert!(is_text, "accepted a non-UTF-8 response: {resp:?}");
                 if let Response::Result(r) = &resp {
                     let held: usize = r.outputs.iter().map(|o| o.values.capacity()).sum();
-                    proptest::prop_assert!(held <= got.len() / 2, "{held} values held");
+                    proptest::prop_assert!(held <= got.len() / TOKEN, "{held} values held");
                 }
             }
         }
@@ -2037,5 +1799,15 @@ mod tests {
         assert!(Request::decode("submit backend=gpu policy=taper seed=1\n").is_err());
         assert!(Request::decode("submit backend=threaded policy=gss seed=1\n").is_err());
         assert!(Request::decode("wait").is_err(), "missing job id");
+        assert_eq!(Request::decode("wait job=1 now"), Err("`now` is not a key=value field".into()));
+    }
+
+    #[test]
+    fn a_space_in_a_checkpoint_path_is_refused_not_cut() {
+        let submit = Request::Submit {
+            opts: JobOptions { checkpoint_dir: Some("/tmp/a b".into()), ..JobOptions::default() },
+            graph: "delirium g\nnode A task cost=1\nend\n".into(),
+        };
+        assert_eq!(Request::decode(&submit.encode()), Err("`b` is not a key=value field".into()));
     }
 }
