@@ -31,7 +31,7 @@
 //! payload behind a placeholder and patches the length in, so it is one
 //! `write`; [`read_frame`] fills the caller's buffer as bytes arrive.
 //! Their head lines are read by words, and every word after the verb
-//! is a `key=value` field. `encode` and `decode` are the same codec for
+//! is a `key=value` field the line defines, each at most once. `encode` and `decode` are the same codec for
 //! a caller that holds a frame's payload as a `String`: the result
 //! writer with a `Vec` for its sink, and the result reader over a byte
 //! slice.
@@ -346,9 +346,10 @@ pub enum Response {
 }
 
 /// The values of the fields `keys` among the `key=value` words after a
-/// line's verb, found in one pass; where a key repeats its last value
-/// counts. Any other word — what a value with a space in it leaves — is
-/// refused by name.
+/// line's verb, found in one pass. Every word must be one of them, once:
+/// a word that is not `key=value`, a key the line does not define and a
+/// repeated key — what a value with a space in it leaves — are refused
+/// by name.
 fn fields<'a, const N: usize>(
     line: &'a str,
     keys: [&str; N],
@@ -357,8 +358,10 @@ fn fields<'a, const N: usize>(
     for word in line.split_whitespace().skip(1) {
         let (key, value) =
             word.split_once('=').ok_or_else(|| format!("`{word}` is not a key=value field"))?;
-        if let Some(at) = keys.iter().position(|k| *k == key) {
-            values[at] = Some(value);
+        let at =
+            keys.iter().position(|k| *k == key).ok_or_else(|| format!("unknown field `{key}`"))?;
+        if values[at].replace(value).is_some() {
+            return Err(format!("field `{key}` repeated"));
         }
     }
     Ok(values)
@@ -490,8 +493,8 @@ impl Request {
             }
             "wait" => Ok(Request::Wait { job: job_field(head)? }),
             "cancel" => Ok(Request::Cancel { job: job_field(head)? }),
-            "stats" => Ok(Request::Stats),
-            "shutdown" => Ok(Request::Shutdown),
+            "stats" => fields(head, []).map(|[]| Request::Stats),
+            "shutdown" => fields(head, []).map(|[]| Request::Shutdown),
             other => Err(format!("unknown request `{other}`")),
         }
     }
@@ -955,10 +958,13 @@ impl Response {
                         grant: need_u64(grant, "grant")? as usize,
                     });
                 }
-                let [workers] = fields(head, ["workers"])?;
+                let [workers, count] = fields(head, ["workers", "jobs"])?;
+                if need_u64(count, "jobs")? != jobs.len() as u64 {
+                    return Err("job count mismatch".to_string());
+                }
                 Ok(Response::Stats { workers: need_u64(workers, "workers")? as usize, jobs })
             }
-            "ok-drained" => Ok(Response::Drained),
+            "ok-drained" => fields(head, []).map(|[]| Response::Drained),
             "err" => Ok(Response::Err { msg: head.strip_prefix("err ").unwrap_or("").to_string() }),
             other => Err(format!("unknown response `{other}`")),
         }
@@ -1809,5 +1815,46 @@ mod tests {
             graph: "delirium g\nnode A task cost=1\nend\n".into(),
         };
         assert_eq!(Request::decode(&submit.encode()), Err("`b` is not a key=value field".into()));
+    }
+
+    #[test]
+    fn a_field_the_line_does_not_define_or_repeats_is_refused() {
+        let submit = |dir: &str| Request::Submit {
+            opts: JobOptions { checkpoint_dir: Some(dir.into()), ..JobOptions::default() },
+            graph: "delirium g\nnode A task cost=1\nend\n".into(),
+        };
+        assert_eq!(
+            Request::decode(&submit("/tmp/a b=c").encode()),
+            Err("unknown field `b`".into())
+        );
+        let twice = submit("/tmp/a checkpoint=/tmp/b").encode();
+        assert_eq!(Request::decode(&twice), Err("field `checkpoint` repeated".into()));
+        assert_eq!(Request::decode("wait job=1 job=2"), Err("field `job` repeated".into()));
+        assert_eq!(Request::decode("stats all=1"), Err("unknown field `all`".into()));
+        assert_eq!(Request::decode("shutdown now=1"), Err("unknown field `now`".into()));
+        assert_eq!(Response::decode("ok-submit job=1 at=2"), Err("unknown field `at`".into()));
+        assert_eq!(Response::decode("ok-drained x=1"), Err("unknown field `x`".into()));
+        let result = "ok-result job=1 wall_us=2 attempts=1 resumed=0 outs=0 outs=0";
+        assert_eq!(Response::decode(result), Err("field `outs` repeated".into()));
+        // A stats reply's head counts its rows, and each row holds its
+        // four fields only.
+        let row = "\njob id=1 tenant=a state=done grant=0";
+        assert_eq!(
+            Response::decode(&format!("ok-stats workers=1 jobs=2{row}")),
+            Err("job count mismatch".into())
+        );
+        assert_eq!(
+            Response::decode(&format!("ok-stats workers=1 jobs=1{row} late=1")),
+            Err("unknown field `late`".into())
+        );
+        // What every encoder writes, its decoder defines.
+        round_trip_resp(Response::Stats { workers: 2, jobs: Vec::new() });
+        round_trip_resp(Response::Stats {
+            workers: 8,
+            jobs: (0..3)
+                .map(|job| JobRow { job, tenant: "t".into(), state: "done".into(), grant: 1 })
+                .collect(),
+        });
+        round_trip_req(Request::Submit { opts: JobOptions::default(), graph: String::new() });
     }
 }

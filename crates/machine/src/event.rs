@@ -54,11 +54,6 @@ impl<T> EventQueue<T> {
         EventQueue::default()
     }
 
-    /// The current simulation time (time of the last popped event).
-    pub fn now(&self) -> f64 {
-        self.now
-    }
-
     /// Schedules `payload` at absolute time `time`.
     ///
     /// # Panics
@@ -73,27 +68,11 @@ impl<T> EventQueue<T> {
         self.heap.push(Pending { time, seq, payload });
     }
 
-    /// Schedules `payload` at `now + delay`.
-    pub fn push_after(&mut self, delay: f64, payload: T) {
-        let t = self.now + delay.max(0.0);
-        self.push(t, payload);
-    }
-
     /// Pops the earliest event, advancing the clock.
     pub fn pop(&mut self) -> Option<(f64, T)> {
         let p = self.heap.pop()?;
         self.now = p.time;
         Some((p.time, p.payload))
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -129,13 +108,10 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(2.0, ());
         q.push(7.0, ());
-        q.pop();
-        assert_eq!(q.now(), 2.0);
-        q.push_after(1.0, ());
-        let (t, _) = q.pop().unwrap();
-        assert_eq!(t, 3.0);
-        q.pop();
-        assert_eq!(q.now(), 7.0);
+        assert_eq!(q.pop().unwrap().0, 2.0);
+        q.push(3.0, ());
+        assert_eq!(q.pop().unwrap().0, 3.0);
+        assert_eq!(q.pop().unwrap().0, 7.0);
     }
 
     #[test]
@@ -145,13 +121,5 @@ mod tests {
         q.push(5.0, ());
         q.pop();
         q.push(1.0, ());
-    }
-
-    #[test]
-    fn len_and_is_empty() {
-        let mut q: EventQueue<u8> = EventQueue::new();
-        assert!(q.is_empty());
-        q.push(1.0, 0);
-        assert_eq!(q.len(), 1);
     }
 }

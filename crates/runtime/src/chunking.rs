@@ -286,19 +286,6 @@ pub(crate) fn predicted_chunks(kind: PolicyKind, n: usize, p: usize, cv: f64) ->
     }
 }
 
-/// Expected number of claims on a real backend's
-/// [`ChunkQueue`](crate::threaded::queue::ChunkQueue) for an operation
-/// of `n` tasks sized for `p` workers: [`predicted_chunks`], except for
-/// `Static`, whose `⌈R/p⌉` rule the queue asks once per epoch of at
-/// most half the remaining tasks, so its halving blocks number about
-/// `p/2 · log2(n/p)` ([`static_claims`](crate::threaded::queue::static_claims)).
-pub(crate) fn predicted_claims(kind: PolicyKind, n: usize, p: usize, cv: f64) -> f64 {
-    match kind {
-        PolicyKind::Static => crate::threaded::queue::static_claims(n, p) as f64,
-        _ => predicted_chunks(kind, n, p, cv),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -15,9 +15,12 @@
 //! communication locality."
 //!
 //! The protocol is written once, in `coord`: a clock-free state
-//! machine that this module's discrete-event simulation and the
-//! threaded home queues (`DistQueue`)
-//! both drive. The simulator adds the clocks.
+//! machine that the simulator's one scheduling loop
+//! ([`par_op`](crate::par_op), under
+//! [`ExecutorBackend::ThreadedDist`](crate::ExecutorBackend::ThreadedDist))
+//! and the threaded home queues (`DistQueue`) both drive. The
+//! simulator adds the clocks; this module keeps the token tree's
+//! latencies and the one-operation entry point.
 //!
 //! The epoch tokens earn a second job in the real threaded backend:
 //! every global-epoch increment is a consistent-cut barrier (all p
@@ -27,46 +30,8 @@
 
 pub(crate) mod coord;
 
-use coord::{Coord, Move};
-use orchestra_machine::{EventQueue, MachineConfig, RunStats};
-
-/// Result of a distributed-TAPER run.
-#[derive(Debug, Clone)]
-pub struct DistResult {
-    /// Completion time (µs).
-    pub finish: f64,
-    /// Per-processor stats.
-    pub stats: RunStats,
-    /// Tasks that executed away from their home processor.
-    pub migrated_tasks: u64,
-    /// Chunk re-assignments performed by the root.
-    pub reassignments: u64,
-    /// Fraction of tasks that stayed on their home processor.
-    pub locality: f64,
-    /// Simulated time of each global-epoch increment at the root, in
-    /// the order the increments happened (so the protocol's epoch
-    /// progression is observable and testable).
-    pub epoch_times: Vec<f64>,
-}
-
-impl DistResult {
-    /// Number of completed global epochs.
-    pub fn epochs(&self) -> usize {
-        self.epoch_times.len()
-    }
-}
-
-#[derive(Debug)]
-enum Ev {
-    /// Processor became idle and looks for its next chunk.
-    Idle(usize),
-    /// A token (proc, epoch) reached the root.
-    Token(usize, usize),
-    /// Re-assigned work arrives at its claimant.
-    Delivery(Move),
-    /// The root's epoch-increment broadcast reached a processor.
-    Broadcast(usize, usize),
-}
+use crate::par_op::{simulate_one, ClaimRule, OpOptions, OpResult};
+use orchestra_machine::MachineConfig;
 
 /// Per-hop cost of a control message. Tokens are 8-byte values that the
 /// tree nodes *combine* ("possibly combining messages from both
@@ -77,8 +42,9 @@ fn token_hop_cost(cfg: &MachineConfig) -> f64 {
 }
 
 /// Latency for a token to climb the binary tree from leaf `q` to the
-/// root: one combined control hop per tree level traversed.
-fn token_latency(cfg: &MachineConfig, q: usize) -> f64 {
+/// root, processor 0: one combined control hop per tree level
+/// traversed.
+pub(crate) fn token_latency(cfg: &MachineConfig, q: usize) -> f64 {
     let mut lat = 0.0;
     let mut node = q;
     while node != 0 {
@@ -89,111 +55,20 @@ fn token_latency(cfg: &MachineConfig, q: usize) -> f64 {
 }
 
 /// Root-to-leaves epoch broadcast: one combined control hop per level.
-fn broadcast_latency(cfg: &MachineConfig, p: usize) -> f64 {
+pub(crate) fn broadcast_latency(cfg: &MachineConfig, p: usize) -> f64 {
     (p.max(2) as f64).log2().ceil() * token_hop_cost(cfg)
 }
 
-/// Simulates one parallel operation under distributed TAPER.
-///
-/// Tasks start block-decomposed onto their home processors
-/// (owner-computes); each processor draws decreasing-size chunks from
-/// its *local* queue; the root re-assigns work from laggards to fast
-/// processors when their epoch tokens race ahead. Every decision is
-/// `Coord`'s, the coordinator the threaded home queues run too; this
-/// function keeps the clocks. A chunk start sends a token carrying the
-/// processor's epoch, which reaches the root after its tree latency;
-/// re-assigned work lands after a message flight; an epoch increment
-/// reaches the leaves after a broadcast.
+/// Simulates one parallel operation on `p` processors under
+/// distributed TAPER, `bytes_per_task` moving per re-assigned task: the
+/// simulator's one-operation case, its share the whole machine.
 pub fn simulate_dist_taper(
     cfg: &MachineConfig,
     p: usize,
     costs: &[f64],
     bytes_per_task: u64,
-) -> DistResult {
-    let p = p.max(1);
-    let members: Vec<usize> = (0..p).collect();
-    let mut coord = Coord::new(costs.len(), p, &members);
-    let mut stats = RunStats::new(p);
-    // What each processor knows: the last epoch broadcast to reach it,
-    // whether its work request is out, whether it is running a chunk.
-    let mut local_epoch: Vec<usize> = vec![0; p];
-    let mut starving: Vec<bool> = vec![false; p];
-    let mut busy: Vec<bool> = vec![false; p];
-    let mut finish: f64 = 0.0;
-
-    let mut q: EventQueue<Ev> = EventQueue::new();
-    for proc in 0..p {
-        q.push(0.0, Ev::Idle(proc));
-    }
-
-    while let Some((t, ev)) = q.pop() {
-        match ev {
-            Ev::Idle(me) => {
-                busy[me] = false;
-                let Some(chunk) = coord.draw(me, usize::MAX, costs) else {
-                    // Work request: token the current epoch so the root
-                    // can feed us (but only while work exists).
-                    if coord.remaining() > 0 && !starving[me] {
-                        starving[me] = true;
-                        q.push(t + token_latency(cfg, me), Ev::Token(me, local_epoch[me]));
-                    }
-                    continue;
-                };
-                starving[me] = false;
-                busy[me] = true;
-                assert!(t >= stats.procs[me].free_at, "processor {me} double-booked at {t}");
-                q.push(t + token_latency(cfg, me), Ev::Token(me, local_epoch[me]));
-                let work: f64 = costs[chunk.range()].iter().sum();
-                let end = t + cfg.sched_overhead + work;
-                stats.record_chunk(me, chunk.len as u64, work, end);
-                finish = finish.max(end);
-                q.push(end, Ev::Idle(me));
-            }
-            Ev::Token(from, epoch) => {
-                let before = coord.epoch();
-                if let Some(m) = coord.token(from, epoch, t) {
-                    let bytes = m.tasks() as u64 * bytes_per_task;
-                    q.push(t + cfg.msg_time(m.from, m.to, bytes), Ev::Delivery(m));
-                }
-                if coord.epoch() > before {
-                    let at = t + broadcast_latency(cfg, p);
-                    for proc in 0..p {
-                        q.push(at, Ev::Broadcast(proc, coord.epoch()));
-                    }
-                }
-            }
-            Ev::Broadcast(proc, e) => {
-                if e > local_epoch[proc] {
-                    local_epoch[proc] = e;
-                    // Starving processors renew their work request in
-                    // the new epoch.
-                    if starving[proc] && !busy[proc] && coord.remaining() > 0 {
-                        q.push(q.now() + token_latency(cfg, proc), Ev::Token(proc, e));
-                    }
-                }
-            }
-            Ev::Delivery(m) => {
-                let to = m.to;
-                coord.deliver(m);
-                if !busy[to] {
-                    // Claim the processor now: a second delivery at the
-                    // same instant must not queue a second `Idle`.
-                    busy[to] = true;
-                    starving[to] = false;
-                    q.push_after(0.0, Ev::Idle(to));
-                }
-            }
-        }
-    }
-
-    DistResult {
-        finish,
-        stats,
-        migrated_tasks: coord.migrated,
-        reassignments: coord.reassignments,
-        locality: coord.locality(),
-        epoch_times: coord.epoch_times,
-    }
+) -> OpResult {
+    simulate_one(cfg, p, costs, ClaimRule::Dist, &OpOptions { bytes_per_task })
 }
 
 #[cfg(test)]

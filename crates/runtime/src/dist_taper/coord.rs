@@ -2,10 +2,10 @@
 //! home queues, the root's token counts, the cv-gated re-assignment and
 //! epoch completion — and no clock, lock or atomic of its own.
 //!
-//! Both engines drive this one copy of the protocol. The simulator
-//! ([`simulate_dist_taper`](super::simulate_dist_taper)) supplies the
-//! clocks: a token reaches the root after its tree latency, a [`Move`]
-//! lands after a message flight. The threaded home queues
+//! Both engines drive this one copy of the protocol. The simulator's
+//! scheduling loop ([`par_op`](crate::par_op)) holds one per operation
+//! and supplies the clocks: a token reaches the root after its tree
+//! latency, a [`Move`] lands after a message flight. The threaded home queues
 //! ([`DistQueue`](crate::threaded::dist::DistQueue)) hold it behind one
 //! mutex, token the global epoch and deliver each `Move` at once.
 //!
@@ -122,16 +122,6 @@ impl Coord {
         self.total - self.claimed
     }
 
-    /// Fraction of the tasks that stayed on their home worker (1.0 for
-    /// an empty operation).
-    pub fn locality(&self) -> f64 {
-        if self.total == 0 {
-            1.0
-        } else {
-            1.0 - self.migrated as f64 / self.total as f64
-        }
-    }
-
     /// Unclaimed tasks in `worker`'s home.
     pub(crate) fn home_len(&self, worker: usize) -> usize {
         tasks_in(&self.homes[worker])
@@ -214,22 +204,23 @@ impl Coord {
     /// Admits `worker` into the partition: its tokens count toward epoch
     /// completion again, and an empty home is seeded with the back half
     /// of the fullest other home (the last on a tie) if that holds at
-    /// least two tasks. Returns how many tasks moved. Unconditional —
-    /// the §4.1.2 equalizer has already decided the migration.
-    pub fn admit(&mut self, worker: usize) -> usize {
+    /// least two tasks. Returns the donor and how many tasks moved, if
+    /// any did. Unconditional — the §4.1.2 equalizer has already
+    /// decided the migration.
+    pub fn admit(&mut self, worker: usize) -> Option<(usize, usize)> {
         self.retired[worker] = false;
         if !self.homes[worker].is_empty() {
-            return 0;
+            return None;
         }
         let donor = (0..self.homes.len())
             .filter(|&b| b != worker)
             .map(|b| (self.home_len(b), b))
             .max_by_key(|&(len, _)| len)
             .filter(|&(len, _)| len > 1);
-        let Some((len, b)) = donor else { return 0 };
+        let (len, b) = donor?;
         let m = self.take(b, worker, len / 2);
         self.deliver(m);
-        len / 2
+        Some((b, len / 2))
     }
 
     /// Merges persisted cost statistics into the policy, so a resumed

@@ -23,7 +23,7 @@
 use crate::alloc::allocate_many;
 use crate::chunking::PolicyKind;
 use crate::finish::{finish_estimate, OpSpec};
-use crate::par_op::{simulate, OpOptions, SimOp};
+use crate::par_op::{simulate, ClaimRule, OpOptions, SimOp};
 use crate::threaded::{build_plan, ExecutorBackend};
 use orchestra_delirium::{DelirGraph, GraphError, NodeId, NodeKind};
 use orchestra_machine::{CostDistribution, MachineConfig};
@@ -55,9 +55,11 @@ pub struct ExecutorOptions {
     /// (shared queues or distributed TAPER),
     /// [`execute_graph_resumable`](crate::checkpoint::execute_graph_resumable)
     /// and the serving daemon. [`execute_graph`] is the simulator
-    /// whatever this says and reads nothing from it; the simulated
-    /// distributed TAPER is a per-operation scheduler,
-    /// [`simulate_dist_taper`](crate::dist_taper::simulate_dist_taper).
+    /// whatever this says, but under
+    /// [`ThreadedDist`](ExecutorBackend::ThreadedDist) claims each
+    /// operation of more than one task under distributed TAPER's
+    /// coordinator, as the home queues do. `policy` is then ignored on
+    /// both clocks, because that coordinator is TAPER.
     pub backend: ExecutorBackend,
     /// Worker threads for the threaded backend (0 = the machine's
     /// available parallelism). Ignored by the simulator, which sizes
@@ -113,6 +115,16 @@ pub struct ExecutorOptions {
     /// resource handle like `cancel`, not a tunable: results are bitwise
     /// the same either way. The simulator ignores this.
     pub crew: Option<crate::threaded::crew::Crew>,
+}
+
+impl ExecutorOptions {
+    /// `policy`, or TAPER under [`ExecutorBackend::ThreadedDist`].
+    pub(crate) fn claim_policy(&self) -> PolicyKind {
+        match self.backend {
+            ExecutorBackend::ThreadedDist => PolicyKind::Taper,
+            _ => self.policy,
+        }
+    }
 }
 
 impl Default for ExecutorOptions {
@@ -296,7 +308,8 @@ fn unit_shares(
     }
     units.sort_by_key(|(level, group, vs)| (*level, group.is_some(), vs[0]));
 
-    let spec_of = |v: NodeId| OpSpec::of_node(&g.nodes[v].kind, BYTES_PER_TASK, opts.policy);
+    let policy = opts.claim_policy();
+    let spec_of = |v: NodeId| OpSpec::of_node(&g.nodes[v].kind, BYTES_PER_TASK, policy);
     let mut shares = vec![0..p; g.nodes.len()];
     for level in units.chunk_by(|a, b| a.0 == b.0) {
         let k = level.len();
@@ -311,7 +324,7 @@ fn unit_shares(
                     Some(name) => {
                         let iters = opts.pipeline_iters.get(*name).copied().unwrap_or(1);
                         let pieces: Vec<OpSpec> = vs.iter().map(|&v| spec_of(v)).collect();
-                        pipeline_group_spec(&pieces, iters, opts.policy)
+                        pipeline_group_spec(&pieces, iters, policy)
                     }
                 })
                 .collect();
@@ -384,12 +397,16 @@ pub fn execute_graph(
     let estimate = |i: usize, remaining: usize, procs: usize| {
         let node = &g.nodes[plan.ops[i].node];
         let bytes = remaining as u64 * BYTES_PER_TASK;
-        let spec = OpSpec::of_node(&node.kind, BYTES_PER_TASK, opts.policy);
+        let spec = OpSpec::of_node(&node.kind, BYTES_PER_TASK, opts.claim_policy());
         let spec = OpSpec { tasks: remaining, bytes_in: bytes, bytes_out: bytes, ..spec };
         finish_estimate(&spec, procs, cfg).total()
     };
+    let rule = match opts.backend {
+        ExecutorBackend::ThreadedDist => ClaimRule::Dist,
+        _ => ClaimRule::Policy(opts.policy),
+    };
     let op_opts = OpOptions { bytes_per_task: BYTES_PER_TASK };
-    let (runs, _) = simulate(cfg, cfg.processors, &ops, opts.policy, &op_opts, estimate);
+    let (runs, _) = simulate(cfg, cfg.processors, &ops, rule, &op_opts, estimate);
 
     let nodes: Vec<NodeReport> = plan
         .ops

@@ -17,7 +17,7 @@
 //! * `sched` — predicted scheduling events × per-event overhead,
 //!   divided across processors.
 
-use crate::chunking::{predicted_chunks, predicted_claims, PolicyKind};
+use crate::chunking::{predicted_chunks, PolicyKind};
 use crate::stats::OnlineStats;
 use orchestra_delirium::NodeKind;
 use orchestra_machine::MachineConfig;
@@ -163,18 +163,6 @@ const MIGRATED_FRACTION: f64 = 0.1;
 /// Panics if `p` is zero.
 pub fn finish_estimate(op: &OpSpec, p: usize, cfg: &MachineConfig) -> FinishEstimate {
     assert!(p > 0, "estimate needs at least one processor");
-    estimate(op, p, cfg, predicted_chunks)
-}
-
-/// Equation 1 with the scheduling-event count drawn from `chunks`
-/// (policy, tasks, processors, cv): the simulator's count for
-/// [`finish_estimate`], the claim queue's for [`finish_estimate_live`].
-fn estimate(
-    op: &OpSpec,
-    p: usize,
-    cfg: &MachineConfig,
-    chunks: fn(PolicyKind, usize, usize, f64) -> f64,
-) -> FinishEstimate {
     if op.tasks == 0 {
         return FinishEstimate { setup: 0.0, compute: 0.0, lag: 0.0, comm: 0.0, sched: 0.0 };
     }
@@ -206,7 +194,7 @@ fn estimate(
     };
 
     // sched: predicted chunk count × overhead, shared across processors.
-    let sched = chunks(op.policy, op.tasks, p, op.cv()) * cfg.sched_overhead / p_f;
+    let sched = predicted_chunks(op.policy, op.tasks, p, op.cv()) * cfg.sched_overhead / p_f;
 
     FinishEstimate { setup, compute, lag, comm, sched }
 }
@@ -313,9 +301,9 @@ impl HostCalibration {
 /// partition; workers share one address space) and whose scheduling
 /// event costs the host's measured claim instead of the nCUBE-2
 /// constant. Its scheduling events are the claims the op's
-/// [`ChunkQueue`](crate::threaded::queue::ChunkQueue) hands out
-/// (`predicted_claims`): a `Static` op goes out there in halving
-/// blocks, not in the simulator's one block per processor.
+/// [`ChunkQueue`](crate::threaded::queue::ChunkQueue) hands out, the
+/// simulator's chunk count: a `Static` op goes out in one block per
+/// worker on both clocks.
 /// `op` should come from [`OpSpec::from_live`] so `N`, µ, and σ are
 /// the queue's current remaining count and sampled statistics.
 ///
@@ -325,7 +313,7 @@ impl HostCalibration {
 pub fn finish_estimate_live(op: &OpSpec, p: usize, cal: &HostCalibration) -> FinishEstimate {
     assert!(p > 0, "estimate needs at least one processor");
     let host = MachineConfig { sched_overhead: cal.sched_overhead_us, ..MachineConfig::ideal(p) };
-    estimate(op, p, &host, predicted_claims)
+    finish_estimate(op, p, &host)
 }
 
 #[cfg(test)]
@@ -463,7 +451,7 @@ mod tests {
                     let s = spec(n, mean, cv, policy);
                     let (p_f, m) = (p as f64, p.min(n) as f64);
                     let lag = if m <= 1.0 { 0.0 } else { s.std_dev * (2.0 * m.ln()).sqrt() };
-                    let sched = predicted_claims(policy, n, p, s.cv()) * 0.37 / p_f;
+                    let sched = predicted_chunks(policy, n, p, s.cv()) * 0.37 / p_f;
                     let e = finish_estimate_live(&s, p, &cal);
                     assert_eq!((e.setup, e.comm), (0.0, 0.0));
                     assert_eq!(

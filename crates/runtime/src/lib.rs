@@ -12,10 +12,13 @@
 //!   self-scheduling;
 //! * [`par_op`] — the simulated machine's one scheduling loop: a DAG
 //!   of parallel operations under owner-computes data placement, each
-//!   served by its chunk policy, a single operation its simplest case;
+//!   served by its chunk policy or by distributed TAPER's coordinator,
+//!   with the token tree's latencies on the same processor clock; a
+//!   single operation is its simplest case;
 //! * [`dist_taper`] — distributed TAPER: one clock-free coordinator
 //!   (home queues, epoch tokens, root-driven chunk re-assignment) that
-//!   its binary-tree simulation and the threaded home queues both drive;
+//!   the simulator's loop and the threaded home queues both drive, and
+//!   the binary tree's token and broadcast latencies;
 //! * [`finish`] — the finishing-time estimate
 //!   `finish = setup + compute + lag + comm + sched` (equation 1);
 //! * [`alloc`] — the processor-allocation equalizer, which solves the
@@ -65,7 +68,7 @@ pub use checkpoint::{
     FaultPlan, FaultTrigger, KillSpec, Snapshot,
 };
 pub use chunking::{ChunkPolicy, PolicyKind};
-pub use dist_taper::{simulate_dist_taper, DistResult};
+pub use dist_taper::simulate_dist_taper;
 pub use executor::{costs_of_node, execute_graph, ExecutionReport, ExecutorOptions, NodeReport};
 pub use finish::{finish_estimate, finish_estimate_live, FinishEstimate, HostCalibration, OpSpec};
 pub use granularity::{batch_cost, choose_batch};

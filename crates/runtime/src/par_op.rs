@@ -9,24 +9,34 @@
 //! * **Readiness.** It is ready once every producer has finished and
 //!   that producer's transfer has arrived.
 //! * **Serving.** A free processor serves the ready operation of lowest
-//!   rank that its shares allow, ties in operation order. It draws its
-//!   next chunk from its *own* block first, with no data movement; once
-//!   that block is exhausted it steals at most half of the most-loaded
-//!   block, from the back, and pays the transfer message ("as the
-//!   runtime system gains information about the work distribution, it
-//!   refines the data decomposition"). Every chunk dispatch costs the
-//!   machine's scheduling overhead, and sampled task times feed back
-//!   into the operation's own chunk policy. Static block scheduling
-//!   runs each block as one chunk and never steals.
+//!   rank that its shares allow and it can draw from, ties in operation
+//!   order. Under a chunk policy it draws its next chunk from its *own*
+//!   block first, with no data movement; once that block is exhausted
+//!   it steals at most half of the most-loaded block, from the back,
+//!   and pays the transfer message ("as the runtime system gains
+//!   information about the work distribution, it refines the data
+//!   decomposition"). Every chunk dispatch costs the machine's
+//!   scheduling overhead, and sampled task times feed back into the
+//!   operation's own chunk policy. Static block scheduling runs each
+//!   block as one chunk and never steals. Under distributed TAPER
+//!   (§4.1.1) an operation of more than one task holds a `Coord` over
+//!   its share instead: a processor draws from its home there, its
+//!   draws and work requests climb the token tree, and the root's
+//!   broadcasts and re-assignments arrive on the same clock.
 //! * **Re-equalization.** A processor with nothing to serve is
 //!   admitted, widen-only, to the ready operation whose finishing-time
 //!   estimate of its remaining tasks on its current processors is the
 //!   largest: the real pool's `reequalize` rule (§4.1.2), over the
-//!   caller's estimator. Static scheduling admits no one.
+//!   caller's estimator; under distributed TAPER, by `Coord::admit`.
+//!   Static scheduling admits no one.
 //!
-//! [`simulate_policy`] is the one-operation case.
+//! [`simulate_policy`] and
+//! [`simulate_dist_taper`](crate::dist_taper::simulate_dist_taper) are
+//! the one-operation case.
 
 use crate::chunking::{ChunkPolicy, PolicyKind};
+use crate::dist_taper::coord::{Coord, Move};
+use crate::dist_taper::{broadcast_latency, token_latency};
 use orchestra_machine::{EventQueue, MachineConfig, RunStats};
 use std::ops::Range;
 
@@ -55,6 +65,30 @@ pub struct OpResult {
     pub chunks: u64,
     /// Tasks that ran off their home processor.
     pub migrated_tasks: u64,
+    /// Re-assignments by the distributed-TAPER root (0 under a policy).
+    pub reassignments: u64,
+    /// Fraction of tasks that stayed on their home processor.
+    pub locality: f64,
+    /// When each distributed-TAPER global epoch closed at the root, in
+    /// order (empty under a policy).
+    pub epoch_times: Vec<f64>,
+}
+
+impl OpResult {
+    /// Number of completed global epochs.
+    pub fn epochs(&self) -> usize {
+        self.epoch_times.len()
+    }
+}
+
+/// How the operations of a [`simulate`] run hand out their tasks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ClaimRule {
+    /// Every operation under a fresh chunk policy of this kind.
+    Policy(PolicyKind),
+    /// Distributed TAPER: a [`Coord`] per operation of more than one
+    /// task, as on real threads; a one-task operation claims as TAPER.
+    Dist,
 }
 
 /// One operation of a [`simulate`] run.
@@ -72,7 +106,7 @@ pub(crate) struct SimOp<'a> {
 }
 
 /// What one operation did in a [`simulate`] run.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct OpRun {
     /// When its first chunk was dispatched (µs); its ready time if it
     /// has no tasks.
@@ -83,6 +117,8 @@ pub(crate) struct OpRun {
     pub chunks: u64,
     /// Tasks that ran off their home processor.
     pub migrated_tasks: u64,
+    /// Its distributed-TAPER coordinator as the run left it.
+    pub coord: Option<Coord>,
 }
 
 /// The home processor of task `i` under block decomposition of `n`
@@ -113,8 +149,10 @@ struct Live {
     allowed: Vec<bool>,
     /// How many do.
     procs: usize,
-    /// Its chunk policy; `None` under static scheduling.
+    /// Its chunk policy; `None` under static scheduling or a `Coord`.
     policy: Option<Box<dyn ChunkPolicy + Send>>,
+    /// Its distributed-TAPER protocol state, if it runs under one.
+    dist: Option<Dist>,
     /// Producers that have not finished.
     waiting: usize,
     /// When the data of the producers that have finished has arrived.
@@ -122,16 +160,32 @@ struct Live {
     run: OpRun,
 }
 
+/// An operation's coordinator and what the processors know of it.
+struct Dist {
+    coord: Coord,
+    /// The last epoch broadcast, which reaches every processor at once.
+    heard: usize,
+    /// Whether each processor's work request is out.
+    asked: Vec<bool>,
+}
+
 enum Ev {
     /// A processor is free to take its next chunk.
     Free(usize),
     /// An operation's inputs have all arrived.
     Ready(usize),
+    /// A processor's token for an epoch reached an operation's root:
+    /// (operation, processor, epoch).
+    Token(usize, usize, usize),
+    /// Work an operation's root re-assigned arrives at its claimant.
+    Delivery(usize, Move),
+    /// An operation's epoch increment reached the processors.
+    Broadcast(usize, usize),
 }
 
-/// Simulates `ops` on `p` processors of `cfg`, every operation under a
-/// fresh `kind` policy; returns what each did and the per-processor
-/// stats. `estimate(op, remaining, procs)` scores an operation for
+/// Simulates `ops` on `p` processors of `cfg`, every operation claimed
+/// under `rule`; returns what each did and the per-processor stats.
+/// `estimate(op, remaining, procs)` scores an operation for
 /// re-equalization: its finishing time with `remaining` tasks left on
 /// `procs` processors.
 ///
@@ -143,7 +197,7 @@ pub(crate) fn simulate(
     cfg: &MachineConfig,
     p: usize,
     ops: &[SimOp<'_>],
-    kind: PolicyKind,
+    rule: ClaimRule,
     opts: &OpOptions,
     estimate: impl Fn(usize, usize, usize) -> f64,
 ) -> (Vec<OpRun>, RunStats) {
@@ -155,16 +209,28 @@ pub(crate) fn simulate(
             dependents[d].push((c, transfer));
         }
     }
+    let admits = rule != ClaimRule::Policy(PolicyKind::Static);
     let mut live: Vec<Live> = ops
         .iter()
         .map(|op| {
             let (n, w) = (op.costs.len(), op.share.len());
+            let dist = (rule == ClaimRule::Dist && n > 1).then(|| Dist {
+                coord: Coord::new(n, p, &op.share.clone().collect::<Vec<_>>()),
+                heard: 0,
+                asked: vec![false; p],
+            });
+            let policy = match rule {
+                ClaimRule::Policy(PolicyKind::Static) => None,
+                ClaimRule::Policy(kind) => Some(kind.instantiate(n)),
+                ClaimRule::Dist => dist.is_none().then(|| PolicyKind::Taper.instantiate(n)),
+            };
             Live {
                 local: (0..w).map(|v| block_of(v, n, w)).collect(),
                 remaining: n,
                 allowed: (0..p).map(|q| op.share.contains(&q)).collect(),
                 procs: w,
-                policy: (kind != PolicyKind::Static).then(|| kind.instantiate(n)),
+                policy,
+                dist,
                 waiting: op.deps.len(),
                 ready_at: 0.0,
                 run: OpRun::default(),
@@ -202,13 +268,54 @@ pub(crate) fn simulate(
                 }
                 continue;
             }
+            Ev::Token(i, from, epoch) => {
+                let d = live[i].dist.as_mut().expect("a dist op");
+                let before = d.coord.epoch();
+                if let Some(m) = d.coord.token(from, epoch, t) {
+                    let bytes = m.tasks() as u64 * opts.bytes_per_task;
+                    queue.push(t + cfg.msg_time(m.from, m.to, bytes), Ev::Delivery(i, m));
+                }
+                if d.coord.epoch() > before {
+                    queue.push(t + broadcast_latency(cfg, p), Ev::Broadcast(i, d.coord.epoch()));
+                }
+                continue;
+            }
+            Ev::Broadcast(i, e) => {
+                let d = live[i].dist.as_mut().expect("a dist op");
+                d.heard = e;
+                // A starving processor renews its work request in the
+                // new epoch, whatever else it is running.
+                for q in (0..p).filter(|&q| d.asked[q] && d.coord.remaining() > 0) {
+                    queue.push(t + token_latency(cfg, q), Ev::Token(i, q, e));
+                }
+                continue;
+            }
+            Ev::Delivery(i, m) => {
+                let (d, to) = (live[i].dist.as_mut().expect("a dist op"), m.to);
+                d.coord.deliver(m);
+                d.asked[to] = false;
+                if idle[to] {
+                    // Claim the processor now: a second delivery at the
+                    // same instant must not queue a second `Free`.
+                    idle[to] = false;
+                    queue.push(t, Ev::Free(to));
+                }
+                continue;
+            }
         };
         let own = |i: usize| ops[i].share.contains(&q).then(|| q - ops[i].share.start);
         let mut served = ready.iter().copied().find(|&i| {
-            let runs_own = |v: usize| !live[i].local[v].is_empty();
-            live[i].allowed[q] && (live[i].policy.is_some() || own(i).is_some_and(runs_own))
+            let op = &live[i];
+            op.allowed[q]
+                && match (&op.dist, &op.policy) {
+                    (Some(d), _) => d.coord.home_len(q) > 0,
+                    (None, Some(_)) => true,
+                    (None, None) => own(i).is_some_and(|v| !op.local[v].is_empty()),
+                }
         });
-        if served.is_none() && kind != PolicyKind::Static {
+        // The transfer a distributed-TAPER admission seeds `q` with.
+        let mut transfer = 0.0;
+        if served.is_none() && admits {
             let laggard = ready
                 .iter()
                 .copied()
@@ -216,25 +323,51 @@ pub(crate) fn simulate(
                 .map(|i| (estimate(i, live[i].remaining, live[i].procs), i))
                 .max_by(|a, b| a.0.total_cmp(&b.0));
             if let Some((_, i)) = laggard {
-                live[i].allowed[q] = true;
-                live[i].procs += 1;
-                served = Some(i);
+                let op = &mut live[i];
+                op.allowed[q] = true;
+                op.procs += 1;
+                match &mut op.dist {
+                    None => served = Some(i),
+                    Some(d) => {
+                        if let Some((from, n)) = d.coord.admit(q) {
+                            served = Some(i);
+                            transfer = cfg.msg_time(from, q, n as u64 * opts.bytes_per_task);
+                        }
+                    }
+                }
             }
         }
         let Some(i) = served else {
+            // Under distributed TAPER an empty home sends one work
+            // request: a token of the epoch it last heard.
+            for &i in &ready {
+                let op = &mut live[i];
+                if let Some(d) = op.dist.as_mut().filter(|d| op.allowed[q] && !d.asked[q]) {
+                    d.asked[q] = true;
+                    queue.push(t + token_latency(cfg, q), Ev::Token(i, q, d.heard));
+                }
+            }
             idle[q] = true;
             continue;
         };
+        debug_assert!(t >= stats.procs[q].free_at, "processor {q} double-booked at {t}");
 
         let (costs, share) = (ops[i].costs, &ops[i].share);
         let own = own(i);
         let op = &mut live[i];
-        // The chunk, whether it was stolen (taken from the back of the
-        // victim's block, last task first), and its transfer time.
-        let (span, stolen, transfer) = match (&mut op.policy, own) {
-            (None, Some(v)) => (std::mem::take(&mut op.local[v]), false, 0.0),
-            (None, None) => unreachable!("static scheduling serves only its own block"),
-            (Some(policy), own) => {
+        // The chunk, and whether it was stolen (taken from the back of
+        // the victim's block, last task first, paying its transfer).
+        let (span, stolen) = match (&mut op.dist, &mut op.policy, own) {
+            (Some(d), ..) => {
+                let chunk = d.coord.draw(q, usize::MAX, costs).expect("a home with tasks");
+                d.asked[q] = false;
+                op.run.migrated_tasks = d.coord.migrated;
+                queue.push(t + token_latency(cfg, q), Ev::Token(i, q, d.heard));
+                (chunk.range(), false)
+            }
+            (None, None, Some(v)) => (std::mem::take(&mut op.local[v]), false),
+            (None, None, None) => unreachable!("static scheduling serves only its own block"),
+            (None, Some(policy), own) => {
                 let n = costs.len();
                 let k = policy.next_chunk(n - op.remaining, op.remaining, op.procs);
                 let k = k.clamp(1, op.remaining);
@@ -243,7 +376,7 @@ pub(crate) fn simulate(
                         let take = k.min(op.local[v].len());
                         let span = op.local[v].start..op.local[v].start + take;
                         op.local[v].start += take;
-                        (span, false, 0.0)
+                        (span, false)
                     }
                     None => {
                         let w = op.local.len();
@@ -253,7 +386,8 @@ pub(crate) fn simulate(
                         op.local[victim].end -= take;
                         let bytes = take as u64 * opts.bytes_per_task;
                         op.run.migrated_tasks += take as u64;
-                        (span, true, cfg.msg_time(share.start + victim, q, bytes))
+                        transfer = cfg.msg_time(share.start + victim, q, bytes);
+                        (span, true)
                     }
                 }
             }
@@ -281,7 +415,8 @@ pub(crate) fn simulate(
             finished(i, &dependents, &mut live, &mut queue);
         }
     }
-    (live.into_iter().map(|op| op.run).collect(), stats)
+    let runs = live.into_iter().map(|op| OpRun { coord: op.dist.map(|d| d.coord), ..op.run });
+    (runs.collect(), stats)
 }
 
 /// Operation `i` has finished: each dependent counts it off, and one
@@ -303,6 +438,33 @@ fn finished(
     }
 }
 
+/// `simulate`'s one-operation case: `costs` on `p` processors under
+/// `rule`, its share the whole machine.
+pub(crate) fn simulate_one(
+    cfg: &MachineConfig,
+    p: usize,
+    costs: &[f64],
+    rule: ClaimRule,
+    opts: &OpOptions,
+) -> OpResult {
+    let p = p.max(1);
+    let op = SimOp { costs, share: 0..p, deps: Vec::new(), rank: 0 };
+    let (mut runs, stats) = simulate(cfg, p, &[op], rule, opts, |_, _, _| 0.0);
+    let run = runs.pop().expect("one operation");
+    let (reassignments, epoch_times) =
+        run.coord.map_or_else(Default::default, |c| (c.reassignments, c.epoch_times));
+    let n = costs.len();
+    OpResult {
+        finish: run.finish,
+        stats,
+        chunks: run.chunks,
+        migrated_tasks: run.migrated_tasks,
+        reassignments,
+        locality: if n == 0 { 1.0 } else { 1.0 - run.migrated_tasks as f64 / n as f64 },
+        epoch_times,
+    }
+}
+
 /// Simulates one parallel operation on `p` processors under `kind`:
 /// `simulate`'s one-operation case, its share the whole machine.
 pub fn simulate_policy(
@@ -312,11 +474,7 @@ pub fn simulate_policy(
     kind: PolicyKind,
     opts: &OpOptions,
 ) -> OpResult {
-    let p = p.max(1);
-    let op = SimOp { costs, share: 0..p, deps: Vec::new(), rank: 0 };
-    let (runs, stats) = simulate(cfg, p, &[op], kind, opts, |_, _, _| 0.0);
-    let run = runs[0];
-    OpResult { finish: run.finish, stats, chunks: run.chunks, migrated_tasks: run.migrated_tasks }
+    simulate_one(cfg, p, costs, ClaimRule::Policy(kind), opts)
 }
 
 #[cfg(test)]
@@ -477,9 +635,40 @@ mod tests {
         assert_eq!(hashes, pinned);
     }
 
+    /// The one-op dist-TAPER schedule is pinned: finish, chunks,
+    /// migrated tasks, re-assignments and every epoch time on the same
+    /// three cost distributions at three machine sizes hash, bit for
+    /// bit, to the value recorded when it ran in a loop of its own.
+    #[test]
+    fn one_op_dist_schedules_are_pinned() {
+        let dists = [
+            CostDistribution::Uniform { mean: 5.0, spread: 0.5 },
+            CostDistribution::Bimodal { mean: 40.0, heavy_frac: 0.1, heavy_mult: 12.0 },
+            CostDistribution::HeavyTail { mean: 20.0, sigma: 1.2 },
+        ];
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for p in [16, 64, 256] {
+            let cfg = MachineConfig::ncube2(p);
+            for (seed, dist) in (11..).zip(&dists) {
+                let costs = dist.sample(3000, seed);
+                let r = crate::dist_taper::simulate_dist_taper(&cfg, p, &costs, 64);
+                let chunks: u64 = r.stats.procs.iter().map(|s| s.chunks).sum();
+                let epochs = r.epoch_times.len() as u64;
+                let words = [r.finish.to_bits(), chunks, r.migrated_tasks, r.reassignments, epochs];
+                for word in words.into_iter().chain(r.epoch_times.iter().map(|t| t.to_bits())) {
+                    for b in word.to_le_bytes() {
+                        h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+                    }
+                }
+            }
+        }
+        assert_eq!(h, 0x6420_e822_f7ad_18db);
+    }
+
     /// A consumer waits for its producer's last task plus the transfer,
     /// and a processor with nothing left to serve in its own share is
-    /// admitted to the op that still has work.
+    /// admitted to the op that still has work, under either dynamic
+    /// claim rule.
     #[test]
     fn consumers_wait_and_idle_processors_widen() {
         let cfg = ideal(4);
@@ -489,18 +678,28 @@ mod tests {
             SimOp { costs: &b, share: 2..4, deps: Vec::new(), rank: 0 },
             SimOp { costs: &a, share: 0..4, deps: vec![(0, 5.0)], rank: 0 },
         ];
-        let (runs, stats) =
-            simulate(&cfg, 4, &ops, PolicyKind::SelfSched, &OpOptions::default(), |_, n, p| {
-                n as f64 / p as f64
-            });
-        assert!(runs[2].start >= runs[0].finish + 5.0, "{runs:?}");
-        // Op 0's two processors finish its 80 µs of work at 40 µs and
-        // then help op 1, which would take 128 µs on its own two.
-        assert!(runs[1].migrated_tasks > 0 && runs[1].finish < 128.0, "{runs:?}");
-        assert_eq!(stats.total_tasks(), 80);
+        // Under distributed TAPER the admission is `Coord::admit`: the
+        // uniform costs give the root no reason to re-assign, so what
+        // migrates is what admission seeds.
+        for rule in [ClaimRule::Policy(PolicyKind::SelfSched), ClaimRule::Dist] {
+            let (runs, stats) =
+                simulate(&cfg, 4, &ops, rule, &OpOptions::default(), |_, n, p| n as f64 / p as f64);
+            assert!(runs[2].start >= runs[0].finish + 5.0, "{rule:?}: {runs:?}");
+            // Op 0's two processors finish its 80 µs of work at 40 µs
+            // and then help op 1, which would take 128 µs on its own
+            // two.
+            assert!(runs[1].migrated_tasks > 0 && runs[1].finish < 128.0, "{rule:?}: {runs:?}");
+            assert_eq!(stats.total_tasks(), 80, "{rule:?}");
+        }
         // Static scheduling never widens a share.
-        let (runs, _) =
-            simulate(&cfg, 4, &ops, PolicyKind::Static, &OpOptions::default(), |_, _, _| 0.0);
+        let (runs, _) = simulate(
+            &cfg,
+            4,
+            &ops,
+            ClaimRule::Policy(PolicyKind::Static),
+            &OpOptions::default(),
+            |_, _, _| 0.0,
+        );
         assert_eq!(runs[1].migrated_tasks, 0);
         assert!((runs[1].finish - 128.0).abs() < 1e-9, "{runs:?}");
     }

@@ -511,8 +511,10 @@ pub(crate) fn set_up<'p>(
             if group.len() < 2 || pool < group.len() {
                 continue;
             }
-            let specs: Vec<OpSpec> =
-                group.iter().map(|&i| OpSpec::from_live(pending[i], None, opts.policy)).collect();
+            let specs: Vec<OpSpec> = group
+                .iter()
+                .map(|&i| OpSpec::from_live(pending[i], None, opts.claim_policy()))
+                .collect();
             let alloc =
                 allocate_many(&specs, pool, |s, p| finish_estimate_live(s, p, &cal).total());
             let mut offset = 0usize;
@@ -732,7 +734,7 @@ pub struct RunReport {
     /// Fraction of dist-TAPER tasks that ran on their home worker
     /// (1.0 when nothing migrated, and for runs with no dist ops),
     /// matching the simulator's
-    /// [`DistResult::locality`](crate::dist_taper::DistResult).
+    /// [`OpResult::locality`](crate::par_op::OpResult::locality).
     pub locality: f64,
     /// Successful steals, summed over all workers: one op token each on
     /// the threaded pool, half a victim's run queue each on the async

@@ -197,7 +197,7 @@ impl DistQueue {
     ///
     /// Panics if `worker` is out of range.
     pub(crate) fn admit_worker(&self, worker: usize) -> usize {
-        self.coord().admit(worker)
+        self.coord().admit(worker).map_or(0, |(_, moved)| moved)
     }
 
     /// Merges previously persisted cost statistics into the TAPER

@@ -75,35 +75,23 @@ fn pack_plan(epoch_end: usize, chunk_len: usize) -> u64 {
 }
 
 /// How far one published decision is allowed to reach: about one chunk
-/// per worker, but never more than half the remaining space — TAPER's
-/// early no-feedback decision is `remaining/p`, and letting p such
-/// chunks stand would freeze the size for the whole operation. The
-/// half-space cap keeps the decreasing-chunk shape (size recomputed at
-/// a geometrically shrinking frontier) while still amortizing one
-/// policy call over many claims. With one worker every chunk is its
-/// own epoch, which reproduces per-claim decisions exactly.
-fn epoch_span(chunk_len: usize, remaining: usize, workers: usize) -> usize {
-    (chunk_len * workers).min((remaining / 2).max(chunk_len))
-}
-
-/// The number of claims one claimant makes draining a queue of `total`
-/// tasks sized for `workers` under
-/// [`PolicyKind::Static`](crate::PolicyKind::Static)'s `⌈R/p⌉` rule:
-/// each epoch spans [`epoch_span`] tasks from the frontier, and its
-/// chunks are claimed at the epoch's size until one reaches the epoch
-/// end. The live finishing-time estimate counts a static op's
-/// scheduling events with it.
-pub(crate) fn static_claims(total: usize, workers: usize) -> usize {
-    let workers = workers.max(1);
-    let (mut next, mut claims) = (0usize, 0usize);
-    while next < total {
-        let remaining = total - next;
-        let k = remaining.div_ceil(workers);
-        let in_epoch = epoch_span(k, remaining, workers).min(remaining).div_ceil(k);
-        claims += in_epoch;
-        next += in_epoch * k;
+/// per worker. A policy that samples task times is also held to half
+/// the remaining space — TAPER's early no-feedback decision is
+/// `remaining/p`, and letting p such chunks stand would freeze the size
+/// for the whole operation. The half-space cap keeps the
+/// decreasing-chunk shape (size recomputed at a geometrically shrinking
+/// frontier) while still amortizing one policy call over many claims.
+/// A policy that samples nothing has no later decision to wait for, so
+/// `Static`'s `⌈R/p⌉` goes out as one block per worker, as the
+/// simulator runs it. With one worker every chunk is its own epoch,
+/// which reproduces per-claim decisions exactly.
+fn epoch_span(chunk_len: usize, remaining: usize, workers: usize, adaptive: bool) -> usize {
+    let span = chunk_len * workers;
+    if adaptive {
+        span.min((remaining / 2).max(chunk_len))
+    } else {
+        span
     }
-    claims
 }
 
 fn unpack_plan(d: u64) -> (usize, usize) {
@@ -144,16 +132,17 @@ impl ChunkQueue {
     pub fn new(mut policy: Box<dyn ChunkPolicy + Send>, total: usize, workers: usize) -> Self {
         let workers = workers.max(1);
         assert!(total < u32::MAX as usize, "the epoch descriptor packs task indices into 32 bits");
+        let adaptive = policy.live_stats().is_some();
         let plan = if total == 0 {
             pack_plan(0, 0)
         } else {
             let k = policy.next_chunk(0, total, workers).clamp(1, total);
-            pack_plan(epoch_span(k, total, workers).min(total), k)
+            pack_plan(epoch_span(k, total, workers, adaptive).min(total), k)
         };
         ChunkQueue {
             cursor: Padded(AtomicUsize::new(0)),
             plan: Padded(AtomicU64::new(plan)),
-            adaptive: policy.live_stats().is_some(),
+            adaptive,
             policy: Mutex::new(policy),
             chunks: AtomicU64::new(0),
             total,
@@ -259,7 +248,8 @@ impl ChunkQueue {
         }
         let remaining = self.total - next;
         let k = policy.next_chunk(next, remaining, self.workers).clamp(1, remaining);
-        let new_end = next.saturating_add(epoch_span(k, remaining, self.workers)).min(self.total);
+        let span = epoch_span(k, remaining, self.workers, self.adaptive);
+        let new_end = next.saturating_add(span).min(self.total);
         self.plan.0.store(pack_plan(new_end, k), Ordering::Release);
     }
 
@@ -519,30 +509,11 @@ mod tests {
     #[test]
     fn static_decides_once_per_epoch() {
         // One claimant sized for 8 workers over 1 000 tasks: static
-        // decides once per epoch — half the remaining space here, as
-        // one claimant takes every chunk of an epoch in turn.
+        // decides once, and its `⌈R/p⌉` goes out as one block per
+        // worker — the simulator's 8 blocks.
         let q = ChunkQueue::new(PolicyKind::Static.instantiate(1000), 1000, 8);
         let lens: Vec<usize> = std::iter::from_fn(|| q.claim()).map(|c| c.len).collect();
-        assert_eq!(lens[..12], [[125; 4], [63; 4], [31; 4]].concat()[..]);
-        assert_eq!(lens.iter().sum::<usize>(), 1000);
-    }
-
-    #[test]
-    fn static_claims_count_the_queues_static_schedule() {
-        for total in [0usize, 1, 2, 7, 64, 100, 1000, 4096, 100_003] {
-            for workers in [1usize, 2, 3, 8, 64] {
-                let q = ChunkQueue::new(PolicyKind::Static.instantiate(total), total, workers);
-                let drained = std::iter::from_fn(|| q.claim()).count();
-                assert_eq!(
-                    static_claims(total, workers),
-                    drained,
-                    "{total} tasks, {workers} workers"
-                );
-            }
-        }
-        // About p/2 · log2(n/p) halving blocks and a short tail: 33 at
-        // 8 workers over 1 000 tasks, not the simulator's 8 blocks.
-        assert_eq!(static_claims(1000, 8), 33);
+        assert_eq!(lens, [125; 8]);
     }
 
     #[test]

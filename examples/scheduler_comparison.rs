@@ -105,18 +105,20 @@ fn simulated_vs_measured() {
             real.wall_us / 1000.0,
         );
     }
-    // Distributed TAPER on real threads: per-worker home queues with
-    // epoch-token migration instead of a shared claim queue.
+    // Distributed TAPER on the simulator and on real threads:
+    // per-worker home queues with epoch-token migration instead of a
+    // shared claim queue.
     let opts = ExecutorOptions {
         backend: ExecutorBackend::ThreadedDist,
         threads,
         ..ExecutorOptions::default()
     };
+    let sim = execute_graph(&g, &MachineConfig::ncube2(threads), &opts).expect("valid graph");
     let real = execute_threaded(&g, &opts, &kernel).expect("valid graph");
     println!(
-        "{:<22} {:>13} {:>12.2}x {:>12.1}   locality {:.0}%, re-assignments {}",
+        "{:<22} {:>12.2}x {:>12.2}x {:>12.1}   locality {:.0}%, re-assignments {}",
         "dist-TAPER (threads)",
-        "-",
+        sim.speedup(),
         real.measured_speedup(),
         real.wall_us / 1000.0,
         real.locality * 100.0,

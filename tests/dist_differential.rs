@@ -1,6 +1,7 @@
 //! Differential tests pinning the threaded distributed-TAPER backend
 //! against the invariants the simulator's
-//! [`DistResult`](orchestra_runtime::DistResult) establishes:
+//! [`simulate_dist_taper`](orchestra_runtime::simulate_dist_taper)
+//! establishes:
 //! exactly-once execution, locality ∈ [0,1], zero re-assignments on
 //! uniform-cost workloads (the cv gate), forced migration on
 //! concentrated ones, and monotone epoch times. Outputs are compared

@@ -1,16 +1,17 @@
 //! Property tests on the runtime's scheduling invariants: every policy
 //! executes every task exactly once, conserves work, and respects the
 //! trivial lower bounds; the graph simulator starts no operation before
-//! its producers finish; distributed TAPER additionally preserves
-//! locality on regular work.
+//! its producers finish, and keeps its bounds and its determinism under
+//! distributed TAPER's claim rule too; distributed TAPER additionally
+//! preserves locality on regular work.
 
 use orchestra_apps::psirrfan;
 use orchestra_delirium::{DataAnno, DelirGraph, NodeKind};
 use orchestra_machine::{CostDistribution, MachineConfig};
 use orchestra_runtime::threaded::build_plan;
 use orchestra_runtime::{
-    execute_graph, simulate_dist_taper, simulate_policy, ExecutionReport, ExecutorOptions,
-    OpOptions, PolicyKind,
+    execute_graph, simulate_dist_taper, simulate_policy, ExecutionReport, ExecutorBackend,
+    ExecutorOptions, OpOptions, PolicyKind,
 };
 use proptest::prelude::*;
 
@@ -21,6 +22,11 @@ fn any_policy() -> impl Strategy<Value = PolicyKind> {
         Just(PolicyKind::Taper),
         Just(PolicyKind::TaperCostFn),
     ]
+}
+
+/// The simulator's claim rules: `policy`, or distributed TAPER's.
+fn any_backend() -> impl Strategy<Value = ExecutorBackend> {
+    prop_oneof![Just(ExecutorBackend::Simulated), Just(ExecutorBackend::ThreadedDist)]
 }
 
 fn any_distribution() -> impl Strategy<Value = CostDistribution> {
@@ -217,6 +223,7 @@ proptest! {
     #[test]
     fn graph_finish_within_critical_path_and_serial_bounds(
         kind in any_policy(),
+        backend in any_backend(),
         specs in proptest::collection::vec(
             (0u8..3, 1usize..150, 1.0f64..40.0, 0usize..100),
             1..7,
@@ -234,7 +241,7 @@ proptest! {
         let width = g.levels().unwrap().iter().map(Vec::len).max().unwrap_or(1);
         prop_assume!(p >= width);
         let cfg = MachineConfig::ncube2(p);
-        let opts = ExecutorOptions { policy: kind, ..ExecutorOptions::default() };
+        let opts = ExecutorOptions { policy: kind, backend, ..ExecutorOptions::default() };
         let r = execute_graph(&g, &cfg, &opts).unwrap();
 
         let critical = g.critical_path().unwrap();
@@ -264,6 +271,7 @@ proptest! {
     #[test]
     fn graph_execution_is_deterministic(
         kind in any_policy(),
+        backend in any_backend(),
         specs in proptest::collection::vec(
             (0u8..3, 1usize..150, 1.0f64..40.0, 0usize..100),
             1..7,
@@ -279,7 +287,7 @@ proptest! {
         let width = g.levels().unwrap().iter().map(Vec::len).max().unwrap_or(1);
         prop_assume!(p >= width);
         let cfg = MachineConfig::ncube2(p);
-        let opts = ExecutorOptions { policy: kind, seed, ..ExecutorOptions::default() };
+        let opts = ExecutorOptions { policy: kind, backend, seed, ..ExecutorOptions::default() };
         let a = execute_graph(&g, &cfg, &opts).unwrap();
         let b = execute_graph(&g, &cfg, &opts).unwrap();
         prop_assert_eq!(a.finish.to_bits(), b.finish.to_bits());
